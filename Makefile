@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test cover bench bench-json bench-compare smoke chaos lint linkcheck clean
+.PHONY: all build vet test cover bench bench-repo smoke chaos lint linkcheck clean
 
 all: build vet test
 
@@ -26,11 +26,11 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./...
 
-bench-json:
-	./scripts/bench.sh
-
-bench-compare:
-	./scripts/bench.sh compare BENCH_baseline.json
+# The repo benchmark declared in BENCHMARK.json: its own tests, then one
+# short workload end to end (see bench/README.md for full runs).
+bench-repo:
+	(cd bench && $(GO) vet . && $(GO) test .)
+	bash bench/run.sh --workload serve-lsh-hit --seed 1 --seconds 6 --trace 0
 
 smoke:
 	./scripts/smoke_http.sh
@@ -54,5 +54,4 @@ lint: linkcheck
 
 clean:
 	$(GO) clean ./...
-	rm -f bench_*.json cover.out
-	find . -maxdepth 1 -name 'BENCH_*.json' ! -name 'BENCH_baseline.json' -delete
+	rm -f cover.out

@@ -2,10 +2,15 @@
 //
 // Usage:
 //
-//	engine sketch -o index.json [flags] file...   sketch files into an index
-//	engine dist [flags] file...                   all-vs-all pairwise distances
-//	engine search -d index.json [flags] file...   top-K similarity search
-//	engine serve -addr :8080 -d index.json        serve the index over HTTP
+//	engine sketch -o DIR [flags] file...   sketch files into an index directory
+//	engine dist [flags] file...            all-vs-all pairwise distances
+//	engine search -d DIR [flags] file...   top-K similarity search
+//	engine serve -addr :8080 -d DIR        serve the index over HTTP
+//	engine import -o DIR file.json         convert a legacy single-file JSON index
+//
+// An index is a directory (MANIFEST.json, segments/, per-shard
+// write-ahead logs; see docs/FORMAT.md). sketch and serve create it
+// when absent; -o and -d default to ./index.
 package main
 
 import (
@@ -40,6 +45,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		err = cmdSearch(argv[1:], stdout, stderr)
 	case "serve":
 		err = cmdServe(argv[1:], stdout, stderr)
+	case "import":
+		err = cmdImport(argv[1:], stdout, stderr)
 	case "version", "-version", "--version":
 		fmt.Fprintf(stdout, "engine %s\n", core.Version)
 	case "help", "-h", "-help", "--help":
@@ -81,11 +88,12 @@ func usage(w io.Writer) {
 	fmt.Fprint(w, `engine - sketch/index/query engine
 
 Commands:
-  sketch   sketch input files into a JSON index (incremental; existing names are skipped)
+  sketch   sketch input files into an index directory (incremental; existing names are skipped)
   dist     all-vs-all pairwise distances between input files
-  search   top-K similarity search of query files against a saved index
+  search   top-K similarity search of query files against an index directory
   serve    long-lived HTTP server: batched ingest, search, stats, snapshots
            (-coordinator scatter-gathers over -backends instead of serving an index)
+  import   convert a legacy single-file JSON index (format 3 or 4, full width) into a directory
   version  print the engine version
 
 Run "engine <command> -h" for per-command flags.
@@ -106,13 +114,11 @@ func threadsFlag(fs *flag.FlagSet) *int {
 }
 
 // sketchFlags adds the sketching-parameter flags shared by the
-// subcommands that may create an index.
-func sketchFlags(fs *flag.FlagSet) (k, size, threads *int, scheme *string) {
+// subcommands that sketch with parameters of their own choosing.
+func sketchFlags(fs *flag.FlagSet) (k, size, threads *int) {
 	k = fs.Int("k", core.DefaultK, "shingle (k-mer) length")
 	size = fs.Int("size", core.DefaultSignatureSize, "minhash signature size (slots)")
 	threads = threadsFlag(fs)
-	scheme = fs.String("scheme", string(core.DefaultScheme),
-		"sketch scheme: oph (one-permutation, fast) or kmh (legacy k-minhash)")
 	return
 }
 
@@ -158,148 +164,141 @@ func withProfiles(cpu, mem string, fn func() error) error {
 	return nil
 }
 
-// lshFlags adds the LSH banding / sharding flags shared by sketch and
-// search. Zero values mean "use the defaults" (sketch) or "keep the
-// index's stored parameters" (search).
-func lshFlags(fs *flag.FlagSet) (bands, rows, shards *int) {
+// defaultIndexDir is where -o and -d point unless told otherwise.
+const defaultIndexDir = "index"
+
+// lshFlags adds the LSH banding flags. Zero values mean "use the
+// defaults" when creating an index and "keep the index's stored
+// parameters" on search.
+func lshFlags(fs *flag.FlagSet) (bands, rows *int) {
 	bands = fs.Int("bands", 0, "LSH bands per signature (0 = default; bands*rows must equal -size)")
 	rows = fs.Int("rows", 0, "LSH rows per band (0 = default)")
-	shards = fs.Int("shards", 0, "index lock-stripe shards (0 = default)")
 	return
 }
 
-// bitsFlag adds the signature packing width flag shared by the
+// bitsFlag adds the prefilter packing width flag shared by the
 // subcommands that may create an index (new indexes only; an existing
-// index keeps its stored width).
+// index keeps its stored width). Full-width signatures always live in
+// the on-disk segments, so the narrow default costs no accuracy.
 func bitsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("bits", core.DefaultBits,
-		"signature packing width: 64 (full minhash values), 16, or 8 (b-bit minwise hashing; 4x/8x smaller, tiny accuracy cost)")
+	return fs.Int("bits", 8,
+		"RAM prefilter packing width: 8, 16, or 64 bits per slot (results are identical at every width; narrower is smaller and scans faster)")
 }
 
-// tierOpts carries the tiered-storage flag values into loadOrCreateIndex.
-type tierOpts struct {
-	enabled bool
-	dataDir string
-	segRows int
-	budget  int
+func segmentRowsFlag(fs *flag.FlagSet) *int {
+	return fs.Int("segment-rows", 0, "records per sealed segment file (0 = default; new indexes only)")
 }
 
-// tieredFlags adds the tiered-storage flags shared by sketch, search,
-// and serve. See "Scaling past RAM" in the README.
-func tieredFlags(fs *flag.FlagSet) (tiered *bool, dataDir *string, segRows, budget *int) {
-	tiered = fs.Bool("tiered", false,
-		"tiered storage: keep a packed prefilter in RAM and full-width signatures in mmap'd segment files under -data-dir")
-	dataDir = fs.String("data-dir", "",
-		"tiered index directory (MANIFEST.json + segments/); loaded if it holds an index, created or upgraded into with -tiered")
-	segRows = fs.Int("segment-rows", 0,
-		"records per sealed segment file (0 = default; new tiered indexes only)")
-	budget = fs.Int("budget", 0,
-		"tiered search: max full-width rescores per shard per query (0 = unbounded, results identical to non-tiered)")
-	return
+func budgetFlag(fs *flag.FlagSet) *int {
+	return fs.Int("budget", 0,
+		"max full-width rescores per shard per query (0 = unbounded, exact results)")
 }
 
-// flagWasSet reports whether the user set the named flag explicitly.
-func flagWasSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
+// indexFlags are the flags of the subcommands that open an index
+// directory and create it when absent (sketch, serve).
+type indexFlags struct {
+	fs                    *flag.FlagSet
+	k, size, threads      *int
+	bands, rows, shards   *int
+	bits, segRows, budget *int
+	name                  *string
 }
 
-// tieredBits applies the tiered default packing width: a tiered index
-// created without an explicit -bits gets an 8-bit prefilter (the
-// memory-saving configuration tiering exists for), while non-tiered
-// creation keeps the full-width default.
-func tieredBits(fs *flag.FlagSet, bits int, tiered bool) int {
-	if tiered && !flagWasSet(fs, "bits") {
-		return 8
+func addIndexFlags(fs *flag.FlagSet) *indexFlags {
+	f := &indexFlags{fs: fs}
+	f.k, f.size, f.threads = sketchFlags(fs)
+	f.bands, f.rows = lshFlags(fs)
+	f.shards = fs.Int("shards", 0, "index lock-stripe shards (0 = default; fixed at creation)")
+	f.bits = bitsFlag(fs)
+	f.segRows = segmentRowsFlag(fs)
+	f.budget = budgetFlag(fs)
+	f.name = fs.String("name", "default", "index name (new indexes only)")
+	return f
+}
+
+// hasManifest reports whether dir holds a committed index. The manifest
+// rename is the commit point, so its presence is the test; core.Open
+// handles everything after that.
+func hasManifest(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, core.ManifestFile))
+	return err == nil
+}
+
+// openOrCreate opens the index directory dir, or creates it from the
+// flag values when it holds no index yet. An existing index keeps its
+// stored parameters; explicitly-set flags that disagree are warned
+// about. A regular file at dir is left to core.Open, whose error points
+// at `engine import`.
+func (f *indexFlags) openOrCreate(cmd, dir string, stderr io.Writer) (*core.Engine, error) {
+	if fi, err := os.Stat(dir); err != nil || (fi.IsDir() && !hasManifest(dir)) {
+		return core.NewEngine(core.Options{
+			K: *f.k, SignatureSize: *f.size, Threads: *f.threads, IndexName: *f.name,
+			Bands: *f.bands, RowsPerBand: *f.rows, Shards: *f.shards, Bits: *f.bits,
+			Tiered: true, DataDir: dir, SegmentRows: *f.segRows, Budget: *f.budget,
+		})
 	}
-	return bits
+	ix, err := core.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	ix.SetBudget(*f.budget)
+	f.warnIgnored(cmd, ix, stderr)
+	eng, err := core.NewEngineWithIndex(ix, *f.threads)
+	if err != nil {
+		ix.Close()
+		return nil, err
+	}
+	return eng, nil
 }
 
-// resolveLSH turns the flag values into concrete parameters for a new
-// index with signature size sigSize.
-func resolveLSH(bands, rows, shards, sigSize int) (core.LSHParams, int, error) {
-	lsh := core.DefaultLSHParams(sigSize)
-	if bands != 0 || rows != 0 {
-		var err error
-		if lsh, err = core.NewLSHParams(bands, rows, sigSize); err != nil {
-			return core.LSHParams{}, 0, err
-		}
-	}
-	if shards <= 0 {
-		shards = core.DefaultShards
-	}
-	return lsh, shards, nil
-}
-
-// warnIgnoredIndexFlags warns about explicitly-set flags that conflict
-// with an existing index's stored parameters; the stored parameters
-// always win so an index is never silently re-parameterized.
-func warnIgnoredIndexFlags(cmd string, fs *flag.FlagSet, meta core.Metadata,
-	k, size int, scheme string, bands, rows, shards, bits int, name string, stderr io.Writer) {
-	flagSet := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { flagSet[f.Name] = true })
-	if (flagSet["k"] && meta.K != k) || (flagSet["size"] && meta.SignatureSize != size) {
+// warnIgnored warns about explicitly-set flags that conflict with an
+// existing index's stored parameters; the stored parameters always win
+// so an index is never silently re-parameterized.
+func (f *indexFlags) warnIgnored(cmd string, ix *core.Index, stderr io.Writer) {
+	meta := ix.Metadata()
+	set := map[string]bool{}
+	f.fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	if (set["k"] && meta.K != *f.k) || (set["size"] && meta.SignatureSize != *f.size) {
 		fmt.Fprintf(stderr, "engine: %s: existing index %q uses k=%d size=%d; ignoring -k/-size flags\n",
 			cmd, meta.Name, meta.K, meta.SignatureSize)
 	}
-	if flagSet["scheme"] && string(meta.Scheme) != scheme {
-		fmt.Fprintf(stderr, "engine: %s: existing index %q uses scheme=%s; ignoring -scheme %s\n",
-			cmd, meta.Name, meta.Scheme, scheme)
-	}
-	if flagSet["bits"] && meta.Bits != bits {
+	if set["bits"] && meta.Bits != *f.bits {
 		fmt.Fprintf(stderr, "engine: %s: existing index %q uses bits=%d; ignoring -bits %d\n",
-			cmd, meta.Name, meta.Bits, bits)
+			cmd, meta.Name, meta.Bits, *f.bits)
 	}
-	if (flagSet["bands"] && meta.Bands != bands) || (flagSet["rows"] && meta.RowsPerBand != rows) ||
-		(flagSet["shards"] && meta.Shards != shards) {
+	if (set["bands"] && meta.Bands != *f.bands) || (set["rows"] && meta.RowsPerBand != *f.rows) ||
+		(set["shards"] && meta.Shards != *f.shards) {
 		fmt.Fprintf(stderr, "engine: %s: existing index %q uses bands=%d rows=%d shards=%d; ignoring -bands/-rows/-shards flags\n",
 			cmd, meta.Name, meta.Bands, meta.RowsPerBand, meta.Shards)
 	}
-	if flagSet["name"] && meta.Name != name {
+	if segRows := ix.Tier().SegmentRows; set["segment-rows"] && segRows != *f.segRows {
+		fmt.Fprintf(stderr, "engine: %s: existing index %q uses segment-rows=%d; ignoring -segment-rows %d\n",
+			cmd, meta.Name, segRows, *f.segRows)
+	}
+	if set["name"] && meta.Name != *f.name {
 		fmt.Fprintf(stderr, "engine: %s: existing index is named %q; ignoring -name %q\n",
-			cmd, meta.Name, name)
+			cmd, meta.Name, *f.name)
 	}
 }
 
 func cmdSketch(argv []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("sketch", stderr)
-	k, size, threads, scheme := sketchFlags(fs)
-	bands, rows, shards := lshFlags(fs)
-	bits := bitsFlag(fs)
-	tiered, dataDir, segRows, budget := tieredFlags(fs)
+	ixf := addIndexFlags(fs)
 	cpu, mem := profileFlags(fs)
-	out := fs.String("o", "index.json", "output index path (loaded first if it exists)")
-	name := fs.String("name", "default", "index name (new indexes only)")
+	out := fs.String("o", defaultIndexDir, "index directory (opened if it holds an index, created otherwise)")
 	if err := parseFlags(fs, argv); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("sketch: no input files")
 	}
-	// Validate the scheme up front so a typo fails loudly even when an
-	// existing index (whose stored scheme wins) is about to ignore it.
-	sch, err := core.ParseScheme(*scheme)
-	if err != nil {
-		return err
-	}
 	return withProfiles(*cpu, *mem, func() error {
-		ix, err := loadOrCreateIndex(*out, *name, *k, *size, sch, *bands, *rows, *shards,
-			tieredBits(fs, *bits, *tiered), tierOpts{*tiered, *dataDir, *segRows, *budget})
+		eng, err := ixf.openOrCreate("sketch", *out, stderr)
 		if err != nil {
 			return err
 		}
+		ix := eng.Index()
 		defer ix.Close()
-		meta := ix.Metadata()
-		warnIgnoredIndexFlags("sketch", fs, meta, *k, *size, *scheme, *bands, *rows, *shards, *bits, *name, stderr)
-		eng, err := core.NewEngineWithIndex(ix, *threads)
-		if err != nil {
-			return err
-		}
 
 		recs, err := readRecords(fs.Args())
 		if err != nil {
@@ -324,15 +323,10 @@ func cmdSketch(argv []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		skipped += len(fresh) - added
-		if ix.Tiered() {
-			err = ix.SaveDir()
-		} else {
-			err = ix.SaveFile(*out)
-		}
-		if err != nil {
+		if err := ix.SaveDir(); err != nil {
 			return err
 		}
-		meta = ix.Metadata()
+		meta := ix.Metadata()
 		fmt.Fprintf(stdout, "index\t%s\trecords=%d\tadded=%d\tskipped=%d\tk=%d\tsize=%d\n",
 			meta.Name, meta.RecordCount, added, skipped, meta.K, meta.SignatureSize)
 		return nil
@@ -341,7 +335,7 @@ func cmdSketch(argv []string, stdout, stderr io.Writer) error {
 
 func cmdDist(argv []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("dist", stderr)
-	k, size, threads, scheme := sketchFlags(fs)
+	k, size, threads := sketchFlags(fs)
 	cpu, mem := profileFlags(fs)
 	if err := parseFlags(fs, argv); err != nil {
 		return err
@@ -349,12 +343,8 @@ func cmdDist(argv []string, stdout, stderr io.Writer) error {
 	if fs.NArg() < 2 {
 		return fmt.Errorf("dist: need at least two input files")
 	}
-	sch, err := core.ParseScheme(*scheme)
-	if err != nil {
-		return err
-	}
 	return withProfiles(*cpu, *mem, func() error {
-		sketcher, err := core.NewSketcherScheme(*k, *size, sch)
+		sketcher, err := core.NewSketcher(*k, *size)
 		if err != nil {
 			return err
 		}
@@ -381,22 +371,19 @@ func cmdDist(argv []string, stdout, stderr io.Writer) error {
 
 func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("search", stderr)
-	// No -k/-size/-scheme/-bits here: queries are always sketched with
-	// the index's own parameters (see below).
+	// No -k/-size/-bits/-shards here: queries are always sketched with
+	// the index's own parameters (see below), and its layout is fixed.
 	threads := threadsFlag(fs)
-	bands, rows, shards := lshFlags(fs)
-	tiered, dataDir, segRows, budget := tieredFlags(fs)
+	bands, rows := lshFlags(fs)
+	budget := budgetFlag(fs)
 	cpu, mem := profileFlags(fs)
-	db := fs.String("d", "", "index file to search (or use -data-dir for a tiered index directory)")
+	db := fs.String("d", defaultIndexDir, "index directory to search")
 	topK := fs.Int("top", 5, "maximum results per query")
 	minSim := fs.Float64("min", 0, "minimum similarity to report")
 	modeFlag := fs.String("mode", "lsh", "search mode: lsh (banded candidate filter) or exact (full scan)")
 	verbose := fs.Bool("v", false, "report index and arena memory details on stderr")
 	if err := parseFlags(fs, argv); err != nil {
 		return err
-	}
-	if *db == "" && *dataDir == "" {
-		return fmt.Errorf("search: -d index file (or -data-dir tiered directory) is required")
 	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("search: no query files")
@@ -406,33 +393,27 @@ func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	return withProfiles(*cpu, *mem, func() error {
-		ix, err := loadSearchIndex(*db, *dataDir, *tiered, *segRows, *budget)
+		ix, err := core.Open(*db)
 		if err != nil {
 			return err
 		}
 		defer ix.Close()
+		ix.SetBudget(*budget)
 		// Band postings are rebuilt from signatures at load time, so the
-		// banding scheme and shard count can be retuned per search run
-		// without re-sketching.
-		if *bands != 0 || *rows != 0 || *shards != 0 {
+		// banding scheme can be retuned per search run without
+		// re-sketching (nothing is saved).
+		if *bands != 0 || *rows != 0 {
 			meta := ix.Metadata()
-			lsh := ix.LSHParams()
-			if *bands != 0 || *rows != 0 {
-				if lsh, err = core.NewLSHParams(*bands, *rows, meta.SignatureSize); err != nil {
-					return fmt.Errorf("search: %w", err)
-				}
+			lsh, err := core.NewLSHParams(*bands, *rows, meta.SignatureSize)
+			if err != nil {
+				return fmt.Errorf("search: %w", err)
 			}
-			n := meta.Shards
-			if *shards != 0 {
-				n = *shards
-			}
-			if err := ix.Rebucket(lsh, n); err != nil {
+			if err := ix.Rebucket(lsh, meta.Shards); err != nil {
 				return fmt.Errorf("search: %w", err)
 			}
 		}
-		// The engine derives sketch parameters (including the scheme)
-		// from the index metadata, so queries are always sketched
-		// compatibly.
+		// The engine derives sketch parameters from the index metadata,
+		// so queries are always sketched compatibly.
 		eng, err := core.NewEngineWithIndex(ix, *threads)
 		if err != nil {
 			return err
@@ -442,10 +423,9 @@ func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 			meta, arena := ix.Metadata(), ix.Arena()
 			fmt.Fprintf(stderr, "engine: search: index=%s records=%d bits=%d signature_bytes=%d bytes_per_record=%.1f arena_utilization=%.2f\n",
 				meta.Name, meta.RecordCount, arena.Bits, arena.SignatureBytes, arena.BytesPerRecord, arena.Utilization)
-			if ts := ix.Tier(); ts != nil {
-				fmt.Fprintf(stderr, "engine: search: tier: prefilter_bits=%d segments=%d resident_bytes=%d mapped_bytes=%d head_bytes=%d budget=%d\n",
-					ts.PrefilterBits, ts.Segments, ts.ResidentBytes, ts.MappedBytes, ts.HeadBytes, ts.Budget)
-			}
+			ts := ix.Tier()
+			fmt.Fprintf(stderr, "engine: search: tier: prefilter_bits=%d segments=%d resident_bytes=%d mapped_bytes=%d head_bytes=%d budget=%d\n",
+				ts.PrefilterBits, ts.Segments, ts.ResidentBytes, ts.MappedBytes, ts.HeadBytes, ts.Budget)
 		}
 		recs, err := readRecords(fs.Args())
 		if err != nil {
@@ -464,110 +444,6 @@ func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	})
-}
-
-// loadSearchIndex resolves the search command's index source: a tiered
-// directory when -data-dir points at one, a plain JSON index otherwise.
-// With both -d and -tiered -data-dir, the JSON index is migrated into
-// the directory and persisted there — the CLI's explicit upgrade path —
-// keeping its stored packing width for the prefilter.
-func loadSearchIndex(db, dataDir string, tiered bool, segRows, budget int) (*core.Index, error) {
-	switch {
-	case dataDir != "" && hasManifest(dataDir):
-		ix, err := core.Open(dataDir)
-		if err != nil {
-			return nil, err
-		}
-		ix.SetBudget(budget)
-		return ix, nil
-	case dataDir != "":
-		if !tiered {
-			return nil, fmt.Errorf("search: %s is not a tiered index directory (no %s); pass -tiered with -d to migrate a JSON index into it",
-				dataDir, core.ManifestFile)
-		}
-		if db == "" {
-			return nil, fmt.Errorf("search: migrating to a tiered directory needs the source index via -d")
-		}
-		ix, err := core.Open(db)
-		if err != nil {
-			return nil, err
-		}
-		if err := ix.EnableTiered(dataDir, segRows, 0); err != nil {
-			return nil, err
-		}
-		if err := ix.SaveDir(); err != nil {
-			ix.Close()
-			return nil, err
-		}
-		ix.SetBudget(budget)
-		return ix, nil
-	default:
-		return core.Open(db)
-	}
-}
-
-// hasManifest reports whether dir holds a committed tiered index. The
-// manifest rename is the commit point, so its presence is the test;
-// core.Open handles everything after that.
-func hasManifest(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, core.ManifestFile))
-	return err == nil
-}
-
-func loadOrCreateIndex(path, name string, k, size int, scheme core.Scheme, bands, rows, shards, bits int, t tierOpts) (*core.Index, error) {
-	if t.enabled && t.dataDir == "" {
-		return nil, fmt.Errorf("index: -tiered requires -data-dir")
-	}
-	// An existing tiered directory wins over everything: it IS the index.
-	if t.dataDir != "" && hasManifest(t.dataDir) {
-		ix, err := core.Open(t.dataDir)
-		if err != nil {
-			return nil, err
-		}
-		ix.SetBudget(t.budget)
-		return ix, nil
-	}
-	if t.dataDir != "" && !t.enabled {
-		return nil, fmt.Errorf("index: %s is not a tiered index directory (no %s); create one by adding -tiered",
-			t.dataDir, core.ManifestFile)
-	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		lsh, n, rerr := resolveLSH(bands, rows, shards, size)
-		if rerr != nil {
-			return nil, rerr
-		}
-		ix, nerr := core.NewIndexWith(name, k, size, scheme, lsh, n, bits)
-		if nerr != nil {
-			return nil, nerr
-		}
-		if t.enabled {
-			if terr := ix.EnableTiered(t.dataDir, t.segRows, 0); terr != nil {
-				return nil, terr
-			}
-			ix.SetBudget(t.budget)
-		}
-		return ix, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	ix, err := core.LoadIndex(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	if t.enabled {
-		// First tiered run over a legacy JSON index: migrate it into the
-		// data directory (lossless re-truncation from full-width slots).
-		// The JSON file is left behind untouched; from the next run on,
-		// the directory is the index.
-		if err := ix.EnableTiered(t.dataDir, t.segRows, bits); err != nil {
-			return nil, err
-		}
-		ix.SetBudget(t.budget)
-	}
-	return ix, nil
 }
 
 // readRecords loads each path as one record named by its base name.

@@ -20,28 +20,24 @@ func runCLI(t *testing.T, args ...string) (string, string, int) {
 
 func testdata(name string) string { return filepath.Join("testdata", name) }
 
-// goldenPipeline drives the full sketch -> search -> dist pipeline over
-// committed testdata and compares output against a golden file. Sketch
-// hashing is deterministic, so the output is byte-stable. schemeArgs is
-// appended to the subcommands that sketch from scratch (sketch, dist);
-// search always derives the scheme from the index.
-func goldenPipeline(t *testing.T, goldenFile string, schemeArgs ...string) {
-	t.Helper()
-	dir := t.TempDir()
-	index := filepath.Join(dir, "index.json")
+// TestCLIGolden drives the full sketch -> search -> dist pipeline over
+// committed testdata, on a directory index, and compares output
+// against the golden file. Sketch hashing is deterministic, so the
+// output is byte-stable.
+func TestCLIGolden(t *testing.T) {
+	index := filepath.Join(t.TempDir(), "index")
 
 	var out strings.Builder
 
-	stdout, stderr, code := runCLI(t, append([]string{"sketch", "-o", index, "-name", "golden"},
-		append(schemeArgs, testdata("alpha.txt"), testdata("beta.txt"), testdata("gamma.txt"))...)...)
+	stdout, stderr, code := runCLI(t, "sketch", "-o", index, "-name", "golden",
+		testdata("alpha.txt"), testdata("beta.txt"), testdata("gamma.txt"))
 	if code != 0 {
 		t.Fatalf("sketch failed (%d): %s", code, stderr)
 	}
 	out.WriteString("== sketch ==\n" + stdout)
 
 	// Re-sketching one file must skip it, leaving the index unchanged.
-	stdout, stderr, code = runCLI(t, append([]string{"sketch", "-o", index},
-		append(schemeArgs, testdata("alpha.txt"))...)...)
+	stdout, stderr, code = runCLI(t, "sketch", "-o", index, testdata("alpha.txt"))
 	if code != 0 {
 		t.Fatalf("incremental sketch failed (%d): %s", code, stderr)
 	}
@@ -54,14 +50,14 @@ func goldenPipeline(t *testing.T, goldenFile string, schemeArgs ...string) {
 	}
 	out.WriteString("== search ==\n" + stdout)
 
-	stdout, stderr, code = runCLI(t, append([]string{"dist", "-threads", "2"},
-		append(schemeArgs, testdata("alpha.txt"), testdata("beta.txt"), testdata("gamma.txt"))...)...)
+	stdout, stderr, code = runCLI(t, "dist", "-threads", "2",
+		testdata("alpha.txt"), testdata("beta.txt"), testdata("gamma.txt"))
 	if code != 0 {
 		t.Fatalf("dist failed (%d): %s", code, stderr)
 	}
 	out.WriteString("== dist ==\n" + stdout)
 
-	golden := testdata(goldenFile)
+	golden := testdata("cli_golden.txt")
 	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -74,19 +70,6 @@ func goldenPipeline(t *testing.T, goldenFile string, schemeArgs ...string) {
 	if out.String() != string(want) {
 		t.Errorf("CLI output differs from golden file.\n--- got ---\n%s--- want ---\n%s", out.String(), want)
 	}
-}
-
-// TestCLIGolden pins the pipeline output under the default (OPH) scheme.
-func TestCLIGolden(t *testing.T) {
-	goldenPipeline(t, "cli_golden.txt")
-}
-
-// TestCLIGoldenKMH pins the legacy scheme: cli_golden_kmh.txt is the
-// byte-for-byte pre-OPH golden file, so `-scheme kmh` proving identical
-// output means the legacy path still produces exactly what it did
-// before the scheme switch.
-func TestCLIGoldenKMH(t *testing.T) {
-	goldenPipeline(t, "cli_golden_kmh.txt", "-scheme", "kmh")
 }
 
 func TestCLIThreadsFlag(t *testing.T) {
@@ -108,8 +91,7 @@ func TestCLIThreadsFlag(t *testing.T) {
 // TestCLISearchModesAgree: on the golden corpus, LSH mode must return
 // the same top-K output as exact mode, byte for byte.
 func TestCLISearchModesAgree(t *testing.T) {
-	dir := t.TempDir()
-	index := filepath.Join(dir, "index.json")
+	index := filepath.Join(t.TempDir(), "index")
 	if _, stderr, code := runCLI(t, "sketch", "-o", index,
 		testdata("alpha.txt"), testdata("beta.txt"), testdata("gamma.txt")); code != 0 {
 		t.Fatalf("sketch failed (%d): %s", code, stderr)
@@ -129,11 +111,12 @@ func TestCLISearchModesAgree(t *testing.T) {
 }
 
 // TestCLILSHFlags drives -bands/-rows/-shards through sketch and
-// search: a retuned index must keep returning identical results, and
-// conflicting flags on an existing index are warned about and ignored.
+// -bands/-rows through search: a retuned index must keep returning
+// identical results, conflicting flags on an existing index are warned
+// about and ignored, and search has no -shards (the stripe count is
+// fixed at creation).
 func TestCLILSHFlags(t *testing.T) {
-	dir := t.TempDir()
-	index := filepath.Join(dir, "index.json")
+	index := filepath.Join(t.TempDir(), "index")
 	if _, stderr, code := runCLI(t, "sketch", "-o", index, "-bands", "16", "-rows", "8", "-shards", "4",
 		testdata("alpha.txt"), testdata("beta.txt"), testdata("gamma.txt")); code != 0 {
 		t.Fatalf("sketch failed (%d): %s", code, stderr)
@@ -142,10 +125,10 @@ func TestCLILSHFlags(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("search failed (%d): %s", code, stderr)
 	}
-	// Retune the banding and sharding at search time; results must not
-	// change (the fallback guarantees completeness on a 3-record corpus).
+	// Retune the banding at search time; results must not change (the
+	// fallback guarantees completeness on a 3-record corpus).
 	retuned, stderr, code := runCLI(t, "search", "-d", index, "-top", "2",
-		"-bands", "64", "-rows", "2", "-shards", "2", testdata("beta.txt"))
+		"-bands", "64", "-rows", "2", testdata("beta.txt"))
 	if code != 0 {
 		t.Fatalf("retuned search failed (%d): %s", code, stderr)
 	}
@@ -162,85 +145,69 @@ func TestCLILSHFlags(t *testing.T) {
 	if !strings.Contains(stderr, "ignoring -bands/-rows/-shards") {
 		t.Fatalf("want conflicting-flags warning, got: %q", stderr)
 	}
-}
-
-// TestCLISchemeFlag drives -scheme end to end: a kmh index keeps
-// serving kmh queries, conflicting flags on an existing index warn and
-// are ignored, and bad scheme values are rejected.
-func TestCLISchemeFlag(t *testing.T) {
-	dir := t.TempDir()
-	index := filepath.Join(dir, "index.json")
-	if _, stderr, code := runCLI(t, "sketch", "-o", index, "-scheme", "kmh",
-		testdata("alpha.txt"), testdata("beta.txt")); code != 0 {
-		t.Fatalf("sketch -scheme kmh failed (%d): %s", code, stderr)
+	// So does -segment-rows, which only shapes a new directory.
+	_, stderr, code = runCLI(t, "sketch", "-o", index, "-segment-rows", "7", testdata("alpha.txt"))
+	if code != 0 || !strings.Contains(stderr, "ignoring -segment-rows 7") {
+		t.Fatalf("re-sketch with -segment-rows: code=%d stderr=%q, want an ignored-flag warning", code, stderr)
 	}
-	// Search derives the scheme from the index; it must hit.
-	stdout, stderr, code := runCLI(t, "search", "-d", index, "-top", "1", testdata("beta.txt"))
-	if code != 0 {
-		t.Fatalf("search on kmh index failed (%d): %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "alpha.txt") {
-		t.Fatalf("search on kmh index found no neighbor:\n%s", stdout)
-	}
-	// Re-sketching with a conflicting -scheme warns and keeps kmh.
-	_, stderr, code = runCLI(t, "sketch", "-o", index, "-scheme", "oph", testdata("gamma.txt"))
-	if code != 0 {
-		t.Fatalf("re-sketch failed (%d): %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "ignoring -scheme") {
-		t.Fatalf("want conflicting-scheme warning, got: %q", stderr)
-	}
-	// Unknown schemes are rejected up front — including against an
-	// existing index, where the stored scheme would otherwise make the
-	// flag a silently-ignored typo.
-	if _, stderr, code := runCLI(t, "sketch", "-o", filepath.Join(dir, "bad.json"),
-		"-scheme", "simhash", testdata("alpha.txt")); code == 0 || !strings.Contains(stderr, "unknown scheme") {
-		t.Fatalf("sketch -scheme simhash: code=%d stderr=%q, want unknown-scheme error", code, stderr)
-	}
-	if _, stderr, code := runCLI(t, "sketch", "-o", index,
-		"-scheme", "simhash", testdata("alpha.txt")); code == 0 || !strings.Contains(stderr, "unknown scheme") {
-		t.Fatalf("sketch -scheme simhash on existing index: code=%d stderr=%q, want unknown-scheme error", code, stderr)
-	}
-	if _, stderr, code := runCLI(t, "serve", "-addr", "127.0.0.1:0", "-d", index,
-		"-scheme", "simhash"); code == 0 || !strings.Contains(stderr, "unknown scheme") {
-		t.Fatalf("serve -scheme simhash: code=%d stderr=%q, want unknown-scheme error", code, stderr)
+	if _, _, code = runCLI(t, "search", "-d", index, "-shards", "2", testdata("beta.txt")); code != 2 {
+		t.Fatalf("search -shards exited %d, want 2 (no such flag)", code)
 	}
 }
 
-// TestCLIBitsFlag drives -bits end to end: a packed index returns the
-// same hits on the golden corpus, `search -v` reports the packed arena
-// footprint, conflicting flags on an existing index warn and are
-// ignored, and unsupported widths are rejected.
+// TestCLIRemovedFlags: the flags that chose between storage layouts and
+// sketch schemes are gone from every subcommand.
+func TestCLIRemovedFlags(t *testing.T) {
+	for _, cmd := range []string{"sketch", "search", "serve"} {
+		_, help, code := runCLI(t, cmd, "-h")
+		if code != 0 {
+			t.Fatalf("%s -h exited %d", cmd, code)
+		}
+		for _, gone := range []string{"-tiered", "-data-dir", "-scheme"} {
+			if strings.Contains(help, "  "+gone+" ") || strings.Contains(help, "  "+gone+"\n") {
+				t.Errorf("%s -h still lists %s:\n%s", cmd, gone, help)
+			}
+		}
+	}
+}
+
+// TestCLIBitsFlag drives -bits end to end: the default 8-bit prefilter
+// returns byte-identical output to a full-width one (the rescore reads
+// full-width segments either way), `search -v` reports the packed arena
+// and the tier footprint, conflicting flags on an existing index warn
+// and are ignored, and unsupported widths are rejected.
 func TestCLIBitsFlag(t *testing.T) {
 	dir := t.TempDir()
-	full := filepath.Join(dir, "full.json")
-	packed := filepath.Join(dir, "packed.json")
+	full := filepath.Join(dir, "full")
+	packed := filepath.Join(dir, "packed")
 	inputs := []string{testdata("alpha.txt"), testdata("beta.txt"), testdata("gamma.txt")}
-	if _, stderr, code := runCLI(t, append([]string{"sketch", "-o", full}, inputs...)...); code != 0 {
+	if _, stderr, code := runCLI(t, append([]string{"sketch", "-o", full, "-bits", "64"}, inputs...)...); code != 0 {
+		t.Fatalf("sketch -bits 64 failed (%d): %s", code, stderr)
+	}
+	if _, stderr, code := runCLI(t, append([]string{"sketch", "-o", packed, "-segment-rows", "2"}, inputs...)...); code != 0 {
 		t.Fatalf("sketch failed (%d): %s", code, stderr)
 	}
-	if _, stderr, code := runCLI(t, append([]string{"sketch", "-o", packed, "-bits", "8"}, inputs...)...); code != 0 {
-		t.Fatalf("sketch -bits 8 failed (%d): %s", code, stderr)
+	if _, err := os.Stat(filepath.Join(packed, "MANIFEST.json")); err != nil {
+		t.Fatalf("sketch wrote no manifest: %v", err)
 	}
-	// The 8-bit index must return the same neighbors on this tiny corpus
-	// (quantized similarities may differ; refs may not).
-	want, stderr, code := runCLI(t, "search", "-d", full, "-top", "1", testdata("beta.txt"))
+	want, stderr, code := runCLI(t, "search", "-d", full, "-top", "2", testdata("beta.txt"))
 	if code != 0 {
 		t.Fatalf("search full failed (%d): %s", code, stderr)
 	}
-	got, stderr, code := runCLI(t, "search", "-d", packed, "-top", "1", "-v", testdata("beta.txt"))
+	got, stderr, code := runCLI(t, "search", "-d", packed, "-top", "2", "-v", testdata("beta.txt"))
 	if code != 0 {
 		t.Fatalf("search packed failed (%d): %s", code, stderr)
 	}
-	wantRef := strings.Fields(strings.Split(want, "\n")[1])[1]
-	gotRef := strings.Fields(strings.Split(got, "\n")[1])[1]
-	if wantRef != gotRef {
-		t.Fatalf("8-bit index top hit %q, full-width %q", gotRef, wantRef)
+	if got != want {
+		t.Fatalf("8-bit prefilter output differs from full width:\n%s\nvs\n%s", got, want)
 	}
-	// -v reports the arena memory on stderr: 128 slots at 8 bits is 128
-	// bytes per record.
+	// -v reports the arena memory on stderr — 128 slots at 8 bits is 128
+	// bytes per record — and the tier line (resident vs mapped bytes).
 	if !strings.Contains(stderr, "bits=8") || !strings.Contains(stderr, "bytes_per_record=128.0") {
 		t.Fatalf("search -v stderr = %q, want arena report with bits=8 bytes_per_record=128.0", stderr)
+	}
+	if !strings.Contains(stderr, "resident_bytes=") || !strings.Contains(stderr, "mapped_bytes=") {
+		t.Fatalf("search -v did not report tier bytes: %s", stderr)
 	}
 	// Re-sketching with a conflicting -bits warns and keeps the stored
 	// width.
@@ -251,7 +218,7 @@ func TestCLIBitsFlag(t *testing.T) {
 		t.Fatalf("want conflicting-bits warning, got: %q", stderr)
 	}
 	// Unsupported widths are rejected up front.
-	if _, stderr, code := runCLI(t, "sketch", "-o", filepath.Join(dir, "bad.json"),
+	if _, stderr, code := runCLI(t, "sketch", "-o", filepath.Join(dir, "bad"),
 		"-bits", "12", testdata("alpha.txt")); code == 0 || !strings.Contains(stderr, "packing width") {
 		t.Fatalf("sketch -bits 12: code=%d stderr=%q, want packing-width error", code, stderr)
 	}
@@ -285,21 +252,24 @@ func TestCLIProfileFlags(t *testing.T) {
 }
 
 func TestCLIErrors(t *testing.T) {
+	nope := filepath.Join(t.TempDir(), "nope")
 	cases := []struct {
 		name string
 		args []string
 	}{
 		{"no args", nil},
 		{"unknown command", []string{"frobnicate"}},
-		{"sketch no files", []string{"sketch", "-o", "/tmp/nope.json"}},
+		{"sketch no files", []string{"sketch", "-o", nope}},
 		{"dist one file", []string{"dist", testdata("alpha.txt")}},
-		{"search missing -d", []string{"search", testdata("alpha.txt")}},
+		{"search no index at the default ./index", []string{"search", testdata("alpha.txt")}},
 		{"search no queries", []string{"search", "-d", testdata("alpha.txt")}},
-		{"search bad index", []string{"search", "-d", testdata("alpha.txt"), testdata("beta.txt")}},
+		{"search missing index", []string{"search", "-d", nope, testdata("beta.txt")}},
+		{"search a file, not a directory", []string{"search", "-d", testdata("alpha.txt"), testdata("beta.txt")}},
+		{"sketch into a file, not a directory", []string{"sketch", "-o", testdata("alpha.txt"), testdata("beta.txt")}},
 		{"missing input", []string{"dist", "testdata/does-not-exist.txt", testdata("alpha.txt")}},
 		{"search bad mode", []string{"search", "-d", testdata("alpha.txt"), "-mode", "fuzzy", testdata("beta.txt")}},
-		{"sketch bad banding", []string{"sketch", "-o", "/tmp/nope-lsh.json", "-bands", "3", "-rows", "3", testdata("alpha.txt")}},
-		{"dist bad scheme", []string{"dist", "-scheme", "bogus", testdata("alpha.txt"), testdata("beta.txt")}},
+		{"sketch bad banding", []string{"sketch", "-o", nope, "-bands", "3", "-rows", "3", testdata("alpha.txt")}},
+		{"dist removed -scheme", []string{"dist", "-scheme", "oph", testdata("alpha.txt"), testdata("beta.txt")}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -311,6 +281,21 @@ func TestCLIErrors(t *testing.T) {
 				t.Fatal("want error message on stderr")
 			}
 		})
+	}
+}
+
+// TestCLIFileIndexPointsAtImport: every subcommand handed a regular
+// file where an index directory belongs fails naming the importer.
+func TestCLIFileIndexPointsAtImport(t *testing.T) {
+	file := testdata("alpha.txt")
+	for _, args := range [][]string{
+		{"sketch", "-o", file, testdata("beta.txt")},
+		{"search", "-d", file, testdata("beta.txt")},
+		{"serve", "-addr", "127.0.0.1:0", "-d", file},
+	} {
+		if _, stderr, code := runCLI(t, args...); code != 1 || !strings.Contains(stderr, "engine import") {
+			t.Errorf("%v: code=%d stderr=%q, want a failure naming engine import", args, code, stderr)
+		}
 	}
 }
 

@@ -27,10 +27,7 @@ var serveBaseContext = context.Background
 
 func cmdServe(argv []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("serve", stderr)
-	k, size, threads, scheme := sketchFlags(fs)
-	bands, rows, shards := lshFlags(fs)
-	bits := bitsFlag(fs)
-	tiered, dataDir, segRows, budget := tieredFlags(fs)
+	ixf := addIndexFlags(fs)
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	pprofAddr := fs.String("pprof-addr", "",
 		"listen address for net/http/pprof (e.g. 127.0.0.1:6060; empty disables)")
@@ -50,8 +47,7 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 		"how long a queued hint waits for its backend before expiring")
 	repairEvery := fs.Duration("repair-every", 0,
 		"coordinator anti-entropy repair sweep interval (0 disables; POST /v1/admin/repair always works)")
-	db := fs.String("d", "index.json", "index file: loaded if present, created otherwise, and the snapshot destination")
-	name := fs.String("name", "default", "index name (new indexes only)")
+	db := fs.String("d", defaultIndexDir, "index directory: opened if it holds an index, created otherwise; every acked write is fsynced to its write-ahead log and snapshots go into it")
 	modeFlag := fs.String("mode", "lsh", "default search mode: lsh or exact (requests may override)")
 	snapEvery := fs.Duration("snapshot-every", 30*time.Second, "periodic snapshot interval (0 disables; shutdown always snapshots)")
 	maxInFlight := fs.Int("max-inflight", server.DefaultMaxInFlight, "max concurrently served requests")
@@ -105,24 +101,12 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Validate the scheme up front so a typo fails loudly even when an
-	// existing index (whose stored scheme wins) is about to ignore it.
-	sch, err := core.ParseScheme(*scheme)
+	eng, err := ixf.openOrCreate("serve", *db, stderr)
 	if err != nil {
 		return err
 	}
-	ix, err := loadOrCreateIndex(*db, *name, *k, *size, sch, *bands, *rows, *shards,
-		tieredBits(fs, *bits, *tiered), tierOpts{*tiered, *dataDir, *segRows, *budget})
-	if err != nil {
-		return err
-	}
+	ix := eng.Index()
 	defer ix.Close()
-	meta := ix.Metadata()
-	warnIgnoredIndexFlags("serve", fs, meta, *k, *size, *scheme, *bands, *rows, *shards, *bits, *name, stderr)
-	eng, err := core.NewEngineWithIndex(ix, *threads)
-	if err != nil {
-		return err
-	}
 	eng.SetMode(mode)
 	if *pprofAddr != "" {
 		stop, bound, err := servePprof(*pprofAddr)
@@ -132,17 +116,8 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 		defer stop()
 		fmt.Fprintf(stdout, "pprof\taddr=%s\n", bound)
 	}
-	// Tiered indexes snapshot into their data directory (sealing new
-	// segments, rewriting the small manifest); the -d JSON path is then
-	// unused as a snapshot destination.
-	indexPath, snapDest := *db, *db
-	if ix.Tiered() {
-		indexPath, snapDest = "", ix.DataDir()
-	}
 	srv, err := server.New(eng, server.Config{
 		Addr:          *addr,
-		IndexPath:     indexPath,
-		DataDir:       ix.DataDir(),
 		SnapshotEvery: *snapEvery,
 		MaxInFlight:   *maxInFlight,
 		MaxBatch:      *maxBatch,
@@ -161,7 +136,7 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "serving\taddr=%s\tindex=%s\trecords=%d\tmode=%s\tsnapshot=%s\n",
-		bound, meta.Name, ix.Len(), mode, snapDest)
+		bound, ix.Metadata().Name, ix.Len(), mode, ix.DataDir())
 	ctx, stop := signal.NotifyContext(serveBaseContext(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return srv.Serve(ctx)
@@ -188,7 +163,7 @@ func serveCoordinator(fs *flag.FlagSet, cfg cluster.Config, backends, pprofAddr 
 	// Index flags are meaningless without an index; catch the ones a
 	// single-node invocation would care about so a copy-pasted command
 	// line fails loudly instead of silently dropping its index.
-	ignored := map[string]bool{"d": true, "tiered": true, "data-dir": true, "snapshot-every": true,
+	ignored := map[string]bool{"d": true, "snapshot-every": true,
 		"queue-depth": true, "mode": true, "name": true}
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {

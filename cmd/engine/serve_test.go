@@ -44,8 +44,7 @@ var (
 // port, ingest over HTTP, search for a hit, stop via the (test-hooked)
 // signal context, and load the snapshot the shutdown left behind.
 func TestCLIServe(t *testing.T) {
-	dir := t.TempDir()
-	index := filepath.Join(dir, "index.json")
+	index := filepath.Join(t.TempDir(), "index")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -150,21 +149,24 @@ func TestCLIServe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shutdown snapshot is not loadable: %v", err)
 	}
+	defer ix.Close()
 	if ix.Len() != 2 || ix.Get("alpha") == nil || ix.Get("beta") == nil {
 		t.Fatalf("snapshot has %d records, want alpha and beta", ix.Len())
 	}
 }
 
 func TestCLIServeErrors(t *testing.T) {
+	nope := filepath.Join(t.TempDir(), "nope")
 	cases := []struct {
 		name string
 		args []string
 	}{
 		{"unexpected args", []string{"serve", "-addr", "127.0.0.1:0", "extra.txt"}},
 		{"bad mode", []string{"serve", "-mode", "fuzzy"}},
-		{"bad banding", []string{"serve", "-addr", "127.0.0.1:0", "-d", "/tmp/serve-nope.json", "-bands", "3", "-rows", "5"}},
-		{"bad address", []string{"serve", "-addr", "127.0.0.1:99999", "-d", "/tmp/serve-nope.json"}},
-		{"unreadable index", []string{"serve", "-addr", "127.0.0.1:0", "-d", "testdata/alpha.txt"}},
+		{"bad banding", []string{"serve", "-addr", "127.0.0.1:0", "-d", nope, "-bands", "3", "-rows", "5"}},
+		{"bad address", []string{"serve", "-addr", "127.0.0.1:99999", "-d", nope}},
+		{"a file, not a directory", []string{"serve", "-addr", "127.0.0.1:0", "-d", "testdata/alpha.txt"}},
+		{"removed -tiered", []string{"serve", "-addr", "127.0.0.1:0", "-d", nope, "-tiered"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,12 +18,11 @@ func benchData(n int, seed int64) []byte {
 	return data
 }
 
-// benchSketchScheme runs the sketch throughput benchmark for one
-// scheme across payload sizes.
-func benchSketchScheme(b *testing.B, scheme Scheme) {
+// BenchmarkSketch measures sketch throughput across payload sizes.
+func BenchmarkSketch(b *testing.B) {
 	for _, size := range []int{1 << 10, 16 << 10, 256 << 10} {
 		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
-			s, err := NewSketcherScheme(DefaultK, DefaultSignatureSize, scheme)
+			s, err := NewSketcher(DefaultK, DefaultSignatureSize)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -36,15 +35,6 @@ func benchSketchScheme(b *testing.B, scheme Scheme) {
 		})
 	}
 }
-
-// BenchmarkSketch measures the default (OPH) scheme; the name is kept
-// stable so BENCH_baseline.json comparisons track the default path
-// across the scheme switch.
-func BenchmarkSketch(b *testing.B) { benchSketchScheme(b, SchemeOPH) }
-
-// BenchmarkSketchKMH pins the legacy k-minhash path, which pays the
-// per-slot inner loop for every shingle.
-func BenchmarkSketchKMH(b *testing.B) { benchSketchScheme(b, SchemeKMH) }
 
 func BenchmarkSimilarity(b *testing.B) {
 	s, err := NewSketcher(DefaultK, DefaultSignatureSize)
@@ -95,7 +85,7 @@ func benchIndex(b *testing.B, n, bits int) (*Index, *Sketch) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := NewIndexWith("bench", DefaultK, DefaultSignatureSize, DefaultScheme,
+	ix, err := NewIndexWith("bench", DefaultK, DefaultSignatureSize,
 		DefaultLSHParams(DefaultSignatureSize), DefaultShards, bits)
 	if err != nil {
 		b.Fatal(err)
@@ -135,7 +125,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 // BenchmarkPackedStore measures the arena scan at each packing width on
 // a 1000-record corpus — the working-set effect the b-bit store exists
 // for — and reports the per-record signature footprint alongside ns/op
-// so BENCH_*.json tracks memory regressions too.
+// so a run shows memory regressions too.
 func BenchmarkPackedStore(b *testing.B) {
 	for _, bits := range []int{64, 16, 8} {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
@@ -229,8 +219,8 @@ func BenchmarkPairwiseDistances(b *testing.B) {
 // tiered index: sketch, shard insert, WAL append, and the group-commit
 // fsync that makes the ack durable. It reports ingest_ack_ns (wall
 // time per acknowledged add) and wal_fsync_ns (mean fsync batch
-// latency) so BENCH_*.json tracks the durability tax separately from
-// pure in-memory ingest.
+// latency) so a run shows the durability tax separately from pure
+// in-memory ingest.
 func BenchmarkDurableIngest(b *testing.B) {
 	dir := b.TempDir()
 	eng, err := NewEngine(Options{

@@ -9,20 +9,16 @@ import (
 
 // Version identifies the engine build. It is reported by the CLI and
 // stamped into saved index metadata.
-const Version = "0.9.0"
+const Version = "0.10.0"
 
 // Options configures an Engine. Zero values fall back to the package
-// defaults (DefaultK, DefaultSignatureSize, DefaultScheme sketching,
-// GOMAXPROCS workers, DefaultLSHParams banding, DefaultShards stripes,
+// defaults (DefaultK, DefaultSignatureSize, GOMAXPROCS workers, DefaultLSHParams banding, DefaultShards stripes,
 // LSH search mode).
 type Options struct {
 	// K is the shingle (k-mer) length used when sketching records.
 	K int
 	// SignatureSize is the number of minhash slots per signature.
 	SignatureSize int
-	// Scheme selects the sketching scheme; empty means DefaultScheme
-	// (OPH). Use SchemeKMH for compatibility with pre-v3 indexes.
-	Scheme Scheme
 	// Threads bounds the worker pool; <= 0 means GOMAXPROCS.
 	Threads int
 	// IndexName names the index created by the engine.
@@ -43,11 +39,13 @@ type Options struct {
 	Bits int
 	// Mode selects how Search scans the index; empty means ModeLSH.
 	Mode SearchMode
-	// Tiered splits storage into the RAM-resident packed prefilter (at
-	// Bits width) plus full-width signatures in mmap'd on-disk segments
-	// under DataDir; see Index.EnableTiered and docs/ARCHITECTURE.md.
+	// Tiered backs the new index with the directory DataDir: the
+	// RAM-resident arena becomes a packed prefilter (at Bits width),
+	// full-width signatures go to mmap'd on-disk segments, and SaveDir
+	// persists it (see docs/ARCHITECTURE.md). False means a purely
+	// in-memory index that nothing persists.
 	Tiered bool
-	// DataDir roots the tiered index directory. Required when Tiered.
+	// DataDir roots the index directory. Required when Tiered.
 	DataDir string
 	// SegmentRows is how many records accumulate in a shard's mutable
 	// head before it is sealed into an immutable segment file; <= 0
@@ -81,15 +79,15 @@ func NewEngine(opts Options) (*Engine, error) {
 	if opts.SignatureSize == 0 {
 		opts.SignatureSize = DefaultSignatureSize
 	}
-	scheme, err := ParseScheme(string(opts.Scheme)) // empty selects DefaultScheme
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
 	if opts.IndexName == "" {
 		opts.IndexName = "default"
 	}
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
+	}
+	mode, err := ParseSearchMode(string(opts.Mode))
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	lsh := DefaultLSHParams(opts.SignatureSize)
 	if opts.Bands != 0 || opts.RowsPerBand != 0 {
@@ -97,20 +95,16 @@ func NewEngine(opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 	}
-	mode, err := ParseSearchMode(string(opts.Mode))
+	sk, err := NewSketcher(opts.K, opts.SignatureSize)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	sk, err := NewSketcherScheme(opts.K, opts.SignatureSize, scheme)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	ix, err := NewIndexWith(opts.IndexName, opts.K, opts.SignatureSize, scheme, lsh, opts.Shards, opts.Bits)
+	ix, err := NewIndexWith(opts.IndexName, opts.K, opts.SignatureSize, lsh, opts.Shards, opts.Bits)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if opts.Tiered {
-		if err := ix.EnableTiered(opts.DataDir, opts.SegmentRows, 0); err != nil {
+		if err := ix.attachTier(opts.DataDir, opts.SegmentRows); err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 		ix.SetBudget(opts.Budget)
@@ -124,13 +118,12 @@ func NewEngine(opts Options) (*Engine, error) {
 }
 
 // NewEngineWithIndex wraps an existing index (e.g. one returned by
-// LoadIndex), deriving the sketcher parameters — including the sketch
-// scheme — from the index metadata so queries are always sketched
-// compatibly. The engine starts in LSH search mode; use SetMode to
+// Open), deriving the sketcher parameters from the index metadata so
+// queries are always sketched compatibly. The engine starts in LSH search mode; use SetMode to
 // change it.
 func NewEngineWithIndex(ix *Index, threads int) (*Engine, error) {
 	meta := ix.Metadata()
-	sk, err := NewSketcherScheme(meta.K, meta.SignatureSize, meta.Scheme)
+	sk, err := NewSketcher(meta.K, meta.SignatureSize)
 	if err != nil {
 		return nil, fmt.Errorf("engine: index %q: %w", meta.Name, err)
 	}
@@ -290,8 +283,7 @@ type Stats struct {
 	TombstoneRatio float64 `json:"tombstone_ratio,omitempty"`
 	Compactions    uint64  `json:"compactions,omitempty"`
 	CompactedRows  uint64  `json:"compacted_rows,omitempty"`
-	// Tier and WAL are present only on tiered indexes, so non-tiered
-	// /stats output is byte-identical to previous releases.
+	// Tier and WAL are present only on directory-backed indexes.
 	Tier *TierStats `json:"tier,omitempty"`
 	WAL  *WALStats  `json:"wal,omitempty"`
 }
@@ -314,7 +306,7 @@ func (e *Engine) Stats() Stats {
 		Records:        meta.RecordCount,
 		K:              meta.K,
 		SignatureSize:  meta.SignatureSize,
-		Scheme:         normScheme(meta.Scheme),
+		Scheme:         meta.Scheme,
 		Bits:           arena.Bits,
 		SignatureBytes: arena.SignatureBytes,
 		BytesPerRecord: arena.BytesPerRecord,
@@ -365,7 +357,6 @@ func (e *Engine) SearchModeCtx(ctx context.Context, rec Record, mode SearchMode,
 	}
 	q.Name = rec.Name
 	q.K = e.sketcher.K()
-	q.Scheme = e.sketcher.Scheme()
 	q.Shingles = e.sketcher.SketchInto(q.Signature, rec)
 	var res []Result
 	var err error

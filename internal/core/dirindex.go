@@ -12,14 +12,14 @@ import (
 	"sketchengine/internal/fault"
 )
 
-// ManifestFile is the name of the manifest inside a tiered index
-// directory (format v5). The manifest is small — metadata, record
+// ManifestFile is the name of the manifest inside an index directory
+// (formats v5 and v6). The manifest is small — metadata, record
 // names, and segment references — while the bulk full-width signature
 // data lives in immutable files under segments/. See docs/FORMAT.md.
 const ManifestFile = "MANIFEST.json"
 
 // manifestSegment references one sealed segment file, with enough
-// geometry for LoadDir to verify the file before trusting it.
+// geometry for Open to verify the file before trusting it.
 type manifestSegment struct {
 	File  string `json:"file"` // base name under segments/
 	Base  int    `json:"base"` // first shard-local row held
@@ -57,102 +57,33 @@ type manifest struct {
 	Shards []manifestShard `json:"shards"`
 }
 
-// IsTieredDir reports whether path looks like a tiered index directory:
-// a directory containing a manifest.
-//
-// Deprecated: use Open, which performs this detection itself.
-func IsTieredDir(path string) bool { return isTieredDir(path) }
-
-func isTieredDir(path string) bool {
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		return false
-	}
-	_, err = os.Stat(filepath.Join(path, ManifestFile))
-	return err == nil
-}
-
-// EnableTiered converts the index to tiered storage rooted at dataDir:
-// the in-RAM arena becomes the packed prefilter at the given width
-// (bits 0 keeps the current width; populated indexes re-truncate
-// losslessly from their full-width slots) and full-width signatures
-// move to the on-disk tier, sealed into immutable segment files of
-// segmentRows rows (0 means DefaultSegmentRows) as they accumulate.
-// Existing records are migrated immediately, so enabling on a loaded v4
-// index is the upgrade path to format v6 — but only full-width (64-bit)
-// indexes can migrate: a populated 8- or 16-bit index discarded its
-// full-width slots at add time and is rejected. Adds and deletes are
-// blocked for the duration; queries must not overlap (the arena is
-// swapped wholesale). The write-ahead log is attached by the first
-// SaveDir: durability frames only make sense once there is a committed
-// manifest to replay them over.
-func (ix *Index) EnableTiered(dataDir string, segmentRows, bits int) error {
-	ix.writeMu.Lock()
-	defer ix.writeMu.Unlock()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.tier != nil {
-		return fmt.Errorf("index %q: tiered storage is already enabled (data dir %s)", ix.meta.Name, ix.tier.dataDir)
-	}
+// attachTier backs the still-empty index with the directory dataDir: the
+// in-RAM arena becomes the packed prefilter (at the width the index
+// was built with) and every shard gets an on-disk full-width store,
+// sealed into immutable segment files of segmentRows rows (0 means
+// DefaultSegmentRows) as records accumulate. The write-ahead log is
+// attached by the first SaveDir: durability frames only make sense
+// once there is a committed manifest to replay them over.
+func (ix *Index) attachTier(dataDir string, segmentRows int) error {
 	if dataDir == "" {
-		return fmt.Errorf("index %q: tiered storage needs a data directory", ix.meta.Name)
+		return fmt.Errorf("index %q: a directory-backed index needs a data directory", ix.meta.Name)
 	}
 	if segmentRows <= 0 {
 		segmentRows = DefaultSegmentRows
 	}
-	if bits == 0 {
-		bits = ix.bits
-	}
-	bits, err := validBits(bits)
-	if err != nil {
-		return fmt.Errorf("index %q: %w", ix.meta.Name, err)
-	}
-	if len(ix.order) > 0 && ix.bits != 64 {
-		return fmt.Errorf("index %q: cannot enable tiered storage on a populated %d-bit index: the full-width signatures were discarded at add time; rebuild from source data",
-			ix.meta.Name, ix.bits)
-	}
 	tier := &tierState{dataDir: dataDir, segmentRows: segmentRows}
 	if err := os.MkdirAll(tier.segmentsDir(), 0o755); err != nil {
-		return fmt.Errorf("index %q: enable tiered: %w", ix.meta.Name, err)
+		return fmt.Errorf("index %q: create %s: %w", ix.meta.Name, dataDir, err)
 	}
-	fresh := newShards(len(ix.shards), ix.lsh, ix.meta.SignatureSize, bits)
-	for i := range fresh {
-		fresh[i].full = newFullStore(ix.meta.SignatureSize, i, tier)
+	for i, sh := range ix.shards {
+		sh.full = newFullStore(ix.meta.SignatureSize, i, tier)
 	}
-	sig := make([]uint64, 0, ix.meta.SignatureSize)
-	for si, old := range ix.shards {
-		// Same shard count, so every live record stays on stripe si;
-		// walking the arena in row order preserves the relative order.
-		// Tombstoned rows are dropped — the migration is a compaction.
-		for i, name := range old.names {
-			if old.rowDead(int32(i)) {
-				continue
-			}
-			sig = old.arena.appendUnpacked(sig[:0], i)
-			if _, err := fresh[si].add(&Sketch{
-				Name:      name,
-				K:         ix.meta.K,
-				Shingles:  int(old.shingles[i]),
-				Scheme:    ix.meta.Scheme,
-				Bits:      DefaultBits,
-				Signature: sig,
-			}); err != nil {
-				for _, sh := range fresh {
-					sh.full.close()
-				}
-				return fmt.Errorf("index %q: enable tiered: %w", ix.meta.Name, err)
-			}
-		}
-	}
-	ix.shards = fresh
-	ix.bits = bits
-	ix.meta.Bits = bits
 	ix.meta.Format = FormatV6
 	ix.tier = tier
 	return nil
 }
 
-// SaveDir persists a tiered index into its data directory: stripes
+// SaveDir persists a directory-backed index into its directory: stripes
 // whose tombstone ratio reached DefaultCompactThreshold are compacted,
 // every shard's mutable head is sealed into a new immutable segment,
 // then the manifest is atomically replaced — the commit point. Because
@@ -169,7 +100,7 @@ func (ix *Index) SaveDir() (err error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.tier == nil {
-		return fmt.Errorf("index %q: not a tiered index; call EnableTiered first or use SaveFile", ix.meta.Name)
+		return fmt.Errorf("index %q: an in-memory index has no directory to save into", ix.meta.Name)
 	}
 	// Hold every shard lock across compact + seal + manifest + WAL
 	// truncation + cleanup so no concurrent mutation can slip between
@@ -277,8 +208,9 @@ func (ix *Index) attachWALsLocked() error {
 	return nil
 }
 
-// writeManifest writes the manifest with the same temp+fsync+rename
-// dance as SaveFile; the rename is the snapshot's commit point.
+// writeManifest writes the manifest to a temp file, fsyncs it, and
+// renames it into place; the rename is the snapshot's commit point, so
+// a crash mid-save never corrupts the previous snapshot.
 func writeManifest(path string, man *manifest) (err error) {
 	f, err := os.CreateTemp(filepath.Dir(path), ".manifest-*.tmp")
 	if err != nil {
@@ -332,23 +264,27 @@ func cleanOrphanSegments(segDir string, man *manifest) {
 	}
 }
 
-// LoadDir opens a tiered index directory written by SaveDir.
-//
-// Deprecated: use Open, which detects the on-disk layout (JSON file or
-// tiered directory) and dispatches accordingly.
-func LoadDir(dir string) (*Index, error) { return loadDir(dir) }
-
-// loadDir opens a tiered index directory written by SaveDir: it reads
+// Open opens the index directory at dir, written by SaveDir: it reads
 // the manifest, opens and checksum-verifies every referenced segment,
 // and rebuilds the packed prefilter and LSH band postings by streaming
 // the segment rows once; manifest v6 tombstones are restored, and the
 // per-shard write-ahead logs are replayed over the snapshot (torn tails
 // truncated) so every mutation acknowledged before a crash is present.
 // The full-width data itself stays on disk (mmap'd where available), so
-// a loaded index's heap holds only the prefilter, postings, and names.
-func loadDir(dir string) (ix *Index, err error) {
+// an opened index's heap holds only the prefilter, postings, and names.
+func Open(dir string) (ix *Index, err error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("index: %s is a file, not an index directory; convert a legacy single-file JSON index with `engine import -o DIR %s`", dir, dir)
+	}
 	f, err := os.Open(filepath.Join(dir, ManifestFile))
 	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, fmt.Errorf("index: %s is a directory without a %s; not an index (a new index materializes its manifest on the first SaveDir)", dir, ManifestFile)
+		}
 		return nil, fmt.Errorf("index: %w", err)
 	}
 	var m manifest
@@ -359,7 +295,7 @@ func loadDir(dir string) (ix *Index, err error) {
 	}
 	switch {
 	case m.Meta.Format < FormatV5:
-		return nil, fmt.Errorf("index: manifest format %d is not the tiered directory format (%d or %d)", m.Meta.Format, FormatV5, FormatV6)
+		return nil, fmt.Errorf("index: manifest format %d is not the index directory format (%d or %d)", m.Meta.Format, FormatV5, FormatV6)
 	case m.Meta.Format > FormatV6:
 		return nil, fmt.Errorf("index: manifest format %d is newer than this engine supports (max %d)", m.Meta.Format, FormatV6)
 	}
@@ -371,12 +307,14 @@ func loadDir(dir string) (ix *Index, err error) {
 		return nil, fmt.Errorf("index: invalid manifest metadata: %w", err)
 	}
 	shards := m.Meta.Shards
-	if shards <= 0 || len(m.Shards) != shards {
+	if len(m.Shards) != shards {
 		return nil, fmt.Errorf("index: invalid manifest metadata: shards=%d but manifest lists %d shard entries", shards, len(m.Shards))
 	}
-	scheme := normScheme(m.Meta.Scheme)
-	if scheme != SchemeOPH && scheme != SchemeKMH {
-		return nil, fmt.Errorf("index: invalid manifest metadata: unknown scheme %q", m.Meta.Scheme)
+	if err := checkShards(shards, lsh); err != nil {
+		return nil, fmt.Errorf("index: invalid manifest metadata: %w", err)
+	}
+	if m.Meta.Scheme != SchemeOPH {
+		return nil, fmt.Errorf("index: invalid manifest metadata: unsupported scheme %q (this engine sketches with %q only; rebuild from source data)", m.Meta.Scheme, SchemeOPH)
 	}
 	bits, err := validBits(m.Meta.Bits)
 	if err != nil {
@@ -389,7 +327,6 @@ func loadDir(dir string) (ix *Index, err error) {
 
 	meta := m.Meta
 	meta.Format = FormatV6
-	meta.Scheme = scheme
 	meta.Bits = bits
 	tier := &tierState{dataDir: dir, segmentRows: segRows}
 	ix = &Index{
@@ -496,10 +433,24 @@ func loadDir(dir string) (ix *Index, err error) {
 	if len(m.Order) != total {
 		return nil, fmt.Errorf("index: manifest order lists %d records but shards hold %d live", len(m.Order), total)
 	}
+	// Equal length, every name live, and no live row named twice make
+	// order a permutation of the live records; a repeat would list one
+	// record twice and hide another from every Names/Records walk.
+	listed := make([][]uint64, shards) // per-shard bitset over arena rows
 	for _, name := range m.Order {
-		if !ix.shards[shardFor(name, shards)].has(name) {
+		si := shardFor(name, shards)
+		sh := ix.shards[si]
+		row, ok := sh.ids[name]
+		if !ok {
 			return nil, fmt.Errorf("index: manifest order references unknown record %q", name)
 		}
+		if listed[si] == nil {
+			listed[si] = make([]uint64, (len(sh.names)+63)/64)
+		}
+		if listed[si][row>>6]&(1<<uint(row&63)) != 0 {
+			return nil, fmt.Errorf("index: manifest order lists record %q twice", name)
+		}
+		listed[si][row>>6] |= 1 << uint(row&63)
 	}
 	ix.order = m.Order
 	ix.meta.RecordCount = total
@@ -518,7 +469,7 @@ func loadDir(dir string) (ix *Index, err error) {
 // frames in global sequence order through the normal Add/Delete paths,
 // and attaches each log at the end of its valid prefix (truncating torn
 // tails). The logs are not attached until after the replay, so replayed
-// mutations are not re-logged. Called by loadDir on the fully-built
+// mutations are not re-logged. Called by Open on the fully-built
 // index, before it is visible to anyone else.
 func (ix *Index) replayWAL() error {
 	type walScan struct {
@@ -554,7 +505,6 @@ func (ix *Index) replayWAL() error {
 				Name:      op.name,
 				K:         ix.meta.K,
 				Shingles:  int(op.shingles),
-				Scheme:    ix.meta.Scheme,
 				Bits:      DefaultBits,
 				Signature: op.sig,
 			}); err != nil {
@@ -588,8 +538,7 @@ func (ix *Index) Tiered() bool {
 	return ix.tier != nil
 }
 
-// DataDir returns the tiered data directory, or "" for non-tiered
-// indexes.
+// DataDir returns the index directory, or "" for an in-memory index.
 func (ix *Index) DataDir() string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

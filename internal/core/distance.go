@@ -16,8 +16,8 @@ type Result struct {
 // Similarity estimates the Jaccard similarity of the sets underlying
 // two sketches as the fraction of matching minhash slots. Sketches with
 // zero shingles (records shorter than K) are dissimilar to everything,
-// as are degenerate zero-slot signatures. Sketches from different
-// schemes are incomparable and return an error.
+// as are degenerate zero-slot signatures. Sketches of different K,
+// size, or slot width are incomparable and return an error.
 func Similarity(a, b *Sketch) (float64, error) {
 	if err := compatible(a, b); err != nil {
 		return 0, err
@@ -127,9 +127,6 @@ func normSketchBits(bits int) int {
 }
 
 func compatible(a, b *Sketch) error {
-	if sa, sb := normScheme(a.Scheme), normScheme(b.Scheme); sa != sb {
-		return fmt.Errorf("sketch: mixed schemes: %q vs %q (re-sketch one side with a matching -scheme)", sa, sb)
-	}
 	if ba, bb := normSketchBits(a.Bits), normSketchBits(b.Bits); ba != bb {
 		return fmt.Errorf("sketch: mixed slot widths: %d-bit vs %d-bit (a sketch read back from a packed index holds truncated lanes; compare it only against sketches from the same index)", ba, bb)
 	}

@@ -5,11 +5,11 @@
 //
 //  1. Sketching: input records are shingled with a rolling hash and
 //     compressed into compact fixed-size minhash signatures (see Sketcher).
-//  2. Indexing: signatures live in a sharded in-memory Index — N
-//     lock-striped shards keyed by record-name hash, each owning a
-//     contiguous packed signature arena (optionally truncated to b-bit
-//     slots) and LSH band postings — alongside JSON metadata with
-//     incremental add / skip-existing semantics.
+//  2. Indexing: signatures live in a sharded Index — N lock-striped
+//     shards keyed by record-name hash, each owning a contiguous
+//     packed signature arena (optionally truncated to b-bit slots) and
+//     LSH band postings — with incremental add / skip-existing
+//     semantics.
 //  3. Querying: pairwise-distance and top-K similarity queries fan out
 //     over a bounded worker pool sized to GOMAXPROCS (see Pool), one
 //     goroutine per shard, each sweeping its arena cache-linearly.
@@ -17,11 +17,14 @@
 //     for candidates instead of scanning the whole corpus (see
 //     SearchTopKLSH).
 //
-// # Tiered storage
+// # Storage
 //
-// An index can optionally scale past RAM (EnableTiered, LoadDir): the
-// in-memory arena becomes a b-bit packed prefilter and the full-width
-// signatures move to immutable on-disk segment files, mmap'd read-only
+// An index is either purely in memory (NewIndex, or NewEngine without
+// Options.Tiered: nothing persists) or a directory from birth (NewEngine
+// with Options.Tiered and DataDir, reopened with Open) — the one
+// persistent layout. In a directory index the in-memory arena is a
+// b-bit packed prefilter and the full-width signatures live in
+// immutable on-disk segment files, mmap'd read-only
 // where the platform allows and served by pread elsewhere. Queries then
 // run in two phases — a word-parallel scan of the resident prefilter
 // followed by full-width rescoring of the survivors, ranked by packed
@@ -50,10 +53,9 @@
 //     shard means the same record in all of them. Tiered segments tile
 //     [0, headBase) contiguously and the mutable head holds rows from
 //     headBase up.
-//   - Format v1–v4 JSON files load byte-compatibly and re-save in the
-//     current JSON format; tiered (v5) indexes persist only through
-//     SaveDir, whose manifest rename is the commit point. Sealed
-//     segment files are immutable — snapshots only add files.
+//   - An index persists only through SaveDir, whose manifest rename is
+//     the commit point. Sealed segment files are immutable — snapshots
+//     only add files. The shard count is fixed at creation.
 //   - Sketch signatures, scores, and result ordering are deterministic
 //     for a given corpus and parameters, independent of thread count,
 //     so goldens can pin outputs byte-for-byte.

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -13,32 +9,20 @@ import (
 	"time"
 )
 
-// Index format versions. The full compatibility rules — field tables,
-// version-sniffing, value-range checks — are specified normatively in
-// docs/FORMAT.md; the short version: v1 files carry no format field and
-// load with defaults, v1–v2 predate sketch schemes and load as legacy
-// KMH, v1–v3 predate packing and load as full-width 64-bit arenas, v4
-// records the packing width. V5 and v6 are not JSON layouts at all but
-// the tiered directory format (MANIFEST.json plus binary segment
-// files) written by SaveDir and read by Open: v6 extends v5 with
-// per-shard tombstone lists and a write-ahead log replayed on open.
-// Save always writes CurrentFormat, which stays v4: the JSON path's
-// bytes are unchanged by the existence of the tiered formats.
+// On-disk format versions of the index directory (MANIFEST.json plus
+// binary segment files, written by SaveDir and read by Open; specified
+// normatively in docs/FORMAT.md). V6 extends v5 with per-shard
+// tombstone lists and a write-ahead log replayed on open; SaveDir
+// always writes v6. Versions 1–4 were single-file JSON layouts this
+// package no longer reads — `engine import` converts them.
 const (
-	FormatV1      = 1
-	FormatV2      = 2
-	FormatV3      = 3
-	FormatV4      = 4
-	FormatV5      = 5
-	FormatV6      = 6
-	CurrentFormat = FormatV4
+	FormatV5 = 5
+	FormatV6 = 6
 )
 
-// Metadata describes an index; it is embedded in the JSON serialization
-// and kept current as records are added. Format, Bands, RowsPerBand and
-// Shards are new in format v2, Scheme in v3, Bits in v4; absent fields
-// are defaulted when loading older files (pre-v3 indexes are always
-// KMH, pre-v4 always 64-bit).
+// Metadata describes an index; it is embedded in the directory's
+// manifest and kept current as records are added. Format is zero on an
+// in-memory index, which has no on-disk form.
 type Metadata struct {
 	Name          string    `json:"name"`
 	Version       string    `json:"version"`
@@ -55,40 +39,42 @@ type Metadata struct {
 	Shards        int       `json:"shards,omitempty"`
 }
 
-// Index is an in-memory store of sketches keyed by record name,
-// striped over N independently-locked shards so concurrent adds and
-// probes on different stripes never contend. Each shard owns a
-// contiguous packed signature arena (optionally truncated to b-bit
-// slots; see sigArena) plus LSH band postings for sub-linear candidate
-// filtering (see SearchTopKLSH). All methods are safe for concurrent
-// use except Rebucket. Adds are incremental: a sketch whose name is
-// already present is skipped, never overwritten.
+// Index is a store of sketches keyed by record name, striped over N
+// independently-locked shards so concurrent adds and probes on
+// different stripes never contend. Each shard owns a contiguous packed
+// signature arena (optionally truncated to b-bit slots; see sigArena)
+// plus LSH band postings for sub-linear candidate filtering (see
+// SearchTopKLSH). An index is either purely in memory (NewIndex,
+// NewIndexWith: nothing persists) or backed by a directory from birth
+// (NewEngine with Options.Tiered, or Open). All methods are safe for
+// concurrent use except Rebucket. Adds are incremental: a sketch whose
+// name is already present is skipped, never overwritten.
 type Index struct {
-	// writeMu serializes structural rebuilds (Rebucket, EnableTiered,
-	// SaveDir) against mutations (Add, Delete): mutators hold it shared,
+	// writeMu serializes structural rebuilds (Rebucket, SaveDir)
+	// against mutations (Add, Delete): mutators hold it shared,
 	// rebuilds exclusively. Queries never touch it. Lock order is
 	// writeMu -> ix.mu -> shard.mu -> shardWAL.mu.
 	writeMu sync.RWMutex
 
-	mu     sync.RWMutex // guards meta, order, gen, and the shards slice header
+	mu     sync.RWMutex // guards meta, order, and gen; the shards slice is fixed at construction
 	meta   Metadata
 	order  []string // insertion order, for deterministic iteration
 	shards []*shard
 	lsh    LSHParams
 	bits   int
 	gen    uint64     // bumped on every successful Add or Delete; see Generation
-	tier   *tierState // non-nil once EnableTiered has run (or Open built the index)
+	tier   *tierState // non-nil on a directory-backed index, nil in memory
 
 	compactions   atomic.Uint64 // compaction passes that dropped rows
 	compactedRows atomic.Uint64 // tombstoned rows reclaimed by compaction
 }
 
 // NewIndex returns an empty index accepting sketches with the given
-// shingle length and signature size, using the default sketch scheme,
-// banding scheme, shard count, and full-width (64-bit) signature
-// storage. Use NewIndexWith to configure those.
+// shingle length and signature size, using the default banding scheme,
+// shard count, and full-width (64-bit) signature storage. Use
+// NewIndexWith to configure those.
 func NewIndex(name string, k, sigSize int) *Index {
-	if ix, err := NewIndexWith(name, k, sigSize, DefaultScheme, DefaultLSHParams(sigSize), DefaultShards, DefaultBits); err == nil {
+	if ix, err := NewIndexWith(name, k, sigSize, DefaultLSHParams(sigSize), DefaultShards, DefaultBits); err == nil {
 		return ix
 	}
 	// Non-positive sigSize: keep the old never-fail contract with a
@@ -100,12 +86,11 @@ func NewIndex(name string, k, sigSize int) *Index {
 		meta: Metadata{
 			Name:          name,
 			Version:       Version,
-			Format:        CurrentFormat,
 			CreatedAt:     now,
 			UpdatedAt:     now,
 			K:             k,
 			SignatureSize: sigSize,
-			Scheme:        DefaultScheme,
+			Scheme:        SchemeOPH,
 			Bits:          DefaultBits,
 			Bands:         lsh.Bands,
 			RowsPerBand:   lsh.RowsPerBand,
@@ -117,20 +102,15 @@ func NewIndex(name string, k, sigSize int) *Index {
 	}
 }
 
-// NewIndexWith returns an empty index with an explicit sketch scheme,
-// LSH banding scheme, shard count, and signature packing width (64, 16,
-// or 8 bits per slot; 0 means DefaultBits). The empty scheme means
-// legacy KMH, matching pre-v3 metadata.
-func NewIndexWith(name string, k, sigSize int, scheme Scheme, lsh LSHParams, shards, bits int) (*Index, error) {
-	scheme = normScheme(scheme)
-	if scheme != SchemeOPH && scheme != SchemeKMH {
-		return nil, fmt.Errorf("index %q: unknown scheme %q", name, scheme)
-	}
+// NewIndexWith returns an empty index with an explicit LSH banding
+// scheme, shard count, and signature packing width (64, 16, or 8 bits
+// per slot; 0 means DefaultBits).
+func NewIndexWith(name string, k, sigSize int, lsh LSHParams, shards, bits int) (*Index, error) {
 	if _, err := NewLSHParams(lsh.Bands, lsh.RowsPerBand, sigSize); err != nil {
 		return nil, fmt.Errorf("index %q: %w", name, err)
 	}
-	if shards <= 0 {
-		return nil, fmt.Errorf("index %q: shard count must be positive, got %d", name, shards)
+	if err := checkShards(shards, lsh); err != nil {
+		return nil, fmt.Errorf("index %q: %w", name, err)
 	}
 	bits, err := validBits(bits)
 	if err != nil {
@@ -141,12 +121,11 @@ func NewIndexWith(name string, k, sigSize int, scheme Scheme, lsh LSHParams, sha
 		meta: Metadata{
 			Name:          name,
 			Version:       Version,
-			Format:        CurrentFormat,
 			CreatedAt:     now,
 			UpdatedAt:     now,
 			K:             k,
 			SignatureSize: sigSize,
-			Scheme:        scheme,
+			Scheme:        SchemeOPH,
 			Bits:          bits,
 			Bands:         lsh.Bands,
 			RowsPerBand:   lsh.RowsPerBand,
@@ -158,6 +137,24 @@ func NewIndexWith(name string, k, sigSize int, scheme Scheme, lsh LSHParams, sha
 	}, nil
 }
 
+// Bounds on index geometry. It arrives from flags, manifests and import
+// files; an absurd value must fail as an error, not exhaust memory or
+// file descriptors before the first record is read.
+const (
+	maxShards   = 1 << 12 // every shard of a directory index holds an open WAL file
+	maxBandMaps = 1 << 20 // shards x bands, the posting maps an empty index allocates
+)
+
+func checkShards(shards int, lsh LSHParams) error {
+	if shards <= 0 || shards > maxShards {
+		return fmt.Errorf("shard count must be in [1, %d], got %d", maxShards, shards)
+	}
+	if lsh.Bands > maxBandMaps || shards*lsh.Bands > maxBandMaps {
+		return fmt.Errorf("%d shards x %d bands exceeds the limit of %d posting maps", shards, lsh.Bands, maxBandMaps)
+	}
+	return nil
+}
+
 // Add inserts s if no record with the same name exists. It reports
 // whether the sketch was added; false with a nil error means the name
 // already existed and the add was skipped. The signature is packed into
@@ -166,10 +163,6 @@ func NewIndexWith(name string, k, sigSize int, scheme Scheme, lsh LSHParams, sha
 func (ix *Index) Add(s *Sketch) (bool, error) {
 	if s.Name == "" {
 		return false, fmt.Errorf("index: sketch has empty name")
-	}
-	if got, want := normScheme(s.Scheme), normScheme(ix.meta.Scheme); got != want {
-		return false, fmt.Errorf("index %q: sketch scheme %q does not match index scheme %q",
-			ix.meta.Name, got, want)
 	}
 	if s.K != ix.meta.K {
 		return false, fmt.Errorf("index %q: sketch k %d does not match index k %d",
@@ -256,9 +249,8 @@ func (ix *Index) Delete(name string) (bool, error) {
 // SyncWAL flushes and fsyncs every shard's write-ahead log — the
 // durability barrier an ack must wait on. Shards with nothing buffered
 // skip their fsync, so the cost tracks the shards actually touched. It
-// is a no-op (nil error) when no WAL is attached: either a non-tiered
-// index, or a tiered directory that has not committed its first
-// manifest yet.
+// is a no-op (nil error) when no WAL is attached: either an in-memory
+// index, or a directory that has not committed its first manifest yet.
 func (ix *Index) SyncWAL() error {
 	shards := ix.snapshotShards()
 	var first error
@@ -332,7 +324,7 @@ type WALStats struct {
 }
 
 // WAL returns a snapshot of write-ahead-log state, or nil when no WAL
-// is attached (non-tiered index, or no committed manifest yet).
+// is attached (in-memory index, or no committed manifest yet).
 func (ix *Index) WAL() *WALStats {
 	ix.mu.RLock()
 	tier := ix.tier
@@ -365,7 +357,7 @@ func (ix *Index) WAL() *WALStats {
 // Generation returns a counter that increments on every successful Add
 // or Delete. It is the snapshot hook for long-lived servers: remember the
 // generation at the last save and skip the next one when it has not
-// moved, so idle periods never rewrite an unchanged index file.
+// moved, so idle periods never rewrite an unchanged manifest.
 func (ix *Index) Generation() uint64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -444,9 +436,8 @@ func (ix *Index) Get(name string) *Sketch {
 	ix.mu.RLock()
 	shards := ix.shards
 	k := ix.meta.K
-	scheme := ix.meta.Scheme
 	ix.mu.RUnlock()
-	return shards[shardFor(name, len(shards))].getSketch(name, k, scheme)
+	return shards[shardFor(name, len(shards))].getSketch(name, k)
 }
 
 // Len returns the number of indexed records.
@@ -486,301 +477,63 @@ func (ix *Index) ShardCount() int {
 	return len(ix.shards)
 }
 
-// snapshotShards returns the current shard slice for query fan-out.
-// Shards are append-only, and the structural rebuilds (a Rebucket that
-// changes the shard count) swap in a fresh slice while leaving the old
-// shards untouched, so holding the snapshot without ix.mu is safe:
-// queries against the old snapshot stay internally consistent.
+// snapshotShards returns the shard slice for query fan-out. The slice
+// is fixed at construction, so holding it without ix.mu is safe.
 func (ix *Index) snapshotShards() []*shard {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.shards
 }
 
-// Rebucket retunes the LSH banding scheme (and, on non-tiered indexes,
-// the shard count) without re-sketching; the packing width is preserved
-// (repacking truncated lanes is lossless). It is safe on a live index:
-// writers (Add, Delete) are briefly blocked on writeMu, but queries
-// keep running throughout. With an unchanged shard count the band
-// postings are rebuilt stripe by stripe under each stripe's own lock,
-// so row numbering, full-width stores, and WALs all carry over; a
-// changed shard count builds a fresh shard set and swaps it in, leaving
-// in-flight queries a consistent view of the old one. Queries that
-// overlap the swap may transiently probe with stale band keys — they
-// lose candidates, never gain wrong results, because every candidate is
-// still exact-scored.
+// Rebucket retunes the LSH banding scheme without re-sketching; the
+// packing width is preserved. It is safe on a live index: writers (Add,
+// Delete) are briefly blocked on writeMu, but queries keep running
+// throughout. The band postings are rebuilt stripe by stripe under each
+// stripe's own lock, so row numbering, full-width stores, and WALs all
+// carry over. Queries that overlap the rebuild may transiently probe
+// with stale band keys — they lose candidates, never gain wrong
+// results, because every candidate is still exact-scored.
 //
-// On a tiered index the shard count must stay what it is: on-disk
-// segments are laid out by shard-local row order, and changing the
-// stripe count would reshuffle records across shards and orphan every
-// segment.
+// The shard count is fixed at creation: on-disk segments are laid out
+// by shard-local row order, and changing the stripe count would
+// reshuffle records across shards and orphan every segment. shards must
+// equal ShardCount.
 func (ix *Index) Rebucket(lsh LSHParams, shards int) error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
 	ix.mu.RLock()
 	cur := ix.shards
 	sigSize := ix.meta.SignatureSize
-	bits := ix.bits
-	k := ix.meta.K
-	scheme := ix.meta.Scheme
 	name := ix.meta.Name
-	tiered := ix.tier != nil
 	ix.mu.RUnlock()
 	if _, err := NewLSHParams(lsh.Bands, lsh.RowsPerBand, sigSize); err != nil {
 		return fmt.Errorf("index %q: rebucket: %w", name, err)
 	}
-	if shards <= 0 {
-		return fmt.Errorf("index %q: rebucket: shard count must be positive, got %d", name, shards)
-	}
-	if tiered && shards != len(cur) {
-		return fmt.Errorf("index %q: rebucket: cannot change the shard count of a tiered index (%d -> %d): on-disk segments are per-shard",
+	if shards != len(cur) {
+		return fmt.Errorf("index %q: rebucket: cannot change the shard count (%d -> %d): it is fixed at creation, on-disk segments are per-shard",
 			name, len(cur), shards)
 	}
-	if shards == len(cur) {
-		// Same stripe count: rebuild each stripe's postings in place.
-		// Tombstoned rows drop out of the new postings for free.
-		sig := make([]uint64, 0, sigSize)
-		for _, sh := range cur {
-			sh.mu.Lock()
-			nb := newBandIndex(lsh)
-			for i := range sh.names {
-				if sh.rowDead(int32(i)) {
-					continue
-				}
-				sig = sh.arena.appendUnpacked(sig[:0], i)
-				nb.add(int32(i), sig, sh.mask)
+	// Tombstoned rows drop out of the new postings for free.
+	sig := make([]uint64, 0, sigSize)
+	for _, sh := range cur {
+		sh.mu.Lock()
+		nb := newBandIndex(lsh)
+		for i := range sh.names {
+			if sh.rowDead(int32(i)) {
+				continue
 			}
-			sh.bands = nb
-			sh.mu.Unlock()
+			sig = sh.arena.appendUnpacked(sig[:0], i)
+			nb.add(int32(i), sig, sh.mask)
 		}
-	} else {
-		// Changed stripe count (non-tiered only): build fresh shards from
-		// a read-locked walk of the old ones, then swap the slice header.
-		fresh := newShards(shards, lsh, sigSize, bits)
-		sig := make([]uint64, 0, sigSize)
-		for _, old := range cur {
-			old.mu.RLock()
-			for i, nm := range old.names {
-				if old.rowDead(int32(i)) {
-					continue
-				}
-				sig = old.arena.appendUnpacked(sig[:0], i)
-				// fresh shards have no full store attached, so add cannot fail.
-				_, _ = fresh[shardFor(nm, shards)].add(&Sketch{
-					Name:      nm,
-					K:         k,
-					Shingles:  int(old.shingles[i]),
-					Scheme:    scheme,
-					Bits:      bits,
-					Signature: sig,
-				})
-			}
-			old.mu.RUnlock()
-		}
-		ix.mu.Lock()
-		ix.shards = fresh
-		ix.mu.Unlock()
+		sh.bands = nb
+		sh.mu.Unlock()
 	}
 	ix.mu.Lock()
 	ix.lsh = lsh
 	ix.meta.Bands = lsh.Bands
 	ix.meta.RowsPerBand = lsh.RowsPerBand
-	ix.meta.Shards = shards
 	ix.mu.Unlock()
 	return nil
-}
-
-// indexFile is the JSON serialization of an Index. Band postings are
-// not serialized; they are derived from the signatures and rebuilt on
-// load. Signatures are written as per-slot values (truncated to the
-// packing width for b-bit indexes) so files stay debuggable and
-// format-stable across packing layouts.
-type indexFile struct {
-	Meta     Metadata  `json:"meta"`
-	Sketches []*Sketch `json:"sketches"`
-}
-
-// Save writes the index as JSON in the current format. Tiered indexes
-// refuse: their full-width signatures live in segment files and the
-// JSON layout has no slot for them (writing the truncated lanes under a
-// v4 header would silently discard precision). Use SaveDir.
-func (ix *Index) Save(w io.Writer) error {
-	ix.mu.RLock()
-	if ix.tier != nil {
-		ix.mu.RUnlock()
-		return fmt.Errorf("index %q: tiered index cannot be saved as single-file JSON; use SaveDir", ix.meta.Name)
-	}
-	meta := ix.meta
-	meta.Format = CurrentFormat
-	meta.Bits = ix.bits
-	f := indexFile{Meta: meta, Sketches: make([]*Sketch, 0, len(ix.order))}
-	shards := ix.shards
-	for _, n := range ix.order {
-		f.Sketches = append(f.Sketches, shards[shardFor(n, len(shards))].getSketch(n, meta.K, meta.Scheme))
-	}
-	ix.mu.RUnlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
-}
-
-// SaveFile atomically writes the index to path: the JSON is written to
-// a temporary file in the same directory, synced, and renamed over the
-// destination, so a crash mid-save can never corrupt an existing index
-// file.
-func (ix *Index) SaveFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".index-*.tmp")
-	if err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err = ix.Save(f); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	// CreateTemp makes mode-0600 files; restore the 0644 a plain
-	// os.Create would have produced so other readers keep access.
-	if err = f.Chmod(0o644); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	return nil
-}
-
-// LoadIndex reads an index previously written by Save. Format v1 files
-// (no format field) load with the default banding scheme and shard
-// count; v1 and v2 files predate sketch schemes and load as legacy KMH;
-// v1–v3 files predate packing and load into full-width 64-bit arenas;
-// files written by a newer engine are rejected. Every loaded sketch is
-// stamped with the index scheme, so mixed-scheme comparisons fail even
-// on sketches pulled out of the index directly.
-func LoadIndex(r io.Reader) (*Index, error) {
-	var f indexFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("index: decode: %w", err)
-	}
-	if f.Meta.K <= 0 || f.Meta.SignatureSize <= 0 {
-		return nil, fmt.Errorf("index: invalid metadata: k=%d signature_size=%d",
-			f.Meta.K, f.Meta.SignatureSize)
-	}
-	var (
-		lsh    LSHParams
-		shards int
-		scheme Scheme
-		bits   int
-		err    error
-	)
-	bits = DefaultBits // v1–v3 predate packing
-	switch f.Meta.Format {
-	case 0, FormatV1: // v1 files predate the format field
-		lsh = DefaultLSHParams(f.Meta.SignatureSize)
-		shards = DefaultShards
-		scheme = SchemeKMH
-	case FormatV2, FormatV3, FormatV4:
-		if lsh, err = NewLSHParams(f.Meta.Bands, f.Meta.RowsPerBand, f.Meta.SignatureSize); err != nil {
-			return nil, fmt.Errorf("index: invalid metadata: %w", err)
-		}
-		if shards = f.Meta.Shards; shards <= 0 {
-			return nil, fmt.Errorf("index: invalid metadata: shards=%d", shards)
-		}
-		if f.Meta.Format == FormatV2 {
-			scheme = SchemeKMH // v2 predates schemes; always k-minhash
-			break
-		}
-		switch scheme = normScheme(f.Meta.Scheme); scheme {
-		case SchemeOPH, SchemeKMH:
-		default:
-			return nil, fmt.Errorf("index: invalid metadata: unknown scheme %q", f.Meta.Scheme)
-		}
-		if f.Meta.Format == FormatV4 {
-			if bits, err = validBits(f.Meta.Bits); err != nil {
-				return nil, fmt.Errorf("index: invalid metadata: %w", err)
-			}
-		}
-	case FormatV5, FormatV6:
-		return nil, fmt.Errorf("index: format %d is the tiered directory format, not a JSON file; open its directory with core.Open", f.Meta.Format)
-	default:
-		return nil, fmt.Errorf("index: format %d is newer than this engine supports (max %d)",
-			f.Meta.Format, FormatV6)
-	}
-	meta := f.Meta
-	meta.Format = CurrentFormat
-	meta.Scheme = scheme
-	meta.Bits = bits
-	meta.Bands = lsh.Bands
-	meta.RowsPerBand = lsh.RowsPerBand
-	meta.Shards = shards
-	ix := &Index{
-		meta:   meta,
-		shards: newShards(shards, lsh, meta.SignatureSize, bits),
-		lsh:    lsh,
-		bits:   bits,
-	}
-	mask := laneMask(bits)
-	for _, s := range f.Sketches {
-		if s == nil {
-			return nil, fmt.Errorf("index: null sketch entry")
-		}
-		if s.Name == "" {
-			return nil, fmt.Errorf("index: sketch with empty name")
-		}
-		if s.K != f.Meta.K {
-			return nil, fmt.Errorf("index: sketch %q k %d does not match metadata k %d",
-				s.Name, s.K, f.Meta.K)
-		}
-		if len(s.Signature) != f.Meta.SignatureSize {
-			return nil, fmt.Errorf("index: sketch %q signature size %d does not match metadata %d",
-				s.Name, len(s.Signature), f.Meta.SignatureSize)
-		}
-		if bits < 64 {
-			// A b-bit file must carry b-bit values; anything wider means
-			// the file was corrupted or mislabeled.
-			for _, v := range s.Signature {
-				if v&^mask != 0 {
-					return nil, fmt.Errorf("index: sketch %q slot value %d exceeds the %d-bit packing width",
-						s.Name, v, bits)
-				}
-			}
-		}
-		s.Scheme = scheme
-		s.Bits = bits
-		// Freshly-built shards have no full store attached, so add can
-		// only fail by reporting a duplicate.
-		if added, _ := ix.shards[shardFor(s.Name, shards)].add(s); !added {
-			return nil, fmt.Errorf("index: duplicate sketch name %q", s.Name)
-		}
-		ix.order = append(ix.order, s.Name)
-	}
-	ix.meta.RecordCount = len(ix.order)
-	return ix, nil
-}
-
-// LoadIndexFile opens and loads a single-file JSON index.
-//
-// Deprecated: use Open, which detects the on-disk layout (JSON file or
-// tiered directory) and dispatches accordingly.
-func LoadIndexFile(path string) (*Index, error) { return loadIndexFile(path) }
-
-func loadIndexFile(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	defer f.Close()
-	return LoadIndex(f)
 }
 
 // sortResults orders by descending similarity, breaking ties by query

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -78,141 +74,19 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
-func TestIndexSaveLoadRoundTrip(t *testing.T) {
-	ix := NewIndex("round", 4, 32)
-	s := mustSketcher(t, 4, 32)
-	for i := 0; i < 5; i++ {
-		rec := Record{Name: fmt.Sprintf("rec-%d", i), Data: bytes.Repeat([]byte{byte('a' + i)}, 20)}
-		if _, err := ix.Add(s.Sketch(rec)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != ix.Len() {
-		t.Fatalf("loaded Len = %d, want %d", got.Len(), ix.Len())
-	}
-	wantMeta, gotMeta := ix.Metadata(), got.Metadata()
-	if gotMeta.Name != wantMeta.Name || gotMeta.K != wantMeta.K ||
-		gotMeta.SignatureSize != wantMeta.SignatureSize ||
-		gotMeta.RecordCount != wantMeta.RecordCount ||
-		!gotMeta.CreatedAt.Equal(wantMeta.CreatedAt) {
-		t.Fatalf("metadata round trip: got %+v, want %+v", gotMeta, wantMeta)
-	}
-	for _, name := range ix.Names() {
-		if !equalSig(got.Get(name).Signature, ix.Get(name).Signature) {
-			t.Fatalf("sketch %q changed across round trip", name)
-		}
-	}
-}
-
-// TestLoadV1IndexRoundTrip loads a format-v1 file (written before the
-// format field, LSH parameters, sharding, and sketch schemes existed),
-// checks that defaults are applied — including the legacy KMH scheme —
-// and round-trips it through Save into a current-format file.
-func TestLoadV1IndexRoundTrip(t *testing.T) {
-	const v1 = `{"meta":{"name":"legacy","version":"0.1.0","created_at":"2026-01-02T03:04:05Z","updated_at":"2026-01-02T03:04:05Z","record_count":2,"k":4,"signature_size":8},"sketches":[{"name":"a","k":4,"shingles":3,"signature":[1,2,3,4,5,6,7,8]},{"name":"b","k":4,"shingles":3,"signature":[1,2,3,4,9,9,9,9]}]}`
-	ix, err := LoadIndex(bytes.NewReader([]byte(v1)))
-	if err != nil {
-		t.Fatalf("load v1: %v", err)
-	}
-	meta := ix.Metadata()
-	def := DefaultLSHParams(8)
-	if meta.Format != CurrentFormat {
-		t.Fatalf("Format = %d, want %d", meta.Format, CurrentFormat)
-	}
-	if meta.Bands != def.Bands || meta.RowsPerBand != def.RowsPerBand || meta.Shards != DefaultShards {
-		t.Fatalf("v1 defaults not applied: %+v", meta)
-	}
-	if meta.Scheme != SchemeKMH {
-		t.Fatalf("v1 scheme = %q, want %q", meta.Scheme, SchemeKMH)
-	}
-	if ix.Len() != 2 || ix.Get("a") == nil || ix.Get("b") == nil {
-		t.Fatalf("v1 records not loaded: len=%d", ix.Len())
-	}
-	if ix.Get("a").Scheme != SchemeKMH {
-		t.Fatalf("loaded sketch scheme = %q, want %q stamped from metadata", ix.Get("a").Scheme, SchemeKMH)
-	}
-	// LSH structures must be live after a v1 load: "a" and "b" share
-	// their first band (rows 1,2,3,4), so each is a candidate of the
-	// other's signature.
-	if res, err := SearchTopKLSH(ix, ix.Get("a"), 1, 0, nil); err != nil || len(res) != 1 || res[0].Ref != "b" {
-		t.Fatalf("v1 LSH search = %v, %v; want b", res, err)
-	}
-
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"format":4`)) ||
-		!bytes.Contains(buf.Bytes(), []byte(`"scheme":"kmh"`)) ||
-		!bytes.Contains(buf.Bytes(), []byte(`"bits":64`)) {
-		t.Fatalf("re-saved v1 index is not format 4 with an explicit scheme and packing width: %s", buf.String())
-	}
-	got, err := LoadIndex(&buf)
-	if err != nil {
-		t.Fatalf("reload v4: %v", err)
-	}
-	gotMeta := got.Metadata()
-	if gotMeta.Format != CurrentFormat || gotMeta.Scheme != SchemeKMH || gotMeta.Bits != 64 ||
-		gotMeta.Bands != def.Bands || gotMeta.RowsPerBand != def.RowsPerBand || gotMeta.Shards != DefaultShards {
-		t.Fatalf("v4 round trip metadata = %+v", gotMeta)
-	}
-	if !gotMeta.CreatedAt.Equal(meta.CreatedAt) || got.Len() != 2 {
-		t.Fatalf("v4 round trip lost data: %+v len=%d", gotMeta, got.Len())
-	}
-}
-
-// TestLoadV2IndexAsKMH: v2 files predate schemes and were always
-// k-minhash; they must load with the KMH scheme so an engine wrapped
-// around them keeps sketching queries compatibly, and reject sketches
-// from the new default scheme.
-func TestLoadV2IndexAsKMH(t *testing.T) {
-	const v2 = `{"meta":{"name":"v2db","version":"0.2.0","format":2,"created_at":"2026-01-02T03:04:05Z","updated_at":"2026-01-02T03:04:05Z","record_count":1,"k":4,"signature_size":8,"bands":2,"rows_per_band":4,"shards":4},"sketches":[{"name":"a","k":4,"shingles":3,"signature":[1,2,3,4,5,6,7,8]}]}`
-	ix, err := LoadIndex(bytes.NewReader([]byte(v2)))
-	if err != nil {
-		t.Fatalf("load v2: %v", err)
-	}
-	if got := ix.Metadata().Scheme; got != SchemeKMH {
-		t.Fatalf("v2 scheme = %q, want %q", got, SchemeKMH)
-	}
-	// An engine wrapping the loaded index must sketch queries as KMH.
-	eng, err := NewEngineWithIndex(ix, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Sketcher().Scheme(); got != SchemeKMH {
-		t.Fatalf("derived sketcher scheme = %q, want %q", got, SchemeKMH)
-	}
-	if _, err := eng.Search(Record{Name: "q", Data: []byte("some query payload")}, 3, 0); err != nil {
-		t.Fatalf("search on loaded v2 index: %v", err)
-	}
-	// A default-scheme (OPH) sketch must be rejected, not silently mixed.
-	oph := mustSketcher(t, 4, 8).Sketch(Record{Name: "new", Data: []byte("fresh record payload")})
-	if _, err := ix.Add(oph); err == nil || !strings.Contains(err.Error(), "scheme") {
-		t.Fatalf("adding an OPH sketch to a KMH index: err = %v, want scheme mismatch", err)
-	}
-	if _, err := SearchTopK(ix, oph, 3, 0, nil); err == nil || !strings.Contains(err.Error(), "scheme") {
-		t.Fatalf("searching a KMH index with an OPH query: err = %v, want scheme mismatch", err)
-	}
-}
-
-// TestSaveLoadRoundTripPackedWidths round-trips a populated index
-// through Save/Load at every packing width: metadata (including bits),
-// reconstructed signatures, and search results must all survive.
-func TestSaveLoadRoundTripPackedWidths(t *testing.T) {
+// TestSaveDirOpenRoundTripPackedWidths round-trips a populated index
+// through SaveDir/Open at every prefilter width: metadata (including
+// bits and the creation time), full-width signatures, and search
+// results must all survive.
+func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
 	for _, bits := range []int{64, 16, 8} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
-			eng, err := NewEngine(Options{IndexName: "rt", Bits: bits})
+			dir := t.TempDir()
+			eng, err := NewEngine(Options{IndexName: "rt", Bits: bits, Tiered: true, DataDir: dir, SegmentRows: 16})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer eng.Index().Close()
 			for i := 0; i < 50; i++ {
 				rec := Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(512, int64(i+1))}
 				if _, err := eng.Add(rec); err != nil {
@@ -226,17 +100,17 @@ func TestSaveLoadRoundTripPackedWidths(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var buf bytes.Buffer
-			if err := ix.Save(&buf); err != nil {
+			if err := ix.SaveDir(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := LoadIndex(&buf)
+			got, err := Open(dir)
 			if err != nil {
-				t.Fatalf("load bits=%d: %v", bits, err)
+				t.Fatalf("open bits=%d: %v", bits, err)
 			}
+			defer got.Close()
 			gm := got.Metadata()
-			if gm.Format != CurrentFormat || gm.Bits != bits || gm.RecordCount != 50 {
-				t.Fatalf("metadata = %+v, want format=%d bits=%d records=50", gm, CurrentFormat, bits)
+			if gm.Format != FormatV6 || gm.Bits != bits || gm.RecordCount != 50 || !gm.CreatedAt.Equal(ix.Metadata().CreatedAt) {
+				t.Fatalf("metadata = %+v, want format=%d bits=%d records=50 created_at=%v", gm, FormatV6, bits, ix.Metadata().CreatedAt)
 			}
 			if got.Bits() != bits {
 				t.Fatalf("Bits() = %d, want %d", got.Bits(), bits)
@@ -258,136 +132,12 @@ func TestSaveLoadRoundTripPackedWidths(t *testing.T) {
 					t.Fatalf("bits=%d result %d changed: %+v vs %+v", bits, i, before[i], after[i])
 				}
 			}
-			// Arena footprint survives too: bytes/record is the packed
-			// width, not the full-width 1KB.
+			// The resident prefilter is rebuilt at the packed width:
+			// bytes/record is bits/8 per slot, not the full-width 1KB.
 			if got.Arena().BytesPerRecord != float64(DefaultSignatureSize*bits/8) {
 				t.Fatalf("bits=%d loaded bytes/record = %v", bits, got.Arena().BytesPerRecord)
 			}
 		})
-	}
-}
-
-// TestLoadV3IndexIntoArena: v3 files predate packing and must load into
-// a full-width 64-bit arena with signatures and search behavior
-// unchanged.
-func TestLoadV3IndexIntoArena(t *testing.T) {
-	const v3 = `{"meta":{"name":"v3db","version":"0.4.0","format":3,"created_at":"2026-01-02T03:04:05Z","updated_at":"2026-01-02T03:04:05Z","record_count":2,"k":4,"signature_size":8,"scheme":"oph","bands":2,"rows_per_band":4,"shards":4},"sketches":[{"name":"a","k":4,"shingles":3,"signature":[1,2,3,4,5,6,7,8]},{"name":"b","k":4,"shingles":3,"signature":[1,2,3,4,9,9,9,9]}]}`
-	ix, err := LoadIndex(bytes.NewReader([]byte(v3)))
-	if err != nil {
-		t.Fatalf("load v3: %v", err)
-	}
-	meta := ix.Metadata()
-	if meta.Format != CurrentFormat || meta.Bits != 64 || meta.Scheme != SchemeOPH {
-		t.Fatalf("v3 metadata = %+v, want format=%d bits=64 scheme=oph", meta, CurrentFormat)
-	}
-	if got := ix.Get("a").Signature; !equalSig(got, []uint64{1, 2, 3, 4, 5, 6, 7, 8}) {
-		t.Fatalf("v3 signature loaded as %v", got)
-	}
-	// "a" and "b" share band 0 (rows 1,2,3,4): the rebuilt postings must
-	// make each a candidate of the other.
-	if res, err := SearchTopKLSH(ix, ix.Get("a"), 1, 0, nil); err != nil || len(res) != 1 || res[0].Ref != "b" {
-		t.Fatalf("v3 LSH search = %v, %v; want b", res, err)
-	}
-}
-
-// TestLoadV4RejectsBadBits: a v4 file must carry a supported packing
-// width, and b-bit files whose slot values exceed the width are corrupt.
-func TestLoadV4RejectsBadBits(t *testing.T) {
-	for name, payload := range map[string]string{
-		"bad bits":        `{"meta":{"name":"x","format":4,"k":4,"signature_size":2,"scheme":"oph","bits":12,"bands":1,"rows_per_band":2,"shards":4},"sketches":[]}`,
-		"value too wide":  `{"meta":{"name":"x","format":4,"k":4,"signature_size":2,"scheme":"oph","bits":8,"bands":1,"rows_per_band":2,"shards":4},"sketches":[{"name":"a","k":4,"shingles":1,"signature":[1,256]}]}`,
-		"value too wide2": `{"meta":{"name":"x","format":4,"k":4,"signature_size":2,"scheme":"oph","bits":16,"bands":1,"rows_per_band":2,"shards":4},"sketches":[{"name":"a","k":4,"shingles":1,"signature":[65536,1]}]}`,
-	} {
-		if _, err := LoadIndex(bytes.NewReader([]byte(payload))); err == nil {
-			t.Errorf("%s: want error, got nil", name)
-		}
-	}
-	// The in-range twin of the corrupt files loads fine.
-	const ok = `{"meta":{"name":"x","format":4,"k":4,"signature_size":2,"scheme":"oph","bits":8,"bands":1,"rows_per_band":2,"shards":4},"sketches":[{"name":"a","k":4,"shingles":1,"signature":[1,255]}]}`
-	if _, err := LoadIndex(bytes.NewReader([]byte(ok))); err != nil {
-		t.Errorf("in-range 8-bit file rejected: %v", err)
-	}
-}
-
-func TestLoadIndexRejectsBadFormats(t *testing.T) {
-	for name, payload := range map[string]string{
-		"future format": `{"meta":{"name":"x","format":99,"k":4,"signature_size":2},"sketches":[]}`,
-		"v2 bad bands":  `{"meta":{"name":"x","format":2,"k":4,"signature_size":2,"bands":3,"rows_per_band":3,"shards":4},"sketches":[]}`,
-		"v2 no shards":  `{"meta":{"name":"x","format":2,"k":4,"signature_size":2,"bands":1,"rows_per_band":2},"sketches":[]}`,
-		"v3 bad scheme": `{"meta":{"name":"x","format":3,"k":4,"signature_size":2,"scheme":"simhash","bands":1,"rows_per_band":2,"shards":4},"sketches":[]}`,
-	} {
-		if _, err := LoadIndex(bytes.NewReader([]byte(payload))); err == nil {
-			t.Errorf("%s: want error, got nil", name)
-		}
-	}
-}
-
-func TestSaveFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "index.json")
-	// Start from a corrupt pre-existing file: SaveFile must replace it
-	// wholesale, never append or partially overwrite.
-	if err := os.WriteFile(path, []byte("garbage that is not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ix := NewIndex("atomic", 4, 32)
-	s := mustSketcher(t, 4, 32)
-	if _, err := ix.Add(s.Sketch(Record{Name: "rec", Data: []byte("payload for the atomic save test")})); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(path)
-	if err != nil {
-		t.Fatalf("load after SaveFile: %v", err)
-	}
-	if got.Len() != 1 || got.Get("rec") == nil {
-		t.Fatalf("loaded index: len=%d", got.Len())
-	}
-	// The renamed file must be world-readable, not CreateTemp's 0600.
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perm := fi.Mode().Perm(); perm != 0o644 {
-		t.Fatalf("saved index mode = %o, want 644", perm)
-	}
-	// No temp files may be left behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "index.json" {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Fatalf("directory contents after SaveFile: %v", names)
-	}
-	// A failed save (unwritable directory) must report an error and
-	// leave the existing file intact.
-	if err := ix.SaveFile(filepath.Join(dir, "missing", "index.json")); err == nil {
-		t.Fatal("SaveFile into missing directory: want error")
-	}
-	if _, err := LoadIndexFile(path); err != nil { //nolint:staticcheck // deprecated wrapper must keep working
-		t.Fatalf("existing file damaged by failed save: %v", err)
-	}
-}
-
-func TestLoadIndexRejectsCorrupt(t *testing.T) {
-	for name, payload := range map[string]string{
-		"not json":       "not json at all",
-		"bad meta":       `{"meta":{"name":"x","k":0,"signature_size":0},"sketches":[]}`,
-		"empty name":     `{"meta":{"name":"x","k":4,"signature_size":2},"sketches":[{"name":"","k":4,"shingles":1,"signature":[1,2]}]}`,
-		"wrong sig size": `{"meta":{"name":"x","k":4,"signature_size":2},"sketches":[{"name":"a","k":4,"shingles":1,"signature":[1]}]}`,
-		"wrong k":        `{"meta":{"name":"x","k":4,"signature_size":2},"sketches":[{"name":"a","k":8,"shingles":1,"signature":[1,2]}]}`,
-		"duplicate name": `{"meta":{"name":"x","k":4,"signature_size":1},"sketches":[{"name":"a","k":4,"shingles":1,"signature":[1]},{"name":"a","k":4,"shingles":1,"signature":[2]}]}`,
-		"null sketch":    `{"meta":{"name":"x","k":4,"signature_size":1},"sketches":[null]}`,
-	} {
-		if _, err := LoadIndex(bytes.NewReader([]byte(payload))); err == nil {
-			t.Errorf("%s: want error, got nil", name)
-		}
 	}
 }
 

@@ -119,7 +119,7 @@ func writeSegment(path string, base, slots, rows int, words []uint64) (crc uint3
 	if _, err = f.WriteAt(crcBytes[:], 32); err != nil {
 		return 0, fmt.Errorf("segment: seal: %w", err)
 	}
-	// CreateTemp makes 0600 files; match SaveFile's world-readable 0644.
+	// CreateTemp makes 0600 files; make it world-readable like the manifest.
 	if err = f.Chmod(0o644); err != nil {
 		return 0, fmt.Errorf("segment: seal: %w", err)
 	}
@@ -241,7 +241,7 @@ func (sg *segment) rowWords(local int, sc *rowScratch) ([]uint64, error) {
 }
 
 // forEachRow streams every row to fn in order — the sequential bulk
-// path LoadDir uses to rebuild the prefilter. The sig slice is only
+// path Open uses to rebuild the prefilter. The sig slice is only
 // valid within the callback.
 func (sg *segment) forEachRow(fn func(local int, sig []uint64) error) error {
 	if sg.data != nil {

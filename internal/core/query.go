@@ -427,10 +427,6 @@ func checkSearchArgs(ix *Index, query *Sketch, topK int) error {
 		return fmt.Errorf("search: topK must be positive, got %d", topK)
 	}
 	meta := ix.Metadata()
-	if got, want := normScheme(query.Scheme), normScheme(meta.Scheme); got != want {
-		return fmt.Errorf("search: query sketch scheme %q incompatible with index %q scheme %q",
-			got, meta.Name, want)
-	}
 	if query.K != meta.K || len(query.Signature) != meta.SignatureSize {
 		return fmt.Errorf("search: query sketch (k=%d, size=%d) incompatible with index %q (k=%d, size=%d)",
 			query.K, len(query.Signature), meta.Name, meta.K, meta.SignatureSize)

@@ -4,54 +4,15 @@ import (
 	"bytes"
 	"math"
 	"math/bits"
-	"strings"
 	"testing"
 )
-
-func mustSketcherScheme(t *testing.T, k, size int, scheme Scheme) *Sketcher {
-	t.Helper()
-	s, err := NewSketcherScheme(k, size, scheme)
-	if err != nil {
-		t.Fatalf("NewSketcherScheme(%d, %d, %q): %v", k, size, scheme, err)
-	}
-	return s
-}
-
-func TestParseScheme(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    Scheme
-		wantErr bool
-	}{
-		{"", DefaultScheme, false},
-		{"oph", SchemeOPH, false},
-		{"kmh", SchemeKMH, false},
-		{"simhash", "", true},
-		{"OPH", "", true}, // schemes are case-sensitive like modes
-	}
-	for _, tc := range cases {
-		got, err := ParseScheme(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("ParseScheme(%q): want error, got %q", tc.in, got)
-			}
-			continue
-		}
-		if err != nil || got != tc.want {
-			t.Errorf("ParseScheme(%q) = %q, %v; want %q, nil", tc.in, got, err, tc.want)
-		}
-	}
-	if s, err := NewSketcher(4, 32); err != nil || s.Scheme() != DefaultScheme {
-		t.Errorf("NewSketcher scheme = %q, %v; want default %q", s.Scheme(), err, DefaultScheme)
-	}
-}
 
 // TestOPHDensificationFillsSparseSignatures drives the sparse regime:
 // a handful of distinct shingles routed into a much larger signature
 // leaves most slots empty, and densification must fill every one of
 // them deterministically without making unrelated records look alike.
 func TestOPHDensificationFillsSparseSignatures(t *testing.T) {
-	s := mustSketcherScheme(t, 4, 256, SchemeOPH)
+	s := mustSketcher(t, 4, 256)
 	// Period-10 payload: only 10 distinct 4-byte shingles over 256 slots.
 	data := bytes.Repeat([]byte("abcdefghij"), 10)
 	a := s.Sketch(Record{Name: "a", Data: data})
@@ -78,7 +39,7 @@ func TestOPHDensificationFillsSparseSignatures(t *testing.T) {
 // TestSketchOPHMatchesReference rebuilds OPH signatures through the
 // shared eachShingleHash helper — route each whitened hash by its high
 // bits, keep per-slot minima, densify — and requires the speed-inlined
-// rolling hash inside sketchOPH to produce the identical signature.
+// rolling hash inside SketchInto to produce the identical signature.
 // This pins the duplicated hash loop to its reference: a change to one
 // copy but not the other fails here deterministically instead of
 // drifting past the statistical agreement test.
@@ -94,7 +55,7 @@ func TestSketchOPHMatchesReference(t *testing.T) {
 		{9, 128, []byte("too short")}, // exactly k bytes: one shingle
 	}
 	for _, tc := range cases {
-		s := mustSketcherScheme(t, tc.k, tc.size, SchemeOPH)
+		s := mustSketcher(t, tc.k, tc.size)
 		got := s.Sketch(Record{Name: "x", Data: tc.data})
 		want := make([]uint64, tc.size)
 		for i := range want {
@@ -141,23 +102,22 @@ func exactJaccard(a, b []byte, k int) float64 {
 	return float64(inter) / float64(len(setA)+len(setB)-inter)
 }
 
-// TestOPHAndKMHAgreeOnPlantedOverlap is the statistical property test
-// for the scheme swap: across planted-overlap corpora the two schemes
-// must estimate the same Jaccard similarity, and both must track the
-// exact set Jaccard. Averaging 16 pairs per overlap level shrinks the
-// single-sketch standard error (~1/sqrt(128) ~= 0.09) well below the
-// tolerances; everything is deterministic in the seeds.
-func TestOPHAndKMHAgreeOnPlantedOverlap(t *testing.T) {
+// TestOPHTracksExactJaccardOnPlantedOverlap is the statistical property
+// test for the estimator: across planted-overlap corpora the OPH
+// estimate must track the exact set Jaccard. Averaging 16 pairs per
+// overlap level shrinks the single-sketch standard error
+// (~1/sqrt(128) ~= 0.09) well below the tolerance; everything is
+// deterministic in the seeds.
+func TestOPHTracksExactJaccardOnPlantedOverlap(t *testing.T) {
 	const (
 		k        = 8
 		size     = 128
 		pairs    = 16
 		recBytes = 2048
 	)
-	oph := mustSketcherScheme(t, k, size, SchemeOPH)
-	kmh := mustSketcherScheme(t, k, size, SchemeKMH)
+	oph := mustSketcher(t, k, size)
 	for _, overlap := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		var ophSum, kmhSum, exactSum float64
+		var ophSum, exactSum float64
 		for p := 0; p < pairs; p++ {
 			seed := int64(overlap*1000) + int64(p)*7919
 			shared := benchData(int(overlap*recBytes), seed)
@@ -166,52 +126,18 @@ func TestOPHAndKMHAgreeOnPlantedOverlap(t *testing.T) {
 			dataA := append(append([]byte{}, shared...), tailA...)
 			dataB := append(append([]byte{}, shared...), tailB...)
 
-			simOPH, err := Similarity(oph.Sketch(Record{Name: "a", Data: dataA}), oph.Sketch(Record{Name: "b", Data: dataB}))
+			sim, err := Similarity(oph.Sketch(Record{Name: "a", Data: dataA}), oph.Sketch(Record{Name: "b", Data: dataB}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			simKMH, err := Similarity(kmh.Sketch(Record{Name: "a", Data: dataA}), kmh.Sketch(Record{Name: "b", Data: dataB}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ophSum += simOPH
-			kmhSum += simKMH
+			ophSum += sim
 			exactSum += exactJaccard(dataA, dataB, k)
 		}
-		meanOPH, meanKMH, meanExact := ophSum/pairs, kmhSum/pairs, exactSum/pairs
-		if d := math.Abs(meanOPH - meanKMH); d > 0.08 {
-			t.Errorf("overlap %.1f: schemes disagree: oph=%.3f kmh=%.3f (|diff|=%.3f > 0.08)",
-				overlap, meanOPH, meanKMH, d)
-		}
+		meanOPH, meanExact := ophSum/pairs, exactSum/pairs
 		if d := math.Abs(meanOPH - meanExact); d > 0.12 {
 			t.Errorf("overlap %.1f: oph estimate %.3f is off exact Jaccard %.3f by %.3f",
 				overlap, meanOPH, meanExact, d)
 		}
-		if d := math.Abs(meanKMH - meanExact); d > 0.12 {
-			t.Errorf("overlap %.1f: kmh estimate %.3f is off exact Jaccard %.3f by %.3f",
-				overlap, meanKMH, meanExact, d)
-		}
-	}
-}
-
-func TestMixedSchemeComparisonsRejected(t *testing.T) {
-	data := []byte("the same payload sketched under both schemes")
-	a := mustSketcherScheme(t, 4, 64, SchemeOPH).Sketch(Record{Name: "a", Data: data})
-	b := mustSketcherScheme(t, 4, 64, SchemeKMH).Sketch(Record{Name: "b", Data: data})
-	if _, err := Similarity(a, b); err == nil || !strings.Contains(err.Error(), "mixed schemes") {
-		t.Fatalf("Similarity across schemes: err = %v, want mixed-schemes error", err)
-	}
-	if _, err := Distance(a, b); err == nil {
-		t.Fatal("Distance across schemes: want error")
-	}
-	if _, err := PairwiseDistances([]*Sketch{a, b}, nil); err == nil {
-		t.Fatal("PairwiseDistances across schemes: want error")
-	}
-	// A sketch with no scheme stamp is legacy KMH and compares fine
-	// against an explicit KMH sketch of the same parameters.
-	legacy := &Sketch{Name: "legacy", K: b.K, Shingles: b.Shingles, Signature: b.Signature}
-	if sim, err := Similarity(legacy, b); err != nil || sim != 1 {
-		t.Fatalf("legacy-vs-kmh similarity = %v, %v; want 1, nil", sim, err)
 	}
 }
 
@@ -233,7 +159,7 @@ func TestSimilarityDegenerateSketchParams(t *testing.T) {
 		t.Fatalf("zero-slot distance = %v, %v; want 1, nil", dist, err)
 	}
 	// The constructors still reject the degenerate parameters outright.
-	if _, err := NewSketcherScheme(4, 0, SchemeOPH); err == nil {
-		t.Fatal("NewSketcherScheme with sigSize 0: want error")
+	if _, err := NewSketcher(4, 0); err == nil {
+		t.Fatal("NewSketcher with sigSize 0: want error")
 	}
 }

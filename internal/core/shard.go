@@ -38,8 +38,8 @@ type shard struct {
 	// detect the mismatch and rescan instead of scoring stale rows.
 	structGen uint64
 
-	// wal is the shard's write-ahead log, attached once the tiered
-	// directory has a committed manifest (SaveDir/LoadDir) and nil
+	// wal is the shard's write-ahead log, attached once the index
+	// directory has a committed manifest (SaveDir/Open) and nil
 	// otherwise. Atomic so Index.SyncWAL can read it without sh.mu.
 	wal atomic.Pointer[shardWAL]
 }
@@ -148,8 +148,8 @@ func (sh *shard) has(name string) bool {
 // minhashes even when the prefilter packs at 8 bits. On non-tiered
 // shards at packing widths below 64 the slot values are the stored
 // truncated lanes, not the original full-width minhashes (those are
-// gone by design). k and scheme come from the index metadata.
-func (sh *shard) getSketch(name string, k int, scheme Scheme) *Sketch {
+// gone by design). k comes from the index metadata.
+func (sh *shard) getSketch(name string, k int) *Sketch {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	idx, ok := sh.ids[name]
@@ -169,7 +169,6 @@ func (sh *shard) getSketch(name string, k int, scheme Scheme) *Sketch {
 			Name:      name,
 			K:         k,
 			Shingles:  int(sh.shingles[idx]),
-			Scheme:    scheme,
 			Bits:      DefaultBits,
 			Signature: sig,
 		}
@@ -178,7 +177,6 @@ func (sh *shard) getSketch(name string, k int, scheme Scheme) *Sketch {
 		Name:      name,
 		K:         k,
 		Shingles:  int(sh.shingles[idx]),
-		Scheme:    scheme,
 		Bits:      sh.arena.bits,
 		Signature: sh.arena.appendUnpacked(make([]uint64, 0, sh.arena.slots), int(idx)),
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -172,18 +173,15 @@ func TestRebucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Retune to a coarser scheme and a different stripe count; planted
-	// near-duplicates sit far above both thresholds, so the top-K list
-	// must be unchanged.
-	if err := ix.Rebucket(LSHParams{Bands: 16, RowsPerBand: 8}, 4); err != nil {
+	// Retune to a coarser scheme; planted near-duplicates sit far above
+	// both thresholds, so the top-K list must be unchanged.
+	shards := ix.ShardCount()
+	if err := ix.Rebucket(LSHParams{Bands: 16, RowsPerBand: 8}, shards); err != nil {
 		t.Fatal(err)
 	}
 	meta := ix.Metadata()
-	if meta.Bands != 16 || meta.RowsPerBand != 8 || meta.Shards != 4 {
+	if meta.Bands != 16 || meta.RowsPerBand != 8 || meta.Shards != shards {
 		t.Fatalf("metadata after Rebucket = %+v", meta)
-	}
-	if ix.ShardCount() != 4 {
-		t.Fatalf("ShardCount = %d, want 4", ix.ShardCount())
 	}
 	after, err := SearchTopKLSH(ix, q, 10, 0, pool)
 	if err != nil {
@@ -197,14 +195,17 @@ func TestRebucket(t *testing.T) {
 			t.Fatalf("result %d changed across Rebucket: %+v vs %+v", i, before[i], after[i])
 		}
 	}
-	// Invalid schemes are rejected and leave the index untouched.
-	if err := ix.Rebucket(LSHParams{Bands: 5, RowsPerBand: 5}, 4); err == nil {
+	// Invalid schemes and a changed shard count (fixed at creation, in
+	// memory as on disk) are rejected and leave the index untouched.
+	if err := ix.Rebucket(LSHParams{Bands: 5, RowsPerBand: 5}, shards); err == nil {
 		t.Fatal("Rebucket with non-covering scheme: want error")
 	}
-	if err := ix.Rebucket(LSHParams{Bands: 16, RowsPerBand: 8}, 0); err == nil {
-		t.Fatal("Rebucket with zero shards: want error")
+	for _, n := range []int{0, shards * 2} {
+		if err := ix.Rebucket(LSHParams{Bands: 16, RowsPerBand: 8}, n); err == nil || !strings.Contains(err.Error(), "shard count") {
+			t.Fatalf("Rebucket to %d shards: err = %v, want shard-count rejection", n, err)
+		}
 	}
-	if ix.ShardCount() != 4 {
-		t.Fatalf("failed Rebucket mutated the index: ShardCount = %d", ix.ShardCount())
+	if got := ix.Metadata(); ix.ShardCount() != shards || got.Bands != 16 || got.RowsPerBand != 8 {
+		t.Fatalf("failed Rebucket mutated the index: shards=%d meta=%+v", ix.ShardCount(), got)
 	}
 }

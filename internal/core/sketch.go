@@ -14,44 +14,15 @@ const (
 	DefaultSignatureSize = 128
 )
 
-// Scheme selects how shingle hashes are folded into a signature.
+// Scheme names how shingle hashes are folded into a signature. It is
+// recorded in index metadata and reported by /stats; readers of
+// persisted metadata reject any value but SchemeOPH.
 type Scheme string
 
-const (
-	// SchemeOPH is one-permutation hashing with rotation densification:
-	// each shingle is hashed once and routed to one slot, so sketching
-	// costs O(n + sigSize) instead of O(n * sigSize). The default.
-	SchemeOPH Scheme = "oph"
-	// SchemeKMH is the legacy Kirsch-Mitzenmacher k-minhash: every
-	// shingle updates every slot. An order of magnitude slower, kept for
-	// compatibility with indexes built before format v3.
-	SchemeKMH Scheme = "kmh"
-	// DefaultScheme is the scheme used when none is specified.
-	DefaultScheme = SchemeOPH
-)
-
-// ParseScheme maps a CLI/config string onto a Scheme. The empty string
-// selects DefaultScheme.
-func ParseScheme(s string) (Scheme, error) {
-	switch Scheme(s) {
-	case "":
-		return DefaultScheme, nil
-	case SchemeOPH, SchemeKMH:
-		return Scheme(s), nil
-	default:
-		return "", fmt.Errorf("sketch: unknown scheme %q (want %q or %q)", s, SchemeOPH, SchemeKMH)
-	}
-}
-
-// normScheme resolves the zero value to SchemeKMH: sketches and index
-// metadata written before schemes existed (formats v1/v2, or literals
-// in older code) carry no scheme and were always k-minhash.
-func normScheme(s Scheme) Scheme {
-	if s == "" {
-		return SchemeKMH
-	}
-	return s
-}
+// SchemeOPH is one-permutation hashing with rotation densification:
+// each shingle is hashed once and routed to one slot, so sketching
+// costs O(n + sigSize) instead of O(n * sigSize). The only scheme.
+const SchemeOPH Scheme = "oph"
 
 // hashBase is the multiplier for the polynomial rolling hash over
 // shingles (the 64-bit FNV prime).
@@ -76,19 +47,16 @@ type Record struct {
 }
 
 // Sketch is a compact fixed-size minhash signature of one record.
-// Two sketches are comparable only if they share the scheme, K,
-// signature size, and slot width. Scheme and Bits are in-memory state:
-// index files record them once in their metadata, and loaders stamp
-// them back onto every sketch (empty/zero mean legacy KMH and
-// full-width slots). Bits below 64 marks a sketch reconstructed from a
-// b-bit packed index, whose slot values are truncated lanes — mixing
-// those with full-width sketches would silently score near-zero, so
-// comparisons reject the mismatch instead (see compatible).
+// Two sketches are comparable only if they share K, signature size,
+// and slot width. Bits is in-memory state (zero means full-width
+// slots): below 64 it marks a sketch reconstructed from a b-bit packed
+// index, whose slot values are truncated lanes — mixing those with
+// full-width sketches would silently score near-zero, so comparisons
+// reject the mismatch instead (see compatible).
 type Sketch struct {
 	Name      string   `json:"name"`
 	K         int      `json:"k"`
 	Shingles  int      `json:"shingles"`
-	Scheme    Scheme   `json:"-"`
 	Bits      int      `json:"-"`
 	Signature []uint64 `json:"signature"`
 }
@@ -98,29 +66,18 @@ type Sketch struct {
 type Sketcher struct {
 	k       int
 	sigSize int
-	scheme  Scheme
 }
 
 // NewSketcher returns a sketcher producing sigSize-slot signatures over
-// k-byte shingles using the default scheme.
+// k-byte shingles.
 func NewSketcher(k, sigSize int) (*Sketcher, error) {
-	return NewSketcherScheme(k, sigSize, DefaultScheme)
-}
-
-// NewSketcherScheme is NewSketcher with an explicit sketching scheme.
-// The empty scheme means legacy KMH, matching pre-v3 index metadata.
-func NewSketcherScheme(k, sigSize int, scheme Scheme) (*Sketcher, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("sketcher: k must be positive, got %d", k)
 	}
 	if sigSize <= 0 {
 		return nil, fmt.Errorf("sketcher: signature size must be positive, got %d", sigSize)
 	}
-	scheme = normScheme(scheme)
-	if scheme != SchemeOPH && scheme != SchemeKMH {
-		return nil, fmt.Errorf("sketcher: unknown scheme %q", scheme)
-	}
-	return &Sketcher{k: k, sigSize: sigSize, scheme: scheme}, nil
+	return &Sketcher{k: k, sigSize: sigSize}, nil
 }
 
 // K returns the shingle length.
@@ -129,16 +86,13 @@ func (s *Sketcher) K() int { return s.k }
 // SignatureSize returns the number of minhash slots.
 func (s *Sketcher) SignatureSize() int { return s.sigSize }
 
-// Scheme returns the sketching scheme.
-func (s *Sketcher) Scheme() Scheme { return s.scheme }
-
 // Sketch computes the minhash signature of rec. Records shorter than K
 // produce zero shingles and an empty (all-max) signature; such sketches
 // compare as dissimilar to everything, including each other.
 func (s *Sketcher) Sketch(rec Record) *Sketch {
 	sig := make([]uint64, s.sigSize)
 	shingles := s.SketchInto(sig, rec)
-	return &Sketch{Name: rec.Name, K: s.k, Shingles: shingles, Scheme: s.scheme, Signature: sig}
+	return &Sketch{Name: rec.Name, K: s.k, Shingles: shingles, Signature: sig}
 }
 
 // SketchInto is the emit-into-buffer form of Sketch: it writes rec's
@@ -146,24 +100,20 @@ func (s *Sketcher) Sketch(rec Record) *Sketch {
 // the shingle count, allocating nothing. It is the building block of
 // zero-alloc pipelines that sketch straight into pooled buffers or a
 // packed arena row.
+//
+// Each shingle is hashed once (an O(n) polynomial rolling hash,
+// whitened by mix64) and routed to slot floor(h * sigSize / 2^64) — the
+// high bits of h, equal to h >> (64 - log2(sigSize)) when sigSize is a
+// power of two — keeping the per-slot minimum. Empty slots are then
+// densified by rotation so sparse records still compare correctly. The
+// rolling hash is inlined rather than driven through a per-shingle
+// callback because the closure call costs ~25% of the whole pipeline at
+// these speeds.
 func (s *Sketcher) SketchInto(sig []uint64, rec Record) int {
 	if len(sig) != s.sigSize {
 		panic(fmt.Sprintf("sketch: SketchInto buffer has %d slots, want %d", len(sig), s.sigSize))
 	}
-	if s.scheme == SchemeKMH {
-		return s.sketchKMHInto(sig, rec.Data)
-	}
-	return s.sketchOPHInto(sig, rec.Data)
-}
-
-// sketchOPHInto hashes each shingle once and routes it to slot
-// floor(h * sigSize / 2^64) — the high bits of h, equal to
-// h >> (64 - log2(sigSize)) when sigSize is a power of two — keeping
-// the per-slot minimum. Empty slots are then densified by rotation so
-// sparse records still compare correctly. The rolling hash is inlined
-// rather than shared through eachShingleHash because the per-byte
-// closure call costs ~25% of the whole pipeline at these speeds.
-func (s *Sketcher) sketchOPHInto(sig []uint64, data []byte) int {
+	data := rec.Data
 	for i := range sig {
 		sig[i] = emptySlot
 	}
@@ -230,51 +180,6 @@ func densify(sig []uint64) {
 		}
 		d := uint64(src - i)
 		sig[i] = sig[src%m] + d*densifyStep
-	}
-}
-
-// sketchKMHInto is the legacy Kirsch-Mitzenmacher path: every shingle
-// updates every slot, standing in for sigSize independent permutations.
-func (s *Sketcher) sketchKMHInto(sig []uint64, data []byte) int {
-	for i := range sig {
-		sig[i] = math.MaxUint64
-	}
-	shingles := 0
-	eachShingleHash(data, s.k, func(h uint64) {
-		shingles++
-		// Kirsch-Mitzenmacher double hashing: slot i sees h1 + i*h2.
-		h1 := mix64(h)
-		h2 := mix64(h^0x9e3779b97f4a7c15) | 1
-		v := h1
-		for i := range sig {
-			if v < sig[i] {
-				sig[i] = v
-			}
-			v += h2
-		}
-	})
-	return shingles
-}
-
-// eachShingleHash calls fn with a 64-bit hash of every k-byte window of
-// data, using an O(n) polynomial rolling hash.
-func eachShingleHash(data []byte, k int, fn func(uint64)) {
-	if k <= 0 || len(data) < k {
-		return
-	}
-	// pow = hashBase^(k-1), the weight of the outgoing byte.
-	var pow uint64 = 1
-	for i := 0; i < k-1; i++ {
-		pow *= hashBase
-	}
-	var h uint64
-	for i := 0; i < k; i++ {
-		h = h*hashBase + uint64(data[i]) + 1
-	}
-	fn(h)
-	for i := k; i < len(data); i++ {
-		h = (h-(uint64(data[i-k])+1)*pow)*hashBase + uint64(data[i]) + 1
-		fn(h)
 	}
 }
 

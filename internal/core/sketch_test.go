@@ -169,3 +169,26 @@ func equalSig(a, b []uint64) bool {
 	}
 	return true
 }
+
+// eachShingleHash is the reference the inlined rolling hash in SketchInto
+// is checked against: it calls fn with a 64-bit hash of every k-byte window of
+// data, using an O(n) polynomial rolling hash.
+func eachShingleHash(data []byte, k int, fn func(uint64)) {
+	if k <= 0 || len(data) < k {
+		return
+	}
+	// pow = hashBase^(k-1), the weight of the outgoing byte.
+	var pow uint64 = 1
+	for i := 0; i < k-1; i++ {
+		pow *= hashBase
+	}
+	var h uint64
+	for i := 0; i < k; i++ {
+		h = h*hashBase + uint64(data[i]) + 1
+	}
+	fn(h)
+	for i := k; i < len(data); i++ {
+		h = (h-(uint64(data[i-k])+1)*pow)*hashBase + uint64(data[i]) + 1
+		fn(h)
+	}
+}

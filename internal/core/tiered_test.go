@@ -1,7 +1,8 @@
 package core
 
 import (
-	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -140,7 +141,7 @@ func TestTieredSimilarityIsFullWidth(t *testing.T) {
 	}
 }
 
-func TestTieredSaveDirLoadDirRoundTrip(t *testing.T) {
+func TestTieredSaveDirOpenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := NewEngine(Options{
 		IndexName: "rt", Bits: 8,
@@ -164,9 +165,6 @@ func TestTieredSaveDirLoadDirRoundTrip(t *testing.T) {
 	if err := ix.SaveDir(); err != nil {
 		t.Fatal(err)
 	}
-	if !IsTieredDir(dir) { //nolint:staticcheck // deprecated wrapper must keep working
-		t.Fatalf("IsTieredDir(%s) = false after SaveDir", dir)
-	}
 
 	got, err := Open(dir)
 	if err != nil {
@@ -182,7 +180,7 @@ func TestTieredSaveDirLoadDirRoundTrip(t *testing.T) {
 	// Full-width signatures survive the trip through segment files.
 	for _, name := range []string{"rec-0", "rec-150", "rec-299"} {
 		if !equalSig(got.Get(name).Signature, ix.Get(name).Signature) {
-			t.Fatalf("sketch %q changed across SaveDir/LoadDir", name)
+			t.Fatalf("sketch %q changed across SaveDir/Open", name)
 		}
 	}
 	after, err := SearchTopK(got, q, 10, 0, nil)
@@ -338,15 +336,124 @@ func TestLoadDirRejectsCorruptSegments(t *testing.T) {
 		})
 	}
 	// A corrupted manifest is rejected too.
-	t.Run("corrupt manifest", func(t *testing.T) {
+	for name, corrupt := range corruptManifests {
+		t.Run("manifest "+name, func(t *testing.T) {
+			dir := t.TempDir()
+			saveTieredDir(t, dir)
+			path := filepath.Join(dir, ManifestFile)
+			good, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, corrupt(t, good), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if ix, err := Open(dir); err == nil {
+				ix.Close()
+				t.Fatal("Open accepted a corrupt manifest")
+			}
+		})
+	}
+}
+
+// corruptManifests maps a name to a rewrite of a valid manifest that
+// Open must reject; FuzzOpenManifest seeds its corpus from the same
+// set.
+var corruptManifests = map[string]func(t testing.TB, good []byte) []byte{
+	"not json": func(testing.TB, []byte) []byte { return []byte("{not json") },
+	// order must be a permutation of the live records: naming one
+	// twice (and so another never) keeps the length check happy but
+	// would hide a record from every Names/Records walk.
+	"duplicate in order": func(t testing.TB, good []byte) []byte {
+		return editManifest(t, good, func(m *manifest) { m.Order[1] = m.Order[0] })
+	},
+	"unknown in order": func(t testing.TB, good []byte) []byte {
+		return editManifest(t, good, func(m *manifest) { m.Order[0] = "no-such-record" })
+	},
+	"short order": func(t testing.TB, good []byte) []byte {
+		return editManifest(t, good, func(m *manifest) { m.Order = m.Order[1:] })
+	},
+	"foreign scheme": func(t testing.TB, good []byte) []byte {
+		return editManifest(t, good, func(m *manifest) { m.Meta.Scheme = "kmh" })
+	},
+	"json format number": func(t testing.TB, good []byte) []byte {
+		return editManifest(t, good, func(m *manifest) { m.Meta.Format = 4 })
+	},
+	"shard entries": func(t testing.TB, good []byte) []byte {
+		return editManifest(t, good, func(m *manifest) { m.Shards = m.Shards[1:] })
+	},
+	"deleted row out of range": func(t testing.TB, good []byte) []byte {
+		return editManifest(t, good, func(m *manifest) { m.Shards[0].Deleted = []int32{1 << 20} })
+	},
+}
+
+func editManifest(t testing.TB, good []byte, edit func(*manifest)) []byte {
+	t.Helper()
+	var m manifest
+	if err := json.Unmarshal(good, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(&m)
+	out, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// FuzzOpenManifest feeds arbitrary MANIFEST.json bytes to Open over an
+// otherwise valid directory: the manifest is read back from disk, where
+// anything may have happened to it, so Open must return an index or an
+// error — never panic, and never an index whose record count disagrees
+// with the names it lists.
+func FuzzOpenManifest(f *testing.F) {
+	// One shard, one segment: small enough to copy per input.
+	src := f.TempDir()
+	eng, err := NewEngine(Options{IndexName: "fuzz", Shards: 1, Bits: 8, Tiered: true, DataDir: src})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := errors.Join(eng.Index().SaveDir(), eng.Index().Close()); err != nil {
+		f.Fatal(err)
+	}
+	good, err := os.ReadFile(filepath.Join(src, ManifestFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, corrupt := range corruptManifests {
+		f.Add(corrupt(f, good))
+	}
+	f.Fuzz(func(t *testing.T, man []byte) {
+		// A fresh copy per input: Open truncates torn WAL tails and a
+		// successful one attaches logs, so inputs must not share state.
 		dir := t.TempDir()
-		saveTieredDir(t, dir)
-		if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte("{not json"), 0o644); err != nil {
+		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
 			t.Fatal(err)
 		}
-		if ix, err := Open(dir); err == nil {
-			ix.Close()
-			t.Fatal("Open accepted a corrupt manifest")
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), man, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Open(dir)
+		if err != nil {
+			return
+		}
+		defer ix.Close()
+		names := ix.Names()
+		if ix.Len() != len(names) {
+			t.Fatalf("Len() = %d but Names() lists %d", ix.Len(), len(names))
+		}
+		seen := make(map[string]bool, len(names))
+		for _, n := range names {
+			if seen[n] || !ix.Has(n) {
+				t.Fatalf("Names() lists %q twice or it is not live", n)
+			}
+			seen[n] = true
 		}
 	})
 }
@@ -398,84 +505,6 @@ func TestSegmentPreadFallback(t *testing.T) {
 	}
 }
 
-// TestEnableTieredUpgradesV4 is the migration path: a legacy v4 JSON
-// index upgrades in place to a tiered v5 directory — full-width slots
-// re-truncate losslessly into the requested prefilter width, search
-// results stay identical, and the directory round-trips.
-func TestEnableTieredUpgradesV4(t *testing.T) {
-	eng, err := NewEngine(Options{IndexName: "v4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := eng.Index().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := LoadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 11)})
-	want, err := SearchTopK(ix, q, 10, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	if err := ix.EnableTiered(dir, 64, 8); err != nil {
-		t.Fatalf("EnableTiered: %v", err)
-	}
-	defer ix.Close()
-	if m := ix.Metadata(); m.Format != FormatV6 || m.Bits != 8 || !ix.Tiered() {
-		t.Fatalf("upgraded metadata = %+v", m)
-	}
-	got, err := SearchTopK(ix, q, 10, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("upgrade changed result %d: %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if err := ix.SaveDir(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	got, err = SearchTopK(loaded, q, 10, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("upgraded round trip changed result %d: %+v, want %+v", i, got[i], want[i])
-		}
-	}
-
-	// A populated truncated index discarded its full-width slots at add
-	// time and cannot upgrade.
-	eng8, err := NewEngine(Options{IndexName: "v4-8bit", Bits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng8.Add(Record{Name: "rec", Data: benchData(256, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng8.Index().EnableTiered(t.TempDir(), 0, 0); err == nil ||
-		!strings.Contains(err.Error(), "full-width") {
-		t.Fatalf("EnableTiered on populated 8-bit index: err = %v, want full-width rejection", err)
-	}
-}
-
 // TestTieredBudgetCapsRescores: a positive budget must bound the
 // full-width reads a query spends per shard, and budget 0 must not.
 func TestTieredBudgetCapsRescores(t *testing.T) {
@@ -520,25 +549,6 @@ func TestTieredSearchRejectsTruncatedQuery(t *testing.T) {
 	}
 }
 
-// TestTieredSaveFormats: tiered indexes persist through SaveDir only —
-// the JSON writer has nowhere to put segments — and a v5 format number
-// in a JSON file redirects the reader to core.Open.
-func TestTieredSaveFormats(t *testing.T) {
-	tiered, _ := tieredEngines(t, 20, 32)
-	var buf bytes.Buffer
-	if err := tiered.Index().Save(&buf); err == nil ||
-		!strings.Contains(err.Error(), "SaveDir") {
-		t.Fatalf("JSON Save on tiered index: err = %v, want SaveDir redirect", err)
-	}
-	for _, format := range []int{5, 6} {
-		v := fmt.Sprintf(`{"meta":{"name":"x","format":%d,"k":4,"signature_size":2,"scheme":"oph","bits":8,"bands":1,"rows_per_band":2,"shards":4},"sketches":[]}`, format)
-		if _, err := LoadIndex(bytes.NewReader([]byte(v))); err == nil ||
-			!strings.Contains(err.Error(), "core.Open") {
-			t.Fatalf("LoadIndex of a v%d file: err = %v, want core.Open redirect", format, err)
-		}
-	}
-}
-
 // TestTieredGetSketchFullWidth: Get on a tiered index reconstructs the
 // record from the full-width tier, not the truncated prefilter.
 func TestTieredGetSketchFullWidth(t *testing.T) {
@@ -554,9 +564,9 @@ func TestTieredGetSketchFullWidth(t *testing.T) {
 	}
 }
 
-// TestTieredRebucket: band retuning works on a tiered index (the full
-// tier is carried shard-for-shard), but resharding would renumber the
-// tier's shard-local rows and is rejected.
+// TestTieredRebucket: band retuning works on a directory index (the
+// full tier is carried shard-for-shard), but resharding would renumber
+// the tier's shard-local rows and is rejected.
 func TestTieredRebucket(t *testing.T) {
 	tiered, plain := tieredEngines(t, 300, 64)
 	ix := tiered.Index()
@@ -588,10 +598,9 @@ func TestTieredRebucket(t *testing.T) {
 	}
 }
 
-// BenchmarkTieredSearch reports the tier-health metrics bench-compare
-// watches: the prefilter survival rate (fraction of rows whose packed
-// score cleared minSim and went to ranking) and mapped segment bytes
-// per record.
+// BenchmarkTieredSearch reports the tier-health metrics: the prefilter
+// survival rate (fraction of rows whose packed score cleared minSim and
+// went to ranking) and mapped segment bytes per record.
 func BenchmarkTieredSearch(b *testing.B) {
 	const n = 5000
 	eng, err := NewEngine(Options{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -370,37 +371,27 @@ func TestSaveDirAutoCompacts(t *testing.T) {
 	}
 }
 
-// TestOpenDispatch: Open resolves every on-disk layout and rejects
-// non-indexes with a diagnosable error.
-func TestOpenDispatch(t *testing.T) {
-	// JSON file.
+// TestOpenRejectsNonIndexes: Open takes an index directory only and
+// rejects everything else with a diagnosable error — a regular file is
+// pointed at the importer.
+func TestOpenRejectsNonIndexes(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "index.json")
-	ix := NewIndex("open", 4, 32)
-	s := mustSketcher(t, 4, 32)
-	if _, err := ix.Add(s.Sketch(Record{Name: "rec", Data: []byte("payload for the open dispatch test")})); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(path)
-	if err != nil || got.Len() != 1 {
-		t.Fatalf("Open(json) = %v, len=%d", err, got.Len())
-	}
-	// Tiered directory.
-	tdir := t.TempDir()
-	walEngine(t, tdir, 10).Index().Close()
-	tx, err := Open(tdir)
-	if err != nil || tx.Len() != 10 {
+	walEngine(t, dir, 10).Index().Close()
+	ix, err := Open(dir)
+	if err != nil || ix.Len() != 10 {
 		t.Fatalf("Open(dir) = %v", err)
 	}
-	tx.Close()
-	// A directory without a manifest is not an index.
-	if _, err := Open(t.TempDir()); err == nil {
-		t.Fatal("Open of an empty directory succeeded")
+	ix.Close()
+	path := filepath.Join(t.TempDir(), "index.json")
+	if err := os.WriteFile(path, []byte(`{"meta":{"format":4},"sketches":[]}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Neither is a missing path.
+	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "engine import") {
+		t.Fatalf("Open of a regular file: err = %v, want a pointer to engine import", err)
+	}
+	if _, err := Open(t.TempDir()); err == nil || !strings.Contains(err.Error(), ManifestFile) {
+		t.Fatalf("Open of an empty directory: err = %v, want a missing-manifest error", err)
+	}
 	if _, err := Open(filepath.Join(dir, "nope")); err == nil {
 		t.Fatal("Open of a missing path succeeded")
 	}
@@ -465,9 +456,9 @@ func TestLiveRebucketUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Changing the shard count of a tiered index stays rejected.
+	// Changing the shard count stays rejected.
 	if err := ix.Rebucket(schemes[0], shards+1); err == nil {
-		t.Fatal("tiered rebucket with a changed shard count succeeded")
+		t.Fatal("rebucket with a changed shard count succeeded")
 	}
 	// The rebucketed index still answers correctly: a live record's own
 	// payload must find it via the rebuilt postings.

@@ -16,15 +16,18 @@
 //     the records reach the next snapshot. Shutdown orders handler
 //     drain, then queue flush, then the final snapshot, so nothing
 //     acknowledged can be lost to a clean SIGTERM.
-//   - Snapshots are atomic at their commit point — the file rename in
-//     SaveFile for JSON indexes (Config.IndexPath), the manifest rename
-//     in SaveDir for tiered indexes (Config.DataDir). A crash mid-save
-//     leaves the previous snapshot intact. Tiered snapshots only append
-//     segment files; sealed segments are never rewritten, so periodic
-//     snapshot cost tracks the ingest delta.
+//   - Acknowledged writes survive a crash: New commits a directory
+//     index's first manifest before the listener opens, which attaches
+//     the write-ahead logs every later ack is fsynced to. An in-memory
+//     index is served without snapshots or durability.
+//   - Snapshots go to the served index's own directory and are atomic
+//     at their commit point, the manifest rename in SaveDir. A crash
+//     mid-save leaves the previous snapshot intact. Snapshots only
+//     append segment files; sealed segments are never rewritten, so
+//     periodic snapshot cost tracks the ingest delta.
 //   - Snapshots are generation-gated: an unchanged index is never
 //     rewritten by the periodic timer.
 //   - /stats is cheap and lock-light; its engine block includes the
 //     tier sub-object (resident vs mapped bytes, prefilter survival)
-//     exactly when the served index is tiered.
+//     exactly when the served index is a directory.
 package server

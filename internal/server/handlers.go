@@ -520,7 +520,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			Name:      rec.Name,
 			K:         meta.K,
 			Shingles:  rec.Shingles,
-			Scheme:    meta.Scheme,
 			Bits:      rec.Bits,
 			Signature: rec.Signature,
 		}

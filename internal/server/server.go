@@ -24,22 +24,15 @@ const (
 )
 
 // Config configures a Server. Zero values fall back to the package
-// defaults above; an empty IndexPath disables snapshots entirely.
+// defaults above. Where snapshots go is not configured here: they go to
+// the served index's own directory, and an in-memory index is served
+// without snapshots.
 type Config struct {
 	// Addr is the listen address, e.g. ":8080". Port 0 picks a free
 	// port; Listen returns the bound address.
 	Addr string
-	// IndexPath is the snapshot destination for non-tiered indexes.
-	// Snapshots reuse the index's atomic SaveFile (temp file + fsync +
-	// rename), so a crash mid-save never corrupts the previous snapshot.
-	// Empty disables JSON snapshots.
-	IndexPath string
-	// DataDir is the tiered index directory. When set, the served index
-	// must be tiered and snapshots go through SaveDir instead of
-	// SaveFile: each cycle seals the shards' unsealed rows into new
-	// immutable segment files and atomically rewrites the small
-	// manifest, so snapshot cost tracks the ingest delta rather than the
-	// index size.
+	// DataDir, when set, is a cross-check: New fails unless it is the
+	// served index's directory (core.Index.DataDir).
 	DataDir string
 	// SnapshotEvery is the periodic snapshot interval; 0 disables the
 	// timer (a final snapshot is still written on shutdown). Snapshots
@@ -75,9 +68,11 @@ type Server struct {
 
 	lis net.Listener
 
-	snapMu    sync.Mutex // serializes snapshots
-	savedGen  uint64     // index generation at the last snapshot
-	forceSnap bool       // first snapshot must materialize a missing file
+	// dir is the served index's directory, the snapshot destination;
+	// empty for an in-memory index, which is never snapshotted.
+	dir      string
+	snapMu   sync.Mutex // serializes snapshots
+	savedGen uint64     // index generation at the last snapshot
 
 	closeOnce sync.Once
 	closeErr  error
@@ -105,37 +100,28 @@ func New(eng *core.Engine, cfg Config) (*Server, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
-	if cfg.DataDir != "" {
-		if !eng.Index().Tiered() {
-			return nil, errors.New("server: DataDir is set but the index is not tiered")
-		}
-		if got := eng.Index().DataDir(); got != cfg.DataDir {
-			return nil, fmt.Errorf("server: DataDir %s does not match the index's data directory %s", cfg.DataDir, got)
-		}
+	dir := eng.Index().DataDir()
+	if cfg.DataDir != "" && cfg.DataDir != dir {
+		return nil, fmt.Errorf("server: DataDir %s does not match the index's data directory %q", cfg.DataDir, dir)
 	}
 	s := &Server{
 		cfg:      cfg,
 		eng:      eng,
 		metrics:  newMetrics(),
+		dir:      dir,
 		savedGen: eng.Index().Generation(),
 	}
-	if cfg.DataDir != "" {
-		if _, err := os.Stat(filepath.Join(cfg.DataDir, core.ManifestFile)); err != nil {
+	if dir != "" {
+		if _, err := os.Stat(filepath.Join(dir, core.ManifestFile)); err != nil {
 			// No committed manifest yet: commit one now, synchronously.
 			// The manifest rename is what attaches the per-shard WALs, and
 			// every mutation acknowledged from the first request onward
 			// must hit a WAL to survive a crash — so the index must be on
 			// disk before the listener is.
 			if err := eng.Index().SaveDir(); err != nil {
-				return nil, fmt.Errorf("server: initial snapshot of %s: %w", cfg.DataDir, err)
+				return nil, fmt.Errorf("server: initial snapshot of %s: %w", dir, err)
 			}
 			s.savedGen = eng.Index().Generation()
-		}
-	} else if cfg.IndexPath != "" {
-		if _, err := os.Stat(cfg.IndexPath); err != nil {
-			// No snapshot file yet: force the first snapshot so a freshly
-			// created index materializes on disk even before any ingest.
-			s.forceSnap = true
 		}
 	}
 	s.ingest = newBatcher(eng, cfg.QueueDepth, cfg.MaxBatch, s.metrics)
@@ -177,7 +163,7 @@ func (s *Server) Serve(ctx context.Context) error {
 	go func() { errc <- hs.Serve(s.lis) }()
 
 	var tick <-chan time.Time
-	if (s.cfg.IndexPath != "" || s.cfg.DataDir != "") && s.cfg.SnapshotEvery > 0 {
+	if s.dir != "" && s.cfg.SnapshotEvery > 0 {
 		t := time.NewTicker(s.cfg.SnapshotEvery)
 		defer t.Stop()
 		tick = t.C
@@ -188,7 +174,7 @@ func (s *Server) Serve(ctx context.Context) error {
 			if wrote, err := s.Snapshot(); err != nil {
 				s.logf("snapshot error: %v", err)
 			} else if wrote {
-				s.logf("snapshot written to %s (generation %d)", s.snapshotDest(), s.savedGeneration())
+				s.logf("snapshot written to %s (generation %d)", s.dir, s.savedGeneration())
 			}
 		case err := <-errc:
 			// Listener failure outside a requested shutdown; still flush
@@ -226,42 +212,29 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// snapshotDest names where snapshots land, for logs.
-func (s *Server) snapshotDest() string {
-	if s.cfg.DataDir != "" {
-		return s.cfg.DataDir
-	}
-	return s.cfg.IndexPath
-}
-
-// Snapshot writes the index to its snapshot destination — the tiered
-// data directory via SaveDir when DataDir is set, the JSON IndexPath
-// via SaveFile otherwise — if it changed since the last snapshot (or
-// none exists yet), reporting whether anything was written. It is safe
-// for concurrent use and a no-op when snapshots are disabled.
+// Snapshot saves the index into its directory (core.Index.SaveDir:
+// each cycle seals the shards' unsealed rows into new immutable segment
+// files and atomically rewrites the small manifest, so the cost tracks
+// the ingest delta rather than the index size) if it changed since the
+// last snapshot, reporting whether anything was written. It is safe for
+// concurrent use and a no-op on an in-memory index.
 func (s *Server) Snapshot() (bool, error) {
-	if s.cfg.IndexPath == "" && s.cfg.DataDir == "" {
+	if s.dir == "" {
 		return false, nil
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	gen := s.eng.Index().Generation()
-	if gen == s.savedGen && !s.forceSnap {
+	if gen == s.savedGen {
 		return false, nil
 	}
-	var err error
-	if s.cfg.DataDir != "" {
-		err = s.eng.Index().SaveDir()
-	} else {
-		err = s.eng.Index().SaveFile(s.cfg.IndexPath)
-	}
-	if err != nil {
+	if err := s.eng.Index().SaveDir(); err != nil {
 		return false, err
 	}
 	// Records added between the generation read and the save are in the
-	// file but not in savedGen; the next snapshot simply rewrites them.
+	// snapshot but not in savedGen; the next snapshot simply covers them
+	// again.
 	s.savedGen = gen
-	s.forceSnap = false
 	s.metrics.snapshots.Add(1)
 	return true, nil
 }

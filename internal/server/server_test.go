@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -269,21 +268,21 @@ func TestErrorPaths(t *testing.T) {
 
 func TestSnapshotLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "index.json")
-	s, err := New(testEngine(t), Config{IndexPath: path})
+	s, err := New(tieredTestEngine(t, dir), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// The file does not exist yet, so the first snapshot is forced even
-	// with an untouched index.
-	wrote, err := s.Snapshot()
-	if err != nil || !wrote {
-		t.Fatalf("initial snapshot = %v, %v; want written", wrote, err)
+	// New committed the still-empty index's first manifest, so the
+	// directory is an index before any ingest or snapshot.
+	if ix, err := core.Open(dir); err != nil || ix.Len() != 0 {
+		t.Fatalf("directory after New: %v", err)
+	} else {
+		ix.Close()
 	}
-	// Clean index: the next snapshot is skipped.
-	wrote, err = s.Snapshot()
+	// Clean index: the snapshot is skipped.
+	wrote, err := s.Snapshot()
 	if err != nil || wrote {
 		t.Fatalf("clean snapshot = %v, %v; want skipped", wrote, err)
 	}
@@ -294,12 +293,25 @@ func TestSnapshotLifecycle(t *testing.T) {
 	if err != nil || !wrote {
 		t.Fatalf("dirty snapshot = %v, %v; want written", wrote, err)
 	}
-	ix, err := core.Open(path)
+	ix, err := core.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ix.Close()
 	if ix.Len() != 1 || ix.Get("rec") == nil {
 		t.Fatalf("snapshot holds %d records, want rec", ix.Len())
+	}
+	// An in-memory engine is served without snapshots.
+	mem, err := New(testEngine(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	if _, err := mem.Engine().Add(core.Record{Name: "rec", Data: []byte("some payload for the snapshot")}); err != nil {
+		t.Fatal(err)
+	}
+	if wrote, err := mem.Snapshot(); err != nil || wrote {
+		t.Fatalf("in-memory snapshot = %v, %v; want a no-op", wrote, err)
 	}
 }
 
@@ -411,8 +423,7 @@ func startServer(t *testing.T, s *Server) (string, func() error) {
 // run under -race by `make test`).
 func TestConcurrentLoad(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "index.json")
-	s, err := New(testEngine(t), Config{IndexPath: path, MaxInFlight: 16})
+	s, err := New(tieredTestEngine(t, dir), Config{MaxInFlight: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,10 +498,11 @@ func TestConcurrentLoad(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	ix, err := core.Open(path)
+	ix, err := core.Open(dir)
 	if err != nil {
 		t.Fatalf("snapshot is not loadable: %v", err)
 	}
+	defer ix.Close()
 	if int64(ix.Len()) != added.Load() {
 		t.Fatalf("snapshot has %d records, want %d acknowledged adds", ix.Len(), added.Load())
 	}
@@ -501,8 +513,7 @@ func TestConcurrentLoad(t *testing.T) {
 // the server acknowledged must survive in the final snapshot.
 func TestShutdownMidLoad(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "index.json")
-	s, err := New(testEngine(t), Config{IndexPath: path})
+	s, err := New(tieredTestEngine(t, dir), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,10 +575,11 @@ func TestShutdownMidLoad(t *testing.T) {
 	}
 	wg.Wait()
 
-	ix, err := core.Open(path)
+	ix, err := core.Open(dir)
 	if err != nil {
 		t.Fatalf("post-shutdown snapshot is not loadable: %v", err)
 	}
+	defer ix.Close()
 	ackedMu.Lock()
 	defer ackedMu.Unlock()
 	if len(acked) == 0 {

@@ -87,7 +87,7 @@ func TestTieredSnapshotLifecycle(t *testing.T) {
 }
 
 // TestTieredConfigValidation: DataDir must describe the engine it is
-// paired with — a non-tiered engine or a mismatched directory is a
+// paired with — an in-memory engine or a mismatched directory is a
 // configuration bug New refuses.
 func TestTieredConfigValidation(t *testing.T) {
 	if _, err := New(testEngine(t), Config{DataDir: t.TempDir()}); err == nil {
@@ -103,5 +103,41 @@ func TestTieredConfigValidation(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDirectoryEngineIsDurableWithoutConfigDataDir: the snapshot
+// directory and the WAL attach are derived from the index, not from
+// Config.DataDir, so a directory engine served with an empty Config
+// still fsyncs every acked write to a WAL — what is on disk at the
+// moment of the ack, before any snapshot, already holds the record.
+func TestDirectoryEngineIsDurableWithoutConfigDataDir(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(tieredTestEngine(t, dir), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/records", ingestBody("alpha", "beta"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d, body %s", resp.StatusCode, body)
+	}
+	// The disk as a SIGKILL right after the ack would leave it.
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.Open(crashed)
+	if err != nil {
+		t.Fatalf("Open after crash: %v", err)
+	}
+	defer ix.Close()
+	if !ix.Has("alpha") || !ix.Has("beta") {
+		t.Fatalf("acked records lost in the crash: reopened index holds %v", ix.Names())
+	}
+	if w := ix.WAL(); w == nil || w.ReplayedFrames != 2 {
+		t.Fatalf("reopen replayed %+v, want the 2 acked adds from the WAL", w)
 	}
 }

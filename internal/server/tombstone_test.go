@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -14,8 +13,8 @@ import (
 
 // These tests pin the tombstone lookup contract: once DELETE succeeds,
 // GET /v1/records/{name} answers 404 with the not_found envelope — in
-// memory, after a snapshot reload, and after a WAL-only crash replay —
-// on both the JSON and the tiered directory layouts. A tombstoned
+// memory, after a WAL-only crash replay, and after a snapshot reload.
+// A tombstoned
 // record leaking back as 200 would also poison the cluster
 // coordinator's first-200-wins lookup path.
 
@@ -96,30 +95,6 @@ func reopenedServer(t *testing.T, path string) (*Server, *httptest.Server) {
 		ix.Close()
 	})
 	return s, ts
-}
-
-func TestTombstonedRecordNotFoundJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "index.json")
-	s, ts := newTestServer(t, Config{IndexPath: path})
-	client := ts.Client()
-
-	resp, out := postJSON(t, client, ts.URL+"/v1/records", ingestBody("alpha", "beta"))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest = %d, body %s", resp.StatusCode, out)
-	}
-	if resp, out = doDelete(t, client, ts.URL+"/v1/records/beta"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("delete = %d, body %s", resp.StatusCode, out)
-	}
-	wantGetNotFound(t, client, ts.URL+"/v1/records/beta")
-	wantGetOK(t, client, ts.URL+"/v1/records/alpha")
-
-	// Snapshot and reload: the tombstone must survive serialization.
-	if _, err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	_, ts2 := reopenedServer(t, path)
-	wantGetNotFound(t, ts2.Client(), ts2.URL+"/v1/records/beta")
-	wantGetOK(t, ts2.Client(), ts2.URL+"/v1/records/alpha")
 }
 
 func TestTombstonedRecordNotFoundTiered(t *testing.T) {

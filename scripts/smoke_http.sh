@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # smoke_http.sh — end-to-end smoke test of `engine serve`: start a
-# server on a free port over a fresh index, ingest the CLI testdata
-# over HTTP, assert a search hit plus healthy /healthz and /stats, then
-# SIGTERM the process and verify the shutdown snapshot is loadable by
-# `engine search`. CI runs this after the unit tests; `make smoke`
-# mirrors it locally.
+# server on a free port over a fresh index directory, ingest the CLI
+# testdata over HTTP, assert a search hit plus healthy /healthz and
+# /stats, delete a record, then SIGKILL the process and verify that
+# `engine search` reopens the directory to exactly the acked state.
+# Later phases cover the cluster. CI runs this after the unit tests;
+# `make smoke` mirrors it locally.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,27 +41,32 @@ wait_addr() {
 
 go build -o "$tmp/engine" ./cmd/engine
 
-index="$tmp/index.json"
-"$tmp/engine" serve -addr 127.0.0.1:0 -d "$index" -snapshot-every 1s \
+# A regular file is not an index: the error must point at the importer.
+echo '{"meta":{"format":4},"sketches":[]}' >"$tmp/legacy.json"
+if "$tmp/engine" serve -addr 127.0.0.1:0 -d "$tmp/legacy.json" >/dev/null 2>"$tmp/legacy.err"; then
+    echo "smoke: serve -d on a regular file exited 0" >&2
+    exit 1
+fi
+grep -q 'engine import' "$tmp/legacy.err" || { echo "smoke: serve -d on a regular file does not mention engine import" >&2; cat "$tmp/legacy.err" >&2; exit 1; }
+
+# ---------------------------------------------------------------------
+# Phase 1: single node, serving and durability. A default `serve -d DIR`
+# creates the directory, takes acknowledged adds and a delete, and is
+# SIGKILLed — no drain, no shutdown snapshot, and the periodic one is an
+# hour away; reopening the directory must replay the WAL to exactly the
+# acked state.
+index="$tmp/index"
+"$tmp/engine" serve -addr 127.0.0.1:0 -d "$index" -snapshot-every 1h \
     >"$tmp/serve.out" 2>"$tmp/serve.err" &
 serve_pid=$!
 
-# Wait for the serving line and extract the bound address.
-base=""
-for _ in $(seq 1 100); do
-    if addr="$(grep -oE 'addr=[^[:space:]]+' "$tmp/serve.out" | head -1 | cut -d= -f2)"; then
-        if [[ -n "$addr" ]]; then
-            base="http://$addr"
-            break
-        fi
-    fi
-    sleep 0.1
-done
-if [[ -z "$base" ]]; then
+addr="$(wait_addr "$tmp/serve.out")"
+if [[ -z "$addr" ]]; then
     echo "smoke: server never reported its address" >&2
     cat "$tmp/serve.err" >&2
     exit 1
 fi
+base="http://$addr"
 
 fail() {
     echo "smoke: $1" >&2
@@ -88,68 +94,22 @@ curl -fsS -X POST -H 'Content-Type: application/json' \
 curl -fsS "$base/v1/records/beta.txt" | grep -q '"name":"beta.txt"' || fail "record lookup failed"
 curl -fsS "$base/stats" | grep -q '"records_added":3' || fail "stats did not count the ingest"
 
-# Graceful shutdown on SIGTERM: the process must exit 0 and leave a
-# snapshot the CLI can search. The query file keeps its trailing
-# newline (the HTTP ingest stripped it), so beta.txt matches itself at
-# rank 1 and the cross-file hit alpha.txt lands in the top 2.
-kill -TERM "$serve_pid"
-if ! wait "$serve_pid"; then
-    fail "serve exited nonzero after SIGTERM"
-fi
-serve_pid=""
-
-out="$("$tmp/engine" search -d "$index" -top 2 cmd/engine/testdata/beta.txt)"
-grep -q 'alpha.txt' <<<"$out" || fail "snapshot left by SIGTERM is not searchable"
-
-# ---------------------------------------------------------------------
-# Phase 2: durability. A tiered server is SIGKILLed — no drain, no
-# shutdown snapshot — after acknowledged adds and a delete; reopening
-# the data directory must replay the WAL to exactly the acked state.
-datadir="$tmp/tiered"
-"$tmp/engine" serve -addr 127.0.0.1:0 -tiered -data-dir "$datadir" -snapshot-every 1h \
-    >"$tmp/serve2.out" 2>"$tmp/serve2.err" &
-serve_pid=$!
-
-base=""
-for _ in $(seq 1 100); do
-    if addr="$(grep -oE 'addr=[^[:space:]]+' "$tmp/serve2.out" | head -1 | cut -d= -f2)"; then
-        if [[ -n "$addr" ]]; then
-            base="http://$addr"
-            break
-        fi
-    fi
-    sleep 0.1
-done
-if [[ -z "$base" ]]; then
-    echo "smoke: tiered server never reported its address" >&2
-    cat "$tmp/serve2.err" >&2
-    exit 1
-fi
-fail2() {
-    echo "smoke: $1" >&2
-    cat "$tmp/serve2.err" >&2
-    exit 1
-}
-
-curl -fsS -X POST -H 'Content-Type: application/json' -d "$body" "$base/v1/records" \
-    | grep -q '"added":3' || fail2 "tiered ingest did not add 3 records"
-
 # Delete one record and verify the error envelope on a second try.
 curl -fsS -X DELETE "$base/v1/records/gamma.txt" \
-    | grep -q '"deleted":"gamma.txt"' || fail2 "delete did not ack"
+    | grep -q '"deleted":"gamma.txt"' || fail "delete did not ack"
 code="$(curl -s -o "$tmp/del2.json" -w '%{http_code}' -X DELETE "$base/v1/records/gamma.txt")"
-[[ "$code" == "404" ]] || fail2 "second delete returned $code, want 404"
-grep -q '"code":"not_found"' "$tmp/del2.json" || fail2 "404 body is not the error envelope"
+[[ "$code" == "404" ]] || fail "second delete returned $code, want 404"
+grep -q '"code":"not_found"' "$tmp/del2.json" || fail "404 body is not the error envelope"
 
 # One more acked add after the delete, then sample /metrics.
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"records": [{"name": "delta.txt", "data": "an entirely different payload that only exists in the write-ahead log"}]}' \
-    "$base/v1/records" | grep -q '"added":1' || fail2 "post-delete ingest failed"
+    "$base/v1/records" | grep -q '"added":1' || fail "post-delete ingest failed"
 # Capture /metrics before grepping: `curl | grep -q` races under
 # pipefail (grep exits at first match, curl dies on EPIPE mid-body).
 metrics="$(curl -fsS "$base/metrics")"
-grep -q '^sketchengine_wal_appends_total' <<<"$metrics" || fail2 "/metrics has no WAL counters"
-grep -q 'sketchengine_deletes_total 1' <<<"$metrics" || fail2 "/metrics did not count the delete"
+grep -q '^sketchengine_wal_appends_total' <<<"$metrics" || fail "/metrics has no WAL counters"
+grep -q 'sketchengine_deletes_total 1' <<<"$metrics" || fail "/metrics did not count the delete"
 
 # The crash: SIGKILL, so nothing gets to flush except what the WAL
 # already holds from the per-request acks.
@@ -157,27 +117,30 @@ kill -9 "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
-out="$("$tmp/engine" search -data-dir "$datadir" -top 3 cmd/engine/testdata/alpha.txt)"
-grep -q 'alpha.txt' <<<"$out" || fail2 "acked record lost in the crash"
+# The query files keep their trailing newline (the HTTP ingest stripped
+# it), so each still matches its own record at rank 1.
+out="$("$tmp/engine" search -d "$index" -top 3 cmd/engine/testdata/alpha.txt)"
+grep -q 'alpha.txt' <<<"$out" || fail "acked record lost in the crash"
 if grep -q 'gamma.txt' <<<"$out"; then
-    fail2 "deleted record resurrected by WAL replay"
+    fail "deleted record resurrected by WAL replay"
 fi
-out="$("$tmp/engine" search -data-dir "$datadir" -top 3 cmd/engine/testdata/beta.txt)"
-grep -q 'beta.txt' <<<"$out" || fail2 "acked record beta.txt lost in the crash"
-# delta.txt was acked after the last snapshot: it lives only in the
-# WAL, so finding it proves the replay path end to end.
+out="$("$tmp/engine" search -d "$index" -top 3 cmd/engine/testdata/beta.txt)"
+grep -q 'beta.txt' <<<"$out" || fail "acked record beta.txt lost in the crash"
+# Every write was acked after the only snapshot (the empty one serve
+# commits at startup): all of it lives only in the WAL, so finding
+# delta.txt proves the replay path end to end.
 echo "an entirely different payload that only exists in the write-ahead log" >"$tmp/delta-query.txt"
-out="$("$tmp/engine" search -data-dir "$datadir" -top 1 "$tmp/delta-query.txt")"
-grep -q 'delta.txt' <<<"$out" || fail2 "WAL-only record delta.txt lost in the crash"
+out="$("$tmp/engine" search -d "$index" -top 1 "$tmp/delta-query.txt")"
+grep -q 'delta.txt' <<<"$out" || fail "WAL-only record delta.txt lost in the crash"
 
 # ---------------------------------------------------------------------
-# Phase 3: cluster. Three single-node backends behind one coordinator
+# Phase 2: cluster. Three single-node backends behind one coordinator
 # at replication=2: ingest and search through the coordinator, then
 # SIGKILL a backend and assert the planted hit still comes back full —
 # every record kept a live replica, so nothing may degrade to partial.
 backend_addrs=()
 for i in 1 2 3; do
-    "$tmp/engine" serve -addr 127.0.0.1:0 -d "$tmp/backend$i.json" -snapshot-every 0 \
+    "$tmp/engine" serve -addr 127.0.0.1:0 -d "$tmp/backend$i" -snapshot-every 0 \
         >"$tmp/backend$i.out" 2>"$tmp/backend$i.err" &
     extra_pids+=($!)
 done
@@ -204,21 +167,21 @@ if [[ -z "$addr" ]]; then
     exit 1
 fi
 base="http://$addr"
-fail3() {
+fail2() {
     echo "smoke: $1" >&2
     cat "$tmp/coord.err" >&2
     exit 1
 }
 
-grep -q 'coordinator=true' "$tmp/coord.out" || fail3 "serving line does not announce coordinator mode"
-curl -fsS "$base/healthz" | grep -q '"status":"ok"' || fail3 "coordinator healthz not ok"
+grep -q 'coordinator=true' "$tmp/coord.out" || fail2 "serving line does not announce coordinator mode"
+curl -fsS "$base/healthz" | grep -q '"status":"ok"' || fail2 "coordinator healthz not ok"
 
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$body" "$base/v1/records" \
-    | grep -q '"added":3' || fail3 "coordinator ingest did not add 3 records"
+    | grep -q '"added":3' || fail2 "coordinator ingest did not add 3 records"
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"name": "q", "data": "the quick brown fox jumps over the lazy dog and keeps running through the quiet forest until dusk", "k": 2}' \
-    "$base/v1/search" | grep -q '"ref":"alpha.txt"' || fail3 "coordinator search did not hit alpha.txt"
-curl -fsS "$base/v1/records/beta.txt" | grep -q '"name":"beta.txt"' || fail3 "coordinator record lookup failed"
+    "$base/v1/search" | grep -q '"ref":"alpha.txt"' || fail2 "coordinator search did not hit alpha.txt"
+curl -fsS "$base/v1/records/beta.txt" | grep -q '"name":"beta.txt"' || fail2 "coordinator record lookup failed"
 
 # The kill: one backend dies mid-service. With replication=2 every
 # record still has a live replica, so the same search must return the
@@ -227,18 +190,18 @@ kill -9 "${extra_pids[0]}"
 wait "${extra_pids[0]}" 2>/dev/null || true
 post_kill="$(curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"name": "q", "data": "the quick brown fox jumps over the lazy dog and keeps running through the quiet forest until dusk", "k": 2}' \
-    "$base/v1/search")" || fail3 "search errored after a backend SIGKILL"
-grep -q '"ref":"alpha.txt"' <<<"$post_kill" || fail3 "planted hit lost after a backend SIGKILL"
+    "$base/v1/search")" || fail2 "search errored after a backend SIGKILL"
+grep -q '"ref":"alpha.txt"' <<<"$post_kill" || fail2 "planted hit lost after a backend SIGKILL"
 if grep -q '"partial":true' <<<"$post_kill"; then
-    fail3 "one dead backend of three must not degrade the search to partial"
+    fail2 "one dead backend of three must not degrade the search to partial"
 fi
 stats="$(curl -fsS "$base/stats")"
-grep -q '"retries":' <<<"$stats" || fail3 "coordinator stats missing retry counter"
+grep -q '"retries":' <<<"$stats" || fail2 "coordinator stats missing retry counter"
 metrics="$(curl -fsS "$base/metrics")"
-grep -q '^sketchengine_cluster_requests_total' <<<"$metrics" || fail3 "coordinator /metrics missing cluster counters"
+grep -q '^sketchengine_cluster_requests_total' <<<"$metrics" || fail2 "coordinator /metrics missing cluster counters"
 
 # ---------------------------------------------------------------------
-# Phase 4: self-healing replication. Three fresh backends behind a
+# Phase 3: self-healing replication. Three fresh backends behind a
 # coordinator at replication=3 with durable hints. SIGKILL one backend,
 # ingest through the degraded window (quorum 2/3 holds, the miss is
 # hinted), restart the backend on its old port, and wait for the hint
@@ -254,7 +217,7 @@ extra_pids=()
 
 heal_addrs=()
 for i in 1 2 3; do
-    "$tmp/engine" serve -addr 127.0.0.1:0 -d "$tmp/heal$i.json" -snapshot-every 1s \
+    "$tmp/engine" serve -addr 127.0.0.1:0 -d "$tmp/heal$i" -snapshot-every 1s \
         >"$tmp/heal$i.out" 2>"$tmp/heal$i.err" &
     extra_pids+=($!)
 done
@@ -282,13 +245,13 @@ if [[ -z "$addr" ]]; then
     exit 1
 fi
 base="http://$addr"
-fail4() {
+fail3() {
     echo "smoke: $1" >&2
     cat "$tmp/coord2.err" >&2
     exit 1
 }
 
-curl -fsS "$base/healthz" | grep -q '"status":"ok"' || fail4 "self-heal cluster healthz not ok"
+curl -fsS "$base/healthz" | grep -q '"status":"ok"' || fail3 "self-heal cluster healthz not ok"
 
 # The outage: backend 1 dies, hard.
 victim_pid="${extra_pids[0]}"
@@ -300,16 +263,16 @@ wait "$victim_pid" 2>/dev/null || true
 # third miss becomes a durable hint.
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"records": [{"name": "omega.txt", "data": "a record acked while one of its three replicas was dead"}]}' \
-    "$base/v1/records" | grep -q '"added":1' || fail4 "ingest through the outage did not ack"
-curl -fsS "$base/stats" | grep -q '"queued":1' || fail4 "the missed write was not hinted"
-ls "$tmp/hints"/*.hint >/dev/null 2>&1 || fail4 "no durable hint file on disk"
+    "$base/v1/records" | grep -q '"added":1' || fail3 "ingest through the outage did not ack"
+curl -fsS "$base/stats" | grep -q '"queued":1' || fail3 "the missed write was not hinted"
+ls "$tmp/hints"/*.hint >/dev/null 2>&1 || fail3 "no durable hint file on disk"
 
-# Recovery: same port, same index file, no operator involvement beyond
+# Recovery: same port, same index directory, no operator involvement beyond
 # the restart itself.
-"$tmp/engine" serve -addr "$victim_addr" -d "$tmp/heal1.json" -snapshot-every 1s \
+"$tmp/engine" serve -addr "$victim_addr" -d "$tmp/heal1" -snapshot-every 1s \
     >"$tmp/heal1b.out" 2>"$tmp/heal1b.err" &
 extra_pids+=($!)
-[[ -n "$(wait_addr "$tmp/heal1b.out")" ]] || fail4 "victim backend did not come back on $victim_addr"
+[[ -n "$(wait_addr "$tmp/heal1b.out")" ]] || fail3 "victim backend did not come back on $victim_addr"
 
 # The hint drainer notices the backend is back and replays. Poll the
 # coordinator until the hint queue is empty.
@@ -321,15 +284,15 @@ for _ in $(seq 1 100); do
     fi
     sleep 0.2
 done
-[[ -n "$drained" ]] || fail4 "hint queue never drained after the backend recovered"
+[[ -n "$drained" ]] || fail3 "hint queue never drained after the backend recovered"
 
 # The proof: the record acked during the outage, read from the recovered
 # replica itself.
 curl -fsS "http://$victim_addr/v1/records/omega.txt" \
-    | grep -q '"name":"omega.txt"' || fail4 "recovered backend cannot serve the write it missed"
+    | grep -q '"name":"omega.txt"' || fail3 "recovered backend cannot serve the write it missed"
 
 # ---------------------------------------------------------------------
-# Phase 5: resilience under injected faults. Replace the coordinator
+# Phase 4: resilience under injected faults. Replace the coordinator
 # with one that has -fault-spec armed: every outgoing backend call rolls
 # for an injected 5xx or added latency. Traffic through that coordinator
 # must still converge — ingest acks (retried by the client on quorum
@@ -355,13 +318,13 @@ if [[ -z "$addr" ]]; then
     exit 1
 fi
 base="http://$addr"
-fail5() {
+fail4() {
     echo "smoke: $1" >&2
     cat "$tmp/coord3.err" >&2
     exit 1
 }
 
-grep -q 'FAULT INJECTION ARMED' "$tmp/coord3.err" || fail5 "armed fault spec was not announced on stderr"
+grep -q 'FAULT INJECTION ARMED' "$tmp/coord3.err" || fail4 "armed fault spec was not announced on stderr"
 
 # Ingest through the faults. A roll of injected errors can fail quorum
 # for a record (502 quorum_failed) — acked records are never rolled
@@ -375,10 +338,10 @@ for _ in $(seq 1 10); do
         break
     fi
     grep -q '"code":"quorum_failed"\|"code":"backend_down"' "$tmp/chaos-ingest.json" \
-        || fail5 "chaos ingest failed with an unexpected body: $(cat "$tmp/chaos-ingest.json")"
+        || fail4 "chaos ingest failed with an unexpected body: $(cat "$tmp/chaos-ingest.json")"
     sleep 0.2
 done
-[[ -n "$ingested" ]] || fail5 "ingest never reached quorum through the injected faults"
+[[ -n "$ingested" ]] || fail4 "ingest never reached quorum through the injected faults"
 
 # Searches through the fault window: with replication=3 every live
 # backend holds every record, so a response may only be partial if ALL
@@ -386,10 +349,10 @@ done
 for i in $(seq 1 10); do
     out="$(curl -fsS -X POST -H 'Content-Type: application/json' \
         -d '{"name": "q", "data": "the quick brown fox jumps over the lazy dog and keeps running through the quiet forest until dusk", "k": 2}' \
-        "$base/v1/search")" || fail5 "chaos search $i errored outright"
-    grep -q '"ref":"alpha.txt"' <<<"$out" || fail5 "chaos search $i lost the planted hit"
+        "$base/v1/search")" || fail4 "chaos search $i errored outright"
+    grep -q '"ref":"alpha.txt"' <<<"$out" || fail4 "chaos search $i lost the planted hit"
     if grep -q '"partial":true' <<<"$out"; then
-        fail5 "chaos search $i degraded to partial despite replication=3"
+        fail4 "chaos search $i degraded to partial despite replication=3"
     fi
 done
 
@@ -397,16 +360,16 @@ done
 code="$(curl -s -o "$tmp/deadline.json" -w '%{http_code}' \
     -X POST -H 'Content-Type: application/json' -H 'X-Sketch-Deadline: 1' \
     -d '{"name": "q", "data": "whatever", "k": 1}' "http://${heal_addrs[1]}/v1/search")"
-[[ "$code" == "504" ]] || fail5 "expired deadline returned $code, want 504"
-grep -q '"code":"deadline_exceeded"' "$tmp/deadline.json" || fail5 "504 body is not the deadline envelope"
+[[ "$code" == "504" ]] || fail4 "expired deadline returned $code, want 504"
+grep -q '"code":"deadline_exceeded"' "$tmp/deadline.json" || fail4 "504 body is not the deadline envelope"
 
 # The armed spec and its injection counts are observable.
 stats="$(curl -fsS "$base/stats")"
-grep -q '"faults":{' <<<"$stats" || fail5 "/stats does not advertise the armed fault spec"
-grep -q '"retry_budget":{' <<<"$stats" || fail5 "/stats missing the retry budget block"
+grep -q '"faults":{' <<<"$stats" || fail4 "/stats does not advertise the armed fault spec"
+grep -q '"retry_budget":{' <<<"$stats" || fail4 "/stats missing the retry budget block"
 metrics="$(curl -fsS "$base/metrics")"
-grep -q '^sketchengine_fault_spec_armed 1' <<<"$metrics" || fail5 "/metrics missing the armed-spec gauge"
-grep -q '^sketchengine_fault_injections_total' <<<"$metrics" || fail5 "/metrics missing injection counters after traffic"
-grep -q '^sketchengine_cluster_backend_breaker_state' <<<"$metrics" || fail5 "/metrics missing breaker state series"
+grep -q '^sketchengine_fault_spec_armed 1' <<<"$metrics" || fail4 "/metrics missing the armed-spec gauge"
+grep -q '^sketchengine_fault_injections_total' <<<"$metrics" || fail4 "/metrics missing injection counters after traffic"
+grep -q '^sketchengine_cluster_backend_breaker_state' <<<"$metrics" || fail4 "/metrics missing breaker state series"
 
 echo "smoke: ok"
