@@ -421,8 +421,8 @@ func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 		eng.SetMode(mode)
 		if *verbose {
 			meta, arena := ix.Metadata(), ix.Arena()
-			fmt.Fprintf(stderr, "engine: search: index=%s records=%d bits=%d signature_bytes=%d bytes_per_record=%.1f arena_utilization=%.2f\n",
-				meta.Name, meta.RecordCount, arena.Bits, arena.SignatureBytes, arena.BytesPerRecord, arena.Utilization)
+			fmt.Fprintf(stderr, "engine: search: index=%s records=%d bits=%d scan_kernel=%s signature_bytes=%d bytes_per_record=%.1f arena_utilization=%.2f\n",
+				meta.Name, meta.RecordCount, arena.Bits, ix.ScanKernel(), arena.SignatureBytes, arena.BytesPerRecord, arena.Utilization)
 			ts := ix.Tier()
 			fmt.Fprintf(stderr, "engine: search: tier: prefilter_bits=%d segments=%d resident_bytes=%d mapped_bytes=%d head_bytes=%d budget=%d\n",
 				ts.PrefilterBits, ts.Segments, ts.ResidentBytes, ts.MappedBytes, ts.HeadBytes, ts.Budget)

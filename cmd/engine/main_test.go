@@ -209,6 +209,10 @@ func TestCLIBitsFlag(t *testing.T) {
 	if !strings.Contains(stderr, "resident_bytes=") || !strings.Contains(stderr, "mapped_bytes=") {
 		t.Fatalf("search -v did not report tier bytes: %s", stderr)
 	}
+	// ...and which scan kernel the process selected for this index.
+	if !strings.Contains(stderr, "scan_kernel=avx2") && !strings.Contains(stderr, "scan_kernel=portable") {
+		t.Fatalf("search -v did not name the scan kernel: %s", stderr)
+	}
 	// Re-sketching with a conflicting -bits warns and keeps the stored
 	// width.
 	if _, stderr, code = runCLI(t, "sketch", "-o", packed, "-bits", "16", testdata("alpha.txt")); code != 0 {

@@ -208,13 +208,13 @@ func TestPackedSearchAgreesAcrossWidths(t *testing.T) {
 }
 
 // TestSearchParallelMatchesSerial drives the per-shard fan-out path
-// (corpus above parallelScoreMin) and checks that fan-out worker counts
+// (corpus above parallelScoreMinBytes) and checks that fan-out worker counts
 // never change the answer, in both modes.
 func TestSearchParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a corpus above parallelScoreMin")
+		t.Skip("builds a corpus above parallelScoreMinBytes")
 	}
-	const n = parallelScoreMin + 500
+	const n = parallelScoreMinBytes/DefaultSignatureSize + 500 // 8-bit rows: one byte per slot
 	eng, err := NewEngine(Options{IndexName: "fanout", Bits: 8})
 	if err != nil {
 		t.Fatal(err)

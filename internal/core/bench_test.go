@@ -79,6 +79,39 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 	}
 }
 
+// BenchmarkMatchCounts is the scan-kernel rung: ns per 128-byte row
+// (128 slots at 8 bits, every benchmark engine's shape) swept in blocks
+// of sweepBlock, on the portable kernel and on the one this CPU
+// selects, at one shard of a 50 000-record index (3 125 rows, 400 KB:
+// in cache) and at 400 000 rows (51 MB: memory-bound).
+func BenchmarkMatchCounts(b *testing.B) {
+	const words = DefaultSignatureSize / 8
+	for _, n := range []int{3125, 400000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		rows := make([]uint64, n*words)
+		for i := range rows {
+			rows[i] = rng.Uint64()
+		}
+		q := rows[:words]
+		for _, k := range []struct {
+			name   string
+			kernel func(dst []uint16, rows, q []uint64, bits int)
+		}{{"portable", matchCountsPortable}, {"active", matchCounts}} {
+			b.Run(fmt.Sprintf("rows=%d/%s", n, k.name), func(b *testing.B) {
+				var counts [sweepBlock]uint16
+				for b.Loop() {
+					for base := 0; base < n; base += sweepBlock {
+						bn := min(sweepBlock, n-base)
+						k.kernel(counts[:bn], rows[base*words:(base+bn)*words], q, 8)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+				b.ReportMetric(0, "ns/op")
+			})
+		}
+	}
+}
+
 func benchIndex(b *testing.B, n, bits int) (*Index, *Sketch) {
 	b.Helper()
 	s, err := NewSketcher(DefaultK, DefaultSignatureSize)
@@ -99,26 +132,72 @@ func benchIndex(b *testing.B, n, bits int) (*Index, *Sketch) {
 	return ix, s.Sketch(Record{Name: "query", Data: benchData(2<<10, 10)})
 }
 
+// benchTieredIndex builds the shape every BENCHMARK.json engine has —
+// a directory-backed index with an 8-bit prefilter — over n records.
+func benchTieredIndex(b *testing.B, n int) (*Index, *Sketch) {
+	b.Helper()
+	eng, err := NewEngine(Options{IndexName: "bench", Bits: 8, Tiered: true, DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { eng.Index().Close() })
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+10))}
+	}
+	if _, err := eng.AddBatch(recs); err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.Index().SaveDir(); err != nil {
+		b.Fatal(err)
+	}
+	return eng.Index(), eng.Sketcher().Sketch(Record{Name: "query", Data: benchData(256, 10)})
+}
+
+// BenchmarkSearchTopK is the exact-search rung: small full-width
+// in-memory corpora at minSim 0 (every row is a result), and the
+// serve-exact-scan shape — 50 000 rows, 8-bit tiered, minSim 0.3, so
+// the prefilter sweep is nearly all of the search — inline and fanned
+// out.
 func BenchmarkSearchTopK(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		ix, q := benchIndex(b, n, DefaultBits)
-		for _, threads := range []int{1, 0} { // 0 = GOMAXPROCS
-			name := fmt.Sprintf("n=%d/threads=%d", n, threads)
-			if threads == 0 {
-				name = fmt.Sprintf("n=%d/threads=max", n)
+	for _, c := range []struct {
+		name   string
+		n      int
+		tiered bool
+		minSim float64
+	}{
+		{"n=100", 100, false, 0},
+		{"n=1000", 1000, false, 0},
+		{"n=50000/bits=8/tiered", 50000, true, 0.3},
+	} {
+		// The corpus is built inside the group, so a -bench filter that
+		// excludes a case does not pay for its index.
+		b.Run(c.name, func(b *testing.B) {
+			var ix *Index
+			var q *Sketch
+			if c.tiered {
+				ix, q = benchTieredIndex(b, c.n)
+			} else {
+				ix, q = benchIndex(b, c.n, DefaultBits)
 			}
-			b.Run(name, func(b *testing.B) {
-				pool := NewPool(threads)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := SearchTopK(ix, q, 10, 0, pool); err != nil {
-						b.Fatal(err)
-					}
+			for _, threads := range []int{1, 0} { // 0 = GOMAXPROCS
+				name := fmt.Sprintf("threads=%d", threads)
+				if threads == 0 {
+					name = "threads=max"
 				}
-				// After the loop: ResetTimer deletes user-reported metrics.
-				b.ReportMetric(ix.Arena().BytesPerRecord, "bytes/rec")
-			})
-		}
+				b.Run(name, func(b *testing.B) {
+					pool := NewPool(threads)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := SearchTopK(ix, q, 10, c.minSim, pool); err != nil {
+							b.Fatal(err)
+						}
+					}
+					// After the loop: ResetTimer deletes user-reported metrics.
+					b.ReportMetric(ix.Arena().BytesPerRecord, "bytes/rec")
+				})
+			}
+		})
 	}
 }
 

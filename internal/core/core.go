@@ -9,7 +9,7 @@ import (
 
 // Version identifies the engine build. It is reported by the CLI and
 // stamped into saved index metadata.
-const Version = "0.10.0"
+const Version = "0.11.0"
 
 // Options configures an Engine. Zero values fall back to the package
 // defaults (DefaultK, DefaultSignatureSize, GOMAXPROCS workers, DefaultLSHParams banding, DefaultShards stripes,
@@ -263,6 +263,7 @@ type Stats struct {
 	SignatureSize  int        `json:"signature_size"`
 	Scheme         Scheme     `json:"scheme"`
 	Bits           int        `json:"bits"`
+	ScanKernel     string     `json:"scan_kernel"` // "avx2" or "portable"; see Index.ScanKernel
 	SignatureBytes int64      `json:"signature_bytes"`
 	BytesPerRecord float64    `json:"bytes_per_record"`
 	ArenaUtilized  float64    `json:"arena_utilization"`
@@ -308,6 +309,7 @@ func (e *Engine) Stats() Stats {
 		SignatureSize:  meta.SignatureSize,
 		Scheme:         meta.Scheme,
 		Bits:           arena.Bits,
+		ScanKernel:     e.index.ScanKernel(),
 		SignatureBytes: arena.SignatureBytes,
 		BytesPerRecord: arena.BytesPerRecord,
 		ArenaUtilized:  arena.Utilization,

@@ -26,7 +26,8 @@
 // b-bit packed prefilter and the full-width signatures live in
 // immutable on-disk segment files, mmap'd read-only
 // where the platform allows and served by pread elsewhere. Queries then
-// run in two phases — a word-parallel scan of the resident prefilter
+// run in two phases — a blocked sweep of the resident prefilter (one
+// scan loop over a per-block kernel; see shard.sweep and kernel.go)
 // followed by full-width rescoring of the survivors, ranked by packed
 // score so a top-K heap can stop reading as soon as no remaining
 // candidate's upper bound can beat the current worst result. See
@@ -57,6 +58,10 @@
 //     the commit point. Sealed segment files are immutable — snapshots
 //     only add files. The shard count is fixed at creation.
 //   - Sketch signatures, scores, and result ordering are deterministic
-//     for a given corpus and parameters, independent of thread count,
-//     so goldens can pin outputs byte-for-byte.
+//     for a given corpus and parameters, independent of thread count
+//     and of which scan kernel the CPU selects, so goldens can pin
+//     outputs byte-for-byte.
+//   - Padding lanes of a packed row are zero, in the arena and in the
+//     packed query alike, so every comparator and scan kernel counts
+//     them as equal; the count is corrected once, by whoever asked.
 package core

@@ -420,6 +420,13 @@ func (ix *Index) Bits() int {
 	return ix.bits
 }
 
+// ScanKernel names the kernel this index's full-stripe scans run, chosen
+// from the CPU and the packed row's shape: "avx2" or "portable".
+func (ix *Index) ScanKernel() string {
+	bits := ix.Bits()
+	return scanKernel(sigWords(ix.meta.SignatureSize, bits), bits)
+}
+
 // Has reports whether a record named name is indexed, without
 // reconstructing its sketch.
 func (ix *Index) Has(name string) bool {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -32,15 +33,29 @@ func ParseSearchMode(s string) (SearchMode, error) {
 	}
 }
 
-// parallelScoreMin is the comparison count below which scoring runs
-// inline instead of fanning out per shard over the pool. Per-shard
-// fan-out spawns at most one goroutine per stripe (not one task per
-// record, as the pre-arena path did), so the break-even sits far lower
-// than the old 4096: a few hundred arena rows already out-cost the
-// shard count's worth of goroutine wakeups on a multicore box. Keeping
-// small scans inline is also what makes steady-state SearchTopK
-// allocation-free.
-const parallelScoreMin = 512
+// parallelScoreMinBytes is the packed-arena bytes (rows × row width) a
+// scan must cover before it fans out one goroutine per shard; smaller
+// scans run inline, which is also what keeps steady-state small
+// searches allocation-free. It is counted in bytes because the
+// break-even is: SearchTopK at minSim 0.3 over 16 shards on 2 vCPUs
+// (Xeon 2.1 GHz), inline / fanned-out, median of 3 in µs —
+//
+//	rows    64-bit (1 KB)  16-bit (256 B)  8-bit portable  8-bit avx2
+//	  256      21 /  27       15 /  18        8 /  13       2.1 / 5.1
+//	  512      43 /  45       29 /  39       15 /  20       3.0 / 6.2
+//	 1024      93 /  73       53 /  64       29 /  35       5.1 / 9.5
+//	 2048     170 / 124      113 /  78       52 /  57       8.8 /  14
+//	 4096     361 / 217      200 / 135      103 /  85        19 /  23
+//	 8192                                   214 / 137        33 /  42
+//	16384                                   461 / 274        72 /  79
+//
+// — fan-out costs about 25 µs of wakeups and first wins once the
+// inline scan is ~50 µs of work, which on the portable kernel is 512 KB
+// of arena at every lane width (512, 2 048 and 4 096 rows). The AVX2
+// kernel breaks even only at 16 384 rows; between 4 096 and there it
+// pays up to a quarter for fanning out, which is the price of one
+// threshold set where the slower kernel first gains.
+const parallelScoreMinBytes = 512 << 10
 
 // packedQuery is one query sketch prepared for arena scans: the
 // signature packed to the index's width for word-parallel row
@@ -52,15 +67,46 @@ type packedQuery struct {
 	name     string
 	shingles int
 	slots    int
-	packed   []uint64  // arena-width row image
-	full     []uint64  // full-width signature; set only on tiered indexes
-	bandKeys []uint64  // one bucket key per band; nil outside LSH probes
-	cancel   *canceler // non-nil on ctx-aware searches; scan loops poll it
+	// minSim is the caller's similarity floor; minMatched is the same
+	// floor as a matched-slot count (see minMatchedFor), which is what
+	// the sweep compares kernel counts against.
+	minSim     float64
+	minMatched int
+	packed     []uint64  // arena-width row image
+	full       []uint64  // full-width signature; set only on tiered indexes
+	bandKeys   []uint64  // one bucket key per band; nil outside LSH probes
+	cancel     *canceler // non-nil on ctx-aware searches; scan loops poll it
 }
 
-// cancelCheckEvery is how many rows a scan loop scores between
-// cancellation polls. Polling is one atomic load on the common path, so
-// the stride only has to amortize the ctx.Err() call.
+// minMatchedFor turns a similarity floor into a matched-slot count: the
+// smallest m in [0, slots] with float64(m)/float64(slots) >= minSim, or
+// slots+1 when no count reaches it. The quotient is monotone in m, so
+// "m >= minMatchedFor(minSim, slots)" decides exactly what the float
+// comparison decides for every m — the guess ceil(minSim*slots) is
+// stepped down and up with that very expression, so a floor equal to
+// some m/slots, or one ulp either side, keeps the rows it always did.
+func minMatchedFor(minSim float64, slots int) int {
+	keep := func(m int) bool { return float64(m)/float64(slots) >= minSim }
+	if !keep(slots) {
+		return slots + 1
+	}
+	m := 0
+	if x := math.Ceil(minSim * float64(slots)); x > 0 {
+		m = min(int(x), slots) // minSim <= 1 here, so x is small
+	}
+	for m > 0 && keep(m-1) {
+		m--
+	}
+	for !keep(m) {
+		m++
+	}
+	return m
+}
+
+// cancelCheckEvery is how many rows a candidate-list loop scores
+// between cancellation polls (a sweep polls once per sweepBlock).
+// Polling is one atomic load on the common path, so the stride only has
+// to amortize the ctx.Err() call.
 const cancelCheckEvery = 1024
 
 // canceler adapts a context for polling from the scan hot loops: the
@@ -168,16 +214,18 @@ func putSearchBuf(b *searchBuf) {
 	searchBufPool.Put(b)
 }
 
-// prepare packs the query for ix's arena width and sizes the per-shard
-// scratch.
-func (b *searchBuf) prepare(ix *Index, query *Sketch, shards int) *packedQuery {
+// prepare packs the query for ix's arena width, derives the integer
+// form of minSim, and sizes the per-shard scratch.
+func (b *searchBuf) prepare(ix *Index, query *Sketch, minSim float64, shards int) *packedQuery {
 	b.merged = b.merged[:0]
 	b.packed = packSignatureAppend(b.packed[:0], query.Signature, ix.Bits())
 	b.q = packedQuery{
-		name:     query.Name,
-		shingles: query.Shingles,
-		slots:    len(query.Signature),
-		packed:   b.packed,
+		name:       query.Name,
+		shingles:   query.Shingles,
+		slots:      len(query.Signature),
+		minSim:     minSim,
+		minMatched: minMatchedFor(minSim, len(query.Signature)),
+		packed:     b.packed,
 	}
 	if ix.Tiered() {
 		// checkSearchArgs has already required a full-width query sketch,
@@ -276,11 +324,11 @@ func SearchTopK(ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) 
 }
 
 // SearchTopKCtx is SearchTopK with cooperative cancellation: the scan
-// loops poll ctx every cancelCheckEvery rows and the search returns
-// ctx's error instead of a partial result set when it fires. A
-// background context costs nothing extra.
+// loops poll ctx every sweepBlock rows and the search returns ctx's
+// error instead of a partial result set when it fires. A background
+// context costs nothing extra.
 func SearchTopKCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
-	if err := checkSearchArgs(ix, query, topK); err != nil {
+	if err := checkSearchArgs(ix, query, topK, minSim); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -289,17 +337,9 @@ func SearchTopKCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minS
 	buf := getSearchBuf()
 	defer putSearchBuf(buf)
 	shards := ix.snapshotShards()
-	q := buf.prepare(ix, query, len(shards))
+	q := buf.prepare(ix, query, minSim, len(shards))
 	q.cancel = newCanceler(ctx)
-	scan := func(sh *shard, sc *shardScratch, dst []Result) []Result {
-		return sh.scanAppend(dst, q, minSim)
-	}
-	if q.full != nil {
-		scan = func(sh *shard, sc *shardScratch, dst []Result) []Result {
-			return sh.tieredScanAppend(dst, q, minSim, topK, sc)
-		}
-	}
-	merged := runScan(buf, shards, q, topK, minSim, pool, ix.Len(), scan)
+	merged := runScan(buf, shards, q, topK, pool, ix.Len(), (*shard).scanAppend)
 	if err := q.cancel.err(); err != nil {
 		return nil, err
 	}
@@ -324,7 +364,7 @@ func SearchTopKLSH(ix *Index, query *Sketch, topK int, minSim float64, pool *Poo
 // SearchTopKLSHCtx is SearchTopKLSH with cooperative cancellation,
 // under the same contract as SearchTopKCtx.
 func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
-	if err := checkSearchArgs(ix, query, topK); err != nil {
+	if err := checkSearchArgs(ix, query, topK, minSim); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -333,7 +373,7 @@ func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, m
 	buf := getSearchBuf()
 	defer putSearchBuf(buf)
 	shards := ix.snapshotShards()
-	q := buf.prepare(ix, query, len(shards))
+	q := buf.prepare(ix, query, minSim, len(shards))
 	q.cancel = newCanceler(ctx)
 	buf.prepareBandKeys(ix, query)
 	// Probing is a handful of map lookups per shard; always inline.
@@ -342,26 +382,12 @@ func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, m
 		sh.probeCandidates(q, &buf.scratch[si])
 		totalCand += len(buf.scratch[si].cands)
 	}
-	scoreCands := func(sh *shard, sc *shardScratch, dst []Result) []Result {
-		return sh.scoreCandidates(dst, q, minSim, sc)
-	}
-	scanRest := func(sh *shard, sc *shardScratch, dst []Result) []Result {
-		return sh.scanRestAppend(dst, q, minSim, sc)
-	}
-	if q.full != nil {
-		scoreCands = func(sh *shard, sc *shardScratch, dst []Result) []Result {
-			return sh.tieredScoreCandidates(dst, q, minSim, topK, sc)
-		}
-		scanRest = func(sh *shard, sc *shardScratch, dst []Result) []Result {
-			return sh.tieredScanRest(dst, q, minSim, topK, sc)
-		}
-	}
-	merged := runScan(buf, shards, q, topK, minSim, pool, totalCand, scoreCands)
+	merged := runScan(buf, shards, q, topK, pool, totalCand, (*shard).scoreCandidates)
 	if n := ix.Len(); len(merged) < topK && totalCand < n && !q.cancel.canceled() {
 		// Fallback: score only the records the candidate pass skipped
 		// (each shard's bitset marks its probed rows), so no record is
 		// scored twice and the merged set matches an exact scan.
-		merged = runScan(buf, shards, q, topK, minSim, pool, n-totalCand, scanRest)
+		merged = runScan(buf, shards, q, topK, pool, n-totalCand, (*shard).scanRestAppend)
 	}
 	if err := q.cancel.err(); err != nil {
 		return nil, err
@@ -369,11 +395,11 @@ func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, m
 	return finishResults(merged, topK), nil
 }
 
-// parallelPool decides whether a scan of `rows` comparisons is worth
-// fanning out: it returns the pool to fan out on (a nil pool keeps the
-// old GOMAXPROCS fan-out contract), or nil to scan inline.
-func parallelPool(pool *Pool, rows int) *Pool {
-	if rows < parallelScoreMin {
+// parallelPool decides whether a scan over scanBytes of packed arena is
+// worth fanning out: it returns the pool to fan out on (a nil pool
+// keeps the old GOMAXPROCS fan-out contract), or nil to scan inline.
+func parallelPool(pool *Pool, scanBytes int) *Pool {
+	if scanBytes < parallelScoreMinBytes {
 		return nil
 	}
 	if pool == nil {
@@ -387,28 +413,28 @@ func parallelPool(pool *Pool, rows int) *Pool {
 
 // runScan scores q across the shards with scan — which appends one
 // stripe's passing results to the slice it is handed — extending
-// buf.merged with the survivors and returning it. Scans of fewer than
-// parallelScoreMin rows run inline; larger ones fan out one goroutine
-// per stripe, each appending into its own scratch buffer and
-// truncating to a bounded top-K heap before the concatenation. The
-// global top-K is contained in the union of per-shard top-Ks (heap
-// selection uses the same resultBetter total order as the final sort),
-// so truncating early keeps the merge and final sort O(shards*topK)
-// instead of O(rows).
-func runScan(buf *searchBuf, shards []*shard, q *packedQuery, topK int, minSim float64,
-	pool *Pool, rows int, scan func(*shard, *shardScratch, []Result) []Result) []Result {
-	p := parallelPool(pool, rows)
+// buf.merged with the survivors and returning it. Scans whose `rows`
+// rows cover less than parallelScoreMinBytes of arena run inline;
+// larger ones fan out one goroutine per stripe, each appending into its
+// own scratch buffer and truncating to a bounded top-K heap before the
+// concatenation. The global top-K is contained in the union of
+// per-shard top-Ks (heap selection uses the same resultBetter total
+// order as the final sort), so truncating early keeps the merge and
+// final sort O(shards*topK) instead of O(rows).
+func runScan(buf *searchBuf, shards []*shard, q *packedQuery, topK int, pool *Pool, rows int,
+	scan func(sh *shard, dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result) []Result {
+	p := parallelPool(pool, rows*len(q.packed)*8)
 	if p == nil {
 		merged := buf.merged
 		for si, sh := range shards {
-			merged = scan(sh, &buf.scratch[si], merged)
+			merged = scan(sh, merged, q, topK, &buf.scratch[si])
 		}
 		buf.merged = merged
 		return merged
 	}
 	p.Map(len(shards), func(si int) {
 		sc := &buf.scratch[si]
-		sc.results = scan(shards[si], sc, sc.results[:0])
+		sc.results = scan(shards[si], sc.results[:0], q, topK, sc)
 		if len(sc.results) > topK {
 			selectTopK(sc.results, topK)
 			sc.results = sc.results[:topK]
@@ -422,9 +448,12 @@ func runScan(buf *searchBuf, shards []*shard, q *packedQuery, topK int, minSim f
 	return merged
 }
 
-func checkSearchArgs(ix *Index, query *Sketch, topK int) error {
+func checkSearchArgs(ix *Index, query *Sketch, topK int, minSim float64) error {
 	if topK <= 0 {
 		return fmt.Errorf("search: topK must be positive, got %d", topK)
+	}
+	if math.IsNaN(minSim) {
+		return fmt.Errorf("search: minimum similarity is NaN")
 	}
 	meta := ix.Metadata()
 	if query.K != meta.K || len(query.Signature) != meta.SignatureSize {

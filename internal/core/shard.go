@@ -114,9 +114,13 @@ func (sh *shard) delete(name string) bool {
 
 // rowDead reports whether arena row idx is tombstoned. Callers hold the
 // shard lock (either mode).
-func (sh *shard) rowDead(idx int32) bool {
+func (sh *shard) rowDead(idx int32) bool { return bitSet(sh.dead, idx) }
+
+// bitSet reports whether bit idx is set in a row bitset; rows past the
+// end of the set (appended after it was sized) read as unset.
+func bitSet(set []uint64, idx int32) bool {
 	w := int(idx) >> 6
-	return w < len(sh.dead) && sh.dead[w]&(1<<uint(idx&63)) != 0
+	return w < len(set) && set[w]&(1<<uint(idx&63)) != 0
 }
 
 // deadCount returns (tombstoned rows, total arena rows).
@@ -202,20 +206,17 @@ func (sh *shard) arenaBytes() (used, capacity int64) {
 	return sh.arena.usedBytes(), sh.arena.capBytes()
 }
 
-// scanAppend exact-scores q against every record in this stripe,
-// appending results that pass the self-hit and minSim filters to dst.
-// The walk is a sequential sweep over the packed arena — the
-// cache-linear inner loop the arena layout exists for.
-func (sh *shard) scanAppend(dst []Result, q *packedQuery, minSim float64) []Result {
+// sweepBlock is how many contiguous arena rows one matchCounts call
+// covers: 512 bytes of counts on the sweep's stack, and the stride at
+// which a sweep polls for cancellation.
+const sweepBlock = 256
+
+// scanAppend scores q against every record in this stripe, appending
+// the stripe's results to dst (see sweep).
+func (sh *shard) scanAppend(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	for i := range sh.names {
-		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
-			return dst
-		}
-		dst = sh.scoreRow(dst, q, minSim, int32(i))
-	}
-	return dst
+	return sh.sweep(dst, q, topK, sc, false)
 }
 
 // probeCandidates gathers the shard-local record indexes sharing at
@@ -238,7 +239,7 @@ func (sh *shard) probeCandidates(q *packedQuery, sc *shardScratch) {
 			break
 		}
 		for _, idx := range bi.buckets[band][key] {
-			if sc.candSet[idx>>6]&(1<<uint(idx&63)) != 0 {
+			if bitSet(sc.candSet, idx) {
 				continue
 			}
 			sc.candSet[idx>>6] |= 1 << uint(idx&63)
@@ -247,28 +248,32 @@ func (sh *shard) probeCandidates(q *packedQuery, sc *shardScratch) {
 	}
 }
 
-// scoreCandidates scores the indexes probeCandidates collected. If a
+// scoreCandidates scores the indexes probeCandidates collected, one
+// scattered row at a time through the per-row comparator — on tiered
+// shards through the same prefilter→rescore pipeline as a sweep. If a
 // compaction reassigned row indexes since the probe (structGen moved),
-// the captured candidates are stale; the shard falls back to scoring
+// the captured candidates are stale; the shard falls back to sweeping
 // every row so the query still sees a consistent stripe.
-func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, minSim float64, sc *shardScratch) []Result {
+func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if sc.gen != sh.structGen {
 		sc.fullScanned = true
-		for i := range sh.names {
-			if i%cancelCheckEvery == 0 && q.cancel.canceled() {
-				return dst
-			}
-			dst = sh.scoreRow(dst, q, minSim, int32(i))
-		}
-		return dst
+		return sh.sweep(dst, q, topK, sc, false)
 	}
+	sc.scored = sc.scored[:0]
 	for i, idx := range sc.cands {
 		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
 			return dst
 		}
-		dst = sh.scoreRow(dst, q, minSim, idx)
+		if sh.full != nil {
+			sh.prefilterRow(q, idx, sc)
+		} else {
+			dst = sh.scoreRow(dst, q, idx)
+		}
+	}
+	if sh.full != nil {
+		return sh.tieredRescore(dst, q, topK, sc, len(sc.cands))
 	}
 	return dst
 }
@@ -278,7 +283,7 @@ func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, minSim float64, s
 // twice and the merged set matches an exact scan. Records added after
 // the probe (concurrent ingest) sit past the bitset and count as
 // unprobed.
-func (sh *shard) scanRestAppend(dst []Result, q *packedQuery, minSim float64, sc *shardScratch) []Result {
+func (sh *shard) scanRestAppend(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if sc.fullScanned || sc.gen != sh.structGen {
@@ -287,115 +292,120 @@ func (sh *shard) scanRestAppend(dst []Result, q *packedQuery, minSim float64, sc
 		// indexes; either way there is no meaningful complement.
 		return dst
 	}
-	probed := len(sc.candSet) << 6
-	for i := range sh.names {
-		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
+	return sh.sweep(dst, q, topK, sc, true)
+}
+
+// sweep is the one full-stripe scan loop: it walks the packed arena in
+// blocks of sweepBlock contiguous rows, has the scan kernel count each
+// row's lanes equal to the query (matchCounts), and drops every row
+// whose count is below the query's integer threshold before looking at
+// anything else about it. The few rows that clear it are then checked
+// against the tombstone bitset, the LSH probe's bitset (rest: skip the
+// rows the candidate pass already scored) and the zero-shingle rule,
+// and emitted — straight to dst as results on in-memory shards, or into
+// sc.scored for the full-width rescore on tiered ones, which appends at
+// most topK results (the per-shard top-K contains the shard's share of
+// any global top-K, which is what runScan's merge needs).
+//
+// The kernel counts a row's padding lanes as equal (they are zero on
+// both sides), so `pad` comes off every count here, once. Two cases
+// run without kernel counts, every row reaching the per-row checks: a
+// zero-shingle query (similarity 0 to everything, nothing to count) and
+// signatures too wide for a uint16 count, whose rows are scored by the
+// per-row comparator. Callers hold the shard lock.
+func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch, rest bool) []Result {
+	a := sh.arena
+	n, words, bits := len(sh.names), a.words, a.bits
+	scanned := n
+	var probed []uint64
+	if rest {
+		probed, scanned = sc.candSet, n-len(sc.cands)
+	}
+	tiered := sh.full != nil
+	sc.scored = sc.scored[:0]
+
+	pad := words*lanesPerWord(bits) - q.slots
+	counted := q.shingles != 0 && countableRow(words, bits)
+	minCount := 0 // no kernel counts: every row reaches the per-row checks
+	if counted {
+		minCount = q.minMatched + pad
+	}
+	var counts [sweepBlock]uint16
+	for base := 0; base < n; base += sweepBlock {
+		if q.cancel.canceled() {
 			return dst
 		}
-		if i < probed && sc.candSet[i>>6]&(1<<uint(i&63)) != 0 {
-			continue
+		bn := min(sweepBlock, n-base)
+		if counted {
+			matchCounts(counts[:bn], a.buf[base*words:(base+bn)*words], q.packed, bits)
 		}
-		dst = sh.scoreRow(dst, q, minSim, int32(i))
+		for i, c := range counts[:bn] {
+			if int(c) < minCount {
+				continue
+			}
+			idx := int32(base + i)
+			if bitSet(sh.dead, idx) || bitSet(probed, idx) {
+				continue
+			}
+			m := 0
+			if q.shingles != 0 && sh.shingles[idx] != 0 {
+				m = int(c) - pad
+				if !counted {
+					m = packedMatchingSlots(q.packed, a.row(int(idx)), q.slots, bits)
+				}
+			}
+			if m < q.minMatched {
+				continue
+			}
+			if tiered {
+				sc.scored = append(sc.scored, scoredCand{idx: idx, matched: int32(m)})
+			} else {
+				dst = sh.appendHit(dst, q, idx, float64(m)/float64(q.slots))
+			}
+		}
+	}
+	if tiered {
+		return sh.tieredRescore(dst, q, topK, sc, scanned)
 	}
 	return dst
 }
 
-// scoreRow scores one arena row against q, appending the result unless
-// it is a self-hit (same name AND same packed signature — a same-named
-// record whose content changed after indexing is still reported) or
-// falls below minSim. Callers hold the shard lock.
-func (sh *shard) scoreRow(dst []Result, q *packedQuery, minSim float64, idx int32) []Result {
+// scoreRow scores one arena row against q with the per-row comparator,
+// appending the result unless the row is dead, falls below q.minSim or
+// is a self-hit. It serves the LSH candidate lists, whose rows are
+// scattered, and is the reference the sweep is tested against. Callers
+// hold the shard lock.
+func (sh *shard) scoreRow(dst []Result, q *packedQuery, idx int32) []Result {
 	if sh.rowDead(idx) {
-		return dst
-	}
-	row := sh.arena.row(int(idx))
-	if sh.names[idx] == q.name && slices.Equal(q.packed, row) {
 		return dst
 	}
 	var sim float64
 	if q.slots != 0 && q.shingles != 0 && sh.shingles[idx] != 0 {
-		sim = float64(packedMatchingSlots(q.packed, row, q.slots, sh.arena.bits)) / float64(q.slots)
+		sim = float64(packedMatchingSlots(q.packed, sh.arena.row(int(idx)), q.slots, sh.arena.bits)) / float64(q.slots)
 	}
-	if sim >= minSim {
-		dst = append(dst, Result{Query: q.name, Ref: sh.names[idx], Similarity: sim, Distance: 1 - sim})
+	if sim >= q.minSim {
+		dst = sh.appendHit(dst, q, idx, sim)
 	}
 	return dst
 }
 
-// tieredScanAppend is scanAppend for tiered shards: prefilter every
-// row against the packed arena, then rescore the survivors full-width
-// in packed-score order (see tieredRescore). It appends at most topK
-// results — the per-shard top-K contains the shard's contribution to
-// any global top-K, which is exactly what runScan's merge needs.
-func (sh *shard) tieredScanAppend(dst []Result, q *packedQuery, minSim float64, topK int, sc *shardScratch) []Result {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	sc.scored = sc.scored[:0]
-	for i := range sh.names {
-		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
-			return dst
-		}
-		sh.prefilterRow(q, minSim, int32(i), sc)
-	}
-	return sh.tieredRescore(dst, q, minSim, topK, sc, len(sh.names))
-}
-
-// tieredScoreCandidates is scoreCandidates for tiered shards: the LSH
-// probe's candidates go through the same prefilter→rescore pipeline,
-// with the same stale-generation full-scan fallback.
-func (sh *shard) tieredScoreCandidates(dst []Result, q *packedQuery, minSim float64, topK int, sc *shardScratch) []Result {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	sc.scored = sc.scored[:0]
-	if sc.gen != sh.structGen {
-		sc.fullScanned = true
-		for i := range sh.names {
-			if i%cancelCheckEvery == 0 && q.cancel.canceled() {
-				return dst
-			}
-			sh.prefilterRow(q, minSim, int32(i), sc)
-		}
-		return sh.tieredRescore(dst, q, minSim, topK, sc, len(sh.names))
-	}
-	for i, idx := range sc.cands {
-		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
-			return dst
-		}
-		sh.prefilterRow(q, minSim, idx, sc)
-	}
-	return sh.tieredRescore(dst, q, minSim, topK, sc, len(sc.cands))
-}
-
-// tieredScanRest is scanRestAppend for tiered shards: prefilter and
-// rescore only the rows the candidate pass skipped.
-func (sh *shard) tieredScanRest(dst []Result, q *packedQuery, minSim float64, topK int, sc *shardScratch) []Result {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sc.fullScanned || sc.gen != sh.structGen {
+// appendHit appends row idx's result at similarity sim unless it is a
+// self-hit (same name AND same packed signature — a same-named record
+// whose content changed after indexing is still reported).
+func (sh *shard) appendHit(dst []Result, q *packedQuery, idx int32, sim float64) []Result {
+	if sh.names[idx] == q.name && slices.Equal(q.packed, sh.arena.row(int(idx))) {
 		return dst
 	}
-	probed := len(sc.candSet) << 6
-	sc.scored = sc.scored[:0]
-	n := 0
-	for i := range sh.names {
-		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
-			return dst
-		}
-		if i < probed && sc.candSet[i>>6]&(1<<uint(i&63)) != 0 {
-			continue
-		}
-		n++
-		sh.prefilterRow(q, minSim, int32(i), sc)
-	}
-	return sh.tieredRescore(dst, q, minSim, topK, sc, n)
+	return append(dst, Result{Query: q.name, Ref: sh.names[idx], Similarity: sim, Distance: 1 - sim})
 }
 
-// prefilterRow packed-scores one arena row and appends it to sc.scored
-// unless its packed similarity is already below minSim. The packed
-// score is an upper bound on the full-width score (a truncated slot
-// matches whenever the full slot does), so this cut never drops a row
-// the full scan would have kept. Callers hold the shard lock.
-func (sh *shard) prefilterRow(q *packedQuery, minSim float64, idx int32, sc *shardScratch) {
+// prefilterRow is scoreRow for tiered shards: it packed-scores one
+// arena row and appends it to sc.scored unless its packed similarity is
+// already below q.minSim. The packed score is an upper bound on the
+// full-width score (a truncated slot matches whenever the full slot
+// does), so this cut never drops a row the full scan would have kept.
+// Callers hold the shard lock.
+func (sh *shard) prefilterRow(q *packedQuery, idx int32, sc *shardScratch) {
 	if sh.rowDead(idx) {
 		return
 	}
@@ -405,7 +415,7 @@ func (sh *shard) prefilterRow(q *packedQuery, minSim float64, idx int32, sc *sha
 		m = packedMatchingSlots(q.packed, sh.arena.row(int(idx)), q.slots, sh.arena.bits)
 		sim = float64(m) / float64(q.slots)
 	}
-	if sim < minSim {
+	if sim < q.minSim {
 		return
 	}
 	sc.scored = append(sc.scored, scoredCand{idx: idx, matched: int32(m)})
@@ -421,7 +431,7 @@ func (sh *shard) prefilterRow(q *packedQuery, minSim float64, idx int32, sc *sha
 // read are counted and skipped rather than failing the query. scanned
 // is the row count the prefilter phase covered, for the survival-rate
 // counters. Callers hold the shard lock.
-func (sh *shard) tieredRescore(dst []Result, q *packedQuery, minSim float64, topK int, sc *shardScratch, scanned int) []Result {
+func (sh *shard) tieredRescore(dst []Result, q *packedQuery, topK int, sc *shardScratch, scanned int) []Result {
 	t := sh.full.tier
 	t.scanned.Add(uint64(scanned))
 	t.survived.Add(uint64(len(sc.scored)))
@@ -465,7 +475,7 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, minSim float64, top
 		if q.slots != 0 && q.shingles != 0 && sh.shingles[c.idx] != 0 {
 			sim = float64(matchingSlots(q.full, row)) / slotsF
 		}
-		if sim < minSim {
+		if sim < q.minSim {
 			continue
 		}
 		r := Result{Query: q.name, Ref: sh.names[c.idx], Similarity: sim, Distance: 1 - sim}

@@ -1,0 +1,399 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+)
+
+// sweepCorpus is one random single-shard index for the sweep property
+// test, with the query to run against it.
+type sweepCorpus struct {
+	ix    *Index
+	sh    *shard
+	query *Sketch
+	rng   *rand.Rand
+	next  int // name counter for rows added later
+}
+
+// randomSig draws a signature over a four-value alphabet in the low
+// byte (so a fair share of lanes collide with any other signature's)
+// under random high bits (so the full-width rescore disagrees with the
+// packed prefilter, as truncated minhashes do).
+func randomSig(rng *rand.Rand, slots int) []uint64 {
+	sig := make([]uint64, slots)
+	for i := range sig {
+		sig[i] = uint64(rng.Intn(4)) | uint64(rng.Intn(2))<<40
+	}
+	return sig
+}
+
+func (c *sweepCorpus) add(t *testing.T, name string, shingles int, sig []uint64) {
+	t.Helper()
+	ok, err := c.ix.Add(&Sketch{Name: name, K: c.ix.meta.K, Shingles: shingles, Signature: sig})
+	if err != nil || !ok {
+		t.Fatalf("add %q: ok=%v err=%v", name, ok, err)
+	}
+}
+
+// addRandom appends n rows: mostly random, every fifth a near-duplicate
+// of the query (a few lanes changed), every seventh with zero shingles.
+func (c *sweepCorpus) addRandom(t *testing.T, n int) {
+	t.Helper()
+	slots := len(c.query.Signature)
+	for i := 0; i < n; i++ {
+		sig := randomSig(c.rng, slots)
+		if c.next%5 == 0 {
+			copy(sig, c.query.Signature)
+			for j := c.rng.Intn(1 + slots/4); j > 0; j-- {
+				sig[c.rng.Intn(slots)] ^= 1
+			}
+		}
+		shingles := 9
+		if c.next%7 == 0 {
+			shingles = 0
+		}
+		c.add(t, fmt.Sprintf("row-%d", c.next), shingles, sig)
+		c.next++
+	}
+}
+
+// newSweepCorpus builds a one-shard index of `rows` random rows at the
+// given geometry — in memory, or directory-backed when tiered — holding
+// a row that is the query itself (same name, same signature), with
+// every ninth row tombstoned.
+func newSweepCorpus(t *testing.T, slots, bits, rows int, tiered bool, seed int64) *sweepCorpus {
+	t.Helper()
+	lsh := LSHParams{Bands: 1, RowsPerBand: slots}
+	if slots%4 == 0 {
+		lsh = LSHParams{Bands: slots / 4, RowsPerBand: 4}
+	}
+	ix, err := NewIndexWith("sweep", 8, slots, lsh, 1, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiered {
+		if err := ix.attachTier(t.TempDir(), 64); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ix.Close() })
+	}
+	rng := rand.New(rand.NewSource(seed))
+	c := &sweepCorpus{ix: ix, sh: ix.shards[0], rng: rng,
+		query: &Sketch{Name: "self", K: 8, Shingles: 9, Signature: randomSig(rng, slots)}}
+	c.addRandom(t, rows/2)
+	c.add(t, "self", 9, c.query.Signature)
+	c.addRandom(t, rows-rows/2-1)
+	for i := 0; i < rows; i += 9 {
+		if name := c.sh.names[i]; name != "self" {
+			if ok, err := ix.Delete(name); err != nil || !ok {
+				t.Fatalf("delete %q: ok=%v err=%v", name, ok, err)
+			}
+		}
+	}
+	return c
+}
+
+// perRowReference is what the sweep must reproduce: scoreRow (in
+// memory) or prefilterRow then tieredRescore (tiered) called on every
+// row in index order, skipping the rows set in probed. It also returns
+// what a tiered pass feeds the scanned/survived counters.
+func perRowReference(sh *shard, q *packedQuery, topK int, probed []uint64) ([]Result, []scoredCand, tierCounts) {
+	var dst []Result
+	var sc shardScratch
+	var fed tierCounts
+	scanned := 0
+	for i := range sh.names {
+		idx := int32(i)
+		if bitSet(probed, idx) {
+			continue
+		}
+		scanned++
+		if sh.full != nil {
+			sh.prefilterRow(q, idx, &sc)
+		} else {
+			dst = sh.scoreRow(dst, q, idx)
+		}
+	}
+	if sh.full != nil {
+		fed = tierCounts{uint64(scanned), uint64(len(sc.scored))}
+		dst = sh.tieredRescore(dst, q, topK, &sc, scanned)
+	}
+	return dst, sc.scored, fed
+}
+
+// TestSweepMatchesPerRowPath is the sweep's correctness property: over
+// random shards — every lane width, slot counts with and without
+// padding lanes, tombstones, zero-shingle rows and queries, a self-hit
+// row, with and without the LSH probe's bitset, rows appended after the
+// probe — the blocked sweep emits exactly the rows, in exactly the
+// order, with exactly the matched counts and similarities that the
+// per-row comparator does, and feeds the tier counters the same
+// numbers. It runs on every kernel the build offers.
+func TestSweepMatchesPerRowPath(t *testing.T) {
+	type geometry struct{ slots, bits int }
+	geoms := []geometry{}
+	for _, bits := range []int{8, 16, 64} {
+		for _, slots := range []int{1, 100, 127, 128} {
+			geoms = append(geoms, geometry{slots, bits})
+		}
+	}
+	// 70 000 one-byte lanes overflow a uint16 count: the sweep must
+	// fall back to the per-row comparator instead of truncating.
+	geoms = append(geoms, geometry{70000, 8})
+
+	eachKernel(t, func(t *testing.T) {
+		for gi, g := range geoms {
+			for _, tiered := range []bool{false, true} {
+				rows := 2*sweepBlock + 77 // two full blocks and a short one
+				if g.slots > 1000 {
+					rows = 12
+				}
+				c := newSweepCorpus(t, g.slots, g.bits, rows, tiered, int64(gi+1))
+				name := fmt.Sprintf("slots=%d/bits=%d/tiered=%v", g.slots, g.bits, tiered)
+				q25 := float64(g.slots/4) / float64(g.slots)
+				for _, minSim := range []float64{
+					0, -0.1, 0.2, q25, math.Nextafter(q25, 1), math.Nextafter(q25, 0), 0.8, 1, 1.1,
+				} {
+					for _, zeroQuery := range []bool{false, true} {
+						c.checkSweep(t, name, minSim, zeroQuery)
+					}
+				}
+			}
+		}
+	})
+}
+
+// checkSweep compares the three sweep entry points against the per-row
+// reference for one query: the exact scan, the LSH complement scan
+// (after a probe, with rows appended behind the probe's bitset), and
+// the stale-generation fallback of scoreCandidates.
+func (c *sweepCorpus) checkSweep(t *testing.T, name string, minSim float64, zeroQuery bool) {
+	t.Helper()
+	query := *c.query
+	if zeroQuery {
+		query.Name, query.Shingles = "empty", 0
+	}
+	name = fmt.Sprintf("%s/minSim=%v/zeroQuery=%v", name, minSim, zeroQuery)
+	buf := getSearchBuf()
+	defer putSearchBuf(buf)
+	q := buf.prepare(c.ix, &query, minSim, 1)
+	buf.prepareBandKeys(c.ix, &query)
+	sh, sc := c.sh, &buf.scratch[0]
+	const topK = 7
+
+	// run performs one sweep entry point and checks it against the
+	// per-row reference over the rows not set in probed: results,
+	// prefilter survivors, and what the tier counters were fed.
+	run := func(what string, probed []uint64, sweep func() []Result) {
+		t.Helper()
+		var before tierCounts
+		if sh.full != nil {
+			before = readTierCounts(sh.full.tier)
+		}
+		got := sweep()
+		gotScored := slices.Clone(sc.scored)
+		var fed tierCounts
+		if sh.full != nil {
+			after := readTierCounts(sh.full.tier)
+			fed = tierCounts{after.scanned - before.scanned, after.survived - before.survived}
+		}
+		want, wantScored, wantFed := perRowReference(sh, q, topK, probed)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s %s: sweep results differ from the per-row path\n got %v\nwant %v", name, what, got, want)
+		}
+		if !slices.Equal(gotScored, wantScored) {
+			t.Fatalf("%s %s: prefilter survivors differ\n got %v\nwant %v", name, what, gotScored, wantScored)
+		}
+		if fed != wantFed {
+			t.Fatalf("%s %s: sweep fed the tier counters %+v, per-row path %+v", name, what, fed, wantFed)
+		}
+	}
+
+	run("scan", nil, func() []Result { return sh.scanAppend(nil, q, topK, sc) })
+
+	// LSH complement: probe, let rows land behind the bitset, then
+	// sweep what the probe did not mark.
+	sh.probeCandidates(q, sc)
+	c.addRandom(t, 3)
+	run("rest", slices.Clone(sc.candSet), func() []Result { return sh.scanRestAppend(nil, q, topK, sc) })
+
+	// Stale generation: candidates captured before a compaction are
+	// dropped and the candidate pass sweeps every row, once.
+	sh.probeCandidates(q, sc)
+	sc.gen--
+	run("stale", nil, func() []Result { return sh.scoreCandidates(nil, q, topK, sc) })
+	if !sc.fullScanned {
+		t.Fatalf("%s: stale-generation fallback did not record its full scan", name)
+	}
+	if rest := sh.scanRestAppend(nil, q, topK, sc); len(rest) != 0 {
+		t.Fatalf("%s: complement pass after a full fallback scan returned %d rows", name, len(rest))
+	}
+}
+
+type tierCounts struct{ scanned, survived uint64 }
+
+func readTierCounts(t *tierState) tierCounts {
+	return tierCounts{t.scanned.Load(), t.survived.Load()}
+}
+
+// TestSearchIdenticalAcrossKernels runs whole searches — exact and LSH,
+// in-memory and tiered, hit and miss queries, inline and fanned out —
+// once per kernel and requires identical results: compiling the
+// assembly out changes nothing a caller can see.
+func TestSearchIdenticalAcrossKernels(t *testing.T) {
+	tiered, plain := tieredEngines(t, 4500, 64) // 8-bit rows: enough arena to fan out
+	packed, err := NewEngine(Options{IndexName: "packed", Bits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4500; i++ {
+		if _, err := packed.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := []*Sketch{
+		plain.Sketcher().Sketch(Record{Name: "q-near", Data: benchData(256, 1)}),
+		plain.Sketcher().Sketch(Record{Name: "q-far", Data: benchData(256, 99999)}),
+		plain.Sketcher().Sketch(Record{Name: "q-empty", Data: []byte("tiny")}),
+		plain.Index().Get("rec-7"),
+	}
+	results := map[string][][]Result{}
+	eachKernel(t, func(t *testing.T) {
+		var all [][]Result
+		for _, eng := range []*Engine{tiered, packed} {
+			for _, q := range queries {
+				for _, minSim := range []float64{0, 0.05, 0.5} {
+					for _, pool := range []*Pool{NewPool(1), NewPool(4)} {
+						for _, search := range []func(*Index, *Sketch, int, float64, *Pool) ([]Result, error){SearchTopK, SearchTopKLSH} {
+							got, err := search(eng.Index(), q, 10, minSim, pool)
+							if err != nil {
+								t.Fatal(err)
+							}
+							all = append(all, got)
+						}
+					}
+				}
+			}
+		}
+		results[t.Name()] = all
+	})
+	var first [][]Result
+	for name, all := range results {
+		if first == nil {
+			first = all
+			continue
+		}
+		for i := range all {
+			if !slices.Equal(all[i], first[i]) {
+				t.Fatalf("search %d differs between kernels (%s):\n%v\n%v", i, name, all[i], first[i])
+			}
+		}
+	}
+}
+
+// TestMinMatchedMatchesFloatPredicate pins the integer threshold to the
+// float rule it replaces: for every matched count m, "m >= minMatched"
+// decides exactly what "m/slots >= minSim" decides — at the floors that
+// sit on, or one ulp either side of, every representable m/slots.
+func TestMinMatchedMatchesFloatPredicate(t *testing.T) {
+	for _, slots := range []int{1, 3, 100, 128, 200} {
+		floors := []float64{0, 1, -0.1, 1.1, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+		for m := 0; m <= slots; m++ {
+			x := float64(m) / float64(slots)
+			floors = append(floors, x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, math.Inf(-1)))
+		}
+		for _, minSim := range floors {
+			mm := minMatchedFor(minSim, slots)
+			if mm < 0 || mm > slots+1 {
+				t.Fatalf("minMatchedFor(%v, %d) = %d, outside [0, slots+1]", minSim, slots, mm)
+			}
+			for m := 0; m <= slots; m++ {
+				if want := float64(m)/float64(slots) >= minSim; (m >= mm) != want {
+					t.Fatalf("slots=%d minSim=%v: m=%d kept=%v by minMatched=%d, float rule says %v",
+						slots, minSim, m, m >= mm, mm, want)
+				}
+			}
+		}
+	}
+}
+
+// countdownCtx reports cancellation from its n-th Err call on, which
+// lets a test cancel a search at an exact poll instead of racing it.
+type countdownCtx struct {
+	context.Context
+	done  chan struct{}
+	polls atomic.Int32
+	after int32
+}
+
+func (c *countdownCtx) Done() <-chan struct{} { return c.done }
+
+func (c *countdownCtx) Err() error {
+	if c.polls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSweepCancellation cancels a search in the middle of a sweep: the
+// search must return the context's error and no results, although rows
+// swept before the cancellation had already qualified. The query shares
+// no lane with any row, so LSH finds no candidates and both modes are
+// one sweep of eight blocks at similarity 0, polled once per block
+// after the search's own up-front check.
+func TestSweepCancellation(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		for _, tiered := range []bool{false, true} {
+			c := newSweepCorpus(t, 128, 8, 8*sweepBlock, tiered, 3)
+			miss := &Sketch{Name: "miss", K: 8, Shingles: 9, Signature: make([]uint64, 128)}
+			for i := range miss.Signature {
+				miss.Signature[i] = uint64(100 + i)
+			}
+			for name, search := range map[string]func(context.Context, *Index, *Sketch, int, float64, *Pool) ([]Result, error){
+				"exact": SearchTopKCtx, "lsh": SearchTopKLSHCtx,
+			} {
+				free := &countdownCtx{Context: context.Background(), done: make(chan struct{}), after: math.MaxInt32}
+				res, err := search(free, c.ix, miss, 10, 0, NewPool(1))
+				if err != nil || len(res) != 10 {
+					t.Fatalf("%s tiered=%v: uncancelled search = %d results, %v", name, tiered, len(res), err)
+				}
+				if polls := free.polls.Load(); polls < 9 {
+					t.Fatalf("%s tiered=%v: a sweep of 8 blocks polled %d times, want at least 9", name, tiered, polls)
+				}
+				var before tierCounts
+				if tiered {
+					before = readTierCounts(c.sh.full.tier)
+				}
+				// Polls 1-5 pass (the up-front check and four blocks); the
+				// fifth block's poll fires.
+				ctx := &countdownCtx{Context: context.Background(), done: make(chan struct{}), after: 5}
+				res, err = search(ctx, c.ix, miss, 10, 0, NewPool(1))
+				if !errors.Is(err, context.Canceled) || res != nil {
+					t.Fatalf("%s tiered=%v: cancelled mid-sweep = %d results, err %v; want none, context.Canceled", name, tiered, len(res), err)
+				}
+				if tiered && readTierCounts(c.sh.full.tier) != before {
+					t.Fatalf("%s: a sweep cancelled half way still went on to rescore", name)
+				}
+			}
+		}
+	})
+}
+
+// TestSearchRejectsNaNFloor pins the one floor no threshold can stand
+// for: NaN compares false both ways, so the float paths would disagree
+// with each other about it; the search refuses it instead.
+func TestSearchRejectsNaNFloor(t *testing.T) {
+	ix, q := buildTestIndex(t, 3)
+	if _, err := SearchTopK(ix, q, 1, math.NaN(), nil); err == nil {
+		t.Error("SearchTopK accepted a NaN minimum similarity")
+	}
+	if _, err := SearchTopKLSH(ix, q, 1, math.NaN(), nil); err == nil {
+		t.Error("SearchTopKLSH accepted a NaN minimum similarity")
+	}
+}
