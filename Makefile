@@ -37,14 +37,18 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=200ms ./...
 
-# The repo benchmark declared in BENCHMARK.json: its own tests, then two
-# short workloads end to end (see bench/README.md for full runs). The
-# second is the one the scan kernel carries; its verify step compares
-# 200 exact answers hit for hit against core.SearchTopK.
+# The repo benchmark declared in BENCHMARK.json: its own tests, then
+# three short workloads end to end (see bench/README.md for full runs).
+# The second is the one the scan kernel carries; its verify step compares
+# 200 exact answers hit for hit against core.SearchTopK. The third puts
+# the coordinator in front: its verify step checks 200 coordinator
+# answers hit for hit against a single-node reference — the guard on the
+# search fan-out's covering set — and R-fold placement after reopen.
 bench-repo:
 	(cd bench && $(GO) vet . && $(GO) test .)
 	bash bench/run.sh --workload serve-lsh-hit --seed 1 --seconds 6 --trace 0
 	bash bench/run.sh --workload serve-exact-scan --seed 1 --seconds 6 --trace 0
+	bash bench/run.sh --workload cluster-r2-mixed --seed 1 --seconds 6 --trace 0
 
 smoke:
 	./scripts/smoke_http.sh

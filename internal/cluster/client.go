@@ -97,7 +97,7 @@ type client struct {
 
 	// observe, when set, receives every request's outcome — the
 	// request-path feed into the per-backend circuit breaker (classify
-	// with requestOK). Probes bypass it via doQuiet: the health loop
+	// with requestOK). Probes bypass it via send: the health loop
 	// reports outcomes itself, and one probe must count once, not twice.
 	observe func(b *backend, err error)
 }
@@ -125,7 +125,24 @@ var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // backend can abort work the coordinator has already given up on. The
 // outcome feeds the breaker via the observe hook.
 func (c *client) do(ctx context.Context, b *backend, method, path string, body, out any) error {
-	err := c.doQuiet(ctx, b, method, path, body, out)
+	var raw []byte
+	if body != nil {
+		buf := bodyBufPool.Get().(*bytes.Buffer)
+		buf.Reset()
+		defer bodyBufPool.Put(buf)
+		if err := json.NewEncoder(buf).Encode(body); err != nil {
+			return fmt.Errorf("backend %s: encode request: %w", b.addr, err)
+		}
+		raw = buf.Bytes()
+	}
+	return c.doRaw(ctx, b, method, path, raw, out)
+}
+
+// doRaw is do for a body the caller has already encoded: the search
+// fan-out encodes its request once and hands every backend the same
+// bytes.
+func (c *client) doRaw(ctx context.Context, b *backend, method, path string, body []byte, out any) error {
+	err := c.send(ctx, b, method, path, body, out)
 	if c.observe != nil {
 		c.observe(b, err)
 	}
@@ -144,20 +161,13 @@ func requestOK(err error) bool {
 	return errors.As(err, &berr) && berr.Status < 500
 }
 
-// doQuiet is do without the breaker feed — the health loop's probes go
+// send is doRaw without the breaker feed — the health loop's probes go
 // through it because observeProbe reports their outcomes itself.
-func (c *client) doQuiet(ctx context.Context, b *backend, method, path string, body, out any) error {
+func (c *client) send(ctx context.Context, b *backend, method, path string, body []byte, out any) error {
 	b.requests.Add(1)
 	var rd io.Reader
-	var buf *bytes.Buffer
 	if body != nil {
-		buf = bodyBufPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		defer bodyBufPool.Put(buf)
-		if err := json.NewEncoder(buf).Encode(body); err != nil {
-			return fmt.Errorf("backend %s: encode request: %w", b.addr, err)
-		}
-		rd = buf
+		rd = bytes.NewReader(body) // NewRequest takes the length from it
 	}
 	req, err := http.NewRequestWithContext(ctx, method, b.base+path, rd)
 	if err != nil {
@@ -165,7 +175,6 @@ func (c *client) doQuiet(ctx context.Context, b *backend, method, path string, b
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
-		req.ContentLength = int64(buf.Len())
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		req.Header.Set(server.DeadlineHeader, strconv.FormatInt(dl.UnixMilli(), 10))

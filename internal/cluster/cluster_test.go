@@ -26,6 +26,13 @@ func (b *testBackend) addr() string { return strings.TrimPrefix(b.ts.URL, "http:
 
 func newTestBackend(t *testing.T) *testBackend {
 	t.Helper()
+	return newWrappedBackend(t, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedBackend is newTestBackend with wrap around the server's
+// handler, for tests that hold or count a backend's requests.
+func newWrappedBackend(t *testing.T, wrap func(http.Handler) http.Handler) *testBackend {
+	t.Helper()
 	eng, err := core.NewEngine(core.Options{K: 4, SignatureSize: 64, IndexName: "clustertest", Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +41,7 @@ func newTestBackend(t *testing.T) *testBackend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(wrap(srv.Handler()))
 	t.Cleanup(func() {
 		ts.Close() // idempotent; tests may have killed it already
 		_ = srv.Close()
@@ -148,7 +155,8 @@ type errEnvelope struct {
 
 // TestClusterMatchesSingleNode: the acceptance bar for the merge path —
 // a 3-node cluster's search response must be byte-identical to a
-// single node holding the same corpus.
+// single node holding the same corpus, whichever backend the rotation
+// leaves out of the covering set.
 func TestClusterMatchesSingleNode(t *testing.T) {
 	body := corpus(12)
 
@@ -172,12 +180,14 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		t.Fatalf("cluster ingest = %+v, want 12 received/added", ing)
 	}
 
-	resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cluster search status = %d, body %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("cluster search differs from single node:\n cluster: %s\n single:  %s", got, want)
+	for turn := 0; turn < len(tc.backends); turn++ {
+		resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cluster search status = %d, body %s", resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("cluster search %d differs from single node:\n cluster: %s\n single:  %s", turn, got, want)
+		}
 	}
 
 	// Every backend must actually hold records: the ring spread the
@@ -205,18 +215,23 @@ func TestClusterKillOneBackend(t *testing.T) {
 
 			tc.backends[kill].ts.Close()
 
-			resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("post-kill search status = %d, body %s", resp.StatusCode, got)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("post-kill search differs:\n before: %s\n after:  %s", want, got)
-			}
-			if bytes.Contains(got, []byte(`"partial"`)) {
-				t.Fatalf("one dead backend of three with replication=2 must not degrade to partial: %s", got)
+			// One rotation: the dead backend is in the first wave of two of
+			// these searches (its breaker needs three failures to open) and
+			// the left-out one of the third.
+			for turn := 0; turn < 3; turn++ {
+				resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("post-kill search status = %d, body %s", resp.StatusCode, got)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("post-kill search differs:\n before: %s\n after:  %s", want, got)
+				}
+				if bytes.Contains(got, []byte(`"partial"`)) {
+					t.Fatalf("one dead backend of three with replication=2 must not degrade to partial: %s", got)
+				}
 			}
 
-			// The dead backend was retried before the response settled.
+			// The dead backend was retried before those responses settled.
 			_, stats := getBody(t, tc.ts.URL+"/stats")
 			var st StatsResponse
 			if err := json.Unmarshal(stats, &st); err != nil {
@@ -467,6 +482,9 @@ func TestClusterObservability(t *testing.T) {
 	if st.Replication != 2 || st.WriteQuorum != 2 {
 		t.Errorf("stats replication/quorum = %d/%d, want 2/2", st.Replication, st.WriteQuorum)
 	}
+	if st.Searches != 1 || st.SearchBackendCalls != 2 { // the cover of 3 backends at quorum 2
+		t.Errorf("searches / search_backend_calls = %d / %d, want 1 / 2", st.Searches, st.SearchBackendCalls)
+	}
 	if st.RecordsRouted != 16 { // 8 records x 2 replicas
 		t.Errorf("records_routed = %d, want 16", st.RecordsRouted)
 	}
@@ -490,6 +508,7 @@ func TestClusterObservability(t *testing.T) {
 		"sketchengine_cluster_ring_records{backend=",
 		"sketchengine_cluster_fanout_duration_seconds_bucket{endpoint=\"search\"",
 		"sketchengine_cluster_fanout_duration_seconds_count{endpoint=\"ingest\"",
+		"sketchengine_cluster_search_backend_calls_total 2\n",
 		"sketchengine_cluster_retries_total",
 		"sketchengine_cluster_partial_results_total",
 	} {

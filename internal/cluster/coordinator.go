@@ -117,6 +117,8 @@ type Coordinator struct {
 	repairs *repairQueue
 	budget  *retryBudget
 	fanouts atomic.Int64 // fan-outs currently running, bounded by MaxFanout
+	// searchTurn rotates which backends a search's first wave leaves out.
+	searchTurn atomic.Uint64
 
 	// mu guards the membership view: the placement ring, the optional
 	// migration target ring, and the backend list. Request paths take
@@ -346,6 +348,8 @@ type clusterMetrics struct {
 	ingestRequests atomic.Int64
 	recordsRouted  atomic.Int64 // record-replica assignments routed by ingest
 	deletes        atomic.Int64
+
+	searchBackendCalls atomic.Int64 // backend calls made by searches, both waves
 
 	retries        atomic.Int64 // backend calls retried after a failed first wave
 	partials       atomic.Int64 // search responses degraded to partial

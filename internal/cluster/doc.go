@@ -9,31 +9,37 @@
 // each coalesced batch to all replicas of each record and acknowledge
 // only on a write quorum (majority of replicas); records that miss
 // quorum are reported individually in the error envelope, never
-// silently dropped. Searches scatter to every live backend, merge the
-// per-backend bounded top-K heaps with core.MergeTopK — the same total
-// order the in-process per-shard merge uses, so a coordinator's answer
-// is byte-identical to a single node holding the same corpus — and
-// dedup replicated hits by name keeping the best score.
+// silently dropped. Searches scatter to a covering set: an acked record
+// is on at least quorum backends, so any backends-(quorum-1) of the
+// fleet hold a copy of everything, and that many are asked, the
+// left-out ones rotating per search. The per-backend bounded top-K
+// heaps are merged with core.MergeTopK — the same total order the
+// in-process per-shard merge uses, so a coordinator's answer is
+// byte-identical to a single node holding the same corpus — and
+// replicated hits are deduped by name keeping the best score.
 //
 // A health checker probes each backend's /healthz with
 // consecutive-failure hysteresis so one dropped probe never flaps the
 // ring, backing off exponentially (with jitter) on backends that stay
-// down. The search path retries failed backends once before degrading:
-// a response is flagged "partial": true only when the non-responders
-// could cover a whole replica set, i.e. when completeness can no
-// longer be guaranteed.
+// down. A search whose first wave comes up short asks the backends it
+// left out and retries the failed ones once before degrading: a
+// response is flagged "partial": true only when fewer than the
+// covering number answered, i.e. when completeness can no longer be
+// guaranteed.
 //
 // The fleet is self-healing. Replicas that miss a quorum-acked write
 // get a hinted handoff: the miss is queued (durably, with -hints-dir)
 // and replayed automatically once the health checker sees the backend
 // again. Reads that expose replica disagreement — a GET that 404s on
 // one replica and hits on another, a search hit missing from a replica
-// that provably had room for it — feed an anti-entropy read-repair
-// queue, and POST /v1/admin/repair (or -repair-every) sweeps the whole
-// corpus back to full replication, removing strays once their replica
-// set is verifiably complete. Membership is elastic: POST
-// /v1/admin/join and /v1/admin/drain stream affected records to their
-// new replicas before committing the ring swap, so the replication
-// invariant — every record on exactly Replication live replicas of the
-// committed ring — holds before, during, and after the change.
+// that provably had room for it (seen when the rotation asks both
+// replicas, so within one round of the fleet) — feed an anti-entropy
+// read-repair queue, and POST /v1/admin/repair (or -repair-every)
+// sweeps the whole corpus back to full replication, removing strays
+// once their replica set is verifiably complete. Membership is
+// elastic: POST /v1/admin/join and /v1/admin/drain stream affected
+// records to their new replicas before committing the ring swap, so
+// the replication invariant — every record on exactly Replication live
+// replicas of the committed ring — holds before, during, and after the
+// change.
 package cluster

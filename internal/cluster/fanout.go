@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -11,7 +12,8 @@ import (
 )
 
 // searchCall is one backend's slot in a scatter-gather: filled by the
-// first wave or the retry wave, whichever reaches the backend.
+// first wave or the second, whichever reaches the backend. A slot with
+// neither ok nor err set was never asked.
 type searchCall struct {
 	b    *backend
 	resp server.SearchResponse
@@ -19,24 +21,49 @@ type searchCall struct {
 	err  error
 }
 
-// handleSearch scatter-gathers a search. Every backend holds a shard
-// of the corpus, so the query goes to all of them (the ring is not
-// consulted: it maps names, and a search has no name). The per-backend
+// searchCover is how many of n backends must answer a search for the
+// result to be provably complete. A write is acked only once quorum()
+// of the record's replicas hold it, so every acked record is on at
+// least that many distinct backends, and leaving out quorum()-1 of the
+// fleet still leaves one holder of each: n=3 at replication 2 (quorum
+// 2) needs 2 answers, not 3. The ring is not consulted — it maps names,
+// and a search has no name.
+func (c *Coordinator) searchCover(n int) int { return n - (c.quorum() - 1) }
+
+// handleSearch scatter-gathers a search over a covering set of the
+// fleet. The first wave asks searchCover(n) backends whose breaker is
+// closed and leaves the rest out: open-breaker backends first (a dead
+// node costs a healthy fleet nothing), then whichever healthy ones the
+// per-search rotation reaches last, so the saved call moves round-robin
+// and no backend is spared or loaded more than another. The per-backend
 // top-Ks are concatenated, deduped by ref (replication means up to
 // Replication copies of every hit), and reduced with core.MergeTopK —
 // the same bounded-heap merge and total order the in-process per-shard
 // scan uses, which is what makes a coordinator's answer byte-identical
-// to a single node over the same corpus.
+// to a single node over the same corpus, whichever backends answered.
 //
-// Fault handling is two-staged. Backends marked down are skipped in
-// the first wave but, together with backends that failed it, get one
-// retry: the probe view lags reality, and a replica's partner having
-// answered does not excuse losing the records they do not share. Only
-// when the final non-responder count reaches the replication factor
-// could a whole replica set be unrepresented — then, and only then,
-// the response degrades to "partial": true. Anything less and every
-// record still has at least one responding replica, so the result is
-// provably complete and is returned unflagged.
+// Only while fewer than searchCover(n) backends have answered does a
+// second wave go out, to everyone who has not: a healthy backend the
+// first wave left out is asked for the first time (free), and backends
+// that failed the first wave or sit behind an open breaker get their one
+// retry — the probe view lags reality — if the retry budget grants it.
+// The response is complete exactly when the cover was reached; below
+// it some acked record may have no responding holder, so it degrades to
+// "partial": true, and with no answer at all to 502 backend_down.
+//
+// The cover holds through a join or drain (rings() returns a non-nil
+// next) without a wider fallback: the fleet snapshot a search takes
+// still lists every old-ring member, the joiner is added to it before
+// any copy is streamed, and the drained backend leaves it only at
+// commit, after every moved record reached its new replica — so an
+// acked record keeps quorum() holders in that snapshot throughout
+// (TestSearchDuringRebalance). The one exception is a write acked
+// during a drain whose copy to its new replica failed: from the commit
+// until its hint replays it is one holder short. Beyond that the cover
+// assumes acked copies stay put: a replica that lost one out of band is
+// seen only by the searches that ask it beside its partner (read
+// repair, within a rotation), and the anti-entropy sweep is the
+// backstop.
 func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req server.SearchRequest
 	if !c.decodeBody(w, r, &req) {
@@ -69,43 +96,54 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// Encoded once: every backend in both waves is sent these bytes.
+	body, err := json.Marshal(&req)
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, fmt.Sprintf("search: encode request: %v", err))
+		return
+	}
+
 	backends := c.backendList()
-	calls := make([]*searchCall, len(backends))
-	var firstWave []*searchCall
-	for i, b := range backends {
-		calls[i] = &searchCall{b: b}
-		if b.up.Load() {
-			firstWave = append(firstWave, calls[i])
+	n := len(backends)
+	cover := c.searchCover(n)
+	start := int(c.searchTurn.Add(1) % uint64(n))
+	calls := make([]searchCall, n)
+	wave := make([]*searchCall, 0, n)
+	for i := range calls {
+		calls[i].b = backends[(start+i)%n]
+		if len(wave) < cover && calls[i].b.up.Load() {
+			wave = append(wave, &calls[i])
 		}
 	}
-	c.scatterSearch(r.Context(), firstWave, &req)
+	responded := c.scatterSearch(r.Context(), wave, body)
 
-	var retryWave []*searchCall
-	for _, call := range calls {
-		if !call.ok {
-			retryWave = append(retryWave, call)
+	if responded < cover {
+		var retry []*searchCall
+		wave = wave[:0]
+		for i := range calls {
+			call := &calls[i]
+			switch {
+			case call.ok:
+			case call.err == nil && call.b.up.Load():
+				wave = append(wave, call) // left out of wave one: a first call
+			default:
+				retry = append(retry, call) // failed wave one, or breaker open
+			}
 		}
-	}
-	if len(retryWave) > 0 && len(retryWave) < len(calls) && c.budget.allow(len(retryWave)) {
-		// Retry failed and down-skipped backends once before giving up on
-		// them; a whole-cluster outage skips straight to the error below,
-		// and an exhausted retry budget degrades to partial rather than
-		// joining a retry storm against recovering backends.
-		c.metrics.retries.Add(int64(len(retryWave)))
-		c.scatterSearch(r.Context(), retryWave, &req)
-	}
-
-	responded := 0
-	for _, call := range calls {
-		if call.ok {
-			responded++
+		// An exhausted retry budget skips the retries (the first-time calls
+		// still go) and the answer degrades to partial rather than joining
+		// a retry storm against recovering backends.
+		if len(retry) > 0 && c.budget.allow(len(retry)) {
+			c.metrics.retries.Add(int64(len(retry)))
+			wave = append(wave, retry...)
 		}
+		responded += c.scatterSearch(r.Context(), wave, body)
 	}
 	if responded == 0 {
 		server.WriteError(w, http.StatusBadGateway, CodeBackendDown, "search: no backend responded")
 		return
 	}
-	partial := len(calls)-responded >= c.cfg.Replication
+	partial := responded < cover
 	if partial {
 		c.metrics.partials.Add(1)
 	}
@@ -114,10 +152,17 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Replicated copies of a hit are byte-equal, so "best" only matters
 	// if replicas diverged mid-write; keeping the max keeps the answer
 	// monotone with the most complete replica.
-	var pooled []core.Result
-	seen := make(map[string]int)
+	total := 0
+	for i := range calls {
+		if calls[i].ok {
+			total += len(calls[i].resp.Results)
+		}
+	}
+	pooled := make([]core.Result, 0, total)
+	seen := make(map[string]int, total)
 	mode := ""
-	for _, call := range calls {
+	for i := range calls {
+		call := &calls[i]
 		if !call.ok {
 			continue
 		}
@@ -166,16 +211,14 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 // legitimately miss a hit the replica does hold, so this is a
 // heuristic; a false positive only costs the repair worker one probe
 // that finds nothing to fix.
-func (c *Coordinator) offerSearchRepairs(ring *Ring, calls []*searchCall, merged []core.Result, k int) {
+func (c *Coordinator) offerSearchRepairs(ring *Ring, calls []searchCall, merged []core.Result, k int) {
 	byAddr := make(map[string]*searchCall, len(calls))
-	responded := 0
-	for _, call := range calls {
-		if call.ok {
-			byAddr[call.b.addr] = call
-			responded++
+	for i := range calls {
+		if calls[i].ok {
+			byAddr[calls[i].b.addr] = &calls[i]
 		}
 	}
-	if responded < 2 {
+	if len(byAddr) < 2 {
 		return // disagreement needs two answers
 	}
 	for _, hit := range merged {
@@ -204,20 +247,38 @@ func (c *Coordinator) offerSearchRepairs(ring *Ring, calls []*searchCall, merged
 	}
 }
 
-// scatterSearch sends req to every call's backend concurrently, each
-// bounded by the fan-out timeout, and records the outcome in place.
-func (c *Coordinator) scatterSearch(ctx context.Context, wave []*searchCall, req *server.SearchRequest) {
-	var wg sync.WaitGroup
-	for _, call := range wave {
-		wg.Add(1)
-		go func(call *searchCall) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, c.cfg.FanoutTimeout)
-			defer cancel()
-			call.resp = server.SearchResponse{}
-			call.err = c.client.do(cctx, call.b, "POST", "/v1/search", req, &call.resp)
-			call.ok = call.err == nil
-		}(call)
+// scatterSearch sends the encoded search to every call's backend
+// concurrently — the last on the caller's own goroutine — under one
+// fan-out timeout for the wave, records each outcome in place and
+// returns how many answered.
+func (c *Coordinator) scatterSearch(ctx context.Context, wave []*searchCall, body []byte) int {
+	if len(wave) == 0 {
+		return 0
 	}
+	c.metrics.searchBackendCalls.Add(int64(len(wave)))
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.FanoutTimeout)
+	defer cancel()
+	ask := func(call *searchCall) {
+		call.resp = server.SearchResponse{}
+		call.err = c.client.doRaw(ctx, call.b, "POST", "/v1/search", body, &call.resp)
+		call.ok = call.err == nil
+	}
+	last := len(wave) - 1
+	var wg sync.WaitGroup
+	wg.Add(last)
+	for _, call := range wave[:last] {
+		go func() {
+			defer wg.Done()
+			ask(call)
+		}()
+	}
+	ask(wave[last])
 	wg.Wait()
+	responded := 0
+	for _, call := range wave {
+		if call.ok {
+			responded++
+		}
+	}
+	return responded
 }

@@ -115,18 +115,23 @@ type RetryBudgetStats struct {
 
 // StatsResponse is the coordinator's GET /stats body.
 type StatsResponse struct {
-	UptimeSeconds  float64        `json:"uptime_seconds"`
-	Replication    int            `json:"replication"`
-	WriteQuorum    int            `json:"write_quorum"`
-	Ring           []string       `json:"ring"`
-	Requests       int64          `json:"requests"`
-	Searches       int64          `json:"searches"`
-	IngestRequests int64          `json:"ingest_requests"`
-	RecordsRouted  int64          `json:"records_routed"`
-	Deletes        int64          `json:"deletes"`
-	Retries        int64          `json:"retries"`
-	PartialResults int64          `json:"partial_results"`
-	QuorumFailures int64          `json:"quorum_failures"`
+	UptimeSeconds  float64  `json:"uptime_seconds"`
+	Replication    int      `json:"replication"`
+	WriteQuorum    int      `json:"write_quorum"`
+	Ring           []string `json:"ring"`
+	Requests       int64    `json:"requests"`
+	Searches       int64    `json:"searches"`
+	IngestRequests int64    `json:"ingest_requests"`
+	RecordsRouted  int64    `json:"records_routed"`
+	Deletes        int64    `json:"deletes"`
+	Retries        int64    `json:"retries"`
+	PartialResults int64    `json:"partial_results"`
+	QuorumFailures int64    `json:"quorum_failures"`
+	// SearchBackendCalls counts the backend calls searches made, first
+	// wave and second: divided by Searches it is the fan-out width, which
+	// sits at the cover size (backends - write_quorum + 1) while the fleet
+	// is healthy.
+	SearchBackendCalls int64 `json:"search_backend_calls"`
 	// Shed counts fan-outs refused with 503 at the MaxFanout bound;
 	// DeadlineExceeded counts backend calls that came back 504 after the
 	// propagated deadline expired.
@@ -197,20 +202,21 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	m := c.metrics
 	ring, _ := c.rings()
 	server.WriteJSON(w, http.StatusOK, StatsResponse{
-		UptimeSeconds:  time.Since(m.start).Seconds(),
-		Replication:    c.cfg.Replication,
-		WriteQuorum:    c.quorum(),
-		Ring:           ring.Backends(),
-		Requests:       m.requests.Load(),
-		Searches:       m.searches.Load(),
-		IngestRequests: m.ingestRequests.Load(),
-		RecordsRouted:  m.recordsRouted.Load(),
-		Deletes:        m.deletes.Load(),
-		Retries:          m.retries.Load(),
-		PartialResults:   m.partials.Load(),
-		QuorumFailures:   m.quorumFailures.Load(),
-		Shed:             m.shed.Load(),
-		DeadlineExceeded: m.deadlineExceeded.Load(),
+		UptimeSeconds:      time.Since(m.start).Seconds(),
+		Replication:        c.cfg.Replication,
+		WriteQuorum:        c.quorum(),
+		Ring:               ring.Backends(),
+		Requests:           m.requests.Load(),
+		Searches:           m.searches.Load(),
+		SearchBackendCalls: m.searchBackendCalls.Load(),
+		IngestRequests:     m.ingestRequests.Load(),
+		RecordsRouted:      m.recordsRouted.Load(),
+		Deletes:            m.deletes.Load(),
+		Retries:            m.retries.Load(),
+		PartialResults:     m.partials.Load(),
+		QuorumFailures:     m.quorumFailures.Load(),
+		Shed:               m.shed.Load(),
+		DeadlineExceeded:   m.deadlineExceeded.Load(),
 		RetryBudget: RetryBudgetStats{
 			Remaining:    c.budget.remaining(),
 			Max:          c.cfg.RetryBudget,
@@ -267,6 +273,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("requests_total", "Requests accepted by the coordinator.", m.requests.Load())
 	counter("searches_total", "Search fan-outs served.", m.searches.Load())
+	counter("search_backend_calls_total", "Backend calls made by searches, first wave and second.", m.searchBackendCalls.Load())
 	counter("ingest_requests_total", "Ingest requests received.", m.ingestRequests.Load())
 	counter("records_routed_total", "Record-replica assignments routed by ingest.", m.recordsRouted.Load())
 	counter("deletes_total", "Deletes routed to replica sets.", m.deletes.Load())

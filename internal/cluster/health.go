@@ -36,7 +36,7 @@ func (c *Coordinator) healthLoop(ctx context.Context) {
 
 func (c *Coordinator) probe(ctx context.Context, b *backend) {
 	pctx, cancel := context.WithTimeout(ctx, c.cfg.FanoutTimeout)
-	err := c.client.doQuiet(pctx, b, "GET", "/healthz", nil, nil)
+	err := c.client.send(pctx, b, "GET", "/healthz", nil, nil)
 	cancel()
 	c.observeProbe(b, err == nil)
 	if err != nil {
