@@ -21,9 +21,11 @@ test:
 test-purego:
 	$(GO) test -race -tags purego ./internal/core/...
 
-# The assembly kernel against the portable one and a naive loop.
+# Every Fuzz* target in the module, 15 s each (FUZZTIME=... to change):
+# the scan kernel against its reference, and every decoder of outside
+# bytes — manifest, legacy JSON, framed log, WAL and hint bodies.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzMatchCounts$$' -fuzztime 15s ./internal/core
+	GO=$(GO) ./scripts/fuzz_smoke.sh
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

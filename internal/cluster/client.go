@@ -11,29 +11,24 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sketchengine/internal/fault"
 	"sketchengine/internal/server"
 )
 
 // backend is one configured backend: its address, the shared HTTP
-// client state, and the health checker's view of it.
+// client state, and its circuit breaker.
 type backend struct {
 	addr string // host:port, as configured
 	base string // http://host:port
 
-	// up is the breaker-derived health state request paths read: true
-	// iff the breaker is closed. Backends start up (optimistically): a
-	// backend that is actually down costs one failed fan-out per request
-	// until the breaker trips, while a backend wrongly marked down would
-	// silently shed load.
-	up atomic.Bool
-
 	// Circuit breaker state (see resilience.go). bMu guards the
-	// consecutive counters and state transitions — probe outcomes and
-	// concurrent request outcomes feed the same machine; bState is
-	// additionally atomic so /stats reads it without the lock.
+	// consecutive counters and state transitions — concurrent calls feed
+	// one machine; bState is additionally atomic so request paths and
+	// /stats read it without the lock. Backends start closed
+	// (optimistically): a backend that is actually down costs one failed
+	// fan-out per request until the breaker trips, while a backend
+	// wrongly held open would silently shed load.
 	bMu         sync.Mutex
 	bState      atomic.Int32
 	consecFails int
@@ -46,24 +41,34 @@ type backend struct {
 	routedRecords atomic.Int64 // records routed here by ingest
 	requests      atomic.Int64 // proxied requests sent
 	failures      atomic.Int64 // proxied requests that errored
-	transitions   atomic.Int64 // up<->down flips by the health checker
 
-	lastErr   atomic.Pointer[string] // last proxied-request or probe error
+	lastErr   atomic.Pointer[string] // last call error, probes included
 	downSince atomic.Int64           // unix nanos; 0 while up
 
-	// probeInterval is the current reprobe cadence in nanoseconds: the
-	// base health interval while the backend answers, doubling (with
-	// jitter, capped at MaxProbeInterval) while it stays down so a dead
-	// backend is not hammered every tick. Atomic because /stats reads
-	// it; nextProbe is only touched by the health loop.
+	// probeInterval is the probe loop's reprobe cadence in nanoseconds
+	// while the breaker is not closed: doubling per failure, back to the
+	// base health interval on a success (see scheduleReprobe). nextProbe
+	// is the deadline it implies, unix nanos, 0 = next tick.
 	probeInterval atomic.Int64
-	nextProbe     time.Time
+	nextProbe     atomic.Int64
 }
 
 func newBackend(addr string) *backend {
-	b := &backend{addr: addr, base: "http://" + addr}
-	b.up.Store(true)
-	return b
+	return &backend{addr: addr, base: "http://" + addr}
+}
+
+// up reports whether b's breaker is closed: the health state request
+// paths read.
+func (b *backend) up() bool { return b.bState.Load() == breakerClosed }
+
+// transitions counts b's up<->down flips: two per completed recovery,
+// plus one while it is down.
+func (b *backend) transitions() int64 {
+	n := 2 * b.closes.Load()
+	if !b.up() {
+		n++
+	}
+	return n
 }
 
 func (b *backend) noteError(err error) {
@@ -95,10 +100,8 @@ func (e *BackendError) Error() string {
 type client struct {
 	hc *http.Client
 
-	// observe, when set, receives every request's outcome — the
-	// request-path feed into the per-backend circuit breaker (classify
-	// with requestOK). Probes bypass it via send: the health loop
-	// reports outcomes itself, and one probe must count once, not twice.
+	// observe, when set, receives every call's outcome — the feed into
+	// the per-backend circuit breaker (classify with requestOK).
 	observe func(b *backend, err error)
 }
 
@@ -138,17 +141,6 @@ func (c *client) do(ctx context.Context, b *backend, method, path string, body, 
 	return c.doRaw(ctx, b, method, path, raw, out)
 }
 
-// doRaw is do for a body the caller has already encoded: the search
-// fan-out encodes its request once and hands every backend the same
-// bytes.
-func (c *client) doRaw(ctx context.Context, b *backend, method, path string, body []byte, out any) error {
-	err := c.send(ctx, b, method, path, body, out)
-	if c.observe != nil {
-		c.observe(b, err)
-	}
-	return err
-}
-
 // requestOK classifies a request outcome for the breaker: nil and
 // below-500 envelope errors mean the backend is serving (a 404 or 400
 // is a healthy answer); transport errors, torn responses, and 5xx count
@@ -161,9 +153,13 @@ func requestOK(err error) bool {
 	return errors.As(err, &berr) && berr.Status < 500
 }
 
-// send is doRaw without the breaker feed — the health loop's probes go
-// through it because observeProbe reports their outcomes itself.
-func (c *client) send(ctx context.Context, b *backend, method, path string, body []byte, out any) error {
+// doRaw is do for a body the caller has already encoded: the search
+// fan-out encodes its request once and hands every backend the same
+// bytes.
+func (c *client) doRaw(ctx context.Context, b *backend, method, path string, body []byte, out any) (err error) {
+	if c.observe != nil {
+		defer func() { c.observe(b, err) }()
+	}
 	b.requests.Add(1)
 	var rd io.Reader
 	if body != nil {

@@ -421,41 +421,41 @@ func TestHealthHysteresis(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = coord.Close() })
 	b := coord.backends[0]
-	if !b.up.Load() {
+	if !b.up() {
 		t.Fatal("backends must start optimistically up")
 	}
-	coord.observeProbe(b, false)
-	coord.observeProbe(b, false)
-	if !b.up.Load() {
+	coord.observeBreaker(b, false)
+	coord.observeBreaker(b, false)
+	if !b.up() {
 		t.Fatal("2 consecutive failures with DownAfter=3 must not mark down")
 	}
-	coord.observeProbe(b, false)
-	if b.up.Load() {
+	coord.observeBreaker(b, false)
+	if b.up() {
 		t.Fatal("3rd consecutive failure must mark down")
 	}
-	coord.observeProbe(b, true)
-	if b.up.Load() {
+	coord.observeBreaker(b, true)
+	if b.up() {
 		t.Fatal("1 success with UpAfter=2 must not mark up")
 	}
-	coord.observeProbe(b, false) // failure resets the success streak
-	coord.observeProbe(b, true)
-	if b.up.Load() {
+	coord.observeBreaker(b, false) // failure resets the success streak
+	coord.observeBreaker(b, true)
+	if b.up() {
 		t.Fatal("success streak must reset on failure")
 	}
-	coord.observeProbe(b, true)
-	if !b.up.Load() {
+	coord.observeBreaker(b, true)
+	if !b.up() {
 		t.Fatal("2 consecutive successes must mark up")
 	}
-	if got := b.transitions.Load(); got != 2 {
+	if got := b.transitions(); got != 2 {
 		t.Fatalf("transitions = %d, want 2 (down, up)", got)
 	}
 
 	// /healthz degrades while any backend is down.
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
-	coord.observeProbe(b, false)
-	coord.observeProbe(b, false)
-	coord.observeProbe(b, false)
+	coord.observeBreaker(b, false)
+	coord.observeBreaker(b, false)
+	coord.observeBreaker(b, false)
 	_, out := getBody(t, ts.URL+"/healthz")
 	if !strings.Contains(string(out), `"status":"degraded"`) {
 		t.Fatalf("healthz with a down backend = %s, want degraded", out)

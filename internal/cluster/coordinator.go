@@ -47,16 +47,14 @@ type Config struct {
 	// FanoutTimeout bounds each per-backend request inside a fan-out,
 	// so one stuck backend delays a scatter-gather by at most this.
 	FanoutTimeout time.Duration
-	// HealthInterval is the /healthz probe period. Negative disables
-	// the checker (tests drive health by hand).
+	// HealthInterval is the /healthz probe period; a backend that stays
+	// down is reprobed at up to ten times it. Negative means no
+	// background probing: only traffic (or a test, by hand) feeds the
+	// breakers.
 	HealthInterval time.Duration
-	// MaxProbeInterval caps the exponential backoff the prober applies
-	// to a backend that keeps failing its probes. Zero means ten times
-	// HealthInterval.
-	MaxProbeInterval time.Duration
-	// DownAfter / UpAfter are the hysteresis widths: consecutive probe
-	// failures before a backend is marked down, consecutive successes
-	// before it is marked up again.
+	// DownAfter / UpAfter are the breaker's hysteresis widths:
+	// consecutive failed calls before a backend is marked down,
+	// consecutive successes before it is marked up again.
 	DownAfter int
 	UpAfter   int
 	// HintsDir, when set, makes hinted handoff durable: hints queued
@@ -119,6 +117,10 @@ type Coordinator struct {
 	fanouts atomic.Int64 // fan-outs currently running, bounded by MaxFanout
 	// searchTurn rotates which backends a search's first wave leaves out.
 	searchTurn atomic.Uint64
+	// probeBase is the reprobe interval a breaker's backoff starts from
+	// and returns to: HealthInterval, or its default when that is
+	// negative (no probe loop; tests and traffic still feed the breakers).
+	probeBase time.Duration
 
 	// mu guards the membership view: the placement ring, the optional
 	// migration target ring, and the backend list. Request paths take
@@ -143,7 +145,7 @@ type Coordinator struct {
 
 // New validates cfg and builds a Coordinator. The hint drainer and the
 // read-repair worker start immediately (Serve only adds the listener,
-// the health checker, and the optional periodic sweep).
+// the breakers' probe loop, and the optional periodic sweep).
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Replication == 0 {
 		cfg.Replication = DefaultReplication
@@ -153,12 +155,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = DefaultHealthInterval
-	}
-	if cfg.MaxProbeInterval <= 0 {
-		cfg.MaxProbeInterval = 10 * cfg.HealthInterval
-	}
-	if cfg.MaxProbeInterval < cfg.HealthInterval {
-		cfg.MaxProbeInterval = cfg.HealthInterval
 	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = DefaultDownAfter
@@ -197,36 +193,40 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	hints, err := newHintStore(cfg.HintsDir, cfg.HintTTL)
+	hints, err := newHintStore(cfg.HintsDir)
 	if err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		ring:     ring,
-		client:   newClient(len(ring.Backends())),
-		metrics:  newClusterMetrics(),
-		hints:    hints,
-		repairs:  newRepairQueue(),
-		budget:   newRetryBudget(cfg.RetryBudget, cfg.RetryRefillPerSec),
-		byAddr:   make(map[string]*backend, len(ring.Backends())),
-		hintKick: make(chan struct{}, 1),
-		stop:     make(chan struct{}),
+		cfg:       cfg,
+		ring:      ring,
+		client:    newClient(len(ring.Backends())),
+		metrics:   newClusterMetrics(),
+		hints:     hints,
+		repairs:   newRepairQueue(),
+		budget:    newRetryBudget(cfg.RetryBudget, cfg.RetryRefillPerSec),
+		probeBase: cfg.HealthInterval,
+		byAddr:    make(map[string]*backend, len(ring.Backends())),
+		hintKick:  make(chan struct{}, 1),
+		stop:      make(chan struct{}),
+	}
+	if c.probeBase < 0 {
+		c.probeBase = DefaultHealthInterval
 	}
 	for _, addr := range ring.Backends() {
 		b := newBackend(addr)
 		c.backends = append(c.backends, b)
 		c.byAddr[addr] = b
 	}
-	// Live request outcomes drive the same breaker the health probes do,
-	// so a failing backend is shed as fast as traffic discovers it. A
-	// backend 504 means a propagated deadline died downstream; count it.
+	// Every call's outcome, request or probe, drives the backend's
+	// breaker. A backend 504 means a propagated deadline died downstream;
+	// count it.
 	c.client.observe = func(b *backend, err error) {
 		var berr *BackendError
 		if errors.As(err, &berr) && berr.Status == http.StatusGatewayTimeout {
 			c.metrics.deadlineExceeded.Add(1)
 		}
-		c.observeBreaker(b, requestOK(err), false)
+		c.observeBreaker(b, requestOK(err))
 	}
 	c.handler = c.limit(c.count(server.JSONErrors(c.routes())))
 	go c.repairLoop()
@@ -296,9 +296,9 @@ func (c *Coordinator) Listen() (net.Addr, error) {
 }
 
 // Serve serves on the listener bound by Listen until ctx is canceled,
-// then drains in-flight requests for up to DrainTimeout. The health
-// checker and the periodic repair sweep run for exactly the lifetime
-// of the serve loop.
+// then drains in-flight requests for up to DrainTimeout. The probe
+// loop and the periodic repair sweep run for exactly the lifetime of
+// the serve loop.
 func (c *Coordinator) Serve(ctx context.Context) error {
 	if c.lis == nil {
 		return errors.New("cluster: Serve called before Listen")
@@ -306,7 +306,7 @@ func (c *Coordinator) Serve(ctx context.Context) error {
 	hctx, stopHealth := context.WithCancel(context.Background())
 	defer stopHealth()
 	if c.cfg.HealthInterval > 0 {
-		go c.healthLoop(hctx)
+		go c.probeLoop(hctx)
 	}
 	if c.cfg.RepairInterval > 0 {
 		go c.sweepLoop(hctx)

@@ -18,18 +18,19 @@
 // byte-identical to a single node holding the same corpus — and
 // replicated hits are deduped by name keeping the best score.
 //
-// A health checker probes each backend's /healthz with
-// consecutive-failure hysteresis so one dropped probe never flaps the
-// ring, backing off exponentially (with jitter) on backends that stay
-// down. A search whose first wave comes up short asks the backends it
-// left out and retries the failed ones once before degrading: a
-// response is flagged "partial": true only when fewer than the
-// covering number answered, i.e. when completeness can no longer be
+// Liveness is one circuit breaker per backend, fed by every call's
+// outcome — requests and the breaker's own /healthz probe loop alike —
+// with consecutive-failure hysteresis so one dropped call never flaps
+// the ring, the probes backing off exponentially (with jitter) on
+// backends that stay down. A search whose first wave comes up short
+// asks the backends it left out and retries the failed ones once before
+// degrading: a response is flagged "partial": true only when fewer than
+// the covering number answered, i.e. when completeness can no longer be
 // guaranteed.
 //
 // The fleet is self-healing. Replicas that miss a quorum-acked write
 // get a hinted handoff: the miss is queued (durably, with -hints-dir)
-// and replayed automatically once the health checker sees the backend
+// and replayed automatically once the backend's breaker closes
 // again. Reads that expose replica disagreement — a GET that 404s on
 // one replica and hits on another, a search hit missing from a replica
 // that provably had room for it (seen when the rotation asks both

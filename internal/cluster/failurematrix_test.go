@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"sketchengine/internal/core"
 	"sketchengine/internal/fault"
 	"sketchengine/internal/server"
 )
@@ -28,7 +30,10 @@ import (
 //     ever return a record whose delete was acked;
 //   - retry volume stays within the configured token budget;
 //   - after faults clear, hints drain, the repair queue empties, and a
-//     final search returns exactly the acked state, unflagged.
+//     final search returns exactly the acked state, unflagged;
+//   - and that state is durable: kill every backend without a snapshot,
+//     reopen its directory, and each acked record is on every replica
+//     the ring names — also in the schedule whose disks tear writes.
 //
 // Each schedule is a t.Run subtest named by its seed, so a failure
 // reproduces with -run 'TestFailureMatrix/seed=N'. CHAOS_SEED adds one
@@ -47,6 +52,11 @@ func chaosSeeds() []int64 {
 	}
 	return seeds
 }
+
+// tornDiskSeed is the pinned schedule that also tears disk writes: the
+// backends' WAL appends and the coordinator's hint appends fail after
+// half their bytes landed, three times in ten.
+const tornDiskSeed = 7
 
 // chaosSpec derives a fault spec from the seed's own PRNG: always a
 // terminal fault on the backend transport, sometimes latency and a
@@ -95,6 +105,9 @@ func TestFailureMatrix(t *testing.T) {
 func runChaosSchedule(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	spec := chaosSpec(rng)
+	if seed == tornDiskSeed {
+		spec += ";wal.write:torn@0.3;hint.write:torn@0.3"
+	}
 	t.Logf("seed=%d spec=%q", seed, spec)
 
 	tc := newChaosCluster(t)
@@ -235,13 +248,16 @@ func runChaosSchedule(t *testing.T, seed int64) {
 	// Phase 3: faults clear; the cluster must reconverge by itself given
 	// probe and drain ticks (driven by hand here, as in the other tests).
 	fault.Disable()
+	if n := plan.Counters()["wal.write:torn"]; seed == tornDiskSeed && n == 0 {
+		t.Fatalf("seed=%d: no WAL write was torn; the schedule does not test what it says", seed)
+	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		allUp := true
 		for _, b := range tc.coord.backendList() {
-			if !b.up.Load() {
-				tc.coord.observeProbe(b, true)
-				allUp = allUp && b.up.Load()
+			if !b.up() {
+				tc.coord.observeBreaker(b, true)
+				allUp = allUp && b.up()
 			}
 		}
 		tc.coord.drainHints(context.Background())
@@ -288,6 +304,32 @@ func runChaosSchedule(t *testing.T, seed int64) {
 		}
 	}
 
+	// Durability: everything above was acked out of WALs alone. Crash the
+	// backends (no snapshot) and reopen them cold; the hint files must
+	// load and hold nothing.
+	for _, b := range tc.backends {
+		b.ts.Close()
+		ix := b.srv.Engine().Index()
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := core.Open(ix.DataDir())
+		if err != nil {
+			t.Fatalf("seed=%d: reopen %s: %v", seed, b.addr(), err)
+		}
+		defer re.Close()
+		for name := range led.live {
+			if slices.Contains(tc.coord.Ring().Replicas(name), b.addr()) && !re.Has(name) {
+				t.Errorf("seed=%d: acked record %q is not in replica %s after a crash", seed, name, b.addr())
+			}
+		}
+	}
+	if hs, err := newHintStore(tc.coord.cfg.HintsDir); err != nil || hs.depth() != 0 {
+		t.Errorf("seed=%d: hint files after recovery: err %v, %d pending", seed, err, hs.depth())
+	} else {
+		hs.close()
+	}
+
 	// Retry accounting: spend can never exceed the initial bucket plus
 	// everything refilled since the coordinator booted.
 	_, stats := getBody(t, tc.ts.URL+"/stats")
@@ -303,16 +345,34 @@ func runChaosSchedule(t *testing.T, seed int64) {
 	}
 }
 
-// newChaosCluster is newTestCluster with breaker and budget settings
-// tuned for fault schedules: breakers trip fast and recover on one
-// good probe, and the refill rate keeps hand-driven reconvergence
-// quick without unbounding the retry-volume assertion.
+// newChaosCluster is newTestCluster over WAL-backed backends and
+// durable hints, with breaker and budget settings tuned for fault
+// schedules: breakers trip fast and recover on one good probe, and the
+// refill rate keeps hand-driven reconvergence quick without unbounding
+// the retry-volume assertion.
 func newChaosCluster(t *testing.T) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	var addrs []string
 	for i := 0; i < 3; i++ {
-		b := newTestBackend(t)
+		dir := t.TempDir()
+		eng, err := core.NewEngine(core.Options{
+			K: 4, SignatureSize: 64, IndexName: "chaos", Shards: 4,
+			Bits: 8, Tiered: true, DataDir: dir, SegmentRows: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No snapshot but the first: every ack rests on the WAL.
+		srv, err := server.New(eng, server.Config{DataDir: dir, SnapshotEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := &testBackend{srv: srv, ts: httptest.NewServer(srv.Handler())}
+		t.Cleanup(func() {
+			b.ts.Close()
+			_ = srv.Close()
+		})
 		tc.backends = append(tc.backends, b)
 		addrs = append(addrs, b.addr())
 	}
@@ -321,6 +381,7 @@ func newChaosCluster(t *testing.T) *testCluster {
 		Replication:       2,
 		HealthInterval:    -1,
 		HintInterval:      -1,
+		HintsDir:          t.TempDir(),
 		DownAfter:         2,
 		UpAfter:           1,
 		FanoutTimeout:     2 * time.Second,

@@ -111,7 +111,7 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	wave := make([]*searchCall, 0, n)
 	for i := range calls {
 		calls[i].b = backends[(start+i)%n]
-		if len(wave) < cover && calls[i].b.up.Load() {
+		if len(wave) < cover && calls[i].b.up() {
 			wave = append(wave, &calls[i])
 		}
 	}
@@ -124,7 +124,7 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 			call := &calls[i]
 			switch {
 			case call.ok:
-			case call.err == nil && call.b.up.Load():
+			case call.err == nil && call.b.up():
 				wave = append(wave, call) // left out of wave one: a first call
 			default:
 				retry = append(retry, call) // failed wave one, or breaker open

@@ -154,9 +154,9 @@ func TestSearchOpenBreakerCostsNothing(t *testing.T) {
 	dead := tc.coord.backendList()[1]
 	tc.backendFor(dead.addr).ts.Close()
 	for i := 0; i < DefaultDownAfter; i++ {
-		tc.coord.observeProbe(dead, false)
+		tc.coord.observeBreaker(dead, false)
 	}
-	if dead.up.Load() {
+	if dead.up() {
 		t.Fatal("breaker did not open; test setup broken")
 	}
 	asked := dead.requests.Load()

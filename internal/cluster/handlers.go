@@ -66,8 +66,8 @@ type BackendStats struct {
 	Transitions      int64   `json:"transitions"`
 	DownSeconds      float64 `json:"down_seconds,omitempty"`
 	// PendingHints is how many quorum-acked writes this backend still
-	// has to catch up on; ProbeIntervalSeconds is the health prober's
-	// current (backed-off) cadence for it.
+	// has to catch up on; ProbeIntervalSeconds is its breaker's current
+	// (backed-off) reprobe cadence, absent until it has been down once.
 	PendingHints         int     `json:"pending_hints"`
 	ProbeIntervalSeconds float64 `json:"probe_interval_seconds,omitempty"`
 	LastError            string  `json:"last_error,omitempty"`
@@ -151,7 +151,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	backends := c.backendList()
 	up := 0
 	for _, b := range backends {
-		if b.up.Load() {
+		if b.up() {
 			up++
 		}
 	}
@@ -173,7 +173,7 @@ func (c *Coordinator) backendStats() []BackendStats {
 	for _, b := range backends {
 		bs := BackendStats{
 			Addr:             b.addr,
-			Up:               b.up.Load(),
+			Up:               b.up(),
 			Breaker:          breakerStateName(b.bState.Load()),
 			BreakerOpens:     b.opens.Load(),
 			BreakerHalfOpens: b.halfOpens.Load(),
@@ -181,7 +181,7 @@ func (c *Coordinator) backendStats() []BackendStats {
 			Requests:         b.requests.Load(),
 			Failures:         b.failures.Load(),
 			RoutedRecords:    b.routedRecords.Load(),
-			Transitions:      b.transitions.Load(),
+			Transitions:      b.transitions(),
 			PendingHints:     c.hints.depthFor(b.addr),
 		}
 		if since := b.downSince.Load(); since != 0 {
@@ -316,7 +316,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&buf, "# HELP sketchengine_cluster_backend_up Backend health as seen by the checker (1 up, 0 down).\n# TYPE sketchengine_cluster_backend_up gauge\n")
 	for _, b := range backends {
 		up := 0
-		if b.up.Load() {
+		if b.up() {
 			up = 1
 		}
 		fmt.Fprintf(&buf, "sketchengine_cluster_backend_up{backend=%q} %d\n", b.addr, up)

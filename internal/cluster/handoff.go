@@ -5,53 +5,47 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"sketchengine/internal/framelog"
 	"sketchengine/internal/server"
 )
 
 // Hinted handoff: when a write reaches its quorum but some replica
 // missed it, the coordinator records a hint — enough to replay the
 // write later — instead of silently leaving that replica behind. The
-// drainer replays hints in order once the health prober sees the
-// backend again, so a restarted replica converges without any manual
+// drainer replays hints in order once the backend's breaker closes
+// again, so a restarted replica converges without any manual
 // repair. Hints expire after HintTTL (the anti-entropy sweep is the
 // backstop for anything older).
 //
-// With HintsDir set, each backend's hints live in one append-only
-// CRC-framed file reusing the WAL's frame shape (docs/FORMAT.md):
-// a header (magic "SKHL", u32 version, u32 addrLen, addr) followed by
-//
-//	u32 bodyLen | u32 crc32(body) | body
-//
-// where body is
+// With HintsDir set, each backend's hints live in one framelog.Log
+// (docs/FORMAT.md, "Hint log"): the same framed file as the core WAL,
+// with a header of magic "SKHL", u32 version, u32 addrLen, addr, and a
+// frame body of
 //
 //	u64 expiresUnixNano | u8 op | u32 nameLen | name | u32 dataLen | data
 //
 // all little-endian. op=add carries the record payload (the backend
 // re-sketches it deterministically); op=delete carries the tombstone.
-// A torn tail from a crash mid-append is truncated at load, exactly
-// like the core WAL. Replayed hints are removed by rewriting the file
-// through a temp-file rename, so a crash mid-drain re-replays (adds
-// and deletes are both idempotent on the backend).
+// Replayed hints are removed by rewriting the file through a temp-file
+// rename, so a crash mid-drain re-replays (adds and deletes are both
+// idempotent on the backend).
 const (
 	hintMagic   = "SKHL"
 	hintVersion = 1
 
 	hintOpAdd    = 1
 	hintOpDelete = 2
-
-	// hintMaxBody rejects absurd frame lengths before allocating.
-	hintMaxBody = 1 << 27
 )
 
 // hint is one deferred write for a backend that missed it.
@@ -63,11 +57,9 @@ type hint struct {
 }
 
 // hintLog is one backend's pending hints, oldest first, plus the open
-// durable file when the store has a directory.
+// durable log when the store has a directory.
 type hintLog struct {
-	addr  string
-	path  string
-	f     *os.File
+	log   *framelog.Log // nil = memory only
 	hints []hint
 }
 
@@ -76,7 +68,6 @@ type hintLog struct {
 // order matches the replay order.
 type hintStore struct {
 	dir string // "" = memory only
-	ttl time.Duration
 
 	mu   sync.Mutex
 	logs map[string]*hintLog
@@ -84,13 +75,13 @@ type hintStore struct {
 	queued   atomic.Int64 // hints ever enqueued
 	replayed atomic.Int64 // hints successfully replayed to their backend
 	expired  atomic.Int64 // hints dropped past their TTL
-	dropped  atomic.Int64 // hints discarded because the backend left the ring
+	dropped  atomic.Int64 // hints discarded: backend left the ring, or undecodable on load
 }
 
 // newHintStore builds the store, loading any hint files a previous
 // coordinator left under dir (empty dir keeps hints in memory only).
-func newHintStore(dir string, ttl time.Duration) (*hintStore, error) {
-	s := &hintStore{dir: dir, ttl: ttl, logs: make(map[string]*hintLog)}
+func newHintStore(dir string) (*hintStore, error) {
+	s := &hintStore{dir: dir, logs: make(map[string]*hintLog)}
 	if dir == "" {
 		return s, nil
 	}
@@ -105,23 +96,16 @@ func newHintStore(dir string, ttl time.Duration) (*hintStore, error) {
 		if e.IsDir() || filepath.Ext(e.Name()) != ".hint" {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		addr, hints, validEnd, err := scanHintFile(path)
-		if err != nil {
+		// The file name carries the address (hintPath), so the whole
+		// header is known before the file is read — even an empty one.
+		stem := strings.TrimSuffix(e.Name(), ".hint")
+		addr, err := url.PathUnescape(stem[:max(0, len(stem)-17)])
+		if err != nil || hintPath(dir, addr) != filepath.Join(dir, e.Name()) {
+			return nil, fmt.Errorf("cluster: hints: %s is not named for a backend address", e.Name())
+		}
+		if s.logs[addr], err = s.open(addr); err != nil {
 			return nil, err
 		}
-		if fi, err := os.Stat(path); err == nil && fi.Size() > validEnd {
-			// Torn tail from a crash mid-append: keep the valid prefix.
-			if err := os.Truncate(path, validEnd); err != nil {
-				return nil, fmt.Errorf("cluster: hints: truncate %s: %w", path, err)
-			}
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: hints: %w", err)
-		}
-		s.logs[addr] = &hintLog{addr: addr, path: path, f: f, hints: hints}
-		s.queued.Add(int64(len(hints)))
 	}
 	return s, nil
 }
@@ -132,6 +116,36 @@ func hintPath(dir, addr string) string {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(addr))
 	return filepath.Join(dir, fmt.Sprintf("%s-%016x.hint", url.PathEscape(addr), h.Sum64()))
+}
+
+// open opens (creating if needed) addr's durable log, when the store
+// has a directory, and loads the hints in it. A frame whose CRC matches
+// but whose body does not decode is skipped and counted as dropped, and
+// the hints after it are kept: unlike the core WAL, which refuses to
+// open over such a frame, a hint is never the only copy of an acked
+// write (the repair sweep is the backstop), so one bad frame must not
+// stop the coordinator or cost the rest of the queue.
+func (s *hintStore) open(addr string) (*hintLog, error) {
+	if s.dir == "" {
+		return &hintLog{}, nil
+	}
+	hdr := append([]byte(hintMagic), 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(hdr[4:], hintVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(addr)))
+	log, bodies, _, err := framelog.Open(hintPath(s.dir, addr), append(hdr, addr...), "hint.write", "hint.fsync")
+	if err != nil {
+		return nil, fmt.Errorf("cluster: hints: %w", err)
+	}
+	l := &hintLog{log: log}
+	for _, body := range bodies {
+		if h, ok := decodeHintBody(body); ok {
+			l.hints = append(l.hints, h)
+		} else {
+			s.dropped.Add(1)
+		}
+	}
+	s.queued.Add(int64(len(l.hints)))
+	return l, nil
 }
 
 // enqueue appends hints for addr, durably when the store has a
@@ -146,35 +160,22 @@ func (s *hintStore) enqueue(addr string, hs ...hint) error {
 	defer s.mu.Unlock()
 	l := s.logs[addr]
 	if l == nil {
-		l = &hintLog{addr: addr}
-		if s.dir != "" {
-			l.path = hintPath(s.dir, addr)
-			f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-			if err != nil {
-				return fmt.Errorf("cluster: hints: %w", err)
-			}
-			if _, err := f.Write(hintHeader(addr)); err != nil {
-				f.Close()
-				return fmt.Errorf("cluster: hints: %w", err)
-			}
-			l.f = f
+		var err error
+		if l, err = s.open(addr); err != nil {
+			return err
 		}
 		s.logs[addr] = l
 	}
 	l.hints = append(l.hints, hs...)
 	s.queued.Add(int64(len(hs)))
-	if l.f == nil {
+	if l.log == nil {
 		return nil
 	}
-	var buf []byte
 	for _, h := range hs {
-		buf = appendHintFrame(buf, h)
+		appendHint(l.log, h)
 	}
-	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("cluster: hints: append %s: %w", l.path, err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("cluster: hints: fsync %s: %w", l.path, err)
+	if _, err := l.log.Sync(); err != nil {
+		return fmt.Errorf("cluster: hints: %w", err)
 	}
 	return nil
 }
@@ -211,45 +212,15 @@ func (s *hintStore) commit(addr string, done int) error {
 		done = len(l.hints)
 	}
 	l.hints = append(l.hints[:0], l.hints[done:]...)
-	return s.rewriteLocked(l)
-}
-
-// rewriteLocked replaces l's file with its current in-memory hints via
-// a temp-file rename, the same commit-point idiom the snapshot writer
-// uses. Callers hold s.mu.
-func (s *hintStore) rewriteLocked(l *hintLog) error {
-	if l.f == nil {
+	if l.log == nil {
 		return nil
 	}
-	tmp := l.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("cluster: hints: %w", err)
-	}
-	buf := hintHeader(l.addr)
 	for _, h := range l.hints {
-		buf = appendHintFrame(buf, h)
+		appendHint(l.log, h)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: hints: rewrite %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: hints: fsync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
+	if err := l.log.Rewrite(); err != nil {
 		return fmt.Errorf("cluster: hints: %w", err)
 	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		return fmt.Errorf("cluster: hints: %w", err)
-	}
-	l.f.Close()
-	nf, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("cluster: hints: reopen %s: %w", l.path, err)
-	}
-	l.f = nf
 	return nil
 }
 
@@ -263,9 +234,9 @@ func (s *hintStore) dropBackend(addr string) {
 		return
 	}
 	s.dropped.Add(int64(len(l.hints)))
-	if l.f != nil {
-		l.f.Close()
-		_ = os.Remove(l.path)
+	if l.log != nil {
+		l.log.Close()
+		_ = os.Remove(hintPath(s.dir, addr))
 	}
 	delete(s.logs, addr)
 }
@@ -311,85 +282,29 @@ func (s *hintStore) close() error {
 	defer s.mu.Unlock()
 	var first error
 	for _, l := range s.logs {
-		if l.f != nil {
-			if err := l.f.Close(); err != nil && first == nil {
+		if l.log != nil {
+			if err := l.log.Close(); err != nil && first == nil {
 				first = err
 			}
-			l.f = nil
+			l.log = nil
 		}
 	}
 	return first
 }
 
-// hintHeader encodes the file header for addr.
-func hintHeader(addr string) []byte {
-	buf := make([]byte, 0, 12+len(addr))
-	buf = append(buf, hintMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, hintVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(addr)))
-	return append(buf, addr...)
+// appendHint appends h as one frame to log's pending buffer.
+func appendHint(log *framelog.Log, h hint) {
+	log.Append(func(b []byte) []byte {
+		b = binary.LittleEndian.AppendUint64(b, uint64(h.expires))
+		b = append(b, h.op)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(h.name)))
+		b = append(b, h.name...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(h.data)))
+		return append(b, h.data...)
+	})
 }
 
-// appendHintFrame appends h's CRC frame to buf.
-func appendHintFrame(buf []byte, h hint) []byte {
-	body := make([]byte, 0, 8+1+4+len(h.name)+4+len(h.data))
-	body = binary.LittleEndian.AppendUint64(body, uint64(h.expires))
-	body = append(body, h.op)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(h.name)))
-	body = append(body, h.name...)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(h.data)))
-	body = append(body, h.data...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
-	return append(buf, body...)
-}
-
-// scanHintFile reads one hint file, returning the backend address from
-// its header, the decoded hints, and the byte offset of the end of the
-// valid prefix. A short or corrupt frame ends the scan cleanly (torn
-// tail); a bad magic or version is a hard error — the file is not a
-// hint log.
-func scanHintFile(path string) (addr string, hints []hint, validEnd int64, err error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return "", nil, 0, fmt.Errorf("cluster: hints: %w", err)
-	}
-	if len(raw) < 12 || string(raw[0:4]) != hintMagic {
-		return "", nil, 0, fmt.Errorf("cluster: hints: %s: bad magic", path)
-	}
-	if v := binary.LittleEndian.Uint32(raw[4:8]); v != hintVersion {
-		return "", nil, 0, fmt.Errorf("cluster: hints: %s: unsupported version %d", path, v)
-	}
-	addrLen := int(binary.LittleEndian.Uint32(raw[8:12]))
-	if addrLen <= 0 || 12+addrLen > len(raw) {
-		return "", nil, 0, fmt.Errorf("cluster: hints: %s: corrupt header", path)
-	}
-	addr = string(raw[12 : 12+addrLen])
-	off := int64(12 + addrLen)
-	validEnd = off
-	for {
-		if int64(len(raw))-off < 8 {
-			return addr, hints, validEnd, nil
-		}
-		bodyLen := int64(binary.LittleEndian.Uint32(raw[off : off+4]))
-		crc := binary.LittleEndian.Uint32(raw[off+4 : off+8])
-		if bodyLen > hintMaxBody || off+8+bodyLen > int64(len(raw)) {
-			return addr, hints, validEnd, nil
-		}
-		body := raw[off+8 : off+8+bodyLen]
-		if crc32.ChecksumIEEE(body) != crc {
-			return addr, hints, validEnd, nil
-		}
-		h, ok := decodeHintBody(body)
-		if !ok {
-			return addr, hints, validEnd, nil
-		}
-		hints = append(hints, h)
-		off += 8 + bodyLen
-		validEnd = off
-	}
-}
-
+// decodeHintBody parses one CRC-verified frame body.
 func decodeHintBody(body []byte) (hint, bool) {
 	if len(body) < 8+1+4 {
 		return hint{}, false
@@ -414,7 +329,7 @@ func decodeHintBody(body []byte) (hint, bool) {
 }
 
 // hintLoop is the background drainer: every HintInterval — or sooner,
-// when the health checker kicks it on a down->up transition — it
+// when a breaker kicks it on a down->up transition — it
 // replays pending hints to every backend currently marked up.
 func (c *Coordinator) hintLoop() {
 	t := time.NewTicker(c.cfg.HintInterval)
@@ -450,7 +365,7 @@ func (c *Coordinator) drainHints(ctx context.Context) {
 			c.hints.dropBackend(addr)
 			continue
 		}
-		if !b.up.Load() {
+		if !b.up() {
 			continue
 		}
 		c.drainBackendHints(ctx, b)

@@ -1,17 +1,19 @@
 package cluster
 
 import (
+	"context"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Per-backend circuit breaker states. The breaker subsumes the old
-// consecutive-failure health hysteresis: closed is the healthy state,
-// open means the backend is shed from first-wave traffic, and half-open
-// is the recovery probation — successes are flowing but fewer than
-// UpAfter of them have accumulated, so one failure snaps straight back
-// to open. The up flag request paths read is derived: true iff closed.
+// Per-backend circuit breaker: the one liveness state machine. Closed
+// is the healthy state, open means the backend is shed from first-wave
+// traffic, and half-open is the recovery probation — successes are
+// flowing but fewer than UpAfter of them have accumulated, so one
+// failure snaps straight back to open. "Up" is derived: the breaker is
+// closed.
 const (
 	breakerClosed int32 = iota
 	breakerOpen
@@ -30,78 +32,104 @@ func breakerStateName(s int32) string {
 	}
 }
 
-// observeBreaker feeds one outcome — a health probe's or a live
-// request's — into b's breaker. Closed trips open after DownAfter
-// consecutive failures; open moves to half-open on the first success;
-// half-open closes after UpAfter total consecutive successes and
-// reopens on any failure. Request outcomes drive the same machine as
-// probes, so a failing backend is shed as fast as traffic discovers it
-// rather than at probe cadence — but only probes touch the reprobe
-// backoff schedule (nextProbe belongs to the health loop). A close
-// (down->up) kicks the hint drainer, exactly when queued writes should
-// replay.
-func (c *Coordinator) observeBreaker(b *backend, ok, fromProbe bool) {
+// observeBreaker feeds one call's outcome into b's breaker. Every call
+// the client makes lands here, a /healthz probe like a search: closed
+// trips open after DownAfter consecutive failures, so a single dropped
+// call (GC pause, stolen CPU) never flaps the ring; open moves to
+// half-open on the first success; half-open closes after UpAfter
+// consecutive successes and reopens on any failure. A failing backend
+// is therefore shed as fast as traffic discovers it, and the probe loop
+// is only the feed that keeps coming when traffic avoids the backend.
+// While the breaker is not closed every failure doubles the loop's
+// reprobe interval and every success resets it. A close (down->up)
+// kicks the hint drainer, exactly when queued writes should replay.
+func (c *Coordinator) observeBreaker(b *backend, ok bool) {
 	b.bMu.Lock()
-	state := b.bState.Load()
+	was := b.bState.Load()
+	state := was
 	if ok {
 		b.consecFails = 0
 		b.consecOKs++
-		if fromProbe {
-			b.probeInterval.Store(int64(c.baseProbeInterval()))
-			b.nextProbe = time.Time{}
+		if state != breakerClosed {
+			b.probeInterval.Store(int64(c.probeBase))
+			b.nextProbe.Store(0)
+			if state == breakerOpen {
+				state = breakerHalfOpen
+				b.halfOpens.Add(1)
+			}
+			if b.consecOKs >= c.cfg.UpAfter {
+				state = breakerClosed
+				b.closes.Add(1)
+				b.downSince.Store(0)
+			}
 		}
-		if state == breakerClosed {
-			b.bMu.Unlock()
-			return
+	} else {
+		b.consecOKs = 0
+		b.consecFails++
+		if state == breakerHalfOpen || state == breakerClosed && b.consecFails >= c.cfg.DownAfter {
+			if state == breakerClosed {
+				b.downSince.Store(time.Now().UnixNano())
+			}
+			state = breakerOpen
+			b.opens.Add(1)
 		}
-		if state == breakerOpen {
-			b.bState.Store(breakerHalfOpen)
-			b.halfOpens.Add(1)
-			state = breakerHalfOpen
+		if state != breakerClosed {
+			b.scheduleReprobe(c.probeBase)
 		}
-		if state == breakerHalfOpen && b.consecOKs >= c.cfg.UpAfter {
-			b.bState.Store(breakerClosed)
-			b.closes.Add(1)
-			b.up.Store(true)
-			b.downSince.Store(0)
-			b.transitions.Add(1)
-			b.bMu.Unlock()
-			c.logf("backend %s is up (breaker closed)", b.addr)
-			c.kickHintDrain()
-			return
-		}
-		b.bMu.Unlock()
-		return
 	}
-	b.consecOKs = 0
-	b.consecFails++
-	opened := false
-	switch state {
-	case breakerClosed:
-		if b.consecFails >= c.cfg.DownAfter {
-			opened = true
-		}
-	case breakerHalfOpen:
-		// Probation failed: reopen immediately, no hysteresis.
-		opened = true
+	if state != was {
+		b.bState.Store(state)
 	}
 	fails := b.consecFails
-	if opened {
-		b.bState.Store(breakerOpen)
-		b.opens.Add(1)
-		if b.up.Load() {
-			b.up.Store(false)
-			b.downSince.Store(time.Now().UnixNano())
-			b.transitions.Add(1)
-		}
-	}
-	if fromProbe && !b.up.Load() {
-		b.scheduleReprobe(c.baseProbeInterval(), c.cfg.MaxProbeInterval)
-	}
 	b.bMu.Unlock()
-	if opened {
+	switch {
+	case state == was:
+	case state == breakerClosed:
+		c.logf("backend %s is up (breaker closed)", b.addr)
+		c.kickHintDrain()
+	case state == breakerOpen:
 		c.logf("backend %s is down after %d consecutive failures (breaker open)", b.addr, fails)
 	}
+}
+
+// probeLoop is the breaker's own feed: every HealthInterval it calls
+// /healthz on each backend whose reprobe deadline has passed, through
+// the same client.do — and so the same observeBreaker — as every other
+// call. A backend that stays down has its deadline pushed out
+// exponentially, so it costs one connection attempt per backoff period
+// instead of one per tick. Probes run sequentially — the fleet is small
+// and one goroutine is enough — each bounded by the fan-out timeout.
+func (c *Coordinator) probeLoop(ctx context.Context) {
+	t := time.NewTicker(c.cfg.HealthInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			now := time.Now().UnixNano()
+			for _, b := range c.backendList() {
+				if now < b.nextProbe.Load() {
+					continue
+				}
+				pctx, cancel := context.WithTimeout(ctx, c.cfg.FanoutTimeout)
+				_ = c.client.do(pctx, b, "GET", "/healthz", nil, nil)
+				cancel()
+			}
+		}
+	}
+}
+
+// scheduleReprobe doubles b's reprobe interval (starting from base,
+// capped at ten times it) and sets the next probe deadline with +-20%
+// jitter, so a fleet of coordinators restarting together does not
+// reprobe in lockstep. The stored interval is the nominal, unjittered
+// one so /stats shows a stable number. Callers hold b.bMu.
+func (b *backend) scheduleReprobe(base time.Duration) {
+	next := min(max(time.Duration(b.probeInterval.Load())*2, base), 10*base)
+	b.probeInterval.Store(int64(next))
+	jittered := time.Duration(float64(next) * (0.8 + 0.4*rand.Float64()))
+	b.nextProbe.Store(time.Now().Add(jittered).UnixNano())
 }
 
 // retryBudget is the coordinator-wide token bucket that caps retry

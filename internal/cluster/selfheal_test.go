@@ -474,16 +474,16 @@ func readAll(resp *http.Response) ([]byte, error) {
 }
 
 // TestProbeBackoff: a backend that stays down is reprobed on an
-// exponentially growing, capped interval; recovery resets it.
+// exponentially growing interval, capped at ten times the base;
+// recovery resets it.
 func TestProbeBackoff(t *testing.T) {
 	coord, err := New(Config{
-		Backends:         []string{"h1:1", "h2:1", "h3:1"},
-		Replication:      2,
-		HealthInterval:   50 * time.Millisecond,
-		MaxProbeInterval: 400 * time.Millisecond,
-		HintInterval:     -1,
-		DownAfter:        3,
-		UpAfter:          2,
+		Backends:       []string{"h1:1", "h2:1", "h3:1"},
+		Replication:    2,
+		HealthInterval: 50 * time.Millisecond,
+		HintInterval:   -1,
+		DownAfter:      3,
+		UpAfter:        2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -492,22 +492,22 @@ func TestProbeBackoff(t *testing.T) {
 	b := coord.backendList()[0]
 
 	steps := []time.Duration{0, 0, 50 * time.Millisecond, 100 * time.Millisecond,
-		200 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond}
+		200 * time.Millisecond, 400 * time.Millisecond, 500 * time.Millisecond, 500 * time.Millisecond}
 	for i, want := range steps {
-		coord.observeProbe(b, false)
+		coord.observeBreaker(b, false)
 		if got := time.Duration(b.probeInterval.Load()); got != want {
 			t.Fatalf("after %d failures probe interval = %s, want %s", i+1, got, want)
 		}
 	}
-	if b.up.Load() {
+	if b.up() {
 		t.Fatal("backend must be down by now")
 	}
-	if b.nextProbe.IsZero() {
+	if b.nextProbe.Load() == 0 {
 		t.Fatal("a down backend must have a reprobe deadline")
 	}
 	// The jittered deadline stays within +-20% of the nominal interval.
-	until := time.Until(b.nextProbe)
-	if until > 400*time.Millisecond*12/10 {
+	until := time.Until(time.Unix(0, b.nextProbe.Load()))
+	if until > 500*time.Millisecond*12/10 {
 		t.Fatalf("reprobe deadline %s exceeds interval + 20%% jitter", until)
 	}
 	// Stats surface the backed-off cadence.
@@ -515,8 +515,8 @@ func TestProbeBackoff(t *testing.T) {
 	for _, bs := range coord.backendStats() {
 		if bs.Addr == b.addr {
 			found = true
-			if bs.ProbeIntervalSeconds != 0.4 {
-				t.Errorf("stats probe_interval_seconds = %v, want 0.4", bs.ProbeIntervalSeconds)
+			if bs.ProbeIntervalSeconds != 0.5 {
+				t.Errorf("stats probe_interval_seconds = %v, want 0.5", bs.ProbeIntervalSeconds)
 			}
 		}
 	}
@@ -524,15 +524,15 @@ func TestProbeBackoff(t *testing.T) {
 		t.Fatal("backend missing from stats")
 	}
 
-	coord.observeProbe(b, true)
-	coord.observeProbe(b, true)
-	if !b.up.Load() {
+	coord.observeBreaker(b, true)
+	coord.observeBreaker(b, true)
+	if !b.up() {
 		t.Fatal("two successes must mark the backend up")
 	}
 	if got := time.Duration(b.probeInterval.Load()); got != 50*time.Millisecond {
 		t.Fatalf("recovery must reset the probe interval, got %s", got)
 	}
-	if !b.nextProbe.IsZero() {
+	if b.nextProbe.Load() != 0 {
 		t.Fatal("recovery must clear the reprobe deadline")
 	}
 	// The up transition kicked the hint drainer.

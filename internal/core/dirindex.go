@@ -193,17 +193,17 @@ func (sh *shard) deadRowsLocked() []int32 {
 // there is a manifest to replay it over".
 func (ix *Index) attachWALsLocked() error {
 	for si, sh := range ix.shards {
-		if w := sh.wal.Load(); w != nil {
-			if err := w.reset(); err != nil {
+		w := sh.wal.Load()
+		if w == nil {
+			var err error
+			if w, _, _, err = openWAL(ix.tier.dataDir, si, ix.tier); err != nil {
 				return err
 			}
-			continue
+			sh.wal.Store(w)
 		}
-		w, err := openShardWAL(walPath(ix.tier.dataDir, si), si, ix.tier, 0, 0)
-		if err != nil {
+		if err := w.Reset(); err != nil {
 			return err
 		}
-		sh.wal.Store(w)
 	}
 	return nil
 }
@@ -465,31 +465,32 @@ func Open(dir string) (ix *Index, err error) {
 	return ix, nil
 }
 
-// replayWAL scans every shard's write-ahead log, applies the decodable
-// frames in global sequence order through the normal Add/Delete paths,
-// and attaches each log at the end of its valid prefix (truncating torn
-// tails). The logs are not attached until after the replay, so replayed
-// mutations are not re-logged. Called by Open on the fully-built
-// index, before it is visible to anyone else.
-func (ix *Index) replayWAL() error {
-	type walScan struct {
-		validEnd int64
-		frames   int64
-	}
-	scans := make([]walScan, len(ix.shards))
+// replayWAL opens every shard's write-ahead log (which cuts torn tails
+// off), applies the frames in global sequence order through the normal
+// Add/Delete paths, and only then attaches the logs, so replayed
+// mutations are not re-logged. Called by Open on the fully-built index,
+// before it is visible to anyone else.
+func (ix *Index) replayWAL() (err error) {
+	wals := make([]*shardWAL, len(ix.shards))
+	defer func() {
+		if err != nil {
+			for _, w := range wals {
+				if w != nil {
+					w.Close()
+				}
+			}
+		}
+	}()
 	var all []walOp
-	var torn uint64
+	var torn int64
 	for si := range ix.shards {
-		path := walPath(ix.tier.dataDir, si)
-		ops, validEnd, err := scanShardWAL(path, si)
+		w, ops, t, err := openWAL(ix.tier.dataDir, si, ix.tier)
 		if err != nil {
 			return fmt.Errorf("index: %w", err)
 		}
-		if fi, serr := os.Stat(path); serr == nil && fi.Size() > validEnd {
-			torn += uint64(fi.Size() - validEnd)
-		}
-		scans[si] = walScan{validEnd: validEnd, frames: int64(len(ops))}
+		wals[si] = w
 		all = append(all, ops...)
+		torn += t
 	}
 	slices.SortFunc(all, func(a, b walOp) int { return cmp.Compare(a.seq, b.seq) })
 	slots := ix.meta.SignatureSize
@@ -520,13 +521,9 @@ func (ix *Index) replayWAL() error {
 		ix.tier.walSeq.Store(maxSeq)
 	}
 	ix.tier.walReplayed.Store(uint64(len(all)))
-	ix.tier.walTornBytes.Store(torn)
+	ix.tier.walTornBytes.Store(uint64(torn))
 	for si, sh := range ix.shards {
-		w, err := openShardWAL(walPath(ix.tier.dataDir, si), si, ix.tier, scans[si].validEnd, scans[si].frames)
-		if err != nil {
-			return fmt.Errorf("index: %w", err)
-		}
-		sh.wal.Store(w)
+		sh.wal.Store(wals[si])
 	}
 	return nil
 }
@@ -622,7 +619,7 @@ func (ix *Index) Close() error {
 			}
 		}
 		if w := sh.wal.Load(); w != nil {
-			if err := w.close(); err != nil && first == nil {
+			if err := w.Close(); err != nil && first == nil {
 				first = err
 			}
 			sh.wal.Store(nil)

@@ -15,51 +15,114 @@ import (
 // record intact. Un-acked writes may or may not survive (acked state
 // is a lower bound, exactly like a real crash).
 
-// TestWALWriteFault: an injected write failure drops the buffered
-// frame, so the ack fails and the record does not survive a reopen —
+// TestWALWriteFault: an injected write failure — before any byte is
+// written, or torn: after half the buffer landed — drops the buffered
+// frame, so the ack fails and the record does not survive a reopen,
 // while every record acked before and after it does.
 func TestWALWriteFault(t *testing.T) {
-	dir := t.TempDir()
-	eng := walEngine(t, dir, 8)
+	for _, kind := range []string{fault.KindFailOnce, fault.KindTorn} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			eng := walEngine(t, dir, 8)
 
-	p, err := fault.Parse("wal.write:fail-once", 1)
+			p, err := fault.Parse("wal.write:"+kind, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault.Enable(p)
+			defer fault.Disable()
+
+			_, err = eng.Add(Record{Name: "rec-8", Data: benchData(256, 9)})
+			var inj *fault.InjectedError
+			if !errors.As(err, &inj) || inj.Point != "wal.write" {
+				t.Fatalf("add through a wal.write fault = %v, want injected error", err)
+			}
+			// The fault is over (fail-once consumed itself): the next ack
+			// is clean.
+			fault.Disable()
+			if _, err := eng.Add(Record{Name: "rec-9", Data: benchData(256, 10)}); err != nil {
+				t.Fatalf("add after the fault cleared: %v", err)
+			}
+			if err := eng.Index().Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			ix, err := Open(dir)
+			if err != nil {
+				t.Fatalf("Open after an injected write failure: %v", err)
+			}
+			defer ix.Close()
+			for i := 0; i < 8; i++ {
+				if !ix.Has(fmt.Sprintf("rec-%d", i)) {
+					t.Errorf("acked rec-%d lost", i)
+				}
+			}
+			if !ix.Has("rec-9") {
+				t.Error("rec-9, acked after the fault, lost")
+			}
+			if ix.Has("rec-8") {
+				t.Error("rec-8 was never acked (its frame was dropped) but survived the reopen")
+			}
+			if ix.Len() != 9 {
+				t.Errorf("recovered %d records, want 9", ix.Len())
+			}
+			if ws := ix.WAL(); ws == nil || ws.TornBytes != 0 {
+				t.Errorf("WAL stats = %+v: the failed write left bytes in the log", ws)
+			}
+		})
+	}
+}
+
+// TestWALShortWriteKeepsLaterAcks: a short write (ENOSPC or EIO after
+// part of the buffer reached the file) must not strand a torn frame in
+// the middle of a log. Every later acked frame would be appended and
+// fsynced behind it, and the next Open would stop its scan at the torn
+// frame and truncate them all away without an error.
+func TestWALShortWriteKeepsLaterAcks(t *testing.T) {
+	dir := t.TempDir()
+	eng := walEngine(t, dir, 0)
+	ack := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ack(0, 9)
+
+	// One short write on every shard's WAL.
+	p, err := fault.Parse("wal.write:torn", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fault.Enable(p)
 	defer fault.Disable()
+	shards := eng.Index().Metadata().Shards
+	hit := make(map[int]bool)
+	for i := 0; len(hit) < shards; i++ {
+		name := fmt.Sprintf("unacked-%d", i)
+		if _, err := eng.Add(Record{Name: name, Data: benchData(256, int64(1000+i))}); err == nil {
+			t.Fatalf("add of %s through a torn write was acked", name)
+		}
+		hit[shardFor(name, shards)] = true
+	}
+	fault.Disable()
 
-	_, err = eng.Add(Record{Name: "rec-8", Data: benchData(256, 9)})
-	var inj *fault.InjectedError
-	if !errors.As(err, &inj) || inj.Point != "wal.write" {
-		t.Fatalf("add through a wal.write fault = %v, want injected error", err)
-	}
-	// fail-once is consumed: the next ack is clean.
-	if _, err := eng.Add(Record{Name: "rec-9", Data: benchData(256, 10)}); err != nil {
-		t.Fatalf("add after the fault cleared: %v", err)
-	}
+	ack(9, 30)
+	// The crash: handles dropped, no snapshot.
 	if err := eng.Index().Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	ix, err := Open(dir)
 	if err != nil {
-		t.Fatalf("Open after an injected write failure: %v", err)
+		t.Fatal(err)
 	}
 	defer ix.Close()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 30; i++ {
 		if !ix.Has(fmt.Sprintf("rec-%d", i)) {
-			t.Errorf("acked rec-%d lost", i)
+			t.Errorf("acked rec-%d lost behind a torn frame", i)
 		}
-	}
-	if !ix.Has("rec-9") {
-		t.Error("rec-9, acked after the fault, lost")
-	}
-	if ix.Has("rec-8") {
-		t.Error("rec-8 was never acked (its frame was dropped) but survived the reopen")
-	}
-	if ix.Len() != 9 {
-		t.Errorf("recovered %d records, want 9", ix.Len())
 	}
 }
 

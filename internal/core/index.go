@@ -53,7 +53,7 @@ type Index struct {
 	// writeMu serializes structural rebuilds (Rebucket, SaveDir)
 	// against mutations (Add, Delete): mutators hold it shared,
 	// rebuilds exclusively. Queries never touch it. Lock order is
-	// writeMu -> ix.mu -> shard.mu -> shardWAL.mu.
+	// writeMu -> ix.mu -> shard.mu -> the shard WAL's own.
 	writeMu sync.RWMutex
 
 	mu     sync.RWMutex // guards meta, order, and gen; the shards slice is fixed at construction
@@ -343,7 +343,7 @@ func (ix *Index) WAL() *WALStats {
 	for _, sh := range ix.snapshotShards() {
 		if w := sh.wal.Load(); w != nil {
 			attached = true
-			frames, bytes := w.depth()
+			frames, bytes := w.Depth()
 			st.Frames += frames
 			st.Bytes += bytes
 		}

@@ -3,29 +3,23 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
 
-	"sketchengine/internal/fault"
+	"sketchengine/internal/framelog"
 )
 
 // Per-shard write-ahead log. Every acknowledged add or delete on a
-// tiered index is appended as a CRC-framed record to the owning shard's
-// WAL before the ack, and replayed over the last snapshot when the
-// directory is reopened — so acked-ingest-survives costs O(delta since
-// the last snapshot) instead of being snapshot-gated. The full protocol
-// (frame layout, fsync batching, truncation, crash-safety argument) is
-// specified in docs/FORMAT.md.
+// tiered index is appended as a frame to the owning shard's WAL before
+// the ack, and replayed over the last snapshot when the directory is
+// reopened — so acked-ingest-survives costs O(delta since the last
+// snapshot) instead of being snapshot-gated. The file is a
+// framelog.Log: frames, torn tails, write failures and reset are its
+// business (docs/FORMAT.md, "Framed log"); this file owns the header
+// and the frame body.
 //
-// File layout: a 16-byte header (magic "SKWL", u32 version, u32 shard
-// ID, u32 reserved) followed by frames. Each frame is
-//
-//	u32 bodyLen | u32 crc32(body) | body
-//
-// where body is
+// Header, 16 bytes: magic "SKWL", u32 version, u32 shard ID, u32
+// reserved. Frame body:
 //
 //	u64 seq | u8 op | u32 nameLen | name
 //	  op=add only: u32 shingles | u32 slots | slots x u64 signature
@@ -41,10 +35,6 @@ const (
 
 	walOpAdd    = 1
 	walOpDelete = 2
-
-	// walMaxBody rejects absurd frame lengths before allocating; the
-	// largest legal frame is a name plus a signature, both far smaller.
-	walMaxBody = 1 << 27
 )
 
 // walPath names shard si's WAL file under dataDir.
@@ -61,234 +51,97 @@ type walOp struct {
 	sig      []uint64 // add frames only; full-width slot values
 }
 
-// shardWAL is one shard's open write-ahead log. Appends encode into an
-// in-memory buffer (and therefore never fail), so shard.add needs no
-// rollback path; sync flushes and fsyncs whatever has accumulated —
+// shardWAL is one shard's open write-ahead log. Appends encode into the
+// log's in-memory buffer (and therefore never fail), so shard.add needs
+// no rollback path; sync flushes and fsyncs whatever has accumulated —
 // concurrent writers on the same shard group-commit under one fsync.
-// The owning shard's lock is NOT required: shardWAL has its own mutex,
-// and the lock order is writeMu -> ix.mu -> sh.mu -> w.mu.
+// The owning shard's lock is NOT required: the log has its own mutex,
+// and the lock order is writeMu -> ix.mu -> sh.mu -> the log's. Reset
+// (SaveDir, right after the manifest rename commits a snapshot holding
+// every logged mutation; that order leaves no gap for a frame to land
+// in), Depth and Close are the log's own.
 type shardWAL struct {
-	t       *tierState
-	shardID int
-	path    string
-
-	mu     sync.Mutex
-	f      *os.File
-	buf    []byte // encoded frames not yet written to the file
-	frames int64  // frames appended since the last reset
-	bytes  int64  // frame bytes (excluding header) since the last reset
+	t *tierState
+	*framelog.Log
 }
 
-// openShardWAL opens (creating if needed) the shard WAL at path and
-// positions it at off — the end of the valid prefix a prior
-// scanShardWAL found. Anything past off (a torn tail from a crash
-// mid-write) is truncated away; off <= walHeaderSize rewrites a fresh
-// header. frames is the number of valid frames in the retained prefix.
-func openShardWAL(path string, shardID int, t *tierState, off, frames int64) (*shardWAL, error) {
+// openWAL opens (creating if needed) shard si's WAL under dataDir and
+// returns it positioned after its valid prefix, the frames of that
+// prefix decoded, and the torn bytes cut off behind it. A frame whose
+// CRC matches but whose body does not decode is not a torn write but
+// real corruption (or a writer bug): a hard error, like a header that
+// names another magic, version or shard — no guessing at acknowledged
+// data.
+func openWAL(dataDir string, si int, t *tierState) (w *shardWAL, ops []walOp, torn int64, err error) {
+	path := walPath(dataDir, si)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, nil, 0, fmt.Errorf("wal: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	hdr := make([]byte, walHeaderSize)
+	copy(hdr, walMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], walVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(si))
+	log, bodies, torn, err := framelog.Open(path, hdr, "wal.write", "wal.fsync")
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, nil, 0, fmt.Errorf("wal: %w", err)
 	}
-	w := &shardWAL{t: t, shardID: shardID, path: path, f: f}
-	if off <= walHeaderSize {
-		if err := w.writeHeader(); err != nil {
-			f.Close()
-			return nil, err
+	ops = make([]walOp, len(bodies))
+	for i, body := range bodies {
+		if ops[i], err = decodeWALBody(body); err != nil {
+			log.Close()
+			return nil, nil, 0, fmt.Errorf("wal: %s: frame %d: %w", path, i, err)
 		}
-		return w, nil
 	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate %s: %w", path, err)
-	}
-	if _, err := f.Seek(off, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	w.frames = frames
-	w.bytes = off - walHeaderSize
-	return w, nil
-}
-
-// writeHeader resets the file to a fresh, empty log: header only.
-func (w *shardWAL) writeHeader() error {
-	var hdr [walHeaderSize]byte
-	copy(hdr[0:4], walMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], walVersion)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(w.shardID))
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncate %s: %w", w.path, err)
-	}
-	if _, err := w.f.WriteAt(hdr[:], 0); err != nil {
-		return fmt.Errorf("wal: %s: %w", w.path, err)
-	}
-	if _, err := w.f.Seek(walHeaderSize, 0); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	w.frames, w.bytes = 0, 0
-	w.buf = w.buf[:0]
-	return nil
+	return &shardWAL{t, log}, ops, torn, nil
 }
 
 // appendAdd logs an acknowledged insert. The append lands in the
 // in-memory buffer and cannot fail; durability comes from the next
 // sync.
 func (w *shardWAL) appendAdd(seq uint64, name string, shingles int32, sig []uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	hdrAt := w.openFrame(seq, walOpAdd, name)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(shingles))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(sig)))
-	for _, v := range sig {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-	}
-	w.sealFrame(hdrAt)
+	w.t.walAppends.Add(1)
+	w.Append(func(b []byte) []byte {
+		b = appendWALHead(b, seq, walOpAdd, name)
+		b = binary.LittleEndian.AppendUint32(b, uint32(shingles))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(sig)))
+		for _, v := range sig {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	})
 }
 
 // appendDelete logs an acknowledged tombstone.
 func (w *shardWAL) appendDelete(seq uint64, name string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.sealFrame(w.openFrame(seq, walOpDelete, name))
-}
-
-// openFrame appends the 8-byte frame-header placeholder plus the body
-// fields every frame shares, returning the placeholder's offset for
-// sealFrame. Callers hold w.mu.
-func (w *shardWAL) openFrame(seq uint64, op byte, name string) (hdrAt int) {
-	hdrAt = len(w.buf)
-	w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0) // bodyLen + crc placeholder
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, seq)
-	w.buf = append(w.buf, op)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(name)))
-	w.buf = append(w.buf, name...)
-	return hdrAt
-}
-
-// sealFrame backfills the bodyLen and body-CRC placeholder of the frame
-// opened at hdrAt, completing the append. Callers hold w.mu.
-func (w *shardWAL) sealFrame(hdrAt int) {
-	body := w.buf[hdrAt+8:]
-	binary.LittleEndian.PutUint32(w.buf[hdrAt:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(w.buf[hdrAt+4:], crc32.ChecksumIEEE(body))
-	w.frames++
-	w.bytes += int64(8 + len(body))
 	w.t.walAppends.Add(1)
+	w.Append(func(b []byte) []byte { return appendWALHead(b, seq, walOpDelete, name) })
 }
 
-// sync writes the buffered frames and fsyncs the file — the durability
-// point every ack waits on. An empty buffer is a no-op (whatever was
-// written before is already fsynced), so syncing all shards after an
-// add only pays one fsync, on the shard that changed. On a write error
-// the buffered frames are dropped from the log (the caller fails the
-// ack; the records themselves are still in memory and reach disk with
-// the next snapshot).
+// appendWALHead appends the body fields every frame shares.
+func appendWALHead(b []byte, seq uint64, op byte, name string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = append(b, op)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(name)))
+	return append(b, name...)
+}
+
+// sync makes the buffered frames durable — the point every ack waits
+// on. An empty buffer is a no-op, so syncing all shards after an add
+// only pays one fsync, on the shard that changed. On an error the
+// buffered frames are dropped from the log and the file is rolled back
+// to its last complete write (the caller fails the ack; the records
+// themselves are still in memory and reach disk with the next
+// snapshot).
 func (w *shardWAL) sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.buf) == 0 {
-		return nil
-	}
-	if ferr := fault.Check("wal.write"); ferr != nil {
-		w.buf = w.buf[:0]
-		return fmt.Errorf("wal: %s: %w", w.path, ferr)
-	}
-	_, err := w.f.Write(w.buf)
-	w.buf = w.buf[:0]
+	fsync, err := w.Sync()
 	if err != nil {
-		return fmt.Errorf("wal: %s: %w", w.path, err)
+		return fmt.Errorf("wal: %w", err)
 	}
-	start := time.Now()
-	if ferr := fault.Check("wal.fsync"); ferr != nil {
-		return fmt.Errorf("wal: fsync %s: %w", w.path, ferr)
+	if fsync > 0 {
+		w.t.walFsyncs.Add(1)
+		w.t.walFsyncNanos.Add(uint64(fsync))
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync %s: %w", w.path, err)
-	}
-	w.t.walFsyncs.Add(1)
-	w.t.walFsyncNanos.Add(uint64(time.Since(start).Nanoseconds()))
 	return nil
-}
-
-// reset empties the log back to a bare header. SaveDir calls it right
-// after the manifest rename commits a snapshot that already contains
-// every logged mutation; the lock order guarantees no frame can land
-// between the snapshot and the truncation.
-func (w *shardWAL) reset() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.writeHeader()
-}
-
-// depth returns the (frames, bytes) accumulated since the last reset.
-func (w *shardWAL) depth() (int64, int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.frames, w.bytes
-}
-
-func (w *shardWAL) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
-}
-
-// scanShardWAL reads the WAL at path and returns every decodable frame
-// plus the file offset where the valid prefix ends. A torn tail — a
-// frame the process was still writing when it died — fails its length
-// or CRC check and cleanly ends the scan; everything before it is
-// intact because frames are appended in order and fsynced before the
-// ack. A missing file returns (nil, 0, nil): no log, nothing to
-// replay. A corrupt header (wrong magic, version, or shard ID) is a
-// hard error — that is not a torn write but the wrong file.
-func scanShardWAL(path string, shardID int) (ops []walOp, validEnd int64, err error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
-	}
-	if len(data) < walHeaderSize {
-		// Torn header: treat the whole file as a tail to truncate.
-		return nil, 0, nil
-	}
-	if string(data[0:4]) != walMagic {
-		return nil, 0, fmt.Errorf("wal: %s: bad magic %q", path, data[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != walVersion {
-		return nil, 0, fmt.Errorf("wal: %s: version %d is newer than this engine supports (max %d)", path, v, walVersion)
-	}
-	if id := binary.LittleEndian.Uint32(data[8:12]); id != uint32(shardID) {
-		return nil, 0, fmt.Errorf("wal: %s: header names shard %d, want %d", path, id, shardID)
-	}
-	off := int64(walHeaderSize)
-	for {
-		rest := data[off:]
-		if len(rest) < 8 {
-			return ops, off, nil
-		}
-		bodyLen := binary.LittleEndian.Uint32(rest[0:4])
-		if bodyLen > walMaxBody || int(bodyLen) > len(rest)-8 {
-			return ops, off, nil
-		}
-		body := rest[8 : 8+bodyLen]
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return ops, off, nil
-		}
-		op, derr := decodeWALBody(body)
-		if derr != nil {
-			// The CRC matched but the structure is wrong: not a torn
-			// write but real corruption (or a writer bug). Refuse to
-			// guess at acknowledged data.
-			return nil, 0, fmt.Errorf("wal: %s: frame at offset %d: %w", path, off, derr)
-		}
-		ops = append(ops, op)
-		off += int64(8 + bodyLen)
-	}
 }
 
 // decodeWALBody parses one CRC-verified frame body.

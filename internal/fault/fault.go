@@ -28,13 +28,14 @@ import (
 )
 
 // Rule kinds. Disk points treat every terminal kind as "fail the
-// operation with an injected error"; the HTTP RoundTripper maps each
+// operation with an injected error" (the framed-log write points first
+// write half their buffer on KindTorn); the HTTP RoundTripper maps each
 // kind to a distinct transport failure mode.
 const (
 	KindDelay    = "delay"     // add latency before the operation
 	KindError    = "error"     // HTTP: synthesized 503; disk: operation fails
 	KindReset    = "reset"     // HTTP: connection reset (transport error)
-	KindTorn     = "torn"      // HTTP: truncated response body; disk: fails
+	KindTorn     = "torn"      // HTTP: truncated response body; disk: fails, log writes after a short write
 	KindFailOnce = "fail-once" // fail exactly the first evaluation, then disarm
 )
 
