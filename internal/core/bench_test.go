@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -254,17 +255,122 @@ func BenchmarkSearchExact(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchLSH probes band buckets and exact-scores only the
-// candidates; cost scales with the number of plausible matches.
-func BenchmarkSearchLSH(b *testing.B) {
-	ix, q := lshBenchCorpus(b)
-	pool := NewPool(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SearchTopKLSH(ix, q, 10, 0, pool); err != nil {
+// serveLSHHitCorpus builds the serve-lsh-hit workload's engine: 50 000
+// rows in families of 20 near-duplicates (1% of a family's bytes
+// changed per member), 16 stripes, an 8-bit directory index, and 256
+// hit queries, each a fresh mutation of a different family.
+func serveLSHHitCorpus(b *testing.B) (*Index, []*Sketch) {
+	b.Helper()
+	const families, members = 2500, 20
+	eng, err := NewEngine(Options{IndexName: "bench", Bits: 8, Tiered: true, DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := eng.Index()
+	b.Cleanup(func() { ix.Close() })
+	member := func(f, m int) []byte {
+		data := benchData(512, int64(f+1))
+		rng := rand.New(rand.NewSource(int64(f*100 + m)))
+		for j := 0; j < len(data)/100; j++ {
+			data[rng.Intn(len(data))] = byte('a' + rng.Intn(26))
+		}
+		return data
+	}
+	recs := make([]Record, members)
+	for f := 0; f < families; f++ {
+		for m := range recs {
+			recs[m] = Record{Name: fmt.Sprintf("f%d-m%d", f, m), Data: member(f, m)}
+		}
+		if _, err := eng.AddBatch(recs); err != nil {
 			b.Fatal(err)
 		}
 	}
+	if err := ix.SaveDir(); err != nil {
+		b.Fatal(err)
+	}
+	queries := make([]*Sketch, 256)
+	for i := range queries {
+		queries[i] = eng.Sketcher().Sketch(Record{Name: "query", Data: member(i*(families/len(queries)), -1)})
+	}
+	return ix, queries
+}
+
+// BenchmarkSearchLSH probes band buckets and exact-scores only the
+// candidates; cost scales with the number of plausible matches. The
+// planted case is the 10k in-memory corpus and one hot query. The
+// serve-lsh-hit case is that workload's engine at topK 10, minSim 0.3,
+// rotating over its 256 queries so the posting table is as cold as it
+// is under load. It reports lookups/op — the keys handed to a search's
+// one postingTable.probe pass, each a single find; it must read Bands,
+// not Bands x shards — and B/rec, the table's bytes per record.
+func BenchmarkSearchLSH(b *testing.B) {
+	b.Run("planted", func(b *testing.B) {
+		ix, q := lshBenchCorpus(b)
+		pool := NewPool(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := SearchTopKLSH(ix, q, 10, 0, pool); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	ix, queries := serveLSHHitCorpus(b)
+	b.Run("serve-lsh-hit", func(b *testing.B) {
+		pool := NewPool(0)
+		for i := 0; i < b.N; i++ {
+			res, err := SearchTopKLSH(ix, queries[i%len(queries)], 10, 0.3, pool)
+			if err != nil || len(res) != 10 {
+				b.Fatalf("search returned %d results, err %v", len(res), err)
+			}
+		}
+		buf := getSearchBuf()
+		defer putSearchBuf(buf)
+		buf.prepareBandKeys(ix, queries[0])
+		b.ReportMetric(float64(len(buf.q.bandKeys)), "lookups/op")
+		bytes, _ := ix.posts.size()
+		b.ReportMetric(float64(bytes)/float64(ix.Len()), "B/rec")
+	})
+}
+
+// BenchmarkAddBatchParallel is the guard on the posting table's one
+// lock: GOMAXPROCS goroutines add 20 000 ready-made sketches to one
+// fresh 16-stripe index per iteration, so nothing but the shard insert
+// and the table insert is timed.
+func BenchmarkAddBatchParallel(b *testing.B) {
+	const n = 20000
+	rng := rand.New(rand.NewSource(1))
+	sketches := make([]*Sketch, n)
+	for i := range sketches {
+		sig := make([]uint64, DefaultSignatureSize)
+		for j := range sig {
+			sig[j] = rng.Uint64()
+		}
+		sketches[i] = &Sketch{Name: fmt.Sprintf("rec-%d", i), K: DefaultK, Shingles: 100, Signature: sig}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := NewIndexWith("bench", DefaultK, DefaultSignatureSize,
+			DefaultLSHParams(DefaultSignatureSize), DefaultShards, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for j := w; j < n; j += workers {
+					if ok, err := ix.Add(sketches[j]); !ok || err != nil {
+						b.Errorf("add: ok=%v err=%v", ok, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
 }
 
 func BenchmarkPairwiseDistances(b *testing.B) {

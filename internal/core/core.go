@@ -270,6 +270,8 @@ type Stats struct {
 	Bands          int        `json:"bands"`
 	RowsPerBand    int        `json:"rows_per_band"`
 	LSHThreshold   float64    `json:"lsh_threshold"`
+	LSHBytes       int64      `json:"lsh_bytes"`   // posting table: slot + posting arrays, by capacity
+	LSHBuckets     int        `json:"lsh_buckets"` // distinct band buckets in it
 	Shards         int        `json:"shards"`
 	ShardOccupancy []int      `json:"shard_occupancy"`
 	Mode           SearchMode `json:"mode"`
@@ -298,6 +300,7 @@ func (e *Engine) Stats() Stats {
 	lsh := e.index.LSHParams()
 	arena := e.index.Arena()
 	dead, rows := e.index.Tombstones()
+	lshBytes, lshBuckets := e.index.posts.size()
 	var tombRatio float64
 	if rows > 0 {
 		tombRatio = float64(dead) / float64(rows)
@@ -316,6 +319,8 @@ func (e *Engine) Stats() Stats {
 		Bands:          lsh.Bands,
 		RowsPerBand:    lsh.RowsPerBand,
 		LSHThreshold:   lsh.Threshold(),
+		LSHBytes:       lshBytes,
+		LSHBuckets:     lshBuckets,
 		Shards:         e.index.ShardCount(),
 		ShardOccupancy: e.index.Occupancy(),
 		Mode:           e.mode,

@@ -115,6 +115,9 @@ func (ix *Index) SaveDir() (err error) {
 			sh.mu.Unlock()
 		}
 	}()
+	if err := ix.compactLocked(); err != nil {
+		return fmt.Errorf("index %q: save dir: compact: %w", ix.meta.Name, err)
+	}
 
 	man := manifest{
 		Meta:  ix.meta,
@@ -125,16 +128,6 @@ func (ix *Index) SaveDir() (err error) {
 	man.Meta.Bits = ix.bits
 	man.Meta.RecordCount = len(ix.order)
 	for _, sh := range ix.shards {
-		if n := len(sh.names); n > 0 && float64(sh.deadRows)/float64(n) >= DefaultCompactThreshold {
-			dropped, cerr := sh.compactLocked(ix.lsh, ix.meta.SignatureSize, ix.bits)
-			if cerr != nil {
-				return fmt.Errorf("index %q: save dir: compact: %w", ix.meta.Name, cerr)
-			}
-			if dropped > 0 {
-				ix.compactions.Add(1)
-				ix.compactedRows.Add(uint64(dropped))
-			}
-		}
 		if err := sh.full.sealHead(); err != nil {
 			return fmt.Errorf("index %q: save dir: %w", ix.meta.Name, err)
 		}
@@ -168,6 +161,33 @@ func (ix *Index) SaveDir() (err error) {
 	}
 	cleanOrphanSegments(ix.tier.segmentsDir(), &man)
 	return nil
+}
+
+// compactLocked compacts every stripe whose tombstone ratio has reached
+// DefaultCompactThreshold, then rebuilds the posting table if any rows
+// were renumbered — also after a stripe failed, so the table never names
+// the old rows of the stripes already done. SaveDir is the only caller:
+// holding every shard lock across both steps is what makes a stripe's
+// new generation and its new postings visible together.
+func (ix *Index) compactLocked() (err error) {
+	moved := false
+	for _, sh := range ix.shards {
+		if n := len(sh.names); n == 0 || float64(sh.deadRows)/float64(n) < DefaultCompactThreshold {
+			continue
+		}
+		dropped, cerr := sh.compactLocked(ix.meta.SignatureSize, ix.bits)
+		if cerr != nil {
+			err = cerr
+			break
+		}
+		moved = true
+		ix.compactions.Add(1)
+		ix.compactedRows.Add(uint64(dropped))
+	}
+	if moved {
+		ix.posts.rebuild(ix.lsh, ix.shards)
+	}
+	return err
 }
 
 // deadRowsLocked lists the stripe's tombstoned row indexes in row
@@ -266,10 +286,11 @@ func cleanOrphanSegments(segDir string, man *manifest) {
 
 // Open opens the index directory at dir, written by SaveDir: it reads
 // the manifest, opens and checksum-verifies every referenced segment,
-// and rebuilds the packed prefilter and LSH band postings by streaming
-// the segment rows once; manifest v6 tombstones are restored, and the
-// per-shard write-ahead logs are replayed over the snapshot (torn tails
-// truncated) so every mutation acknowledged before a crash is present.
+// and rebuilds the packed prefilter (streaming the segment rows once)
+// and from it the LSH posting table; manifest v6 tombstones are
+// restored, and the per-shard write-ahead logs are replayed over the
+// snapshot (torn tails truncated) so every mutation acknowledged before
+// a crash is present.
 // The full-width data itself stays on disk (mmap'd where available), so
 // an opened index's heap holds only the prefilter, postings, and names.
 func Open(dir string) (ix *Index, err error) {
@@ -310,7 +331,7 @@ func Open(dir string) (ix *Index, err error) {
 	if len(m.Shards) != shards {
 		return nil, fmt.Errorf("index: invalid manifest metadata: shards=%d but manifest lists %d shard entries", shards, len(m.Shards))
 	}
-	if err := checkShards(shards, lsh); err != nil {
+	if err := checkShards(shards); err != nil {
 		return nil, fmt.Errorf("index: invalid manifest metadata: %w", err)
 	}
 	if m.Meta.Scheme != SchemeOPH {
@@ -329,9 +350,11 @@ func Open(dir string) (ix *Index, err error) {
 	meta.Format = FormatV6
 	meta.Bits = bits
 	tier := &tierState{dataDir: dir, segmentRows: segRows}
+	posts := newPostingTable(lsh)
 	ix = &Index{
 		meta:   meta,
-		shards: newShards(shards, lsh, meta.SignatureSize, bits),
+		shards: newShards(shards, posts, meta.SignatureSize, bits),
+		posts:  posts,
 		lsh:    lsh,
 		bits:   bits,
 		tier:   tier,
@@ -378,7 +401,7 @@ func Open(dir string) (ix *Index, err error) {
 		sh.shingles = ms.Shingles
 		// Tombstones first: a dead row keeps its arena slot (row indexes
 		// must match the segment layout) but never enters the id map or
-		// the band postings.
+		// the posting table.
 		for _, di := range ms.Deleted {
 			if di < 0 || int(di) >= rows {
 				return nil, fmt.Errorf("index: manifest shard %d: deleted row %d out of range [0,%d)", si, di, rows)
@@ -411,14 +434,10 @@ func Open(dir string) (ix *Index, err error) {
 			sh.ids[name] = int32(i)
 		}
 		// One streaming pass over the full-width rows rebuilds the
-		// derived in-RAM state: packed prefilter rows and band postings
-		// (dead rows fill their arena slot but get no postings).
+		// packed prefilter (dead rows fill their arena slot too).
 		for _, sg := range sh.full.segs {
 			serr := sg.forEachRow(func(local int, sig []uint64) error {
-				idx := int32(sh.arena.appendSig(sig))
-				if !sh.rowDead(idx) {
-					sh.bands.add(idx, sig, sh.mask)
-				}
+				sh.arena.appendSig(sig)
 				return nil
 			})
 			if serr != nil {
@@ -454,6 +473,7 @@ func Open(dir string) (ix *Index, err error) {
 	}
 	ix.order = m.Order
 	ix.meta.RecordCount = total
+	posts.rebuild(lsh, ix.shards)
 	// Replay whatever the write-ahead logs hold past this snapshot —
 	// everything acknowledged since the manifest was committed — then
 	// attach the logs for new mutations. A snapshot that already

@@ -7,15 +7,15 @@
 //     compressed into compact fixed-size minhash signatures (see Sketcher).
 //  2. Indexing: signatures live in a sharded Index — N lock-striped
 //     shards keyed by record-name hash, each owning a contiguous
-//     packed signature arena (optionally truncated to b-bit slots) and
-//     LSH band postings — with incremental add / skip-existing
-//     semantics.
+//     packed signature arena (optionally truncated to b-bit slots),
+//     and one index-wide LSH posting table (see postingTable) — with
+//     incremental add / skip-existing semantics.
 //  3. Querying: pairwise-distance and top-K similarity queries fan out
 //     over a bounded worker pool sized to GOMAXPROCS (see Pool), one
 //     goroutine per shard, each sweeping its arena cache-linearly.
-//     Top-K search runs in LSH mode by default, probing band buckets
-//     for candidates instead of scanning the whole corpus (see
-//     SearchTopKLSH).
+//     Top-K search runs in LSH mode by default, probing the posting
+//     table once per band for candidates instead of scanning the
+//     whole corpus (see SearchTopKLSH).
 //
 // # Storage
 //
@@ -50,10 +50,12 @@
 //     query side, so a full-width query probes a truncated index's
 //     buckets correctly (LSHParams.bandKey).
 //   - Shard-local row order is append order, shared by the arena, the
-//     names/shingles columns, and the tiered full store: row i of a
-//     shard means the same record in all of them. Tiered segments tile
-//     [0, headBase) contiguously and the mutable head holds rows from
-//     headBase up.
+//     names/shingles columns, the tiered full store, and the posting
+//     table's (shard, row) entries: row i of a shard means the same
+//     record in all of them. Compaction renumbers rows, so it bumps the
+//     shard's generation and rebuilds the table under every shard lock.
+//     Tiered segments tile [0, headBase) contiguously and the mutable
+//     head holds rows from headBase up.
 //   - An index persists only through SaveDir, whose manifest rename is
 //     the commit point. Sealed segment files are immutable — snapshots
 //     only add files. The shard count is fixed at creation.

@@ -42,13 +42,14 @@ type Metadata struct {
 // Index is a store of sketches keyed by record name, striped over N
 // independently-locked shards so concurrent adds and probes on
 // different stripes never contend. Each shard owns a contiguous packed
-// signature arena (optionally truncated to b-bit slots; see sigArena)
-// plus LSH band postings for sub-linear candidate filtering (see
-// SearchTopKLSH). An index is either purely in memory (NewIndex,
-// NewIndexWith: nothing persists) or backed by a directory from birth
-// (NewEngine with Options.Tiered, or Open). All methods are safe for
-// concurrent use except Rebucket. Adds are incremental: a sketch whose
-// name is already present is skipped, never overwritten.
+// signature arena (optionally truncated to b-bit slots; see sigArena);
+// one posting table shared by all of them holds the LSH band postings
+// for sub-linear candidate filtering (see postingTable, SearchTopKLSH).
+// An index is either purely in memory (NewIndex, NewIndexWith: nothing
+// persists) or backed by a directory from birth (NewEngine with
+// Options.Tiered, or Open). All methods are safe for concurrent use
+// except Rebucket. Adds are incremental: a sketch whose name is already
+// present is skipped, never overwritten.
 type Index struct {
 	// writeMu serializes structural rebuilds (Rebucket, SaveDir)
 	// against mutations (Add, Delete): mutators hold it shared,
@@ -60,6 +61,7 @@ type Index struct {
 	meta   Metadata
 	order  []string // insertion order, for deterministic iteration
 	shards []*shard
+	posts  *postingTable // the shards' LSH postings; fixed at construction like shards
 	lsh    LSHParams
 	bits   int
 	gen    uint64     // bumped on every successful Add or Delete; see Generation
@@ -80,26 +82,7 @@ func NewIndex(name string, k, sigSize int) *Index {
 	// Non-positive sigSize: keep the old never-fail contract with a
 	// placeholder single-band scheme. Such an index rejects every add
 	// through signature-size validation, so the scheme is never probed.
-	now := time.Now().UTC()
-	lsh := LSHParams{Bands: 1, RowsPerBand: 1}
-	return &Index{
-		meta: Metadata{
-			Name:          name,
-			Version:       Version,
-			CreatedAt:     now,
-			UpdatedAt:     now,
-			K:             k,
-			SignatureSize: sigSize,
-			Scheme:        SchemeOPH,
-			Bits:          DefaultBits,
-			Bands:         lsh.Bands,
-			RowsPerBand:   lsh.RowsPerBand,
-			Shards:        DefaultShards,
-		},
-		shards: newShards(DefaultShards, lsh, sigSize, DefaultBits),
-		lsh:    lsh,
-		bits:   DefaultBits,
-	}
+	return newIndex(name, k, sigSize, LSHParams{Bands: 1, RowsPerBand: 1}, DefaultShards, DefaultBits)
 }
 
 // NewIndexWith returns an empty index with an explicit LSH banding
@@ -109,14 +92,20 @@ func NewIndexWith(name string, k, sigSize int, lsh LSHParams, shards, bits int) 
 	if _, err := NewLSHParams(lsh.Bands, lsh.RowsPerBand, sigSize); err != nil {
 		return nil, fmt.Errorf("index %q: %w", name, err)
 	}
-	if err := checkShards(shards, lsh); err != nil {
+	if err := checkShards(shards); err != nil {
 		return nil, fmt.Errorf("index %q: %w", name, err)
 	}
 	bits, err := validBits(bits)
 	if err != nil {
 		return nil, fmt.Errorf("index %q: %w", name, err)
 	}
+	return newIndex(name, k, sigSize, lsh, shards, bits), nil
+}
+
+// newIndex builds the empty in-memory index from checked geometry.
+func newIndex(name string, k, sigSize int, lsh LSHParams, shards, bits int) *Index {
 	now := time.Now().UTC()
+	posts := newPostingTable(lsh)
 	return &Index{
 		meta: Metadata{
 			Name:          name,
@@ -131,26 +120,22 @@ func NewIndexWith(name string, k, sigSize int, lsh LSHParams, shards, bits int) 
 			RowsPerBand:   lsh.RowsPerBand,
 			Shards:        shards,
 		},
-		shards: newShards(shards, lsh, sigSize, bits),
+		shards: newShards(shards, posts, sigSize, bits),
+		posts:  posts,
 		lsh:    lsh,
 		bits:   bits,
-	}, nil
+	}
 }
 
-// Bounds on index geometry. It arrives from flags, manifests and import
-// files; an absurd value must fail as an error, not exhaust memory or
-// file descriptors before the first record is read.
-const (
-	maxShards   = 1 << 12 // every shard of a directory index holds an open WAL file
-	maxBandMaps = 1 << 20 // shards x bands, the posting maps an empty index allocates
-)
+// maxShards bounds the shard count, which arrives from flags, manifests
+// and import files: every shard of a directory index holds an open WAL
+// file, and an absurd value must fail as an error, not exhaust file
+// descriptors before the first record is read.
+const maxShards = 1 << 12
 
-func checkShards(shards int, lsh LSHParams) error {
+func checkShards(shards int) error {
 	if shards <= 0 || shards > maxShards {
 		return fmt.Errorf("shard count must be in [1, %d], got %d", maxShards, shards)
-	}
-	if lsh.Bands > maxBandMaps || shards*lsh.Bands > maxBandMaps {
-		return fmt.Errorf("%d shards x %d bands exceeds the limit of %d posting maps", shards, lsh.Bands, maxBandMaps)
 	}
 	return nil
 }
@@ -215,7 +200,7 @@ func (ix *Index) Add(s *Sketch) (bool, error) {
 // Delete tombstones the record named name and reports whether it was
 // present. The record disappears from every lookup and search
 // immediately; its arena row is reclaimed by the next compaction (see
-// Compact and SaveDir). On a WAL-attached tiered index the tombstone is
+// SaveDir). On a WAL-attached tiered index the tombstone is
 // logged, so an acknowledged delete survives a crash the same way an
 // acknowledged add does — call SyncWAL (or Engine.Delete, which does)
 // before acking. Deleting frees the name: a later Add with the same
@@ -279,35 +264,6 @@ func (ix *Index) Tombstones() (dead, rows int) {
 // rows, per shard) at which SaveDir compacts a stripe before
 // snapshotting it.
 const DefaultCompactThreshold = 0.25
-
-// Compact rewrites every stripe that holds tombstoned rows, reclaiming
-// their arena (and, on tiered indexes, segment) space. Search results
-// are unchanged — deleted rows were already invisible — and it is safe
-// to run on a live index: each stripe is rebuilt under its own lock,
-// and in-flight queries that captured candidates against the old row
-// numbering detect the generation change and rescan.
-func (ix *Index) Compact() error {
-	ix.mu.RLock()
-	shards := ix.shards
-	lsh := ix.lsh
-	slots := ix.meta.SignatureSize
-	bits := ix.bits
-	name := ix.meta.Name
-	ix.mu.RUnlock()
-	for _, sh := range shards {
-		sh.mu.Lock()
-		dropped, err := sh.compactLocked(lsh, slots, bits)
-		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("index %q: compact: %w", name, err)
-		}
-		if dropped > 0 {
-			ix.compactions.Add(1)
-			ix.compactedRows.Add(uint64(dropped))
-		}
-	}
-	return nil
-}
 
 // WALStats is the observable write-ahead-log state, surfaced through
 // Stats and /stats. Frames and Bytes are the log depth since the last
@@ -495,11 +451,11 @@ func (ix *Index) snapshotShards() []*shard {
 // Rebucket retunes the LSH banding scheme without re-sketching; the
 // packing width is preserved. It is safe on a live index: writers (Add,
 // Delete) are briefly blocked on writeMu, but queries keep running
-// throughout. The band postings are rebuilt stripe by stripe under each
-// stripe's own lock, so row numbering, full-width stores, and WALs all
-// carry over. Queries that overlap the rebuild may transiently probe
-// with stale band keys — they lose candidates, never gain wrong
-// results, because every candidate is still exact-scored.
+// throughout. Only the posting table is rebuilt (off to the side, then
+// swapped in), so row numbering, full-width stores, and WALs all carry
+// over. Queries that overlap the rebuild may transiently probe with
+// stale band keys — they lose candidates, never gain wrong results,
+// because every candidate is still exact-scored.
 //
 // The shard count is fixed at creation: on-disk segments are laid out
 // by shard-local row order, and changing the stripe count would
@@ -521,20 +477,7 @@ func (ix *Index) Rebucket(lsh LSHParams, shards int) error {
 			name, len(cur), shards)
 	}
 	// Tombstoned rows drop out of the new postings for free.
-	sig := make([]uint64, 0, sigSize)
-	for _, sh := range cur {
-		sh.mu.Lock()
-		nb := newBandIndex(lsh)
-		for i := range sh.names {
-			if sh.rowDead(int32(i)) {
-				continue
-			}
-			sig = sh.arena.appendUnpacked(sig[:0], i)
-			nb.add(int32(i), sig, sh.mask)
-		}
-		sh.bands = nb
-		sh.mu.Unlock()
-	}
+	ix.posts.rebuild(lsh, cur)
 	ix.mu.Lock()
 	ix.lsh = lsh
 	ix.meta.Bands = lsh.Bands

@@ -115,56 +115,54 @@ func TestBandKeyDependsOnBandAndRows(t *testing.T) {
 	}
 }
 
-// probeNames runs a candidate probe for sig against sh and returns the
-// candidate record names.
-func probeNames(sh *shard, sig []uint64) map[string]bool {
-	q := &packedQuery{name: "probe", shingles: 1, slots: len(sig),
-		packed: packSignatureAppend(nil, sig, sh.arena.bits)}
-	for band := 0; band < sh.bands.params.Bands; band++ {
-		q.bandKeys = append(q.bandKeys, sh.bands.params.bandKey(band, sig, sh.mask))
-	}
-	var sc shardScratch
-	sh.probeCandidates(q, &sc)
+// probeNames runs the index-level candidate probe for sig against ix
+// and returns the candidate record names.
+func probeNames(ix *Index, sig []uint64) map[string]bool {
+	buf := getSearchBuf()
+	defer putSearchBuf(buf)
+	query := &Sketch{Name: "probe", K: ix.meta.K, Shingles: 1, Signature: sig}
+	q := buf.prepare(ix, query, 0, len(ix.shards))
+	buf.prepareBandKeys(ix, query)
+	probeCandidates(ix.posts, ix.shards, q, buf.scratch)
 	got := map[string]bool{}
-	for _, idx := range sc.cands {
-		got[sh.names[idx]] = true
+	for si, sh := range ix.shards {
+		for _, idx := range buf.scratch[si].cands {
+			got[sh.names[idx]] = true
+		}
 	}
 	return got
 }
 
 func TestShardProbeCandidates(t *testing.T) {
 	p := LSHParams{Bands: 2, RowsPerBand: 2}
-	sh := newShard(p, 4, 64)
 	a := []uint64{1, 2, 3, 4}
 	b := []uint64{1, 2, 9, 9} // shares band 0 with a
 	c := []uint64{7, 7, 7, 7} // shares nothing
-	for name, sig := range map[string][]uint64{"a": a, "b": b, "c": c} {
-		if ok, err := sh.add(&Sketch{Name: name, K: 2, Shingles: 1, Signature: sig}); !ok || err != nil {
-			t.Fatalf("add %q failed: %v", name, err)
-		}
-	}
-
-	got := probeNames(sh, a)
-	if !got["a"] {
-		t.Error("a must be a candidate of its own signature")
-	}
-	if !got["b"] {
-		t.Error("b shares band 0 with a and must be a candidate")
-	}
-	if got["c"] {
-		t.Error("c shares no band with a and must not be a candidate")
-	}
-	// An 8-bit shard must reach the same candidate set from the same
+	// An 8-bit index must reach the same candidate set from the same
 	// full-width probe signature: band keys are masked on both sides.
-	sh8 := newShard(p, 4, 8)
-	for name, sig := range map[string][]uint64{"a": a, "b": b, "c": c} {
-		if ok, err := sh8.add(&Sketch{Name: name, K: 2, Shingles: 1, Signature: sig}); !ok || err != nil {
-			t.Fatalf("add %q to 8-bit shard failed: %v", name, err)
+	// Three stripes spread the records, one holds them together.
+	for _, bits := range []int{64, 8} {
+		for _, shards := range []int{1, 3} {
+			ix, err := NewIndexWith("probe", 2, 4, p, shards, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, sig := range map[string][]uint64{"a": a, "b": b, "c": c} {
+				if ok, err := ix.Add(&Sketch{Name: name, K: 2, Shingles: 1, Signature: sig}); !ok || err != nil {
+					t.Fatalf("add %q failed: %v", name, err)
+				}
+			}
+			got := probeNames(ix, a)
+			if !got["a"] {
+				t.Errorf("bits=%d shards=%d: a must be a candidate of its own signature", bits, shards)
+			}
+			if !got["b"] {
+				t.Errorf("bits=%d shards=%d: b shares band 0 with a and must be a candidate", bits, shards)
+			}
+			if got["c"] {
+				t.Errorf("bits=%d shards=%d: c shares no band with a and must not be a candidate", bits, shards)
+			}
 		}
-	}
-	got8 := probeNames(sh8, a)
-	if !got8["a"] || !got8["b"] || got8["c"] {
-		t.Errorf("8-bit shard candidates = %v, want a and b only", got8)
 	}
 }
 

@@ -59,10 +59,8 @@ const parallelScoreMinBytes = 512 << 10
 
 // packedQuery is one query sketch prepared for arena scans: the
 // signature packed to the index's width for word-parallel row
-// comparisons, plus (LSH searches only) the precomputed band bucket
-// keys — bandKey depends only on the query and the index-wide mask, so
-// computing the keys once instead of once per shard saves
-// (shards-1)*bands mix64 chains per probe.
+// comparisons, plus (LSH searches only) its band bucket keys, one
+// posting-table lookup each.
 type packedQuery struct {
 	name     string
 	shingles int
@@ -162,7 +160,8 @@ type scoredCand struct {
 // result buffer for parallel scans, and (tiered indexes) the prefilter
 // survivor list plus the pread-path row decode buffer.
 type shardScratch struct {
-	candSet []uint64 // bitset over shard-local record indexes
+	rows    int32    // the shard's row count when the probe began
+	candSet []uint64 // bitset over shard-local record indexes [0, rows)
 	cands   []int32
 	results []Result
 	scored  []scoredCand
@@ -179,6 +178,7 @@ type shardScratch struct {
 
 // resetFor clears the scratch for a shard currently holding n records.
 func (sc *shardScratch) resetFor(n int) {
+	sc.rows = int32(n)
 	words := (n + 63) >> 6
 	if cap(sc.candSet) < words {
 		sc.candSet = make([]uint64, words)
@@ -253,6 +253,19 @@ func (b *searchBuf) prepareBandKeys(ix *Index, query *Sketch) {
 		b.keys = append(b.keys, lsh.bandKey(band, query.Signature, mask))
 	}
 	b.q.bandKeys = b.keys
+}
+
+// probeCandidates gathers, into each shard's scratch, the rows sharing
+// at least one LSH band bucket with the query, and returns how many:
+// every stripe is snapshotted first (row count and generation), then the
+// posting table is read in one pass of len(q.bandKeys) lookups — always
+// inline. Keys made stale by a live Rebucket find nothing: candidates
+// are lost, never wrong, because each one is still exact-scored.
+func probeCandidates(posts *postingTable, shards []*shard, q *packedQuery, scratch []shardScratch) int {
+	for si, sh := range shards {
+		sh.beginProbe(&scratch[si])
+	}
+	return posts.probe(q.bandKeys, scratch)
 }
 
 // PairwiseDistances computes all n*(n-1)/2 distinct pairwise
@@ -376,12 +389,7 @@ func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, m
 	q := buf.prepare(ix, query, minSim, len(shards))
 	q.cancel = newCanceler(ctx)
 	buf.prepareBandKeys(ix, query)
-	// Probing is a handful of map lookups per shard; always inline.
-	totalCand := 0
-	for si, sh := range shards {
-		sh.probeCandidates(q, &buf.scratch[si])
-		totalCand += len(buf.scratch[si].cands)
-	}
+	totalCand := probeCandidates(ix.posts, shards, q, buf.scratch)
 	merged := runScan(buf, shards, q, topK, pool, totalCand, (*shard).scoreCandidates)
 	if n := ix.Len(); len(merged) < topK && totalCand < n && !q.cancel.canceled() {
 		// Fallback: score only the records the candidate pass skipped

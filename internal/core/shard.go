@@ -11,22 +11,23 @@ import (
 const DefaultShards = 16
 
 // shard owns one stripe of the index: the records whose names hash to
-// it, plus the LSH band postings for those records. Record signatures
-// live in a contiguous packed arena (see sigArena) addressed by a
-// shard-local record index, so exact scans are cache-linear sweeps over
-// one buffer instead of a pointer chase per record. Each shard has its
-// own lock, so concurrent adds and scans on different stripes never
-// contend — and per-shard query fan-out scans stripes truly in
-// parallel.
+// it. Record signatures live in a contiguous packed arena (see
+// sigArena) addressed by a shard-local record index, so exact scans are
+// cache-linear sweeps over one buffer instead of a pointer chase per
+// record. Each shard has its own lock, so concurrent adds and scans on
+// different stripes never contend — and per-shard query fan-out scans
+// stripes truly in parallel. The rows' LSH postings live in the
+// index-wide postingTable, filed under this stripe's id.
 type shard struct {
 	mu       sync.RWMutex
 	ids      map[string]int32 // record name -> arena row index; deleted rows are absent
 	names    []string         // arena row index -> record name
 	shingles []int32          // arena row index -> shingle count
 	arena    *sigArena
-	bands    *bandIndex
-	mask     uint64     // lane mask caching laneMask(arena.bits)
-	full     *fullStore // full-width tier; nil on non-tiered indexes
+	id       int32         // this stripe's number in the index and the posting table
+	posts    *postingTable // shared by every stripe of the index
+	mask     uint64        // lane mask caching laneMask(arena.bits)
+	full     *fullStore    // full-width tier; nil on non-tiered indexes
 
 	// Deletes are tombstones: the row stays in the arena (and segments)
 	// but its dead bit is set and every scan skips it, until a
@@ -44,19 +45,17 @@ type shard struct {
 	wal atomic.Pointer[shardWAL]
 }
 
-func newShard(p LSHParams, slots, bits int) *shard {
-	return &shard{
-		ids:   make(map[string]int32),
-		arena: newSigArena(slots, bits),
-		bands: newBandIndex(p),
-		mask:  laneMask(bits),
-	}
-}
-
-func newShards(n int, p LSHParams, slots, bits int) []*shard {
+// newShards returns n empty stripes filing their postings in posts.
+func newShards(n int, posts *postingTable, slots, bits int) []*shard {
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = newShard(p, slots, bits)
+		shards[i] = &shard{
+			ids:   make(map[string]int32),
+			arena: newSigArena(slots, bits),
+			id:    int32(i),
+			posts: posts,
+			mask:  laneMask(bits),
+		}
 	}
 	return shards
 }
@@ -81,7 +80,7 @@ func (sh *shard) add(s *Sketch) (bool, error) {
 	sh.ids[s.Name] = idx
 	sh.names = append(sh.names, s.Name)
 	sh.shingles = append(sh.shingles, int32(s.Shingles))
-	sh.bands.add(idx, s.Signature, sh.mask)
+	sh.posts.add(sh.id, idx, s.Signature, sh.mask)
 	if w := sh.wal.Load(); w != nil {
 		w.appendAdd(sh.full.tier.walSeq.Add(1), s.Name, int32(s.Shingles), s.Signature)
 	}
@@ -219,36 +218,18 @@ func (sh *shard) scanAppend(dst []Result, q *packedQuery, topK int, sc *shardScr
 	return sh.sweep(dst, q, topK, sc, false)
 }
 
-// probeCandidates gathers the shard-local record indexes sharing at
-// least one LSH band bucket with the query (whose per-band keys are
-// precomputed in q.bandKeys) into sc.cands, deduped through sc's
-// candidate bitset (indexes hit by several bands appear once). The
-// bitset is retained so a later scanRestAppend can score exactly the
-// complement.
-func (sh *shard) probeCandidates(q *packedQuery, sc *shardScratch) {
+// beginProbe snapshots the stripe for an LSH probe: sc's candidate
+// bitset is sized and cleared for the rows the stripe holds now, and the
+// row numbering's generation is noted. The bitset is retained after the
+// probe so a later scanRestAppend can score exactly the complement.
+func (sh *shard) beginProbe(sc *shardScratch) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	sc.resetFor(len(sh.names))
 	sc.gen = sh.structGen
-	bi := sh.bands
-	for band, key := range q.bandKeys {
-		if band >= len(bi.buckets) {
-			// A live Rebucket shrank the band count between this query's
-			// key precomputation and the probe; the missing bands simply
-			// contribute no candidates.
-			break
-		}
-		for _, idx := range bi.buckets[band][key] {
-			if bitSet(sc.candSet, idx) {
-				continue
-			}
-			sc.candSet[idx>>6] |= 1 << uint(idx&63)
-			sc.cands = append(sc.cands, idx)
-		}
-	}
 }
 
-// scoreCandidates scores the indexes probeCandidates collected, one
+// scoreCandidates scores the rows the probe routed to this stripe, one
 // scattered row at a time through the per-row comparator — on tiered
 // shards through the same prefilter→rescore pipeline as a sweep. If a
 // compaction reassigned row indexes since the probe (structGen moved),
@@ -496,62 +477,46 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, topK int, sc *shard
 	return dst
 }
 
-// compactLocked rewrites the stripe without its tombstoned rows:
-// fresh id map, names, shingles, packed arena, and band postings — and
-// on tiered shards a fresh full-width store whose segments are written
-// under new file names (the committed manifest still references the
-// old ones; they are swept after the next manifest commit). Row indexes
-// are reassigned, so structGen is bumped; in-flight queries that
-// captured candidates under the old generation rescan instead. On any
-// error the shard is left untouched. It returns the number of rows
-// dropped. Callers hold sh.mu exclusively.
-func (sh *shard) compactLocked(p LSHParams, slots, bits int) (int, error) {
-	if sh.deadRows == 0 {
-		return 0, nil
-	}
+// compactLocked rewrites a directory index's stripe without its
+// tombstoned rows: fresh id map, names, shingles and packed arena, and a
+// fresh full-width store whose segments are written under new file
+// names (the committed manifest still references the old ones; they are
+// swept after the next manifest commit). Row indexes are reassigned, so
+// structGen is bumped; in-flight queries that captured candidates under
+// the old generation rescan instead. On any error the shard is left
+// untouched. It returns the number of rows dropped. The stripe's
+// postings still name the old rows: callers hold sh.mu exclusively and
+// rebuild the posting table before releasing it.
+func (sh *shard) compactLocked(slots, bits int) (int, error) {
 	live := len(sh.names) - sh.deadRows
 	ids := make(map[string]int32, live)
 	names := make([]string, 0, live)
 	shingles := make([]int32, 0, live)
 	arena := newSigArena(slots, bits)
-	bands := newBandIndex(p)
-	var full *fullStore
-	if sh.full != nil {
-		full = newFullStore(slots, sh.full.shardID, sh.full.tier)
-	}
+	full := newFullStore(slots, int(sh.id), sh.full.tier)
 	var rsc rowScratch
 	sig := make([]uint64, 0, slots)
 	for i := range sh.names {
 		if sh.rowDead(int32(i)) {
 			continue
 		}
-		if full != nil {
-			row, err := sh.full.row(i, &rsc)
-			if err != nil {
-				full.close()
-				return 0, err
-			}
+		row, err := sh.full.row(i, &rsc)
+		if err == nil {
 			sig = append(sig[:0], row...)
-			if err := full.append(sig); err != nil {
-				full.close()
-				return 0, err
-			}
-		} else {
-			sig = sh.arena.appendUnpacked(sig[:0], i)
+			err = full.append(sig)
 		}
-		idx := int32(arena.appendSig(sig))
-		ids[sh.names[i]] = idx
+		if err != nil {
+			full.close()
+			return 0, err
+		}
+		ids[sh.names[i]] = int32(arena.appendSig(sig))
 		names = append(names, sh.names[i])
 		shingles = append(shingles, sh.shingles[i])
-		bands.add(idx, sig, sh.mask)
 	}
 	dropped := sh.deadRows
-	if sh.full != nil {
-		sh.full.close()
-		sh.full = full
-	}
-	sh.ids, sh.names, sh.shingles = ids, names, shingles
-	sh.arena, sh.bands = arena, bands
+	sh.full.close()
+	sh.full = full
+	sh.ids, sh.names, sh.shingles, sh.arena = ids, names, shingles, arena
 	sh.dead, sh.deadRows = nil, 0
 	sh.structGen++
 	return dropped, nil

@@ -219,13 +219,13 @@ func (c *sweepCorpus) checkSweep(t *testing.T, name string, minSim float64, zero
 
 	// LSH complement: probe, let rows land behind the bitset, then
 	// sweep what the probe did not mark.
-	sh.probeCandidates(q, sc)
+	probeCandidates(c.ix.posts, c.ix.shards, q, buf.scratch)
 	c.addRandom(t, 3)
 	run("rest", slices.Clone(sc.candSet), func() []Result { return sh.scanRestAppend(nil, q, topK, sc) })
 
 	// Stale generation: candidates captured before a compaction are
 	// dropped and the candidate pass sweeps every row, once.
-	sh.probeCandidates(q, sc)
+	probeCandidates(c.ix.posts, c.ix.shards, q, buf.scratch)
 	sc.gen--
 	run("stale", nil, func() []Result { return sh.scoreCandidates(nil, q, topK, sc) })
 	if !sc.fullScanned {

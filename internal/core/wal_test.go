@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -262,13 +263,15 @@ func TestDeleteSemantics(t *testing.T) {
 	}
 }
 
-// TestCompactionEquivalence: compaction reclaims tombstoned rows
-// without changing anything observable — search results are identical
-// before and after, on both layouts, and deleted records appear in
-// neither.
+// TestCompactionEquivalence: compaction (SaveDir's threshold pass, the
+// only compaction there is) reclaims tombstoned rows without changing
+// anything observable — exact and LSH results are identical before and
+// after, equal to those of an in-memory index that never compacts, and
+// survive a reload; deleted records appear nowhere.
 func TestCompactionEquivalence(t *testing.T) {
 	tiered, plain := tieredEngines(t, 300, 32)
-	for i := 0; i < 90; i += 2 {
+	// Every other record: each stripe ends well past the 25% threshold.
+	for i := 0; i < 300; i += 2 {
 		name := fmt.Sprintf("rec-%d", i)
 		if ok, err := tiered.Delete(name); !ok || err != nil {
 			t.Fatalf("tiered delete %s: %v, %v", name, ok, err)
@@ -278,54 +281,48 @@ func TestCompactionEquivalence(t *testing.T) {
 		}
 	}
 	queries := []*Sketch{
-		plain.Sketcher().Sketch(Record{Name: "q1", Data: benchData(256, 3)}),
-		plain.Sketcher().Sketch(Record{Name: "q2", Data: benchData(256, 11)}),
+		plain.Sketcher().Sketch(Record{Name: "q1", Data: benchData(256, 4)}),
+		plain.Sketcher().Sketch(Record{Name: "q2", Data: benchData(256, 12)}),
 		plain.Sketcher().Sketch(Record{Name: "q3", Data: benchData(256, 77777)}),
 	}
-	for _, eng := range []*Engine{tiered, plain} {
-		ix := eng.Index()
-		var before [][]Result
-		for _, q := range queries {
-			res, err := SearchTopK(ix, q, 20, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before = append(before, res)
-		}
-		if err := ix.Compact(); err != nil {
-			t.Fatalf("Compact: %v", err)
-		}
-		if dead, _ := ix.Tombstones(); dead != 0 {
-			t.Fatalf("tombstones after compaction = %d, want 0", dead)
-		}
-		for qi, q := range queries {
-			after, err := SearchTopK(ix, q, 20, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(after) != len(before[qi]) {
-				t.Fatalf("query %d: %d results after compaction, want %d", qi, len(after), len(before[qi]))
-			}
-			for i := range after {
-				if after[i] != before[qi][i] {
-					t.Fatalf("query %d result %d changed across compaction: %+v vs %+v", qi, i, after[i], before[qi][i])
+	type search func(*Index, *Sketch, int, float64, *Pool) ([]Result, error)
+	answers := func(ix *Index) (out [][]Result) {
+		t.Helper()
+		for _, fn := range []search{SearchTopK, SearchTopKLSH} {
+			for _, q := range queries {
+				res, err := fn(ix, q, 20, 0, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for _, r := range after {
-				for i := 0; i < 90; i += 2 {
-					if r.Ref == fmt.Sprintf("rec-%d", i) {
-						t.Fatalf("deleted %s in post-compaction results", r.Ref)
+				for _, r := range res {
+					var n int
+					if fmt.Sscanf(r.Ref, "rec-%d", &n); n%2 == 0 {
+						t.Fatalf("deleted %s in results", r.Ref)
 					}
 				}
+				out = append(out, res)
+			}
+		}
+		return out
+	}
+	same := func(what string, got, want [][]Result) {
+		t.Helper()
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s: answer %d differs:\n got %+v\nwant %+v", what, i, got[i], want[i])
 			}
 		}
 	}
-	// Snapshots auto-compact past the threshold and round-trip the
-	// compacted state.
 	ix := tiered.Index()
+	before := answers(ix)
+	same("tiered vs in-memory before compaction", before, answers(plain.Index()))
 	if err := ix.SaveDir(); err != nil {
 		t.Fatal(err)
 	}
+	if dead, rows := ix.Tombstones(); dead != 0 || rows != 150 {
+		t.Fatalf("after the compacting snapshot: %d dead of %d rows, want 0 of 150", dead, rows)
+	}
+	same("across compaction", answers(ix), before)
 	loaded, err := Open(ix.DataDir())
 	if err != nil {
 		t.Fatal(err)
@@ -334,21 +331,7 @@ func TestCompactionEquivalence(t *testing.T) {
 	if loaded.Len() != ix.Len() {
 		t.Fatalf("reload after compaction: len=%d, want %d", loaded.Len(), ix.Len())
 	}
-	for qi, q := range queries {
-		want, err := SearchTopK(ix, q, 20, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SearchTopK(loaded, q, 20, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("query %d result %d changed across reload: %+v vs %+v", qi, i, got[i], want[i])
-			}
-		}
-	}
+	same("across reload", answers(loaded), before)
 }
 
 // TestSaveDirAutoCompacts: once the tombstone ratio crosses the

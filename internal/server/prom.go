@@ -50,6 +50,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeFaultMetrics(&buf)
 
 	gauge("records", "Live records in the index.", float64(st.Records))
+	gauge("lsh_bytes", "Bytes held by the LSH posting table (slots and postings, by capacity).", float64(st.LSHBytes))
+	gauge("lsh_buckets", "Distinct LSH band buckets in the posting table.", float64(st.LSHBuckets))
 	gauge("dead_rows", "Tombstoned rows awaiting compaction.", float64(st.DeadRows))
 	gauge("tombstone_ratio", "Dead rows as a fraction of all rows.", st.TombstoneRatio)
 	counter("compactions_total", "Shard compactions run.", int64(st.Compactions))
