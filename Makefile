@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-repo smoke chaos lint linkcheck clean
+.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-repo smoke chaos lint linkcheck fmtcheck loc clean
 
 all: build vet test
 
@@ -23,7 +23,8 @@ test-purego:
 
 # Every Fuzz* target in the module, 15 s each (FUZZTIME=... to change):
 # the scan kernel against its reference, and every decoder of outside
-# bytes — manifest, legacy JSON, framed log, WAL and hint bodies.
+# bytes — manifest, legacy JSON, framed log, WAL and hint bodies, and
+# the HTTP request bodies of both servers.
 fuzz-smoke:
 	GO=$(GO) ./scripts/fuzz_smoke.sh
 
@@ -64,7 +65,16 @@ chaos:
 linkcheck:
 	./scripts/check_links.sh
 
-lint: linkcheck
+# gofmt -l prints the files it would change; any output is a failure.
+fmtcheck:
+	@out=$$(gofmt -l internal cmd bench); \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
+
+# The line counts CHANGES.md entries and ROADMAP re-anchors quote.
+loc:
+	@./scripts/loc.sh
+
+lint: linkcheck fmtcheck
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
 	else \

@@ -6,7 +6,6 @@
 //	engine dist [flags] file...            all-vs-all pairwise distances
 //	engine search -d DIR [flags] file...   top-K similarity search
 //	engine serve -addr :8080 -d DIR        serve the index over HTTP
-//	engine import -o DIR file.json         convert a legacy single-file JSON index
 //
 // An index is a directory (MANIFEST.json, segments/, per-shard
 // write-ahead logs; see docs/FORMAT.md). sketch and serve create it
@@ -169,7 +168,7 @@ const defaultIndexDir = "index"
 
 // lshFlags adds the LSH banding flags. Zero values mean "use the
 // defaults" when creating an index and "keep the index's stored
-// parameters" on search.
+// parameters" on search and serve.
 func lshFlags(fs *flag.FlagSet) (bands, rows *int) {
 	bands = fs.Int("bands", 0, "LSH bands per signature (0 = default; bands*rows must equal -size)")
 	rows = fs.Int("rows", 0, "LSH rows per band (0 = default)")
@@ -197,7 +196,10 @@ func budgetFlag(fs *flag.FlagSet) *int {
 // indexFlags are the flags of the subcommands that open an index
 // directory and create it when absent (sketch, serve).
 type indexFlags struct {
-	fs                    *flag.FlagSet
+	fs *flag.FlagSet
+	// retunes: the command applies -bands/-rows to an existing index
+	// itself (serve, through retune), so they are not warned about.
+	retunes               bool
 	k, size, threads      *int
 	bands, rows, shards   *int
 	bits, segRows, budget *int
@@ -266,8 +268,13 @@ func (f *indexFlags) warnIgnored(cmd string, ix *core.Index, stderr io.Writer) {
 		fmt.Fprintf(stderr, "engine: %s: existing index %q uses bits=%d; ignoring -bits %d\n",
 			cmd, meta.Name, meta.Bits, *f.bits)
 	}
-	if (set["bands"] && meta.Bands != *f.bands) || (set["rows"] && meta.RowsPerBand != *f.rows) ||
-		(set["shards"] && meta.Shards != *f.shards) {
+	lshDiffers := (set["bands"] && meta.Bands != *f.bands) || (set["rows"] && meta.RowsPerBand != *f.rows)
+	shardsDiffer := set["shards"] && meta.Shards != *f.shards
+	switch {
+	case f.retunes && shardsDiffer:
+		fmt.Fprintf(stderr, "engine: %s: existing index %q uses shards=%d; ignoring -shards %d\n",
+			cmd, meta.Name, meta.Shards, *f.shards)
+	case !f.retunes && (lshDiffers || shardsDiffer):
 		fmt.Fprintf(stderr, "engine: %s: existing index %q uses bands=%d rows=%d shards=%d; ignoring -bands/-rows/-shards flags\n",
 			cmd, meta.Name, meta.Bands, meta.RowsPerBand, meta.Shards)
 	}
@@ -279,6 +286,25 @@ func (f *indexFlags) warnIgnored(cmd string, ix *core.Index, stderr io.Writer) {
 		fmt.Fprintf(stderr, "engine: %s: existing index is named %q; ignoring -name %q\n",
 			cmd, meta.Name, *f.name)
 	}
+}
+
+// retune applies an explicitly set -bands/-rows (zero = not set) to an
+// opened index whose stored scheme differs, and reports whether it did.
+// Band postings are rebuilt from the stored signatures, so the banding
+// can change without re-sketching.
+func retune(cmd string, ix *core.Index, bands, rows int) (bool, error) {
+	meta := ix.Metadata()
+	if (bands == 0 && rows == 0) || (bands == meta.Bands && rows == meta.RowsPerBand) {
+		return false, nil
+	}
+	lsh, err := core.NewLSHParams(bands, rows, meta.SignatureSize)
+	if err == nil {
+		err = ix.Rebucket(lsh, meta.Shards)
+	}
+	if err != nil {
+		return false, fmt.Errorf("%s: %w", cmd, err)
+	}
+	return true, nil
 }
 
 func cmdSketch(argv []string, stdout, stderr io.Writer) error {
@@ -399,18 +425,9 @@ func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 		}
 		defer ix.Close()
 		ix.SetBudget(*budget)
-		// Band postings are rebuilt from signatures at load time, so the
-		// banding scheme can be retuned per search run without
-		// re-sketching (nothing is saved).
-		if *bands != 0 || *rows != 0 {
-			meta := ix.Metadata()
-			lsh, err := core.NewLSHParams(*bands, *rows, meta.SignatureSize)
-			if err != nil {
-				return fmt.Errorf("search: %w", err)
-			}
-			if err := ix.Rebucket(lsh, meta.Shards); err != nil {
-				return fmt.Errorf("search: %w", err)
-			}
+		// Retuned per search run; nothing is saved.
+		if _, err := retune("search", ix, *bands, *rows); err != nil {
+			return err
 		}
 		// The engine derives sketch parameters from the index metadata,
 		// so queries are always sketched compatibly.

@@ -28,6 +28,7 @@ var serveBaseContext = context.Background
 func cmdServe(argv []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("serve", stderr)
 	ixf := addIndexFlags(fs)
+	ixf.retunes = true
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	pprofAddr := fs.String("pprof-addr", "",
 		"listen address for net/http/pprof (e.g. 127.0.0.1:6060; empty disables)")
@@ -107,6 +108,15 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 	}
 	ix := eng.Index()
 	defer ix.Close()
+	// Before the listener opens, so no query ever sees the old scheme;
+	// it reaches the manifest with the next snapshot a write causes.
+	// -shards stays stored-value-wins.
+	if applied, err := retune("serve", ix, *ixf.bands, *ixf.rows); err != nil {
+		return err
+	} else if applied {
+		fmt.Fprintf(stderr, "engine: serve: existing index %q rebucketed to bands=%d rows=%d (-bands/-rows)\n",
+			ix.Metadata().Name, *ixf.bands, *ixf.rows)
+	}
 	eng.SetMode(mode)
 	if *pprofAddr != "" {
 		stop, bound, err := servePprof(*pprofAddr)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -40,43 +41,51 @@ var (
 	pprofAddr   = regexp.MustCompile(`pprof\taddr=([^\t\n]+)`)
 )
 
+// startServe runs `engine serve args...` on its own goroutine with the
+// signal context test-hooked, and waits for the "serving" line. It
+// returns the base URL, the command's stdout and stderr, and a stop
+// func that stands in for SIGTERM and returns the exit code.
+func startServe(t *testing.T, args ...string) (base string, stdout, stderr *syncBuffer, stop func() int) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	oldBase := serveBaseContext
+	serveBaseContext = func() context.Context { return ctx }
+	stdout, stderr = new(syncBuffer), new(syncBuffer)
+	done := make(chan int, 1)
+	go func() { done <- run(append([]string{"serve", "-addr", "127.0.0.1:0"}, args...), stdout, stderr) }()
+	stop = sync.OnceValue(func() int { // once by the test or, failing that, by the cleanup
+		cancel()
+		defer func() { serveBaseContext = oldBase }()
+		select {
+		case code := <-done:
+			return code
+		case <-time.After(15 * time.Second):
+			t.Error("serve did not shut down")
+			return -1
+		}
+	})
+	t.Cleanup(func() { stop() })
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if m := servingAddr.FindStringSubmatch(stdout.String()); m != nil {
+			return "http://" + m[1], stdout, stderr, stop
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("serve never reported its address; stdout=%q stderr=%q", stdout.String(), stderr.String())
+		}
+	}
+}
+
 // TestCLIServe drives the serve subcommand end to end: start on a free
 // port, ingest over HTTP, search for a hit, stop via the (test-hooked)
 // signal context, and load the snapshot the shutdown left behind.
 func TestCLIServe(t *testing.T) {
 	index := filepath.Join(t.TempDir(), "index")
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	oldBase := serveBaseContext
-	serveBaseContext = func() context.Context { return ctx }
-	defer func() { serveBaseContext = oldBase }()
-
-	var stdout, stderr syncBuffer
-	done := make(chan int, 1)
-	go func() {
-		done <- run([]string{"serve", "-addr", "127.0.0.1:0", "-d", index, "-snapshot-every", "50ms",
-			"-pprof-addr", "127.0.0.1:0"},
-			&stdout, &stderr)
-	}()
-
-	var base, pprofBase string
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if m := servingAddr.FindStringSubmatch(stdout.String()); m != nil {
-			base = "http://" + m[1]
-			if p := pprofAddr.FindStringSubmatch(stdout.String()); p != nil {
-				pprofBase = "http://" + p[1]
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("serve never reported its address; stdout=%q stderr=%q", stdout.String(), stderr.String())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if pprofBase == "" {
+	base, stdout, stderr, stop := startServe(t, "-d", index, "-snapshot-every", "50ms", "-pprof-addr", "127.0.0.1:0")
+	p := pprofAddr.FindStringSubmatch(stdout.String())
+	if p == nil {
 		t.Fatalf("serve never reported its pprof address; stdout=%q", stdout.String())
 	}
+	pprofBase := "http://" + p[1]
 
 	// The pprof side listener must answer on its own port, keeping
 	// profiling off the public mux.
@@ -135,14 +144,8 @@ func TestCLIServe(t *testing.T) {
 	}
 
 	// Stop the server (stands in for SIGTERM) and check the exit path.
-	cancel()
-	select {
-	case code := <-done:
-		if code != 0 {
-			t.Fatalf("serve exited %d; stderr=%q", code, stderr.String())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("serve did not shut down")
+	if code := stop(); code != 0 {
+		t.Fatalf("serve exited %d; stderr=%q", code, stderr.String())
 	}
 
 	ix, err := core.Open(index)
@@ -152,6 +155,66 @@ func TestCLIServe(t *testing.T) {
 	defer ix.Close()
 	if ix.Len() != 2 || ix.Get("alpha") == nil || ix.Get("beta") == nil {
 		t.Fatalf("snapshot has %d records, want alpha and beta", ix.Len())
+	}
+}
+
+// TestCLIServeRetunesLSH: serve on an existing index applies an
+// explicitly set -bands/-rows before it listens (where it used to warn
+// and ignore them), says so once, and the retuned index still finds a
+// planted near-duplicate first.
+func TestCLIServeRetunesLSH(t *testing.T) {
+	index := filepath.Join(t.TempDir(), "index")
+	if _, stderr, code := runCLI(t, "sketch", "-o", index, "-bands", "32", "-rows", "4",
+		testdata("alpha.txt"), testdata("beta.txt"), testdata("gamma.txt")); code != 0 {
+		t.Fatalf("sketch: code=%d stderr=%s", code, stderr)
+	}
+	// A scheme that does not cover the signature stops serve before it listens.
+	if _, stderr, code := runCLI(t, "serve", "-addr", "127.0.0.1:0", "-d", index, "-bands", "3", "-rows", "5"); code != 1 ||
+		!strings.Contains(stderr, "does not cover signature size") {
+		t.Fatalf("serve with a bad scheme on an existing index: code=%d stderr=%q", code, stderr)
+	}
+	base, _, stderr, _ := startServe(t, "-d", index, "-bands", "16", "-rows", "8", "-shards", "3")
+	if got := strings.Count(stderr.String(), "rebucketed to bands=16 rows=8"); got != 1 {
+		t.Errorf("want one rebucket line on stderr, got %d: %q", got, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "uses shards=16; ignoring -shards 3") {
+		t.Errorf("-shards must stay stored-value-wins, with its warning: %q", stderr.String())
+	}
+
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Engine struct {
+			Bands       int `json:"bands"`
+			RowsPerBand int `json:"rows_per_band"`
+			Shards      int `json:"shards"`
+			Records     int `json:"records"`
+		} `json:"engine"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if e := stats.Engine; err != nil || e.Bands != 16 || e.RowsPerBand != 8 || e.Shards != 16 || e.Records != 3 {
+		t.Fatalf("/stats engine = %+v (%v), want 16x8 over the stored 16 shards and 3 records", e, err)
+	}
+
+	// alpha.txt with one word changed: its near-duplicate is rank 1 under
+	// the new, stricter banding, through the LSH path.
+	raw, err := os.ReadFile(testdata("alpha.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, _ := json.Marshal(map[string]any{"name": "q", "mode": "lsh", "k": 2,
+		"data": strings.Replace(string(raw), "the", "a", 1)})
+	resp, err = http.Post(base+"/v1/search", "application/json", bytes.NewReader(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"results":[{"rank":1,"ref":"alpha.txt"`) {
+		t.Fatalf("search after the retune = %d %s, want alpha.txt at rank 1", resp.StatusCode, body)
 	}
 }
 

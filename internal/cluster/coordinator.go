@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"sync"
@@ -32,7 +31,8 @@ const (
 )
 
 // Config configures a Coordinator. Zero values fall back to the
-// defaults above (and to internal/server's request-plumbing defaults).
+// defaults above; Addr, MaxInFlight, MaxBatch, MaxBodyBytes,
+// DrainTimeout and Logf go to the server.Shell, with its defaults.
 type Config struct {
 	// Addr is the listen address; port 0 picks a free port.
 	Addr string
@@ -103,14 +103,14 @@ type Config struct {
 }
 
 // Coordinator serves the /v1 API by fanning out to backends. Build one
-// with New, then Listen and Serve, mirroring server.Server's
-// lifecycle. Call Close when done to stop the background repair and
+// with New, then Listen and Serve: the same server.Shell lifecycle a
+// backend has. Call Close when done to stop the background repair and
 // hint workers and release the hint files.
 type Coordinator struct {
 	cfg     Config
+	shell   *server.Shell
 	client  *client
 	metrics *clusterMetrics
-	handler http.Handler
 	hints   *hintStore
 	repairs *repairQueue
 	budget  *retryBudget
@@ -139,8 +139,6 @@ type Coordinator struct {
 	hintKick chan struct{} // nudges the drainer on a down->up transition
 	stop     chan struct{}
 	stopOnce sync.Once
-
-	lis net.Listener
 }
 
 // New validates cfg and builds a Coordinator. The hint drainer and the
@@ -169,7 +167,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.HintInterval = DefaultHintInterval
 	}
 	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = server.DefaultMaxInFlight
+		cfg.MaxInFlight = server.DefaultMaxInFlight // MaxFanout's default
 	}
 	if cfg.MaxFanout <= 0 {
 		cfg.MaxFanout = cfg.MaxInFlight
@@ -180,15 +178,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetryRefillPerSec <= 0 {
 		cfg.RetryRefillPerSec = DefaultRetryRefillPerSec
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = server.DefaultMaxBatch
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = server.DefaultMaxBodyBytes
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = server.DefaultDrainTimeout
-	}
 	ring, err := NewRing(cfg.Backends, cfg.Replication)
 	if err != nil {
 		return nil, err
@@ -198,10 +187,14 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:       cfg,
+		cfg: cfg,
+		shell: server.NewShell(server.Config{
+			Addr: cfg.Addr, MaxInFlight: cfg.MaxInFlight, MaxBatch: cfg.MaxBatch,
+			MaxBodyBytes: cfg.MaxBodyBytes, DrainTimeout: cfg.DrainTimeout, Logf: cfg.Logf,
+		}),
 		ring:      ring,
 		client:    newClient(len(ring.Backends())),
-		metrics:   newClusterMetrics(),
+		metrics:   new(clusterMetrics),
 		hints:     hints,
 		repairs:   newRepairQueue(),
 		budget:    newRetryBudget(cfg.RetryBudget, cfg.RetryRefillPerSec),
@@ -228,7 +221,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.observeBreaker(b, requestOK(err))
 	}
-	c.handler = c.limit(c.count(server.JSONErrors(c.routes())))
+	c.shell.Mount(c.routes())
 	go c.repairLoop()
 	if cfg.HintInterval > 0 {
 		go c.hintLoop()
@@ -277,32 +270,21 @@ func (c *Coordinator) lookup(addr string) *backend {
 }
 
 // Handler returns the coordinator's HTTP handler (routes behind the
-// envelope, counting, and concurrency-limit middleware), for tests and
-// embedding.
-func (c *Coordinator) Handler() http.Handler { return c.handler }
+// shell's middleware), for tests and embedding.
+func (c *Coordinator) Handler() http.Handler { return c.shell.Handler() }
 
 // quorum is the write quorum: a majority of the replica set.
 func (c *Coordinator) quorum() int { return c.cfg.Replication/2 + 1 }
 
 // Listen binds cfg.Addr and returns the bound address. It must be
 // called once, before Serve.
-func (c *Coordinator) Listen() (net.Addr, error) {
-	lis, err := net.Listen("tcp", c.cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: listen %s: %w", c.cfg.Addr, err)
-	}
-	c.lis = lis
-	return lis.Addr(), nil
-}
+func (c *Coordinator) Listen() (net.Addr, error) { return c.shell.Listen() }
 
 // Serve serves on the listener bound by Listen until ctx is canceled,
 // then drains in-flight requests for up to DrainTimeout. The probe
 // loop and the periodic repair sweep run for exactly the lifetime of
 // the serve loop.
 func (c *Coordinator) Serve(ctx context.Context) error {
-	if c.lis == nil {
-		return errors.New("cluster: Serve called before Listen")
-	}
 	hctx, stopHealth := context.WithCancel(context.Background())
 	defer stopHealth()
 	if c.cfg.HealthInterval > 0 {
@@ -311,24 +293,7 @@ func (c *Coordinator) Serve(ctx context.Context) error {
 	if c.cfg.RepairInterval > 0 {
 		go c.sweepLoop(hctx)
 	}
-	hs := &http.Server{
-		Handler:           c.handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(c.lis) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		c.logf("shutdown requested, draining (timeout %s)", c.cfg.DrainTimeout)
-		drainCtx, cancel := context.WithTimeout(context.Background(), c.cfg.DrainTimeout)
-		err := hs.Shutdown(drainCtx)
-		cancel()
-		<-errc // always http.ErrServerClosed after Shutdown
-		c.logf("drained")
-		return err
-	}
+	return c.shell.Serve(ctx)
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -337,13 +302,11 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// clusterMetrics are the coordinator's counters: one set for the
-// API surface it serves, one set for the fan-out behavior behind it.
-// All lock-free on the hot path, like the server's.
+// clusterMetrics are the coordinator's own counters, beside the shell's
+// request counters: one set for the API surface it serves, one for the
+// fan-out behavior behind it. All lock-free on the hot path; stats()
+// reads each exactly once.
 type clusterMetrics struct {
-	start time.Time
-
-	requests       atomic.Int64
 	searches       atomic.Int64
 	ingestRequests atomic.Int64
 	recordsRouted  atomic.Int64 // record-replica assignments routed by ingest
@@ -364,59 +327,4 @@ type clusterMetrics struct {
 	rebalanceMoved    atomic.Int64 // records whose replica set changed across commits
 	rebalanceCopied   atomic.Int64 // record copies streamed to new replicas
 	rebalanceActive   atomic.Bool  // a join/drain stream is in flight
-
-	// histMu guards registration only; every endpoint registers once at
-	// startup.
-	histMu    sync.Mutex
-	latencies map[string]*server.Histogram // whole-fan-out latency per endpoint
-}
-
-func newClusterMetrics() *clusterMetrics {
-	return &clusterMetrics{start: time.Now(), latencies: make(map[string]*server.Histogram)}
-}
-
-func (m *clusterMetrics) hist(name string) *server.Histogram {
-	m.histMu.Lock()
-	defer m.histMu.Unlock()
-	h, ok := m.latencies[name]
-	if !ok {
-		h = server.NewHistogram()
-		m.latencies[name] = h
-	}
-	return h
-}
-
-// limit is the same concurrency-limit shape the backends use: excess
-// requests wait on the semaphore, a client that gives up gets 503.
-func (c *Coordinator) limit(next http.Handler) http.Handler {
-	sem := make(chan struct{}, c.cfg.MaxInFlight)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-		case <-r.Context().Done():
-			server.WriteError(w, http.StatusServiceUnavailable, server.CodeOverloaded, "coordinator overloaded")
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// count tallies accepted requests.
-func (c *Coordinator) count(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c.metrics.requests.Add(1)
-		next.ServeHTTP(w, r)
-	})
-}
-
-// timed wraps one endpoint's handler with its fan-out latency
-// histogram.
-func (c *Coordinator) timed(name string, h http.HandlerFunc) http.HandlerFunc {
-	hist := c.metrics.hist(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		h(w, r)
-		hist.Observe(time.Since(start))
-	}
 }

@@ -1,7 +1,10 @@
 // Package cluster scales the engine's HTTP API across processes: a
 // coordinator speaks the same /v1 protocol as internal/server but owns
 // no index, routing every request to a fleet of ordinary single-node
-// backends.
+// backends. It is the same kind of HTTP process as a backend — it holds
+// a server.Shell for its middleware, request decoding and lifecycle,
+// and renders /stats and /metrics from one stats() value through
+// server.WriteProm — so this package is only the routing.
 //
 // Placement is a rendezvous-hash ring (Ring): each record name maps to
 // a replication-factor-sized set of backends, so capacity grows by

@@ -66,24 +66,9 @@ func (c *Coordinator) searchCover(n int) int { return n - (c.quorum() - 1) }
 // backstop.
 func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req server.SearchRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	if req.Mode != "" {
-		// Fail a bad mode here: fanning it out would return backend 400s
-		// dressed up as a cluster fault.
-		if _, err := core.ParseSearchMode(req.Mode); err != nil {
-			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
-			return
-		}
-	}
-	k := req.K
-	if k == 0 {
-		k = 10
-	}
-	if k < 0 {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
-			fmt.Sprintf("search: k must be positive, got %d", k))
+	// The body's own check fails a bad mode or k here: fanning it out
+	// would return backend 400s dressed up as a cluster fault.
+	if !c.shell.Decode(w, r, &req) {
 		return
 	}
 	c.metrics.searches.Add(1)
@@ -186,9 +171,9 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	merged := core.MergeTopK(pooled, k)
+	merged := core.MergeTopK(pooled, req.K)
 	ring, _ := c.rings()
-	c.offerSearchRepairs(ring, calls, merged, k)
+	c.offerSearchRepairs(ring, calls, merged, req.K)
 	// Zero-hit responses must encode as "results":[], matching the
 	// single-node server (nil would marshal as null).
 	hits := make([]server.SearchHit, 0, len(merged))

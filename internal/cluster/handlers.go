@@ -1,40 +1,27 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
+	"io"
 	"net/http"
-	"sort"
-	"strconv"
 	"time"
 
 	"sketchengine/internal/fault"
 	"sketchengine/internal/server"
 )
 
-// faultCounters snapshots the armed fault plan's injection counters,
-// keyed "point:kind", or nil when no spec is armed.
-func faultCounters() map[string]int64 {
-	p := fault.Active()
-	if p == nil {
-		return nil
-	}
-	return p.Counters()
-}
-
 func (c *Coordinator) routes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/records", c.timed("ingest", c.handleIngest))
-	mux.HandleFunc("POST /v1/search", c.timed("search", c.handleSearch))
-	mux.HandleFunc("GET /v1/records/{name}", c.timed("get_record", c.handleGetRecord))
-	mux.HandleFunc("DELETE /v1/records/{name}", c.timed("delete_record", c.handleDeleteRecord))
-	mux.HandleFunc("POST /v1/admin/rebucket", c.timed("rebucket", c.handleRebucket))
-	mux.HandleFunc("POST /v1/admin/repair", c.timed("repair", c.handleRepairSweep))
-	mux.HandleFunc("POST /v1/admin/join", c.timed("join", c.handleJoin))
-	mux.HandleFunc("POST /v1/admin/drain", c.timed("drain", c.handleDrain))
-	mux.HandleFunc("GET /healthz", c.timed("healthz", c.handleHealthz))
-	mux.HandleFunc("GET /stats", c.timed("stats", c.handleStats))
-	mux.HandleFunc("GET /metrics", c.timed("metrics", c.handleMetrics))
+	mux, timed := http.NewServeMux(), c.shell.Timed
+	mux.HandleFunc("POST /v1/records", timed("ingest", c.handleIngest))
+	mux.HandleFunc("POST /v1/search", timed("search", c.handleSearch))
+	mux.HandleFunc("GET /v1/records/{name}", timed("get_record", c.handleGetRecord))
+	mux.HandleFunc("DELETE /v1/records/{name}", timed("delete_record", c.handleDeleteRecord))
+	mux.HandleFunc("POST /v1/admin/repair", timed("repair", c.handleRepairSweep))
+	mux.HandleFunc("POST /v1/admin/join", timed("join", c.handleJoin))
+	mux.HandleFunc("POST /v1/admin/drain", timed("drain", c.handleDrain))
+	mux.HandleFunc("GET /healthz", timed("healthz", c.handleHealthz))
+	mux.HandleFunc("GET /stats", timed("stats", c.handleStats))
+	mux.HandleFunc("GET /metrics", timed("metrics", c.handleMetrics))
 	return mux
 }
 
@@ -48,95 +35,102 @@ type HealthResponse struct {
 	Replication int    `json:"replication"`
 }
 
-// BackendStats is one backend's row in the coordinator's /stats.
+// BackendStats is one backend's row in the coordinator's /stats, and
+// through its tags one sample per backend="addr" in each per-backend
+// /metrics family.
 type BackendStats struct {
-	Addr string `json:"addr"`
-	Up   bool   `json:"up"`
+	Addr string `json:"addr" promlabel:"backend"`
+	Up   bool   `json:"up" prom:"backend_up" help:"Backend health as its circuit breaker sees it (1 up, 0 down)."`
 	// Breaker is the circuit-breaker state gating first-wave traffic to
 	// this backend: "closed" (healthy), "open" (shed), or "half-open"
 	// (recovery probation). The transition counters record how often the
 	// breaker tripped, entered probation, and recovered.
 	Breaker          string  `json:"breaker"`
-	BreakerOpens     int64   `json:"breaker_opens,omitempty"`
-	BreakerHalfOpens int64   `json:"breaker_half_opens,omitempty"`
-	BreakerCloses    int64   `json:"breaker_closes,omitempty"`
-	Requests         int64   `json:"requests"`
-	Failures         int64   `json:"failures"`
-	RoutedRecords    int64   `json:"routed_records"`
+	BreakerOpens     int64   `json:"breaker_opens,omitempty" prom:"backend_breaker_transitions_total,kind=open" help:"Breaker transitions per backend by kind."`
+	BreakerHalfOpens int64   `json:"breaker_half_opens,omitempty" prom:"backend_breaker_transitions_total,kind=half_open"`
+	BreakerCloses    int64   `json:"breaker_closes,omitempty" prom:"backend_breaker_transitions_total,kind=close"`
+	Requests         int64   `json:"requests" prom:"backend_requests_total" help:"Requests proxied to each backend."`
+	Failures         int64   `json:"failures" prom:"backend_failures_total" help:"Proxied requests that failed, per backend."`
+	RoutedRecords    int64   `json:"routed_records" prom:"ring_records,counter" help:"Record-replica assignments per backend: the observed ring occupancy."`
 	Transitions      int64   `json:"transitions"`
 	DownSeconds      float64 `json:"down_seconds,omitempty"`
 	// PendingHints is how many quorum-acked writes this backend still
 	// has to catch up on; ProbeIntervalSeconds is its breaker's current
 	// (backed-off) reprobe cadence, absent until it has been down once.
-	PendingHints         int     `json:"pending_hints"`
+	PendingHints         int     `json:"pending_hints" prom:"backend_pending_hints" help:"Hints queued per backend."`
 	ProbeIntervalSeconds float64 `json:"probe_interval_seconds,omitempty"`
 	LastError            string  `json:"last_error,omitempty"`
 }
 
 // HintStats summarizes the hinted-handoff store in /stats.
 type HintStats struct {
-	Pending  int   `json:"pending"`
-	Queued   int64 `json:"queued"`
-	Replayed int64 `json:"replayed"`
-	Expired  int64 `json:"expired"`
-	Dropped  int64 `json:"dropped"`
+	Pending  int   `json:"pending" prom:"hint_depth" help:"Hints pending across all backends."`
+	Queued   int64 `json:"queued" prom:"hints_queued_total" help:"Hints enqueued for replicas that missed an acked write."`
+	Replayed int64 `json:"replayed" prom:"hints_replayed_total" help:"Hints successfully replayed to their backend."`
+	Expired  int64 `json:"expired" prom:"hints_expired_total" help:"Hints dropped past their TTL."`
+	Dropped  int64 `json:"dropped" prom:"hints_dropped_total" help:"Hints discarded because the backend left the ring."`
 }
 
 // RepairStats summarizes anti-entropy activity in /stats.
 type RepairStats struct {
-	QueueDepth int   `json:"queue_depth"`
-	Enqueued   int64 `json:"enqueued"`
-	Dropped    int64 `json:"dropped"`
-	Checked    int64 `json:"checked"`
-	Applied    int64 `json:"applied"`
-	Removed    int64 `json:"removed_strays"`
-	Failures   int64 `json:"failures"`
-	Sweeps     int64 `json:"sweeps"`
+	QueueDepth int   `json:"queue_depth" prom:"repair_queue_depth" help:"Record names waiting for the read-repair worker."`
+	Enqueued   int64 `json:"enqueued" prom:"repair_enqueued_total" help:"Records enqueued for read repair."`
+	Dropped    int64 `json:"dropped" prom:"repair_dropped_total" help:"Read-repair enqueues dropped on a full queue."`
+	Checked    int64 `json:"checked" prom:"repair_checked_total" help:"Repair probes completed."`
+	Applied    int64 `json:"applied" prom:"repair_applied_total" help:"Record copies written by repair."`
+	Removed    int64 `json:"removed_strays" prom:"repair_removed_strays_total" help:"Stray copies deleted by the sweep."`
+	Failures   int64 `json:"failures" prom:"repair_failures_total" help:"Repairs that could not converge."`
+	Sweeps     int64 `json:"sweeps" prom:"repair_sweeps_total" help:"Full anti-entropy sweeps completed."`
 }
 
 // RebalanceStats summarizes ring membership changes in /stats.
 type RebalanceStats struct {
-	Active   bool  `json:"active"`
-	Joins    int64 `json:"joins"`
-	Drains   int64 `json:"drains"`
-	Failures int64 `json:"failures"`
-	Moved    int64 `json:"records_moved"`
-	Copied   int64 `json:"copies_streamed"`
+	Active   bool  `json:"active" prom:"rebalance_active" help:"1 while a join/drain stream is in flight."`
+	Joins    int64 `json:"joins" prom:"rebalance_joins_total" help:"Committed ring joins."`
+	Drains   int64 `json:"drains" prom:"rebalance_drains_total" help:"Committed ring drains."`
+	Failures int64 `json:"failures" prom:"rebalance_failures_total" help:"Join/drain attempts aborted before commit."`
+	Moved    int64 `json:"records_moved" prom:"rebalance_moved_total" help:"Records whose replica set changed across commits."`
+	Copied   int64 `json:"copies_streamed" prom:"rebalance_copied_total" help:"Record copies streamed to new replicas."`
 }
 
 // RetryBudgetStats reports the coordinator-wide retry token bucket.
 type RetryBudgetStats struct {
-	Remaining    float64 `json:"remaining"`
+	Remaining    float64 `json:"remaining" prom:"retry_budget_tokens" help:"Retry tokens currently available."`
 	Max          int     `json:"max"`
 	RefillPerSec float64 `json:"refill_per_sec"`
-	Spent        int64   `json:"spent"`
-	Denied       int64   `json:"denied"`
+	Spent        int64   `json:"spent" prom:"retry_budget_spent_total" help:"Retry tokens spent on second waves, hint replays, and repair copies."`
+	Denied       int64   `json:"denied" prom:"retry_budget_denied_total" help:"Retries denied on an empty budget."`
 }
 
-// StatsResponse is the coordinator's GET /stats body.
+// StatsResponse is the coordinator's GET /stats body, and through its
+// prom tags the one definition of its /metrics.
 type StatsResponse struct {
-	UptimeSeconds  float64  `json:"uptime_seconds"`
-	Replication    int      `json:"replication"`
-	WriteQuorum    int      `json:"write_quorum"`
-	Ring           []string `json:"ring"`
-	Requests       int64    `json:"requests"`
-	Searches       int64    `json:"searches"`
-	IngestRequests int64    `json:"ingest_requests"`
-	RecordsRouted  int64    `json:"records_routed"`
-	Deletes        int64    `json:"deletes"`
-	Retries        int64    `json:"retries"`
-	PartialResults int64    `json:"partial_results"`
-	QuorumFailures int64    `json:"quorum_failures"`
+	UptimeSeconds float64  `json:"uptime_seconds"`
+	Replication   int      `json:"replication"`
+	WriteQuorum   int      `json:"write_quorum"`
+	Ring          []string `json:"ring"`
+	// Requests is HTTP.Total, kept under its old key; HTTP is the shared
+	// counting middleware's block — status classes, in-flight and peak —
+	// the same one a backend reports under "requests".
+	Requests       int64            `json:"requests"`
+	HTTP           server.HTTPStats `json:"http"`
+	Searches       int64            `json:"searches" prom:"searches_total" help:"Search fan-outs served."`
+	IngestRequests int64            `json:"ingest_requests" prom:"ingest_requests_total" help:"Ingest requests received."`
+	RecordsRouted  int64            `json:"records_routed" prom:"records_routed_total" help:"Record-replica assignments routed by ingest."`
+	Deletes        int64            `json:"deletes" prom:"deletes_total" help:"Deletes routed to replica sets."`
+	Retries        int64            `json:"retries" prom:"retries_total" help:"Backend calls retried after a failed first wave."`
+	PartialResults int64            `json:"partial_results" prom:"partial_results_total" help:"Search responses degraded to partial."`
+	QuorumFailures int64            `json:"quorum_failures" prom:"quorum_failures_total" help:"Records that missed their write quorum."`
 	// SearchBackendCalls counts the backend calls searches made, first
 	// wave and second: divided by Searches it is the fan-out width, which
 	// sits at the cover size (backends - write_quorum + 1) while the fleet
 	// is healthy.
-	SearchBackendCalls int64 `json:"search_backend_calls"`
+	SearchBackendCalls int64 `json:"search_backend_calls" prom:"search_backend_calls_total" help:"Backend calls made by searches, first wave and second."`
 	// Shed counts fan-outs refused with 503 at the MaxFanout bound;
 	// DeadlineExceeded counts backend calls that came back 504 after the
 	// propagated deadline expired.
-	Shed             int64            `json:"shed,omitempty"`
-	DeadlineExceeded int64            `json:"deadline_exceeded,omitempty"`
+	Shed             int64            `json:"shed,omitempty" prom:"shed_total" help:"Fan-outs refused with 503 at the MaxFanout bound."`
+	DeadlineExceeded int64            `json:"deadline_exceeded,omitempty" prom:"deadline_exceeded_total" help:"Backend calls that answered 504 past the propagated deadline."`
 	RetryBudget      RetryBudgetStats `json:"retry_budget"`
 	// Faults is populated only while a fault spec is armed: injection
 	// counts keyed "point:kind".
@@ -198,15 +192,22 @@ func (c *Coordinator) backendStats() []BackendStats {
 	return out
 }
 
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
+// stats is the one snapshot both /stats and /metrics are rendered from.
+func (c *Coordinator) stats() StatsResponse {
 	m := c.metrics
 	ring, _ := c.rings()
-	server.WriteJSON(w, http.StatusOK, StatsResponse{
-		UptimeSeconds:      time.Since(m.start).Seconds(),
+	var faults map[string]int64
+	if p := fault.Active(); p != nil {
+		faults = p.Counters()
+	}
+	hs := c.shell.HTTPStats()
+	return StatsResponse{
+		UptimeSeconds:      c.shell.UptimeSeconds(),
 		Replication:        c.cfg.Replication,
 		WriteQuorum:        c.quorum(),
 		Ring:               ring.Backends(),
-		Requests:           m.requests.Load(),
+		Requests:           hs.Total,
+		HTTP:               hs,
 		Searches:           m.searches.Load(),
 		SearchBackendCalls: m.searchBackendCalls.Load(),
 		IngestRequests:     m.ingestRequests.Load(),
@@ -224,7 +225,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Spent:        c.budget.spent.Load(),
 			Denied:       c.budget.denied.Load(),
 		},
-		Faults: faultCounters(),
+		Faults: faults,
 		Hints: HintStats{
 			Pending:  c.hints.depth(),
 			Queued:   c.hints.queued.Load(),
@@ -251,128 +252,30 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Copied:   m.rebalanceCopied.Load(),
 		},
 		Backends: c.backendStats(),
-	})
+	}
 }
 
-// handleMetrics renders the coordinator's counters in the Prometheus
-// text format, namespaced under sketchengine_cluster_. Per-backend
-// series carry a backend label; the routed-records gauge doubles as
-// the observed ring occupancy.
+func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
+	server.WriteJSON(w, http.StatusOK, c.stats())
+}
+
+// handleMetrics renders stats() under sketchengine_cluster_. The breaker
+// state is the one family that is not a tagged field: a string rendered
+// one-hot, one series per backend and state, 1 on the active one.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := c.metrics
-	backends := c.backendList()
-	var buf bytes.Buffer
-
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&buf, "# HELP sketchengine_cluster_%s %s\n# TYPE sketchengine_cluster_%s counter\nsketchengine_cluster_%s %d\n",
-			name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&buf, "# HELP sketchengine_cluster_%s %s\n# TYPE sketchengine_cluster_%s gauge\nsketchengine_cluster_%s %d\n",
-			name, help, name, name, v)
-	}
-	counter("requests_total", "Requests accepted by the coordinator.", m.requests.Load())
-	counter("searches_total", "Search fan-outs served.", m.searches.Load())
-	counter("search_backend_calls_total", "Backend calls made by searches, first wave and second.", m.searchBackendCalls.Load())
-	counter("ingest_requests_total", "Ingest requests received.", m.ingestRequests.Load())
-	counter("records_routed_total", "Record-replica assignments routed by ingest.", m.recordsRouted.Load())
-	counter("deletes_total", "Deletes routed to replica sets.", m.deletes.Load())
-	counter("retries_total", "Backend calls retried after a failed first wave.", m.retries.Load())
-	counter("partial_results_total", "Search responses degraded to partial.", m.partials.Load())
-	counter("quorum_failures_total", "Records that missed their write quorum.", m.quorumFailures.Load())
-	counter("shed_total", "Fan-outs refused with 503 at the MaxFanout bound.", m.shed.Load())
-	counter("deadline_exceeded_total", "Backend calls that answered 504 past the propagated deadline.", m.deadlineExceeded.Load())
-	fmt.Fprintf(&buf, "# HELP sketchengine_cluster_retry_budget_tokens Retry tokens currently available.\n# TYPE sketchengine_cluster_retry_budget_tokens gauge\nsketchengine_cluster_retry_budget_tokens %.3f\n",
-		c.budget.remaining())
-	counter("retry_budget_spent_total", "Retry tokens spent on second waves, hint replays, and repair copies.", c.budget.spent.Load())
-	counter("retry_budget_denied_total", "Retries denied on an empty budget.", c.budget.denied.Load())
-
-	gauge("hint_depth", "Hints pending across all backends.", int64(c.hints.depth()))
-	counter("hints_queued_total", "Hints enqueued for replicas that missed an acked write.", c.hints.queued.Load())
-	counter("hints_replayed_total", "Hints successfully replayed to their backend.", c.hints.replayed.Load())
-	counter("hints_expired_total", "Hints dropped past their TTL.", c.hints.expired.Load())
-	counter("hints_dropped_total", "Hints discarded because the backend left the ring.", c.hints.dropped.Load())
-
-	gauge("repair_queue_depth", "Record names waiting for the read-repair worker.", int64(c.repairs.depth()))
-	counter("repair_enqueued_total", "Records enqueued for read repair.", c.repairs.enqueued.Load())
-	counter("repair_dropped_total", "Read-repair enqueues dropped on a full queue.", c.repairs.dropped.Load())
-	counter("repair_checked_total", "Repair probes completed.", c.repairs.checked.Load())
-	counter("repair_applied_total", "Record copies written by repair.", c.repairs.applied.Load())
-	counter("repair_removed_strays_total", "Stray copies deleted by the sweep.", c.repairs.removed.Load())
-	counter("repair_failures_total", "Repairs that could not converge.", c.repairs.failed.Load())
-	counter("repair_sweeps_total", "Full anti-entropy sweeps completed.", c.repairs.sweeps.Load())
-
-	active := int64(0)
-	if m.rebalanceActive.Load() {
-		active = 1
-	}
-	gauge("rebalance_active", "1 while a join/drain stream is in flight.", active)
-	counter("rebalance_joins_total", "Committed ring joins.", m.joins.Load())
-	counter("rebalance_drains_total", "Committed ring drains.", m.drains.Load())
-	counter("rebalance_failures_total", "Join/drain attempts aborted before commit.", m.rebalanceFailures.Load())
-	counter("rebalance_moved_total", "Records whose replica set changed across commits.", m.rebalanceMoved.Load())
-	counter("rebalance_copied_total", "Record copies streamed to new replicas.", m.rebalanceCopied.Load())
-
-	fmt.Fprintf(&buf, "# HELP sketchengine_cluster_backend_up Backend health as seen by the checker (1 up, 0 down).\n# TYPE sketchengine_cluster_backend_up gauge\n")
-	for _, b := range backends {
-		up := 0
-		if b.up() {
-			up = 1
-		}
-		fmt.Fprintf(&buf, "sketchengine_cluster_backend_up{backend=%q} %d\n", b.addr, up)
-	}
-	fmt.Fprintf(&buf, "# HELP sketchengine_cluster_backend_breaker_state Per-backend breaker state (1 on the active state's series).\n# TYPE sketchengine_cluster_backend_breaker_state gauge\n")
-	for _, b := range backends {
-		cur := breakerStateName(b.bState.Load())
-		for _, state := range []string{"closed", "open", "half-open"} {
-			v := 0
-			if state == cur {
-				v = 1
+	st := c.stats()
+	breakerStates := func(w io.Writer) {
+		fmt.Fprintf(w, "# HELP sketchengine_cluster_backend_breaker_state Per-backend breaker state (1 on the active state's series).\n# TYPE sketchengine_cluster_backend_breaker_state gauge\n")
+		for _, b := range st.Backends {
+			for _, state := range []string{"closed", "open", "half-open"} {
+				v := 0
+				if state == b.Breaker {
+					v = 1
+				}
+				fmt.Fprintf(w, "sketchengine_cluster_backend_breaker_state{backend=%q,state=%q} %d\n", b.Addr, state, v)
 			}
-			fmt.Fprintf(&buf, "sketchengine_cluster_backend_breaker_state{backend=%q,state=%q} %d\n", b.addr, state, v)
 		}
 	}
-	fmt.Fprintf(&buf, "# HELP sketchengine_cluster_backend_breaker_transitions_total Breaker transitions per backend by kind.\n# TYPE sketchengine_cluster_backend_breaker_transitions_total counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(&buf, "sketchengine_cluster_backend_breaker_transitions_total{backend=%q,kind=\"open\"} %d\n", b.addr, b.opens.Load())
-		fmt.Fprintf(&buf, "sketchengine_cluster_backend_breaker_transitions_total{backend=%q,kind=\"half_open\"} %d\n", b.addr, b.halfOpens.Load())
-		fmt.Fprintf(&buf, "sketchengine_cluster_backend_breaker_transitions_total{backend=%q,kind=\"close\"} %d\n", b.addr, b.closes.Load())
-	}
-	fmt.Fprintf(&buf, "# HELP sketchengine_cluster_backend_requests_total Requests proxied to each backend.\n# TYPE sketchengine_cluster_backend_requests_total counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(&buf, "sketchengine_cluster_backend_requests_total{backend=%q} %d\n", b.addr, b.requests.Load())
-	}
-	fmt.Fprintf(&buf, "# HELP sketchengine_cluster_backend_failures_total Proxied requests that failed, per backend.\n# TYPE sketchengine_cluster_backend_failures_total counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(&buf, "sketchengine_cluster_backend_failures_total{backend=%q} %d\n", b.addr, b.failures.Load())
-	}
-	fmt.Fprintf(&buf, "# HELP sketchengine_cluster_backend_pending_hints Hints queued per backend.\n# TYPE sketchengine_cluster_backend_pending_hints gauge\n")
-	for _, b := range backends {
-		fmt.Fprintf(&buf, "sketchengine_cluster_backend_pending_hints{backend=%q} %d\n", b.addr, c.hints.depthFor(b.addr))
-	}
-	fmt.Fprintf(&buf, "# HELP sketchengine_cluster_ring_records Record-replica assignments per backend: the observed ring occupancy.\n# TYPE sketchengine_cluster_ring_records counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(&buf, "sketchengine_cluster_ring_records{backend=%q} %d\n", b.addr, b.routedRecords.Load())
-	}
-
-	names := make([]string, 0, len(m.latencies))
-	m.histMu.Lock()
-	for name := range m.latencies {
-		names = append(names, name)
-	}
-	m.histMu.Unlock()
-	sort.Strings(names)
-	if len(names) > 0 {
-		fmt.Fprintf(&buf, "# HELP sketchengine_cluster_fanout_duration_seconds Whole-fan-out latency by endpoint.\n# TYPE sketchengine_cluster_fanout_duration_seconds histogram\n")
-	}
-	for _, name := range names {
-		server.WritePromHistogram(&buf, "sketchengine_cluster_fanout_duration_seconds",
-			fmt.Sprintf("endpoint=%q", name), m.hist(name))
-	}
-	server.WriteFaultMetrics(&buf)
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	server.WriteProm(w, "sketchengine_cluster_", st, breakerStates,
+		c.shell.Latencies("sketchengine_cluster_fanout_duration_seconds", "Whole-fan-out latency by endpoint."))
 }

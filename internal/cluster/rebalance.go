@@ -55,6 +55,19 @@ type DrainRequest struct {
 	Backend string `json:"backend"`
 }
 
+// Check is the rule server.Shell.Decode applies to a join body.
+func (q *JoinRequest) Check(int) (int, string) { return checkBackend("join", q.Backend) }
+
+// Check is the rule server.Shell.Decode applies to a drain body.
+func (q *DrainRequest) Check(int) (int, string) { return checkBackend("drain", q.Backend) }
+
+func checkBackend(op, addr string) (int, string) {
+	if addr == "" {
+		return http.StatusBadRequest, op + ": backend address is required"
+	}
+	return 0, ""
+}
+
 // RebalanceResponse reports a committed join or drain.
 type RebalanceResponse struct {
 	Action      string   `json:"action"` // "join" or "drain"
@@ -76,11 +89,7 @@ type RebalanceResponse struct {
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	if req.Backend == "" {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "join: backend address is required")
+	if !c.shell.Decode(w, r, &req) {
 		return
 	}
 	if !c.rebalanceMu.TryLock() {
@@ -178,11 +187,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req DrainRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	if req.Backend == "" {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "drain: backend address is required")
+	if !c.shell.Decode(w, r, &req) {
 		return
 	}
 	if !c.rebalanceMu.TryLock() {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -21,10 +20,6 @@ const (
 	// CodeQuorumFailed: a write reached fewer than quorum replicas for
 	// at least one record; the envelope's Records list names them.
 	CodeQuorumFailed = "quorum_failed"
-	// CodeRebucketFailed: the coordinator could not apply a rebucket on
-	// every backend; the envelope's Records list names the failures by
-	// backend address.
-	CodeRebucketFailed = "rebucket_failed"
 )
 
 // placementFor returns name's write set: the authoritative (old-ring)
@@ -74,24 +69,8 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req server.IngestRequest
-	if !c.decodeBody(w, r, &req) {
+	if !c.shell.Decode(w, r, &req) {
 		return
-	}
-	if len(req.Records) == 0 {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "ingest: no records in request")
-		return
-	}
-	if len(req.Records) > c.cfg.MaxBatch {
-		server.WriteError(w, http.StatusRequestEntityTooLarge, server.CodePayloadTooLarge,
-			fmt.Sprintf("ingest: batch of %d records exceeds the %d-record limit", len(req.Records), c.cfg.MaxBatch))
-		return
-	}
-	for i, rec := range req.Records {
-		if rec.Name == "" {
-			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
-				fmt.Sprintf("ingest: record %d has an empty name", i))
-			return
-		}
 	}
 
 	// Group records into one sub-batch per backend. Writes go to every
@@ -369,87 +348,4 @@ func (c *Coordinator) handleGetRecord(w http.ResponseWriter, r *http.Request) {
 	}
 	server.WriteError(w, http.StatusBadGateway, CodeBackendDown,
 		fmt.Sprintf("record %q: no replica could answer: %v", name, lastErr))
-}
-
-// handleRebucket fans a rebucket out to every backend: a banding
-// scheme is a fleet-wide property — backends disagreeing on bands
-// would make per-backend LSH recall uneven — so the call succeeds only
-// when every backend applied it. Failures are itemized per backend in
-// the envelope, addressed by backend address.
-func (c *Coordinator) handleRebucket(w http.ResponseWriter, r *http.Request) {
-	var req server.RebucketRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	backends := c.backendList()
-	type result struct {
-		b    *backend
-		resp server.RebucketResponse
-		err  error
-	}
-	results := make([]result, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), c.cfg.FanoutTimeout)
-			defer cancel()
-			results[i] = result{b: b}
-			results[i].err = c.client.do(ctx, b, "POST", "/v1/admin/rebucket", &req, &results[i].resp)
-		}(i, b)
-	}
-	wg.Wait()
-
-	var failures []server.RecordError
-	agg := server.RebucketResponse{}
-	applied := false
-	for _, res := range results {
-		if res.err != nil {
-			code := CodeBackendDown
-			var berr *BackendError
-			if errors.As(res.err, &berr) && berr.Code != "" {
-				code = berr.Code
-			}
-			failures = append(failures, server.RecordError{Name: res.b.addr, Code: code, Message: res.err.Error()})
-			continue
-		}
-		if !applied {
-			agg.Bands, agg.RowsPerBand, agg.Shards = res.resp.Bands, res.resp.RowsPerBand, res.resp.Shards
-			applied = true
-		}
-		agg.Records += res.resp.Records
-	}
-	if len(failures) > 0 {
-		server.WriteErrorDetail(w, http.StatusBadGateway, server.ErrorDetail{
-			Code: CodeRebucketFailed,
-			Message: fmt.Sprintf("rebucket: %d of %d backends failed; backends not listed have applied the new scheme",
-				len(failures), len(backends)),
-			Records: failures,
-		})
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, agg)
-}
-
-// decodeBody mirrors the single-node server's body handling: size cap,
-// strict JSON, trailing-garbage rejection.
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			server.WriteError(w, http.StatusRequestEntityTooLarge, server.CodePayloadTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("malformed JSON body: %v", err))
-		return false
-	}
-	if dec.More() {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "malformed JSON body: trailing data")
-		return false
-	}
-	return true
 }

@@ -542,55 +542,3 @@ func TestProbeBackoff(t *testing.T) {
 		t.Fatal("down->up transition must kick the hint drainer")
 	}
 }
-
-// TestRebucketFanout: the coordinator applies a rebucket fleet-wide
-// and itemizes per-backend failures in the envelope.
-func TestRebucketFanout(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
-	if resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(10)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest = %d, body %s", resp.StatusCode, out)
-	}
-	wantRecords := 0
-	for _, b := range tc.backends {
-		wantRecords += b.srv.Engine().Index().Len()
-	}
-
-	resp, out := postJSON(t, tc.ts.URL+"/v1/admin/rebucket", server.RebucketRequest{Bands: 8, RowsPerBand: 8})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("rebucket fan-out = %d, body %s", resp.StatusCode, out)
-	}
-	var rb server.RebucketResponse
-	if err := json.Unmarshal(out, &rb); err != nil {
-		t.Fatal(err)
-	}
-	if rb.Bands != 8 || rb.RowsPerBand != 8 {
-		t.Fatalf("rebucket echoed scheme %d/%d, want 8/8", rb.Bands, rb.RowsPerBand)
-	}
-	if rb.Records != wantRecords {
-		t.Fatalf("rebucket records = %d, want the fleet total %d", rb.Records, wantRecords)
-	}
-	for _, b := range tc.backends {
-		if got := b.srv.Engine().Index().Metadata().Bands; got != 8 {
-			t.Errorf("backend %s bands = %d, want 8", b.addr(), got)
-		}
-	}
-
-	// One dead backend: the scheme must not fork silently. 502 with the
-	// failing backend itemized by address.
-	dead := tc.backends[1]
-	dead.ts.Close()
-	resp, out = postJSON(t, tc.ts.URL+"/v1/admin/rebucket", server.RebucketRequest{Bands: 4, RowsPerBand: 16})
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("rebucket with a dead backend = %d, want 502; body %s", resp.StatusCode, out)
-	}
-	var env errEnvelope
-	if err := json.Unmarshal(out, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Code != CodeRebucketFailed {
-		t.Fatalf("envelope code = %q, want %q", env.Error.Code, CodeRebucketFailed)
-	}
-	if len(env.Error.Records) != 1 || env.Error.Records[0].Name != dead.addr() {
-		t.Fatalf("envelope must itemize the failed backend by address; got %s", out)
-	}
-}

@@ -9,7 +9,7 @@ import (
 
 // Version identifies the engine build. It is reported by the CLI and
 // stamped into saved index metadata.
-const Version = "0.11.0"
+const Version = "0.12.0"
 
 // Options configures an Engine. Zero values fall back to the package
 // defaults (DefaultK, DefaultSignatureSize, GOMAXPROCS workers, DefaultLSHParams banding, DefaultShards stripes,
@@ -258,7 +258,7 @@ func (e *Engine) AddSketches(sketches []*Sketch) ([]bool, error) {
 // stripe's lock carries most of the write traffic.
 type Stats struct {
 	IndexName      string     `json:"index_name"`
-	Records        int        `json:"records"`
+	Records        int        `json:"records" prom:"records" help:"Live records in the index."`
 	K              int        `json:"k"`
 	SignatureSize  int        `json:"signature_size"`
 	Scheme         Scheme     `json:"scheme"`
@@ -270,8 +270,8 @@ type Stats struct {
 	Bands          int        `json:"bands"`
 	RowsPerBand    int        `json:"rows_per_band"`
 	LSHThreshold   float64    `json:"lsh_threshold"`
-	LSHBytes       int64      `json:"lsh_bytes"`   // posting table: slot + posting arrays, by capacity
-	LSHBuckets     int        `json:"lsh_buckets"` // distinct band buckets in it
+	LSHBytes       int64      `json:"lsh_bytes" prom:"lsh_bytes" help:"Bytes held by the LSH posting table (slots and postings, by capacity)."`
+	LSHBuckets     int        `json:"lsh_buckets" prom:"lsh_buckets" help:"Distinct LSH band buckets in the posting table."`
 	Shards         int        `json:"shards"`
 	ShardOccupancy []int      `json:"shard_occupancy"`
 	Mode           SearchMode `json:"mode"`
@@ -282,10 +282,10 @@ type Stats struct {
 	// rows; TombstoneRatio is DeadRows over total arena rows.
 	// Compactions and CompactedRows count compaction passes and the
 	// rows they reclaimed.
-	DeadRows       int     `json:"dead_rows,omitempty"`
-	TombstoneRatio float64 `json:"tombstone_ratio,omitempty"`
-	Compactions    uint64  `json:"compactions,omitempty"`
-	CompactedRows  uint64  `json:"compacted_rows,omitempty"`
+	DeadRows       int     `json:"dead_rows,omitempty" prom:"dead_rows" help:"Tombstoned rows awaiting compaction."`
+	TombstoneRatio float64 `json:"tombstone_ratio,omitempty" prom:"tombstone_ratio" help:"Dead rows as a fraction of all rows."`
+	Compactions    uint64  `json:"compactions,omitempty" prom:"compactions_total" help:"Shard compactions run."`
+	CompactedRows  uint64  `json:"compacted_rows,omitempty" prom:"compacted_rows_total" help:"Dead rows reclaimed by compaction."`
 	// Tier and WAL are present only on directory-backed indexes.
 	Tier *TierStats `json:"tier,omitempty"`
 	WAL  *WALStats  `json:"wal,omitempty"`

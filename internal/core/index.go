@@ -268,15 +268,17 @@ const DefaultCompactThreshold = 0.25
 // WALStats is the observable write-ahead-log state, surfaced through
 // Stats and /stats. Frames and Bytes are the log depth since the last
 // snapshot truncated it; FsyncNanos over Fsyncs is the mean fsync
-// latency the ack path is paying.
+// latency the ack path is paying; FsyncSeconds is FsyncNanos in the
+// unit /metrics reports.
 type WALStats struct {
-	Frames         int64  `json:"frames"`
-	Bytes          int64  `json:"bytes"`
-	Appends        uint64 `json:"appends"`
-	Fsyncs         uint64 `json:"fsyncs"`
-	FsyncNanos     uint64 `json:"fsync_nanos"`
-	ReplayedFrames uint64 `json:"replayed_frames"`
-	TornBytes      uint64 `json:"torn_bytes"`
+	Frames         int64   `json:"frames" prom:"wal_frames" help:"Frames in the WALs since the last snapshot."`
+	Bytes          int64   `json:"bytes" prom:"wal_bytes" help:"Bytes in the WALs since the last snapshot."`
+	Appends        uint64  `json:"appends" prom:"wal_appends_total" help:"Frames appended to the WALs."`
+	Fsyncs         uint64  `json:"fsyncs" prom:"wal_fsyncs_total" help:"WAL fsync batches."`
+	FsyncNanos     uint64  `json:"fsync_nanos"`
+	FsyncSeconds   float64 `json:"-" prom:"wal_fsync_seconds_total" help:"Time spent in WAL fsyncs."`
+	ReplayedFrames uint64  `json:"replayed_frames" prom:"wal_replayed_frames_total" help:"Frames replayed at the last open."`
+	TornBytes      uint64  `json:"torn_bytes" prom:"wal_torn_bytes_total" help:"Torn-tail bytes truncated at the last open."`
 }
 
 // WAL returns a snapshot of write-ahead-log state, or nil when no WAL
@@ -295,6 +297,7 @@ func (ix *Index) WAL() *WALStats {
 		ReplayedFrames: tier.walReplayed.Load(),
 		TornBytes:      tier.walTornBytes.Load(),
 	}
+	st.FsyncSeconds = float64(st.FsyncNanos) / 1e9
 	attached := false
 	for _, sh := range ix.snapshotShards() {
 		if w := sh.wal.Load(); w != nil {

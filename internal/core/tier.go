@@ -55,13 +55,13 @@ type TierStats struct {
 	Budget            int     `json:"budget"`
 	SegmentRows       int     `json:"segment_rows"`
 	Segments          int     `json:"segments"`
-	ResidentBytes     int64   `json:"resident_bytes"`
-	MappedBytes       int64   `json:"mapped_bytes"`
+	ResidentBytes     int64   `json:"resident_bytes" prom:"resident_bytes" help:"Heap bytes tiered search keeps resident: packed prefilter plus unsealed heads."`
+	MappedBytes       int64   `json:"mapped_bytes" prom:"mapped_bytes" help:"Full-width segment bytes served through mmap."`
 	HeadBytes         int64   `json:"head_bytes"`
-	PrefilterScanned  uint64  `json:"prefilter_scanned"`
-	PrefilterSurvived uint64  `json:"prefilter_survived"`
-	Rescored          uint64  `json:"rescored"`
-	ReadErrors        uint64  `json:"read_errors"`
+	PrefilterScanned  uint64  `json:"prefilter_scanned" prom:"prefilter_scanned_total" help:"Rows scored by the packed prefilter scan."`
+	PrefilterSurvived uint64  `json:"prefilter_survived" prom:"prefilter_survived_total" help:"Rows whose packed score cleared the query's minimum similarity."`
+	Rescored          uint64  `json:"rescored" prom:"rescored_total" help:"Rows rescored at full width."`
+	ReadErrors        uint64  `json:"read_errors" prom:"tier_read_errors_total" help:"Full-width reads that failed (row skipped)."`
 	SurvivalRate      float64 `json:"survival_rate"`
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -231,44 +230,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)
 		}
-	}
-}
-
-// TestRebucketEndpoint: POST /v1/admin/rebucket retunes the banding on
-// a live server; bad schemes are rejected with the envelope.
-func TestRebucketEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	client := ts.Client()
-	for i := 0; i < 8; i++ {
-		ingestOne(t, client, ts.URL, fmt.Sprintf("rec-%d", i), fmt.Sprintf("distinct payload number %d for rebucketing", i))
-	}
-
-	// The test engine uses 64-slot signatures: 16x4 covers it.
-	resp, body := postJSON(t, client, ts.URL+"/v1/admin/rebucket", RebucketRequest{Bands: 16, RowsPerBand: 4})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("rebucket status = %d, body %s", resp.StatusCode, body)
-	}
-	var rr RebucketResponse
-	if err := json.Unmarshal(body, &rr); err != nil || rr.Bands != 16 || rr.RowsPerBand != 4 || rr.Records != 8 {
-		t.Fatalf("rebucket body %s: %v", body, err)
-	}
-
-	// Search still works over the rebuilt postings.
-	resp, body = postJSON(t, client, ts.URL+"/v1/search", SearchRequest{
-		Name: "q", Data: "distinct payload number 3 for rebucketing", K: 3, Mode: "lsh",
-	})
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"rec-3"`) {
-		t.Fatalf("post-rebucket search = %d, body %s", resp.StatusCode, body)
-	}
-
-	// A scheme that does not cover the signature is a 400 envelope.
-	resp, body = postJSON(t, client, ts.URL+"/v1/admin/rebucket", RebucketRequest{Bands: 3, RowsPerBand: 3})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad rebucket status = %d, body %s", resp.StatusCode, body)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Code != CodeBadRequest {
-		t.Fatalf("bad rebucket body %s", body)
 	}
 }
 

@@ -10,6 +10,14 @@
 // that skip the listener; such callers must Close the server
 // themselves.
 //
+// The HTTP plumbing — limiter, counting middleware, error envelope,
+// latency histograms, the capped strict body decoder and each request
+// body's Check, Listen/Serve/drain — is the Shell type, which the
+// cluster coordinator holds too. Observability has one definition:
+// stats() builds the StatsResponse, /stats encodes it and /metrics is
+// WriteProm walking the same value's prom struct tags, so a counter is
+// wired in exactly one place.
+//
 // # Invariants
 //
 //   - Acknowledged ingest survives shutdown: a 200 on /v1/records means

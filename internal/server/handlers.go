@@ -123,68 +123,49 @@ type HealthResponse struct {
 }
 
 // StatsResponse is the body of GET /stats: engine/index state plus the
-// server's request and ingest counters. Faults appears only while a
-// fault-injection spec is armed: injected-fault counts keyed
-// "point:kind", so chaos runs can attribute failures to the spec.
+// server's request and ingest counters. It is also the one definition
+// of /metrics: WriteProm renders the fields tagged prom, here and in
+// the structs below. Faults appears only while a fault-injection spec is
+// armed: injected-fault counts keyed "point:kind", so chaos runs can
+// attribute failures to the spec.
 type StatsResponse struct {
 	Engine        core.Stats       `json:"engine"`
 	UptimeSeconds float64          `json:"uptime_seconds"`
 	Requests      RequestStats     `json:"requests"`
 	Ingest        IngestStats      `json:"ingest"`
-	Snapshots     int64            `json:"snapshots"`
+	Snapshots     int64            `json:"snapshots" prom:"snapshots_total" help:"Snapshots written."`
 	Faults        map[string]int64 `json:"faults,omitempty"`
 }
 
-// RequestStats are the middleware counters. DeadlineExceeded counts
-// searches aborted by an expired propagated deadline (504s); Canceled
-// counts searches aborted because the caller disconnected mid-scan.
+// RequestStats are the shell's middleware counters plus the handlers'
+// own. DeadlineExceeded counts searches aborted by an expired propagated
+// deadline (504s); Canceled counts searches aborted because the caller
+// disconnected mid-scan.
 type RequestStats struct {
-	Total            int64 `json:"total"`
-	Status2xx        int64 `json:"status_2xx"`
-	Status4xx        int64 `json:"status_4xx"`
-	Status5xx        int64 `json:"status_5xx"`
-	InFlight         int64 `json:"in_flight"`
-	PeakInFlight     int64 `json:"peak_in_flight"`
-	MaxInFlight      int   `json:"max_in_flight"`
-	Searches         int64 `json:"searches"`
-	DeadlineExceeded int64 `json:"deadline_exceeded,omitempty"`
-	Canceled         int64 `json:"canceled,omitempty"`
+	HTTPStats
+	Searches         int64 `json:"searches" prom:"searches_total" help:"Search requests served."`
+	Deletes          int64 `json:"deletes" prom:"deletes_total" help:"Records deleted over HTTP."`
+	DeadlineExceeded int64 `json:"deadline_exceeded,omitempty" prom:"search_deadline_exceeded_total" help:"Searches aborted by an expired propagated deadline."`
+	Canceled         int64 `json:"canceled,omitempty" prom:"search_canceled_total" help:"Searches aborted by caller disconnect."`
 }
 
 // IngestStats describe the batching queue's behavior: Batches is the
 // number of coalesced AddBatch calls that served IngestRequests
 // requests, so BatchedRecords/Batches is the effective batch size.
 type IngestStats struct {
-	Requests       int64 `json:"requests"`
-	RecordsAdded   int64 `json:"records_added"`
-	Replicated     int64 `json:"replicated,omitempty"`
-	Batches        int64 `json:"batches"`
-	BatchedRecords int64 `json:"batched_records"`
-	QueueDepth     int   `json:"queue_depth"`
-	QueueCapacity  int   `json:"queue_capacity"`
+	Requests       int64 `json:"requests" prom:"ingest_requests_total" help:"Ingest requests received."`
+	RecordsAdded   int64 `json:"records_added" prom:"records_added_total" help:"Records added by ingest."`
+	Replicated     int64 `json:"replicated,omitempty" prom:"records_replicated_total" help:"Sketches accepted via the replicate endpoint."`
+	Batches        int64 `json:"batches" prom:"ingest_batches_total" help:"Coalesced AddBatch calls."`
+	BatchedRecords int64 `json:"batched_records" prom:"ingest_batched_records_total" help:"Records across coalesced batches."`
+	QueueDepth     int   `json:"queue_depth" prom:"ingest_queue_depth" help:"Ingest requests currently queued."`
+	QueueCapacity  int   `json:"queue_capacity" prom:"ingest_queue_capacity" help:"Ingest queue capacity."`
 	MaxBatch       int   `json:"max_batch"`
 }
 
 // DeleteResponse is the body of a successful DELETE /v1/records/{name}.
 type DeleteResponse struct {
 	Deleted string `json:"deleted"`
-}
-
-// RebucketRequest is the body of POST /v1/admin/rebucket. Shards left
-// zero keeps the current shard count (the only legal choice on a
-// tiered index).
-type RebucketRequest struct {
-	Bands       int `json:"bands"`
-	RowsPerBand int `json:"rows_per_band"`
-	Shards      int `json:"shards"`
-}
-
-// RebucketResponse echoes the banding scheme now in effect.
-type RebucketResponse struct {
-	Bands       int `json:"bands"`
-	RowsPerBand int `json:"rows_per_band"`
-	Shards      int `json:"shards"`
-	Records     int `json:"records"`
 }
 
 // ErrorDetail is the error object inside every non-2xx response. Code
@@ -264,41 +245,54 @@ func CodeForStatus(status int) string {
 }
 
 func (s *Server) routes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/records", s.timed("ingest", s.handleIngest))
-	mux.HandleFunc("POST /v1/search", s.timed("search", s.handleSearch))
-	mux.HandleFunc("GET /v1/records", s.timed("list_records", s.handleListRecords))
-	mux.HandleFunc("GET /v1/records/{name}", s.timed("get_record", s.handleGetRecord))
-	mux.HandleFunc("DELETE /v1/records/{name}", s.timed("delete_record", s.handleDeleteRecord))
-	mux.HandleFunc("POST /v1/admin/rebucket", s.timed("rebucket", s.handleRebucket))
-	mux.HandleFunc("POST /v1/admin/replicate", s.timed("replicate", s.handleReplicate))
-	mux.HandleFunc("GET /healthz", s.timed("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /stats", s.timed("stats", s.handleStats))
-	mux.HandleFunc("GET /metrics", s.timed("metrics", s.handleMetrics))
-	return JSONErrors(mux)
+	mux, timed := http.NewServeMux(), s.shell.Timed
+	mux.HandleFunc("POST /v1/records", timed("ingest", s.handleIngest))
+	mux.HandleFunc("POST /v1/search", timed("search", s.handleSearch))
+	mux.HandleFunc("GET /v1/records", timed("list_records", s.handleListRecords))
+	mux.HandleFunc("GET /v1/records/{name}", timed("get_record", s.handleGetRecord))
+	mux.HandleFunc("DELETE /v1/records/{name}", timed("delete_record", s.handleDeleteRecord))
+	mux.HandleFunc("POST /v1/admin/replicate", timed("replicate", s.handleReplicate))
+	mux.HandleFunc("GET /healthz", timed("healthz", s.handleHealthz))
+	mux.HandleFunc("GET /stats", timed("stats", s.handleStats))
+	mux.HandleFunc("GET /metrics", timed("metrics", s.handleMetrics))
+	return mux
+}
+
+// Check is the ingest body's rule: 1 to maxBatch records, all named.
+func (q *IngestRequest) Check(maxBatch int) (int, string) {
+	return checkBatch("ingest", len(q.Records), maxBatch, func(i int) string { return q.Records[i].Name })
+}
+
+// Check is the replicate body's rule, the same as ingest's.
+func (q *ReplicateRequest) Check(maxBatch int) (int, string) {
+	return checkBatch("replicate", len(q.Records), maxBatch, func(i int) string { return q.Records[i].Name })
+}
+
+// Check is the search body's rule: a mode that parses (empty keeps the
+// engine's), K defaulted to 10 and not negative.
+func (q *SearchRequest) Check(int) (int, string) {
+	if q.Mode != "" {
+		if _, err := core.ParseSearchMode(q.Mode); err != nil {
+			return http.StatusBadRequest, err.Error()
+		}
+	}
+	if q.K == 0 {
+		q.K = 10
+	}
+	if q.K < 0 {
+		return http.StatusBadRequest, fmt.Sprintf("search: k must be positive, got %d", q.K)
+	}
+	return 0, ""
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ingestRequests.Add(1)
 	var req IngestRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Records) == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "ingest: no records in request")
-		return
-	}
-	if len(req.Records) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
-			fmt.Sprintf("ingest: batch of %d records exceeds the %d-record limit", len(req.Records), s.cfg.MaxBatch))
+	if !s.shell.Decode(w, r, &req) {
 		return
 	}
 	recs := make([]core.Record, len(req.Records))
 	for i, rec := range req.Records {
-		if rec.Name == "" {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("ingest: record %d has an empty name", i))
-			return
-		}
 		recs[i] = core.Record{Name: rec.Name, Data: []byte(rec.Data)}
 	}
 	oks, err := s.ingest.enqueue(r.Context(), recs)
@@ -308,7 +302,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// 429 carries Retry-After so well-behaved clients back off.
 			w.Header().Set("Retry-After", "1")
 			WriteError(w, http.StatusTooManyRequests, CodeQueueFull,
-				fmt.Sprintf("ingest: queue is full (%d requests pending); retry later", s.cfg.QueueDepth))
+				fmt.Sprintf("ingest: queue is full (%d requests pending); retry later", s.shell.cfg.QueueDepth))
 			return
 		}
 		if errors.Is(err, errIngestClosed) {
@@ -337,24 +331,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.shell.Decode(w, r, &req) {
 		return
 	}
 	mode := s.eng.Mode()
 	if req.Mode != "" {
-		var err error
-		if mode, err = core.ParseSearchMode(req.Mode); err != nil {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-			return
-		}
-	}
-	k := req.K
-	if k == 0 {
-		k = 10
-	}
-	if k < 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("search: k must be positive, got %d", k))
-		return
+		mode, _ = core.ParseSearchMode(req.Mode) // Check saw it parse
 	}
 	// Honor a propagated coordinator deadline: the scoring loops poll
 	// the derived context, so an expired budget aborts the scan instead
@@ -373,7 +355,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	s.metrics.searches.Add(1)
-	results, err := s.eng.SearchModeCtx(ctx, core.Record{Name: req.Name, Data: []byte(req.Data)}, mode, k, req.MinSimilarity)
+	results, err := s.eng.SearchModeCtx(ctx, core.Record{Name: req.Name, Data: []byte(req.Data)}, mode, req.K, req.MinSimilarity)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -459,9 +441,9 @@ func (s *Server) handleListRecords(w http.ResponseWriter, r *http.Request) {
 	limit := core.DefaultPageSize
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 || n > s.cfg.MaxBatch {
+		if err != nil || n < 1 || n > s.shell.cfg.MaxBatch {
 			WriteError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("list: limit must be in [1, %d], got %q", s.cfg.MaxBatch, v))
+				fmt.Sprintf("list: limit must be in [1, %d], got %q", s.shell.cfg.MaxBatch, v))
 			return
 		}
 		limit = n
@@ -497,25 +479,12 @@ func (s *Server) handleListRecords(w http.ResponseWriter, r *http.Request) {
 // batch is not acknowledged.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req ReplicateRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Records) == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "replicate: no records in request")
-		return
-	}
-	if len(req.Records) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
-			fmt.Sprintf("replicate: batch of %d records exceeds the %d-record limit", len(req.Records), s.cfg.MaxBatch))
+	if !s.shell.Decode(w, r, &req) {
 		return
 	}
 	meta := s.eng.Index().Metadata()
 	sketches := make([]*core.Sketch, len(req.Records))
 	for i, rec := range req.Records {
-		if rec.Name == "" {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("replicate: record %d has an empty name", i))
-			return
-		}
 		sketches[i] = &core.Sketch{
 			Name:      rec.Name,
 			K:         meta.K,
@@ -567,53 +536,24 @@ func (s *Server) handleDeleteRecord(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, DeleteResponse{Deleted: name})
 }
 
-func (s *Server) handleRebucket(w http.ResponseWriter, r *http.Request) {
-	var req RebucketRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	ix := s.eng.Index()
-	shards := req.Shards
-	if shards == 0 {
-		shards = ix.Metadata().Shards
-	}
-	lsh := core.LSHParams{Bands: req.Bands, RowsPerBand: req.RowsPerBand}
-	if err := ix.Rebucket(lsh, shards); err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	s.metrics.rebuckets.Add(1)
-	WriteJSON(w, http.StatusOK, RebucketResponse{
-		Bands:       lsh.Bands,
-		RowsPerBand: lsh.RowsPerBand,
-		Shards:      shards,
-		Records:     ix.Len(),
-	})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok", Records: s.eng.Index().Len()})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// stats is the one snapshot both /stats and /metrics are rendered from.
+func (s *Server) stats() StatsResponse {
 	m := s.metrics
 	var faults map[string]int64
 	if p := fault.Active(); p != nil {
 		faults = p.Counters()
 	}
-	WriteJSON(w, http.StatusOK, StatsResponse{
-		Faults: faults,
+	return StatsResponse{
 		Engine:        s.eng.Stats(),
-		UptimeSeconds: m.uptime().Seconds(),
+		UptimeSeconds: s.shell.UptimeSeconds(),
 		Requests: RequestStats{
-			Total:            m.requests.Load(),
-			Status2xx:        m.status2xx.Load(),
-			Status4xx:        m.status4xx.Load(),
-			Status5xx:        m.status5xx.Load(),
-			InFlight:         m.inFlight.Load(),
-			PeakInFlight:     m.peakInFlight.Load(),
-			MaxInFlight:      s.cfg.MaxInFlight,
+			HTTPStats:        s.shell.HTTPStats(),
 			Searches:         m.searches.Load(),
+			Deletes:          m.deletes.Load(),
 			DeadlineExceeded: m.deadlineExceeded.Load(),
 			Canceled:         m.searchCanceled.Load(),
 		},
@@ -624,34 +564,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Batches:        m.batches.Load(),
 			BatchedRecords: m.batchedRecords.Load(),
 			QueueDepth:     s.ingest.depth(),
-			QueueCapacity:  s.cfg.QueueDepth,
-			MaxBatch:       s.cfg.MaxBatch,
+			QueueCapacity:  s.shell.cfg.QueueDepth,
+			MaxBatch:       s.shell.cfg.MaxBatch,
 		},
 		Snapshots: m.snapshots.Load(),
-	})
+		Faults:    faults,
+	}
 }
 
-// decodeBody decodes a JSON request body into v, enforcing the body
-// size cap and rejecting trailing garbage. It writes the error response
-// itself and reports whether decoding succeeded.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			WriteError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("malformed JSON body: %v", err))
-		return false
-	}
-	if dec.More() {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "malformed JSON body: trailing data")
-		return false
-	}
-	return true
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, s.stats())
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	WriteProm(w, "sketchengine_", s.stats(),
+		s.shell.Latencies("sketchengine_http_request_duration_seconds", "Request latency by endpoint."))
 }
 
 // jsonBufPool recycles the encode buffers behind every JSON response.
@@ -666,7 +593,7 @@ const maxPooledBufBytes = 1 << 20
 
 // WriteJSON serializes v into a pooled buffer and writes it with
 // Content-Length set. It is the one JSON emitter for this package and
-// the cluster coordinator, so the Content-Type discriminator JSONErrors
+// the cluster coordinator, so the Content-Type discriminator jsonErrors
 // relies on is set consistently.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)

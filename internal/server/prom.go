@@ -5,88 +5,153 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 
 	"sketchengine/internal/fault"
 )
 
-// handleMetrics renders the server's counters in the Prometheus text
-// exposition format (hand-rolled; the format is a few lines of fprintf
-// and not worth a dependency). Everything is namespaced under
-// sketchengine_.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.metrics
-	st := s.eng.Stats()
+// WriteProm answers a /metrics scrape from the value /stats serializes,
+// in the Prometheus text exposition format (hand-rolled; the format is
+// not worth a dependency). A numeric or bool field tagged
+//
+//	prom:"name[,counter|gauge][,label=value]..." help:"..."
+//
+// is one series named prefix+name: a counter when the name ends in
+// _total, a gauge otherwise, unless the tag says. Fields sharing a name
+// are one family (help comes from the first) told apart by their
+// constant labels. Untagged structs, non-nil pointers and slices are
+// descended; every element of a slice of structs adds one sample per
+// family, labelled by the element's promlabel:"key" string field. The
+// families that are not one field each — extra, then the fault
+// injection counters while a spec is armed — follow. Reflection runs
+// here and nowhere else: only a scrape pays for it.
+func WriteProm(w http.ResponseWriter, prefix string, v any, extra ...func(io.Writer)) {
+	var pw promWalk
+	pw.walk(reflect.ValueOf(v), "")
 	var buf bytes.Buffer
-
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&buf, "# HELP sketchengine_%s %s\n# TYPE sketchengine_%s counter\nsketchengine_%s %d\n", name, help, name, name, v)
+	for _, f := range pw.fams {
+		name := prefix + f.name
+		fmt.Fprintf(&buf, "# HELP %s %s\n# TYPE %s %s\n", name, f.help, name, f.typ)
+		for _, s := range f.samples {
+			buf.WriteString(name)
+			buf.WriteString(s)
+		}
 	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&buf, "# HELP sketchengine_%s %s\n# TYPE sketchengine_%s gauge\nsketchengine_%s %s\n", name, help, name, name,
-			strconv.FormatFloat(v, 'g', -1, 64))
+	for _, write := range extra {
+		write(&buf)
 	}
-
-	counter("requests_total", "HTTP requests accepted past the limiter.", m.requests.Load())
-	fmt.Fprintf(&buf, "# HELP sketchengine_responses_total HTTP responses by status class.\n# TYPE sketchengine_responses_total counter\n")
-	fmt.Fprintf(&buf, "sketchengine_responses_total{class=\"2xx\"} %d\n", m.status2xx.Load())
-	fmt.Fprintf(&buf, "sketchengine_responses_total{class=\"4xx\"} %d\n", m.status4xx.Load())
-	fmt.Fprintf(&buf, "sketchengine_responses_total{class=\"5xx\"} %d\n", m.status5xx.Load())
-	gauge("in_flight_requests", "Requests currently being served.", float64(m.inFlight.Load()))
-	counter("searches_total", "Search requests served.", m.searches.Load())
-	counter("deletes_total", "Records deleted over HTTP.", m.deletes.Load())
-	counter("rebuckets_total", "Successful live rebucket operations.", m.rebuckets.Load())
-	counter("ingest_requests_total", "Ingest requests received.", m.ingestRequests.Load())
-	counter("records_added_total", "Records added by ingest.", m.recordsAdded.Load())
-	counter("records_replicated_total", "Sketches accepted via the replicate endpoint.", m.replicated.Load())
-	counter("ingest_batches_total", "Coalesced AddBatch calls.", m.batches.Load())
-	counter("ingest_batched_records_total", "Records across coalesced batches.", m.batchedRecords.Load())
-	gauge("ingest_queue_depth", "Ingest requests currently queued.", float64(s.ingest.depth()))
-	gauge("ingest_queue_capacity", "Ingest queue capacity.", float64(s.cfg.QueueDepth))
-	counter("snapshots_total", "Snapshots written.", m.snapshots.Load())
-	counter("search_deadline_exceeded_total", "Searches aborted by an expired propagated deadline.", m.deadlineExceeded.Load())
-	counter("search_canceled_total", "Searches aborted by caller disconnect.", m.searchCanceled.Load())
 	writeFaultMetrics(&buf)
-
-	gauge("records", "Live records in the index.", float64(st.Records))
-	gauge("lsh_bytes", "Bytes held by the LSH posting table (slots and postings, by capacity).", float64(st.LSHBytes))
-	gauge("lsh_buckets", "Distinct LSH band buckets in the posting table.", float64(st.LSHBuckets))
-	gauge("dead_rows", "Tombstoned rows awaiting compaction.", float64(st.DeadRows))
-	gauge("tombstone_ratio", "Dead rows as a fraction of all rows.", st.TombstoneRatio)
-	counter("compactions_total", "Shard compactions run.", int64(st.Compactions))
-	counter("compacted_rows_total", "Dead rows reclaimed by compaction.", int64(st.CompactedRows))
-
-	if wal := st.WAL; wal != nil {
-		gauge("wal_frames", "Frames in the WALs since the last snapshot.", float64(wal.Frames))
-		gauge("wal_bytes", "Bytes in the WALs since the last snapshot.", float64(wal.Bytes))
-		counter("wal_appends_total", "Frames appended to the WALs.", int64(wal.Appends))
-		counter("wal_fsyncs_total", "WAL fsync batches.", int64(wal.Fsyncs))
-		fmt.Fprintf(&buf, "# HELP sketchengine_wal_fsync_seconds_total Time spent in WAL fsyncs.\n# TYPE sketchengine_wal_fsync_seconds_total counter\nsketchengine_wal_fsync_seconds_total %s\n",
-			strconv.FormatFloat(float64(wal.FsyncNanos)/1e9, 'g', -1, 64))
-		counter("wal_replayed_frames_total", "Frames replayed at the last open.", int64(wal.ReplayedFrames))
-		counter("wal_torn_bytes_total", "Torn-tail bytes truncated at the last open.", int64(wal.TornBytes))
-	}
-
-	names := m.histNames()
-	if len(names) > 0 {
-		fmt.Fprintf(&buf, "# HELP sketchengine_http_request_duration_seconds Request latency by endpoint.\n# TYPE sketchengine_http_request_duration_seconds histogram\n")
-	}
-	for _, name := range names {
-		WritePromHistogram(&buf, "sketchengine_http_request_duration_seconds",
-			fmt.Sprintf("endpoint=%q", name), m.latencies[name])
-	}
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())
 }
 
+// promFamily is one metric name: its header and its samples, each
+// `{labels} value\n` or ` value\n`. Collecting by family before printing
+// keeps a family's samples contiguous, as the format requires, however
+// the fields that feed it are spread over the value.
+type promFamily struct {
+	name, help, typ string
+	samples         []string
+}
+
+type promWalk struct {
+	fams   []*promFamily
+	byName map[string]*promFamily
+}
+
+// walk descends v; labels is the label list inherited from enclosing
+// slice elements, already formatted.
+func (pw *promWalk) walk(v reflect.Value, labels string) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			pw.walk(v.Elem(), labels)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			pw.walk(v.Index(i), labels)
+		}
+	case reflect.Struct:
+		t := v.Type()
+		for i := 0; i < t.NumField(); i++ {
+			if key := t.Field(i).Tag.Get("promlabel"); key != "" {
+				labels = addLabel(labels, key, v.Field(i).String())
+			}
+		}
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if tag, ok := f.Tag.Lookup("prom"); ok {
+				pw.add(tag, f.Tag.Get("help"), labels, v.Field(i))
+			} else {
+				pw.walk(v.Field(i), labels)
+			}
+		}
+	}
+}
+
+func addLabel(labels, key, value string) string {
+	if labels != "" {
+		labels += ","
+	}
+	return labels + key + "=" + strconv.Quote(value)
+}
+
+// add appends one tagged field's sample to its family.
+func (pw *promWalk) add(tag, help, labels string, v reflect.Value) {
+	parts := strings.Split(tag, ",")
+	name, typ := parts[0], "gauge"
+	if strings.HasSuffix(name, "_total") {
+		typ = "counter"
+	}
+	for _, p := range parts[1:] {
+		if k, val, ok := strings.Cut(p, "="); ok {
+			labels = addLabel(labels, k, val)
+		} else {
+			typ = p
+		}
+	}
+	f := pw.byName[name]
+	if f == nil {
+		f = &promFamily{name: name, help: help, typ: typ}
+		if pw.byName == nil {
+			pw.byName = make(map[string]*promFamily)
+		}
+		pw.byName[name] = f
+		pw.fams = append(pw.fams, f)
+	}
+	var val string
+	switch v.Kind() {
+	case reflect.Bool:
+		val = "0"
+		if v.Bool() {
+			val = "1"
+		}
+	case reflect.Int, reflect.Int64:
+		val = strconv.FormatInt(v.Int(), 10)
+	case reflect.Uint64:
+		val = strconv.FormatUint(v.Uint(), 10)
+	case reflect.Float64:
+		val = strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	default:
+		panic(fmt.Sprintf("server: prom tag %q on a %s field", tag, v.Kind()))
+	}
+	if labels != "" {
+		labels = "{" + labels + "}"
+	}
+	f.samples = append(f.samples, labels+" "+val+"\n")
+}
+
 // writeFaultMetrics emits injected-fault counters when a fault plan is
 // armed, one labeled series per point:kind rule, and nothing otherwise
-// — scrape output is unchanged in normal operation. Exported through
-// WriteFaultMetrics for the cluster coordinator's /metrics.
+// — scrape output is unchanged in normal operation.
 func writeFaultMetrics(w io.Writer) {
 	p := fault.Active()
 	if p == nil {
@@ -101,26 +166,31 @@ func writeFaultMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP sketchengine_fault_spec_armed Whether a fault-injection spec is armed.\n# TYPE sketchengine_fault_spec_armed gauge\nsketchengine_fault_spec_armed 1\n")
 }
 
-// WriteFaultMetrics is writeFaultMetrics for other packages' /metrics
-// renderers (the cluster coordinator).
-func WriteFaultMetrics(w io.Writer) { writeFaultMetrics(w) }
-
-// WritePromHistogram renders h as one Prometheus histogram series named
-// metric with the given preformatted label pair (e.g. `endpoint="x"`):
-// cumulative _bucket lines over LatencyBuckets, then _sum and _count.
-// The # HELP / # TYPE header is the caller's job, since it is shared
-// across all series of one metric. The cluster coordinator renders its
-// fan-out histograms through the same helper.
-func WritePromHistogram(w io.Writer, metric, labels string, h *Histogram) {
-	var cum int64
-	for i, ub := range LatencyBuckets {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n",
-			metric, labels, strconv.FormatFloat(ub, 'g', -1, 64), cum)
+// Latencies renders the shell's per-endpoint latency histograms as one
+// Prometheus histogram family named metric, for WriteProm's extra:
+// per endpoint, in name order, cumulative _bucket lines over
+// latencyBuckets, then _sum and _count.
+func (sh *Shell) Latencies(metric, help string) func(io.Writer) {
+	return func(w io.Writer) {
+		names := make([]string, 0, len(sh.latencies))
+		for name := range sh.latencies {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", metric, help, metric)
+		for _, name := range names {
+			h := sh.latencies[name]
+			var cum int64
+			for i, ub := range latencyBuckets {
+				cum += h.counts[i].Load()
+				fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=%q} %d\n",
+					metric, name, strconv.FormatFloat(ub, 'g', -1, 64), cum)
+			}
+			cum += h.counts[len(latencyBuckets)].Load()
+			fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", metric, name, cum)
+			fmt.Fprintf(w, "%s_sum{endpoint=%q} %s\n",
+				metric, name, strconv.FormatFloat(float64(h.sumNanos.Load())/1e9, 'g', -1, 64))
+			fmt.Fprintf(w, "%s_count{endpoint=%q} %d\n", metric, name, h.count.Load())
+		}
 	}
-	cum += h.counts[len(LatencyBuckets)].Load()
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", metric, labels, cum)
-	fmt.Fprintf(w, "%s_sum{%s} %s\n",
-		metric, labels, strconv.FormatFloat(float64(h.sumNanos.Load())/1e9, 'g', -1, 64))
-	fmt.Fprintf(w, "%s_count{%s} %d\n", metric, labels, h.count.Load())
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sketchengine/internal/core"
@@ -60,13 +61,10 @@ type Config struct {
 
 // Server serves one core.Engine over HTTP.
 type Server struct {
-	cfg     Config
+	shell   *Shell // holds the Config, defaults applied
 	eng     *core.Engine
 	ingest  *batcher
 	metrics *metrics
-	handler http.Handler
-
-	lis net.Listener
 
 	// dir is the served index's directory, the snapshot destination;
 	// empty for an in-memory index, which is never snapshotted.
@@ -78,6 +76,24 @@ type Server struct {
 	closeErr  error
 }
 
+// metrics are the engine-facing counters the handlers keep, beside the
+// shell's request counters; stats() reads each exactly once.
+type metrics struct {
+	searches       atomic.Int64
+	deletes        atomic.Int64
+	ingestRequests atomic.Int64
+	recordsAdded   atomic.Int64
+	replicated     atomic.Int64 // sketches accepted via /v1/admin/replicate
+	batches        atomic.Int64 // coalesced AddBatch calls
+	batchedRecords atomic.Int64 // records across those calls
+	snapshots      atomic.Int64
+
+	deadlineExceeded atomic.Int64 // searches aborted by an expired deadline (504s)
+	searchCanceled   atomic.Int64 // searches aborted because the caller went away
+}
+
+func newMetrics() *metrics { return new(metrics) }
+
 // New builds a Server around eng, applying defaults for zero Config
 // fields. The engine must not be shared with writers outside the
 // server while it is serving.
@@ -85,27 +101,16 @@ func New(eng *core.Engine, cfg Config) (*Server, error) {
 	if eng == nil {
 		return nil, errors.New("server: nil engine")
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = DefaultMaxInFlight
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = DefaultDrainTimeout
 	}
 	dir := eng.Index().DataDir()
 	if cfg.DataDir != "" && cfg.DataDir != dir {
 		return nil, fmt.Errorf("server: DataDir %s does not match the index's data directory %q", cfg.DataDir, dir)
 	}
+	sh := NewShell(cfg)
 	s := &Server{
-		cfg:      cfg,
+		shell:    sh,
 		eng:      eng,
 		metrics:  newMetrics(),
 		dir:      dir,
@@ -124,76 +129,59 @@ func New(eng *core.Engine, cfg Config) (*Server, error) {
 			s.savedGen = eng.Index().Generation()
 		}
 	}
-	s.ingest = newBatcher(eng, cfg.QueueDepth, cfg.MaxBatch, s.metrics)
-	s.handler = s.limit(s.count(s.routes()))
+	s.ingest = newBatcher(eng, s.shell.cfg.QueueDepth, s.shell.cfg.MaxBatch, s.metrics)
+	sh.Mount(s.routes())
 	return s, nil
 }
 
-// Handler returns the server's HTTP handler (routes wrapped in the
-// counting and concurrency-limit middleware), for tests and embedding.
-func (s *Server) Handler() http.Handler { return s.handler }
+// Handler returns the server's HTTP handler (routes behind the shell's
+// middleware), for tests and embedding.
+func (s *Server) Handler() http.Handler { return s.shell.Handler() }
 
 // Engine returns the served engine.
 func (s *Server) Engine() *core.Engine { return s.eng }
 
 // Listen binds cfg.Addr and returns the bound address (useful with
 // port 0). It must be called once, before Serve.
-func (s *Server) Listen() (net.Addr, error) {
-	lis, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
-	}
-	s.lis = lis
-	return lis.Addr(), nil
-}
+func (s *Server) Listen() (net.Addr, error) { return s.shell.Listen() }
 
 // Serve serves on the listener bound by Listen until ctx is canceled,
 // then drains: in-flight requests get up to DrainTimeout to finish, the
 // ingest queue is flushed, and a final snapshot is written. It returns
 // nil on a clean drain.
 func (s *Server) Serve(ctx context.Context) error {
-	if s.lis == nil {
-		return errors.New("server: Serve called before Listen")
-	}
-	hs := &http.Server{
-		Handler:           s.handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(s.lis) }()
+	stop := make(chan struct{})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		s.snapshotLoop(stop)
+	}()
+	err := s.shell.Serve(ctx)
+	close(stop)
+	<-stopped
+	// Handlers have returned, so no new ingest can be enqueued: flushing
+	// the queue and snapshotting now covers every acknowledged record —
+	// after a listener failure as much as after a requested shutdown.
+	return errors.Join(err, s.Close())
+}
 
-	var tick <-chan time.Time
-	if s.dir != "" && s.cfg.SnapshotEvery > 0 {
-		t := time.NewTicker(s.cfg.SnapshotEvery)
-		defer t.Stop()
-		tick = t.C
+// snapshotLoop writes a snapshot every SnapshotEvery until stop closes.
+func (s *Server) snapshotLoop(stop <-chan struct{}) {
+	if s.dir == "" || s.shell.cfg.SnapshotEvery <= 0 {
+		return
 	}
+	t := time.NewTicker(s.shell.cfg.SnapshotEvery)
+	defer t.Stop()
 	for {
 		select {
-		case <-tick:
+		case <-stop:
+			return
+		case <-t.C:
 			if wrote, err := s.Snapshot(); err != nil {
-				s.logf("snapshot error: %v", err)
+				s.shell.logf("snapshot error: %v", err)
 			} else if wrote {
-				s.logf("snapshot written to %s (generation %d)", s.dir, s.savedGeneration())
+				s.shell.logf("snapshot written to %s (generation %d)", s.dir, s.savedGeneration())
 			}
-		case err := <-errc:
-			// Listener failure outside a requested shutdown; still flush
-			// the queue and snapshot so acknowledged records survive.
-			return errors.Join(err, s.Close())
-		case <-ctx.Done():
-			s.logf("shutdown requested, draining (timeout %s)", s.cfg.DrainTimeout)
-			drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-			err := hs.Shutdown(drainCtx)
-			cancel()
-			<-errc // always http.ErrServerClosed after Shutdown
-			// Handlers have returned, so no new ingest can be enqueued:
-			// flushing the queue and snapshotting now covers every
-			// acknowledged record.
-			if cerr := s.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			s.logf("drained")
-			return err
 		}
 	}
 }
@@ -243,10 +231,4 @@ func (s *Server) savedGeneration() uint64 {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	return s.savedGen
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }

@@ -388,7 +388,7 @@ func TestBatcherCoalesces(t *testing.T) {
 // drain to finish.
 func startServer(t *testing.T, s *Server) (string, func() error) {
 	t.Helper()
-	s.cfg.Addr = "127.0.0.1:0"
+	s.shell.cfg.Addr = "127.0.0.1:0"
 	addr, err := s.Listen()
 	if err != nil {
 		t.Fatal(err)
@@ -487,8 +487,8 @@ func TestConcurrentLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	statsResp.Body.Close()
-	if stats.Requests.PeakInFlight > int64(s.cfg.MaxInFlight) {
-		t.Fatalf("peak in-flight %d exceeded the limit %d", stats.Requests.PeakInFlight, s.cfg.MaxInFlight)
+	if stats.Requests.PeakInFlight > int64(s.shell.cfg.MaxInFlight) {
+		t.Fatalf("peak in-flight %d exceeded the limit %d", stats.Requests.PeakInFlight, s.shell.cfg.MaxInFlight)
 	}
 	if stats.Requests.Status5xx != 0 {
 		t.Fatalf("saw %d 5xx responses under load", stats.Requests.Status5xx)
