@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-repo smoke chaos lint linkcheck fmtcheck loc clean
+.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-smoke bench-repo smoke chaos lint linkcheck fmtcheck loc clean
 
 all: build vet test
 
@@ -39,6 +39,11 @@ cover:
 # iteration (-benchtime=1x) measures start-up, not the code.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=200ms ./...
+
+# Compile every Benchmark* and run each once, so one cannot rot unseen;
+# the numbers mean nothing (see bench).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The repo benchmark declared in BENCHMARK.json: its own tests, then
 # three short workloads end to end (see bench/README.md for full runs).

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -130,4 +131,58 @@ func BenchmarkServeIngestWhileSearch(b *testing.B) {
 			benchPost(b, client, searchURL, query)
 		}
 	})
+}
+
+// BenchmarkDecode measures Shell.Decode alone — body read, parse, Check
+// — as MB/s of request body: plain search bodies of three sizes, one with
+// a single escape and one of prose (a line break, quote or é every 20
+// bytes or so), all taken by the single pass; one with a surrogate-pair
+// escape, which encoding/json reads from the same bytes; and an 8-record
+// ingest.
+func BenchmarkDecode(b *testing.B) {
+	search := func(data string) []byte {
+		body, err := json.Marshal(SearchRequest{Name: "query-17", Data: data, K: 10, MinSimilarity: 0.3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
+	}
+	var ingest IngestRequest
+	for i := 0; i < 8; i++ {
+		ingest.Records = append(ingest.Records, IngestRecord{Name: fmt.Sprintf("doc-%d", i), Data: benchPayload(1<<10, int64(i))})
+	}
+	ingestBody, err := json.Marshal(ingest)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sh := NewShell(Config{})
+	for _, bc := range []struct {
+		name  string
+		body  []byte
+		fresh func() any
+	}{
+		{"search-256B", search(benchPayload(256, 1)), func() any { return new(SearchRequest) }},
+		{"search-4KiB", search(benchPayload(4<<10, 2)), func() any { return new(SearchRequest) }},
+		{"search-16KiB", search(benchPayload(16<<10, 3)), func() any { return new(SearchRequest) }},
+		{"search-4KiB-escape", search(benchPayload(4<<10, 2) + "\n"), func() any { return new(SearchRequest) }},
+		{"search-4KiB-prose", search(strings.Repeat("a line of prose, \"quoted\", and a café —\nthen the next. ", 80)[:4<<10]), func() any { return new(SearchRequest) }},
+		{"search-4KiB-fallback", bytes.Replace(search(benchPayload(4<<10, 2)), []byte(`","k"`), []byte(`\ud83d\ude00","k"`), 1), func() any { return new(SearchRequest) }},
+		{"ingest-8x1KiB", ingestBody, func() any { return new(IngestRequest) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rd := bytes.NewReader(bc.body)
+			r := httptest.NewRequest(http.MethodPost, "/", rd)
+			w := httptest.NewRecorder()
+			b.SetBytes(int64(len(bc.body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(bc.body)
+				r.Body = io.NopCloser(rd)
+				if !sh.Decode(w, r, bc.fresh()) {
+					b.Fatalf("refused: %s", w.Body)
+				}
+			}
+		})
+	}
 }

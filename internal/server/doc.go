@@ -11,12 +11,13 @@
 // themselves.
 //
 // The HTTP plumbing — limiter, counting middleware, error envelope,
-// latency histograms, the capped strict body decoder and each request
-// body's Check, Listen/Serve/drain — is the Shell type, which the
-// cluster coordinator holds too. Observability has one definition:
-// stats() builds the StatsResponse, /stats encodes it and /metrics is
-// WriteProm walking the same value's prom struct tags, so a counter is
-// wired in exactly one place.
+// latency histograms, the request-body codec (wire.go: the capped body
+// read once, plain search and ingest bodies parsed in one pass, any other
+// by encoding/json from the same bytes) and each body's Check,
+// Listen/Serve/drain — is the Shell type, which the cluster coordinator
+// holds too. Observability has one definition: stats() builds the
+// StatsResponse, /stats encodes it and /metrics is WriteProm walking the
+// same value's prom tags, so a counter is wired in exactly one place.
 //
 // # Invariants
 //

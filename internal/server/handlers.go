@@ -581,14 +581,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.shell.Latencies("sketchengine_http_request_duration_seconds", "Request latency by endpoint."))
 }
 
-// jsonBufPool recycles the encode buffers behind every JSON response.
-// Encoding into a pooled buffer first (instead of streaming into the
-// ResponseWriter) costs one copy but saves the per-response encoder
-// allocations and lets us emit Content-Length.
+// jsonBufPool recycles the buffers request bodies are read into (Decode)
+// and JSON responses encoded into. Encoding into a pooled buffer first
+// (instead of streaming into the ResponseWriter) costs one copy but saves
+// the per-response encoder allocations and lets us emit Content-Length.
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledBufBytes caps the encode buffers kept in the pool so one
-// giant response cannot pin its buffer forever.
+// maxPooledBufBytes caps the buffers kept in the pool so one giant body
+// or response cannot pin its buffer forever.
 const maxPooledBufBytes = 1 << 20
 
 // WriteJSON serializes v into a pooled buffer and writes it with
@@ -605,6 +605,10 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
 	_, _ = w.Write(buf.Bytes())
+	putJSONBuf(buf)
+}
+
+func putJSONBuf(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBufBytes {
 		jsonBufPool.Put(buf)
 	}

@@ -219,6 +219,12 @@ func TestErrorPaths(t *testing.T) {
 		{"malformed search JSON", "/v1/search", `not json`, http.StatusBadRequest},
 		{"bad search mode", "/v1/search", `{"data": "abc", "mode": "fuzzy"}`, http.StatusBadRequest},
 		{"negative k", "/v1/search", `{"data": "abc", "k": -3}`, http.StatusBadRequest},
+		// json.Decoder.More() is false before ']' and '}', so these tails
+		// used to be accepted; the last goes down the stdlib path alone.
+		{"trailing brackets", "/v1/search", `{"name":"q","data":"x"} ]]] junk`, http.StatusBadRequest},
+		{"trailing brace", "/v1/search", `{"name":"q","data":"x"}}`, http.StatusBadRequest},
+		{"trailing bracket after ingest", "/v1/records", `{"records":[{"name":"a","data":"x"}]} ]`, http.StatusBadRequest},
+		{"trailing brace after replicate", "/v1/admin/replicate", `{"records":[]}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -227,8 +233,11 @@ func TestErrorPaths(t *testing.T) {
 				t.Fatalf("status = %d, want %d (body %s)", resp.StatusCode, tc.wantCode, body)
 			}
 			var eb errorBody
-			if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Error.Code == "" || eb.Error.Message == "" {
+			if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Error.Code != CodeForStatus(tc.wantCode) || eb.Error.Message == "" {
 				t.Fatalf("error body %q is not {\"error\":{\"code\",\"message\"}}: %v", body, err)
+			}
+			if strings.HasPrefix(tc.name, "trailing") && eb.Error.Message != "malformed JSON body: trailing data" {
+				t.Fatalf("refused for %q, want the trailing-data rule", eb.Error.Message)
 			}
 		})
 	}

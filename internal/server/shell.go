@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -14,8 +13,8 @@ import (
 
 // Shell is the HTTP plumbing every node role wraps around its routes:
 // the in-flight limiter, the counting middleware, the JSON error
-// envelope, per-endpoint latency histograms, the size-capped strict
-// body decoder, and the listen / serve-until-cancelled / drain
+// envelope, per-endpoint latency histograms, the request-body codec
+// (wire.go), and the listen / serve-until-cancelled / drain
 // lifecycle. Server and the cluster coordinator each hold one, so the
 // two roles count, limit, decode and shut down by one definition.
 type Shell struct {
@@ -207,35 +206,6 @@ func (h *histogram) observe(d time.Duration) {
 // rejects the request with msg. Check may fill defaults in.
 type checked interface {
 	Check(maxBatch int) (status int, msg string)
-}
-
-// Decode reads r's JSON body into v — size-capped, strict about
-// trailing data — and then runs v's own Check, if it has one. It writes
-// the error response itself and reports whether the request is usable.
-func (sh *Shell) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, sh.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			WriteError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("malformed JSON body: %v", err))
-		return false
-	}
-	if dec.More() {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "malformed JSON body: trailing data")
-		return false
-	}
-	if c, ok := v.(checked); ok {
-		if status, msg := c.Check(sh.cfg.MaxBatch); status != 0 {
-			WriteError(w, status, CodeForStatus(status), msg)
-			return false
-		}
-	}
-	return true
 }
 
 // checkBatch is the rule ingest and replicate bodies share: at least
