@@ -255,44 +255,52 @@ func BenchmarkSearchExact(b *testing.B) {
 	}
 }
 
-// serveLSHHitCorpus builds the serve-lsh-hit workload's engine: 50 000
-// rows in families of 20 near-duplicates (1% of a family's bytes
-// changed per member), 16 stripes, an 8-bit directory index, and 256
-// hit queries, each a fresh mutation of a different family.
-func serveLSHHitCorpus(b *testing.B) (*Index, []*Sketch) {
-	b.Helper()
-	const families, members = 2500, 20
-	eng, err := NewEngine(Options{IndexName: "bench", Bits: 8, Tiered: true, DataDir: b.TempDir()})
+// familyMember returns member m of near-duplicate family f: the family's
+// 512 bytes with 1% of them changed.
+func familyMember(f, m int) []byte {
+	data := benchData(512, int64(f+1))
+	rng := rand.New(rand.NewSource(int64(f*100 + m)))
+	for j := 0; j < len(data)/100; j++ {
+		data[rng.Intn(len(data))] = byte('a' + rng.Intn(26))
+	}
+	return data
+}
+
+// familyCorpus builds the serve-lsh-hit workload's engine shape: families
+// of 20 near-duplicates, 16 stripes, an 8-bit directory index, saved.
+func familyCorpus(tb testing.TB, families int) *Engine {
+	tb.Helper()
+	eng, err := NewEngine(Options{IndexName: "bench", Bits: 8, Tiered: true, DataDir: tb.TempDir()})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	ix := eng.Index()
-	b.Cleanup(func() { ix.Close() })
-	member := func(f, m int) []byte {
-		data := benchData(512, int64(f+1))
-		rng := rand.New(rand.NewSource(int64(f*100 + m)))
-		for j := 0; j < len(data)/100; j++ {
-			data[rng.Intn(len(data))] = byte('a' + rng.Intn(26))
-		}
-		return data
-	}
-	recs := make([]Record, members)
+	tb.Cleanup(func() { eng.Index().Close() })
+	recs := make([]Record, 20)
 	for f := 0; f < families; f++ {
 		for m := range recs {
-			recs[m] = Record{Name: fmt.Sprintf("f%d-m%d", f, m), Data: member(f, m)}
+			recs[m] = Record{Name: fmt.Sprintf("f%d-m%d", f, m), Data: familyMember(f, m)}
 		}
 		if _, err := eng.AddBatch(recs); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	if err := ix.SaveDir(); err != nil {
-		b.Fatal(err)
+	if err := eng.Index().SaveDir(); err != nil {
+		tb.Fatal(err)
 	}
+	return eng
+}
+
+// serveLSHHitCorpus is the serve-lsh-hit workload's engine — 50 000 rows
+// — and 256 hit queries, each a fresh mutation of a different family.
+func serveLSHHitCorpus(b *testing.B) (*Index, []*Sketch) {
+	b.Helper()
+	const families = 2500
+	eng := familyCorpus(b, families)
 	queries := make([]*Sketch, 256)
 	for i := range queries {
-		queries[i] = eng.Sketcher().Sketch(Record{Name: "query", Data: member(i*(families/len(queries)), -1)})
+		queries[i] = eng.Sketcher().Sketch(Record{Name: "query", Data: familyMember(i*(families/len(queries)), -1)})
 	}
-	return ix, queries
+	return eng.Index(), queries
 }
 
 // BenchmarkSearchLSH probes band buckets and exact-scores only the
@@ -327,9 +335,22 @@ func BenchmarkSearchLSH(b *testing.B) {
 		defer putSearchBuf(buf)
 		buf.prepareBandKeys(ix, queries[0])
 		b.ReportMetric(float64(len(buf.q.bandKeys)), "lookups/op")
-		bytes, _ := ix.posts.size()
+		bytes, _, _, _ := ix.posts.size()
 		b.ReportMetric(float64(bytes)/float64(ix.Len()), "B/rec")
 	})
+}
+
+// BenchmarkPostingRebuild times the table's one build path — Open,
+// Rebucket, compaction and a due reseal all end in it — over the
+// serve-lsh-hit corpus, and reports the bytes per record of what it built.
+func BenchmarkPostingRebuild(b *testing.B) {
+	ix, _ := serveLSHHitCorpus(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.posts.rebuild(ix.lsh, ix.shards)
+	}
+	bytes, _, _, _ := ix.posts.size()
+	b.ReportMetric(float64(bytes)/float64(ix.Len()), "B/rec")
 }
 
 // BenchmarkAddBatchParallel is the guard on the posting table's one

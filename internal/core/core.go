@@ -270,8 +270,10 @@ type Stats struct {
 	Bands          int        `json:"bands"`
 	RowsPerBand    int        `json:"rows_per_band"`
 	LSHThreshold   float64    `json:"lsh_threshold"`
-	LSHBytes       int64      `json:"lsh_bytes" prom:"lsh_bytes" help:"Bytes held by the LSH posting table (slots and postings, by capacity)."`
-	LSHBuckets     int        `json:"lsh_buckets" prom:"lsh_buckets" help:"Distinct LSH band buckets in the posting table."`
+	LSHBytes       int64      `json:"lsh_bytes" prom:"lsh_bytes" help:"Bytes held by the LSH posting table (sealed and delta slots and postings, by capacity)."`
+	LSHBuckets     int        `json:"lsh_buckets" prom:"lsh_buckets" help:"LSH band buckets in the posting table, sealed plus delta."`
+	LSHDelta       int        `json:"lsh_delta_postings" prom:"lsh_delta_postings" help:"LSH postings added since the table was last sealed."`
+	LSHSeals       uint64     `json:"lsh_seals" prom:"lsh_seals_total" help:"Rebuilds of the LSH posting table into its sealed form: open, rebucket, compaction, reseal."`
 	Shards         int        `json:"shards"`
 	ShardOccupancy []int      `json:"shard_occupancy"`
 	Mode           SearchMode `json:"mode"`
@@ -300,7 +302,7 @@ func (e *Engine) Stats() Stats {
 	lsh := e.index.LSHParams()
 	arena := e.index.Arena()
 	dead, rows := e.index.Tombstones()
-	lshBytes, lshBuckets := e.index.posts.size()
+	lshBytes, lshBuckets, lshDelta, lshSeals := e.index.posts.size()
 	var tombRatio float64
 	if rows > 0 {
 		tombRatio = float64(dead) / float64(rows)
@@ -321,6 +323,8 @@ func (e *Engine) Stats() Stats {
 		LSHThreshold:   lsh.Threshold(),
 		LSHBytes:       lshBytes,
 		LSHBuckets:     lshBuckets,
+		LSHDelta:       lshDelta,
+		LSHSeals:       lshSeals,
 		Shards:         e.index.ShardCount(),
 		ShardOccupancy: e.index.Occupancy(),
 		Mode:           e.mode,

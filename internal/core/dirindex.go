@@ -84,8 +84,9 @@ func (ix *Index) attachTier(dataDir string, segmentRows int) error {
 }
 
 // SaveDir persists a directory-backed index into its directory: stripes
-// whose tombstone ratio reached DefaultCompactThreshold are compacted,
-// every shard's mutable head is sealed into a new immutable segment,
+// whose tombstone ratio reached DefaultCompactThreshold are compacted
+// (and the LSH posting table resealed when that, or its delta, calls for
+// it), every shard's mutable head is sealed into a new immutable segment,
 // then the manifest is atomically replaced — the commit point. Because
 // sealed segments never change, a snapshot's cost is the unsealed rows
 // plus the (small) manifest — not the whole index. After the commit the
@@ -166,9 +167,12 @@ func (ix *Index) SaveDir() (err error) {
 // compactLocked compacts every stripe whose tombstone ratio has reached
 // DefaultCompactThreshold, then rebuilds the posting table if any rows
 // were renumbered — also after a stripe failed, so the table never names
-// the old rows of the stripes already done. SaveDir is the only caller:
-// holding every shard lock across both steps is what makes a stripe's
-// new generation and its new postings visible together.
+// the old rows of the stripes already done — or if its delta is due for
+// sealing (postingTable.sealDue), so a long-lived ingesting index gets
+// the sealed level's size too. SaveDir is the only caller: holding every
+// shard lock across both steps is what makes a stripe's new generation
+// and its new postings visible together, and what lets rebuild read the
+// stripes unlocked.
 func (ix *Index) compactLocked() (err error) {
 	moved := false
 	for _, sh := range ix.shards {
@@ -184,7 +188,7 @@ func (ix *Index) compactLocked() (err error) {
 		ix.compactions.Add(1)
 		ix.compactedRows.Add(uint64(dropped))
 	}
-	if moved {
+	if moved || ix.posts.sealDue() {
 		ix.posts.rebuild(ix.lsh, ix.shards)
 	}
 	return err
@@ -350,7 +354,7 @@ func Open(dir string) (ix *Index, err error) {
 	meta.Format = FormatV6
 	meta.Bits = bits
 	tier := &tierState{dataDir: dir, segmentRows: segRows}
-	posts := newPostingTable(lsh)
+	posts := newPostingTable(lsh, shards)
 	ix = &Index{
 		meta:   meta,
 		shards: newShards(shards, posts, meta.SignatureSize, bits),

@@ -8,14 +8,16 @@
 //  2. Indexing: signatures live in a sharded Index — N lock-striped
 //     shards keyed by record-name hash, each owning a contiguous
 //     packed signature arena (optionally truncated to b-bit slots),
-//     and one index-wide LSH posting table (see postingTable) — with
-//     incremental add / skip-existing semantics.
+//     and one index-wide LSH posting table (see postingTable: a
+//     compact sealed level rebuilt from the live rows, and a delta for
+//     the rows added since) — with incremental add / skip-existing
+//     semantics.
 //  3. Querying: pairwise-distance and top-K similarity queries fan out
 //     over a bounded worker pool sized to GOMAXPROCS (see Pool), one
 //     goroutine per shard, each sweeping its arena cache-linearly.
-//     Top-K search runs in LSH mode by default, probing the posting
-//     table once per band for candidates instead of scanning the
-//     whole corpus (see SearchTopKLSH).
+//     Top-K search runs in LSH mode by default, probing each level
+//     of the posting table once per band for candidates instead of
+//     scanning the whole corpus (see SearchTopKLSH).
 //
 // # Storage
 //
@@ -54,6 +56,9 @@
 //     table's (shard, row) entries: row i of a shard means the same
 //     record in all of them. Compaction renumbers rows, so it bumps the
 //     shard's generation and rebuilds the table under every shard lock.
+//   - The sealed posting level keys buckets by the top 32 bits of the
+//     band key, so a probe may name rows that share no bucket with the
+//     query. Nothing may return a probe candidate unscored.
 //     Tiered segments tile [0, headBase) contiguously and the mutable
 //     head holds rows from headBase up.
 //   - An index persists only through SaveDir, whose manifest rename is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -105,7 +106,7 @@ func NewIndexWith(name string, k, sigSize int, lsh LSHParams, shards, bits int) 
 // newIndex builds the empty in-memory index from checked geometry.
 func newIndex(name string, k, sigSize int, lsh LSHParams, shards, bits int) *Index {
 	now := time.Now().UTC()
-	posts := newPostingTable(lsh)
+	posts := newPostingTable(lsh, shards)
 	return &Index{
 		meta: Metadata{
 			Name:          name,
@@ -139,6 +140,10 @@ func checkShards(shards int) error {
 	}
 	return nil
 }
+
+// ErrIndexFull is what Add wraps once the LSH posting table has no
+// address space left for another row's postings.
+var ErrIndexFull = errors.New("lsh posting table is full")
 
 // Add inserts s if no record with the same name exists. It reports
 // whether the sketch was added; false with a nil error means the name

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"unsafe"
 )
@@ -64,26 +65,42 @@ func (p LSHParams) bandKey(band int, sig []uint64, mask uint64) uint64 {
 }
 
 // postingTable is the index's one LSH posting structure, shared by all
-// shards and all bands (bandKey folds the band number into the key): an
-// open-addressed, linearly probed slot array maps a bucket key to a
-// chain of (shard, row) postings in an append-only arena, in insertion
-// order. A query costs one lookup per band however many shards there
-// are, and neither array holds a pointer for the collector to trace.
-// Postings are only ever added — a tombstoned row keeps its (every
-// scoring path skips dead rows) — until rebuild starts over. Indexes
-// into posts are int32, which bounds an index at 2^31/Bands rows.
+// shards and all bands (bandKey folds the band number into the key), in
+// two levels. Sealed is what rebuild makes of every live row: an
+// open-addressed, linearly probed array of 32-bit key fingerprints, each
+// pointing at its bucket's postings, contiguous and in (shard, row) order
+// in one packed array — 4 bytes a posting, 8 a slot. Keys sharing a
+// fingerprint share a bucket, which can only add a candidate, and every
+// candidate is rescored. The delta holds the rows added since: a slot
+// array keyed by the whole key over chains of postings in an append-only
+// arena, in insertion order. A query costs two lookups per band however
+// many shards there are, and no array holds a pointer for the collector
+// to trace. Postings are only ever added — a tombstoned row keeps its
+// (every scoring path skips dead rows) — until rebuild starts over.
 //
 // mu guards every field: shard.add inserts while holding its shard lock
 // (order: shard, then table), probe takes mu alone.
 type postingTable struct {
-	mu     sync.RWMutex
-	params LSHParams
-	slots  []postSlot // power-of-two length, at most 3/4 occupied
-	posts  []posting  // posts[0] is the nil sentinel: index 0 ends a chain
-	used   int        // occupied slots = distinct buckets
+	mu      sync.RWMutex
+	params  LSHParams
+	stripes int // the index's shard count: the most adds in flight at once
+
+	sealed     []sealSlot // at most 3/4 occupied
+	packed     []uint32   // shard<<rowBits | row, lastPosting set on a bucket's last; packed[0] is unused
+	rowBits    uint       // 0 once a stripe had too many rows to pack, and nothing is sealed
+	sealedUsed int        // occupied sealed slots
+	seals      uint64     // rebuilds so far
+
+	slots []postSlot // power-of-two length, at most 3/4 occupied
+	posts []posting  // posts[0] is the nil sentinel: index 0 ends a chain
+	used  int        // occupied slots = distinct delta buckets
 }
 
-// postSlot is one bucket; head == 0 marks an empty slot.
+// sealSlot is one sealed bucket: the top 32 bits of its key and where
+// its postings start in packed; off == 0 marks an empty slot.
+type sealSlot struct{ fp, off uint32 }
+
+// postSlot is one delta bucket; head == 0 marks an empty slot.
 type postSlot struct {
 	key        uint64
 	head, tail int32
@@ -91,14 +108,24 @@ type postSlot struct {
 
 type posting struct{ shard, row, next int32 }
 
-const minPostSlots = 64 // an empty table's slot count
+const (
+	lastPosting  = 1 << 31
+	minPostSlots = 64   // an empty delta's slot count
+	sealMinDelta = 4096 // the fewest delta postings SaveDir reseals for; see sealDue
+)
 
-func newPostingTable(p LSHParams) *postingTable {
-	return &postingTable{params: p, slots: make([]postSlot, minPostSlots), posts: make([]posting, 1)}
+// Tests lower these: maxPostings bounds sealed plus delta postings (the
+// delta links by int32, sealed offsets are uint32), and postingBits is
+// the width of a packed posting.
+var maxPostings, postingBits = math.MaxInt32, 31
+
+func newPostingTable(p LSHParams, stripes int) *postingTable {
+	return &postingTable{params: p, stripes: stripes, slots: make([]postSlot, minPostSlots), posts: make([]posting, 1),
+		sealed: make([]sealSlot, 1), packed: make([]uint32, 1), rowBits: uint(postingBits - bits.Len(uint(stripes-1)))}
 }
 
-// find returns the index of key's slot, or of the empty slot where key
-// would be inserted.
+// find returns the index of key's delta slot, or of the empty slot where
+// key would be inserted.
 func (t *postingTable) find(key uint64) uint64 {
 	mask := uint64(len(t.slots) - 1)
 	i := key & mask
@@ -108,8 +135,20 @@ func (t *postingTable) find(key uint64) uint64 {
 	return i
 }
 
-// insert appends (shard, row) to key's chain, doubling the slot array
-// when the new bucket would fill it past 3/4. Callers hold mu.
+// findSealed is find for the sealed level. A fingerprint's home slot
+// rises with it, so seal, going in fingerprint order, fills front to back.
+func (t *postingTable) findSealed(fp uint32) int {
+	i := int(uint64(fp) * uint64(len(t.sealed)) >> 32)
+	for t.sealed[i].off != 0 && t.sealed[i].fp != fp {
+		if i++; i == len(t.sealed) {
+			i = 0
+		}
+	}
+	return i
+}
+
+// insert appends (shard, row) to key's delta chain, doubling the slot
+// array when the new bucket would fill it past 3/4. Callers hold mu.
 func (t *postingTable) insert(key uint64, shard, row int32) {
 	if (t.used+1)*4 > len(t.slots)*3 {
 		old := t.slots
@@ -132,8 +171,16 @@ func (t *postingTable) insert(key uint64, shard, row int32) {
 	s.tail = p
 }
 
-// add inserts one row's postings, one per band of sig (full-width slot
-// values; mask truncates them to the packing width).
+// full reports whether a row from every stripe at once — the adds that
+// can sit between this check and their inserts — would not fit.
+func (t *postingTable) full() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.packed)+len(t.posts)+t.params.Bands*t.stripes > maxPostings
+}
+
+// add inserts one row's postings into the delta, one per band of sig
+// (full-width slot values; mask truncates them to the packing width).
 func (t *postingTable) add(shard, row int32, sig []uint64, mask uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -142,59 +189,138 @@ func (t *postingTable) add(shard, row int32, sig []uint64, mask uint64) {
 	}
 }
 
-// probe looks every key up once and routes each posting to its shard's
-// scratch (sized by the shard's beginProbe), deduped through the
-// candidate bitset; it returns the number of candidates gathered. A
-// posting for a row appended after the scratch's snapshot is skipped
-// and counts as unprobed, as scanRestAppend's complement expects.
+// probe looks every key up once in each level and routes each posting
+// to its shard's scratch (sized by the shard's beginProbe), deduped
+// through the candidate bitset; it returns the number of candidates
+// gathered. A posting for a row appended after the scratch's snapshot is
+// skipped and counts as unprobed, as scanRestAppend's complement expects.
 func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	rowMask := uint32(1)<<t.rowBits - 1
 	for _, key := range keys {
+		if off := t.sealed[t.findSealed(uint32(key>>32))].off; off != 0 {
+			for last := false; !last; off++ {
+				e := t.packed[off]
+				last = e&lastPosting != 0
+				total += scratch[e&^lastPosting>>t.rowBits].offer(int32(e & rowMask))
+			}
+		}
 		for p := t.slots[t.find(key)].head; p != 0; p = t.posts[p].next {
 			e := t.posts[p]
-			sc := &scratch[e.shard]
-			if e.row >= sc.rows || bitSet(sc.candSet, e.row) {
-				continue
-			}
-			sc.candSet[e.row>>6] |= 1 << uint(e.row&63)
-			sc.cands = append(sc.cands, e.row)
-			total++
+			total += scratch[e.shard].offer(e.row)
 		}
 	}
 	return total
 }
 
 // rebuild replaces the table's contents with the postings of every live
-// row of shards under banding p: how Open (fresh arenas), Rebucket (new
-// keys) and compaction (new row numbers) all get their table. Callers
-// exclude every add, delete and compaction meanwhile — Index.writeMu
-// held exclusively, or an index nobody else sees yet — so shard state
-// is read unlocked; searches probe the old contents until the swap.
+// row of shards under banding p, sealed, and an empty delta: how Open
+// (fresh arenas), Rebucket (new keys), compaction (new row numbers) and
+// a due reseal all get their table. If a stripe has more rows than a
+// packed posting can name, every row is filed in the delta instead.
+// Callers exclude every add, delete and compaction meanwhile —
+// Index.writeMu held exclusively, or an index nobody else sees yet — so
+// shard state is read unlocked; searches probe the old contents until the
+// swap.
 func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
-	live := 0
+	nt, live := newPostingTable(p, len(shards)), 0
 	for _, sh := range shards {
 		live += len(sh.names) - sh.deadRows
+		if len(sh.names) >= 1<<nt.rowBits {
+			nt.rowBits = 0
+		}
 	}
-	nt := newPostingTable(p)
-	nt.posts = make([]posting, 1, 1+live*p.Bands)
+	var ents []uint64 // fingerprint<<32 | packed posting, in (shard, row) order
+	if nt.rowBits != 0 {
+		ents = make([]uint64, 0, live*p.Bands)
+	}
 	var sig []uint64
 	for si, sh := range shards {
 		for i := range sh.names {
-			if !sh.rowDead(int32(i)) {
-				sig = sh.arena.appendUnpacked(sig[:0], i)
+			if sh.rowDead(int32(i)) {
+				continue
+			}
+			sig = sh.arena.appendUnpacked(sig[:0], i)
+			if nt.rowBits == 0 {
 				nt.add(int32(si), int32(i), sig, sh.mask)
+				continue
+			}
+			for band := 0; band < p.Bands; band++ {
+				ents = append(ents, p.bandKey(band, sig, sh.mask)&^math.MaxUint32|uint64(si)<<nt.rowBits|uint64(i))
 			}
 		}
 	}
+	nt.seal(ents)
 	t.mu.Lock()
 	t.params, t.slots, t.posts, t.used = p, nt.slots, nt.posts, nt.used
+	t.sealed, t.packed, t.rowBits, t.sealedUsed = nt.sealed, nt.packed, nt.rowBits, nt.sealedUsed
+	t.seals++
 	t.mu.Unlock()
 }
 
-// size returns the table's bytes (both arrays, by capacity) and buckets.
-func (t *postingTable) size() (bytes int64, buckets int) {
+// seal makes ents the sealed level of the empty table t: a stable sort
+// by fingerprint leaves each bucket contiguous and in the order given,
+// one pass counts the buckets to size the slot array, and one writes
+// slots and postings in order.
+func (t *postingTable) seal(ents []uint64) {
+	ents = sortByFingerprint(ents, make([]uint64, len(ents)))
+	buckets := 0
+	for i, e := range ents {
+		if i == 0 || e>>32 != ents[i-1]>>32 {
+			buckets++
+		}
+	}
+	t.sealed, t.packed, t.sealedUsed = make([]sealSlot, buckets*4/3+1), make([]uint32, 1, 1+len(ents)), buckets
+	for i, e := range ents {
+		if i == 0 || e>>32 != ents[i-1]>>32 {
+			t.packed[len(t.packed)-1] |= lastPosting // ends the bucket before; harmless on packed[0]
+			t.sealed[t.findSealed(uint32(e>>32))] = sealSlot{fp: uint32(e >> 32), off: uint32(len(t.packed))}
+		}
+		t.packed = append(t.packed, uint32(e))
+	}
+	t.packed[len(t.packed)-1] |= lastPosting
+}
+
+// sortByFingerprint sorts a by its top 32 bits, stably, in three 11-bit
+// counting passes between a and the equally long tmp, and returns the
+// one that ends up sorted.
+func sortByFingerprint(a, tmp []uint64) []uint64 {
+	const digit = 1<<11 - 1
+	for shift := uint(32); shift < 64; shift += 11 {
+		var next [digit + 2]int // next[d]: where the next entry with digit d goes
+		for _, e := range a {
+			next[e>>shift&digit+1]++
+		}
+		for d := range next[1:] {
+			next[d+1] += next[d]
+		}
+		for _, e := range a {
+			tmp[next[e>>shift&digit]] = e
+			next[e>>shift&digit]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
+}
+
+// sealDue reports whether SaveDir should rebuild for the delta's sake: it
+// holds sealMinDelta postings and more than a quarter of the sealed
+// count, and the last rebuild could pack.
+func (t *postingTable) sealDue() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return int64(cap(t.slots))*int64(unsafe.Sizeof(postSlot{})) + int64(cap(t.posts))*int64(unsafe.Sizeof(posting{})), t.used
+	delta := len(t.posts) - 1
+	return delta >= sealMinDelta && delta*4 > len(t.packed)-1 && t.rowBits != 0
+}
+
+// size returns the table's bytes (all four arrays, by capacity), buckets
+// (sealed plus delta: one filed in both counts twice), delta postings
+// and rebuilds.
+func (t *postingTable) size() (bytes int64, buckets, delta int, seals uint64) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	bytes = int64(cap(t.sealed))*int64(unsafe.Sizeof(sealSlot{})) + int64(cap(t.packed))*4 +
+		int64(cap(t.slots))*int64(unsafe.Sizeof(postSlot{})) + int64(cap(t.posts))*int64(unsafe.Sizeof(posting{}))
+	return bytes, t.sealedUsed + t.used, len(t.posts) - 1, t.seals
 }

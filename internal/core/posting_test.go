@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -74,6 +76,7 @@ type postingModel struct {
 	ref   *refPostings
 	rng   *rand.Rand
 	slots int
+	delta int // the most delta slots seen after an add
 	live  []string
 	sigs  [][]uint64 // every signature ever added: the query pool
 	next  int
@@ -100,6 +103,7 @@ func (m *postingModel) add(sig []uint64) {
 	m.ref.add(si, sh.ids[name], sig, sh.mask)
 	m.live = append(m.live, name)
 	m.sigs = append(m.sigs, sig)
+	m.delta = max(m.delta, len(m.ix.posts.slots))
 }
 
 func (m *postingModel) delete() {
@@ -111,6 +115,20 @@ func (m *postingModel) delete() {
 		m.t.Fatalf("%s: delete %s: ok=%v err=%v", m.name, m.live[i], ok, err)
 	}
 	m.live = slices.Delete(m.live, i, i+1)
+}
+
+// addTwin adds a copy of some signature added before and checks: after a
+// rebuild the copy lands in the delta beside the sealed buckets of the
+// rows it matches, so their queries read both levels. It returns 1 if
+// both levels hold buckets now.
+func (m *postingModel) addTwin(what string) int {
+	m.t.Helper()
+	m.add(slices.Clone(m.sigs[m.rng.Intn(len(m.sigs))]))
+	m.check(m.ix, what)
+	if m.ix.posts.sealedUsed > 0 && m.ix.posts.used > 0 {
+		return 1
+	}
+	return 0
 }
 
 // gens returns every stripe's row-numbering generation.
@@ -173,17 +191,18 @@ func (m *postingModel) check(ix *Index, what string) {
 // add / delete / SaveDir with its compaction pass (directory indexes) /
 // Rebucket / reopen, over several shard counts, packing widths and band
 // shapes, and requires equal candidate sets per shard for every query
-// after every structural step. Every
-// sequence starts from the 64-slot empty table, so the slot array grows
-// several times mid-sequence, and holds records sharing every band.
+// after every structural step. Every sequence starts from the 64-slot
+// empty delta, so its slot array grows mid-sequence, holds records
+// sharing every band, and files rows after a seal, so one query reads
+// both levels.
 func TestPostingTableMatchesReference(t *testing.T) {
-	if unsafe.Sizeof(postSlot{}) != 16 || unsafe.Sizeof(posting{}) != 12 {
-		t.Fatalf("postSlot is %d bytes and posting %d; the docs' bytes-per-record arithmetic says 16 and 12",
-			unsafe.Sizeof(postSlot{}), unsafe.Sizeof(posting{}))
+	if unsafe.Sizeof(sealSlot{}) != 8 || unsafe.Sizeof(postSlot{}) != 16 || unsafe.Sizeof(posting{}) != 12 {
+		t.Fatalf("sealSlot is %d bytes, postSlot %d and posting %d; the docs' bytes-per-record arithmetic says 8, 16 and 12",
+			unsafe.Sizeof(sealSlot{}), unsafe.Sizeof(postSlot{}), unsafe.Sizeof(posting{}))
 	}
 	const slots = 16
 	shapes := []LSHParams{{Bands: 4, RowsPerBand: 4}, {Bands: 16, RowsPerBand: 1}, {Bands: 1, RowsPerBand: 16}, {Bands: 8, RowsPerBand: 2}}
-	seed, compactions := int64(0), 0
+	seed, compactions, seals, split := int64(0), 0, uint64(0), 0
 	for _, shards := range []int{1, 3, 16} {
 		for _, bits := range []int{8, 16, 64} {
 			for _, tiered := range []bool{false, true} {
@@ -228,6 +247,7 @@ func TestPostingTableMatchesReference(t *testing.T) {
 						}
 						m.check(loaded, fmt.Sprintf("step %d (reopened)", step))
 						loaded.Close()
+						split += m.addTwin(fmt.Sprintf("step %d (add after snapshot)", step))
 					case r < 95:
 						lsh = shapes[m.rng.Intn(len(shapes))]
 						if err := ix.Rebucket(lsh, shards); err != nil {
@@ -235,23 +255,26 @@ func TestPostingTableMatchesReference(t *testing.T) {
 						}
 						m.ref = refFromLive(ix)
 						m.check(ix, fmt.Sprintf("step %d (rebucket)", step))
+						split += m.addTwin(fmt.Sprintf("step %d (add after rebucket)", step))
 					default:
 						m.check(ix, fmt.Sprintf("step %d", step))
 					}
 				}
 				m.check(ix, "end")
-				if len(ix.posts.slots) <= minPostSlots {
-					t.Fatalf("%s: the slot array never grew (%d slots)", m.name, len(ix.posts.slots))
+				if m.delta <= minPostSlots {
+					t.Fatalf("%s: the delta's slot array never grew between seals (%d slots)", m.name, m.delta)
 				}
-				bytes, buckets := ix.posts.size()
-				if buckets == 0 || bytes < int64(buckets)*16 {
+				bytes, buckets, _, sealed := ix.posts.size()
+				if buckets == 0 || bytes < int64(buckets)*8 {
 					t.Fatalf("%s: size() = %d bytes, %d buckets", m.name, bytes, buckets)
 				}
+				seals += sealed
 			}
 		}
 	}
-	if compactions < 20 {
-		t.Fatalf("only %d snapshots compacted a stripe; the sequences never exercise the rebuild", compactions)
+	if compactions < 20 || seals < 20 || split < 20 {
+		t.Fatalf("only %d snapshots compacted a stripe, %d rebuilds sealed and %d checks read both levels; the sequences never exercise the rebuild",
+			compactions, seals, split)
 	}
 }
 
@@ -476,4 +499,313 @@ func TestPostingTableConcurrency(t *testing.T) {
 			t.Fatalf("family %d after quiescence: lsh %+v, exact %+v", f, lsh, exact)
 		}
 	}
+}
+
+// setPostingLimit lowers one of the posting table's address-space limits
+// for the rest of the test.
+func setPostingLimit(t *testing.T, limit *int, to int) {
+	old := *limit
+	*limit = to
+	t.Cleanup(func() { *limit = old })
+}
+
+// TestPostingRowBitsFallback forces a packed posting too narrow for the
+// stripes: the rebuild that would seal files every row in the delta
+// instead, a snapshot does not reseal however large that delta is, and
+// candidates still match the reference.
+func TestPostingRowBitsFallback(t *testing.T) {
+	setPostingLimit(t, &postingBits, 8) // 3 stripes take 2 bits: 64 rows a stripe
+	lsh := LSHParams{Bands: 16, RowsPerBand: 1}
+	ix, err := NewIndexWith("narrow", 4, 16, lsh, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.attachTier(t.TempDir(), 8); err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	m := &postingModel{t: t, name: "narrow", ix: ix, ref: newRefPostings(lsh, 3), rng: rand.New(rand.NewSource(1)), slots: 16}
+	rebucket := func(what string) {
+		t.Helper()
+		if err := ix.Rebucket(lsh, 3); err != nil {
+			t.Fatal(err)
+		}
+		m.ref = refFromLive(ix)
+		m.check(ix, what)
+	}
+	for i := 0; i < 90; i++ {
+		m.add(m.sig())
+	}
+	rebucket("packed")
+	if _, _, delta, seals := ix.posts.size(); seals != 1 || ix.posts.sealedUsed == 0 || delta != 0 {
+		t.Fatalf("30 rows a stripe: %d rebuilds, %d sealed buckets, %d delta postings; want everything sealed", seals, ix.posts.sealedUsed, delta)
+	}
+	for i := 0; i < 210; i++ {
+		m.add(m.sig())
+	}
+	rebucket("fallback")
+	if err := ix.SaveDir(); err != nil { // 4 800 delta postings, nothing sealed: due, if the rows packed
+		t.Fatal(err)
+	}
+	if _, _, delta, seals := ix.posts.size(); seals != 2 || ix.posts.sealedUsed != 0 || len(ix.posts.packed) != 1 || delta != 300*lsh.Bands {
+		t.Fatalf("100 rows a stripe: %d rebuilds, %d sealed buckets, %d packed and %d delta postings; want one more rebuild and everything in the delta",
+			seals, ix.posts.sealedUsed, len(ix.posts.packed)-1, delta)
+	}
+	m.add(m.sig())
+	m.check(ix, "add after fallback")
+}
+
+// TestPostingFingerprintMerge plants two rows whose band keys differ but
+// share their top 32 bits: sealed, they share a bucket, so the probe for
+// one names the other too — and nothing else changes, because the extra
+// candidate is scored like any other. Rebucket and reopen both seal.
+func TestPostingFingerprintMerge(t *testing.T) {
+	lsh := LSHParams{Bands: 1, RowsPerBand: 4}
+	eng, err := NewEngine(Options{IndexName: "merge", K: 4, SignatureSize: 4, Bands: 1, RowsPerBand: 4, Bits: 64, Shards: 1, Tiered: true, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := eng.Index()
+	defer ix.Close()
+	rng := rand.New(rand.NewSource(1))
+	seen := map[uint32][]uint64{}
+	var a, b []uint64
+	for a == nil {
+		sig := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+		fp := uint32(lsh.bandKey(0, sig, ^uint64(0)) >> 32)
+		if other, ok := seen[fp]; ok {
+			a, b = other, sig
+		}
+		seen[fp] = sig
+	}
+	if ka, kb := lsh.bandKey(0, a, ^uint64(0)), lsh.bandKey(0, b, ^uint64(0)); ka == kb || ka>>32 != kb>>32 {
+		t.Fatalf("keys %x and %x: want distinct keys with one fingerprint", ka, kb)
+	}
+	add := func(ix *Index, name string, sig []uint64) {
+		t.Helper()
+		if ok, err := ix.Add(&Sketch{Name: name, K: 4, Shingles: 5, Signature: sig}); !ok || err != nil {
+			t.Fatalf("add %s: ok=%v err=%v", name, ok, err)
+		}
+	}
+	add(ix, "a", a)
+	add(ix, "b", b)
+	for i := 0; i < 50; i++ {
+		add(ix, fmt.Sprintf("noise-%d", i), []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()})
+	}
+	query := &Sketch{Name: "q", K: 4, Shingles: 5, Signature: a}
+	probe := func(ix *Index) []string {
+		buf := getSearchBuf()
+		defer putSearchBuf(buf)
+		q := buf.prepare(ix, query, 0, 1)
+		buf.prepareBandKeys(ix, query)
+		probeCandidates(ix.posts, ix.shards, q, buf.scratch)
+		var names []string
+		for _, row := range buf.scratch[0].cands {
+			names = append(names, ix.shards[0].names[row])
+		}
+		return names
+	}
+	if got := probe(ix); !slices.Equal(got, []string{"a"}) {
+		t.Fatalf("delta candidates %v, want a alone: the delta keys by all 64 bits", got)
+	}
+	want, err := SearchTopK(ix, query, 5, 0.1, nil)
+	if err != nil || len(want) != 1 {
+		t.Fatalf("exact search: %+v, err %v", want, err)
+	}
+	if err := ix.Rebucket(lsh, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.SaveDir(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Open(ix.DataDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	add(loaded, "a-twin", a) // the bucket now spans both levels
+	for what, ix := range map[string]*Index{"rebucketed": ix, "reopened": loaded} {
+		wantCands := []string{"a", "b"}
+		wantHits := want
+		if ix == loaded {
+			wantCands = append(wantCands, "a-twin")
+			wantHits = append(slices.Clone(want), Result{Query: "q", Ref: "a-twin", Similarity: 1})
+		}
+		if got := probe(ix); !slices.Equal(got, wantCands) {
+			t.Fatalf("%s: sealed candidates %v, want %v", what, got, wantCands)
+		}
+		if got, err := SearchTopKLSH(ix, query, 5, 0.1, nil); err != nil || !slices.Equal(got, wantHits) {
+			t.Fatalf("%s: lsh search %+v, err %v; want %+v", what, got, err, wantHits)
+		}
+	}
+}
+
+// TestPostingBytesPerRecord pins the sealed level's size as a count, and
+// the rule that reseals a grown delta: 2 000 records in families of 20
+// at 32 bands, opened from their directory, cost at most 350 table bytes
+// each with nothing in the delta; a delta under the floor stays through
+// a SaveDir, one past a quarter of the sealed count is sealed by it.
+func TestPostingBytesPerRecord(t *testing.T) {
+	const families = 100
+	ix, err := Open(familyCorpus(t, families).Index().DataDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	state := func() (perRecord, delta int, seals uint64) {
+		bytes, _, delta, seals := ix.posts.size()
+		return int(bytes) / ix.Len(), delta, seals
+	}
+	if per, delta, seals := state(); per > 350 || delta != 0 || seals != 1 {
+		t.Fatalf("opened: %d table bytes per record, %d delta postings, %d seals; want <= 350, 0, 1", per, delta, seals)
+	}
+	sk, err := NewSketcher(DefaultK, DefaultSignatureSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if ok, err := ix.Add(sk.Sketch(Record{Name: fmt.Sprintf("late-%d", i), Data: familyMember(i%families, 100+i)})); !ok || err != nil {
+				t.Fatalf("add %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+		if err := ix.SaveDir(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grow(0, 100)
+	if _, delta, seals := state(); delta != 100*32 || seals != 1 {
+		t.Fatalf("100 adds and a snapshot: %d delta postings, %d seals; want %d under the floor, unsealed", delta, seals, 100*32)
+	}
+	grow(100, 501) // 501 x 32 postings: one row past a quarter of the 2 000 x 32 sealed
+	if per, delta, seals := state(); per > 350 || delta != 0 || seals != 2 {
+		t.Fatalf("501 adds and a snapshot: %d table bytes per record, %d delta postings, %d seals; want <= 350, 0, 2", per, delta, seals)
+	}
+	for f := 0; f < families; f += 7 {
+		q := sk.Sketch(Record{Name: "q", Data: familyMember(f, -1)})
+		exact, err := SearchTopK(ix, q, 10, 0.3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lsh, err := SearchTopKLSH(ix, q, 10, 0.3, nil); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
+			t.Fatalf("family %d after the reseal: lsh %+v (err %v), exact %+v", f, lsh, err, exact)
+		}
+	}
+}
+
+// TestAddRefusedWhenPostingsFull lowers the table's address space until
+// an add would not fit: Index.Add must refuse with ErrIndexFull before
+// the tier, the arena or the WAL has taken the row, and the index must
+// keep answering and reopen as it was.
+func TestAddRefusedWhenPostingsFull(t *testing.T) {
+	eng := familyCorpus(t, 1)
+	ix := eng.Index()
+	// 20 rows x 32 bands are filed; room for one more row per stripe, once.
+	setPostingLimit(t, &maxPostings, 2+20*32+32*DefaultShards)
+	rec := func(i int) *Sketch {
+		return eng.Sketcher().Sketch(Record{Name: fmt.Sprintf("more-%d", i), Data: familyMember(0, 50+i)})
+	}
+	if ok, err := ix.Add(rec(0)); !ok || err != nil {
+		t.Fatalf("the add that fits: ok=%v err=%v", ok, err)
+	}
+	before, wal := ix.Tier(), ix.WAL()
+	ok, err := ix.Add(rec(1))
+	if ok || !errors.Is(err, ErrIndexFull) {
+		t.Fatalf("the add that does not fit: ok=%v err=%v, want ErrIndexFull", ok, err)
+	}
+	if after := ix.Tier(); ix.Len() != 21 || ix.Has("more-1") || *after != *before || *ix.WAL() != *wal {
+		t.Fatalf("a refused add left a trace: %d records, tier %+v -> %+v, wal %+v -> %+v", ix.Len(), before, after, wal, ix.WAL())
+	}
+	q := eng.Sketcher().Sketch(Record{Name: "q", Data: familyMember(0, -1)})
+	if res, err := SearchTopKLSH(ix, q, 30, 0.3, nil); err != nil || len(res) != 21 {
+		t.Fatalf("search on a full index: %d results, err %v; want the 21 records", len(res), err)
+	}
+	if err := ix.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Open(ix.DataDir())
+	if err != nil {
+		t.Fatalf("reopen a full index: %v", err)
+	}
+	defer loaded.Close()
+	if loaded.Len() != 21 {
+		t.Fatalf("reopened %d records, want 21", loaded.Len())
+	}
+}
+
+// FuzzPostingTable reads its input as add(key, shard, row) / seal /
+// probe(two keys) steps on a bare table, beside a map from key to
+// postings. A key byte's high nibble picks one of 16 fingerprints and its
+// low two bits tell keys of one fingerprint apart, so inputs can make
+// sealed buckets merge. Every probe must gather each row once, at least
+// what the map files under the probed keys and at most what it files
+// under keys with their fingerprints — which is equality whenever no two
+// live keys share one.
+func FuzzPostingTable(f *testing.F) {
+	f.Add([]byte{0, 0x10, 7, 0, 0x20, 8, 5, 0, 0x10, 9, 6, 0x10, 0x20})    // no shared fingerprint; a bucket in both levels
+	f.Add([]byte{0, 0x31, 1, 0, 0x32, 2, 0, 0x31, 1, 5, 6, 0x31, 0x33, 5}) // two keys, one fingerprint; a row filed twice
+	f.Add([]byte{5, 7, 0, 0})                                              // sealing and probing nothing
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const stripes, rows = 3, 64
+		key := func(b byte) uint64 { return uint64(b>>4)*0x12345679<<32 | uint64(b&3) }
+		tab := newPostingTable(LSHParams{Bands: 1, RowsPerBand: 1}, stripes)
+		ref := map[uint64][]posting{}
+		for len(data) >= 3 || len(data) > 0 && data[0]%8 == 5 {
+			switch op := data[0] % 8; {
+			case op < 5:
+				e := posting{shard: int32(data[2] % stripes), row: int32(data[2] / stripes % rows)}
+				tab.insert(key(data[1]), e.shard, e.row)
+				ref[key(data[1])] = append(ref[key(data[1])], e)
+				data = data[3:]
+			case op == 5:
+				sealed := newPostingTable(tab.params, stripes)
+				var ents []uint64
+				for k, es := range ref {
+					for _, e := range es {
+						ents = append(ents, k&^math.MaxUint32|uint64(e.shard)<<sealed.rowBits|uint64(e.row))
+					}
+				}
+				sealed.seal(ents)
+				tab, data = sealed, data[1:]
+			default:
+				keys := []uint64{key(data[1]), key(data[2])}
+				scratch := make([]shardScratch, stripes)
+				for si := range scratch {
+					scratch[si].resetFor(rows)
+				}
+				total := tab.probe(keys, scratch)
+				got := map[posting]bool{}
+				for si, sc := range scratch {
+					for _, row := range sc.cands {
+						if e := (posting{shard: int32(si), row: row}); got[e] {
+							t.Fatalf("probe %x: row %+v gathered twice", keys, e)
+						} else {
+							got[e] = true
+						}
+					}
+				}
+				if total != len(got) {
+					t.Fatalf("probe %x returned %d, scratch holds %d", keys, total, len(got))
+				}
+				atMost := map[posting]bool{}
+				for k, es := range ref {
+					for _, e := range es {
+						if (k == keys[0] || k == keys[1]) && !got[e] {
+							t.Fatalf("probe %x missed %+v, filed under %x", keys, e, k)
+						}
+						if k>>32 == keys[0]>>32 || k>>32 == keys[1]>>32 {
+							atMost[e] = true
+						}
+					}
+				}
+				for e := range got {
+					if !atMost[e] {
+						t.Fatalf("probe %x gathered %+v, filed under no key with either fingerprint", keys, e)
+					}
+				}
+				data = data[3:]
+			}
+		}
+	})
 }

@@ -176,6 +176,17 @@ type shardScratch struct {
 	fullScanned bool
 }
 
+// offer files row as a probe candidate unless it was appended after the
+// scratch's snapshot or is filed already; it returns how many it filed.
+func (sc *shardScratch) offer(row int32) int {
+	if row >= sc.rows || bitSet(sc.candSet, row) {
+		return 0
+	}
+	sc.candSet[row>>6] |= 1 << uint(row&63)
+	sc.cands = append(sc.cands, row)
+	return 1
+}
+
 // resetFor clears the scratch for a shard currently holding n records.
 func (sc *shardScratch) resetFor(n int) {
 	sc.rows = int32(n)

@@ -61,15 +61,20 @@ func newShards(n int, posts *postingTable, slots, bits int) []*shard {
 }
 
 // add packs s's signature onto the arena unless a record with the same
-// name is already present; it reports whether the insert happened. On a
-// tiered shard the full-width signature is appended to the on-disk tier
-// first — a seal failure there rolls back cleanly and fails the add
-// before anything is registered, so the tiers never disagree.
+// name is already present; it reports whether the insert happened. An
+// add the posting table has no room for fails with ErrIndexFull before
+// anything is written. On a tiered shard the full-width signature is
+// appended to the on-disk tier first — a seal failure there rolls back
+// cleanly and fails the add before anything is registered, so the tiers
+// never disagree.
 func (sh *shard) add(s *Sketch) (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, exists := sh.ids[s.Name]; exists {
 		return false, nil
+	}
+	if sh.posts.full() {
+		return false, ErrIndexFull
 	}
 	if sh.full != nil {
 		if err := sh.full.append(s.Signature); err != nil {
