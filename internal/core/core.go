@@ -270,7 +270,7 @@ type Stats struct {
 	Bands          int        `json:"bands"`
 	RowsPerBand    int        `json:"rows_per_band"`
 	LSHThreshold   float64    `json:"lsh_threshold"`
-	LSHBytes       int64      `json:"lsh_bytes" prom:"lsh_bytes" help:"Bytes held by the LSH posting table (sealed and delta slots and postings, by capacity)."`
+	LSHBytes       int64      `json:"lsh_bytes" prom:"lsh_bytes" help:"Bytes held by the LSH posting table (sealed directory and buckets, delta slots and postings, by capacity)."`
 	LSHBuckets     int        `json:"lsh_buckets" prom:"lsh_buckets" help:"LSH band buckets in the posting table, sealed plus delta."`
 	LSHDelta       int        `json:"lsh_delta_postings" prom:"lsh_delta_postings" help:"LSH postings added since the table was last sealed."`
 	LSHSeals       uint64     `json:"lsh_seals" prom:"lsh_seals_total" help:"Rebuilds of the LSH posting table into its sealed form: open, rebucket, compaction, reseal."`

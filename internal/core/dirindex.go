@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bufio"
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -247,7 +249,7 @@ func writeManifest(path string, man *manifest) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	if err = json.NewEncoder(f).Encode(man); err != nil {
+	if err = man.writeTo(f); err != nil {
 		return err
 	}
 	if err = f.Chmod(0o644); err != nil {
@@ -260,6 +262,60 @@ func writeManifest(path string, man *manifest) (err error) {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// writeTo writes the manifest as json.NewEncoder(w).Encode(m) would, byte
+// for byte, but in pieces, so a snapshot never holds the whole document —
+// every name twice — in one buffer (which encoding/json would then keep
+// pooled).
+func (m *manifest) writeTo(w io.Writer) error {
+	head, err := json.Marshal(struct {
+		Meta Metadata     `json:"meta"`
+		Tier manifestTier `json:"tier"`
+	}{m.Meta, m.Tier})
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(w, 64<<10) // keeps its first write error for Flush
+	bw.Write(head[:len(head)-1])
+	writeJSONList(bw, `,"order":`, m.Order)
+	sep := `,"shards":[`
+	for _, ms := range m.Shards {
+		writeJSONList(bw, sep+`{"segments":`, ms.Segments)
+		writeJSONList(bw, `,"names":`, ms.Names)
+		writeJSONList(bw, `,"shingles":`, ms.Shingles)
+		if len(ms.Deleted) > 0 {
+			writeJSONList(bw, `,"deleted":`, ms.Deleted)
+		}
+		bw.WriteByte('}')
+		sep = ","
+	}
+	if len(m.Shards) == 0 {
+		writeJSONList(bw, `,"shards":`, m.Shards) // null or []
+	} else {
+		bw.WriteByte(']')
+	}
+	bw.WriteString("}\n")
+	return bw.Flush()
+}
+
+const manifestChunk = 4096 // the most list elements one json.Marshal call encodes
+
+// writeJSONList writes key and then list as json.Marshal encodes it, a
+// chunk at a time; the manifest's lists hold nothing that fails to marshal.
+func writeJSONList[T any](w *bufio.Writer, key string, list []T) {
+	w.WriteString(key)
+	for i := 0; i == 0 || i < len(list); i += manifestChunk {
+		end := min(i+manifestChunk, len(list))
+		b, _ := json.Marshal(list[i:end]) // "null", "[]" or "[a,b,...]"
+		if i > 0 {
+			b[0] = ','
+		}
+		if end < len(list) {
+			b = b[:len(b)-1]
+		}
+		w.Write(b)
+	}
 }
 
 // cleanOrphanSegments removes segment and temp files the committed
@@ -460,7 +516,7 @@ func Open(dir string) (ix *Index, err error) {
 	// order a permutation of the live records; a repeat would list one
 	// record twice and hide another from every Names/Records walk.
 	listed := make([][]uint64, shards) // per-shard bitset over arena rows
-	for _, name := range m.Order {
+	for i, name := range m.Order {
 		si := shardFor(name, shards)
 		sh := ix.shards[si]
 		row, ok := sh.ids[name]
@@ -474,6 +530,7 @@ func Open(dir string) (ix *Index, err error) {
 			return nil, fmt.Errorf("index: manifest order lists record %q twice", name)
 		}
 		listed[si][row>>6] |= 1 << uint(row&63)
+		m.Order[i] = sh.names[row] // one string a name, as Add leaves it
 	}
 	ix.order = m.Order
 	ix.meta.RecordCount = total

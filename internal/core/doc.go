@@ -9,9 +9,10 @@
 //     shards keyed by record-name hash, each owning a contiguous
 //     packed signature arena (optionally truncated to b-bit slots),
 //     and one index-wide LSH posting table (see postingTable: a
-//     compact sealed level rebuilt from the live rows, and a delta for
-//     the rows added since) — with incremental add / skip-existing
-//     semantics.
+//     compact sealed level rebuilt from the live rows — buckets in
+//     fingerprint order behind a fingerprint-prefix directory — and a
+//     delta for the rows added since) — with incremental add /
+//     skip-existing semantics.
 //  3. Querying: pairwise-distance and top-K similarity queries fan out
 //     over a bounded worker pool sized to GOMAXPROCS (see Pool), one
 //     goroutine per shard, each sweeping its arena cache-linearly.

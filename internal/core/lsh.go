@@ -66,17 +66,19 @@ func (p LSHParams) bandKey(band int, sig []uint64, mask uint64) uint64 {
 
 // postingTable is the index's one LSH posting structure, shared by all
 // shards and all bands (bandKey folds the band number into the key), in
-// two levels. Sealed is what rebuild makes of every live row: an
-// open-addressed, linearly probed array of 32-bit key fingerprints, each
-// pointing at its bucket's postings, contiguous and in (shard, row) order
-// in one packed array — 4 bytes a posting, 8 a slot. Keys sharing a
-// fingerprint share a bucket, which can only add a candidate, and every
-// candidate is rescored. The delta holds the rows added since: a slot
-// array keyed by the whole key over chains of postings in an append-only
-// arena, in insertion order. A query costs two lookups per band however
-// many shards there are, and no array holds a pointer for the collector
-// to trace. Postings are only ever added — a tombstoned row keeps its
-// (every scoring path skips dead rows) — until rebuild starts over.
+// two levels. Sealed is what rebuild makes of every live row: one packed
+// array of buckets in the order of their keys' 32-bit fingerprints, each a
+// header word and then its postings in (shard, row) order, behind a
+// directory from a fingerprint's top dirBits bits to where that cell's 4
+// to 8 buckets start — 4 bytes a posting, 4 a bucket, 4 a cell. Keys
+// sharing a fingerprint share a bucket, which can only add a candidate,
+// and every candidate is rescored. The delta holds the rows added since:
+// a slot array keyed by the whole key over chains of postings in an
+// append-only arena, in insertion order. A query costs two lookups per
+// band however many shards there are, and no array holds a pointer for
+// the collector to trace. Postings are only ever added — a tombstoned row
+// keeps its (every scoring path skips dead rows) — until rebuild starts
+// over.
 //
 // mu guards every field: shard.add inserts while holding its shard lock
 // (order: shard, then table), probe takes mu alone.
@@ -85,20 +87,18 @@ type postingTable struct {
 	params  LSHParams
 	stripes int // the index's shard count: the most adds in flight at once
 
-	sealed     []sealSlot // at most 3/4 occupied
-	packed     []uint32   // shard<<rowBits | row, lastPosting set on a bucket's last; packed[0] is unused
-	rowBits    uint       // 0 once a stripe had too many rows to pack, and nothing is sealed
-	sealedUsed int        // occupied sealed slots
-	seals      uint64     // rebuilds so far
+	dir         []uint32 // 1<<dirBits + 1 offsets into packed: cell c's buckets are packed[dir[c]:dir[c+1]]
+	dirBits     uint     // minDirBits at least, so a header's 24 bits hold the rest of the fingerprint
+	packed      []uint32 // per bucket a header, then its postings shard<<rowBits | row; packed[0] is unused
+	rowBits     uint     // 0 once a stripe had too many rows to pack, and nothing is sealed
+	sealedUsed  int      // sealed buckets
+	sealedPosts int      // sealed postings: len(packed) less the unused word and the headers
+	seals       uint64   // rebuilds so far
 
 	slots []postSlot // power-of-two length, at most 3/4 occupied
 	posts []posting  // posts[0] is the nil sentinel: index 0 ends a chain
 	used  int        // occupied slots = distinct delta buckets
 }
-
-// sealSlot is one sealed bucket: the top 32 bits of its key and where
-// its postings start in packed; off == 0 marks an empty slot.
-type sealSlot struct{ fp, off uint32 }
 
 // postSlot is one delta bucket; head == 0 marks an empty slot.
 type postSlot struct {
@@ -108,20 +108,24 @@ type postSlot struct {
 
 type posting struct{ shard, row, next int32 }
 
+// A sealed bucket's header is fingerprint<<dirBits — the bits below the
+// directory's, left-aligned — over its posting count in the low byte; past
+// maxBucketRun postings a bucket goes on under another such header.
 const (
-	lastPosting  = 1 << 31
+	minDirBits   = 8
+	maxBucketRun = 1<<minDirBits - 1
 	minPostSlots = 64   // an empty delta's slot count
 	sealMinDelta = 4096 // the fewest delta postings SaveDir reseals for; see sealDue
 )
 
 // Tests lower these: maxPostings bounds sealed plus delta postings (the
-// delta links by int32, sealed offsets are uint32), and postingBits is
-// the width of a packed posting.
+// delta links by int32; sealed offsets are uint32, enough for a header to
+// every posting), and postingBits is the width of a packed posting.
 var maxPostings, postingBits = math.MaxInt32, 31
 
 func newPostingTable(p LSHParams, stripes int) *postingTable {
 	return &postingTable{params: p, stripes: stripes, slots: make([]postSlot, minPostSlots), posts: make([]posting, 1),
-		sealed: make([]sealSlot, 1), packed: make([]uint32, 1), rowBits: uint(postingBits - bits.Len(uint(stripes-1)))}
+		dir: make([]uint32, 1<<minDirBits+1), dirBits: minDirBits, packed: make([]uint32, 1), rowBits: uint(postingBits - bits.Len(uint(stripes-1)))}
 }
 
 // find returns the index of key's delta slot, or of the empty slot where
@@ -131,18 +135,6 @@ func (t *postingTable) find(key uint64) uint64 {
 	i := key & mask
 	for t.slots[i].head != 0 && t.slots[i].key != key {
 		i = (i + 1) & mask
-	}
-	return i
-}
-
-// findSealed is find for the sealed level. A fingerprint's home slot
-// rises with it, so seal, going in fingerprint order, fills front to back.
-func (t *postingTable) findSealed(fp uint32) int {
-	i := int(uint64(fp) * uint64(len(t.sealed)) >> 32)
-	for t.sealed[i].off != 0 && t.sealed[i].fp != fp {
-		if i++; i == len(t.sealed) {
-			i = 0
-		}
 	}
 	return i
 }
@@ -176,7 +168,7 @@ func (t *postingTable) insert(key uint64, shard, row int32) {
 func (t *postingTable) full() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.packed)+len(t.posts)+t.params.Bands*t.stripes > maxPostings
+	return 1+t.sealedPosts+len(t.posts)+t.params.Bands*t.stripes > maxPostings
 }
 
 // add inserts one row's postings into the delta, one per band of sig
@@ -199,12 +191,19 @@ func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) 
 	defer t.mu.RUnlock()
 	rowMask := uint32(1)<<t.rowBits - 1
 	for _, key := range keys {
-		if off := t.sealed[t.findSealed(uint32(key>>32))].off; off != 0 {
-			for last := false; !last; off++ {
-				e := t.packed[off]
-				last = e&lastPosting != 0
-				total += scratch[e&^lastPosting>>t.rowBits].offer(int32(e & rowMask))
+		cell, want := t.dir[key>>(64-t.dirBits):], uint32(key>>32)<<t.dirBits
+		for off := cell[0]; off < cell[1]; { // a cell's headers rise
+			h := t.packed[off]
+			if h&^maxBucketRun > want {
+				break
 			}
+			end := off + 1 + h&maxBucketRun
+			if h&^maxBucketRun == want {
+				for _, e := range t.packed[off+1 : end] {
+					total += scratch[e>>t.rowBits].offer(int32(e & rowMask))
+				}
+			}
+			off = end
 		}
 		for p := t.slots[t.find(key)].head; p != 0; p = t.posts[p].next {
 			e := t.posts[p]
@@ -254,32 +253,45 @@ func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
 	nt.seal(ents)
 	t.mu.Lock()
 	t.params, t.slots, t.posts, t.used = p, nt.slots, nt.posts, nt.used
-	t.sealed, t.packed, t.rowBits, t.sealedUsed = nt.sealed, nt.packed, nt.rowBits, nt.sealedUsed
+	t.dir, t.dirBits, t.packed, t.rowBits = nt.dir, nt.dirBits, nt.packed, nt.rowBits
+	t.sealedUsed, t.sealedPosts = nt.sealedUsed, nt.sealedPosts
 	t.seals++
 	t.mu.Unlock()
 }
 
 // seal makes ents the sealed level of the empty table t: a stable sort
 // by fingerprint leaves each bucket contiguous and in the order given,
-// one pass counts the buckets to size the slot array, and one writes
-// slots and postings in order.
+// one pass counts buckets and headers to size the directory and the
+// packed array, and one writes both front to back.
 func (t *postingTable) seal(ents []uint64) {
 	ents = sortByFingerprint(ents, make([]uint64, len(ents)))
-	buckets := 0
-	for i, e := range ents {
-		if i == 0 || e>>32 != ents[i-1]>>32 {
-			buckets++
+	buckets, headers := 0, 0
+	for i, run := 0, 0; i < len(ents); i, run = i+1, run+1 {
+		if i == 0 || ents[i]>>32 != ents[i-1]>>32 {
+			buckets, run = buckets+1, 0
+		}
+		if run%maxBucketRun == 0 {
+			headers++
 		}
 	}
-	t.sealed, t.packed, t.sealedUsed = make([]sealSlot, buckets*4/3+1), make([]uint32, 1, 1+len(ents)), buckets
+	t.dirBits = max(minDirBits, uint(bits.Len(uint(buckets/8))))
+	t.dir, t.packed = make([]uint32, 1<<t.dirBits+1), make([]uint32, 1, 1+headers+len(ents))
+	t.sealedUsed, t.sealedPosts = buckets, len(ents)
+	cell, hdr := 0, 0 // the next directory entry to fill; the open bucket's header
 	for i, e := range ents {
-		if i == 0 || e>>32 != ents[i-1]>>32 {
-			t.packed[len(t.packed)-1] |= lastPosting // ends the bucket before; harmless on packed[0]
-			t.sealed[t.findSealed(uint32(e>>32))] = sealSlot{fp: uint32(e >> 32), off: uint32(len(t.packed))}
+		if fp := uint32(e >> 32); i == 0 || e>>32 != ents[i-1]>>32 || t.packed[hdr]&maxBucketRun == maxBucketRun {
+			for ; cell <= int(fp>>(32-t.dirBits)); cell++ {
+				t.dir[cell] = uint32(len(t.packed))
+			}
+			hdr = len(t.packed)
+			t.packed = append(t.packed, fp<<t.dirBits)
 		}
+		t.packed[hdr]++
 		t.packed = append(t.packed, uint32(e))
 	}
-	t.packed[len(t.packed)-1] |= lastPosting
+	for ; cell < len(t.dir); cell++ {
+		t.dir[cell] = uint32(len(t.packed))
+	}
 }
 
 // sortByFingerprint sorts a by its top 32 bits, stably, in three 11-bit
@@ -311,7 +323,7 @@ func (t *postingTable) sealDue() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	delta := len(t.posts) - 1
-	return delta >= sealMinDelta && delta*4 > len(t.packed)-1 && t.rowBits != 0
+	return delta >= sealMinDelta && delta*4 > t.sealedPosts && t.rowBits != 0
 }
 
 // size returns the table's bytes (all four arrays, by capacity), buckets
@@ -320,7 +332,7 @@ func (t *postingTable) sealDue() bool {
 func (t *postingTable) size() (bytes int64, buckets, delta int, seals uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	bytes = int64(cap(t.sealed))*int64(unsafe.Sizeof(sealSlot{})) + int64(cap(t.packed))*4 +
+	bytes = int64(cap(t.dir)+cap(t.packed))*4 +
 		int64(cap(t.slots))*int64(unsafe.Sizeof(postSlot{})) + int64(cap(t.posts))*int64(unsafe.Sizeof(posting{}))
 	return bytes, t.sealedUsed + t.used, len(t.posts) - 1, t.seals
 }

@@ -196,9 +196,9 @@ func (m *postingModel) check(ix *Index, what string) {
 // sharing every band, and files rows after a seal, so one query reads
 // both levels.
 func TestPostingTableMatchesReference(t *testing.T) {
-	if unsafe.Sizeof(sealSlot{}) != 8 || unsafe.Sizeof(postSlot{}) != 16 || unsafe.Sizeof(posting{}) != 12 {
-		t.Fatalf("sealSlot is %d bytes, postSlot %d and posting %d; the docs' bytes-per-record arithmetic says 8, 16 and 12",
-			unsafe.Sizeof(sealSlot{}), unsafe.Sizeof(postSlot{}), unsafe.Sizeof(posting{}))
+	if unsafe.Sizeof(postSlot{}) != 16 || unsafe.Sizeof(posting{}) != 12 {
+		t.Fatalf("postSlot is %d bytes and posting %d; the docs' bytes-per-record arithmetic says 16 and 12",
+			unsafe.Sizeof(postSlot{}), unsafe.Sizeof(posting{}))
 	}
 	const slots = 16
 	shapes := []LSHParams{{Bands: 4, RowsPerBand: 4}, {Bands: 16, RowsPerBand: 1}, {Bands: 1, RowsPerBand: 16}, {Bands: 8, RowsPerBand: 2}}
@@ -642,7 +642,7 @@ func TestPostingFingerprintMerge(t *testing.T) {
 
 // TestPostingBytesPerRecord pins the sealed level's size as a count, and
 // the rule that reseals a grown delta: 2 000 records in families of 20
-// at 32 bands, opened from their directory, cost at most 350 table bytes
+// at 32 bands, opened from their directory, cost at most 220 table bytes
 // each with nothing in the delta; a delta under the floor stays through
 // a SaveDir, one past a quarter of the sealed count is sealed by it.
 func TestPostingBytesPerRecord(t *testing.T) {
@@ -656,8 +656,8 @@ func TestPostingBytesPerRecord(t *testing.T) {
 		bytes, _, delta, seals := ix.posts.size()
 		return int(bytes) / ix.Len(), delta, seals
 	}
-	if per, delta, seals := state(); per > 350 || delta != 0 || seals != 1 {
-		t.Fatalf("opened: %d table bytes per record, %d delta postings, %d seals; want <= 350, 0, 1", per, delta, seals)
+	if per, delta, seals := state(); per > 220 || delta != 0 || seals != 1 {
+		t.Fatalf("opened: %d table bytes per record, %d delta postings, %d seals; want <= 220, 0, 1", per, delta, seals)
 	}
 	sk, err := NewSketcher(DefaultK, DefaultSignatureSize)
 	if err != nil {
@@ -679,8 +679,8 @@ func TestPostingBytesPerRecord(t *testing.T) {
 		t.Fatalf("100 adds and a snapshot: %d delta postings, %d seals; want %d under the floor, unsealed", delta, seals, 100*32)
 	}
 	grow(100, 501) // 501 x 32 postings: one row past a quarter of the 2 000 x 32 sealed
-	if per, delta, seals := state(); per > 350 || delta != 0 || seals != 2 {
-		t.Fatalf("501 adds and a snapshot: %d table bytes per record, %d delta postings, %d seals; want <= 350, 0, 2", per, delta, seals)
+	if per, delta, seals := state(); per > 220 || delta != 0 || seals != 2 {
+		t.Fatalf("501 adds and a snapshot: %d table bytes per record, %d delta postings, %d seals; want <= 220, 0, 2", per, delta, seals)
 	}
 	for f := 0; f < families; f += 7 {
 		q := sk.Sketch(Record{Name: "q", Data: familyMember(f, -1)})
@@ -691,6 +691,125 @@ func TestPostingBytesPerRecord(t *testing.T) {
 		if lsh, err := SearchTopKLSH(ix, q, 10, 0.3, nil); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
 			t.Fatalf("family %d after the reseal: lsh %+v (err %v), exact %+v", f, lsh, err, exact)
 		}
+	}
+}
+
+// sealedTable seals rows[k] under every key k into a bare one-stripe
+// table and checks the counts size, sealDue and full go by.
+func sealedTable(t *testing.T, rows map[uint64][]int32) *postingTable {
+	t.Helper()
+	tab := newPostingTable(LSHParams{Bands: 1, RowsPerBand: 1}, 1)
+	var ents []uint64
+	for k, rs := range rows {
+		for _, r := range rs {
+			ents = append(ents, k&^math.MaxUint32|uint64(r))
+		}
+	}
+	tab.seal(ents)
+	if _, buckets, _, _ := tab.size(); buckets != len(rows) || tab.sealedPosts != len(ents) {
+		t.Fatalf("sealed %d buckets and %d postings, want %d and %d", buckets, tab.sealedPosts, len(rows), len(ents))
+	}
+	return tab
+}
+
+// probeRows returns the rows (all below n) a probe for key gathers, sorted.
+func probeRows(t *testing.T, tab *postingTable, key uint64, n int) []int32 {
+	t.Helper()
+	scratch := make([]shardScratch, 1)
+	scratch[0].resetFor(n)
+	if total := tab.probe([]uint64{key}, scratch); total != len(scratch[0].cands) {
+		t.Fatalf("probe %x returned %d, scratch holds %d", key, total, len(scratch[0].cands))
+	}
+	slices.Sort(scratch[0].cands)
+	return scratch[0].cands
+}
+
+// TestSealedDirectory pins the sealed level's layout at its edges: buckets
+// at, one past and well past what one header counts (offered whole, once,
+// and counted as one bucket), the directory's first and last cells empty
+// and occupied, and a bucket count on either side of a directory doubling.
+func TestSealedDirectory(t *testing.T) {
+	run := func(from, n int) []int32 {
+		rows := make([]int32, n)
+		for i := range rows {
+			rows[i] = int32(from + i)
+		}
+		return rows
+	}
+	fp := func(f uint32) uint64 { return uint64(f)<<32 | 7 }
+	check := func(what string, tab *postingTable, rows map[uint64][]int32, absent ...uint64) {
+		t.Helper()
+		for k, want := range rows {
+			if got := probeRows(t, tab, k, 4096); !slices.Equal(got, want) {
+				t.Fatalf("%s: key %x: %d rows %v, want the %d filed", what, k, len(got), got, len(want))
+			}
+		}
+		for _, k := range absent {
+			if got := probeRows(t, tab, k, 4096); len(got) != 0 {
+				t.Fatalf("%s: absent key %x gathered %v", what, k, got)
+			}
+		}
+	}
+
+	// Neighbours in one cell, so a walk steps over continuation headers
+	// it does not want and takes every one it does.
+	long := map[uint64][]int32{
+		fp(0x40000001): run(0, 1), fp(0x40000002): run(1, maxBucketRun), fp(0x40000003): run(256, maxBucketRun+1),
+		fp(0x40000004): run(512, 600), fp(0x40000005): run(1112, 2*maxBucketRun), fp(0x40000006): run(1622, 1),
+	}
+	tab := sealedTable(t, long)
+	if words := 1 + (6 + 1 + 2 + 1) + tab.sealedPosts; len(tab.packed) != words { // 256 and 510 postings take a second header, 600 a third too
+		t.Fatalf("%d packed words, want %d: a header per 255 postings of a bucket", len(tab.packed), words)
+	}
+	check("long buckets", tab, long, fp(0x40000000), fp(0x40000007), fp(0x3fffffff))
+
+	inner := map[uint64][]int32{fp(0x01000000): run(0, 2), fp(0x80000000): run(2, 1), fp(0xfeffffff): run(3, 2)}
+	check("empty end cells", sealedTable(t, inner), inner, fp(0), fp(0x00ffffff), fp(0xff000000), fp(0xffffffff))
+	outer := map[uint64][]int32{fp(0): run(0, 2), fp(0x00ffffff): run(2, 1), fp(0xff000000): run(3, 1), fp(0xffffffff): run(4, 2)}
+	check("occupied end cells", sealedTable(t, outer), outer, fp(1), fp(0x01000000), fp(0xfeffffff), fp(0xfffffffe))
+
+	// 2 047 buckets keep the 256-cell floor, 2 048 take nine bits: the
+	// header's fingerprint bits move up by one.
+	for buckets, wantBits := range map[int]uint{8<<minDirBits - 1: minDirBits, 8 << minDirBits: minDirBits + 1} {
+		many := map[uint64][]int32{}
+		for i := 0; i < buckets; i++ {
+			many[fp(uint32(i)*0x9e3779b1)] = run(i%4000, 1+i%3)
+		}
+		tab := sealedTable(t, many)
+		if tab.dirBits != wantBits || len(tab.dir) != 1<<wantBits+1 {
+			t.Fatalf("%d buckets: %d directory bits over %d entries, want %d", buckets, tab.dirBits, len(tab.dir), wantBits)
+		}
+		check(fmt.Sprintf("%d buckets", buckets), tab, many, fp(0x12345678))
+	}
+}
+
+// TestSealCountsPostingsNotWords seals nothing but singleton buckets, where
+// packed holds two words a posting: the reseal rule and the address-space
+// check must still go by postings.
+func TestSealCountsPostingsNotWords(t *testing.T) {
+	const sealed = 4 * sealMinDelta
+	singles := map[uint64][]int32{}
+	for i := 0; i < sealed; i++ {
+		singles[uint64(i)*0x9e3779b1<<32] = []int32{int32(i)}
+	}
+	tab := sealedTable(t, singles)
+	if len(tab.packed) != 1+2*sealed {
+		t.Fatalf("%d packed words for %d singleton buckets, want a header each", len(tab.packed), sealed)
+	}
+	for i := 0; i < sealMinDelta; i++ {
+		tab.insert(uint64(i), 0, int32(i))
+	}
+	if tab.sealDue() {
+		t.Fatalf("a delta of a quarter of the %d sealed postings is due already", sealed)
+	}
+	setPostingLimit(t, &maxPostings, 2+sealed+sealMinDelta+2) // room for one row more, twice
+	tab.insert(sealMinDelta, 0, 0)
+	if !tab.sealDue() || tab.full() {
+		t.Fatalf("one posting past a quarter: due=%v full=%v, want due and not full", tab.sealDue(), tab.full())
+	}
+	tab.insert(sealMinDelta+1, 0, 0)
+	if !tab.full() {
+		t.Fatal("sealed plus delta postings reached the limit and the table is not full")
 	}
 }
 
@@ -746,6 +865,15 @@ func FuzzPostingTable(f *testing.F) {
 	f.Add([]byte{0, 0x10, 7, 0, 0x20, 8, 5, 0, 0x10, 9, 6, 0x10, 0x20})    // no shared fingerprint; a bucket in both levels
 	f.Add([]byte{0, 0x31, 1, 0, 0x32, 2, 0, 0x31, 1, 5, 6, 0x31, 0x33, 5}) // two keys, one fingerprint; a row filed twice
 	f.Add([]byte{5, 7, 0, 0})                                              // sealing and probing nothing
+	var long, singles []byte
+	for i := 0; i < 300; i++ {
+		long = append(long, 0, 0x50, byte(i), 5)
+	}
+	f.Add(append(long, 7, 0x50, 0x51)) // one key added and sealed 300 times: its bucket ends under a second header
+	for k := 0; k < 16; k++ {
+		singles = append(singles, 0, byte(k<<4), byte(k))
+	}
+	f.Add(append(singles, 5, 6, 0x30, 0xf0)) // nothing but singleton buckets
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const stripes, rows = 3, 64
 		key := func(b byte) uint64 { return uint64(b>>4)*0x12345679<<32 | uint64(b&3) }

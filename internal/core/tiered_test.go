@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tieredEngines builds two engines over the same n records: a tiered
@@ -401,11 +404,106 @@ func editManifest(t testing.TB, good []byte, edit func(*manifest)) []byte {
 	return out
 }
 
+// streamedManifest returns what m.writeTo writes, having checked it
+// against encoding/json's own encoding of m, and the largest single Write
+// that reached the writer.
+func streamedManifest(t testing.TB, m *manifest) (out []byte, maxWrite int) {
+	t.Helper()
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	var got writeSizes
+	if err := m.writeTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		i := 0
+		for i < got.Len() && i < want.Len() && got.Bytes()[i] == want.Bytes()[i] {
+			i++
+		}
+		t.Fatalf("writeTo wrote %d bytes, Encode %d; they part at byte %d:\n got: ...%.80q\nwant: ...%.80q",
+			got.Len(), want.Len(), i, got.Bytes()[i:], want.Bytes()[i:])
+	}
+	return got.Bytes(), got.max
+}
+
+// writeSizes is a buffer that remembers its largest Write.
+type writeSizes struct {
+	bytes.Buffer
+	max int
+}
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	w.max = max(w.max, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestManifestStreamsIdentically: manifests with names that JSON escapes
+// every way it can, lists on both sides of every chunk boundary, nil and
+// empty slices and shards with and without tombstones stream to exactly
+// the bytes json.Encoder writes — a MANIFEST.json is the same file as
+// before — in writes that stay small however long the lists are.
+func TestManifestStreamsIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pieces := []string{"a", "rec-", "0", "\"", "\\", "<", ">", "&", "\u2028", "\u2029", "\x00", "\x1f", "\n", "é", "日本", "\xff", "😀", "/"}
+	names := func(n int, nilIfEmpty bool) []string {
+		if n == 0 && nilIfEmpty {
+			return nil
+		}
+		out := make([]string, n)
+		for i := range out {
+			for j := rng.Intn(7); j >= 0; j-- {
+				out[i] += pieces[rng.Intn(len(pieces))]
+			}
+		}
+		return out
+	}
+	ints := func(n int, nilIfEmpty bool) []int32 {
+		if n == 0 && nilIfEmpty {
+			return nil
+		}
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = rng.Int31() - 1<<30
+		}
+		return out
+	}
+	sizes := []int{0, 0, 1, 2, manifestChunk - 1, manifestChunk, manifestChunk + 1, 2 * manifestChunk, 2*manifestChunk + 77, 10000}
+	size := func() int { return sizes[rng.Intn(len(sizes))] }
+	for round := 0; round < 40; round++ {
+		m := &manifest{
+			Meta: Metadata{Name: names(1, false)[0], Version: Version, Format: FormatV6, CreatedAt: time.Unix(rng.Int63n(1<<32), rng.Int63n(1e9)).UTC(),
+				RecordCount: rng.Intn(100), K: 8, SignatureSize: 128, Scheme: SchemeOPH, Bits: rng.Intn(2) * 8, Bands: 32, RowsPerBand: 4, Shards: rng.Intn(4)},
+			Tier:  manifestTier{SegmentRows: rng.Intn(5000)},
+			Order: names(size(), round%2 == 0),
+		}
+		if round%5 != 0 { // else Shards stays nil
+			m.Shards = make([]manifestShard, rng.Intn(4))
+		}
+		for i := range m.Shards {
+			ms := &m.Shards[i]
+			ms.Names, ms.Shingles, ms.Deleted = names(size(), round%3 == 0), ints(size(), round%3 == 1), ints(size()%300, round%2 == 1)
+			if round%4 != 0 {
+				ms.Segments = make([]manifestSegment, rng.Intn(3))
+				for j := range ms.Segments {
+					ms.Segments[j] = manifestSegment{File: names(1, false)[0], Base: rng.Intn(1 << 20), Rows: rng.Intn(1 << 20), CRC32: rng.Uint32()}
+				}
+			}
+		}
+		if _, maxWrite := streamedManifest(t, m); maxWrite > 128<<10 {
+			t.Fatalf("round %d: one Write of %d bytes; want the lists streamed in pieces of at most 128 KiB", round, maxWrite)
+		}
+	}
+}
+
 // FuzzOpenManifest feeds arbitrary MANIFEST.json bytes to Open over an
 // otherwise valid directory: the manifest is read back from disk, where
 // anything may have happened to it, so Open must return an index or an
 // error — never panic, and never an index whose record count disagrees
-// with the names it lists.
+// with the names it lists. Whatever decodes as a manifest must also
+// survive the writer: streamed like encoding/json would encode it, and
+// decoded again, it streams to the same bytes.
 func FuzzOpenManifest(f *testing.F) {
 	// One shard, one segment: small enough to copy per input.
 	src := f.TempDir()
@@ -430,6 +528,16 @@ func FuzzOpenManifest(f *testing.F) {
 		f.Add(corrupt(f, good))
 	}
 	f.Fuzz(func(t *testing.T, man []byte) {
+		var m, again manifest
+		if json.Unmarshal(man, &m) == nil {
+			out, _ := streamedManifest(t, &m)
+			if err := json.Unmarshal(out, &again); err != nil {
+				t.Fatalf("the streamed manifest does not decode: %v", err)
+			}
+			if out2, _ := streamedManifest(t, &again); !bytes.Equal(out, out2) {
+				t.Fatalf("manifest changed on a round trip:\n%s\n%s", out, out2)
+			}
+		}
 		// A fresh copy per input: Open truncates torn WAL tails and a
 		// successful one attaches logs, so inputs must not share state.
 		dir := t.TempDir()
