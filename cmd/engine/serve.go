@@ -52,8 +52,7 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 	modeFlag := fs.String("mode", "lsh", "default search mode: lsh or exact (requests may override)")
 	snapEvery := fs.Duration("snapshot-every", 30*time.Second, "periodic snapshot interval (0 disables; shutdown always snapshots)")
 	maxInFlight := fs.Int("max-inflight", server.DefaultMaxInFlight, "max concurrently served requests")
-	maxBatch := fs.Int("max-batch", server.DefaultMaxBatch, "max records per ingest request and per coalesced index batch")
-	queueDepth := fs.Int("queue-depth", server.DefaultQueueDepth, "ingest queue capacity, in pending requests")
+	maxBatch := fs.Int("max-batch", server.DefaultMaxBatch, "max records per ingest or replicate request, and per GET /v1/records page")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "max request body size in bytes")
 	drain := fs.Duration("drain-timeout", server.DefaultDrainTimeout, "how long shutdown waits for in-flight requests")
 	faultSpec := fs.String("fault-spec", "",
@@ -132,7 +131,6 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 		MaxInFlight:   *maxInFlight,
 		MaxBatch:      *maxBatch,
 		MaxBodyBytes:  *maxBody,
-		QueueDepth:    *queueDepth,
 		DrainTimeout:  *drain,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, "engine: serve: "+format+"\n", args...)
@@ -173,8 +171,7 @@ func serveCoordinator(fs *flag.FlagSet, cfg cluster.Config, backends, pprofAddr 
 	// Index flags are meaningless without an index; catch the ones a
 	// single-node invocation would care about so a copy-pasted command
 	// line fails loudly instead of silently dropping its index.
-	ignored := map[string]bool{"d": true, "snapshot-every": true,
-		"queue-depth": true, "mode": true, "name": true}
+	ignored := map[string]bool{"d": true, "snapshot-every": true, "mode": true, "name": true}
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
 		if ignored[f.Name] {

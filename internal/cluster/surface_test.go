@@ -130,7 +130,8 @@ func readLines(t *testing.T, path string) []string {
 }
 
 // TestMetricsGolden: every metric family the previous commit's binaries
-// exposed (less the one counter of the admin endpoint deleted with it)
+// exposed (less the one counter of the admin endpoint deleted with it,
+// and since then the two gauges of the ingest queue deleted with it)
 // is still exposed with the same type, and what was added is exactly
 // the drift between /stats and /metrics that rendering both from one
 // value closed.
@@ -204,7 +205,8 @@ func jsonPaths(t *testing.T, doc string) map[string]string {
 }
 
 // TestStatsKeysGolden: every key path of both /stats bodies at the
-// previous commit is still there with the same JSON type — bench/ and
+// previous commit (less ingest.queue_depth and ingest.queue_capacity,
+// gone with the ingest queue) is still there with the same JSON type — bench/ and
 // operators' dashboards decode these by name.
 func TestStatsKeysGolden(t *testing.T) {
 	s := scrapeSurface(t)

@@ -9,7 +9,7 @@ import (
 
 // Version identifies the engine build. It is reported by the CLI and
 // stamped into saved index metadata.
-const Version = "0.12.0"
+const Version = "0.13.0"
 
 // Options configures an Engine. Zero values fall back to the package
 // defaults (DefaultK, DefaultSignatureSize, GOMAXPROCS workers, DefaultLSHParams banding, DefaultShards stripes,
@@ -148,36 +148,28 @@ func (e *Engine) SetMode(m SearchMode) { e.mode = m }
 
 // Add sketches rec and adds it to the index. It reports whether the
 // record was added (false means a record with the same name already
-// existed and was skipped). On a WAL-attached tiered index a true
-// return is durable: the logged frame has been fsynced before Add
-// returns. A sync failure returns the error with added=true — the
-// record is in memory but not yet on disk (the next snapshot covers
-// it).
+// existed and was skipped). On a WAL-attached tiered index a nil error
+// is durable: the logged frame has been fsynced before Add returns. A
+// sync failure returns the error with added=true — the record is in
+// memory but not yet on disk (the next snapshot covers it).
 func (e *Engine) Add(rec Record) (bool, error) {
-	added, err := e.index.Add(e.sketcher.Sketch(rec))
-	if err != nil || !added {
-		return added, err
-	}
-	return true, e.index.SyncWAL()
+	oks, err := e.AddSketches([]*Sketch{e.sketcher.Sketch(rec)})
+	return oks[0], err
 }
 
 // Delete removes the record named name from the index, reporting
 // whether it was present. Like Add, a true return on a WAL-attached
 // tiered index is durable before Delete returns.
 func (e *Engine) Delete(name string) (bool, error) {
+	ticket := e.index.WALTicket()
 	deleted, err := e.index.Delete(name)
 	if err != nil || !deleted {
 		return deleted, err
 	}
-	return true, e.index.SyncWAL()
+	return true, e.index.SyncWAL(ticket)
 }
 
-// AddBatch sketches and inserts recs through the worker pool: sketching
-// fans out over the pool, and the inserts land on the index's lock
-// stripes concurrently. It returns the number of records actually added
-// (duplicates are skipped, as in Add) and the first error encountered.
-// When the batch itself repeats a name, the first occurrence wins, as
-// it would under sequential Adds.
+// AddBatch is AddBatchResults reduced to the number of records added.
 func (e *Engine) AddBatch(recs []Record) (int, error) {
 	oks, err := e.AddBatchResults(recs)
 	added := 0
@@ -189,67 +181,52 @@ func (e *Engine) AddBatch(recs []Record) (int, error) {
 	return added, err
 }
 
-// AddBatchResults is AddBatch with per-record outcomes: oks[i] reports
-// whether recs[i] was added (false means its name was already indexed,
-// or repeated earlier in the batch). Callers that coalesce several
-// independent requests into one batch — like the HTTP ingest queue —
-// use the flags to split the combined result back per request. On
-// error, the flags for records processed before the failure are still
-// meaningful.
+// AddBatchResults sketches recs over the worker pool and inserts them
+// with AddSketches: oks[i] reports whether recs[i] was added.
 func (e *Engine) AddBatchResults(recs []Record) ([]bool, error) {
-	if len(recs) == 0 {
+	sketches := make([]*Sketch, len(recs))
+	e.pool.Map(len(recs), func(i int) { sketches[i] = e.sketcher.Sketch(recs[i]) })
+	return e.AddSketches(sketches)
+}
+
+// AddSketches is the one insert-and-commit path under every add entry
+// point; called directly it is the replication path, where another node
+// already computed the signatures and ships them over the wire. The
+// inserts land on the index's lock stripes concurrently, and one commit
+// (Index.SyncWAL) covers them all: a nil error means every frame logged
+// is fsynced. The ticket is taken before the first insert, so a sweep
+// that fails meanwhile, dropping frames, fails this batch too. oks[i]
+// reports whether sketches[i] was newly added; false means the name was
+// already indexed, which makes replication idempotent, or repeated
+// earlier in the batch — the first occurrence wins, as under sequential
+// adds. On an error the flags still say what is in memory, but nothing
+// may be acknowledged.
+func (e *Engine) AddSketches(sketches []*Sketch) ([]bool, error) {
+	if len(sketches) == 0 {
 		return nil, nil
 	}
 	// Drop in-batch repeats before the concurrent inserts so which
 	// record wins never depends on goroutine scheduling.
-	seen := make(map[string]struct{}, len(recs))
-	unique := make([]int, 0, len(recs))
-	for i, rec := range recs {
-		if _, dup := seen[rec.Name]; dup {
-			continue
-		}
-		seen[rec.Name] = struct{}{}
-		unique = append(unique, i)
-	}
-	sketches := make([]*Sketch, len(unique))
-	e.pool.Map(len(unique), func(j int) {
-		sketches[j] = e.sketcher.Sketch(recs[unique[j]])
-	})
-	oks := make([]bool, len(unique))
-	errs := make([]error, len(unique))
-	e.pool.Map(len(unique), func(j int) {
-		oks[j], errs[j] = e.index.Add(sketches[j])
-	})
-	added := make([]bool, len(recs))
-	for j, i := range unique {
-		if errs[j] != nil {
-			return added, errs[j]
-		}
-		added[i] = oks[j]
-	}
-	// One durability barrier for the whole batch: every inserted
-	// record's WAL frame is fsynced before the batch is acknowledged —
-	// the group commit that makes batched ingest cheap.
-	return added, e.index.SyncWAL()
-}
-
-// AddSketches inserts pre-built sketches without re-sketching — the
-// replication path, where another node already computed the signatures
-// and ships them over the wire. oks[i] reports whether sketches[i] was
-// newly added (false means the name was already indexed, making
-// replication idempotent). Like AddBatchResults, one WAL group-commit
-// covers the whole batch; on a validation error the flags for sketches
-// inserted before the failure are still meaningful.
-func (e *Engine) AddSketches(sketches []*Sketch) ([]bool, error) {
-	oks := make([]bool, len(sketches))
+	seen := make(map[string]struct{}, len(sketches))
+	unique := make([]int, 0, len(sketches))
 	for i, s := range sketches {
-		ok, err := e.index.Add(s)
+		if _, dup := seen[s.Name]; !dup {
+			seen[s.Name] = struct{}{}
+			unique = append(unique, i)
+		}
+	}
+	oks := make([]bool, len(sketches))
+	errs := make([]error, len(unique))
+	ticket := e.index.WALTicket()
+	e.pool.Map(len(unique), func(j int) {
+		oks[unique[j]], errs[j] = e.index.Add(sketches[unique[j]])
+	})
+	for _, err := range errs {
 		if err != nil {
 			return oks, err
 		}
-		oks[i] = ok
 	}
-	return oks, e.index.SyncWAL()
+	return oks, e.index.SyncWAL(ticket)
 }
 
 // Stats is a point-in-time snapshot of engine and index state, exposed

@@ -126,6 +126,72 @@ func TestWALShortWriteKeepsLaterAcks(t *testing.T) {
 	}
 }
 
+// TestWALSharedSyncFailure: a log that fails a write drops every frame
+// buffered in it, so a failed sweep fails every writer it may have
+// covered, not only the one that ran it. Two writers append to one
+// shard's log; the write fault is armed for the first barrier only. If
+// the second barrier answered nil — it finds the buffer empty — its
+// record would be acked and gone after a reopen.
+func TestWALSharedSyncFailure(t *testing.T) {
+	dir := t.TempDir()
+	eng := walEngine(t, dir, 8)
+	ix := eng.Index()
+	sk := func(name string, seed int64) *Sketch {
+		return eng.Sketcher().Sketch(Record{Name: name, Data: benchData(256, seed)})
+	}
+	// Two names of one shard, so both frames sit in the log that fails.
+	names := []string{"shared-0"}
+	for i := 1; len(names) < 2; i++ {
+		if n := fmt.Sprintf("shared-%d", i); shardFor(n, ix.ShardCount()) == shardFor(names[0], ix.ShardCount()) {
+			names = append(names, n)
+		}
+	}
+
+	first, second := ix.WALTicket(), ix.WALTicket()
+	for i, n := range names {
+		if ok, err := ix.Add(sk(n, int64(100+i))); !ok || err != nil {
+			t.Fatalf("add %s = %v, %v", n, ok, err)
+		}
+	}
+	p, err := fault.Parse("wal.write:error=1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Enable(p)
+	defer fault.Disable()
+	var inj *fault.InjectedError
+	if err := ix.SyncWAL(first); !errors.As(err, &inj) || inj.Point != "wal.write" {
+		t.Fatalf("first barrier = %v, want the injected write error", err)
+	}
+	fault.Disable()
+	if err := ix.SyncWAL(second); !errors.As(err, &inj) {
+		t.Fatalf("second barrier = %v: acked a record whose frame the failed sweep dropped", err)
+	}
+	// A writer that starts after the failed sweep ended is not failed by it.
+	if _, err := eng.Add(Record{Name: "after", Data: benchData(256, 200)}); err != nil {
+		t.Fatalf("add after the failed sweep: %v", err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Neither unacked record is required after a reopen (nor forbidden: a
+	// snapshot may have covered it); everything acked is.
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	for i := 0; i < 8; i++ {
+		if !reopened.Has(fmt.Sprintf("rec-%d", i)) {
+			t.Errorf("acked rec-%d lost", i)
+		}
+	}
+	if !reopened.Has("after") {
+		t.Error("the record acked after the failed sweep is lost")
+	}
+}
+
 // TestWALFsyncFault: an injected fsync failure fails the ack. The
 // frame may have reached the file (fsync durability is exactly what
 // was not confirmed), so the failed record is allowed to reappear —

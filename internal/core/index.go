@@ -70,6 +70,17 @@ type Index struct {
 
 	compactions   atomic.Uint64 // compaction passes that dropped rows
 	compactedRows atomic.Uint64 // tombstoned rows reclaimed by compaction
+
+	// The group commit (see SyncWAL): sweeps of the shard logs are
+	// numbered from 1 and run one at a time. sweepMu guards the fields
+	// below it and is not held while a sweep runs; sweepsDone is atomic
+	// only so that WALTicket need not take it.
+	sweepMu     sync.Mutex
+	sweepsBegun uint64
+	sweepsDone  atomic.Uint64
+	sweepEnd    chan struct{} // non-nil while a sweep runs, closed when it ends
+	sweepFailed uint64        // the latest sweep that failed, and its error
+	sweepErr    error
 }
 
 // NewIndex returns an empty index accepting sketches with the given
@@ -145,6 +156,17 @@ func checkShards(shards int) error {
 // address space left for another row's postings.
 var ErrIndexFull = errors.New("lsh posting table is full")
 
+// SketchError is what Add returns for a sketch the index cannot hold as
+// given: the caller's mistake, where any other error from an add is a
+// storage or commit failure.
+type SketchError struct{ msg string }
+
+func (e *SketchError) Error() string { return e.msg }
+
+func sketchErrorf(format string, args ...any) error {
+	return &SketchError{fmt.Sprintf(format, args...)}
+}
+
 // Add inserts s if no record with the same name exists. It reports
 // whether the sketch was added; false with a nil error means the name
 // already existed and the add was skipped. The signature is packed into
@@ -152,21 +174,21 @@ var ErrIndexFull = errors.New("lsh posting table is full")
 // bits of every slot are stored.
 func (ix *Index) Add(s *Sketch) (bool, error) {
 	if s.Name == "" {
-		return false, fmt.Errorf("index: sketch has empty name")
+		return false, sketchErrorf("index: sketch has empty name")
 	}
 	if s.K != ix.meta.K {
-		return false, fmt.Errorf("index %q: sketch k %d does not match index k %d",
+		return false, sketchErrorf("index %q: sketch k %d does not match index k %d",
 			ix.meta.Name, s.K, ix.meta.K)
 	}
 	if len(s.Signature) != ix.meta.SignatureSize {
-		return false, fmt.Errorf("index %q: signature size %d does not match index size %d",
+		return false, sketchErrorf("index %q: signature size %d does not match index size %d",
 			ix.meta.Name, len(s.Signature), ix.meta.SignatureSize)
 	}
 	// Full-width sketches are always accepted (packing truncates them);
 	// a sketch already truncated to b bits only fits an index of the
 	// same width — repacking it elsewhere would store garbage lanes.
 	if b := normSketchBits(s.Bits); b != 64 && b != ix.bits {
-		return false, fmt.Errorf("index %q: sketch holds %d-bit truncated slots but the index packs at %d bits",
+		return false, sketchErrorf("index %q: sketch holds %d-bit truncated slots but the index packs at %d bits",
 			ix.meta.Name, b, ix.bits)
 	}
 	// Shared writeMu spans the shard insert and the order append, so a
@@ -181,7 +203,7 @@ func (ix *Index) Add(s *Sketch) (bool, error) {
 	// A tiered index stores the full-width signature on disk; a
 	// pre-truncated sketch has nothing to store there.
 	if tiered && normSketchBits(s.Bits) != 64 {
-		return false, fmt.Errorf("index %q: tiered index requires full-width sketches, got %d-bit truncated slots",
+		return false, sketchErrorf("index %q: tiered index requires full-width sketches, got %d-bit truncated slots",
 			ix.meta.Name, normSketchBits(s.Bits))
 	}
 	// Same-named adds always land on the same shard, whose lock
@@ -207,9 +229,9 @@ func (ix *Index) Add(s *Sketch) (bool, error) {
 // immediately; its arena row is reclaimed by the next compaction (see
 // SaveDir). On a WAL-attached tiered index the tombstone is
 // logged, so an acknowledged delete survives a crash the same way an
-// acknowledged add does — call SyncWAL (or Engine.Delete, which does)
-// before acking. Deleting frees the name: a later Add with the same
-// name succeeds and is a fresh record.
+// acknowledged add does — take a WALTicket first and call SyncWAL with
+// it before acking (Engine.Delete does). Deleting frees the name: a
+// later Add with the same name succeeds and is a fresh record.
 func (ix *Index) Delete(name string) (bool, error) {
 	if name == "" {
 		return false, fmt.Errorf("index: delete with empty name")
@@ -236,22 +258,62 @@ func (ix *Index) Delete(name string) (bool, error) {
 	return true, nil
 }
 
-// SyncWAL flushes and fsyncs every shard's write-ahead log — the
-// durability barrier an ack must wait on. Shards with nothing buffered
-// skip their fsync, so the cost tracks the shards actually touched. It
-// is a no-op (nil error) when no WAL is attached: either an in-memory
-// index, or a directory that has not committed its first manifest yet.
-func (ix *Index) SyncWAL() error {
-	shards := ix.snapshotShards()
-	var first error
-	for _, sh := range shards {
-		if w := sh.wal.Load(); w != nil {
-			if err := w.sync(); err != nil && first == nil {
-				first = err
+// WALTicket opens a write: the writer takes it before its first Add or
+// Delete and hands it to SyncWAL once they are all in. It is the number
+// of sweeps finished so far. A log that fails a write drops every frame
+// buffered in it, whoever appended them, so a failed sweep may have cost
+// any writer whose ticket predates that sweep's end its frames, and no
+// writer whose ticket does not.
+func (ix *Index) WALTicket() uint64 { return ix.sweepsDone.Load() }
+
+// SyncWAL is the index's one commit point, the durability barrier every
+// ack waits on. It returns once a sweep that began after the caller's
+// last append has finished; a sweep flushes and fsyncs every shard log
+// with frames buffered, so its cost tracks the shards actually touched.
+// Sweeps run one at a time, and a writer that queued behind a running
+// one either runs the next or finds that another queued writer already
+// has — the group commit: one fsync per touched shard for all of them,
+// adds and deletes alike. A sweep that failed after ticket was taken
+// fails the caller, whether or not the caller's frames were in the log
+// that failed (see WALTicket); the mutations themselves stay in memory
+// and reach disk with the next snapshot. With no WAL attached — an
+// in-memory index, or a directory that has not committed its first
+// manifest — a sweep finds nothing to do.
+func (ix *Index) SyncWAL(ticket uint64) error {
+	ix.sweepMu.Lock()
+	defer ix.sweepMu.Unlock()
+	for need := ix.sweepsBegun + 1; ix.sweepsDone.Load() < need; {
+		if end := ix.sweepEnd; end != nil {
+			// A sweep is running, begun before need was read or by another
+			// waiter since: look again when it ends.
+			ix.sweepMu.Unlock()
+			<-end
+			ix.sweepMu.Lock()
+			continue
+		}
+		ix.sweepsBegun++
+		ix.sweepEnd = make(chan struct{})
+		ix.sweepMu.Unlock()
+		var first error
+		for _, sh := range ix.snapshotShards() {
+			if w := sh.wal.Load(); w != nil {
+				if err := w.sync(); err != nil && first == nil {
+					first = err
+				}
 			}
 		}
+		ix.sweepMu.Lock()
+		if first != nil {
+			ix.sweepFailed, ix.sweepErr = ix.sweepsBegun, first
+		}
+		ix.sweepsDone.Store(ix.sweepsBegun)
+		close(ix.sweepEnd)
+		ix.sweepEnd = nil
 	}
-	return first
+	if ix.sweepFailed > ticket {
+		return ix.sweepErr
+	}
+	return nil
 }
 
 // Tombstones returns the number of tombstoned (deleted but not yet

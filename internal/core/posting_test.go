@@ -840,7 +840,7 @@ func TestAddRefusedWhenPostingsFull(t *testing.T) {
 	if res, err := SearchTopKLSH(ix, q, 30, 0.3, nil); err != nil || len(res) != 21 {
 		t.Fatalf("search on a full index: %d results, err %v; want the 21 records", len(res), err)
 	}
-	if err := ix.SyncWAL(); err != nil {
+	if err := ix.SyncWAL(ix.WALTicket()); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Open(ix.DataDir())

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -139,56 +138,6 @@ func TestDeleteEndpoint(t *testing.T) {
 	}
 	if strings.Contains(string(body), `"doomed"`) {
 		t.Fatalf("deleted record in search results: %s", body)
-	}
-}
-
-// TestIngestQueueFull: a full ingest queue yields 429 + Retry-After
-// immediately instead of parking the request.
-func TestIngestQueueFull(t *testing.T) {
-	// A batcher that never drains: constructed by hand, no run loop.
-	b := &batcher{
-		eng:      testEngine(t),
-		ch:       make(chan ingestItem, 1),
-		done:     make(chan struct{}),
-		maxBatch: 8,
-		metrics:  newMetrics(),
-	}
-	b.ch <- ingestItem{} // occupy the only slot
-
-	if _, err := b.enqueue(context.Background(), []core.Record{{Name: "x", Data: []byte("y")}}); err != errQueueFull {
-		t.Fatalf("enqueue on a full queue = %v, want errQueueFull", err)
-	}
-
-	// End to end: a server whose queue is wedged returns the 429. The
-	// replacement batcher has no drainer and a full one-slot queue; its
-	// done channel is pre-closed so the harness's Close does not wait
-	// for a drain that can never happen.
-	s, ts := newTestServer(t, Config{QueueDepth: 1, MaxBatch: 4})
-	done := make(chan struct{})
-	close(done)
-	wedged := &batcher{
-		eng:      s.eng,
-		ch:       make(chan ingestItem, 1),
-		done:     done,
-		maxBatch: 4,
-		metrics:  s.metrics,
-	}
-	wedged.ch <- ingestItem{}
-	s.ingest.close()
-	s.ingest = wedged
-
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/records", IngestRequest{
-		Records: []IngestRecord{{Name: "a", Data: "payload"}},
-	})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429 (body %s)", resp.StatusCode, body)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	var eb errorBody
-	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Code != CodeQueueFull {
-		t.Fatalf("429 body %s, want code %q", body, CodeQueueFull)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -27,7 +28,7 @@ func benchPayload(n int, seed int64) string {
 
 // newBenchServer preloads records records and fronts the server with a
 // keep-alive HTTP test server, so benchmarks measure the full serving
-// path: routing, middleware, JSON, queueing, and the engine.
+// path: routing, middleware, JSON, and the engine.
 func newBenchServer(b *testing.B, records int) (*httptest.Server, *http.Client) {
 	b.Helper()
 	eng, err := core.NewEngine(core.Options{K: 8, SignatureSize: 128, IndexName: "bench"})
@@ -44,7 +45,7 @@ func newBenchServer(b *testing.B, records int) (*httptest.Server, *http.Client) 
 	if _, err := eng.AddBatch(recs); err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(eng, Config{QueueDepth: 256})
+	s, err := New(eng, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,8 +99,8 @@ var benchIngestSeq atomic.Int64
 
 // BenchmarkServeIngestWhileSearch interleaves batched ingest with
 // search across the parallel workers: the serving layer's
-// ingest-under-read contention path, exercising the coalescing queue
-// and the index's lock stripes together.
+// ingest-under-read contention path, exercising the write path and the
+// index's lock stripes together.
 func BenchmarkServeIngestWhileSearch(b *testing.B) {
 	ts, client := newBenchServer(b, 1000)
 	searchURL := ts.URL + "/v1/search"
@@ -131,6 +132,74 @@ func BenchmarkServeIngestWhileSearch(b *testing.B) {
 			benchPost(b, client, searchURL, query)
 		}
 	})
+}
+
+// BenchmarkIngestWriters is the write path's rung: concurrent writers
+// posting ingest requests through Handler() into a durable index, so
+// every 200 waited on the index-wide WAL commit. The shapes ask what
+// amortises fsyncs as writers are added (1, 16, 64 single-record
+// requests in flight) and what a multi-record request costs (16 writers
+// of 8 records, which touch several shard logs each). rec/s is records
+// acknowledged per second, fsyncs/req the WAL fsyncs paid per request.
+func BenchmarkIngestWriters(b *testing.B) {
+	payloads := make([]string, 64)
+	for i := range payloads {
+		payloads[i] = benchPayload(1<<10, int64(i+1))
+	}
+	for _, shape := range []struct{ writers, records int }{{1, 1}, {16, 1}, {64, 1}, {16, 8}} {
+		b.Run(fmt.Sprintf("writers=%d/records=%d", shape.writers, shape.records), func(b *testing.B) {
+			eng, err := core.NewEngine(core.Options{K: 8, SignatureSize: 128, IndexName: "bench",
+				Bits: 8, Tiered: true, DataDir: b.TempDir()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Index().Close()
+			s, err := New(eng, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := s.Handler()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			fsyncs := eng.Index().WAL().Fsyncs
+			b.ResetTimer()
+			for w := 0; w < shape.writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						n := next.Add(1)
+						if n > int64(b.N) {
+							return
+						}
+						var req IngestRequest
+						for j := 0; j < shape.records; j++ {
+							seq := n*int64(shape.records) + int64(j)
+							req.Records = append(req.Records, IngestRecord{Name: fmt.Sprintf("rec-%d", seq), Data: payloads[seq%64]})
+						}
+						body, err := json.Marshal(req)
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						rec := httptest.NewRecorder()
+						h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/records", bytes.NewReader(body)))
+						if rec.Code != http.StatusOK {
+							b.Errorf("status %d: %s", rec.Code, rec.Body)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N*shape.records)/b.Elapsed().Seconds(), "rec/s")
+			b.ReportMetric(float64(eng.Index().WAL().Fsyncs-fsyncs)/float64(b.N), "fsyncs/req")
+			if err := s.Close(); err != nil {
+				b.Error(err)
+			}
+		})
+	}
 }
 
 // BenchmarkDecode measures Shell.Decode alone — body read, parse, Check

@@ -1,12 +1,13 @@
 // Package server exposes a core.Engine over HTTP JSON as a long-lived
-// serving layer: batched ingest through a bounded coalescing queue,
-// top-K search with per-request overrides, record lookup, health and
+// serving layer: batched ingest, replication and deletes straight into
+// the engine (whose index-wide WAL commit is what groups fsyncs), top-K
+// search with per-request overrides, record lookup, health and
 // stats endpoints, periodic and shutdown snapshots, a configurable
 // concurrency limit, and graceful connection draining.
 //
 // Lifecycle: New -> Listen -> Serve(ctx). Canceling ctx drains in-flight
-// requests (bounded by DrainTimeout), flushes the ingest queue, and
-// writes a final snapshot. Handler is exported for in-process tests
+// requests (bounded by DrainTimeout), shuts the write gate, and writes a
+// final snapshot. Handler is exported for in-process tests
 // that skip the listener; such callers must Close the server
 // themselves.
 //
@@ -21,10 +22,12 @@
 //
 // # Invariants
 //
-//   - Acknowledged ingest survives shutdown: a 200 on /v1/records means
-//     the records reach the next snapshot. Shutdown orders handler
-//     drain, then queue flush, then the final snapshot, so nothing
-//     acknowledged can be lost to a clean SIGTERM.
+//   - Acknowledged writes survive shutdown: a 200 on ingest, replicate
+//     or delete means the mutation reaches the next snapshot. Shutdown
+//     orders handler drain, then the write gate (a straggler gets 503
+//     shutting_down), then the final snapshot, so nothing acknowledged
+//     can be lost to a clean SIGTERM and nothing is acknowledged after
+//     the snapshot.
 //   - Acknowledged writes survive a crash: New commits a directory
 //     index's first manifest before the listener opens, which attaches
 //     the write-ahead logs every later ack is fsynced to. An in-memory

@@ -149,17 +149,16 @@ type RequestStats struct {
 	Canceled         int64 `json:"canceled,omitempty" prom:"search_canceled_total" help:"Searches aborted by caller disconnect."`
 }
 
-// IngestStats describe the batching queue's behavior: Batches is the
-// number of coalesced AddBatch calls that served IngestRequests
-// requests, so BatchedRecords/Batches is the effective batch size.
+// IngestStats count the ingest path: Batches is the engine add calls
+// made, one per ingest request that decoded, and BatchedRecords the
+// records across them, so BatchedRecords/Batches is the mean request
+// size.
 type IngestStats struct {
 	Requests       int64 `json:"requests" prom:"ingest_requests_total" help:"Ingest requests received."`
 	RecordsAdded   int64 `json:"records_added" prom:"records_added_total" help:"Records added by ingest."`
 	Replicated     int64 `json:"replicated,omitempty" prom:"records_replicated_total" help:"Sketches accepted via the replicate endpoint."`
-	Batches        int64 `json:"batches" prom:"ingest_batches_total" help:"Coalesced AddBatch calls."`
-	BatchedRecords int64 `json:"batched_records" prom:"ingest_batched_records_total" help:"Records across coalesced batches."`
-	QueueDepth     int   `json:"queue_depth" prom:"ingest_queue_depth" help:"Ingest requests currently queued."`
-	QueueCapacity  int   `json:"queue_capacity" prom:"ingest_queue_capacity" help:"Ingest queue capacity."`
+	Batches        int64 `json:"batches" prom:"ingest_batches_total" help:"Engine add calls made for ingest requests."`
+	BatchedRecords int64 `json:"batched_records" prom:"ingest_batched_records_total" help:"Records across those add calls."`
 	MaxBatch       int   `json:"max_batch"`
 }
 
@@ -198,7 +197,6 @@ const (
 	CodeBadRequest       = "bad_request"
 	CodeNotFound         = "not_found"
 	CodePayloadTooLarge  = "payload_too_large"
-	CodeQueueFull        = "queue_full"
 	CodeShuttingDown     = "shutting_down"
 	CodeCanceled         = "canceled"
 	CodeOverloaded       = "overloaded"
@@ -230,8 +228,6 @@ func CodeForStatus(status int) string {
 		return CodeMethodNotAllowed
 	case http.StatusRequestEntityTooLarge:
 		return CodePayloadTooLarge
-	case http.StatusTooManyRequests:
-		return CodeQueueFull
 	case http.StatusServiceUnavailable:
 		return CodeOverloaded
 	case http.StatusGatewayTimeout:
@@ -285,6 +281,19 @@ func (q *SearchRequest) Check(int) (int, string) {
 	return 0, ""
 }
 
+// beginWrite takes the shutdown gate for a write handler, which releases
+// s.writeMu (held shared) when it returns; once Close has set the gate it
+// answers 503 instead and reports false.
+func (s *Server) beginWrite(w http.ResponseWriter) bool {
+	s.writeMu.RLock()
+	if s.closed {
+		s.writeMu.RUnlock()
+		WriteError(w, http.StatusServiceUnavailable, CodeShuttingDown, "server is shutting down")
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ingestRequests.Add(1)
 	var req IngestRequest
@@ -295,24 +304,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i, rec := range req.Records {
 		recs[i] = core.Record{Name: rec.Name, Data: []byte(rec.Data)}
 	}
-	oks, err := s.ingest.enqueue(r.Context(), recs)
+	if !s.beginWrite(w) {
+		return
+	}
+	defer s.writeMu.RUnlock()
+	oks, err := s.eng.AddBatchResults(recs)
+	s.metrics.batches.Add(1)
+	s.metrics.batchedRecords.Add(int64(len(recs)))
 	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			// Fail fast instead of parking the client on a full queue: the
-			// 429 carries Retry-After so well-behaved clients back off.
-			w.Header().Set("Retry-After", "1")
-			WriteError(w, http.StatusTooManyRequests, CodeQueueFull,
-				fmt.Sprintf("ingest: queue is full (%d requests pending); retry later", s.shell.cfg.QueueDepth))
-			return
-		}
-		if errors.Is(err, errIngestClosed) {
-			WriteError(w, http.StatusServiceUnavailable, CodeShuttingDown, "ingest: server is shutting down")
-			return
-		}
-		if errors.Is(err, r.Context().Err()) {
-			WriteError(w, http.StatusServiceUnavailable, CodeCanceled, "ingest: request canceled while queued")
-			return
-		}
 		WriteError(w, http.StatusInternalServerError, CodeInternal, fmt.Sprintf("ingest: %v", err))
 		return
 	}
@@ -322,6 +321,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			resp.Added++
 		}
 	}
+	s.metrics.recordsAdded.Add(int64(resp.Added))
 	resp.Skipped = resp.Received - resp.Added
 	if req.Detailed {
 		resp.Results = oks
@@ -471,11 +471,11 @@ func (s *Server) handleListRecords(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, RecordListResponse{Records: recs, NextCursor: next})
 }
 
-// handleReplicate inserts pre-built sketches, bypassing the sketcher
-// and the ingest queue: this is how a repaired or rebalanced copy
-// arrives byte-identical to the original. Validation failures (wrong
-// signature size, wrong packing width) are the sender's fault and get
-// 400; a WAL sync failure after an accepted insert is 500 and the
+// handleReplicate inserts pre-built sketches, bypassing the sketcher:
+// this is how a repaired or rebalanced copy arrives byte-identical to the
+// original. A sketch the index cannot hold (wrong signature size, wrong
+// packing width) is the sender's fault and gets 400; any other failure —
+// storage, or the commit behind the inserts — is 500. Either way the
 // batch is not acknowledged.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req ReplicateRequest
@@ -493,23 +493,24 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			Signature: rec.Signature,
 		}
 	}
+	if !s.beginWrite(w) {
+		return
+	}
+	defer s.writeMu.RUnlock()
 	oks, err := s.eng.AddSketches(sketches)
+	if err != nil {
+		status, code := http.StatusInternalServerError, CodeInternal
+		if invalid := (*core.SketchError)(nil); errors.As(err, &invalid) {
+			status, code = http.StatusBadRequest, CodeBadRequest
+		}
+		WriteError(w, status, code, fmt.Sprintf("replicate: %v", err))
+		return
+	}
 	added := 0
 	for _, ok := range oks {
 		if ok {
 			added++
 		}
-	}
-	if err != nil {
-		status, code := http.StatusBadRequest, CodeBadRequest
-		if added > 0 {
-			// Inserts landed but the WAL barrier (or a later record) failed:
-			// the batch is not durable as a whole, so refuse the ack the way
-			// ingest does.
-			status, code = http.StatusInternalServerError, CodeInternal
-		}
-		WriteError(w, status, code, fmt.Sprintf("replicate: %v", err))
-		return
 	}
 	s.metrics.replicated.Add(int64(added))
 	WriteJSON(w, http.StatusOK, IngestResponse{
@@ -521,6 +522,10 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteRecord(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	if !s.beginWrite(w) {
+		return
+	}
+	defer s.writeMu.RUnlock()
 	ok, err := s.eng.Delete(name)
 	if err != nil {
 		// The tombstone may be in memory but its WAL record did not reach
@@ -563,8 +568,6 @@ func (s *Server) stats() StatsResponse {
 			Replicated:     m.replicated.Load(),
 			Batches:        m.batches.Load(),
 			BatchedRecords: m.batchedRecords.Load(),
-			QueueDepth:     s.ingest.depth(),
-			QueueCapacity:  s.shell.cfg.QueueDepth,
 			MaxBatch:       s.shell.cfg.MaxBatch,
 		},
 		Snapshots: m.snapshots.Load(),

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"sketchengine/internal/core"
+	"sketchengine/internal/fault"
 )
 
 func getBody(t testing.TB, client *http.Client, url string) (*http.Response, []byte) {
@@ -23,6 +25,13 @@ func getBody(t testing.TB, client *http.Client, url string) (*http.Response, []b
 		t.Fatal(err)
 	}
 	return resp, out
+}
+
+// replicaOf sketches a payload derived from name on eng and returns it in
+// the replication wire form.
+func replicaOf(eng *core.Engine, name string) ReplicaRecord {
+	sk := eng.Sketcher().Sketch(core.Record{Name: name, Data: []byte("replicated payload of " + name)})
+	return ReplicaRecord{Name: name, Shingles: sk.Shingles, Signature: sk.Signature}
 }
 
 func ingestN(t *testing.T, url string, n int) {
@@ -213,6 +222,59 @@ func TestReplicateEndpoint(t *testing.T) {
 	}
 	if st.Ingest.Replicated != 1 {
 		t.Fatalf("stats replicated = %d, want 1", st.Ingest.Replicated)
+	}
+}
+
+// TestReplicateErrorKinds: the status says whose fault a failed
+// replicate is, whatever the count of records that landed before it. A
+// sketch the index cannot hold is the sender's (400) even behind a valid
+// one; a failed commit is the server's (500) even when the batch added
+// nothing — here a duplicate whose barrier shares a failed sweep with
+// another writer's frame.
+func TestReplicateErrorKinds(t *testing.T) {
+	eng := tieredTestEngine(t, t.TempDir())
+	s, err := New(eng, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	rec := func(name string) ReplicaRecord { return replicaOf(eng, name) }
+	if resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/admin/replicate",
+		ReplicateRequest{Records: []ReplicaRecord{rec("held")}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("replicate = %d, body %s", resp.StatusCode, out)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		arm     func()
+		records []ReplicaRecord
+		status  int
+		code    string
+	}{
+		{"invalid sketch behind a valid one", func() {},
+			[]ReplicaRecord{rec("fine"), {Name: "short", Shingles: 5, Signature: make([]uint64, 7)}},
+			http.StatusBadRequest, CodeBadRequest},
+		{"failed commit of an all-duplicate batch", func() {
+			// Another writer's frame, appended and not yet synced.
+			if _, err := eng.Index().Add(eng.Sketcher().Sketch(core.Record{Name: "bystander", Data: []byte("unsynced")})); err != nil {
+				t.Fatal(err)
+			}
+			p, err := fault.Parse("wal.write:error=1", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault.Enable(p)
+		}, []ReplicaRecord{rec("held")}, http.StatusInternalServerError, CodeInternal},
+	} {
+		tc.arm()
+		resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/admin/replicate", ReplicateRequest{Records: tc.records})
+		fault.Disable()
+		var eb errorBody
+		if err := json.Unmarshal(out, &eb); err != nil || resp.StatusCode != tc.status || eb.Error.Code != tc.code {
+			t.Errorf("%s: %d %s, want %d %s", tc.name, resp.StatusCode, out, tc.status, tc.code)
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ const (
 	DefaultMaxInFlight  = 64
 	DefaultMaxBatch     = 1024
 	DefaultMaxBodyBytes = 8 << 20
-	DefaultQueueDepth   = 64
 	DefaultDrainTimeout = 10 * time.Second
 )
 
@@ -42,15 +41,11 @@ type Config struct {
 	// MaxInFlight bounds concurrently-served requests; excess requests
 	// queue on the limiter until a slot frees or the client gives up.
 	MaxInFlight int
-	// MaxBatch caps records per ingest request (oversized requests get
-	// 413) and bounds how many records one coalesced AddBatch absorbs.
+	// MaxBatch caps records per ingest or replicate request (oversized
+	// requests get 413) and per page of GET /v1/records.
 	MaxBatch int
 	// MaxBodyBytes caps request body size.
 	MaxBodyBytes int64
-	// QueueDepth is the ingest queue capacity in pending requests; an
-	// ingest that finds it full is refused with 429 and a Retry-After
-	// header rather than parked.
-	QueueDepth int
 	// DrainTimeout bounds how long shutdown waits for in-flight
 	// requests before closing connections.
 	DrainTimeout time.Duration
@@ -63,8 +58,15 @@ type Config struct {
 type Server struct {
 	shell   *Shell // holds the Config, defaults applied
 	eng     *core.Engine
-	ingest  *batcher
 	metrics *metrics
+
+	// writeMu is the shutdown gate: the write handlers hold it shared
+	// across the engine call and its ack, Close takes it exclusively to
+	// set closed before the final snapshot. So that snapshot covers every
+	// acked write, and none is acked after it — when the caller may
+	// already have closed the index and its WALs.
+	writeMu sync.RWMutex
+	closed  bool
 
 	// dir is the served index's directory, the snapshot destination;
 	// empty for an in-memory index, which is never snapshotted.
@@ -84,7 +86,7 @@ type metrics struct {
 	ingestRequests atomic.Int64
 	recordsAdded   atomic.Int64
 	replicated     atomic.Int64 // sketches accepted via /v1/admin/replicate
-	batches        atomic.Int64 // coalesced AddBatch calls
+	batches        atomic.Int64 // engine add calls made for ingest requests
 	batchedRecords atomic.Int64 // records across those calls
 	snapshots      atomic.Int64
 
@@ -100,9 +102,6 @@ func newMetrics() *metrics { return new(metrics) }
 func New(eng *core.Engine, cfg Config) (*Server, error) {
 	if eng == nil {
 		return nil, errors.New("server: nil engine")
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
 	}
 	dir := eng.Index().DataDir()
 	if cfg.DataDir != "" && cfg.DataDir != dir {
@@ -129,7 +128,6 @@ func New(eng *core.Engine, cfg Config) (*Server, error) {
 			s.savedGen = eng.Index().Generation()
 		}
 	}
-	s.ingest = newBatcher(eng, s.shell.cfg.QueueDepth, s.shell.cfg.MaxBatch, s.metrics)
 	sh.Mount(s.routes())
 	return s, nil
 }
@@ -146,9 +144,9 @@ func (s *Server) Engine() *core.Engine { return s.eng }
 func (s *Server) Listen() (net.Addr, error) { return s.shell.Listen() }
 
 // Serve serves on the listener bound by Listen until ctx is canceled,
-// then drains: in-flight requests get up to DrainTimeout to finish, the
-// ingest queue is flushed, and a final snapshot is written. It returns
-// nil on a clean drain.
+// then drains: in-flight requests get up to DrainTimeout to finish,
+// writes are refused from then on, and a final snapshot is written. It
+// returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context) error {
 	stop := make(chan struct{})
 	stopped := make(chan struct{})
@@ -159,9 +157,8 @@ func (s *Server) Serve(ctx context.Context) error {
 	err := s.shell.Serve(ctx)
 	close(stop)
 	<-stopped
-	// Handlers have returned, so no new ingest can be enqueued: flushing
-	// the queue and snapshotting now covers every acknowledged record —
-	// after a listener failure as much as after a requested shutdown.
+	// Close's snapshot covers every acknowledged write — after a listener
+	// failure as much as after a requested shutdown.
 	return errors.Join(err, s.Close())
 }
 
@@ -186,13 +183,16 @@ func (s *Server) snapshotLoop(stop <-chan struct{}) {
 	}
 }
 
-// Close flushes the ingest queue and writes a final snapshot. Serve
-// calls it during shutdown; call it directly only when using Handler
-// without Serve, after all requests have finished. Safe to call more
-// than once.
+// Close refuses writes from here on (503 shutting_down, for a straggler
+// that outlived a timed-out drain), waits for those in flight, and
+// writes a final snapshot. Serve calls it during shutdown; call it
+// directly only when using Handler without Serve. Safe to call more than
+// once.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		s.ingest.close()
+		s.writeMu.Lock()
+		s.closed = true
+		s.writeMu.Unlock()
 		if _, err := s.Snapshot(); err != nil {
 			s.closeErr = err
 		}
