@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -19,7 +20,9 @@ func benchData(n int, seed int64) []byte {
 	return data
 }
 
-// BenchmarkSketch measures sketch throughput across payload sizes.
+// BenchmarkSketch measures sketch throughput across payload sizes, and
+// over a mixed set — 64 documents log-uniform over 256 B to 16 KiB, the
+// sizes bench/corpus.go draws — on one goroutine and on GOMAXPROCS.
 func BenchmarkSketch(b *testing.B) {
 	for _, size := range []int{1 << 10, 16 << 10, 256 << 10} {
 		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
@@ -35,6 +38,37 @@ func BenchmarkSketch(b *testing.B) {
 			}
 		})
 	}
+	s, err := NewSketcher(DefaultK, DefaultSignatureSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mixed, total := make([]Record, 64), 0
+	for i := range mixed {
+		_, u := math.Modf(float64(i+1) * 0.6180339887498949) // bench/corpus.go's docSize
+		mixed[i] = Record{Name: "bench", Data: benchData(int(256*math.Pow(64, u)), int64(i+1))}
+		total += len(mixed[i].Data)
+	}
+	sketchMixed := func(sig []uint64) {
+		for _, rec := range mixed {
+			s.SketchInto(sig, rec)
+		}
+	}
+	b.Run("mixed", func(b *testing.B) {
+		sig := make([]uint64, DefaultSignatureSize)
+		b.SetBytes(int64(total))
+		for b.Loop() {
+			sketchMixed(sig)
+		}
+	})
+	b.Run("mixed-parallel", func(b *testing.B) {
+		b.SetBytes(int64(total))
+		b.RunParallel(func(pb *testing.PB) {
+			sig := make([]uint64, DefaultSignatureSize)
+			for pb.Next() {
+				sketchMixed(sig)
+			}
+		})
+	})
 }
 
 func BenchmarkSimilarity(b *testing.B) {

@@ -346,11 +346,11 @@ func cleanOrphanSegments(segDir string, man *manifest) {
 
 // Open opens the index directory at dir, written by SaveDir: it reads
 // the manifest, opens and checksum-verifies every referenced segment,
-// and rebuilds the packed prefilter (streaming the segment rows once)
-// and from it the LSH posting table; manifest v6 tombstones are
-// restored, and the per-shard write-ahead logs are replayed over the
-// snapshot (torn tails truncated) so every mutation acknowledged before
-// a crash is present.
+// and rebuilds the packed prefilter (streaming the segment rows once);
+// manifest v6 tombstones are restored, the per-shard write-ahead logs
+// are replayed over the snapshot (torn tails truncated) so every
+// mutation acknowledged before a crash is present, and only then is the
+// LSH posting table built, sealed, over snapshot and tail together.
 // The full-width data itself stays on disk (mmap'd where available), so
 // an opened index's heap holds only the prefilter, postings, and names.
 func Open(dir string) (ix *Index, err error) {
@@ -534,7 +534,6 @@ func Open(dir string) (ix *Index, err error) {
 	}
 	ix.order = m.Order
 	ix.meta.RecordCount = total
-	posts.rebuild(lsh, ix.shards)
 	// Replay whatever the write-ahead logs hold past this snapshot —
 	// everything acknowledged since the manifest was committed — then
 	// attach the logs for new mutations. A snapshot that already
@@ -543,6 +542,10 @@ func Open(dir string) (ix *Index, err error) {
 	if err = ix.replayWAL(); err != nil {
 		return nil, err
 	}
+	// Then seal snapshot and tail alike (replayed deletes are dead rows
+	// rebuild skips), so no reopened index serves its tail from the delta.
+	// The index is still private, as rebuild requires.
+	posts.rebuild(lsh, ix.shards)
 	return ix, nil
 }
 

@@ -80,8 +80,9 @@ func (p LSHParams) bandKey(band int, sig []uint64, mask uint64) uint64 {
 // keeps its (every scoring path skips dead rows) — until rebuild starts
 // over.
 //
-// mu guards every field: shard.add inserts while holding its shard lock
-// (order: shard, then table), probe takes mu alone.
+// mu guards every field, though add reads params before taking it (see
+// add): shard.add inserts while holding its shard lock (order: shard,
+// then table), probe takes mu alone.
 type postingTable struct {
 	mu      sync.RWMutex
 	params  LSHParams
@@ -173,11 +174,19 @@ func (t *postingTable) full() bool {
 
 // add inserts one row's postings into the delta, one per band of sig
 // (full-width slot values; mask truncates them to the packing width).
+// The band keys are hashed before the lock, so concurrent adds share
+// only the inserts. Reading params unlocked is safe: rebuild, its only
+// writer, runs with Index.writeMu held exclusively, and every add holds
+// writeMu shared (or owns a table nobody else sees yet).
 func (t *postingTable) add(shard, row int32, sig []uint64, mask uint64) {
+	keys := make([]uint64, 0, 32) // the default banding's count: on the stack
+	for band := 0; band < t.params.Bands; band++ {
+		keys = append(keys, t.params.bandKey(band, sig, mask))
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for band := 0; band < t.params.Bands; band++ {
-		t.insert(t.params.bandKey(band, sig, mask), shard, row)
+	for _, key := range keys {
+		t.insert(key, shard, row)
 	}
 }
 

@@ -61,11 +61,12 @@ type Sketch struct {
 	Signature []uint64 `json:"signature"`
 }
 
-// Sketcher converts records into minhash signatures. It is stateless
-// and safe for concurrent use.
+// Sketcher converts records into minhash signatures. It is read-only
+// after NewSketcher and safe for concurrent use.
 type Sketcher struct {
 	k       int
 	sigSize int
+	out     [256]uint64 // out[b] = (b+1)·hashBase^k: what byte b leaving a window takes off the rolled hash
 }
 
 // NewSketcher returns a sketcher producing sigSize-slot signatures over
@@ -77,7 +78,20 @@ func NewSketcher(k, sigSize int) (*Sketcher, error) {
 	if sigSize <= 0 {
 		return nil, fmt.Errorf("sketcher: signature size must be positive, got %d", sigSize)
 	}
-	return &Sketcher{k: k, sigSize: sigSize}, nil
+	s := &Sketcher{k: k, sigSize: sigSize}
+	// hashBase^k by square-and-multiply: k can come from a manifest, so
+	// an O(k) loop here would let one crafted field hang Open.
+	pow, base := uint64(1), hashBase
+	for e := uint(k); e > 0; e >>= 1 {
+		if e&1 != 0 {
+			pow *= base
+		}
+		base *= base
+	}
+	for b := range s.out {
+		s.out[b] = uint64(b+1) * pow
+	}
+	return s, nil
 }
 
 // K returns the shingle length.
@@ -109,6 +123,15 @@ func (s *Sketcher) Sketch(rec Record) *Sketch {
 // rolling hash is inlined rather than driven through a per-shingle
 // callback because the closure call costs ~25% of the whole pipeline at
 // these speeds.
+//
+// The loop is branch-free, which is most of its speed: a slot's minimum
+// is kept with min (a conditional move and one store a shingle), where
+// an if taken for about one shingle in six of a 2 KiB record, in no
+// order a predictor can learn, made the loop mispredict-bound. And the
+// outgoing byte's term, (b+1)·hashBase^k, is read from the Sketcher's
+// out table rather than multiplied, so rolling the hash is one multiply.
+// Both keep every signature word what the textbook loop computes
+// (referenceSketch in the tests; segments and WAL frames store them).
 func (s *Sketcher) SketchInto(sig []uint64, rec Record) int {
 	if len(sig) != s.sigSize {
 		panic(fmt.Sprintf("sketch: SketchInto buffer has %d slots, want %d", len(sig), s.sigSize))
@@ -118,35 +141,27 @@ func (s *Sketcher) SketchInto(sig []uint64, rec Record) int {
 		sig[i] = emptySlot
 	}
 	k := s.k
-	shingles := 0
-	if len(data) >= k {
-		shingles = len(data) - k + 1
-		m := uint64(s.sigSize)
-		// pow = hashBase^(k-1), the weight of the outgoing byte.
-		var pow uint64 = 1
-		for i := 0; i < k-1; i++ {
-			pow *= hashBase
-		}
-		var h uint64
-		for i := 0; i < k; i++ {
-			h = h*hashBase + uint64(data[i]) + 1
-		}
+	if len(data) < k {
+		return 0
+	}
+	m := uint64(len(sig))
+	var h uint64
+	for _, c := range data[:k] {
+		h = h*hashBase + uint64(c) + 1
+	}
+	v := mix64(h)
+	slot, _ := bits.Mul64(v, m)
+	sig[slot] = min(sig[slot], v)
+	in := data[k:]
+	gone := data[:len(in)] // gone[i] leaves the window as in[i] enters
+	for i, c := range in {
+		h = h*hashBase + (uint64(c) + 1 - s.out[gone[i]])
 		v := mix64(h)
 		slot, _ := bits.Mul64(v, m)
-		if v < sig[slot] {
-			sig[slot] = v
-		}
-		for i := k; i < len(data); i++ {
-			h = (h-(uint64(data[i-k])+1)*pow)*hashBase + uint64(data[i]) + 1
-			v := mix64(h)
-			slot, _ := bits.Mul64(v, m)
-			if v < sig[slot] {
-				sig[slot] = v
-			}
-		}
-		densify(sig)
+		sig[slot] = min(sig[slot], v)
 	}
-	return shingles
+	densify(sig)
+	return len(data) - k + 1
 }
 
 // densify fills every empty OPH slot by rotation: an empty slot borrows

@@ -2,7 +2,14 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -190,5 +197,104 @@ func eachShingleHash(data []byte, k int, fn func(uint64)) {
 	for i := k; i < len(data); i++ {
 		h = (h-(uint64(data[i-k])+1)*pow)*hashBase + uint64(data[i]) + 1
 		fn(h)
+	}
+}
+
+// referenceSketch is the production loop's reference: every window's
+// eachShingleHash value whitened, routed by its high bits, a branchy
+// per-slot minimum, then densify.
+func referenceSketch(data []byte, k, size int) ([]uint64, int) {
+	sig := make([]uint64, size)
+	for i := range sig {
+		sig[i] = emptySlot
+	}
+	n := 0
+	eachShingleHash(data, k, func(h uint64) {
+		n++
+		v := mix64(h)
+		slot, _ := bits.Mul64(v, uint64(size))
+		if v < sig[slot] {
+			sig[slot] = v
+		}
+	})
+	if n > 0 {
+		densify(sig)
+	}
+	return sig, n
+}
+
+// FuzzSketchMatchesReference runs SketchInto itself — not a test copy of
+// its loop — against referenceSketch over fuzzer-chosen payloads, k in
+// 1..64 and signature sizes 1..512, powers of two or not.
+func FuzzSketchMatchesReference(f *testing.F) {
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), 8, 128)
+	f.Add([]byte{0x00, 0xff, 0x00, 0xff, 0xff, 0x00, 0x7f}, 1, 1)
+	f.Add(bytes.Repeat([]byte{0xff}, 300), 13, 100)
+	f.Add(bytes.Repeat([]byte{0x00}, 70), 64, 512)
+	f.Add([]byte("ab"), 8, 3) // shorter than k: no shingles
+	f.Fuzz(func(t *testing.T, data []byte, k, size int) {
+		k, size = 1+int(uint(k)%64), 1+int(uint(size)%512)
+		sig := make([]uint64, size)
+		n := mustSketcher(t, k, size).SketchInto(sig, Record{Data: data})
+		want, wantN := referenceSketch(data, k, size)
+		if n != wantN || !equalSig(sig, want) {
+			t.Fatalf("len(data)=%d k=%d size=%d: SketchInto (%d shingles) diverges from the reference (%d)",
+				len(data), k, size, n, wantN)
+		}
+	})
+}
+
+// TestNewSketcherHugeK: k comes from a manifest, checked only for > 0, so
+// building a sketcher must not cost O(k); a record shorter than k still
+// sketches to no shingles and an all-empty signature.
+func TestNewSketcherHugeK(t *testing.T) {
+	for _, k := range []int{1 << 40, math.MaxInt} {
+		s := mustSketcher(t, k, 128)
+		sk := s.Sketch(Record{Name: "short", Data: []byte("a record far shorter than k")})
+		if sk.Shingles != 0 {
+			t.Fatalf("k=%d: shingles = %d, want 0", k, sk.Shingles)
+		}
+		for i, v := range sk.Signature {
+			if v != emptySlot {
+				t.Fatalf("k=%d: slot %d = %#x, want emptySlot", k, i, v)
+			}
+		}
+	}
+}
+
+// sketchGoldenText renders, for seeded inputs over a grid of shingle
+// lengths, signature sizes and record lengths (around k and well past
+// it), each signature's shingle count and the SHA-256 of its slot words
+// in little-endian order: the words segments and WAL frames store.
+func sketchGoldenText(t *testing.T) string {
+	var out strings.Builder
+	for _, k := range []int{1, 4, 8, 9, 13} {
+		for _, size := range []int{16, 100, 128, 256} {
+			s := mustSketcher(t, k, size)
+			for _, n := range []int{k - 1, k, k + 1, 257, 4096} {
+				data := make([]byte, n)
+				rand.New(rand.NewSource(int64(k*1_000_003 + size*1009 + n))).Read(data)
+				sk := s.Sketch(Record{Name: "g", Data: data})
+				words := make([]byte, 0, 8*size)
+				for _, v := range sk.Signature {
+					words = binary.LittleEndian.AppendUint64(words, v)
+				}
+				fmt.Fprintf(&out, "k=%d size=%d len=%d shingles=%d sha256=%x\n", k, size, n, sk.Shingles, sha256.Sum256(words))
+			}
+		}
+	}
+	return out.String()
+}
+
+// TestSketchSignaturesGolden pins SketchInto's output to
+// testdata/sketch_signatures.golden, written at the commit before the
+// branch-free loop: a drift would silently mis-score every stored index.
+func TestSketchSignaturesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/sketch_signatures.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sketchGoldenText(t); got != string(want) {
+		t.Fatalf("signatures differ from the golden file\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

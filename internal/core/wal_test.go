@@ -581,3 +581,53 @@ func TestWALAppendAllocFree(t *testing.T) {
 		t.Fatalf("200 appends allocated %v times, want 0", allocs)
 	}
 }
+
+// TestOpenSealsWALTail: Open replays the WAL before it builds the posting
+// table, so a reopened index holds its whole tail sealed — no delta — and
+// LSH search finds tail records exactly as an exact scan does.
+func TestOpenSealsWALTail(t *testing.T) {
+	dir := t.TempDir()
+	eng := walEngine(t, dir, 40)
+	for i := 40; i < 80; i++ {
+		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{3, 45, 70} { // snapshot and tail rows alike
+		if ok, err := eng.Delete(fmt.Sprintf("rec-%d", i)); !ok || err != nil {
+			t.Fatalf("delete rec-%d = %v, %v", i, ok, err)
+		}
+	}
+	sk := eng.Sketcher()
+	if err := eng.Index().Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if ws := ix.WAL(); ws == nil || ws.ReplayedFrames != 43 {
+		t.Fatalf("WAL stats after reopen = %+v, want 43 replayed frames", ws)
+	}
+	if _, _, delta, _ := ix.posts.size(); delta != 0 {
+		t.Fatalf("reopened index holds %d delta postings, want 0: the WAL tail was not sealed", delta)
+	}
+	for i := 40; i < 80; i++ {
+		q := sk.Sketch(Record{Name: "q", Data: benchData(256, int64(i+1))})
+		exact, err := SearchTopK(ix, q, 5, 0.5, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsh, err := SearchTopKLSH(ix, q, 5, 0.5, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lsh, exact) {
+			t.Fatalf("rec-%d: LSH answers %+v, exact %+v", i, lsh, exact)
+		}
+		if live := i != 45 && i != 70; live != (len(exact) > 0 && exact[0].Ref == fmt.Sprintf("rec-%d", i)) {
+			t.Fatalf("rec-%d (live %v): exact answers %+v", i, live, exact)
+		}
+	}
+}
