@@ -22,9 +22,10 @@ test-purego:
 	$(GO) test -race -tags purego ./internal/core/...
 
 # Every Fuzz* target in the module, 15 s each (FUZZTIME=... to change):
-# the scan kernel against its reference, and every decoder of outside
-# bytes — manifest, legacy JSON, framed log, WAL and hint bodies, and
-# the HTTP request bodies of both servers.
+# the scan kernel against its reference, the list cursor against a
+# model, and every decoder of outside bytes — manifest, segment file,
+# legacy JSON, framed log, WAL and hint bodies, and the HTTP request
+# bodies of both servers.
 fuzz-smoke:
 	GO=$(GO) ./scripts/fuzz_smoke.sh
 
@@ -61,9 +62,9 @@ bench-repo:
 smoke:
 	./scripts/smoke_http.sh
 
-# Failure matrix under the race detector: 25 pinned fault schedules
-# plus one rotating seed. Reproduce a CI failure with
-# `CHAOS_SEED=<n> make chaos`.
+# The history checker under the race detector: the generated histories
+# of seeds 1-50 plus one rotating seed (internal/cluster/history_test.go).
+# CI runs exactly this; reproduce a failure with `CHAOS_SEED=<n> make chaos`.
 chaos:
 	CHAOS_SEED=$${CHAOS_SEED:-$$RANDOM} $(GO) test -race -count=1 -run 'TestFailureMatrix' -v ./internal/cluster
 

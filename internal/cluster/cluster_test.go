@@ -5,88 +5,197 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sketchengine/internal/core"
+	"sketchengine/internal/fault"
 	"sketchengine/internal/server"
 )
 
-// testBackend is one in-process single-node backend: a real
-// server.Server behind a real TCP listener, so the coordinator
-// exercises its actual HTTP client path.
-type testBackend struct {
-	srv *server.Server
-	ts  *httptest.Server
-}
-
-func (b *testBackend) addr() string { return strings.TrimPrefix(b.ts.URL, "http://") }
-
-func newTestBackend(t *testing.T) *testBackend {
-	t.Helper()
-	return newWrappedBackend(t, func(h http.Handler) http.Handler { return h })
-}
-
-// newWrappedBackend is newTestBackend with wrap around the server's
-// handler, for tests that hold or count a backend's requests.
-func newWrappedBackend(t *testing.T, wrap func(http.Handler) http.Handler) *testBackend {
-	t.Helper()
-	eng, err := core.NewEngine(core.Options{K: 4, SignatureSize: 64, IndexName: "clustertest", Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(eng, server.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(wrap(srv.Handler()))
-	t.Cleanup(func() {
-		ts.Close() // idempotent; tests may have killed it already
-		_ = srv.Close()
-	})
-	return &testBackend{srv: srv, ts: ts}
-}
-
-// testCluster is n backends and one coordinator over them.
+// testCluster is the package's one cluster bring-up: n backends, each a
+// real server.Server over a WAL-backed directory index behind a real
+// TCP listener, and one coordinator in front of them. Backends keep
+// their address across stop, crash and restart, so the coordinator
+// sees one node go away and come back, as it would in the field.
 type testCluster struct {
+	t        testing.TB
+	cfg      Config
 	coord    *Coordinator
-	backends []*testBackend
 	ts       *httptest.Server // coordinator front end
+	backends []*testBackend   // ring members at bring-up, then joiners
+	// intercept, when set, sees every backend request first; it holds
+	// one back, or answers it itself by returning true.
+	intercept atomic.Pointer[func(http.ResponseWriter, *http.Request) bool]
 }
 
-func newTestCluster(t *testing.T, n, replication int) *testCluster {
+// testBackend is one backend node. srv is nil from a crash to the next
+// start; hs is nil while the node is not listening. Every request holds
+// gate shared, so stop can wait out the ones already in.
+type testBackend struct {
+	tc   *testCluster
+	dir  string
+	addr string
+	srv  *server.Server
+	hs   *http.Server
+	gate sync.RWMutex
+}
+
+// newTestCluster starts n backends and a coordinator over them with
+// cfg. Probes and hint drains are driven by hand unless cfg sets them.
+func newTestCluster(t testing.TB, n int, cfg Config) *testCluster {
 	t.Helper()
-	tc := &testCluster{}
-	var addrs []string
+	tc := &testCluster{t: t}
 	for i := 0; i < n; i++ {
-		b := newTestBackend(t)
+		b := tc.spare()
 		tc.backends = append(tc.backends, b)
-		addrs = append(addrs, b.addr())
+		cfg.Backends = append(cfg.Backends, b.addr)
 	}
-	coord, err := New(Config{
-		Backends:       addrs,
-		Replication:    replication,
-		HealthInterval: -1, // probes are driven by hand in tests
-		HintInterval:   -1, // hint drains too
-	})
-	if err != nil {
-		t.Fatal(err)
+	if cfg.HealthInterval == 0 {
+		cfg.HealthInterval = -1
 	}
-	tc.coord = coord
-	tc.ts = httptest.NewServer(coord.Handler())
-	t.Cleanup(func() {
+	if cfg.HintInterval == 0 {
+		cfg.HintInterval = -1
+	}
+	tc.cfg = cfg
+	tc.startCoordinator()
+	return tc
+}
+
+// startCoordinator (re)starts the coordinator over the current ring,
+// with the same hints directory.
+func (tc *testCluster) startCoordinator() {
+	if tc.coord != nil {
+		tc.cfg.Backends = tc.coord.Ring().Backends()
 		tc.ts.Close()
+		_ = tc.coord.Close()
+	}
+	coord, err := New(tc.cfg)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	tc.coord, tc.ts = coord, httptest.NewServer(coord.Handler())
+	ts := tc.ts
+	tc.t.Cleanup(func() {
+		fault.Disable() // never leak an armed plan past a failed test
+		ts.Close()
 		_ = coord.Close()
 	})
-	return tc
+}
+
+// spare starts a backend that is not in the ring: a joiner, or a
+// single-node reference.
+func (tc *testCluster) spare() *testBackend {
+	dir := tc.t.TempDir()
+	eng, err := core.NewEngine(core.Options{K: 4, SignatureSize: 64, IndexName: "clustertest", Shards: 4,
+		Bits: 8, Tiered: true, DataDir: dir, SegmentRows: 8})
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	b := &testBackend{tc: tc, dir: dir}
+	// No snapshot but the first: every ack rests on the WAL.
+	if b.srv, err = server.New(eng, server.Config{DataDir: dir}); err != nil {
+		tc.t.Fatal(err)
+	}
+	// A port below Linux's ephemeral range (32768 up), so no outgoing
+	// connection or port-0 listener takes it while b is down.
+	for b.addr == "" {
+		if lis, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", 20000+rand.Intn(12000))); err == nil {
+			b.addr = lis.Addr().String()
+			_ = lis.Close()
+		}
+	}
+	b.start()
+	tc.t.Cleanup(func() {
+		if b.stop(); b.srv != nil {
+			_ = b.index().Close()
+		}
+	})
+	return b
+}
+
+func (b *testBackend) url() string { return "http://" + b.addr }
+
+func (b *testBackend) index() *core.Index { return b.srv.Engine().Index() }
+
+// start serves b on its address, reopening its directory first if it
+// crashed.
+func (b *testBackend) start() {
+	t := b.tc.t
+	if b.srv == nil {
+		ix, err := core.Open(b.dir)
+		if err != nil {
+			t.Fatalf("reopen %s after a crash: %v", b.addr, err)
+		}
+		eng, err := core.NewEngineWithIndex(ix, 0)
+		if err == nil {
+			b.srv, err = server.New(eng, server.Config{DataDir: b.dir})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lis net.Listener
+	var err error
+	for i := 0; i < 100; i++ {
+		if lis, err = net.Listen("tcp", b.addr); err == nil {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("listen %s: %v", b.addr, err)
+	}
+	srv, hs := b.srv, &http.Server{}
+	hs.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b.gate.RLock()
+		defer b.gate.RUnlock()
+		if b.hs != hs { // stopped between reading the request and here
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		if f := b.tc.intercept.Load(); f == nil || !(*f)(w, r) {
+			srv.Handler().ServeHTTP(w, r)
+		}
+	})
+	b.gate.Lock()
+	b.hs = hs
+	b.gate.Unlock()
+	go func() { _ = hs.Serve(lis) }()
+}
+
+// stop closes b's listener and connections and waits out the requests
+// already in; the engine stays as it is.
+func (b *testBackend) stop() {
+	if b.hs != nil {
+		_ = b.hs.Close()
+		b.gate.Lock()
+		b.hs = nil
+		b.gate.Unlock()
+	}
+}
+
+// crash stops b and closes its index with no snapshot: what survives is
+// what its WAL holds, and start reopens it from there.
+func (b *testBackend) crash() {
+	b.stop()
+	if err := b.index().Close(); err != nil {
+		b.tc.t.Fatal(err)
+	}
+	b.srv = nil
 }
 
 // backendFor maps a ring address back to the test backend.
 func (tc *testCluster) backendFor(addr string) *testBackend {
 	for _, b := range tc.backends {
-		if b.addr() == addr {
+		if b.addr == addr {
 			return b
 		}
 	}
@@ -99,21 +208,30 @@ func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, out
+	return send(t, http.MethodPost, url, bytes.NewReader(raw))
 }
 
 func getBody(t testing.TB, url string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Get(url)
+	return send(t, http.MethodGet, url, nil)
+}
+
+func deleteBody(t testing.TB, url string) (*http.Response, []byte) {
+	t.Helper()
+	return send(t, http.MethodDelete, url, nil)
+}
+
+// send makes one request and reads the whole response.
+func send(t testing.TB, method, url string, body io.Reader) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,43 +276,26 @@ type errEnvelope struct {
 // single node holding the same corpus, whichever backend the rotation
 // leaves out of the covering set.
 func TestClusterMatchesSingleNode(t *testing.T) {
-	body := corpus(12)
-
-	single := newTestBackend(t)
-	resp, out := postJSON(t, single.ts.URL+"/v1/records", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("single-node ingest status = %d, body %s", resp.StatusCode, out)
-	}
-	_, want := postJSON(t, single.ts.URL+"/v1/search", searchBody(5))
-
-	tc := newTestCluster(t, 3, 2)
-	resp, out = postJSON(t, tc.ts.URL+"/v1/records", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cluster ingest status = %d, body %s", resp.StatusCode, out)
+	// Ingested by hand to see the coordinator's counts; the model is told.
+	x := newExecutor(t, history{r: 2})
+	var req server.IngestRequest
+	for i := range 12 {
+		*x.fact(i) = fact{live, payload(i, 0)}
+		req.Records = append(req.Records, server.IngestRecord{Name: x.name(i), Data: payload(i, 0)})
 	}
 	var ing server.IngestResponse
-	if err := json.Unmarshal(out, &ing); err != nil {
+	if resp, out := postJSON(t, x.tc.ts.URL+"/v1/records", req); resp.StatusCode != http.StatusOK ||
+		json.Unmarshal(out, &ing) != nil || ing.Received != 12 || ing.Added != 12 || ing.Skipped != 0 {
+		t.Fatalf("cluster ingest = %d, body %s; want 12 received and added", resp.StatusCode, out)
+	}
+	if err := x.matchesSingleNode(); err != nil {
 		t.Fatal(err)
 	}
-	if ing.Received != 12 || ing.Added != 12 || ing.Skipped != 0 {
-		t.Fatalf("cluster ingest = %+v, want 12 received/added", ing)
-	}
-
-	for turn := 0; turn < len(tc.backends); turn++ {
-		resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("cluster search status = %d, body %s", resp.StatusCode, got)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("cluster search %d differs from single node:\n cluster: %s\n single:  %s", turn, got, want)
-		}
-	}
-
 	// Every backend must actually hold records: the ring spread the
 	// corpus, it did not pile onto one node.
-	for _, b := range tc.backends {
-		if n := b.srv.Engine().Index().Len(); n == 0 {
-			t.Errorf("backend %s holds no records; ring did not spread the corpus", b.addr())
+	for _, b := range x.tc.backends {
+		if n := b.index().Len(); n == 0 {
+			t.Errorf("backend %s holds no records; ring did not spread the corpus", b.addr)
 		}
 	}
 }
@@ -206,39 +307,24 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 func TestClusterKillOneBackend(t *testing.T) {
 	for kill := 0; kill < 3; kill++ {
 		t.Run(fmt.Sprintf("kill=%d", kill), func(t *testing.T) {
-			tc := newTestCluster(t, 3, 2)
-			resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(12))
-			if resp.StatusCode != http.StatusOK {
+			tc := newTestCluster(t, 3, Config{})
+			if resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(12)); resp.StatusCode != http.StatusOK {
 				t.Fatalf("ingest status = %d, body %s", resp.StatusCode, out)
 			}
 			_, want := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
-
-			tc.backends[kill].ts.Close()
-
+			tc.backends[kill].stop()
 			// One rotation: the dead backend is in the first wave of two of
 			// these searches (its breaker needs three failures to open) and
-			// the left-out one of the third.
+			// the left-out one of the third. Each answer must be the one from
+			// before, which was not partial.
 			for turn := 0; turn < 3; turn++ {
-				resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("post-kill search status = %d, body %s", resp.StatusCode, got)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("post-kill search differs:\n before: %s\n after:  %s", want, got)
-				}
-				if bytes.Contains(got, []byte(`"partial"`)) {
-					t.Fatalf("one dead backend of three with replication=2 must not degrade to partial: %s", got)
+				if resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5)); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+					t.Fatalf("post-kill search = %d, differs:\n before: %s\n after:  %s", resp.StatusCode, want, got)
 				}
 			}
-
 			// The dead backend was retried before those responses settled.
-			_, stats := getBody(t, tc.ts.URL+"/stats")
-			var st StatsResponse
-			if err := json.Unmarshal(stats, &st); err != nil {
-				t.Fatal(err)
-			}
-			if st.Retries == 0 {
-				t.Errorf("stats report no retries after a backend death: %s", stats)
+			if st := clusterStats(t, tc); st.Retries == 0 {
+				t.Errorf("stats report no retries after a backend death: %+v", st)
 			}
 		})
 	}
@@ -248,115 +334,23 @@ func TestClusterKillOneBackend(t *testing.T) {
 // cover a whole replica set at replication=2, so the response must
 // degrade to "partial": true — still HTTP 200, never an error.
 func TestClusterKillTwoBackendsPartial(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
-	resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(12))
-	if resp.StatusCode != http.StatusOK {
+	tc := newTestCluster(t, 3, Config{})
+	if resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(12)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status = %d, body %s", resp.StatusCode, out)
 	}
-	tc.backends[0].ts.Close()
-	tc.backends[1].ts.Close()
-
+	tc.backends[0].stop()
+	tc.backends[1].stop()
 	resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("search with two dead backends = %d, want 200 partial; body %s", resp.StatusCode, got)
-	}
 	var sr server.SearchResponse
-	if err := json.Unmarshal(got, &sr); err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(got, &sr) != nil || !sr.Partial || len(sr.Results) == 0 {
+		t.Fatalf("search with two dead backends = %d, body %s; want 200, partial, with the survivor's hits", resp.StatusCode, got)
 	}
-	if !sr.Partial {
-		t.Fatalf("two dead backends sharing replica sets must flag partial: %s", got)
-	}
-	if len(sr.Results) == 0 {
-		t.Fatalf("partial search should still return the surviving backend's hits: %s", got)
-	}
-
 	// All three dead: nothing to answer from, so the coordinator says so.
-	tc.backends[2].ts.Close()
+	tc.backends[2].stop()
 	resp, got = postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("search with no live backends = %d, want 502; body %s", resp.StatusCode, got)
-	}
 	var env errEnvelope
-	if err := json.Unmarshal(got, &env); err != nil || env.Error.Code != CodeBackendDown {
-		t.Fatalf("want backend_down envelope, got %s", got)
-	}
-}
-
-// TestClusterIngestQuorumFailure: with one backend dead at
-// replication=2, records whose replica set includes it cannot reach
-// the majority quorum and must be reported individually; the rest are
-// acked and durable.
-func TestClusterIngestQuorumFailure(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
-	dead := tc.backends[2]
-	dead.ts.Close()
-
-	body := corpus(16)
-	hasDead := make(map[string]bool)
-	withDead, without := 0, 0
-	for _, rec := range body.Records {
-		for _, addr := range tc.coord.Ring().Replicas(rec.Name) {
-			if addr == dead.addr() {
-				hasDead[rec.Name] = true
-			}
-		}
-		if hasDead[rec.Name] {
-			withDead++
-		} else {
-			without++
-		}
-	}
-	if withDead == 0 || without == 0 {
-		t.Skipf("corpus does not split across the dead backend (%d with, %d without)", withDead, without)
-	}
-
-	resp, out := postJSON(t, tc.ts.URL+"/v1/records", body)
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("ingest with a dead replica = %d, want 502; body %s", resp.StatusCode, out)
-	}
-	var env errEnvelope
-	if err := json.Unmarshal(out, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Code != CodeQuorumFailed {
-		t.Fatalf("envelope code = %q, want %q; body %s", env.Error.Code, CodeQuorumFailed, out)
-	}
-	failed := make(map[string]bool)
-	for _, re := range env.Error.Records {
-		failed[re.Name] = true
-		if re.Code != CodeBackendDown {
-			t.Errorf("record %s failure code = %q, want %q", re.Name, re.Code, CodeBackendDown)
-		}
-	}
-	for _, rec := range body.Records {
-		if hasDead[rec.Name] != failed[rec.Name] {
-			t.Errorf("record %s: replica set includes dead backend = %v but reported failed = %v",
-				rec.Name, hasDead[rec.Name], failed[rec.Name])
-		}
-	}
-
-	// Acked records are durable on both replicas and searchable: one
-	// dead backend cannot degrade the search, so the acked records all
-	// surface through a full (non-partial) scatter.
-	resp, got := postJSON(t, tc.ts.URL+"/v1/search", server.SearchRequest{
-		Name: "q", Data: body.Records[0].Data, K: 32, Mode: "exact",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-failure search status = %d, body %s", resp.StatusCode, got)
-	}
-	var sr server.SearchResponse
-	if err := json.Unmarshal(got, &sr); err != nil {
-		t.Fatal(err)
-	}
-	found := make(map[string]bool)
-	for _, hit := range sr.Results {
-		found[hit.Ref] = true
-	}
-	for _, rec := range body.Records {
-		if !hasDead[rec.Name] && !found[rec.Name] {
-			t.Errorf("acked record %s missing from search results", rec.Name)
-		}
+	if resp.StatusCode != http.StatusBadGateway || json.Unmarshal(got, &env) != nil || env.Error.Code != CodeBackendDown {
+		t.Fatalf("search with no live backends = %d, body %s; want 502 backend_down", resp.StatusCode, got)
 	}
 }
 
@@ -364,45 +358,26 @@ func TestClusterIngestQuorumFailure(t *testing.T) {
 // same quorum rule as writes, and lookups never trust one replica's
 // 404.
 func TestClusterDeleteAndGet(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
-	resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(6))
-	if resp.StatusCode != http.StatusOK {
+	tc := newTestCluster(t, 3, Config{})
+	if resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(6)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status = %d, body %s", resp.StatusCode, out)
 	}
-
-	resp, out = getBody(t, tc.ts.URL+"/v1/records/rec-01.txt")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(out), `"name":"rec-01.txt"`) {
-		t.Fatalf("get = %d, body %s", resp.StatusCode, out)
-	}
-
-	req, _ := http.NewRequest("DELETE", tc.ts.URL+"/v1/records/rec-01.txt", nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dout, _ := io.ReadAll(dresp.Body)
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK || !strings.Contains(string(dout), `"deleted":"rec-01.txt"`) {
-		t.Fatalf("delete = %d, body %s", dresp.StatusCode, dout)
-	}
-
-	// Gone from every replica: the lookup 404s with the envelope.
-	resp, out = getBody(t, tc.ts.URL+"/v1/records/rec-01.txt")
-	var env errEnvelope
-	if resp.StatusCode != http.StatusNotFound || json.Unmarshal(out, &env) != nil || env.Error.Code != server.CodeNotFound {
-		t.Fatalf("get after delete = %d, body %s, want 404 not_found", resp.StatusCode, out)
-	}
-
-	// A second delete is a clean unanimous 404.
-	req, _ = http.NewRequest("DELETE", tc.ts.URL+"/v1/records/rec-01.txt", nil)
-	dresp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dout, _ = io.ReadAll(dresp.Body)
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusNotFound || !strings.Contains(string(dout), server.CodeNotFound) {
-		t.Fatalf("second delete = %d, body %s, want 404 not_found", dresp.StatusCode, dout)
+	// A hit, the delete, then gone from every replica: the lookup 404s
+	// with the envelope, and a second delete is a clean unanimous 404.
+	url := tc.ts.URL + "/v1/records/rec-01.txt"
+	for i, step := range []struct {
+		do     func(testing.TB, string) (*http.Response, []byte)
+		status int
+		body   string
+	}{
+		{getBody, http.StatusOK, `"name":"rec-01.txt"`},
+		{deleteBody, http.StatusOK, `"deleted":"rec-01.txt"`},
+		{getBody, http.StatusNotFound, `"code":"not_found"`},
+		{deleteBody, http.StatusNotFound, `"code":"not_found"`},
+	} {
+		if resp, out := step.do(t, url); resp.StatusCode != step.status || !strings.Contains(string(out), step.body) {
+			t.Fatalf("step %d = %d, body %s; want %d with %s", i, resp.StatusCode, out, step.status, step.body)
+		}
 	}
 }
 
@@ -465,7 +440,7 @@ func TestHealthHysteresis(t *testing.T) {
 // TestClusterObservability: /stats and /metrics expose the per-backend
 // state, fan-out histograms, and ring occupancy the tentpole promises.
 func TestClusterObservability(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
+	tc := newTestCluster(t, 3, Config{})
 	resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(8))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status = %d, body %s", resp.StatusCode, out)
@@ -474,11 +449,7 @@ func TestClusterObservability(t *testing.T) {
 		t.Fatalf("search status = %d, body %s", resp.StatusCode, out)
 	}
 
-	_, stats := getBody(t, tc.ts.URL+"/stats")
-	var st StatsResponse
-	if err := json.Unmarshal(stats, &st); err != nil {
-		t.Fatal(err)
-	}
+	st := clusterStats(t, tc)
 	if st.Replication != 2 || st.WriteQuorum != 2 {
 		t.Errorf("stats replication/quorum = %d/%d, want 2/2", st.Replication, st.WriteQuorum)
 	}

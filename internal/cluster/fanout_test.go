@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"sketchengine/internal/core"
 	"sketchengine/internal/server"
 )
 
@@ -59,7 +58,7 @@ func clusterStats(t *testing.T, tc *testCluster) StatsResponse {
 // over 3k searches — issued from several goroutines at once — each of
 // 3 backends is left out exactly k times.
 func TestSearchRotationFair(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
+	tc := newTestCluster(t, 3, Config{})
 	const k, workers = 8, 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -89,14 +88,14 @@ func TestSearchRotationFair(t *testing.T) {
 // TestSearchFirstWaveAllFails: with the whole first wave dead, the
 // backend it left out must still be asked — 200 and partial, not 502.
 func TestSearchFirstWaveAllFails(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
+	tc := newTestCluster(t, 3, Config{})
 	if resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(12)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest = %d, body %s", resp.StatusCode, out)
 	}
 	list := tc.coord.backendList()
 	start := int((tc.coord.searchTurn.Load() + 1) % 3) // the next search's first wave
-	tc.backendFor(list[start].addr).ts.Close()
-	tc.backendFor(list[(start+1)%3].addr).ts.Close()
+	tc.backendFor(list[start].addr).stop()
+	tc.backendFor(list[(start+1)%3].addr).stop()
 
 	resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
 	if resp.StatusCode != http.StatusOK {
@@ -119,17 +118,17 @@ func TestSearchFirstWaveAllFails(t *testing.T) {
 // on two replicas, so two dark backends can hide it: the answer must be
 // flagged even though fewer than Replication backends are missing.
 func TestSearchPartialAtQuorumReplication(t *testing.T) {
-	sc := newSelfHealCluster(t, 3, 3, Config{})
-	late := sc.backends[0]
+	tc := newTestCluster(t, 3, Config{Replication: 3})
+	late := tc.backends[0]
 	late.stop()
-	if resp, out := postJSON(t, sc.ts.URL+"/v1/records", corpus(6)); resp.StatusCode != http.StatusOK {
+	if resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(6)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest acked 2/3 = %d, want 200; body %s", resp.StatusCode, out)
 	}
-	late.restart(t) // back, without the six records (hints are not drained)
-	sc.backends[1].stop()
-	sc.backends[2].stop()
+	late.start() // back, without the six records (hints are not drained)
+	tc.backends[1].stop()
+	tc.backends[2].stop()
 
-	resp, got := postJSON(t, sc.ts.URL+"/v1/search", searchBody(5))
+	resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search = %d, body %s", resp.StatusCode, got)
 	}
@@ -146,13 +145,13 @@ func TestSearchPartialAtQuorumReplication(t *testing.T) {
 // is simply the left-out one — no retry wave, no budget token, no
 // partial answers, for as long as the rest of the fleet answers.
 func TestSearchOpenBreakerCostsNothing(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
+	tc := newTestCluster(t, 3, Config{})
 	if resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(12)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest = %d, body %s", resp.StatusCode, out)
 	}
 	_, want := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
 	dead := tc.coord.backendList()[1]
-	tc.backendFor(dead.addr).ts.Close()
+	tc.backendFor(dead.addr).stop()
 	for i := 0; i < DefaultDownAfter; i++ {
 		tc.coord.observeBreaker(dead, false)
 	}
@@ -185,41 +184,24 @@ func TestSearchOpenBreakerCostsNothing(t *testing.T) {
 func TestSearchDuringRebalance(t *testing.T) {
 	for _, action := range []string{"join", "drain"} {
 		t.Run(action, func(t *testing.T) {
+			// Four members; a join adds a fifth, a drain removes the fourth.
+			tc := newTestCluster(t, 4, Config{})
+			single := tc.spare()
 			entered, release := make(chan struct{}), make(chan struct{})
 			var once, releaseOnce sync.Once
 			unhold := func() { releaseOnce.Do(func() { close(release) }) }
 			defer unhold() // a failure mid-hold must not strand the held handlers
-			hold := func(h http.Handler) http.Handler {
-				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if r.URL.Path == "/v1/admin/replicate" {
-						once.Do(func() { close(entered) })
-						<-release
-					}
-					h.ServeHTTP(w, r)
-				})
+			hold := func(_ http.ResponseWriter, r *http.Request) bool {
+				if r.URL.Path == "/v1/admin/replicate" {
+					once.Do(func() { close(entered) })
+					<-release
+				}
+				return false
 			}
-			// Four members; a join adds a fifth, a drain removes the fourth.
-			tc := &testCluster{}
-			var addrs []string
-			for i := 0; i < 4; i++ {
-				b := newWrappedBackend(t, hold)
-				tc.backends = append(tc.backends, b)
-				addrs = append(addrs, b.addr())
-			}
-			coord, err := New(Config{Backends: addrs, Replication: 2, HealthInterval: -1, HintInterval: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.coord = coord
-			tc.ts = httptest.NewServer(coord.Handler())
-			t.Cleanup(func() {
-				tc.ts.Close()
-				_ = coord.Close()
-			})
-			single := newTestBackend(t)
+			tc.intercept.Store(&hold)
 			ingestBoth := func(req server.IngestRequest) {
 				t.Helper()
-				for _, url := range []string{single.ts.URL, tc.ts.URL} {
+				for _, url := range []string{single.url(), tc.ts.URL} {
 					if resp, out := postJSON(t, url+"/v1/records", req); resp.StatusCode != http.StatusOK {
 						t.Fatalf("ingest to %s = %d, body %s", url, resp.StatusCode, out)
 					}
@@ -227,7 +209,7 @@ func TestSearchDuringRebalance(t *testing.T) {
 			}
 			assertIdentical := func(when string) {
 				t.Helper()
-				_, want := postJSON(t, single.ts.URL+"/v1/search", searchBody(8))
+				_, want := postJSON(t, single.url()+"/v1/search", searchBody(8))
 				for turn := 0; turn < len(tc.coord.backendList()); turn++ {
 					resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(8))
 					if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
@@ -238,9 +220,9 @@ func TestSearchDuringRebalance(t *testing.T) {
 			ingestBoth(corpus(20))
 			assertIdentical("before the " + action)
 
-			var body any = DrainRequest{Backend: tc.backends[3].addr()}
+			var body any = DrainRequest{Backend: tc.backends[3].addr}
 			if action == "join" {
-				body = JoinRequest{Backend: newWrappedBackend(t, hold).addr()}
+				body = JoinRequest{Backend: tc.spare().addr}
 			}
 			done := make(chan int, 1)
 			go func() {
@@ -277,33 +259,12 @@ func TestSearchDuringRebalance(t *testing.T) {
 }
 
 // BenchmarkCoordinatorSearch: one LSH hit search through the
-// coordinator's handler over 3 loopback backends at replication 2,
-// 3000 records of ~2 KiB. backend-calls/op is the fan-out width.
+// coordinator's handler over the test cluster's 3 loopback backends
+// (k=4, 64 slots, WAL-backed) at replication 2, 3000 records of ~2 KiB.
+// backend-calls/op is the fan-out width.
 func BenchmarkCoordinatorSearch(b *testing.B) {
-	var addrs []string
-	for i := 0; i < 3; i++ {
-		eng, err := core.NewEngine(core.Options{IndexName: fmt.Sprintf("bench-%d", i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv, err := server.New(eng, server.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		b.Cleanup(func() {
-			ts.Close()
-			_ = srv.Close()
-		})
-		addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
-	}
-	coord, err := New(Config{Backends: addrs, Replication: 2, HealthInterval: -1, HintInterval: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = coord.Close() })
-	front := httptest.NewServer(coord.Handler())
-	b.Cleanup(front.Close)
+	tc := newTestCluster(b, 3, Config{})
+	coord := tc.coord
 
 	rng := rand.New(rand.NewSource(1))
 	doc := func() []string {
@@ -332,7 +293,7 @@ func BenchmarkCoordinatorSearch(b *testing.B) {
 				bodies = append(bodies, raw)
 			}
 		}
-		if resp, out := postJSON(b, front.URL+"/v1/records", req); resp.StatusCode != http.StatusOK {
+		if resp, out := postJSON(b, tc.ts.URL+"/v1/records", req); resp.StatusCode != http.StatusOK {
 			b.Fatalf("ingest = %d, body %s", resp.StatusCode, out)
 		}
 	}

@@ -1,0 +1,789 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"sketchengine/internal/core"
+	"sketchengine/internal/fault"
+	"sketchengine/internal/server"
+)
+
+// The history checker: a seeded generator of operation histories, an
+// executor that runs one against a live in-process cluster, and a model
+// of what the client was told. While a history runs, every non-partial
+// search must hold every live name and no acked-deleted or unwritten
+// one. Once it ends the cluster settles (faults off, every member back,
+// hints drained, one repair sweep) and three invariants must hold:
+//
+//	(a) each name is on exactly its ring replicas if live and nowhere if
+//	    deleted (a name in doubt: on all or none), with the model's data;
+//	(b) an exact search is byte-identical to a single node loaded with
+//	    the model's corpus;
+//	(c) after every backend crashes (index closed, no snapshot) and
+//	    reopens with core.Open, (a) still holds; if a WAL write may have
+//	    torn, names in doubt are exempt from all-or-none.
+//
+// A history names each record's replica set by backend index; the
+// executor picks the name h<seed>-<i>-<salt> the ring places there, so a
+// seed replays the same history whatever ports the backends got (fault
+// draws and goroutine timing still vary). A failing seed prints its
+// minimized history as a Go literal for a pinned test.
+
+// The op kinds. arg is the backend index for crash, restart, join and
+// drain, the data version for overwrite, the clause index for fault.
+const (
+	opIngest    = "ingest"    // first write of recs
+	opOverwrite = "overwrite" // re-ingest recs with new data (see do)
+	opDelete    = "delete"    // recs, one request each
+	opSearch    = "search"    // exact, k above any corpus size
+	opGet       = "get"       // recs[0]
+	opCrash     = "crash"     // listener and index closed, no snapshot
+	opRestart   = "restart"   // core.Open on the same address, then heal
+	opJoin      = "join"      // a fresh backend joins the ring
+	opDrain     = "drain"     // a member leaves the ring
+	opSweep     = "sweep"     // POST /v1/admin/repair
+	opFault     = "fault"     // toggle one fault.Parse clause
+)
+
+type op struct {
+	kind string
+	recs []int
+	arg  int
+}
+
+type history struct {
+	seed    int64
+	r       int           // replication
+	hintTTL time.Duration // 0: the default
+	faults  []string      // the clauses fault ops toggle
+	sets    [][]int       // record i's replica set by backend index; nil: anywhere
+	ops     []op
+}
+
+// String renders h as a Go literal.
+func (h history) String() string {
+	s := fmt.Sprintf("history{seed: %d, r: %d, faults: %#v, sets: %#v, ops: []op{\n", h.seed, h.r, h.faults, h.sets)
+	for _, o := range h.ops {
+		s += fmt.Sprintf("\t{%q, %#v, %d},\n", o.kind, o.recs, o.arg)
+	}
+	return s + "}}"
+}
+
+// genHistory derives seed's history over 3 backends. It stays inside
+// what the design promises today: even seeds run replication 2 under
+// network faults, odd seeds replication 3 under crashes and latency
+// only (at 2 a delete acks on every replica or not at all; at 3 one that
+// missed a replica is safe only while its hint replays, ROADMAP 2b); at
+// most one member is down at a time; membership changes only while none
+// is and no fault is armed (a failed join cleanup or drain leaves stray
+// copies). Every fourth seed also tears WAL writes and so never retries
+// a name in doubt (ROADMAP 9). TestKnownHoles pins what lies outside.
+func genHistory(seed int64) history {
+	rng := rand.New(rand.NewSource(seed))
+	h := history{seed: seed, r: 2 + int(seed%2)}
+	kinds := []string{fault.KindError, fault.KindReset, fault.KindTorn}
+	if h.r == 2 {
+		h.faults = []string{fmt.Sprintf("backend.rt:%s=%.2f", kinds[rng.Intn(3)], 0.05+0.25*rng.Float64()), "backend.rt:fail-once"}
+	}
+	torn := seed%4 == 0
+	if torn {
+		h.faults = append(h.faults, "wal.write:torn@0.3")
+	}
+	h.faults = append(h.faults, fmt.Sprintf("backend.rt:delay=%dms@%.2f", 1+rng.Intn(8), 0.3*rng.Float64()))
+	members, down, next, armed := []int{0, 1, 2}, -1, 3, map[int]bool{}
+	weights := strings.Fields("ingest ingest ingest ingest overwrite overwrite delete delete delete " +
+		"search search search search get get crash restart restart join drain sweep fault fault")
+	for len(h.ops) < 36 {
+		o := op{kind: weights[rng.Intn(len(weights))]}
+		steady := down < 0 && len(armed) == 0
+		switch {
+		case o.kind == opIngest:
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				o.recs = append(o.recs, len(h.sets))
+				set := slices.Clone(members)
+				rng.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
+				h.sets = append(h.sets, set[:h.r])
+			}
+		case o.kind == opOverwrite || o.kind == opDelete || o.kind == opGet:
+			if len(h.sets) == 0 || torn && o.kind == opOverwrite {
+				continue
+			}
+			o.recs = []int{rng.Intn(len(h.sets))}
+			if o.kind == opOverwrite {
+				o.arg = len(h.ops) // a version no earlier op wrote
+			}
+		case o.kind == opCrash && down < 0:
+			o.arg = members[rng.Intn(len(members))]
+			down = o.arg
+		case o.kind == opRestart && down >= 0:
+			o.arg, down = down, -1
+		case o.kind == opJoin && steady && len(members) < 4:
+			o.arg, members, next = next, append(members, next), next+1
+		case o.kind == opDrain && steady && len(members) > 3:
+			o.arg = members[rng.Intn(len(members))]
+			members = slices.DeleteFunc(members, func(b int) bool { return b == o.arg })
+		case o.kind == opFault:
+			o.arg = rng.Intn(len(h.faults))
+			if armed[o.arg] = !armed[o.arg]; !armed[o.arg] {
+				delete(armed, o.arg)
+			}
+		case o.kind != opSearch && o.kind != opSweep:
+			continue
+		}
+		h.ops = append(h.ops, o)
+	}
+	return h
+}
+
+// The model's states of a name.
+const (
+	never   = iota // no op wrote it
+	live           // acked, and no delete attempted since
+	deleted        // delete acked
+	unknown        // a failed op left it in doubt
+)
+
+// fact is the model's view of one name. An ingest of a name that is
+// already indexed is skipped, so a live name keeps its data.
+type fact struct {
+	state int
+	data  string
+}
+
+// executor runs one history on its own cluster; err is the first
+// violation, after which no op runs.
+type executor struct {
+	t       *testing.T
+	h       history
+	tc      *testCluster
+	names   []string
+	model   map[string]*fact
+	armed   []bool
+	repairs int64       // read repairs queued as of the last catchUp
+	last    errEnvelope // the last op's error envelope, for pinned tests
+	start   time.Time
+	err     error
+}
+
+func newExecutor(t *testing.T, h history) *executor {
+	// Breakers trip fast and recover on one good probe; the refill
+	// keeps settling quick without unbounding the retry-volume check.
+	tc := newTestCluster(t, 3, Config{Replication: h.r, HintsDir: t.TempDir(), HintTTL: h.hintTTL, FanoutTimeout: 2 * time.Second,
+		DownAfter: 2, UpAfter: 1, RetryBudget: 64, RetryRefillPerSec: 64})
+	return &executor{t: t, h: h, tc: tc, model: map[string]*fact{}, armed: make([]bool, len(h.faults)), start: time.Now()}
+}
+
+// runHistory runs h and the end-of-history checks.
+func runHistory(t *testing.T, h history) error {
+	x := newExecutor(t, h)
+	for _, o := range h.ops {
+		x.do(o)
+	}
+	if x.err != nil {
+		return x.err
+	}
+	return x.finish()
+}
+
+// replay starts h's cluster and runs h's ops, failing t on a violation.
+func replay(t *testing.T, h history) *executor {
+	x := newExecutor(t, h)
+	x.must(h.ops...)
+	return x
+}
+
+// mustFinish is finish for pinned tests: a violation fails t.
+func (x *executor) mustFinish() {
+	x.t.Helper()
+	if err := x.finish(); err != nil {
+		x.t.Fatal(err)
+	}
+}
+
+// must runs ops and fails t on a violation: the stepping form, for
+// pinned histories with assertions between steps.
+func (x *executor) must(ops ...op) {
+	x.t.Helper()
+	for _, o := range ops {
+		if x.do(o); x.err != nil {
+			x.t.Fatal(x.err)
+		}
+	}
+}
+
+func (x *executor) failf(format string, args ...any) {
+	if x.err == nil {
+		x.err = fmt.Errorf(format, args...)
+	}
+}
+
+// name resolves record i on first use: the first salt the ring places
+// on i's replica set, or salt 0 if the ring has no such set.
+func (x *executor) name(i int) string {
+	for len(x.names) <= i {
+		x.names = append(x.names, "")
+	}
+	if x.names[i] == "" {
+		var want []string
+		if i < len(x.h.sets) && len(x.h.sets[i]) == x.h.r && !slices.ContainsFunc(x.h.sets[i], func(b int) bool { return !x.member(b) }) {
+			for _, b := range x.h.sets[i] {
+				want = append(want, x.tc.backends[b].addr)
+			}
+		}
+		ring := x.tc.coord.Ring()
+		for salt := 0; x.names[i] == ""; salt++ {
+			if n := fmt.Sprintf("h%d-%d-%d", x.h.seed, i, salt); want == nil || slices.Equal(ring.Replicas(n), want) {
+				x.names[i] = n
+			}
+		}
+	}
+	return x.names[i]
+}
+
+func (x *executor) fact(i int) *fact {
+	name := x.name(i)
+	if x.model[name] == nil {
+		x.model[name] = &fact{}
+	}
+	return x.model[name]
+}
+
+// historyQuery is every search a history makes: the payloads' stem.
+var historyQuery = server.SearchRequest{Name: "q", Data: payload(0, 0)[:60], K: 1000, Mode: "exact"}
+
+func payload(i, version int) string {
+	return fmt.Sprintf("shared payload stem for a history record with plenty of overlapping shingles: %d/%d", i, version)
+}
+
+func (x *executor) member(b int) bool {
+	return b < len(x.tc.backends) && slices.Contains(x.tc.coord.Ring().Backends(), x.tc.backends[b].addr)
+}
+
+// do runs one op and checks its answer against the model. An op that
+// does not apply to the cluster as it is (restarting a node that is up)
+// is skipped, so minimized histories stay runnable.
+func (x *executor) do(o op) {
+	if x.err != nil {
+		return
+	}
+	x.catchUp(o.kind == opDelete || o.kind == opJoin || o.kind == opDrain)
+	tc, front, check := x.tc, x.tc.ts.URL, x.check
+	var b *testBackend
+	if o.arg < len(tc.backends) {
+		b = tc.backends[o.arg]
+	}
+	switch o.kind {
+	case opIngest, opOverwrite:
+		// A name in doubt is retried with the payload in doubt, as a client
+		// told quorum_failed would: new data could leave its replicas
+		// holding different payloads under skip-existing (ROADMAP 2c).
+		var req server.IngestRequest
+		for _, i := range o.recs {
+			data := payload(i, o.arg)
+			if f := x.fact(i); f.state == unknown {
+				data = f.data
+			}
+			req.Records = append(req.Records, server.IngestRecord{Name: x.name(i), Data: data})
+		}
+		s, env := check(http.StatusOK)(postJSON(x.t, front+"/v1/records", req))
+		acked := s == http.StatusOK || env.Error.Code == CodeQuorumFailed
+		for j, rec := range req.Records {
+			if f := x.fact(o.recs[j]); f.state != live {
+				*f = fact{unknown, rec.Data}
+				if acked && !slices.ContainsFunc(env.Error.Records, func(e server.RecordError) bool { return e.Name == rec.Name }) {
+					f.state = live
+				}
+			}
+		}
+	case opDelete:
+		for _, i := range o.recs {
+			name, f := x.name(i), x.fact(i)
+			switch s, _ := check(http.StatusOK, http.StatusNotFound)(deleteBody(x.t, front+"/v1/records/"+name)); {
+			case s == http.StatusOK && f.state == never, s == http.StatusNotFound && f.state == live:
+				x.failf("delete %s (state %d) = %d", name, f.state, s)
+			case s == http.StatusOK:
+				f.state = deleted
+			case s >= 500 && f.state == live:
+				f.state = unknown
+			}
+		}
+	case opSearch:
+		x.search()
+	case opGet:
+		name, f := x.name(o.recs[0]), x.fact(o.recs[0])
+		switch s, _ := check(http.StatusOK, http.StatusNotFound)(getBody(x.t, front+"/v1/records/"+name)); {
+		case s == http.StatusOK && (f.state == never || f.state == deleted), s == http.StatusNotFound && f.state == live:
+			x.failf("get %s (state %d) = %d", name, f.state, s)
+		}
+	case opCrash:
+		if b != nil && b.hs != nil && x.member(o.arg) {
+			b.crash()
+		}
+	case opRestart:
+		if b != nil && b.hs == nil && x.member(o.arg) {
+			b.start()
+			x.heal()
+		}
+	case opJoin:
+		if o.arg == len(tc.backends) {
+			tc.backends = append(tc.backends, tc.spare())
+			check(http.StatusOK)(postJSON(x.t, front+"/v1/admin/join", JoinRequest{Backend: tc.backends[o.arg].addr}))
+		}
+	case opDrain:
+		if x.member(o.arg) {
+			check(http.StatusOK, http.StatusBadRequest)(postJSON(x.t, front+"/v1/admin/drain", DrainRequest{Backend: b.addr}))
+		}
+	case opSweep:
+		check(http.StatusOK)(postJSON(x.t, front+"/v1/admin/repair", struct{}{}))
+	case opFault:
+		x.armed[o.arg] = !x.armed[o.arg]
+		var on []string
+		for i, c := range x.h.faults {
+			if x.armed[i] {
+				on = append(on, c)
+			}
+		}
+		fault.Disable()
+		if plan, err := fault.Parse(strings.Join(on, ";"), x.h.seed); err == nil {
+			fault.Enable(plan)
+		}
+	}
+}
+
+// check(ok...)(resp, out) returns the status and error envelope. A
+// status outside ok fails the history unless it degrades honestly: a
+// 503, a 504, or a 502 whose envelope is backend_down or a quorum_failed
+// that itemizes its records as backend_down.
+func (x *executor) check(ok ...int) func(*http.Response, []byte) (int, errEnvelope) {
+	return func(resp *http.Response, out []byte) (int, errEnvelope) {
+		var env errEnvelope
+		_ = json.Unmarshal(out, &env)
+		x.last = env
+		s, code, recs := resp.StatusCode, env.Error.Code, env.Error.Records
+		itemized := len(recs) > 0 && !slices.ContainsFunc(recs, func(e server.RecordError) bool { return e.Code != CodeBackendDown })
+		honest := s == http.StatusServiceUnavailable || s == http.StatusGatewayTimeout ||
+			s == http.StatusBadGateway && (code == CodeBackendDown || code == CodeQuorumFailed && itemized)
+		if !slices.Contains(ok, s) && !honest {
+			x.failf("%s %s = %d, body %s", resp.Request.Method, resp.Request.URL.Path, s, out)
+		}
+		return s, env
+	}
+}
+
+// heal closes every breaker, as the probe loop would once a node is
+// back, and catches up.
+func (x *executor) heal() {
+	for _, b := range x.tc.coord.backendList() {
+		for !b.up() {
+			x.tc.coord.observeBreaker(b, true)
+		}
+	}
+	x.catchUp(true)
+}
+
+// search runs historyQuery through the coordinator, checks the answer
+// against the model and returns the body of a 200.
+func (x *executor) search() []byte {
+	resp, out := postJSON(x.t, x.tc.ts.URL+"/v1/search", historyQuery)
+	var sr server.SearchResponse
+	if s, _ := x.check(http.StatusOK)(resp, out); s != http.StatusOK {
+		return nil
+	} else if err := json.Unmarshal(out, &sr); err != nil {
+		x.failf("search = 200, body %s: %v", out, err)
+		return nil
+	}
+	found := map[string]bool{}
+	for _, hit := range sr.Results {
+		found[hit.Ref] = true
+		if f := x.model[hit.Ref]; f == nil || f.state == deleted || f.state == never {
+			x.failf("search returned %s, which was never written or whose delete was acked", hit.Ref)
+		}
+	}
+	for name, f := range x.model {
+		if f.state == live && !sr.Partial && !found[name] {
+			x.failf("non-partial search lost acked %s", name)
+		}
+	}
+	return out
+}
+
+// finish settles the cluster and checks (a), (b) and (c).
+func (x *executor) finish() error {
+	fault.Disable()
+	tc := x.tc
+	members := func(do func(*testBackend)) {
+		for _, addr := range tc.coord.Ring().Backends() {
+			do(tc.backendFor(addr))
+		}
+	}
+	members(func(b *testBackend) {
+		if b.hs == nil {
+			b.start()
+		}
+	})
+	if err := x.settle(); err != nil {
+		return err
+	}
+	resp, out := postJSON(x.t, tc.ts.URL+"/v1/admin/repair", struct{}{})
+	var sw RepairSweepResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(out, &sw) != nil || sw.Failures != 0 {
+		return fmt.Errorf("settled sweep = %d, body %s", resp.StatusCode, out)
+	}
+	if err := x.census(true); err != nil {
+		return fmt.Errorf("(a) %w", err)
+	}
+	if err := x.matchesSingleNode(); err != nil {
+		return fmt.Errorf("(b) %w", err)
+	}
+	// A write that failed on a torn WAL write left a copy in memory that
+	// the crash drops, so a name in doubt may come back on some replicas.
+	members((*testBackend).crash)
+	members((*testBackend).start)
+	if err := x.census(!slices.ContainsFunc(x.h.faults, func(c string) bool { return strings.HasPrefix(c, "wal.") })); err != nil {
+		return fmt.Errorf("(c) after a crash of every backend: %w", err)
+	}
+	if err := x.settle(); err != nil {
+		return err
+	}
+	hs, err := newHintStore(tc.cfg.HintsDir)
+	if err != nil {
+		return err
+	}
+	defer hs.close()
+	var st StatsResponse
+	_, raw := getBody(x.t, tc.ts.URL+"/stats")
+	switch {
+	case hs.depth() != 0:
+		return fmt.Errorf("the hint files hold %d hints after settling", hs.depth())
+	case json.Unmarshal(raw, &st) != nil,
+		// Retry spend never exceeds the first bucket plus the refill since.
+		float64(st.RetryBudget.Spent) > float64(st.RetryBudget.Max)+st.RetryBudget.RefillPerSec*time.Since(x.start).Seconds()+1:
+		return fmt.Errorf("retry spend exceeds the budget's bound: %s", raw)
+	}
+	return nil
+}
+
+// catchUp does what the hint drainer would between two ops of a client,
+// which come well apart: it replays pending hints to every backend whose
+// breaker is closed, a few passes, since a replay can fail on a pooled
+// connection a crash closed. With repairs set it first waits for the
+// read repairs queued so far; otherwise they run on while the next op
+// does. Deletes and ring changes wait: a repair or a hint that lands
+// after a delete resurrects the record, and one that lands after a join
+// leaves a stray copy (TestKnownHoles). The repair worker is one
+// goroutine taking names in order, so once it takes a name no one wrote,
+// the repairs queued before it are done.
+func (x *executor) catchUp(repairs bool) {
+	coord := x.tc.coord
+	if n := coord.repairs.enqueued.Load(); repairs && n != x.repairs {
+		coord.repairs.offer(fmt.Sprintf("barrier-%d", n))
+		for coord.repairs.depth() > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		x.repairs = coord.repairs.enqueued.Load()
+	}
+	for pass := 0; pass < 3 && coord.hints.depth() > 0; pass++ {
+		coord.drainHints(context.Background())
+	}
+}
+
+// settle heals until no hint or repair is pending.
+func (x *executor) settle() error {
+	coord := x.tc.coord
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if x.heal(); coord.hints.depth() == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster did not settle: hints=%d repairs=%d", coord.hints.depth(), coord.repairs.depth())
+		}
+	}
+}
+
+// census checks placement against the model: every copy on a ring
+// replica with the model's data, each live name on all its replicas, no
+// deleted or unwritten one anywhere, and when strict, each name in doubt
+// on all its replicas or none.
+func (x *executor) census(strict bool) error {
+	ring := x.tc.coord.Ring()
+	held := map[string][]string{}
+	for _, addr := range ring.Backends() {
+		for _, name := range x.tc.backendFor(addr).index().Names() {
+			held[name] = append(held[name], addr)
+		}
+	}
+	sk, _ := core.NewSketcher(4, 64)
+	for name, got := range held {
+		f, want := x.model[name], ring.Replicas(name)
+		if f == nil {
+			return fmt.Errorf("%v hold %s, which was never written", got, name)
+		}
+		for _, addr := range got {
+			if !slices.Contains(want, addr) || !slices.Equal(x.tc.backendFor(addr).index().Get(name).Signature,
+				sk.Sketch(core.Record{Name: name, Data: []byte(f.data)}).Signature) {
+				return fmt.Errorf("%s on %s: not a replica (%v), or not the data the model has", name, addr, want)
+			}
+		}
+	}
+	for name, f := range x.model {
+		n, gone := len(held[name]), f.state == deleted || f.state == never
+		if gone && n > 0 || !gone && n != x.h.r && (f.state == live || strict && n > 0) {
+			return fmt.Errorf("%s (state %d) is on %v; its replicas are %v", name, f.state, held[name], ring.Replicas(name))
+		}
+	}
+	return nil
+}
+
+// matchesSingleNode checks (b) against a spare backend loaded with the
+// model's corpus, its names in doubt resolved by the census, whichever
+// backends the search rotation asks.
+func (x *executor) matchesSingleNode() error {
+	ref := x.tc.spare()
+	var req server.IngestRequest
+	for name, f := range x.model {
+		if f.state == live || f.state == unknown && x.tc.backendFor(x.tc.coord.Ring().Replicas(name)[0]).index().Has(name) {
+			req.Records = append(req.Records, server.IngestRecord{Name: name, Data: f.data})
+		}
+	}
+	if len(req.Records) > 0 {
+		postJSON(x.t, ref.url()+"/v1/records", req)
+	}
+	_, want := postJSON(x.t, ref.url()+"/v1/search", historyQuery)
+	for turn := 0; turn < len(x.tc.coord.backendList()); turn++ {
+		if got := x.search(); !bytes.Equal(got, want) {
+			return fmt.Errorf("search %d differs from a single node:\n cluster: %s\n single:  %s", turn, got, want)
+		}
+	}
+	return x.err
+}
+
+// minimize drops chunks of ops, halving the chunk, while the history
+// still fails, and returns it with its error. Under faults a run is not
+// deterministic, so a kept drop is one that failed once.
+func minimize(t *testing.T, h history, err error) (history, error) {
+	for n, tries := len(h.ops)/2, 60; n >= 1; n /= 2 {
+		for i := 0; i+n <= len(h.ops) && tries > 0; tries-- {
+			cand := h
+			cand.ops = slices.Delete(slices.Clone(h.ops), i, i+n)
+			var cerr error
+			t.Run("minimize", func(t *testing.T) { cerr = runHistory(t, cand) })
+			if cerr != nil {
+				h, err = cand, cerr
+			} else {
+				i += n
+			}
+		}
+	}
+	return h, err
+}
+
+// TestFailureMatrix runs the generated history of seeds 1-50 and of
+// CHAOS_SEED when set; one reproduces with -run 'TestFailureMatrix/seed=N'.
+func TestFailureMatrix(t *testing.T) {
+	seeds := make([]int64, 50, 51)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	if s, err := strconv.ParseInt(os.Getenv("CHAOS_SEED"), 10, 64); err == nil {
+		seeds = append(seeds, s)
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			h := genHistory(seed)
+			if err := runHistory(t, h); err != nil {
+				h, err = minimize(t, h, err)
+				t.Fatalf("seed=%d fails; minimized: %v\n%s", seed, err, h)
+			}
+		})
+	}
+}
+
+// quorumSplit kills backend 2 before an ingest at replication 2:
+// records 0 and 1 ack at quorum, 2-5, whose replica sets hold it, miss.
+var quorumSplit = history{r: 2, sets: [][]int{{0, 1}, {1, 0}, {0, 2}, {2, 1}, {1, 2}, {2, 0}},
+	ops: []op{{opCrash, nil, 2}, {opIngest, seq(6), 0}}}
+
+// TestClusterIngestQuorumFailure: the records that missed their quorum,
+// and only those, are itemized as backend_down; the rest are acked, and
+// an unflagged search finds them.
+func TestClusterIngestQuorumFailure(t *testing.T) {
+	x := replay(t, quorumSplit)
+	if x.last.Error.Code != CodeQuorumFailed {
+		t.Fatalf("ingest envelope %+v, want %s", x.last, CodeQuorumFailed)
+	}
+	for i, want := range []int{live, live, unknown, unknown, unknown, unknown} {
+		if x.fact(i).state != want {
+			t.Errorf("record %d: state %d, want %d", i, x.fact(i).state, want)
+		}
+	}
+	if body := x.search(); body == nil || x.err != nil || bytes.Contains(body, []byte(`"partial"`)) {
+		t.Fatalf("search with one dead backend of three: %v, body %s", x.err, body)
+	}
+}
+
+// TestQuorumWriteSurvivesCrash: after quorumSplit the survivors crash
+// before anything repairs. Every record a replica acked, those that
+// missed quorum overall included, replays out of that replica's WAL.
+func TestQuorumWriteSurvivesCrash(t *testing.T) {
+	x := replay(t, quorumSplit)
+	x.must(op{opCrash, nil, 0}, op{opCrash, nil, 1}, op{opRestart, nil, 0}, op{opRestart, nil, 1})
+	for i, set := range quorumSplit.sets {
+		for _, b := range set {
+			if b != 2 && !x.tc.backends[b].index().Has(x.name(i)) {
+				t.Errorf("backend %d acked record %d but lost it across a crash", b, i)
+			}
+		}
+	}
+	x.mustFinish()
+}
+
+// TestHintedHandoffRecovery: a backend dies, writes keep acking at 2/3
+// of replication 3, its misses are hinted, and once it is back the
+// drain gives it every acked record.
+func TestHintedHandoffRecovery(t *testing.T) {
+	x := replay(t, history{r: 3, ops: []op{{opCrash, nil, 0}, {opIngest, seq(6), 0}}})
+	victim := x.tc.backends[0]
+	if d := x.tc.coord.hints.depthFor(victim.addr); d != 6 {
+		t.Fatalf("hints pending for the dead backend = %d, want 6", d)
+	}
+	st := clusterStats(t, x.tc)
+	if st.Hints.Pending != 6 || st.Hints.Queued != 6 {
+		t.Errorf("stats hints = %+v, want 6 pending / 6 queued", st.Hints)
+	}
+	if i := slices.IndexFunc(st.Backends, func(bs BackendStats) bool { return bs.Addr == victim.addr }); i < 0 || st.Backends[i].PendingHints != 6 {
+		t.Errorf("stats backends = %+v, want the victim's row at 6 pending_hints", st.Backends)
+	}
+	if _, m := getBody(t, x.tc.ts.URL+"/metrics"); !strings.Contains(string(m), "sketchengine_cluster_hint_depth 6") {
+		t.Errorf("/metrics missing hint_depth gauge; got %s", m)
+	}
+	x.must(op{opRestart, nil, 0})
+	if d := x.tc.coord.hints.depthFor(victim.addr); d != 0 || !victim.index().Has(x.name(0)) {
+		t.Fatalf("after the drain: %d hints pending, record held %v; want 0 and the hinted record", d, victim.index().Has(x.name(0)))
+	}
+	x.mustFinish()
+}
+
+// TestHintedHandoffDurable: hints survive a coordinator restart — its
+// successor over the same hints directory reloads the queue and drains it.
+func TestHintedHandoffDurable(t *testing.T) {
+	x := replay(t, history{r: 3, ops: []op{{opCrash, nil, 1}, {opIngest, seq(4), 0}}})
+	victim := x.tc.backends[1]
+	if d := x.tc.coord.hints.depthFor(victim.addr); d != 4 {
+		t.Fatalf("hints pending = %d, want 4", d)
+	}
+	x.tc.startCoordinator()
+	if d := x.tc.coord.hints.depthFor(victim.addr); d != 4 {
+		t.Fatalf("reloaded hints = %d, want 4", d)
+	}
+	x.must(op{opRestart, nil, 1})
+	if d := x.tc.coord.hints.depthFor(victim.addr); d != 0 || !victim.index().Has(x.name(3)) {
+		t.Fatalf("after the drain: %d hints pending, record held %v; want 0 and the hinted record", d, victim.index().Has(x.name(3)))
+	}
+	x.mustFinish()
+}
+
+// TestHintedHandoffDeleteReplay: a delete acked while a replica was down
+// reaches it as a tombstone hint, or recovery would resurrect the record.
+func TestHintedHandoffDeleteReplay(t *testing.T) {
+	x := replay(t, history{r: 3, ops: []op{{opIngest, seq(4), 0}}})
+	victim := x.tc.backends[2]
+	if !victim.index().Has(x.name(1)) {
+		t.Fatal("the victim never held the record; test setup broken")
+	}
+	x.must(op{opCrash, nil, 2}, op{opDelete, []int{1}, 0})
+	if d := x.tc.coord.hints.depthFor(victim.addr); x.fact(1).state != deleted || d != 1 {
+		t.Fatalf("delete through the outage: state %d, %d tombstone hints; want acked and 1", x.fact(1).state, d)
+	}
+	x.must(op{opRestart, nil, 2})
+	if d := x.tc.coord.hints.depthFor(victim.addr); d != 0 || victim.index().Has(x.name(1)) {
+		t.Fatalf("after the drain: %d hints pending, record held %v; want 0 and gone", d, victim.index().Has(x.name(1)))
+	}
+	x.mustFinish()
+}
+
+// TestKnownHoles pins histories that fail at this commit, each skipped
+// with the ROADMAP item whose fix deletes the skip.
+func TestKnownHoles(t *testing.T) {
+	t.Run("read-repair-races-delete", func(t *testing.T) {
+		t.Skip("ROADMAP item 2b: a read repair that probed before an acked delete copies the record back after it")
+		x := newExecutor(t, history{r: 2, sets: [][]int{{1, 0}}})
+		x.must(op{opCrash, nil, 1}, op{opIngest, []int{0}, 0}, op{opRestart, nil, 1}) // in doubt, on 0 only
+		held, release := make(chan struct{}), make(chan struct{})
+		hold := func(_ http.ResponseWriter, r *http.Request) bool {
+			if r.URL.Path == "/v1/admin/replicate" {
+				x.tc.intercept.Store(nil)
+				close(held)
+				<-release
+			}
+			return false
+		}
+		x.tc.intercept.Store(&hold)
+		getBody(t, x.tc.ts.URL+"/v1/records/"+x.name(0)) // 404 on 1, then 200 on 0: repair 1
+		<-held
+		if resp, out := deleteBody(t, x.tc.ts.URL+"/v1/records/"+x.name(0)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete = %d, body %s", resp.StatusCode, out)
+		}
+		x.fact(0).state = deleted
+		close(release)
+		x.mustFinish()
+	})
+	t.Run("add-hint-replays-after-delete", func(t *testing.T) {
+		t.Skip("ROADMAP item 2b: an add hint still queued for a replica replays after the record's delete and resurrects it")
+		x := newExecutor(t, history{r: 3})
+		missed := x.tc.backends[2].addr // up, but refusing writes: the ingest and its hint replays
+		refuse := func(w http.ResponseWriter, r *http.Request) bool {
+			if r.Host == missed && r.Method == http.MethodPost && r.URL.Path == "/v1/records" {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				return true
+			}
+			return false
+		}
+		x.tc.intercept.Store(&refuse)
+		x.must(op{opIngest, []int{0}, 0}, op{opDelete, []int{0}, 0}) // acked 2/3; the delete gets a 404 there
+		x.tc.intercept.Store(nil)
+		x.mustFinish()
+	})
+	for name, c := range map[string]struct {
+		why string
+		h   history
+	}{
+		"tombstone-hint-expired": {"ROADMAP item 2b: a replica that missed a delete past its hint's TTL gets it resurrected by the sweep",
+			history{r: 3, hintTTL: time.Nanosecond, ops: []op{{opIngest, []int{0}, 0}, {opCrash, nil, 2}, {opDelete, []int{0}, 0}, {opRestart, nil, 2}}}},
+		"stray-of-a-deleted-record": {"ROADMAP item 2b: a join cleanup that missed a down replica leaves stray copies; " +
+			"deleting the record leaves them, searches return them and the sweep cannot clear them",
+			history{r: 2, ops: []op{{opIngest, seq(16), 0}, {opCrash, nil, 2}, {opJoin, nil, 3}, {opRestart, nil, 2}, {opDelete, seq(16), 0}}}},
+		"torn-wal-write-acked-by-a-retry": {"ROADMAP item 9: a record whose WAL write failed stays in memory, and a retry " +
+			"is skipped as existing and acked, so the ack is lost with the next crash",
+			history{r: 2, faults: []string{"wal.write:torn"}, ops: []op{{opFault, nil, 0}, {opIngest, []int{0}, 0}, {opFault, nil, 0}, {opOverwrite, []int{0}, 1}}}},
+		"hint-log-rewrite-fails": {"ROADMAP item 9: a failed rewrite after a drain leaves replayed hints in the file, " +
+			"for the next coordinator to replay again",
+			history{r: 3, faults: []string{"hint.write:torn"}, ops: []op{{opCrash, nil, 2}, {opIngest, []int{0}, 0}, {opFault, nil, 0}, {opRestart, nil, 2}}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Skip(c.why)
+			if err := runHistory(t, c.h); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// seq is []int{0, ..., n-1}.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"slices"
 	"testing"
@@ -15,59 +14,30 @@ import (
 // results byte-identical across the change and still complete when one
 // backend then dies.
 func TestJoinExpandsRing(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
-	const n = 20
-	if resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(n)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest = %d, body %s", resp.StatusCode, out)
-	}
-	_, want := postJSON(t, tc.ts.URL+"/v1/search", searchBody(8))
-
-	joiner := newTestBackend(t)
-	resp, out := postJSON(t, tc.ts.URL+"/v1/admin/join", JoinRequest{Backend: joiner.addr()})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("join = %d, body %s", resp.StatusCode, out)
-	}
+	x := replay(t, history{r: 2, ops: []op{{opIngest, seq(20), 0}}})
+	tc, want, joiner := x.tc, x.search(), x.tc.spare()
+	tc.backends = append(tc.backends, joiner)
+	resp, out := postJSON(t, tc.ts.URL+"/v1/admin/join", JoinRequest{Backend: joiner.addr})
 	var rb RebalanceResponse
-	if err := json.Unmarshal(out, &rb); err != nil {
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(out, &rb) != nil || rb.Action != "join" || len(rb.Backends) != 4 ||
+		!slices.Contains(rb.Backends, joiner.addr) || rb.Examined != 20 || rb.Moved == 0 || rb.Copied < rb.Moved {
+		t.Fatalf("join = %d, body %s; want the joiner committed, all 20 records examined, some moved", resp.StatusCode, out)
+	}
+	// Every record on exactly its new-ring replicas: the post-commit
+	// cleanup removed the displaced copies.
+	if err := x.census(true); err != nil {
 		t.Fatal(err)
 	}
-	if rb.Action != "join" || len(rb.Backends) != 4 || rb.Examined != n {
-		t.Fatalf("join response = %+v, want action=join over 4 backends examining %d records", rb, n)
+	if got := x.search(); !bytes.Equal(got, want) {
+		t.Fatalf("search after join:\n got:  %s\n want: %s", got, want)
 	}
-	if rb.Moved == 0 || rb.Copied < rb.Moved {
-		t.Fatalf("join moved %d / copied %d; a 4th backend must attract records", rb.Moved, rb.Copied)
-	}
-	if !slices.Contains(tc.coord.Ring().Backends(), joiner.addr()) {
-		t.Fatal("committed ring must include the joiner")
-	}
-
-	// The invariant: every record on exactly its new-ring replicas (the
-	// post-commit cleanup removed the displaced copies).
-	tc.backends = append(tc.backends, joiner)
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, fmt.Sprintf("rec-%02d.txt", i))
-	}
-	assertCensus(t, tc.coord.Ring(), tc.backends, names)
-
-	resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(8))
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("search after join = %d:\n got:  %s\n want: %s", resp.StatusCode, got, want)
-	}
-
 	// Kill one of the four: replication 2 still covers every record.
-	tc.backends[1].ts.Close()
-	resp, got = postJSON(t, tc.ts.URL+"/v1/search", searchBody(8))
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("search after join+kill = %d:\n got:  %s\n want: %s", resp.StatusCode, got, want)
+	tc.backends[1].stop()
+	if got := x.search(); !bytes.Equal(got, want) {
+		t.Fatalf("search after join+kill, which must not be partial:\n got:  %s\n want: %s", got, want)
 	}
-	if bytes.Contains(got, []byte(`"partial"`)) {
-		t.Fatalf("one dead backend of four at replication 2 must not degrade to partial: %s", got)
-	}
-
 	// Joining a member again is a client error, not a ring change.
-	resp, out = postJSON(t, tc.ts.URL+"/v1/admin/join", JoinRequest{Backend: joiner.addr()})
-	if resp.StatusCode != http.StatusBadRequest {
+	if resp, out = postJSON(t, tc.ts.URL+"/v1/admin/join", JoinRequest{Backend: joiner.addr}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("duplicate join = %d, want 400; body %s", resp.StatusCode, out)
 	}
 }
@@ -75,7 +45,7 @@ func TestJoinExpandsRing(t *testing.T) {
 // TestJoinRejectsUnreachableBackend: the admission probe keeps a dead
 // address out of the ring entirely.
 func TestJoinRejectsUnreachableBackend(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
+	tc := newTestCluster(t, 3, Config{})
 	resp, out := postJSON(t, tc.ts.URL+"/v1/admin/join", JoinRequest{Backend: "127.0.0.1:1"})
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("join of an unreachable backend = %d, want 502; body %s", resp.StatusCode, out)
@@ -89,125 +59,67 @@ func TestJoinRejectsUnreachableBackend(t *testing.T) {
 // to their new homes before the swap; rendezvous removal means the
 // survivors then hold exactly the new placement — no cleanup pass.
 func TestDrainShrinksRing(t *testing.T) {
-	tc := newTestCluster(t, 4, 2)
-	const n = 20
-	if resp, out := postJSON(t, tc.ts.URL+"/v1/records", corpus(n)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest = %d, body %s", resp.StatusCode, out)
-	}
-	_, want := postJSON(t, tc.ts.URL+"/v1/search", searchBody(8))
-
-	victim := tc.backends[3]
-	resp, out := postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: victim.addr()})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("drain = %d, body %s", resp.StatusCode, out)
-	}
+	x := replay(t, history{r: 2, ops: []op{{opJoin, nil, 3}, {opIngest, seq(20), 0}}})
+	tc, want, victim := x.tc, x.search(), x.tc.backends[3]
+	resp, out := postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: victim.addr})
 	var rb RebalanceResponse
-	if err := json.Unmarshal(out, &rb); err != nil {
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(out, &rb) != nil || rb.Action != "drain" || len(rb.Backends) != 3 ||
+		slices.Contains(tc.coord.Ring().Backends(), victim.addr) {
+		t.Fatalf("drain = %d, body %s; want action=drain committing the 3 others", resp.StatusCode, out)
+	}
+	// The survivors hold exactly the new replica sets, and answer the same.
+	if err := x.census(true); err != nil {
 		t.Fatal(err)
 	}
-	if rb.Action != "drain" || len(rb.Backends) != 3 {
-		t.Fatalf("drain response = %+v, want action=drain over 3 backends", rb)
+	if got := x.search(); !bytes.Equal(got, want) {
+		t.Fatalf("search after drain:\n got:  %s\n want: %s", got, want)
 	}
-	if slices.Contains(tc.coord.Ring().Backends(), victim.addr()) {
-		t.Fatal("committed ring must exclude the drained backend")
+	// Draining to the replication floor is fine; below it, or a stranger,
+	// is refused up front.
+	for addr, status := range map[string]int{tc.backends[0].addr: http.StatusOK, "127.0.0.1:1": http.StatusBadRequest} {
+		if resp, out := postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: addr}); resp.StatusCode != status {
+			t.Fatalf("drain %s = %d, want %d; body %s", addr, resp.StatusCode, status, out)
+		}
 	}
-
-	// Census over the survivors: exactly the new replica sets.
-	survivors := tc.backends[:3]
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, fmt.Sprintf("rec-%02d.txt", i))
-	}
-	assertCensus(t, tc.coord.Ring(), survivors, names)
-
-	resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(8))
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("search after drain = %d:\n got:  %s\n want: %s", resp.StatusCode, got, want)
-	}
-
-	// Draining below the replication factor is refused up front.
-	if resp, out = postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: survivors[0].addr()}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("drain to the replication floor = %d, body %s", resp.StatusCode, out)
-	}
-	resp, out = postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: survivors[1].addr()})
-	if resp.StatusCode != http.StatusBadRequest {
+	if resp, out := postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: tc.backends[1].addr}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("drain below replication = %d, want 400; body %s", resp.StatusCode, out)
-	}
-	// And draining a stranger is a different 400.
-	resp, out = postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: "127.0.0.1:1"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("drain of a non-member = %d, want 400; body %s", resp.StatusCode, out)
 	}
 }
 
 // TestDrainFailsCleanThenRetries: a drain that cannot place records on
 // a flapping destination aborts with the ring unchanged; once the
 // destination is back, the same request succeeds (the stream is
-// idempotent).
+// idempotent). Draining backend 1 leaves 2 members at replication 2, so
+// record 0, on 1 and 2, must stream to the flapping backend 0.
 func TestDrainFailsCleanThenRetries(t *testing.T) {
-	sc := newSelfHealCluster(t, 3, 2, Config{})
-	const n = 20
-	if resp, out := postJSON(t, sc.ts.URL+"/v1/records", corpus(n)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest = %d, body %s", resp.StatusCode, out)
-	}
-	flapping, leaving := sc.backends[0], sc.backends[1]
-	// After the drain, replication 2 over 2 backends puts every record
-	// on both — so any record not already on the flapping backend must
-	// be streamed to it, which will fail while it is down.
-	mustMove := false
-	for i := 0; i < n; i++ {
-		if !slices.Contains(sc.coord.Ring().Replicas(fmt.Sprintf("rec-%02d.txt", i)), flapping.addr) {
-			mustMove = true
-			break
-		}
-	}
-	if !mustMove {
-		t.Skip("every record already on the flapping backend; nothing would stream")
-	}
-
-	flapping.stop()
-	resp, out := postJSON(t, sc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: leaving.addr})
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("drain with a dead destination = %d, want 502; body %s", resp.StatusCode, out)
-	}
+	x := replay(t, history{r: 2, sets: [][]int{{1, 2}}, ops: []op{{opIngest, seq(20), 0}, {opCrash, nil, 0}}})
+	tc, leaving := x.tc, x.tc.backends[1].addr
+	resp, out := postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: leaving})
 	var env errEnvelope
-	if err := json.Unmarshal(out, &env); err != nil || env.Error.Code != CodeRebalanceFailed {
-		t.Fatalf("want %s envelope, got %s", CodeRebalanceFailed, out)
+	if resp.StatusCode != http.StatusBadGateway || json.Unmarshal(out, &env) != nil || env.Error.Code != CodeRebalanceFailed {
+		t.Fatalf("drain with a dead destination = %d, body %s; want 502 %s", resp.StatusCode, out, CodeRebalanceFailed)
 	}
-	if got := sc.coord.Ring().Backends(); len(got) != 3 {
-		t.Fatalf("failed drain must leave the ring unchanged, got %d members", len(got))
+	if ring, next := tc.coord.rings(); len(ring.Backends()) != 3 || next != nil {
+		t.Fatalf("failed drain left ring %v, target %v; want the old ring and no target", ring.Backends(), next)
 	}
-	if _, next := sc.coord.rings(); next != nil {
-		t.Fatal("failed drain must clear the migration target")
-	}
-
-	flapping.restart(t)
-	resp, out = postJSON(t, sc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: leaving.addr})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retried drain = %d, body %s", resp.StatusCode, out)
-	}
-	ring := sc.coord.Ring()
-	if len(ring.Backends()) != 2 || slices.Contains(ring.Backends(), leaving.addr) {
-		t.Fatalf("retried drain committed ring = %v, want the two survivors", ring.Backends())
+	x.must(op{opRestart, nil, 0})
+	if resp, out = postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: leaving}); resp.StatusCode != http.StatusOK ||
+		len(tc.coord.Ring().Backends()) != 2 || slices.Contains(tc.coord.Ring().Backends(), leaving) {
+		t.Fatalf("retried drain = %d, body %s; want the two survivors committed", resp.StatusCode, out)
 	}
 	// Both survivors hold everything: replication 2 over 2 backends.
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("rec-%02d.txt", i)
-		for _, b := range []*restartableBackend{flapping, sc.backends[2]} {
-			if !b.srv.Engine().Index().Has(name) {
-				t.Errorf("census after retried drain: %s missing from %s", name, b.addr)
-			}
-		}
+	if err := x.census(true); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestRebalanceBusy: join/drain serialize; a concurrent attempt gets
 // an immediate 409, not a queued surprise.
 func TestRebalanceBusy(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
+	tc := newTestCluster(t, 3, Config{})
 	tc.coord.rebalanceMu.Lock()
 	defer tc.coord.rebalanceMu.Unlock()
-	resp, out := postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: tc.backends[0].addr()})
+	resp, out := postJSON(t, tc.ts.URL+"/v1/admin/drain", DrainRequest{Backend: tc.backends[0].addr})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("drain during a rebalance = %d, want 409; body %s", resp.StatusCode, out)
 	}

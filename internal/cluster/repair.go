@@ -303,7 +303,7 @@ func (c *Coordinator) runRepairSweep(ctx context.Context) (RepairSweepResponse, 
 // enumerateBackend pages through b's corpus, calling visit for every
 // record. A page fetch gets one retry; a stale cursor (concurrent
 // delete) restarts the walk once, since the sweep is idempotent
-// anyway.
+// anyway, and a second one is returned: re-asking cannot succeed.
 func (c *Coordinator) enumerateBackend(ctx context.Context, b *backend, visit func(server.ReplicaRecord)) error {
 	restarted := false
 	cursor := ""
@@ -318,7 +318,10 @@ func (c *Coordinator) enumerateBackend(ctx context.Context, b *backend, visit fu
 		cancel()
 		if err != nil {
 			var berr *BackendError
-			if errors.As(err, &berr) && berr.Code == server.CodeCursorGone && !restarted {
+			if errors.As(err, &berr) && berr.Code == server.CodeCursorGone {
+				if restarted {
+					return err
+				}
 				restarted = true
 				cursor = ""
 				continue

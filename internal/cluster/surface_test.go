@@ -4,14 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
-	"sketchengine/internal/core"
 	"sketchengine/internal/fault"
 	"sketchengine/internal/server"
 )
@@ -34,37 +32,8 @@ func scrapeSurface(t *testing.T) surface {
 	fault.Enable(plan)
 	t.Cleanup(fault.Disable)
 
-	dir := t.TempDir()
-	eng, err := core.NewEngine(core.Options{K: 4, SignatureSize: 64, IndexName: "surface", Shards: 4,
-		Bits: 8, Tiered: true, DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(eng, server.Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	durable := &testBackend{srv: srv, ts: httptest.NewServer(srv.Handler())}
-	t.Cleanup(func() {
-		durable.ts.Close()
-		_ = srv.Close()
-		eng.Index().Close()
-	})
-	doomed := newTestBackend(t)
-	backends := []*testBackend{durable, newTestBackend(t), doomed}
-	var addrs []string
-	for _, b := range backends {
-		addrs = append(addrs, b.addr())
-	}
-	coord, err := New(Config{Backends: addrs, Replication: 2, HealthInterval: -1, HintInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(coord.Handler())
-	t.Cleanup(func() {
-		front.Close()
-		_ = coord.Close()
-	})
+	tc := newTestCluster(t, 3, Config{})
+	durable, doomed, front := tc.backends[0], tc.backends[2], tc.ts
 
 	mustOK := func(resp *http.Response, out []byte) {
 		t.Helper()
@@ -76,20 +45,15 @@ func scrapeSurface(t *testing.T) surface {
 	mustOK(postJSON(t, front.URL+"/v1/search", searchBody(3)))
 	// Straight to the durable backend: a search, and a record of its own
 	// to delete (dead_rows and tombstone_ratio are omitted while zero).
-	direct := durable.ts.URL
+	direct := durable.url()
 	mustOK(postJSON(t, direct+"/v1/records", server.IngestRequest{Records: []server.IngestRecord{
 		{Name: "mine", Data: "a record only this backend holds, deleted again at once"}}}))
 	mustOK(postJSON(t, direct+"/v1/search", searchBody(3)))
-	req, _ := http.NewRequest(http.MethodDelete, direct+"/v1/records/mine", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("delete on the durable backend: %v %v", resp, err)
-	}
-	resp.Body.Close()
+	mustOK(deleteBody(t, direct+"/v1/records/mine"))
 
 	// Three failed calls open a breaker (DefaultDownAfter); every batch of
 	// eight names touches every backend.
-	doomed.ts.Close()
+	doomed.stop()
 	for i := 0; i < DefaultDownAfter; i++ {
 		postJSON(t, front.URL+"/v1/records", corpus(8))
 	}
