@@ -181,7 +181,7 @@ func lshFlags(fs *flag.FlagSet) (bands, rows *int) {
 // the on-disk segments, so the narrow default costs no accuracy.
 func bitsFlag(fs *flag.FlagSet) *int {
 	return fs.Int("bits", 8,
-		"RAM prefilter packing width: 8, 16, or 64 bits per slot (results are identical at every width; narrower is smaller and scans faster)")
+		"RAM prefilter packing width: 8 or 64 bits per slot (results are identical at either width; 8 is smaller and scans faster)")
 }
 
 func segmentRowsFlag(fs *flag.FlagSet) *int {

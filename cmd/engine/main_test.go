@@ -215,16 +215,16 @@ func TestCLIBitsFlag(t *testing.T) {
 	}
 	// Re-sketching with a conflicting -bits warns and keeps the stored
 	// width.
-	if _, stderr, code = runCLI(t, "sketch", "-o", packed, "-bits", "16", testdata("alpha.txt")); code != 0 {
+	if _, stderr, code = runCLI(t, "sketch", "-o", packed, "-bits", "64", testdata("alpha.txt")); code != 0 {
 		t.Fatalf("re-sketch failed (%d): %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "ignoring -bits 16") {
+	if !strings.Contains(stderr, "ignoring -bits 64") {
 		t.Fatalf("want conflicting-bits warning, got: %q", stderr)
 	}
 	// Unsupported widths are rejected up front.
 	if _, stderr, code := runCLI(t, "sketch", "-o", filepath.Join(dir, "bad"),
-		"-bits", "12", testdata("alpha.txt")); code == 0 || !strings.Contains(stderr, "packing width") {
-		t.Fatalf("sketch -bits 12: code=%d stderr=%q, want packing-width error", code, stderr)
+		"-bits", "16", testdata("alpha.txt")); code == 0 || !strings.Contains(stderr, "packing width") {
+		t.Fatalf("sketch -bits 16: code=%d stderr=%q, want packing-width error", code, stderr)
 	}
 }
 

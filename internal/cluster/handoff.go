@@ -197,7 +197,9 @@ func (s *hintStore) take(addr string) []hint {
 }
 
 // commit removes the first done hints of addr's log (the prefix the
-// drainer replayed or expired) and rewrites the durable file to match.
+// drainer replayed or expired) once the durable file has been rewritten
+// without them. If the rewrite fails, nothing is removed: the file
+// still holds them, and so does the queue the next drain replays.
 func (s *hintStore) commit(addr string, done int) error {
 	if done <= 0 {
 		return nil
@@ -211,16 +213,16 @@ func (s *hintStore) commit(addr string, done int) error {
 	if done > len(l.hints) {
 		done = len(l.hints)
 	}
-	l.hints = append(l.hints[:0], l.hints[done:]...)
-	if l.log == nil {
-		return nil
+	rest := l.hints[done:]
+	if l.log != nil {
+		for _, h := range rest {
+			appendHint(l.log, h)
+		}
+		if err := l.log.Rewrite(); err != nil {
+			return fmt.Errorf("cluster: hints: %w", err)
+		}
 	}
-	for _, h := range l.hints {
-		appendHint(l.log, h)
-	}
-	if err := l.log.Rewrite(); err != nil {
-		return fmt.Errorf("cluster: hints: %w", err)
-	}
+	l.hints = append(l.hints[:0], rest...)
 	return nil
 }
 

@@ -766,12 +766,13 @@ func TestKnownHoles(t *testing.T) {
 		"torn-wal-write-acked-by-a-retry": {"ROADMAP item 9: a record whose WAL write failed stays in memory, and a retry " +
 			"is skipped as existing and acked, so the ack is lost with the next crash",
 			history{r: 2, faults: []string{"wal.write:torn"}, ops: []op{{opFault, nil, 0}, {opIngest, []int{0}, 0}, {opFault, nil, 0}, {opOverwrite, []int{0}, 1}}}},
-		"hint-log-rewrite-fails": {"ROADMAP item 9: a failed rewrite after a drain leaves replayed hints in the file, " +
-			"for the next coordinator to replay again",
+		"hint-log-rewrite-fails": {"", // runs: hintStore.commit trims its queue only once the rewrite succeeded
 			history{r: 3, faults: []string{"hint.write:torn"}, ops: []op{{opCrash, nil, 2}, {opIngest, []int{0}, 0}, {opFault, nil, 0}, {opRestart, nil, 2}}}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			t.Skip(c.why)
+			if c.why != "" {
+				t.Skip(c.why)
+			}
 			if err := runHistory(t, c.h); err != nil {
 				t.Fatal(err)
 			}

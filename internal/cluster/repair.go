@@ -140,7 +140,6 @@ func (c *Coordinator) repairRecord(ctx context.Context, name string) (int, error
 	req := server.ReplicateRequest{Records: []server.ReplicaRecord{{
 		Name:      name,
 		Shingles:  src.Shingles,
-		Bits:      src.Bits,
 		Signature: src.Signature,
 	}}}
 	copied := 0

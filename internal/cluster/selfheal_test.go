@@ -67,7 +67,7 @@ func TestRepairSweepConverges(t *testing.T) {
 	}
 	sk := x.tc.backends[0].index().Get(x.name(5))
 	if resp, out := postJSON(t, x.tc.backends[2].url()+"/v1/admin/replicate", server.ReplicateRequest{
-		Records: []server.ReplicaRecord{{Name: sk.Name, Shingles: sk.Shingles, Bits: sk.Bits, Signature: sk.Signature}},
+		Records: []server.ReplicaRecord{{Name: sk.Name, Shingles: sk.Shingles, Signature: sk.Signature}},
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("planting the stray = %d, body %s", resp.StatusCode, out)
 	}

@@ -1,30 +1,38 @@
 package core
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
-// Packing widths for the signature arena. At 64 bits every slot keeps
-// its full minhash value and behavior is byte-identical to the
-// per-record signature store this arena replaced. At 16 and 8 bits only
-// the low b bits of every slot are kept (b-bit minwise hashing), so 4
-// or 8 slots pack into each uint64 word: an 8x smaller working set and
-// a word-parallel comparator, at the cost of a small, quantifiable
-// extra-collision rate (two genuinely different slots agree on their
-// low b bits with probability 2^-b).
+// Packing widths for the signature arena. Full-width signatures always
+// exist: an in-memory index keeps them in its arena at 64 bits. A tiered
+// index keeps them in its on-disk segments, and its arena is a RAM
+// prefilter at 64 or 8 bits. At 8 bits only the low byte of every slot
+// is kept (b-bit minwise hashing), so 8 slots pack into each uint64
+// word: an 8x smaller working set and a word-parallel comparator, at
+// the cost of extra candidates (two different slots agree on their low
+// byte with probability 2^-8) that the full-width rescore drops.
 const (
 	// DefaultBits keeps full-width slots; the default.
 	DefaultBits = 64
 )
 
 // validBits normalizes and validates a packing width: 0 means
-// DefaultBits; otherwise it must be one of 64, 16, or 8.
-func validBits(bits int) (int, error) {
+// DefaultBits; otherwise it must be 64, or 8 on a tiered index.
+func validBits(bits int, tiered bool) (int, error) {
 	switch bits {
 	case 0:
 		return DefaultBits, nil
-	case 64, 16, 8:
+	case 64:
+		return bits, nil
+	case 8:
+		if !tiered {
+			return 0, errors.New("bits: Options.Bits 8 requires Options.Tiered (an in-memory index keeps full-width 64-bit slots)")
+		}
 		return bits, nil
 	default:
-		return 0, fmt.Errorf("bits: unsupported packing width %d (want 64, 16, or 8)", bits)
+		return 0, fmt.Errorf("bits: unsupported packing width %d (want 64, or 8 on a tiered index)", bits)
 	}
 }
 
@@ -90,10 +98,18 @@ func (a *sigArena) row(i int) []uint64 {
 	return a.buf[off : off+a.words : off+a.words]
 }
 
-// appendUnpacked appends signature i's slot values to dst, truncated to
-// the arena's packing width. At 64 bits the values are the originals.
-func (a *sigArena) appendUnpacked(dst []uint64, i int) []uint64 {
-	return unpackSignatureAppend(dst, a.row(i), a.slots, a.bits)
+// appendLanes appends signature i's slot values to dst: the originals
+// at 64 bits, their low bytes in an 8-bit prefilter — all that a band
+// key masked to the arena's width reads.
+func (a *sigArena) appendLanes(dst []uint64, i int) []uint64 {
+	row := a.row(i)
+	if a.bits == 64 {
+		return append(dst, row...)
+	}
+	for j := 0; j < a.slots; j++ {
+		dst = append(dst, row[j/8]>>(j%8*8)&0xff)
+	}
+	return dst
 }
 
 // usedBytes returns the bytes holding live signatures; capBytes the
@@ -101,42 +117,19 @@ func (a *sigArena) appendUnpacked(dst []uint64, i int) []uint64 {
 func (a *sigArena) usedBytes() int64 { return int64(len(a.buf)) * 8 }
 func (a *sigArena) capBytes() int64  { return int64(cap(a.buf)) * 8 }
 
-// packSignatureAppend packs full-width slot values into b-bit lanes,
-// little-endian within each word (slot j of a word occupies bits
-// [j*b, (j+1)*b)), and appends the packed words to dst. Padding lanes
-// in a final partial word are zero.
+// packSignatureAppend appends sig to dst packed at `bits` bits a slot:
+// as is at 64; at 8, the low byte of slot j goes to byte j%8 of word j/8
+// (little-endian), and the padding lanes of a final partial word are
+// zero.
 func packSignatureAppend(dst []uint64, sig []uint64, bits int) []uint64 {
 	if bits == 64 {
 		return append(dst, sig...)
 	}
-	mask := laneMask(bits)
-	var w uint64
-	shift := 0
-	for _, v := range sig {
-		w |= (v & mask) << uint(shift)
-		shift += bits
-		if shift == 64 {
-			dst = append(dst, w)
-			w, shift = 0, 0
+	for j, v := range sig {
+		if j%8 == 0 {
+			dst = append(dst, 0)
 		}
-	}
-	if shift != 0 {
-		dst = append(dst, w)
-	}
-	return dst
-}
-
-// unpackSignatureAppend is the inverse of packSignatureAppend: it
-// appends `slots` lane values from the packed words to dst.
-func unpackSignatureAppend(dst []uint64, packed []uint64, slots, bits int) []uint64 {
-	if bits == 64 {
-		return append(dst, packed[:slots]...)
-	}
-	mask := laneMask(bits)
-	perWord := 64 / bits
-	for i := 0; i < slots; i++ {
-		w := packed[i/perWord]
-		dst = append(dst, (w>>uint((i%perWord)*bits))&mask)
+		dst[len(dst)-1] |= (v & 0xff) << (j % 8 * 8)
 	}
 	return dst
 }

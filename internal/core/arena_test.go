@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -32,16 +31,13 @@ func TestZeroLanesMatchesNaive(t *testing.T) {
 		cases = append(cases, rng.Uint64()&rng.Uint64()&rng.Uint64()&rng.Uint64())
 	}
 	for _, x := range cases {
-		if got, want := zeroLanes16(x), naiveZeroLanes(x, 16); got != want {
-			t.Fatalf("zeroLanes16(%#x) = %d, want %d", x, got, want)
-		}
 		if got, want := zeroLanes8(x), naiveZeroLanes(x, 8); got != want {
 			t.Fatalf("zeroLanes8(%#x) = %d, want %d", x, got, want)
 		}
 	}
 }
 
-// FuzzZeroLanes cross-checks the branch-free SWAR lane counters against
+// FuzzZeroLanes cross-checks the branch-free SWAR lane counter against
 // the naive per-slot loop on arbitrary words.
 func FuzzZeroLanes(f *testing.F) {
 	f.Add(uint64(0))
@@ -50,9 +46,6 @@ func FuzzZeroLanes(f *testing.F) {
 	f.Add(uint64(0x8000000000000000))
 	f.Add(uint64(0x00FF00FF00FF00FF))
 	f.Fuzz(func(t *testing.T, x uint64) {
-		if got, want := zeroLanes16(x), naiveZeroLanes(x, 16); got != want {
-			t.Fatalf("zeroLanes16(%#x) = %d, want %d", x, got, want)
-		}
 		if got, want := zeroLanes8(x), naiveZeroLanes(x, 8); got != want {
 			t.Fatalf("zeroLanes8(%#x) = %d, want %d", x, got, want)
 		}
@@ -61,30 +54,25 @@ func FuzzZeroLanes(f *testing.F) {
 
 func TestPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, bits := range []int{64, 16, 8} {
+	for _, bits := range []int{64, 8} {
 		// Odd slot counts exercise the partially-used final word.
 		for _, slots := range []int{1, 3, 7, 8, 9, 32, 127, 128} {
 			sig := make([]uint64, slots)
 			for i := range sig {
 				sig[i] = rng.Uint64()
 			}
-			packed := packSignatureAppend(nil, sig, bits)
+			a := newSigArena(slots, bits)
+			a.appendSig(sig)
+			packed := a.row(0)
 			if want := sigWords(slots, bits); len(packed) != want {
 				t.Fatalf("bits=%d slots=%d: packed to %d words, want %d", bits, slots, len(packed), want)
 			}
-			back := unpackSignatureAppend(nil, packed, slots, bits)
+			back := a.appendLanes(nil, 0)
 			mask := laneMask(bits)
 			for i, v := range sig {
 				if back[i] != v&mask {
 					t.Fatalf("bits=%d slots=%d slot %d: unpacked %#x, want %#x", bits, slots, i, back[i], v&mask)
 				}
-			}
-			// Truncation is idempotent: repacking the truncated values
-			// reproduces the packed words exactly (what makes save/load
-			// and Rebucket lossless at every width).
-			again := packSignatureAppend(nil, back, bits)
-			if !slices.Equal(packed, again) {
-				t.Fatalf("bits=%d slots=%d: repack of unpacked values differs", bits, slots)
 			}
 		}
 	}
@@ -92,7 +80,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 
 func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, bits := range []int{64, 16, 8} {
+	for _, bits := range []int{64, 8} {
 		mask := laneMask(bits)
 		for _, slots := range []int{1, 5, 8, 9, 64, 127, 128} {
 			for trial := 0; trial < 50; trial++ {
@@ -132,36 +120,34 @@ func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 // probability 2^-b, so the extra matches are Binomial(n-m, 2^-b) and a
 // mean + 5 sigma + 1 envelope holds with overwhelming probability.
 func TestPackedSimilarityWithinCollisionBound(t *testing.T) {
-	const slots = DefaultSignatureSize
+	const slots, bits = DefaultSignatureSize, 8
 	s := mustSketcher(t, DefaultK, slots)
 	rng := rand.New(rand.NewSource(23))
-	for _, bits := range []int{16, 8} {
-		for trial := 0; trial < 100; trial++ {
-			// Pairs across the overlap spectrum: b edits a random prefix
-			// of a's payload, so similarity sweeps ~0..1.
-			data := benchData(2048, int64(trial))
-			edited := make([]byte, len(data))
-			copy(edited, data)
-			cut := rng.Intn(len(edited))
-			for j := 0; j < cut; j++ {
-				edited[j] = byte('A' + rng.Intn(26))
-			}
-			x := s.Sketch(Record{Name: "x", Data: data})
-			y := s.Sketch(Record{Name: "y", Data: edited})
+	for trial := 0; trial < 100; trial++ {
+		// Pairs across the overlap spectrum: b edits a random prefix
+		// of a's payload, so similarity sweeps ~0..1.
+		data := benchData(2048, int64(trial))
+		edited := make([]byte, len(data))
+		copy(edited, data)
+		cut := rng.Intn(len(edited))
+		for j := 0; j < cut; j++ {
+			edited[j] = byte('A' + rng.Intn(26))
+		}
+		x := s.Sketch(Record{Name: "x", Data: data})
+		y := s.Sketch(Record{Name: "y", Data: edited})
 
-			m64 := matchingSlots(x.Signature, y.Signature)
-			px := packSignatureAppend(nil, x.Signature, bits)
-			py := packSignatureAppend(nil, y.Signature, bits)
-			mb := packedMatchingSlots(px, py, slots, bits)
-			if mb < m64 {
-				t.Fatalf("bits=%d trial %d: packed matches %d < full-width matches %d", bits, trial, mb, m64)
-			}
-			mean := float64(slots-m64) / math.Pow(2, float64(bits))
-			bound := mean + 5*math.Sqrt(mean) + 1
-			if extra := float64(mb - m64); extra > bound {
-				t.Fatalf("bits=%d trial %d: %v extra collisions exceeds bound %v (m64=%d)",
-					bits, trial, extra, bound, m64)
-			}
+		m64 := matchingSlots(x.Signature, y.Signature)
+		px := packSignatureAppend(nil, x.Signature, bits)
+		py := packSignatureAppend(nil, y.Signature, bits)
+		mb := packedMatchingSlots(px, py, slots, bits)
+		if mb < m64 {
+			t.Fatalf("bits=%d trial %d: packed matches %d < full-width matches %d", bits, trial, mb, m64)
+		}
+		mean := float64(slots-m64) / math.Pow(2, float64(bits))
+		bound := mean + 5*math.Sqrt(mean) + 1
+		if extra := float64(mb - m64); extra > bound {
+			t.Fatalf("bits=%d trial %d: %v extra collisions exceeds bound %v (m64=%d)",
+				bits, trial, extra, bound, m64)
 		}
 	}
 }
@@ -171,12 +157,9 @@ func TestPackedSimilarityWithinCollisionBound(t *testing.T) {
 // each other at each width, and the top hits are the planted records.
 func TestPackedSearchAgreesAcrossWidths(t *testing.T) {
 	const n, planted = 1200, 30
-	for _, bits := range []int{64, 16, 8} {
+	for _, bits := range []int{64, 8} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
-			eng, err := NewEngine(Options{IndexName: "packed", Bits: bits})
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng := engineAt(t, "packed", bits)
 			recs, base := plantedRecords(n, planted, 7)
 			if added, err := eng.AddBatch(recs); err != nil || added != n {
 				t.Fatalf("AddBatch = %d, %v; want %d, nil", added, err, n)
@@ -215,10 +198,7 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 		t.Skip("builds a corpus above parallelScoreMinBytes")
 	}
 	const n = parallelScoreMinBytes/DefaultSignatureSize + 500 // 8-bit rows: one byte per slot
-	eng, err := NewEngine(Options{IndexName: "fanout", Bits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := engineAt(t, "fanout", 8)
 	recs, base := plantedRecords(n, 20, 5)
 	if added, err := eng.AddBatch(recs); err != nil || added != n {
 		t.Fatalf("AddBatch = %d, %v; want %d, nil", added, err, n)
@@ -251,6 +231,23 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// engineAt builds an engine whose arena packs at bits: in memory at 64,
+// tiered over a temporary directory at 8, the one width that needs a
+// full-width tier.
+func engineAt(tb testing.TB, name string, bits int) *Engine {
+	tb.Helper()
+	opts := Options{IndexName: name, Bits: bits}
+	if bits == 8 {
+		opts.Tiered, opts.DataDir = true, tb.TempDir()
+	}
+	eng, err := NewEngine(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { eng.Index().Close() })
+	return eng
+}
+
 // plantedRecords builds n records, the first `planted` of which are
 // near-duplicates of the returned base payload. It mirrors
 // plantedCorpus but returns raw records so callers pick their own
@@ -274,49 +271,18 @@ func plantedRecords(n, planted int, seed int64) ([]Record, []byte) {
 	return recs, base
 }
 
-// TestTruncatedSketchesDoNotMixWithFullWidth: a sketch read back from
-// a b-bit index holds truncated lanes; comparing, adding, or querying
-// it against full-width state must error rather than silently score
-// near-zero.
+// TestTruncatedSketchesDoNotMixWithFullWidth: packing below 64 bits
+// happens only in a tiered index's prefilter, so no sketch is ever
+// truncated: an in-memory index refuses Bits 8 with an error naming
+// both fields. (TestTieredGetSketchFullWidth reads one back.)
 func TestTruncatedSketchesDoNotMixWithFullWidth(t *testing.T) {
-	eng8, err := NewEngine(Options{IndexName: "p8", Bits: 8})
-	if err != nil {
-		t.Fatal(err)
+	const want = "Options.Bits 8 requires Options.Tiered"
+	if _, err := NewEngine(Options{IndexName: "p8", Bits: 8}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewEngine(Bits 8) in memory: err = %v, want %q", err, want)
 	}
-	rec := Record{Name: "r", Data: benchData(512, 1)}
-	if _, err := eng8.Add(rec); err != nil {
-		t.Fatal(err)
-	}
-	trunc := eng8.Index().Get("r")
-	if trunc.Bits != 8 {
-		t.Fatalf("Get from 8-bit index: Bits = %d, want 8", trunc.Bits)
-	}
-	full := eng8.Sketcher().Sketch(rec)
-	if _, err := Similarity(trunc, full); err == nil || !strings.Contains(err.Error(), "slot widths") {
-		t.Fatalf("Similarity(truncated, full) err = %v, want mixed-slot-width error", err)
-	}
-	// Two sketches from the same packed index stay comparable — both
-	// sides hold the same truncated lanes.
-	if _, err := eng8.Add(Record{Name: "r2", Data: benchData(512, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if sim, err := Similarity(trunc, eng8.Index().Get("r2")); err != nil || sim != 1 {
-		t.Fatalf("Similarity within 8-bit index = %v, %v; want 1, nil", sim, err)
-	}
-	// A full-width index rejects the truncated sketch on add and search.
-	eng64, err := NewEngine(Options{IndexName: "p64"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng64.Index().Add(trunc); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("Add truncated to 64-bit index err = %v, want packing-width error", err)
-	}
-	if _, err := SearchTopK(eng64.Index(), trunc, 3, 0, nil); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("search 64-bit index with truncated query err = %v, want packing-width error", err)
-	}
-	// And the truncated sketch still queries its own index fine.
-	if res, err := SearchTopK(eng8.Index(), trunc, 3, 0, nil); err != nil || len(res) != 1 || res[0].Ref != "r2" {
-		t.Fatalf("search 8-bit index with its own sketch = %v, %v; want r2", res, err)
+	lsh := DefaultLSHParams(DefaultSignatureSize)
+	if _, err := NewIndexWith("p8", DefaultK, DefaultSignatureSize, lsh, 1, 8); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewIndexWith(bits 8): err = %v, want %q", err, want)
 	}
 }
 
@@ -327,13 +293,9 @@ func TestArenaStats(t *testing.T) {
 		wantSigSize int
 	}{
 		{64, 8 * DefaultSignatureSize, DefaultSignatureSize},
-		{16, 2 * DefaultSignatureSize, DefaultSignatureSize},
 		{8, 1 * DefaultSignatureSize, DefaultSignatureSize},
 	} {
-		eng, err := NewEngine(Options{IndexName: "arena", Bits: tc.bits})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := engineAt(t, "arena", tc.bits)
 		empty := eng.Index().Arena()
 		if empty.SignatureBytes != 0 || empty.BytesPerRecord != 0 {
 			t.Fatalf("bits=%d empty arena stats = %+v", tc.bits, empty)

@@ -98,7 +98,7 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 	}
 	x := s.Sketch(Record{Name: "x", Data: benchData(4<<10, 2)})
 	y := s.Sketch(Record{Name: "y", Data: benchData(4<<10, 3)})
-	for _, bits := range []int{64, 16, 8} {
+	for _, bits := range []int{64, 8} {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
 			px := packSignatureAppend(nil, x.Signature, bits)
 			py := packSignatureAppend(nil, y.Signature, bits)
@@ -149,15 +149,8 @@ func BenchmarkMatchCounts(b *testing.B) {
 
 func benchIndex(b *testing.B, n, bits int) (*Index, *Sketch) {
 	b.Helper()
-	s, err := NewSketcher(DefaultK, DefaultSignatureSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := NewIndexWith("bench", DefaultK, DefaultSignatureSize,
-		DefaultLSHParams(DefaultSignatureSize), DefaultShards, bits)
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := engineAt(b, "bench", bits)
+	s, ix := eng.Sketcher(), eng.Index()
 	for i := 0; i < n; i++ {
 		rec := Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(2<<10, int64(i+10))}
 		if _, err := ix.Add(s.Sketch(rec)); err != nil {
@@ -171,11 +164,7 @@ func benchIndex(b *testing.B, n, bits int) (*Index, *Sketch) {
 // a directory-backed index with an 8-bit prefilter — over n records.
 func benchTieredIndex(b *testing.B, n int) (*Index, *Sketch) {
 	b.Helper()
-	eng, err := NewEngine(Options{IndexName: "bench", Bits: 8, Tiered: true, DataDir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { eng.Index().Close() })
+	eng := engineAt(b, "bench", 8)
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+10))}
@@ -241,7 +230,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 // for — and reports the per-record signature footprint alongside ns/op
 // so a run shows memory regressions too.
 func BenchmarkPackedStore(b *testing.B) {
-	for _, bits := range []int{64, 16, 8} {
+	for _, bits := range []int{64, 8} {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
 			ix, q := benchIndex(b, 1000, bits)
 			pool := NewPool(0)
@@ -304,11 +293,7 @@ func familyMember(f, m int) []byte {
 // of 20 near-duplicates, 16 stripes, an 8-bit directory index, saved.
 func familyCorpus(tb testing.TB, families int) *Engine {
 	tb.Helper()
-	eng, err := NewEngine(Options{IndexName: "bench", Bits: 8, Tiered: true, DataDir: tb.TempDir()})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { eng.Index().Close() })
+	eng := engineAt(tb, "bench", 8)
 	recs := make([]Record, 20)
 	for f := 0; f < families; f++ {
 		for m := range recs {
@@ -406,7 +391,7 @@ func BenchmarkAddBatchParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix, err := NewIndexWith("bench", DefaultK, DefaultSignatureSize,
-			DefaultLSHParams(DefaultSignatureSize), DefaultShards, 8)
+			DefaultLSHParams(DefaultSignatureSize), DefaultShards, DefaultBits)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,11 +31,11 @@ type Options struct {
 	// Shards is the number of lock stripes in the index; <= 0 means
 	// DefaultShards.
 	Shards int
-	// Bits is the signature packing width: 64 (full minhash values,
-	// byte-identical to pre-arena behavior), 16, or 8 (b-bit minwise
-	// hashing: only the low b bits of every slot are stored, shrinking
-	// the working set 4x/8x and comparing 4/8 slots per word op, at a
-	// 2^-b per-slot extra-collision cost). 0 means DefaultBits (64).
+	// Bits is the RAM arena's packing width: 64 (full minhash values)
+	// or, with Tiered, 8 (b-bit minwise hashing: the arena becomes a
+	// prefilter holding the low byte of every slot, an 8x smaller
+	// working set compared 8 slots per word op, and every score is
+	// recomputed from the full-width tier). 0 means DefaultBits (64).
 	Bits int
 	// Mode selects how Search scans the index; empty means ModeLSH.
 	Mode SearchMode
@@ -99,7 +99,7 @@ func NewEngine(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	ix, err := NewIndexWith(opts.IndexName, opts.K, opts.SignatureSize, lsh, opts.Shards, opts.Bits)
+	ix, err := newIndexWith(opts.IndexName, opts.K, opts.SignatureSize, lsh, opts.Shards, opts.Bits, opts.Tiered)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

@@ -397,7 +397,13 @@ func Open(dir string) (ix *Index, err error) {
 	if m.Meta.Scheme != SchemeOPH {
 		return nil, fmt.Errorf("index: invalid manifest metadata: unsupported scheme %q (this engine sketches with %q only; rebuild from source data)", m.Meta.Scheme, SchemeOPH)
 	}
-	bits, err := validBits(m.Meta.Bits)
+	// Older builds wrote 16-bit prefilters. The prefilter is rebuilt from
+	// the full-width segments, so such a directory opens at 8 bits and
+	// its next SaveDir writes 8.
+	if m.Meta.Bits == 16 {
+		m.Meta.Bits = 8
+	}
+	bits, err := validBits(m.Meta.Bits, true)
 	if err != nil {
 		return nil, fmt.Errorf("index: invalid manifest metadata: %w", err)
 	}
@@ -590,7 +596,6 @@ func (ix *Index) replayWAL() (err error) {
 				Name:      op.name,
 				K:         ix.meta.K,
 				Shingles:  int(op.shingles),
-				Bits:      DefaultBits,
 				Signature: op.sig,
 			}); err != nil {
 				return fmt.Errorf("index: wal replay: %w", err)

@@ -16,8 +16,8 @@ type Result struct {
 // Similarity estimates the Jaccard similarity of the sets underlying
 // two sketches as the fraction of matching minhash slots. Sketches with
 // zero shingles (records shorter than K) are dissimilar to everything,
-// as are degenerate zero-slot signatures. Sketches of different K,
-// size, or slot width are incomparable and return an error.
+// as are degenerate zero-slot signatures. Sketches of different K or
+// size are incomparable and return an error.
 func Similarity(a, b *Sketch) (float64, error) {
 	if err := compatible(a, b); err != nil {
 		return 0, err
@@ -61,45 +61,27 @@ func eqSlot(x, y uint64) int {
 // rows of `slots` b-bit lanes (see sigArena). Both rows must be the
 // same length with zeroed padding lanes; padding lanes XOR to zero on
 // every pair and are subtracted back out, so the count is exact. At
-// full width it falls through to matchingSlots. One word op compares 4
-// (16-bit) or 8 (8-bit) slots with no per-slot branch.
+// full width it falls through to matchingSlots. At 8 bits one word op
+// compares 8 slots with no per-slot branch.
 func packedMatchingSlots(a, b []uint64, slots, bits int) int {
-	switch bits {
-	case 16:
-		m := 0
-		b = b[:len(a)]
-		for i, w := range a {
-			m += zeroLanes16(w ^ b[i])
-		}
-		return m - (len(a)*4 - slots)
-	case 8:
-		m := 0
-		b = b[:len(a)]
-		for i, w := range a {
-			m += zeroLanes8(w ^ b[i])
-		}
-		return m - (len(a)*8 - slots)
-	default:
+	if bits != 8 {
 		return matchingSlots(a, b)
 	}
+	m := 0
+	b = b[:len(a)]
+	for i, w := range a {
+		m += zeroLanes8(w ^ b[i])
+	}
+	return m - (len(a)*8 - slots)
 }
 
-// zeroLanes16 counts the 16-bit lanes of x that are zero, branch-free:
+// zeroLanes8 counts the 8-bit lanes of x that are zero, branch-free:
 // each lane's bits are OR-folded down to its lowest bit (the cross-lane
 // garbage the shifts drag into upper bit positions never reaches bit 0
 // of a lane, because every shift distance is smaller than the lane
 // width), then the surviving "lane is nonzero" bits are popcounted.
 // Unlike the classic (x-lo)&^x&hi borrow trick, the OR fold is exact —
 // borrows between lanes cannot miscount.
-func zeroLanes16(x uint64) int {
-	x |= x >> 8
-	x |= x >> 4
-	x |= x >> 2
-	x |= x >> 1
-	return 4 - bits.OnesCount64(x&0x0001000100010001)
-}
-
-// zeroLanes8 is zeroLanes16 for 8-bit lanes: 8 slots per word op.
 func zeroLanes8(x uint64) int {
 	x |= x >> 4
 	x |= x >> 2
@@ -116,20 +98,7 @@ func Distance(a, b *Sketch) (float64, error) {
 	return 1 - sim, nil
 }
 
-// normSketchBits resolves a sketch's zero Bits to full width: sketches
-// emitted by a Sketcher (and everything predating packed indexes)
-// carry full 64-bit minhash values.
-func normSketchBits(bits int) int {
-	if bits == 0 {
-		return 64
-	}
-	return bits
-}
-
 func compatible(a, b *Sketch) error {
-	if ba, bb := normSketchBits(a.Bits), normSketchBits(b.Bits); ba != bb {
-		return fmt.Errorf("sketch: mixed slot widths: %d-bit vs %d-bit (a sketch read back from a packed index holds truncated lanes; compare it only against sketches from the same index)", ba, bb)
-	}
 	if a.K != b.K {
 		return fmt.Errorf("sketch: incompatible k: %d vs %d", a.K, b.K)
 	}

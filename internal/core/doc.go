@@ -26,7 +26,7 @@
 // Options.Tiered: nothing persists) or a directory from birth (NewEngine
 // with Options.Tiered and DataDir, reopened with Open) — the one
 // persistent layout. In a directory index the in-memory arena is a
-// b-bit packed prefilter and the full-width signatures live in
+// prefilter (8-bit packed by default) and the full-width signatures live in
 // immutable on-disk segment files, mmap'd read-only
 // where the platform allows and served by pread elsewhere. Queries then
 // run in two phases — a blocked sweep of the resident prefilter (one

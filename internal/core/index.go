@@ -42,10 +42,11 @@ type Metadata struct {
 
 // Index is a store of sketches keyed by record name, striped over N
 // independently-locked shards so concurrent adds and probes on
-// different stripes never contend. Each shard owns a contiguous packed
-// signature arena (optionally truncated to b-bit slots; see sigArena);
-// one posting table shared by all of them holds the LSH band postings
-// for sub-linear candidate filtering (see postingTable, SearchTopKLSH).
+// different stripes never contend. Each shard owns a contiguous
+// signature arena (on a tiered index, usually an 8-bit packed
+// prefilter; see sigArena); one posting table shared by all of them
+// holds the LSH band postings for sub-linear candidate filtering (see
+// postingTable, SearchTopKLSH).
 // An index is either purely in memory (NewIndex, NewIndexWith: nothing
 // persists) or backed by a directory from birth (NewEngine with
 // Options.Tiered, or Open). All methods are safe for concurrent use
@@ -97,17 +98,24 @@ func NewIndex(name string, k, sigSize int) *Index {
 	return newIndex(name, k, sigSize, LSHParams{Bands: 1, RowsPerBand: 1}, DefaultShards, DefaultBits)
 }
 
-// NewIndexWith returns an empty index with an explicit LSH banding
-// scheme, shard count, and signature packing width (64, 16, or 8 bits
-// per slot; 0 means DefaultBits).
+// NewIndexWith returns an empty in-memory index with an explicit LSH
+// banding scheme, shard count, and signature packing width: 64 or 0
+// (DefaultBits). The 8-bit prefilter needs a tiered index (NewEngine
+// with Options.Tiered).
 func NewIndexWith(name string, k, sigSize int, lsh LSHParams, shards, bits int) (*Index, error) {
+	return newIndexWith(name, k, sigSize, lsh, shards, bits, false)
+}
+
+// newIndexWith checks the geometry and packing width of an index about
+// to be built, tiered or not, and builds it empty and in memory.
+func newIndexWith(name string, k, sigSize int, lsh LSHParams, shards, bits int, tiered bool) (*Index, error) {
 	if _, err := NewLSHParams(lsh.Bands, lsh.RowsPerBand, sigSize); err != nil {
 		return nil, fmt.Errorf("index %q: %w", name, err)
 	}
 	if err := checkShards(shards); err != nil {
 		return nil, fmt.Errorf("index %q: %w", name, err)
 	}
-	bits, err := validBits(bits)
+	bits, err := validBits(bits, tiered)
 	if err != nil {
 		return nil, fmt.Errorf("index %q: %w", name, err)
 	}
@@ -170,8 +178,8 @@ func sketchErrorf(format string, args ...any) error {
 // Add inserts s if no record with the same name exists. It reports
 // whether the sketch was added; false with a nil error means the name
 // already existed and the add was skipped. The signature is packed into
-// the owning shard's arena: at packing widths below 64 only the low b
-// bits of every slot are stored.
+// the owning shard's arena: in an 8-bit prefilter only the low byte of
+// every slot is stored there, the full width in the tier.
 func (ix *Index) Add(s *Sketch) (bool, error) {
 	if s.Name == "" {
 		return false, sketchErrorf("index: sketch has empty name")
@@ -184,13 +192,6 @@ func (ix *Index) Add(s *Sketch) (bool, error) {
 		return false, sketchErrorf("index %q: signature size %d does not match index size %d",
 			ix.meta.Name, len(s.Signature), ix.meta.SignatureSize)
 	}
-	// Full-width sketches are always accepted (packing truncates them);
-	// a sketch already truncated to b bits only fits an index of the
-	// same width — repacking it elsewhere would store garbage lanes.
-	if b := normSketchBits(s.Bits); b != 64 && b != ix.bits {
-		return false, sketchErrorf("index %q: sketch holds %d-bit truncated slots but the index packs at %d bits",
-			ix.meta.Name, b, ix.bits)
-	}
 	// Shared writeMu spans the shard insert and the order append, so a
 	// structural rebuild (Rebucket, SaveDir) can never observe a record
 	// that is in a shard but not yet in order.
@@ -198,14 +199,7 @@ func (ix *Index) Add(s *Sketch) (bool, error) {
 	defer ix.writeMu.RUnlock()
 	ix.mu.RLock()
 	shards := ix.shards
-	tiered := ix.tier != nil
 	ix.mu.RUnlock()
-	// A tiered index stores the full-width signature on disk; a
-	// pre-truncated sketch has nothing to store there.
-	if tiered && normSketchBits(s.Bits) != 64 {
-		return false, sketchErrorf("index %q: tiered index requires full-width sketches, got %d-bit truncated slots",
-			ix.meta.Name, normSketchBits(s.Bits))
-	}
 	// Same-named adds always land on the same shard, whose lock
 	// serializes the existence check against the insert.
 	added, err := shards[shardFor(s.Name, len(shards))].add(s)
@@ -439,7 +433,8 @@ func (ix *Index) Arena() ArenaStats {
 	return st
 }
 
-// Bits returns the signature packing width (64, 16, or 8).
+// Bits returns the signature packing width: 64, or 8 for a tiered
+// index's prefilter.
 func (ix *Index) Bits() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

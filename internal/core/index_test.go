@@ -79,7 +79,7 @@ func TestAddValidation(t *testing.T) {
 // bits and the creation time), full-width signatures, and search
 // results must all survive.
 func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
-	for _, bits := range []int{64, 16, 8} {
+	for _, bits := range []int{64, 8} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
 			dir := t.TempDir()
 			eng, err := NewEngine(Options{IndexName: "rt", Bits: bits, Tiered: true, DataDir: dir, SegmentRows: 16})

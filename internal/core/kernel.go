@@ -10,7 +10,7 @@ import "math"
 //   - portable: a loop over packedMatchingSlots, the SWAR comparator.
 //     It is the reference the assembly is fuzz-pinned to (see
 //     FuzzMatchCounts) and the only kernel on every architecture but
-//     amd64, at 16- and 64-bit lanes, and under the purego build tag.
+//     amd64, at 64-bit lanes, and under the purego build tag.
 //   - avx2 (kernel_amd64.s): a byte compare per 32 bytes and one
 //     reduction per row, for 8-bit rows whose width is a multiple of 32
 //     bytes, on amd64 CPUs that report AVX2 with OS-enabled YMM state.

@@ -170,7 +170,7 @@ func TestMatchCountsKernels(t *testing.T) {
 			sparse[i] = byte(rng.Intn(3)) * 0x80
 		}
 	}
-	for _, bits := range []int{8, 16, 64} {
+	for _, bits := range []int{8, 64} {
 		for _, words := range append([]int{1, 3, 5}, matchCountsWidths...) {
 			for _, n := range matchCountsBlocks {
 				for off := 0; off < 32; off += 8 {
@@ -225,7 +225,7 @@ func TestScanKernelSelection(t *testing.T) {
 	}{
 		{16, 8, active}, {4, 8, active}, {maxAVX2Words, 8, active},
 		{maxAVX2Words + 4, 8, "portable"}, {13, 8, "portable"},
-		{32, 16, "portable"}, {128, 64, "portable"},
+		{128, 64, "portable"},
 	} {
 		if got := scanKernel(c.words, c.bits); got != c.want {
 			t.Errorf("scanKernel(%d words, %d bits) = %q, want %q", c.words, c.bits, got, c.want)
@@ -234,11 +234,7 @@ func TestScanKernelSelection(t *testing.T) {
 	// Stats reports the selection per index: the default geometry at 8
 	// bits is the AVX2 shape, full-width rows never are.
 	for bits, want := range map[int]string{8: active, 64: "portable"} {
-		eng, err := NewEngine(Options{Bits: bits})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := eng.Stats().ScanKernel; got != want {
+		if got := engineAt(t, "kernel", bits).Stats().ScanKernel; got != want {
 			t.Errorf("Stats().ScanKernel at %d bits = %q, want %q", bits, got, want)
 		}
 	}

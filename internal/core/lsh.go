@@ -249,7 +249,7 @@ func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
 			if sh.rowDead(int32(i)) {
 				continue
 			}
-			sig = sh.arena.appendUnpacked(sig[:0], i)
+			sig = sh.arena.appendLanes(sig[:0], i)
 			if nt.rowBits == 0 {
 				nt.add(int32(si), int32(i), sig, sh.mask)
 				continue

@@ -143,9 +143,15 @@ func TestShardProbeCandidates(t *testing.T) {
 	// Three stripes spread the records, one holds them together.
 	for _, bits := range []int{64, 8} {
 		for _, shards := range []int{1, 3} {
-			ix, err := NewIndexWith("probe", 2, 4, p, shards, bits)
+			ix, err := newIndexWith("probe", 2, 4, p, shards, bits, bits == 8)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if bits == 8 {
+				if err := ix.attachTier(t.TempDir(), 8); err != nil {
+					t.Fatal(err)
+				}
+				defer ix.Close()
 			}
 			for name, sig := range map[string][]uint64{"a": a, "b": b, "c": c} {
 				if ok, err := ix.Add(&Sketch{Name: name, K: 2, Shingles: 1, Signature: sig}); !ok || err != nil {

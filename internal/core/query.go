@@ -40,18 +40,18 @@ func ParseSearchMode(s string) (SearchMode, error) {
 // break-even is: SearchTopK at minSim 0.3 over 16 shards on 2 vCPUs
 // (Xeon 2.1 GHz), inline / fanned-out, median of 3 in µs —
 //
-//	rows    64-bit (1 KB)  16-bit (256 B)  8-bit portable  8-bit avx2
-//	  256      21 /  27       15 /  18        8 /  13       2.1 / 5.1
-//	  512      43 /  45       29 /  39       15 /  20       3.0 / 6.2
-//	 1024      93 /  73       53 /  64       29 /  35       5.1 / 9.5
-//	 2048     170 / 124      113 /  78       52 /  57       8.8 /  14
-//	 4096     361 / 217      200 / 135      103 /  85        19 /  23
-//	 8192                                   214 / 137        33 /  42
-//	16384                                   461 / 274        72 /  79
+//	rows    64-bit (1 KB)  8-bit portable  8-bit avx2
+//	  256      21 /  27        8 /  13       2.1 / 5.1
+//	  512      43 /  45       15 /  20       3.0 / 6.2
+//	 1024      93 /  73       29 /  35       5.1 / 9.5
+//	 2048     170 / 124       52 /  57       8.8 /  14
+//	 4096     361 / 217      103 /  85        19 /  23
+//	 8192                    214 / 137        33 /  42
+//	16384                    461 / 274        72 /  79
 //
 // — fan-out costs about 25 µs of wakeups and first wins once the
 // inline scan is ~50 µs of work, which on the portable kernel is 512 KB
-// of arena at every lane width (512, 2 048 and 4 096 rows). The AVX2
+// of arena at either lane width (512 and 4 096 rows). The AVX2
 // kernel breaks even only at 16 384 rows; between 4 096 and there it
 // pays up to a quarter for fanning out, which is the price of one
 // threshold set where the slower kernel first gains.
@@ -239,8 +239,8 @@ func (b *searchBuf) prepare(ix *Index, query *Sketch, minSim float64, shards int
 		packed:     b.packed,
 	}
 	if ix.Tiered() {
-		// checkSearchArgs has already required a full-width query sketch,
-		// so the signature doubles as the rescore image.
+		// A sketch is always full-width, so the signature doubles as the
+		// rescore image.
 		b.q.full = query.Signature
 	}
 	if cap(b.scratch) < shards {
@@ -478,14 +478,6 @@ func checkSearchArgs(ix *Index, query *Sketch, topK int, minSim float64) error {
 	if query.K != meta.K || len(query.Signature) != meta.SignatureSize {
 		return fmt.Errorf("search: query sketch (k=%d, size=%d) incompatible with index %q (k=%d, size=%d)",
 			query.K, len(query.Signature), meta.Name, meta.K, meta.SignatureSize)
-	}
-	if b := normSketchBits(query.Bits); b != 64 && b != meta.Bits {
-		return fmt.Errorf("search: query sketch holds %d-bit truncated slots but index %q packs at %d bits",
-			b, meta.Name, meta.Bits)
-	}
-	if ix.Tiered() && normSketchBits(query.Bits) != 64 {
-		return fmt.Errorf("search: tiered index %q requires a full-width query sketch for rescoring, got %d-bit truncated slots",
-			meta.Name, normSketchBits(query.Bits))
 	}
 	return nil
 }

@@ -152,11 +152,9 @@ func (sh *shard) has(name string) bool {
 }
 
 // getSketch reconstructs the sketch named name, or returns nil. Tiered
-// shards read the full-width tier, so the slot values are the original
-// minhashes even when the prefilter packs at 8 bits. On non-tiered
-// shards at packing widths below 64 the slot values are the stored
-// truncated lanes, not the original full-width minhashes (those are
-// gone by design). k comes from the index metadata.
+// shards read the full-width tier, since the prefilter may hold only 8
+// bits a slot; an in-memory arena row is the full-width signature. k
+// comes from the index metadata.
 func (sh *shard) getSketch(name string, k int) *Sketch {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -164,29 +162,20 @@ func (sh *shard) getSketch(name string, k int) *Sketch {
 	if !ok {
 		return nil
 	}
+	row := sh.arena.row(int(idx))
 	if sh.full != nil {
 		var sc rowScratch
-		row, err := sh.full.row(int(idx), &sc)
-		if err != nil {
+		var err error
+		if row, err = sh.full.row(int(idx), &sc); err != nil {
 			sh.full.tier.readErrors.Add(1)
 			return nil
-		}
-		sig := make([]uint64, len(row))
-		copy(sig, row)
-		return &Sketch{
-			Name:      name,
-			K:         k,
-			Shingles:  int(sh.shingles[idx]),
-			Bits:      DefaultBits,
-			Signature: sig,
 		}
 	}
 	return &Sketch{
 		Name:      name,
 		K:         k,
 		Shingles:  int(sh.shingles[idx]),
-		Bits:      sh.arena.bits,
-		Signature: sh.arena.appendUnpacked(make([]uint64, 0, sh.arena.slots), int(idx)),
+		Signature: slices.Clone(row),
 	}
 }
 

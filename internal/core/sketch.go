@@ -46,18 +46,13 @@ type Record struct {
 	Data []byte
 }
 
-// Sketch is a compact fixed-size minhash signature of one record.
-// Two sketches are comparable only if they share K, signature size,
-// and slot width. Bits is in-memory state (zero means full-width
-// slots): below 64 it marks a sketch reconstructed from a b-bit packed
-// index, whose slot values are truncated lanes — mixing those with
-// full-width sketches would silently score near-zero, so comparisons
-// reject the mismatch instead (see compatible).
+// Sketch is a compact fixed-size minhash signature of one record. Its
+// slots always hold full-width minhash values. Two sketches are
+// comparable only if they share K and signature size.
 type Sketch struct {
 	Name      string   `json:"name"`
 	K         int      `json:"k"`
 	Shingles  int      `json:"shingles"`
-	Bits      int      `json:"-"`
 	Signature []uint64 `json:"signature"`
 }
 

@@ -73,7 +73,7 @@ func newSweepCorpus(t *testing.T, slots, bits, rows int, tiered bool, seed int64
 	if slots%4 == 0 {
 		lsh = LSHParams{Bands: slots / 4, RowsPerBand: 4}
 	}
-	ix, err := NewIndexWith("sweep", 8, slots, lsh, 1, bits)
+	ix, err := newIndexWith("sweep", 8, slots, lsh, 1, bits, tiered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func perRowReference(sh *shard, q *packedQuery, topK int, probed []uint64) ([]Re
 func TestSweepMatchesPerRowPath(t *testing.T) {
 	type geometry struct{ slots, bits int }
 	geoms := []geometry{}
-	for _, bits := range []int{8, 16, 64} {
+	for _, bits := range []int{8, 64} {
 		for _, slots := range []int{1, 100, 127, 128} {
 			geoms = append(geoms, geometry{slots, bits})
 		}
@@ -149,7 +149,7 @@ func TestSweepMatchesPerRowPath(t *testing.T) {
 
 	eachKernel(t, func(t *testing.T) {
 		for gi, g := range geoms {
-			for _, tiered := range []bool{false, true} {
+			for _, tiered := range map[int][]bool{8: {true}, 64: {false, true}}[g.bits] { // only a tiered index packs
 				rows := 2*sweepBlock + 77 // two full blocks and a short one
 				if g.slots > 1000 {
 					rows = 12
@@ -248,15 +248,6 @@ func readTierCounts(t *tierState) tierCounts {
 // assembly out changes nothing a caller can see.
 func TestSearchIdenticalAcrossKernels(t *testing.T) {
 	tiered, plain := tieredEngines(t, 4500, 64) // 8-bit rows: enough arena to fan out
-	packed, err := NewEngine(Options{IndexName: "packed", Bits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4500; i++ {
-		if _, err := packed.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	queries := []*Sketch{
 		plain.Sketcher().Sketch(Record{Name: "q-near", Data: benchData(256, 1)}),
 		plain.Sketcher().Sketch(Record{Name: "q-far", Data: benchData(256, 99999)}),
@@ -266,7 +257,7 @@ func TestSearchIdenticalAcrossKernels(t *testing.T) {
 	results := map[string][][]Result{}
 	eachKernel(t, func(t *testing.T) {
 		var all [][]Result
-		for _, eng := range []*Engine{tiered, packed} {
+		for _, eng := range []*Engine{tiered, plain} {
 			for _, q := range queries {
 				for _, minSim := range []float64{0, 0.05, 0.5} {
 					for _, pool := range []*Pool{NewPool(1), NewPool(4)} {
@@ -349,8 +340,8 @@ func (c *countdownCtx) Err() error {
 // after the search's own up-front check.
 func TestSweepCancellation(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
-		for _, tiered := range []bool{false, true} {
-			c := newSweepCorpus(t, 128, 8, 8*sweepBlock, tiered, 3)
+		for bits, tiered := range map[int]bool{64: false, 8: true} {
+			c := newSweepCorpus(t, 128, bits, 8*sweepBlock, tiered, 3)
 			miss := &Sketch{Name: "miss", K: 8, Shingles: 9, Signature: make([]uint64, 128)}
 			for i := range miss.Signature {
 				miss.Signature[i] = uint64(100 + i)

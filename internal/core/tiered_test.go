@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -644,17 +645,62 @@ func TestTieredBudgetCapsRescores(t *testing.T) {
 	}
 }
 
-// TestTieredSearchRejectsTruncatedQuery: rescoring needs the query's
-// full-width signature; a pre-truncated query sketch cannot be scored
-// against the tier and must be rejected up front.
+// TestTieredSearchRejectsTruncatedQuery: 8 and 64 are the only widths,
+// from a caller or from a manifest, as the replicate endpoint refuses
+// any wire width but 64.
 func TestTieredSearchRejectsTruncatedQuery(t *testing.T) {
-	tiered, _ := tieredEngines(t, 50, 32)
-	q := tiered.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 2)})
-	q.Bits = 8
-	if _, err := SearchTopK(tiered.Index(), q, 5, 0, nil); err == nil ||
-		!strings.Contains(err.Error(), "full-width") {
-		t.Fatalf("truncated query on tiered index: err = %v, want full-width requirement", err)
+	const want = "unsupported packing width"
+	if _, err := NewEngine(Options{Bits: 16, Tiered: true, DataDir: t.TempDir()}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewEngine(Bits 16, Tiered): err = %v, want %q", err, want)
 	}
+	if _, err := Open(savedAtBits(t, 32)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open of a 32-bit manifest: err = %v, want %q", err, want)
+	}
+}
+
+// TestOpenSixteenBitDirectory: a directory saved with a 16-bit
+// prefilter opens at 8 bits, since the prefilter is rebuilt from the
+// full-width segments; its answers are byte-identical to a 64-bit
+// reference, and its next snapshot records 8.
+func TestOpenSixteenBitDirectory(t *testing.T) {
+	dir := savedAtBits(t, 16)
+	ix, err := Open(dir)
+	if err != nil || ix.Bits() != 8 {
+		t.Fatalf("Open of a 16-bit directory: %v; want it at 8 bits", err)
+	}
+	defer ix.Close()
+	_, plain := tieredEngines(t, 100, 32) // the records saveTieredDir adds
+	q := plain.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 2)})
+	for _, search := range []func(*Index, *Sketch, int, float64, *Pool) ([]Result, error){SearchTopK, SearchTopKLSH} {
+		got, err := search(ix, q, 20, 0, nil)
+		want, _ := search(plain.Index(), q, 20, 0, nil)
+		if err != nil || len(got) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("16-bit directory answers %v, %v; the 64-bit reference %v", got, err, want)
+		}
+	}
+	if err := ix.SaveDir(); err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if raw, err := os.ReadFile(filepath.Join(dir, ManifestFile)); err != nil || json.Unmarshal(raw, &m) != nil || m.Meta.Bits != 8 {
+		t.Fatalf("manifest after SaveDir says bits %d (%v), want 8", m.Meta.Bits, err)
+	}
+}
+
+// savedAtBits saves a tiered index and rewrites its manifest's bits.
+func savedAtBits(t *testing.T, bits int) string {
+	t.Helper()
+	dir := t.TempDir()
+	saveTieredDir(t, dir)
+	path := filepath.Join(dir, ManifestFile)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, editManifest(t, good, func(m *manifest) { m.Meta.Bits = bits }), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 // TestTieredGetSketchFullWidth: Get on a tiered index reconstructs the
@@ -665,9 +711,6 @@ func TestTieredGetSketchFullWidth(t *testing.T) {
 		got, want := tiered.Index().Get(name), plain.Index().Get(name)
 		if got == nil || !equalSig(got.Signature, want.Signature) {
 			t.Fatalf("tiered Get(%q) = %v, want the full-width signature", name, got)
-		}
-		if got.Bits != 64 {
-			t.Fatalf("tiered Get(%q).Bits = %d, want 64", name, got.Bits)
 		}
 	}
 }

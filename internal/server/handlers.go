@@ -76,23 +76,21 @@ type SearchResponse struct {
 }
 
 // RecordResponse describes an indexed record (GET /v1/records/{name}).
-// Shingles, Bits, and Signature are populated only when the request
-// asked for them with ?signature=1 — the cluster repair path, which
-// needs the stored sketch, not just existence.
+// Shingles and Signature are populated only when the request asked for
+// them with ?signature=1 — the cluster repair path, which needs the
+// stored sketch, not just existence.
 type RecordResponse struct {
 	Name          string   `json:"name"`
 	K             int      `json:"k"`
 	SignatureSize int      `json:"signature_size"`
 	Shingles      int      `json:"shingles,omitempty"`
-	Bits          int      `json:"bits,omitempty"`
 	Signature     []uint64 `json:"signature,omitempty"`
 }
 
 // ReplicaRecord is one record in the replication wire format: the
-// stored sketch as-is, so a copy lands byte-identical on the receiver
-// without re-sketching. Bits says how wide the slot values are (64
-// full-width; below that they are the truncated lanes a b-bit index
-// stores, only accepted by an index packed at the same width).
+// stored full-width sketch as-is, so a copy lands byte-identical on the
+// receiver without re-sketching. Bits is never sent; replicate accepts
+// it only absent or 64, as older senders wrote it.
 type ReplicaRecord struct {
 	Name      string   `json:"name"`
 	Shingles  int      `json:"shingles"`
@@ -411,7 +409,6 @@ func (s *Server) handleGetRecord(w http.ResponseWriter, r *http.Request) {
 			K:             meta.K,
 			SignatureSize: meta.SignatureSize,
 			Shingles:      sk.Shingles,
-			Bits:          sk.Bits,
 			Signature:     sk.Signature,
 		})
 		return
@@ -464,7 +461,6 @@ func (s *Server) handleListRecords(w http.ResponseWriter, r *http.Request) {
 		recs = append(recs, ReplicaRecord{
 			Name:      sk.Name,
 			Shingles:  sk.Shingles,
-			Bits:      sk.Bits,
 			Signature: sk.Signature,
 		})
 	}
@@ -473,8 +469,9 @@ func (s *Server) handleListRecords(w http.ResponseWriter, r *http.Request) {
 
 // handleReplicate inserts pre-built sketches, bypassing the sketcher:
 // this is how a repaired or rebalanced copy arrives byte-identical to the
-// original. A sketch the index cannot hold (wrong signature size, wrong
-// packing width) is the sender's fault and gets 400; any other failure —
+// original. A sketch the index cannot hold (wrong signature size, slot
+// values narrower than 64 bits) is the sender's fault and gets 400; any
+// other failure —
 // storage, or the commit behind the inserts — is 500. Either way the
 // batch is not acknowledged.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
@@ -485,11 +482,15 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	meta := s.eng.Index().Metadata()
 	sketches := make([]*core.Sketch, len(req.Records))
 	for i, rec := range req.Records {
+		if rec.Bits != 0 && rec.Bits != 64 {
+			WriteError(w, http.StatusBadRequest, CodeBadRequest,
+				fmt.Sprintf("replicate: record %q carries %d-bit slots; only full-width (64-bit) signatures are accepted", rec.Name, rec.Bits))
+			return
+		}
 		sketches[i] = &core.Sketch{
 			Name:      rec.Name,
 			K:         meta.K,
 			Shingles:  rec.Shingles,
-			Bits:      rec.Bits,
 			Signature: rec.Signature,
 		}
 	}

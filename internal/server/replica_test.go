@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"sketchengine/internal/core"
@@ -153,6 +154,10 @@ func TestReplicateEndpoint(t *testing.T) {
 	if len(rec.Signature) != 64 {
 		t.Fatalf("signature length = %d, want 64", len(rec.Signature))
 	}
+	// Signatures are always full-width, so neither read names a width.
+	if _, page := getBody(t, http.DefaultClient, src.URL+"/v1/records"); strings.Contains(string(out)+string(page), `"bits"`) {
+		t.Fatalf("a record body carries a bits key: %s %s", out, page)
+	}
 	// Without the flag the wire stays lean.
 	_, lean := getBody(t, http.DefaultClient, src.URL+"/v1/records/page-01.txt")
 	var leanRec RecordResponse
@@ -165,7 +170,7 @@ func TestReplicateEndpoint(t *testing.T) {
 
 	dstSrv, dst := newTestServer(t, Config{})
 	rep := ReplicateRequest{Records: []ReplicaRecord{{
-		Name: rec.Name, Shingles: rec.Shingles, Bits: rec.Bits, Signature: rec.Signature,
+		Name: rec.Name, Shingles: rec.Shingles, Signature: rec.Signature,
 	}}}
 	resp, out = postJSON(t, http.DefaultClient, dst.URL+"/v1/admin/replicate", rep)
 	if resp.StatusCode != http.StatusOK {
@@ -230,7 +235,8 @@ func TestReplicateEndpoint(t *testing.T) {
 // sketch the index cannot hold is the sender's (400) even behind a valid
 // one; a failed commit is the server's (500) even when the batch added
 // nothing — here a duplicate whose barrier shares a failed sweep with
-// another writer's frame.
+// another writer's frame. A width other than 64 (absent, as for "held",
+// means 64) is refused before anything lands.
 func TestReplicateErrorKinds(t *testing.T) {
 	eng := tieredTestEngine(t, t.TempDir())
 	s, err := New(eng, Config{})
@@ -241,6 +247,8 @@ func TestReplicateErrorKinds(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	rec := func(name string) ReplicaRecord { return replicaOf(eng, name) }
+	narrow, wide := rec("narrow"), rec("wide")
+	narrow.Bits, wide.Bits = 8, 64
 	if resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/admin/replicate",
 		ReplicateRequest{Records: []ReplicaRecord{rec("held")}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("replicate = %d, body %s", resp.StatusCode, out)
@@ -256,6 +264,8 @@ func TestReplicateErrorKinds(t *testing.T) {
 		{"invalid sketch behind a valid one", func() {},
 			[]ReplicaRecord{rec("fine"), {Name: "short", Shingles: 5, Signature: make([]uint64, 7)}},
 			http.StatusBadRequest, CodeBadRequest},
+		{"8-bit slots behind a valid one", func() {}, []ReplicaRecord{rec("early"), narrow}, http.StatusBadRequest, CodeBadRequest},
+		{"64-bit slots", func() {}, []ReplicaRecord{wide}, http.StatusOK, ""},
 		{"failed commit of an all-duplicate batch", func() {
 			// Another writer's frame, appended and not yet synced.
 			if _, err := eng.Index().Add(eng.Sketcher().Sketch(core.Record{Name: "bystander", Data: []byte("unsynced")})); err != nil {
@@ -275,6 +285,9 @@ func TestReplicateErrorKinds(t *testing.T) {
 		if err := json.Unmarshal(out, &eb); err != nil || resp.StatusCode != tc.status || eb.Error.Code != tc.code {
 			t.Errorf("%s: %d %s, want %d %s", tc.name, resp.StatusCode, out, tc.status, tc.code)
 		}
+	}
+	if ix := eng.Index(); ix.Has("early") || ix.Has("narrow") || !ix.Has("wide") {
+		t.Errorf("after the width cases: early %v narrow %v wide %v, want only wide", ix.Has("early"), ix.Has("narrow"), ix.Has("wide"))
 	}
 }
 

@@ -92,6 +92,13 @@ curl -fsS -X POST -H 'Content-Type: application/json' \
     "$base/v1/search" | grep -q '"ref":"alpha.txt"' || fail "search did not hit alpha.txt"
 
 curl -fsS "$base/v1/records/beta.txt" | grep -q '"name":"beta.txt"' || fail "record lookup failed"
+# A listing page carries each record's full 128-slot signature and no
+# width: signatures are always full-width.
+page="$(curl -fsS "$base/v1/records?limit=1")"
+[[ "$page" != *'"bits"'* ]] || fail "listing page carries a bits key: $page"
+sig="${page#*\"signature\":[}"
+slots="$(tr ',' '\n' <<<"${sig%%]*}" | wc -l)"
+[[ "$slots" -eq 128 ]] || fail "listing signature has $slots slots, want 128"
 curl -fsS "$base/stats" | grep -q '"records_added":3' || fail "stats did not count the ingest"
 
 # Delete one record and verify the error envelope on a second try.
