@@ -24,8 +24,8 @@ test-purego:
 # Every Fuzz* target in the module, 15 s each (FUZZTIME=... to change):
 # the scan kernel against its reference, the list cursor against a
 # model, and every decoder of outside bytes — manifest, segment file,
-# legacy JSON, framed log, WAL and hint bodies, and the HTTP request
-# bodies of both servers.
+# legacy JSON, framed log, WAL and hint bodies, the HTTP request
+# bodies of both servers, and the search answers the coordinator reads.
 fuzz-smoke:
 	GO=$(GO) ./scripts/fuzz_smoke.sh
 

@@ -117,7 +117,8 @@ func newClient(backends int) *client {
 	}}
 }
 
-// bodyBufPool recycles request-encode buffers across fan-outs.
+// bodyBufPool recycles the buffers request bodies are encoded into and
+// backend answers read into.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // do sends one request to b and decodes the JSON response into out
@@ -133,9 +134,11 @@ func (c *client) do(ctx context.Context, b *backend, method, path string, body, 
 		buf := bodyBufPool.Get().(*bytes.Buffer)
 		buf.Reset()
 		defer bodyBufPool.Put(buf)
-		if err := json.NewEncoder(buf).Encode(body); err != nil {
+		enc, err := server.AppendJSON(buf.AvailableBuffer(), body)
+		if err != nil {
 			return fmt.Errorf("backend %s: encode request: %w", b.addr, err)
 		}
+		buf.Write(enc) // in place, or into the room enc grew to, kept for reuse
 		raw = buf.Bytes()
 	}
 	return c.doRaw(ctx, b, method, path, raw, out)
@@ -199,7 +202,14 @@ func (c *client) doRaw(ctx context.Context, b *backend, method, path string, bod
 		return berr
 	}
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		buf := bodyBufPool.Get().(*bytes.Buffer)
+		buf.Reset()
+		defer bodyBufPool.Put(buf)
+		_, err := buf.ReadFrom(resp.Body)
+		if err == nil {
+			err = server.DecodeJSON(buf.Bytes(), out)
+		}
+		if err != nil {
 			b.noteError(err)
 			return fmt.Errorf("backend %s: decode response: %w", b.addr, err)
 		}

@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode"
+	"unicode/utf16"
 
 	"sketchengine/internal/core"
 	"sketchengine/internal/fault"
@@ -298,6 +300,91 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 			t.Errorf("backend %s holds no records; ring did not spread the corpus", b.addr)
 		}
 	}
+}
+
+// TestClusterMatchesSingleNodeHostileNames holds the same bar for names
+// the search hop must escape: HTML characters, UTF-8, U+2028, a quote and
+// a backslash, a tab, a rune outside the BMP. First with the answers as
+// the backends write them, which the coordinator reads in one pass; then
+// with every answer respelled into a shape that pass declines — keys
+// reordered, an unknown key, every non-ASCII rune of a ref or query as a
+// \u escape, surrogate pairs included — which encoding/json reads.
+func TestClusterMatchesSingleNodeHostileNames(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{})
+	ref := tc.spare()
+	var req server.IngestRequest
+	for i, name := range []string{"<a&b>", "café", "line\u2028sep", `"q\`, "a\ttab", "grin \U0001F600"} {
+		req.Records = append(req.Records, server.IngestRecord{Name: name,
+			Data: fmt.Sprintf("shared payload stem %d for a record with plenty of overlapping shingles", i)})
+	}
+	for _, url := range []string{tc.ts.URL, ref.url()} {
+		if resp, out := postJSON(t, url+"/v1/records", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest into %s = %d, body %s", url, resp.StatusCode, out)
+		}
+	}
+	query := server.SearchRequest{Name: `<q&"é">` + "\u2028\t", Data: "shared payload stem for a record with plenty of overlapping shingles", Mode: "exact"}
+	_, want := postJSON(t, ref.url()+"/v1/search", query)
+	var sr server.SearchResponse
+	if json.Unmarshal(want, &sr) != nil || len(sr.Results) != len(req.Records) {
+		t.Fatalf("single node answered %s; want every record", want)
+	}
+	matches := func(stage string) {
+		t.Helper()
+		for turn := 0; turn < 3; turn++ { // each backend left out once
+			if resp, got := postJSON(t, tc.ts.URL+"/v1/search", query); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("%s, search %d = %d, differs from a single node:\n cluster: %s\n single:  %s", stage, turn, resp.StatusCode, got, want)
+			}
+		}
+	}
+	matches("answers as written")
+
+	respell := func(w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path != "/v1/search" {
+			return false
+		}
+		rec := httptest.NewRecorder()
+		tc.backendFor(r.Host).srv.Handler().ServeHTTP(rec, r)
+		var sr server.SearchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil || rec.Code != http.StatusOK {
+			t.Errorf("backend answered %d %s", rec.Code, rec.Body)
+			w.WriteHeader(http.StatusInternalServerError)
+			return true
+		}
+		var b strings.Builder
+		b.WriteString(`{"unknown":[null],"results":[`)
+		for i, h := range sr.Results {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"distance":%v,"similarity":%v,"ref":%s,"rank":%d}`, h.Distance, h.Similarity, escapeAll(h.Ref), h.Rank)
+		}
+		fmt.Fprintf(&b, `],"mode":%q,"query":%s}`, sr.Mode, escapeAll(sr.Query))
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, b.String())
+		return true
+	}
+	tc.intercept.Store(&respell)
+	matches("answers respelled")
+}
+
+// escapeAll spells s as a JSON string whose every byte outside printable
+// ASCII, quote and backslash included, is a \u escape: a rune outside the
+// BMP a surrogate pair.
+func escapeAll(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for _, r := range s {
+		switch r1, r2 := utf16.EncodeRune(r); {
+		case r1 != unicode.ReplacementChar:
+			fmt.Fprintf(&b, `\u%04x\u%04x`, r1, r2)
+		case r < 0x20 || r >= 0x7f || r == '"' || r == '\\':
+			fmt.Fprintf(&b, `\u%04x`, r)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
 }
 
 // TestClusterKillOneBackend: with replication=2, any single backend

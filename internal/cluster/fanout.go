@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -81,12 +80,15 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Encoded once: every backend in both waves is sent these bytes.
-	body, err := json.Marshal(&req)
+	// Encoded once: every backend in both waves is sent these bytes, which
+	// are json.Marshal's (no newline). Not pooled: the transport may still
+	// be sending them after a backend has answered.
+	body, err := server.AppendJSON(make([]byte, 0, len(req.Name)+len(req.Data)+len(req.Mode)+128), &req)
 	if err != nil {
 		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, fmt.Sprintf("search: encode request: %v", err))
 		return
 	}
+	body = body[:len(body)-1]
 
 	backends := c.backendList()
 	n := len(backends)
@@ -172,15 +174,17 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	merged := core.MergeTopK(pooled, req.K)
-	ring, _ := c.rings()
-	c.offerSearchRepairs(ring, calls, merged, req.K)
+	if responded >= 2 { // disagreement needs two answers
+		ring, _ := c.rings()
+		c.offerSearchRepairs(ring, calls, merged, req.K)
+	}
 	// Zero-hit responses must encode as "results":[], matching the
 	// single-node server (nil would marshal as null).
 	hits := make([]server.SearchHit, 0, len(merged))
 	for i, res := range merged {
 		hits = append(hits, server.SearchHit{Rank: i + 1, Ref: res.Ref, Similarity: res.Similarity, Distance: res.Distance})
 	}
-	server.WriteJSON(w, http.StatusOK, server.SearchResponse{
+	server.WriteJSON(w, http.StatusOK, &server.SearchResponse{
 		Query:   req.Name,
 		Mode:    mode,
 		Results: hits,
@@ -197,19 +201,17 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 // heuristic; a false positive only costs the repair worker one probe
 // that finds nothing to fix.
 func (c *Coordinator) offerSearchRepairs(ring *Ring, calls []searchCall, merged []core.Result, k int) {
-	byAddr := make(map[string]*searchCall, len(calls))
-	for i := range calls {
-		if calls[i].ok {
-			byAddr[calls[i].b.addr] = &calls[i]
-		}
-	}
-	if len(byAddr) < 2 {
-		return // disagreement needs two answers
-	}
+	replicas := make([]string, 0, ring.Replication())
 	for _, hit := range merged {
-		for _, addr := range ring.Replicas(hit.Ref) {
-			call, ok := byAddr[addr]
-			if !ok {
+		replicas = ring.ReplicasAppend(replicas[:0], hit.Ref)
+		for _, addr := range replicas {
+			var call *searchCall
+			for i := range calls { // at most n: a scan beats a map
+				if calls[i].ok && calls[i].b.addr == addr {
+					call = &calls[i]
+				}
+			}
+			if call == nil {
 				continue
 			}
 			found := false

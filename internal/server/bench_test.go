@@ -206,8 +206,9 @@ func BenchmarkIngestWriters(b *testing.B) {
 // — as MB/s of request body: plain search bodies of three sizes, one with
 // a single escape and one of prose (a line break, quote or é every 20
 // bytes or so), all taken by the single pass; one with a surrogate-pair
-// escape, which encoding/json reads from the same bytes; and an 8-record
-// ingest.
+// escape, which encoding/json reads from the same bytes; an 8-record
+// ingest; and a backend's 10-hit search answer as the coordinator reads
+// it, plain and with a surrogate-pair escape in a ref.
 func BenchmarkDecode(b *testing.B) {
 	search := func(data string) []byte {
 		body, err := json.Marshal(SearchRequest{Name: "query-17", Data: data, K: 10, MinSimilarity: 0.3})
@@ -224,6 +225,10 @@ func BenchmarkDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	answer, err := json.Marshal(tenHits())
+	if err != nil {
+		b.Fatal(err)
+	}
 	sh := NewShell(Config{})
 	for _, bc := range []struct {
 		name  string
@@ -237,6 +242,8 @@ func BenchmarkDecode(b *testing.B) {
 		{"search-4KiB-prose", search(strings.Repeat("a line of prose, \"quoted\", and a café —\nthen the next. ", 80)[:4<<10]), func() any { return new(SearchRequest) }},
 		{"search-4KiB-fallback", bytes.Replace(search(benchPayload(4<<10, 2)), []byte(`","k"`), []byte(`\ud83d\ude00","k"`), 1), func() any { return new(SearchRequest) }},
 		{"ingest-8x1KiB", ingestBody, func() any { return new(IngestRequest) }},
+		{"search-response-10hits", answer, func() any { return new(SearchResponse) }},
+		{"search-response-fallback", bytes.Replace(answer, []byte(`.txt"`), []byte(`\ud83d\ude00"`), 1), func() any { return new(SearchResponse) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			rd := bytes.NewReader(bc.body)
@@ -251,6 +258,37 @@ func BenchmarkDecode(b *testing.B) {
 				if !sh.Decode(w, r, bc.fresh()) {
 					b.Fatalf("refused: %s", w.Body)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncode measures AppendJSON into a reused buffer, as MB/s of
+// JSON written: a backend's 10-hit answer, and the 4 KiB search request
+// the coordinator forwards, plain and of prose (whose strings go to
+// json.Marshal).
+func BenchmarkEncode(b *testing.B) {
+	request := func(data string) any {
+		return &SearchRequest{Name: "query-17", Data: data, K: 10, MinSimilarity: 0.3}
+	}
+	for _, bc := range []struct {
+		name string
+		v    any
+	}{
+		{"search-response-10hits", tenHits()},
+		{"search-request-4KiB", request(benchPayload(4<<10, 2))},
+		{"search-request-4KiB-prose", request(strings.Repeat("a line of prose, \"quoted\", and a café —\nthen the next. ", 80)[:4<<10])},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			out, err := AppendJSON(nil, bc.v)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(out)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, _ = AppendJSON(out[:0], bc.v)
 			}
 		})
 	}

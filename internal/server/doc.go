@@ -12,11 +12,17 @@
 // themselves.
 //
 // The HTTP plumbing — limiter, counting middleware, error envelope,
-// latency histograms, the request-body codec (wire.go: the capped body
-// read once, plain search and ingest bodies parsed in one pass, any other
-// by encoding/json from the same bytes) and each body's Check,
-// Listen/Serve/drain — is the Shell type, which the cluster coordinator
-// holds too. Observability has one definition: stats() builds the
+// latency histograms, the capped request body read once and each body's
+// Check, Listen/Serve/drain — is the Shell type, which the cluster
+// coordinator holds too. wire.go is the one JSON codec of the search hop,
+// both directions: DecodeJSON parses plain search and ingest bodies and
+// the search answers the coordinator reads in one pass, any other by
+// encoding/json from the same bytes; AppendJSON, behind WriteJSON and
+// the coordinator's request bodies, writes search requests and answers
+// in one pass, byte for byte what json.Encoder writes (a string with
+// bytes that need escaping, or with <, > or &, by json.Marshal; a float
+// in encoding/json's format; a NaN or infinity left to the stdlib), and
+// any other value by json.Encoder. Observability has one definition: stats() builds the
 // StatsResponse, /stats encodes it and /metrics is WriteProm walking the
 // same value's prom tags, so a counter is wired in exactly one place.
 //

@@ -604,7 +604,8 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	buf.Reset()
 	// Encoding these response types cannot fail; a broken connection
 	// surfaces on the Write below, to the client.
-	_ = json.NewEncoder(buf).Encode(v)
+	b, _ := AppendJSON(buf.AvailableBuffer(), v)
+	buf.Write(b) // in place, or into the room b grew to, kept for reuse
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)

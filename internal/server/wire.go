@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"net/http"
 	"strconv"
@@ -44,7 +45,7 @@ func (sh *Shell) decode(w http.ResponseWriter, r *http.Request, v any) (int, str
 		return http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit)
 	}
 	if err == nil {
-		err = decodeBody(buf.Bytes(), v)
+		err = DecodeJSON(buf.Bytes(), v)
 	}
 	if err != nil {
 		return http.StatusBadRequest, fmt.Sprintf("malformed JSON body: %v", err)
@@ -55,11 +56,13 @@ func (sh *Shell) decode(w http.ResponseWriter, r *http.Request, v any) (int, str
 	return 0, ""
 }
 
-// decodeBody decodes one buffered body into v, keeping no reference to b:
-// in one pass if v can parse the plain shape and b has it, otherwise by
-// encoding/json. The pass takes a subset of what the stdlib takes, to the
-// same value, so the stdlib defines a body (FuzzDecodeRequest compares).
-func decodeBody(b []byte, v any) error {
+// DecodeJSON decodes one buffered JSON value into v, keeping no reference
+// to b: in one pass if v can parse the plain shape and b has it, otherwise
+// by encoding/json. The pass takes a subset of what the stdlib takes, to
+// the same value, so the stdlib defines a body (FuzzDecodeRequest and
+// FuzzSearchCodec compare). Only JSON whitespace may follow the value. It
+// reads request bodies in Decode and backend answers in the coordinator.
+func DecodeJSON(b []byte, v any) error {
 	if p, ok := v.(interface{ parsePlain([]byte) bool }); ok && p.parsePlain(b) {
 		return nil
 	}
@@ -74,27 +77,40 @@ func decodeBody(b []byte, v any) error {
 	return errors.New("trailing data")
 }
 
+// AppendJSON appends v's JSON encoding to b, byte for byte what
+// json.Encoder writes, the trailing newline included: in one pass for a
+// search request or response, by json.Encoder for any other value and for
+// one the pass declines (a NaN or an infinity is the Encoder's error).
+func AppendJSON(b []byte, v any) ([]byte, error) {
+	if p, ok := v.(interface{ appendPlain([]byte) ([]byte, bool) }); ok {
+		if out, ok := p.appendPlain(b); ok {
+			return append(out, '\n'), nil
+		}
+	}
+	buf := bytes.NewBuffer(b)
+	err := json.NewEncoder(buf).Encode(v)
+	return buf.Bytes(), err
+}
+
 // parsePlain decodes b if it has the plain shape: one JSON object, alone
 // in b, whose keys are the struct's json names, exactly, each at most
-// once, and whose values are strings (see text), numbers strconv takes,
-// true or false, and for "records" an array of such objects. Anything else
-// (an unknown, case-folded, escaped or repeated key, null, a syntax error,
-// a tail) leaves *q untouched and returns false: encoding/json decides.
+// once, and whose values are strings (see text), numbers by the JSON
+// grammar that fit the field, true or false, and for "records" an array of
+// such objects. Anything else (an unknown, case-folded, escaped or repeated
+// key, null, a syntax error, a tail) leaves *q untouched and returns false:
+// encoding/json decides.
 func (q *SearchRequest) parsePlain(b []byte) bool {
 	c, p := cursor{b: b}, SearchRequest{}
 	ok := c.object(func(key []byte) (uint, bool) {
-		var err error
 		switch string(key) {
 		case "name":
 			return 1, c.text(&p.Name)
 		case "data":
 			return 2, c.text(&p.Data)
 		case "k":
-			p.K, err = strconv.Atoi(string(c.literal()))
-			return 4, err == nil
+			return 4, c.integer(&p.K)
 		case "min_similarity":
-			p.MinSimilarity, err = strconv.ParseFloat(string(c.literal()), 64)
-			return 8, err == nil
+			return 8, c.float(&p.MinSimilarity)
 		case "mode":
 			return 16, c.text(&p.Mode)
 		}
@@ -127,9 +143,7 @@ func (q *IngestRequest) parsePlain(b []byte) bool {
 				return ok
 			})
 		case "detailed":
-			lit := c.literal()
-			p.Detailed = string(lit) == "true"
-			return 2, p.Detailed || string(lit) == "false"
+			return 2, c.boolean(&p.Detailed)
 		}
 		return 0, false
 	})
@@ -138,6 +152,121 @@ func (q *IngestRequest) parsePlain(b []byte) bool {
 	}
 	return ok
 }
+
+// parsePlain reads a backend's answer on the coordinator, by the same
+// rules, "results" being an array of hit objects.
+func (r *SearchResponse) parsePlain(b []byte) bool {
+	c, p := cursor{b: b}, SearchResponse{}
+	ok := c.object(func(key []byte) (uint, bool) {
+		switch string(key) {
+		case "query":
+			return 1, c.text(&p.Query)
+		case "mode":
+			return 2, c.text(&p.Mode)
+		case "results":
+			// Every hit opens a brace, so this holds them all ("results":[]
+			// decodes to empty, not nil).
+			p.Results = make([]SearchHit, 0, bytes.Count(c.b[c.i:], []byte{'{'}))
+			return 4, c.list('[', ']', func() bool {
+				var h SearchHit
+				ok := c.object(func(key []byte) (uint, bool) {
+					switch string(key) {
+					case "rank":
+						return 1, c.integer(&h.Rank)
+					case "ref":
+						return 2, c.text(&h.Ref)
+					case "similarity":
+						return 4, c.float(&h.Similarity)
+					case "distance":
+						return 8, c.float(&h.Distance)
+					}
+					return 0, false
+				})
+				p.Results = append(p.Results, h)
+				return ok
+			})
+		case "partial":
+			return 8, c.boolean(&p.Partial)
+		}
+		return 0, false
+	})
+	if ok = ok && c.atEnd(); ok {
+		*r = p
+	}
+	return ok
+}
+
+// appendPlain writes q as json.Encoder does, less the newline, unless
+// MinSimilarity is not finite.
+func (q *SearchRequest) appendPlain(b []byte) ([]byte, bool) {
+	if !finite(q.MinSimilarity) {
+		return b, false
+	}
+	b = appendString(append(b, `{"name":`...), q.Name)
+	b = appendString(append(b, `,"data":`...), q.Data)
+	b = strconv.AppendInt(append(b, `,"k":`...), int64(q.K), 10)
+	b = appendFloat(append(b, `,"min_similarity":`...), q.MinSimilarity)
+	b = appendString(append(b, `,"mode":`...), q.Mode)
+	return append(b, '}'), true
+}
+
+// appendPlain writes r as json.Encoder does, less the newline, unless a
+// hit's score is not finite or Results is nil (the stdlib writes null).
+func (r *SearchResponse) appendPlain(b []byte) ([]byte, bool) {
+	if r.Results == nil {
+		return b, false
+	}
+	b = appendString(append(b, `{"query":`...), r.Query)
+	b = appendString(append(b, `,"mode":`...), r.Mode)
+	b = append(b, `,"results":[`...)
+	for i := range r.Results {
+		h := &r.Results[i]
+		if !finite(h.Similarity) || !finite(h.Distance) {
+			return b, false
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, `{"rank":`...), int64(h.Rank), 10)
+		b = appendString(append(b, `,"ref":`...), h.Ref)
+		b = appendFloat(append(b, `,"similarity":`...), h.Similarity)
+		b = appendFloat(append(b, `,"distance":`...), h.Distance)
+		b = append(b, '}')
+	}
+	b = append(b, ']')
+	if r.Partial {
+		b = append(b, `,"partial":true`...)
+	}
+	return append(b, '}'), true
+}
+
+// appendString writes s quoted, as is, when every byte of it stands for
+// itself (plainLen) and none is a <, > or &, which encoding/json escapes
+// for HTML; any other string is json.Marshal's to spell.
+func appendString(b []byte, s string) []byte {
+	if plainLen([]byte(s)) == len(s) && strings.IndexByte(s, '<') < 0 && strings.IndexByte(s, '>') < 0 && strings.IndexByte(s, '&') < 0 {
+		return append(append(append(b, '"'), s...), '"')
+	}
+	lit, _ := json.Marshal(s) // a string always encodes
+	return append(b, lit...)
+}
+
+// appendFloat writes a finite f as encoding/json does: 'f' format, or 'e'
+// outside [1e-6, 1e21) with a one-digit negative exponent left unpadded.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // cursor walks a plain-shape body; its methods fail on anything else.
 type cursor struct {
@@ -254,16 +383,65 @@ func (c *cursor) text(dst *string) bool {
 	return false
 }
 
-// literal consumes a bare value, up to the next delimiter, if the JSON
-// grammar makes it one (strconv alone would take "+1", "0x10" and "1_0").
-func (c *cursor) literal() []byte {
-	s := c.b[c.i:]
-	n := bytes.IndexAny(s, ",} \t\r\n")
-	if n < 0 || !json.Valid(s[:n]) {
+// number consumes a JSON number by the grammar (strconv alone would take
+// "+1", "0x10" and "1_0") and returns its bytes, or nil if none is next.
+func (c *cursor) number() []byte {
+	s, i := c.b[c.i:], 0
+	digits := func() bool {
+		n := i
+		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+			i++
+		}
+		return i > n
+	}
+	if i < len(s) && s[i] == '-' {
+		i++
+	}
+	if i < len(s) && s[i] == '0' {
+		i++
+	} else if !digits() {
 		return nil
 	}
-	c.i += n
-	return s[:n]
+	if i < len(s) && s[i] == '.' {
+		if i++; !digits() {
+			return nil
+		}
+	}
+	if i < len(s) && s[i]|0x20 == 'e' {
+		if i++; i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return nil
+		}
+	}
+	c.i += i
+	return s[:i]
+}
+
+// integer and float consume a number into *dst; one the field's type
+// cannot hold fails them, as it fails encoding/json.
+func (c *cursor) integer(dst *int) bool {
+	n, err := strconv.Atoi(string(c.number()))
+	*dst = n
+	return err == nil
+}
+
+func (c *cursor) float(dst *float64) bool {
+	f, err := strconv.ParseFloat(string(c.number()), 64)
+	*dst = f
+	return err == nil
+}
+
+// boolean consumes true or false into *dst.
+func (c *cursor) boolean(dst *bool) bool {
+	for _, lit := range [...]string{"false", "true"} {
+		if bytes.HasPrefix(c.b[c.i:], []byte(lit)) {
+			*dst, c.i = lit == "true", c.i+len(lit)
+			return true
+		}
+	}
+	return false
 }
 
 // plainLen returns how many leading bytes of s stand for themselves in a

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -50,12 +53,12 @@ func TestDecodeTakesFallback(t *testing.T) {
 			if got.parsePlain([]byte(tc.body)) || got != (SearchRequest{}) {
 				t.Fatalf("parsePlain took %q (or wrote %+v before declining)", tc.body, got)
 			}
-			err := decodeBody([]byte(tc.body), &got)
+			err := DecodeJSON([]byte(tc.body), &got)
 			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains("malformed JSON body: "+err.Error(), tc.wantErr)) {
-				t.Fatalf("decodeBody(%q) = %v, want error %q", tc.body, err, tc.wantErr)
+				t.Fatalf("DecodeJSON(%q) = %v, want error %q", tc.body, err, tc.wantErr)
 			}
 			if got != tc.want {
-				t.Fatalf("decodeBody(%q) left %+v, want %+v", tc.body, got, tc.want)
+				t.Fatalf("DecodeJSON(%q) left %+v, want %+v", tc.body, got, tc.want)
 			}
 		})
 	}
@@ -66,8 +69,8 @@ func TestDecodeTakesFallback(t *testing.T) {
 		if got.parsePlain([]byte(body)) || got != (SearchRequest{}) {
 			t.Fatalf("parsePlain took %q (or wrote %+v before declining)", body, got)
 		}
-		if err := decodeBody([]byte(body), &got); err == nil || err.Error() != "trailing data" || got.Name != "q" {
-			t.Fatalf("decodeBody(%q) = %v %+v, want the trailing-data refusal", body, err, got)
+		if err := DecodeJSON([]byte(body), &got); err == nil || err.Error() != "trailing data" || got.Name != "q" {
+			t.Fatalf("DecodeJSON(%q) = %v %+v, want the trailing-data refusal", body, err, got)
 		}
 	}
 
@@ -87,8 +90,8 @@ func TestDecodeTakesFallback(t *testing.T) {
 			t.Fatalf("parsePlain took %q (or wrote %+v before declining)", body, got)
 		}
 		err := json.Unmarshal([]byte(body), &want)
-		if derr := decodeBody([]byte(body), &got); (derr == nil) != (err == nil) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("decodeBody(%q) = %v %+v, json.Unmarshal = %v %+v", body, derr, got, err, want)
+		if derr := DecodeJSON([]byte(body), &got); (derr == nil) != (err == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeJSON(%q) = %v %+v, json.Unmarshal = %v %+v", body, derr, got, err, want)
 		}
 	}
 }
@@ -241,4 +244,104 @@ type failReader struct{ t *testing.T }
 func (f failReader) Read([]byte) (int, error) {
 	f.t.Error("body read despite a Content-Length over the cap")
 	return 0, io.EOF
+}
+
+// tenHits is a backend's answer as the coordinator reads it: generated
+// record names and scores in k/128 steps.
+func tenHits() *SearchResponse {
+	r := &SearchResponse{Query: "query-17", Mode: "lsh", Results: []SearchHit{}}
+	for i := range 10 {
+		sim := float64(120-9*i) / 128
+		r.Results = append(r.Results, SearchHit{Rank: i + 1, Ref: fmt.Sprintf("rec-%06d.txt", 7919*i), Similarity: sim, Distance: 1 - sim})
+	}
+	return r
+}
+
+// FuzzSearchCodec holds the search hop's codec to encoding/json in both
+// directions. DecodeJSON of any body, as a search answer or request, is
+// accepted exactly when json.Unmarshal accepts it, to the same value;
+// AppendJSON of any search answer or request is json.Encoder's bytes, or
+// an error where the Encoder has one; and whatever AppendJSON writes the
+// single pass reads back, so the coordinator never leaves it for a
+// backend's answer.
+func FuzzSearchCodec(f *testing.F) {
+	plain, _ := json.Marshal(tenHits())
+	for _, body := range []string{
+		string(plain),
+		`{"query":"<&>","mode":"exact","results":[{"rank":1,"ref":"\u003ca\u0026b\u003e","similarity":0.5,"distance":0.5}],"partial":true}`,
+		"{\"query\":\"line\u2028sep \\u2028\",\"mode\":\"\",\"results\":[]}",
+		"{\"query\":\"a\xffb\",\"results\":[{\"ref\":\"caf\xc3\"}]}",
+		"{\"query\":\"a tab\there\",\"results\":[]}",
+		`{"results":[{"rank":1,"ref":"a","similarity":1e-7,"distance":1e21}]}`,
+		`{"results":[{"rank":-0,"similarity":-0,"distance":1E+2}],"partial":false}`,
+		`{"query":"q","mode":"lsh","results":null}`,
+		` {"results" : [ ] } `,
+		`{"query":"q","Query":"Q","results":[{"ref":"a","ref":"b","RANK":2}]}`,
+		`{"query":"q","query":"r"}`,
+		`{"results":[{"rank":1.0}]}`,
+		`{"results":[{"ref":"\ud83d\ude00"}],"unknown":{}}`,
+		`{"query":"q","results":[]} {}`,
+		`{"name":"q","data":"text","k":10,"min_similarity":0.25,"mode":"exact"}`,
+	} {
+		f.Add([]byte(body), "<q&\"\u00e9\">", "a\u2028b\tc", 0.3, 10)
+	}
+	f.Add([]byte(`{"query":"a<b","mode":"c>d","results":[{"ref":"e&f"}]}`), "a<b", "c>d", 0.5, 2)
+	f.Add([]byte(`{}`), "a\xffb", "caf\xc3", 1e-7, -1)
+	f.Add([]byte(`{}`), "", "plain", 1e21, 0)
+	f.Add([]byte(`{}`), "\x7f\\\"", "\U0001F600", math.Copysign(0, -1), math.MaxInt)
+	f.Add([]byte(`{}`), "nan", "", math.NaN(), 1)
+	f.Fuzz(func(t *testing.T, body []byte, name, ref string, score float64, rank int) {
+		for _, fresh := range []func() any{func() any { return new(SearchResponse) }, func() any { return new(SearchRequest) }} {
+			got, want := fresh(), fresh()
+			err, wantErr := DecodeJSON(body, got), json.Unmarshal(body, want)
+			if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q: DecodeJSON = %v %+v, json.Unmarshal = %v %+v", body, err, got, wantErr, want)
+			}
+			if err == nil {
+				checkAppendJSON(t, got)
+			}
+		}
+		checkAppendJSON(t, &SearchRequest{Name: name, Data: ref, K: rank, MinSimilarity: score, Mode: name})
+		checkAppendJSON(t, &SearchResponse{Query: name, Mode: ref, Partial: rank%2 == 0, Results: []SearchHit{
+			{Rank: rank, Ref: ref, Similarity: score, Distance: 1 - score},
+			{Rank: rank + 1, Ref: name, Similarity: score / 3, Distance: -score},
+		}})
+		checkAppendJSON(t, &SearchResponse{Query: ref, Results: []SearchHit{}})
+		checkAppendJSON(t, &SearchResponse{})
+	})
+}
+
+// checkAppendJSON holds AppendJSON(prefix, v) to json.Encoder and the
+// single pass to reading back what it wrote as json.Unmarshal does, but
+// for "results":null.
+func checkAppendJSON(t *testing.T, v any) {
+	t.Helper()
+	var want bytes.Buffer
+	wantErr := json.NewEncoder(&want).Encode(v)
+	got, err := AppendJSON([]byte("prefix"), v)
+	if (err == nil) != (wantErr == nil) || err == nil && string(got) != "prefix"+want.String() {
+		t.Fatalf("AppendJSON(%+v) = %q %v, json.Encoder writes %q %v", v, got, err, want.Bytes(), wantErr)
+	}
+	if r, ok := v.(*SearchResponse); err != nil || ok && r.Results == nil { // "results":null is the stdlib's
+		return
+	}
+	back := reflect.New(reflect.TypeOf(v).Elem())
+	ref := reflect.New(reflect.TypeOf(v).Elem()).Interface()
+	if !back.Interface().(interface{ parsePlain([]byte) bool }).parsePlain(got[len("prefix"):]) ||
+		json.Unmarshal(got[len("prefix"):], ref) != nil || !reflect.DeepEqual(back.Interface(), ref) {
+		t.Fatalf("the single pass does not read back %q as encoding/json does: %+v, want %+v", got, back, ref)
+	}
+}
+
+// TestDecodeAnswerAllocs pins the coordinator's reading of a 10-hit
+// answer to one allocation per string and one for the hits.
+func TestDecodeAnswerAllocs(t *testing.T) {
+	body, _ := AppendJSON(nil, tenHits())
+	var got SearchResponse
+	if n := testing.AllocsPerRun(100, func() { got = SearchResponse{}; _ = DecodeJSON(body, &got) }); n > 13 {
+		t.Errorf("DecodeJSON of a 10-hit answer: %v allocations, want <= 13", n)
+	}
+	if !reflect.DeepEqual(&got, tenHits()) {
+		t.Fatalf("DecodeJSON = %+v, want %+v", got, tenHits())
+	}
 }

@@ -185,9 +185,13 @@ curl -fsS "$base/healthz" | grep -q '"status":"ok"' || fail2 "coordinator health
 
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$body" "$base/v1/records" \
     | grep -q '"added":3' || fail2 "coordinator ingest did not add 3 records"
-curl -fsS -X POST -H 'Content-Type: application/json' \
-    -d '{"name": "q", "data": "the quick brown fox jumps over the lazy dog and keeps running through the quiet forest until dusk", "k": 2}' \
-    "$base/v1/search" | grep -q '"ref":"alpha.txt"' || fail2 "coordinator search did not hit alpha.txt"
+# The query name needs escaping both ways on the coordinator->backend hop;
+# the answer must echo it as encoding/json spells it.
+hostile="$(curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d '{"name": "<q&\"é\">", "data": "the quick brown fox jumps over the lazy dog and keeps running through the quiet forest until dusk", "k": 2}' \
+    "$base/v1/search")" || fail2 "coordinator search errored"
+grep -q '"ref":"alpha.txt"' <<<"$hostile" || fail2 "coordinator search did not hit alpha.txt"
+grep -qF '"query":"\u003cq\u0026\"é\"\u003e"' <<<"$hostile" || fail2 "coordinator search did not echo the query name as encoding/json spells it: $hostile"
 curl -fsS "$base/v1/records/beta.txt" | grep -q '"name":"beta.txt"' || fail2 "coordinator record lookup failed"
 
 # The kill: one backend dies mid-service. With replication=2 every
