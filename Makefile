@@ -16,8 +16,8 @@ vet:
 test:
 	$(GO) test -race ./...
 
-# The core suite on the portable scan kernel: the path an amd64 machine
-# with AVX2 never runs otherwise (and the only one on arm64).
+# The core suite with the assembly compiled out, as on arm64: every test
+# runs the portable scan kernel, not only the kernel tests that force it.
 test-purego:
 	$(GO) test -race -tags purego ./internal/core/...
 

@@ -210,7 +210,8 @@ func TestCLIBitsFlag(t *testing.T) {
 		t.Fatalf("search -v did not report tier bytes: %s", stderr)
 	}
 	// ...and which scan kernel the process selected for this index.
-	if !strings.Contains(stderr, "scan_kernel=avx2") && !strings.Contains(stderr, "scan_kernel=portable") {
+	if !strings.Contains(stderr, "scan_kernel=avx512") && !strings.Contains(stderr, "scan_kernel=avx2") &&
+		!strings.Contains(stderr, "scan_kernel=portable") {
 		t.Fatalf("search -v did not name the scan kernel: %s", stderr)
 	}
 	// Re-sketching with a conflicting -bits warns and keeps the stored

@@ -117,8 +117,10 @@ func newClient(backends int) *client {
 	}}
 }
 
-// bodyBufPool recycles the buffers request bodies are encoded into and
-// backend answers read into.
+// bodyBufPool recycles the buffers backend answers are read into.
+// Request bodies are not pooled: an http.RoundTripper may still read or
+// close a request body after RoundTrip returns, so its bytes must never
+// be handed to another request.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // do sends one request to b and decodes the JSON response into out
@@ -131,15 +133,10 @@ var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 func (c *client) do(ctx context.Context, b *backend, method, path string, body, out any) error {
 	var raw []byte
 	if body != nil {
-		buf := bodyBufPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		defer bodyBufPool.Put(buf)
-		enc, err := server.AppendJSON(buf.AvailableBuffer(), body)
-		if err != nil {
+		var err error
+		if raw, err = server.AppendJSON(nil, body); err != nil {
 			return fmt.Errorf("backend %s: encode request: %w", b.addr, err)
 		}
-		buf.Write(enc) // in place, or into the room enc grew to, kept for reuse
-		raw = buf.Bytes()
 	}
 	return c.doRaw(ctx, b, method, path, raw, out)
 }

@@ -22,7 +22,7 @@ func naiveZeroLanes(x uint64, bits int) int {
 }
 
 func TestZeroLanesMatchesNaive(t *testing.T) {
-	cases := []uint64{0, ^uint64(0), 1, 1 << 63, 0x0001000100010001, 0x0100010001000100}
+	cases := []uint64{0, ^uint64(0), 1, 1 << 63, 0x0001000100010001, 0x0100010001000100, 0x1111111111111111, 0x8888888888888888}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 10000; i++ {
 		cases = append(cases, rng.Uint64())
@@ -31,23 +31,23 @@ func TestZeroLanesMatchesNaive(t *testing.T) {
 		cases = append(cases, rng.Uint64()&rng.Uint64()&rng.Uint64()&rng.Uint64())
 	}
 	for _, x := range cases {
-		if got, want := zeroLanes8(x), naiveZeroLanes(x, 8); got != want {
-			t.Fatalf("zeroLanes8(%#x) = %d, want %d", x, got, want)
+		if got, want := zeroNibbles(x), naiveZeroLanes(x, 4); got != want {
+			t.Fatalf("zeroNibbles(%#x) = %d, want %d", x, got, want)
 		}
 	}
 }
 
-// FuzzZeroLanes cross-checks the branch-free SWAR lane counter against
-// the naive per-slot loop on arbitrary words.
-func FuzzZeroLanes(f *testing.F) {
+// FuzzZeroNibbles cross-checks the branch-free SWAR nibble counter
+// against the naive per-lane loop on arbitrary words.
+func FuzzZeroNibbles(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(^uint64(0))
 	f.Add(uint64(0x0001000100010001))
 	f.Add(uint64(0x8000000000000000))
-	f.Add(uint64(0x00FF00FF00FF00FF))
+	f.Add(uint64(0x0F0F0F0F0F0F0F0F))
 	f.Fuzz(func(t *testing.T, x uint64) {
-		if got, want := zeroLanes8(x), naiveZeroLanes(x, 8); got != want {
-			t.Fatalf("zeroLanes8(%#x) = %d, want %d", x, got, want)
+		if got, want := zeroNibbles(x), naiveZeroLanes(x, 4); got != want {
+			t.Fatalf("zeroNibbles(%#x) = %d, want %d", x, got, want)
 		}
 	})
 }
@@ -64,8 +64,9 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			a := newSigArena(slots, bits)
 			a.appendSig(sig)
 			packed := a.row(0)
-			if want := sigWords(slots, bits); len(packed) != want {
-				t.Fatalf("bits=%d slots=%d: packed to %d words, want %d", bits, slots, len(packed), want)
+			want := sigWords(slots, bits)
+			if wantHi := map[int]int{8: want, 64: 0}[bits]; len(packed.lo) != want || len(packed.hi) != wantHi {
+				t.Fatalf("bits=%d slots=%d: packed to %d+%d words, want %d+%d", bits, slots, len(packed.lo), len(packed.hi), want, wantHi)
 			}
 			back := a.appendLanes(nil, 0)
 			mask := laneMask(bits)
@@ -89,11 +90,13 @@ func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 				want := 0
 				for i := range a {
 					a[i] = rng.Uint64()
-					switch rng.Intn(3) {
+					switch rng.Intn(4) {
 					case 0: // identical slot
 						b[i] = a[i]
 					case 1: // equal only after truncation
 						b[i] = (a[i] & mask) | (rng.Uint64() &^ mask)
+					case 2: // equal low nibble: the low plane alone would count it
+						b[i] = a[i] ^ (rng.Uint64() &^ 0xf)
 					default:
 						b[i] = rng.Uint64()
 					}
@@ -101,9 +104,9 @@ func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 						want++
 					}
 				}
-				pa := packSignatureAppend(nil, a, bits)
-				pb := packSignatureAppend(nil, b, bits)
-				if got := packedMatchingSlots(pa, pb, slots, bits); got != want {
+				pa := packAppend(planes{}, a, bits)
+				pb := packAppend(planes{}, b, bits)
+				if got := packedMatchingSlots(pa, pb, slots); got != want {
 					t.Fatalf("bits=%d slots=%d trial %d: packedMatchingSlots = %d, want %d",
 						bits, slots, trial, got, want)
 				}
@@ -137,9 +140,9 @@ func TestPackedSimilarityWithinCollisionBound(t *testing.T) {
 		y := s.Sketch(Record{Name: "y", Data: edited})
 
 		m64 := matchingSlots(x.Signature, y.Signature)
-		px := packSignatureAppend(nil, x.Signature, bits)
-		py := packSignatureAppend(nil, y.Signature, bits)
-		mb := packedMatchingSlots(px, py, slots, bits)
+		px := packAppend(planes{}, x.Signature, bits)
+		py := packAppend(planes{}, y.Signature, bits)
+		mb := packedMatchingSlots(px, py, slots)
 		if mb < m64 {
 			t.Fatalf("bits=%d trial %d: packed matches %d < full-width matches %d", bits, trial, mb, m64)
 		}
@@ -197,7 +200,7 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a corpus above parallelScoreMinBytes")
 	}
-	const n = parallelScoreMinBytes/DefaultSignatureSize + 500 // 8-bit rows: one byte per slot
+	const n = parallelScoreMinBytes/(DefaultSignatureSize/2) + 500 // 8-bit rows: a low plane of half a byte per slot
 	eng := engineAt(t, "fanout", 8)
 	recs, base := plantedRecords(n, 20, 5)
 	if added, err := eng.AddBatch(recs); err != nil || added != n {

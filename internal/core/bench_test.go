@@ -88,7 +88,7 @@ func BenchmarkSimilarity(b *testing.B) {
 
 // BenchmarkSimilarityPacked measures the word-parallel packed
 // comparator at each packing width over default-size signatures: at 8
-// bits one XOR+SWAR word op compares 8 slots. bits=64 is the same
+// bits one XOR+SWAR word op per nibble plane compares 16 slots. bits=64 is the same
 // full-width compare BenchmarkSimilarity measures, via the packed entry
 // point.
 func BenchmarkSimilarityPacked(b *testing.B) {
@@ -100,12 +100,12 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 	y := s.Sketch(Record{Name: "y", Data: benchData(4<<10, 3)})
 	for _, bits := range []int{64, 8} {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			px := packSignatureAppend(nil, x.Signature, bits)
-			py := packSignatureAppend(nil, y.Signature, bits)
+			px := packAppend(planes{}, x.Signature, bits)
+			py := packAppend(planes{}, y.Signature, bits)
 			sink := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sink += packedMatchingSlots(px, py, DefaultSignatureSize, bits)
+				sink += packedMatchingSlots(px, py, DefaultSignatureSize)
 			}
 			if sink < 0 {
 				b.Fatal("impossible")
@@ -114,33 +114,41 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchCounts is the scan-kernel rung: ns per 128-byte row
-// (128 slots at 8 bits, every benchmark engine's shape) swept in blocks
-// of sweepBlock, on the portable kernel and on the one this CPU
-// selects, at one shard of a 50 000-record index (3 125 rows, 400 KB:
-// in cache) and at 400 000 rows (51 MB: memory-bound).
+// BenchmarkMatchCounts is the scan-kernel rung: ns per 128-slot 8-bit
+// row (64 B a plane, every benchmark engine's shape) swept in blocks of
+// sweepBlock at serve-exact-scan's floor (minSim 0.3), on every kernel
+// this CPU offers, at one shard of a 50 000-record index (3 125 rows:
+// in cache), at the whole 50 000-row arena (6.4 MB: beyond L2) and at
+// 400 000 rows (51 MB: memory-bound). bytes/row is what the kernel
+// read: every row's low plane and its survivors' high plane.
 func BenchmarkMatchCounts(b *testing.B) {
-	const words = DefaultSignatureSize / 8
-	for _, n := range []int{3125, 400000} {
+	const slots = DefaultSignatureSize
+	w, minCount := sigWords(slots, 8), minMatchedFor(0.3, slots)
+	for _, n := range []int{3125, 50000, 400000} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		rows := make([]uint64, n*words)
-		for i := range rows {
-			rows[i] = rng.Uint64()
+		var arena planes
+		sig := make([]uint64, slots)
+		for i := 0; i < n; i++ {
+			for j := range sig {
+				sig[j] = rng.Uint64()
+			}
+			arena = packAppend(arena, sig, 8)
 		}
-		q := rows[:words]
-		for _, k := range []struct {
-			name   string
-			kernel func(dst []uint16, rows, q []uint64, bits int)
-		}{{"portable", matchCountsPortable}, {"active", matchCounts}} {
-			b.Run(fmt.Sprintf("rows=%d/%s", n, k.name), func(b *testing.B) {
-				var counts [sweepBlock]uint16
+		q := planes{arena.lo[:w], arena.hi[:w]}
+		for _, kernel := range kernels() {
+			b.Run(fmt.Sprintf("rows=%d/%s", n, kernel), func(b *testing.B) {
+				defer forceKernel(kernel)()
+				var surv [sweepBlock]survivor
+				survived := 0
 				for b.Loop() {
+					survived = 0
 					for base := 0; base < n; base += sweepBlock {
-						bn := min(sweepBlock, n-base)
-						k.kernel(counts[:bn], rows[base*words:(base+bn)*words], q, 8)
+						from, to := base*w, min(base+sweepBlock, n)*w
+						survived += matchSurvivors(surv[:(to-from)/w], planes{arena.lo[from:to], arena.hi[from:to]}, q, minCount)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+				b.ReportMetric(float64(8*w*(n+survived))/float64(n), "bytes/row")
 				b.ReportMetric(0, "ns/op")
 			})
 		}

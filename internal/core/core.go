@@ -240,7 +240,7 @@ type Stats struct {
 	SignatureSize  int        `json:"signature_size"`
 	Scheme         Scheme     `json:"scheme"`
 	Bits           int        `json:"bits"`
-	ScanKernel     string     `json:"scan_kernel"` // "avx2" or "portable"; see Index.ScanKernel
+	ScanKernel     string     `json:"scan_kernel"` // "avx512", "avx2" or "portable"; see Index.ScanKernel
 	SignatureBytes int64      `json:"signature_bytes"`
 	BytesPerRecord float64    `json:"bytes_per_record"`
 	ArenaUtilized  float64    `json:"arena_utilization"`

@@ -57,36 +57,61 @@ func eqSlot(x, y uint64) int {
 	return 0
 }
 
-// packedMatchingSlots counts equal slots between two packed signature
-// rows of `slots` b-bit lanes (see sigArena). Both rows must be the
-// same length with zeroed padding lanes; padding lanes XOR to zero on
-// every pair and are subtracted back out, so the count is exact. At
-// full width it falls through to matchingSlots. At 8 bits one word op
-// compares 8 slots with no per-slot branch.
-func packedMatchingSlots(a, b []uint64, slots, bits int) int {
-	if bits != 8 {
-		return matchingSlots(a, b)
+// packedMatchingSlots counts equal slots between two packed rows of
+// `slots` lanes (see planes). Both rows must have the same shape with
+// zeroed padding nibbles; those compare equal on every pair and are
+// subtracted back out, so the count is exact. At full width it is
+// matchingSlots. At 8 bits one word op per plane compares 16 slots with
+// no per-slot branch.
+func packedMatchingSlots(a, b planes, slots int) int {
+	if len(a.hi) == 0 {
+		return matchingSlots(a.lo, b.lo)
 	}
-	m := 0
-	b = b[:len(a)]
-	for i, w := range a {
-		m += zeroLanes8(w ^ b[i])
-	}
-	return m - (len(a)*8 - slots)
+	return laneMatches(a, b) - (len(a.lo)*16 - slots)
 }
 
-// zeroLanes8 counts the 8-bit lanes of x that are zero, branch-free:
-// each lane's bits are OR-folded down to its lowest bit (the cross-lane
-// garbage the shifts drag into upper bit positions never reaches bit 0
-// of a lane, because every shift distance is smaller than the lane
-// width), then the surviving "lane is nonzero" bits are popcounted.
-// Unlike the classic (x-lo)&^x&hi borrow trick, the OR fold is exact —
-// borrows between lanes cannot miscount.
-func zeroLanes8(x uint64) int {
-	x |= x >> 4
+// nibbleMatches counts the low-plane nibbles of row equal to q's, padding
+// included: an upper bound on the row's equal 8-bit lanes. Four words'
+// "nibble is nonzero" bits, shifted apart, share one popcount.
+func nibbleMatches(q, row []uint64) int {
+	row = row[:len(q)]
+	i, nz := 0, 0
+	for ; i+4 <= len(q); i += 4 {
+		a, b := q[i:i+4:i+4], row[i:i+4:i+4]
+		nz += bits.OnesCount64(nonzeroNibbles(a[0]^b[0]) | nonzeroNibbles(a[1]^b[1])<<1 |
+			nonzeroNibbles(a[2]^b[2])<<2 | nonzeroNibbles(a[3]^b[3])<<3)
+	}
+	for ; i < len(q); i++ {
+		nz += bits.OnesCount64(nonzeroNibbles(q[i] ^ row[i]))
+	}
+	return 16*len(q) - nz
+}
+
+// laneMatches counts the 8-bit lanes of row equal to q's — both nibbles
+// equal — padding included.
+func laneMatches(q, row planes) int {
+	m := 0
+	lo, hi, qhi := row.lo[:len(q.lo)], row.hi[:len(q.lo)], q.hi[:len(q.lo)]
+	for i, x := range q.lo {
+		m += zeroNibbles((x ^ lo[i]) | (qhi[i] ^ hi[i]))
+	}
+	return m
+}
+
+// zeroNibbles counts the 4-bit lanes of x that are zero.
+func zeroNibbles(x uint64) int { return 16 - bits.OnesCount64(nonzeroNibbles(x)) }
+
+// nonzeroNibbles sets bit 0 of every nonzero 4-bit lane of x and clears
+// the rest, branch-free: each lane's bits are OR-folded down to its
+// lowest bit (the cross-lane garbage the shifts drag into upper bit
+// positions never reaches bit 0 of a lane, because every shift distance
+// is smaller than the lane width). Unlike the classic (x-lo)&^x&hi
+// borrow trick, the OR fold is exact — borrows between lanes cannot
+// miscount.
+func nonzeroNibbles(x uint64) uint64 {
 	x |= x >> 2
 	x |= x >> 1
-	return 8 - bits.OnesCount64(x&0x0101010101010101)
+	return x & 0x1111111111111111
 }
 
 // Distance is 1 - Similarity.

@@ -48,7 +48,9 @@
 //     the tiered prefilter cut and the rescore early-exit exact rather
 //     than approximate (shard.tieredRescore), and what bounds b-bit
 //     over-reporting by the 2^-b collision rate (see the collision-bound
-//     test).
+//     test). The same holds one level down: an 8-bit slot's low nibble
+//     matches whenever its byte does, which lets the sweep cut on the
+//     low nibble plane alone (see kernel.go).
 //   - Band keys are masked to the packed width on both the index and
 //     query side, so a full-width query probes a truncated index's
 //     buckets correctly (LSHParams.bandKey).

@@ -442,7 +442,7 @@ func (ix *Index) Bits() int {
 }
 
 // ScanKernel names the kernel this index's full-stripe scans run, chosen
-// from the CPU and the packed row's shape: "avx2" or "portable".
+// from the CPU and the packed row's shape: "avx512", "avx2" or "portable".
 func (ix *Index) ScanKernel() string {
 	bits := ix.Bits()
 	return scanKernel(sigWords(ix.meta.SignatureSize, bits), bits)

@@ -1,67 +1,86 @@
 package core
 
-import "math"
-
 // The scan kernel: the inner step of the blocked prefilter sweep (see
-// shard.sweep). matchCounts compares one packed query against a block
-// of contiguous arena rows and writes each row's equal-lane count; the
-// sweep thresholds those counts in Go. Two kernels exist:
+// shard.sweep). matchSurvivors compares one packed query against a block
+// of contiguous arena rows and hands back only the rows that can still
+// reach the sweep's threshold: for each row whose low-plane count (equal
+// nibbles, padding included) is at least minCount, it writes the row's
+// block offset and its exact equal-lane count, reading the row's high
+// plane only then, and it returns how many it wrote. The low-plane count
+// bounds the exact count from above, so no row the threshold keeps is
+// lost; survivors whose exact count falls short are the sweep's to drop.
+// At 64 bits a row has one plane and the count is exact from the start.
+// Three kernels exist:
 //
-//   - portable: a loop over packedMatchingSlots, the SWAR comparator.
-//     It is the reference the assembly is fuzz-pinned to (see
-//     FuzzMatchCounts) and the only kernel on every architecture but
+//   - portable: a loop over nibbleMatches and laneMatches, the SWAR
+//     comparators. It is the reference the assembly is fuzz-pinned to
+//     (see FuzzMatchCounts) and the only kernel on every architecture but
 //     amd64, at 64-bit lanes, and under the purego build tag.
+//   - avx512 (kernel_amd64.s): a byte test per 64 bytes, its masks
+//     popcounted, for 8-bit rows whose planes are a multiple of 64 bytes,
+//     on amd64 CPUs that report AVX512F and AVX512BW with OS-enabled
+//     opmask and ZMM state.
 //   - avx2 (kernel_amd64.s): a byte compare per 32 bytes and one
-//     reduction per row, for 8-bit rows whose width is a multiple of 32
-//     bytes, on amd64 CPUs that report AVX2 with OS-enabled YMM state.
+//     reduction per row, two rows at a time, for 8-bit rows whose planes
+//     are a multiple of 32 bytes, on amd64 CPUs that report AVX2 with
+//     OS-enabled YMM state.
 //
 // The choice is made from what the process can observe — architecture,
 // CPU feature bits, row width — never from a setting.
 
-// useAVX2 records, once at init, whether the CPU and OS support the
-// AVX2 kernel. Tests flip it to run both kernels in one binary.
-var useAVX2 = cpuHasAVX2()
+// useAVX2 and useAVX512 record, once at init, whether the CPU and OS
+// support each vector kernel. Tests clear them to run every kernel in
+// one binary.
+var (
+	useAVX2   = cpuHasAVX2()
+	useAVX512 = cpuHasAVX512()
+)
 
-// maxAVX2Words bounds the rows the AVX2 kernel takes: it accumulates
-// one byte counter per lane position across a row's 32-byte vectors, so
-// a row of more than 255 vectors could wrap a counter.
-const maxAVX2Words = 255 * 4
+// maxAVX2Words bounds the planes the AVX2 kernel takes: it accumulates
+// one byte counter per lane position across a row's 32-byte vectors,
+// two nibbles a vector, so a row of more than 127 vectors could wrap a
+// counter.
+const maxAVX2Words = 127 * 4
 
-// avx2Rows reports whether rows of `words` uint64 words at `bits` lane
-// width have the shape the AVX2 kernel handles.
-func avx2Rows(words, bits int) bool {
-	return bits == 8 && words > 0 && words%4 == 0 && words <= maxAVX2Words
-}
-
-// scanKernel names the kernel matchCounts runs for rows of this shape:
-// "avx2" or "portable".
+// scanKernel names the kernel matchSurvivors runs for rows of `words`
+// words a plane at `bits` lane width: "avx512", "avx2" or "portable".
 func scanKernel(words, bits int) string {
-	if useAVX2 && avx2Rows(words, bits) {
+	switch {
+	case bits != 8 || words == 0:
+		return "portable"
+	case useAVX512 && words%8 == 0:
+		return "avx512"
+	case useAVX2 && words%4 == 0 && words <= maxAVX2Words:
 		return "avx2"
 	}
 	return "portable"
 }
 
-// lanesPerWord is how many b-bit lanes one uint64 word holds.
-func lanesPerWord(bits int) int { return 64 / bits }
+// survivor is one row a scan kernel let through: its offset in the
+// block and its exact equal-lane count, padding lanes included.
+type survivor struct{ off, count uint32 }
 
-// countableRow reports whether a row's equal-lane count, padding lanes
-// included, fits matchCounts' uint16 output. Signatures beyond that
-// (more than 65535 lanes) are scored per row by the sweep instead.
-func countableRow(words, bits int) bool {
-	return words*lanesPerWord(bits) <= math.MaxUint16
-}
-
-// matchCountsPortable is the reference kernel: dst[i] receives the
-// number of lanes in which row i (rows[i*len(q):(i+1)*len(q)]) equals q,
-// for every i < len(dst). Padding lanes are zero on both sides and count
-// as equal, exactly as packedMatchingSlots sees them before it
-// subtracts them; the sweep subtracts them once instead.
-func matchCountsPortable(dst []uint16, rows, q []uint64, bits int) {
-	w := len(q)
-	lanes := w * lanesPerWord(bits)
-	rows = rows[:len(dst)*w]
+// matchSurvivorsPortable is the reference kernel: see matchSurvivors for
+// the contract every kernel meets. dst holds one entry per row of the
+// block; entries past the returned count are unspecified.
+func matchSurvivorsPortable(dst []survivor, block, q planes, minCount int) int {
+	w, k := len(q.lo), 0
 	for i := range dst {
-		dst[i] = uint16(packedMatchingSlots(q, rows[i*w:(i+1)*w], lanes, bits))
+		lo := block.lo[i*w : (i+1)*w]
+		var c int
+		if len(q.hi) == 0 {
+			c = matchingSlots(q.lo, lo)
+		} else {
+			c = nibbleMatches(q.lo, lo)
+		}
+		if c < minCount {
+			continue
+		}
+		if len(q.hi) != 0 {
+			c = laneMatches(q, planes{lo, block.hi[i*w : (i+1)*w]})
+		}
+		dst[k] = survivor{off: uint32(i), count: uint32(c)}
+		k++
 	}
+	return k
 }

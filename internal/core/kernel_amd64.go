@@ -2,33 +2,41 @@
 
 package core
 
-// matchCounts fills dst[i] with the number of lanes in which row i of
-// rows equals q, for every i < len(dst); rows holds at least len(dst)
-// rows of len(q) words. See matchCountsPortable for the contract both
-// kernels meet.
-func matchCounts(dst []uint16, rows, q []uint64, bits int) {
-	if !useAVX2 || !avx2Rows(len(q), bits) {
-		matchCountsPortable(dst, rows, q, bits)
-		return
+// matchSurvivors writes to dst the block offset and exact equal-lane
+// count of every row of block whose low-plane count is at least
+// minCount, and returns how many it wrote; dst has one entry per row,
+// len(q.lo) words of each plane. See kernel.go for the contract every
+// kernel meets.
+func matchSurvivors(dst []survivor, block, q planes, minCount int) int {
+	n, w := len(dst), len(q.lo)
+	if n == 0 || len(q.hi) == 0 {
+		return matchSurvivorsPortable(dst, block, q, minCount)
 	}
-	n := len(dst)
-	if n == 0 {
-		return
+	// The reslices are the bounds checks the assembly relies on: it reads
+	// exactly n*w words of each plane and w of each query plane, and
+	// writes at most n survivors. A negative floor keeps every row, as 0
+	// does; the assembly compares unsigned.
+	lo, hi, qhi := block.lo[:n*w], block.hi[:n*w], q.hi[:w]
+	minCount = max(minCount, 0)
+	switch scanKernel(w, 8) {
+	case "avx512":
+		return survivorsAVX512(&dst[0], &lo[0], &hi[0], &q.lo[0], &qhi[0], n, w/8, minCount)
+	case "avx2":
+		return survivorsAVX2(&dst[0], &lo[0], &hi[0], &q.lo[0], &qhi[0], n, w/4, minCount)
 	}
-	// The reslice is the bounds check the assembly relies on: it reads
-	// exactly n*len(q) words from rows and writes exactly n counts.
-	rows = rows[:n*len(q)]
-	matchCounts8AVX2(&dst[0], &rows[0], &q[0], n, len(q)/4)
+	return matchSurvivorsPortable(dst, block, q, minCount)
 }
 
-// matchCounts8AVX2 is the AVX2 kernel for 8-bit lanes: for each of n
-// rows of vecs 32-byte vectors it stores the count of bytes equal to
-// the corresponding byte of q. It uses unaligned loads (arena rows are
-// only 8-byte aligned). n and vecs must be positive and vecs at most
-// 255.
+// survivorsAVX512 and survivorsAVX2 are the vector kernels for rows of
+// vecs 64- or 32-byte vectors a plane (kernel_amd64.s). They use
+// unaligned loads (arena rows are only 8-byte aligned). n and vecs must
+// be positive, vecs at most 127 for AVX2, and minCount non-negative.
 //
 //go:noescape
-func matchCounts8AVX2(dst *uint16, rows, q *uint64, n, vecs int)
+func survivorsAVX512(dst *survivor, lo, hi, qlo, qhi *uint64, n, vecs, minCount int) int
+
+//go:noescape
+func survivorsAVX2(dst *survivor, lo, hi, qlo, qhi *uint64, n, vecs, minCount int) int
 
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -54,4 +62,19 @@ func cpuHasAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// cpuHasAVX512 reports whether the AVX-512 kernel is usable: everything
+// AVX2 needs, AVX512F and AVX512BW (leaf 7 EBX bits 16 and 30), and OS
+// support for the opmask and ZMM state (XCR0 bits 5 to 7). Every such
+// CPU also has POPCNT.
+func cpuHasAVX512() bool {
+	if !cpuHasAVX2() {
+		return false
+	}
+	if xcr0, _ := xgetbv0(); xcr0&0xe0 != 0xe0 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0 && ebx&(1<<30) != 0
 }

@@ -2,10 +2,11 @@
 
 package core
 
-// matchCounts is the portable kernel on every architecture without an
+// matchSurvivors is the portable kernel on every architecture without an
 // assembly one, and on amd64 under the purego build tag.
-func matchCounts(dst []uint16, rows, q []uint64, bits int) {
-	matchCountsPortable(dst, rows, q, bits)
+func matchSurvivors(dst []survivor, block, q planes, minCount int) int {
+	return matchSurvivorsPortable(dst, block, q, minCount)
 }
 
-func cpuHasAVX2() bool { return false }
+func cpuHasAVX2() bool   { return false }
+func cpuHasAVX512() bool { return false }

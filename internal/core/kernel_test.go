@@ -3,243 +3,311 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
 
-// usePortableKernel forces matchCounts onto the portable kernel for the
-// rest of the test, so one binary exercises both. Tests that call it
-// must not run in parallel with other scans.
-func usePortableKernel(t *testing.T) {
-	t.Helper()
-	old := useAVX2
-	useAVX2 = false
-	t.Cleanup(func() { useAVX2 = old })
+// hasAVX2 and hasAVX512 keep what the CPU offers while tests force the
+// selection flags.
+var hasAVX2, hasAVX512 = useAVX2, useAVX512
+
+// kernels lists the kernels this build and CPU offer: always
+// "portable", then "avx2" and "avx512" where the CPU has them.
+func kernels() []string {
+	ks := []string{"portable"}
+	if hasAVX2 {
+		ks = append(ks, "avx2")
+	}
+	if hasAVX512 {
+		ks = append(ks, "avx512")
+	}
+	return ks
 }
 
-// eachKernel runs fn once per kernel this build and CPU offer: always
-// "portable", and "avx2" when matchCounts would select it.
+// forceKernel makes matchSurvivors run the named kernel, wherever the
+// row shape allows it, until the returned func restores the CPU's
+// choice. Callers must not run in parallel with other scans.
+func forceKernel(name string) (restore func()) {
+	avx2, avx512 := useAVX2, useAVX512
+	useAVX2 = name != "portable" && hasAVX2
+	useAVX512 = name == "avx512" && hasAVX512
+	return func() { useAVX2, useAVX512 = avx2, avx512 }
+}
+
+// eachKernel runs fn once per kernel this build and CPU offer, as a
+// subtest named after it.
 func eachKernel(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	t.Run("portable", func(t *testing.T) {
-		usePortableKernel(t)
-		fn(t)
-	})
-	if useAVX2 {
-		t.Run("avx2", fn)
+	for _, k := range kernels() {
+		t.Run(k, func(t *testing.T) {
+			t.Cleanup(forceKernel(k))
+			fn(t)
+		})
 	}
 }
 
-// naiveMatchCounts is the per-byte (per-lane) loop both kernels are
-// pinned to: it shares no code with the SWAR comparator.
-func naiveMatchCounts(dst []uint16, rows, q []uint64, bits int) {
-	mask := laneMask(bits)
-	for i := range dst {
-		row := rows[i*len(q) : (i+1)*len(q)]
-		n := 0
-		for w := range q {
-			for s := 0; s < 64; s += bits {
-				if (row[w]>>uint(s))&mask == (q[w]>>uint(s))&mask {
-					n++
+// naiveSurvivors is the per-nibble loop every kernel is pinned to; it
+// shares no code with the SWAR comparators. A query without a high
+// plane is full width: one 64-bit lane a word.
+func naiveSurvivors(block, q planes, n, minCount int) []survivor {
+	w := len(q.lo)
+	var out []survivor
+	for i := 0; i < n; i++ {
+		low, exact := 0, 0
+		for j := 0; j < w; j++ {
+			x := block.lo[i*w+j] ^ q.lo[j]
+			if q.hi == nil {
+				if x == 0 {
+					low++
+					exact++
+				}
+				continue
+			}
+			y := block.hi[i*w+j] ^ q.hi[j]
+			for s := 0; s < 64; s += 4 {
+				if x>>s&0xf == 0 {
+					low++
+					if y>>s&0xf == 0 {
+						exact++
+					}
 				}
 			}
 		}
-		dst[i] = uint16(n)
+		if low >= minCount {
+			out = append(out, survivor{off: uint32(i), count: uint32(exact)})
+		}
 	}
+	return out
 }
 
 // wordsAt returns a []uint64 of n words whose first word sits `off`
-// bytes past a 32-byte boundary (off a multiple of 8), so the unaligned
+// bytes past a 64-byte boundary (off a multiple of 8), so the unaligned
 // loads are exercised at every alignment an arena row can have.
 func wordsAt(n, off int) []uint64 {
 	buf := make([]uint64, n+8)
-	for i := 0; i < 4; i++ {
-		if uintptr(unsafe.Pointer(&buf[i]))%32 == uintptr(off) {
+	for i := 0; i < 8; i++ {
+		if uintptr(unsafe.Pointer(&buf[i]))%64 == uintptr(off) {
 			return buf[i : i+n : i+n]
 		}
 	}
-	panic("unreachable: four consecutive words cover every 8-byte offset of a 32-byte window")
+	panic("unreachable: eight consecutive words cover every 8-byte offset of a 64-byte window")
 }
 
-// checkMatchCounts fills n rows of `words` words (plus the query) from
-// data, cycling it, lays the rows out at byte offset off within a
-// 32-byte window, and requires active == portable == naive.
-func checkMatchCounts(t *testing.T, data []byte, words, n, off, bits int) {
+// checkSurvivors fills a query and n rows of lw words a plane from data,
+// cycling it — the query's lo then hi words, then each row's — lays the
+// planes out at byte offset off within a 64-byte window, and requires
+// every kernel to return exactly the naive survivors, writing nothing
+// outside dst. wide rows are full width: no high plane.
+func checkSurvivors(t *testing.T, data []byte, lw, n, off, minCount int, wide bool) {
 	t.Helper()
 	if len(data) == 0 {
 		data = []byte{0}
 	}
-	var word [8]byte
 	pos := 0
 	next := func() uint64 {
+		var word [8]byte
 		for i := range word {
 			word[i] = data[pos%len(data)]
 			pos++
 		}
 		return binary.LittleEndian.Uint64(word[:])
 	}
-	q := make([]uint64, words)
-	for i := range q {
-		q[i] = next()
+	q := planes{lo: make([]uint64, lw)}
+	block := planes{lo: wordsAt(n*lw, off)}
+	if !wide {
+		q.hi, block.hi = make([]uint64, lw), wordsAt(n*lw, off)
 	}
-	rows := wordsAt(n*words, off)
-	for i := range rows {
-		rows[i] = next()
-	}
-	want := make([]uint16, n)
-	naiveMatchCounts(want, rows, q, bits)
-	// One spare count on each side must stay untouched: the kernel
-	// writes exactly n of them.
-	const guard = 0xA5A5
-	for name, kernel := range map[string]func([]uint16, []uint64, []uint64, int){
-		"active": matchCounts, "portable": matchCountsPortable,
-	} {
-		got := make([]uint16, n+2)
-		got[0], got[n+1] = guard, guard
-		kernel(got[1:n+1], rows, q, bits)
-		if got[0] != guard || got[n+1] != guard {
-			t.Fatalf("%s kernel wrote outside dst (words=%d n=%d off=%d bits=%d)", name, words, n, off, bits)
-		}
-		for i, w := range want {
-			if got[i+1] != w {
-				t.Fatalf("%s kernel: row %d count = %d, want %d (words=%d n=%d off=%d bits=%d)",
-					name, i, got[i+1], w, words, n, off, bits)
+	for i := -1; i < n; i++ {
+		lo, hi := q.lo, q.hi
+		if i >= 0 {
+			lo = block.lo[i*lw : (i+1)*lw]
+			if !wide {
+				hi = block.hi[i*lw : (i+1)*lw]
 			}
+		}
+		for j := range lo {
+			lo[j] = next()
+		}
+		for j := range hi {
+			hi[j] = next()
+		}
+	}
+	want := naiveSurvivors(block, q, n, minCount)
+	// One spare entry on each side must stay untouched: a kernel writes
+	// only within dst.
+	guard := survivor{off: 0xA5A5A5A5, count: 0x5A5A5A5A}
+	for _, kernel := range kernels() {
+		got := make([]survivor, n+2)
+		got[0], got[n+1] = guard, guard
+		restore := forceKernel(kernel)
+		k := matchSurvivors(got[1:n+1], block, q, minCount)
+		restore()
+		if got[0] != guard || got[n+1] != guard {
+			t.Fatalf("%s kernel wrote outside dst (lw=%d n=%d off=%d minCount=%d)", kernel, lw, n, off, minCount)
+		}
+		if !slices.Equal(got[1:1+k], want) {
+			t.Fatalf("%s kernel: survivors %v, want %v (lw=%d n=%d off=%d minCount=%d wide=%v)",
+				kernel, got[1:1+k], want, lw, n, off, minCount, wide)
 		}
 	}
 }
 
 var (
-	matchCountsWidths = []int{4, 8, 16, 20}
-	matchCountsBlocks = []int{0, 1, 255, 256, 257}
+	survivorWidths = []int{1, 4, 7, 8, 16}
+	survivorBlocks = []int{0, 1, 2, 255, 256, 257}
 )
 
+// survivorFloor picks a minCount for rows of `lanes` nibbles: 0, 1,
+// lanes, lanes+1, or one that sel places between them.
+func survivorFloor(lanes int, sel uint8) int {
+	switch sel % 8 {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 2:
+		return lanes
+	case 3:
+		return lanes + 1
+	}
+	return lanes - int(sel>>3)%(lanes+1)
+}
+
+// oneLaneRows returns a query of lw words a plane, all bytes v, followed
+// by one row per lane that equals it except for a flipped nibble of that
+// lane in the high plane (hi) or the low plane: the rows checkSurvivors
+// cycles through.
+func oneLaneRows(lw int, v byte, hi bool) []byte {
+	lanes, rowBytes := lw*16, lw*16
+	data := make([]byte, (lanes+1)*rowBytes)
+	for i := range data {
+		data[i] = v
+	}
+	plane := 0
+	if hi {
+		plane = lw * 8
+	}
+	for p := 0; p < lanes; p++ {
+		data[(p+1)*rowBytes+plane+p/2] ^= 0x8 << (p % 2 * 4)
+	}
+	return data
+}
+
 // FuzzMatchCounts pins the assembly to the reference: for arbitrary
-// row and query bytes, at row widths of 1, 2, 4 and 5 vectors, every
-// 8-byte alignment within a 32-byte window and the block lengths around
-// the sweep's 256, the active kernel, the portable kernel and a naive
-// per-lane loop agree.
+// row and query bytes, at planes of 1, 4, 7, 8 and 16 words, every
+// 8-byte alignment within a 64-byte window, the block lengths around the
+// sweep's 256 (odd ones for the AVX2 kernel's row pairs) and floors
+// from 0 to all lanes plus one, every kernel returns the survivors of a
+// naive per-nibble loop.
 func FuzzMatchCounts(f *testing.F) {
-	f.Add([]byte{0x00}, uint8(2), uint8(3), uint8(0)) // all lanes equal
-	f.Add([]byte{0x00, 0x80, 0xFF}, uint8(0), uint8(1), uint8(1))
-	f.Add([]byte{0xFF}, uint8(3), uint8(4), uint8(3))
-	f.Add([]byte{0x80}, uint8(1), uint8(2), uint8(2))
+	f.Add([]byte{0x00}, uint8(3), uint8(3), uint8(0), uint8(2)) // all lanes equal
+	f.Add([]byte{0x00, 0x80, 0xFF}, uint8(0), uint8(1), uint8(1), uint8(1))
+	f.Add([]byte{0xFF}, uint8(4), uint8(4), uint8(3), uint8(3))
+	f.Add([]byte{0x88}, uint8(1), uint8(2), uint8(5), uint8(0))
 	// All lanes different: a byte ramp of prime length never lines up
 	// with itself at a row's offset from the query.
 	ramp := make([]byte, 251)
 	for i := range ramp {
 		ramp[i] = byte(i)
 	}
-	f.Add(ramp, uint8(2), uint8(2), uint8(0))
-	// One lane differing in each position: the query's bytes, then one
-	// row per lane with that lane flipped; cycled, every block row is
-	// the query or one of those.
-	for sel, words := range matchCountsWidths[:2] {
-		for _, v := range []byte{0x00, 0x80, 0xFF} {
-			lanes := words * 8
-			single := make([]byte, (lanes+1)*lanes)
-			for i := range single {
-				single[i] = v
+	f.Add(ramp, uint8(3), uint8(5), uint8(7), uint8(4))
+	// One lane differing in each position, in the high plane (the row
+	// passes the low plane and falls one short on the exact count) or the
+	// low plane (it fails the low plane), at floor lanes.
+	for _, sel := range []uint8{1, 3} { // 4 and 8 words: the AVX2 and AVX-512 shapes
+		for _, v := range []byte{0x00, 0xFF} {
+			for _, hi := range []bool{true, false} {
+				f.Add(oneLaneRows(survivorWidths[sel], v, hi), sel, uint8(5), uint8(2), uint8(2))
 			}
-			for p := 0; p < lanes; p++ {
-				single[(p+1)*lanes+p] ^= 0x80
-			}
-			f.Add(single, uint8(sel), uint8(3), uint8(1))
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, widthSel, blockSel, offSel uint8) {
-		words := matchCountsWidths[int(widthSel)%len(matchCountsWidths)]
-		n := matchCountsBlocks[int(blockSel)%len(matchCountsBlocks)]
-		checkMatchCounts(t, data, words, n, int(offSel%4)*8, 8)
+	f.Fuzz(func(t *testing.T, data []byte, widthSel, blockSel, offSel, minSel uint8) {
+		lw := survivorWidths[int(widthSel)%len(survivorWidths)]
+		n := survivorBlocks[int(blockSel)%len(survivorBlocks)]
+		checkSurvivors(t, data, lw, n, int(offSel%8)*8, survivorFloor(lw*16, minSel), false)
 	})
 }
 
 // TestMatchCountsKernels is the deterministic half of FuzzMatchCounts:
-// the full grid of widths, block lengths and alignments on random
-// data, every lane width, and the crafted rows — one lane differing in
-// each position, and the lane values a signed byte compare or a
-// carry-borrow trick would get wrong.
+// the grid of widths, block lengths, alignments and floors on random
+// and on mostly-equal data, full-width rows on the portable kernel, and
+// the crafted rows — one lane differing in each position, in either
+// plane, at the lane values a signed byte compare would get wrong.
 func TestMatchCountsKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 4099)
 	rng.Read(data)
-	// Mostly-equal rows: long runs of one byte make lanes collide.
+	// Mostly-equal rows: long runs of one byte make nibbles collide.
 	sparse := make([]byte, 4099)
 	for i := range sparse {
 		if rng.Intn(8) == 0 {
-			sparse[i] = byte(rng.Intn(3)) * 0x80
+			sparse[i] = byte(rng.Intn(3)) * 0x88
 		}
 	}
-	for _, bits := range []int{8, 64} {
-		for _, words := range append([]int{1, 3, 5}, matchCountsWidths...) {
-			for _, n := range matchCountsBlocks {
-				for off := 0; off < 32; off += 8 {
-					checkMatchCounts(t, data, words, n, off, bits)
-					checkMatchCounts(t, sparse, words, n, off, bits)
+	for _, lw := range append([]int{2, 3, 5}, survivorWidths...) {
+		for _, n := range survivorBlocks {
+			for off := 0; off < 64; off += 24 {
+				for sel := uint8(0); sel < 5; sel++ {
+					floor := survivorFloor(lw*16, sel+uint8(rng.Intn(32))*8)
+					checkSurvivors(t, data, lw, n, off, floor, false)
+					checkSurvivors(t, sparse, lw, n, off, floor, false)
+					checkSurvivors(t, sparse, lw, n, off, survivorFloor(lw, sel), true)
 				}
 			}
 		}
 	}
 
-	for _, words := range matchCountsWidths {
+	for _, lw := range survivorWidths {
 		for _, v := range []byte{0x00, 0x80, 0xFF, 0x7F, 0x01} {
-			q := make([]uint64, words)
-			for i := range q {
-				q[i] = 0x0101010101010101 * uint64(v)
-			}
-			lanes := words * 8
-			// Row p equals q except lane p; the last row equals q.
-			rows := make([]uint64, (lanes+1)*words)
-			for p := 0; p <= lanes; p++ {
-				row := rows[p*words : (p+1)*words]
-				copy(row, q)
-				if p < lanes {
-					row[p/8] ^= uint64(0x80) << uint(p%8*8)
-				}
-			}
-			got := make([]uint16, lanes+1)
-			matchCounts(got, rows, q, 8)
-			for p, c := range got {
-				want := lanes - 1
-				if p == lanes {
-					want = lanes
-				}
-				if int(c) != want {
-					t.Fatalf("words=%d lane value %#x: row differing in lane %d counted %d, want %d", words, v, p, c, want)
+			for _, hi := range []bool{true, false} {
+				lanes := lw * 16
+				data := oneLaneRows(lw, v, hi)
+				for _, n := range []int{lanes, lanes + 1} {
+					checkSurvivors(t, data, lw, n, 0, lanes, false)
+					checkSurvivors(t, data, lw, n, 8, lanes-1, false)
 				}
 			}
 		}
 	}
 }
 
-// TestScanKernelSelection pins the selection rule: AVX2 only when the
-// CPU offers it and only for 8-bit rows of whole 32-byte vectors.
+// TestScanKernelSelection pins the selection rule: AVX-512 for 8-bit
+// planes of whole 64-byte vectors, AVX2 for whole 32-byte ones, each
+// only when the CPU offers it.
 func TestScanKernelSelection(t *testing.T) {
-	active := "portable"
-	if useAVX2 {
-		active = "avx2"
+	vec64, vec32, long := "portable", "portable", "portable"
+	if hasAVX2 {
+		vec64, vec32 = "avx2", "avx2"
+	}
+	if hasAVX512 {
+		vec64, long = "avx512", "avx512"
 	}
 	for _, c := range []struct {
 		words, bits int
 		want        string
 	}{
-		{16, 8, active}, {4, 8, active}, {maxAVX2Words, 8, active},
-		{maxAVX2Words + 4, 8, "portable"}, {13, 8, "portable"},
-		{128, 64, "portable"},
+		{8, 8, vec64}, {16, 8, vec64}, {4, 8, vec32}, {12, 8, vec32},
+		{maxAVX2Words, 8, vec32}, {maxAVX2Words + 4, 8, long}, {maxAVX2Words + 8, 8, "portable"},
+		{7, 8, "portable"}, {1, 8, "portable"}, {128, 64, "portable"},
 	} {
 		if got := scanKernel(c.words, c.bits); got != c.want {
 			t.Errorf("scanKernel(%d words, %d bits) = %q, want %q", c.words, c.bits, got, c.want)
 		}
 	}
 	// Stats reports the selection per index: the default geometry at 8
-	// bits is the AVX2 shape, full-width rows never are.
-	for bits, want := range map[int]string{8: active, 64: "portable"} {
+	// bits is the widest vector shape, full-width rows never are.
+	for bits, want := range map[int]string{8: vec64, 64: "portable"} {
 		if got := engineAt(t, "kernel", bits).Stats().ScanKernel; got != want {
 			t.Errorf("Stats().ScanKernel at %d bits = %q, want %q", bits, got, want)
 		}
 	}
-	usePortableKernel(t)
-	if got := scanKernel(16, 8); got != "portable" {
-		t.Errorf("with AVX2 unavailable scanKernel = %q, want portable", got)
+	for _, k := range kernels() {
+		restore := forceKernel(k)
+		got := scanKernel(8, 8)
+		restore()
+		if got != k {
+			t.Errorf("forced to %s, scanKernel = %q", k, got)
+		}
 	}
 }

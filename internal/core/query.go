@@ -33,28 +33,29 @@ func ParseSearchMode(s string) (SearchMode, error) {
 	}
 }
 
-// parallelScoreMinBytes is the packed-arena bytes (rows × row width) a
-// scan must cover before it fans out one goroutine per shard; smaller
-// scans run inline, which is also what keeps steady-state small
+// parallelScoreMinBytes is the arena bytes a scan reads — rows × the
+// width of one row's first plane: the whole row at 64 bits, the low
+// nibble plane at 8 — before it fans out one goroutine per shard;
+// smaller scans run inline, which is also what keeps steady-state small
 // searches allocation-free. It is counted in bytes because the
 // break-even is: SearchTopK at minSim 0.3 over 16 shards on 2 vCPUs
-// (Xeon 2.1 GHz), inline / fanned-out, median of 3 in µs —
+// (Xeon, 2 MiB L2 a core), inline / fanned-out, median of 3 in µs —
 //
-//	rows    64-bit (1 KB)  8-bit portable  8-bit avx2
-//	  256      21 /  27        8 /  13       2.1 / 5.1
-//	  512      43 /  45       15 /  20       3.0 / 6.2
-//	 1024      93 /  73       29 /  35       5.1 / 9.5
-//	 2048     170 / 124       52 /  57       8.8 /  14
-//	 4096     361 / 217      103 /  85        19 /  23
-//	 8192                    214 / 137        33 /  42
-//	16384                    461 / 274        72 /  79
+//	rows    64-bit (1 KB)  8-bit (64 B)  portable   avx2       avx512
+//	  256      21 /  28                  5.8 /  11  3.8 / 8.3  3.3 / 6.9
+//	  512      38 /  40                  8.1 /  12  4.4 / 8.4  4.0 / 7.1
+//	 1024      75 /  69                   13 /  17  5.9 / 8.9  4.4 / 7.6
+//	 2048     153 /  92                   23 /  26  8.6 /  12  5.9 / 8.9
+//	 4096     304 / 170                   41 /  45   14 /  18  9.3 /  13
+//	 8192                                 88 /  75   26 /  28   17 /  21
+//	16384                                151 / 119   45 /  48   31 /  34
 //
-// — fan-out costs about 25 µs of wakeups and first wins once the
-// inline scan is ~50 µs of work, which on the portable kernel is 512 KB
-// of arena at either lane width (512 and 4 096 rows). The AVX2
-// kernel breaks even only at 16 384 rows; between 4 096 and there it
-// pays up to a quarter for fanning out, which is the price of one
-// threshold set where the slower kernel first gains.
+// — fan-out first wins once the inline scan is ~50–70 µs of work, which
+// is 512 KB to 1 MB of 64-bit rows and 256 to 512 KB of low planes on
+// the portable kernel (512 to 1 024 and 4 096 to 8 192 rows). The
+// vector kernels never break even below 16 384 rows; from 8 192 rows
+// they pay ~3 µs for fanning out, the price of one threshold set where
+// the slower kernels gain.
 const parallelScoreMinBytes = 512 << 10
 
 // packedQuery is one query sketch prepared for arena scans: the
@@ -70,7 +71,7 @@ type packedQuery struct {
 	// the sweep compares kernel counts against.
 	minSim     float64
 	minMatched int
-	packed     []uint64  // arena-width row image
+	packed     planes    // arena-width row image
 	full       []uint64  // full-width signature; set only on tiered indexes
 	bandKeys   []uint64  // one bucket key per band; nil outside LSH probes
 	cancel     *canceler // non-nil on ctx-aware searches; scan loops poll it
@@ -207,7 +208,7 @@ func (sc *shardScratch) resetFor(n int) {
 // search allocates only the result slice it returns.
 type searchBuf struct {
 	q       packedQuery
-	packed  []uint64
+	packed  planes
 	keys    []uint64
 	merged  []Result
 	scratch []shardScratch
@@ -219,7 +220,6 @@ func getSearchBuf() *searchBuf { return searchBufPool.Get().(*searchBuf) }
 
 func putSearchBuf(b *searchBuf) {
 	b.q = packedQuery{}
-	b.packed = b.packed[:0]
 	b.keys = b.keys[:0]
 	b.merged = b.merged[:0]
 	searchBufPool.Put(b)
@@ -229,7 +229,7 @@ func putSearchBuf(b *searchBuf) {
 // form of minSim, and sizes the per-shard scratch.
 func (b *searchBuf) prepare(ix *Index, query *Sketch, minSim float64, shards int) *packedQuery {
 	b.merged = b.merged[:0]
-	b.packed = packSignatureAppend(b.packed[:0], query.Signature, ix.Bits())
+	b.packed = packAppend(planes{b.packed.lo[:0], b.packed.hi[:0]}, query.Signature, ix.Bits())
 	b.q = packedQuery{
 		name:       query.Name,
 		shingles:   query.Shingles,
@@ -414,7 +414,7 @@ func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, m
 	return finishResults(merged, topK), nil
 }
 
-// parallelPool decides whether a scan over scanBytes of packed arena is
+// parallelPool decides whether a scan reading scanBytes of arena is
 // worth fanning out: it returns the pool to fan out on (a nil pool
 // keeps the old GOMAXPROCS fan-out contract), or nil to scan inline.
 func parallelPool(pool *Pool, scanBytes int) *Pool {
@@ -433,7 +433,7 @@ func parallelPool(pool *Pool, scanBytes int) *Pool {
 // runScan scores q across the shards with scan — which appends one
 // stripe's passing results to the slice it is handed — extending
 // buf.merged with the survivors and returning it. Scans whose `rows`
-// rows cover less than parallelScoreMinBytes of arena run inline;
+// rows read less than parallelScoreMinBytes of arena run inline;
 // larger ones fan out one goroutine per stripe, each appending into its
 // own scratch buffer and truncating to a bounded top-K heap before the
 // concatenation. The global top-K is contained in the union of
@@ -442,7 +442,7 @@ func parallelPool(pool *Pool, scanBytes int) *Pool {
 // final sort O(shards*topK) instead of O(rows).
 func runScan(buf *searchBuf, shards []*shard, q *packedQuery, topK int, pool *Pool, rows int,
 	scan func(sh *shard, dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result) []Result {
-	p := parallelPool(pool, rows*len(q.packed)*8)
+	p := parallelPool(pool, rows*len(q.packed.lo)*8)
 	if p == nil {
 		merged := buf.merged
 		for si, sh := range shards {

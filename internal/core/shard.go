@@ -162,7 +162,7 @@ func (sh *shard) getSketch(name string, k int) *Sketch {
 	if !ok {
 		return nil
 	}
-	row := sh.arena.row(int(idx))
+	row := sh.arena.row(int(idx)).lo
 	if sh.full != nil {
 		var sc rowScratch
 		var err error
@@ -199,8 +199,8 @@ func (sh *shard) arenaBytes() (used, capacity int64) {
 	return sh.arena.usedBytes(), sh.arena.capBytes()
 }
 
-// sweepBlock is how many contiguous arena rows one matchCounts call
-// covers: 512 bytes of counts on the sweep's stack, and the stride at
+// sweepBlock is how many contiguous arena rows one matchSurvivors call
+// covers: 2 KB of survivors on the sweep's stack, and the stride at
 // which a sweep polls for cancellation.
 const sweepBlock = 256
 
@@ -271,26 +271,24 @@ func (sh *shard) scanRestAppend(dst []Result, q *packedQuery, topK int, sc *shar
 }
 
 // sweep is the one full-stripe scan loop: it walks the packed arena in
-// blocks of sweepBlock contiguous rows, has the scan kernel count each
-// row's lanes equal to the query (matchCounts), and drops every row
-// whose count is below the query's integer threshold before looking at
-// anything else about it. The few rows that clear it are then checked
-// against the tombstone bitset, the LSH probe's bitset (rest: skip the
-// rows the candidate pass already scored) and the zero-shingle rule,
-// and emitted — straight to dst as results on in-memory shards, or into
-// sc.scored for the full-width rescore on tiered ones, which appends at
-// most topK results (the per-shard top-K contains the shard's share of
-// any global top-K, which is what runScan's merge needs).
+// blocks of sweepBlock contiguous rows, and the scan kernel
+// (matchSurvivors) hands back only the rows whose low-plane count
+// reaches the query's integer threshold, each with its exact count.
+// Those few rows are then checked against the exact count, the
+// tombstone bitset, the LSH probe's bitset (rest: skip the rows the
+// candidate pass already scored) and the zero-shingle rule, and emitted
+// — straight to dst as results on in-memory shards, or into sc.scored
+// for the full-width rescore on tiered ones, which appends at most topK
+// results (the per-shard top-K contains the shard's share of any global
+// top-K, which is what runScan's merge needs).
 //
 // The kernel counts a row's padding lanes as equal (they are zero on
-// both sides), so `pad` comes off every count here, once. Two cases
-// run without kernel counts, every row reaching the per-row checks: a
-// zero-shingle query (similarity 0 to everything, nothing to count) and
-// signatures too wide for a uint16 count, whose rows are scored by the
-// per-row comparator. Callers hold the shard lock.
+// both sides), so `pad` comes off every count here, once; every count is
+// at least pad, so a floor of 0 keeps every row. Callers hold the shard
+// lock.
 func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch, rest bool) []Result {
 	a := sh.arena
-	n, words, bits := len(sh.names), a.words, a.bits
+	n := len(sh.names)
 	scanned := n
 	var probed []uint64
 	if rest {
@@ -299,35 +297,22 @@ func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch,
 	tiered := sh.full != nil
 	sc.scored = sc.scored[:0]
 
-	pad := words*lanesPerWord(bits) - q.slots
-	counted := q.shingles != 0 && countableRow(words, bits)
-	minCount := 0 // no kernel counts: every row reaches the per-row checks
-	if counted {
-		minCount = q.minMatched + pad
-	}
-	var counts [sweepBlock]uint16
+	pad := a.words*lanesPerWord(a.bits) - q.slots
+	var surv [sweepBlock]survivor
 	for base := 0; base < n; base += sweepBlock {
 		if q.cancel.canceled() {
 			return dst
 		}
 		bn := min(sweepBlock, n-base)
-		if counted {
-			matchCounts(counts[:bn], a.buf[base*words:(base+bn)*words], q.packed, bits)
-		}
-		for i, c := range counts[:bn] {
-			if int(c) < minCount {
-				continue
-			}
-			idx := int32(base + i)
+		k := matchSurvivors(surv[:bn], a.block(base, bn), q.packed, q.minMatched+pad)
+		for _, s := range surv[:k] {
+			idx := int32(base) + int32(s.off)
 			if bitSet(sh.dead, idx) || bitSet(probed, idx) {
 				continue
 			}
 			m := 0
 			if q.shingles != 0 && sh.shingles[idx] != 0 {
-				m = int(c) - pad
-				if !counted {
-					m = packedMatchingSlots(q.packed, a.row(int(idx)), q.slots, bits)
-				}
+				m = int(s.count) - pad
 			}
 			if m < q.minMatched {
 				continue
@@ -356,7 +341,7 @@ func (sh *shard) scoreRow(dst []Result, q *packedQuery, idx int32) []Result {
 	}
 	var sim float64
 	if q.slots != 0 && q.shingles != 0 && sh.shingles[idx] != 0 {
-		sim = float64(packedMatchingSlots(q.packed, sh.arena.row(int(idx)), q.slots, sh.arena.bits)) / float64(q.slots)
+		sim = float64(packedMatchingSlots(q.packed, sh.arena.row(int(idx)), q.slots)) / float64(q.slots)
 	}
 	if sim >= q.minSim {
 		dst = sh.appendHit(dst, q, idx, sim)
@@ -368,7 +353,7 @@ func (sh *shard) scoreRow(dst []Result, q *packedQuery, idx int32) []Result {
 // self-hit (same name AND same packed signature — a same-named record
 // whose content changed after indexing is still reported).
 func (sh *shard) appendHit(dst []Result, q *packedQuery, idx int32, sim float64) []Result {
-	if sh.names[idx] == q.name && slices.Equal(q.packed, sh.arena.row(int(idx))) {
+	if sh.names[idx] == q.name && q.packed.equal(sh.arena.row(int(idx))) {
 		return dst
 	}
 	return append(dst, Result{Query: q.name, Ref: sh.names[idx], Similarity: sim, Distance: 1 - sim})
@@ -387,7 +372,7 @@ func (sh *shard) prefilterRow(q *packedQuery, idx int32, sc *shardScratch) {
 	var m int
 	var sim float64
 	if q.slots != 0 && q.shingles != 0 && sh.shingles[idx] != 0 {
-		m = packedMatchingSlots(q.packed, sh.arena.row(int(idx)), q.slots, sh.arena.bits)
+		m = packedMatchingSlots(q.packed, sh.arena.row(int(idx)), q.slots)
 		sim = float64(m) / float64(q.slots)
 	}
 	if sim < q.minSim {

@@ -243,22 +243,40 @@ func readTierCounts(t *tierState) tierCounts {
 }
 
 // TestSearchIdenticalAcrossKernels runs whole searches — exact and LSH,
-// in-memory and tiered, hit and miss queries, inline and fanned out —
-// once per kernel and requires identical results: compiling the
-// assembly out changes nothing a caller can see.
+// in-memory and tiered, hit and miss queries, inline and fanned out,
+// signatures with and without padding nibbles — once per kernel and
+// requires identical results: compiling the assembly out changes
+// nothing a caller can see.
 func TestSearchIdenticalAcrossKernels(t *testing.T) {
-	tiered, plain := tieredEngines(t, 4500, 64) // 8-bit rows: enough arena to fan out
-	queries := []*Sketch{
-		plain.Sketcher().Sketch(Record{Name: "q-near", Data: benchData(256, 1)}),
-		plain.Sketcher().Sketch(Record{Name: "q-far", Data: benchData(256, 99999)}),
-		plain.Sketcher().Sketch(Record{Name: "q-empty", Data: []byte("tiny")}),
-		plain.Index().Get("rec-7"),
+	// An 8-bit row's low plane is 64 bytes: enough rows to fan out.
+	tiered, plain := tieredEngines(t, parallelScoreMinBytes/64+300, 64)
+	engines := []*Engine{tiered, plain}
+	// 100 slots are 7 words a plane (the portable shape) with 12 padding
+	// nibbles, 127 slots 8 words (a vector shape) with one.
+	for _, slots := range []int{100, 127} {
+		eng, err := NewEngine(Options{IndexName: "pad", SignatureSize: slots, Bits: 8, Tiered: true, DataDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Index().Close() })
+		for i := 0; i < 600; i++ {
+			if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		engines = append(engines, eng)
 	}
 	results := map[string][][]Result{}
 	eachKernel(t, func(t *testing.T) {
 		var all [][]Result
-		for _, eng := range []*Engine{tiered, plain} {
-			for _, q := range queries {
+		for _, eng := range engines {
+			s := eng.Sketcher()
+			for _, q := range []*Sketch{
+				s.Sketch(Record{Name: "q-near", Data: benchData(256, 1)}),
+				s.Sketch(Record{Name: "q-far", Data: benchData(256, 99999)}),
+				s.Sketch(Record{Name: "q-empty", Data: []byte("tiny")}),
+				eng.Index().Get("rec-7"),
+			} {
 				for _, minSim := range []float64{0, 0.05, 0.5} {
 					for _, pool := range []*Pool{NewPool(1), NewPool(4)} {
 						for _, search := range []func(*Index, *Sketch, int, float64, *Pool) ([]Result, error){SearchTopK, SearchTopKLSH} {
