@@ -132,8 +132,9 @@ func FuzzImport(f *testing.F) {
 			t.Fatalf("import succeeded but the directory does not reopen: %v", err)
 		}
 		defer ix.Close()
-		if ix.Len() != meta.RecordCount || ix.Len() != len(ix.Names()) {
-			t.Fatalf("reopened index holds %d records (%d names), import reported %d", ix.Len(), len(ix.Names()), meta.RecordCount)
+		page, _, err := ix.Records("", meta.RecordCount+1)
+		if err != nil || ix.Len() != meta.RecordCount || ix.Len() != len(page) {
+			t.Fatalf("reopened index holds %d records (%d listed, %v), import reported %d", ix.Len(), len(page), err, meta.RecordCount)
 		}
 	})
 }

@@ -344,9 +344,15 @@ func cmdSketch(argv []string, stdout, stderr io.Writer) error {
 		}
 		// Batched streaming ingest: sketching and shard inserts both fan
 		// out over the worker pool.
-		added, err := eng.AddBatch(fresh)
+		oks, err := eng.AddBatch(fresh)
 		if err != nil {
 			return err
+		}
+		added := 0
+		for _, ok := range oks {
+			if ok {
+				added++
+			}
 		}
 		skipped += len(fresh) - added
 		if err := ix.SaveDir(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -465,6 +466,37 @@ func TestClusterDeleteAndGet(t *testing.T) {
 		if resp, out := step.do(t, url); resp.StatusCode != step.status || !strings.Contains(string(out), step.body) {
 			t.Fatalf("step %d = %d, body %s; want %d with %s", i, resp.StatusCode, out, step.status, step.body)
 		}
+	}
+}
+
+// TestWriteToDepartedBackend: a drain commit or a failed join's rollback
+// can remove an address from the fleet between a write's ring snapshot
+// and its backend lookup. The write must count that replica as a missed
+// ack, not dereference a nil backend.
+func TestWriteToDepartedBackend(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{})
+	const ghost = "127.0.0.1:1" // placed on by the ring, registered nowhere
+	next, err := NewRing(append(slices.Clone(tc.coord.Ring().Backends()), ghost), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := ""
+	for i := 0; name == ""; i++ {
+		if n := fmt.Sprintf("rec-%02d.txt", i); slices.Contains(next.Replicas(n), ghost) {
+			name = n
+		}
+	}
+	tc.coord.mu.Lock()
+	tc.coord.next = next
+	tc.coord.mu.Unlock()
+	req := server.IngestRequest{Records: []server.IngestRecord{{Name: name, Data: "a record whose target ring names a departed backend"}}}
+	var ing server.IngestResponse
+	if resp, out := postJSON(t, tc.ts.URL+"/v1/records", req); resp.StatusCode != http.StatusOK ||
+		json.Unmarshal(out, &ing) != nil || ing.Added != 1 {
+		t.Fatalf("ingest = %d, body %s; want 200 with the record added on its live replicas", resp.StatusCode, out)
+	}
+	if resp, out := deleteBody(t, tc.ts.URL+"/v1/records/"+name); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete = %d, body %s; want 200 from its live replicas", resp.StatusCode, out)
 	}
 }
 

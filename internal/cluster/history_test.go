@@ -519,8 +519,13 @@ func (x *executor) census(strict bool) error {
 	ring := x.tc.coord.Ring()
 	held := map[string][]string{}
 	for _, addr := range ring.Backends() {
-		for _, name := range x.tc.backendFor(addr).index().Names() {
-			held[name] = append(held[name], addr)
+		ix := x.tc.backendFor(addr).index()
+		page, _, err := ix.Records("", ix.Len()+1)
+		if err != nil {
+			return err
+		}
+		for _, s := range page {
+			held[s.Name] = append(held[s.Name], addr)
 		}
 	}
 	sk, _ := core.NewSketcher(4, 64)

@@ -91,6 +91,9 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		sb, ok := batches[addr]
 		if !ok {
 			sb = &subBatch{b: c.lookup(addr), pos: make(map[int]int)}
+			if sb.b == nil {
+				sb.err = leftFleet(addr)
+			}
 			sb.req.Detailed = true
 			batches[addr] = sb
 		}
@@ -110,6 +113,9 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	var wg sync.WaitGroup
 	for _, sb := range batches {
+		if sb.b == nil {
+			continue
+		}
 		sb.b.routedRecords.Add(int64(len(sb.req.Records)))
 		wg.Add(1)
 		go func(sb *subBatch) {
@@ -203,6 +209,11 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, resp)
 }
 
+// leftFleet is the failure a write counts for a replica whose address a
+// drain or a rolled-back join removed after the write took its ring
+// snapshot: one missed ack, like a backend that did not answer.
+func leftFleet(addr string) error { return fmt.Errorf("backend %s left the fleet", addr) }
+
 // queueHints enqueues one request's hints, one durable append per
 // backend. Enqueue failures only cost convergence speed (the sweep is
 // the backstop), so they are logged, never surfaced to the writer —
@@ -242,13 +253,18 @@ func (c *Coordinator) handleDeleteRecord(w http.ResponseWriter, r *http.Request)
 	results := make([]result, len(targets))
 	var wg sync.WaitGroup
 	for i, addr := range targets {
+		b := c.lookup(addr)
+		if b == nil {
+			results[i] = result{addr: addr, err: leftFleet(addr)}
+			continue
+		}
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(r.Context(), c.cfg.FanoutTimeout)
 			defer cancel()
 			results[i] = result{addr: b.addr, err: c.client.do(ctx, b, "DELETE", "/v1/records/"+url.PathEscape(name), nil, nil)}
-		}(i, c.lookup(addr))
+		}(i, b)
 	}
 	wg.Wait()
 

@@ -164,8 +164,8 @@ func TestPackedSearchAgreesAcrossWidths(t *testing.T) {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
 			eng := engineAt(t, "packed", bits)
 			recs, base := plantedRecords(n, planted, 7)
-			if added, err := eng.AddBatch(recs); err != nil || added != n {
-				t.Fatalf("AddBatch = %d, %v; want %d, nil", added, err, n)
+			if oks, err := eng.AddBatch(recs); err != nil || countAdded(oks) != n {
+				t.Fatalf("AddBatch added %d, %v; want %d, nil", countAdded(oks), err, n)
 			}
 			q := eng.Sketcher().Sketch(Record{Name: "query", Data: base})
 			exact, err := SearchTopK(eng.Index(), q, 10, 0, eng.Pool())
@@ -203,8 +203,8 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	const n = parallelScoreMinBytes/(DefaultSignatureSize/2) + 500 // 8-bit rows: a low plane of half a byte per slot
 	eng := engineAt(t, "fanout", 8)
 	recs, base := plantedRecords(n, 20, 5)
-	if added, err := eng.AddBatch(recs); err != nil || added != n {
-		t.Fatalf("AddBatch = %d, %v; want %d, nil", added, err, n)
+	if oks, err := eng.AddBatch(recs); err != nil || countAdded(oks) != n {
+		t.Fatalf("AddBatch added %d, %v; want %d, nil", countAdded(oks), err, n)
 	}
 	q := eng.Sketcher().Sketch(Record{Name: "query", Data: base})
 	for _, search := range []struct {
@@ -306,7 +306,7 @@ func TestArenaStats(t *testing.T) {
 		const n = 100
 		for i := 0; i < n; i++ {
 			rec := Record{Name: fmt.Sprintf("r%d", i), Data: benchData(512, int64(i))}
-			if _, err := eng.Add(rec); err != nil {
+			if _, err := addRecord(eng, rec); err != nil {
 				t.Fatal(err)
 			}
 		}

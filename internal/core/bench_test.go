@@ -473,7 +473,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: data}); err != nil {
+		if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: data}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -146,19 +146,8 @@ func (e *Engine) Mode() SearchMode { return e.mode }
 // in-flight Search calls; set the mode before serving queries.
 func (e *Engine) SetMode(m SearchMode) { e.mode = m }
 
-// Add sketches rec and adds it to the index. It reports whether the
-// record was added (false means a record with the same name already
-// existed and was skipped). On a WAL-attached tiered index a nil error
-// is durable: the logged frame has been fsynced before Add returns. A
-// sync failure returns the error with added=true — the record is in
-// memory but not yet on disk (the next snapshot covers it).
-func (e *Engine) Add(rec Record) (bool, error) {
-	oks, err := e.AddSketches([]*Sketch{e.sketcher.Sketch(rec)})
-	return oks[0], err
-}
-
 // Delete removes the record named name from the index, reporting
-// whether it was present. Like Add, a true return on a WAL-attached
+// whether it was present. Like AddBatch, a true return on a WAL-attached
 // tiered index is durable before Delete returns.
 func (e *Engine) Delete(name string) (bool, error) {
 	ticket := e.index.WALTicket()
@@ -169,21 +158,12 @@ func (e *Engine) Delete(name string) (bool, error) {
 	return true, e.index.SyncWAL(ticket)
 }
 
-// AddBatch is AddBatchResults reduced to the number of records added.
-func (e *Engine) AddBatch(recs []Record) (int, error) {
-	oks, err := e.AddBatchResults(recs)
-	added := 0
-	for _, ok := range oks {
-		if ok {
-			added++
-		}
-	}
-	return added, err
-}
-
-// AddBatchResults sketches recs over the worker pool and inserts them
-// with AddSketches: oks[i] reports whether recs[i] was added.
-func (e *Engine) AddBatchResults(recs []Record) ([]bool, error) {
+// AddBatch sketches recs over the worker pool and inserts them with
+// AddSketches: oks[i] reports whether recs[i] was added, and false means
+// a record with the same name already existed and was skipped. On a
+// WAL-attached tiered index a nil error is durable: every logged frame
+// has been fsynced before AddBatch returns.
+func (e *Engine) AddBatch(recs []Record) ([]bool, error) {
 	sketches := make([]*Sketch, len(recs))
 	e.pool.Map(len(recs), func(i int) { sketches[i] = e.sketcher.Sketch(recs[i]) })
 	return e.AddSketches(sketches)

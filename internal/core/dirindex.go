@@ -51,7 +51,10 @@ type manifestTier struct {
 
 // manifest is the JSON layout of MANIFEST.json, the commit point of
 // every SaveDir: segments are written and renamed into place first, and
-// only the atomic manifest rename makes them reachable.
+// only the atomic manifest rename makes them reachable. Order lists the
+// live names shard by shard in row order; it is written only for older
+// readers, which require it to be a permutation of the live records,
+// and Open ignores it (format v7 drops it).
 type manifest struct {
 	Meta   Metadata        `json:"meta"`
 	Tier   manifestTier    `json:"tier"`
@@ -123,14 +126,17 @@ func (ix *Index) SaveDir() (err error) {
 	}
 
 	man := manifest{
-		Meta:  ix.meta,
-		Tier:  manifestTier{SegmentRows: ix.tier.segmentRows},
-		Order: slices.Clone(ix.order),
+		Meta: ix.meta,
+		Tier: manifestTier{SegmentRows: ix.tier.segmentRows},
 	}
 	man.Meta.Format = FormatV6
 	man.Meta.Bits = ix.bits
-	man.Meta.RecordCount = len(ix.order)
 	for _, sh := range ix.shards {
+		for i, name := range sh.names {
+			if !sh.rowDead(int32(i)) {
+				man.Order = append(man.Order, name)
+			}
+		}
 		if err := sh.full.sealHead(); err != nil {
 			return fmt.Errorf("index %q: save dir: %w", ix.meta.Name, err)
 		}
@@ -511,35 +517,10 @@ func Open(dir string) (ix *Index, err error) {
 			}
 		}
 	}
-	total := 0
+	ix.meta.RecordCount = 0
 	for _, sh := range ix.shards {
-		total += len(sh.ids)
+		ix.meta.RecordCount += len(sh.ids)
 	}
-	if len(m.Order) != total {
-		return nil, fmt.Errorf("index: manifest order lists %d records but shards hold %d live", len(m.Order), total)
-	}
-	// Equal length, every name live, and no live row named twice make
-	// order a permutation of the live records; a repeat would list one
-	// record twice and hide another from every Names/Records walk.
-	listed := make([][]uint64, shards) // per-shard bitset over arena rows
-	for i, name := range m.Order {
-		si := shardFor(name, shards)
-		sh := ix.shards[si]
-		row, ok := sh.ids[name]
-		if !ok {
-			return nil, fmt.Errorf("index: manifest order references unknown record %q", name)
-		}
-		if listed[si] == nil {
-			listed[si] = make([]uint64, (len(sh.names)+63)/64)
-		}
-		if listed[si][row>>6]&(1<<uint(row&63)) != 0 {
-			return nil, fmt.Errorf("index: manifest order lists record %q twice", name)
-		}
-		listed[si][row>>6] |= 1 << uint(row&63)
-		m.Order[i] = sh.names[row] // one string a name, as Add leaves it
-	}
-	ix.order = m.Order
-	ix.meta.RecordCount = total
 	// Replay whatever the write-ahead logs hold past this snapshot —
 	// everything acknowledged since the manifest was committed — then
 	// attach the logs for new mutations. A snapshot that already

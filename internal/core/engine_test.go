@@ -57,13 +57,13 @@ func TestEngineAddAndSearch(t *testing.T) {
 		{Name: "far", Data: []byte("zzz 999 ### totally different bytes with nothing in common !!!")},
 	}
 	for _, rec := range refs {
-		added, err := e.Add(rec)
+		added, err := addRecord(e, rec)
 		if err != nil || !added {
 			t.Fatalf("Add(%q) = %v, %v; want true, nil", rec.Name, added, err)
 		}
 	}
 	// Duplicate add through the facade is skipped.
-	added, err := e.Add(refs[0])
+	added, err := addRecord(e, refs[0])
 	if err != nil || added {
 		t.Fatalf("duplicate Add = %v, %v; want false, nil", added, err)
 	}
@@ -84,7 +84,7 @@ func TestEngineAddBatchResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Add(Record{Name: "pre", Data: []byte("already indexed payload")}); err != nil {
+	if _, err := addRecord(e, Record{Name: "pre", Data: []byte("already indexed payload")}); err != nil {
 		t.Fatal(err)
 	}
 	recs := []Record{
@@ -93,7 +93,7 @@ func TestEngineAddBatchResults(t *testing.T) {
 		{Name: "a", Data: []byte("repeats a name earlier in the batch")},
 		{Name: "b", Data: []byte("second fresh record payload in this batch")},
 	}
-	oks, err := e.AddBatchResults(recs)
+	oks, err := e.AddBatch(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,31 @@ func TestEngineAddBatchResults(t *testing.T) {
 	if e.Index().Len() != 3 {
 		t.Fatalf("index has %d records, want 3", e.Index().Len())
 	}
-	// AddBatch sees the same outcomes through its count.
-	if n, err := e.AddBatch(recs); err != nil || n != 0 {
-		t.Fatalf("re-AddBatch = %d, %v; want 0, nil", n, err)
+	// A second pass adds nothing.
+	if oks, err := e.AddBatch(recs); err != nil || countAdded(oks) != 0 {
+		t.Fatalf("re-AddBatch = %v, %v; want none added", oks, err)
 	}
-	if oks, err := e.AddBatchResults(nil); err != nil || oks != nil {
+	if oks, err := e.AddBatch(nil); err != nil || oks != nil {
 		t.Fatalf("empty batch = %v, %v; want nil, nil", oks, err)
 	}
+}
+
+// addRecord adds one record through AddBatch and reports whether it
+// was added.
+func addRecord(e *Engine, rec Record) (bool, error) {
+	oks, err := e.AddBatch([]Record{rec})
+	return oks[0], err
+}
+
+// countAdded counts the records an AddBatch reported added.
+func countAdded(oks []bool) int {
+	n := 0
+	for _, ok := range oks {
+		if ok {
+			n++
+		}
+	}
+	return n
 }
 
 func TestEngineStatsAndGeneration(t *testing.T) {
@@ -156,7 +174,7 @@ func TestEngineStatsAndGeneration(t *testing.T) {
 	}
 	// Duplicate adds do not advance the generation: snapshotters can
 	// trust "unchanged generation" to mean "nothing new to save".
-	if _, err := e.Add(recs[0]); err != nil {
+	if _, err := addRecord(e, recs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if gen := e.Index().Generation(); gen != 3 {

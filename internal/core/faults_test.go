@@ -32,7 +32,7 @@ func TestWALWriteFault(t *testing.T) {
 			fault.Enable(p)
 			defer fault.Disable()
 
-			_, err = eng.Add(Record{Name: "rec-8", Data: benchData(256, 9)})
+			_, err = addRecord(eng, Record{Name: "rec-8", Data: benchData(256, 9)})
 			var inj *fault.InjectedError
 			if !errors.As(err, &inj) || inj.Point != "wal.write" {
 				t.Fatalf("add through a wal.write fault = %v, want injected error", err)
@@ -40,7 +40,7 @@ func TestWALWriteFault(t *testing.T) {
 			// The fault is over (fail-once consumed itself): the next ack
 			// is clean.
 			fault.Disable()
-			if _, err := eng.Add(Record{Name: "rec-9", Data: benchData(256, 10)}); err != nil {
+			if _, err := addRecord(eng, Record{Name: "rec-9", Data: benchData(256, 10)}); err != nil {
 				t.Fatalf("add after the fault cleared: %v", err)
 			}
 			if err := eng.Index().Close(); err != nil {
@@ -84,7 +84,7 @@ func TestWALShortWriteKeepsLaterAcks(t *testing.T) {
 	ack := func(from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
-			if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+			if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -102,7 +102,7 @@ func TestWALShortWriteKeepsLaterAcks(t *testing.T) {
 	hit := make(map[int]bool)
 	for i := 0; len(hit) < shards; i++ {
 		name := fmt.Sprintf("unacked-%d", i)
-		if _, err := eng.Add(Record{Name: name, Data: benchData(256, int64(1000+i))}); err == nil {
+		if _, err := addRecord(eng, Record{Name: name, Data: benchData(256, int64(1000+i))}); err == nil {
 			t.Fatalf("add of %s through a torn write was acked", name)
 		}
 		hit[shardFor(name, shards)] = true
@@ -168,7 +168,7 @@ func TestWALSharedSyncFailure(t *testing.T) {
 		t.Fatalf("second barrier = %v: acked a record whose frame the failed sweep dropped", err)
 	}
 	// A writer that starts after the failed sweep ended is not failed by it.
-	if _, err := eng.Add(Record{Name: "after", Data: benchData(256, 200)}); err != nil {
+	if _, err := addRecord(eng, Record{Name: "after", Data: benchData(256, 200)}); err != nil {
 		t.Fatalf("add after the failed sweep: %v", err)
 	}
 	if err := ix.Close(); err != nil {
@@ -207,12 +207,12 @@ func TestWALFsyncFault(t *testing.T) {
 	fault.Enable(p)
 	defer fault.Disable()
 
-	_, err = eng.Add(Record{Name: "rec-8", Data: benchData(256, 9)})
+	_, err = addRecord(eng, Record{Name: "rec-8", Data: benchData(256, 9)})
 	var inj *fault.InjectedError
 	if !errors.As(err, &inj) || inj.Point != "wal.fsync" {
 		t.Fatalf("add through a wal.fsync fault = %v, want injected error", err)
 	}
-	if _, err := eng.Add(Record{Name: "rec-9", Data: benchData(256, 10)}); err != nil {
+	if _, err := addRecord(eng, Record{Name: "rec-9", Data: benchData(256, 10)}); err != nil {
 		t.Fatalf("add after the fault cleared: %v", err)
 	}
 	if err := eng.Index().Close(); err != nil {
@@ -247,7 +247,7 @@ func TestSnapshotFaults(t *testing.T) {
 			dir := t.TempDir()
 			eng := walEngine(t, dir, 8)
 			for i := 8; i < 20; i++ {
-				if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+				if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -266,7 +266,7 @@ func TestSnapshotFaults(t *testing.T) {
 			}
 			// The live index is unharmed: mutations and a retried snapshot
 			// both succeed.
-			if _, err := eng.Add(Record{Name: "rec-20", Data: benchData(256, 21)}); err != nil {
+			if _, err := addRecord(eng, Record{Name: "rec-20", Data: benchData(256, 21)}); err != nil {
 				t.Fatalf("add after failed snapshot: %v", err)
 			}
 			if err := eng.Index().SaveDir(); err != nil {

@@ -59,9 +59,8 @@ type Index struct {
 	// writeMu -> ix.mu -> shard.mu -> the shard WAL's own.
 	writeMu sync.RWMutex
 
-	mu     sync.RWMutex // guards meta, order, and gen; the shards slice is fixed at construction
-	meta   Metadata
-	order  []string // insertion order, for deterministic iteration
+	mu     sync.RWMutex // guards meta and gen; the shards slice is fixed at construction
+	meta   Metadata     // meta.RecordCount is the live record count
 	shards []*shard
 	posts  *postingTable // the shards' LSH postings; fixed at construction like shards
 	lsh    LSHParams
@@ -192,9 +191,9 @@ func (ix *Index) Add(s *Sketch) (bool, error) {
 		return false, sketchErrorf("index %q: signature size %d does not match index size %d",
 			ix.meta.Name, len(s.Signature), ix.meta.SignatureSize)
 	}
-	// Shared writeMu spans the shard insert and the order append, so a
+	// Shared writeMu spans the shard insert and the count, so a
 	// structural rebuild (Rebucket, SaveDir) can never observe a record
-	// that is in a shard but not yet in order.
+	// that is in a shard but not yet counted.
 	ix.writeMu.RLock()
 	defer ix.writeMu.RUnlock()
 	ix.mu.RLock()
@@ -210,8 +209,7 @@ func (ix *Index) Add(s *Sketch) (bool, error) {
 		return false, nil
 	}
 	ix.mu.Lock()
-	ix.order = append(ix.order, s.Name)
-	ix.meta.RecordCount = len(ix.order)
+	ix.meta.RecordCount++
 	ix.meta.UpdatedAt = time.Now().UTC()
 	ix.gen++
 	ix.mu.Unlock()
@@ -239,13 +237,7 @@ func (ix *Index) Delete(name string) (bool, error) {
 		return false, nil
 	}
 	ix.mu.Lock()
-	// Insertion order is kept dense for deterministic iteration;
-	// deletes pay the O(n) removal, which is fine at the delete rates a
-	// tombstone design targets.
-	if i := slices.Index(ix.order, name); i >= 0 {
-		ix.order = slices.Delete(ix.order, i, i+1)
-	}
-	ix.meta.RecordCount = len(ix.order)
+	ix.meta.RecordCount--
 	ix.meta.UpdatedAt = time.Now().UTC()
 	ix.gen++
 	ix.mu.Unlock()
@@ -472,16 +464,7 @@ func (ix *Index) Get(name string) *Sketch {
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.order)
-}
-
-// Names returns record names in insertion order.
-func (ix *Index) Names() []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]string, len(ix.order))
-	copy(out, ix.order)
-	return out
+	return ix.meta.RecordCount
 }
 
 // Metadata returns a snapshot of the index metadata.

@@ -11,8 +11,8 @@ func TestEmptyIndex(t *testing.T) {
 	if ix.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", ix.Len())
 	}
-	if got := ix.Names(); len(got) != 0 {
-		t.Fatalf("Names = %v, want empty", got)
+	if got := recordNames(t, ix); len(got) != 0 {
+		t.Fatalf("Records lists %v, want none", got)
 	}
 	if ix.Get("missing") != nil {
 		t.Fatal("Get on empty index: want nil")
@@ -89,7 +89,7 @@ func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
 			defer eng.Index().Close()
 			for i := 0; i < 50; i++ {
 				rec := Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(512, int64(i+1))}
-				if _, err := eng.Add(rec); err != nil {
+				if _, err := addRecord(eng, rec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -115,7 +115,7 @@ func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
 			if got.Bits() != bits {
 				t.Fatalf("Bits() = %d, want %d", got.Bits(), bits)
 			}
-			for _, name := range ix.Names() {
+			for _, name := range recordNames(t, ix) {
 				if !equalSig(got.Get(name).Signature, ix.Get(name).Signature) {
 					t.Fatalf("bits=%d: sketch %q changed across round trip", bits, name)
 				}
@@ -177,7 +177,7 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 				}
 				ix.Len()
 				ix.Metadata()
-				ix.Names()
+				ix.Records("", 16)
 			}
 		}()
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ErrCursorGone reports that a pagination cursor names a record that is
@@ -15,47 +14,36 @@ var ErrCursorGone = errors.New("cursor names a record that is no longer indexed"
 // positive.
 const DefaultPageSize = 256
 
-// Records returns up to limit record sketches in insertion order,
-// starting after the record named after (empty starts from the
-// beginning), plus the cursor for the next page ("" when the walk is
-// done). The cursor is the name of the last record the page covered,
-// so a paginated walk observes every record that exists for the whole
-// walk exactly once even as concurrent adds append behind it. A cursor
-// whose record has been deleted fails with ErrCursorGone.
-//
-// Sketches are reconstructed from the arena outside the index lock, so
-// a record deleted between the snapshot and the reconstruction is
-// silently skipped — its page may run short, but the next cursor still
-// advances past it.
+// Records returns up to limit record sketches, starting after the record
+// named after (empty starts from the beginning), plus the cursor for the
+// next page ("" exactly when no live record follows the page). Records
+// come shard by shard, in shard number order, and within a shard in row
+// order, which is insertion order: a compaction keeps the live rows in
+// order and a reopen rebuilds them in it. The cursor is the name of the
+// page's last record, and resuming is one lookup of its row, so a
+// paginated walk observes every record that exists for the whole walk
+// exactly once even as concurrent adds land behind it. A cursor whose
+// record has been deleted fails with ErrCursorGone.
 func (ix *Index) Records(after string, limit int) ([]*Sketch, string, error) {
 	if limit <= 0 {
 		limit = DefaultPageSize
 	}
 	ix.mu.RLock()
-	start := 0
+	shards, k, live := ix.shards, ix.meta.K, ix.meta.RecordCount
+	ix.mu.RUnlock()
+	si := 0
 	if after != "" {
-		i := slices.Index(ix.order, after)
-		if i < 0 {
-			ix.mu.RUnlock()
+		si = shardFor(after, len(shards))
+	}
+	out := make([]*Sketch, 0, min(limit, live))
+	for ; si < len(shards); si, after = si+1, "" {
+		page, more, found := shards[si].appendPage(out, after, limit, k)
+		if !found {
 			return nil, "", fmt.Errorf("index %q: %w: %q", ix.meta.Name, ErrCursorGone, after)
 		}
-		start = i + 1
-	}
-	end := min(start+limit, len(ix.order))
-	names := make([]string, end-start)
-	copy(names, ix.order[start:end])
-	more := end < len(ix.order)
-	ix.mu.RUnlock()
-
-	out := make([]*Sketch, 0, len(names))
-	for _, name := range names {
-		if s := ix.Get(name); s != nil {
-			out = append(out, s)
+		if out = page; more {
+			return out, out[len(out)-1].Name, nil
 		}
 	}
-	next := ""
-	if more && len(names) > 0 {
-		next = names[len(names)-1]
-	}
-	return out, next, nil
+	return out, "", nil
 }

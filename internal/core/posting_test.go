@@ -378,7 +378,7 @@ func TestPostingTableConcurrency(t *testing.T) {
 	}
 	for f := 0; f < families; f++ {
 		for m := 0; m < members; m++ {
-			if _, err := eng.Add(family(f, m)); err != nil {
+			if _, err := addRecord(eng, family(f, m)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -162,17 +162,54 @@ func (sh *shard) getSketch(name string, k int) *Sketch {
 	if !ok {
 		return nil
 	}
+	var sc rowScratch
+	return sh.sketchLocked(idx, k, &sc)
+}
+
+// appendPage appends to dst the sketches of the stripe's live rows in
+// row order, starting after the live row named after ("" starts at row
+// 0), until dst holds limit. more reports that a live row follows the
+// page in this stripe; found is false when after names no live row here.
+// A row the tier fails to read is counted and skipped.
+func (sh *shard) appendPage(dst []*Sketch, after string, limit, k int) (out []*Sketch, more, found bool) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	from := 0
+	if after != "" {
+		idx, ok := sh.ids[after]
+		if !ok {
+			return dst, false, false
+		}
+		from = int(idx) + 1
+	}
+	var sc rowScratch
+	for i := int32(from); int(i) < len(sh.names); i++ {
+		if sh.rowDead(i) {
+			continue
+		}
+		if len(dst) == limit {
+			return dst, true, true
+		}
+		if s := sh.sketchLocked(i, k, &sc); s != nil {
+			dst = append(dst, s)
+		}
+	}
+	return dst, false, true
+}
+
+// sketchLocked reconstructs row idx's sketch, or returns nil if the tier
+// fails to read it. Callers hold sh.mu (either mode).
+func (sh *shard) sketchLocked(idx int32, k int, sc *rowScratch) *Sketch {
 	row := sh.arena.row(int(idx)).lo
 	if sh.full != nil {
-		var sc rowScratch
 		var err error
-		if row, err = sh.full.row(int(idx), &sc); err != nil {
+		if row, err = sh.full.row(int(idx), sc); err != nil {
 			sh.full.tier.readErrors.Add(1)
 			return nil
 		}
 	}
 	return &Sketch{
-		Name:      name,
+		Name:      sh.names[idx],
 		K:         k,
 		Shingles:  int(sh.shingles[idx]),
 		Signature: slices.Clone(row),

@@ -33,11 +33,11 @@ func plantedCorpus(tb testing.TB, n, planted int, seed int64) (*Index, *Sketch) 
 	for i := planted; i < n; i++ {
 		recs = append(recs, Record{Name: fmt.Sprintf("rand-%d", i), Data: benchData(recBytes, seed+int64(i)+1000)})
 	}
-	added, err := eng.AddBatch(recs)
+	oks, err := eng.AddBatch(recs)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if added != n {
+	if added := countAdded(oks); added != n {
 		tb.Fatalf("AddBatch added %d, want %d", added, n)
 	}
 	return eng.Index(), eng.Sketcher().Sketch(Record{Name: "query", Data: base})
@@ -111,7 +111,7 @@ func TestShardedConcurrentAddBatchSearch(t *testing.T) {
 				}
 				eng.Index().Len()
 				eng.Index().Metadata()
-				eng.Index().Names()
+				eng.Index().Records("", 16)
 			}
 		}(r)
 	}
@@ -129,21 +129,21 @@ func TestEngineAddBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := eng.AddBatch(nil); n != 0 || err != nil {
-		t.Fatalf("empty AddBatch = %d, %v; want 0, nil", n, err)
+	if oks, err := eng.AddBatch(nil); countAdded(oks) != 0 || err != nil {
+		t.Fatalf("empty AddBatch added %d, %v; want 0, nil", countAdded(oks), err)
 	}
 	recs := []Record{
 		{Name: "a", Data: []byte("first record payload with enough bytes")},
 		{Name: "b", Data: []byte("second record payload, different text")},
 		{Name: "c", Data: []byte("third record payload, different again")},
 	}
-	if n, err := eng.AddBatch(recs); n != 3 || err != nil {
-		t.Fatalf("AddBatch = %d, %v; want 3, nil", n, err)
+	if oks, err := eng.AddBatch(recs); countAdded(oks) != 3 || err != nil {
+		t.Fatalf("AddBatch added %d, %v; want 3, nil", countAdded(oks), err)
 	}
 	// Re-adding the same batch plus one new record adds only the new one.
 	recs = append(recs, Record{Name: "d", Data: []byte("a fourth, fresh record payload here")})
-	if n, err := eng.AddBatch(recs); n != 1 || err != nil {
-		t.Fatalf("duplicate AddBatch = %d, %v; want 1, nil", n, err)
+	if oks, err := eng.AddBatch(recs); countAdded(oks) != 1 || err != nil {
+		t.Fatalf("duplicate AddBatch added %d, %v; want 1, nil", countAdded(oks), err)
 	}
 	if eng.Index().Len() != 4 {
 		t.Fatalf("Len = %d, want 4", eng.Index().Len())
@@ -157,8 +157,8 @@ func TestEngineAddBatch(t *testing.T) {
 		{Name: "e", Data: []byte("the first occurrence of record e wins")},
 		{Name: "e", Data: []byte("the second occurrence must be dropped")},
 	}
-	if n, err := eng.AddBatch(dup); n != 1 || err != nil {
-		t.Fatalf("in-batch duplicate AddBatch = %d, %v; want 1, nil", n, err)
+	if oks, err := eng.AddBatch(dup); countAdded(oks) != 1 || err != nil {
+		t.Fatalf("in-batch duplicate AddBatch added %d, %v; want 1, nil", countAdded(oks), err)
 	}
 	want := eng.Sketcher().Sketch(dup[0])
 	if got := eng.Index().Get("e"); !equalSig(got.Signature, want.Signature) {

@@ -260,7 +260,7 @@ func TestSearchIdenticalAcrossKernels(t *testing.T) {
 		}
 		t.Cleanup(func() { eng.Index().Close() })
 		for i := 0; i < 600; i++ {
-			if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+			if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 				t.Fatal(err)
 			}
 		}

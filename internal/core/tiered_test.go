@@ -34,10 +34,10 @@ func tieredEngines(tb testing.TB, n int, segRows int) (tiered, plain *Engine) {
 	}
 	for i := 0; i < n; i++ {
 		rec := Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}
-		if _, err := tiered.Add(rec); err != nil {
+		if _, err := addRecord(tiered, rec); err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := plain.Add(rec); err != nil {
+		if _, err := addRecord(plain, rec); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestTieredSaveDirOpenRoundTrip(t *testing.T) {
 	}
 	defer eng.Index().Close()
 	for i := 0; i < 300; i++ {
-		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+		if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func saveTieredDir(t *testing.T, dir string) string {
 	}
 	defer eng.Index().Close()
 	for i := 0; i < 100; i++ {
-		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+		if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,18 +365,6 @@ func TestLoadDirRejectsCorruptSegments(t *testing.T) {
 // set.
 var corruptManifests = map[string]func(t testing.TB, good []byte) []byte{
 	"not json": func(testing.TB, []byte) []byte { return []byte("{not json") },
-	// order must be a permutation of the live records: naming one
-	// twice (and so another never) keeps the length check happy but
-	// would hide a record from every Names/Records walk.
-	"duplicate in order": func(t testing.TB, good []byte) []byte {
-		return editManifest(t, good, func(m *manifest) { m.Order[1] = m.Order[0] })
-	},
-	"unknown in order": func(t testing.TB, good []byte) []byte {
-		return editManifest(t, good, func(m *manifest) { m.Order[0] = "no-such-record" })
-	},
-	"short order": func(t testing.TB, good []byte) []byte {
-		return editManifest(t, good, func(m *manifest) { m.Order = m.Order[1:] })
-	},
 	"foreign scheme": func(t testing.TB, good []byte) []byte {
 		return editManifest(t, good, func(m *manifest) { m.Meta.Scheme = "kmh" })
 	},
@@ -389,6 +377,103 @@ var corruptManifests = map[string]func(t testing.TB, good []byte) []byte{
 	"deleted row out of range": func(t testing.TB, good []byte) []byte {
 		return editManifest(t, good, func(m *manifest) { m.Shards[0].Deleted = []int32{1 << 20} })
 	},
+}
+
+// staleOrders maps a name to a rewrite of a valid manifest whose order
+// is no permutation of the live records. Older builds refused these;
+// order is written only for them, and Open ignores it.
+var staleOrders = map[string]func(t testing.TB, good []byte) []byte{
+	"duplicate in order": func(t testing.TB, good []byte) []byte {
+		return editManifest(t, good, func(m *manifest) { m.Order[1] = m.Order[0] })
+	},
+	"unknown in order": func(t testing.TB, good []byte) []byte {
+		return editManifest(t, good, func(m *manifest) { m.Order[0] = "no-such-record" })
+	},
+	"short order": func(t testing.TB, good []byte) []byte {
+		return editManifest(t, good, func(m *manifest) { m.Order = m.Order[1:] })
+	},
+}
+
+// TestOpenIgnoresManifestOrder: a manifest whose order lists a record
+// twice, names an unknown one or leaves one out opens, and the walk
+// lists every live record once.
+func TestOpenIgnoresManifestOrder(t *testing.T) {
+	for name, stale := range staleOrders {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			saveTieredDir(t, dir)
+			path := filepath.Join(dir, ManifestFile)
+			good, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m manifest
+			if err := json.Unmarshal(good, &m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, stale(t, good), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := Open(dir)
+			if err != nil {
+				t.Fatalf("Open refused a manifest over its order: %v", err)
+			}
+			defer ix.Close()
+			if got := recordNames(t, ix); !slices.Equal(got, m.Order) || ix.Len() != len(m.Order) {
+				t.Fatalf("walk lists %d records (Len %d), want the %d saved: %v", len(got), ix.Len(), len(m.Order), got)
+			}
+		})
+	}
+}
+
+// TestSaveDirOrderIsLivePermutation: the order SaveDir writes for older
+// readers is the shard-by-shard walk, a permutation of the live names,
+// with tombstoned rows, compacted or not, and a re-added name in play.
+func TestSaveDirOrderIsLivePermutation(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := NewEngine(Options{IndexName: "order", Shards: 4, Bits: 8, Tiered: true, DataDir: dir, SegmentRows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := eng.Index()
+	defer ix.Close()
+	for round := 0; round < 2; round++ { // the second round's save compacts
+		for i := 0; i < 40; i++ {
+			if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := round; i < 40; i += []int{6, 2}[round] { // a sixth, then half, of the names
+			if _, err := ix.Delete(fmt.Sprintf("rec-%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ix.SaveDir(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m manifest
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		live := recordNames(t, ix)
+		if !slices.Equal(m.Order, live) || len(live) != ix.Len() || m.Meta.RecordCount != ix.Len() {
+			t.Fatalf("round %d: manifest order %v (record_count %d), want the walk %v (Len %d)", round, m.Order, m.Meta.RecordCount, live, ix.Len())
+		}
+		seen := map[string]bool{}
+		for _, n := range m.Order {
+			if seen[n] || !ix.Has(n) {
+				t.Fatalf("round %d: order lists %q twice or it is not live", round, n)
+			}
+			seen[n] = true
+		}
+	}
+	if ix.compactions.Load() == 0 {
+		t.Fatal("no shard was compacted; the second round must cover a compacted stripe")
+	}
 }
 
 func editManifest(t testing.TB, good []byte, edit func(*manifest)) []byte {
@@ -513,7 +598,7 @@ func FuzzOpenManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+		if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -527,6 +612,9 @@ func FuzzOpenManifest(f *testing.F) {
 	f.Add(good)
 	for _, corrupt := range corruptManifests {
 		f.Add(corrupt(f, good))
+	}
+	for _, stale := range staleOrders {
+		f.Add(stale(f, good))
 	}
 	f.Fuzz(func(t *testing.T, man []byte) {
 		var m, again manifest
@@ -553,14 +641,14 @@ func FuzzOpenManifest(f *testing.F) {
 			return
 		}
 		defer ix.Close()
-		names := ix.Names()
+		names := recordNames(t, ix)
 		if ix.Len() != len(names) {
-			t.Fatalf("Len() = %d but Names() lists %d", ix.Len(), len(names))
+			t.Fatalf("Len() = %d but Records lists %d", ix.Len(), len(names))
 		}
 		seen := make(map[string]bool, len(names))
 		for _, n := range names {
 			if seen[n] || !ix.Has(n) {
-				t.Fatalf("Names() lists %q twice or it is not live", n)
+				t.Fatalf("Records lists %q twice or it is not live", n)
 			}
 			seen[n] = true
 		}
@@ -763,7 +851,7 @@ func BenchmarkTieredSearch(b *testing.B) {
 	}
 	defer eng.Index().Close()
 	for i := 0; i < n; i++ {
-		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+		if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 			b.Fatal(err)
 		}
 	}

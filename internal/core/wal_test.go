@@ -26,7 +26,7 @@ func walEngine(t *testing.T, dir string, n int) *Engine {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+		if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	// Acked delta after the snapshot: 20 adds and 10 deletes, each
 	// synced to the WAL by the engine's ack path. No second SaveDir.
 	for i := 40; i < 60; i++ {
-		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+		if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestWALTornTail(t *testing.T) {
 		dir := t.TempDir()
 		eng := walEngine(t, dir, 8)
 		for i := 8; i < 20; i++ {
-			if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+			if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,7 +186,7 @@ func TestWALTornTail(t *testing.T) {
 		dir := t.TempDir()
 		eng := walEngine(t, dir, 8)
 		for i := 8; i < 20; i++ {
-			if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+			if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -250,7 +250,7 @@ func TestDeleteSemantics(t *testing.T) {
 			}
 		}
 		// Re-add under the same name.
-		if ok, err := eng.Add(Record{Name: "rec-7", Data: benchData(256, 8)}); !ok || err != nil {
+		if ok, err := addRecord(eng, Record{Name: "rec-7", Data: benchData(256, 8)}); !ok || err != nil {
 			t.Fatalf("re-add rec-7 = %v, %v", ok, err)
 		}
 		if !ix.Has("rec-7") || ix.Len() != 60 {
@@ -404,7 +404,7 @@ func TestLiveRebucketUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+			if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 				t.Errorf("add under rebucket: %v", err)
 				return
 			}
@@ -589,7 +589,7 @@ func TestOpenSealsWALTail(t *testing.T) {
 	dir := t.TempDir()
 	eng := walEngine(t, dir, 40)
 	for i := 40; i < 80; i++ {
-		if _, err := eng.Add(Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+		if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
 			t.Fatal(err)
 		}
 	}

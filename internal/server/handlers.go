@@ -98,9 +98,9 @@ type ReplicaRecord struct {
 	Signature []uint64 `json:"signature"`
 }
 
-// RecordListResponse is one page of GET /v1/records: records in
-// insertion order plus the cursor for the next page (absent on the
-// last page).
+// RecordListResponse is one page of GET /v1/records: records shard by
+// shard, in insertion order within a shard, plus the cursor for the
+// next page (absent on the last page).
 type RecordListResponse struct {
 	Records    []ReplicaRecord `json:"records"`
 	NextCursor string          `json:"next_cursor,omitempty"`
@@ -306,7 +306,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.writeMu.RUnlock()
-	oks, err := s.eng.AddBatchResults(recs)
+	oks, err := s.eng.AddBatch(recs)
 	s.metrics.batches.Add(1)
 	s.metrics.batchedRecords.Add(int64(len(recs)))
 	if err != nil {
@@ -427,7 +427,8 @@ func (s *Server) handleGetRecord(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleListRecords pages through the corpus in insertion order:
+// handleListRecords pages through the corpus shard by shard, in
+// insertion order within a shard (see core.Index.Records):
 // GET /v1/records?cursor=<last name>&limit=N. Each page carries the
 // stored sketches in the replication wire format, so a consumer (the
 // cluster rebalancer, a backup tool) can rebuild replicas without

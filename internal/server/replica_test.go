@@ -296,10 +296,10 @@ func TestReplicateErrorKinds(t *testing.T) {
 func TestRecordsIterator(t *testing.T) {
 	eng := testEngine(t)
 	for i := 0; i < 7; i++ {
-		if _, err := eng.Add(core.Record{
+		if _, err := eng.AddBatch([]core.Record{{
 			Name: fmt.Sprintf("it-%d", i),
 			Data: []byte(fmt.Sprintf("iterator corpus payload %d with stems", i)),
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -295,7 +295,7 @@ func TestSnapshotLifecycle(t *testing.T) {
 	if err != nil || wrote {
 		t.Fatalf("clean snapshot = %v, %v; want skipped", wrote, err)
 	}
-	if _, err := s.Engine().Add(core.Record{Name: "rec", Data: []byte("some payload for the snapshot")}); err != nil {
+	if _, err := s.Engine().AddBatch([]core.Record{{Name: "rec", Data: []byte("some payload for the snapshot")}}); err != nil {
 		t.Fatal(err)
 	}
 	wrote, err = s.Snapshot()
@@ -316,7 +316,7 @@ func TestSnapshotLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	if _, err := mem.Engine().Add(core.Record{Name: "rec", Data: []byte("some payload for the snapshot")}); err != nil {
+	if _, err := mem.Engine().AddBatch([]core.Record{{Name: "rec", Data: []byte("some payload for the snapshot")}}); err != nil {
 		t.Fatal(err)
 	}
 	if wrote, err := mem.Snapshot(); err != nil || wrote {
@@ -333,7 +333,7 @@ func TestIngestAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Engine().Add(core.Record{Name: "kept", Data: []byte("payload indexed before the close")}); err != nil {
+	if _, err := s.Engine().AddBatch([]core.Record{{Name: "kept", Data: []byte("payload indexed before the close")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

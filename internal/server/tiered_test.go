@@ -138,7 +138,7 @@ func TestDirectoryEngineIsDurableWithoutConfigDataDir(t *testing.T) {
 	}
 	defer ix.Close()
 	if !ix.Has("alpha") || !ix.Has("beta") {
-		t.Fatalf("acked records lost in the crash: reopened index holds %v", ix.Names())
+		t.Fatalf("acked records lost in the crash: reopened index holds %d", ix.Len())
 	}
 	if w := ix.WAL(); w == nil || w.ReplayedFrames != 2 {
 		t.Fatalf("reopen replayed %+v, want the 2 acked adds from the WAL", w)

@@ -118,6 +118,21 @@ metrics="$(curl -fsS "$base/metrics")"
 grep -q '^sketchengine_wal_appends_total' <<<"$metrics" || fail "/metrics has no WAL counters"
 grep -q 'sketchengine_deletes_total 1' <<<"$metrics" || fail "/metrics did not count the delete"
 
+# Follow next_cursor one record a page: the walk must yield every live
+# record exactly once and never the deleted one, in whatever order the
+# shards hold them.
+listed=""
+cursor=""
+for _ in $(seq 1 10); do
+    page="$(curl -fsS "$base/v1/records?limit=1${cursor:+&cursor=$cursor}")"
+    listed+="$(grep -oE '"name":"[^"]*"' <<<"$page" | cut -d'"' -f4 || true) "
+    cursor="$(grep -oE '"next_cursor":"[^"]*"' <<<"$page" | cut -d'"' -f4 || true)"
+    [[ -n "$cursor" ]] || break
+done
+walked="$(tr ' ' '\n' <<<"$listed" | grep -v '^$' | sort | tr '\n' ' ')"
+[[ -z "$cursor" && "$walked" == "alpha.txt beta.txt delta.txt " ]] ||
+    fail "listing walk yielded '$walked' (cursor '$cursor'), want alpha.txt, beta.txt and delta.txt once each"
+
 # The crash: SIGKILL, so nothing gets to flush except what the WAL
 # already holds from the per-request acks.
 kill -9 "$serve_pid"
