@@ -19,7 +19,6 @@ type legacyIndex struct {
 func cmdImport(argv []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("import", stderr)
 	out := fs.String("o", defaultIndexDir, "index directory to create (must not hold an index already)")
-	bits := bitsFlag(fs)
 	segRows := segmentRowsFlag(fs)
 	if err := parseFlags(fs, argv); err != nil {
 		return err
@@ -32,7 +31,7 @@ func cmdImport(argv []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("import: %w", err)
 	}
 	defer f.Close()
-	meta, err := importIndex(f, *out, *bits, *segRows)
+	meta, err := importIndex(f, *out, *segRows)
 	if err != nil {
 		return fmt.Errorf("import: %s: %w", fs.Arg(0), err)
 	}
@@ -49,7 +48,7 @@ func cmdImport(argv []string, stdout, stderr io.Writer) error {
 // sketched compatibly, and packed (8/16-bit) files discarded the
 // full-width slots a directory stores. Those are rebuilt from source
 // data instead.
-func importIndex(r io.Reader, dir string, bits, segRows int) (core.Metadata, error) {
+func importIndex(r io.Reader, dir string, segRows int) (core.Metadata, error) {
 	var f legacyIndex
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return core.Metadata{}, fmt.Errorf("decode: %w", err)
@@ -81,7 +80,7 @@ func importIndex(r io.Reader, dir string, bits, segRows int) (core.Metadata, err
 	}
 	eng, err := core.NewEngine(core.Options{
 		K: m.K, SignatureSize: m.SignatureSize, IndexName: m.Name,
-		Bands: m.Bands, RowsPerBand: m.RowsPerBand, Shards: m.Shards, Bits: bits,
+		Bands: m.Bands, RowsPerBand: m.RowsPerBand, Shards: m.Shards,
 		Tiered: true, DataDir: dir, SegmentRows: segRows,
 	})
 	if err != nil {

@@ -123,7 +123,7 @@ func FuzzImport(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := filepath.Join(t.TempDir(), "index")
-		meta, err := importIndex(bytes.NewReader(data), dir, 8, 0)
+		meta, err := importIndex(bytes.NewReader(data), dir, 0)
 		if err != nil {
 			return
 		}

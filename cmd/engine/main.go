@@ -175,15 +175,6 @@ func lshFlags(fs *flag.FlagSet) (bands, rows *int) {
 	return
 }
 
-// bitsFlag adds the prefilter packing width flag shared by the
-// subcommands that may create an index (new indexes only; an existing
-// index keeps its stored width). Full-width signatures always live in
-// the on-disk segments, so the narrow default costs no accuracy.
-func bitsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("bits", 8,
-		"RAM prefilter packing width: 8 or 64 bits per slot (results are identical at either width; 8 is smaller and scans faster)")
-}
-
 func segmentRowsFlag(fs *flag.FlagSet) *int {
 	return fs.Int("segment-rows", 0, "records per sealed segment file (0 = default; new indexes only)")
 }
@@ -199,11 +190,11 @@ type indexFlags struct {
 	fs *flag.FlagSet
 	// retunes: the command applies -bands/-rows to an existing index
 	// itself (serve, through retune), so they are not warned about.
-	retunes               bool
-	k, size, threads      *int
-	bands, rows, shards   *int
-	bits, segRows, budget *int
-	name                  *string
+	retunes             bool
+	k, size, threads    *int
+	bands, rows, shards *int
+	segRows, budget     *int
+	name                *string
 }
 
 func addIndexFlags(fs *flag.FlagSet) *indexFlags {
@@ -211,7 +202,6 @@ func addIndexFlags(fs *flag.FlagSet) *indexFlags {
 	f.k, f.size, f.threads = sketchFlags(fs)
 	f.bands, f.rows = lshFlags(fs)
 	f.shards = fs.Int("shards", 0, "index lock-stripe shards (0 = default; fixed at creation)")
-	f.bits = bitsFlag(fs)
 	f.segRows = segmentRowsFlag(fs)
 	f.budget = budgetFlag(fs)
 	f.name = fs.String("name", "default", "index name (new indexes only)")
@@ -235,7 +225,7 @@ func (f *indexFlags) openOrCreate(cmd, dir string, stderr io.Writer) (*core.Engi
 	if fi, err := os.Stat(dir); err != nil || (fi.IsDir() && !hasManifest(dir)) {
 		return core.NewEngine(core.Options{
 			K: *f.k, SignatureSize: *f.size, Threads: *f.threads, IndexName: *f.name,
-			Bands: *f.bands, RowsPerBand: *f.rows, Shards: *f.shards, Bits: *f.bits,
+			Bands: *f.bands, RowsPerBand: *f.rows, Shards: *f.shards,
 			Tiered: true, DataDir: dir, SegmentRows: *f.segRows, Budget: *f.budget,
 		})
 	}
@@ -263,10 +253,6 @@ func (f *indexFlags) warnIgnored(cmd string, ix *core.Index, stderr io.Writer) {
 	if (set["k"] && meta.K != *f.k) || (set["size"] && meta.SignatureSize != *f.size) {
 		fmt.Fprintf(stderr, "engine: %s: existing index %q uses k=%d size=%d; ignoring -k/-size flags\n",
 			cmd, meta.Name, meta.K, meta.SignatureSize)
-	}
-	if set["bits"] && meta.Bits != *f.bits {
-		fmt.Fprintf(stderr, "engine: %s: existing index %q uses bits=%d; ignoring -bits %d\n",
-			cmd, meta.Name, meta.Bits, *f.bits)
 	}
 	lshDiffers := (set["bands"] && meta.Bands != *f.bands) || (set["rows"] && meta.RowsPerBand != *f.rows)
 	shardsDiffer := set["shards"] && meta.Shards != *f.shards
@@ -403,7 +389,7 @@ func cmdDist(argv []string, stdout, stderr io.Writer) error {
 
 func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("search", stderr)
-	// No -k/-size/-bits/-shards here: queries are always sketched with
+	// No -k/-size/-shards here: queries are always sketched with
 	// the index's own parameters (see below), and its layout is fixed.
 	threads := threadsFlag(fs)
 	bands, rows := lshFlags(fs)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -171,39 +172,28 @@ func TestCLIRemovedFlags(t *testing.T) {
 	}
 }
 
-// TestCLIBitsFlag drives -bits end to end: the default 8-bit prefilter
-// returns byte-identical output to a full-width one (the rescore reads
-// full-width segments either way), `search -v` reports the packed arena
-// and the tier footprint, conflicting flags on an existing index warn
-// and are ignored, and unsupported widths are rejected.
+// TestCLIBitsFlag pins the one prefilter width end to end: `search -v`
+// reports an 8-bit arena of 128 bytes per record and the tier
+// footprint, a directory whose manifest says bits 64 (written by older
+// builds) searches byte-identically, and there is no -bits flag.
 func TestCLIBitsFlag(t *testing.T) {
 	dir := t.TempDir()
-	full := filepath.Join(dir, "full")
 	packed := filepath.Join(dir, "packed")
+	wide := filepath.Join(dir, "wide")
 	inputs := []string{testdata("alpha.txt"), testdata("beta.txt"), testdata("gamma.txt")}
-	if _, stderr, code := runCLI(t, append([]string{"sketch", "-o", full, "-bits", "64"}, inputs...)...); code != 0 {
-		t.Fatalf("sketch -bits 64 failed (%d): %s", code, stderr)
+	for _, ix := range []string{packed, wide} {
+		if _, stderr, code := runCLI(t, append([]string{"sketch", "-o", ix, "-segment-rows", "2"}, inputs...)...); code != 0 {
+			t.Fatalf("sketch failed (%d): %s", code, stderr)
+		}
 	}
-	if _, stderr, code := runCLI(t, append([]string{"sketch", "-o", packed, "-segment-rows", "2"}, inputs...)...); code != 0 {
-		t.Fatalf("sketch failed (%d): %s", code, stderr)
-	}
-	if _, err := os.Stat(filepath.Join(packed, "MANIFEST.json")); err != nil {
-		t.Fatalf("sketch wrote no manifest: %v", err)
-	}
-	want, stderr, code := runCLI(t, "search", "-d", full, "-top", "2", testdata("beta.txt"))
+	setManifestBits(t, wide, 64)
+	want, stderr, code := runCLI(t, "search", "-d", packed, "-top", "2", "-v", testdata("beta.txt"))
 	if code != 0 {
-		t.Fatalf("search full failed (%d): %s", code, stderr)
-	}
-	got, stderr, code := runCLI(t, "search", "-d", packed, "-top", "2", "-v", testdata("beta.txt"))
-	if code != 0 {
-		t.Fatalf("search packed failed (%d): %s", code, stderr)
-	}
-	if got != want {
-		t.Fatalf("8-bit prefilter output differs from full width:\n%s\nvs\n%s", got, want)
+		t.Fatalf("search failed (%d): %s", code, stderr)
 	}
 	// -v reports the arena memory on stderr — 128 slots at 8 bits is 128
 	// bytes per record — and the tier line (resident vs mapped bytes).
-	if !strings.Contains(stderr, "bits=8") || !strings.Contains(stderr, "bytes_per_record=128.0") {
+	if !strings.Contains(stderr, "bits=8 ") || !strings.Contains(stderr, "bytes_per_record=128.0") {
 		t.Fatalf("search -v stderr = %q, want arena report with bits=8 bytes_per_record=128.0", stderr)
 	}
 	if !strings.Contains(stderr, "resident_bytes=") || !strings.Contains(stderr, "mapped_bytes=") {
@@ -214,18 +204,39 @@ func TestCLIBitsFlag(t *testing.T) {
 		!strings.Contains(stderr, "scan_kernel=portable") {
 		t.Fatalf("search -v did not name the scan kernel: %s", stderr)
 	}
-	// Re-sketching with a conflicting -bits warns and keeps the stored
-	// width.
-	if _, stderr, code = runCLI(t, "sketch", "-o", packed, "-bits", "64", testdata("alpha.txt")); code != 0 {
-		t.Fatalf("re-sketch failed (%d): %s", code, stderr)
+	got, stderr, code := runCLI(t, "search", "-d", wide, "-top", "2", "-v", testdata("beta.txt"))
+	if code != 0 {
+		t.Fatalf("search of a bits-64 manifest failed (%d): %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "ignoring -bits 64") {
-		t.Fatalf("want conflicting-bits warning, got: %q", stderr)
+	if got != want || !strings.Contains(stderr, "bits=8 ") {
+		t.Fatalf("bits-64 manifest searches as\n%s(stderr %q)\nwant, at 8 bits,\n%s", got, stderr, want)
 	}
-	// Unsupported widths are rejected up front.
-	if _, stderr, code := runCLI(t, "sketch", "-o", filepath.Join(dir, "bad"),
-		"-bits", "16", testdata("alpha.txt")); code == 0 || !strings.Contains(stderr, "packing width") {
-		t.Fatalf("sketch -bits 16: code=%d stderr=%q, want packing-width error", code, stderr)
+	for _, cmd := range []string{"sketch", "serve", "import"} {
+		if _, _, code := runCLI(t, cmd, "-bits", "8", testdata("alpha.txt")); code != 2 {
+			t.Errorf("%s -bits 8 exited %d, want 2 (no such flag)", cmd, code)
+		}
+	}
+}
+
+// setManifestBits rewrites the bits field of the index directory's
+// manifest, as an older build would have written it.
+func setManifestBits(t *testing.T, dir string, bits int) {
+	t.Helper()
+	path := filepath.Join(dir, "MANIFEST.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["meta"].(map[string]any)["bits"] = bits
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,17 +4,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// naiveZeroLanes is the per-lane reference the SWAR counters are
+// naiveZeroNibbles is the per-nibble reference the SWAR counters are
 // checked against.
-func naiveZeroLanes(x uint64, bits int) int {
-	mask := laneMask(bits)
+func naiveZeroNibbles(x uint64) int {
 	n := 0
-	for i := 0; i < 64; i += bits {
-		if (x>>uint(i))&mask == 0 {
+	for i := 0; i < 64; i += 4 {
+		if x>>uint(i)&0xf == 0 {
 			n++
 		}
 	}
@@ -31,7 +31,7 @@ func TestZeroLanesMatchesNaive(t *testing.T) {
 		cases = append(cases, rng.Uint64()&rng.Uint64()&rng.Uint64()&rng.Uint64())
 	}
 	for _, x := range cases {
-		if got, want := zeroNibbles(x), naiveZeroLanes(x, 4); got != want {
+		if got, want := zeroNibbles(x), naiveZeroNibbles(x); got != want {
 			t.Fatalf("zeroNibbles(%#x) = %d, want %d", x, got, want)
 		}
 	}
@@ -46,7 +46,7 @@ func FuzzZeroNibbles(f *testing.F) {
 	f.Add(uint64(0x8000000000000000))
 	f.Add(uint64(0x0F0F0F0F0F0F0F0F))
 	f.Fuzz(func(t *testing.T, x uint64) {
-		if got, want := zeroNibbles(x), naiveZeroLanes(x, 4); got != want {
+		if got, want := zeroNibbles(x), naiveZeroNibbles(x); got != want {
 			t.Fatalf("zeroNibbles(%#x) = %d, want %d", x, got, want)
 		}
 	})
@@ -54,26 +54,22 @@ func FuzzZeroNibbles(f *testing.F) {
 
 func TestPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, bits := range []int{64, 8} {
-		// Odd slot counts exercise the partially-used final word.
-		for _, slots := range []int{1, 3, 7, 8, 9, 32, 127, 128} {
-			sig := make([]uint64, slots)
-			for i := range sig {
-				sig[i] = rng.Uint64()
-			}
-			a := newSigArena(slots, bits)
-			a.appendSig(sig)
-			packed := a.row(0)
-			want := sigWords(slots, bits)
-			if wantHi := map[int]int{8: want, 64: 0}[bits]; len(packed.lo) != want || len(packed.hi) != wantHi {
-				t.Fatalf("bits=%d slots=%d: packed to %d+%d words, want %d+%d", bits, slots, len(packed.lo), len(packed.hi), want, wantHi)
-			}
-			back := a.appendLanes(nil, 0)
-			mask := laneMask(bits)
-			for i, v := range sig {
-				if back[i] != v&mask {
-					t.Fatalf("bits=%d slots=%d slot %d: unpacked %#x, want %#x", bits, slots, i, back[i], v&mask)
-				}
+	// Odd slot counts exercise the partially-used final word.
+	for _, slots := range []int{1, 3, 7, 8, 9, 32, 127, 128} {
+		sig := make([]uint64, slots)
+		for i := range sig {
+			sig[i] = rng.Uint64()
+		}
+		a := newSigArena(slots)
+		a.appendSig(sig)
+		packed := a.row(0)
+		if want := sigWords(slots); len(packed.lo) != want || len(packed.hi) != want {
+			t.Fatalf("slots=%d: packed to %d+%d words, want %d+%d", slots, len(packed.lo), len(packed.hi), want, want)
+		}
+		back := a.appendLanes(nil, 0)
+		for i, v := range sig {
+			if back[i] != v&laneMask {
+				t.Fatalf("slots=%d slot %d: unpacked %#x, want %#x", slots, i, back[i], v&laneMask)
 			}
 		}
 	}
@@ -81,35 +77,31 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 
 func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, bits := range []int{64, 8} {
-		mask := laneMask(bits)
-		for _, slots := range []int{1, 5, 8, 9, 64, 127, 128} {
-			for trial := 0; trial < 50; trial++ {
-				a := make([]uint64, slots)
-				b := make([]uint64, slots)
-				want := 0
-				for i := range a {
-					a[i] = rng.Uint64()
-					switch rng.Intn(4) {
-					case 0: // identical slot
-						b[i] = a[i]
-					case 1: // equal only after truncation
-						b[i] = (a[i] & mask) | (rng.Uint64() &^ mask)
-					case 2: // equal low nibble: the low plane alone would count it
-						b[i] = a[i] ^ (rng.Uint64() &^ 0xf)
-					default:
-						b[i] = rng.Uint64()
-					}
-					if a[i]&mask == b[i]&mask {
-						want++
-					}
+	for _, slots := range []int{1, 5, 8, 9, 64, 127, 128} {
+		for trial := 0; trial < 50; trial++ {
+			a := make([]uint64, slots)
+			b := make([]uint64, slots)
+			want := 0
+			for i := range a {
+				a[i] = rng.Uint64()
+				switch rng.Intn(4) {
+				case 0: // identical slot
+					b[i] = a[i]
+				case 1: // equal only after truncation
+					b[i] = (a[i] & laneMask) | (rng.Uint64() &^ laneMask)
+				case 2: // equal low nibble: the low plane alone would count it
+					b[i] = a[i] ^ (rng.Uint64() &^ 0xf)
+				default:
+					b[i] = rng.Uint64()
 				}
-				pa := packAppend(planes{}, a, bits)
-				pb := packAppend(planes{}, b, bits)
-				if got := packedMatchingSlots(pa, pb, slots); got != want {
-					t.Fatalf("bits=%d slots=%d trial %d: packedMatchingSlots = %d, want %d",
-						bits, slots, trial, got, want)
+				if a[i]&laneMask == b[i]&laneMask {
+					want++
 				}
+			}
+			pa := packAppend(planes{}, a)
+			pb := packAppend(planes{}, b)
+			if got := packedMatchingSlots(pa, pb, slots); got != want {
+				t.Fatalf("slots=%d trial %d: packedMatchingSlots = %d, want %d", slots, trial, got, want)
 			}
 		}
 	}
@@ -123,7 +115,7 @@ func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 // probability 2^-b, so the extra matches are Binomial(n-m, 2^-b) and a
 // mean + 5 sigma + 1 envelope holds with overwhelming probability.
 func TestPackedSimilarityWithinCollisionBound(t *testing.T) {
-	const slots, bits = DefaultSignatureSize, 8
+	const slots, bits = DefaultSignatureSize, prefilterBits
 	s := mustSketcher(t, DefaultK, slots)
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
@@ -140,8 +132,8 @@ func TestPackedSimilarityWithinCollisionBound(t *testing.T) {
 		y := s.Sketch(Record{Name: "y", Data: edited})
 
 		m64 := matchingSlots(x.Signature, y.Signature)
-		px := packAppend(planes{}, x.Signature, bits)
-		py := packAppend(planes{}, y.Signature, bits)
+		px := packAppend(planes{}, x.Signature)
+		py := packAppend(planes{}, y.Signature)
 		mb := packedMatchingSlots(px, py, slots)
 		if mb < m64 {
 			t.Fatalf("bits=%d trial %d: packed matches %d < full-width matches %d", bits, trial, mb, m64)
@@ -156,41 +148,34 @@ func TestPackedSimilarityWithinCollisionBound(t *testing.T) {
 }
 
 // TestPackedSearchAgreesAcrossWidths plants near-duplicates and checks
-// that every packing width finds them: LSH and exact mode agree with
-// each other at each width, and the top hits are the planted records.
+// that the 8-bit prefilter finds them, over a heap and a directory full
+// store: LSH and exact mode agree with each other and with the
+// brute-force reference, and the top hits are the planted records.
 func TestPackedSearchAgreesAcrossWidths(t *testing.T) {
-	const n, planted = 1200, 30
-	for _, bits := range []int{64, 8} {
-		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
-			eng := engineAt(t, "packed", bits)
-			recs, base := plantedRecords(n, planted, 7)
+	// 8 is the one prefilter width; the subtest is named for it.
+	t.Run("bits=8", func(t *testing.T) {
+		const n, planted = 1200, 30
+		recs, base := plantedRecords(n, planted, 7)
+		var q *Sketch
+		var refs []*Sketch
+		for _, dir := range []bool{false, true} {
+			eng := engineAt(t, "packed", dir)
 			if oks, err := eng.AddBatch(recs); err != nil || countAdded(oks) != n {
 				t.Fatalf("AddBatch added %d, %v; want %d, nil", countAdded(oks), err, n)
 			}
-			q := eng.Sketcher().Sketch(Record{Name: "query", Data: base})
-			exact, err := SearchTopK(eng.Index(), q, 10, 0, eng.Pool())
-			if err != nil {
-				t.Fatal(err)
+			q, refs = eng.Sketcher().Sketch(Record{Name: "query", Data: base}), sketchAll(eng.Sketcher(), recs)
+			checkAgainstBrute(t, q, refs, 10, 0, eng.Index())
+		}
+		want := bruteTopK(q, refs, 10, 0)
+		if len(want) != 10 {
+			t.Fatalf("%d results, want 10", len(want))
+		}
+		for i, r := range want[:5] {
+			if r.Ref[:5] != "near-" {
+				t.Fatalf("hit %d = %+v, want a planted near-duplicate", i, r)
 			}
-			lsh, err := SearchTopKLSH(eng.Index(), q, 10, 0, eng.Pool())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(exact) != 10 || len(lsh) != 10 {
-				t.Fatalf("result lengths: exact=%d lsh=%d, want 10", len(exact), len(lsh))
-			}
-			for i := range exact {
-				if exact[i] != lsh[i] {
-					t.Fatalf("bits=%d result %d differs: exact=%+v lsh=%+v", bits, i, exact[i], lsh[i])
-				}
-			}
-			for i, r := range exact[:5] {
-				if r.Ref[:5] != "near-" {
-					t.Fatalf("bits=%d: hit %d = %+v, want a planted near-duplicate", bits, i, r)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSearchParallelMatchesSerial drives the per-shard fan-out path
@@ -200,8 +185,8 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a corpus above parallelScoreMinBytes")
 	}
-	const n = parallelScoreMinBytes/(DefaultSignatureSize/2) + 500 // 8-bit rows: a low plane of half a byte per slot
-	eng := engineAt(t, "fanout", 8)
+	const n = parallelScoreMinBytes/(DefaultSignatureSize/2) + 500 // a low plane of half a byte per slot
+	eng := engineAt(t, "fanout", true)
 	recs, base := plantedRecords(n, 20, 5)
 	if oks, err := eng.AddBatch(recs); err != nil || countAdded(oks) != n {
 		t.Fatalf("AddBatch added %d, %v; want %d, nil", countAdded(oks), err, n)
@@ -234,13 +219,12 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// engineAt builds an engine whose arena packs at bits: in memory at 64,
-// tiered over a temporary directory at 8, the one width that needs a
-// full-width tier.
-func engineAt(tb testing.TB, name string, bits int) *Engine {
+// engineAt builds an engine with the default geometry whose full
+// store is on the heap, or over a temporary directory when dir is set.
+func engineAt(tb testing.TB, name string, dir bool) *Engine {
 	tb.Helper()
-	opts := Options{IndexName: name, Bits: bits}
-	if bits == 8 {
+	opts := Options{IndexName: name}
+	if dir {
 		opts.Tiered, opts.DataDir = true, tb.TempDir()
 	}
 	eng, err := NewEngine(opts)
@@ -252,9 +236,8 @@ func engineAt(tb testing.TB, name string, bits int) *Engine {
 }
 
 // plantedRecords builds n records, the first `planted` of which are
-// near-duplicates of the returned base payload. It mirrors
-// plantedCorpus but returns raw records so callers pick their own
-// engine options.
+// near-duplicates of the returned base payload (named "near-<i>"); the
+// rest is random filler. Everything is deterministic in seed.
 func plantedRecords(n, planted int, seed int64) ([]Record, []byte) {
 	const recBytes = 256
 	base := benchData(recBytes, seed)
@@ -274,34 +257,38 @@ func plantedRecords(n, planted int, seed int64) ([]Record, []byte) {
 	return recs, base
 }
 
-// TestTruncatedSketchesDoNotMixWithFullWidth: packing below 64 bits
-// happens only in a tiered index's prefilter, so no sketch is ever
-// truncated: an in-memory index refuses Bits 8 with an error naming
-// both fields. (TestTieredGetSketchFullWidth reads one back.)
+// TestTruncatedSketchesDoNotMixWithFullWidth: packing happens only in
+// the prefilter, so no sketch is ever truncated — Get on an in-memory
+// index returns the full-width signature (TestTieredGetSketchFullWidth
+// reads one back from a directory) — and no caller can ask for a width
+// but 8.
 func TestTruncatedSketchesDoNotMixWithFullWidth(t *testing.T) {
-	const want = "Options.Bits 8 requires Options.Tiered"
-	if _, err := NewEngine(Options{IndexName: "p8", Bits: 8}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("NewEngine(Bits 8) in memory: err = %v, want %q", err, want)
+	eng, err := NewEngine(Options{IndexName: "p8", Bits: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	lsh := DefaultLSHParams(DefaultSignatureSize)
-	if _, err := NewIndexWith("p8", DefaultK, DefaultSignatureSize, lsh, 1, 8); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("NewIndexWith(bits 8): err = %v, want %q", err, want)
+	rec := Record{Name: "r", Data: benchData(512, 1)}
+	if _, err := addRecord(eng, rec); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.Index().Get("r"), eng.Sketcher().Sketch(rec); !slices.Equal(got.Signature, want.Signature) {
+		t.Fatalf("Get = %x, want the full-width signature %x", got.Signature, want.Signature)
+	}
+	const wantErr = "unsupported packing width"
+	for _, bits := range []int{1, 16, 64} {
+		if _, err := NewEngine(Options{IndexName: "p", Bits: bits}); err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("NewEngine(Bits %d): err = %v, want %q", bits, err, wantErr)
+		}
 	}
 }
 
 func TestArenaStats(t *testing.T) {
-	for _, tc := range []struct {
-		bits        int
-		wantPerRec  float64
-		wantSigSize int
-	}{
-		{64, 8 * DefaultSignatureSize, DefaultSignatureSize},
-		{8, 1 * DefaultSignatureSize, DefaultSignatureSize},
-	} {
-		eng := engineAt(t, "arena", tc.bits)
+	const wantPerRec = DefaultSignatureSize // one byte a slot
+	for _, dir := range []bool{false, true} {
+		eng := engineAt(t, "arena", dir)
 		empty := eng.Index().Arena()
 		if empty.SignatureBytes != 0 || empty.BytesPerRecord != 0 {
-			t.Fatalf("bits=%d empty arena stats = %+v", tc.bits, empty)
+			t.Fatalf("dir=%v empty arena stats = %+v", dir, empty)
 		}
 		const n = 100
 		for i := 0; i < n; i++ {
@@ -311,23 +298,17 @@ func TestArenaStats(t *testing.T) {
 			}
 		}
 		st := eng.Index().Arena()
-		if st.Bits != tc.bits {
-			t.Fatalf("arena bits = %d, want %d", st.Bits, tc.bits)
-		}
-		if st.BytesPerRecord != tc.wantPerRec {
-			t.Fatalf("bits=%d bytes/record = %v, want %v", tc.bits, st.BytesPerRecord, tc.wantPerRec)
-		}
-		if st.SignatureBytes != int64(n*int(tc.wantPerRec)) {
-			t.Fatalf("bits=%d signature bytes = %d, want %d", tc.bits, st.SignatureBytes, n*int(tc.wantPerRec))
+		if st.Bits != 8 || st.BytesPerRecord != wantPerRec || st.SignatureBytes != n*wantPerRec {
+			t.Fatalf("dir=%v arena stats = %+v, want 8 bits, %d bytes/record, %d bytes", dir, st, wantPerRec, n*wantPerRec)
 		}
 		if st.Utilization <= 0 || st.Utilization > 1 {
-			t.Fatalf("bits=%d utilization = %v, want in (0,1]", tc.bits, st.Utilization)
+			t.Fatalf("dir=%v utilization = %v, want in (0,1]", dir, st.Utilization)
 		}
 		// Engine stats surface the same numbers (the /stats payload).
 		es := eng.Stats()
-		if es.Bits != tc.bits || es.SignatureBytes != st.SignatureBytes ||
+		if es.Bits != st.Bits || es.SignatureBytes != st.SignatureBytes ||
 			es.BytesPerRecord != st.BytesPerRecord || es.ArenaUtilized != st.Utilization {
-			t.Fatalf("bits=%d engine stats arena fields = %+v, want %+v", tc.bits, es, st)
+			t.Fatalf("dir=%v engine stats arena fields = %+v, want %+v", dir, es, st)
 		}
 	}
 }

@@ -87,10 +87,8 @@ func BenchmarkSimilarity(b *testing.B) {
 }
 
 // BenchmarkSimilarityPacked measures the word-parallel packed
-// comparator at each packing width over default-size signatures: at 8
-// bits one XOR+SWAR word op per nibble plane compares 16 slots. bits=64 is the same
-// full-width compare BenchmarkSimilarity measures, via the packed entry
-// point.
+// comparator over default-size signatures: one XOR+SWAR word op per
+// nibble plane compares 16 slots.
 func BenchmarkSimilarityPacked(b *testing.B) {
 	s, err := NewSketcher(DefaultK, DefaultSignatureSize)
 	if err != nil {
@@ -98,19 +96,15 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 	}
 	x := s.Sketch(Record{Name: "x", Data: benchData(4<<10, 2)})
 	y := s.Sketch(Record{Name: "y", Data: benchData(4<<10, 3)})
-	for _, bits := range []int{64, 8} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			px := packAppend(planes{}, x.Signature, bits)
-			py := packAppend(planes{}, y.Signature, bits)
-			sink := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink += packedMatchingSlots(px, py, DefaultSignatureSize)
-			}
-			if sink < 0 {
-				b.Fatal("impossible")
-			}
-		})
+	px := packAppend(planes{}, x.Signature)
+	py := packAppend(planes{}, y.Signature)
+	sink := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += packedMatchingSlots(px, py, DefaultSignatureSize)
+	}
+	if sink < 0 {
+		b.Fatal("impossible")
 	}
 }
 
@@ -123,7 +117,7 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 // read: every row's low plane and its survivors' high plane.
 func BenchmarkMatchCounts(b *testing.B) {
 	const slots = DefaultSignatureSize
-	w, minCount := sigWords(slots, 8), minMatchedFor(0.3, slots)
+	w, minCount := sigWords(slots), minMatchedFor(0.3, slots)
 	for _, n := range []int{3125, 50000, 400000} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		var arena planes
@@ -132,7 +126,7 @@ func BenchmarkMatchCounts(b *testing.B) {
 			for j := range sig {
 				sig[j] = rng.Uint64()
 			}
-			arena = packAppend(arena, sig, 8)
+			arena = packAppend(arena, sig)
 		}
 		q := planes{arena.lo[:w], arena.hi[:w]}
 		for _, kernel := range kernels() {
@@ -155,9 +149,10 @@ func BenchmarkMatchCounts(b *testing.B) {
 	}
 }
 
-func benchIndex(b *testing.B, n, bits int) (*Index, *Sketch) {
+// benchIndex builds an in-memory index of n 2 KiB records.
+func benchIndex(b *testing.B, n int) (*Index, *Sketch) {
 	b.Helper()
-	eng := engineAt(b, "bench", bits)
+	eng := engineAt(b, "bench", false)
 	s, ix := eng.Sketcher(), eng.Index()
 	for i := 0; i < n; i++ {
 		rec := Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(2<<10, int64(i+10))}
@@ -169,10 +164,10 @@ func benchIndex(b *testing.B, n, bits int) (*Index, *Sketch) {
 }
 
 // benchTieredIndex builds the shape every BENCHMARK.json engine has —
-// a directory-backed index with an 8-bit prefilter — over n records.
+// a directory-backed index — over n records.
 func benchTieredIndex(b *testing.B, n int) (*Index, *Sketch) {
 	b.Helper()
-	eng := engineAt(b, "bench", 8)
+	eng := engineAt(b, "bench", true)
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+10))}
@@ -186,11 +181,10 @@ func benchTieredIndex(b *testing.B, n int) (*Index, *Sketch) {
 	return eng.Index(), eng.Sketcher().Sketch(Record{Name: "query", Data: benchData(256, 10)})
 }
 
-// BenchmarkSearchTopK is the exact-search rung: small full-width
-// in-memory corpora at minSim 0 (every row is a result), and the
-// serve-exact-scan shape — 50 000 rows, 8-bit tiered, minSim 0.3, so
-// the prefilter sweep is nearly all of the search — inline and fanned
-// out.
+// BenchmarkSearchTopK is the exact-search rung: small in-memory corpora
+// at minSim 0 (every row is a result), and the serve-exact-scan shape —
+// 50 000 rows in a directory, minSim 0.3, so the prefilter sweep is
+// nearly all of the search — inline and fanned out.
 func BenchmarkSearchTopK(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -210,7 +204,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 			if c.tiered {
 				ix, q = benchTieredIndex(b, c.n)
 			} else {
-				ix, q = benchIndex(b, c.n, DefaultBits)
+				ix, q = benchIndex(b, c.n)
 			}
 			for _, threads := range []int{1, 0} { // 0 = GOMAXPROCS
 				name := fmt.Sprintf("threads=%d", threads)
@@ -233,25 +227,21 @@ func BenchmarkSearchTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedStore measures the arena scan at each packing width on
-// a 1000-record corpus — the working-set effect the b-bit store exists
-// for — and reports the per-record signature footprint alongside ns/op
-// so a run shows memory regressions too.
+// BenchmarkPackedStore measures the arena scan on a 1000-record corpus
+// at minSim 0, where every row survives the prefilter and is rescored,
+// and reports the per-record prefilter footprint alongside ns/op so a
+// run shows memory regressions too.
 func BenchmarkPackedStore(b *testing.B) {
-	for _, bits := range []int{64, 8} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			ix, q := benchIndex(b, 1000, bits)
-			pool := NewPool(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := SearchTopK(ix, q, 10, 0, pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// After the loop: ResetTimer deletes user-reported metrics.
-			b.ReportMetric(ix.Arena().BytesPerRecord, "bytes/rec")
-		})
+	ix, q := benchIndex(b, 1000)
+	pool := NewPool(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SearchTopK(ix, q, 10, 0, pool); err != nil {
+			b.Fatal(err)
+		}
 	}
+	// After the loop: ResetTimer deletes user-reported metrics.
+	b.ReportMetric(ix.Arena().BytesPerRecord, "bytes/rec")
 }
 
 // lshBench caches the 10k-record corpus shared by BenchmarkSearchExact
@@ -301,7 +291,7 @@ func familyMember(f, m int) []byte {
 // of 20 near-duplicates, 16 stripes, an 8-bit directory index, saved.
 func familyCorpus(tb testing.TB, families int) *Engine {
 	tb.Helper()
-	eng := engineAt(tb, "bench", 8)
+	eng := engineAt(tb, "bench", true)
 	recs := make([]Record, 20)
 	for f := 0; f < families; f++ {
 		for m := range recs {
@@ -399,7 +389,7 @@ func BenchmarkAddBatchParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix, err := NewIndexWith("bench", DefaultK, DefaultSignatureSize,
-			DefaultLSHParams(DefaultSignatureSize), DefaultShards, DefaultBits)
+			DefaultLSHParams(DefaultSignatureSize), DefaultShards)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -457,8 +447,8 @@ func BenchmarkPairwiseDistances(b *testing.B) {
 func BenchmarkDurableIngest(b *testing.B) {
 	dir := b.TempDir()
 	eng, err := NewEngine(Options{
-		IndexName: "bench-wal", Bits: 8,
-		Tiered: true, DataDir: dir, SegmentRows: 256,
+		IndexName: "bench-wal",
+		Tiered:    true, DataDir: dir, SegmentRows: 256,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -31,19 +31,19 @@ type Options struct {
 	// Shards is the number of lock stripes in the index; <= 0 means
 	// DefaultShards.
 	Shards int
-	// Bits is the RAM arena's packing width: 64 (full minhash values)
-	// or, with Tiered, 8 (b-bit minwise hashing: the arena becomes a
-	// prefilter holding the low byte of every slot, an 8x smaller
-	// working set compared 8 slots per word op, and every score is
-	// recomputed from the full-width tier). 0 means DefaultBits (64).
+	// Bits is the resident prefilter's packing width: 0 or 8, the only
+	// width. The prefilter holds the low byte of every slot (b-bit
+	// minwise hashing: an 8x smaller working set than the full minhash
+	// values, compared 16 slots per word op), and every score is
+	// recomputed at full width, so the cut is exact.
 	Bits int
 	// Mode selects how Search scans the index; empty means ModeLSH.
 	Mode SearchMode
-	// Tiered backs the new index with the directory DataDir: the
-	// RAM-resident arena becomes a packed prefilter (at Bits width),
-	// full-width signatures go to mmap'd on-disk segments, and SaveDir
-	// persists it (see docs/ARCHITECTURE.md). False means a purely
-	// in-memory index that nothing persists.
+	// Tiered backs the new index with the directory DataDir: full-width
+	// signatures go to mmap'd on-disk segments, and SaveDir persists it
+	// (see docs/ARCHITECTURE.md). False means a purely in-memory index
+	// that keeps its full-width signatures on the heap and that nothing
+	// persists.
 	Tiered bool
 	// DataDir roots the index directory. Required when Tiered.
 	DataDir string
@@ -52,8 +52,7 @@ type Options struct {
 	// means DefaultSegmentRows. Tiered only.
 	SegmentRows int
 	// Budget caps full-width rescores per shard per query; 0 means
-	// unbounded (tiered results then match non-tiered exactly). Tiered
-	// only.
+	// unbounded, and results are then exact.
 	Budget int
 }
 
@@ -99,7 +98,10 @@ func NewEngine(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	ix, err := newIndexWith(opts.IndexName, opts.K, opts.SignatureSize, lsh, opts.Shards, opts.Bits, opts.Tiered)
+	if err := validBits(opts.Bits); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	ix, err := NewIndexWith(opts.IndexName, opts.K, opts.SignatureSize, lsh, opts.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -107,8 +109,8 @@ func NewEngine(opts Options) (*Engine, error) {
 		if err := ix.attachTier(opts.DataDir, opts.SegmentRows); err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
-		ix.SetBudget(opts.Budget)
 	}
+	ix.SetBudget(opts.Budget)
 	return &Engine{
 		sketcher: sk,
 		index:    ix,

@@ -62,13 +62,12 @@ type manifest struct {
 	Shards []manifestShard `json:"shards"`
 }
 
-// attachTier backs the still-empty index with the directory dataDir: the
-// in-RAM arena becomes the packed prefilter (at the width the index
-// was built with) and every shard gets an on-disk full-width store,
-// sealed into immutable segment files of segmentRows rows (0 means
-// DefaultSegmentRows) as records accumulate. The write-ahead log is
-// attached by the first SaveDir: durability frames only make sense
-// once there is a committed manifest to replay them over.
+// attachTier backs the still-private index with the directory dataDir:
+// every shard's full store from now on seals its head into immutable
+// segment files of segmentRows rows (0 means DefaultSegmentRows) as
+// records accumulate. The write-ahead log is attached by the first
+// SaveDir: durability frames only make sense once there is a committed
+// manifest to replay them over.
 func (ix *Index) attachTier(dataDir string, segmentRows int) error {
 	if dataDir == "" {
 		return fmt.Errorf("index %q: a directory-backed index needs a data directory", ix.meta.Name)
@@ -76,15 +75,11 @@ func (ix *Index) attachTier(dataDir string, segmentRows int) error {
 	if segmentRows <= 0 {
 		segmentRows = DefaultSegmentRows
 	}
-	tier := &tierState{dataDir: dataDir, segmentRows: segmentRows}
-	if err := os.MkdirAll(tier.segmentsDir(), 0o755); err != nil {
+	ix.tier.dataDir, ix.tier.segmentRows = dataDir, segmentRows
+	if err := os.MkdirAll(ix.tier.segmentsDir(), 0o755); err != nil {
 		return fmt.Errorf("index %q: create %s: %w", ix.meta.Name, dataDir, err)
 	}
-	for i, sh := range ix.shards {
-		sh.full = newFullStore(ix.meta.SignatureSize, i, tier)
-	}
 	ix.meta.Format = FormatV6
-	ix.tier = tier
 	return nil
 }
 
@@ -105,7 +100,7 @@ func (ix *Index) SaveDir() (err error) {
 	defer ix.writeMu.Unlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.tier == nil {
+	if ix.tier.dataDir == "" {
 		return fmt.Errorf("index %q: an in-memory index has no directory to save into", ix.meta.Name)
 	}
 	// Hold every shard lock across compact + seal + manifest + WAL
@@ -130,7 +125,6 @@ func (ix *Index) SaveDir() (err error) {
 		Tier: manifestTier{SegmentRows: ix.tier.segmentRows},
 	}
 	man.Meta.Format = FormatV6
-	man.Meta.Bits = ix.bits
 	for _, sh := range ix.shards {
 		for i, name := range sh.names {
 			if !sh.rowDead(int32(i)) {
@@ -187,7 +181,7 @@ func (ix *Index) compactLocked() (err error) {
 		if n := len(sh.names); n == 0 || float64(sh.deadRows)/float64(n) < DefaultCompactThreshold {
 			continue
 		}
-		dropped, cerr := sh.compactLocked(ix.meta.SignatureSize, ix.bits)
+		dropped, cerr := sh.compactLocked(ix.meta.SignatureSize)
 		if cerr != nil {
 			err = cerr
 			break
@@ -403,14 +397,13 @@ func Open(dir string) (ix *Index, err error) {
 	if m.Meta.Scheme != SchemeOPH {
 		return nil, fmt.Errorf("index: invalid manifest metadata: unsupported scheme %q (this engine sketches with %q only; rebuild from source data)", m.Meta.Scheme, SchemeOPH)
 	}
-	// Older builds wrote 16-bit prefilters. The prefilter is rebuilt from
-	// the full-width segments, so such a directory opens at 8 bits and
-	// its next SaveDir writes 8.
-	if m.Meta.Bits == 16 {
-		m.Meta.Bits = 8
+	// Older builds wrote 16- and 64-bit prefilters. The prefilter is
+	// rebuilt from the full-width segments, so such a directory opens at
+	// 8 bits and its next SaveDir writes 8.
+	if m.Meta.Bits == 16 || m.Meta.Bits == 64 {
+		m.Meta.Bits = prefilterBits
 	}
-	bits, err := validBits(m.Meta.Bits, true)
-	if err != nil {
+	if err := validBits(m.Meta.Bits); err != nil {
 		return nil, fmt.Errorf("index: invalid manifest metadata: %w", err)
 	}
 	segRows := m.Tier.SegmentRows
@@ -420,15 +413,14 @@ func Open(dir string) (ix *Index, err error) {
 
 	meta := m.Meta
 	meta.Format = FormatV6
-	meta.Bits = bits
+	meta.Bits = prefilterBits
 	tier := &tierState{dataDir: dir, segmentRows: segRows}
 	posts := newPostingTable(lsh, shards)
 	ix = &Index{
 		meta:   meta,
-		shards: newShards(shards, posts, meta.SignatureSize, bits),
+		shards: newShards(shards, posts, meta.SignatureSize, tier),
 		posts:  posts,
 		lsh:    lsh,
-		bits:   bits,
 		tier:   tier,
 	}
 	// Close whatever was opened before any failed return below. The
@@ -445,7 +437,6 @@ func Open(dir string) (ix *Index, err error) {
 	slots := meta.SignatureSize
 	for si, ms := range m.Shards {
 		sh := ix.shards[si]
-		sh.full = newFullStore(slots, si, tier)
 		if len(ms.Shingles) != len(ms.Names) {
 			return nil, fmt.Errorf("index: manifest shard %d: %d names but %d shingle counts", si, len(ms.Names), len(ms.Shingles))
 		}
@@ -598,60 +589,27 @@ func (ix *Index) replayWAL() (err error) {
 	return nil
 }
 
-// Tiered reports whether the index has an on-disk full-width tier.
-func (ix *Index) Tiered() bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.tier != nil
-}
-
 // DataDir returns the index directory, or "" for an in-memory index.
-func (ix *Index) DataDir() string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.tier == nil {
-		return ""
-	}
-	return ix.tier.dataDir
-}
+func (ix *Index) DataDir() string { return ix.tier.dataDir }
 
 // SetBudget caps how many full-width rescores one query spends per
-// shard (0 = unbounded, the default — results then match the
-// non-tiered path exactly; a positive budget trades recall under
-// adversarially flat score distributions for a hard I/O bound).
-// Safe to adjust on a live index.
-func (ix *Index) SetBudget(n int) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.tier != nil {
-		ix.tier.budget.Store(int64(n))
-	}
-}
+// shard (0 = unbounded, the default — results are then exact; a
+// positive budget trades recall under adversarially flat score
+// distributions for a hard I/O bound). Safe to adjust on a live index.
+func (ix *Index) SetBudget(n int) { ix.tier.budget.Store(int64(n)) }
 
-// Budget returns the per-shard rescore budget (0 = unbounded or
-// non-tiered).
-func (ix *Index) Budget() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.tier == nil {
-		return 0
-	}
-	return int(ix.tier.budget.Load())
-}
+// Budget returns the per-shard rescore budget (0 = unbounded).
+func (ix *Index) Budget() int { return int(ix.tier.budget.Load()) }
 
-// Tier returns a snapshot of tiered-storage state, or nil for
-// non-tiered indexes (so it serializes as an absent field in Stats).
+// Tier returns a snapshot of tiered-storage state, or nil for an
+// in-memory index (so it serializes as an absent field in Stats).
 func (ix *Index) Tier() *TierStats {
-	ix.mu.RLock()
-	shards := ix.shards
 	tier := ix.tier
-	bits := ix.bits
-	ix.mu.RUnlock()
-	if tier == nil {
+	if tier.dataDir == "" {
 		return nil
 	}
 	st := &TierStats{
-		PrefilterBits:     bits,
+		PrefilterBits:     prefilterBits,
 		Budget:            int(tier.budget.Load()),
 		SegmentRows:       tier.segmentRows,
 		PrefilterScanned:  tier.scanned.Load(),
@@ -659,7 +617,7 @@ func (ix *Index) Tier() *TierStats {
 		Rescored:          tier.rescored.Load(),
 		ReadErrors:        tier.readErrors.Load(),
 	}
-	for _, sh := range shards {
+	for _, sh := range ix.snapshotShards() {
 		segs, mapped, head, arenaUsed := sh.tierBytes()
 		st.Segments += segs
 		st.MappedBytes += mapped
@@ -675,7 +633,7 @@ func (ix *Index) Tier() *TierStats {
 // Close releases the on-disk tier's mappings and file handles,
 // including the write-ahead logs (buffered-but-unsynced frames are
 // dropped — callers that need them durable call SyncWAL first, and the
-// ack path already has). It is a no-op on non-tiered indexes; the index
+// ack path already has). It is a no-op on an in-memory index; the index
 // must not be used afterwards.
 func (ix *Index) Close() error {
 	ix.mu.Lock()
@@ -683,10 +641,8 @@ func (ix *Index) Close() error {
 	var first error
 	for _, sh := range ix.shards {
 		sh.mu.Lock()
-		if sh.full != nil {
-			if err := sh.full.close(); err != nil && first == nil {
-				first = err
-			}
+		if err := sh.full.close(); err != nil && first == nil {
+			first = err
 		}
 		if w := sh.wal.Load(); w != nil {
 			if err := w.Close(); err != nil && first == nil {

@@ -57,17 +57,13 @@ func eqSlot(x, y uint64) int {
 	return 0
 }
 
-// packedMatchingSlots counts equal slots between two packed rows of
-// `slots` lanes (see planes). Both rows must have the same shape with
+// packedMatchingSlots counts equal 8-bit slots between two packed rows
+// of `slots` lanes (see planes). Both rows must have the same shape with
 // zeroed padding nibbles; those compare equal on every pair and are
-// subtracted back out, so the count is exact. At full width it is
-// matchingSlots. At 8 bits one word op per plane compares 16 slots with
-// no per-slot branch.
+// subtracted back out, so the count is exact. One word op per plane
+// compares 16 slots with no per-slot branch.
 func packedMatchingSlots(a, b planes, slots int) int {
-	if len(a.hi) == 0 {
-		return matchingSlots(a.lo, b.lo)
-	}
-	return laneMatches(a, b) - (len(a.lo)*16 - slots)
+	return laneMatches(a, b) - (len(a.lo)*lanesPerWord - slots)
 }
 
 // nibbleMatches counts the low-plane nibbles of row equal to q's, padding

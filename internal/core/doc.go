@@ -7,8 +7,8 @@
 //     compressed into compact fixed-size minhash signatures (see Sketcher).
 //  2. Indexing: signatures live in a sharded Index — N lock-striped
 //     shards keyed by record-name hash, each owning a contiguous
-//     packed signature arena (optionally truncated to b-bit slots),
-//     and one index-wide LSH posting table (see postingTable: a
+//     8-bit packed prefilter arena over a full-width store, and one
+//     index-wide LSH posting table (see postingTable: a
 //     compact sealed level rebuilt from the live rows — buckets in
 //     fingerprint order behind a fingerprint-prefix directory — and a
 //     delta for the rows added since) — with incremental add /
@@ -22,18 +22,19 @@
 //
 // # Storage
 //
-// An index is either purely in memory (NewIndex, or NewEngine without
-// Options.Tiered: nothing persists) or a directory from birth (NewEngine
-// with Options.Tiered and DataDir, reopened with Open) — the one
-// persistent layout. In a directory index the in-memory arena is a
-// prefilter (8-bit packed by default) and the full-width signatures live in
-// immutable on-disk segment files, mmap'd read-only
-// where the platform allows and served by pread elsewhere. Queries then
-// run in two phases — a blocked sweep of the resident prefilter (one
-// scan loop over a per-block kernel; see shard.sweep and kernel.go)
-// followed by full-width rescoring of the survivors, ranked by packed
-// score so a top-K heap can stop reading as soon as no remaining
-// candidate's upper bound can beat the current worst result. See
+// Every index has one resident layout: the arena is an 8-bit prefilter
+// and the full-width signatures live in a fullStore. An index is either
+// purely in memory (NewIndex, or NewEngine without Options.Tiered: the
+// full-width rows stay on the heap and nothing persists) or a directory
+// from birth (NewEngine with Options.Tiered and DataDir, reopened with
+// Open) — the one persistent layout, whose full-width rows live in
+// immutable on-disk segment files, mmap'd read-only where the platform
+// allows and served by pread elsewhere. Queries run in two phases — a
+// blocked sweep of the resident prefilter (one scan loop over a
+// per-block kernel; see shard.sweep and kernel.go) followed by
+// full-width rescoring of the survivors, ranked by packed score so a
+// top-K heap can stop reading as soon as no remaining candidate's upper
+// bound can beat the current worst result. See
 // docs/ARCHITECTURE.md for the data flow and docs/FORMAT.md for the
 // on-disk layout.
 //
@@ -45,25 +46,25 @@
 //   - Truncation is monotone: a b-bit packed slot comparison matches
 //     whenever the full-width slots match, so the packed similarity is
 //     an upper bound on the full-width similarity. This is what makes
-//     the tiered prefilter cut and the rescore early-exit exact rather
+//     the prefilter cut and the rescore early-exit exact rather
 //     than approximate (shard.tieredRescore), and what bounds b-bit
 //     over-reporting by the 2^-b collision rate (see the collision-bound
 //     test). The same holds one level down: an 8-bit slot's low nibble
 //     matches whenever its byte does, which lets the sweep cut on the
 //     low nibble plane alone (see kernel.go).
 //   - Band keys are masked to the packed width on both the index and
-//     query side, so a full-width query probes a truncated index's
-//     buckets correctly (LSHParams.bandKey).
+//     query side, so a full-width query probes the buckets a rebuild
+//     filed from the arena's truncated rows correctly (LSHParams.bandKey).
 //   - Shard-local row order is append order, shared by the arena, the
-//     names/shingles columns, the tiered full store, and the posting
+//     names/shingles columns, the full store, and the posting
 //     table's (shard, row) entries: row i of a shard means the same
 //     record in all of them. Compaction renumbers rows, so it bumps the
 //     shard's generation and rebuilds the table under every shard lock.
 //   - The sealed posting level keys buckets by the top 32 bits of the
 //     band key, so a probe may name rows that share no bucket with the
 //     query. Nothing may return a probe candidate unscored.
-//     Tiered segments tile [0, headBase) contiguously and the mutable
-//     head holds rows from headBase up.
+//     A full store's segments tile [0, headBase) contiguously and the
+//     mutable head holds rows from headBase up.
 //   - An index persists only through SaveDir, whose manifest rename is
 //     the commit point. Sealed segment files are immutable — snapshots
 //     only add files. The shard count is fixed at creation.

@@ -42,12 +42,12 @@ type Metadata struct {
 
 // Index is a store of sketches keyed by record name, striped over N
 // independently-locked shards so concurrent adds and probes on
-// different stripes never contend. Each shard owns a contiguous
-// signature arena (on a tiered index, usually an 8-bit packed
-// prefilter; see sigArena); one posting table shared by all of them
-// holds the LSH band postings for sub-linear candidate filtering (see
-// postingTable, SearchTopKLSH).
-// An index is either purely in memory (NewIndex, NewIndexWith: nothing
+// different stripes never contend. Each shard owns a contiguous 8-bit
+// prefilter arena (see sigArena) over a full-width store (see
+// fullStore); one posting table shared by all of them holds the LSH
+// band postings for sub-linear candidate filtering (see postingTable,
+// SearchTopKLSH). An index is either purely in memory (NewIndex,
+// NewIndexWith: the full-width rows stay on the heap and nothing
 // persists) or backed by a directory from birth (NewEngine with
 // Options.Tiered, or Open). All methods are safe for concurrent use
 // except Rebucket. Adds are incremental: a sketch whose name is already
@@ -64,9 +64,8 @@ type Index struct {
 	shards []*shard
 	posts  *postingTable // the shards' LSH postings; fixed at construction like shards
 	lsh    LSHParams
-	bits   int
 	gen    uint64     // bumped on every successful Add or Delete; see Generation
-	tier   *tierState // non-nil on a directory-backed index, nil in memory
+	tier   *tierState // the full stores' shared state; fixed at construction
 
 	compactions   atomic.Uint64 // compaction passes that dropped rows
 	compactedRows atomic.Uint64 // tombstoned rows reclaimed by compaction
@@ -83,48 +82,38 @@ type Index struct {
 	sweepErr    error
 }
 
-// NewIndex returns an empty index accepting sketches with the given
-// shingle length and signature size, using the default banding scheme,
-// shard count, and full-width (64-bit) signature storage. Use
-// NewIndexWith to configure those.
+// NewIndex returns an empty in-memory index accepting sketches with the
+// given shingle length and signature size, using the default banding
+// scheme and shard count. Use NewIndexWith to configure those.
 func NewIndex(name string, k, sigSize int) *Index {
-	if ix, err := NewIndexWith(name, k, sigSize, DefaultLSHParams(sigSize), DefaultShards, DefaultBits); err == nil {
+	if ix, err := NewIndexWith(name, k, sigSize, DefaultLSHParams(sigSize), DefaultShards); err == nil {
 		return ix
 	}
 	// Non-positive sigSize: keep the old never-fail contract with a
 	// placeholder single-band scheme. Such an index rejects every add
 	// through signature-size validation, so the scheme is never probed.
-	return newIndex(name, k, sigSize, LSHParams{Bands: 1, RowsPerBand: 1}, DefaultShards, DefaultBits)
+	return newIndex(name, k, sigSize, LSHParams{Bands: 1, RowsPerBand: 1}, DefaultShards)
 }
 
 // NewIndexWith returns an empty in-memory index with an explicit LSH
-// banding scheme, shard count, and signature packing width: 64 or 0
-// (DefaultBits). The 8-bit prefilter needs a tiered index (NewEngine
-// with Options.Tiered).
-func NewIndexWith(name string, k, sigSize int, lsh LSHParams, shards, bits int) (*Index, error) {
-	return newIndexWith(name, k, sigSize, lsh, shards, bits, false)
-}
-
-// newIndexWith checks the geometry and packing width of an index about
-// to be built, tiered or not, and builds it empty and in memory.
-func newIndexWith(name string, k, sigSize int, lsh LSHParams, shards, bits int, tiered bool) (*Index, error) {
+// banding scheme and shard count. Like every index it scans an 8-bit
+// prefilter and scores at full width; its full-width rows stay on the
+// heap.
+func NewIndexWith(name string, k, sigSize int, lsh LSHParams, shards int) (*Index, error) {
 	if _, err := NewLSHParams(lsh.Bands, lsh.RowsPerBand, sigSize); err != nil {
 		return nil, fmt.Errorf("index %q: %w", name, err)
 	}
 	if err := checkShards(shards); err != nil {
 		return nil, fmt.Errorf("index %q: %w", name, err)
 	}
-	bits, err := validBits(bits, tiered)
-	if err != nil {
-		return nil, fmt.Errorf("index %q: %w", name, err)
-	}
-	return newIndex(name, k, sigSize, lsh, shards, bits), nil
+	return newIndex(name, k, sigSize, lsh, shards), nil
 }
 
 // newIndex builds the empty in-memory index from checked geometry.
-func newIndex(name string, k, sigSize int, lsh LSHParams, shards, bits int) *Index {
+func newIndex(name string, k, sigSize int, lsh LSHParams, shards int) *Index {
 	now := time.Now().UTC()
 	posts := newPostingTable(lsh, shards)
+	tier := &tierState{}
 	return &Index{
 		meta: Metadata{
 			Name:          name,
@@ -134,15 +123,15 @@ func newIndex(name string, k, sigSize int, lsh LSHParams, shards, bits int) *Ind
 			K:             k,
 			SignatureSize: sigSize,
 			Scheme:        SchemeOPH,
-			Bits:          bits,
+			Bits:          prefilterBits,
 			Bands:         lsh.Bands,
 			RowsPerBand:   lsh.RowsPerBand,
 			Shards:        shards,
 		},
-		shards: newShards(shards, posts, sigSize, bits),
+		shards: newShards(shards, posts, sigSize, tier),
 		posts:  posts,
 		lsh:    lsh,
-		bits:   bits,
+		tier:   tier,
 	}
 }
 
@@ -176,9 +165,9 @@ func sketchErrorf(format string, args ...any) error {
 
 // Add inserts s if no record with the same name exists. It reports
 // whether the sketch was added; false with a nil error means the name
-// already existed and the add was skipped. The signature is packed into
-// the owning shard's arena: in an 8-bit prefilter only the low byte of
-// every slot is stored there, the full width in the tier.
+// already existed and the add was skipped. The owning shard keeps the
+// full-width signature in its full store and the low byte of every slot
+// in its prefilter arena.
 func (ix *Index) Add(s *Sketch) (bool, error) {
 	if s.Name == "" {
 		return false, sketchErrorf("index: sketch has empty name")
@@ -337,12 +326,7 @@ type WALStats struct {
 // WAL returns a snapshot of write-ahead-log state, or nil when no WAL
 // is attached (in-memory index, or no committed manifest yet).
 func (ix *Index) WAL() *WALStats {
-	ix.mu.RLock()
 	tier := ix.tier
-	ix.mu.RUnlock()
-	if tier == nil {
-		return nil
-	}
 	st := &WALStats{
 		Appends:        tier.walAppends.Load(),
 		Fsyncs:         tier.walFsyncs.Load(),
@@ -404,13 +388,9 @@ type ArenaStats struct {
 
 // Arena reports the signature arenas' aggregate memory footprint.
 func (ix *Index) Arena() ArenaStats {
-	ix.mu.RLock()
-	shards := ix.shards
-	bits := ix.bits
-	ix.mu.RUnlock()
-	st := ArenaStats{Bits: bits}
+	st := ArenaStats{Bits: prefilterBits}
 	records := 0
-	for _, sh := range shards {
+	for _, sh := range ix.snapshotShards() {
 		used, capacity := sh.arenaBytes()
 		st.SignatureBytes += used
 		st.CapacityBytes += capacity
@@ -425,19 +405,10 @@ func (ix *Index) Arena() ArenaStats {
 	return st
 }
 
-// Bits returns the signature packing width: 64, or 8 for a tiered
-// index's prefilter.
-func (ix *Index) Bits() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.bits
-}
-
 // ScanKernel names the kernel this index's full-stripe scans run, chosen
 // from the CPU and the packed row's shape: "avx512", "avx2" or "portable".
 func (ix *Index) ScanKernel() string {
-	bits := ix.Bits()
-	return scanKernel(sigWords(ix.meta.SignatureSize, bits), bits)
+	return scanKernel(sigWords(ix.meta.SignatureSize))
 }
 
 // Has reports whether a record named name is indexed, without
@@ -449,9 +420,8 @@ func (ix *Index) Has(name string) bool {
 	return shards[shardFor(name, len(shards))].has(name)
 }
 
-// Get reconstructs the sketch named name from the arena, or returns nil
-// if absent. At packing widths below 64 the returned slot values are
-// the stored truncated lanes, not the original full-width minhashes.
+// Get reconstructs the sketch named name, full width, from its shard's
+// full store, or returns nil if absent (or if its row fails to read).
 func (ix *Index) Get(name string) *Sketch {
 	ix.mu.RLock()
 	shards := ix.shards
@@ -496,14 +466,14 @@ func (ix *Index) snapshotShards() []*shard {
 	return ix.shards
 }
 
-// Rebucket retunes the LSH banding scheme without re-sketching; the
-// packing width is preserved. It is safe on a live index: writers (Add,
-// Delete) are briefly blocked on writeMu, but queries keep running
-// throughout. Only the posting table is rebuilt (off to the side, then
-// swapped in), so row numbering, full-width stores, and WALs all carry
-// over. Queries that overlap the rebuild may transiently probe with
-// stale band keys — they lose candidates, never gain wrong results,
-// because every candidate is still exact-scored.
+// Rebucket retunes the LSH banding scheme without re-sketching. It is
+// safe on a live index: writers (Add, Delete) are briefly blocked on
+// writeMu, but queries keep running throughout. Only the posting table
+// is rebuilt (off to the side, then swapped in), so row numbering,
+// full-width stores, and WALs all carry over. Queries that overlap the
+// rebuild may transiently probe with stale band keys — they lose
+// candidates, never gain wrong results, because every candidate is
+// still exact-scored.
 //
 // The shard count is fixed at creation: on-disk segments are laid out
 // by shard-local row order, and changing the stripe count would

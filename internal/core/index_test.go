@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -75,70 +76,61 @@ func TestAddValidation(t *testing.T) {
 }
 
 // TestSaveDirOpenRoundTripPackedWidths round-trips a populated index
-// through SaveDir/Open at every prefilter width: metadata (including
-// bits and the creation time), full-width signatures, and search
-// results must all survive.
+// through SaveDir/Open: metadata (including bits and the creation time),
+// full-width signatures, search results and the 8-bit prefilter rebuilt
+// from the segments must all survive.
 func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
-	for _, bits := range []int{64, 8} {
-		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
-			dir := t.TempDir()
-			eng, err := NewEngine(Options{IndexName: "rt", Bits: bits, Tiered: true, DataDir: dir, SegmentRows: 16})
-			if err != nil {
+	// 8 is the one prefilter width; the subtest is named for it.
+	t.Run("bits=8", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, err := NewEngine(Options{IndexName: "rt", Tiered: true, DataDir: dir, SegmentRows: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Index().Close()
+		for i := 0; i < 50; i++ {
+			rec := Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(512, int64(i+1))}
+			if _, err := addRecord(eng, rec); err != nil {
 				t.Fatal(err)
 			}
-			defer eng.Index().Close()
-			for i := 0; i < 50; i++ {
-				rec := Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(512, int64(i+1))}
-				if _, err := addRecord(eng, rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ix := eng.Index()
-			q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(512, 1)})
-			before, err := SearchTopK(ix, q, 10, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+		}
+		ix := eng.Index()
+		q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(512, 1)})
+		before, err := SearchTopK(ix, q, 10, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			if err := ix.SaveDir(); err != nil {
-				t.Fatal(err)
+		if err := ix.SaveDir(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Close()
+		gm := got.Metadata()
+		if gm.Format != FormatV6 || gm.Bits != 8 || gm.RecordCount != 50 || !gm.CreatedAt.Equal(ix.Metadata().CreatedAt) {
+			t.Fatalf("metadata = %+v, want format=%d bits=8 records=50 created_at=%v", gm, FormatV6, ix.Metadata().CreatedAt)
+		}
+		for _, name := range recordNames(t, ix) {
+			if !equalSig(got.Get(name).Signature, ix.Get(name).Signature) {
+				t.Fatalf("sketch %q changed across round trip", name)
 			}
-			got, err := Open(dir)
-			if err != nil {
-				t.Fatalf("open bits=%d: %v", bits, err)
-			}
-			defer got.Close()
-			gm := got.Metadata()
-			if gm.Format != FormatV6 || gm.Bits != bits || gm.RecordCount != 50 || !gm.CreatedAt.Equal(ix.Metadata().CreatedAt) {
-				t.Fatalf("metadata = %+v, want format=%d bits=%d records=50 created_at=%v", gm, FormatV6, bits, ix.Metadata().CreatedAt)
-			}
-			if got.Bits() != bits {
-				t.Fatalf("Bits() = %d, want %d", got.Bits(), bits)
-			}
-			for _, name := range recordNames(t, ix) {
-				if !equalSig(got.Get(name).Signature, ix.Get(name).Signature) {
-					t.Fatalf("bits=%d: sketch %q changed across round trip", bits, name)
-				}
-			}
-			after, err := SearchTopK(got, q, 10, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(before) != len(after) {
-				t.Fatalf("bits=%d: result count changed across round trip: %d vs %d", bits, len(before), len(after))
-			}
-			for i := range before {
-				if before[i] != after[i] {
-					t.Fatalf("bits=%d result %d changed: %+v vs %+v", bits, i, before[i], after[i])
-				}
-			}
-			// The resident prefilter is rebuilt at the packed width:
-			// bytes/record is bits/8 per slot, not the full-width 1KB.
-			if got.Arena().BytesPerRecord != float64(DefaultSignatureSize*bits/8) {
-				t.Fatalf("bits=%d loaded bytes/record = %v", bits, got.Arena().BytesPerRecord)
-			}
-		})
-	}
+		}
+		after, err := SearchTopK(got, q, 10, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(before, after) {
+			t.Fatalf("results changed across round trip:\n%+v\n%+v", before, after)
+		}
+		// The resident prefilter is rebuilt at one byte a slot, not the
+		// full-width 1KB.
+		if got.Arena().BytesPerRecord != DefaultSignatureSize {
+			t.Fatalf("loaded bytes/record = %v", got.Arena().BytesPerRecord)
+		}
+	})
 }
 
 // TestConcurrentAddAndQuery hammers the index from concurrent writers

@@ -9,20 +9,19 @@ package core
 // plane only then, and it returns how many it wrote. The low-plane count
 // bounds the exact count from above, so no row the threshold keeps is
 // lost; survivors whose exact count falls short are the sweep's to drop.
-// At 64 bits a row has one plane and the count is exact from the start.
 // Three kernels exist:
 //
 //   - portable: a loop over nibbleMatches and laneMatches, the SWAR
 //     comparators. It is the reference the assembly is fuzz-pinned to
 //     (see FuzzMatchCounts) and the only kernel on every architecture but
-//     amd64, at 64-bit lanes, and under the purego build tag.
+//     amd64, and under the purego build tag.
 //   - avx512 (kernel_amd64.s): a byte test per 64 bytes, its masks
-//     popcounted, for 8-bit rows whose planes are a multiple of 64 bytes,
-//     on amd64 CPUs that report AVX512F and AVX512BW with OS-enabled
-//     opmask and ZMM state.
+//     popcounted, for rows whose planes are a multiple of 64 bytes, on
+//     amd64 CPUs that report AVX512F and AVX512BW with OS-enabled opmask
+//     and ZMM state.
 //   - avx2 (kernel_amd64.s): a byte compare per 32 bytes and one
-//     reduction per row, two rows at a time, for 8-bit rows whose planes
-//     are a multiple of 32 bytes, on amd64 CPUs that report AVX2 with
+//     reduction per row, two rows at a time, for rows whose planes are a
+//     multiple of 32 bytes, on amd64 CPUs that report AVX2 with
 //     OS-enabled YMM state.
 //
 // The choice is made from what the process can observe — architecture,
@@ -43,10 +42,10 @@ var (
 const maxAVX2Words = 127 * 4
 
 // scanKernel names the kernel matchSurvivors runs for rows of `words`
-// words a plane at `bits` lane width: "avx512", "avx2" or "portable".
-func scanKernel(words, bits int) string {
+// words a plane: "avx512", "avx2" or "portable".
+func scanKernel(words int) string {
 	switch {
-	case bits != 8 || words == 0:
+	case words == 0:
 		return "portable"
 	case useAVX512 && words%8 == 0:
 		return "avx512"
@@ -67,18 +66,10 @@ func matchSurvivorsPortable(dst []survivor, block, q planes, minCount int) int {
 	w, k := len(q.lo), 0
 	for i := range dst {
 		lo := block.lo[i*w : (i+1)*w]
-		var c int
-		if len(q.hi) == 0 {
-			c = matchingSlots(q.lo, lo)
-		} else {
-			c = nibbleMatches(q.lo, lo)
-		}
-		if c < minCount {
+		if nibbleMatches(q.lo, lo) < minCount {
 			continue
 		}
-		if len(q.hi) != 0 {
-			c = laneMatches(q, planes{lo, block.hi[i*w : (i+1)*w]})
-		}
+		c := laneMatches(q, planes{lo, block.hi[i*w : (i+1)*w]})
 		dst[k] = survivor{off: uint32(i), count: uint32(c)}
 		k++
 	}

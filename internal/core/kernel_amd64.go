@@ -9,8 +9,8 @@ package core
 // kernel meets.
 func matchSurvivors(dst []survivor, block, q planes, minCount int) int {
 	n, w := len(dst), len(q.lo)
-	if n == 0 || len(q.hi) == 0 {
-		return matchSurvivorsPortable(dst, block, q, minCount)
+	if n == 0 {
+		return 0
 	}
 	// The reslices are the bounds checks the assembly relies on: it reads
 	// exactly n*w words of each plane and w of each query plane, and
@@ -18,7 +18,7 @@ func matchSurvivors(dst []survivor, block, q planes, minCount int) int {
 	// does; the assembly compares unsigned.
 	lo, hi, qhi := block.lo[:n*w], block.hi[:n*w], q.hi[:w]
 	minCount = max(minCount, 0)
-	switch scanKernel(w, 8) {
+	switch scanKernel(w) {
 	case "avx512":
 		return survivorsAVX512(&dst[0], &lo[0], &hi[0], &q.lo[0], &qhi[0], n, w/8, minCount)
 	case "avx2":

@@ -48,8 +48,7 @@ func eachKernel(t *testing.T, fn func(t *testing.T)) {
 }
 
 // naiveSurvivors is the per-nibble loop every kernel is pinned to; it
-// shares no code with the SWAR comparators. A query without a high
-// plane is full width: one 64-bit lane a word.
+// shares no code with the SWAR comparators.
 func naiveSurvivors(block, q planes, n, minCount int) []survivor {
 	w := len(q.lo)
 	var out []survivor
@@ -57,13 +56,6 @@ func naiveSurvivors(block, q planes, n, minCount int) []survivor {
 		low, exact := 0, 0
 		for j := 0; j < w; j++ {
 			x := block.lo[i*w+j] ^ q.lo[j]
-			if q.hi == nil {
-				if x == 0 {
-					low++
-					exact++
-				}
-				continue
-			}
 			y := block.hi[i*w+j] ^ q.hi[j]
 			for s := 0; s < 64; s += 4 {
 				if x>>s&0xf == 0 {
@@ -98,8 +90,8 @@ func wordsAt(n, off int) []uint64 {
 // cycling it — the query's lo then hi words, then each row's — lays the
 // planes out at byte offset off within a 64-byte window, and requires
 // every kernel to return exactly the naive survivors, writing nothing
-// outside dst. wide rows are full width: no high plane.
-func checkSurvivors(t *testing.T, data []byte, lw, n, off, minCount int, wide bool) {
+// outside dst.
+func checkSurvivors(t *testing.T, data []byte, lw, n, off, minCount int) {
 	t.Helper()
 	if len(data) == 0 {
 		data = []byte{0}
@@ -113,18 +105,12 @@ func checkSurvivors(t *testing.T, data []byte, lw, n, off, minCount int, wide bo
 		}
 		return binary.LittleEndian.Uint64(word[:])
 	}
-	q := planes{lo: make([]uint64, lw)}
-	block := planes{lo: wordsAt(n*lw, off)}
-	if !wide {
-		q.hi, block.hi = make([]uint64, lw), wordsAt(n*lw, off)
-	}
+	q := planes{make([]uint64, lw), make([]uint64, lw)}
+	block := planes{wordsAt(n*lw, off), wordsAt(n*lw, off)}
 	for i := -1; i < n; i++ {
 		lo, hi := q.lo, q.hi
 		if i >= 0 {
-			lo = block.lo[i*lw : (i+1)*lw]
-			if !wide {
-				hi = block.hi[i*lw : (i+1)*lw]
-			}
+			lo, hi = block.lo[i*lw:(i+1)*lw], block.hi[i*lw:(i+1)*lw]
 		}
 		for j := range lo {
 			lo[j] = next()
@@ -147,8 +133,8 @@ func checkSurvivors(t *testing.T, data []byte, lw, n, off, minCount int, wide bo
 			t.Fatalf("%s kernel wrote outside dst (lw=%d n=%d off=%d minCount=%d)", kernel, lw, n, off, minCount)
 		}
 		if !slices.Equal(got[1:1+k], want) {
-			t.Fatalf("%s kernel: survivors %v, want %v (lw=%d n=%d off=%d minCount=%d wide=%v)",
-				kernel, got[1:1+k], want, lw, n, off, minCount, wide)
+			t.Fatalf("%s kernel: survivors %v, want %v (lw=%d n=%d off=%d minCount=%d)",
+				kernel, got[1:1+k], want, lw, n, off, minCount)
 		}
 	}
 }
@@ -225,14 +211,13 @@ func FuzzMatchCounts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, widthSel, blockSel, offSel, minSel uint8) {
 		lw := survivorWidths[int(widthSel)%len(survivorWidths)]
 		n := survivorBlocks[int(blockSel)%len(survivorBlocks)]
-		checkSurvivors(t, data, lw, n, int(offSel%8)*8, survivorFloor(lw*16, minSel), false)
+		checkSurvivors(t, data, lw, n, int(offSel%8)*8, survivorFloor(lw*16, minSel))
 	})
 }
 
 // TestMatchCountsKernels is the deterministic half of FuzzMatchCounts:
 // the grid of widths, block lengths, alignments and floors on random
-// and on mostly-equal data, full-width rows on the portable kernel, and
-// the crafted rows — one lane differing in each position, in either
+// and on mostly-equal data, and the crafted rows — one lane differing in each position, in either
 // plane, at the lane values a signed byte compare would get wrong.
 func TestMatchCountsKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -250,9 +235,8 @@ func TestMatchCountsKernels(t *testing.T) {
 			for off := 0; off < 64; off += 24 {
 				for sel := uint8(0); sel < 5; sel++ {
 					floor := survivorFloor(lw*16, sel+uint8(rng.Intn(32))*8)
-					checkSurvivors(t, data, lw, n, off, floor, false)
-					checkSurvivors(t, sparse, lw, n, off, floor, false)
-					checkSurvivors(t, sparse, lw, n, off, survivorFloor(lw, sel), true)
+					checkSurvivors(t, data, lw, n, off, floor)
+					checkSurvivors(t, sparse, lw, n, off, floor)
 				}
 			}
 		}
@@ -264,17 +248,17 @@ func TestMatchCountsKernels(t *testing.T) {
 				lanes := lw * 16
 				data := oneLaneRows(lw, v, hi)
 				for _, n := range []int{lanes, lanes + 1} {
-					checkSurvivors(t, data, lw, n, 0, lanes, false)
-					checkSurvivors(t, data, lw, n, 8, lanes-1, false)
+					checkSurvivors(t, data, lw, n, 0, lanes)
+					checkSurvivors(t, data, lw, n, 8, lanes-1)
 				}
 			}
 		}
 	}
 }
 
-// TestScanKernelSelection pins the selection rule: AVX-512 for 8-bit
-// planes of whole 64-byte vectors, AVX2 for whole 32-byte ones, each
-// only when the CPU offers it.
+// TestScanKernelSelection pins the selection rule: AVX-512 for planes
+// of whole 64-byte vectors, AVX2 for whole 32-byte ones, each only when
+// the CPU offers it.
 func TestScanKernelSelection(t *testing.T) {
 	vec64, vec32, long := "portable", "portable", "portable"
 	if hasAVX2 {
@@ -284,27 +268,27 @@ func TestScanKernelSelection(t *testing.T) {
 		vec64, long = "avx512", "avx512"
 	}
 	for _, c := range []struct {
-		words, bits int
-		want        string
+		words int
+		want  string
 	}{
-		{8, 8, vec64}, {16, 8, vec64}, {4, 8, vec32}, {12, 8, vec32},
-		{maxAVX2Words, 8, vec32}, {maxAVX2Words + 4, 8, long}, {maxAVX2Words + 8, 8, "portable"},
-		{7, 8, "portable"}, {1, 8, "portable"}, {128, 64, "portable"},
+		{8, vec64}, {16, vec64}, {4, vec32}, {12, vec32},
+		{maxAVX2Words, vec32}, {maxAVX2Words + 4, long}, {maxAVX2Words + 8, "portable"},
+		{7, "portable"}, {1, "portable"}, {0, "portable"},
 	} {
-		if got := scanKernel(c.words, c.bits); got != c.want {
-			t.Errorf("scanKernel(%d words, %d bits) = %q, want %q", c.words, c.bits, got, c.want)
+		if got := scanKernel(c.words); got != c.want {
+			t.Errorf("scanKernel(%d words) = %q, want %q", c.words, got, c.want)
 		}
 	}
-	// Stats reports the selection per index: the default geometry at 8
-	// bits is the widest vector shape, full-width rows never are.
-	for bits, want := range map[int]string{8: vec64, 64: "portable"} {
-		if got := engineAt(t, "kernel", bits).Stats().ScanKernel; got != want {
-			t.Errorf("Stats().ScanKernel at %d bits = %q, want %q", bits, got, want)
+	// Stats reports the selection per index: the default geometry is the
+	// widest vector shape, over a heap or a directory store.
+	for _, dir := range []bool{false, true} {
+		if got := engineAt(t, "kernel", dir).Stats().ScanKernel; got != vec64 {
+			t.Errorf("Stats().ScanKernel dir=%v = %q, want %q", dir, got, vec64)
 		}
 	}
 	for _, k := range kernels() {
 		restore := forceKernel(k)
-		got := scanKernel(8, 8)
+		got := scanKernel(8)
 		restore()
 		if got != k {
 			t.Errorf("forced to %s, scanKernel = %q", k, got)

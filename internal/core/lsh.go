@@ -51,15 +51,14 @@ func (p LSHParams) Threshold() float64 {
 }
 
 // bandKey hashes band `band` of sig into a bucket key, masking every
-// slot value to the index's packing width first so queries (which carry
-// full-width signatures) and packed index rows agree on their buckets.
-// The band index is folded in so identical row values in different
-// bands do not collide into one bucket. At full width the mask is all
-// ones and keys are identical to the pre-arena format.
-func (p LSHParams) bandKey(band int, sig []uint64, mask uint64) uint64 {
+// slot value to the prefilter's low byte first, so a query (which
+// carries full-width values) and the rows a rebuild reads back from the
+// arena agree on their buckets. The band index is folded in so identical
+// row values in different bands do not collide into one bucket.
+func (p LSHParams) bandKey(band int, sig []uint64) uint64 {
 	h := mix64(uint64(band)*0x9e3779b97f4a7c15 + 0x8445d61a4e774912)
 	for _, v := range sig[band*p.RowsPerBand : (band+1)*p.RowsPerBand] {
-		h = mix64(h ^ (v & mask))
+		h = mix64(h ^ (v & laneMask))
 	}
 	return h
 }
@@ -172,16 +171,15 @@ func (t *postingTable) full() bool {
 	return 1+t.sealedPosts+len(t.posts)+t.params.Bands*t.stripes > maxPostings
 }
 
-// add inserts one row's postings into the delta, one per band of sig
-// (full-width slot values; mask truncates them to the packing width).
+// add inserts one row's postings into the delta, one per band of sig.
 // The band keys are hashed before the lock, so concurrent adds share
 // only the inserts. Reading params unlocked is safe: rebuild, its only
 // writer, runs with Index.writeMu held exclusively, and every add holds
 // writeMu shared (or owns a table nobody else sees yet).
-func (t *postingTable) add(shard, row int32, sig []uint64, mask uint64) {
+func (t *postingTable) add(shard, row int32, sig []uint64) {
 	keys := make([]uint64, 0, 32) // the default banding's count: on the stack
 	for band := 0; band < t.params.Bands; band++ {
-		keys = append(keys, t.params.bandKey(band, sig, mask))
+		keys = append(keys, t.params.bandKey(band, sig))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -251,11 +249,11 @@ func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
 			}
 			sig = sh.arena.appendLanes(sig[:0], i)
 			if nt.rowBits == 0 {
-				nt.add(int32(si), int32(i), sig, sh.mask)
+				nt.add(int32(si), int32(i), sig)
 				continue
 			}
 			for band := 0; band < p.Bands; band++ {
-				ents = append(ents, p.bandKey(band, sig, sh.mask)&^math.MaxUint32|uint64(si)<<nt.rowBits|uint64(i))
+				ents = append(ents, p.bandKey(band, sig)&^math.MaxUint32|uint64(si)<<nt.rowBits|uint64(i))
 			}
 		}
 	}

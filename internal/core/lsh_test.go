@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -85,33 +87,32 @@ func TestLSHThreshold(t *testing.T) {
 
 func TestBandKeyDependsOnBandAndRows(t *testing.T) {
 	p := LSHParams{Bands: 4, RowsPerBand: 2}
-	full := ^uint64(0)
 	sig := []uint64{1, 2, 1, 2, 1, 2, 9, 2}
 	// Bands 0, 1 and 2 hold identical rows; the band index must still
 	// separate their buckets.
-	if p.bandKey(0, sig, full) != p.bandKey(0, sig, full) {
+	if p.bandKey(0, sig) != p.bandKey(0, sig) {
 		t.Fatal("bandKey is not deterministic")
 	}
-	if p.bandKey(0, sig, full) == p.bandKey(1, sig, full) {
+	if p.bandKey(0, sig) == p.bandKey(1, sig) {
 		t.Fatal("identical rows in different bands must hash to different keys")
 	}
 	// Band 3 differs from band 0 in one row and must (with overwhelming
 	// probability) get a different key.
 	other := []uint64{1, 2, 1, 2, 1, 2, 1, 2}
-	if p.bandKey(3, sig, full) == p.bandKey(3, other, full) {
+	if p.bandKey(3, sig) == p.bandKey(3, other) {
 		t.Fatal("different rows hashed to the same band key")
 	}
-	// Masked keys see only the low lanes: values differing above the
-	// mask land in the same bucket (that is what lets full-width query
-	// signatures probe a b-bit index), values differing below do not.
-	m8 := laneMask(8)
+	// Keys see only the low byte of every slot: values differing above
+	// it land in the same bucket (that is what lets full-width query
+	// signatures probe the rows a rebuild reads back from the prefilter),
+	// values differing within it do not.
 	high := []uint64{1 | 5<<8, 2, 1, 2, 1, 2, 9, 2} // differs from sig only above bit 8
-	if p.bandKey(0, sig, m8) != p.bandKey(0, high, m8) {
-		t.Fatal("8-bit mask: high-bit difference changed the band key")
+	if p.bandKey(0, sig) != p.bandKey(0, high) {
+		t.Fatal("high-bit difference changed the band key")
 	}
 	low := []uint64{3, 2, 1, 2, 1, 2, 9, 2}
-	if p.bandKey(0, sig, m8) == p.bandKey(0, low, m8) {
-		t.Fatal("8-bit mask: low-bit difference did not change the band key")
+	if p.bandKey(0, sig) == p.bandKey(0, low) {
+		t.Fatal("low-bit difference did not change the band key")
 	}
 }
 
@@ -121,7 +122,7 @@ func probeNames(ix *Index, sig []uint64) map[string]bool {
 	buf := getSearchBuf()
 	defer putSearchBuf(buf)
 	query := &Sketch{Name: "probe", K: ix.meta.K, Shingles: 1, Signature: sig}
-	q := buf.prepare(ix, query, 0, len(ix.shards))
+	q := buf.prepare(query, 0, len(ix.shards))
 	buf.prepareBandKeys(ix, query)
 	probeCandidates(ix.posts, ix.shards, q, buf.scratch)
 	got := map[string]bool{}
@@ -138,16 +139,15 @@ func TestShardProbeCandidates(t *testing.T) {
 	a := []uint64{1, 2, 3, 4}
 	b := []uint64{1, 2, 9, 9} // shares band 0 with a
 	c := []uint64{7, 7, 7, 7} // shares nothing
-	// An 8-bit index must reach the same candidate set from the same
-	// full-width probe signature: band keys are masked on both sides.
-	// Three stripes spread the records, one holds them together.
-	for _, bits := range []int{64, 8} {
+	// A heap and a directory store reach the same candidate set; three
+	// stripes spread the records, one holds them together.
+	for _, dir := range []bool{false, true} {
 		for _, shards := range []int{1, 3} {
-			ix, err := newIndexWith("probe", 2, 4, p, shards, bits, bits == 8)
+			ix, err := NewIndexWith("probe", 2, 4, p, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bits == 8 {
+			if dir {
 				if err := ix.attachTier(t.TempDir(), 8); err != nil {
 					t.Fatal(err)
 				}
@@ -160,13 +160,13 @@ func TestShardProbeCandidates(t *testing.T) {
 			}
 			got := probeNames(ix, a)
 			if !got["a"] {
-				t.Errorf("bits=%d shards=%d: a must be a candidate of its own signature", bits, shards)
+				t.Errorf("dir=%v shards=%d: a must be a candidate of its own signature", dir, shards)
 			}
 			if !got["b"] {
-				t.Errorf("bits=%d shards=%d: b shares band 0 with a and must be a candidate", bits, shards)
+				t.Errorf("dir=%v shards=%d: b shares band 0 with a and must be a candidate", dir, shards)
 			}
 			if got["c"] {
-				t.Errorf("bits=%d shards=%d: c shares no band with a and must not be a candidate", bits, shards)
+				t.Errorf("dir=%v shards=%d: c shares no band with a and must not be a candidate", dir, shards)
 			}
 		}
 	}
@@ -231,5 +231,37 @@ func TestLSHFallbackOnSparseIndex(t *testing.T) {
 		if exact[i] != lsh[i] {
 			t.Fatalf("result %d differs: exact=%+v lsh=%+v", i, exact[i], lsh[i])
 		}
+	}
+}
+
+// TestLSHFallbackCountsLiveCandidates: a tombstoned row keeps its
+// postings until the next rebuild, so the probe can name as many rows as
+// the index has live records while only a few of them are live. The
+// fallback sweep must still run and fill topK exactly as exact mode does.
+func TestLSHFallbackCountsLiveCandidates(t *testing.T) {
+	eng, err := NewEngine(Options{IndexName: "tomb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, base := plantedRecords(50, 30, 3) // 30 near-duplicates, 20 unrelated
+	if oks, err := eng.AddBatch(recs); err != nil || countAdded(oks) != 50 {
+		t.Fatalf("AddBatch added %d, %v; want 50, nil", countAdded(oks), err)
+	}
+	for i := 0; i < 25; i++ {
+		if ok, err := eng.Delete(fmt.Sprintf("near-%d", i)); !ok || err != nil {
+			t.Fatalf("delete near-%d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	q := eng.Sketcher().Sketch(Record{Name: "query", Data: base})
+	exact, err := SearchTopK(eng.Index(), q, 10, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsh, err := SearchTopKLSH(eng.Index(), q, 10, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exact) != 10 || !slices.Equal(lsh, exact) {
+		t.Fatalf("lsh returned %d results %+v; exact %d %+v", len(lsh), lsh, len(exact), exact)
 	}
 }

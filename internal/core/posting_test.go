@@ -33,9 +33,9 @@ func newRefPostings(p LSHParams, shards int) *refPostings {
 	return r
 }
 
-func (r *refPostings) add(shard int, row int32, sig []uint64, mask uint64) {
+func (r *refPostings) add(shard int, row int32, sig []uint64) {
 	for band, buckets := range r.shards[shard] {
-		key := r.params.bandKey(band, sig, mask)
+		key := r.params.bandKey(band, sig)
 		buckets[key] = append(buckets[key], row)
 	}
 }
@@ -47,7 +47,7 @@ func refFromLive(ix *Index) *refPostings {
 	for si, sh := range ix.shards {
 		for i := range sh.names {
 			if !sh.rowDead(int32(i)) {
-				r.add(si, int32(i), sh.arena.appendLanes(nil, i), sh.mask)
+				r.add(si, int32(i), sh.arena.appendLanes(nil, i))
 			}
 		}
 	}
@@ -58,7 +58,7 @@ func refFromLive(ix *Index) *refPostings {
 func (r *refPostings) candidates(sh *shard, shard int, sig []uint64) []int32 {
 	var out []int32
 	for band, buckets := range r.shards[shard] {
-		for _, row := range buckets[r.params.bandKey(band, sig, sh.mask)] {
+		for _, row := range buckets[r.params.bandKey(band, sig)] {
 			if !sh.rowDead(row) && !slices.Contains(out, row) {
 				out = append(out, row)
 			}
@@ -83,7 +83,7 @@ type postingModel struct {
 }
 
 // sig draws a signature over a tiny alphabet, so buckets are shared and
-// chains get long, with noise above bit 8 that an 8-bit index must mask.
+// chains get long, with noise above bit 8 that band keys must mask.
 func (m *postingModel) sig() []uint64 {
 	sig := make([]uint64, m.slots)
 	for i := range sig {
@@ -100,7 +100,7 @@ func (m *postingModel) add(sig []uint64) {
 	}
 	si := shardFor(name, len(m.ix.shards))
 	sh := m.ix.shards[si]
-	m.ref.add(si, sh.ids[name], sig, sh.mask)
+	m.ref.add(si, sh.ids[name], sig)
 	m.live = append(m.live, name)
 	m.sigs = append(m.sigs, sig)
 	m.delta = max(m.delta, len(m.ix.posts.slots))
@@ -153,7 +153,7 @@ func (m *postingModel) check(ix *Index, what string) {
 	queries := append(slices.Clone(m.sigs), m.sig(), m.sig())
 	for qi, sig := range queries {
 		query := &Sketch{Name: "q", K: ix.meta.K, Shingles: 5, Signature: sig}
-		q := buf.prepare(ix, query, 0, len(ix.shards))
+		q := buf.prepare(query, 0, len(ix.shards))
 		buf.prepareBandKeys(ix, query)
 		total := probeCandidates(ix.posts, ix.shards, q, buf.scratch)
 		sum := 0
@@ -189,8 +189,8 @@ func (m *postingModel) check(ix *Index, what string) {
 // TestPostingTableMatchesReference drives the posting table and the
 // map-of-slices structure it replaced with the same seeded sequences of
 // add / delete / SaveDir with its compaction pass (directory indexes) /
-// Rebucket / reopen, over several shard counts, packing widths and band
-// shapes, and requires equal candidate sets per shard for every query
+// Rebucket / reopen, over several shard counts, heap and directory
+// stores and band shapes, and requires equal candidate sets per shard for every query
 // after every structural step. Every sequence starts from the 64-slot
 // empty delta, so its slot array grows mid-sequence, holds records
 // sharing every band, and files rows after a seal, so one query reads
@@ -204,72 +204,70 @@ func TestPostingTableMatchesReference(t *testing.T) {
 	shapes := []LSHParams{{Bands: 4, RowsPerBand: 4}, {Bands: 16, RowsPerBand: 1}, {Bands: 1, RowsPerBand: 16}, {Bands: 8, RowsPerBand: 2}}
 	seed, compactions, seals, split := int64(0), 0, uint64(0), 0
 	for _, shards := range []int{1, 3, 16} {
-		for _, bits := range []int{8, 64} {
-			for _, tiered := range map[int][]bool{8: {true}, 64: {false, true}}[bits] { // only a tiered index packs
-				seed++
-				lsh := shapes[int(seed)%len(shapes)]
-				ix, err := newIndexWith("model", 4, slots, lsh, shards, bits, tiered)
-				if err != nil {
+		for _, tiered := range []bool{false, true} {
+			seed++
+			lsh := shapes[int(seed)%len(shapes)]
+			ix, err := NewIndexWith("model", 4, slots, lsh, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tiered {
+				if err := ix.attachTier(t.TempDir(), 8); err != nil {
 					t.Fatal(err)
 				}
-				if tiered {
-					if err := ix.attachTier(t.TempDir(), 8); err != nil {
-						t.Fatal(err)
-					}
-					defer ix.Close()
-				}
-				m := &postingModel{t: t, ix: ix, ref: newRefPostings(lsh, shards), rng: rand.New(rand.NewSource(seed)), slots: slots,
-					name: fmt.Sprintf("shards=%d/bits=%d/tiered=%v/seed=%d", shards, bits, tiered, seed)}
-				twin := m.sig()
-				m.add(twin)
-				m.add(slices.Clone(twin)) // shares every band with the row before
-				for step := 0; step < 400; step++ {
-					switch r := m.rng.Intn(100); {
-					case r < 55:
-						m.add(m.sig())
-					case r < 60:
-						m.add(slices.Clone(m.sigs[m.rng.Intn(len(m.sigs))]))
-					case r < 88:
-						m.delete()
-					case r < 92 && tiered: // snapshot, compacting the stripes past the threshold
-						before := m.gens()
-						if err := ix.SaveDir(); err != nil {
-							t.Fatalf("%s: save dir: %v", m.name, err)
-						}
-						if !slices.Equal(before, m.gens()) {
-							compactions++
-							m.ref = refFromLive(ix)
-						}
-						m.check(ix, fmt.Sprintf("step %d (snapshot)", step))
-						loaded, err := Open(ix.DataDir())
-						if err != nil {
-							t.Fatalf("%s: reopen: %v", m.name, err)
-						}
-						m.check(loaded, fmt.Sprintf("step %d (reopened)", step))
-						loaded.Close()
-						split += m.addTwin(fmt.Sprintf("step %d (add after snapshot)", step))
-					case r < 95:
-						lsh = shapes[m.rng.Intn(len(shapes))]
-						if err := ix.Rebucket(lsh, shards); err != nil {
-							t.Fatalf("%s: rebucket: %v", m.name, err)
-						}
-						m.ref = refFromLive(ix)
-						m.check(ix, fmt.Sprintf("step %d (rebucket)", step))
-						split += m.addTwin(fmt.Sprintf("step %d (add after rebucket)", step))
-					default:
-						m.check(ix, fmt.Sprintf("step %d", step))
-					}
-				}
-				m.check(ix, "end")
-				if m.delta <= minPostSlots {
-					t.Fatalf("%s: the delta's slot array never grew between seals (%d slots)", m.name, m.delta)
-				}
-				bytes, buckets, _, sealed := ix.posts.size()
-				if buckets == 0 || bytes < int64(buckets)*8 {
-					t.Fatalf("%s: size() = %d bytes, %d buckets", m.name, bytes, buckets)
-				}
-				seals += sealed
+				defer ix.Close()
 			}
+			m := &postingModel{t: t, ix: ix, ref: newRefPostings(lsh, shards), rng: rand.New(rand.NewSource(seed)), slots: slots,
+				name: fmt.Sprintf("shards=%d/tiered=%v/seed=%d", shards, tiered, seed)}
+			twin := m.sig()
+			m.add(twin)
+			m.add(slices.Clone(twin)) // shares every band with the row before
+			for step := 0; step < 400; step++ {
+				switch r := m.rng.Intn(100); {
+				case r < 55:
+					m.add(m.sig())
+				case r < 60:
+					m.add(slices.Clone(m.sigs[m.rng.Intn(len(m.sigs))]))
+				case r < 88:
+					m.delete()
+				case r < 92 && tiered: // snapshot, compacting the stripes past the threshold
+					before := m.gens()
+					if err := ix.SaveDir(); err != nil {
+						t.Fatalf("%s: save dir: %v", m.name, err)
+					}
+					if !slices.Equal(before, m.gens()) {
+						compactions++
+						m.ref = refFromLive(ix)
+					}
+					m.check(ix, fmt.Sprintf("step %d (snapshot)", step))
+					loaded, err := Open(ix.DataDir())
+					if err != nil {
+						t.Fatalf("%s: reopen: %v", m.name, err)
+					}
+					m.check(loaded, fmt.Sprintf("step %d (reopened)", step))
+					loaded.Close()
+					split += m.addTwin(fmt.Sprintf("step %d (add after snapshot)", step))
+				case r < 95:
+					lsh = shapes[m.rng.Intn(len(shapes))]
+					if err := ix.Rebucket(lsh, shards); err != nil {
+						t.Fatalf("%s: rebucket: %v", m.name, err)
+					}
+					m.ref = refFromLive(ix)
+					m.check(ix, fmt.Sprintf("step %d (rebucket)", step))
+					split += m.addTwin(fmt.Sprintf("step %d (add after rebucket)", step))
+				default:
+					m.check(ix, fmt.Sprintf("step %d", step))
+				}
+			}
+			m.check(ix, "end")
+			if m.delta <= minPostSlots {
+				t.Fatalf("%s: the delta's slot array never grew between seals (%d slots)", m.name, m.delta)
+			}
+			bytes, buckets, _, sealed := ix.posts.size()
+			if buckets == 0 || bytes < int64(buckets)*8 {
+				t.Fatalf("%s: size() = %d bytes, %d buckets", m.name, bytes, buckets)
+			}
+			seals += sealed
 		}
 	}
 	if compactions < 20 || seals < 20 || split < 20 {
@@ -313,7 +311,7 @@ func TestLSHPlantedGolden(t *testing.T) {
 // (its bitset was sized without it), and the complement sweep must
 // still find it, exactly once.
 func TestProbeSkipsRowsPastSnapshot(t *testing.T) {
-	ix, err := NewIndexWith("snap", 4, 8, LSHParams{Bands: 2, RowsPerBand: 4}, 1, 64)
+	ix, err := NewIndexWith("snap", 4, 8, LSHParams{Bands: 2, RowsPerBand: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +330,7 @@ func TestProbeSkipsRowsPastSnapshot(t *testing.T) {
 	buf := getSearchBuf()
 	defer putSearchBuf(buf)
 	query := &Sketch{Name: "q", K: 4, Shingles: 5, Signature: sig}
-	q := buf.prepare(ix, query, 0.5, 1)
+	q := buf.prepare(query, 0.5, 1)
 	buf.prepareBandKeys(ix, query)
 	sh, sc := ix.shards[0], &buf.scratch[0]
 	sh.beginProbe(sc)
@@ -516,7 +514,7 @@ func setPostingLimit(t *testing.T, limit *int, to int) {
 func TestPostingRowBitsFallback(t *testing.T) {
 	setPostingLimit(t, &postingBits, 8) // 3 stripes take 2 bits: 64 rows a stripe
 	lsh := LSHParams{Bands: 16, RowsPerBand: 1}
-	ix, err := newIndexWith("narrow", 4, 16, lsh, 3, 8, true)
+	ix, err := NewIndexWith("narrow", 4, 16, lsh, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +559,7 @@ func TestPostingRowBitsFallback(t *testing.T) {
 // candidate is scored like any other. Rebucket and reopen both seal.
 func TestPostingFingerprintMerge(t *testing.T) {
 	lsh := LSHParams{Bands: 1, RowsPerBand: 4}
-	eng, err := NewEngine(Options{IndexName: "merge", K: 4, SignatureSize: 4, Bands: 1, RowsPerBand: 4, Bits: 64, Shards: 1, Tiered: true, DataDir: t.TempDir()})
+	eng, err := NewEngine(Options{IndexName: "merge", K: 4, SignatureSize: 4, Bands: 1, RowsPerBand: 4, Shards: 1, Tiered: true, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,13 +570,13 @@ func TestPostingFingerprintMerge(t *testing.T) {
 	var a, b []uint64
 	for a == nil {
 		sig := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
-		fp := uint32(lsh.bandKey(0, sig, ^uint64(0)) >> 32)
+		fp := uint32(lsh.bandKey(0, sig) >> 32)
 		if other, ok := seen[fp]; ok {
 			a, b = other, sig
 		}
 		seen[fp] = sig
 	}
-	if ka, kb := lsh.bandKey(0, a, ^uint64(0)), lsh.bandKey(0, b, ^uint64(0)); ka == kb || ka>>32 != kb>>32 {
+	if ka, kb := lsh.bandKey(0, a), lsh.bandKey(0, b); ka == kb || ka>>32 != kb>>32 {
 		t.Fatalf("keys %x and %x: want distinct keys with one fingerprint", ka, kb)
 	}
 	add := func(ix *Index, name string, sig []uint64) {
@@ -596,7 +594,7 @@ func TestPostingFingerprintMerge(t *testing.T) {
 	probe := func(ix *Index) []string {
 		buf := getSearchBuf()
 		defer putSearchBuf(buf)
-		q := buf.prepare(ix, query, 0, 1)
+		q := buf.prepare(query, 0, 1)
 		buf.prepareBandKeys(ix, query)
 		probeCandidates(ix.posts, ix.shards, q, buf.scratch)
 		var names []string
@@ -606,7 +604,7 @@ func TestPostingFingerprintMerge(t *testing.T) {
 		return names
 	}
 	if got := probe(ix); !slices.Equal(got, []string{"a"}) {
-		t.Fatalf("delta candidates %v, want a alone: the delta keys by all 64 bits", got)
+		t.Fatalf("delta candidates %v, want a alone: the delta keys by the whole key", got)
 	}
 	want, err := SearchTopK(ix, query, 5, 0.1, nil)
 	if err != nil || len(want) != 1 {

@@ -33,33 +33,31 @@ func ParseSearchMode(s string) (SearchMode, error) {
 	}
 }
 
-// parallelScoreMinBytes is the arena bytes a scan reads — rows × the
-// width of one row's first plane: the whole row at 64 bits, the low
-// nibble plane at 8 — before it fans out one goroutine per shard;
+// parallelScoreMinBytes is the arena bytes a scan reads — rows × one
+// row's low nibble plane — before it fans out one goroutine per shard;
 // smaller scans run inline, which is also what keeps steady-state small
-// searches allocation-free. It is counted in bytes because the
-// break-even is: SearchTopK at minSim 0.3 over 16 shards on 2 vCPUs
-// (Xeon, 2 MiB L2 a core), inline / fanned-out, median of 3 in µs —
+// searches allocation-free. The break-even is: SearchTopK at minSim 0.3
+// over 16 shards of 128-slot rows (64 B planes) on 2 vCPUs (Xeon, 2 MiB
+// L2 a core), inline / fanned-out, median of 3 in µs —
 //
-//	rows    64-bit (1 KB)  8-bit (64 B)  portable   avx2       avx512
-//	  256      21 /  28                  5.8 /  11  3.8 / 8.3  3.3 / 6.9
-//	  512      38 /  40                  8.1 /  12  4.4 / 8.4  4.0 / 7.1
-//	 1024      75 /  69                   13 /  17  5.9 / 8.9  4.4 / 7.6
-//	 2048     153 /  92                   23 /  26  8.6 /  12  5.9 / 8.9
-//	 4096     304 / 170                   41 /  45   14 /  18  9.3 /  13
-//	 8192                                 88 /  75   26 /  28   17 /  21
-//	16384                                151 / 119   45 /  48   31 /  34
+//	rows    portable   avx2       avx512
+//	  256   5.8 /  11  3.8 / 8.3  3.3 / 6.9
+//	  512   8.1 /  12  4.4 / 8.4  4.0 / 7.1
+//	 1024    13 /  17  5.9 / 8.9  4.4 / 7.6
+//	 2048    23 /  26  8.6 /  12  5.9 / 8.9
+//	 4096    41 /  45   14 /  18  9.3 /  13
+//	 8192    88 /  75   26 /  28   17 /  21
+//	16384   151 / 119   45 /  48   31 /  34
 //
 // — fan-out first wins once the inline scan is ~50–70 µs of work, which
-// is 512 KB to 1 MB of 64-bit rows and 256 to 512 KB of low planes on
-// the portable kernel (512 to 1 024 and 4 096 to 8 192 rows). The
-// vector kernels never break even below 16 384 rows; from 8 192 rows
-// they pay ~3 µs for fanning out, the price of one threshold set where
-// the slower kernels gain.
+// is 256 to 512 KB of low planes on the portable kernel (4 096 to 8 192
+// rows). The vector kernels never break even below 16 384 rows; from
+// 8 192 rows they pay ~3 µs for fanning out, the price of one threshold
+// set where the slower kernels gain.
 const parallelScoreMinBytes = 512 << 10
 
 // packedQuery is one query sketch prepared for arena scans: the
-// signature packed to the index's width for word-parallel row
+// signature packed into nibble planes for word-parallel row
 // comparisons, plus (LSH searches only) its band bucket keys, one
 // posting-table lookup each.
 type packedQuery struct {
@@ -72,7 +70,7 @@ type packedQuery struct {
 	minSim     float64
 	minMatched int
 	packed     planes    // arena-width row image
-	full       []uint64  // full-width signature; set only on tiered indexes
+	full       []uint64  // full-width signature: the rescore image
 	bandKeys   []uint64  // one bucket key per band; nil outside LSH probes
 	cancel     *canceler // non-nil on ctx-aware searches; scan loops poll it
 }
@@ -158,8 +156,8 @@ type scoredCand struct {
 
 // shardScratch is the per-shard scratch of one query: the candidate
 // bitset and index list filled by the LSH probe, the shard's local
-// result buffer for parallel scans, and (tiered indexes) the prefilter
-// survivor list plus the pread-path row decode buffer.
+// result buffer for parallel scans, and the prefilter survivor list plus
+// the pread-path row decode buffer.
 type shardScratch struct {
 	rows    int32    // the shard's row count when the probe began
 	candSet []uint64 // bitset over shard-local record indexes [0, rows)
@@ -225,11 +223,12 @@ func putSearchBuf(b *searchBuf) {
 	searchBufPool.Put(b)
 }
 
-// prepare packs the query for ix's arena width, derives the integer
-// form of minSim, and sizes the per-shard scratch.
-func (b *searchBuf) prepare(ix *Index, query *Sketch, minSim float64, shards int) *packedQuery {
+// prepare packs the query into nibble planes, derives the integer form
+// of minSim, and sizes the per-shard scratch. A sketch is always full
+// width, so its signature doubles as the rescore image.
+func (b *searchBuf) prepare(query *Sketch, minSim float64, shards int) *packedQuery {
 	b.merged = b.merged[:0]
-	b.packed = packAppend(planes{b.packed.lo[:0], b.packed.hi[:0]}, query.Signature, ix.Bits())
+	b.packed = packAppend(planes{b.packed.lo[:0], b.packed.hi[:0]}, query.Signature)
 	b.q = packedQuery{
 		name:       query.Name,
 		shingles:   query.Shingles,
@@ -237,11 +236,7 @@ func (b *searchBuf) prepare(ix *Index, query *Sketch, minSim float64, shards int
 		minSim:     minSim,
 		minMatched: minMatchedFor(minSim, len(query.Signature)),
 		packed:     b.packed,
-	}
-	if ix.Tiered() {
-		// A sketch is always full-width, so the signature doubles as the
-		// rescore image.
-		b.q.full = query.Signature
+		full:       query.Signature,
 	}
 	if cap(b.scratch) < shards {
 		grown := make([]shardScratch, shards)
@@ -254,14 +249,13 @@ func (b *searchBuf) prepare(ix *Index, query *Sketch, minSim float64, shards int
 }
 
 // prepareBandKeys precomputes the query's bucket key for every band,
-// masked to the index's packing width so the keys match what the
-// shards stored at add time.
+// which bandKey masks to the prefilter's width, as the shards' keys were
+// at add time.
 func (b *searchBuf) prepareBandKeys(ix *Index, query *Sketch) {
 	lsh := ix.LSHParams()
-	mask := laneMask(ix.Bits())
 	b.keys = b.keys[:0]
 	for band := 0; band < lsh.Bands; band++ {
-		b.keys = append(b.keys, lsh.bandKey(band, query.Signature, mask))
+		b.keys = append(b.keys, lsh.bandKey(band, query.Signature))
 	}
 	b.q.bandKeys = b.keys
 }
@@ -361,7 +355,7 @@ func SearchTopKCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minS
 	buf := getSearchBuf()
 	defer putSearchBuf(buf)
 	shards := ix.snapshotShards()
-	q := buf.prepare(ix, query, minSim, len(shards))
+	q := buf.prepare(query, minSim, len(shards))
 	q.cancel = newCanceler(ctx)
 	merged := runScan(buf, shards, q, topK, pool, ix.Len(), (*shard).scanAppend)
 	if err := q.cancel.err(); err != nil {
@@ -374,9 +368,9 @@ func SearchTopKCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minS
 // the index's LSH band buckets for candidates and exact-scores only
 // those, so cost scales with the number of plausible matches rather
 // than the corpus size. When the scored candidates cannot fill the
-// requested K — too few candidates, a filtered self-hit, or a minSim
-// cut — it falls back to scoring the rest of the corpus, so small or
-// sparse indexes behave exactly like exact mode. When it does return a
+// requested K — too few live candidates, a filtered self-hit, or a
+// minSim cut — it falls back to scoring the rest of the corpus, so small
+// or sparse indexes behave exactly like exact mode. When it does return a
 // full K, completeness is probabilistic: pairs with similarity well
 // above ix.LSHParams().Threshold() are candidates almost surely, pairs
 // well below it are skipped by design. Candidate scoring and the
@@ -397,16 +391,19 @@ func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, m
 	buf := getSearchBuf()
 	defer putSearchBuf(buf)
 	shards := ix.snapshotShards()
-	q := buf.prepare(ix, query, minSim, len(shards))
+	q := buf.prepare(query, minSim, len(shards))
 	q.cancel = newCanceler(ctx)
 	buf.prepareBandKeys(ix, query)
 	totalCand := probeCandidates(ix.posts, shards, q, buf.scratch)
 	merged := runScan(buf, shards, q, topK, pool, totalCand, (*shard).scoreCandidates)
-	if n := ix.Len(); len(merged) < topK && totalCand < n && !q.cancel.canceled() {
+	if len(merged) < topK && !q.cancel.canceled() {
 		// Fallback: score only the records the candidate pass skipped
 		// (each shard's bitset marks its probed rows), so no record is
-		// scored twice and the merged set matches an exact scan.
-		merged = runScan(buf, shards, q, topK, pool, n-totalCand, (*shard).scanRestAppend)
+		// scored twice and the merged set matches an exact scan. It runs
+		// even when there are as many candidates as live records: the
+		// candidates may include tombstoned rows, whose postings stay
+		// until the next rebuild.
+		merged = runScan(buf, shards, q, topK, pool, ix.Len()-totalCand, (*shard).scanRestAppend)
 	}
 	if err := q.cancel.err(); err != nil {
 		return nil, err

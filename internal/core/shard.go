@@ -11,8 +11,9 @@ import (
 const DefaultShards = 16
 
 // shard owns one stripe of the index: the records whose names hash to
-// it. Record signatures live in a contiguous packed arena (see
-// sigArena) addressed by a shard-local record index, so exact scans are
+// it. Record signatures live at full width in a fullStore and, packed,
+// in a contiguous arena (see sigArena), both addressed by a shard-local
+// record index, so exact scans are
 // cache-linear sweeps over one buffer instead of a pointer chase per
 // record. Each shard has its own lock, so concurrent adds and scans on
 // different stripes never contend — and per-shard query fan-out scans
@@ -26,8 +27,7 @@ type shard struct {
 	arena    *sigArena
 	id       int32         // this stripe's number in the index and the posting table
 	posts    *postingTable // shared by every stripe of the index
-	mask     uint64        // lane mask caching laneMask(arena.bits)
-	full     *fullStore    // full-width tier; nil on non-tiered indexes
+	full     *fullStore    // the full-width rows the arena prefilters
 
 	// Deletes are tombstones: the row stays in the arena (and segments)
 	// but its dead bit is set and every scan skips it, until a
@@ -45,16 +45,17 @@ type shard struct {
 	wal atomic.Pointer[shardWAL]
 }
 
-// newShards returns n empty stripes filing their postings in posts.
-func newShards(n int, posts *postingTable, slots, bits int) []*shard {
+// newShards returns n empty stripes filing their postings in posts and
+// their full-width rows in stores on tier.
+func newShards(n int, posts *postingTable, slots int, tier *tierState) []*shard {
 	shards := make([]*shard, n)
 	for i := range shards {
 		shards[i] = &shard{
 			ids:   make(map[string]int32),
-			arena: newSigArena(slots, bits),
+			arena: newSigArena(slots),
 			id:    int32(i),
 			posts: posts,
-			mask:  laneMask(bits),
+			full:  newFullStore(slots, i, tier),
 		}
 	}
 	return shards
@@ -63,10 +64,9 @@ func newShards(n int, posts *postingTable, slots, bits int) []*shard {
 // add packs s's signature onto the arena unless a record with the same
 // name is already present; it reports whether the insert happened. An
 // add the posting table has no room for fails with ErrIndexFull before
-// anything is written. On a tiered shard the full-width signature is
-// appended to the on-disk tier first — a seal failure there rolls back
-// cleanly and fails the add before anything is registered, so the tiers
-// never disagree.
+// anything is written. The full-width signature is appended to the full
+// store first — a seal failure there rolls back cleanly and fails the
+// add before anything is registered, so the two never disagree.
 func (sh *shard) add(s *Sketch) (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -76,16 +76,14 @@ func (sh *shard) add(s *Sketch) (bool, error) {
 	if sh.posts.full() {
 		return false, ErrIndexFull
 	}
-	if sh.full != nil {
-		if err := sh.full.append(s.Signature); err != nil {
-			return false, err
-		}
+	if err := sh.full.append(s.Signature); err != nil {
+		return false, err
 	}
 	idx := int32(sh.arena.appendSig(s.Signature))
 	sh.ids[s.Name] = idx
 	sh.names = append(sh.names, s.Name)
 	sh.shingles = append(sh.shingles, int32(s.Shingles))
-	sh.posts.add(sh.id, idx, s.Signature, sh.mask)
+	sh.posts.add(sh.id, idx, s.Signature)
 	if w := sh.wal.Load(); w != nil {
 		w.appendAdd(sh.full.tier.walSeq.Add(1), s.Name, int32(s.Shingles), s.Signature)
 	}
@@ -151,10 +149,8 @@ func (sh *shard) has(name string) bool {
 	return ok
 }
 
-// getSketch reconstructs the sketch named name, or returns nil. Tiered
-// shards read the full-width tier, since the prefilter may hold only 8
-// bits a slot; an in-memory arena row is the full-width signature. k
-// comes from the index metadata.
+// getSketch reconstructs the sketch named name from the full store, or
+// returns nil. k comes from the index metadata.
 func (sh *shard) getSketch(name string, k int) *Sketch {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -197,16 +193,13 @@ func (sh *shard) appendPage(dst []*Sketch, after string, limit, k int) (out []*S
 	return dst, false, true
 }
 
-// sketchLocked reconstructs row idx's sketch, or returns nil if the tier
-// fails to read it. Callers hold sh.mu (either mode).
+// sketchLocked reconstructs row idx's sketch, or returns nil if the full
+// store fails to read it. Callers hold sh.mu (either mode).
 func (sh *shard) sketchLocked(idx int32, k int, sc *rowScratch) *Sketch {
-	row := sh.arena.row(int(idx)).lo
-	if sh.full != nil {
-		var err error
-		if row, err = sh.full.row(int(idx), sc); err != nil {
-			sh.full.tier.readErrors.Add(1)
-			return nil
-		}
+	row, err := sh.full.row(int(idx), sc)
+	if err != nil {
+		sh.full.tier.readErrors.Add(1)
+		return nil
 	}
 	return &Sketch{
 		Name:      sh.names[idx],
@@ -218,15 +211,11 @@ func (sh *shard) sketchLocked(idx int32, k int, sc *rowScratch) *Sketch {
 
 // tierBytes returns this stripe's tier footprint: sealed segment count,
 // mmap'd payload bytes, unsealed head bytes, and the packed prefilter's
-// live bytes. Zero segments/mapped/head on non-tiered shards.
+// live bytes.
 func (sh *shard) tierBytes() (segs int, mapped, head, arenaUsed int64) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	arenaUsed = sh.arena.usedBytes()
-	if sh.full == nil {
-		return 0, 0, 0, arenaUsed
-	}
-	return len(sh.full.segs), sh.full.mappedBytes(), sh.full.headBytes(), arenaUsed
+	return len(sh.full.segs), sh.full.mappedBytes(), sh.full.headBytes(), sh.arena.usedBytes()
 }
 
 // arenaBytes returns this stripe's (used, capacity) signature bytes.
@@ -261,11 +250,11 @@ func (sh *shard) beginProbe(sc *shardScratch) {
 }
 
 // scoreCandidates scores the rows the probe routed to this stripe, one
-// scattered row at a time through the per-row comparator — on tiered
-// shards through the same prefilter→rescore pipeline as a sweep. If a
-// compaction reassigned row indexes since the probe (structGen moved),
-// the captured candidates are stale; the shard falls back to sweeping
-// every row so the query still sees a consistent stripe.
+// scattered row at a time, through the same prefilter→rescore pipeline
+// as a sweep. If a compaction reassigned row indexes since the probe
+// (structGen moved), the captured candidates are stale; the shard falls
+// back to sweeping every row so the query still sees a consistent
+// stripe.
 func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -278,16 +267,9 @@ func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *sha
 		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
 			return dst
 		}
-		if sh.full != nil {
-			sh.prefilterRow(q, idx, sc)
-		} else {
-			dst = sh.scoreRow(dst, q, idx)
-		}
+		sh.prefilterRow(q, idx, sc)
 	}
-	if sh.full != nil {
-		return sh.tieredRescore(dst, q, topK, sc, len(sc.cands))
-	}
-	return dst
+	return sh.tieredRescore(dst, q, topK, sc, len(sc.cands))
 }
 
 // scanRestAppend scores every record NOT marked in sc's candidate
@@ -314,8 +296,7 @@ func (sh *shard) scanRestAppend(dst []Result, q *packedQuery, topK int, sc *shar
 // Those few rows are then checked against the exact count, the
 // tombstone bitset, the LSH probe's bitset (rest: skip the rows the
 // candidate pass already scored) and the zero-shingle rule, and emitted
-// — straight to dst as results on in-memory shards, or into sc.scored
-// for the full-width rescore on tiered ones, which appends at most topK
+// into sc.scored for the full-width rescore, which appends at most topK
 // results (the per-shard top-K contains the shard's share of any global
 // top-K, which is what runScan's merge needs).
 //
@@ -331,10 +312,9 @@ func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch,
 	if rest {
 		probed, scanned = sc.candSet, n-len(sc.cands)
 	}
-	tiered := sh.full != nil
 	sc.scored = sc.scored[:0]
 
-	pad := a.words*lanesPerWord(a.bits) - q.slots
+	pad := a.words*lanesPerWord - q.slots
 	var surv [sweepBlock]survivor
 	for base := 0; base < n; base += sweepBlock {
 		if q.cancel.canceled() {
@@ -354,54 +334,18 @@ func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch,
 			if m < q.minMatched {
 				continue
 			}
-			if tiered {
-				sc.scored = append(sc.scored, scoredCand{idx: idx, matched: int32(m)})
-			} else {
-				dst = sh.appendHit(dst, q, idx, float64(m)/float64(q.slots))
-			}
+			sc.scored = append(sc.scored, scoredCand{idx: idx, matched: int32(m)})
 		}
 	}
-	if tiered {
-		return sh.tieredRescore(dst, q, topK, sc, scanned)
-	}
-	return dst
+	return sh.tieredRescore(dst, q, topK, sc, scanned)
 }
 
-// scoreRow scores one arena row against q with the per-row comparator,
-// appending the result unless the row is dead, falls below q.minSim or
-// is a self-hit. It serves the LSH candidate lists, whose rows are
-// scattered, and is the reference the sweep is tested against. Callers
-// hold the shard lock.
-func (sh *shard) scoreRow(dst []Result, q *packedQuery, idx int32) []Result {
-	if sh.rowDead(idx) {
-		return dst
-	}
-	var sim float64
-	if q.slots != 0 && q.shingles != 0 && sh.shingles[idx] != 0 {
-		sim = float64(packedMatchingSlots(q.packed, sh.arena.row(int(idx)), q.slots)) / float64(q.slots)
-	}
-	if sim >= q.minSim {
-		dst = sh.appendHit(dst, q, idx, sim)
-	}
-	return dst
-}
-
-// appendHit appends row idx's result at similarity sim unless it is a
-// self-hit (same name AND same packed signature — a same-named record
-// whose content changed after indexing is still reported).
-func (sh *shard) appendHit(dst []Result, q *packedQuery, idx int32, sim float64) []Result {
-	if sh.names[idx] == q.name && q.packed.equal(sh.arena.row(int(idx))) {
-		return dst
-	}
-	return append(dst, Result{Query: q.name, Ref: sh.names[idx], Similarity: sim, Distance: 1 - sim})
-}
-
-// prefilterRow is scoreRow for tiered shards: it packed-scores one
-// arena row and appends it to sc.scored unless its packed similarity is
-// already below q.minSim. The packed score is an upper bound on the
-// full-width score (a truncated slot matches whenever the full slot
-// does), so this cut never drops a row the full scan would have kept.
-// Callers hold the shard lock.
+// prefilterRow packed-scores one arena row — an LSH candidate, whose
+// rows are scattered — and appends it to sc.scored unless it is dead or
+// its packed similarity is already below q.minSim. The packed score is
+// an upper bound on the full-width score (a truncated slot matches
+// whenever the full slot does), so this cut never drops a row the full
+// scan would have kept. Callers hold the shard lock.
 func (sh *shard) prefilterRow(q *packedQuery, idx int32, sc *shardScratch) {
 	if sh.rowDead(idx) {
 		return
@@ -419,11 +363,13 @@ func (sh *shard) prefilterRow(q *packedQuery, idx int32, sc *shardScratch) {
 }
 
 // tieredRescore reads the prefilter survivors in sc.scored full-width
-// from the shard's tier, best packed score first, and appends the
-// shard's top-K results to dst. Because the packed score upper-bounds
-// the full score, the walk stops as soon as the next candidate's bound
-// falls below the K-th best full score found so far — on selective
-// queries only a handful of rows are ever read from disk. A positive
+// from the shard's full store, best packed score first, and appends the
+// shard's top-K results to dst; a row named like the query with the
+// query's full-width signature is a self-hit and skipped. Because the
+// packed score upper-bounds the full score, the walk stops as soon as
+// the next candidate's bound falls below the K-th best full score found
+// so far — on selective queries only a handful of rows are ever read
+// from disk. A positive
 // tier budget additionally caps the full-width reads; rows that fail to
 // read are counted and skipped rather than failing the query. scanned
 // is the row count the prefilter phase covered, for the survival-rate
@@ -503,12 +449,12 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, topK int, sc *shard
 // untouched. It returns the number of rows dropped. The stripe's
 // postings still name the old rows: callers hold sh.mu exclusively and
 // rebuild the posting table before releasing it.
-func (sh *shard) compactLocked(slots, bits int) (int, error) {
+func (sh *shard) compactLocked(slots int) (int, error) {
 	live := len(sh.names) - sh.deadRows
 	ids := make(map[string]int32, live)
 	names := make([]string, 0, live)
 	shingles := make([]int32, 0, live)
-	arena := newSigArena(slots, bits)
+	arena := newSigArena(slots)
 	full := newFullStore(slots, int(sh.id), sh.full.tier)
 	var rsc rowScratch
 	sig := make([]uint64, 0, slots)

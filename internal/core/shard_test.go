@@ -2,37 +2,21 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// plantedCorpus builds an index of n records through Engine.AddBatch,
-// `planted` of which are near-duplicates of the returned query sketch
-// (named "near-<i>"); the rest is random filler. Everything is
-// deterministic in seed.
+// plantedCorpus builds an in-memory index of plantedRecords(n,
+// planted, seed) through Engine.AddBatch and returns it with the sketch
+// of the records' base payload, named "query".
 func plantedCorpus(tb testing.TB, n, planted int, seed int64) (*Index, *Sketch) {
 	tb.Helper()
-	const recBytes = 256
 	eng, err := NewEngine(Options{IndexName: "planted"})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	base := benchData(recBytes, seed)
-	recs := make([]Record, 0, n)
-	for i := 0; i < planted; i++ {
-		data := make([]byte, len(base))
-		copy(data, base)
-		rng := rand.New(rand.NewSource(seed + int64(i) + 1))
-		for j := 0; j < 5; j++ {
-			data[rng.Intn(len(data))] = byte('a' + rng.Intn(26))
-		}
-		recs = append(recs, Record{Name: fmt.Sprintf("near-%d", i), Data: data})
-	}
-	for i := planted; i < n; i++ {
-		recs = append(recs, Record{Name: fmt.Sprintf("rand-%d", i), Data: benchData(recBytes, seed+int64(i)+1000)})
-	}
+	recs, base := plantedRecords(n, planted, seed)
 	oks, err := eng.AddBatch(recs)
 	if err != nil {
 		tb.Fatal(err)

@@ -17,6 +17,7 @@ type sweepCorpus struct {
 	ix    *Index
 	sh    *shard
 	query *Sketch
+	rows  []*Sketch // every row's sketch in row order, nil once deleted
 	rng   *rand.Rand
 	next  int // name counter for rows added later
 }
@@ -35,10 +36,12 @@ func randomSig(rng *rand.Rand, slots int) []uint64 {
 
 func (c *sweepCorpus) add(t *testing.T, name string, shingles int, sig []uint64) {
 	t.Helper()
-	ok, err := c.ix.Add(&Sketch{Name: name, K: c.ix.meta.K, Shingles: shingles, Signature: sig})
+	s := &Sketch{Name: name, K: c.ix.meta.K, Shingles: shingles, Signature: sig}
+	ok, err := c.ix.Add(s)
 	if err != nil || !ok {
 		t.Fatalf("add %q: ok=%v err=%v", name, ok, err)
 	}
+	c.rows = append(c.rows, s)
 }
 
 // addRandom appends n rows: mostly random, every fifth a near-duplicate
@@ -63,21 +66,21 @@ func (c *sweepCorpus) addRandom(t *testing.T, n int) {
 	}
 }
 
-// newSweepCorpus builds a one-shard index of `rows` random rows at the
-// given geometry — in memory, or directory-backed when tiered — holding
-// a row that is the query itself (same name, same signature), with
-// every ninth row tombstoned.
-func newSweepCorpus(t *testing.T, slots, bits, rows int, tiered bool, seed int64) *sweepCorpus {
+// newSweepCorpus builds a one-shard index of `rows` random rows of
+// `slots` slots — in memory, or directory-backed when dir is set —
+// holding a row that is the query itself (same name, same signature),
+// with every ninth row tombstoned.
+func newSweepCorpus(t *testing.T, slots, rows int, dir bool, seed int64) *sweepCorpus {
 	t.Helper()
 	lsh := LSHParams{Bands: 1, RowsPerBand: slots}
 	if slots%4 == 0 {
 		lsh = LSHParams{Bands: slots / 4, RowsPerBand: 4}
 	}
-	ix, err := newIndexWith("sweep", 8, slots, lsh, 1, bits, tiered)
+	ix, err := NewIndexWith("sweep", 8, slots, lsh, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tiered {
+	if dir {
 		if err := ix.attachTier(t.TempDir(), 64); err != nil {
 			t.Fatal(err)
 		}
@@ -94,19 +97,21 @@ func newSweepCorpus(t *testing.T, slots, bits, rows int, tiered bool, seed int64
 			if ok, err := ix.Delete(name); err != nil || !ok {
 				t.Fatalf("delete %q: ok=%v err=%v", name, ok, err)
 			}
+			c.rows[i] = nil
 		}
 	}
 	return c
 }
 
-// perRowReference is what the sweep must reproduce: scoreRow (in
-// memory) or prefilterRow then tieredRescore (tiered) called on every
-// row in index order, skipping the rows set in probed. It also returns
-// what a tiered pass feeds the scanned/survived counters.
-func perRowReference(sh *shard, q *packedQuery, topK int, probed []uint64) ([]Result, []scoredCand, tierCounts) {
-	var dst []Result
+// perRowReference is what the sweep must reproduce: prefilterRow called
+// on every row in index order, skipping the rows set in probed, then
+// tieredRescore. It also returns what the pass feeds the
+// scanned/survived counters, and the brute-force top-K over the same
+// rows' sketches, which the rescored results must equal.
+func (c *sweepCorpus) perRowReference(query *Sketch, q *packedQuery, topK int, probed []uint64) ([]Result, []scoredCand, tierCounts, []Result) {
+	sh := c.sh
 	var sc shardScratch
-	var fed tierCounts
+	var refs []*Sketch
 	scanned := 0
 	for i := range sh.names {
 		idx := int32(i)
@@ -114,49 +119,39 @@ func perRowReference(sh *shard, q *packedQuery, topK int, probed []uint64) ([]Re
 			continue
 		}
 		scanned++
-		if sh.full != nil {
-			sh.prefilterRow(q, idx, &sc)
-		} else {
-			dst = sh.scoreRow(dst, q, idx)
+		sh.prefilterRow(q, idx, &sc)
+		if c.rows[i] != nil {
+			refs = append(refs, c.rows[i])
 		}
 	}
-	if sh.full != nil {
-		fed = tierCounts{uint64(scanned), uint64(len(sc.scored))}
-		dst = sh.tieredRescore(dst, q, topK, &sc, scanned)
-	}
-	return dst, sc.scored, fed
+	fed := tierCounts{uint64(scanned), uint64(len(sc.scored))}
+	dst := sh.tieredRescore(nil, q, topK, &sc, scanned)
+	return dst, sc.scored, fed, bruteTopK(query, refs, topK, q.minSim)
 }
 
 // TestSweepMatchesPerRowPath is the sweep's correctness property: over
-// random shards — every lane width, slot counts with and without
-// padding lanes, tombstones, zero-shingle rows and queries, a self-hit
-// row, with and without the LSH probe's bitset, rows appended after the
-// probe — the blocked sweep emits exactly the rows, in exactly the
-// order, with exactly the matched counts and similarities that the
-// per-row comparator does, and feeds the tier counters the same
-// numbers. It runs on every kernel the build offers.
+// random shards — slot counts with and without padding lanes, heap and
+// directory stores, tombstones, zero-shingle rows and queries, a
+// self-hit row, with and without the LSH probe's bitset, rows appended
+// after the probe — the blocked sweep emits exactly the rows, in exactly
+// the order, with exactly the matched counts and similarities that the
+// per-row comparator does, feeds the tier counters the same numbers, and
+// answers what a brute-force scan of the sketches does. It runs on every
+// kernel the build offers.
 func TestSweepMatchesPerRowPath(t *testing.T) {
-	type geometry struct{ slots, bits int }
-	geoms := []geometry{}
-	for _, bits := range []int{8, 64} {
-		for _, slots := range []int{1, 100, 127, 128} {
-			geoms = append(geoms, geometry{slots, bits})
-		}
-	}
 	// 70 000 one-byte lanes overflow a uint16 count: the sweep must
 	// fall back to the per-row comparator instead of truncating.
-	geoms = append(geoms, geometry{70000, 8})
-
+	geoms := []int{1, 100, 127, 128, 70000}
 	eachKernel(t, func(t *testing.T) {
-		for gi, g := range geoms {
-			for _, tiered := range map[int][]bool{8: {true}, 64: {false, true}}[g.bits] { // only a tiered index packs
+		for gi, slots := range geoms {
+			for _, dir := range []bool{false, true} {
 				rows := 2*sweepBlock + 77 // two full blocks and a short one
-				if g.slots > 1000 {
+				if slots > 1000 {
 					rows = 12
 				}
-				c := newSweepCorpus(t, g.slots, g.bits, rows, tiered, int64(gi+1))
-				name := fmt.Sprintf("slots=%d/bits=%d/tiered=%v", g.slots, g.bits, tiered)
-				q25 := float64(g.slots/4) / float64(g.slots)
+				c := newSweepCorpus(t, slots, rows, dir, int64(gi+1))
+				name := fmt.Sprintf("slots=%d/dir=%v", slots, dir)
+				q25 := float64(slots/4) / float64(slots)
 				for _, minSim := range []float64{
 					0, -0.1, 0.2, q25, math.Nextafter(q25, 1), math.Nextafter(q25, 0), 0.8, 1, 1.1,
 				} {
@@ -182,30 +177,28 @@ func (c *sweepCorpus) checkSweep(t *testing.T, name string, minSim float64, zero
 	name = fmt.Sprintf("%s/minSim=%v/zeroQuery=%v", name, minSim, zeroQuery)
 	buf := getSearchBuf()
 	defer putSearchBuf(buf)
-	q := buf.prepare(c.ix, &query, minSim, 1)
+	q := buf.prepare(&query, minSim, 1)
 	buf.prepareBandKeys(c.ix, &query)
 	sh, sc := c.sh, &buf.scratch[0]
 	const topK = 7
 
 	// run performs one sweep entry point and checks it against the
 	// per-row reference over the rows not set in probed: results,
-	// prefilter survivors, and what the tier counters were fed.
+	// prefilter survivors, what the tier counters were fed, and the
+	// brute-force answer.
 	run := func(what string, probed []uint64, sweep func() []Result) {
 		t.Helper()
-		var before tierCounts
-		if sh.full != nil {
-			before = readTierCounts(sh.full.tier)
-		}
+		before := readTierCounts(sh.full.tier)
 		got := sweep()
 		gotScored := slices.Clone(sc.scored)
-		var fed tierCounts
-		if sh.full != nil {
-			after := readTierCounts(sh.full.tier)
-			fed = tierCounts{after.scanned - before.scanned, after.survived - before.survived}
-		}
-		want, wantScored, wantFed := perRowReference(sh, q, topK, probed)
+		after := readTierCounts(sh.full.tier)
+		fed := tierCounts{after.scanned - before.scanned, after.survived - before.survived}
+		want, wantScored, wantFed, brute := c.perRowReference(&query, q, topK, probed)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s %s: sweep results differ from the per-row path\n got %v\nwant %v", name, what, got, want)
+		}
+		if top := MergeTopK(slices.Clone(got), topK); !slices.Equal(top, brute) {
+			t.Fatalf("%s %s: sweep top-K differs from brute force\n got %v\nwant %v", name, what, top, brute)
 		}
 		if !slices.Equal(gotScored, wantScored) {
 			t.Fatalf("%s %s: prefilter survivors differ\n got %v\nwant %v", name, what, gotScored, wantScored)
@@ -243,7 +236,7 @@ func readTierCounts(t *tierState) tierCounts {
 }
 
 // TestSearchIdenticalAcrossKernels runs whole searches — exact and LSH,
-// in-memory and tiered, hit and miss queries, inline and fanned out,
+// heap and directory stores, hit and miss queries, inline and fanned out,
 // signatures with and without padding nibbles — once per kernel and
 // requires identical results: compiling the assembly out changes
 // nothing a caller can see.
@@ -254,7 +247,7 @@ func TestSearchIdenticalAcrossKernels(t *testing.T) {
 	// 100 slots are 7 words a plane (the portable shape) with 12 padding
 	// nibbles, 127 slots 8 words (a vector shape) with one.
 	for _, slots := range []int{100, 127} {
-		eng, err := NewEngine(Options{IndexName: "pad", SignatureSize: slots, Bits: 8, Tiered: true, DataDir: t.TempDir()})
+		eng, err := NewEngine(Options{IndexName: "pad", SignatureSize: slots, Tiered: true, DataDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,8 +351,8 @@ func (c *countdownCtx) Err() error {
 // after the search's own up-front check.
 func TestSweepCancellation(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
-		for bits, tiered := range map[int]bool{64: false, 8: true} {
-			c := newSweepCorpus(t, 128, bits, 8*sweepBlock, tiered, 3)
+		for _, dir := range []bool{false, true} {
+			c := newSweepCorpus(t, 128, 8*sweepBlock, dir, 3)
 			miss := &Sketch{Name: "miss", K: 8, Shingles: 9, Signature: make([]uint64, 128)}
 			for i := range miss.Signature {
 				miss.Signature[i] = uint64(100 + i)
@@ -370,23 +363,20 @@ func TestSweepCancellation(t *testing.T) {
 				free := &countdownCtx{Context: context.Background(), done: make(chan struct{}), after: math.MaxInt32}
 				res, err := search(free, c.ix, miss, 10, 0, NewPool(1))
 				if err != nil || len(res) != 10 {
-					t.Fatalf("%s tiered=%v: uncancelled search = %d results, %v", name, tiered, len(res), err)
+					t.Fatalf("%s dir=%v: uncancelled search = %d results, %v", name, dir, len(res), err)
 				}
 				if polls := free.polls.Load(); polls < 9 {
-					t.Fatalf("%s tiered=%v: a sweep of 8 blocks polled %d times, want at least 9", name, tiered, polls)
+					t.Fatalf("%s dir=%v: a sweep of 8 blocks polled %d times, want at least 9", name, dir, polls)
 				}
-				var before tierCounts
-				if tiered {
-					before = readTierCounts(c.sh.full.tier)
-				}
+				before := readTierCounts(c.sh.full.tier)
 				// Polls 1-5 pass (the up-front check and four blocks); the
 				// fifth block's poll fires.
 				ctx := &countdownCtx{Context: context.Background(), done: make(chan struct{}), after: 5}
 				res, err = search(ctx, c.ix, miss, 10, 0, NewPool(1))
 				if !errors.Is(err, context.Canceled) || res != nil {
-					t.Fatalf("%s tiered=%v: cancelled mid-sweep = %d results, err %v; want none, context.Canceled", name, tiered, len(res), err)
+					t.Fatalf("%s dir=%v: cancelled mid-sweep = %d results, err %v; want none, context.Canceled", name, dir, len(res), err)
 				}
-				if tiered && readTierCounts(c.sh.full.tier) != before {
+				if readTierCounts(c.sh.full.tier) != before {
 					t.Fatalf("%s: a sweep cancelled half way still went on to rescore", name)
 				}
 			}

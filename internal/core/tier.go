@@ -18,10 +18,12 @@ const DefaultSegmentRows = 4096
 
 // tierState is the index-wide half of tiered storage: where segments
 // live, how big they grow, the per-query rescore budget, and the
-// counters behind TierStats. Counters are atomics because shard scans
-// update them concurrently without holding ix.mu.
+// counters behind TierStats. An in-memory index has one too, with no
+// directory and segmentRows 0: its full stores keep every row in their
+// heads, never sealed. Counters are atomics because shard scans update
+// them concurrently without holding ix.mu.
 type tierState struct {
-	dataDir     string
+	dataDir     string // "" on an in-memory index
 	segmentRows int
 	budget      atomic.Int64 // max full-width rescores per shard per query; 0 = unbounded
 
@@ -66,11 +68,11 @@ type TierStats struct {
 }
 
 // fullStore is one shard's full-width signature tier: sealed immutable
-// segments on disk plus a small mutable head holding rows not yet
-// sealed. Shard-local row i lives in the head when i >= headBase and in
-// exactly one segment otherwise (segments tile [0, headBase) in base
-// order). Like sigArena it is not internally locked; the owning shard
-// serializes access.
+// segments on disk plus a mutable head holding rows not yet sealed — on
+// an in-memory index, every row. Shard-local row i lives in the head
+// when i >= headBase and in exactly one segment otherwise (segments tile
+// [0, headBase) in base order). Like sigArena it is not internally
+// locked; the owning shard serializes access.
 type fullStore struct {
 	slots    int
 	shardID  int
@@ -90,8 +92,6 @@ func (fs *fullStore) headRows() int {
 	}
 	return len(fs.head) / fs.slots
 }
-
-func (fs *fullStore) rows() int { return fs.headBase + fs.headRows() }
 
 func (fs *fullStore) segPath(base int) string {
 	return filepath.Join(fs.tier.segmentsDir(), fmt.Sprintf("shard-%04d-%010d.seg", fs.shardID, base))
@@ -118,12 +118,13 @@ func (fs *fullStore) freshSegPath(base int) (string, error) {
 }
 
 // append adds one full-width signature as the store's next row, sealing
-// the head into a segment when it reaches segmentRows. A failed seal
-// (disk full, permissions) rolls the row back out of the head so the
-// caller can fail the whole add without registering the record.
+// the head into a segment when it reaches a positive segmentRows. A
+// failed seal (disk full, permissions) rolls the row back out of the
+// head so the caller can fail the whole add without registering the
+// record.
 func (fs *fullStore) append(sig []uint64) error {
 	fs.head = append(fs.head, sig...)
-	if fs.headRows() >= fs.tier.segmentRows {
+	if fs.tier.segmentRows > 0 && fs.headRows() >= fs.tier.segmentRows {
 		if err := fs.sealHead(); err != nil {
 			fs.head = fs.head[:len(fs.head)-fs.slots]
 			return err

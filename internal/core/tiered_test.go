@@ -14,15 +14,26 @@ import (
 	"time"
 )
 
-// tieredEngines builds two engines over the same n records: a tiered
-// one with an 8-bit prefilter and tiny segments (so sealing happens in
-// every test) and a plain full-width in-RAM one. The tiered engine's
-// exact-cut rescore must make the pair indistinguishable to callers.
+// tieredRecords is the corpus tieredEngines indexes: n records
+// "rec-<i>" of 256 pseudo-random bytes.
+func tieredRecords(n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}
+	}
+	return recs
+}
+
+// tieredEngines builds two engines over tieredRecords(n): a directory
+// index with tiny segments (so sealing happens in every test) and an
+// in-memory one, whose full-width rows stay on the heap. Both scan the
+// same 8-bit prefilter, so the equality tests hold each of them to
+// bruteTopK, which shares no code with either.
 func tieredEngines(tb testing.TB, n int, segRows int) (tiered, plain *Engine) {
 	tb.Helper()
 	tiered, err := NewEngine(Options{
-		IndexName: "tiered", Bits: 8,
-		Tiered: true, DataDir: tb.TempDir(), SegmentRows: segRows,
+		IndexName: "tiered",
+		Tiered:    true, DataDir: tb.TempDir(), SegmentRows: segRows,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -32,8 +43,7 @@ func tieredEngines(tb testing.TB, n int, segRows int) (tiered, plain *Engine) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		rec := Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}
+	for _, rec := range tieredRecords(n) {
 		if _, err := addRecord(tiered, rec); err != nil {
 			tb.Fatal(err)
 		}
@@ -44,14 +54,66 @@ func tieredEngines(tb testing.TB, n int, segRows int) (tiered, plain *Engine) {
 	return tiered, plain
 }
 
+// bruteTopK is the reference the search paths are held to, sharing
+// nothing with them but Similarity and MergeTopK: the topK best of the
+// refs whose similarity to q reaches minSim, less self-hits (same name
+// and same signature as q).
+func bruteTopK(q *Sketch, refs []*Sketch, topK int, minSim float64) []Result {
+	var all []Result
+	for _, r := range refs {
+		if r.Name == q.Name && slices.Equal(r.Signature, q.Signature) {
+			continue
+		}
+		sim, err := Similarity(q, r)
+		if err != nil {
+			panic(err)
+		}
+		if sim >= minSim {
+			all = append(all, Result{Query: q.Name, Ref: r.Name, Similarity: sim, Distance: 1 - sim})
+		}
+	}
+	return MergeTopK(all, topK)
+}
+
+// sketchAll sketches every record with s.
+func sketchAll(s *Sketcher, recs []Record) []*Sketch {
+	out := make([]*Sketch, len(recs))
+	for i, rec := range recs {
+		out[i] = s.Sketch(rec)
+	}
+	return out
+}
+
+// checkAgainstBrute runs q through both modes on every index and
+// requires each answer to equal bruteTopK over refs.
+func checkAgainstBrute(t *testing.T, q *Sketch, refs []*Sketch, topK int, minSim float64, ixs ...*Index) {
+	t.Helper()
+	want := bruteTopK(q, refs, topK, minSim)
+	for mode, search := range map[string]func(*Index, *Sketch, int, float64, *Pool) ([]Result, error){
+		"exact": SearchTopK, "lsh": SearchTopKLSH,
+	} {
+		for _, ix := range ixs {
+			got, err := search(ix, q, topK, minSim, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s on %s q=%s minSim=%v:\n got %+v\nwant %+v", mode, ix.Metadata().Name, q.Name, minSim, got, want)
+			}
+		}
+	}
+}
+
 // TestTieredSearchMatchesNonTiered is the tentpole's correctness
 // property: because the packed b-bit score is an upper bound on the
 // full-width score, the prefilter's minSim cut and the sorted-rescore
-// early exit are both exact, and a tiered 8-bit index must return
-// byte-identical results to a full-width in-RAM index — every mode,
-// every minSim, including the self-exclusion of indexed queries.
+// early exit are both exact, so a directory index and a heap index
+// must both return byte-identical results to a brute-force scan of the
+// sketches — every mode, every minSim, including the self-exclusion of
+// indexed queries.
 func TestTieredSearchMatchesNonTiered(t *testing.T) {
 	tiered, plain := tieredEngines(t, 600, 16)
+	refs := sketchAll(plain.Sketcher(), tieredRecords(600))
 	queries := []*Sketch{
 		plain.Sketcher().Sketch(Record{Name: "q-near", Data: benchData(256, 1)}),
 		plain.Sketcher().Sketch(Record{Name: "q-far", Data: benchData(256, 99999)}),
@@ -59,28 +121,7 @@ func TestTieredSearchMatchesNonTiered(t *testing.T) {
 	}
 	for _, q := range queries {
 		for _, minSim := range []float64{0, 0.1, 0.5, 0.9} {
-			for mode, search := range map[string]func(*Index, *Sketch, int, float64, *Pool) ([]Result, error){
-				"exact": SearchTopK, "lsh": SearchTopKLSH,
-			} {
-				want, err := search(plain.Index(), q, 10, minSim, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := search(tiered.Index(), q, 10, minSim, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s q=%s minSim=%v: tiered returned %d results, plain %d",
-						mode, q.Name, minSim, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s q=%s minSim=%v result %d: tiered %+v, plain %+v",
-							mode, q.Name, minSim, i, got[i], want[i])
-					}
-				}
-			}
+			checkAgainstBrute(t, q, refs, 10, minSim, tiered.Index(), plain.Index())
 		}
 	}
 	// The scan actually went through the tier: rows were prefiltered and
@@ -102,8 +143,8 @@ func TestTieredSearchMatchesNonTiered(t *testing.T) {
 func TestTieredSimilarityIsFullWidth(t *testing.T) {
 	const slots = DefaultSignatureSize
 	eng, err := NewEngine(Options{
-		IndexName: "fw", Bits: 8,
-		Tiered: true, DataDir: t.TempDir(), SegmentRows: 16,
+		IndexName: "fw",
+		Tiered:    true, DataDir: t.TempDir(), SegmentRows: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +296,8 @@ func countSegments(t *testing.T, dir string) int {
 func saveTieredDir(t *testing.T, dir string) string {
 	t.Helper()
 	eng, err := NewEngine(Options{
-		IndexName: "corrupt", Bits: 8,
-		Tiered: true, DataDir: dir, SegmentRows: 32,
+		IndexName: "corrupt",
+		Tiered:    true, DataDir: dir, SegmentRows: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -733,45 +774,46 @@ func TestTieredBudgetCapsRescores(t *testing.T) {
 	}
 }
 
-// TestTieredSearchRejectsTruncatedQuery: 8 and 64 are the only widths,
-// from a caller or from a manifest, as the replicate endpoint refuses
-// any wire width but 64.
+// TestTieredSearchRejectsTruncatedQuery: 8 is the only width a caller
+// may ask for, and a manifest may name only widths older builds wrote
+// (8, 16 and 64, all opened at 8), as the replicate endpoint refuses any
+// wire width but 64.
 func TestTieredSearchRejectsTruncatedQuery(t *testing.T) {
 	const want = "unsupported packing width"
-	if _, err := NewEngine(Options{Bits: 16, Tiered: true, DataDir: t.TempDir()}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("NewEngine(Bits 16, Tiered): err = %v, want %q", err, want)
+	for _, bits := range []int{16, 64} {
+		if _, err := NewEngine(Options{Bits: bits, Tiered: true, DataDir: t.TempDir()}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("NewEngine(Bits %d, Tiered): err = %v, want %q", bits, err, want)
+		}
 	}
 	if _, err := Open(savedAtBits(t, 32)); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Open of a 32-bit manifest: err = %v, want %q", err, want)
 	}
 }
 
-// TestOpenSixteenBitDirectory: a directory saved with a 16-bit
-// prefilter opens at 8 bits, since the prefilter is rebuilt from the
-// full-width segments; its answers are byte-identical to a 64-bit
+// TestOpenSixteenBitDirectory: a directory saved with a 16- or 64-bit
+// prefilter by an older build opens at 8 bits, since the prefilter is
+// rebuilt from the full-width segments; its answers, and a heap index's
+// over the same records, are byte-identical to the brute-force
 // reference, and its next snapshot records 8.
 func TestOpenSixteenBitDirectory(t *testing.T) {
-	dir := savedAtBits(t, 16)
-	ix, err := Open(dir)
-	if err != nil || ix.Bits() != 8 {
-		t.Fatalf("Open of a 16-bit directory: %v; want it at 8 bits", err)
-	}
-	defer ix.Close()
 	_, plain := tieredEngines(t, 100, 32) // the records saveTieredDir adds
+	refs := sketchAll(plain.Sketcher(), tieredRecords(100))
 	q := plain.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 2)})
-	for _, search := range []func(*Index, *Sketch, int, float64, *Pool) ([]Result, error){SearchTopK, SearchTopKLSH} {
-		got, err := search(ix, q, 20, 0, nil)
-		want, _ := search(plain.Index(), q, 20, 0, nil)
-		if err != nil || len(got) == 0 || !slices.Equal(got, want) {
-			t.Fatalf("16-bit directory answers %v, %v; the 64-bit reference %v", got, err, want)
+	for _, bits := range []int{16, 64} {
+		dir := savedAtBits(t, bits)
+		ix, err := Open(dir)
+		if err != nil || ix.Metadata().Bits != 8 {
+			t.Fatalf("Open of a %d-bit directory: %v; want it at 8 bits", bits, err)
 		}
-	}
-	if err := ix.SaveDir(); err != nil {
-		t.Fatal(err)
-	}
-	var m manifest
-	if raw, err := os.ReadFile(filepath.Join(dir, ManifestFile)); err != nil || json.Unmarshal(raw, &m) != nil || m.Meta.Bits != 8 {
-		t.Fatalf("manifest after SaveDir says bits %d (%v), want 8", m.Meta.Bits, err)
+		defer ix.Close()
+		checkAgainstBrute(t, q, refs, 20, 0, ix, plain.Index())
+		if err := ix.SaveDir(); err != nil {
+			t.Fatal(err)
+		}
+		var m manifest
+		if raw, err := os.ReadFile(filepath.Join(dir, ManifestFile)); err != nil || json.Unmarshal(raw, &m) != nil || m.Meta.Bits != 8 {
+			t.Fatalf("%d-bit manifest after SaveDir says bits %d (%v), want 8", bits, m.Meta.Bits, err)
+		}
 	}
 }
 
@@ -804,8 +846,8 @@ func TestTieredGetSketchFullWidth(t *testing.T) {
 }
 
 // TestTieredRebucket: band retuning works on a directory index (the
-// full tier is carried shard-for-shard), but resharding would renumber
-// the tier's shard-local rows and is rejected.
+// full tier is carried shard-for-shard) and a heap index alike, but
+// resharding would renumber the tier's shard-local rows and is rejected.
 func TestTieredRebucket(t *testing.T) {
 	tiered, plain := tieredEngines(t, 300, 64)
 	ix := tiered.Index()
@@ -814,22 +856,15 @@ func TestTieredRebucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Rebucket(lsh, meta.Shards); err != nil {
-		t.Fatalf("Rebucket with same shard count: %v", err)
+	for _, ix := range []*Index{ix, plain.Index()} {
+		if err := ix.Rebucket(lsh, meta.Shards); err != nil {
+			t.Fatalf("Rebucket with same shard count: %v", err)
+		}
 	}
 	q := plain.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 9)})
-	want, err := SearchTopK(plain.Index(), q, 10, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SearchTopK(ix, q, 10, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("post-rebucket result %d: %+v, want %+v", i, got[i], want[i])
-		}
+	refs := sketchAll(plain.Sketcher(), tieredRecords(300))
+	for _, minSim := range []float64{0, 0.1} {
+		checkAgainstBrute(t, q, refs, 10, minSim, ix, plain.Index())
 	}
 	if err := ix.Rebucket(lsh, meta.Shards*2); err == nil ||
 		!strings.Contains(err.Error(), "shard") {
