@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -173,28 +174,28 @@ func TestCLIRemovedFlags(t *testing.T) {
 }
 
 // TestCLIBitsFlag pins the one prefilter width end to end: `search -v`
-// reports an 8-bit arena of 128 bytes per record and the tier
-// footprint, a directory whose manifest says bits 64 (written by older
-// builds) searches byte-identically, and there is no -bits flag.
+// reports a 4-bit arena of 64 bytes per record and the tier footprint,
+// `sketch` writes bits 8 into the manifest (the one width older builds
+// accept), a directory whose manifest says 4, 8, 16 or 64 searches
+// byte-identically, and there is no -bits flag.
 func TestCLIBitsFlag(t *testing.T) {
 	dir := t.TempDir()
 	packed := filepath.Join(dir, "packed")
-	wide := filepath.Join(dir, "wide")
 	inputs := []string{testdata("alpha.txt"), testdata("beta.txt"), testdata("gamma.txt")}
-	for _, ix := range []string{packed, wide} {
-		if _, stderr, code := runCLI(t, append([]string{"sketch", "-o", ix, "-segment-rows", "2"}, inputs...)...); code != 0 {
-			t.Fatalf("sketch failed (%d): %s", code, stderr)
-		}
+	if _, stderr, code := runCLI(t, append([]string{"sketch", "-o", packed, "-segment-rows", "2"}, inputs...)...); code != 0 {
+		t.Fatalf("sketch failed (%d): %s", code, stderr)
 	}
-	setManifestBits(t, wide, 64)
+	if got := manifestBits(t, packed); got != 8 {
+		t.Fatalf("sketch wrote manifest bits %v, want 8", got)
+	}
 	want, stderr, code := runCLI(t, "search", "-d", packed, "-top", "2", "-v", testdata("beta.txt"))
 	if code != 0 {
 		t.Fatalf("search failed (%d): %s", code, stderr)
 	}
-	// -v reports the arena memory on stderr — 128 slots at 8 bits is 128
+	// -v reports the arena memory on stderr — 128 slots at 4 bits is 64
 	// bytes per record — and the tier line (resident vs mapped bytes).
-	if !strings.Contains(stderr, "bits=8 ") || !strings.Contains(stderr, "bytes_per_record=128.0") {
-		t.Fatalf("search -v stderr = %q, want arena report with bits=8 bytes_per_record=128.0", stderr)
+	if !strings.Contains(stderr, "bits=4 ") || !strings.Contains(stderr, "bytes_per_record=64.0") {
+		t.Fatalf("search -v stderr = %q, want arena report with bits=4 bytes_per_record=64.0", stderr)
 	}
 	if !strings.Contains(stderr, "resident_bytes=") || !strings.Contains(stderr, "mapped_bytes=") {
 		t.Fatalf("search -v did not report tier bytes: %s", stderr)
@@ -204,18 +205,40 @@ func TestCLIBitsFlag(t *testing.T) {
 		!strings.Contains(stderr, "scan_kernel=portable") {
 		t.Fatalf("search -v did not name the scan kernel: %s", stderr)
 	}
-	got, stderr, code := runCLI(t, "search", "-d", wide, "-top", "2", "-v", testdata("beta.txt"))
-	if code != 0 {
-		t.Fatalf("search of a bits-64 manifest failed (%d): %s", code, stderr)
-	}
-	if got != want || !strings.Contains(stderr, "bits=8 ") {
-		t.Fatalf("bits-64 manifest searches as\n%s(stderr %q)\nwant, at 8 bits,\n%s", got, stderr, want)
+	for _, bits := range []int{4, 8, 16, 64} {
+		ix := filepath.Join(dir, "bits-"+strconv.Itoa(bits))
+		if _, stderr, code := runCLI(t, append([]string{"sketch", "-o", ix, "-segment-rows", "2"}, inputs...)...); code != 0 {
+			t.Fatalf("sketch failed (%d): %s", code, stderr)
+		}
+		setManifestBits(t, ix, bits)
+		got, stderr, code := runCLI(t, "search", "-d", ix, "-top", "2", "-v", testdata("beta.txt"))
+		if code != 0 {
+			t.Fatalf("search of a bits-%d manifest failed (%d): %s", bits, code, stderr)
+		}
+		if got != want || !strings.Contains(stderr, "bits=4 ") {
+			t.Fatalf("bits-%d manifest searches as\n%s(stderr %q)\nwant, at 4 bits,\n%s", bits, got, stderr, want)
+		}
 	}
 	for _, cmd := range []string{"sketch", "serve", "import"} {
 		if _, _, code := runCLI(t, cmd, "-bits", "8", testdata("alpha.txt")); code != 2 {
 			t.Errorf("%s -bits 8 exited %d, want 2 (no such flag)", cmd, code)
 		}
 	}
+}
+
+// manifestBits reads the bits field of the index directory's manifest.
+func manifestBits(t *testing.T, dir string) float64 {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	bits, _ := m["meta"].(map[string]any)["bits"].(float64)
+	return bits
 }
 
 // setManifestBits rewrites the bits field of the index directory's

@@ -63,14 +63,16 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		a := newSigArena(slots)
 		a.appendSig(sig)
 		packed := a.row(0)
-		if want := sigWords(slots); len(packed.lo) != want || len(packed.hi) != want {
-			t.Fatalf("slots=%d: packed to %d+%d words, want %d+%d", slots, len(packed.lo), len(packed.hi), want, want)
+		if want := sigWords(slots); len(packed) != want {
+			t.Fatalf("slots=%d: packed to %d words, want %d", slots, len(packed), want)
 		}
-		back := a.appendLanes(nil, 0)
 		for i, v := range sig {
-			if back[i] != v&laneMask {
-				t.Fatalf("slots=%d slot %d: unpacked %#x, want %#x", slots, i, back[i], v&laneMask)
+			if back := packed[i/lanesPerWord] >> (i % lanesPerWord * prefilterBits) & laneMask; back != v&laneMask {
+				t.Fatalf("slots=%d slot %d: unpacked %#x, want %#x", slots, i, back, v&laneMask)
 			}
+		}
+		if pad := slots % lanesPerWord; pad != 0 && packed[len(packed)-1]>>(pad*prefilterBits) != 0 {
+			t.Fatalf("slots=%d: padding nibbles %#x, want zero", slots, packed[len(packed)-1])
 		}
 	}
 }
@@ -89,8 +91,8 @@ func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 					b[i] = a[i]
 				case 1: // equal only after truncation
 					b[i] = (a[i] & laneMask) | (rng.Uint64() &^ laneMask)
-				case 2: // equal low nibble: the low plane alone would count it
-					b[i] = a[i] ^ (rng.Uint64() &^ 0xf)
+				case 2: // equal low byte, so equal after truncation too
+					b[i] = a[i] ^ (rng.Uint64() &^ 0xff)
 				default:
 					b[i] = rng.Uint64()
 				}
@@ -98,8 +100,8 @@ func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 					want++
 				}
 			}
-			pa := packAppend(planes{}, a)
-			pb := packAppend(planes{}, b)
+			pa := packAppend(nil, a)
+			pb := packAppend(nil, b)
 			if got := packedMatchingSlots(pa, pb, slots); got != want {
 				t.Fatalf("slots=%d trial %d: packedMatchingSlots = %d, want %d", slots, trial, got, want)
 			}
@@ -132,8 +134,8 @@ func TestPackedSimilarityWithinCollisionBound(t *testing.T) {
 		y := s.Sketch(Record{Name: "y", Data: edited})
 
 		m64 := matchingSlots(x.Signature, y.Signature)
-		px := packAppend(planes{}, x.Signature)
-		py := packAppend(planes{}, y.Signature)
+		px := packAppend(nil, x.Signature)
+		py := packAppend(nil, y.Signature)
 		mb := packedMatchingSlots(px, py, slots)
 		if mb < m64 {
 			t.Fatalf("bits=%d trial %d: packed matches %d < full-width matches %d", bits, trial, mb, m64)
@@ -148,11 +150,11 @@ func TestPackedSimilarityWithinCollisionBound(t *testing.T) {
 }
 
 // TestPackedSearchAgreesAcrossWidths plants near-duplicates and checks
-// that the 8-bit prefilter finds them, over a heap and a directory full
+// that the 4-bit prefilter finds them, over a heap and a directory full
 // store: LSH and exact mode agree with each other and with the
 // brute-force reference, and the top hits are the planted records.
 func TestPackedSearchAgreesAcrossWidths(t *testing.T) {
-	// 8 is the one prefilter width; the subtest is named for it.
+	// The subtest is named for the width the manifest records.
 	t.Run("bits=8", func(t *testing.T) {
 		const n, planted = 1200, 30
 		recs, base := plantedRecords(n, planted, 7)
@@ -185,7 +187,7 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a corpus above parallelScoreMinBytes")
 	}
-	const n = parallelScoreMinBytes/(DefaultSignatureSize/2) + 500 // a low plane of half a byte per slot
+	const n = parallelScoreMinBytes/(DefaultSignatureSize/2) + 500 // half a byte per slot
 	eng := engineAt(t, "fanout", true)
 	recs, base := plantedRecords(n, 20, 5)
 	if oks, err := eng.AddBatch(recs); err != nil || countAdded(oks) != n {
@@ -261,7 +263,7 @@ func plantedRecords(n, planted int, seed int64) ([]Record, []byte) {
 // the prefilter, so no sketch is ever truncated — Get on an in-memory
 // index returns the full-width signature (TestTieredGetSketchFullWidth
 // reads one back from a directory) — and no caller can ask for a width
-// but 8.
+// but 8, the one the manifest records.
 func TestTruncatedSketchesDoNotMixWithFullWidth(t *testing.T) {
 	eng, err := NewEngine(Options{IndexName: "p8", Bits: 8})
 	if err != nil {
@@ -283,7 +285,7 @@ func TestTruncatedSketchesDoNotMixWithFullWidth(t *testing.T) {
 }
 
 func TestArenaStats(t *testing.T) {
-	const wantPerRec = DefaultSignatureSize // one byte a slot
+	const wantPerRec = DefaultSignatureSize / 2 // one nibble a slot
 	for _, dir := range []bool{false, true} {
 		eng := engineAt(t, "arena", dir)
 		empty := eng.Index().Arena()
@@ -298,8 +300,8 @@ func TestArenaStats(t *testing.T) {
 			}
 		}
 		st := eng.Index().Arena()
-		if st.Bits != 8 || st.BytesPerRecord != wantPerRec || st.SignatureBytes != n*wantPerRec {
-			t.Fatalf("dir=%v arena stats = %+v, want 8 bits, %d bytes/record, %d bytes", dir, st, wantPerRec, n*wantPerRec)
+		if st.Bits != 4 || st.BytesPerRecord != wantPerRec || st.SignatureBytes != n*wantPerRec {
+			t.Fatalf("dir=%v arena stats = %+v, want 4 bits, %d bytes/record, %d bytes", dir, st, wantPerRec, n*wantPerRec)
 		}
 		if st.Utilization <= 0 || st.Utilization > 1 {
 			t.Fatalf("dir=%v utilization = %v, want in (0,1]", dir, st.Utilization)

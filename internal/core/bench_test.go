@@ -87,8 +87,8 @@ func BenchmarkSimilarity(b *testing.B) {
 }
 
 // BenchmarkSimilarityPacked measures the word-parallel packed
-// comparator over default-size signatures: one XOR+SWAR word op per
-// nibble plane compares 16 slots.
+// comparator over default-size signatures: one XOR+SWAR word op
+// compares 16 slots.
 func BenchmarkSimilarityPacked(b *testing.B) {
 	s, err := NewSketcher(DefaultK, DefaultSignatureSize)
 	if err != nil {
@@ -96,8 +96,8 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 	}
 	x := s.Sketch(Record{Name: "x", Data: benchData(4<<10, 2)})
 	y := s.Sketch(Record{Name: "y", Data: benchData(4<<10, 3)})
-	px := packAppend(planes{}, x.Signature)
-	py := packAppend(planes{}, y.Signature)
+	px := packAppend(nil, x.Signature)
+	py := packAppend(nil, y.Signature)
 	sink := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -108,19 +108,19 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchCounts is the scan-kernel rung: ns per 128-slot 8-bit
-// row (64 B a plane, every benchmark engine's shape) swept in blocks of
-// sweepBlock at serve-exact-scan's floor (minSim 0.3), on every kernel
-// this CPU offers, at one shard of a 50 000-record index (3 125 rows:
-// in cache), at the whole 50 000-row arena (6.4 MB: beyond L2) and at
-// 400 000 rows (51 MB: memory-bound). bytes/row is what the kernel
-// read: every row's low plane and its survivors' high plane.
+// BenchmarkMatchCounts is the scan-kernel rung: ns per 128-slot row
+// (64 B, every benchmark engine's shape) swept in blocks of sweepBlock
+// at serve-exact-scan's floor (minSim 0.3), on every kernel this CPU
+// offers, at one shard of a 50 000-record index (3 125 rows: in cache),
+// at the whole 50 000-row arena (3.2 MB: beyond L2) and at 400 000 rows
+// (25.6 MB: memory-bound). bytes/row is what the kernel read: every
+// row, once.
 func BenchmarkMatchCounts(b *testing.B) {
 	const slots = DefaultSignatureSize
 	w, minCount := sigWords(slots), minMatchedFor(0.3, slots)
 	for _, n := range []int{3125, 50000, 400000} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		var arena planes
+		var arena []uint64
 		sig := make([]uint64, slots)
 		for i := 0; i < n; i++ {
 			for j := range sig {
@@ -128,21 +128,19 @@ func BenchmarkMatchCounts(b *testing.B) {
 			}
 			arena = packAppend(arena, sig)
 		}
-		q := planes{arena.lo[:w], arena.hi[:w]}
+		q := arena[:w]
 		for _, kernel := range kernels() {
 			b.Run(fmt.Sprintf("rows=%d/%s", n, kernel), func(b *testing.B) {
 				defer forceKernel(kernel)()
 				var surv [sweepBlock]survivor
-				survived := 0
 				for b.Loop() {
-					survived = 0
 					for base := 0; base < n; base += sweepBlock {
 						from, to := base*w, min(base+sweepBlock, n)*w
-						survived += matchSurvivors(surv[:(to-from)/w], planes{arena.lo[from:to], arena.hi[from:to]}, q, minCount)
+						matchSurvivors(surv[:(to-from)/w], arena[from:to], q, minCount)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
-				b.ReportMetric(float64(8*w*(n+survived))/float64(n), "bytes/row")
+				b.ReportMetric(float64(8*w), "bytes/row")
 				b.ReportMetric(0, "ns/op")
 			})
 		}
@@ -181,20 +179,40 @@ func benchTieredIndex(b *testing.B, n int) (*Index, *Sketch) {
 	return eng.Index(), eng.Sketcher().Sketch(Record{Name: "query", Data: benchData(256, 10)})
 }
 
+// tierMark is the tier counters at the start of a timed loop, so a
+// benchmark can report what its searches spent per op.
+type tierMark struct{ survived, rescored uint64 }
+
+func markTier(ix *Index) tierMark {
+	return tierMark{ix.tier.survived.Load(), ix.tier.rescored.Load()}
+}
+
+// report adds survived/op (rows past the prefilter) and rescored/op (rows
+// read at full width) since the mark. Call it after the loop:
+// ResetTimer deletes user-reported metrics.
+func (m tierMark) report(b *testing.B, ix *Index) {
+	n := float64(b.N)
+	b.ReportMetric(float64(ix.tier.survived.Load()-m.survived)/n, "survived/op")
+	b.ReportMetric(float64(ix.tier.rescored.Load()-m.rescored)/n, "rescored/op")
+}
+
 // BenchmarkSearchTopK is the exact-search rung: small in-memory corpora
 // at minSim 0 (every row is a result), and the serve-exact-scan shape —
-// 50 000 rows in a directory, minSim 0.3, so the prefilter sweep is
-// nearly all of the search — inline and fanned out.
+// 50 000 rows in a directory — at that workload's minSim 0.3, where the
+// prefilter sweep is nearly all of the search, and at 0.1 and 0, where
+// the prefilter lets more rows through to the full-width rescore; inline
+// and fanned out. Each reports the survivors and rescores a search
+// spent.
 func BenchmarkSearchTopK(b *testing.B) {
 	for _, c := range []struct {
-		name   string
-		n      int
-		tiered bool
-		minSim float64
+		name    string
+		n       int
+		tiered  bool
+		minSims []float64
 	}{
-		{"n=100", 100, false, 0},
-		{"n=1000", 1000, false, 0},
-		{"n=50000/bits=8/tiered", 50000, true, 0.3},
+		{"n=100", 100, false, []float64{0}},
+		{"n=1000", 1000, false, []float64{0}},
+		{"n=50000/tiered", 50000, true, []float64{0.3, 0.1, 0}},
 	} {
 		// The corpus is built inside the group, so a -bench filter that
 		// excludes a case does not pay for its index.
@@ -206,42 +224,51 @@ func BenchmarkSearchTopK(b *testing.B) {
 			} else {
 				ix, q = benchIndex(b, c.n)
 			}
-			for _, threads := range []int{1, 0} { // 0 = GOMAXPROCS
-				name := fmt.Sprintf("threads=%d", threads)
-				if threads == 0 {
-					name = "threads=max"
-				}
-				b.Run(name, func(b *testing.B) {
-					pool := NewPool(threads)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := SearchTopK(ix, q, 10, c.minSim, pool); err != nil {
-							b.Fatal(err)
-						}
+			for _, minSim := range c.minSims {
+				for _, threads := range []int{1, 0} { // 0 = GOMAXPROCS
+					name := fmt.Sprintf("minSim=%v/threads=%d", minSim, threads)
+					if threads == 0 {
+						name = fmt.Sprintf("minSim=%v/threads=max", minSim)
 					}
-					// After the loop: ResetTimer deletes user-reported metrics.
-					b.ReportMetric(ix.Arena().BytesPerRecord, "bytes/rec")
-				})
+					b.Run(name, func(b *testing.B) {
+						pool := NewPool(threads)
+						b.ResetTimer()
+						mark := markTier(ix)
+						for i := 0; i < b.N; i++ {
+							if _, err := SearchTopK(ix, q, 10, minSim, pool); err != nil {
+								b.Fatal(err)
+							}
+						}
+						mark.report(b, ix)
+						b.ReportMetric(ix.Arena().BytesPerRecord, "bytes/rec")
+					})
+				}
 			}
 		})
 	}
 }
 
 // BenchmarkPackedStore measures the arena scan on a 1000-record corpus
-// at minSim 0, where every row survives the prefilter and is rescored,
-// and reports the per-record prefilter footprint alongside ns/op so a
-// run shows memory regressions too.
+// at minSim 0, where every row survives the prefilter, and at 0.1 and
+// 0.3, and reports the rows each search rescored at full width and the
+// per-record prefilter footprint alongside ns/op, so a run shows memory
+// regressions too.
 func BenchmarkPackedStore(b *testing.B) {
 	ix, q := benchIndex(b, 1000)
 	pool := NewPool(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SearchTopK(ix, q, 10, 0, pool); err != nil {
-			b.Fatal(err)
-		}
+	for _, minSim := range []float64{0, 0.1, 0.3} {
+		b.Run(fmt.Sprintf("minSim=%v", minSim), func(b *testing.B) {
+			b.ResetTimer()
+			mark := markTier(ix)
+			for i := 0; i < b.N; i++ {
+				if _, err := SearchTopK(ix, q, 10, minSim, pool); err != nil {
+					b.Fatal(err)
+				}
+			}
+			mark.report(b, ix)
+			b.ReportMetric(ix.Arena().BytesPerRecord, "bytes/rec")
+		})
 	}
-	// After the loop: ResetTimer deletes user-reported metrics.
-	b.ReportMetric(ix.Arena().BytesPerRecord, "bytes/rec")
 }
 
 // lshBench caches the 10k-record corpus shared by BenchmarkSearchExact
@@ -288,7 +315,7 @@ func familyMember(f, m int) []byte {
 }
 
 // familyCorpus builds the serve-lsh-hit workload's engine shape: families
-// of 20 near-duplicates, 16 stripes, an 8-bit directory index, saved.
+// of 20 near-duplicates, 16 stripes, a directory index, saved.
 func familyCorpus(tb testing.TB, families int) *Engine {
 	tb.Helper()
 	eng := engineAt(tb, "bench", true)
@@ -320,14 +347,32 @@ func serveLSHHitCorpus(b *testing.B) (*Index, []*Sketch) {
 	return eng.Index(), queries
 }
 
+// meanCandidates is the mean number of rows the posting-table probe
+// alone names for each query: band-key collisions, before the prefilter.
+func meanCandidates(ix *Index, queries []*Sketch) float64 {
+	buf := getSearchBuf()
+	defer putSearchBuf(buf)
+	total := 0
+	for _, query := range queries {
+		q := buf.prepare(query, 0, len(ix.shards))
+		buf.prepareBandKeys(ix, query)
+		total += probeCandidates(ix.posts, ix.shards, q, buf.scratch)
+	}
+	return float64(total) / float64(len(queries))
+}
+
 // BenchmarkSearchLSH probes band buckets and exact-scores only the
 // candidates; cost scales with the number of plausible matches. The
 // planted case is the 10k in-memory corpus and one hot query. The
 // serve-lsh-hit case is that workload's engine at topK 10, minSim 0.3,
 // rotating over its 256 queries so the posting table is as cold as it
-// is under load. It reports lookups/op — the keys handed to a search's
-// one postingTable.probe pass, each a single find; it must read Bands,
-// not Bands x shards — and B/rec, the table's bytes per record.
+// is under load, banded as the workload is (32 x 4) and rebucketed to
+// 64 x 2, the shape where unrelated rows share a band key most often;
+// the exact case runs the same queries as a sweep, the cost LSH mode
+// must stay under. It reports lookups/op — the keys handed to a search's one
+// postingTable.probe pass, each a single find; it must read Bands, not
+// Bands x shards — candidates/op, the rows that probe names, and B/rec,
+// the table's bytes per record.
 func BenchmarkSearchLSH(b *testing.B) {
 	b.Run("planted", func(b *testing.B) {
 		ix, q := lshBenchCorpus(b)
@@ -340,21 +385,39 @@ func BenchmarkSearchLSH(b *testing.B) {
 		}
 	})
 	ix, queries := serveLSHHitCorpus(b)
-	b.Run("serve-lsh-hit", func(b *testing.B) {
+	b.Run("serve-lsh-hit/exact", func(b *testing.B) {
 		pool := NewPool(0)
 		for i := 0; i < b.N; i++ {
-			res, err := SearchTopKLSH(ix, queries[i%len(queries)], 10, 0.3, pool)
-			if err != nil || len(res) != 10 {
+			if res, err := SearchTopK(ix, queries[i%len(queries)], 10, 0.3, pool); err != nil || len(res) != 10 {
 				b.Fatalf("search returned %d results, err %v", len(res), err)
 			}
 		}
-		buf := getSearchBuf()
-		defer putSearchBuf(buf)
-		buf.prepareBandKeys(ix, queries[0])
-		b.ReportMetric(float64(len(buf.q.bandKeys)), "lookups/op")
-		bytes, _, _, _ := ix.posts.size()
-		b.ReportMetric(float64(bytes)/float64(ix.Len()), "B/rec")
 	})
+	for _, lsh := range []LSHParams{{Bands: 32, RowsPerBand: 4}, {Bands: 64, RowsPerBand: 2}} {
+		name := "serve-lsh-hit"
+		if lsh != ix.LSHParams() {
+			if err := ix.Rebucket(lsh, len(ix.shards)); err != nil {
+				b.Fatal(err)
+			}
+			name = fmt.Sprintf("serve-lsh-hit/bands=%dx%d", lsh.Bands, lsh.RowsPerBand)
+		}
+		b.Run(name, func(b *testing.B) {
+			pool := NewPool(0)
+			for i := 0; i < b.N; i++ {
+				res, err := SearchTopKLSH(ix, queries[i%len(queries)], 10, 0.3, pool)
+				if err != nil || len(res) != 10 {
+					b.Fatalf("search returned %d results, err %v", len(res), err)
+				}
+			}
+			buf := getSearchBuf()
+			defer putSearchBuf(buf)
+			buf.prepareBandKeys(ix, queries[0])
+			b.ReportMetric(float64(len(buf.q.bandKeys)), "lookups/op")
+			b.ReportMetric(meanCandidates(ix, queries), "candidates/op")
+			bytes, _, _, _ := ix.posts.size()
+			b.ReportMetric(float64(bytes)/float64(ix.Len()), "B/rec")
+		})
+	}
 }
 
 // BenchmarkPostingRebuild times the table's one build path — Open,

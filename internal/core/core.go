@@ -31,9 +31,9 @@ type Options struct {
 	// Shards is the number of lock stripes in the index; <= 0 means
 	// DefaultShards.
 	Shards int
-	// Bits is the resident prefilter's packing width: 0 or 8, the only
-	// width. The prefilter holds the low byte of every slot (b-bit
-	// minwise hashing: an 8x smaller working set than the full minhash
+	// Bits is accepted for older callers: 0 or 8, the width the manifest
+	// records. The prefilter holds the low nibble of every slot (b-bit
+	// minwise hashing: a 16x smaller working set than the full minhash
 	// values, compared 16 slots per word op), and every score is
 	// recomputed at full width, so the cut is exact.
 	Bits int

@@ -397,14 +397,14 @@ func Open(dir string) (ix *Index, err error) {
 	if m.Meta.Scheme != SchemeOPH {
 		return nil, fmt.Errorf("index: invalid manifest metadata: unsupported scheme %q (this engine sketches with %q only; rebuild from source data)", m.Meta.Scheme, SchemeOPH)
 	}
-	// Older builds wrote 16- and 64-bit prefilters. The prefilter is
-	// rebuilt from the full-width segments, so such a directory opens at
-	// 8 bits and its next SaveDir writes 8.
-	if m.Meta.Bits == 16 || m.Meta.Bits == 64 {
-		m.Meta.Bits = prefilterBits
-	}
-	if err := validBits(m.Meta.Bits); err != nil {
-		return nil, fmt.Errorf("index: invalid manifest metadata: %w", err)
+	// The bits key says 8 as SaveDir writes it, 16 or 64 as older builds
+	// wrote it, or 4, the width the prefilter is held at. The prefilter is
+	// rebuilt from the full-width segments at that width whatever the key
+	// says, and the next SaveDir writes 8.
+	if b := m.Meta.Bits; b != prefilterBits && b != 16 && b != 64 {
+		if err := validBits(b); err != nil {
+			return nil, fmt.Errorf("index: invalid manifest metadata: %w", err)
+		}
 	}
 	segRows := m.Tier.SegmentRows
 	if segRows <= 0 {
@@ -413,7 +413,7 @@ func Open(dir string) (ix *Index, err error) {
 
 	meta := m.Meta
 	meta.Format = FormatV6
-	meta.Bits = prefilterBits
+	meta.Bits = manifestBits
 	tier := &tierState{dataDir: dir, segmentRows: segRows}
 	posts := newPostingTable(lsh, shards)
 	ix = &Index{

@@ -57,39 +57,28 @@ func eqSlot(x, y uint64) int {
 	return 0
 }
 
-// packedMatchingSlots counts equal 8-bit slots between two packed rows
-// of `slots` lanes (see planes). Both rows must have the same shape with
-// zeroed padding nibbles; those compare equal on every pair and are
-// subtracted back out, so the count is exact. One word op per plane
-// compares 16 slots with no per-slot branch.
-func packedMatchingSlots(a, b planes, slots int) int {
-	return laneMatches(a, b) - (len(a.lo)*lanesPerWord - slots)
+// packedMatchingSlots counts equal 4-bit slots between two packed rows
+// of `slots` lanes (see sigArena): an upper bound on their equal
+// full-width slots. Both rows must have the same shape with zeroed
+// padding nibbles; those compare equal on every pair and are subtracted
+// back out. One word op compares 16 slots with no per-slot branch.
+func packedMatchingSlots(a, b []uint64, slots int) int {
+	return nibbleMatches(a, b) - (len(a)*lanesPerWord - slots)
 }
 
-// nibbleMatches counts the low-plane nibbles of row equal to q's, padding
-// included: an upper bound on the row's equal 8-bit lanes. Four words'
-// "nibble is nonzero" bits, shifted apart, share one popcount.
+// nibbleMatches counts the nibbles of row equal to q's, padding
+// included. Four words' "nibble is nonzero" bits, shifted apart, share
+// one popcount.
 func nibbleMatches(q, row []uint64) int {
 	row = row[:len(q)]
-	i, nz := 0, 0
+	i, m := 0, 0
 	for ; i+4 <= len(q); i += 4 {
 		a, b := q[i:i+4:i+4], row[i:i+4:i+4]
-		nz += bits.OnesCount64(nonzeroNibbles(a[0]^b[0]) | nonzeroNibbles(a[1]^b[1])<<1 |
-			nonzeroNibbles(a[2]^b[2])<<2 | nonzeroNibbles(a[3]^b[3])<<3)
+		m += 64 - bits.OnesCount64(nonzeroNibbles(a[0]^b[0])|nonzeroNibbles(a[1]^b[1])<<1|
+			nonzeroNibbles(a[2]^b[2])<<2|nonzeroNibbles(a[3]^b[3])<<3)
 	}
 	for ; i < len(q); i++ {
-		nz += bits.OnesCount64(nonzeroNibbles(q[i] ^ row[i]))
-	}
-	return 16*len(q) - nz
-}
-
-// laneMatches counts the 8-bit lanes of row equal to q's — both nibbles
-// equal — padding included.
-func laneMatches(q, row planes) int {
-	m := 0
-	lo, hi, qhi := row.lo[:len(q.lo)], row.hi[:len(q.lo)], q.hi[:len(q.lo)]
-	for i, x := range q.lo {
-		m += zeroNibbles((x ^ lo[i]) | (qhi[i] ^ hi[i]))
+		m += zeroNibbles(q[i] ^ row[i])
 	}
 	return m
 }

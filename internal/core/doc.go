@@ -7,7 +7,7 @@
 //     compressed into compact fixed-size minhash signatures (see Sketcher).
 //  2. Indexing: signatures live in a sharded Index — N lock-striped
 //     shards keyed by record-name hash, each owning a contiguous
-//     8-bit packed prefilter arena over a full-width store, and one
+//     4-bit packed prefilter arena over a full-width store, and one
 //     index-wide LSH posting table (see postingTable: a
 //     compact sealed level rebuilt from the live rows — buckets in
 //     fingerprint order behind a fingerprint-prefix directory — and a
@@ -22,8 +22,8 @@
 //
 // # Storage
 //
-// Every index has one resident layout: the arena is an 8-bit prefilter
-// and the full-width signatures live in a fullStore. An index is either
+// Every index has one resident layout: the arena holds the low nibble of
+// every slot and the full-width signatures live in a fullStore. An index is either
 // purely in memory (NewIndex, or NewEngine without Options.Tiered: the
 // full-width rows stay on the heap and nothing persists) or a directory
 // from birth (NewEngine with Options.Tiered and DataDir, reopened with
@@ -32,9 +32,10 @@
 // allows and served by pread elsewhere. Queries run in two phases — a
 // blocked sweep of the resident prefilter (one scan loop over a
 // per-block kernel; see shard.sweep and kernel.go) followed by
-// full-width rescoring of the survivors, ranked by packed score so a
-// top-K heap can stop reading as soon as no remaining candidate's upper
-// bound can beat the current worst result. See
+// full-width rescoring of the survivors straight from the full store,
+// ranked by packed count so a top-K heap can stop reading as soon as no
+// remaining candidate's upper bound can beat the current worst result.
+// See
 // docs/ARCHITECTURE.md for the data flow and docs/FORMAT.md for the
 // on-disk layout.
 //
@@ -49,12 +50,12 @@
 //     the prefilter cut and the rescore early-exit exact rather
 //     than approximate (shard.tieredRescore), and what bounds b-bit
 //     over-reporting by the 2^-b collision rate (see the collision-bound
-//     test). The same holds one level down: an 8-bit slot's low nibble
-//     matches whenever its byte does, which lets the sweep cut on the
-//     low nibble plane alone (see kernel.go).
-//   - Band keys are masked to the packed width on both the index and
-//     query side, so a full-width query probes the buckets a rebuild
-//     filed from the arena's truncated rows correctly (LSHParams.bandKey).
+//     test). The scan kernel's nibble count is that bound, so it goes
+//     straight on as the rescore's (see kernel.go).
+//   - Band keys hash each slot's low byte (LSHParams.bandKey), on the
+//     query side and the index side alike, and a rebuild reads them from
+//     the full store, not the arena: keys of the arena's nibbles would
+//     collide 2^4r times as often in a band of r slots.
 //   - Shard-local row order is append order, shared by the arena, the
 //     names/shingles columns, the full store, and the posting
 //     table's (shard, row) entries: row i of a shard means the same

@@ -42,7 +42,7 @@ type Metadata struct {
 
 // Index is a store of sketches keyed by record name, striped over N
 // independently-locked shards so concurrent adds and probes on
-// different stripes never contend. Each shard owns a contiguous 8-bit
+// different stripes never contend. Each shard owns a contiguous 4-bit
 // prefilter arena (see sigArena) over a full-width store (see
 // fullStore); one posting table shared by all of them holds the LSH
 // band postings for sub-linear candidate filtering (see postingTable,
@@ -96,7 +96,7 @@ func NewIndex(name string, k, sigSize int) *Index {
 }
 
 // NewIndexWith returns an empty in-memory index with an explicit LSH
-// banding scheme and shard count. Like every index it scans an 8-bit
+// banding scheme and shard count. Like every index it scans a 4-bit
 // prefilter and scores at full width; its full-width rows stay on the
 // heap.
 func NewIndexWith(name string, k, sigSize int, lsh LSHParams, shards int) (*Index, error) {
@@ -123,7 +123,7 @@ func newIndex(name string, k, sigSize int, lsh LSHParams, shards int) *Index {
 			K:             k,
 			SignatureSize: sigSize,
 			Scheme:        SchemeOPH,
-			Bits:          prefilterBits,
+			Bits:          manifestBits,
 			Bands:         lsh.Bands,
 			RowsPerBand:   lsh.RowsPerBand,
 			Shards:        shards,
@@ -166,8 +166,8 @@ func sketchErrorf(format string, args ...any) error {
 // Add inserts s if no record with the same name exists. It reports
 // whether the sketch was added; false with a nil error means the name
 // already existed and the add was skipped. The owning shard keeps the
-// full-width signature in its full store and the low byte of every slot
-// in its prefilter arena.
+// full-width signature in its full store and the low nibble of every
+// slot in its prefilter arena.
 func (ix *Index) Add(s *Sketch) (bool, error) {
 	if s.Name == "" {
 		return false, sketchErrorf("index: sketch has empty name")

@@ -77,10 +77,10 @@ func TestAddValidation(t *testing.T) {
 
 // TestSaveDirOpenRoundTripPackedWidths round-trips a populated index
 // through SaveDir/Open: metadata (including bits and the creation time),
-// full-width signatures, search results and the 8-bit prefilter rebuilt
+// full-width signatures, search results and the 4-bit prefilter rebuilt
 // from the segments must all survive.
 func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
-	// 8 is the one prefilter width; the subtest is named for it.
+	// The subtest is named for the width the manifest records.
 	t.Run("bits=8", func(t *testing.T) {
 		dir := t.TempDir()
 		eng, err := NewEngine(Options{IndexName: "rt", Tiered: true, DataDir: dir, SegmentRows: 16})
@@ -127,7 +127,7 @@ func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
 		}
 		// The resident prefilter is rebuilt at one byte a slot, not the
 		// full-width 1KB.
-		if got.Arena().BytesPerRecord != DefaultSignatureSize {
+		if got.Arena().BytesPerRecord != DefaultSignatureSize/2 {
 			t.Fatalf("loaded bytes/record = %v", got.Arena().BytesPerRecord)
 		}
 	})

@@ -2,41 +2,40 @@
 
 package core
 
-// matchSurvivors writes to dst the block offset and exact equal-lane
-// count of every row of block whose low-plane count is at least
-// minCount, and returns how many it wrote; dst has one entry per row,
-// len(q.lo) words of each plane. See kernel.go for the contract every
-// kernel meets.
-func matchSurvivors(dst []survivor, block, q planes, minCount int) int {
-	n, w := len(dst), len(q.lo)
+// matchSurvivors writes to dst the block offset and equal-nibble count
+// of every row of block whose count is at least minCount, and returns
+// how many it wrote; dst has one entry per row, len(q) words each. See
+// kernel.go for the contract every kernel meets.
+func matchSurvivors(dst []survivor, block, q []uint64, minCount int) int {
+	n, w := len(dst), len(q)
 	if n == 0 {
 		return 0
 	}
-	// The reslices are the bounds checks the assembly relies on: it reads
-	// exactly n*w words of each plane and w of each query plane, and
-	// writes at most n survivors. A negative floor keeps every row, as 0
-	// does; the assembly compares unsigned.
-	lo, hi, qhi := block.lo[:n*w], block.hi[:n*w], q.hi[:w]
+	// The reslice is the bounds check the assembly relies on: it reads
+	// exactly n*w words of the block and w of the query, and writes at
+	// most n survivors. A negative floor keeps every row, as 0 does; the
+	// assembly compares unsigned.
+	rows := block[:n*w]
 	minCount = max(minCount, 0)
 	switch scanKernel(w) {
 	case "avx512":
-		return survivorsAVX512(&dst[0], &lo[0], &hi[0], &q.lo[0], &qhi[0], n, w/8, minCount)
+		return survivorsAVX512(&dst[0], &rows[0], &q[0], n, w/8, minCount)
 	case "avx2":
-		return survivorsAVX2(&dst[0], &lo[0], &hi[0], &q.lo[0], &qhi[0], n, w/4, minCount)
+		return survivorsAVX2(&dst[0], &rows[0], &q[0], n, w/4, minCount)
 	}
 	return matchSurvivorsPortable(dst, block, q, minCount)
 }
 
 // survivorsAVX512 and survivorsAVX2 are the vector kernels for rows of
-// vecs 64- or 32-byte vectors a plane (kernel_amd64.s). They use
-// unaligned loads (arena rows are only 8-byte aligned). n and vecs must
-// be positive, vecs at most 127 for AVX2, and minCount non-negative.
+// vecs 64- or 32-byte vectors (kernel_amd64.s). They use unaligned loads
+// (arena rows are only 8-byte aligned). n and vecs must be positive,
+// vecs at most 127 for AVX2, and minCount non-negative.
 //
 //go:noescape
-func survivorsAVX512(dst *survivor, lo, hi, qlo, qhi *uint64, n, vecs, minCount int) int
+func survivorsAVX512(dst *survivor, rows, q *uint64, n, vecs, minCount int) int
 
 //go:noescape
-func survivorsAVX2(dst *survivor, lo, hi, qlo, qhi *uint64, n, vecs, minCount int) int
+func survivorsAVX2(dst *survivor, rows, q *uint64, n, vecs, minCount int) int
 
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

@@ -4,7 +4,7 @@ package core
 
 // matchSurvivors is the portable kernel on every architecture without an
 // assembly one, and on amd64 under the purego build tag.
-func matchSurvivors(dst []survivor, block, q planes, minCount int) int {
+func matchSurvivors(dst []survivor, block, q []uint64, minCount int) int {
 	return matchSurvivorsPortable(dst, block, q, minCount)
 }
 

@@ -48,26 +48,22 @@ func eachKernel(t *testing.T, fn func(t *testing.T)) {
 }
 
 // naiveSurvivors is the per-nibble loop every kernel is pinned to; it
-// shares no code with the SWAR comparators.
-func naiveSurvivors(block, q planes, n, minCount int) []survivor {
-	w := len(q.lo)
+// shares no code with the SWAR comparator.
+func naiveSurvivors(block, q []uint64, n, minCount int) []survivor {
+	w := len(q)
 	var out []survivor
 	for i := 0; i < n; i++ {
-		low, exact := 0, 0
+		equal := 0
 		for j := 0; j < w; j++ {
-			x := block.lo[i*w+j] ^ q.lo[j]
-			y := block.hi[i*w+j] ^ q.hi[j]
+			x := block[i*w+j] ^ q[j]
 			for s := 0; s < 64; s += 4 {
 				if x>>s&0xf == 0 {
-					low++
-					if y>>s&0xf == 0 {
-						exact++
-					}
+					equal++
 				}
 			}
 		}
-		if low >= minCount {
-			out = append(out, survivor{off: uint32(i), count: uint32(exact)})
+		if equal >= minCount {
+			out = append(out, survivor{off: uint32(i), count: uint32(equal)})
 		}
 	}
 	return out
@@ -86,11 +82,10 @@ func wordsAt(n, off int) []uint64 {
 	panic("unreachable: eight consecutive words cover every 8-byte offset of a 64-byte window")
 }
 
-// checkSurvivors fills a query and n rows of lw words a plane from data,
-// cycling it — the query's lo then hi words, then each row's — lays the
-// planes out at byte offset off within a 64-byte window, and requires
-// every kernel to return exactly the naive survivors, writing nothing
-// outside dst.
+// checkSurvivors fills a query and n rows of lw words from data,
+// cycling it — the query's words, then each row's — lays the rows out
+// at byte offset off within a 64-byte window, and requires every kernel
+// to return exactly the naive survivors, writing nothing outside dst.
 func checkSurvivors(t *testing.T, data []byte, lw, n, off, minCount int) {
 	t.Helper()
 	if len(data) == 0 {
@@ -105,19 +100,12 @@ func checkSurvivors(t *testing.T, data []byte, lw, n, off, minCount int) {
 		}
 		return binary.LittleEndian.Uint64(word[:])
 	}
-	q := planes{make([]uint64, lw), make([]uint64, lw)}
-	block := planes{wordsAt(n*lw, off), wordsAt(n*lw, off)}
-	for i := -1; i < n; i++ {
-		lo, hi := q.lo, q.hi
-		if i >= 0 {
-			lo, hi = block.lo[i*lw:(i+1)*lw], block.hi[i*lw:(i+1)*lw]
-		}
-		for j := range lo {
-			lo[j] = next()
-		}
-		for j := range hi {
-			hi[j] = next()
-		}
+	q, block := make([]uint64, lw), wordsAt(n*lw, off)
+	for j := range q {
+		q[j] = next()
+	}
+	for j := range block {
+		block[j] = next()
 	}
 	want := naiveSurvivors(block, q, n, minCount)
 	// One spare entry on each side must stay untouched: a kernel writes
@@ -160,32 +148,28 @@ func survivorFloor(lanes int, sel uint8) int {
 	return lanes - int(sel>>3)%(lanes+1)
 }
 
-// oneLaneRows returns a query of lw words a plane, all bytes v, followed
-// by one row per lane that equals it except for a flipped nibble of that
-// lane in the high plane (hi) or the low plane: the rows checkSurvivors
-// cycles through.
-func oneLaneRows(lw int, v byte, hi bool) []byte {
-	lanes, rowBytes := lw*16, lw*16
+// oneLaneRows returns a query of lw words, all bytes v, followed by one
+// row per lane that equals it except for bit `bit` (0x8, a signed
+// compare's corner, or 0x1) of that lane's nibble: the rows
+// checkSurvivors cycles through.
+func oneLaneRows(lw int, v, bit byte) []byte {
+	lanes, rowBytes := lw*16, lw*8
 	data := make([]byte, (lanes+1)*rowBytes)
 	for i := range data {
 		data[i] = v
 	}
-	plane := 0
-	if hi {
-		plane = lw * 8
-	}
 	for p := 0; p < lanes; p++ {
-		data[(p+1)*rowBytes+plane+p/2] ^= 0x8 << (p % 2 * 4)
+		data[(p+1)*rowBytes+p/2] ^= bit << (p % 2 * 4)
 	}
 	return data
 }
 
 // FuzzMatchCounts pins the assembly to the reference: for arbitrary
-// row and query bytes, at planes of 1, 4, 7, 8 and 16 words, every
-// 8-byte alignment within a 64-byte window, the block lengths around the
-// sweep's 256 (odd ones for the AVX2 kernel's row pairs) and floors
-// from 0 to all lanes plus one, every kernel returns the survivors of a
-// naive per-nibble loop.
+// row and query bytes, at rows of 1, 4, 7, 8 and 16 words, every 8-byte
+// alignment within a 64-byte window, the block lengths around the
+// sweep's 256 (odd ones for the AVX2 kernel's row pairs) and floors from
+// 0 to all lanes plus one, every kernel returns the survivors of a naive
+// per-nibble loop, with their counts.
 func FuzzMatchCounts(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(3), uint8(3), uint8(0), uint8(2)) // all lanes equal
 	f.Add([]byte{0x00, 0x80, 0xFF}, uint8(0), uint8(1), uint8(1), uint8(1))
@@ -198,13 +182,12 @@ func FuzzMatchCounts(f *testing.F) {
 		ramp[i] = byte(i)
 	}
 	f.Add(ramp, uint8(3), uint8(5), uint8(7), uint8(4))
-	// One lane differing in each position, in the high plane (the row
-	// passes the low plane and falls one short on the exact count) or the
-	// low plane (it fails the low plane), at floor lanes.
+	// One lane differing in each position, in the nibble's top or bottom
+	// bit, at floor lanes: every such row falls one short.
 	for _, sel := range []uint8{1, 3} { // 4 and 8 words: the AVX2 and AVX-512 shapes
 		for _, v := range []byte{0x00, 0xFF} {
-			for _, hi := range []bool{true, false} {
-				f.Add(oneLaneRows(survivorWidths[sel], v, hi), sel, uint8(5), uint8(2), uint8(2))
+			for _, bit := range []byte{0x8, 0x1} {
+				f.Add(oneLaneRows(survivorWidths[sel], v, bit), sel, uint8(5), uint8(2), uint8(2))
 			}
 		}
 	}
@@ -217,8 +200,9 @@ func FuzzMatchCounts(f *testing.F) {
 
 // TestMatchCountsKernels is the deterministic half of FuzzMatchCounts:
 // the grid of widths, block lengths, alignments and floors on random
-// and on mostly-equal data, and the crafted rows — one lane differing in each position, in either
-// plane, at the lane values a signed byte compare would get wrong.
+// and on mostly-equal data, and the crafted rows — one lane differing in
+// each position, in either end bit of its nibble, at the lane values a
+// signed byte compare would get wrong.
 func TestMatchCountsKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 4099)
@@ -244,9 +228,9 @@ func TestMatchCountsKernels(t *testing.T) {
 
 	for _, lw := range survivorWidths {
 		for _, v := range []byte{0x00, 0x80, 0xFF, 0x7F, 0x01} {
-			for _, hi := range []bool{true, false} {
+			for _, bit := range []byte{0x8, 0x1} {
 				lanes := lw * 16
-				data := oneLaneRows(lw, v, hi)
+				data := oneLaneRows(lw, v, bit)
 				for _, n := range []int{lanes, lanes + 1} {
 					checkSurvivors(t, data, lw, n, 0, lanes)
 					checkSurvivors(t, data, lw, n, 8, lanes-1)
@@ -256,7 +240,7 @@ func TestMatchCountsKernels(t *testing.T) {
 	}
 }
 
-// TestScanKernelSelection pins the selection rule: AVX-512 for planes
+// TestScanKernelSelection pins the selection rule: AVX-512 for rows
 // of whole 64-byte vectors, AVX2 for whole 32-byte ones, each only when
 // the CPU offers it.
 func TestScanKernelSelection(t *testing.T) {

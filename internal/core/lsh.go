@@ -50,15 +50,22 @@ func (p LSHParams) Threshold() float64 {
 	return math.Pow(1/float64(p.Bands), 1/float64(p.RowsPerBand))
 }
 
+// bandKeyMask keeps the part of a slot value a band key hashes: its low
+// byte, twice the prefilter's nibble. Rebuild reads it from the full-width
+// store, not the arena, so unrelated rows collide in a band of r slots
+// with probability 2^-8r however narrow the prefilter: about n/1024
+// candidates a query at 64 x 2, rather than the n/5 that nibble keys give.
+const bandKeyMask = 0xff
+
 // bandKey hashes band `band` of sig into a bucket key, masking every
-// slot value to the prefilter's low byte first, so a query (which
-// carries full-width values) and the rows a rebuild reads back from the
-// arena agree on their buckets. The band index is folded in so identical
-// row values in different bands do not collide into one bucket.
+// slot value to bandKeyMask first, so a query, an add and a rebuild —
+// all of which hold full-width values — agree on their buckets. The band
+// index is folded in so identical row values in different bands do not
+// collide into one bucket.
 func (p LSHParams) bandKey(band int, sig []uint64) uint64 {
 	h := mix64(uint64(band)*0x9e3779b97f4a7c15 + 0x8445d61a4e774912)
 	for _, v := range sig[band*p.RowsPerBand : (band+1)*p.RowsPerBand] {
-		h = mix64(h ^ (v & laneMask))
+		h = mix64(h ^ (v & bandKeyMask))
 	}
 	return h
 }
@@ -224,11 +231,13 @@ func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) 
 // row of shards under banding p, sealed, and an empty delta: how Open
 // (fresh arenas), Rebucket (new keys), compaction (new row numbers) and
 // a due reseal all get their table. If a stripe has more rows than a
-// packed posting can name, every row is filed in the delta instead.
-// Callers exclude every add, delete and compaction meanwhile —
-// Index.writeMu held exclusively, or an index nobody else sees yet — so
-// shard state is read unlocked; searches probe the old contents until the
-// swap.
+// packed posting can name, every row is filed in the delta instead. Keys
+// are hashed from each row's full-width signature (a heap or mmap'd
+// slice); a row the store cannot read files nowhere and counts as a read
+// error, as a search skips it. Callers exclude every add, delete,
+// compaction and snapshot meanwhile — Index.writeMu held exclusively, or
+// an index nobody else sees yet — so shard state is read unlocked;
+// searches probe the old contents until the swap.
 func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
 	nt, live := newPostingTable(p, len(shards)), 0
 	for _, sh := range shards {
@@ -241,13 +250,17 @@ func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
 	if nt.rowBits != 0 {
 		ents = make([]uint64, 0, live*p.Bands)
 	}
-	var sig []uint64
+	var sc rowScratch
 	for si, sh := range shards {
 		for i := range sh.names {
 			if sh.rowDead(int32(i)) {
 				continue
 			}
-			sig = sh.arena.appendLanes(sig[:0], i)
+			sig, err := sh.full.row(i, &sc)
+			if err != nil {
+				sh.full.tier.readErrors.Add(1)
+				continue
+			}
 			if nt.rowBits == 0 {
 				nt.add(int32(si), int32(i), sig)
 				continue

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -103,9 +104,7 @@ func TestBandKeyDependsOnBandAndRows(t *testing.T) {
 		t.Fatal("different rows hashed to the same band key")
 	}
 	// Keys see only the low byte of every slot: values differing above
-	// it land in the same bucket (that is what lets full-width query
-	// signatures probe the rows a rebuild reads back from the prefilter),
-	// values differing within it do not.
+	// it land in the same bucket, values differing within it do not.
 	high := []uint64{1 | 5<<8, 2, 1, 2, 1, 2, 9, 2} // differs from sig only above bit 8
 	if p.bandKey(0, sig) != p.bandKey(0, high) {
 		t.Fatal("high-bit difference changed the band key")
@@ -263,5 +262,85 @@ func TestLSHFallbackCountsLiveCandidates(t *testing.T) {
 	}
 	if len(exact) != 10 || !slices.Equal(lsh, exact) {
 		t.Fatalf("lsh returned %d results %+v; exact %d %+v", len(lsh), lsh, len(exact), exact)
+	}
+}
+
+// TestBandKeyMaskContract pins what band keys promise now that they are
+// wider than the prefilter. (i) Two signatures whose slots agree in
+// their low byte share every band's key, so LSH recall is that of 8-bit
+// keys. (ii) What keys cost does not grow as the prefilter narrows: on n
+// unrelated random rows, the rows the probe alone names per query stay
+// within a binomial tolerance of n·(1-(1-2^-8r)^b) ≈ n·b·2^-8r, the
+// key-mask inflation term, at the default 32 x 4 banding and at 64 x 2,
+// where it is largest. The rows are filed twice — by add into the delta,
+// then sealed by a rebuild that reads keys back from the full store —
+// and both tables must meet it.
+func TestBandKeyMaskContract(t *testing.T) {
+	const keyBits = 8
+	rng := rand.New(rand.NewSource(5))
+	randomSig := func() []uint64 {
+		sig := make([]uint64, DefaultSignatureSize)
+		for i := range sig {
+			sig[i] = rng.Uint64()
+		}
+		return sig
+	}
+	for _, p := range []LSHParams{{Bands: 32, RowsPerBand: 4}, {Bands: 64, RowsPerBand: 2}} {
+		for trial := 0; trial < 200; trial++ {
+			a, b := randomSig(), randomSig()
+			for i := range b {
+				b[i] = a[i]&0xff | b[i]&^0xff
+			}
+			for band := 0; band < p.Bands; band++ {
+				if p.bandKey(band, a) != p.bandKey(band, b) {
+					t.Fatalf("%dx%d band %d: slots equal in their low byte got different keys", p.Bands, p.RowsPerBand, band)
+				}
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		lsh        LSHParams
+		n, queries int
+	}{
+		{LSHParams{Bands: 32, RowsPerBand: 4}, 20000, 40},
+		{LSHParams{Bands: 64, RowsPerBand: 2}, 20000, 40},
+	} {
+		ix, err := NewIndexWith("inflation", DefaultK, DefaultSignatureSize, c.lsh, DefaultShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < c.n; i++ {
+			if ok, err := ix.Add(&Sketch{Name: fmt.Sprintf("r%d", i), K: DefaultK, Shingles: 1, Signature: randomSig()}); !ok || err != nil {
+				t.Fatalf("add: ok=%v err=%v", ok, err)
+			}
+		}
+		queries := make([][]uint64, c.queries)
+		for i := range queries {
+			queries[i] = randomSig()
+		}
+		perRow := 1 - math.Pow(1-math.Pow(2, -keyBits*float64(c.lsh.RowsPerBand)), float64(c.lsh.Bands))
+		mean := perRow * float64(c.n*c.queries)
+		tol := 5*math.Sqrt(mean*(1-perRow)) + 1
+		for _, level := range []string{"delta", "sealed"} {
+			if level == "sealed" {
+				ix.posts.rebuild(ix.lsh, ix.shards)
+			}
+			buf := getSearchBuf()
+			total := 0
+			for _, sig := range queries {
+				query := &Sketch{Name: "q", K: DefaultK, Shingles: 1, Signature: sig}
+				q := buf.prepare(query, 0, len(ix.shards))
+				buf.prepareBandKeys(ix, query)
+				total += probeCandidates(ix.posts, ix.shards, q, buf.scratch)
+			}
+			putSearchBuf(buf)
+			if math.Abs(float64(total)-mean) > tol {
+				t.Fatalf("%dx%d %s: %d probe candidates over %d queries of %d unrelated rows, want %.0f ± %.0f",
+					c.lsh.Bands, c.lsh.RowsPerBand, level, total, c.queries, c.n, mean, tol)
+			}
+			t.Logf("%dx%d %s: %.2f candidates a query from %d unrelated rows (expected %.2f)",
+				c.lsh.Bands, c.lsh.RowsPerBand, level, float64(total)/float64(c.queries), c.n, mean/float64(c.queries))
+		}
 	}
 }

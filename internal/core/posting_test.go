@@ -44,10 +44,15 @@ func (r *refPostings) add(shard int, row int32, sig []uint64) {
 // new maps from every live row.
 func refFromLive(ix *Index) *refPostings {
 	r := newRefPostings(ix.lsh, len(ix.shards))
+	var sc rowScratch
 	for si, sh := range ix.shards {
 		for i := range sh.names {
 			if !sh.rowDead(int32(i)) {
-				r.add(si, int32(i), sh.arena.appendLanes(nil, i))
+				sig, err := sh.full.row(i, &sc)
+				if err != nil {
+					panic(err)
+				}
+				r.add(si, int32(i), sig)
 			}
 		}
 	}

@@ -34,10 +34,10 @@ func ParseSearchMode(s string) (SearchMode, error) {
 }
 
 // parallelScoreMinBytes is the arena bytes a scan reads — rows × one
-// row's low nibble plane — before it fans out one goroutine per shard;
+// packed row — before it fans out one goroutine per shard;
 // smaller scans run inline, which is also what keeps steady-state small
 // searches allocation-free. The break-even is: SearchTopK at minSim 0.3
-// over 16 shards of 128-slot rows (64 B planes) on 2 vCPUs (Xeon, 2 MiB
+// over 16 shards of 128-slot rows (64 B each) on 2 vCPUs (Xeon, 2 MiB
 // L2 a core), inline / fanned-out, median of 3 in µs —
 //
 //	rows    portable   avx2       avx512
@@ -50,14 +50,14 @@ func ParseSearchMode(s string) (SearchMode, error) {
 //	16384   151 / 119   45 /  48   31 /  34
 //
 // — fan-out first wins once the inline scan is ~50–70 µs of work, which
-// is 256 to 512 KB of low planes on the portable kernel (4 096 to 8 192
+// is 256 to 512 KB of rows on the portable kernel (4 096 to 8 192
 // rows). The vector kernels never break even below 16 384 rows; from
 // 8 192 rows they pay ~3 µs for fanning out, the price of one threshold
 // set where the slower kernels gain.
 const parallelScoreMinBytes = 512 << 10
 
 // packedQuery is one query sketch prepared for arena scans: the
-// signature packed into nibble planes for word-parallel row
+// signature packed to the arena's nibbles for word-parallel row
 // comparisons, plus (LSH searches only) its band bucket keys, one
 // posting-table lookup each.
 type packedQuery struct {
@@ -69,7 +69,7 @@ type packedQuery struct {
 	// the sweep compares kernel counts against.
 	minSim     float64
 	minMatched int
-	packed     planes    // arena-width row image
+	packed     []uint64  // arena-width row image
 	full       []uint64  // full-width signature: the rescore image
 	bandKeys   []uint64  // one bucket key per band; nil outside LSH probes
 	cancel     *canceler // non-nil on ctx-aware searches; scan loops poll it
@@ -148,7 +148,8 @@ func (c *canceler) err() error {
 }
 
 // scoredCand is one prefilter survivor: a shard-local row index and its
-// packed matched-slot count, which upper-bounds the full-width count.
+// packed matched-slot count, which upper-bounds the full-width count and
+// is the rescore's bound.
 type scoredCand struct {
 	idx     int32
 	matched int32
@@ -206,7 +207,7 @@ func (sc *shardScratch) resetFor(n int) {
 // search allocates only the result slice it returns.
 type searchBuf struct {
 	q       packedQuery
-	packed  planes
+	packed  []uint64
 	keys    []uint64
 	merged  []Result
 	scratch []shardScratch
@@ -223,12 +224,12 @@ func putSearchBuf(b *searchBuf) {
 	searchBufPool.Put(b)
 }
 
-// prepare packs the query into nibble planes, derives the integer form
+// prepare packs the query to the arena's nibbles, derives the integer form
 // of minSim, and sizes the per-shard scratch. A sketch is always full
 // width, so its signature doubles as the rescore image.
 func (b *searchBuf) prepare(query *Sketch, minSim float64, shards int) *packedQuery {
 	b.merged = b.merged[:0]
-	b.packed = packAppend(planes{b.packed.lo[:0], b.packed.hi[:0]}, query.Signature)
+	b.packed = packAppend(b.packed[:0], query.Signature)
 	b.q = packedQuery{
 		name:       query.Name,
 		shingles:   query.Shingles,
@@ -249,8 +250,7 @@ func (b *searchBuf) prepare(query *Sketch, minSim float64, shards int) *packedQu
 }
 
 // prepareBandKeys precomputes the query's bucket key for every band,
-// which bandKey masks to the prefilter's width, as the shards' keys were
-// at add time.
+// from the full-width signature, as the shards' keys were at add time.
 func (b *searchBuf) prepareBandKeys(ix *Index, query *Sketch) {
 	lsh := ix.LSHParams()
 	b.keys = b.keys[:0]
@@ -439,7 +439,7 @@ func parallelPool(pool *Pool, scanBytes int) *Pool {
 // final sort O(shards*topK) instead of O(rows).
 func runScan(buf *searchBuf, shards []*shard, q *packedQuery, topK int, pool *Pool, rows int,
 	scan func(sh *shard, dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result) []Result {
-	p := parallelPool(pool, rows*len(q.packed.lo)*8)
+	p := parallelPool(pool, rows*len(q.packed)*8)
 	if p == nil {
 		merged := buf.merged
 		for si, sh := range shards {

@@ -11,9 +11,9 @@ import (
 const DefaultShards = 16
 
 // shard owns one stripe of the index: the records whose names hash to
-// it. Record signatures live at full width in a fullStore and, packed,
-// in a contiguous arena (see sigArena), both addressed by a shard-local
-// record index, so exact scans are
+// it. Record signatures live at full width in a fullStore and, packed to
+// their low nibbles, in a contiguous arena (see sigArena), both
+// addressed by a shard-local record index, so exact scans are
 // cache-linear sweeps over one buffer instead of a pointer chase per
 // record. Each shard has its own lock, so concurrent adds and scans on
 // different stripes never contend — and per-shard query fan-out scans
@@ -291,14 +291,14 @@ func (sh *shard) scanRestAppend(dst []Result, q *packedQuery, topK int, sc *shar
 
 // sweep is the one full-stripe scan loop: it walks the packed arena in
 // blocks of sweepBlock contiguous rows, and the scan kernel
-// (matchSurvivors) hands back only the rows whose low-plane count
-// reaches the query's integer threshold, each with its exact count.
-// Those few rows are then checked against the exact count, the
-// tombstone bitset, the LSH probe's bitset (rest: skip the rows the
-// candidate pass already scored) and the zero-shingle rule, and emitted
-// into sc.scored for the full-width rescore, which appends at most topK
-// results (the per-shard top-K contains the shard's share of any global
-// top-K, which is what runScan's merge needs).
+// (matchSurvivors) hands back only the rows whose nibble count reaches
+// the query's integer threshold, each with that count. Those few rows
+// are then checked against the tombstone bitset, the LSH probe's bitset
+// (rest: skip the rows the candidate pass already scored) and the
+// zero-shingle rule, and emitted into sc.scored with their counts as
+// rescore bounds; the full-width rescore appends at most topK results
+// (the per-shard top-K contains the shard's share of any global top-K,
+// which is what runScan's merge needs).
 //
 // The kernel counts a row's padding lanes as equal (they are zero on
 // both sides), so `pad` comes off every count here, once; every count is
@@ -345,7 +345,8 @@ func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch,
 // its packed similarity is already below q.minSim. The packed score is
 // an upper bound on the full-width score (a truncated slot matches
 // whenever the full slot does), so this cut never drops a row the full
-// scan would have kept. Callers hold the shard lock.
+// scan would have kept, and the count goes on as the rescore's bound.
+// Callers hold the shard lock.
 func (sh *shard) prefilterRow(q *packedQuery, idx int32, sc *shardScratch) {
 	if sh.rowDead(idx) {
 		return
@@ -363,17 +364,18 @@ func (sh *shard) prefilterRow(q *packedQuery, idx int32, sc *shardScratch) {
 }
 
 // tieredRescore reads the prefilter survivors in sc.scored full-width
-// from the shard's full store, best packed score first, and appends the
-// shard's top-K results to dst; a row named like the query with the
+// from the shard's full store, highest packed count first, and appends
+// the shard's top-K results to dst; a row named like the query with the
 // query's full-width signature is a self-hit and skipped. Because the
-// packed score upper-bounds the full score, the walk stops as soon as
-// the next candidate's bound falls below the K-th best full score found
-// so far — on selective queries only a handful of rows are ever read
-// from disk. A positive
-// tier budget additionally caps the full-width reads; rows that fail to
-// read are counted and skipped rather than failing the query. scanned
-// is the row count the prefilter phase covered, for the survival-rate
-// counters. Callers hold the shard lock.
+// packed count upper-bounds the full-width count, the walk stops as soon
+// as the next candidate's bound falls below the K-th best full score
+// found so far — on selective queries only a handful of rows are ever
+// read from disk. Every reported score is computed from the full-width
+// rows, so answers are exact. A positive tier budget additionally caps
+// the full-width reads; rows that fail to read are counted and skipped
+// rather than failing the query. scanned is the row count the prefilter
+// phase covered, for the survival-rate counters. Callers hold the shard
+// lock.
 func (sh *shard) tieredRescore(dst []Result, q *packedQuery, topK int, sc *shardScratch, scanned int) []Result {
 	t := sh.full.tier
 	t.scanned.Add(uint64(scanned))

@@ -241,11 +241,11 @@ func readTierCounts(t *tierState) tierCounts {
 // requires identical results: compiling the assembly out changes
 // nothing a caller can see.
 func TestSearchIdenticalAcrossKernels(t *testing.T) {
-	// An 8-bit row's low plane is 64 bytes: enough rows to fan out.
+	// A 128-slot row is 64 bytes: enough rows to fan out.
 	tiered, plain := tieredEngines(t, parallelScoreMinBytes/64+300, 64)
 	engines := []*Engine{tiered, plain}
-	// 100 slots are 7 words a plane (the portable shape) with 12 padding
-	// nibbles, 127 slots 8 words (a vector shape) with one.
+	// 100 slots are 7 words (the portable shape) with 12 padding nibbles,
+	// 127 slots 8 words (a vector shape) with one.
 	for _, slots := range []int{100, 127} {
 		eng, err := NewEngine(Options{IndexName: "pad", SignatureSize: slots, Tiered: true, DataDir: t.TempDir()})
 		if err != nil {
@@ -353,9 +353,10 @@ func TestSweepCancellation(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		for _, dir := range []bool{false, true} {
 			c := newSweepCorpus(t, 128, 8*sweepBlock, dir, 3)
+			// Every slot's low nibble is 4 or more, and every row's below 4.
 			miss := &Sketch{Name: "miss", K: 8, Shingles: 9, Signature: make([]uint64, 128)}
 			for i := range miss.Signature {
-				miss.Signature[i] = uint64(100 + i)
+				miss.Signature[i] = uint64(100 + i%12)
 			}
 			for name, search := range map[string]func(context.Context, *Index, *Sketch, int, float64, *Pool) ([]Result, error){
 				"exact": SearchTopKCtx, "lsh": SearchTopKLSHCtx,

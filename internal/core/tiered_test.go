@@ -27,7 +27,7 @@ func tieredRecords(n int) []Record {
 // tieredEngines builds two engines over tieredRecords(n): a directory
 // index with tiny segments (so sealing happens in every test) and an
 // in-memory one, whose full-width rows stay on the heap. Both scan the
-// same 8-bit prefilter, so the equality tests hold each of them to
+// same 4-bit prefilter, so the equality tests hold each of them to
 // bruteTopK, which shares no code with either.
 func tieredEngines(tb testing.TB, n int, segRows int) (tiered, plain *Engine) {
 	tb.Helper()
@@ -130,8 +130,8 @@ func TestTieredSearchMatchesNonTiered(t *testing.T) {
 	if st == nil || st.PrefilterScanned == 0 || st.Rescored == 0 {
 		t.Fatalf("tier stats after searches: %+v", st)
 	}
-	if st.Segments == 0 || st.PrefilterBits != 8 {
-		t.Fatalf("tier shape: %+v, want sealed segments and an 8-bit prefilter", st)
+	if st.Segments == 0 || st.PrefilterBits != 4 {
+		t.Fatalf("tier shape: %+v, want sealed segments and a 4-bit prefilter", st)
 	}
 }
 
@@ -774,10 +774,74 @@ func TestTieredBudgetCapsRescores(t *testing.T) {
 	}
 }
 
+// TestTieredBudgetRecall: a positive budget rescores only each shard's
+// highest packed counts, so what it may lose rides on how well the
+// prefilter's count orders rows. Ten families of 100 copies of a base
+// payload, graded from 1 to 25 byte edits, sit among as many unrelated
+// rows; each base is queried for its top 10, and the hits shared with
+// the brute-force top 10 must reach the floor. Nibble counts over-count
+// an unrelated slot pair 1 time in 16, yet the families' grades are far
+// wider than that noise: 8-bit counts measured the same recall (1.0 at
+// 16 shards and budget 4, 0.99 at one shard and budget 10).
+func TestTieredBudgetRecall(t *testing.T) {
+	const families, graded, filler, topK = 10, 100, 1000, 10
+	rng := rand.New(rand.NewSource(41))
+	var recs []Record
+	var bases [][]byte
+	for f := 0; f < families; f++ {
+		base := benchData(256, int64(100+f))
+		bases = append(bases, base)
+		for i := 0; i < graded; i++ {
+			data := slices.Clone(base)
+			for j := 0; j <= i/4; j++ {
+				data[rng.Intn(len(data))] = byte('a' + rng.Intn(26))
+			}
+			recs = append(recs, Record{Name: fmt.Sprintf("f%d-%d", f, i), Data: data})
+		}
+	}
+	for i := 0; i < filler; i++ {
+		recs = append(recs, Record{Name: fmt.Sprintf("rand-%d", i), Data: benchData(256, int64(5000+i))})
+	}
+	for _, c := range []struct {
+		shards, budget int
+		floor          float64
+	}{{16, 4, 0.95}, {1, 10, 0.95}, {1, 16, 0.95}} {
+		eng, err := NewEngine(Options{IndexName: "budget", Shards: c.shards, Tiered: true, DataDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Index().Close()
+		if oks, err := eng.AddBatch(recs); err != nil || countAdded(oks) != len(recs) {
+			t.Fatalf("AddBatch added %d, %v; want %d, nil", countAdded(oks), err, len(recs))
+		}
+		refs := sketchAll(eng.Sketcher(), recs)
+		ix := eng.Index()
+		ix.SetBudget(c.budget)
+		hits := 0
+		for f, base := range bases {
+			q := eng.Sketcher().Sketch(Record{Name: fmt.Sprintf("q%d", f), Data: base})
+			got, err := SearchTopK(ix, q, topK, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range bruteTopK(q, refs, topK, 0) {
+				if slices.ContainsFunc(got, func(r Result) bool { return r.Ref == w.Ref }) {
+					hits++
+				}
+			}
+		}
+		recall := float64(hits) / float64(families*topK)
+		t.Logf("shards %d budget %d: recall@%d %.2f", c.shards, c.budget, topK, recall)
+		if recall < c.floor {
+			t.Fatalf("shards %d budget %d: recall@%d %.2f, want at least %.2f", c.shards, c.budget, topK, recall, c.floor)
+		}
+	}
+}
+
 // TestTieredSearchRejectsTruncatedQuery: 8 is the only width a caller
-// may ask for, and a manifest may name only widths older builds wrote
-// (8, 16 and 64, all opened at 8), as the replicate endpoint refuses any
-// wire width but 64.
+// may ask for, and a manifest may name only 4 or a width some build
+// wrote (8, 16 and 64; all open alike), as the replicate endpoint
+// refuses any wire width but 64.
 func TestTieredSearchRejectsTruncatedQuery(t *testing.T) {
 	const want = "unsupported packing width"
 	for _, bits := range []int{16, 64} {
@@ -790,20 +854,28 @@ func TestTieredSearchRejectsTruncatedQuery(t *testing.T) {
 	}
 }
 
-// TestOpenSixteenBitDirectory: a directory saved with a 16- or 64-bit
-// prefilter by an older build opens at 8 bits, since the prefilter is
-// rebuilt from the full-width segments; its answers, and a heap index's
-// over the same records, are byte-identical to the brute-force
-// reference, and its next snapshot records 8.
+// TestOpenSixteenBitDirectory: SaveDir writes bits 8, and a directory
+// whose manifest says 4, 8, 16 or 64 (older builds wrote the last two)
+// opens alike, since the prefilter is rebuilt at 4 bits from the
+// full-width segments whatever the key says: its answers, and a heap
+// index's over the same records, are byte-identical to the brute-force
+// reference, and its next snapshot records 8 again, the one width older
+// builds accept.
 func TestOpenSixteenBitDirectory(t *testing.T) {
 	_, plain := tieredEngines(t, 100, 32) // the records saveTieredDir adds
 	refs := sketchAll(plain.Sketcher(), tieredRecords(100))
 	q := plain.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 2)})
-	for _, bits := range []int{16, 64} {
+	saved := t.TempDir()
+	saveTieredDir(t, saved)
+	var written manifest
+	if raw, err := os.ReadFile(filepath.Join(saved, ManifestFile)); err != nil || json.Unmarshal(raw, &written) != nil || written.Meta.Bits != 8 {
+		t.Fatalf("SaveDir wrote bits %d (%v), want 8", written.Meta.Bits, err)
+	}
+	for _, bits := range []int{4, 8, 16, 64} {
 		dir := savedAtBits(t, bits)
 		ix, err := Open(dir)
-		if err != nil || ix.Metadata().Bits != 8 {
-			t.Fatalf("Open of a %d-bit directory: %v; want it at 8 bits", bits, err)
+		if err != nil || ix.Metadata().Bits != 8 || ix.Arena().Bits != 4 {
+			t.Fatalf("Open of a %d-bit directory: %v; want metadata bits 8 over a 4-bit arena", bits, err)
 		}
 		defer ix.Close()
 		checkAgainstBrute(t, q, refs, 20, 0, ix, plain.Index())

@@ -170,11 +170,11 @@ func TestIngestSearchRoundTrip(t *testing.T) {
 	if got := len(stats.Engine.ShardOccupancy); got != 4 {
 		t.Fatalf("shard occupancy has %d entries, want 4", got)
 	}
-	// Arena memory reporting: 4 records of 64 slots is 4*64 prefilter
-	// bytes, one byte a slot.
-	if stats.Engine.Bits != 8 || stats.Engine.SignatureBytes != 4*64 ||
-		stats.Engine.BytesPerRecord != 64 {
-		t.Fatalf("stats arena = bits=%d signature_bytes=%d bytes_per_record=%v, want 8/256/64",
+	// Arena memory reporting: 4 records of 64 slots is 4*32 prefilter
+	// bytes, one nibble a slot.
+	if stats.Engine.Bits != 4 || stats.Engine.SignatureBytes != 4*32 ||
+		stats.Engine.BytesPerRecord != 32 {
+		t.Fatalf("stats arena = bits=%d signature_bytes=%d bytes_per_record=%v, want 4/128/32",
 			stats.Engine.Bits, stats.Engine.SignatureBytes, stats.Engine.BytesPerRecord)
 	}
 	if u := stats.Engine.ArenaUtilized; u <= 0 || u > 1 {

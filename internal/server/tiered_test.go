@@ -69,8 +69,8 @@ func TestTieredSnapshotLifecycle(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("stats body %s: %v", body, err)
 	}
-	if st.Engine.Tier == nil || st.Engine.Tier.PrefilterBits != 8 {
-		t.Fatalf("stats tier = %+v, want an 8-bit prefilter block", st.Engine.Tier)
+	if st.Engine.Tier == nil || st.Engine.Tier.PrefilterBits != 4 {
+		t.Fatalf("stats tier = %+v, want a 4-bit prefilter block", st.Engine.Tier)
 	}
 
 	if err := s.Close(); err != nil {
