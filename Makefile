@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-smoke bench-repo smoke chaos lint linkcheck fmtcheck loc clean
+.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-smoke bench-repo bench-docs smoke chaos lint linkcheck fmtcheck loc clean
 
 all: build vet test
 
@@ -58,6 +58,12 @@ bench-repo:
 	bash bench/run.sh --workload serve-lsh-hit --seed 1 --seconds 6 --trace 0
 	bash bench/run.sh --workload serve-exact-scan --seed 1 --seconds 6 --trace 0
 	bash bench/run.sh --workload cluster-r2-mixed --seed 1 --seconds 6 --trace 0
+
+# README's footprint numbers, rewritten from the newest entries
+# scripts/bench_record.sh appended to BENCH_history.json; CI fails if
+# they differ from what is committed.
+bench-docs:
+	./scripts/bench_docs.py
 
 smoke:
 	./scripts/smoke_http.sh

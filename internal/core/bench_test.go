@@ -421,16 +421,46 @@ func BenchmarkSearchLSH(b *testing.B) {
 }
 
 // BenchmarkPostingRebuild times the table's one build path — Open,
-// Rebucket, compaction and a due reseal all end in it — over the
-// serve-lsh-hit corpus, and reports the bytes per record of what it built.
+// Rebucket, compaction and a due reseal all end in it — and reports the
+// bytes per record of what it built: over the serve-lsh-hit corpus, whose
+// families share buckets, and over 50 000 random rows that share none,
+// a bucket to every posting, the table's worst case.
 func BenchmarkPostingRebuild(b *testing.B) {
-	ix, _ := serveLSHHitCorpus(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.posts.rebuild(ix.lsh, ix.shards)
+	for _, c := range []struct {
+		name  string
+		index func(b *testing.B) *Index
+	}{
+		{"serve-lsh-hit", func(b *testing.B) *Index { ix, _ := serveLSHHitCorpus(b); return ix }},
+		{"unrelated", func(b *testing.B) *Index { return randomRowsIndex(b, 50000) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ix := c.index(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.posts.rebuild(ix.lsh, ix.shards)
+			}
+			bytes, _, _, _ := ix.posts.size()
+			b.ReportMetric(float64(bytes)/float64(ix.Len()), "B/rec")
+		})
 	}
-	bytes, _, _, _ := ix.posts.size()
-	b.ReportMetric(float64(bytes)/float64(ix.Len()), "B/rec")
+}
+
+// randomRowsIndex is an in-memory index of n rows with random signatures
+// under the default banding, so no two rows share a band bucket.
+func randomRowsIndex(b *testing.B, n int) *Index {
+	b.Helper()
+	ix := NewIndex("unrelated", DefaultK, DefaultSignatureSize)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < n; i++ {
+		sig := make([]uint64, DefaultSignatureSize)
+		for j := range sig {
+			sig[j] = rng.Uint64()
+		}
+		if ok, err := ix.Add(&Sketch{Name: fmt.Sprintf("rec-%d", i), K: DefaultK, Shingles: 100, Signature: sig}); !ok || err != nil {
+			b.Fatalf("add: ok=%v err=%v", ok, err)
+		}
+	}
+	return ix
 }
 
 // BenchmarkAddBatchParallel is the guard on the posting table's one

@@ -72,19 +72,20 @@ func (p LSHParams) bandKey(band int, sig []uint64) uint64 {
 
 // postingTable is the index's one LSH posting structure, shared by all
 // shards and all bands (bandKey folds the band number into the key), in
-// two levels. Sealed is what rebuild makes of every live row: one packed
-// array of buckets in the order of their keys' 32-bit fingerprints, each a
-// header word and then its postings in (shard, row) order, behind a
-// directory from a fingerprint's top dirBits bits to where that cell's 4
-// to 8 buckets start — 4 bytes a posting, 4 a bucket, 4 a cell. Keys
-// sharing a fingerprint share a bucket, which can only add a candidate,
-// and every candidate is rescored. The delta holds the rows added since:
-// a slot array keyed by the whole key over chains of postings in an
-// append-only arena, in insertion order. A query costs two lookups per
-// band however many shards there are, and no array holds a pointer for
-// the collector to trace. Postings are only ever added — a tombstoned row
-// keeps its (every scoring path skips dead rows) — until rebuild starts
-// over.
+// two levels. Sealed is what rebuild makes of every live row: one word a
+// posting, fp<<dirBits | shard<<rowBits | row, in the order of (its key's
+// 32-bit fingerprint, shard, row), behind a directory from a fingerprint's
+// top dirBits bits to where that cell's entries — at most 8 buckets' —
+// start: 4 bytes a posting and 4 a cell. An entry's tag, the bits above
+// dirBits, holds the rest of its fingerprint, so a bucket is the run of
+// entries with one tag in one cell. Keys sharing a fingerprint share a bucket,
+// which can only add a candidate, and every candidate is rescored. The
+// delta holds the rows added since: a slot array keyed by the whole key
+// over chains of postings in an append-only arena, in insertion order.
+// A query costs two lookups per band however many shards there are, and
+// no array holds a pointer for the collector to trace. Postings are only
+// ever added — a tombstoned row keeps its (every scoring path skips dead
+// rows) — until rebuild starts over.
 //
 // mu guards every field, though add reads params before taking it (see
 // add): shard.add inserts while holding its shard lock (order: shard,
@@ -94,13 +95,13 @@ type postingTable struct {
 	params  LSHParams
 	stripes int // the index's shard count: the most adds in flight at once
 
-	dir         []uint32 // 1<<dirBits + 1 offsets into packed: cell c's buckets are packed[dir[c]:dir[c+1]]
-	dirBits     uint     // minDirBits at least, so a header's 24 bits hold the rest of the fingerprint
-	packed      []uint32 // per bucket a header, then its postings shard<<rowBits | row; packed[0] is unused
-	rowBits     uint     // 0 once a stripe had too many rows to pack, and nothing is sealed
-	sealedUsed  int      // sealed buckets
-	sealedPosts int      // sealed postings: len(packed) less the unused word and the headers
-	seals       uint64   // rebuilds so far
+	dir        []uint32 // 1<<dirBits + 1 offsets into packed: cell c's entries are packed[dir[c]:dir[c+1]]
+	dirBits    uint     // minDirBits at least, and at least the widest sealed posting's bits
+	packed     []uint32 // a word a sealed posting: fp<<dirBits | shard<<rowBits | row
+	rowBits    uint     // bits of the largest stripe's row numbers as of the last rebuild
+	spilled    bool     // a stripe had more rows than postingBits can name: nothing is sealed
+	sealedUsed int      // sealed buckets
+	seals      uint64   // rebuilds so far
 
 	slots []postSlot // power-of-two length, at most 3/4 occupied
 	posts []posting  // posts[0] is the nil sentinel: index 0 ends a chain
@@ -115,24 +116,20 @@ type postSlot struct {
 
 type posting struct{ shard, row, next int32 }
 
-// A sealed bucket's header is fingerprint<<dirBits — the bits below the
-// directory's, left-aligned — over its posting count in the low byte; past
-// maxBucketRun postings a bucket goes on under another such header.
 const (
 	minDirBits   = 8
-	maxBucketRun = 1<<minDirBits - 1
 	minPostSlots = 64   // an empty delta's slot count
 	sealMinDelta = 4096 // the fewest delta postings SaveDir reseals for; see sealDue
 )
 
 // Tests lower these: maxPostings bounds sealed plus delta postings (the
-// delta links by int32; sealed offsets are uint32, enough for a header to
-// every posting), and postingBits is the width of a packed posting.
+// delta links by int32, the directory's offsets are uint32), and
+// postingBits is the widest a sealed posting may be.
 var maxPostings, postingBits = math.MaxInt32, 31
 
 func newPostingTable(p LSHParams, stripes int) *postingTable {
 	return &postingTable{params: p, stripes: stripes, slots: make([]postSlot, minPostSlots), posts: make([]posting, 1),
-		dir: make([]uint32, 1<<minDirBits+1), dirBits: minDirBits, packed: make([]uint32, 1), rowBits: uint(postingBits - bits.Len(uint(stripes-1)))}
+		dir: make([]uint32, 1<<minDirBits+1), dirBits: minDirBits}
 }
 
 // find returns the index of key's delta slot, or of the empty slot where
@@ -175,7 +172,7 @@ func (t *postingTable) insert(key uint64, shard, row int32) {
 func (t *postingTable) full() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return 1+t.sealedPosts+len(t.posts)+t.params.Bands*t.stripes > maxPostings
+	return 1+len(t.packed)+len(t.posts)+t.params.Bands*t.stripes > maxPostings
 }
 
 // add inserts one row's postings into the delta, one per band of sig.
@@ -203,21 +200,15 @@ func (t *postingTable) add(shard, row int32, sig []uint64) {
 func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rowMask := uint32(1)<<t.rowBits - 1
+	postMask, rowMask := uint32(1)<<t.dirBits-1, uint32(1)<<t.rowBits-1
 	for _, key := range keys {
 		cell, want := t.dir[key>>(64-t.dirBits):], uint32(key>>32)<<t.dirBits
-		for off := cell[0]; off < cell[1]; { // a cell's headers rise
-			h := t.packed[off]
-			if h&^maxBucketRun > want {
+		for _, e := range t.packed[cell[0]:cell[1]] { // a cell's entries rise
+			if tag := e &^ postMask; tag > want {
 				break
+			} else if tag == want {
+				total += scratch[e&postMask>>t.rowBits].offer(int32(e & rowMask))
 			}
-			end := off + 1 + h&maxBucketRun
-			if h&^maxBucketRun == want {
-				for _, e := range t.packed[off+1 : end] {
-					total += scratch[e>>t.rowBits].offer(int32(e & rowMask))
-				}
-			}
-			off = end
 		}
 		for p := t.slots[t.find(key)].head; p != 0; p = t.posts[p].next {
 			e := t.posts[p]
@@ -230,8 +221,9 @@ func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) 
 // rebuild replaces the table's contents with the postings of every live
 // row of shards under banding p, sealed, and an empty delta: how Open
 // (fresh arenas), Rebucket (new keys), compaction (new row numbers) and
-// a due reseal all get their table. If a stripe has more rows than a
-// packed posting can name, every row is filed in the delta instead. Keys
+// a due reseal all get their table. A posting takes the bits of the
+// shard count and of the largest stripe's row numbers; if that is more
+// than postingBits, every row is filed in the delta instead. Keys
 // are hashed from each row's full-width signature (a heap or mmap'd
 // slice); a row the store cannot read files nowhere and counts as a read
 // error, as a search skips it. Callers exclude every add, delete,
@@ -239,15 +231,15 @@ func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) 
 // an index nobody else sees yet — so shard state is read unlocked;
 // searches probe the old contents until the swap.
 func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
-	nt, live := newPostingTable(p, len(shards)), 0
+	nt, live, most := newPostingTable(p, len(shards)), 0, 1
 	for _, sh := range shards {
 		live += len(sh.names) - sh.deadRows
-		if len(sh.names) >= 1<<nt.rowBits {
-			nt.rowBits = 0
-		}
+		most = max(most, len(sh.names))
 	}
-	var ents []uint64 // fingerprint<<32 | packed posting, in (shard, row) order
-	if nt.rowBits != 0 {
+	nt.rowBits = uint(bits.Len(uint(most - 1)))
+	nt.spilled = bits.Len(uint(len(shards)-1))+int(nt.rowBits) > postingBits
+	var ents []uint64 // fingerprint<<32 | posting, in (shard, row) order
+	if !nt.spilled {
 		ents = make([]uint64, 0, live*p.Bands)
 	}
 	var sc rowScratch
@@ -261,7 +253,7 @@ func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
 				sh.full.tier.readErrors.Add(1)
 				continue
 			}
-			if nt.rowBits == 0 {
+			if nt.spilled {
 				nt.add(int32(si), int32(i), sig)
 				continue
 			}
@@ -273,44 +265,39 @@ func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
 	nt.seal(ents)
 	t.mu.Lock()
 	t.params, t.slots, t.posts, t.used = p, nt.slots, nt.posts, nt.used
-	t.dir, t.dirBits, t.packed, t.rowBits = nt.dir, nt.dirBits, nt.packed, nt.rowBits
-	t.sealedUsed, t.sealedPosts = nt.sealedUsed, nt.sealedPosts
+	t.dir, t.dirBits, t.packed, t.rowBits, t.spilled = nt.dir, nt.dirBits, nt.packed, nt.rowBits, nt.spilled
+	t.sealedUsed = nt.sealedUsed
 	t.seals++
 	t.mu.Unlock()
 }
 
-// seal makes ents the sealed level of the empty table t: a stable sort
-// by fingerprint leaves each bucket contiguous and in the order given,
-// one pass counts buckets and headers to size the directory and the
-// packed array, and one writes both front to back.
+// seal makes ents — fingerprint<<32 | posting — the sealed level of the
+// empty table t: a stable sort by fingerprint leaves each bucket
+// contiguous and in the order given, one pass counts buckets and finds
+// the widest posting to size the directory, and one writes both front to
+// back. dirBits is never below the widest posting's bits, so an entry's
+// tag and cell together always hold its whole fingerprint.
 func (t *postingTable) seal(ents []uint64) {
 	ents = sortByFingerprint(ents, make([]uint64, len(ents)))
-	buckets, headers := 0, 0
-	for i, run := 0, 0; i < len(ents); i, run = i+1, run+1 {
-		if i == 0 || ents[i]>>32 != ents[i-1]>>32 {
-			buckets, run = buckets+1, 0
-		}
-		if run%maxBucketRun == 0 {
-			headers++
-		}
-	}
-	t.dirBits = max(minDirBits, uint(bits.Len(uint(buckets/8))))
-	t.dir, t.packed = make([]uint32, 1<<t.dirBits+1), make([]uint32, 1, 1+headers+len(ents))
-	t.sealedUsed, t.sealedPosts = buckets, len(ents)
-	cell, hdr := 0, 0 // the next directory entry to fill; the open bucket's header
+	buckets, widest := 0, uint32(0)
 	for i, e := range ents {
-		if fp := uint32(e >> 32); i == 0 || e>>32 != ents[i-1]>>32 || t.packed[hdr]&maxBucketRun == maxBucketRun {
-			for ; cell <= int(fp>>(32-t.dirBits)); cell++ {
-				t.dir[cell] = uint32(len(t.packed))
-			}
-			hdr = len(t.packed)
-			t.packed = append(t.packed, fp<<t.dirBits)
+		if i == 0 || e>>32 != ents[i-1]>>32 {
+			buckets++
 		}
-		t.packed[hdr]++
-		t.packed = append(t.packed, uint32(e))
+		widest = max(widest, uint32(e))
+	}
+	t.dirBits = max(minDirBits, uint(bits.Len(uint(buckets/8))), uint(bits.Len32(widest)))
+	t.dir, t.packed, t.sealedUsed = make([]uint32, 1<<t.dirBits+1), make([]uint32, len(ents)), buckets
+	cell := 0 // the next directory entry to fill
+	for i, e := range ents {
+		fp := uint32(e >> 32)
+		for ; cell <= int(fp>>(32-t.dirBits)); cell++ {
+			t.dir[cell] = uint32(i)
+		}
+		t.packed[i] = fp<<t.dirBits | uint32(e)
 	}
 	for ; cell < len(t.dir); cell++ {
-		t.dir[cell] = uint32(len(t.packed))
+		t.dir[cell] = uint32(len(ents))
 	}
 }
 
@@ -338,12 +325,12 @@ func sortByFingerprint(a, tmp []uint64) []uint64 {
 
 // sealDue reports whether SaveDir should rebuild for the delta's sake: it
 // holds sealMinDelta postings and more than a quarter of the sealed
-// count, and the last rebuild could pack.
+// count, and the last rebuild did not spill.
 func (t *postingTable) sealDue() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	delta := len(t.posts) - 1
-	return delta >= sealMinDelta && delta*4 > t.sealedPosts && t.rowBits != 0
+	return delta >= sealMinDelta && delta*4 > len(t.packed) && !t.spilled
 }
 
 // size returns the table's bytes (all four arrays, by capacity), buckets

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"slices"
@@ -550,9 +551,9 @@ func TestPostingRowBitsFallback(t *testing.T) {
 	if err := ix.SaveDir(); err != nil { // 4 800 delta postings, nothing sealed: due, if the rows packed
 		t.Fatal(err)
 	}
-	if _, _, delta, seals := ix.posts.size(); seals != 2 || ix.posts.sealedUsed != 0 || len(ix.posts.packed) != 1 || delta != 300*lsh.Bands {
-		t.Fatalf("100 rows a stripe: %d rebuilds, %d sealed buckets, %d packed and %d delta postings; want one more rebuild and everything in the delta",
-			seals, ix.posts.sealedUsed, len(ix.posts.packed)-1, delta)
+	if _, _, delta, seals := ix.posts.size(); seals != 2 || !ix.posts.spilled || ix.posts.sealedUsed != 0 || len(ix.posts.packed) != 0 || delta != 300*lsh.Bands {
+		t.Fatalf("100 rows a stripe: %d rebuilds, spilled %v, %d sealed buckets, %d packed and %d delta postings; want one more rebuild and everything in the delta",
+			seals, ix.posts.spilled, ix.posts.sealedUsed, len(ix.posts.packed), delta)
 	}
 	m.add(m.sig())
 	m.check(ix, "add after fallback")
@@ -645,9 +646,10 @@ func TestPostingFingerprintMerge(t *testing.T) {
 
 // TestPostingBytesPerRecord pins the sealed level's size as a count, and
 // the rule that reseals a grown delta: 2 000 records in families of 20
-// at 32 bands, opened from their directory, cost at most 220 table bytes
-// each with nothing in the delta; a delta under the floor stays through
-// a SaveDir, one past a quarter of the sealed count is sealed by it.
+// at 32 bands, opened from their directory, cost at most 160 table bytes
+// each with nothing in the delta — 4 a posting and at most 1 a band of
+// directory; a delta under the floor stays through a SaveDir, one past a
+// quarter of the sealed count is sealed by it.
 func TestPostingBytesPerRecord(t *testing.T) {
 	const families = 100
 	ix, err := Open(familyCorpus(t, families).Index().DataDir())
@@ -659,8 +661,8 @@ func TestPostingBytesPerRecord(t *testing.T) {
 		bytes, _, delta, seals := ix.posts.size()
 		return int(bytes) / ix.Len(), delta, seals
 	}
-	if per, delta, seals := state(); per > 220 || delta != 0 || seals != 1 {
-		t.Fatalf("opened: %d table bytes per record, %d delta postings, %d seals; want <= 220, 0, 1", per, delta, seals)
+	if per, delta, seals := state(); per > 160 || delta != 0 || seals != 1 {
+		t.Fatalf("opened: %d table bytes per record, %d delta postings, %d seals; want <= 160, 0, 1", per, delta, seals)
 	}
 	sk, err := NewSketcher(DefaultK, DefaultSignatureSize)
 	if err != nil {
@@ -682,8 +684,8 @@ func TestPostingBytesPerRecord(t *testing.T) {
 		t.Fatalf("100 adds and a snapshot: %d delta postings, %d seals; want %d under the floor, unsealed", delta, seals, 100*32)
 	}
 	grow(100, 501) // 501 x 32 postings: one row past a quarter of the 2 000 x 32 sealed
-	if per, delta, seals := state(); per > 220 || delta != 0 || seals != 2 {
-		t.Fatalf("501 adds and a snapshot: %d table bytes per record, %d delta postings, %d seals; want <= 220, 0, 2", per, delta, seals)
+	if per, delta, seals := state(); per > 160 || delta != 0 || seals != 2 {
+		t.Fatalf("501 adds and a snapshot: %d table bytes per record, %d delta postings, %d seals; want <= 160, 0, 2", per, delta, seals)
 	}
 	for f := 0; f < families; f += 7 {
 		q := sk.Sketch(Record{Name: "q", Data: familyMember(f, -1)})
@@ -698,7 +700,9 @@ func TestPostingBytesPerRecord(t *testing.T) {
 }
 
 // sealedTable seals rows[k] under every key k into a bare one-stripe
-// table and checks the counts size, sealDue and full go by.
+// table, its postings as wide as its largest row, as rebuild would make
+// them, and checks the counts size, sealDue and full go by: a bucket
+// each, a word a posting.
 func sealedTable(t *testing.T, rows map[uint64][]int32) *postingTable {
 	t.Helper()
 	tab := newPostingTable(LSHParams{Bands: 1, RowsPerBand: 1}, 1)
@@ -706,11 +710,12 @@ func sealedTable(t *testing.T, rows map[uint64][]int32) *postingTable {
 	for k, rs := range rows {
 		for _, r := range rs {
 			ents = append(ents, k&^math.MaxUint32|uint64(r))
+			tab.rowBits = max(tab.rowBits, uint(bits.Len32(uint32(r))))
 		}
 	}
 	tab.seal(ents)
-	if _, buckets, _, _ := tab.size(); buckets != len(rows) || tab.sealedPosts != len(ents) {
-		t.Fatalf("sealed %d buckets and %d postings, want %d and %d", buckets, tab.sealedPosts, len(rows), len(ents))
+	if _, buckets, _, _ := tab.size(); buckets != len(rows) || len(tab.packed) != len(ents) {
+		t.Fatalf("sealed %d buckets in %d words, want %d buckets and a word for each of the %d postings", buckets, len(tab.packed), len(rows), len(ents))
 	}
 	return tab
 }
@@ -728,9 +733,10 @@ func probeRows(t *testing.T, tab *postingTable, key uint64, n int) []int32 {
 }
 
 // TestSealedDirectory pins the sealed level's layout at its edges: buckets
-// at, one past and well past what one header counts (offered whole, once,
-// and counted as one bucket), the directory's first and last cells empty
-// and occupied, and a bucket count on either side of a directory doubling.
+// of one posting and of hundreds side by side (each offered whole, once,
+// counted as one bucket, and a word a posting), the directory's first and
+// last cells empty and occupied, and a bucket count on either side of a
+// directory doubling.
 func TestSealedDirectory(t *testing.T) {
 	run := func(from, n int) []int32 {
 		rows := make([]int32, n)
@@ -754,15 +760,17 @@ func TestSealedDirectory(t *testing.T) {
 		}
 	}
 
-	// Neighbours in one cell, so a walk steps over continuation headers
-	// it does not want and takes every one it does.
+	// Neighbours in one cell — rows up to 1 622 make the directory 11
+	// bits wide, and the fingerprints differ in their low bits only — so
+	// a walk steps over the entries it does not want and takes every one
+	// it does, however long the buckets either side.
 	long := map[uint64][]int32{
-		fp(0x40000001): run(0, 1), fp(0x40000002): run(1, maxBucketRun), fp(0x40000003): run(256, maxBucketRun+1),
-		fp(0x40000004): run(512, 600), fp(0x40000005): run(1112, 2*maxBucketRun), fp(0x40000006): run(1622, 1),
+		fp(0x40000001): run(0, 1), fp(0x40000002): run(1, 255), fp(0x40000003): run(256, 256),
+		fp(0x40000004): run(512, 600), fp(0x40000005): run(1112, 510), fp(0x40000006): run(1622, 1),
 	}
 	tab := sealedTable(t, long)
-	if words := 1 + (6 + 1 + 2 + 1) + tab.sealedPosts; len(tab.packed) != words { // 256 and 510 postings take a second header, 600 a third too
-		t.Fatalf("%d packed words, want %d: a header per 255 postings of a bucket", len(tab.packed), words)
+	if tab.dirBits != 11 || len(tab.packed) != 1+255+256+600+510+1 {
+		t.Fatalf("%d directory bits, %d packed words; want 11 and one word a posting", tab.dirBits, len(tab.packed))
 	}
 	check("long buckets", tab, long, fp(0x40000000), fp(0x40000007), fp(0x3fffffff))
 
@@ -772,11 +780,12 @@ func TestSealedDirectory(t *testing.T) {
 	check("occupied end cells", sealedTable(t, outer), outer, fp(1), fp(0x01000000), fp(0xfeffffff), fp(0xfffffffe))
 
 	// 2 047 buckets keep the 256-cell floor, 2 048 take nine bits: the
-	// header's fingerprint bits move up by one.
+	// entries' tags move up by one. Rows stay below 256, so the bucket
+	// count sets the width, not the postings'.
 	for buckets, wantBits := range map[int]uint{8<<minDirBits - 1: minDirBits, 8 << minDirBits: minDirBits + 1} {
 		many := map[uint64][]int32{}
 		for i := 0; i < buckets; i++ {
-			many[fp(uint32(i)*0x9e3779b1)] = run(i%4000, 1+i%3)
+			many[fp(uint32(i)*0x9e3779b1)] = run(i%250, 1+i%3)
 		}
 		tab := sealedTable(t, many)
 		if tab.dirBits != wantBits || len(tab.dir) != 1<<wantBits+1 {
@@ -786,9 +795,10 @@ func TestSealedDirectory(t *testing.T) {
 	}
 }
 
-// TestSealCountsPostingsNotWords seals nothing but singleton buckets, where
-// packed holds two words a posting: the reseal rule and the address-space
-// check must still go by postings.
+// TestSealCountsPostingsNotWords seals nothing but singleton buckets, the
+// layout that once took a header word to every posting: packed holds one
+// word each, and the reseal rule and the address-space check go by
+// postings.
 func TestSealCountsPostingsNotWords(t *testing.T) {
 	const sealed = 4 * sealMinDelta
 	singles := map[uint64][]int32{}
@@ -796,8 +806,8 @@ func TestSealCountsPostingsNotWords(t *testing.T) {
 		singles[uint64(i)*0x9e3779b1<<32] = []int32{int32(i)}
 	}
 	tab := sealedTable(t, singles)
-	if len(tab.packed) != 1+2*sealed {
-		t.Fatalf("%d packed words for %d singleton buckets, want a header each", len(tab.packed), sealed)
+	if len(tab.packed) != sealed {
+		t.Fatalf("%d packed words for %d singleton buckets, want one word each", len(tab.packed), sealed)
 	}
 	for i := 0; i < sealMinDelta; i++ {
 		tab.insert(uint64(i), 0, int32(i))
@@ -813,6 +823,117 @@ func TestSealCountsPostingsNotWords(t *testing.T) {
 	tab.insert(sealMinDelta+1, 0, 0)
 	if !tab.full() {
 		t.Fatal("sealed plus delta postings reached the limit and the table is not full")
+	}
+}
+
+// TestPostingResealsFromEmpty opens an empty index, whose rebuild seals
+// nothing over stripes of no rows — a posting of no row bits, not a
+// spilled table — and adds more than sealMinDelta postings to it: the
+// next SaveDir must seal them.
+func TestPostingResealsFromEmpty(t *testing.T) {
+	eng, err := NewEngine(Options{IndexName: "empty", Tiered: true, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Index().Close()
+	if err := eng.Index().SaveDir(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(eng.Index().DataDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if _, _, delta, seals := ix.posts.size(); seals != 1 || ix.posts.rowBits != 0 || ix.posts.spilled || delta != 0 {
+		t.Fatalf("opened empty: %d seals, %d row bits, spilled %v, %d delta postings; want 1, 0, false, 0",
+			seals, ix.posts.rowBits, ix.posts.spilled, delta)
+	}
+	const families, adds = 10, sealMinDelta/32 + 1
+	sk := eng.Sketcher()
+	for i := 0; i < adds; i++ {
+		if ok, err := ix.Add(sk.Sketch(Record{Name: fmt.Sprintf("r%d", i), Data: familyMember(i%families, i)})); !ok || err != nil {
+			t.Fatalf("add %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if err := ix.SaveDir(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, delta, seals := ix.posts.size(); seals != 2 || delta != 0 || len(ix.posts.packed) != adds*32 {
+		t.Fatalf("%d adds and a snapshot: %d seals, %d delta and %d sealed postings; want 2, 0, %d", adds, seals, delta, len(ix.posts.packed), adds*32)
+	}
+	for f := 0; f < families; f++ {
+		q := sk.Sketch(Record{Name: "q", Data: familyMember(f, -1)})
+		exact, err := SearchTopK(ix, q, 10, 0.3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lsh, err := SearchTopKLSH(ix, q, 10, 0.3, nil); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
+			t.Fatalf("family %d after the reseal: lsh %+v (err %v), exact %+v", f, lsh, err, exact)
+		}
+	}
+}
+
+// TestPostingDirectoryCoversPostings rebuilds the table over stripe shapes
+// a posting's width comes out of unevenly — stripes of no row and of one
+// beside a large one, an odd stripe count, a largest stripe one past a
+// power of two — and checks that the directory is never narrower than
+// the widest posting it seals, or tags and postings would overlap; that
+// every row's own signature probes back to it and to nothing else; and
+// that the directory stays within 16 B a row of stripes × the largest
+// stripe's rows — 16 B a row outright on the balanced shapes that
+// hashing names to stripes gives.
+func TestPostingDirectoryCoversPostings(t *testing.T) {
+	lsh := LSHParams{Bands: 1, RowsPerBand: 4}
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range []struct {
+		shape    []int
+		balanced bool
+	}{
+		{[]int{1}, false}, {[]int{0, 0, 1}, false}, {[]int{1, 1, 1, 1, 1, 1, 1, 1, 1}, false},
+		{[]int{0, 1, 600, 0, 1}, false}, {[]int{2049, 0, 0, 0, 0, 0, 0, 3}, false},
+		{[]int{129, 129, 129, 129, 129, 129, 129, 129, 129, 129, 129, 129, 129, 129, 129, 129, 129}, true},
+		{[]int{1025, 1025, 1025}, true}, {[]int{257, 250, 240, 257}, true},
+	} {
+		shape := c.shape
+		ix, err := NewIndexWith("shape", 4, 4, lsh, len(shape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigs, left, rows, most := map[string][]uint64{}, slices.Clone(shape), 0, 1
+		for _, n := range shape {
+			rows, most = rows+n, max(most, n)
+		}
+		for i := 0; len(sigs) < rows; i++ {
+			name := fmt.Sprintf("r%d", i)
+			if si := shardFor(name, len(shape)); left[si] > 0 {
+				left[si]--
+				sigs[name] = []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+				if ok, err := ix.Add(&Sketch{Name: name, K: 4, Shingles: 5, Signature: sigs[name]}); !ok || err != nil {
+					t.Fatalf("%v: add %s: ok=%v err=%v", shape, name, ok, err)
+				}
+			}
+		}
+		ix.posts.rebuild(lsh, ix.shards)
+		tab, widest := ix.posts, 0
+		for si, n := range shape {
+			if n > 0 {
+				widest = si<<tab.rowBits | (n - 1)
+			}
+		}
+		if tab.rowBits != uint(bits.Len(uint(most-1))) || tab.dirBits < uint(bits.Len(uint(widest))) || len(tab.packed) != rows {
+			t.Fatalf("%v: %d row bits, %d directory bits, %d sealed postings; want %d, at least %d, %d",
+				shape, tab.rowBits, tab.dirBits, len(tab.packed), bits.Len(uint(most-1)), bits.Len(uint(widest)), rows)
+		}
+		for name, sig := range sigs {
+			if got := probeNames(ix, sig); len(got) != 1 || !got[name] {
+				t.Fatalf("%v: %s probes back %v", shape, name, got)
+			}
+		}
+		if dirBytes := 4 * len(tab.dir); tab.dirBits > minDirBits && (dirBytes > 16*len(shape)*most || c.balanced && dirBytes > 16*rows) {
+			t.Fatalf("%v: a %d-bit directory of %d bytes for %d rows in %d stripes of at most %d: over 16 B a row",
+				shape, tab.dirBits, dirBytes, rows, len(shape), most)
+		}
+		t.Logf("%v: %d directory bits, %.1f directory bytes a row", shape, tab.dirBits, float64(4*len(tab.dir))/float64(rows))
 	}
 }
 
@@ -872,7 +993,7 @@ func FuzzPostingTable(f *testing.F) {
 	for i := 0; i < 300; i++ {
 		long = append(long, 0, 0x50, byte(i), 5)
 	}
-	f.Add(append(long, 7, 0x50, 0x51)) // one key added and sealed 300 times: its bucket ends under a second header
+	f.Add(append(long, 7, 0x50, 0x51)) // one key added and sealed 300 times: one bucket of 300 postings
 	for k := 0; k < 16; k++ {
 		singles = append(singles, 0, byte(k<<4), byte(k))
 	}
@@ -891,6 +1012,7 @@ func FuzzPostingTable(f *testing.F) {
 				data = data[3:]
 			case op == 5:
 				sealed := newPostingTable(tab.params, stripes)
+				sealed.rowBits = uint(bits.Len(rows - 1))
 				var ents []uint64
 				for k, es := range ref {
 					for _, e := range es {
