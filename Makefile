@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-smoke bench-repo bench-docs smoke chaos lint linkcheck fmtcheck loc clean
+.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-smoke bench-repo bench-docs smoke chaos lint linkcheck fmtcheck wrappercheck loc clean
 
 all: build vet test
 
@@ -82,11 +82,19 @@ fmtcheck:
 	@out=$$(gofmt -l internal cmd bench); \
 	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
+# SearchTopK, SearchTopKCtx and SearchTopKLSHCtx are one-line wrappers
+# over core.Index.Search kept only because bench/ compiles against them:
+# no Go file under internal/ or cmd/, tests included, but the one
+# defining them may name them, so they can go without a hunt.
+wrappercheck:
+	@out=$$(grep -rnwE --include='*.go' 'SearchTopK|SearchTopKCtx|SearchTopKLSHCtx' internal cmd | grep -v '^internal/core/query\.go:'); \
+	if [ -n "$$out" ]; then echo "bench-only search wrappers named outside internal/core/query.go:"; echo "$$out"; exit 1; fi
+
 # The line counts CHANGES.md entries and ROADMAP re-anchors quote.
 loc:
 	@./scripts/loc.sh
 
-lint: linkcheck fmtcheck
+lint: linkcheck fmtcheck wrappercheck
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
 	else \

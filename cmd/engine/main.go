@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -427,7 +428,6 @@ func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		eng.SetMode(mode)
 		if *verbose {
 			meta, arena := ix.Metadata(), ix.Arena()
 			fmt.Fprintf(stderr, "engine: search: index=%s records=%d bits=%d scan_kernel=%s signature_bytes=%d bytes_per_record=%.1f arena_utilization=%.2f\n",
@@ -442,7 +442,7 @@ func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintln(stdout, "query\tref\trank\tsimilarity\tdistance")
 		for _, rec := range recs {
-			results, err := eng.Search(rec, *topK, *minSim)
+			results, err := eng.Search(context.Background(), rec, core.Query{Mode: mode, TopK: *topK, MinSim: *minSim})
 			if err != nil {
 				return err
 			}

@@ -49,7 +49,6 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 	repairEvery := fs.Duration("repair-every", 0,
 		"coordinator anti-entropy repair sweep interval (0 disables; POST /v1/admin/repair always works)")
 	db := fs.String("d", defaultIndexDir, "index directory: opened if it holds an index, created otherwise; every acked write is fsynced to its write-ahead log and snapshots go into it")
-	modeFlag := fs.String("mode", "lsh", "default search mode: lsh or exact (requests may override)")
 	snapEvery := fs.Duration("snapshot-every", 30*time.Second, "periodic snapshot interval (0 disables; shutdown always snapshots)")
 	maxInFlight := fs.Int("max-inflight", server.DefaultMaxInFlight, "max concurrently served requests")
 	maxBatch := fs.Int("max-batch", server.DefaultMaxBatch, "max records per ingest or replicate request, and per GET /v1/records page")
@@ -97,10 +96,6 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("serve: -%s requires -coordinator", flagName)
 		}
 	}
-	mode, err := core.ParseSearchMode(*modeFlag)
-	if err != nil {
-		return err
-	}
 	eng, err := ixf.openOrCreate("serve", *db, stderr)
 	if err != nil {
 		return err
@@ -116,7 +111,6 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "engine: serve: existing index %q rebucketed to bands=%d rows=%d (-bands/-rows)\n",
 			ix.Metadata().Name, *ixf.bands, *ixf.rows)
 	}
-	eng.SetMode(mode)
 	if *pprofAddr != "" {
 		stop, bound, err := servePprof(*pprofAddr)
 		if err != nil {
@@ -144,7 +138,7 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "serving\taddr=%s\tindex=%s\trecords=%d\tmode=%s\tsnapshot=%s\n",
-		bound, ix.Metadata().Name, ix.Len(), mode, ix.DataDir())
+		bound, ix.Metadata().Name, ix.Len(), core.ModeLSH, ix.DataDir())
 	ctx, stop := signal.NotifyContext(serveBaseContext(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return srv.Serve(ctx)
@@ -171,7 +165,7 @@ func serveCoordinator(fs *flag.FlagSet, cfg cluster.Config, backends, pprofAddr 
 	// Index flags are meaningless without an index; catch the ones a
 	// single-node invocation would care about so a copy-pasted command
 	// line fails loudly instead of silently dropping its index.
-	ignored := map[string]bool{"d": true, "snapshot-every": true, "mode": true, "name": true}
+	ignored := map[string]bool{"d": true, "snapshot-every": true, "name": true}
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
 		if ignored[f.Name] {

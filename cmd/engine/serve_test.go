@@ -225,7 +225,6 @@ func TestCLIServeErrors(t *testing.T) {
 		args []string
 	}{
 		{"unexpected args", []string{"serve", "-addr", "127.0.0.1:0", "extra.txt"}},
-		{"bad mode", []string{"serve", "-mode", "fuzzy"}},
 		{"bad banding", []string{"serve", "-addr", "127.0.0.1:0", "-d", nope, "-bands", "3", "-rows", "5"}},
 		{"bad address", []string{"serve", "-addr", "127.0.0.1:99999", "-d", nope}},
 		{"a file, not a directory", []string{"serve", "-addr", "127.0.0.1:0", "-d", "testdata/alpha.txt"}},

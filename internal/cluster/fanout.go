@@ -147,14 +147,10 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	pooled := make([]core.Result, 0, total)
 	seen := make(map[string]int, total)
-	mode := ""
 	for i := range calls {
 		call := &calls[i]
 		if !call.ok {
 			continue
-		}
-		if mode == "" {
-			mode = call.resp.Mode
 		}
 		for _, hit := range call.resp.Results {
 			if j, dup := seen[hit.Ref]; dup {
@@ -184,9 +180,10 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	for i, res := range merged {
 		hits = append(hits, server.SearchHit{Rank: i + 1, Ref: res.Ref, Similarity: res.Similarity, Distance: res.Distance})
 	}
+	mode, _ := core.ParseSearchMode(req.Mode) // Check saw it parse
 	server.WriteJSON(w, http.StatusOK, &server.SearchResponse{
 		Query:   req.Name,
-		Mode:    mode,
+		Mode:    string(mode),
 		Results: hits,
 		Partial: partial,
 	})

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -128,16 +129,25 @@ func TestSearchPartialAtQuorumReplication(t *testing.T) {
 	tc.backends[1].stop()
 	tc.backends[2].stop()
 
-	resp, got := postJSON(t, tc.ts.URL+"/v1/search", searchBody(5))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("search = %d, body %s", resp.StatusCode, got)
-	}
-	var sr server.SearchResponse
-	if err := json.Unmarshal(got, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if !sr.Partial {
-		t.Fatalf("both holders of every acked record are down; the answer must say partial: %s", got)
+	// The answer's mode is the request's, an omitted one "lsh", whichever
+	// backend answered.
+	for _, mode := range []string{"", "lsh", "exact"} {
+		req := searchBody(5)
+		req.Mode = mode
+		resp, got := postJSON(t, tc.ts.URL+"/v1/search", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("search = %d, body %s", resp.StatusCode, got)
+		}
+		var sr server.SearchResponse
+		if err := json.Unmarshal(got, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if !sr.Partial {
+			t.Fatalf("both holders of every acked record are down; the answer must say partial: %s", got)
+		}
+		if want := cmp.Or(mode, "lsh"); sr.Mode != want {
+			t.Fatalf("search (mode %q) answered mode %q, want %q", mode, sr.Mode, want)
+		}
 	}
 }
 

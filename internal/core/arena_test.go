@@ -194,27 +194,24 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("AddBatch added %d, %v; want %d, nil", countAdded(oks), err, n)
 	}
 	q := eng.Sketcher().Sketch(Record{Name: "query", Data: base})
-	for _, search := range []struct {
-		name string
-		fn   func(*Index, *Sketch, int, float64, *Pool) ([]Result, error)
-	}{{"exact", SearchTopK}, {"lsh", SearchTopKLSH}} {
+	for _, mode := range modes {
 		// minSim 0.01 exercises the LSH fallback sweep too: candidates
 		// score above it but cannot fill topK=50.
-		serial, err := search.fn(eng.Index(), q, 50, 0.01, NewPool(1))
+		serial, err := search(eng.Index(), q, mode, 50, 0.01, NewPool(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 16} {
-			par, err := search.fn(eng.Index(), q, 50, 0.01, NewPool(workers))
+			par, err := search(eng.Index(), q, mode, 50, 0.01, NewPool(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(par) != len(serial) {
-				t.Fatalf("%s workers=%d: %d results, serial %d", search.name, workers, len(par), len(serial))
+				t.Fatalf("%s workers=%d: %d results, serial %d", mode, workers, len(par), len(serial))
 			}
 			for i := range serial {
 				if par[i] != serial[i] {
-					t.Fatalf("%s workers=%d result %d: %+v, serial %+v", search.name, workers, i, par[i], serial[i])
+					t.Fatalf("%s workers=%d result %d: %+v, serial %+v", mode, workers, i, par[i], serial[i])
 				}
 			}
 		}

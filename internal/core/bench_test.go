@@ -235,7 +235,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 						b.ResetTimer()
 						mark := markTier(ix)
 						for i := 0; i < b.N; i++ {
-							if _, err := SearchTopK(ix, q, 10, minSim, pool); err != nil {
+							if _, err := search(ix, q, ModeExact, 10, minSim, pool); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -261,7 +261,7 @@ func BenchmarkPackedStore(b *testing.B) {
 			b.ResetTimer()
 			mark := markTier(ix)
 			for i := 0; i < b.N; i++ {
-				if _, err := SearchTopK(ix, q, 10, minSim, pool); err != nil {
+				if _, err := search(ix, q, ModeExact, 10, minSim, pool); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -297,7 +297,7 @@ func BenchmarkSearchExact(b *testing.B) {
 	pool := NewPool(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SearchTopK(ix, q, 10, 0, pool); err != nil {
+		if _, err := search(ix, q, ModeExact, 10, 0, pool); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -379,7 +379,7 @@ func BenchmarkSearchLSH(b *testing.B) {
 		pool := NewPool(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := SearchTopKLSH(ix, q, 10, 0, pool); err != nil {
+			if _, err := search(ix, q, ModeLSH, 10, 0, pool); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -388,7 +388,7 @@ func BenchmarkSearchLSH(b *testing.B) {
 	b.Run("serve-lsh-hit/exact", func(b *testing.B) {
 		pool := NewPool(0)
 		for i := 0; i < b.N; i++ {
-			if res, err := SearchTopK(ix, queries[i%len(queries)], 10, 0.3, pool); err != nil || len(res) != 10 {
+			if res, err := search(ix, queries[i%len(queries)], ModeExact, 10, 0.3, pool); err != nil || len(res) != 10 {
 				b.Fatalf("search returned %d results, err %v", len(res), err)
 			}
 		}
@@ -404,7 +404,7 @@ func BenchmarkSearchLSH(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			pool := NewPool(0)
 			for i := 0; i < b.N; i++ {
-				res, err := SearchTopKLSH(ix, queries[i%len(queries)], 10, 0.3, pool)
+				res, err := search(ix, queries[i%len(queries)], ModeLSH, 10, 0.3, pool)
 				if err != nil || len(res) != 10 {
 					b.Fatalf("search returned %d results, err %v", len(res), err)
 				}

@@ -12,8 +12,7 @@ import (
 const Version = "0.13.0"
 
 // Options configures an Engine. Zero values fall back to the package
-// defaults (DefaultK, DefaultSignatureSize, GOMAXPROCS workers, DefaultLSHParams banding, DefaultShards stripes,
-// LSH search mode).
+// defaults (DefaultK, DefaultSignatureSize, GOMAXPROCS workers, DefaultLSHParams banding, DefaultShards stripes).
 type Options struct {
 	// K is the shingle (k-mer) length used when sketching records.
 	K int
@@ -37,8 +36,6 @@ type Options struct {
 	// values, compared 16 slots per word op), and every score is
 	// recomputed at full width, so the cut is exact.
 	Bits int
-	// Mode selects how Search scans the index; empty means ModeLSH.
-	Mode SearchMode
 	// Tiered backs the new index with the directory DataDir: full-width
 	// signatures go to mmap'd on-disk segments, and SaveDir persists it
 	// (see docs/ARCHITECTURE.md). False means a purely in-memory index
@@ -63,10 +60,9 @@ type Engine struct {
 	sketcher *Sketcher
 	index    *Index
 	pool     *Pool
-	mode     SearchMode
 	// queries recycles query sketches (name cleared, signature buffer
 	// kept) so steady-state searches never allocate the ~1KB signature
-	// per request; see SearchMode.
+	// per request; see Search.
 	queries sync.Pool
 }
 
@@ -84,12 +80,9 @@ func NewEngine(opts Options) (*Engine, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
 	}
-	mode, err := ParseSearchMode(string(opts.Mode))
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
 	lsh := DefaultLSHParams(opts.SignatureSize)
 	if opts.Bands != 0 || opts.RowsPerBand != 0 {
+		var err error
 		if lsh, err = NewLSHParams(opts.Bands, opts.RowsPerBand, opts.SignatureSize); err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
@@ -115,21 +108,19 @@ func NewEngine(opts Options) (*Engine, error) {
 		sketcher: sk,
 		index:    ix,
 		pool:     NewPool(opts.Threads),
-		mode:     mode,
 	}, nil
 }
 
 // NewEngineWithIndex wraps an existing index (e.g. one returned by
 // Open), deriving the sketcher parameters from the index metadata so
-// queries are always sketched compatibly. The engine starts in LSH search mode; use SetMode to
-// change it.
+// queries are always sketched compatibly.
 func NewEngineWithIndex(ix *Index, threads int) (*Engine, error) {
 	meta := ix.Metadata()
 	sk, err := NewSketcher(meta.K, meta.SignatureSize)
 	if err != nil {
 		return nil, fmt.Errorf("engine: index %q: %w", meta.Name, err)
 	}
-	return &Engine{sketcher: sk, index: ix, pool: NewPool(threads), mode: ModeLSH}, nil
+	return &Engine{sketcher: sk, index: ix, pool: NewPool(threads)}, nil
 }
 
 // Sketcher returns the engine's sketcher.
@@ -140,13 +131,6 @@ func (e *Engine) Index() *Index { return e.index }
 
 // Pool returns the engine's worker pool.
 func (e *Engine) Pool() *Pool { return e.pool }
-
-// Mode returns the engine's search mode.
-func (e *Engine) Mode() SearchMode { return e.mode }
-
-// SetMode switches the search mode. It is not synchronized with
-// in-flight Search calls; set the mode before serving queries.
-func (e *Engine) SetMode(m SearchMode) { e.mode = m }
 
 // Delete removes the record named name from the index, reporting
 // whether it was present. Like AddBatch, a true return on a WAL-attached
@@ -235,7 +219,7 @@ type Stats struct {
 	LSHSeals       uint64     `json:"lsh_seals" prom:"lsh_seals_total" help:"Rebuilds of the LSH posting table into its sealed form: open, rebucket, compaction, reseal."`
 	Shards         int        `json:"shards"`
 	ShardOccupancy []int      `json:"shard_occupancy"`
-	Mode           SearchMode `json:"mode"`
+	Mode           SearchMode `json:"mode"` // what an empty Query.Mode searches in: always ModeLSH
 	Generation     uint64     `json:"generation"`
 	CreatedAt      time.Time  `json:"created_at"`
 	UpdatedAt      time.Time  `json:"updated_at"`
@@ -286,7 +270,7 @@ func (e *Engine) Stats() Stats {
 		LSHSeals:       lshSeals,
 		Shards:         e.index.ShardCount(),
 		ShardOccupancy: e.index.Occupancy(),
-		Mode:           e.mode,
+		Mode:           ModeLSH,
 		Generation:     e.index.Generation(),
 		CreatedAt:      meta.CreatedAt,
 		UpdatedAt:      meta.UpdatedAt,
@@ -299,45 +283,25 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Search sketches rec and returns its top-K nearest index entries,
-// scanning per the engine's search mode.
-func (e *Engine) Search(rec Record, topK int, minSim float64) ([]Result, error) {
-	return e.SearchMode(rec, e.mode, topK, minSim)
-}
-
-// SearchMode is Search with an explicit scan mode overriding the
-// engine default for this query only — the single dispatch site shared
-// by the CLI (engine-wide mode) and the HTTP serving layer
-// (per-request mode overrides). The query sketch comes from a pool and
-// is emitted with SketchInto, so a steady-state search sketches into a
-// warm buffer instead of allocating a signature per request.
-func (e *Engine) SearchMode(rec Record, mode SearchMode, topK int, minSim float64) ([]Result, error) {
-	return e.SearchModeCtx(context.Background(), rec, mode, topK, minSim)
-}
-
-// SearchModeCtx is SearchMode under a context: the scoring loops poll
-// ctx every few hundred records and the query returns ctx's error
-// instead of partial results when it fires — how a serving layer aborts
-// in-flight scoring once the caller's deadline passes or the client
-// disconnects. A background context adds no overhead.
-func (e *Engine) SearchModeCtx(ctx context.Context, rec Record, mode SearchMode, topK int, minSim float64) ([]Result, error) {
-	q, _ := e.queries.Get().(*Sketch)
-	if q == nil || len(q.Signature) != e.sketcher.SignatureSize() {
-		q = &Sketch{Signature: make([]uint64, e.sketcher.SignatureSize())}
+// Search sketches rec and returns its top entries under q (see
+// Index.Search). The query sketch comes from a pool and is emitted with
+// SketchInto, so a steady-state search sketches into a warm buffer
+// instead of allocating a signature per request. The scoring loops poll
+// ctx, so a serving layer aborts in-flight scoring once the caller's
+// deadline passes or the client disconnects; a background context adds
+// no overhead.
+func (e *Engine) Search(ctx context.Context, rec Record, q Query) ([]Result, error) {
+	sk, _ := e.queries.Get().(*Sketch)
+	if sk == nil || len(sk.Signature) != e.sketcher.SignatureSize() {
+		sk = &Sketch{Signature: make([]uint64, e.sketcher.SignatureSize())}
 	}
-	q.Name = rec.Name
-	q.K = e.sketcher.K()
-	q.Shingles = e.sketcher.SketchInto(q.Signature, rec)
-	var res []Result
-	var err error
-	if mode == ModeExact {
-		res, err = SearchTopKCtx(ctx, e.index, q, topK, minSim, e.pool)
-	} else {
-		res, err = SearchTopKLSHCtx(ctx, e.index, q, topK, minSim, e.pool)
-	}
+	sk.Name = rec.Name
+	sk.K = e.sketcher.K()
+	sk.Shingles = e.sketcher.SketchInto(sk.Signature, rec)
+	res, err := e.index.Search(ctx, sk, q, e.pool)
 	// Results carry only the name string; the signature buffer never
 	// escapes the search, so the sketch can be recycled.
-	q.Name = ""
-	e.queries.Put(q)
+	sk.Name = ""
+	e.queries.Put(sk)
 	return res, err
 }

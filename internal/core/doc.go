@@ -16,9 +16,10 @@
 //  3. Querying: pairwise-distance and top-K similarity queries fan out
 //     over a bounded worker pool sized to GOMAXPROCS (see Pool), one
 //     goroutine per shard, each sweeping its arena cache-linearly.
-//     Top-K search runs in LSH mode by default, probing each level
-//     of the posting table once per band for candidates instead of
-//     scanning the whole corpus (see SearchTopKLSH).
+//     Top-K search (Index.Search) runs in LSH mode by default, probing
+//     each level of the posting table once per band for candidates
+//     instead of scanning the whole corpus; exact mode is the same
+//     path with no band keys, so its complement sweep is every row.
 //
 // # Storage
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -17,6 +18,9 @@ func TestNewEngineDefaults(t *testing.T) {
 	meta := e.Index().Metadata()
 	if meta.Name != "default" || meta.K != DefaultK || meta.SignatureSize != DefaultSignatureSize {
 		t.Fatalf("index metadata = %+v", meta)
+	}
+	if mode := e.Stats().Mode; mode != ModeLSH {
+		t.Fatalf("stats mode = %q, want %q: an empty Query.Mode searches LSH", mode, ModeLSH)
 	}
 	if e.Pool().Workers() != runtime.GOMAXPROCS(0) {
 		t.Fatalf("pool workers = %d, want GOMAXPROCS", e.Pool().Workers())
@@ -67,10 +71,10 @@ func TestEngineAddAndSearch(t *testing.T) {
 	if err != nil || added {
 		t.Fatalf("duplicate Add = %v, %v; want false, nil", added, err)
 	}
-	results, err := e.Search(Record{
+	results, err := e.Search(context.Background(), Record{
 		Name: "q",
 		Data: []byte("shared payload text that mostly overlaps with the query info"),
-	}, 10, 0)
+	}, Query{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ type Metadata struct {
 // prefilter arena (see sigArena) over a full-width store (see
 // fullStore); one posting table shared by all of them holds the LSH
 // band postings for sub-linear candidate filtering (see postingTable,
-// SearchTopKLSH). An index is either purely in memory (NewIndex,
+// Index.Search). An index is either purely in memory (NewIndex,
 // NewIndexWith: the full-width rows stay on the heap and nothing
 // persists) or backed by a directory from birth (NewEngine with
 // Options.Tiered, or Open). All methods are safe for concurrent use

@@ -20,9 +20,9 @@ func TestEmptyIndex(t *testing.T) {
 	}
 	s := mustSketcher(t, DefaultK, DefaultSignatureSize)
 	q := s.Sketch(Record{Name: "q", Data: []byte("some query data here")})
-	results, err := SearchTopK(ix, q, 5, 0, nil)
+	results, err := search(ix, q, ModeExact, 5, 0, nil)
 	if err != nil {
-		t.Fatalf("SearchTopK on empty index: %v", err)
+		t.Fatalf("search on empty index: %v", err)
 	}
 	if len(results) != 0 {
 		t.Fatalf("results = %v, want none", results)
@@ -96,7 +96,7 @@ func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
 		}
 		ix := eng.Index()
 		q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(512, 1)})
-		before, err := SearchTopK(ix, q, 10, 0, nil)
+		before, err := search(ix, q, ModeExact, 10, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
 				t.Fatalf("sketch %q changed across round trip", name)
 			}
 		}
-		after, err := SearchTopK(got, q, 10, 0, nil)
+		after, err := search(got, q, ModeExact, 10, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, err := SearchTopK(ix, q, 3, 0, NewPool(2)); err != nil {
+				if _, err := search(ix, q, ModeExact, 3, 0, NewPool(2)); err != nil {
 					t.Errorf("search: %v", err)
 					return
 				}

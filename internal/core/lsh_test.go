@@ -177,11 +177,11 @@ func TestShardProbeCandidates(t *testing.T) {
 func TestLSHMatchesExactOnSyntheticCorpus(t *testing.T) {
 	ix, q := plantedCorpus(t, 1000, 30, 7)
 	pool := NewPool(0)
-	exact, err := SearchTopK(ix, q, 10, 0, pool)
+	exact, err := search(ix, q, ModeExact, 10, 0, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsh, err := SearchTopKLSH(ix, q, 10, 0, pool)
+	lsh, err := search(ix, q, ModeLSH, 10, 0, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestLSHFallbackOnSparseIndex(t *testing.T) {
 		}
 	}
 	q := s.Sketch(Record{Name: "q", Data: []byte("query text matching none of the indexed records at all")})
-	exact, err := SearchTopK(ix, q, 5, 0, nil)
+	exact, err := search(ix, q, ModeExact, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsh, err := SearchTopKLSH(ix, q, 5, 0, nil)
+	lsh, err := search(ix, q, ModeLSH, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,11 @@ func TestLSHFallbackCountsLiveCandidates(t *testing.T) {
 		}
 	}
 	q := eng.Sketcher().Sketch(Record{Name: "query", Data: base})
-	exact, err := SearchTopK(eng.Index(), q, 10, 0, nil)
+	exact, err := search(eng.Index(), q, ModeExact, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsh, err := SearchTopKLSH(eng.Index(), q, 10, 0, nil)
+	lsh, err := search(eng.Index(), q, ModeLSH, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

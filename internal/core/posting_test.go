@@ -282,10 +282,10 @@ func TestPostingTableMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLSHPlantedGolden pins SearchTopKLSH on the planted corpus to the
-// bytes the map-of-slices engine returned (testdata/lsh_planted.golden,
-// written at the commit before the posting table): top-K, order,
-// similarities.
+// TestLSHPlantedGolden pins LSH-mode searches on the planted corpus to
+// the bytes the map-of-slices engine returned
+// (testdata/lsh_planted.golden, written at the commit before the
+// posting table): top-K, order, similarities.
 func TestLSHPlantedGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/lsh_planted.golden")
 	if err != nil {
@@ -297,7 +297,7 @@ func TestLSHPlantedGolden(t *testing.T) {
 		topK   int
 		minSim float64
 	}{{10, 0}, {40, 0.3}, {5, 0.9}} {
-		res, err := SearchTopKLSH(ix, q, c.topK, c.minSim, nil)
+		res, err := search(ix, q, ModeLSH, c.topK, c.minSim, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,11 +462,11 @@ func TestPostingTableConcurrency(t *testing.T) {
 					gone[i] = deleted[i].Load()
 				}
 				q := queries[(n+r)%families]
-				search := SearchTopKLSH
+				mode := ModeLSH
 				if (n+r)%3 == 0 {
-					search = SearchTopK
+					mode = ModeExact
 				}
-				res, err := search(ix, q, 2*members, 0, nil)
+				res, err := search(ix, q, mode, 2*members, 0, nil)
 				if err != nil {
 					t.Errorf("search: %v", err)
 					return
@@ -491,11 +491,11 @@ func TestPostingTableConcurrency(t *testing.T) {
 		t.Fatal("no SaveDir crossed the compaction threshold; the race never exercised a rebuild")
 	}
 	for f, q := range queries {
-		exact, err := SearchTopK(ix, q, members, 0.3, nil)
+		exact, err := search(ix, q, ModeExact, members, 0.3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lsh, err := SearchTopKLSH(ix, q, members, 0.3, nil)
+		lsh, err := search(ix, q, ModeLSH, members, 0.3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -612,7 +612,7 @@ func TestPostingFingerprintMerge(t *testing.T) {
 	if got := probe(ix); !slices.Equal(got, []string{"a"}) {
 		t.Fatalf("delta candidates %v, want a alone: the delta keys by the whole key", got)
 	}
-	want, err := SearchTopK(ix, query, 5, 0.1, nil)
+	want, err := search(ix, query, ModeExact, 5, 0.1, nil)
 	if err != nil || len(want) != 1 {
 		t.Fatalf("exact search: %+v, err %v", want, err)
 	}
@@ -638,7 +638,7 @@ func TestPostingFingerprintMerge(t *testing.T) {
 		if got := probe(ix); !slices.Equal(got, wantCands) {
 			t.Fatalf("%s: sealed candidates %v, want %v", what, got, wantCands)
 		}
-		if got, err := SearchTopKLSH(ix, query, 5, 0.1, nil); err != nil || !slices.Equal(got, wantHits) {
+		if got, err := search(ix, query, ModeLSH, 5, 0.1, nil); err != nil || !slices.Equal(got, wantHits) {
 			t.Fatalf("%s: lsh search %+v, err %v; want %+v", what, got, err, wantHits)
 		}
 	}
@@ -689,11 +689,11 @@ func TestPostingBytesPerRecord(t *testing.T) {
 	}
 	for f := 0; f < families; f += 7 {
 		q := sk.Sketch(Record{Name: "q", Data: familyMember(f, -1)})
-		exact, err := SearchTopK(ix, q, 10, 0.3, nil)
+		exact, err := search(ix, q, ModeExact, 10, 0.3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lsh, err := SearchTopKLSH(ix, q, 10, 0.3, nil); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
+		if lsh, err := search(ix, q, ModeLSH, 10, 0.3, nil); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
 			t.Fatalf("family %d after the reseal: lsh %+v (err %v), exact %+v", f, lsh, err, exact)
 		}
 	}
@@ -863,11 +863,11 @@ func TestPostingResealsFromEmpty(t *testing.T) {
 	}
 	for f := 0; f < families; f++ {
 		q := sk.Sketch(Record{Name: "q", Data: familyMember(f, -1)})
-		exact, err := SearchTopK(ix, q, 10, 0.3, nil)
+		exact, err := search(ix, q, ModeExact, 10, 0.3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lsh, err := SearchTopKLSH(ix, q, 10, 0.3, nil); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
+		if lsh, err := search(ix, q, ModeLSH, 10, 0.3, nil); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
 			t.Fatalf("family %d after the reseal: lsh %+v (err %v), exact %+v", f, lsh, err, exact)
 		}
 	}
@@ -961,7 +961,7 @@ func TestAddRefusedWhenPostingsFull(t *testing.T) {
 		t.Fatalf("a refused add left a trace: %d records, tier %+v -> %+v, wal %+v -> %+v", ix.Len(), before, after, wal, ix.WAL())
 	}
 	q := eng.Sketcher().Sketch(Record{Name: "q", Data: familyMember(0, -1)})
-	if res, err := SearchTopKLSH(ix, q, 30, 0.3, nil); err != nil || len(res) != 21 {
+	if res, err := search(ix, q, ModeLSH, 30, 0.3, nil); err != nil || len(res) != 21 {
 		t.Fatalf("search on a full index: %d results, err %v; want the 21 records", len(res), err)
 	}
 	if err := ix.SyncWAL(ix.WALTicket()); err != nil {

@@ -8,20 +8,20 @@ import (
 	"sync/atomic"
 )
 
-// SearchMode selects how SearchTopK-style queries scan the index.
+// SearchMode selects how Index.Search scans the index.
 type SearchMode string
 
 const (
 	// ModeExact scores the query against every indexed sketch.
 	ModeExact SearchMode = "exact"
 	// ModeLSH probes LSH band buckets for candidates and exact-scores
-	// only those, falling back to a full scan when the candidate set
-	// cannot fill the requested K.
+	// only those, falling back to the rows not probed when the candidate
+	// set cannot fill the requested K.
 	ModeLSH SearchMode = "lsh"
 )
 
-// ParseSearchMode maps a CLI/config string onto a SearchMode. The empty
-// string selects ModeLSH, the default.
+// ParseSearchMode maps a request's or the CLI's mode string onto a
+// SearchMode. The empty string selects ModeLSH, the default.
 func ParseSearchMode(s string) (SearchMode, error) {
 	switch SearchMode(s) {
 	case "":
@@ -36,7 +36,7 @@ func ParseSearchMode(s string) (SearchMode, error) {
 // parallelScoreMinBytes is the arena bytes a scan reads — rows × one
 // packed row — before it fans out one goroutine per shard;
 // smaller scans run inline, which is also what keeps steady-state small
-// searches allocation-free. The break-even is: SearchTopK at minSim 0.3
+// searches allocation-free. The break-even is: an exact search at minSim 0.3
 // over 16 shards of 128-slot rows (64 B each) on 2 vCPUs (Xeon, 2 MiB
 // L2 a core), inline / fanned-out, median of 3 in µs —
 //
@@ -264,8 +264,9 @@ func (b *searchBuf) prepareBandKeys(ix *Index, query *Sketch) {
 // at least one LSH band bucket with the query, and returns how many:
 // every stripe is snapshotted first (row count and generation), then the
 // posting table is read in one pass of len(q.bandKeys) lookups — always
-// inline. Keys made stale by a live Rebucket find nothing: candidates
-// are lost, never wrong, because each one is still exact-scored.
+// inline. With no keys (ModeExact) it only snapshots. Keys made stale by
+// a live Rebucket find nothing: candidates are lost, never wrong,
+// because each one is still exact-scored.
 func probeCandidates(posts *postingTable, shards []*shard, q *packedQuery, scratch []shardScratch) int {
 	for si, sh := range shards {
 		sh.beginProbe(&scratch[si])
@@ -327,88 +328,91 @@ func PairwiseDistances(sketches []*Sketch, pool *Pool) ([]Result, error) {
 	return results, nil
 }
 
-// SearchTopK compares query against every sketch in ix and returns up
-// to topK results with similarity >= minSim, best first. An index
-// record that is the query itself — same name AND same signature — is
-// skipped so self-hits do not crowd out real neighbors. A same-named
-// record with different content (e.g. the file changed after indexing)
-// is still reported. Large corpora fan out one goroutine per shard:
-// each worker sweeps its stripe's packed arena sequentially, keeps a
-// bounded local top-K, and the survivors are merged. Scratch state
-// comes from a pool, so steady-state calls allocate only the returned
-// slice.
+// Query is one search's parameters: the scan mode (empty means
+// ModeLSH), the most results to return, and the similarity floor.
+type Query struct {
+	Mode   SearchMode
+	TopK   int
+	MinSim float64
+}
+
+// Search returns up to q.TopK entries of ix with similarity >= q.MinSim
+// to sk, best first. An index record that is the query itself — same
+// name AND same signature — is skipped so self-hits do not crowd out
+// real neighbors; a same-named record with different content (e.g. the
+// file changed after indexing) is still reported.
+//
+// Every search is one pipeline. Each stripe is snapshotted (row count and
+// generation); in ModeLSH the query's band keys then probe the posting
+// table, and the rows they find are scored first, so cost scales with
+// the number of plausible matches rather than the corpus size. When that
+// cannot fill q.TopK — too few live candidates, a filtered self-hit, a
+// minSim cut, or no keys at all, which is ModeExact — the complement
+// sweep scores every row the probe did not find, so no record is scored
+// twice and small or sparse indexes answer exactly as an exact scan.
+// When the candidates do fill K, completeness is probabilistic: pairs
+// with similarity well above ix.LSHParams().Threshold() are candidates
+// almost surely, pairs well below it are skipped by design.
+//
+// Both passes fan out one goroutine per shard once the rows they cover
+// justify it. The scan loops poll ctx every sweepBlock rows, and the
+// search returns ctx's error instead of a partial result set when it
+// fires; a background context costs nothing extra. Scratch state comes
+// from a pool, so steady-state calls allocate only the returned slice.
+func (ix *Index) Search(ctx context.Context, sk *Sketch, q Query, pool *Pool) ([]Result, error) {
+	mode, err := ParseSearchMode(string(q.Mode))
+	if err != nil {
+		return nil, err
+	}
+	if err := checkSearchArgs(ix, sk, q.TopK, q.MinSim); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	buf := getSearchBuf()
+	defer putSearchBuf(buf)
+	shards := ix.snapshotShards()
+	pq := buf.prepare(sk, q.MinSim, len(shards))
+	pq.cancel = newCanceler(ctx)
+	if mode == ModeLSH {
+		buf.prepareBandKeys(ix, sk)
+	}
+	probed := probeCandidates(ix.posts, shards, pq, buf.scratch)
+	merged := buf.merged
+	if probed > 0 {
+		merged = runScan(buf, shards, pq, q.TopK, pool, probed, (*shard).scoreCandidates)
+	}
+	if len(merged) < q.TopK && !pq.cancel.canceled() {
+		// The complement: every row the candidate pass skipped (each
+		// shard's bitset marks its probed rows). It runs even when there
+		// are as many candidates as live records: the candidates may
+		// include tombstoned rows, whose postings stay until the next
+		// rebuild.
+		merged = runScan(buf, shards, pq, q.TopK, pool, ix.Len()-probed, (*shard).scanRestAppend)
+	}
+	if err := pq.cancel.err(); err != nil {
+		return nil, err
+	}
+	return MergeTopK(merged, q.TopK), nil
+}
+
+// SearchTopK is Index.Search in ModeExact under a background context.
+// It stays only because bench/ compiles against it.
 func SearchTopK(ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
-	return SearchTopKCtx(context.Background(), ix, query, topK, minSim, pool)
+	return ix.Search(context.Background(), query, Query{Mode: ModeExact, TopK: topK, MinSim: minSim}, pool)
 }
 
-// SearchTopKCtx is SearchTopK with cooperative cancellation: the scan
-// loops poll ctx every sweepBlock rows and the search returns ctx's
-// error instead of a partial result set when it fires. A background
-// context costs nothing extra.
+// SearchTopKCtx is Index.Search in ModeExact. It stays only because
+// bench/ compiles against it, as the same type as SearchTopKLSHCtx.
 func SearchTopKCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
-	if err := checkSearchArgs(ix, query, topK, minSim); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	buf := getSearchBuf()
-	defer putSearchBuf(buf)
-	shards := ix.snapshotShards()
-	q := buf.prepare(query, minSim, len(shards))
-	q.cancel = newCanceler(ctx)
-	merged := runScan(buf, shards, q, topK, pool, ix.Len(), (*shard).scanAppend)
-	if err := q.cancel.err(); err != nil {
-		return nil, err
-	}
-	return finishResults(merged, topK), nil
+	return ix.Search(ctx, query, Query{Mode: ModeExact, TopK: topK, MinSim: minSim}, pool)
 }
 
-// SearchTopKLSH is the sub-linear counterpart of SearchTopK: it probes
-// the index's LSH band buckets for candidates and exact-scores only
-// those, so cost scales with the number of plausible matches rather
-// than the corpus size. When the scored candidates cannot fill the
-// requested K — too few live candidates, a filtered self-hit, or a
-// minSim cut — it falls back to scoring the rest of the corpus, so small
-// or sparse indexes behave exactly like exact mode. When it does return a
-// full K, completeness is probabilistic: pairs with similarity well
-// above ix.LSHParams().Threshold() are candidates almost surely, pairs
-// well below it are skipped by design. Candidate scoring and the
-// fallback sweep fan out per shard when the row count justifies it.
-func SearchTopKLSH(ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
-	return SearchTopKLSHCtx(context.Background(), ix, query, topK, minSim, pool)
-}
-
-// SearchTopKLSHCtx is SearchTopKLSH with cooperative cancellation,
-// under the same contract as SearchTopKCtx.
+// SearchTopKLSHCtx is Index.Search in ModeLSH. It stays only because
+// bench/ compiles against it, as the same type as SearchTopKCtx.
 func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
-	if err := checkSearchArgs(ix, query, topK, minSim); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	buf := getSearchBuf()
-	defer putSearchBuf(buf)
-	shards := ix.snapshotShards()
-	q := buf.prepare(query, minSim, len(shards))
-	q.cancel = newCanceler(ctx)
-	buf.prepareBandKeys(ix, query)
-	totalCand := probeCandidates(ix.posts, shards, q, buf.scratch)
-	merged := runScan(buf, shards, q, topK, pool, totalCand, (*shard).scoreCandidates)
-	if len(merged) < topK && !q.cancel.canceled() {
-		// Fallback: score only the records the candidate pass skipped
-		// (each shard's bitset marks its probed rows), so no record is
-		// scored twice and the merged set matches an exact scan. It runs
-		// even when there are as many candidates as live records: the
-		// candidates may include tombstoned rows, whose postings stay
-		// until the next rebuild.
-		merged = runScan(buf, shards, q, topK, pool, ix.Len()-totalCand, (*shard).scanRestAppend)
-	}
-	if err := q.cancel.err(); err != nil {
-		return nil, err
-	}
-	return finishResults(merged, topK), nil
+	return ix.Search(ctx, query, Query{Mode: ModeLSH, TopK: topK, MinSim: minSim}, pool)
 }
 
 // parallelPool decides whether a scan reading scanBytes of arena is
@@ -502,12 +506,6 @@ func MergeTopK(results []Result, topK int) []Result {
 	out := make([]Result, len(results))
 	copy(out, results)
 	return out
-}
-
-// finishResults is the in-process spelling of MergeTopK, kept so the
-// search paths read as before.
-func finishResults(kept []Result, topK int) []Result {
-	return MergeTopK(kept, topK)
 }
 
 // resultBetter reports whether a ranks strictly before b: descending

@@ -1,10 +1,19 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 )
+
+// modes lists every SearchMode, for tests that hold each one alike.
+var modes = []SearchMode{ModeExact, ModeLSH}
+
+// search is Index.Search under a background context.
+func search(ix *Index, q *Sketch, mode SearchMode, topK int, minSim float64, pool *Pool) ([]Result, error) {
+	return ix.Search(context.Background(), q, Query{Mode: mode, TopK: topK, MinSim: minSim}, pool)
+}
 
 // buildTestIndex returns an index of n records where record i shares a
 // progressively smaller prefix with the query payload, so similarity to
@@ -30,7 +39,7 @@ func buildTestIndex(t *testing.T, n int) (*Index, *Sketch) {
 
 func TestSearchTopKOrderingAndBounds(t *testing.T) {
 	ix, q := buildTestIndex(t, 10)
-	results, err := SearchTopK(ix, q, 3, 0, nil)
+	results, err := search(ix, q, ModeExact, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +55,7 @@ func TestSearchTopKOrderingAndBounds(t *testing.T) {
 		t.Fatalf("best match = %q, want rec-00", results[0].Ref)
 	}
 	// topK larger than the index returns everything.
-	all, err := SearchTopK(ix, q, 100, 0, nil)
+	all, err := search(ix, q, ModeExact, 100, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +63,7 @@ func TestSearchTopKOrderingAndBounds(t *testing.T) {
 		t.Fatalf("got %d results, want 10", len(all))
 	}
 	// minSim filters.
-	strict, err := SearchTopK(ix, q, 100, all[0].Similarity, nil)
+	strict, err := search(ix, q, ModeExact, 100, all[0].Similarity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +84,7 @@ func TestSearchTopKSkipsSelf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	results, err := SearchTopK(ix, s.Sketch(Record{Name: "self", Data: data}), 10, 0, nil)
+	results, err := search(ix, s.Sketch(Record{Name: "self", Data: data}), ModeExact, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +94,7 @@ func TestSearchTopKSkipsSelf(t *testing.T) {
 	// A same-named record whose content differs from the query (e.g. the
 	// file changed after indexing) is NOT a self-hit and must be reported.
 	changed := s.Sketch(Record{Name: "self", Data: []byte("edited payload that no longer matches the indexed one")})
-	results, err = SearchTopK(ix, changed, 10, 0, nil)
+	results, err = search(ix, changed, ModeExact, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +105,11 @@ func TestSearchTopKSkipsSelf(t *testing.T) {
 
 func TestSearchTopKValidation(t *testing.T) {
 	ix, q := buildTestIndex(t, 3)
-	if _, err := SearchTopK(ix, q, 0, 0, nil); err == nil {
+	if _, err := search(ix, q, ModeExact, 0, 0, nil); err == nil {
 		t.Fatal("topK=0: want error")
 	}
 	bad := mustSketcher(t, 9, 128).Sketch(Record{Name: "bad", Data: []byte("some query data")})
-	if _, err := SearchTopK(ix, bad, 3, 0, nil); err == nil {
+	if _, err := search(ix, bad, ModeExact, 3, 0, nil); err == nil {
 		t.Fatal("incompatible query: want error")
 	}
 }

@@ -230,17 +230,9 @@ func (sh *shard) arenaBytes() (used, capacity int64) {
 // which a sweep polls for cancellation.
 const sweepBlock = 256
 
-// scanAppend scores q against every record in this stripe, appending
-// the stripe's results to dst (see sweep).
-func (sh *shard) scanAppend(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.sweep(dst, q, topK, sc, false)
-}
-
-// beginProbe snapshots the stripe for an LSH probe: sc's candidate
-// bitset is sized and cleared for the rows the stripe holds now, and the
-// row numbering's generation is noted. The bitset is retained after the
+// beginProbe snapshots the stripe for a search: sc's candidate bitset
+// is sized and cleared for the rows the stripe holds now, and the row
+// numbering's generation is noted. The bitset is retained after the
 // probe so a later scanRestAppend can score exactly the complement.
 func (sh *shard) beginProbe(sc *shardScratch) {
 	sh.mu.RLock()
@@ -273,17 +265,20 @@ func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *sha
 }
 
 // scanRestAppend scores every record NOT marked in sc's candidate
-// bitset — the LSH fallback's complement pass, so no record is scored
-// twice and the merged set matches an exact scan. Records added after
-// the probe (concurrent ingest) sit past the bitset and count as
+// bitset — the complement pass, so no record is scored twice and the
+// merged set matches an exact scan; with no candidates (ModeExact, or
+// a probe that found nothing here) that is every row. Records added
+// after the probe (concurrent ingest) sit past the bitset and count as
 // unprobed.
 func (sh *shard) scanRestAppend(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sc.fullScanned || sc.gen != sh.structGen {
+	if sc.fullScanned || (len(sc.cands) > 0 && sc.gen != sh.structGen) {
 		// The candidate pass already swept every row (stale-generation
-		// fallback), or the bitset no longer describes current row
-		// indexes; either way there is no meaningful complement.
+		// fallback), or a compaction renumbered the rows the bitset
+		// marks, so it no longer names a complement. An empty bitset
+		// marks nothing under any numbering, and nothing of the stripe
+		// was scored yet, so that stripe sweeps whatever its generation.
 		return dst
 	}
 	return sh.sweep(dst, q, topK, sc, true)

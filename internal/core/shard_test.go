@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -84,12 +85,12 @@ func TestShardedConcurrentAddBatchSearch(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := eng.Search(query, 3, 0); err != nil {
+				if _, err := eng.Search(context.Background(), query, Query{TopK: 3}); err != nil {
 					t.Errorf("lsh search: %v", err)
 					return
 				}
 				q := eng.Sketcher().Sketch(query)
-				if _, err := SearchTopK(eng.Index(), q, 3, 0, eng.Pool()); err != nil {
+				if _, err := search(eng.Index(), q, ModeExact, 3, 0, eng.Pool()); err != nil {
 					t.Errorf("exact search: %v", err)
 					return
 				}
@@ -153,7 +154,7 @@ func TestEngineAddBatch(t *testing.T) {
 func TestRebucket(t *testing.T) {
 	ix, q := plantedCorpus(t, 200, 20, 3)
 	pool := NewPool(0)
-	before, err := SearchTopKLSH(ix, q, 10, 0, pool)
+	before, err := search(ix, q, ModeLSH, 10, 0, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestRebucket(t *testing.T) {
 	if meta.Bands != 16 || meta.RowsPerBand != 8 || meta.Shards != shards {
 		t.Fatalf("metadata after Rebucket = %+v", meta)
 	}
-	after, err := SearchTopKLSH(ix, q, 10, 0, pool)
+	after, err := search(ix, q, ModeLSH, 10, 0, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,10 @@ func (c *sweepCorpus) checkSweep(t *testing.T, name string, minSim float64, zero
 		}
 	}
 
-	run("scan", nil, func() []Result { return sh.scanAppend(nil, q, topK, sc) })
+	// Exact: a snapshot with no band keys marks nothing, so the
+	// complement is every row.
+	sh.beginProbe(sc)
+	run("scan", nil, func() []Result { return sh.scanRestAppend(nil, q, topK, sc) })
 
 	// LSH complement: probe, let rows land behind the bitset, then
 	// sweep what the probe did not mark.
@@ -272,8 +275,8 @@ func TestSearchIdenticalAcrossKernels(t *testing.T) {
 			} {
 				for _, minSim := range []float64{0, 0.05, 0.5} {
 					for _, pool := range []*Pool{NewPool(1), NewPool(4)} {
-						for _, search := range []func(*Index, *Sketch, int, float64, *Pool) ([]Result, error){SearchTopK, SearchTopKLSH} {
-							got, err := search(eng.Index(), q, 10, minSim, pool)
+						for _, mode := range modes {
+							got, err := search(eng.Index(), q, mode, 10, minSim, pool)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -358,31 +361,99 @@ func TestSweepCancellation(t *testing.T) {
 			for i := range miss.Signature {
 				miss.Signature[i] = uint64(100 + i%12)
 			}
-			for name, search := range map[string]func(context.Context, *Index, *Sketch, int, float64, *Pool) ([]Result, error){
-				"exact": SearchTopKCtx, "lsh": SearchTopKLSHCtx,
-			} {
+			for _, mode := range modes {
+				q := Query{Mode: mode, TopK: 10}
 				free := &countdownCtx{Context: context.Background(), done: make(chan struct{}), after: math.MaxInt32}
-				res, err := search(free, c.ix, miss, 10, 0, NewPool(1))
+				res, err := c.ix.Search(free, miss, q, NewPool(1))
 				if err != nil || len(res) != 10 {
-					t.Fatalf("%s dir=%v: uncancelled search = %d results, %v", name, dir, len(res), err)
+					t.Fatalf("%s dir=%v: uncancelled search = %d results, %v", mode, dir, len(res), err)
 				}
 				if polls := free.polls.Load(); polls < 9 {
-					t.Fatalf("%s dir=%v: a sweep of 8 blocks polled %d times, want at least 9", name, dir, polls)
+					t.Fatalf("%s dir=%v: a sweep of 8 blocks polled %d times, want at least 9", mode, dir, polls)
 				}
 				before := readTierCounts(c.sh.full.tier)
 				// Polls 1-5 pass (the up-front check and four blocks); the
 				// fifth block's poll fires.
 				ctx := &countdownCtx{Context: context.Background(), done: make(chan struct{}), after: 5}
-				res, err = search(ctx, c.ix, miss, 10, 0, NewPool(1))
+				res, err = c.ix.Search(ctx, miss, q, NewPool(1))
 				if !errors.Is(err, context.Canceled) || res != nil {
-					t.Fatalf("%s dir=%v: cancelled mid-sweep = %d results, err %v; want none, context.Canceled", name, dir, len(res), err)
+					t.Fatalf("%s dir=%v: cancelled mid-sweep = %d results, err %v; want none, context.Canceled", mode, dir, len(res), err)
 				}
 				if readTierCounts(c.sh.full.tier) != before {
-					t.Fatalf("%s: a sweep cancelled half way still went on to rescore", name)
+					t.Fatalf("%s: a sweep cancelled half way still went on to rescore", mode)
 				}
 			}
 		}
 	})
+}
+
+// TestComplementSweepsAcrossCompaction runs a search's two passes by
+// hand with a SaveDir between them, as a snapshot racing a search can:
+// the probe finds no candidate in the stripe, the snapshot compacts it
+// (renumbering its rows), and the complement pass must still sweep it —
+// an empty bitset marks nothing under any numbering. Every row shares
+// one slot a band with the query at most, so no band key matches, and
+// exact mode (no keys at all) takes the same path.
+func TestComplementSweepsAcrossCompaction(t *testing.T) {
+	const slots, rows, topK = 64, 40, 5
+	for _, mode := range modes {
+		ix, err := NewIndexWith("race", 8, slots, LSHParams{Bands: slots / 4, RowsPerBand: 4}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.attachTier(t.TempDir(), 0); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		randSig := func() []uint64 {
+			sig := make([]uint64, slots)
+			for i := range sig {
+				sig[i] = rng.Uint64()
+			}
+			return sig
+		}
+		q := &Sketch{Name: "q", K: 8, Shingles: 9, Signature: randSig()}
+		var live []*Sketch
+		for i := 0; i < rows; i++ {
+			sk := &Sketch{Name: fmt.Sprintf("row-%02d", i), K: 8, Shingles: 9, Signature: randSig()}
+			for j := 0; j < i%16; j++ {
+				sk.Signature[4*j] = q.Signature[4*j] // the first slot of band j
+			}
+			if _, err := ix.Add(sk); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, sk)
+		}
+		for i := 0; i < rows; i += 2 {
+			if ok, err := ix.Delete(live[i].Name); !ok || err != nil {
+				t.Fatalf("delete %s: %v, %v", live[i].Name, ok, err)
+			}
+			live[i] = nil
+		}
+		live = slices.DeleteFunc(live, func(sk *Sketch) bool { return sk == nil })
+
+		buf := getSearchBuf()
+		shards := ix.snapshotShards()
+		pq := buf.prepare(q, 0, len(shards))
+		if mode == ModeLSH {
+			buf.prepareBandKeys(ix, q)
+		}
+		if n := probeCandidates(ix.posts, shards, pq, buf.scratch); n != 0 {
+			t.Fatalf("%s: probe found %d candidates, want none", mode, n)
+		}
+		if err := ix.SaveDir(); err != nil {
+			t.Fatal(err)
+		}
+		if ix.compactions.Load() != 1 {
+			t.Fatalf("%s: SaveDir ran %d compactions, want 1", mode, ix.compactions.Load())
+		}
+		got := MergeTopK(runScan(buf, shards, pq, topK, nil, ix.Len(), (*shard).scanRestAppend), topK)
+		putSearchBuf(buf)
+		if want := bruteTopK(q, live, topK, 0); !slices.Equal(got, want) {
+			t.Fatalf("%s: complement after a compaction = %v, want %v", mode, got, want)
+		}
+		ix.Close()
+	}
 }
 
 // TestSearchRejectsNaNFloor pins the one floor no threshold can stand
@@ -390,10 +461,10 @@ func TestSweepCancellation(t *testing.T) {
 // with each other about it; the search refuses it instead.
 func TestSearchRejectsNaNFloor(t *testing.T) {
 	ix, q := buildTestIndex(t, 3)
-	if _, err := SearchTopK(ix, q, 1, math.NaN(), nil); err == nil {
-		t.Error("SearchTopK accepted a NaN minimum similarity")
+	if _, err := search(ix, q, ModeExact, 1, math.NaN(), nil); err == nil {
+		t.Error("an exact search accepted a NaN minimum similarity")
 	}
-	if _, err := SearchTopKLSH(ix, q, 1, math.NaN(), nil); err == nil {
-		t.Error("SearchTopKLSH accepted a NaN minimum similarity")
+	if _, err := search(ix, q, ModeLSH, 1, math.NaN(), nil); err == nil {
+		t.Error("an LSH search accepted a NaN minimum similarity")
 	}
 }

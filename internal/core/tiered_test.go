@@ -89,11 +89,9 @@ func sketchAll(s *Sketcher, recs []Record) []*Sketch {
 func checkAgainstBrute(t *testing.T, q *Sketch, refs []*Sketch, topK int, minSim float64, ixs ...*Index) {
 	t.Helper()
 	want := bruteTopK(q, refs, topK, minSim)
-	for mode, search := range map[string]func(*Index, *Sketch, int, float64, *Pool) ([]Result, error){
-		"exact": SearchTopK, "lsh": SearchTopKLSH,
-	} {
+	for _, mode := range modes {
 		for _, ix := range ixs {
-			got, err := search(ix, q, topK, minSim, nil)
+			got, err := search(ix, q, mode, topK, minSim, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +165,7 @@ func TestTieredSimilarityIsFullWidth(t *testing.T) {
 		}
 	}
 	q := s.Sketch(Record{Name: "x", Data: data})
-	got, err := SearchTopK(eng.Index(), q, len(sketches), 0, nil)
+	got, err := search(eng.Index(), q, ModeExact, len(sketches), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +201,7 @@ func TestTieredSaveDirOpenRoundTrip(t *testing.T) {
 	}
 	ix := eng.Index()
 	q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 3)})
-	before, err := SearchTopK(ix, q, 10, 0, nil)
+	before, err := search(ix, q, ModeExact, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +226,7 @@ func TestTieredSaveDirOpenRoundTrip(t *testing.T) {
 			t.Fatalf("sketch %q changed across SaveDir/Open", name)
 		}
 	}
-	after, err := SearchTopK(got, q, 10, 0, nil)
+	after, err := search(got, q, ModeExact, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,11 +708,11 @@ func TestSegmentPreadFallback(t *testing.T) {
 		t.Fatalf("fallback path reports %d mapped bytes, want 0", st.MappedBytes)
 	}
 	q := plain.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 5)})
-	want, err := SearchTopK(plain.Index(), q, 10, 0, nil)
+	want, err := search(plain.Index(), q, ModeExact, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SearchTopK(tiered.Index(), q, 10, 0, nil)
+	got, err := search(tiered.Index(), q, ModeExact, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -732,7 +730,7 @@ func TestSegmentPreadFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	got, err = SearchTopK(loaded, q, 10, 0, nil)
+	got, err = search(loaded, q, ModeExact, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -755,7 +753,7 @@ func TestTieredBudgetCapsRescores(t *testing.T) {
 		t.Fatalf("Budget() = %d after SetBudget(2)", ix.Budget())
 	}
 	before := ix.Tier().Rescored
-	if _, err := SearchTopK(ix, q, 10, 0, nil); err != nil {
+	if _, err := search(ix, q, ModeExact, 10, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	delta := ix.Tier().Rescored - before
@@ -766,7 +764,7 @@ func TestTieredBudgetCapsRescores(t *testing.T) {
 
 	ix.SetBudget(0)
 	before = ix.Tier().Rescored
-	if _, err := SearchTopK(ix, q, 600, 0, nil); err != nil {
+	if _, err := search(ix, q, ModeExact, 600, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if delta := ix.Tier().Rescored - before; delta <= maxRescores {
@@ -820,7 +818,7 @@ func TestTieredBudgetRecall(t *testing.T) {
 		hits := 0
 		for f, base := range bases {
 			q := eng.Sketcher().Sketch(Record{Name: fmt.Sprintf("q%d", f), Data: base})
-			got, err := SearchTopK(ix, q, topK, 0, nil)
+			got, err := search(ix, q, ModeExact, topK, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -969,7 +967,7 @@ func BenchmarkTieredSearch(b *testing.B) {
 	pool := NewPool(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SearchTopK(eng.Index(), q, 10, 0.5, pool); err != nil {
+		if _, err := search(eng.Index(), q, ModeExact, 10, 0.5, pool); err != nil {
 			b.Fatal(err)
 		}
 	}

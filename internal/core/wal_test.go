@@ -87,7 +87,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	// Deleted records must not surface in search either: query with a
 	// deleted record's own payload, the strongest possible attractor.
 	q := NewEngineSketch(t, "q", benchData(256, 6)) // rec-5's data, rec-5 deleted
-	res, err := SearchTopK(ix, q, 10, 0, nil)
+	res, err := search(ix, q, ModeExact, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestDeleteSemantics(t *testing.T) {
 		}
 		// The strongest attractor: rec-7's own payload.
 		q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 8)})
-		res, err := SearchTopK(ix, q, 60, 0, nil)
+		res, err := search(ix, q, ModeExact, 60, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,12 +285,11 @@ func TestCompactionEquivalence(t *testing.T) {
 		plain.Sketcher().Sketch(Record{Name: "q2", Data: benchData(256, 12)}),
 		plain.Sketcher().Sketch(Record{Name: "q3", Data: benchData(256, 77777)}),
 	}
-	type search func(*Index, *Sketch, int, float64, *Pool) ([]Result, error)
 	answers := func(ix *Index) (out [][]Result) {
 		t.Helper()
-		for _, fn := range []search{SearchTopK, SearchTopKLSH} {
+		for _, mode := range modes {
 			for _, q := range queries {
-				res, err := fn(ix, q, 20, 0, nil)
+				res, err := search(ix, q, mode, 20, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -423,11 +422,11 @@ func TestLiveRebucketUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := SearchTopKLSH(ix, q, 10, 0, nil); err != nil {
+			if _, err := search(ix, q, ModeLSH, 10, 0, nil); err != nil {
 				t.Errorf("lsh search under rebucket: %v", err)
 				return
 			}
-			if _, err := SearchTopK(ix, q, 10, 0, nil); err != nil {
+			if _, err := search(ix, q, ModeExact, 10, 0, nil); err != nil {
 				t.Errorf("exact search under rebucket: %v", err)
 				return
 			}
@@ -449,7 +448,7 @@ func TestLiveRebucketUnderLoad(t *testing.T) {
 	// The rebucketed index still answers correctly: a live record's own
 	// payload must find it via the rebuilt postings.
 	q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 100)})
-	res, err := SearchTopKLSH(ix, q, 5, 0, nil)
+	res, err := search(ix, q, ModeLSH, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,11 +614,11 @@ func TestOpenSealsWALTail(t *testing.T) {
 	}
 	for i := 40; i < 80; i++ {
 		q := sk.Sketch(Record{Name: "q", Data: benchData(256, int64(i+1))})
-		exact, err := SearchTopK(ix, q, 5, 0.5, nil)
+		exact, err := search(ix, q, ModeExact, 5, 0.5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lsh, err := SearchTopKLSH(ix, q, 5, 0.5, nil)
+		lsh, err := search(ix, q, ModeLSH, 5, 0.5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,9 +45,8 @@ type IngestResponse struct {
 	Results  []bool `json:"results,omitempty"`
 }
 
-// SearchRequest is the body of POST /v1/search. K, MinSimilarity and
-// Mode override the server defaults per request; zero values keep them
-// (K defaults to 10, Mode to the engine's mode).
+// SearchRequest is the body of POST /v1/search. Zero values take the
+// defaults: K 10, MinSimilarity 0 and Mode "lsh", on every node.
 type SearchRequest struct {
 	Name          string  `json:"name"`
 	Data          string  `json:"data"`
@@ -262,13 +261,11 @@ func (q *ReplicateRequest) Check(maxBatch int) (int, string) {
 	return checkBatch("replicate", len(q.Records), maxBatch, func(i int) string { return q.Records[i].Name })
 }
 
-// Check is the search body's rule: a mode that parses (empty keeps the
-// engine's), K defaulted to 10 and not negative.
+// Check is the search body's rule: a mode that parses (empty is
+// "lsh"), K defaulted to 10 and not negative.
 func (q *SearchRequest) Check(int) (int, string) {
-	if q.Mode != "" {
-		if _, err := core.ParseSearchMode(q.Mode); err != nil {
-			return http.StatusBadRequest, err.Error()
-		}
+	if _, err := core.ParseSearchMode(q.Mode); err != nil {
+		return http.StatusBadRequest, err.Error()
 	}
 	if q.K == 0 {
 		q.K = 10
@@ -332,10 +329,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.shell.Decode(w, r, &req) {
 		return
 	}
-	mode := s.eng.Mode()
-	if req.Mode != "" {
-		mode, _ = core.ParseSearchMode(req.Mode) // Check saw it parse
-	}
+	mode, _ := core.ParseSearchMode(req.Mode) // Check saw it parse
 	// Honor a propagated coordinator deadline: the scoring loops poll
 	// the derived context, so an expired budget aborts the scan instead
 	// of computing an answer nobody is waiting for. The caller-gone case
@@ -353,7 +347,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	s.metrics.searches.Add(1)
-	results, err := s.eng.SearchModeCtx(ctx, core.Record{Name: req.Name, Data: []byte(req.Data)}, mode, req.K, req.MinSimilarity)
+	results, err := s.eng.Search(ctx, core.Record{Name: req.Name, Data: []byte(req.Data)},
+		core.Query{Mode: mode, TopK: req.K, MinSim: req.MinSimilarity})
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):

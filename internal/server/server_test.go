@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -119,6 +120,9 @@ func TestIngestSearchRoundTrip(t *testing.T) {
 		}
 		if len(sr.Results) == 0 || sr.Results[0].Ref != "alpha" || sr.Results[0].Rank != 1 {
 			t.Fatalf("search (mode %q) = %+v, want alpha first", mode, sr)
+		}
+		if want := cmp.Or(mode, "lsh"); sr.Mode != want {
+			t.Fatalf("search (mode %q) answered mode %q, want %q", mode, sr.Mode, want)
 		}
 	}
 
