@@ -515,6 +515,94 @@ func TestSaveDirOrderIsLivePermutation(t *testing.T) {
 	}
 }
 
+// TestManifestGolden pins MANIFEST.json byte for byte
+// (testdata/manifest.golden, written at the commit before the per-stripe
+// name table) over a directory that went through adds on every stripe, a
+// delete, a delete + re-add of one name, a compaction, a WAL tail
+// replayed by Open, and names JSON escapes. Timestamps and the version
+// are pinned; everything else is what SaveDir writes.
+func TestManifestGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/manifest.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	eng, err := NewEngine(Options{IndexName: "golden", Shards: 4, Tiered: true, DataDir: dir, SegmentRows: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := eng.Index()
+	add := func(name string, seed int64) {
+		t.Helper()
+		if ok, err := addRecord(eng, Record{Name: name, Data: benchData(256, seed)}); err != nil || !ok {
+			t.Fatalf("add %q = %v, %v", name, ok, err)
+		}
+	}
+	del := func(name string) {
+		t.Helper()
+		if ok, err := ix.Delete(name); err != nil || !ok {
+			t.Fatalf("delete %q = %v, %v", name, ok, err)
+		}
+	}
+	var names []string
+	for i := 0; i < 36; i++ {
+		names = append(names, fmt.Sprintf("f%d-m%d", i/6, i%6))
+	}
+	names = append(names, `a"b`, "<tag>&", "naïve-日本", "x")
+	byShard := make([][]string, 4)
+	for i, n := range names {
+		add(n, int64(i+1))
+		byShard[shardFor(n, 4)] = append(byShard[shardFor(n, 4)], n)
+	}
+	if err := ix.SaveDir(); err != nil {
+		t.Fatal(err)
+	}
+	// Stripe 0 loses half its rows and compacts at the next save; stripe 1
+	// deletes one name and re-adds another under fresh data, staying
+	// under the threshold, so its manifest keeps a dead row whose name a
+	// live row shares.
+	for _, n := range byShard[0][:len(byShard[0])/2] {
+		del(n)
+	}
+	del(byShard[1][0])
+	del(byShard[1][1])
+	add(byShard[1][1], 1000)
+	if err := ix.SaveDir(); err != nil {
+		t.Fatal(err)
+	}
+	// The WAL tail: acked, never snapshotted, replayed by Open.
+	add("tail-0", 2000)
+	add("tail-1", 2001)
+	del(byShard[2][0])
+	if err := ix.SyncWAL(ix.WALTicket()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	if got.tier.walReplayed.Load() != 3 || ix.compactions.Load() != 1 {
+		t.Fatalf("replayed %d WAL frames, compacted %d stripes; want 3 and 1", got.tier.walReplayed.Load(), ix.compactions.Load())
+	}
+	got.meta.Version = "golden"
+	got.meta.CreatedAt = time.Date(2020, 1, 2, 3, 4, 5, 6, time.UTC)
+	got.meta.UpdatedAt = got.meta.CreatedAt.Add(time.Hour)
+	if err := got.SaveDir(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Fatalf("MANIFEST.json differs from the golden file\n got:\n%s\nwant:\n%s", raw, want)
+	}
+}
+
 func editManifest(t testing.TB, good []byte, edit func(*manifest)) []byte {
 	t.Helper()
 	var m manifest
