@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -126,9 +127,11 @@ func (ix *Index) SaveDir() (err error) {
 	}
 	man.Meta.Format = FormatV6
 	for _, sh := range ix.shards {
-		for i, name := range sh.names {
+		names := make([]string, sh.names.len())
+		for i := range names {
+			names[i] = sh.names.name(int32(i))
 			if !sh.rowDead(int32(i)) {
-				man.Order = append(man.Order, name)
+				man.Order = append(man.Order, names[i])
 			}
 		}
 		if err := sh.full.sealHead(); err != nil {
@@ -136,7 +139,7 @@ func (ix *Index) SaveDir() (err error) {
 		}
 		ms := manifestShard{
 			Segments: make([]manifestSegment, 0, len(sh.full.segs)),
-			Names:    slices.Clone(sh.names),
+			Names:    names,
 			Shingles: slices.Clone(sh.shingles),
 			Deleted:  sh.deadRowsLocked(),
 		}
@@ -178,7 +181,7 @@ func (ix *Index) SaveDir() (err error) {
 func (ix *Index) compactLocked() (err error) {
 	moved := false
 	for _, sh := range ix.shards {
-		if n := len(sh.names); n == 0 || float64(sh.deadRows)/float64(n) < DefaultCompactThreshold {
+		if n := sh.names.len(); n == 0 || float64(sh.deadRows)/float64(n) < DefaultCompactThreshold {
 			continue
 		}
 		dropped, cerr := sh.compactLocked(ix.meta.SignatureSize)
@@ -203,9 +206,9 @@ func (sh *shard) deadRowsLocked() []int32 {
 		return nil
 	}
 	out := make([]int32, 0, sh.deadRows)
-	for i := range sh.names {
-		if sh.rowDead(int32(i)) {
-			out = append(out, int32(i))
+	for i := range int32(sh.names.len()) {
+		if sh.rowDead(i) {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -460,11 +463,10 @@ func Open(dir string) (ix *Index, err error) {
 		if len(ms.Names) != rows {
 			return nil, fmt.Errorf("index: manifest shard %d: %d names but segments hold %d rows", si, len(ms.Names), rows)
 		}
-		sh.names = ms.Names
 		sh.shingles = ms.Shingles
 		// Tombstones first: a dead row keeps its arena slot (row indexes
-		// must match the segment layout) but never enters the id map or
-		// the posting table.
+		// must match the segment layout) but never enters the name index
+		// or the posting table.
 		for _, di := range ms.Deleted {
 			if di < 0 || int(di) >= rows {
 				return nil, fmt.Errorf("index: manifest shard %d: deleted row %d out of range [0,%d)", si, di, rows)
@@ -479,6 +481,14 @@ func Open(dir string) (ix *Index, err error) {
 			sh.dead[w] |= 1 << uint(di&63)
 			sh.deadRows++
 		}
+		nameBytes := 0
+		for _, name := range ms.Names {
+			nameBytes += len(name)
+		}
+		if nameBytes > math.MaxUint32 {
+			return nil, fmt.Errorf("index: manifest shard %d: %d bytes of names, more than a stripe holds", si, nameBytes)
+		}
+		sh.names = newNameTable(rows, rows-sh.deadRows, nameBytes)
 		for i, name := range ms.Names {
 			if name == "" {
 				return nil, fmt.Errorf("index: manifest shard %d row %d has an empty name", si, i)
@@ -486,16 +496,15 @@ func Open(dir string) (ix *Index, err error) {
 			if shardFor(name, shards) != si {
 				return nil, fmt.Errorf("index: manifest shard %d row %d: record %q belongs on shard %d", si, i, name, shardFor(name, shards))
 			}
-			if sh.rowDead(int32(i)) {
-				// A dead row may legally share its name with a live one
-				// (delete + re-add), so it skips the duplicate check too.
-				continue
-			}
-			if _, dup := sh.ids[name]; dup {
+			// A dead row may legally share its name with a live one
+			// (delete + re-add), so it skips the duplicate check, and add
+			// leaves it out of the index.
+			if !sh.rowDead(int32(i)) && sh.names.lookup(name, sh.dead) >= 0 {
 				return nil, fmt.Errorf("index: duplicate record name %q", name)
 			}
-			sh.ids[name] = int32(i)
+			sh.names.add(name, sh.dead)
 		}
+		m.Shards[si].Names = nil // the table holds them now
 		// One streaming pass over the full-width rows rebuilds the
 		// packed prefilter (dead rows fill their arena slot too).
 		for _, sg := range sh.full.segs {
@@ -510,7 +519,7 @@ func Open(dir string) (ix *Index, err error) {
 	}
 	ix.meta.RecordCount = 0
 	for _, sh := range ix.shards {
-		ix.meta.RecordCount += len(sh.ids)
+		ix.meta.RecordCount += sh.names.len() - sh.deadRows
 	}
 	// Replay whatever the write-ahead logs hold past this snapshot —
 	// everything acknowledged since the manifest was committed — then

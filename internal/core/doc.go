@@ -58,7 +58,7 @@
 //     the full store, not the arena: keys of the arena's nibbles would
 //     collide 2^4r times as often in a band of r slots.
 //   - Shard-local row order is append order, shared by the arena, the
-//     names/shingles columns, the full store, and the posting
+//     name table and shingle column, the full store, and the posting
 //     table's (shard, row) entries: row i of a shard means the same
 //     record in all of them. Compaction renumbers rows, so it bumps the
 //     shard's generation and rebuilds the table under every shard lock.

@@ -233,8 +233,8 @@ func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) 
 func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
 	nt, live, most := newPostingTable(p, len(shards)), 0, 1
 	for _, sh := range shards {
-		live += len(sh.names) - sh.deadRows
-		most = max(most, len(sh.names))
+		live += sh.names.len() - sh.deadRows
+		most = max(most, sh.names.len())
 	}
 	nt.rowBits = uint(bits.Len(uint(most - 1)))
 	nt.spilled = bits.Len(uint(len(shards)-1))+int(nt.rowBits) > postingBits
@@ -244,7 +244,7 @@ func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
 	}
 	var sc rowScratch
 	for si, sh := range shards {
-		for i := range sh.names {
+		for i := range sh.names.len() {
 			if sh.rowDead(int32(i)) {
 				continue
 			}

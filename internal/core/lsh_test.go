@@ -127,7 +127,7 @@ func probeNames(ix *Index, sig []uint64) map[string]bool {
 	got := map[string]bool{}
 	for si, sh := range ix.shards {
 		for _, idx := range buf.scratch[si].cands {
-			got[sh.names[idx]] = true
+			got[sh.names.name(idx)] = true
 		}
 	}
 	return got

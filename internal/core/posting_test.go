@@ -47,7 +47,7 @@ func refFromLive(ix *Index) *refPostings {
 	r := newRefPostings(ix.lsh, len(ix.shards))
 	var sc rowScratch
 	for si, sh := range ix.shards {
-		for i := range sh.names {
+		for i := range sh.names.len() {
 			if !sh.rowDead(int32(i)) {
 				sig, err := sh.full.row(i, &sc)
 				if err != nil {
@@ -106,7 +106,7 @@ func (m *postingModel) add(sig []uint64) {
 	}
 	si := shardFor(name, len(m.ix.shards))
 	sh := m.ix.shards[si]
-	m.ref.add(si, sh.ids[name], sig)
+	m.ref.add(si, sh.names.lookup(name, sh.dead), sig)
 	m.live = append(m.live, name)
 	m.sigs = append(m.sigs, sig)
 	m.delta = max(m.delta, len(m.ix.posts.slots))
@@ -168,8 +168,8 @@ func (m *postingModel) check(ix *Index, what string) {
 			sum += len(sc.cands)
 			var got []int32
 			for _, row := range sc.cands {
-				if int(row) >= len(sh.names) {
-					m.t.Fatalf("%s %s: query %d shard %d: candidate row %d of %d", m.name, what, qi, si, row, len(sh.names))
+				if int(row) >= sh.names.len() {
+					m.t.Fatalf("%s %s: query %d shard %d: candidate row %d of %d", m.name, what, qi, si, row, sh.names.len())
 				}
 				if !bitSet(sc.candSet, row) {
 					m.t.Fatalf("%s %s: query %d shard %d: candidate row %d not in the bitset", m.name, what, qi, si, row)
@@ -345,7 +345,7 @@ func TestProbeSkipsRowsPastSnapshot(t *testing.T) {
 		t.Fatalf("probe gathered %d candidates (%d in scratch), want the 64 rows of the snapshot", got, len(sc.cands))
 	}
 	for _, row := range sc.cands {
-		if sh.names[row] == "late" {
+		if sh.names.is(row, "late") {
 			t.Fatal("probe named a row appended after its snapshot")
 		}
 	}
@@ -605,7 +605,7 @@ func TestPostingFingerprintMerge(t *testing.T) {
 		probeCandidates(ix.posts, ix.shards, q, buf.scratch)
 		var names []string
 		for _, row := range buf.scratch[0].cands {
-			names = append(names, ix.shards[0].names[row])
+			names = append(names, ix.shards[0].names.name(row))
 		}
 		return names
 	}

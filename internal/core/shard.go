@@ -21,9 +21,8 @@ const DefaultShards = 16
 // index-wide postingTable, filed under this stripe's id.
 type shard struct {
 	mu       sync.RWMutex
-	ids      map[string]int32 // record name -> arena row index; deleted rows are absent
-	names    []string         // arena row index -> record name
-	shingles []int32          // arena row index -> shingle count
+	names    nameTable // arena row index <-> record name
+	shingles []int32   // arena row index -> shingle count
 	arena    *sigArena
 	id       int32         // this stripe's number in the index and the posting table
 	posts    *postingTable // shared by every stripe of the index
@@ -51,7 +50,6 @@ func newShards(n int, posts *postingTable, slots int, tier *tierState) []*shard 
 	shards := make([]*shard, n)
 	for i := range shards {
 		shards[i] = &shard{
-			ids:   make(map[string]int32),
 			arena: newSigArena(slots),
 			id:    int32(i),
 			posts: posts,
@@ -70,18 +68,17 @@ func newShards(n int, posts *postingTable, slots int, tier *tierState) []*shard 
 func (sh *shard) add(s *Sketch) (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, exists := sh.ids[s.Name]; exists {
+	if sh.names.lookup(s.Name, sh.dead) >= 0 {
 		return false, nil
 	}
-	if sh.posts.full() {
+	if sh.posts.full() || !sh.names.fits(s.Name) {
 		return false, ErrIndexFull
 	}
 	if err := sh.full.append(s.Signature); err != nil {
 		return false, err
 	}
 	idx := int32(sh.arena.appendSig(s.Signature))
-	sh.ids[s.Name] = idx
-	sh.names = append(sh.names, s.Name)
+	sh.names.add(s.Name, sh.dead)
 	sh.shingles = append(sh.shingles, int32(s.Shingles))
 	sh.posts.add(sh.id, idx, s.Signature)
 	if w := sh.wal.Load(); w != nil {
@@ -90,18 +87,18 @@ func (sh *shard) add(s *Sketch) (bool, error) {
 	return true, nil
 }
 
-// delete tombstones the record named name: the name leaves the id map
-// (so a later add may reuse it), the row's dead bit is set, and every
-// scan path skips it from now on. The arena row itself is reclaimed by
-// the next compaction. It reports whether a record was deleted.
+// delete tombstones the record named name: the row's dead bit is set, so
+// name lookups pass over it (and a later add may reuse the name) and
+// every scan path skips it from now on. The arena row itself is
+// reclaimed by the next compaction. It reports whether a record was
+// deleted.
 func (sh *shard) delete(name string) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	idx, ok := sh.ids[name]
-	if !ok {
+	idx := sh.names.lookup(name, sh.dead)
+	if idx < 0 {
 		return false
 	}
-	delete(sh.ids, name)
 	w := int(idx) >> 6
 	for len(sh.dead) <= w {
 		sh.dead = append(sh.dead, 0)
@@ -129,7 +126,7 @@ func bitSet(set []uint64, idx int32) bool {
 func (sh *shard) deadCount() (dead, rows int) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.deadRows, len(sh.names)
+	return sh.deadRows, sh.names.len()
 }
 
 // size returns the number of live records in this stripe (tombstoned
@@ -137,7 +134,7 @@ func (sh *shard) deadCount() (dead, rows int) {
 func (sh *shard) size() int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.ids)
+	return sh.names.len() - sh.deadRows
 }
 
 // has reports whether a record named name is present, without
@@ -145,8 +142,7 @@ func (sh *shard) size() int {
 func (sh *shard) has(name string) bool {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, ok := sh.ids[name]
-	return ok
+	return sh.names.lookup(name, sh.dead) >= 0
 }
 
 // getSketch reconstructs the sketch named name from the full store, or
@@ -154,8 +150,8 @@ func (sh *shard) has(name string) bool {
 func (sh *shard) getSketch(name string, k int) *Sketch {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	idx, ok := sh.ids[name]
-	if !ok {
+	idx := sh.names.lookup(name, sh.dead)
+	if idx < 0 {
 		return nil
 	}
 	var sc rowScratch
@@ -172,14 +168,14 @@ func (sh *shard) appendPage(dst []*Sketch, after string, limit, k int) (out []*S
 	defer sh.mu.RUnlock()
 	from := 0
 	if after != "" {
-		idx, ok := sh.ids[after]
-		if !ok {
+		idx := sh.names.lookup(after, sh.dead)
+		if idx < 0 {
 			return dst, false, false
 		}
 		from = int(idx) + 1
 	}
 	var sc rowScratch
-	for i := int32(from); int(i) < len(sh.names); i++ {
+	for i := int32(from); int(i) < sh.names.len(); i++ {
 		if sh.rowDead(i) {
 			continue
 		}
@@ -202,7 +198,7 @@ func (sh *shard) sketchLocked(idx int32, k int, sc *rowScratch) *Sketch {
 		return nil
 	}
 	return &Sketch{
-		Name:      sh.names[idx],
+		Name:      sh.names.name(idx),
 		K:         k,
 		Shingles:  int(sh.shingles[idx]),
 		Signature: slices.Clone(row),
@@ -237,7 +233,7 @@ const sweepBlock = 256
 func (sh *shard) beginProbe(sc *shardScratch) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	sc.resetFor(len(sh.names))
+	sc.resetFor(sh.names.len())
 	sc.gen = sh.structGen
 }
 
@@ -301,7 +297,7 @@ func (sh *shard) scanRestAppend(dst []Result, q *packedQuery, topK int, sc *shar
 // lock.
 func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch, rest bool) []Result {
 	a := sh.arena
-	n := len(sh.names)
+	n := sh.names.len()
 	scanned := n
 	var probed []uint64
 	if rest {
@@ -408,17 +404,17 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, topK int, sc *shard
 			continue
 		}
 		rescored++
-		if sh.names[c.idx] == q.name && slices.Equal(q.full, row) {
+		if sh.names.is(c.idx, q.name) && slices.Equal(q.full, row) {
 			continue
 		}
 		var sim float64
 		if q.slots != 0 && q.shingles != 0 && sh.shingles[c.idx] != 0 {
 			sim = float64(matchingSlots(q.full, row)) / slotsF
 		}
-		if sim < q.minSim {
-			continue
+		if sim < q.minSim || len(dst)-base >= topK && sim < dst[base].Similarity {
+			continue // below the floor, or ranked below the K-th best already held
 		}
-		r := Result{Query: q.name, Ref: sh.names[c.idx], Similarity: sim, Distance: 1 - sim}
+		r := Result{Query: q.name, Ref: sh.names.name(c.idx), Similarity: sim, Distance: 1 - sim}
 		if len(dst)-base < topK {
 			dst = append(dst, r)
 			if len(dst)-base == topK {
@@ -437,7 +433,7 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, topK int, sc *shard
 }
 
 // compactLocked rewrites a directory index's stripe without its
-// tombstoned rows: fresh id map, names, shingles and packed arena, and a
+// tombstoned rows: fresh name table, shingles and packed arena, and a
 // fresh full-width store whose segments are written under new file
 // names (the committed manifest still references the old ones; they are
 // swept after the next manifest commit). Row indexes are reassigned, so
@@ -447,15 +443,20 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, topK int, sc *shard
 // postings still name the old rows: callers hold sh.mu exclusively and
 // rebuild the posting table before releasing it.
 func (sh *shard) compactLocked(slots int) (int, error) {
-	live := len(sh.names) - sh.deadRows
-	ids := make(map[string]int32, live)
-	names := make([]string, 0, live)
+	live, liveBytes := sh.names.len()-sh.deadRows, 0
+	for i := range int32(sh.names.len()) {
+		if !sh.rowDead(i) {
+			s, e := sh.names.span(i)
+			liveBytes += int(e - s)
+		}
+	}
+	names := newNameTable(live, live, liveBytes)
 	shingles := make([]int32, 0, live)
 	arena := newSigArena(slots)
 	full := newFullStore(slots, int(sh.id), sh.full.tier)
 	var rsc rowScratch
 	sig := make([]uint64, 0, slots)
-	for i := range sh.names {
+	for i := range sh.names.len() {
 		if sh.rowDead(int32(i)) {
 			continue
 		}
@@ -468,14 +469,14 @@ func (sh *shard) compactLocked(slots int) (int, error) {
 			full.close()
 			return 0, err
 		}
-		ids[sh.names[i]] = int32(arena.appendSig(sig))
-		names = append(names, sh.names[i])
+		arena.appendSig(sig)
+		names.add(sh.names.name(int32(i)), nil)
 		shingles = append(shingles, sh.shingles[i])
 	}
 	dropped := sh.deadRows
 	sh.full.close()
 	sh.full = full
-	sh.ids, sh.names, sh.shingles, sh.arena = ids, names, shingles, arena
+	sh.names, sh.shingles, sh.arena = names, shingles, arena
 	sh.dead, sh.deadRows = nil, 0
 	sh.structGen++
 	return dropped, nil
@@ -483,14 +484,5 @@ func (sh *shard) compactLocked(slots int) (int, error) {
 
 // shardFor maps a record name onto one of n stripes with FNV-1a.
 func shardFor(name string, n int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
-	}
-	return int(h % uint64(n))
+	return int(fnv1a(name) % uint64(n))
 }

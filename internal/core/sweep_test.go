@@ -93,7 +93,7 @@ func newSweepCorpus(t *testing.T, slots, rows int, dir bool, seed int64) *sweepC
 	c.add(t, "self", 9, c.query.Signature)
 	c.addRandom(t, rows-rows/2-1)
 	for i := 0; i < rows; i += 9 {
-		if name := c.sh.names[i]; name != "self" {
+		if name := c.sh.names.name(int32(i)); name != "self" {
 			if ok, err := ix.Delete(name); err != nil || !ok {
 				t.Fatalf("delete %q: ok=%v err=%v", name, ok, err)
 			}
@@ -113,7 +113,7 @@ func (c *sweepCorpus) perRowReference(query *Sketch, q *packedQuery, topK int, p
 	var sc shardScratch
 	var refs []*Sketch
 	scanned := 0
-	for i := range sh.names {
+	for i := range sh.names.len() {
 		idx := int32(i)
 		if bitSet(probed, idx) {
 			continue
