@@ -70,9 +70,12 @@ smoke:
 
 # The history checker under the race detector: the generated histories
 # of seeds 1-50 plus one rotating seed (internal/cluster/history_test.go).
+# Then searches racing snapshots that compact their stripe every round
+# (TestSearchDuringCompaction in internal/core), three times over.
 # CI runs exactly this; reproduce a failure with `CHAOS_SEED=<n> make chaos`.
 chaos:
 	CHAOS_SEED=$${CHAOS_SEED:-$$RANDOM} $(GO) test -race -count=1 -run 'TestFailureMatrix' -v ./internal/cluster
+	$(GO) test -race -count=3 -run TestSearchDuringCompaction ./internal/core
 
 linkcheck:
 	./scripts/check_links.sh

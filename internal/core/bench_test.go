@@ -437,7 +437,7 @@ func BenchmarkPostingRebuild(b *testing.B) {
 			ix := c.index(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix.posts.rebuild(ix.lsh, ix.shards)
+				ix.posts.rebuild(ix.posts.params, ix.shards)
 			}
 			bytes, _, _, _ := ix.posts.size()
 			b.ReportMetric(float64(bytes)/float64(ix.Len()), "B/rec")

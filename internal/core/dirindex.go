@@ -174,10 +174,10 @@ func (ix *Index) SaveDir() (err error) {
 // were renumbered — also after a stripe failed, so the table never names
 // the old rows of the stripes already done — or if its delta is due for
 // sealing (postingTable.sealDue), so a long-lived ingesting index gets
-// the sealed level's size too. SaveDir is the only caller: holding every
-// shard lock across both steps is what makes a stripe's new generation
-// and its new postings visible together, and what lets rebuild read the
-// stripes unlocked.
+// the sealed level's size too. SaveDir is the only caller: it holds
+// writeMu exclusively, so no search sees a stripe's new row numbers
+// before its new postings, and every shard lock, which lets rebuild read
+// the stripes unlocked.
 func (ix *Index) compactLocked() (err error) {
 	moved := false
 	for _, sh := range ix.shards {
@@ -194,7 +194,7 @@ func (ix *Index) compactLocked() (err error) {
 		ix.compactedRows.Add(uint64(dropped))
 	}
 	if moved || ix.posts.sealDue() {
-		ix.posts.rebuild(ix.lsh, ix.shards)
+		ix.posts.rebuild(ix.posts.params, ix.shards)
 	}
 	return err
 }
@@ -423,7 +423,6 @@ func Open(dir string) (ix *Index, err error) {
 		meta:   meta,
 		shards: newShards(shards, posts, meta.SignatureSize, tier),
 		posts:  posts,
-		lsh:    lsh,
 		tier:   tier,
 	}
 	// Close whatever was opened before any failed return below. The
@@ -626,7 +625,7 @@ func (ix *Index) Tier() *TierStats {
 		Rescored:          tier.rescored.Load(),
 		ReadErrors:        tier.readErrors.Load(),
 	}
-	for _, sh := range ix.snapshotShards() {
+	for _, sh := range ix.shards {
 		segs, mapped, head, arenaUsed := sh.tierBytes()
 		st.Segments += segs
 		st.MappedBytes += mapped

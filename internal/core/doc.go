@@ -60,8 +60,10 @@
 //   - Shard-local row order is append order, shared by the arena, the
 //     name table and shingle column, the full store, and the posting
 //     table's (shard, row) entries: row i of a shard means the same
-//     record in all of them. Compaction renumbers rows, so it bumps the
-//     shard's generation and rebuilds the table under every shard lock.
+//     record in all of them. Compaction renumbers rows (keeping their
+//     order), so it rebuilds the table under every shard lock and
+//     Index.writeMu, which every search holds shared from its snapshot
+//     of the stripes to its last pass.
 //   - The sealed posting level keys buckets by the top 32 bits of the
 //     band key, so a probe may name rows that share no bucket with the
 //     query. Nothing may return a probe candidate unscored.

@@ -49,23 +49,30 @@ type Metadata struct {
 // Index.Search). An index is either purely in memory (NewIndex,
 // NewIndexWith: the full-width rows stay on the heap and nothing
 // persists) or backed by a directory from birth (NewEngine with
-// Options.Tiered, or Open). All methods are safe for concurrent use
-// except Rebucket. Adds are incremental: a sketch whose name is already
-// present is skipped, never overwritten.
+// Options.Tiered, or Open). All methods are safe for concurrent use;
+// searches and writes wait for a Rebucket or SaveDir in progress. Adds
+// are incremental: a sketch whose name is already present is skipped,
+// never overwritten.
 type Index struct {
-	// writeMu serializes structural rebuilds (Rebucket, SaveDir)
-	// against mutations (Add, Delete): mutators hold it shared,
-	// rebuilds exclusively. Queries never touch it. Lock order is
-	// writeMu -> ix.mu -> shard.mu -> the shard WAL's own.
+	// writeMu is held exclusively by the structural rebuilds (SaveDir's
+	// compaction and reseal, Rebucket) and shared by anything that takes
+	// a stripe lock more than once and needs the stripe unchanged in
+	// between: Add and Delete (the insert, then the count) and Search
+	// (the probe, the candidate pass, the complement pass). So searches
+	// wait for Rebucket too; its one production caller, serve's retune,
+	// runs before serve listens, and searches already wait for SaveDir
+	// behind its shard locks. Go's RWMutex is not reentrant: nothing
+	// called under a shared hold may take writeMu again, or a SaveDir
+	// queued in between deadlocks it. Lock order is writeMu -> ix.mu ->
+	// shard.mu -> the posting table's and the shard WAL's own.
 	writeMu sync.RWMutex
 
-	mu     sync.RWMutex // guards meta and gen; the shards slice is fixed at construction
-	meta   Metadata     // meta.RecordCount is the live record count
-	shards []*shard
-	posts  *postingTable // the shards' LSH postings; fixed at construction like shards
-	lsh    LSHParams
-	gen    uint64     // bumped on every successful Add or Delete; see Generation
-	tier   *tierState // the full stores' shared state; fixed at construction
+	mu     sync.RWMutex  // guards meta and gen
+	meta   Metadata      // meta.RecordCount is the live record count
+	shards []*shard      // fixed at construction; read without a lock
+	posts  *postingTable // the shards' LSH postings and banding; fixed at construction like shards
+	gen    uint64        // bumped on every successful Add or Delete; see Generation
+	tier   *tierState    // the full stores' shared state; fixed at construction
 
 	compactions   atomic.Uint64 // compaction passes that dropped rows
 	compactedRows atomic.Uint64 // tombstoned rows reclaimed by compaction
@@ -130,7 +137,6 @@ func newIndex(name string, k, sigSize int, lsh LSHParams, shards int) *Index {
 		},
 		shards: newShards(shards, posts, sigSize, tier),
 		posts:  posts,
-		lsh:    lsh,
 		tier:   tier,
 	}
 }
@@ -185,12 +191,9 @@ func (ix *Index) Add(s *Sketch) (bool, error) {
 	// that is in a shard but not yet counted.
 	ix.writeMu.RLock()
 	defer ix.writeMu.RUnlock()
-	ix.mu.RLock()
-	shards := ix.shards
-	ix.mu.RUnlock()
 	// Same-named adds always land on the same shard, whose lock
 	// serializes the existence check against the insert.
-	added, err := shards[shardFor(s.Name, len(shards))].add(s)
+	added, err := ix.shards[shardFor(s.Name, len(ix.shards))].add(s)
 	if err != nil {
 		return false, fmt.Errorf("index %q: %w", ix.meta.Name, err)
 	}
@@ -219,10 +222,7 @@ func (ix *Index) Delete(name string) (bool, error) {
 	}
 	ix.writeMu.RLock()
 	defer ix.writeMu.RUnlock()
-	ix.mu.RLock()
-	shards := ix.shards
-	ix.mu.RUnlock()
-	if !shards[shardFor(name, len(shards))].delete(name) {
+	if !ix.shards[shardFor(name, len(ix.shards))].delete(name) {
 		return false, nil
 	}
 	ix.mu.Lock()
@@ -270,7 +270,7 @@ func (ix *Index) SyncWAL(ticket uint64) error {
 		ix.sweepEnd = make(chan struct{})
 		ix.sweepMu.Unlock()
 		var first error
-		for _, sh := range ix.snapshotShards() {
+		for _, sh := range ix.shards {
 			if w := sh.wal.Load(); w != nil {
 				if err := w.sync(); err != nil && first == nil {
 					first = err
@@ -294,7 +294,7 @@ func (ix *Index) SyncWAL(ticket uint64) error {
 // Tombstones returns the number of tombstoned (deleted but not yet
 // compacted) arena rows and the total arena row count.
 func (ix *Index) Tombstones() (dead, rows int) {
-	for _, sh := range ix.snapshotShards() {
+	for _, sh := range ix.shards {
 		d, r := sh.deadCount()
 		dead += d
 		rows += r
@@ -336,7 +336,7 @@ func (ix *Index) WAL() *WALStats {
 	}
 	st.FsyncSeconds = float64(st.FsyncNanos) / 1e9
 	attached := false
-	for _, sh := range ix.snapshotShards() {
+	for _, sh := range ix.shards {
 		if w := sh.wal.Load(); w != nil {
 			attached = true
 			frames, bytes := w.Depth()
@@ -364,11 +364,8 @@ func (ix *Index) Generation() uint64 {
 // stripe order. It is an observability aid: a heavily skewed occupancy
 // means one stripe's lock is carrying most of the write traffic.
 func (ix *Index) Occupancy() []int {
-	ix.mu.RLock()
-	shards := ix.shards
-	ix.mu.RUnlock()
-	out := make([]int, len(shards))
-	for i, sh := range shards {
+	out := make([]int, len(ix.shards))
+	for i, sh := range ix.shards {
 		out[i] = sh.size()
 	}
 	return out
@@ -390,7 +387,7 @@ type ArenaStats struct {
 func (ix *Index) Arena() ArenaStats {
 	st := ArenaStats{Bits: prefilterBits}
 	records := 0
-	for _, sh := range ix.snapshotShards() {
+	for _, sh := range ix.shards {
 		used, capacity := sh.arenaBytes()
 		st.SignatureBytes += used
 		st.CapacityBytes += capacity
@@ -414,20 +411,13 @@ func (ix *Index) ScanKernel() string {
 // Has reports whether a record named name is indexed, without
 // reconstructing its sketch.
 func (ix *Index) Has(name string) bool {
-	ix.mu.RLock()
-	shards := ix.shards
-	ix.mu.RUnlock()
-	return shards[shardFor(name, len(shards))].has(name)
+	return ix.shards[shardFor(name, len(ix.shards))].has(name)
 }
 
 // Get reconstructs the sketch named name, full width, from its shard's
 // full store, or returns nil if absent (or if its row fails to read).
 func (ix *Index) Get(name string) *Sketch {
-	ix.mu.RLock()
-	shards := ix.shards
-	k := ix.meta.K
-	ix.mu.RUnlock()
-	return shards[shardFor(name, len(shards))].getSketch(name, k)
+	return ix.shards[shardFor(name, len(ix.shards))].getSketch(name, ix.meta.K)
 }
 
 // Len returns the number of indexed records.
@@ -444,36 +434,21 @@ func (ix *Index) Metadata() Metadata {
 	return ix.meta
 }
 
-// LSHParams returns the index's banding scheme.
+// LSHParams returns the index's banding scheme: the posting table's.
 func (ix *Index) LSHParams() LSHParams {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.lsh
+	ix.posts.mu.RLock()
+	defer ix.posts.mu.RUnlock()
+	return ix.posts.params
 }
 
 // ShardCount returns the number of lock stripes.
-func (ix *Index) ShardCount() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.shards)
-}
-
-// snapshotShards returns the shard slice for query fan-out. The slice
-// is fixed at construction, so holding it without ix.mu is safe.
-func (ix *Index) snapshotShards() []*shard {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.shards
-}
+func (ix *Index) ShardCount() int { return len(ix.shards) }
 
 // Rebucket retunes the LSH banding scheme without re-sketching. It is
-// safe on a live index: writers (Add, Delete) are briefly blocked on
-// writeMu, but queries keep running throughout. Only the posting table
-// is rebuilt (off to the side, then swapped in), so row numbering,
-// full-width stores, and WALs all carry over. Queries that overlap the
-// rebuild may transiently probe with stale band keys — they lose
-// candidates, never gain wrong results, because every candidate is
-// still exact-scored.
+// safe on a live index: writers and searches wait on writeMu while it
+// runs. Only the posting table is rebuilt (off to the side, then
+// swapped in), so row numbering, full-width stores, and WALs all carry
+// over.
 //
 // The shard count is fixed at creation: on-disk segments are laid out
 // by shard-local row order, and changing the stripe count would
@@ -482,22 +457,17 @@ func (ix *Index) snapshotShards() []*shard {
 func (ix *Index) Rebucket(lsh LSHParams, shards int) error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	ix.mu.RLock()
-	cur := ix.shards
-	sigSize := ix.meta.SignatureSize
 	name := ix.meta.Name
-	ix.mu.RUnlock()
-	if _, err := NewLSHParams(lsh.Bands, lsh.RowsPerBand, sigSize); err != nil {
+	if _, err := NewLSHParams(lsh.Bands, lsh.RowsPerBand, ix.meta.SignatureSize); err != nil {
 		return fmt.Errorf("index %q: rebucket: %w", name, err)
 	}
-	if shards != len(cur) {
+	if shards != len(ix.shards) {
 		return fmt.Errorf("index %q: rebucket: cannot change the shard count (%d -> %d): it is fixed at creation, on-disk segments are per-shard",
-			name, len(cur), shards)
+			name, len(ix.shards), shards)
 	}
 	// Tombstoned rows drop out of the new postings for free.
-	ix.posts.rebuild(lsh, cur)
+	ix.posts.rebuild(lsh, ix.shards)
 	ix.mu.Lock()
-	ix.lsh = lsh
 	ix.meta.Bands = lsh.Bands
 	ix.meta.RowsPerBand = lsh.RowsPerBand
 	ix.mu.Unlock()

@@ -28,16 +28,13 @@ func (ix *Index) Records(after string, limit int) ([]*Sketch, string, error) {
 	if limit <= 0 {
 		limit = DefaultPageSize
 	}
-	ix.mu.RLock()
-	shards, k, live := ix.shards, ix.meta.K, ix.meta.RecordCount
-	ix.mu.RUnlock()
 	si := 0
 	if after != "" {
-		si = shardFor(after, len(shards))
+		si = shardFor(after, len(ix.shards))
 	}
-	out := make([]*Sketch, 0, min(limit, live))
-	for ; si < len(shards); si, after = si+1, "" {
-		page, more, found := shards[si].appendPage(out, after, limit, k)
+	out := make([]*Sketch, 0, min(limit, ix.Len()))
+	for ; si < len(ix.shards); si, after = si+1, "" {
+		page, more, found := ix.shards[si].appendPage(out, after, limit, ix.meta.K)
 		if !found {
 			return nil, "", fmt.Errorf("index %q: %w: %q", ix.meta.Name, ErrCursorGone, after)
 		}

@@ -87,8 +87,8 @@ func (p LSHParams) bandKey(band int, sig []uint64) uint64 {
 // ever added — a tombstoned row keeps its (every scoring path skips dead
 // rows) — until rebuild starts over.
 //
-// mu guards every field, though add reads params before taking it (see
-// add): shard.add inserts while holding its shard lock (order: shard,
+// mu guards every field, though add and SaveDir's reseal read params
+// without it, under Index.writeMu (see add): shard.add inserts while holding its shard lock (order: shard,
 // then table), probe takes mu alone.
 type postingTable struct {
 	mu      sync.RWMutex
@@ -196,7 +196,7 @@ func (t *postingTable) add(shard, row int32, sig []uint64) {
 // to its shard's scratch (sized by the shard's beginProbe), deduped
 // through the candidate bitset; it returns the number of candidates
 // gathered. A posting for a row appended after the scratch's snapshot is
-// skipped and counts as unprobed, as scanRestAppend's complement expects.
+// skipped and counts as unprobed, as the sweep's complement expects.
 func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -227,9 +227,9 @@ func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) 
 // are hashed from each row's full-width signature (a heap or mmap'd
 // slice); a row the store cannot read files nowhere and counts as a read
 // error, as a search skips it. Callers exclude every add, delete,
-// compaction and snapshot meanwhile — Index.writeMu held exclusively, or
-// an index nobody else sees yet — so shard state is read unlocked;
-// searches probe the old contents until the swap.
+// search, compaction and snapshot meanwhile — Index.writeMu held
+// exclusively, or an index nobody else sees yet — so shard state is read
+// unlocked.
 func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
 	nt, live, most := newPostingTable(p, len(shards)), 0, 1
 	for _, sh := range shards {

@@ -324,7 +324,7 @@ func TestBandKeyMaskContract(t *testing.T) {
 		tol := 5*math.Sqrt(mean*(1-perRow)) + 1
 		for _, level := range []string{"delta", "sealed"} {
 			if level == "sealed" {
-				ix.posts.rebuild(ix.lsh, ix.shards)
+				ix.posts.rebuild(ix.posts.params, ix.shards)
 			}
 			buf := getSearchBuf()
 			total := 0

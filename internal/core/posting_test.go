@@ -44,7 +44,7 @@ func (r *refPostings) add(shard int, row int32, sig []uint64) {
 // refFromLive is what the old code did on Rebucket and on compaction:
 // new maps from every live row.
 func refFromLive(ix *Index) *refPostings {
-	r := newRefPostings(ix.lsh, len(ix.shards))
+	r := newRefPostings(ix.LSHParams(), len(ix.shards))
 	var sc rowScratch
 	for si, sh := range ix.shards {
 		for i := range sh.names.len() {
@@ -135,15 +135,6 @@ func (m *postingModel) addTwin(what string) int {
 		return 1
 	}
 	return 0
-}
-
-// gens returns every stripe's row-numbering generation.
-func (m *postingModel) gens() []uint64 {
-	out := make([]uint64, len(m.ix.shards))
-	for si, sh := range m.ix.shards {
-		out[si] = sh.structGen
-	}
-	return out
 }
 
 // check probes ix with every signature in the pool and a few fresh ones
@@ -237,11 +228,11 @@ func TestPostingTableMatchesReference(t *testing.T) {
 				case r < 88:
 					m.delete()
 				case r < 92 && tiered: // snapshot, compacting the stripes past the threshold
-					before := m.gens()
+					before := ix.compactions.Load()
 					if err := ix.SaveDir(); err != nil {
 						t.Fatalf("%s: save dir: %v", m.name, err)
 					}
-					if !slices.Equal(before, m.gens()) {
+					if ix.compactions.Load() != before {
 						compactions++
 						m.ref = refFromLive(ix)
 					}
@@ -352,7 +343,7 @@ func TestProbeSkipsRowsPastSnapshot(t *testing.T) {
 	if res := sh.scoreCandidates(nil, q, 100, sc); len(res) != 64 {
 		t.Fatalf("candidate pass returned %d results, want 64", len(res))
 	}
-	rest := sh.scanRestAppend(nil, q, 100, sc)
+	rest := sh.sweep(nil, q, 100, sc)
 	if len(rest) != 1 || rest[0].Ref != "late" {
 		t.Fatalf("complement sweep = %+v, want the late row alone", rest)
 	}

@@ -166,14 +166,6 @@ type shardScratch struct {
 	results []Result
 	scored  []scoredCand
 	rsc     rowScratch
-
-	// gen is the shard's structGen at probe time; a mismatch at scoring
-	// time means a compaction reassigned row indexes in between, and the
-	// captured candidates must not be trusted. fullScanned records that
-	// the scoring pass already swept every row (the stale-generation
-	// fallback), so the complement pass has nothing left to do.
-	gen         uint64
-	fullScanned bool
 }
 
 // offer files row as a probe candidate unless it was appended after the
@@ -198,7 +190,6 @@ func (sc *shardScratch) resetFor(n int) {
 		clear(sc.candSet)
 	}
 	sc.cands = sc.cands[:0]
-	sc.fullScanned = false
 }
 
 // searchBuf holds the scratch state of one top-K search: the packed
@@ -262,11 +253,9 @@ func (b *searchBuf) prepareBandKeys(ix *Index, query *Sketch) {
 
 // probeCandidates gathers, into each shard's scratch, the rows sharing
 // at least one LSH band bucket with the query, and returns how many:
-// every stripe is snapshotted first (row count and generation), then the
-// posting table is read in one pass of len(q.bandKeys) lookups — always
-// inline. With no keys (ModeExact) it only snapshots. Keys made stale by
-// a live Rebucket find nothing: candidates are lost, never wrong,
-// because each one is still exact-scored.
+// every stripe's row count is snapshotted first, then the posting table
+// is read in one pass of len(q.bandKeys) lookups — always inline. With
+// no keys (ModeExact) it only snapshots.
 func probeCandidates(posts *postingTable, shards []*shard, q *packedQuery, scratch []shardScratch) int {
 	for si, sh := range shards {
 		sh.beginProbe(&scratch[si])
@@ -342,10 +331,10 @@ type Query struct {
 // real neighbors; a same-named record with different content (e.g. the
 // file changed after indexing) is still reported.
 //
-// Every search is one pipeline. Each stripe is snapshotted (row count and
-// generation); in ModeLSH the query's band keys then probe the posting
-// table, and the rows they find are scored first, so cost scales with
-// the number of plausible matches rather than the corpus size. When that
+// Every search is one pipeline. Each stripe's row count is snapshotted;
+// in ModeLSH the query's band keys then probe the posting table, and the
+// rows they find are scored first, so cost scales with the number of
+// plausible matches rather than the corpus size. When that
 // cannot fill q.TopK — too few live candidates, a filtered self-hit, a
 // minSim cut, or no keys at all, which is ModeExact — the complement
 // sweep scores every row the probe did not find, so no record is scored
@@ -354,7 +343,10 @@ type Query struct {
 // with similarity well above ix.LSHParams().Threshold() are candidates
 // almost surely, pairs well below it are skipped by design.
 //
-// Both passes fan out one goroutine per shard once the rows they cover
+// The search holds ix.writeMu shared from the snapshot to the last pass,
+// so no compaction, reseal or Rebucket renumbers a stripe or swaps its
+// postings in between; adds and deletes still land meanwhile. Both
+// passes fan out one goroutine per shard once the rows they cover
 // justify it. The scan loops poll ctx every sweepBlock rows, and the
 // search returns ctx's error instead of a partial result set when it
 // fires; a background context costs nothing extra. Scratch state comes
@@ -370,9 +362,11 @@ func (ix *Index) Search(ctx context.Context, sk *Sketch, q Query, pool *Pool) ([
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	ix.writeMu.RLock()
+	defer ix.writeMu.RUnlock()
 	buf := getSearchBuf()
 	defer putSearchBuf(buf)
-	shards := ix.snapshotShards()
+	shards := ix.shards
 	pq := buf.prepare(sk, q.MinSim, len(shards))
 	pq.cancel = newCanceler(ctx)
 	if mode == ModeLSH {
@@ -389,7 +383,7 @@ func (ix *Index) Search(ctx context.Context, sk *Sketch, q Query, pool *Pool) ([
 		// are as many candidates as live records: the candidates may
 		// include tombstoned rows, whose postings stay until the next
 		// rebuild.
-		merged = runScan(buf, shards, pq, q.TopK, pool, ix.Len()-probed, (*shard).scanRestAppend)
+		merged = runScan(buf, shards, pq, q.TopK, pool, ix.Len()-probed, (*shard).sweep)
 	}
 	if err := pq.cancel.err(); err != nil {
 		return nil, err

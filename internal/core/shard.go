@@ -33,10 +33,6 @@ type shard struct {
 	// compaction rewrites the stripe without it.
 	dead     []uint64 // bitset over arena rows; 1 = tombstoned
 	deadRows int
-	// structGen bumps whenever row indexes are reassigned (compaction).
-	// Queries that captured candidate indexes under an older generation
-	// detect the mismatch and rescan instead of scoring stale rows.
-	structGen uint64
 
 	// wal is the shard's write-ahead log, attached once the index
 	// directory has a committed manifest (SaveDir/Open) and nil
@@ -227,29 +223,22 @@ func (sh *shard) arenaBytes() (used, capacity int64) {
 const sweepBlock = 256
 
 // beginProbe snapshots the stripe for a search: sc's candidate bitset
-// is sized and cleared for the rows the stripe holds now, and the row
-// numbering's generation is noted. The bitset is retained after the
-// probe so a later scanRestAppend can score exactly the complement.
+// is sized and cleared for the rows the stripe holds now. The bitset is
+// retained after the probe so a later sweep can score exactly the
+// complement; the search holds Index.writeMu shared throughout, so no
+// compaction renumbers the rows it marks in between.
 func (sh *shard) beginProbe(sc *shardScratch) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	sc.resetFor(sh.names.len())
-	sc.gen = sh.structGen
 }
 
 // scoreCandidates scores the rows the probe routed to this stripe, one
 // scattered row at a time, through the same prefilter→rescore pipeline
-// as a sweep. If a compaction reassigned row indexes since the probe
-// (structGen moved), the captured candidates are stale; the shard falls
-// back to sweeping every row so the query still sees a consistent
-// stripe.
+// as a sweep.
 func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sc.gen != sh.structGen {
-		sc.fullScanned = true
-		return sh.sweep(dst, q, topK, sc, false)
-	}
 	sc.scored = sc.scored[:0]
 	for i, idx := range sc.cands {
 		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
@@ -260,49 +249,30 @@ func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *sha
 	return sh.tieredRescore(dst, q, topK, sc, len(sc.cands))
 }
 
-// scanRestAppend scores every record NOT marked in sc's candidate
-// bitset — the complement pass, so no record is scored twice and the
-// merged set matches an exact scan; with no candidates (ModeExact, or
-// a probe that found nothing here) that is every row. Records added
-// after the probe (concurrent ingest) sit past the bitset and count as
-// unprobed.
-func (sh *shard) scanRestAppend(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sc.fullScanned || (len(sc.cands) > 0 && sc.gen != sh.structGen) {
-		// The candidate pass already swept every row (stale-generation
-		// fallback), or a compaction renumbered the rows the bitset
-		// marks, so it no longer names a complement. An empty bitset
-		// marks nothing under any numbering, and nothing of the stripe
-		// was scored yet, so that stripe sweeps whatever its generation.
-		return dst
-	}
-	return sh.sweep(dst, q, topK, sc, true)
-}
-
-// sweep is the one full-stripe scan loop: it walks the packed arena in
-// blocks of sweepBlock contiguous rows, and the scan kernel
-// (matchSurvivors) hands back only the rows whose nibble count reaches
-// the query's integer threshold, each with that count. Those few rows
-// are then checked against the tombstone bitset, the LSH probe's bitset
-// (rest: skip the rows the candidate pass already scored) and the
-// zero-shingle rule, and emitted into sc.scored with their counts as
-// rescore bounds; the full-width rescore appends at most topK results
-// (the per-shard top-K contains the shard's share of any global top-K,
-// which is what runScan's merge needs).
+// sweep is the one full-stripe scan loop, a search's complement pass:
+// it scores every row NOT marked in sc's candidate bitset, so no record
+// is scored twice and the merged set matches an exact scan; with no
+// candidates (ModeExact, or a probe that found nothing here) that is
+// every row. Records added after the probe (concurrent ingest) sit past
+// the bitset and count as unprobed.
+//
+// It walks the packed arena in blocks of sweepBlock contiguous rows, and
+// the scan kernel (matchSurvivors) hands back only the rows whose nibble
+// count reaches the query's integer threshold, each with that count.
+// Those few rows are then checked against the tombstone bitset, the
+// probe's bitset and the zero-shingle rule, and emitted into sc.scored
+// with their counts as rescore bounds; the full-width rescore appends at
+// most topK results (the per-shard top-K contains the shard's share of
+// any global top-K, which is what runScan's merge needs).
 //
 // The kernel counts a row's padding lanes as equal (they are zero on
 // both sides), so `pad` comes off every count here, once; every count is
-// at least pad, so a floor of 0 keeps every row. Callers hold the shard
-// lock.
-func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch, rest bool) []Result {
+// at least pad, so a floor of 0 keeps every row.
+func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	a := sh.arena
 	n := sh.names.len()
-	scanned := n
-	var probed []uint64
-	if rest {
-		probed, scanned = sc.candSet, n-len(sc.cands)
-	}
 	sc.scored = sc.scored[:0]
 
 	pad := a.words*lanesPerWord - q.slots
@@ -315,7 +285,7 @@ func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch,
 		k := matchSurvivors(surv[:bn], a.block(base, bn), q.packed, q.minMatched+pad)
 		for _, s := range surv[:k] {
 			idx := int32(base) + int32(s.off)
-			if bitSet(sh.dead, idx) || bitSet(probed, idx) {
+			if bitSet(sh.dead, idx) || bitSet(sc.candSet, idx) {
 				continue
 			}
 			m := 0
@@ -328,7 +298,7 @@ func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch,
 			sc.scored = append(sc.scored, scoredCand{idx: idx, matched: int32(m)})
 		}
 	}
-	return sh.tieredRescore(dst, q, topK, sc, scanned)
+	return sh.tieredRescore(dst, q, topK, sc, n-len(sc.cands))
 }
 
 // prefilterRow packed-scores one arena row — an LSH candidate, whose
@@ -436,10 +406,10 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, topK int, sc *shard
 // tombstoned rows: fresh name table, shingles and packed arena, and a
 // fresh full-width store whose segments are written under new file
 // names (the committed manifest still references the old ones; they are
-// swept after the next manifest commit). Row indexes are reassigned, so
-// structGen is bumped; in-flight queries that captured candidates under
-// the old generation rescan instead. On any error the shard is left
-// untouched. It returns the number of rows dropped. The stripe's
+// swept after the next manifest commit). Row indexes are reassigned, in
+// order; no search is in flight to see it, because SaveDir holds
+// Index.writeMu exclusively and every search holds it shared. On any
+// error the shard is left untouched. It returns the number of rows dropped. The stripe's
 // postings still name the old rows: callers hold sh.mu exclusively and
 // rebuild the posting table before releasing it.
 func (sh *shard) compactLocked(slots int) (int, error) {
@@ -478,7 +448,6 @@ func (sh *shard) compactLocked(slots int) (int, error) {
 	sh.full = full
 	sh.names, sh.shingles, sh.arena = names, shingles, arena
 	sh.dead, sh.deadRows = nil, 0
-	sh.structGen++
 	return dropped, nil
 }
 

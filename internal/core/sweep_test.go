@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // sweepCorpus is one random single-shard index for the sweep property
@@ -164,10 +165,9 @@ func TestSweepMatchesPerRowPath(t *testing.T) {
 	})
 }
 
-// checkSweep compares the three sweep entry points against the per-row
-// reference for one query: the exact scan, the LSH complement scan
-// (after a probe, with rows appended behind the probe's bitset), and
-// the stale-generation fallback of scoreCandidates.
+// checkSweep compares the sweep against the per-row reference for one
+// query, twice: as the exact scan, and as the LSH complement scan (after
+// a probe, with rows appended behind the probe's bitset).
 func (c *sweepCorpus) checkSweep(t *testing.T, name string, minSim float64, zeroQuery bool) {
 	t.Helper()
 	query := *c.query
@@ -211,25 +211,13 @@ func (c *sweepCorpus) checkSweep(t *testing.T, name string, minSim float64, zero
 	// Exact: a snapshot with no band keys marks nothing, so the
 	// complement is every row.
 	sh.beginProbe(sc)
-	run("scan", nil, func() []Result { return sh.scanRestAppend(nil, q, topK, sc) })
+	run("scan", nil, func() []Result { return sh.sweep(nil, q, topK, sc) })
 
 	// LSH complement: probe, let rows land behind the bitset, then
 	// sweep what the probe did not mark.
 	probeCandidates(c.ix.posts, c.ix.shards, q, buf.scratch)
 	c.addRandom(t, 3)
-	run("rest", slices.Clone(sc.candSet), func() []Result { return sh.scanRestAppend(nil, q, topK, sc) })
-
-	// Stale generation: candidates captured before a compaction are
-	// dropped and the candidate pass sweeps every row, once.
-	probeCandidates(c.ix.posts, c.ix.shards, q, buf.scratch)
-	sc.gen--
-	run("stale", nil, func() []Result { return sh.scoreCandidates(nil, q, topK, sc) })
-	if !sc.fullScanned {
-		t.Fatalf("%s: stale-generation fallback did not record its full scan", name)
-	}
-	if rest := sh.scanRestAppend(nil, q, topK, sc); len(rest) != 0 {
-		t.Fatalf("%s: complement pass after a full fallback scan returned %d rows", name, len(rest))
-	}
+	run("rest", slices.Clone(sc.candSet), func() []Result { return sh.sweep(nil, q, topK, sc) })
 }
 
 type tierCounts struct{ scanned, survived uint64 }
@@ -387,73 +375,113 @@ func TestSweepCancellation(t *testing.T) {
 	})
 }
 
-// TestComplementSweepsAcrossCompaction runs a search's two passes by
-// hand with a SaveDir between them, as a snapshot racing a search can:
-// the probe finds no candidate in the stripe, the snapshot compacts it
-// (renumbering its rows), and the complement pass must still sweep it —
-// an empty bitset marks nothing under any numbering. Every row shares
-// one slot a band with the query at most, so no band key matches, and
-// exact mode (no keys at all) takes the same path.
-func TestComplementSweepsAcrossCompaction(t *testing.T) {
-	const slots, rows, topK = 64, 40, 5
-	for _, mode := range modes {
-		ix, err := NewIndexWith("race", 8, slots, LSHParams{Bands: slots / 4, RowsPerBand: 4}, 1)
-		if err != nil {
+// TestSearchDuringCompaction races searches against snapshots that
+// compact the stripe every round, renumbering its rows. Of 40 rows
+// sharing 1–8 slots with the query, 3 share a whole band, so an LSH
+// search finds 3 candidates and must sweep the complement for the other
+// 17 of its 20; an exact search has no candidates and sweeps everything.
+// A writer meanwhile adds 20 junk rows, deletes them and calls SaveDir,
+// so every round compacts. Every answer must equal the brute-force one:
+// a compaction landing between the candidate pass and the complement
+// pass would otherwise cost the search that stripe's complement.
+func TestSearchDuringCompaction(t *testing.T) {
+	const slots, rows, topK, minSim = 64, 40, 20, 0.01
+	const maxCompactions = 300
+	ix, err := NewIndexWith("race", 8, slots, LSHParams{Bands: slots / 4, RowsPerBand: 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.attachTier(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	rng := rand.New(rand.NewSource(1))
+	randSig := func(rng *rand.Rand) []uint64 {
+		sig := make([]uint64, slots)
+		for i := range sig {
+			sig[i] = rng.Uint64()
+		}
+		return sig
+	}
+	q := &Sketch{Name: "q", K: 8, Shingles: 9, Signature: randSig(rng)}
+	var live []*Sketch
+	for i := range rows {
+		sk := &Sketch{Name: fmt.Sprintf("row-%02d", i), K: 8, Shingles: 9, Signature: randSig(rng)}
+		for j := range i%8 + 1 {
+			sk.Signature[4*j] = q.Signature[4*j] // the first slot of band j
+		}
+		if i < 3 {
+			copy(sk.Signature[slots-4:], q.Signature[slots-4:]) // the whole last band
+		}
+		if _, err := ix.Add(sk); err != nil {
 			t.Fatal(err)
 		}
-		if err := ix.attachTier(t.TempDir(), 0); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(1))
-		randSig := func() []uint64 {
-			sig := make([]uint64, slots)
-			for i := range sig {
-				sig[i] = rng.Uint64()
+		live = append(live, sk)
+	}
+	want := bruteTopK(q, live, topK, minSim)
+	if len(want) != topK {
+		t.Fatalf("brute force found %d rows above the floor, want %d", len(want), topK)
+	}
+	buf := getSearchBuf()
+	pq := buf.prepare(q, minSim, 1)
+	buf.prepareBandKeys(ix, q)
+	if n := probeCandidates(ix.posts, ix.shards, pq, buf.scratch); n != 3 {
+		t.Fatalf("probe found %d candidates, want the 3 rows sharing a band", n)
+	}
+	putSearchBuf(buf)
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(2))
+		for round := 0; ; round++ {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-			return sig
-		}
-		q := &Sketch{Name: "q", K: 8, Shingles: 9, Signature: randSig()}
-		var live []*Sketch
-		for i := 0; i < rows; i++ {
-			sk := &Sketch{Name: fmt.Sprintf("row-%02d", i), K: 8, Shingles: 9, Signature: randSig()}
-			for j := 0; j < i%16; j++ {
-				sk.Signature[4*j] = q.Signature[4*j] // the first slot of band j
+			names := make([]string, 20)
+			for i := range names {
+				names[i] = fmt.Sprintf("junk-%d-%d", round, i)
+				if _, err := ix.Add(&Sketch{Name: names[i], K: 8, Shingles: 9, Signature: randSig(rng)}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-			if _, err := ix.Add(sk); err != nil {
+			for _, name := range names {
+				if ok, err := ix.Delete(name); !ok || err != nil {
+					t.Errorf("delete %s: %v, %v", name, ok, err)
+					return
+				}
+			}
+			if err := ix.SaveDir(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	deadline := time.Now().Add(2 * time.Second)
+	searches := 0
+	for ix.compactions.Load() < maxCompactions && time.Now().Before(deadline) && !t.Failed() {
+		for _, mode := range modes {
+			searches++
+			got, err := search(ix, q, mode, topK, minSim, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			live = append(live, sk)
-		}
-		for i := 0; i < rows; i += 2 {
-			if ok, err := ix.Delete(live[i].Name); !ok || err != nil {
-				t.Fatalf("delete %s: %v, %v", live[i].Name, ok, err)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s search %d, after %d compactions: %d results, want %d\n got %v\nwant %v",
+					mode, searches, ix.compactions.Load(), len(got), len(want), got, want)
 			}
-			live[i] = nil
 		}
-		live = slices.DeleteFunc(live, func(sk *Sketch) bool { return sk == nil })
-
-		buf := getSearchBuf()
-		shards := ix.snapshotShards()
-		pq := buf.prepare(q, 0, len(shards))
-		if mode == ModeLSH {
-			buf.prepareBandKeys(ix, q)
-		}
-		if n := probeCandidates(ix.posts, shards, pq, buf.scratch); n != 0 {
-			t.Fatalf("%s: probe found %d candidates, want none", mode, n)
-		}
-		if err := ix.SaveDir(); err != nil {
-			t.Fatal(err)
-		}
-		if ix.compactions.Load() != 1 {
-			t.Fatalf("%s: SaveDir ran %d compactions, want 1", mode, ix.compactions.Load())
-		}
-		got := MergeTopK(runScan(buf, shards, pq, topK, nil, ix.Len(), (*shard).scanRestAppend), topK)
-		putSearchBuf(buf)
-		if want := bruteTopK(q, live, topK, 0); !slices.Equal(got, want) {
-			t.Fatalf("%s: complement after a compaction = %v, want %v", mode, got, want)
-		}
-		ix.Close()
 	}
+	n := ix.compactions.Load()
+	if n == 0 {
+		t.Fatalf("%d searches ran beside no compaction", searches)
+	}
+	t.Logf("%d searches beside %d compactions", searches, n)
 }
 
 // TestSearchRejectsNaNFloor pins the one floor no threshold can stand

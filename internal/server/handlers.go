@@ -392,8 +392,8 @@ func (s *Server) handleGetRecord(w http.ResponseWriter, r *http.Request) {
 	ix := s.eng.Index()
 	meta := ix.Metadata()
 	if v := r.URL.Query().Get("signature"); v == "1" || v == "true" {
-		// The repair path wants the stored sketch, so pay for the arena
-		// reconstruction.
+		// The repair path wants the stored sketch, so pay for reading it
+		// back from the full store.
 		sk := ix.Get(name)
 		if sk == nil {
 			WriteError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("record %q is not indexed", name))
@@ -409,8 +409,8 @@ func (s *Server) handleGetRecord(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Has instead of Get: the response only carries metadata, and Get
-	// would reconstruct (allocate + unpack) the record's signature from
-	// the packed arena just to throw it away.
+	// would read (and copy) the record's signature from the full store
+	// just to throw it away.
 	if !ix.Has(name) {
 		WriteError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("record %q is not indexed", name))
 		return
