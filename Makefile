@@ -16,10 +16,11 @@ vet:
 test:
 	$(GO) test -race ./...
 
-# The core suite with the assembly compiled out, as on arm64: every test
-# runs the portable scan kernel, not only the kernel tests that force it.
+# The whole module with the assembly compiled out, as on arm64: every
+# test — the core suite, the CLI, server and cluster goldens — runs the
+# portable scan kernel, not only the kernel tests that force it.
 test-purego:
-	$(GO) test -race -tags purego ./internal/core/...
+	$(GO) test -race -tags purego ./...
 
 # Every Fuzz* target in the module, 15 s each (FUZZTIME=... to change):
 # the scan kernel against its reference, the list cursor against a

@@ -3,10 +3,8 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -425,8 +423,7 @@ func (c *Coordinator) replayHint(ctx context.Context, b *backend, h hint) error 
 	switch h.op {
 	case hintOpDelete:
 		err := c.client.do(cctx, b, "DELETE", "/v1/records/"+url.PathEscape(h.name), nil, nil)
-		var berr *BackendError
-		if err != nil && errors.As(err, &berr) && berr.Status == http.StatusNotFound {
+		if isNotFound(err) {
 			// Already gone (or never arrived): the tombstone's goal holds.
 			return nil
 		}

@@ -136,7 +136,8 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		// streamed are strays the sweep (or a retried join) handles.
 		c.mu.Lock()
 		c.next = nil
-		c.backends = withoutBackend(c.backends, nb)
+		// A clone: snapshots handed out under RLock keep iterating the old array.
+		c.backends = slices.DeleteFunc(slices.Clone(c.backends), func(b *backend) bool { return b == nb })
 		delete(c.byAddr, req.Backend)
 		c.mu.Unlock()
 		c.metrics.rebalanceFailures.Add(1)
@@ -237,7 +238,7 @@ func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	c.next = nil
 	drained = c.byAddr[req.Backend]
 	if drained != nil {
-		c.backends = withoutBackend(c.backends, drained)
+		c.backends = slices.DeleteFunc(slices.Clone(c.backends), func(b *backend) bool { return b == drained })
 		delete(c.byAddr, req.Backend)
 	}
 	c.mu.Unlock()
@@ -358,16 +359,4 @@ func (c *Coordinator) streamRebalance(ctx context.Context, old, target *Ring) (*
 		}
 	}
 	return st, nil
-}
-
-// withoutBackend returns the list minus b, leaving the input intact —
-// snapshots handed out under RLock keep iterating the old array.
-func withoutBackend(list []*backend, b *backend) []*backend {
-	out := make([]*backend, 0, len(list))
-	for _, x := range list {
-		if x != b {
-			out = append(out, x)
-		}
-	}
-	return out
 }

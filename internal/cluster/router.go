@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -32,20 +32,11 @@ func (c *Coordinator) placementFor(ring, next *Ring, name string) (primary, extr
 		return primary, nil
 	}
 	for _, addr := range next.Replicas(name) {
-		if !contains(primary, addr) {
+		if !slices.Contains(primary, addr) {
 			extras = append(extras, addr)
 		}
 	}
 	return primary, extras
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // handleIngest fans one ingest batch out by replica set: each backend
@@ -273,13 +264,12 @@ func (c *Coordinator) handleDeleteRecord(w http.ResponseWriter, r *http.Request)
 	var missed []string
 	for i, res := range results {
 		authoritative := i < len(primary)
-		var berr *BackendError
 		switch {
 		case res.err == nil:
 			if authoritative {
 				deleted++
 			}
-		case errors.As(res.err, &berr) && berr.Status == http.StatusNotFound:
+		case isNotFound(res.err):
 			if authoritative {
 				notFound++
 			}
@@ -309,13 +299,9 @@ func (c *Coordinator) handleDeleteRecord(w http.ResponseWriter, r *http.Request)
 	// that missed it so it cannot resurrect the record on recovery.
 	if len(missed) > 0 {
 		expires := time.Now().Add(c.cfg.HintTTL).UnixNano()
-		hs := make([]hint, 0, len(missed))
-		for range missed {
-			hs = append(hs, hint{op: hintOpDelete, name: name, expires: expires})
-		}
 		byAddr := make(map[string][]hint, len(missed))
-		for i, addr := range missed {
-			byAddr[addr] = append(byAddr[addr], hs[i])
+		for _, addr := range missed {
+			byAddr[addr] = append(byAddr[addr], hint{op: hintOpDelete, name: name, expires: expires})
 		}
 		c.queueHints(byAddr)
 	}
@@ -351,8 +337,7 @@ func (c *Coordinator) handleGetRecord(w http.ResponseWriter, r *http.Request) {
 			server.WriteJSON(w, http.StatusOK, rec)
 			return
 		}
-		var berr *BackendError
-		if errors.As(err, &berr) && berr.Status == http.StatusNotFound {
+		if isNotFound(err) {
 			saw404 = true
 			continue
 		}

@@ -32,8 +32,8 @@ func validBits(bits int) error {
 
 // sigWords returns how many uint64 words one packed signature of
 // `slots` lanes occupies. The last word may be partially used; its
-// padding nibbles are always zero on every row, so they cancel in
-// comparisons (see packedMatchingSlots).
+// padding nibbles are always zero on every row, so they always match
+// and a query's pad comes back off every count (see packedQuery).
 func sigWords(slots int) int {
 	if slots <= 0 {
 		return 0

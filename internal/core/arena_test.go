@@ -77,6 +77,9 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackedMatchingSlotsMatchesNaive: a packed row pair's nibble count,
+// less the padding lanes, is the number of slots equal in their low
+// nibble, counted slot by slot.
 func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, slots := range []int{1, 5, 8, 9, 64, 127, 128} {
@@ -102,8 +105,9 @@ func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 			}
 			pa := packAppend(nil, a)
 			pb := packAppend(nil, b)
-			if got := packedMatchingSlots(pa, pb, slots); got != want {
-				t.Fatalf("slots=%d trial %d: packedMatchingSlots = %d, want %d", slots, trial, got, want)
+			pad := len(pa)*lanesPerWord - slots
+			if got := nibbleMatches(pa, pb) - pad; got != want {
+				t.Fatalf("slots=%d trial %d: nibbleMatches less %d padding lanes = %d, want %d", slots, trial, pad, got, want)
 			}
 		}
 	}
@@ -136,7 +140,7 @@ func TestPackedSimilarityWithinCollisionBound(t *testing.T) {
 		m64 := matchingSlots(x.Signature, y.Signature)
 		px := packAppend(nil, x.Signature)
 		py := packAppend(nil, y.Signature)
-		mb := packedMatchingSlots(px, py, slots)
+		mb := nibbleMatches(px, py) - (len(px)*lanesPerWord - slots)
 		if mb < m64 {
 			t.Fatalf("bits=%d trial %d: packed matches %d < full-width matches %d", bits, trial, mb, m64)
 		}

@@ -101,7 +101,7 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 	sink := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += packedMatchingSlots(px, py, DefaultSignatureSize)
+		sink += nibbleMatches(px, py)
 	}
 	if sink < 0 {
 		b.Fatal("impossible")

@@ -57,18 +57,12 @@ func eqSlot(x, y uint64) int {
 	return 0
 }
 
-// packedMatchingSlots counts equal 4-bit slots between two packed rows
-// of `slots` lanes (see sigArena): an upper bound on their equal
-// full-width slots. Both rows must have the same shape with zeroed
-// padding nibbles; those compare equal on every pair and are subtracted
-// back out. One word op compares 16 slots with no per-slot branch.
-func packedMatchingSlots(a, b []uint64, slots int) int {
-	return nibbleMatches(a, b) - (len(a)*lanesPerWord - slots)
-}
-
 // nibbleMatches counts the nibbles of row equal to q's, padding
-// included. Four words' "nibble is nonzero" bits, shifted apart, share
-// one popcount.
+// included: less the padding lanes, an upper bound on the rows' equal
+// full-width slots. Both rows must have the same shape with zeroed
+// padding nibbles. Four words' "nibble is nonzero" bits, shifted apart,
+// share one popcount, so one word op compares 16 slots with no per-slot
+// branch.
 func nibbleMatches(q, row []uint64) int {
 	row = row[:len(q)]
 	i, m := 0, 0

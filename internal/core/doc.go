@@ -46,10 +46,11 @@
 // them must change the places that assume them:
 //
 //   - Truncation is monotone: a b-bit packed slot comparison matches
-//     whenever the full-width slots match, so the packed similarity is
-//     an upper bound on the full-width similarity. This is what makes
-//     the prefilter cut and the rescore early-exit exact rather
-//     than approximate (shard.tieredRescore), and what bounds b-bit
+//     whenever the full-width slots match, so the packed matched count
+//     is an upper bound on the full-width count. This is what makes
+//     the prefilter cut (shard.prefilter, one integer floor for both
+//     passes) and the rescore early-exit (shard.rescore) exact rather
+//     than approximate, and what bounds b-bit
 //     over-reporting by the 2^-b collision rate (see the collision-bound
 //     test). The scan kernel's nibble count is that bound, so it goes
 //     straight on as the rescore's (see kernel.go).

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,7 +96,8 @@ func NewIndex(name string, k, sigSize int) *Index {
 	}
 	// Non-positive sigSize: keep the old never-fail contract with a
 	// placeholder single-band scheme. Such an index rejects every add
-	// through signature-size validation, so the scheme is never probed.
+	// (Add refuses a negative size and an empty signature alike) and
+	// every search (checkSearchArgs), so the scheme is never probed.
 	return newIndex(name, k, sigSize, LSHParams{Bands: 1, RowsPerBand: 1}, DefaultShards)
 }
 
@@ -185,6 +184,9 @@ func (ix *Index) Add(s *Sketch) (bool, error) {
 	if len(s.Signature) != ix.meta.SignatureSize {
 		return false, sketchErrorf("index %q: signature size %d does not match index size %d",
 			ix.meta.Name, len(s.Signature), ix.meta.SignatureSize)
+	}
+	if len(s.Signature) == 0 {
+		return false, sketchErrorf("index %q: sketch has an empty signature", ix.meta.Name)
 	}
 	// Shared writeMu spans the shard insert and the count, so a
 	// structural rebuild (Rebucket, SaveDir) can never observe a record
@@ -472,23 +474,4 @@ func (ix *Index) Rebucket(lsh LSHParams, shards int) error {
 	ix.meta.RowsPerBand = lsh.RowsPerBand
 	ix.mu.Unlock()
 	return nil
-}
-
-// sortResults orders by descending similarity, breaking ties by query
-// then ref name so output is deterministic. slices.SortFunc rather than
-// sort.Slice: the generic sort allocates nothing, keeping the pooled
-// query path allocation-free.
-func sortResults(rs []Result) {
-	slices.SortFunc(rs, func(a, b Result) int {
-		switch {
-		case a.Similarity > b.Similarity:
-			return -1
-		case a.Similarity < b.Similarity:
-			return 1
-		}
-		if c := strings.Compare(a.Query, b.Query); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Ref, b.Ref)
-	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -72,6 +73,19 @@ func TestAddValidation(t *testing.T) {
 	}
 	if _, err := ix.Add(&Sketch{Name: "x", K: 8, Signature: make([]uint64, 32)}); err == nil {
 		t.Fatal("mismatched signature size: want error")
+	}
+	// A zero-slot index holds no signature to band or compare: an empty
+	// one is refused like any other the index cannot hold, and so is
+	// every search, rather than panicking on the empty band key.
+	empty := NewIndex("v0", 8, 0)
+	var se *SketchError
+	if _, err := empty.Add(&Sketch{Name: "x", K: 8, Shingles: 9}); !errors.As(err, &se) {
+		t.Fatalf("empty signature on a zero-slot index: err = %v, want a SketchError", err)
+	}
+	for _, mode := range modes {
+		if _, err := search(empty, &Sketch{Name: "q", K: 8, Shingles: 9}, mode, 1, 0, nil); err == nil {
+			t.Fatalf("%s search of a zero-slot index: want error", mode)
+		}
 	}
 }
 

@@ -13,10 +13,11 @@ func TestMergeTopK(t *testing.T) {
 		mk("e", 0.2), mk("a", 0.9), mk("c", 0.5), mk("b", 0.9),
 		mk("f", 0.1), mk("d", 0.5), mk("g", 0.7),
 	}
-	// Full-sort reference over a copy.
-	want := make([]Result, len(in))
-	copy(want, in)
-	sortResults(want)
+	// The full order, spelled out: descending similarity, ties by ref.
+	want := []Result{
+		mk("a", 0.9), mk("b", 0.9), mk("g", 0.7), mk("c", 0.5),
+		mk("d", 0.5), mk("e", 0.2), mk("f", 0.1),
+	}
 
 	for _, k := range []int{1, 3, len(in), len(in) + 5} {
 		buf := make([]Result, len(in))

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -64,15 +66,19 @@ type packedQuery struct {
 	name     string
 	shingles int
 	slots    int
-	// minSim is the caller's similarity floor; minMatched is the same
-	// floor as a matched-slot count (see minMatchedFor), which is what
-	// the sweep compares kernel counts against.
-	minSim     float64
+	// minMatched is the caller's similarity floor as a matched-slot
+	// count (see minMatchedFor); every floor decision compares a count
+	// against it.
 	minMatched int
-	packed     []uint64  // arena-width row image
-	full       []uint64  // full-width signature: the rescore image
-	bandKeys   []uint64  // one bucket key per band; nil outside LSH probes
-	cancel     *canceler // non-nil on ctx-aware searches; scan loops poll it
+	// pad is how many padding lanes the packed rows carry past slots. A
+	// nibble count includes them (they are zero on both sides, so they
+	// always match), and prefilter takes them back off; every count is at
+	// least pad, so a floor of 0 keeps every row.
+	pad      int
+	packed   []uint64  // arena-width row image
+	full     []uint64  // full-width signature: the rescore image
+	bandKeys []uint64  // one bucket key per band; nil outside LSH probes
+	cancel   *canceler // non-nil on ctx-aware searches; scan loops poll it
 }
 
 // minMatchedFor turns a similarity floor into a matched-slot count: the
@@ -216,8 +222,9 @@ func putSearchBuf(b *searchBuf) {
 }
 
 // prepare packs the query to the arena's nibbles, derives the integer form
-// of minSim, and sizes the per-shard scratch. A sketch is always full
-// width, so its signature doubles as the rescore image.
+// of minSim and the padding lane count, and sizes the per-shard scratch.
+// A sketch is always full width, so its signature doubles as the rescore
+// image.
 func (b *searchBuf) prepare(query *Sketch, minSim float64, shards int) *packedQuery {
 	b.merged = b.merged[:0]
 	b.packed = packAppend(b.packed[:0], query.Signature)
@@ -225,8 +232,8 @@ func (b *searchBuf) prepare(query *Sketch, minSim float64, shards int) *packedQu
 		name:       query.Name,
 		shingles:   query.Shingles,
 		slots:      len(query.Signature),
-		minSim:     minSim,
 		minMatched: minMatchedFor(minSim, len(query.Signature)),
+		pad:        len(b.packed)*lanesPerWord - len(query.Signature),
 		packed:     b.packed,
 		full:       query.Signature,
 	}
@@ -313,7 +320,7 @@ func PairwiseDistances(sketches []*Sketch, pool *Pool) ([]Result, error) {
 			}
 		}
 	})
-	sortResults(results)
+	slices.SortFunc(results, compareResults)
 	return results, nil
 }
 
@@ -334,14 +341,16 @@ type Query struct {
 // Every search is one pipeline. Each stripe's row count is snapshotted;
 // in ModeLSH the query's band keys then probe the posting table, and the
 // rows they find are scored first, so cost scales with the number of
-// plausible matches rather than the corpus size. When that
-// cannot fill q.TopK — too few live candidates, a filtered self-hit, a
-// minSim cut, or no keys at all, which is ModeExact — the complement
-// sweep scores every row the probe did not find, so no record is scored
-// twice and small or sparse indexes answer exactly as an exact scan.
-// When the candidates do fill K, completeness is probabilistic: pairs
-// with similarity well above ix.LSHParams().Threshold() are candidates
-// almost surely, pairs well below it are skipped by design.
+// plausible matches rather than the corpus size. Both passes cut rows
+// through one prefilter step against q.MinSim as a matched-slot count.
+// When the candidates cannot fill q.TopK — too few live candidates, a
+// filtered self-hit, rows below the floor, or no keys at all, which is
+// ModeExact — the complement sweep scores every row the probe did not
+// find, so no record is scored twice and small or sparse indexes answer
+// exactly as an exact scan. When the candidates do fill K, completeness
+// is probabilistic: pairs with similarity well above
+// ix.LSHParams().Threshold() are candidates almost surely, pairs well
+// below it are skipped by design.
 //
 // The search holds ix.writeMu shared from the snapshot to the last pass,
 // so no compaction, reseal or Rebucket renumbers a stripe or swaps its
@@ -430,11 +439,10 @@ func parallelPool(pool *Pool, scanBytes int) *Pool {
 // buf.merged with the survivors and returning it. Scans whose `rows`
 // rows read less than parallelScoreMinBytes of arena run inline;
 // larger ones fan out one goroutine per stripe, each appending into its
-// own scratch buffer and truncating to a bounded top-K heap before the
-// concatenation. The global top-K is contained in the union of
-// per-shard top-Ks (heap selection uses the same resultBetter total
-// order as the final sort), so truncating early keeps the merge and
-// final sort O(shards*topK) instead of O(rows).
+// own scratch buffer before the concatenation. A stripe's scan appends
+// at most topK results (its rescore keeps a bounded top-K heap), and
+// the global top-K is contained in the union of per-shard top-Ks, so
+// the merge and final sort stay O(shards*topK) instead of O(rows).
 func runScan(buf *searchBuf, shards []*shard, q *packedQuery, topK int, pool *Pool, rows int,
 	scan func(sh *shard, dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result) []Result {
 	p := parallelPool(pool, rows*len(q.packed)*8)
@@ -449,10 +457,6 @@ func runScan(buf *searchBuf, shards []*shard, q *packedQuery, topK int, pool *Po
 	p.Map(len(shards), func(si int) {
 		sc := &buf.scratch[si]
 		sc.results = scan(shards[si], sc.results[:0], q, topK, sc)
-		if len(sc.results) > topK {
-			selectTopK(sc.results, topK)
-			sc.results = sc.results[:topK]
-		}
 	})
 	merged := buf.merged
 	for si := range shards {
@@ -470,6 +474,9 @@ func checkSearchArgs(ix *Index, query *Sketch, topK int, minSim float64) error {
 		return fmt.Errorf("search: minimum similarity is NaN")
 	}
 	meta := ix.Metadata()
+	if meta.SignatureSize <= 0 {
+		return fmt.Errorf("search: index %q has no signature slots", meta.Name)
+	}
 	if query.K != meta.K || len(query.Signature) != meta.SignatureSize {
 		return fmt.Errorf("search: query sketch (k=%d, size=%d) incompatible with index %q (k=%d, size=%d)",
 			query.K, len(query.Signature), meta.Name, meta.K, meta.SignatureSize)
@@ -496,25 +503,32 @@ func MergeTopK(results []Result, topK int) []Result {
 		selectTopK(results, topK)
 		results = results[:topK]
 	}
-	sortResults(results)
+	slices.SortFunc(results, compareResults)
 	out := make([]Result, len(results))
 	copy(out, results)
 	return out
 }
 
-// resultBetter reports whether a ranks strictly before b: descending
-// similarity, ties broken by query then ref name. It is the same total
-// order sortResults applies, so heap selection plus a final sort of the
-// survivors returns exactly what sorting everything would have.
-func resultBetter(a, b Result) bool {
-	if a.Similarity != b.Similarity {
-		return a.Similarity > b.Similarity
+// compareResults is the one result order: descending similarity, ties
+// broken by query then ref name, so output is deterministic. Heap
+// selection (resultBetter) and every final sort use it, so selecting
+// then sorting the survivors returns exactly what sorting everything
+// would have.
+func compareResults(a, b Result) int {
+	switch {
+	case a.Similarity > b.Similarity:
+		return -1
+	case a.Similarity < b.Similarity:
+		return 1
 	}
-	if a.Query != b.Query {
-		return a.Query < b.Query
+	if c := strings.Compare(a.Query, b.Query); c != 0 {
+		return c
 	}
-	return a.Ref < b.Ref
+	return strings.Compare(a.Ref, b.Ref)
 }
+
+// resultBetter reports whether a ranks strictly before b.
+func resultBetter(a, b Result) bool { return compareResults(a, b) < 0 }
 
 // selectTopK partitions rs in place so its first k elements are the k
 // best-ranked results (in unspecified order). rs[:k] is kept as a

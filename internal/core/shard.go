@@ -244,9 +244,9 @@ func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *sha
 		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
 			return dst
 		}
-		sh.prefilterRow(q, idx, sc)
+		sh.prefilter(q, sc, idx, nibbleMatches(q.packed, sh.arena.row(int(idx))))
 	}
-	return sh.tieredRescore(dst, q, topK, sc, len(sc.cands))
+	return sh.rescore(dst, q, topK, sc, len(sc.cands))
 }
 
 // sweep is the one full-stripe scan loop, a search's complement pass:
@@ -258,16 +258,11 @@ func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *sha
 //
 // It walks the packed arena in blocks of sweepBlock contiguous rows, and
 // the scan kernel (matchSurvivors) hands back only the rows whose nibble
-// count reaches the query's integer threshold, each with that count.
-// Those few rows are then checked against the tombstone bitset, the
-// probe's bitset and the zero-shingle rule, and emitted into sc.scored
-// with their counts as rescore bounds; the full-width rescore appends at
-// most topK results (the per-shard top-K contains the shard's share of
-// any global top-K, which is what runScan's merge needs).
-//
-// The kernel counts a row's padding lanes as equal (they are zero on
-// both sides), so `pad` comes off every count here, once; every count is
-// at least pad, so a floor of 0 keeps every row.
+// count reaches the query's floor plus its padding lanes, each with that
+// count. The unprobed ones among those few go through prefilter into
+// sc.scored; the full-width rescore appends at most topK results (the
+// per-shard top-K contains the shard's share of any global top-K, which
+// is what runScan's merge needs).
 func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -275,58 +270,47 @@ func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch)
 	n := sh.names.len()
 	sc.scored = sc.scored[:0]
 
-	pad := a.words*lanesPerWord - q.slots
 	var surv [sweepBlock]survivor
 	for base := 0; base < n; base += sweepBlock {
 		if q.cancel.canceled() {
 			return dst
 		}
 		bn := min(sweepBlock, n-base)
-		k := matchSurvivors(surv[:bn], a.block(base, bn), q.packed, q.minMatched+pad)
+		k := matchSurvivors(surv[:bn], a.block(base, bn), q.packed, q.minMatched+q.pad)
 		for _, s := range surv[:k] {
-			idx := int32(base) + int32(s.off)
-			if bitSet(sh.dead, idx) || bitSet(sc.candSet, idx) {
-				continue
+			if idx := int32(base) + int32(s.off); !bitSet(sc.candSet, idx) {
+				sh.prefilter(q, sc, idx, int(s.count))
 			}
-			m := 0
-			if q.shingles != 0 && sh.shingles[idx] != 0 {
-				m = int(s.count) - pad
-			}
-			if m < q.minMatched {
-				continue
-			}
-			sc.scored = append(sc.scored, scoredCand{idx: idx, matched: int32(m)})
 		}
 	}
-	return sh.tieredRescore(dst, q, topK, sc, n-len(sc.cands))
+	return sh.rescore(dst, q, topK, sc, n-len(sc.cands))
 }
 
-// prefilterRow packed-scores one arena row — an LSH candidate, whose
-// rows are scattered — and appends it to sc.scored unless it is dead or
-// its packed similarity is already below q.minSim. The packed score is
-// an upper bound on the full-width score (a truncated slot matches
-// whenever the full slot does), so this cut never drops a row the full
-// scan would have kept, and the count goes on as the rescore's bound.
-// Callers hold the shard lock.
-func (sh *shard) prefilterRow(q *packedQuery, idx int32, sc *shardScratch) {
+// prefilter is the one cut both passes make: it files arena row idx,
+// whose count of nibbles equal to the query's is count (padding lanes
+// included), in sc.scored unless the row is dead or its matched count
+// falls below q.minMatched. A zero-shingle row or query matches nothing,
+// so it survives only a floor of 0. The nibble count upper-bounds the
+// full-width count (a truncated slot matches whenever the full slot
+// does), so the cut never drops a row the full scan would have kept, and
+// the count goes on as the rescore's bound. Callers hold the shard lock.
+func (sh *shard) prefilter(q *packedQuery, sc *shardScratch, idx int32, count int) {
 	if sh.rowDead(idx) {
 		return
 	}
-	var m int
-	var sim float64
-	if q.slots != 0 && q.shingles != 0 && sh.shingles[idx] != 0 {
-		m = packedMatchingSlots(q.packed, sh.arena.row(int(idx)), q.slots)
-		sim = float64(m) / float64(q.slots)
+	m := 0
+	if q.shingles != 0 && sh.shingles[idx] != 0 {
+		m = count - q.pad
 	}
-	if sim < q.minSim {
+	if m < q.minMatched {
 		return
 	}
 	sc.scored = append(sc.scored, scoredCand{idx: idx, matched: int32(m)})
 }
 
-// tieredRescore reads the prefilter survivors in sc.scored full-width
-// from the shard's full store, highest packed count first, and appends
-// the shard's top-K results to dst; a row named like the query with the
+// rescore reads the prefilter survivors in sc.scored full-width from
+// the shard's full store, highest packed count first, and appends the
+// shard's top-K results to dst; a row named like the query with the
 // query's full-width signature is a self-hit and skipped. Because the
 // packed count upper-bounds the full-width count, the walk stops as soon
 // as the next candidate's bound falls below the K-th best full score
@@ -337,7 +321,7 @@ func (sh *shard) prefilterRow(q *packedQuery, idx int32, sc *shardScratch) {
 // rather than failing the query. scanned is the row count the prefilter
 // phase covered, for the survival-rate counters. Callers hold the shard
 // lock.
-func (sh *shard) tieredRescore(dst []Result, q *packedQuery, topK int, sc *shardScratch, scanned int) []Result {
+func (sh *shard) rescore(dst []Result, q *packedQuery, topK int, sc *shardScratch, scanned int) []Result {
 	t := sh.full.tier
 	t.scanned.Add(uint64(scanned))
 	t.survived.Add(uint64(len(sc.scored)))
@@ -377,11 +361,12 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, topK int, sc *shard
 		if sh.names.is(c.idx, q.name) && slices.Equal(q.full, row) {
 			continue
 		}
-		var sim float64
-		if q.slots != 0 && q.shingles != 0 && sh.shingles[c.idx] != 0 {
-			sim = float64(matchingSlots(q.full, row)) / slotsF
+		m := 0
+		if q.shingles != 0 && sh.shingles[c.idx] != 0 {
+			m = matchingSlots(q.full, row)
 		}
-		if sim < q.minSim || len(dst)-base >= topK && sim < dst[base].Similarity {
+		sim := float64(m) / slotsF
+		if m < q.minMatched || len(dst)-base >= topK && sim < dst[base].Similarity {
 			continue // below the floor, or ranked below the K-th best already held
 		}
 		r := Result{Query: q.name, Ref: sh.names.name(c.idx), Similarity: sim, Distance: 1 - sim}

@@ -104,41 +104,53 @@ func newSweepCorpus(t *testing.T, slots, rows int, dir bool, seed int64) *sweepC
 	return c
 }
 
-// perRowReference is what the sweep must reproduce: prefilterRow called
-// on every row in index order, skipping the rows set in probed, then
-// tieredRescore. It also returns what the pass feeds the
-// scanned/survived counters, and the brute-force top-K over the same
-// rows' sketches, which the rescored results must equal.
-func (c *sweepCorpus) perRowReference(query *Sketch, q *packedQuery, topK int, probed []uint64) ([]Result, []scoredCand, tierCounts, []Result) {
+// perRowReference is what a pass over the rows `in` selects must
+// reproduce, with the prefilter's cut written out as the float predicate
+// its integer floor stands for: in index order, a live row is kept when
+// float64(nibbleMatches-pad)/slots >= minSim, a zero-shingle row or query
+// counting no matches. The survivors are then rescored. It also returns
+// what the pass feeds the scanned/survived counters, and the brute-force
+// top-K over the same rows' sketches, which the rescored results must
+// equal.
+func (c *sweepCorpus) perRowReference(query *Sketch, q *packedQuery, minSim float64, topK int, in func(idx int32) bool) ([]Result, []scoredCand, tierCounts, []Result) {
 	sh := c.sh
+	slots := len(query.Signature)
+	pad := sigWords(slots)*lanesPerWord - slots
 	var sc shardScratch
 	var refs []*Sketch
 	scanned := 0
-	for i := range sh.names.len() {
+	for i, row := range c.rows {
 		idx := int32(i)
-		if bitSet(probed, idx) {
+		if !in(idx) {
 			continue
 		}
 		scanned++
-		sh.prefilterRow(q, idx, &sc)
-		if c.rows[i] != nil {
-			refs = append(refs, c.rows[i])
+		if row == nil { // tombstoned
+			continue
+		}
+		refs = append(refs, row)
+		m := 0
+		if query.Shingles != 0 && row.Shingles != 0 {
+			m = nibbleMatches(q.packed, sh.arena.row(i)) - pad
+		}
+		if float64(m)/float64(slots) >= minSim {
+			sc.scored = append(sc.scored, scoredCand{idx: idx, matched: int32(m)})
 		}
 	}
 	fed := tierCounts{uint64(scanned), uint64(len(sc.scored))}
-	dst := sh.tieredRescore(nil, q, topK, &sc, scanned)
-	return dst, sc.scored, fed, bruteTopK(query, refs, topK, q.minSim)
+	dst := sh.rescore(nil, q, topK, &sc, scanned)
+	return dst, sc.scored, fed, bruteTopK(query, refs, topK, minSim)
 }
 
-// TestSweepMatchesPerRowPath is the sweep's correctness property: over
-// random shards — slot counts with and without padding lanes, heap and
-// directory stores, tombstones, zero-shingle rows and queries, a
-// self-hit row, with and without the LSH probe's bitset, rows appended
-// after the probe — the blocked sweep emits exactly the rows, in exactly
-// the order, with exactly the matched counts and similarities that the
-// per-row comparator does, feeds the tier counters the same numbers, and
-// answers what a brute-force scan of the sketches does. It runs on every
-// kernel the build offers.
+// TestSweepMatchesPerRowPath is the correctness property of both search
+// passes: over random shards — slot counts with and without padding
+// lanes, heap and directory stores, tombstones, zero-shingle rows and
+// queries, a self-hit row, with and without the LSH probe's bitset, rows
+// appended after the probe — the blocked sweep and the candidate pass
+// emit exactly the rows, in exactly the order, with exactly the matched
+// counts and similarities that the per-row float reference does, feed
+// the tier counters the same numbers, and answer what a brute-force scan
+// of the sketches does. It runs on every kernel the build offers.
 func TestSweepMatchesPerRowPath(t *testing.T) {
 	// 70 000 one-byte lanes overflow a uint16 count: the sweep must
 	// fall back to the per-row comparator instead of truncating.
@@ -165,9 +177,11 @@ func TestSweepMatchesPerRowPath(t *testing.T) {
 	})
 }
 
-// checkSweep compares the sweep against the per-row reference for one
-// query, twice: as the exact scan, and as the LSH complement scan (after
-// a probe, with rows appended behind the probe's bitset).
+// checkSweep compares the passes against the per-row reference for one
+// query, three times: the sweep as the exact scan; then, after a probe
+// and with rows appended behind its bitset, the candidate pass over the
+// rows the probe marked and the sweep as the LSH complement scan over
+// the rest.
 func (c *sweepCorpus) checkSweep(t *testing.T, name string, minSim float64, zeroQuery bool) {
 	t.Helper()
 	query := *c.query
@@ -182,18 +196,17 @@ func (c *sweepCorpus) checkSweep(t *testing.T, name string, minSim float64, zero
 	sh, sc := c.sh, &buf.scratch[0]
 	const topK = 7
 
-	// run performs one sweep entry point and checks it against the
-	// per-row reference over the rows not set in probed: results,
-	// prefilter survivors, what the tier counters were fed, and the
-	// brute-force answer.
-	run := func(what string, probed []uint64, sweep func() []Result) {
+	// run performs one pass and checks it against the per-row reference
+	// over the rows `in` selects: results, prefilter survivors, what the
+	// tier counters were fed, and the brute-force answer.
+	run := func(what string, in func(idx int32) bool, sweep func() []Result) {
 		t.Helper()
 		before := readTierCounts(sh.full.tier)
 		got := sweep()
 		gotScored := slices.Clone(sc.scored)
 		after := readTierCounts(sh.full.tier)
 		fed := tierCounts{after.scanned - before.scanned, after.survived - before.survived}
-		want, wantScored, wantFed, brute := c.perRowReference(&query, q, topK, probed)
+		want, wantScored, wantFed, brute := c.perRowReference(&query, q, minSim, topK, in)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s %s: sweep results differ from the per-row path\n got %v\nwant %v", name, what, got, want)
 		}
@@ -211,13 +224,21 @@ func (c *sweepCorpus) checkSweep(t *testing.T, name string, minSim float64, zero
 	// Exact: a snapshot with no band keys marks nothing, so the
 	// complement is every row.
 	sh.beginProbe(sc)
-	run("scan", nil, func() []Result { return sh.sweep(nil, q, topK, sc) })
+	run("scan", func(int32) bool { return true }, func() []Result { return sh.sweep(nil, q, topK, sc) })
 
-	// LSH complement: probe, let rows land behind the bitset, then
-	// sweep what the probe did not mark.
-	probeCandidates(c.ix.posts, c.ix.shards, q, buf.scratch)
+	// LSH: probe, let rows land behind the bitset, then score the
+	// candidates the probe marked and sweep what it did not. The row
+	// that is the query shares every band with it, so there is always a
+	// candidate.
+	if probeCandidates(c.ix.posts, c.ix.shards, q, buf.scratch) == 0 {
+		t.Fatalf("%s: the probe found no candidates", name)
+	}
 	c.addRandom(t, 3)
-	run("rest", slices.Clone(sc.candSet), func() []Result { return sh.sweep(nil, q, topK, sc) })
+	probed := sc.candSet
+	run("candidates", func(idx int32) bool { return bitSet(probed, idx) },
+		func() []Result { return sh.scoreCandidates(nil, q, topK, sc) })
+	run("rest", func(idx int32) bool { return !bitSet(probed, idx) },
+		func() []Result { return sh.sweep(nil, q, topK, sc) })
 }
 
 type tierCounts struct{ scanned, survived uint64 }

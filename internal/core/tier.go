@@ -28,7 +28,7 @@ type tierState struct {
 	budget      atomic.Int64 // max full-width rescores per shard per query; 0 = unbounded
 
 	scanned    atomic.Uint64 // rows prefilter-scored
-	survived   atomic.Uint64 // rows past the prefilter minSim cut
+	survived   atomic.Uint64 // rows past the prefilter's matched-count floor
 	rescored   atomic.Uint64 // rows actually read full-width
 	readErrors atomic.Uint64 // full-width reads that failed (row skipped)
 
@@ -50,7 +50,7 @@ func (t *tierState) segmentsDir() string { return filepath.Join(t.dataDir, "segm
 // full-width payload served from the page cache via mmap (0 when every
 // segment is on the pread fallback). SurvivalRate is
 // PrefilterSurvived/PrefilterScanned over the process lifetime — the
-// fraction of rows whose packed score cleared the query's minSim and
+// fraction of rows whose packed count cleared the query's floor and
 // went on to candidate ranking.
 type TierStats struct {
 	PrefilterBits     int     `json:"prefilter_bits"`
