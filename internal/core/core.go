@@ -9,7 +9,7 @@ import (
 
 // Version identifies the engine build. It is reported by the CLI and
 // stamped into saved index metadata.
-const Version = "0.13.0"
+const Version = "0.14.0"
 
 // Options configures an Engine. Zero values fall back to the package
 // defaults (DefaultK, DefaultSignatureSize, GOMAXPROCS workers, DefaultLSHParams banding, DefaultShards stripes).

@@ -91,9 +91,9 @@ func (ix *Index) attachTier(dataDir string, segmentRows int) error {
 // then the manifest is atomically replaced — the commit point. Because
 // sealed segments never change, a snapshot's cost is the unsealed rows
 // plus the (small) manifest — not the whole index. After the commit the
-// per-shard write-ahead logs restart empty (attaching them on the first
-// SaveDir): every mutation they logged is now in the manifest, and the
-// lock order guarantees none landed in between. Segment files a crash,
+// write-ahead log restarts empty (attached on the first SaveDir): every
+// mutation it logged is now in the manifest, and the lock order
+// guarantees none landed in between. Segment files a crash,
 // a compaction, or a dropped head left unreferenced are cleaned up
 // after the commit.
 func (ix *Index) SaveDir() (err error) {
@@ -157,12 +157,12 @@ func (ix *Index) SaveDir() (err error) {
 	if err := writeManifest(filepath.Join(ix.tier.dataDir, ManifestFile), &man); err != nil {
 		return fmt.Errorf("index %q: save dir: %w", ix.meta.Name, err)
 	}
-	// The manifest now contains every logged mutation; truncate the
-	// logs (attaching them if this was the directory's first commit). A
-	// crash before a truncation is harmless: replay over a snapshot
-	// that already contains the frames' effects converges (adds of
-	// present names skip, deletes of absent names no-op).
-	if err := ix.attachWALsLocked(); err != nil {
+	// The manifest now contains every logged mutation; truncate the log
+	// (attaching it if this was the directory's first commit). A crash
+	// before the truncation is harmless: replay over a snapshot that
+	// already contains the frames' effects converges (adds of present
+	// names skip, deletes of absent names no-op).
+	if err := ix.attachWALLocked(); err != nil {
 		return fmt.Errorf("index %q: save dir: %w", ix.meta.Name, err)
 	}
 	cleanOrphanSegments(ix.tier.segmentsDir(), &man)
@@ -214,27 +214,31 @@ func (sh *shard) deadRowsLocked() []int32 {
 	return out
 }
 
-// attachWALsLocked brings every shard's write-ahead log to the
-// empty-at-current-snapshot state: already-attached logs are truncated
-// back to a bare header, missing ones are created and attached. Callers
-// hold ix.mu and every shard lock, and must have committed the manifest
-// first — the WAL-active invariant is "a WAL exists if and only if
-// there is a manifest to replay it over".
-func (ix *Index) attachWALsLocked() error {
-	for si, sh := range ix.shards {
-		w := sh.wal.Load()
-		if w == nil {
-			var err error
-			if w, _, _, err = openWAL(ix.tier.dataDir, si, ix.tier); err != nil {
-				return err
-			}
-			sh.wal.Store(w)
-		}
-		if err := w.Reset(); err != nil {
-			return err
+// attachWALLocked brings the write-ahead log to the
+// empty-at-current-snapshot state: it deletes the stripe logs an older
+// engine left (see replayWAL), then truncates the index's log back to a
+// bare header, creating and attaching it on the first commit. The
+// deletes come first: a record's older frames may sit in a stripe log
+// and its newer ones in the index's, and a crash between the two steps
+// must not leave the older ones to replay alone. Callers hold ix.mu and
+// every shard lock, and must have committed the manifest first — the
+// WAL-active invariant is "a WAL exists if and only if there is a
+// manifest to replay it over".
+func (ix *Index) attachWALLocked() error {
+	for si := 1; si < len(ix.shards); si++ {
+		if err := os.Remove(walPath(ix.tier.dataDir, si)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("wal: %w", err)
 		}
 	}
-	return nil
+	w := ix.tier.wal.Load()
+	if w == nil {
+		var err error
+		if w, _, _, err = openWAL(ix.tier.dataDir, 0, ix.tier); err != nil {
+			return err
+		}
+		ix.tier.wal.Store(w)
+	}
+	return w.Reset()
 }
 
 // writeManifest writes the manifest to a temp file, fsyncs it, and
@@ -350,8 +354,8 @@ func cleanOrphanSegments(segDir string, man *manifest) {
 // Open opens the index directory at dir, written by SaveDir: it reads
 // the manifest, opens and checksum-verifies every referenced segment,
 // and rebuilds the packed prefilter (streaming the segment rows once);
-// manifest v6 tombstones are restored, the per-shard write-ahead logs
-// are replayed over the snapshot (torn tails truncated) so every
+// manifest v6 tombstones are restored, the write-ahead log is
+// replayed over the snapshot (torn tails truncated) so every
 // mutation acknowledged before a crash is present, and only then is the
 // LSH posting table built, sealed, over snapshot and tail together.
 // The full-width data itself stays on disk (mmap'd where available), so
@@ -520,9 +524,9 @@ func Open(dir string) (ix *Index, err error) {
 	for _, sh := range ix.shards {
 		ix.meta.RecordCount += sh.names.len() - sh.deadRows
 	}
-	// Replay whatever the write-ahead logs hold past this snapshot —
+	// Replay whatever the write-ahead log holds past this snapshot —
 	// everything acknowledged since the manifest was committed — then
-	// attach the logs for new mutations. A snapshot that already
+	// attach the log for new mutations. A snapshot that already
 	// contains some frames' effects (crash between manifest commit and
 	// log truncation) replays idempotently.
 	if err = ix.replayWAL(); err != nil {
@@ -535,30 +539,35 @@ func Open(dir string) (ix *Index, err error) {
 	return ix, nil
 }
 
-// replayWAL opens every shard's write-ahead log (which cuts torn tails
-// off), applies the frames in global sequence order through the normal
-// Add/Delete paths, and only then attaches the logs, so replayed
-// mutations are not re-logged. Called by Open on the fully-built index,
-// before it is visible to anyone else.
+// replayWAL opens the index's log and every stripe log an engine up to
+// 0.13 left beside it (opening cuts torn tails off), applies their
+// frames in global sequence order through the normal Add/Delete paths,
+// and only then attaches the index's log, so replayed mutations are not
+// re-logged. The stripe logs are closed but stay on disk, replayed again
+// by every Open, until the next SaveDir deletes them. Called by Open on
+// the fully-built index, before it is visible to anyone else.
 func (ix *Index) replayWAL() (err error) {
-	wals := make([]*shardWAL, len(ix.shards))
+	var w *shardWAL
 	defer func() {
-		if err != nil {
-			for _, w := range wals {
-				if w != nil {
-					w.Close()
-				}
-			}
+		if err != nil && w != nil {
+			w.Close()
 		}
 	}()
 	var all []walOp
 	var torn int64
 	for si := range ix.shards {
-		w, ops, t, err := openWAL(ix.tier.dataDir, si, ix.tier)
+		if _, err := os.Stat(walPath(ix.tier.dataDir, si)); si > 0 && os.IsNotExist(err) {
+			continue
+		}
+		l, ops, t, err := openWAL(ix.tier.dataDir, si, ix.tier)
 		if err != nil {
 			return fmt.Errorf("index: %w", err)
 		}
-		wals[si] = w
+		if si == 0 {
+			w = l
+		} else {
+			l.Close()
+		}
 		all = append(all, ops...)
 		torn += t
 	}
@@ -591,9 +600,7 @@ func (ix *Index) replayWAL() (err error) {
 	}
 	ix.tier.walReplayed.Store(uint64(len(all)))
 	ix.tier.walTornBytes.Store(uint64(torn))
-	for si, sh := range ix.shards {
-		sh.wal.Store(wals[si])
-	}
+	ix.tier.wal.Store(w)
 	return nil
 }
 
@@ -639,7 +646,7 @@ func (ix *Index) Tier() *TierStats {
 }
 
 // Close releases the on-disk tier's mappings and file handles,
-// including the write-ahead logs (buffered-but-unsynced frames are
+// including the write-ahead log (buffered-but-unsynced frames are
 // dropped — callers that need them durable call SyncWAL first, and the
 // ack path already has). It is a no-op on an in-memory index; the index
 // must not be used afterwards.
@@ -652,13 +659,12 @@ func (ix *Index) Close() error {
 		if err := sh.full.close(); err != nil && first == nil {
 			first = err
 		}
-		if w := sh.wal.Load(); w != nil {
-			if err := w.Close(); err != nil && first == nil {
-				first = err
-			}
-			sh.wal.Store(nil)
-		}
 		sh.mu.Unlock()
+	}
+	if w := ix.tier.wal.Swap(nil); w != nil {
+		if err := w.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
 	return first
 }

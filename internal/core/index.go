@@ -62,7 +62,7 @@ type Index struct {
 	// behind its shard locks. Go's RWMutex is not reentrant: nothing
 	// called under a shared hold may take writeMu again, or a SaveDir
 	// queued in between deadlocks it. Lock order is writeMu -> ix.mu ->
-	// shard.mu -> the posting table's and the shard WAL's own.
+	// shard.mu -> the posting table's and the WAL's own.
 	writeMu sync.RWMutex
 
 	mu     sync.RWMutex  // guards meta and gen
@@ -75,8 +75,8 @@ type Index struct {
 	compactions   atomic.Uint64 // compaction passes that dropped rows
 	compactedRows atomic.Uint64 // tombstoned rows reclaimed by compaction
 
-	// The group commit (see SyncWAL): sweeps of the shard logs are
-	// numbered from 1 and run one at a time. sweepMu guards the fields
+	// The group commit (see SyncWAL): sweeps of the log are numbered
+	// from 1 and run one at a time. sweepMu guards the fields
 	// below it and is not held while a sweep runs; sweepsDone is atomic
 	// only so that WALTicket need not take it.
 	sweepMu     sync.Mutex
@@ -141,9 +141,9 @@ func newIndex(name string, k, sigSize int, lsh LSHParams, shards int) *Index {
 }
 
 // maxShards bounds the shard count, which arrives from flags, manifests
-// and import files: every shard of a directory index holds an open WAL
-// file, and an absurd value must fail as an error, not exhaust file
-// descriptors before the first record is read.
+// and import files: every shard gets its own stripe state, and Open
+// looks for a stripe log per shard, so an absurd value must fail as an
+// error before the first record is read.
 const maxShards = 1 << 12
 
 func checkShards(shards int) error {
@@ -245,14 +245,14 @@ func (ix *Index) WALTicket() uint64 { return ix.sweepsDone.Load() }
 
 // SyncWAL is the index's one commit point, the durability barrier every
 // ack waits on. It returns once a sweep that began after the caller's
-// last append has finished; a sweep flushes and fsyncs every shard log
-// with frames buffered, so its cost tracks the shards actually touched.
-// Sweeps run one at a time, and a writer that queued behind a running
-// one either runs the next or finds that another queued writer already
-// has — the group commit: one fsync per touched shard for all of them,
-// adds and deletes alike. A sweep that failed after ticket was taken
-// fails the caller, whether or not the caller's frames were in the log
-// that failed (see WALTicket); the mutations themselves stay in memory
+// last append has finished; a sweep flushes the log and fsyncs it once,
+// whichever stripes its frames came from, and pays nothing when no frame
+// is buffered. Sweeps run one at a time, and a writer that queued behind
+// a running one either runs the next or finds that another queued writer
+// already has — the group commit: one fsync for all of them, adds and
+// deletes alike. A sweep that failed after ticket was taken fails the
+// caller, whether or not the caller's frames were in the write that
+// failed (see WALTicket); the mutations themselves stay in memory
 // and reach disk with the next snapshot. With no WAL attached — an
 // in-memory index, or a directory that has not committed its first
 // manifest — a sweep finds nothing to do.
@@ -271,17 +271,13 @@ func (ix *Index) SyncWAL(ticket uint64) error {
 		ix.sweepsBegun++
 		ix.sweepEnd = make(chan struct{})
 		ix.sweepMu.Unlock()
-		var first error
-		for _, sh := range ix.shards {
-			if w := sh.wal.Load(); w != nil {
-				if err := w.sync(); err != nil && first == nil {
-					first = err
-				}
-			}
+		var err error
+		if w := ix.tier.wal.Load(); w != nil {
+			err = w.sync()
 		}
 		ix.sweepMu.Lock()
-		if first != nil {
-			ix.sweepFailed, ix.sweepErr = ix.sweepsBegun, first
+		if err != nil {
+			ix.sweepFailed, ix.sweepErr = ix.sweepsBegun, err
 		}
 		ix.sweepsDone.Store(ix.sweepsBegun)
 		close(ix.sweepEnd)
@@ -315,9 +311,9 @@ const DefaultCompactThreshold = 0.25
 // latency the ack path is paying; FsyncSeconds is FsyncNanos in the
 // unit /metrics reports.
 type WALStats struct {
-	Frames         int64   `json:"frames" prom:"wal_frames" help:"Frames in the WALs since the last snapshot."`
-	Bytes          int64   `json:"bytes" prom:"wal_bytes" help:"Bytes in the WALs since the last snapshot."`
-	Appends        uint64  `json:"appends" prom:"wal_appends_total" help:"Frames appended to the WALs."`
+	Frames         int64   `json:"frames" prom:"wal_frames" help:"Frames in the WAL since the last snapshot."`
+	Bytes          int64   `json:"bytes" prom:"wal_bytes" help:"Bytes in the WAL since the last snapshot."`
+	Appends        uint64  `json:"appends" prom:"wal_appends_total" help:"Frames appended to the WAL."`
 	Fsyncs         uint64  `json:"fsyncs" prom:"wal_fsyncs_total" help:"WAL fsync batches."`
 	FsyncNanos     uint64  `json:"fsync_nanos"`
 	FsyncSeconds   float64 `json:"-" prom:"wal_fsync_seconds_total" help:"Time spent in WAL fsyncs."`
@@ -329,6 +325,10 @@ type WALStats struct {
 // is attached (in-memory index, or no committed manifest yet).
 func (ix *Index) WAL() *WALStats {
 	tier := ix.tier
+	w := tier.wal.Load()
+	if w == nil {
+		return nil
+	}
 	st := &WALStats{
 		Appends:        tier.walAppends.Load(),
 		Fsyncs:         tier.walFsyncs.Load(),
@@ -337,18 +337,7 @@ func (ix *Index) WAL() *WALStats {
 		TornBytes:      tier.walTornBytes.Load(),
 	}
 	st.FsyncSeconds = float64(st.FsyncNanos) / 1e9
-	attached := false
-	for _, sh := range ix.shards {
-		if w := sh.wal.Load(); w != nil {
-			attached = true
-			frames, bytes := w.Depth()
-			st.Frames += frames
-			st.Bytes += bytes
-		}
-	}
-	if !attached {
-		return nil
-	}
+	st.Frames, st.Bytes = w.Depth()
 	return st
 }
 
@@ -449,8 +438,8 @@ func (ix *Index) ShardCount() int { return len(ix.shards) }
 // Rebucket retunes the LSH banding scheme without re-sketching. It is
 // safe on a live index: writers and searches wait on writeMu while it
 // runs. Only the posting table is rebuilt (off to the side, then
-// swapped in), so row numbering, full-width stores, and WALs all carry
-// over.
+// swapped in), so row numbering, full-width stores, and the WAL all
+// carry over.
 //
 // The shard count is fixed at creation: on-disk segments are laid out
 // by shard-local row order, and changing the stripe count would

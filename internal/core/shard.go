@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultShards is the number of lock-striped shards an index uses
@@ -33,11 +32,6 @@ type shard struct {
 	// compaction rewrites the stripe without it.
 	dead     []uint64 // bitset over arena rows; 1 = tombstoned
 	deadRows int
-
-	// wal is the shard's write-ahead log, attached once the index
-	// directory has a committed manifest (SaveDir/Open) and nil
-	// otherwise. Atomic so Index.SyncWAL can read it without sh.mu.
-	wal atomic.Pointer[shardWAL]
 }
 
 // newShards returns n empty stripes filing their postings in posts and
@@ -77,7 +71,7 @@ func (sh *shard) add(s *Sketch) (bool, error) {
 	sh.names.add(s.Name, sh.dead)
 	sh.shingles = append(sh.shingles, int32(s.Shingles))
 	sh.posts.add(sh.id, idx, s.Signature)
-	if w := sh.wal.Load(); w != nil {
+	if w := sh.full.tier.wal.Load(); w != nil {
 		w.appendAdd(sh.full.tier.walSeq.Add(1), s.Name, int32(s.Shingles), s.Signature)
 	}
 	return true, nil
@@ -101,7 +95,7 @@ func (sh *shard) delete(name string) bool {
 	}
 	sh.dead[w] |= 1 << uint(idx&63)
 	sh.deadRows++
-	if wl := sh.wal.Load(); wl != nil {
+	if wl := sh.full.tier.wal.Load(); wl != nil {
 		wl.appendDelete(sh.full.tier.walSeq.Add(1), name)
 	}
 	return true

@@ -32,8 +32,11 @@ type tierState struct {
 	rescored   atomic.Uint64 // rows actually read full-width
 	readErrors atomic.Uint64 // full-width reads that failed (row skipped)
 
-	// Write-ahead-log state: the index-wide mutation sequence the
-	// per-shard logs share, and the counters behind WALStats.
+	// Write-ahead-log state: the index's one log, attached once the
+	// directory has a committed manifest (SaveDir/Open) and nil
+	// otherwise; the mutation sequence its frames carry; and the
+	// counters behind WALStats.
+	wal           atomic.Pointer[shardWAL]
 	walSeq        atomic.Uint64 // last sequence number handed out
 	walAppends    atomic.Uint64 // frames appended since open
 	walFsyncs     atomic.Uint64 // fsyncs performed by sync

@@ -9,14 +9,14 @@ import (
 	"sketchengine/internal/framelog"
 )
 
-// Per-shard write-ahead log. Every acknowledged add or delete on a
-// tiered index is appended as a frame to the owning shard's WAL before
-// the ack, and replayed over the last snapshot when the directory is
-// reopened — so acked-ingest-survives costs O(delta since the last
-// snapshot) instead of being snapshot-gated. The file is a
-// framelog.Log: frames, torn tails, write failures and reset are its
-// business (docs/FORMAT.md, "Framed log"); this file owns the header
-// and the frame body.
+// The index's write-ahead log. Every acknowledged add or delete on a
+// tiered index is appended as a frame to the one log before the ack,
+// and replayed over the last snapshot when the directory is reopened —
+// so acked-ingest-survives costs O(delta since the last snapshot)
+// instead of being snapshot-gated. The file is a framelog.Log: frames,
+// torn tails, write failures and reset are its business
+// (docs/FORMAT.md, "Framed log"); this file owns the header and the
+// frame body.
 //
 // Header, 16 bytes: magic "SKWL", u32 version, u32 shard ID, u32
 // reserved. Frame body:
@@ -24,9 +24,11 @@ import (
 //	u64 seq | u8 op | u32 nameLen | name
 //	  op=add only: u32 shingles | u32 slots | slots x u64 signature
 //
-// all little-endian. seq is a global (index-wide) sequence number, so
-// replay can merge the per-shard logs back into one total mutation
-// order.
+// all little-endian. The log is always shard 0's file; engines up to
+// 0.13 kept one log per shard, and Open still replays those files until
+// the next SaveDir deletes them. seq is an index-wide sequence number,
+// handed out under the stripe lock but appended under the log's, so it
+// is not in file order: replay sorts by it.
 const (
 	walDirName    = "wal"
 	walMagic      = "SKWL"
@@ -37,7 +39,8 @@ const (
 	walOpDelete = 2
 )
 
-// walPath names shard si's WAL file under dataDir.
+// walPath names shard si's WAL file under dataDir. The index's own log
+// is si 0; other numbers name the stripe logs older engines wrote.
 func walPath(dataDir string, si int) string {
 	return filepath.Join(dataDir, walDirName, fmt.Sprintf("shard-%04d.wal", si))
 }
@@ -51,15 +54,15 @@ type walOp struct {
 	sig      []uint64 // add frames only; full-width slot values
 }
 
-// shardWAL is one shard's open write-ahead log. Appends encode into the
-// log's in-memory buffer (and therefore never fail), so shard.add needs
-// no rollback path; sync flushes and fsyncs whatever has accumulated —
-// concurrent writers on the same shard group-commit under one fsync.
-// The owning shard's lock is NOT required: the log has its own mutex,
-// and the lock order is writeMu -> ix.mu -> sh.mu -> the log's. Reset
-// (SaveDir, right after the manifest rename commits a snapshot holding
-// every logged mutation; that order leaves no gap for a frame to land
-// in), Depth and Close are the log's own.
+// shardWAL is the index's open write-ahead log, shard 0's file.
+// Appends encode into the log's in-memory buffer (and therefore never
+// fail), so shard.add needs no rollback path; sync flushes and fsyncs
+// whatever has accumulated — concurrent writers on every stripe
+// group-commit under one fsync. No stripe lock is required: the log has
+// its own mutex, and the lock order is writeMu -> ix.mu -> sh.mu -> the
+// log's. Reset (SaveDir, right after the manifest rename commits a
+// snapshot holding every logged mutation; that order leaves no gap for
+// a frame to land in), Depth and Close are the log's own.
 type shardWAL struct {
 	t *tierState
 	*framelog.Log
@@ -126,12 +129,11 @@ func appendWALHead(b []byte, seq uint64, op byte, name string) []byte {
 }
 
 // sync makes the buffered frames durable — the point every ack waits
-// on. An empty buffer is a no-op, so syncing all shards after an add
-// only pays one fsync, on the shard that changed. On an error the
-// buffered frames are dropped from the log and the file is rolled back
-// to its last complete write (the caller fails the ack; the records
-// themselves are still in memory and reach disk with the next
-// snapshot).
+// on. An empty buffer is a no-op: what was written before is synced,
+// and no fsync is paid. On an error the buffered frames are dropped
+// from the log and the file is rolled back to its last complete write
+// (the caller fails the ack; the records themselves are still in
+// memory and reach disk with the next snapshot).
 func (w *shardWAL) sync() error {
 	fsync, err := w.Sync()
 	if err != nil {

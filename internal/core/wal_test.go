@@ -14,8 +14,8 @@ import (
 )
 
 // walEngine builds a tiered engine over dir with n records committed
-// by one SaveDir, so the per-shard WALs are attached and every later
-// acked mutation is durable through them.
+// by one SaveDir, so the WAL is attached and every later acked
+// mutation is durable through it.
 func walEngine(t *testing.T, dir string, n int) *Engine {
 	t.Helper()
 	eng, err := NewEngine(Options{
@@ -629,4 +629,158 @@ func TestOpenSealsWALTail(t *testing.T) {
 			t.Fatalf("rec-%d (live %v): exact answers %+v", i, live, exact)
 		}
 	}
+}
+
+// TestWALOneFsyncPerCommit: the index has one log, so a commit covering
+// records on several stripes pays one fsync, and wal/ holds one file.
+func TestWALOneFsyncPerCommit(t *testing.T) {
+	dir := t.TempDir()
+	eng := walEngine(t, dir, 8)
+	defer eng.Index().Close()
+	ix := eng.Index()
+	var batch []*Sketch
+	stripes := map[int]bool{}
+	for i := 0; len(batch) < 3; i++ {
+		name := fmt.Sprintf("fsync-%d", i)
+		if si := shardFor(name, ix.ShardCount()); !stripes[si] {
+			stripes[si] = true
+			batch = append(batch, eng.Sketcher().Sketch(Record{Name: name, Data: benchData(256, int64(500+i))}))
+		}
+	}
+	before := ix.WAL().Fsyncs
+	if oks, err := eng.AddSketches(batch); err != nil || !slices.Equal(oks, []bool{true, true, true}) {
+		t.Fatalf("AddSketches = %v, %v", oks, err)
+	}
+	if got := ix.WAL().Fsyncs - before; got != 1 {
+		t.Fatalf("a commit over 3 stripes paid %d fsyncs, want 1", got)
+	}
+	if files := walFiles(t, dir); !slices.Equal(files, []string{"shard-0000.wal"}) {
+		t.Fatalf("wal/ holds %v, want only shard-0000.wal", files)
+	}
+}
+
+// walFiles lists the file names under dir's wal/ directory.
+func walFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, walDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		out = append(out, e.Name())
+	}
+	return out
+}
+
+// TestWALUpgradeFromStripeLogs: a directory an engine up to 0.13 wrote
+// has one log per stripe, and a record's frames may sit in several of
+// them. Open replays every stripe log in seq order, and the next SaveDir
+// deletes them all before it resets the index's log.
+func TestWALUpgradeFromStripeLogs(t *testing.T) {
+	dir := t.TempDir()
+	eng := walEngine(t, dir, 8)
+	sk := func(name string, seed int64) *Sketch {
+		return eng.Sketcher().Sketch(Record{Name: name, Data: benchData(256, seed)})
+	}
+	x, yOld, yNew := sk("x", 901), sk("y", 902), sk("y", 903)
+	if err := eng.Index().Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The older engine's frames, seq order across files not file order:
+	// replaying shard 0's file before shard 5's would leave y deleted.
+	logStripe := func(si int, frames func(w *shardWAL)) {
+		t.Helper()
+		w, _, _, err := openWAL(dir, si, &tierState{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames(w)
+		if err := w.sync(); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+	}
+	logStripe(5, func(w *shardWAL) {
+		w.appendAdd(1, x.Name, int32(x.Shingles), x.Signature)
+		w.appendDelete(3, "y")
+	})
+	logStripe(0, func(w *shardWAL) {
+		w.appendAdd(2, "y", int32(yOld.Shingles), yOld.Signature)
+		w.appendAdd(4, "y", int32(yNew.Shingles), yNew.Signature)
+	})
+
+	// check opens dir and compares it with the state after every frame:
+	// the snapshot's 8 records, y's re-add, and x unless it was deleted.
+	check := func(xLive bool, replayed uint64, files []string) *Index {
+		t.Helper()
+		ix, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 9
+		if xLive {
+			want++
+		}
+		if ix.Len() != want || ix.Has("x") != xLive {
+			t.Fatalf("after replay: len %d, has x %v; want %d, %v", ix.Len(), ix.Has("x"), want, xLive)
+		}
+		if got := ix.Get("y"); got == nil || !slices.Equal(got.Signature, yNew.Signature) {
+			t.Fatal("y does not hold its re-added signature: frames replayed out of seq order")
+		}
+		if ws := ix.WAL(); ws == nil || ws.ReplayedFrames != replayed {
+			t.Fatalf("WAL stats %+v, want %d replayed frames", ws, replayed)
+		}
+		if got := walFiles(t, dir); !slices.Equal(got, files) {
+			t.Fatalf("wal/ holds %v, want %v", got, files)
+		}
+		return ix
+	}
+	both := []string{"shard-0000.wal", "shard-0005.wal"}
+	ix := check(true, 4, both)
+	ticket := ix.WALTicket()
+	if ok, err := ix.Delete("x"); !ok || err != nil {
+		t.Fatalf("delete x = %v, %v", ok, err)
+	}
+	if err := ix.SyncWAL(ticket); err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	// Two opens with no SaveDir between them replay the old stripe log
+	// twice, beside the delete in the index's log, and agree.
+	check(false, 5, both).Close()
+	// A SaveDir that stops between deleting the stripe logs and resetting
+	// the index's log (here a stripe log cannot be deleted) must not have
+	// reset it: the stripe log's add of x would replay without the delete.
+	stripe5 := walPath(dir, 5)
+	old, err := os.ReadFile(stripe5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix = check(false, 5, both)
+	if err := os.Remove(stripe5); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(stripe5, "busy"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.SaveDir(); err == nil {
+		t.Fatal("SaveDir deleted a non-empty directory in place of a stripe log")
+	}
+	ix.Close()
+	if err := os.RemoveAll(stripe5); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stripe5, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix = check(false, 5, both)
+	if err := ix.SaveDir(); err != nil {
+		t.Fatal(err)
+	}
+	if got := walFiles(t, dir); !slices.Equal(got, []string{"shard-0000.wal"}) {
+		t.Fatalf("after SaveDir wal/ holds %v, want only shard-0000.wal", got)
+	}
+	ix.Close()
+	check(false, 0, []string{"shard-0000.wal"}).Close()
 }

@@ -1,5 +1,5 @@
 // Package framelog is the engine's one append-only framed log. The
-// per-shard write-ahead log (internal/core) and the hinted-handoff log
+// index's write-ahead log (internal/core) and the hinted-handoff log
 // (internal/cluster) are both a Log; they differ in their header bytes
 // and in what a frame body means. docs/FORMAT.md, "Framed log", is the
 // specification.

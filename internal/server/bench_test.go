@@ -139,7 +139,7 @@ func BenchmarkServeIngestWhileSearch(b *testing.B) {
 // every 200 waited on the index-wide WAL commit. The shapes ask what
 // amortises fsyncs as writers are added (1, 16, 64 single-record
 // requests in flight) and what a multi-record request costs (16 writers
-// of 8 records, which touch several shard logs each). rec/s is records
+// of 8 records, which touch several stripes each). rec/s is records
 // acknowledged per second, fsyncs/req the WAL fsyncs paid per request.
 func BenchmarkIngestWriters(b *testing.B) {
 	payloads := make([]string, 64)

@@ -64,7 +64,7 @@ type Server struct {
 	// across the engine call and its ack, Close takes it exclusively to
 	// set closed before the final snapshot. So that snapshot covers every
 	// acked write, and none is acked after it — when the caller may
-	// already have closed the index and its WALs.
+	// already have closed the index and its WAL.
 	writeMu sync.RWMutex
 	closed  bool
 
@@ -118,10 +118,10 @@ func New(eng *core.Engine, cfg Config) (*Server, error) {
 	if dir != "" {
 		if _, err := os.Stat(filepath.Join(dir, core.ManifestFile)); err != nil {
 			// No committed manifest yet: commit one now, synchronously.
-			// The manifest rename is what attaches the per-shard WALs, and
-			// every mutation acknowledged from the first request onward
-			// must hit a WAL to survive a crash — so the index must be on
-			// disk before the listener is.
+			// The manifest rename is what attaches the WAL, and every
+			// mutation acknowledged from the first request onward must
+			// hit it to survive a crash — so the index must be on disk
+			// before the listener is.
 			if err := eng.Index().SaveDir(); err != nil {
 				return nil, fmt.Errorf("server: initial snapshot of %s: %w", dir, err)
 			}
