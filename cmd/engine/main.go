@@ -286,7 +286,7 @@ func retune(cmd string, ix *core.Index, bands, rows int) (bool, error) {
 	}
 	lsh, err := core.NewLSHParams(bands, rows, meta.SignatureSize)
 	if err == nil {
-		err = ix.Rebucket(lsh, meta.Shards)
+		err = ix.Rebucket(lsh)
 	}
 	if err != nil {
 		return false, fmt.Errorf("%s: %w", cmd, err)

@@ -73,15 +73,9 @@ type Config struct {
 	// sweep (the same walk POST /v1/admin/repair does) this often.
 	// Zero disables periodic sweeps; the admin endpoint still works.
 	RepairInterval time.Duration
-	// MaxInFlight bounds concurrently served coordinator requests.
+	// MaxInFlight bounds concurrently served coordinator requests: the
+	// shell's limiter, the coordinator's one admission control.
 	MaxInFlight int
-	// MaxFanout bounds concurrently running fan-outs (search, ingest,
-	// delete scatter-gathers). A fan-out beyond the bound is shed
-	// immediately with 503 + Retry-After instead of queueing — under
-	// sustained overload a bounded queue of doomed work only adds
-	// latency. Zero means MaxInFlight, which (given the in-flight
-	// limiter) never sheds; set it lower to shed before saturation.
-	MaxFanout int
 	// RetryBudget and RetryRefillPerSec size the coordinator-wide retry
 	// token bucket (see DefaultRetryBudget). Every retried backend call
 	// across search retry waves, hint replays, and repair traffic spends
@@ -114,7 +108,6 @@ type Coordinator struct {
 	hints   *hintStore
 	repairs *repairQueue
 	budget  *retryBudget
-	fanouts atomic.Int64 // fan-outs currently running, bounded by MaxFanout
 	// searchTurn rotates which backends a search's first wave leaves out.
 	searchTurn atomic.Uint64
 	// probeBase is the reprobe interval a breaker's backoff starts from
@@ -124,7 +117,7 @@ type Coordinator struct {
 
 	// mu guards the membership view: the placement ring, the optional
 	// migration target ring, and the backend list. Request paths take
-	// a snapshot under RLock and work from it; only join/drain commit
+	// a snapshot under RLock and work from it; only setMembers writes
 	// a new view.
 	mu       sync.RWMutex
 	ring     *Ring
@@ -166,12 +159,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HintInterval == 0 {
 		cfg.HintInterval = DefaultHintInterval
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = server.DefaultMaxInFlight // MaxFanout's default
-	}
-	if cfg.MaxFanout <= 0 {
-		cfg.MaxFanout = cfg.MaxInFlight
-	}
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = DefaultRetryBudget
 	}
@@ -192,25 +179,23 @@ func New(cfg Config) (*Coordinator, error) {
 			Addr: cfg.Addr, MaxInFlight: cfg.MaxInFlight, MaxBatch: cfg.MaxBatch,
 			MaxBodyBytes: cfg.MaxBodyBytes, DrainTimeout: cfg.DrainTimeout, Logf: cfg.Logf,
 		}),
-		ring:      ring,
 		client:    newClient(len(ring.Backends())),
 		metrics:   new(clusterMetrics),
 		hints:     hints,
 		repairs:   newRepairQueue(),
 		budget:    newRetryBudget(cfg.RetryBudget, cfg.RetryRefillPerSec),
 		probeBase: cfg.HealthInterval,
-		byAddr:    make(map[string]*backend, len(ring.Backends())),
 		hintKick:  make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
 	if c.probeBase < 0 {
 		c.probeBase = DefaultHealthInterval
 	}
+	fleet := make([]*backend, 0, len(ring.Backends()))
 	for _, addr := range ring.Backends() {
-		b := newBackend(addr)
-		c.backends = append(c.backends, b)
-		c.byAddr[addr] = b
+		fleet = append(fleet, newBackend(addr))
 	}
+	c.setMembers(ring, nil, fleet)
 	// Every call's outcome, request or probe, drives the backend's
 	// breaker. A backend 504 means a propagated deadline died downstream;
 	// count it.
@@ -318,7 +303,6 @@ type clusterMetrics struct {
 	partials       atomic.Int64 // search responses degraded to partial
 	quorumFailures atomic.Int64 // records that missed their write quorum
 
-	shed             atomic.Int64 // fan-outs shed at the MaxFanout bound (503s)
 	deadlineExceeded atomic.Int64 // backend calls that died on a propagated deadline (504s)
 
 	joins             atomic.Int64 // committed ring joins

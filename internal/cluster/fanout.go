@@ -71,14 +71,6 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.metrics.searches.Add(1)
-	release := c.acquireFanout()
-	if release == nil {
-		w.Header().Set("Retry-After", "1")
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeOverloaded,
-			fmt.Sprintf("search: coordinator at fan-out capacity (%d); retry later", c.cfg.MaxFanout))
-		return
-	}
-	defer release()
 
 	// Encoded once: every backend in both waves is sent these bytes, which
 	// are json.Marshal's (no newline). Not pooled: the transport may still

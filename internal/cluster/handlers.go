@@ -126,10 +126,10 @@ type StatsResponse struct {
 	// sits at the cover size (backends - write_quorum + 1) while the fleet
 	// is healthy.
 	SearchBackendCalls int64 `json:"search_backend_calls" prom:"search_backend_calls_total" help:"Backend calls made by searches, first wave and second."`
-	// Shed counts fan-outs refused with 503 at the MaxFanout bound;
+	// Shed is always 0: it stays only because bench/ compiles against it.
+	Shed int64 `json:"shed,omitempty"`
 	// DeadlineExceeded counts backend calls that came back 504 after the
 	// propagated deadline expired.
-	Shed             int64            `json:"shed,omitempty" prom:"shed_total" help:"Fan-outs refused with 503 at the MaxFanout bound."`
 	DeadlineExceeded int64            `json:"deadline_exceeded,omitempty" prom:"deadline_exceeded_total" help:"Backend calls that answered 504 past the propagated deadline."`
 	RetryBudget      RetryBudgetStats `json:"retry_budget"`
 	// Faults is populated only while a fault spec is armed: injection
@@ -216,7 +216,6 @@ func (c *Coordinator) stats() StatsResponse {
 		Retries:            m.retries.Load(),
 		PartialResults:     m.partials.Load(),
 		QuorumFailures:     m.quorumFailures.Load(),
-		Shed:               m.shed.Load(),
 		DeadlineExceeded:   m.deadlineExceeded.Load(),
 		RetryBudget: RetryBudgetStats{
 			Remaining:    c.budget.remaining(),

@@ -26,13 +26,17 @@ import (
 //     idempotent, so a retry resumes the work for free.
 //  3. Commit the ring swap under the membership lock. Only now does
 //     placement change.
-//  4. Join only: best-effort delete the copies the swap stranded
-//     outside their replica sets (rendezvous hashing moves each
-//     affected record off exactly one old replica). Leftover strays
-//     are harmless to reads (search dedups) and the sweep removes
-//     them. A drain needs no cleanup: removal never remaps records
-//     that were not on the drained backend, so the survivors' copies
-//     are exactly the target placement.
+//  4. Best-effort delete the copies the swap stranded outside their
+//     replica sets (rendezvous hashing moves each affected record off
+//     exactly one old replica). Leftover strays are harmless to reads
+//     (search dedups) and the sweep removes them. A drain strands
+//     copies only on the drained backend, which leaves the fleet at
+//     commit, so it has none to delete: removal never remaps records
+//     that were not on it.
+//
+// Join and drain are one code path (moveRing); they differ only in
+// the target's member list, the joiner's admission probe and the
+// counter a commit bumps.
 const (
 	// CodeRebalanceBusy (409): another join/drain is streaming.
 	CodeRebalanceBusy = "rebalance_busy"
@@ -89,77 +93,96 @@ type RebalanceResponse struct {
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if !c.shell.Decode(w, r, &req) {
-		return
+	if c.shell.Decode(w, r, &req) {
+		c.moveRing(w, r, "join", req.Backend)
 	}
+}
+
+func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
+	var req DrainRequest
+	if c.shell.Decode(w, r, &req) {
+		c.moveRing(w, r, "drain", req.Backend)
+	}
+}
+
+// moveRing is join and drain alike: one move from the committed ring to
+// the same members plus (join) or minus (drain) addr. A joiner must
+// first pass an admission probe.
+func (c *Coordinator) moveRing(w http.ResponseWriter, r *http.Request, action, addr string) {
 	if !c.rebalanceMu.TryLock() {
-		server.WriteError(w, http.StatusConflict, CodeRebalanceBusy, "join: another membership change is in progress")
+		server.WriteError(w, http.StatusConflict, CodeRebalanceBusy, action+": another membership change is in progress")
 		return
 	}
 	defer c.rebalanceMu.Unlock()
 
 	old, _ := c.rings()
-	if slices.Contains(old.Backends(), req.Backend) {
+	join := action == "join"
+	members := slices.DeleteFunc(slices.Clone(old.Backends()), func(a string) bool { return a == addr })
+	if member := len(members) < len(old.Backends()); join == member {
+		where := map[bool]string{true: "already", false: "not"}[member]
 		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
-			fmt.Sprintf("join: backend %s is already in the ring", req.Backend))
+			fmt.Sprintf("%s: backend %s is %s in the ring", action, addr, where))
 		return
 	}
-	target, err := NewRing(append(slices.Clone(old.Backends()), req.Backend), c.cfg.Replication)
+	if join {
+		members = append(members, addr)
+	}
+	target, err := NewRing(members, c.cfg.Replication)
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("join: %v", err))
+		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
+			fmt.Sprintf("%s: %d backends cannot hold replication %d", action, len(members), c.cfg.Replication))
 		return
 	}
-	nb := newBackend(req.Backend)
-	pctx, cancel := context.WithTimeout(r.Context(), c.cfg.FanoutTimeout)
-	err = c.client.do(pctx, nb, "GET", "/healthz", nil, nil)
-	cancel()
-	if err != nil {
-		server.WriteError(w, http.StatusBadGateway, CodeBackendDown,
-			fmt.Sprintf("join: backend %s failed its admission probe: %v", req.Backend, err))
-		return
+	fleet := c.backendList()
+	if join {
+		nb := newBackend(addr)
+		pctx, cancel := context.WithTimeout(r.Context(), c.cfg.FanoutTimeout)
+		err = c.client.do(pctx, nb, "GET", "/healthz", nil, nil)
+		cancel()
+		if err != nil {
+			server.WriteError(w, http.StatusBadGateway, CodeBackendDown,
+				fmt.Sprintf("join: backend %s failed its admission probe: %v", addr, err))
+			return
+		}
+		fleet = append(slices.Clone(fleet), nb)
 	}
 
-	// Register the joiner and the target ring: from here, writes use
-	// union placement and the fleet (health, search fan-out) sees the
-	// new backend.
-	c.mu.Lock()
-	c.backends = append(slices.Clone(c.backends), nb)
-	c.byAddr[req.Backend] = nb
-	c.next = target
-	c.mu.Unlock()
+	// Publish the target: from here, writes use union placement and the
+	// fleet (health, search fan-out) holds the backends of both rings.
+	c.setMembers(old, target, fleet)
 	c.metrics.rebalanceActive.Store(true)
 	defer c.metrics.rebalanceActive.Store(false)
 
 	st, err := c.streamRebalance(r.Context(), old, target)
 	if err != nil {
-		// Roll back: drop the joiner, keep the old ring. Copies already
-		// streamed are strays the sweep (or a retried join) handles.
-		c.mu.Lock()
-		c.next = nil
-		// A clone: snapshots handed out under RLock keep iterating the old array.
-		c.backends = slices.DeleteFunc(slices.Clone(c.backends), func(b *backend) bool { return b == nb })
-		delete(c.byAddr, req.Backend)
-		c.mu.Unlock()
+		// Roll back to the old ring; a joiner leaves the fleet. Copies
+		// already streamed are strays the sweep (or a retry) handles.
+		c.setMembers(old, nil, fleet)
 		c.metrics.rebalanceFailures.Add(1)
-		server.WriteError(w, http.StatusBadGateway, CodeRebalanceFailed, fmt.Sprintf("join %s: %v", req.Backend, err))
+		server.WriteError(w, http.StatusBadGateway, CodeRebalanceFailed, fmt.Sprintf("%s %s: %v", action, addr, err))
 		return
 	}
 
-	c.mu.Lock()
-	c.ring = target
-	c.next = nil
-	c.mu.Unlock()
-	c.metrics.joins.Add(1)
+	// Commit: a drained backend leaves the fleet with its copies —
+	// rendezvous removal means the survivors already hold exactly the
+	// target placement.
+	c.setMembers(target, nil, fleet)
+	if join {
+		c.metrics.joins.Add(1)
+	} else {
+		c.metrics.drains.Add(1)
+	}
 	c.metrics.rebalanceMoved.Add(int64(st.moved))
 	c.metrics.rebalanceCopied.Add(int64(st.copied))
 
-	// Post-commit cleanup: each moved record left one copy behind on
-	// the replica the joiner displaced. Best-effort — a failure leaves
-	// a harmless stray for the sweep.
+	// Post-commit cleanup: each record a join moved left one copy behind
+	// on the replica the joiner displaced. Best-effort — a failure
+	// leaves a harmless stray for the sweep. A drain's strays are all on
+	// the drained backend, which has left the fleet, so it cleans none.
 	cleaned := 0
 	for name, addrs := range st.cleanup {
-		for _, addr := range addrs {
-			b := c.lookup(addr)
+		for _, stray := range addrs {
+			b := c.lookup(stray)
 			if b == nil {
 				continue
 			}
@@ -171,11 +194,11 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	c.logf("join %s committed: %d/%d records moved, %d copies streamed, %d stale copies cleaned",
-		req.Backend, st.moved, st.examined, st.copied, cleaned)
+	c.logf("%s %s committed: %d/%d records moved, %d copies streamed, %d stale copies cleaned",
+		action, addr, st.moved, st.examined, st.copied, cleaned)
 	server.WriteJSON(w, http.StatusOK, RebalanceResponse{
-		Action:      "join",
-		Backend:     req.Backend,
+		Action:      action,
+		Backend:     addr,
 		Backends:    target.Backends(),
 		Replication: c.cfg.Replication,
 		Examined:    st.examined,
@@ -186,78 +209,31 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
-	var req DrainRequest
-	if !c.shell.Decode(w, r, &req) {
-		return
+// setMembers is the one writer of the membership view: ring becomes the
+// authoritative ring, next the migration target (nil outside a
+// join/drain), and the fleet those backends of fleet, in fleet's order,
+// that either ring names. A backend that leaves the fleet will never be
+// replayed to, so its hints are dropped (counted).
+func (c *Coordinator) setMembers(ring, next *Ring, fleet []*backend) {
+	backends := make([]*backend, 0, len(fleet))
+	byAddr := make(map[string]*backend, len(fleet))
+	for _, b := range fleet {
+		if slices.Contains(ring.Backends(), b.addr) || next != nil && slices.Contains(next.Backends(), b.addr) {
+			backends = append(backends, b)
+			byAddr[b.addr] = b
+		}
 	}
-	if !c.rebalanceMu.TryLock() {
-		server.WriteError(w, http.StatusConflict, CodeRebalanceBusy, "drain: another membership change is in progress")
-		return
-	}
-	defer c.rebalanceMu.Unlock()
-
-	old, _ := c.rings()
-	if !slices.Contains(old.Backends(), req.Backend) {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
-			fmt.Sprintf("drain: backend %s is not in the ring", req.Backend))
-		return
-	}
-	remaining := slices.DeleteFunc(slices.Clone(old.Backends()), func(a string) bool { return a == req.Backend })
-	target, err := NewRing(remaining, c.cfg.Replication)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
-			fmt.Sprintf("drain: %d remaining backends cannot hold replication %d", len(remaining), c.cfg.Replication))
-		return
-	}
-
 	c.mu.Lock()
-	c.next = target
+	left := c.backends
+	// Fresh slice and map: snapshots handed out under RLock keep
+	// iterating the old ones.
+	c.ring, c.next, c.backends, c.byAddr = ring, next, backends, byAddr
 	c.mu.Unlock()
-	c.metrics.rebalanceActive.Store(true)
-	defer c.metrics.rebalanceActive.Store(false)
-
-	st, err := c.streamRebalance(r.Context(), old, target)
-	if err != nil {
-		c.mu.Lock()
-		c.next = nil
-		c.mu.Unlock()
-		c.metrics.rebalanceFailures.Add(1)
-		server.WriteError(w, http.StatusBadGateway, CodeRebalanceFailed, fmt.Sprintf("drain %s: %v", req.Backend, err))
-		return
+	for _, b := range left {
+		if byAddr[b.addr] == nil {
+			c.hints.dropBackend(b.addr)
+		}
 	}
-
-	// Commit: swap the ring and retire the backend. Its pending hints
-	// can never be delivered to a ring member again, so they are
-	// dropped (counted), and its copies leave the fleet with it —
-	// rendezvous removal means the survivors already hold exactly the
-	// target placement.
-	var drained *backend
-	c.mu.Lock()
-	c.ring = target
-	c.next = nil
-	drained = c.byAddr[req.Backend]
-	if drained != nil {
-		c.backends = slices.DeleteFunc(slices.Clone(c.backends), func(b *backend) bool { return b == drained })
-		delete(c.byAddr, req.Backend)
-	}
-	c.mu.Unlock()
-	c.hints.dropBackend(req.Backend)
-	c.metrics.drains.Add(1)
-	c.metrics.rebalanceMoved.Add(int64(st.moved))
-	c.metrics.rebalanceCopied.Add(int64(st.copied))
-	c.logf("drain %s committed: %d/%d records moved, %d copies streamed",
-		req.Backend, st.moved, st.examined, st.copied)
-	server.WriteJSON(w, http.StatusOK, RebalanceResponse{
-		Action:      "drain",
-		Backend:     req.Backend,
-		Backends:    target.Backends(),
-		Replication: c.cfg.Replication,
-		Examined:    st.examined,
-		Moved:       st.moved,
-		Copied:      st.copied,
-		Skipped:     st.skipped,
-	})
 }
 
 // rebalanceStats is what one streaming pass accomplished.
@@ -267,7 +243,7 @@ type rebalanceStats struct {
 	copied   int
 	skipped  []string
 	// cleanup maps moved record names to the old-ring replicas their
-	// move stranded (join only; populated for the post-commit delete).
+	// move stranded, for the post-commit delete.
 	cleanup map[string][]string
 }
 

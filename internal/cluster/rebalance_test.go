@@ -3,9 +3,13 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"slices"
+	"sync/atomic"
 	"testing"
+
+	"sketchengine/internal/server"
 )
 
 // TestJoinExpandsRing: a join streams affected records to the new
@@ -108,6 +112,79 @@ func TestDrainFailsCleanThenRetries(t *testing.T) {
 		t.Fatalf("retried drain = %d, body %s; want the two survivors committed", resp.StatusCode, out)
 	}
 	// Both survivors hold everything: replication 2 over 2 backends.
+	if err := x.census(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJoinFailsCleanThenRetries: a join whose stream cannot place
+// copies on the joiner rolls back through the path a failed drain
+// takes: the old ring, no target, the joiner out of the fleet and no
+// hints left for it, though a write mid-stream queued one. Once the
+// joiner accepts copies, the same request commits.
+func TestJoinFailsCleanThenRetries(t *testing.T) {
+	x := replay(t, history{r: 2, ops: []op{{opIngest, seq(20), 0}}})
+	tc, old, joiner := x.tc, x.tc.coord.Ring(), x.tc.spare()
+	tc.backends = append(tc.backends, joiner)
+	target, err := NewRing(append(slices.Clone(old.Backends()), joiner.addr), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := ""
+	for i := 0; mid == ""; i++ {
+		if n := fmt.Sprintf("mid-join-%d", i); slices.Contains(target.Replicas(n), joiner.addr) {
+			mid = n
+		}
+	}
+	midWrite := server.IngestRequest{Records: []server.IngestRecord{{Name: mid, Data: payload(20, 0)}}}
+	var midStatus atomic.Int64 // written on the joiner's handler goroutine
+	// The joiner answers its probe but refuses everything else; its first
+	// refused copy waits for a write that targets it mid-stream.
+	refuse := func(w http.ResponseWriter, r *http.Request) bool {
+		if r.Host != joiner.addr || r.URL.Path == "/healthz" {
+			return false
+		}
+		if r.URL.Path == "/v1/admin/replicate" && midStatus.Load() == 0 {
+			raw, _ := json.Marshal(midWrite)
+			if resp, err := http.Post(tc.ts.URL+"/v1/records", "application/json", bytes.NewReader(raw)); err == nil {
+				midStatus.Store(int64(resp.StatusCode))
+				resp.Body.Close()
+			}
+		}
+		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, "refused")
+		return true
+	}
+	tc.intercept.Store(&refuse)
+	resp, out := postJSON(t, tc.ts.URL+"/v1/admin/join", JoinRequest{Backend: joiner.addr})
+	var env errEnvelope
+	if resp.StatusCode != http.StatusBadGateway || json.Unmarshal(out, &env) != nil || env.Error.Code != CodeRebalanceFailed {
+		t.Fatalf("join with a refusing joiner = %d, body %s; want 502 %s", resp.StatusCode, out, CodeRebalanceFailed)
+	}
+	if s := midStatus.Load(); s != http.StatusOK {
+		t.Fatalf("mid-stream write = %d; want 200 from the old replicas", s)
+	}
+	x.model[mid] = &fact{live, payload(20, 0)}
+	if ring, next := tc.coord.rings(); ring != old || next != nil {
+		t.Fatalf("failed join left ring %v, target %v; want the old ring and no target", ring.Backends(), next)
+	}
+	var st StatsResponse
+	_, raw := getBody(t, tc.ts.URL+"/stats")
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if tc.coord.lookup(joiner.addr) != nil || len(tc.coord.backendList()) != 3 || len(st.Backends) != 3 {
+		t.Fatalf("failed join left the joiner in the fleet: /stats %s", raw)
+	}
+	if n := tc.coord.hints.depthFor(joiner.addr); n != 0 || st.Hints.Dropped != 1 {
+		t.Fatalf("%d hints still queued for the rolled-back joiner, %d dropped; want its one hint dropped", n, st.Hints.Dropped)
+	}
+
+	tc.intercept.Store(nil)
+	var rb RebalanceResponse
+	if resp, out = postJSON(t, tc.ts.URL+"/v1/admin/join", JoinRequest{Backend: joiner.addr}); resp.StatusCode != http.StatusOK ||
+		json.Unmarshal(out, &rb) != nil || len(rb.Backends) != 4 {
+		t.Fatalf("retried join = %d, body %s; want the joiner committed", resp.StatusCode, out)
+	}
 	if err := x.census(true); err != nil {
 		t.Fatal(err)
 	}

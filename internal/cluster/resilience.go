@@ -189,17 +189,3 @@ func (rb *retryBudget) remaining() float64 {
 	}
 	return tokens
 }
-
-// acquireFanout admits one fan-out under the concurrency bound, or
-// sheds it. The returned release func is nil when the fan-out was shed;
-// the caller then answers 503 with Retry-After so well-behaved clients
-// back off instead of re-slamming a saturated coordinator.
-func (c *Coordinator) acquireFanout() func() {
-	n := c.fanouts.Add(1)
-	if n > int64(c.cfg.MaxFanout) {
-		c.fanouts.Add(-1)
-		c.metrics.shed.Add(1)
-		return nil
-	}
-	return func() { c.fanouts.Add(-1) }
-}

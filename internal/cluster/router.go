@@ -51,14 +51,6 @@ func (c *Coordinator) placementFor(ring, next *Ring, name string) (primary, extr
 // backend is healthy again.
 func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	c.metrics.ingestRequests.Add(1)
-	release := c.acquireFanout()
-	if release == nil {
-		w.Header().Set("Retry-After", "1")
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeOverloaded,
-			fmt.Sprintf("ingest: coordinator at fan-out capacity (%d); retry later", c.cfg.MaxFanout))
-		return
-	}
-	defer release()
 	var req server.IngestRequest
 	if !c.shell.Decode(w, r, &req) {
 		return
@@ -226,14 +218,6 @@ func (c *Coordinator) queueHints(byAddr map[string][]hint) {
 // acknowledged delete get a tombstone hint.
 func (c *Coordinator) handleDeleteRecord(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	release := c.acquireFanout()
-	if release == nil {
-		w.Header().Set("Retry-After", "1")
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeOverloaded,
-			fmt.Sprintf("delete: coordinator at fan-out capacity (%d); retry later", c.cfg.MaxFanout))
-		return
-	}
-	defer release()
 	ring, next := c.rings()
 	primary, extras := c.placementFor(ring, next, name)
 	targets := append(append([]string(nil), primary...), extras...)

@@ -95,8 +95,9 @@ func readLines(t *testing.T, path string) []string {
 
 // TestMetricsGolden: every metric family the previous commit's binaries
 // exposed (less the one counter of the admin endpoint deleted with it,
-// and since then the two gauges of the ingest queue deleted with it)
-// is still exposed with the same type, and what was added is exactly
+// since then the two gauges of the ingest queue deleted with it, and
+// sketchengine_cluster_shed_total, deleted with the fan-out shed that
+// could never fire) is still exposed with the same type, and what was added is exactly
 // the drift between /stats and /metrics that rendering both from one
 // value closed.
 func TestMetricsGolden(t *testing.T) {

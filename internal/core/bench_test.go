@@ -396,7 +396,7 @@ func BenchmarkSearchLSH(b *testing.B) {
 	for _, lsh := range []LSHParams{{Bands: 32, RowsPerBand: 4}, {Bands: 64, RowsPerBand: 2}} {
 		name := "serve-lsh-hit"
 		if lsh != ix.LSHParams() {
-			if err := ix.Rebucket(lsh, len(ix.shards)); err != nil {
+			if err := ix.Rebucket(lsh); err != nil {
 				b.Fatal(err)
 			}
 			name = fmt.Sprintf("serve-lsh-hit/bands=%dx%d", lsh.Bands, lsh.RowsPerBand)

@@ -439,22 +439,12 @@ func (ix *Index) ShardCount() int { return len(ix.shards) }
 // safe on a live index: writers and searches wait on writeMu while it
 // runs. Only the posting table is rebuilt (off to the side, then
 // swapped in), so row numbering, full-width stores, and the WAL all
-// carry over.
-//
-// The shard count is fixed at creation: on-disk segments are laid out
-// by shard-local row order, and changing the stripe count would
-// reshuffle records across shards and orphan every segment. shards must
-// equal ShardCount.
-func (ix *Index) Rebucket(lsh LSHParams, shards int) error {
+// carry over; the shard count, fixed at creation, is untouched.
+func (ix *Index) Rebucket(lsh LSHParams) error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	name := ix.meta.Name
 	if _, err := NewLSHParams(lsh.Bands, lsh.RowsPerBand, ix.meta.SignatureSize); err != nil {
-		return fmt.Errorf("index %q: rebucket: %w", name, err)
-	}
-	if shards != len(ix.shards) {
-		return fmt.Errorf("index %q: rebucket: cannot change the shard count (%d -> %d): it is fixed at creation, on-disk segments are per-shard",
-			name, len(ix.shards), shards)
+		return fmt.Errorf("index %q: rebucket: %w", ix.meta.Name, err)
 	}
 	// Tombstoned rows drop out of the new postings for free.
 	ix.posts.rebuild(lsh, ix.shards)

@@ -246,7 +246,7 @@ func TestPostingTableMatchesReference(t *testing.T) {
 					split += m.addTwin(fmt.Sprintf("step %d (add after snapshot)", step))
 				case r < 95:
 					lsh = shapes[m.rng.Intn(len(shapes))]
-					if err := ix.Rebucket(lsh, shards); err != nil {
+					if err := ix.Rebucket(lsh); err != nil {
 						t.Fatalf("%s: rebucket: %v", m.name, err)
 					}
 					m.ref = refFromLive(ix)
@@ -436,7 +436,7 @@ func TestPostingTableConcurrency(t *testing.T) {
 	go untilChurned(func(int) error { return ix.SaveDir() })
 	go untilChurned(func(i int) error {
 		schemes := []LSHParams{{Bands: 64, RowsPerBand: 2}, {Bands: 16, RowsPerBand: 8}, {Bands: 32, RowsPerBand: 4}}
-		return ix.Rebucket(schemes[(i+2)%len(schemes)], 4)
+		return ix.Rebucket(schemes[(i+2)%len(schemes)])
 	})
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
@@ -522,7 +522,7 @@ func TestPostingRowBitsFallback(t *testing.T) {
 	m := &postingModel{t: t, name: "narrow", ix: ix, ref: newRefPostings(lsh, 3), rng: rand.New(rand.NewSource(1)), slots: 16}
 	rebucket := func(what string) {
 		t.Helper()
-		if err := ix.Rebucket(lsh, 3); err != nil {
+		if err := ix.Rebucket(lsh); err != nil {
 			t.Fatal(err)
 		}
 		m.ref = refFromLive(ix)
@@ -607,7 +607,7 @@ func TestPostingFingerprintMerge(t *testing.T) {
 	if err != nil || len(want) != 1 {
 		t.Fatalf("exact search: %+v, err %v", want, err)
 	}
-	if err := ix.Rebucket(lsh, 1); err != nil {
+	if err := ix.Rebucket(lsh); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.SaveDir(); err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -161,7 +160,7 @@ func TestRebucket(t *testing.T) {
 	// Retune to a coarser scheme; planted near-duplicates sit far above
 	// both thresholds, so the top-K list must be unchanged.
 	shards := ix.ShardCount()
-	if err := ix.Rebucket(LSHParams{Bands: 16, RowsPerBand: 8}, shards); err != nil {
+	if err := ix.Rebucket(LSHParams{Bands: 16, RowsPerBand: 8}); err != nil {
 		t.Fatal(err)
 	}
 	meta := ix.Metadata()
@@ -180,15 +179,9 @@ func TestRebucket(t *testing.T) {
 			t.Fatalf("result %d changed across Rebucket: %+v vs %+v", i, before[i], after[i])
 		}
 	}
-	// Invalid schemes and a changed shard count (fixed at creation, in
-	// memory as on disk) are rejected and leave the index untouched.
-	if err := ix.Rebucket(LSHParams{Bands: 5, RowsPerBand: 5}, shards); err == nil {
+	// An invalid scheme is rejected and leaves the index untouched.
+	if err := ix.Rebucket(LSHParams{Bands: 5, RowsPerBand: 5}); err == nil {
 		t.Fatal("Rebucket with non-covering scheme: want error")
-	}
-	for _, n := range []int{0, shards * 2} {
-		if err := ix.Rebucket(LSHParams{Bands: 16, RowsPerBand: 8}, n); err == nil || !strings.Contains(err.Error(), "shard count") {
-			t.Fatalf("Rebucket to %d shards: err = %v, want shard-count rejection", n, err)
-		}
 	}
 	if got := ix.Metadata(); ix.ShardCount() != shards || got.Bands != 16 || got.RowsPerBand != 8 {
 		t.Fatalf("failed Rebucket mutated the index: shards=%d meta=%+v", ix.ShardCount(), got)

@@ -551,6 +551,53 @@ func TestConcurrentLoad(t *testing.T) {
 	}
 }
 
+// TestLimiterQueuesThenRefuses: the in-flight limiter, the one
+// admission control on both node roles, holds a request past
+// MaxInFlight until a slot frees, and refuses only a waiter whose
+// context ends first: 503 overloaded, counted as a 5xx.
+func TestLimiterQueuesThenRefuses(t *testing.T) {
+	sh := NewShell(Config{MaxInFlight: 1})
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	routes := http.NewServeMux()
+	routes.HandleFunc("GET /block", func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		<-release
+		WriteJSON(w, http.StatusOK, struct{}{})
+	})
+	sh.Mount(routes)
+	serve := func(ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		sh.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/block", nil).WithContext(ctx))
+		return rec
+	}
+	first, second := make(chan int, 1), make(chan int, 1)
+	go func() { first <- serve(context.Background()).Code }()
+	<-entered // the first request holds the one slot
+	go func() { second <- serve(context.Background()).Code }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	third := serve(ctx)
+	var env struct {
+		Error ErrorDetail `json:"error"`
+	}
+	if third.Code != http.StatusServiceUnavailable || json.Unmarshal(third.Body.Bytes(), &env) != nil || env.Error.Code != CodeOverloaded {
+		t.Fatalf("waiter whose context expired = %d, body %s; want 503 %s", third.Code, third.Body, CodeOverloaded)
+	}
+	select {
+	case <-entered:
+		t.Fatal("a second request ran while the one slot was held")
+	default:
+	}
+	close(release)
+	if a, b := <-first, <-second; a != http.StatusOK || b != http.StatusOK {
+		t.Fatalf("held and queued requests = %d, %d; want 200 for both", a, b)
+	}
+	if st := sh.HTTPStats(); st.Status2xx != 2 || st.Status5xx != 1 || st.PeakInFlight != 1 {
+		t.Fatalf("http stats = %+v; want 2 2xx, the refusal as one 5xx, peak 1", st)
+	}
+}
+
 // TestShutdownMidLoad cancels the serve context while clients are still
 // hammering the server: in-flight requests must drain, and every ingest
 // the server acknowledged must survive in the final snapshot.

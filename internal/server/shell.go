@@ -97,7 +97,8 @@ func (sh *Shell) UptimeSeconds() float64 { return time.Since(sh.start).Seconds()
 // limit is the concurrency-limit middleware: at most MaxInFlight
 // requests run at once, and excess requests wait on the semaphore
 // rather than being shed, so bursts queue instead of failing. A client
-// that gives up while waiting gets 503.
+// that gives up while waiting gets 503, counted as a 5xx (but not in
+// the total, which counts requests accepted past the limiter).
 func (sh *Shell) limit(next http.Handler) http.Handler {
 	sem := make(chan struct{}, sh.cfg.MaxInFlight)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -105,6 +106,7 @@ func (sh *Shell) limit(next http.Handler) http.Handler {
 		case sem <- struct{}{}:
 			defer func() { <-sem }()
 		case <-r.Context().Done():
+			sh.status5xx.Add(1)
 			WriteError(w, http.StatusServiceUnavailable, CodeOverloaded, "server overloaded")
 			return
 		}

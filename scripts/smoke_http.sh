@@ -166,16 +166,17 @@ grep -q 'delta.txt' <<<"$out" || fail "WAL-only record delta.txt lost in the cra
 
 # ---------------------------------------------------------------------
 # Phase 2: cluster. Three single-node backends behind one coordinator
-# at replication=2: ingest and search through the coordinator, then
-# SIGKILL a backend and assert the planted hit still comes back full —
-# every record kept a live replica, so nothing may degrade to partial.
+# at replication=2: ingest and search through the coordinator, join a
+# fourth backend and drain it again, then SIGKILL a backend and assert
+# the planted hit still comes back full — every record kept a live
+# replica, so nothing may degrade to partial.
 backend_addrs=()
-for i in 1 2 3; do
+for i in 1 2 3 4; do
     "$tmp/engine" serve -addr 127.0.0.1:0 -d "$tmp/backend$i" -snapshot-every 0 \
         >"$tmp/backend$i.out" 2>"$tmp/backend$i.err" &
     extra_pids+=($!)
 done
-for i in 1 2 3; do
+for i in 1 2 3 4; do
     addr="$(wait_addr "$tmp/backend$i.out")"
     if [[ -z "$addr" ]]; then
         echo "smoke: backend $i never reported its address" >&2
@@ -185,8 +186,9 @@ for i in 1 2 3; do
     backend_addrs+=("$addr")
 done
 
+joiner="${backend_addrs[3]}"
 "$tmp/engine" serve -coordinator \
-    -backends "$(IFS=,; echo "${backend_addrs[*]}")" -replication 2 \
+    -backends "$(IFS=,; echo "${backend_addrs[*]:0:3}")" -replication 2 \
     -addr 127.0.0.1:0 -health-every 250ms \
     >"$tmp/coord.out" 2>"$tmp/coord.err" &
 serve_pid=$!
@@ -217,6 +219,27 @@ hostile="$(curl -fsS -X POST -H 'Content-Type: application/json' \
 grep -q '"ref":"alpha.txt"' <<<"$hostile" || fail2 "coordinator search did not hit alpha.txt"
 grep -qF '"query":"\u003cq\u0026\"é\"\u003e"' <<<"$hostile" || fail2 "coordinator search did not echo the query name as encoding/json spells it: $hostile"
 curl -fsS "$base/v1/records/beta.txt" | grep -q '"name":"beta.txt"' || fail2 "coordinator record lookup failed"
+
+# Membership: the fourth backend joins the ring and drains out again,
+# and the planted hit survives both moves.
+ring_size() { grep -oE '"backends":\[[^]]*\]' <<<"$1" | grep -o '"[^"]*:[0-9]*"' | wc -l; }
+planted_hit() {
+    curl -fsS -X POST -H 'Content-Type: application/json' \
+        -d '{"name": "q", "data": "the quick brown fox jumps over the lazy dog and keeps running through the quiet forest until dusk", "k": 2}' \
+        "$base/v1/search" | grep -q '"ref":"alpha.txt"'
+}
+moved="$(curl -fsS -X POST -H 'Content-Type: application/json' -d "{\"backend\": \"$joiner\"}" \
+    "$base/v1/admin/join")" || fail2 "join errored"
+grep -q '"action":"join"' <<<"$moved" || fail2 "join answered $moved"
+[[ "$(ring_size "$moved")" == 4 ]] || fail2 "join did not commit 4 backends: $moved"
+planted_hit || fail2 "planted hit lost after the join"
+moved="$(curl -fsS -X POST -H 'Content-Type: application/json' -d "{\"backend\": \"$joiner\"}" \
+    "$base/v1/admin/drain")" || fail2 "drain errored"
+grep -q '"action":"drain"' <<<"$moved" || fail2 "drain answered $moved"
+[[ "$(ring_size "$moved")" == 3 ]] || fail2 "drain did not commit 3 backends: $moved"
+planted_hit || fail2 "planted hit lost after the drain"
+curl -fsS "$base/stats" | grep -qE '"rebalance":\{[^}]*"joins":1,"drains":1' \
+    || fail2 "coordinator stats do not show one join and one drain"
 
 # The kill: one backend dies mid-service. With replication=2 every
 # record still has a live replica, so the same search must return the
