@@ -9,76 +9,71 @@ import (
 	"testing"
 )
 
-// naiveZeroNibbles is the per-nibble reference the SWAR counters are
-// checked against.
-func naiveZeroNibbles(x uint64) int {
-	n := 0
-	for i := 0; i < 64; i += 4 {
-		if x>>uint(i)&0xf == 0 {
-			n++
-		}
-	}
-	return n
-}
-
-func TestZeroLanesMatchesNaive(t *testing.T) {
-	cases := []uint64{0, ^uint64(0), 1, 1 << 63, 0x0001000100010001, 0x0100010001000100, 0x1111111111111111, 0x8888888888888888}
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 10000; i++ {
-		cases = append(cases, rng.Uint64())
-		// Sparse values exercise the zero-lane-rich corner the fully
-		// random draws almost never hit.
-		cases = append(cases, rng.Uint64()&rng.Uint64()&rng.Uint64()&rng.Uint64())
-	}
-	for _, x := range cases {
-		if got, want := zeroNibbles(x), naiveZeroNibbles(x); got != want {
-			t.Fatalf("zeroNibbles(%#x) = %d, want %d", x, got, want)
-		}
-	}
-}
-
-// FuzzZeroNibbles cross-checks the branch-free SWAR nibble counter
-// against the naive per-lane loop on arbitrary words.
-func FuzzZeroNibbles(f *testing.F) {
-	f.Add(uint64(0))
-	f.Add(^uint64(0))
-	f.Add(uint64(0x0001000100010001))
-	f.Add(uint64(0x8000000000000000))
-	f.Add(uint64(0x0F0F0F0F0F0F0F0F))
-	f.Fuzz(func(t *testing.T, x uint64) {
-		if got, want := zeroNibbles(x), naiveZeroNibbles(x); got != want {
-			t.Fatalf("zeroNibbles(%#x) = %d, want %d", x, got, want)
-		}
-	})
-}
-
+// TestPackUnpackRoundTrip reads every slot's nibble back out of the
+// planes the arena and the query packer write: bit s%64 of plane p's word
+// s/64 is bit p of slot s, in every row of a chunk and across chunks,
+// with every padding bit zero.
 func TestPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Odd slot counts exercise the partially-used final word.
-	for _, slots := range []int{1, 3, 7, 8, 9, 32, 127, 128} {
-		sig := make([]uint64, slots)
-		for i := range sig {
-			sig[i] = rng.Uint64()
-		}
+	for _, slots := range []int{1, 3, 7, 8, 9, 63, 64, 65, 127, 128, 200} {
+		w := sigWords(slots)
 		a := newSigArena(slots)
-		a.appendSig(sig)
-		packed := a.row(0)
-		if want := sigWords(slots); len(packed) != want {
-			t.Fatalf("slots=%d: packed to %d words, want %d", slots, len(packed), want)
+		sigs := make([][]uint64, sweepBlock+3)
+		for i := range sigs {
+			sigs[i] = make([]uint64, slots)
+			for j := range sigs[i] {
+				sigs[i][j] = rng.Uint64()
+			}
+			a.appendSig(sigs[i])
 		}
-		for i, v := range sig {
-			if back := packed[i/lanesPerWord] >> (i % lanesPerWord * prefilterBits) & laneMask; back != v&laneMask {
-				t.Fatalf("slots=%d slot %d: unpacked %#x, want %#x", slots, i, back, v&laneMask)
+		if len(a.chunks) != 2 || len(a.chunks[1]) != sweepBlock*prefilterBits*w {
+			t.Fatalf("slots=%d: %d rows in %d chunks, want 2 of %d words", slots, a.rows, len(a.chunks), sweepBlock*prefilterBits*w)
+		}
+		q := make([]uint64, prefilterBits*w)
+		for i, sig := range sigs {
+			packPlanes(q, 1, sig)
+			chunk, r := a.chunks[i/sweepBlock], i%sweepBlock
+			for c := range q {
+				if chunk[c*sweepBlock+r] != q[c] {
+					t.Fatalf("slots=%d row %d column %d: arena %#x, query packer %#x", slots, i, c, chunk[c*sweepBlock+r], q[c])
+				}
+			}
+			for s := 0; s < 64*w; s++ {
+				back := uint64(0)
+				for p := 0; p < prefilterBits; p++ {
+					back |= q[p*w+s/64] >> (s % 64) & 1 << p
+				}
+				want := uint64(0) // padding
+				if s < slots {
+					want = sig[s] & laneMask
+				}
+				if back != want {
+					t.Fatalf("slots=%d row %d slot %d: unpacked %#x, want %#x", slots, i, s, back, want)
+				}
 			}
 		}
-		if pad := slots % lanesPerWord; pad != 0 && packed[len(packed)-1]>>(pad*prefilterBits) != 0 {
-			t.Fatalf("slots=%d: padding nibbles %#x, want zero", slots, packed[len(packed)-1])
+		// Rows past the last in its chunk read as zero.
+		for c := 0; c < prefilterBits*w; c++ {
+			if v := a.chunks[1][c*sweepBlock+3]; v != 0 {
+				t.Fatalf("slots=%d: unfilled row holds %#x in column %d", slots, v, c)
+			}
 		}
 	}
 }
 
+// packedMatches is a's count of nibbles equal to b's, padding included,
+// through the packers and the candidate pass's comparator.
+func packedMatches(a, b []uint64) int {
+	q := make([]uint64, prefilterBits*sigWords(len(a)))
+	packPlanes(q, 1, a)
+	row := newSigArena(len(b))
+	row.appendSig(b)
+	return row.rowMatches(0, q)
+}
+
 // TestPackedMatchingSlotsMatchesNaive: a packed row pair's nibble count,
-// less the padding lanes, is the number of slots equal in their low
+// less the padding bits, is the number of slots equal in their low
 // nibble, counted slot by slot.
 func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -103,11 +98,9 @@ func TestPackedMatchingSlotsMatchesNaive(t *testing.T) {
 					want++
 				}
 			}
-			pa := packAppend(nil, a)
-			pb := packAppend(nil, b)
-			pad := len(pa)*lanesPerWord - slots
-			if got := nibbleMatches(pa, pb) - pad; got != want {
-				t.Fatalf("slots=%d trial %d: nibbleMatches less %d padding lanes = %d, want %d", slots, trial, pad, got, want)
+			pad := 64*sigWords(slots) - slots
+			if got := packedMatches(a, b) - pad; got != want {
+				t.Fatalf("slots=%d trial %d: packed count less %d padding bits = %d, want %d", slots, trial, pad, got, want)
 			}
 		}
 	}
@@ -138,9 +131,7 @@ func TestPackedSimilarityWithinCollisionBound(t *testing.T) {
 		y := s.Sketch(Record{Name: "y", Data: edited})
 
 		m64 := matchingSlots(x.Signature, y.Signature)
-		px := packAppend(nil, x.Signature)
-		py := packAppend(nil, y.Signature)
-		mb := nibbleMatches(px, py) - (len(px)*lanesPerWord - slots)
+		mb := packedMatches(x.Signature, y.Signature) - (64*sigWords(slots) - slots)
 		if mb < m64 {
 			t.Fatalf("bits=%d trial %d: packed matches %d < full-width matches %d", bits, trial, mb, m64)
 		}

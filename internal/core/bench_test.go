@@ -86,9 +86,9 @@ func BenchmarkSimilarity(b *testing.B) {
 	}
 }
 
-// BenchmarkSimilarityPacked measures the word-parallel packed
-// comparator over default-size signatures: one XOR+SWAR word op
-// compares 16 slots.
+// BenchmarkSimilarityPacked measures the candidate pass's comparator,
+// sigArena.rowMatches, over default-size signatures: one XOR/OR/popcount
+// word op compares 64 slots.
 func BenchmarkSimilarityPacked(b *testing.B) {
 	s, err := NewSketcher(DefaultK, DefaultSignatureSize)
 	if err != nil {
@@ -96,12 +96,14 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 	}
 	x := s.Sketch(Record{Name: "x", Data: benchData(4<<10, 2)})
 	y := s.Sketch(Record{Name: "y", Data: benchData(4<<10, 3)})
-	px := packAppend(nil, x.Signature)
-	py := packAppend(nil, y.Signature)
+	q := make([]uint64, prefilterBits*sigWords(DefaultSignatureSize))
+	packPlanes(q, 1, x.Signature)
+	a := newSigArena(DefaultSignatureSize)
+	a.appendSig(y.Signature)
 	sink := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += nibbleMatches(px, py)
+		sink += a.rowMatches(0, q)
 	}
 	if sink < 0 {
 		b.Fatal("impossible")
@@ -109,40 +111,45 @@ func BenchmarkSimilarityPacked(b *testing.B) {
 }
 
 // BenchmarkMatchCounts is the scan-kernel rung: ns per 128-slot row
-// (64 B, every benchmark engine's shape) swept in blocks of sweepBlock
-// at serve-exact-scan's floor (minSim 0.3), on every kernel this CPU
-// offers, at one shard of a 50 000-record index (3 125 rows: in cache),
-// at the whole 50 000-row arena (3.2 MB: beyond L2) and at 400 000 rows
-// (25.6 MB: memory-bound). bytes/row is what the kernel read: every
-// row, once.
+// (64 B, every benchmark engine's shape) swept a chunk of sweepBlock rows
+// at a time, on every kernel this CPU offers, at one shard of a 50 000-
+// record index (3 125 rows: in cache) and at the whole 50 000-row arena
+// (3.2 MB: beyond L2); at minSim 0.1 (every row reads all four planes),
+// 0.3 (serve-exact-scan's floor) and 0.65 (83 slots, below every floor
+// the candidates seed on the family corpus, which runs from 87 to 106:
+// plane 0 rules out nearly every row). Rows are random, so their counts
+// sit far below all three.
+// bytes/row is the arena bytes a row takes, not what a kernel reads.
 func BenchmarkMatchCounts(b *testing.B) {
 	const slots = DefaultSignatureSize
-	w, minCount := sigWords(slots), minMatchedFor(0.3, slots)
-	for _, n := range []int{3125, 50000, 400000} {
+	for _, n := range []int{3125, 50000} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		var arena []uint64
+		a := newSigArena(slots)
 		sig := make([]uint64, slots)
 		for i := 0; i < n; i++ {
 			for j := range sig {
 				sig[j] = rng.Uint64()
 			}
-			arena = packAppend(arena, sig)
+			a.appendSig(sig)
 		}
-		q := arena[:w]
-		for _, kernel := range kernels() {
-			b.Run(fmt.Sprintf("rows=%d/%s", n, kernel), func(b *testing.B) {
-				defer forceKernel(kernel)()
-				var surv [sweepBlock]survivor
-				for b.Loop() {
-					for base := 0; base < n; base += sweepBlock {
-						from, to := base*w, min(base+sweepBlock, n)*w
-						matchSurvivors(surv[:(to-from)/w], arena[from:to], q, minCount)
+		q := make([]uint64, prefilterBits*sigWords(slots))
+		packPlanes(q, 1, sig)
+		for _, minSim := range []float64{0.1, 0.3, 0.65} {
+			minCount := minMatchedFor(minSim, slots)
+			for _, kernel := range kernels() {
+				b.Run(fmt.Sprintf("rows=%d/minSim=%v/%s", n, minSim, kernel), func(b *testing.B) {
+					defer forceKernel(kernel)()
+					var surv [sweepBlock]survivor
+					for b.Loop() {
+						for c, chunk := range a.chunks {
+							matchSurvivors(surv[:min(sweepBlock, n-c*sweepBlock)], chunk, q, minCount)
+						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
-				b.ReportMetric(float64(8*w), "bytes/row")
-				b.ReportMetric(0, "ns/op")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+					b.ReportMetric(float64(a.usedBytes())/float64(n), "bytes/row")
+					b.ReportMetric(0, "ns/op")
+				})
+			}
 		}
 	}
 }

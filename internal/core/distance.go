@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Result is one query/reference comparison.
 type Result struct {
@@ -55,42 +52,6 @@ func eqSlot(x, y uint64) int {
 		return 1
 	}
 	return 0
-}
-
-// nibbleMatches counts the nibbles of row equal to q's, padding
-// included: less the padding lanes, an upper bound on the rows' equal
-// full-width slots. Both rows must have the same shape with zeroed
-// padding nibbles. Four words' "nibble is nonzero" bits, shifted apart,
-// share one popcount, so one word op compares 16 slots with no per-slot
-// branch.
-func nibbleMatches(q, row []uint64) int {
-	row = row[:len(q)]
-	i, m := 0, 0
-	for ; i+4 <= len(q); i += 4 {
-		a, b := q[i:i+4:i+4], row[i:i+4:i+4]
-		m += 64 - bits.OnesCount64(nonzeroNibbles(a[0]^b[0])|nonzeroNibbles(a[1]^b[1])<<1|
-			nonzeroNibbles(a[2]^b[2])<<2|nonzeroNibbles(a[3]^b[3])<<3)
-	}
-	for ; i < len(q); i++ {
-		m += zeroNibbles(q[i] ^ row[i])
-	}
-	return m
-}
-
-// zeroNibbles counts the 4-bit lanes of x that are zero.
-func zeroNibbles(x uint64) int { return 16 - bits.OnesCount64(nonzeroNibbles(x)) }
-
-// nonzeroNibbles sets bit 0 of every nonzero 4-bit lane of x and clears
-// the rest, branch-free: each lane's bits are OR-folded down to its
-// lowest bit (the cross-lane garbage the shifts drag into upper bit
-// positions never reaches bit 0 of a lane, because every shift distance
-// is smaller than the lane width). Unlike the classic (x-lo)&^x&hi
-// borrow trick, the OR fold is exact — borrows between lanes cannot
-// miscount.
-func nonzeroNibbles(x uint64) uint64 {
-	x |= x >> 2
-	x |= x >> 1
-	return x & 0x1111111111111111
 }
 
 // Distance is 1 - Similarity.

@@ -6,8 +6,8 @@
 //  1. Sketching: input records are shingled with a rolling hash and
 //     compressed into compact fixed-size minhash signatures (see Sketcher).
 //  2. Indexing: signatures live in a sharded Index — N lock-striped
-//     shards keyed by record-name hash, each owning a contiguous
-//     4-bit packed prefilter arena over a full-width store, and one
+//     shards keyed by record-name hash, each owning a bit-sliced 4-bit
+//     prefilter arena over a full-width store, and one
 //     index-wide LSH posting table (see postingTable: a
 //     compact sealed level rebuilt from the live rows — buckets in
 //     fingerprint order behind a fingerprint-prefix directory — and a
@@ -19,12 +19,14 @@
 //     Top-K search (Index.Search) runs in LSH mode by default, probing
 //     each level of the posting table once per band for candidates
 //     instead of scanning the whole corpus; exact mode is the same
-//     path with no band keys, so its complement sweep is every row.
+//     path, but it always sweeps the rows the probe did not find, with
+//     the floor raised to the K-th best candidate's count.
 //
 // # Storage
 //
 // Every index has one resident layout: the arena holds the low nibble of
-// every slot and the full-width signatures live in a fullStore. An index is either
+// every slot, as four bit planes, and the full-width signatures live in
+// a fullStore. An index is either
 // purely in memory (NewIndex, or NewEngine without Options.Tiered: the
 // full-width rows stay on the heap and nothing persists) or a directory
 // from birth (NewEngine with Options.Tiered and DataDir, reopened with
@@ -32,7 +34,7 @@
 // immutable on-disk segment files, mmap'd read-only where the platform
 // allows and served by pread elsewhere. Queries run in two phases — a
 // blocked sweep of the resident prefilter (one scan loop over a
-// per-block kernel; see shard.sweep and kernel.go) followed by
+// per-chunk kernel; see shard.sweep and kernel.go) followed by
 // full-width rescoring of the survivors straight from the full store,
 // ranked by packed count so a top-K heap can stop reading as soon as no
 // remaining candidate's upper bound can beat the current worst result.
@@ -77,7 +79,7 @@
 //     for a given corpus and parameters, independent of thread count
 //     and of which scan kernel the CPU selects, so goldens can pin
 //     outputs byte-for-byte.
-//   - Padding lanes of a packed row are zero, in the arena and in the
+//   - Padding bits of a packed plane are zero, in the arena and in the
 //     packed query alike, so every comparator and scan kernel counts
 //     them as equal; the count is corrected once, by whoever asked.
 package core

@@ -40,7 +40,7 @@ type Metadata struct {
 
 // Index is a store of sketches keyed by record name, striped over N
 // independently-locked shards so concurrent adds and probes on
-// different stripes never contend. Each shard owns a contiguous 4-bit
+// different stripes never contend. Each shard owns a bit-sliced 4-bit
 // prefilter arena (see sigArena) over a full-width store (see
 // fullStore); one posting table shared by all of them holds the LSH
 // band postings for sub-linear candidate filtering (see postingTable,
@@ -365,7 +365,8 @@ func (ix *Index) Occupancy() []int {
 // ArenaStats is the memory footprint of the packed signature store,
 // summed over every shard arena. BytesPerRecord is SignatureBytes over
 // the record count (0 for an empty index); Utilization is live bytes
-// over allocated capacity (append growth keeps headroom).
+// over allocated capacity (the last chunk of each arena is filled only
+// as rows arrive).
 type ArenaStats struct {
 	Bits           int     `json:"bits"`
 	SignatureBytes int64   `json:"signature_bytes"`
@@ -394,9 +395,9 @@ func (ix *Index) Arena() ArenaStats {
 }
 
 // ScanKernel names the kernel this index's full-stripe scans run, chosen
-// from the CPU and the packed row's shape: "avx512", "avx2" or "portable".
+// from the CPU: "avx512", "avx2" or "portable".
 func (ix *Index) ScanKernel() string {
-	return scanKernel(sigWords(ix.meta.SignatureSize))
+	return scanKernel()
 }
 
 // Has reports whether a record named name is indexed, without

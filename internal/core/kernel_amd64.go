@@ -2,40 +2,35 @@
 
 package core
 
-// matchSurvivors writes to dst the block offset and equal-nibble count
-// of every row of block whose count is at least minCount, and returns
-// how many it wrote; dst has one entry per row, len(q) words each. See
-// kernel.go for the contract every kernel meets.
-func matchSurvivors(dst []survivor, block, q []uint64, minCount int) int {
-	n, w := len(dst), len(q)
-	if n == 0 {
+// matchSurvivors writes to dst the chunk offset and equal-nibble count of
+// every one of the chunk's first len(dst) rows whose count is at least
+// minCount, and returns how many it wrote. See kernel.go for the contract
+// every kernel meets.
+func matchSurvivors(dst []survivor, chunk, q []uint64, minCount int) int {
+	cols, limit, from, ok := scanLimit(dst, chunk, q, minCount)
+	if !ok {
 		return 0
 	}
-	// The reslice is the bounds check the assembly relies on: it reads
-	// exactly n*w words of the block and w of the query, and writes at
-	// most n survivors. A negative floor keeps every row, as 0 does; the
-	// assembly compares unsigned.
-	rows := block[:n*w]
-	minCount = max(minCount, 0)
-	switch scanKernel(w) {
+	switch scanKernel() {
 	case "avx512":
-		return survivorsAVX512(&dst[0], &rows[0], &q[0], n, w/8, minCount)
+		return survivorsAVX512(&dst[0], &cols[0], &q[0], len(dst), len(q)/prefilterBits, limit, from)
 	case "avx2":
-		return survivorsAVX2(&dst[0], &rows[0], &q[0], n, w/4, minCount)
+		return survivorsAVX2(&dst[0], &cols[0], &q[0], len(dst), len(q)/prefilterBits, limit, from)
 	}
-	return matchSurvivorsPortable(dst, block, q, minCount)
+	return matchSurvivorsPortable(dst, cols, q, limit, from)
 }
 
-// survivorsAVX512 and survivorsAVX2 are the vector kernels for rows of
-// vecs 64- or 32-byte vectors (kernel_amd64.s). They use unaligned loads
-// (arena rows are only 8-byte aligned). n and vecs must be positive,
-// vecs at most 127 for AVX2, and minCount non-negative.
+// survivorsAVX512 and survivorsAVX2 are the vector kernels for rows of w
+// words a plane (kernel_amd64.s). They use unaligned loads, read each
+// column's first n rows rounded up to a group of 8, and write at most n
+// survivors. n is 1 to sweepBlock, w positive, limit non-negative,
+// from 1, 2 or 4.
 //
 //go:noescape
-func survivorsAVX512(dst *survivor, rows, q *uint64, n, vecs, minCount int) int
+func survivorsAVX512(dst *survivor, chunk, q *uint64, n, w, limit, from int) int
 
 //go:noescape
-func survivorsAVX2(dst *survivor, rows, q *uint64, n, vecs, minCount int) int
+func survivorsAVX2(dst *survivor, chunk, q *uint64, n, w, limit, from int) int
 
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -44,36 +39,27 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 // reports OSXSAVE.
 func xgetbv0() (eax, edx uint32)
 
-// cpuHasAVX2 reports whether AVX2 is usable: the CPU implements it
-// (leaf 7 EBX bit 5) and AVX (leaf 1 ECX bit 28), and the OS saves and
-// restores YMM state (OSXSAVE set, XCR0 bits 1 and 2 both set).
-func cpuHasAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
+// cpuFeatures returns what avx2Usable and avx512Usable read: CPUID leaf
+// 1 ECX, leaf 7 EBX and ECX, and XCR0 (0 unless OSXSAVE is set). ok is
+// false on CPUs without leaf 7.
+func cpuFeatures() (ecx1, ebx7, ecx7, xcr0 uint32, ok bool) {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return 0, 0, 0, 0, false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+	_, _, ecx1, _ = cpuid(1, 0)
+	if ecx1&(1<<27) != 0 {
+		xcr0, _ = xgetbv0()
 	}
-	if xcr0, _ := xgetbv0(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+	_, ebx7, ecx7, _ = cpuid(7, 0)
+	return ecx1, ebx7, ecx7, xcr0, true
 }
 
-// cpuHasAVX512 reports whether the AVX-512 kernel is usable: everything
-// AVX2 needs, AVX512F and AVX512BW (leaf 7 EBX bits 16 and 30), and OS
-// support for the opmask and ZMM state (XCR0 bits 5 to 7). Every such
-// CPU also has POPCNT.
+func cpuHasAVX2() bool {
+	ecx1, ebx7, _, xcr0, ok := cpuFeatures()
+	return ok && avx2Usable(ecx1, ebx7, xcr0)
+}
+
 func cpuHasAVX512() bool {
-	if !cpuHasAVX2() {
-		return false
-	}
-	if xcr0, _ := xgetbv0(); xcr0&0xe0 != 0xe0 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<16) != 0 && ebx&(1<<30) != 0
+	ecx1, ebx7, ecx7, xcr0, ok := cpuFeatures()
+	return ok && avx2Usable(ecx1, ebx7, xcr0) && avx512Usable(ebx7, ecx7, xcr0)
 }

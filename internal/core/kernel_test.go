@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -25,9 +24,9 @@ func kernels() []string {
 	return ks
 }
 
-// forceKernel makes matchSurvivors run the named kernel, wherever the
-// row shape allows it, until the returned func restores the CPU's
-// choice. Callers must not run in parallel with other scans.
+// forceKernel makes matchSurvivors run the named kernel until the
+// returned func restores the CPU's choice. Callers must not run in
+// parallel with other scans.
 func forceKernel(name string) (restore func()) {
 	avx2, avx512 := useAVX2, useAVX512
 	useAVX2 = name != "portable" && hasAVX2
@@ -47,31 +46,23 @@ func eachKernel(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// naiveSurvivors is the per-nibble loop every kernel is pinned to; it
-// shares no code with the SWAR comparator.
-func naiveSurvivors(block, q []uint64, n, minCount int) []survivor {
-	w := len(q)
-	var out []survivor
-	for i := 0; i < n; i++ {
-		equal := 0
-		for j := 0; j < w; j++ {
-			x := block[i*w+j] ^ q[j]
-			for s := 0; s < 64; s += 4 {
-				if x>>s&0xf == 0 {
-					equal++
-				}
-			}
-		}
-		if equal >= minCount {
-			out = append(out, survivor{off: uint32(i), count: uint32(equal)})
+// naiveMatches is the per-slot loop every kernel and the packer are
+// pinned to: the slots of row whose low nibble equals q's, plus the
+// padding bits a plane carries past the last slot (they always match).
+// It shares no code with the packed comparators.
+func naiveMatches(q, row []uint64) int {
+	equal := 64*sigWords(len(q)) - len(q)
+	for s := range q {
+		if q[s]&0xf == row[s]&0xf {
+			equal++
 		}
 	}
-	return out
+	return equal
 }
 
 // wordsAt returns a []uint64 of n words whose first word sits `off`
 // bytes past a 64-byte boundary (off a multiple of 8), so the unaligned
-// loads are exercised at every alignment an arena row can have.
+// loads are exercised at every alignment an arena chunk can have.
 func wordsAt(n, off int) []uint64 {
 	buf := make([]uint64, n+8)
 	for i := 0; i < 8; i++ {
@@ -82,32 +73,87 @@ func wordsAt(n, off int) []uint64 {
 	panic("unreachable: eight consecutive words cover every 8-byte offset of a 64-byte window")
 }
 
-// checkSurvivors fills a query and n rows of lw words from data,
-// cycling it — the query's words, then each row's — lays the rows out
-// at byte offset off within a 64-byte window, and requires every kernel
-// to return exactly the naive survivors, writing nothing outside dst.
-func checkSurvivors(t *testing.T, data []byte, lw, n, off, minCount int) {
-	t.Helper()
+// kernelCase is one query and a full chunk of rows, as full-width
+// signatures and packed: the arena the rows were appended to, and the
+// query's plane image.
+type kernelCase struct {
+	q      []uint64
+	rows   [][]uint64
+	arena  *sigArena
+	packed []uint64
+}
+
+// newKernelCase packs q and rows — sweepBlock of them, so every kernel
+// call below covers part of one chunk whose later rows hold data the
+// kernel must not report.
+func newKernelCase(q []uint64, rows [][]uint64) *kernelCase {
+	c := &kernelCase{q: q, rows: rows, arena: newSigArena(len(q))}
+	for _, r := range rows {
+		c.arena.appendSig(r)
+	}
+	c.packed = make([]uint64, prefilterBits*sigWords(len(q)))
+	packPlanes(c.packed, 1, q)
+	return c
+}
+
+// bytesCase fills a query and sweepBlock rows of `slots` slots from data,
+// cycling it one byte a slot — the query's slots, then each row's.
+func bytesCase(data []byte, slots int) *kernelCase {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
 	pos := 0
-	next := func() uint64 {
-		var word [8]byte
-		for i := range word {
-			word[i] = data[pos%len(data)]
+	sig := func() []uint64 {
+		s := make([]uint64, slots)
+		for i := range s {
+			s[i] = uint64(data[pos%len(data)]) | uint64(pos)<<8
 			pos++
 		}
-		return binary.LittleEndian.Uint64(word[:])
+		return s
 	}
-	q, block := make([]uint64, lw), wordsAt(n*lw, off)
-	for j := range q {
-		q[j] = next()
+	q := sig()
+	rows := make([][]uint64, sweepBlock)
+	for i := range rows {
+		rows[i] = sig()
 	}
-	for j := range block {
-		block[j] = next()
+	return newKernelCase(q, rows)
+}
+
+// oneSlotCase is a query of `slots` slots, all v, and rows equal to it
+// but in one slot, row i's slot i%slots, where the nibble's bit `bit`
+// (0 to 3) is flipped: every row falls exactly one short of all slots,
+// with the difference in one plane.
+func oneSlotCase(slots int, v uint64, bit int) *kernelCase {
+	q := make([]uint64, slots)
+	for i := range q {
+		q[i] = v
 	}
-	want := naiveSurvivors(block, q, n, minCount)
+	rows := make([][]uint64, sweepBlock)
+	for i := range rows {
+		rows[i] = slices.Clone(q)
+		rows[i][i%slots] ^= 1 << bit
+	}
+	return newKernelCase(q, rows)
+}
+
+// check requires every kernel, over the chunk's first n rows laid out at
+// byte offset off within a 64-byte window, to return exactly the rows
+// whose naive count reaches minCount, with that count, writing nothing
+// outside dst; and sigArena.rowMatches to return every row's naive count.
+func (c *kernelCase) check(t *testing.T, n, off, minCount int) {
+	t.Helper()
+	var want []survivor
+	for i, r := range c.rows[:n] {
+		count := naiveMatches(c.q, r)
+		if got := c.arena.rowMatches(i, c.packed); got != count {
+			t.Fatalf("slots=%d row %d: rowMatches = %d, want %d", len(c.q), i, got, count)
+		}
+		if count >= minCount {
+			want = append(want, survivor{off: uint32(i), count: uint32(count)})
+		}
+	}
+	chunk := wordsAt(len(c.arena.chunks[0]), off)
+	copy(chunk, c.arena.chunks[0])
 	// One spare entry on each side must stay untouched: a kernel writes
 	// only within dst.
 	guard := survivor{off: 0xA5A5A5A5, count: 0x5A5A5A5A}
@@ -115,164 +161,178 @@ func checkSurvivors(t *testing.T, data []byte, lw, n, off, minCount int) {
 		got := make([]survivor, n+2)
 		got[0], got[n+1] = guard, guard
 		restore := forceKernel(kernel)
-		k := matchSurvivors(got[1:n+1], block, q, minCount)
+		k := matchSurvivors(got[1:n+1], chunk, c.packed, minCount)
 		restore()
 		if got[0] != guard || got[n+1] != guard {
-			t.Fatalf("%s kernel wrote outside dst (lw=%d n=%d off=%d minCount=%d)", kernel, lw, n, off, minCount)
+			t.Fatalf("%s kernel wrote outside dst (slots=%d n=%d off=%d minCount=%d)", kernel, len(c.q), n, off, minCount)
 		}
 		if !slices.Equal(got[1:1+k], want) {
-			t.Fatalf("%s kernel: survivors %v, want %v (lw=%d n=%d off=%d minCount=%d)",
-				kernel, got[1:1+k], want, lw, n, off, minCount)
+			t.Fatalf("%s kernel: survivors %v, want %v (slots=%d n=%d off=%d minCount=%d)",
+				kernel, got[1:1+k], want, len(c.q), n, off, minCount)
 		}
 	}
 }
 
 var (
-	survivorWidths = []int{1, 4, 7, 8, 16}
-	survivorBlocks = []int{0, 1, 2, 255, 256, 257}
+	survivorSlots  = []int{1, 7, 64, 100, 128, 192, 1024}
+	survivorBlocks = []int{0, 1, 2, 255, 256}
 )
 
-// survivorFloor picks a minCount for rows of `lanes` nibbles: 0, 1,
-// lanes, lanes+1, or one that sel places between them.
-func survivorFloor(lanes int, sel uint8) int {
+// survivorFloor picks a minCount for rows of `bits` bits a plane
+// (slots plus padding): 0, 1, bits, bits+1, or one that sel places
+// between them.
+func survivorFloor(bits int, sel uint8) int {
 	switch sel % 8 {
 	case 0:
 		return 0
 	case 1:
 		return 1
 	case 2:
-		return lanes
+		return bits
 	case 3:
-		return lanes + 1
+		return bits + 1
 	}
-	return lanes - int(sel>>3)%(lanes+1)
-}
-
-// oneLaneRows returns a query of lw words, all bytes v, followed by one
-// row per lane that equals it except for bit `bit` (0x8, a signed
-// compare's corner, or 0x1) of that lane's nibble: the rows
-// checkSurvivors cycles through.
-func oneLaneRows(lw int, v, bit byte) []byte {
-	lanes, rowBytes := lw*16, lw*8
-	data := make([]byte, (lanes+1)*rowBytes)
-	for i := range data {
-		data[i] = v
-	}
-	for p := 0; p < lanes; p++ {
-		data[(p+1)*rowBytes+p/2] ^= bit << (p % 2 * 4)
-	}
-	return data
+	return bits - int(sel>>3)%(bits+1)
 }
 
 // FuzzMatchCounts pins the assembly to the reference: for arbitrary
-// row and query bytes, at rows of 1, 4, 7, 8 and 16 words, every 8-byte
-// alignment within a 64-byte window, the block lengths around the
-// sweep's 256 (odd ones for the AVX2 kernel's row pairs) and floors from
-// 0 to all lanes plus one, every kernel returns the survivors of a naive
-// per-nibble loop, with their counts.
+// slot bytes, at rows of 1, 7, 64, 100, 128, 192 and 1024 slots, every
+// 8-byte alignment within a 64-byte window, chunks of 0, 1, 2, 255 and
+// 256 rows and floors from 0 to all bits plus one, every kernel returns
+// the survivors of a naive per-slot loop, with their counts, and
+// sigArena.rowMatches each row's count.
 func FuzzMatchCounts(f *testing.F) {
-	f.Add([]byte{0x00}, uint8(3), uint8(3), uint8(0), uint8(2)) // all lanes equal
+	f.Add([]byte{0x00}, uint8(4), uint8(3), uint8(0), uint8(2)) // all slots equal
 	f.Add([]byte{0x00, 0x80, 0xFF}, uint8(0), uint8(1), uint8(1), uint8(1))
-	f.Add([]byte{0xFF}, uint8(4), uint8(4), uint8(3), uint8(3))
+	f.Add([]byte{0xFF}, uint8(6), uint8(4), uint8(3), uint8(3))
 	f.Add([]byte{0x88}, uint8(1), uint8(2), uint8(5), uint8(0))
-	// All lanes different: a byte ramp of prime length never lines up
+	// All slots different: a byte ramp of prime length never lines up
 	// with itself at a row's offset from the query.
 	ramp := make([]byte, 251)
 	for i := range ramp {
 		ramp[i] = byte(i)
 	}
-	f.Add(ramp, uint8(3), uint8(5), uint8(7), uint8(4))
-	// One lane differing in each position, in the nibble's top or bottom
-	// bit, at floor lanes: every such row falls one short.
-	for _, sel := range []uint8{1, 3} { // 4 and 8 words: the AVX2 and AVX-512 shapes
-		for _, v := range []byte{0x00, 0xFF} {
-			for _, bit := range []byte{0x8, 0x1} {
-				f.Add(oneLaneRows(survivorWidths[sel], v, bit), sel, uint8(5), uint8(2), uint8(2))
-			}
-		}
+	f.Add(ramp, uint8(4), uint8(4), uint8(7), uint8(4))
+	f.Add(ramp, uint8(3), uint8(3), uint8(2), uint8(5))
+	// Slots that agree in one plane and not the others, so each level of
+	// a kernel's checks decides some rows.
+	for _, b := range [][]byte{{0x00, 0x01}, {0x00, 0x02}, {0x00, 0x04}, {0x00, 0x08}, {0x03, 0x0c}, {0x05, 0x0a, 0x0f}} {
+		f.Add(b, uint8(4), uint8(4), uint8(1), uint8(14))
 	}
+	f.Add([]byte{0x10, 0x20, 0x30}, uint8(5), uint8(3), uint8(6), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, widthSel, blockSel, offSel, minSel uint8) {
-		lw := survivorWidths[int(widthSel)%len(survivorWidths)]
+		slots := survivorSlots[int(widthSel)%len(survivorSlots)]
 		n := survivorBlocks[int(blockSel)%len(survivorBlocks)]
-		checkSurvivors(t, data, lw, n, int(offSel%8)*8, survivorFloor(lw*16, minSel))
+		bytesCase(data, slots).check(t, n, int(offSel%8)*8, survivorFloor(64*sigWords(slots), minSel))
 	})
 }
 
 // TestMatchCountsKernels is the deterministic half of FuzzMatchCounts:
-// the grid of widths, block lengths, alignments and floors on random
-// and on mostly-equal data, and the crafted rows — one lane differing in
-// each position, in either end bit of its nibble, at the lane values a
-// signed byte compare would get wrong.
+// the grid of widths, chunk lengths, alignments and floors on random
+// and on mostly-equal data, and the crafted rows — one slot differing in
+// each position, in each plane, at the floor that keeps them and the one
+// that drops them all.
 func TestMatchCountsKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 4099)
 	rng.Read(data)
-	// Mostly-equal rows: long runs of one byte make nibbles collide.
+	// Mostly-equal slots: long runs of one byte make nibbles collide.
 	sparse := make([]byte, 4099)
 	for i := range sparse {
 		if rng.Intn(8) == 0 {
-			sparse[i] = byte(rng.Intn(3)) * 0x88
+			sparse[i] = byte(rng.Intn(16))
 		}
 	}
-	for _, lw := range append([]int{2, 3, 5}, survivorWidths...) {
+	for _, slots := range survivorSlots {
+		bits := 64 * sigWords(slots)
+		cases := []*kernelCase{bytesCase(data, slots), bytesCase(sparse, slots)}
 		for _, n := range survivorBlocks {
 			for off := 0; off < 64; off += 24 {
 				for sel := uint8(0); sel < 5; sel++ {
-					floor := survivorFloor(lw*16, sel+uint8(rng.Intn(32))*8)
-					checkSurvivors(t, data, lw, n, off, floor)
-					checkSurvivors(t, sparse, lw, n, off, floor)
+					floor := survivorFloor(bits, sel+uint8(rng.Intn(32))*8)
+					for _, c := range cases {
+						c.check(t, n, off, floor)
+					}
 				}
 			}
 		}
-	}
-
-	for _, lw := range survivorWidths {
-		for _, v := range []byte{0x00, 0x80, 0xFF, 0x7F, 0x01} {
-			for _, bit := range []byte{0x8, 0x1} {
-				lanes := lw * 16
-				data := oneLaneRows(lw, v, bit)
-				for _, n := range []int{lanes, lanes + 1} {
-					checkSurvivors(t, data, lw, n, 0, lanes)
-					checkSurvivors(t, data, lw, n, 8, lanes-1)
+		for _, v := range []uint64{0x0, 0xF, 0x5A} {
+			for bit := 0; bit < prefilterBits; bit++ {
+				c := oneSlotCase(slots, v, bit)
+				for _, n := range []int{min(slots, sweepBlock), sweepBlock} {
+					c.check(t, n, 0, bits)
+					c.check(t, n, 8, bits-1)
 				}
 			}
 		}
 	}
 }
 
-// TestScanKernelSelection pins the selection rule: AVX-512 for rows
-// of whole 64-byte vectors, AVX2 for whole 32-byte ones, each only when
-// the CPU offers it.
+// TestScanKernelSelection pins the selection rule: AVX-512 where the CPU
+// has AVX512F, AVX512BW and AVX512_VPOPCNTDQ, else AVX2, at every row
+// width.
 func TestScanKernelSelection(t *testing.T) {
-	vec64, vec32, long := "portable", "portable", "portable"
-	if hasAVX2 {
-		vec64, vec32 = "avx2", "avx2"
-	}
-	if hasAVX512 {
-		vec64, long = "avx512", "avx512"
-	}
+	const (
+		f, bw, popcnt = 1 << 16, 1 << 30, 1 << 14
+		zmm           = 0xe0
+	)
 	for _, c := range []struct {
-		words int
-		want  string
+		ebx7, ecx7, xcr0 uint32
+		want             bool
 	}{
-		{8, vec64}, {16, vec64}, {4, vec32}, {12, vec32},
-		{maxAVX2Words, vec32}, {maxAVX2Words + 4, long}, {maxAVX2Words + 8, "portable"},
-		{7, "portable"}, {1, "portable"}, {0, "portable"},
+		{f | bw, popcnt, 0xe6, true},
+		{f | bw, 0, 0xe6, false},              // Skylake-SP, Cascade Lake: no VPOPCNTDQ
+		{f, popcnt, 0xe6, false},              // no AVX512BW
+		{bw, popcnt, 0xe6, false},             // no AVX512F
+		{f | bw, popcnt, 0xe6 &^ 0x20, false}, // the OS saves no opmask state
+		{f | bw, popcnt, 6, false},            // nor ZMM state
 	} {
-		if got := scanKernel(c.words); got != c.want {
-			t.Errorf("scanKernel(%d words) = %q, want %q", c.words, got, c.want)
+		if got := avx512Usable(c.ebx7, c.ecx7, c.xcr0); got != c.want {
+			t.Errorf("avx512Usable(ebx7 %#x, ecx7 %#x, xcr0 %#x) = %v, want %v", c.ebx7, c.ecx7, c.xcr0, got, c.want)
 		}
 	}
-	// Stats reports the selection per index: the default geometry is the
-	// widest vector shape, over a heap or a directory store.
+	const osxsave, avx, avx2 = 1 << 27, 1 << 28, 1 << 5
+	for _, c := range []struct {
+		ecx1, ebx7, xcr0 uint32
+		want             bool
+	}{
+		{osxsave | avx, avx2, 6, true},
+		{avx, avx2, 6, false},
+		{osxsave, avx2, 6, false},
+		{osxsave | avx, 0, 6, false},
+		{osxsave | avx, avx2, 2, false},
+	} {
+		if got := avx2Usable(c.ecx1, c.ebx7, c.xcr0); got != c.want {
+			t.Errorf("avx2Usable(ecx1 %#x, ebx7 %#x, xcr0 %#x) = %v, want %v", c.ecx1, c.ebx7, c.xcr0, got, c.want)
+		}
+	}
+
+	want := "portable"
+	if hasAVX2 {
+		want = "avx2"
+	}
+	if hasAVX512 {
+		want = "avx512"
+	}
+	if got := scanKernel(); got != want {
+		t.Errorf("scanKernel() = %q, want %q", got, want)
+	}
+	// Stats reports the selection per index, whatever the row width,
+	// over a heap or a directory store.
 	for _, dir := range []bool{false, true} {
-		if got := engineAt(t, "kernel", dir).Stats().ScanKernel; got != vec64 {
-			t.Errorf("Stats().ScanKernel dir=%v = %q, want %q", dir, got, vec64)
+		if got := engineAt(t, "kernel", dir).Stats().ScanKernel; got != want {
+			t.Errorf("Stats().ScanKernel dir=%v = %q, want %q", dir, got, want)
+		}
+	}
+	for _, slots := range []int{1, 100, 1024} {
+		ix := NewIndex("width", DefaultK, slots)
+		if got := ix.ScanKernel(); got != want {
+			t.Errorf("%d slots: ScanKernel() = %q, want %q", slots, got, want)
 		}
 	}
 	for _, k := range kernels() {
 		restore := forceKernel(k)
-		got := scanKernel(8)
+		got := scanKernel()
 		restore()
 		if got != k {
 			t.Errorf("forced to %s, scanKernel = %q", k, got)

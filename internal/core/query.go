@@ -14,7 +14,9 @@ import (
 type SearchMode string
 
 const (
-	// ModeExact scores the query against every indexed sketch.
+	// ModeExact returns what scoring the query against every indexed
+	// sketch would: the LSH candidates first, then every other row
+	// against the floor they set.
 	ModeExact SearchMode = "exact"
 	// ModeLSH probes LSH band buckets for candidates and exact-scores
 	// only those, falling back to the rows not probed when the candidate
@@ -56,28 +58,39 @@ func ParseSearchMode(s string) (SearchMode, error) {
 // rows). The vector kernels never break even below 16 384 rows; from
 // 8 192 rows they pay ~3 µs for fanning out, the price of one threshold
 // set where the slower kernels gain.
+//
+// The table predates the bit-sliced arena, whose kernels at minSim 0.3
+// on random rows are about as fast or faster (BenchmarkMatchCounts,
+// 50 000 rows: portable 11.1 against 16.2 ns a row, avx512 2.7 against
+// 3.3, avx2 4.6 against 4.4), which can only move the break-even toward
+// more rows; and at
+// 50 000 rows (BenchmarkSearchTopK/n=50000/tiered/minSim=0.3, avx512)
+// fan-out still wins, 113 µs against 164 inline. So the constant
+// stays. A seeded exact sweep reads about a quarter of the bytes this
+// counts, so it fans out a little earlier than its work alone would
+// justify.
 const parallelScoreMinBytes = 512 << 10
 
 // packedQuery is one query sketch prepared for arena scans: the
-// signature packed to the arena's nibbles for word-parallel row
-// comparisons, plus (LSH searches only) its band bucket keys, one
-// posting-table lookup each.
+// signature packed to the arena's bit planes for word-parallel row
+// comparisons, plus its band bucket keys, one posting-table lookup each.
 type packedQuery struct {
 	name     string
 	shingles int
 	slots    int
 	// minMatched is the caller's similarity floor as a matched-slot
-	// count (see minMatchedFor); every floor decision compares a count
-	// against it.
+	// count (see minMatchedFor), raised in ModeExact to the K-th best
+	// candidate's count before the sweep; every floor decision compares
+	// a count against it.
 	minMatched int
-	// pad is how many padding lanes the packed rows carry past slots. A
-	// nibble count includes them (they are zero on both sides, so they
+	// pad is how many padding bits each packed plane carries past slots.
+	// A nibble count includes them (they are zero on both sides, so they
 	// always match), and prefilter takes them back off; every count is at
 	// least pad, so a floor of 0 keeps every row.
 	pad      int
-	packed   []uint64  // arena-width row image
+	packed   []uint64  // the arena's planes, column c at packed[c]
 	full     []uint64  // full-width signature: the rescore image
-	bandKeys []uint64  // one bucket key per band; nil outside LSH probes
+	bandKeys []uint64  // one bucket key per band
 	cancel   *canceler // non-nil on ctx-aware searches; scan loops poll it
 }
 
@@ -163,15 +176,17 @@ type scoredCand struct {
 
 // shardScratch is the per-shard scratch of one query: the candidate
 // bitset and index list filled by the LSH probe, the shard's local
-// result buffer for parallel scans, and the prefilter survivor list plus
-// the pread-path row decode buffer.
+// result buffer for parallel scans, the prefilter survivor list plus
+// the pread-path row decode buffer, and the full-width rescores both
+// passes spent, which the tier budget caps.
 type shardScratch struct {
-	rows    int32    // the shard's row count when the probe began
-	candSet []uint64 // bitset over shard-local record indexes [0, rows)
-	cands   []int32
-	results []Result
-	scored  []scoredCand
-	rsc     rowScratch
+	rows     int32    // the shard's row count when the probe began
+	candSet  []uint64 // bitset over shard-local record indexes [0, rows)
+	cands    []int32
+	results  []Result
+	scored   []scoredCand
+	rsc      rowScratch
+	rescored int
 }
 
 // offer files row as a probe candidate unless it was appended after the
@@ -196,6 +211,7 @@ func (sc *shardScratch) resetFor(n int) {
 		clear(sc.candSet)
 	}
 	sc.cands = sc.cands[:0]
+	sc.rescored = 0
 }
 
 // searchBuf holds the scratch state of one top-K search: the packed
@@ -221,19 +237,21 @@ func putSearchBuf(b *searchBuf) {
 	searchBufPool.Put(b)
 }
 
-// prepare packs the query to the arena's nibbles, derives the integer form
-// of minSim and the padding lane count, and sizes the per-shard scratch.
+// prepare packs the query to the arena's planes, derives the integer form
+// of minSim and the padding bit count, and sizes the per-shard scratch.
 // A sketch is always full width, so its signature doubles as the rescore
 // image.
 func (b *searchBuf) prepare(query *Sketch, minSim float64, shards int) *packedQuery {
 	b.merged = b.merged[:0]
-	b.packed = packAppend(b.packed[:0], query.Signature)
+	w := sigWords(len(query.Signature))
+	b.packed = slices.Grow(b.packed[:0], prefilterBits*w)[:prefilterBits*w]
+	packPlanes(b.packed, 1, query.Signature)
 	b.q = packedQuery{
 		name:       query.Name,
 		shingles:   query.Shingles,
 		slots:      len(query.Signature),
 		minMatched: minMatchedFor(minSim, len(query.Signature)),
-		pad:        len(b.packed)*lanesPerWord - len(query.Signature),
+		pad:        64*w - len(query.Signature),
 		packed:     b.packed,
 		full:       query.Signature,
 	}
@@ -261,8 +279,7 @@ func (b *searchBuf) prepareBandKeys(ix *Index, query *Sketch) {
 // probeCandidates gathers, into each shard's scratch, the rows sharing
 // at least one LSH band bucket with the query, and returns how many:
 // every stripe's row count is snapshotted first, then the posting table
-// is read in one pass of len(q.bandKeys) lookups — always inline. With
-// no keys (ModeExact) it only snapshots.
+// is read in one pass of len(q.bandKeys) lookups — always inline.
 func probeCandidates(posts *postingTable, shards []*shard, q *packedQuery, scratch []shardScratch) int {
 	for si, sh := range shards {
 		sh.beginProbe(&scratch[si])
@@ -339,18 +356,25 @@ type Query struct {
 // file changed after indexing) is still reported.
 //
 // Every search is one pipeline. Each stripe's row count is snapshotted;
-// in ModeLSH the query's band keys then probe the posting table, and the
-// rows they find are scored first, so cost scales with the number of
-// plausible matches rather than the corpus size. Both passes cut rows
-// through one prefilter step against q.MinSim as a matched-slot count.
-// When the candidates cannot fill q.TopK — too few live candidates, a
-// filtered self-hit, rows below the floor, or no keys at all, which is
-// ModeExact — the complement sweep scores every row the probe did not
-// find, so no record is scored twice and small or sparse indexes answer
-// exactly as an exact scan. When the candidates do fill K, completeness
-// is probabilistic: pairs with similarity well above
-// ix.LSHParams().Threshold() are candidates almost surely, pairs well
-// below it are skipped by design.
+// the query's band keys then probe the posting table, and the rows they
+// find are scored first. Both passes cut rows through one prefilter step
+// against q.MinSim as a matched-slot count. The complement sweep scores
+// every row the probe did not find, so no record is scored twice.
+//
+// ModeExact always sweeps. When the candidates fill q.TopK, it first
+// raises the floor to the K-th best candidate's matched count: a row
+// below it cannot enter the top K, and the floor is inclusive, because a
+// row tied with the K-th best may still win on name order. So the answer
+// is the exact scan's, while most rows fall short on the prefilter's
+// first plane.
+//
+// ModeLSH sweeps only when the candidates cannot fill q.TopK — too few
+// live candidates, a filtered self-hit, rows below the floor — so small
+// or sparse indexes answer exactly as an exact scan, and cost otherwise
+// scales with the number of plausible matches rather than the corpus
+// size. When the candidates do fill K, completeness is probabilistic:
+// pairs with similarity well above ix.LSHParams().Threshold() are
+// candidates almost surely, pairs well below it are skipped by design.
 //
 // The search holds ix.writeMu shared from the snapshot to the last pass,
 // so no compaction, reseal or Rebucket renumbers a stripe or swaps its
@@ -378,15 +402,19 @@ func (ix *Index) Search(ctx context.Context, sk *Sketch, q Query, pool *Pool) ([
 	shards := ix.shards
 	pq := buf.prepare(sk, q.MinSim, len(shards))
 	pq.cancel = newCanceler(ctx)
-	if mode == ModeLSH {
-		buf.prepareBandKeys(ix, sk)
-	}
+	buf.prepareBandKeys(ix, sk)
 	probed := probeCandidates(ix.posts, shards, pq, buf.scratch)
 	merged := buf.merged
 	if probed > 0 {
 		merged = runScan(buf, shards, pq, q.TopK, pool, probed, (*shard).scoreCandidates)
 	}
-	if len(merged) < q.TopK && !pq.cancel.canceled() {
+	if (mode == ModeExact || len(merged) < q.TopK) && !pq.cancel.canceled() {
+		if len(merged) >= q.TopK {
+			// Seed the floor: merged[0] is the K-th best candidate once
+			// selectTopK has made merged[:K] a heap of the best K.
+			selectTopK(merged, q.TopK)
+			pq.minMatched = max(pq.minMatched, minMatchedFor(merged[0].Similarity, pq.slots))
+		}
 		// The complement: every row the candidate pass skipped (each
 		// shard's bitset marks its probed rows). It runs even when there
 		// are as many candidates as live records: the candidates may

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -176,4 +178,84 @@ func TestPoolMap(t *testing.T) {
 		}
 		p.Map(0, func(int) { t.Fatal("fn called for n=0") })
 	}
+}
+
+// TestExactSeededFloorKeepsTies pins the seeded floor as inclusive. K
+// candidates share whole bands with the query and match it in 96 of 128
+// slots; as many rows again match it in 96 slots too, three of every
+// band of four, so no band key names them and only the sweep can find
+// them; their names sort first, so they win the ties. The candidates
+// fill K and seed the sweep's floor at 96 matched slots: a floor that
+// dropped rows tied with the K-th best would answer with the candidates.
+// Exact answers must equal the brute-force top K, on every kernel and
+// both stores.
+func TestExactSeededFloorKeepsTies(t *testing.T) {
+	const slots, rowsPerBand, topK = DefaultSignatureSize, 4, 5
+	rng := rand.New(rand.NewSource(29))
+	random := func() []uint64 {
+		sig := make([]uint64, slots)
+		for i := range sig {
+			sig[i] = rng.Uint64()
+		}
+		return sig
+	}
+	// differ changes slot s in its low nibble, and so in its band key.
+	differ := func(sig []uint64, s int) { sig[s] ^= 0x11 }
+	query := &Sketch{Name: "query", K: DefaultK, Shingles: 50, Signature: random()}
+	var sketches []*Sketch
+	add := func(name string, sig []uint64) {
+		sketches = append(sketches, &Sketch{Name: name, K: DefaultK, Shingles: 50, Signature: sig})
+	}
+	for i := 0; i < topK; i++ {
+		sig := slices.Clone(query.Signature)
+		for b := 0; b < 8; b++ { // 8 of the 32 bands differ in every slot
+			band := (i*5 + b) % (slots / rowsPerBand)
+			for s := band * rowsPerBand; s < (band+1)*rowsPerBand; s++ {
+				differ(sig, s)
+			}
+		}
+		add(fmt.Sprintf("z-cand-%d", i), sig)
+	}
+	for i := 0; i < topK; i++ {
+		sig := slices.Clone(query.Signature)
+		for s := (i + rowsPerBand - 1) % rowsPerBand; s < slots; s += rowsPerBand {
+			differ(sig, s)
+		}
+		add(fmt.Sprintf("a-tie-%d", i), sig)
+	}
+	for i := 0; i < 600; i++ {
+		add(fmt.Sprintf("m-rand-%d", i), random())
+	}
+	want := bruteTopK(query, sketches, topK, 0)
+	for i, r := range want {
+		if r.Ref != fmt.Sprintf("a-tie-%d", i) || r.Similarity != 0.75 {
+			t.Fatalf("corpus: brute-force rank %d is %+v, want a-tie-%d at 0.75", i, r, i)
+		}
+	}
+	eachKernel(t, func(t *testing.T) {
+		for _, dir := range []bool{false, true} {
+			eng := engineAt(t, "ties", dir)
+			if _, err := eng.AddSketches(sketches); err != nil {
+				t.Fatal(err)
+			}
+			ix := eng.Index()
+			buf := getSearchBuf()
+			q := buf.prepare(query, 0, len(ix.shards))
+			buf.prepareBandKeys(ix, query)
+			probed := probeCandidates(ix.posts, ix.shards, q, buf.scratch)
+			putSearchBuf(buf)
+			if probed != topK {
+				t.Fatalf("dir=%v: the probe found %d rows, want the %d candidates only", dir, probed, topK)
+			}
+			for _, minSim := range []float64{0, 0.5, 0.75} {
+				got, err := search(ix, query, ModeExact, topK, minSim, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("dir=%v minSim=%v: exact search\n got %v\nwant %v", dir, minSim, got, want)
+				}
+			}
+		}
+	})
 }

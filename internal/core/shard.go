@@ -10,10 +10,10 @@ import (
 const DefaultShards = 16
 
 // shard owns one stripe of the index: the records whose names hash to
-// it. Record signatures live at full width in a fullStore and, packed to
-// their low nibbles, in a contiguous arena (see sigArena), both
-// addressed by a shard-local record index, so exact scans are
-// cache-linear sweeps over one buffer instead of a pointer chase per
+// it. Record signatures live at full width in a fullStore and, their
+// low nibbles bit-sliced into planes, in a chunked arena (see sigArena),
+// both addressed by a shard-local record index, so exact scans are
+// cache-linear sweeps over a few buffers instead of a pointer chase per
 // record. Each shard has its own lock, so concurrent adds and scans on
 // different stripes never contend — and per-shard query fan-out scans
 // stripes truly in parallel. The rows' LSH postings live in the
@@ -211,9 +211,9 @@ func (sh *shard) arenaBytes() (used, capacity int64) {
 	return sh.arena.usedBytes(), sh.arena.capBytes()
 }
 
-// sweepBlock is how many contiguous arena rows one matchSurvivors call
-// covers: 2 KB of survivors on the sweep's stack, and the stride at
-// which a sweep polls for cancellation.
+// sweepBlock is how many rows an arena chunk holds, which one
+// matchSurvivors call covers: 2 KB of survivors on the sweep's stack, and
+// the stride at which a sweep polls for cancellation.
 const sweepBlock = 256
 
 // beginProbe snapshots the stripe for a search: sc's candidate bitset
@@ -238,7 +238,7 @@ func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *sha
 		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
 			return dst
 		}
-		sh.prefilter(q, sc, idx, nibbleMatches(q.packed, sh.arena.row(int(idx))))
+		sh.prefilter(q, sc, idx, sh.arena.rowMatches(int(idx), q.packed))
 	}
 	return sh.rescore(dst, q, topK, sc, len(sc.cands))
 }
@@ -246,31 +246,32 @@ func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *sha
 // sweep is the one full-stripe scan loop, a search's complement pass:
 // it scores every row NOT marked in sc's candidate bitset, so no record
 // is scored twice and the merged set matches an exact scan; with no
-// candidates (ModeExact, or a probe that found nothing here) that is
-// every row. Records added after the probe (concurrent ingest) sit past
-// the bitset and count as unprobed.
+// candidates (a probe that found nothing here) that is every row.
+// Records added after the probe (concurrent ingest) sit past the bitset
+// and count as unprobed.
 //
-// It walks the packed arena in blocks of sweepBlock contiguous rows, and
-// the scan kernel (matchSurvivors) hands back only the rows whose nibble
-// count reaches the query's floor plus its padding lanes, each with that
-// count. The unprobed ones among those few go through prefilter into
-// sc.scored; the full-width rescore appends at most topK results (the
-// per-shard top-K contains the shard's share of any global top-K, which
-// is what runScan's merge needs).
+// It walks the packed arena a chunk of sweepBlock rows at a time, and the
+// scan kernel (matchSurvivors) hands back only the rows whose nibble
+// count reaches the query's floor plus its padding bits, each with that
+// count; in ModeExact the floor is seeded from the candidates (see
+// Index.Search), so most rows fall short on their first plane. The
+// unprobed ones among the survivors go through prefilter into sc.scored;
+// the full-width rescore appends at most topK results (the per-shard
+// top-K contains the shard's share of any global top-K, which is what
+// runScan's merge needs).
 func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	a := sh.arena
 	n := sh.names.len()
 	sc.scored = sc.scored[:0]
 
 	var surv [sweepBlock]survivor
-	for base := 0; base < n; base += sweepBlock {
+	for c, chunk := range sh.arena.chunks {
 		if q.cancel.canceled() {
 			return dst
 		}
-		bn := min(sweepBlock, n-base)
-		k := matchSurvivors(surv[:bn], a.block(base, bn), q.packed, q.minMatched+q.pad)
+		base := c * sweepBlock
+		k := matchSurvivors(surv[:min(sweepBlock, n-base)], chunk, q.packed, q.minMatched+q.pad)
 		for _, s := range surv[:k] {
 			if idx := int32(base) + int32(s.off); !bitSet(sc.candSet, idx) {
 				sh.prefilter(q, sc, idx, int(s.count))
@@ -281,7 +282,7 @@ func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch)
 }
 
 // prefilter is the one cut both passes make: it files arena row idx,
-// whose count of nibbles equal to the query's is count (padding lanes
+// whose count of nibbles equal to the query's is count (padding bits
 // included), in sc.scored unless the row is dead or its matched count
 // falls below q.minMatched. A zero-shingle row or query matches nothing,
 // so it survives only a floor of 0. The nibble count upper-bounds the
@@ -311,10 +312,10 @@ func (sh *shard) prefilter(q *packedQuery, sc *shardScratch, idx int32, count in
 // found so far — on selective queries only a handful of rows are ever
 // read from disk. Every reported score is computed from the full-width
 // rows, so answers are exact. A positive tier budget additionally caps
-// the full-width reads; rows that fail to read are counted and skipped
-// rather than failing the query. scanned is the row count the prefilter
-// phase covered, for the survival-rate counters. Callers hold the shard
-// lock.
+// the full-width reads, counted in sc across both passes of a query;
+// rows that fail to read are counted and skipped rather than failing the
+// query. scanned is the row count the prefilter phase covered, for the
+// survival-rate counters. Callers hold the shard lock.
 func (sh *shard) rescore(dst []Result, q *packedQuery, topK int, sc *shardScratch, scanned int) []Result {
 	t := sh.full.tier
 	t.scanned.Add(uint64(scanned))
@@ -330,7 +331,7 @@ func (sh *shard) rescore(dst []Result, q *packedQuery, topK int, sc *shardScratc
 	})
 	budget := int(t.budget.Load())
 	base := len(dst)
-	rescored := 0
+	rescored := sc.rescored
 	slotsF := float64(q.slots)
 	for ci, c := range sc.scored {
 		if budget > 0 && rescored >= budget {
@@ -377,7 +378,8 @@ func (sh *shard) rescore(dst []Result, q *packedQuery, topK int, sc *shardScratc
 			siftWorstDown(dst[base:base+topK], 0)
 		}
 	}
-	t.rescored.Add(uint64(rescored))
+	t.rescored.Add(uint64(rescored - sc.rescored))
+	sc.rescored = rescored
 	return dst
 }
 

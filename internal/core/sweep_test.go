@@ -107,15 +107,14 @@ func newSweepCorpus(t *testing.T, slots, rows int, dir bool, seed int64) *sweepC
 // perRowReference is what a pass over the rows `in` selects must
 // reproduce, with the prefilter's cut written out as the float predicate
 // its integer floor stands for: in index order, a live row is kept when
-// float64(nibbleMatches-pad)/slots >= minSim, a zero-shingle row or query
-// counting no matches. The survivors are then rescored. It also returns
+// float64(m)/slots >= minSim, m its slots whose low nibble equals the
+// query's, counted slot by slot, and 0 for a zero-shingle row or query. The survivors are then rescored. It also returns
 // what the pass feeds the scanned/survived counters, and the brute-force
 // top-K over the same rows' sketches, which the rescored results must
 // equal.
 func (c *sweepCorpus) perRowReference(query *Sketch, q *packedQuery, minSim float64, topK int, in func(idx int32) bool) ([]Result, []scoredCand, tierCounts, []Result) {
 	sh := c.sh
 	slots := len(query.Signature)
-	pad := sigWords(slots)*lanesPerWord - slots
 	var sc shardScratch
 	var refs []*Sketch
 	scanned := 0
@@ -131,7 +130,11 @@ func (c *sweepCorpus) perRowReference(query *Sketch, q *packedQuery, minSim floa
 		refs = append(refs, row)
 		m := 0
 		if query.Shingles != 0 && row.Shingles != 0 {
-			m = nibbleMatches(q.packed, sh.arena.row(i)) - pad
+			for s, v := range query.Signature {
+				if v&laneMask == row.Signature[s]&laneMask {
+					m++
+				}
+			}
 		}
 		if float64(m)/float64(slots) >= minSim {
 			sc.scored = append(sc.scored, scoredCand{idx: idx, matched: int32(m)})
@@ -144,7 +147,7 @@ func (c *sweepCorpus) perRowReference(query *Sketch, q *packedQuery, minSim floa
 
 // TestSweepMatchesPerRowPath is the correctness property of both search
 // passes: over random shards — slot counts with and without padding
-// lanes, heap and directory stores, tombstones, zero-shingle rows and
+// bits, heap and directory stores, tombstones, zero-shingle rows and
 // queries, a self-hit row, with and without the LSH probe's bitset, rows
 // appended after the probe — the blocked sweep and the candidate pass
 // emit exactly the rows, in exactly the order, with exactly the matched
@@ -152,13 +155,13 @@ func (c *sweepCorpus) perRowReference(query *Sketch, q *packedQuery, minSim floa
 // the tier counters the same numbers, and answer what a brute-force scan
 // of the sketches does. It runs on every kernel the build offers.
 func TestSweepMatchesPerRowPath(t *testing.T) {
-	// 70 000 one-byte lanes overflow a uint16 count: the sweep must
-	// fall back to the per-row comparator instead of truncating.
+	// 70 000 slots are 1 094 words a plane: a count past any byte or
+	// uint16 accumulator, and a chunk of 8.6 MB.
 	geoms := []int{1, 100, 127, 128, 70000}
 	eachKernel(t, func(t *testing.T) {
 		for gi, slots := range geoms {
 			for _, dir := range []bool{false, true} {
-				rows := 2*sweepBlock + 77 // two full blocks and a short one
+				rows := 2*sweepBlock + 77 // two full chunks and a short one
 				if slots > 1000 {
 					rows = 12
 				}
@@ -256,8 +259,8 @@ func TestSearchIdenticalAcrossKernels(t *testing.T) {
 	// A 128-slot row is 64 bytes: enough rows to fan out.
 	tiered, plain := tieredEngines(t, parallelScoreMinBytes/64+300, 64)
 	engines := []*Engine{tiered, plain}
-	// 100 slots are 7 words (the portable shape) with 12 padding nibbles,
-	// 127 slots 8 words (a vector shape) with one.
+	// 100 slots are 2 words a plane with 28 padding bits, 127 slots 2
+	// with one.
 	for _, slots := range []int{100, 127} {
 		eng, err := NewEngine(Options{IndexName: "pad", SignatureSize: slots, Tiered: true, DataDir: t.TempDir()})
 		if err != nil {
