@@ -76,7 +76,7 @@ smoke:
 # CI runs exactly this; reproduce a failure with `CHAOS_SEED=<n> make chaos`.
 chaos:
 	CHAOS_SEED=$${CHAOS_SEED:-$$RANDOM} $(GO) test -race -count=1 -run 'TestFailureMatrix' -v ./internal/cluster
-	$(GO) test -race -count=3 -run TestSearchDuringCompaction ./internal/core
+	$(GO) test -race -count=3 -run 'TestSearchDuringCompaction|TestSyncWALFailStop' ./internal/core
 
 linkcheck:
 	./scripts/check_links.sh

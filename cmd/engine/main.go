@@ -189,8 +189,8 @@ func budgetFlag(fs *flag.FlagSet) *int {
 // directory and create it when absent (sketch, serve).
 type indexFlags struct {
 	fs *flag.FlagSet
-	// retunes: the command applies -bands/-rows to an existing index
-	// itself (serve, through retune), so they are not warned about.
+	// retunes: the command opens an existing index under -bands/-rows
+	// (serve, through core.OpenWith) instead of warning about them.
 	retunes             bool
 	k, size, threads    *int
 	bands, rows, shards *int
@@ -219,9 +219,11 @@ func hasManifest(dir string) bool {
 
 // openOrCreate opens the index directory dir, or creates it from the
 // flag values when it holds no index yet. An existing index keeps its
-// stored parameters; explicitly-set flags that disagree are warned
-// about. A regular file at dir is left to core.Open, whose error points
-// at `engine import`.
+// stored parameters but, when f.retunes, its banding: -bands/-rows set
+// it for this open, before anything can search the index, and the next
+// snapshot writes it. Explicitly-set flags that disagree are warned
+// about. A regular file at dir is left to core.OpenWith, whose error
+// points at `engine import`.
 func (f *indexFlags) openOrCreate(cmd, dir string, stderr io.Writer) (*core.Engine, error) {
 	if fi, err := os.Stat(dir); err != nil || (fi.IsDir() && !hasManifest(dir)) {
 		return core.NewEngine(core.Options{
@@ -230,7 +232,11 @@ func (f *indexFlags) openOrCreate(cmd, dir string, stderr io.Writer) (*core.Engi
 			Tiered: true, DataDir: dir, SegmentRows: *f.segRows, Budget: *f.budget,
 		})
 	}
-	ix, err := core.Open(dir)
+	var lsh core.LSHParams
+	if f.retunes {
+		lsh = core.LSHParams{Bands: *f.bands, RowsPerBand: *f.rows}
+	}
+	ix, err := core.OpenWith(dir, lsh)
 	if err != nil {
 		return nil, err
 	}
@@ -245,8 +251,8 @@ func (f *indexFlags) openOrCreate(cmd, dir string, stderr io.Writer) (*core.Engi
 }
 
 // warnIgnored warns about explicitly-set flags that conflict with an
-// existing index's stored parameters; the stored parameters always win
-// so an index is never silently re-parameterized.
+// existing index's stored parameters, which win but for a retuning
+// command's banding, so an index is never silently re-parameterized.
 func (f *indexFlags) warnIgnored(cmd string, ix *core.Index, stderr io.Writer) {
 	meta := ix.Metadata()
 	set := map[string]bool{}
@@ -265,6 +271,10 @@ func (f *indexFlags) warnIgnored(cmd string, ix *core.Index, stderr io.Writer) {
 		fmt.Fprintf(stderr, "engine: %s: existing index %q uses bands=%d rows=%d shards=%d; ignoring -bands/-rows/-shards flags\n",
 			cmd, meta.Name, meta.Bands, meta.RowsPerBand, meta.Shards)
 	}
+	if f.retunes && (*f.bands != 0 || *f.rows != 0) {
+		fmt.Fprintf(stderr, "engine: %s: existing index %q rebucketed to bands=%d rows=%d (-bands/-rows)\n",
+			cmd, meta.Name, meta.Bands, meta.RowsPerBand)
+	}
 	if segRows := ix.Tier().SegmentRows; set["segment-rows"] && segRows != *f.segRows {
 		fmt.Fprintf(stderr, "engine: %s: existing index %q uses segment-rows=%d; ignoring -segment-rows %d\n",
 			cmd, meta.Name, segRows, *f.segRows)
@@ -273,25 +283,6 @@ func (f *indexFlags) warnIgnored(cmd string, ix *core.Index, stderr io.Writer) {
 		fmt.Fprintf(stderr, "engine: %s: existing index is named %q; ignoring -name %q\n",
 			cmd, meta.Name, *f.name)
 	}
-}
-
-// retune applies an explicitly set -bands/-rows (zero = not set) to an
-// opened index whose stored scheme differs, and reports whether it did.
-// Band postings are rebuilt from the stored signatures, so the banding
-// can change without re-sketching.
-func retune(cmd string, ix *core.Index, bands, rows int) (bool, error) {
-	meta := ix.Metadata()
-	if (bands == 0 && rows == 0) || (bands == meta.Bands && rows == meta.RowsPerBand) {
-		return false, nil
-	}
-	lsh, err := core.NewLSHParams(bands, rows, meta.SignatureSize)
-	if err == nil {
-		err = ix.Rebucket(lsh)
-	}
-	if err != nil {
-		return false, fmt.Errorf("%s: %w", cmd, err)
-	}
-	return true, nil
 }
 
 func cmdSketch(argv []string, stdout, stderr io.Writer) error {
@@ -412,16 +403,13 @@ func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	return withProfiles(*cpu, *mem, func() error {
-		ix, err := core.Open(*db)
+		// -bands/-rows retune this run's open; nothing is saved.
+		ix, err := core.OpenWith(*db, core.LSHParams{Bands: *bands, RowsPerBand: *rows})
 		if err != nil {
 			return err
 		}
 		defer ix.Close()
 		ix.SetBudget(*budget)
-		// Retuned per search run; nothing is saved.
-		if _, err := retune("search", ix, *bands, *rows); err != nil {
-			return err
-		}
 		// The engine derives sketch parameters from the index metadata,
 		// so queries are always sketched compatibly.
 		eng, err := core.NewEngineWithIndex(ix, *threads)

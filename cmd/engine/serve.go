@@ -102,15 +102,6 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 	}
 	ix := eng.Index()
 	defer ix.Close()
-	// Before the listener opens, so no query ever sees the old scheme;
-	// it reaches the manifest with the next snapshot a write causes.
-	// -shards stays stored-value-wins.
-	if applied, err := retune("serve", ix, *ixf.bands, *ixf.rows); err != nil {
-		return err
-	} else if applied {
-		fmt.Fprintf(stderr, "engine: serve: existing index %q rebucketed to bands=%d rows=%d (-bands/-rows)\n",
-			ix.Metadata().Name, *ixf.bands, *ixf.rows)
-	}
 	if *pprofAddr != "" {
 		stop, bound, err := servePprof(*pprofAddr)
 		if err != nil {

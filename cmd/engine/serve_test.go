@@ -191,12 +191,17 @@ func TestCLIServeRetunesLSH(t *testing.T) {
 			RowsPerBand int `json:"rows_per_band"`
 			Shards      int `json:"shards"`
 			Records     int `json:"records"`
+			LSHSeals    int `json:"lsh_seals"`
 		} `json:"engine"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&stats)
 	resp.Body.Close()
 	if e := stats.Engine; err != nil || e.Bands != 16 || e.RowsPerBand != 8 || e.Shards != 16 || e.Records != 3 {
 		t.Fatalf("/stats engine = %+v (%v), want 16x8 over the stored 16 shards and 3 records", e, err)
+	}
+	// The open that retuned is the only posting-table build.
+	if seals := stats.Engine.LSHSeals; seals != 1 {
+		t.Errorf("/stats engine.lsh_seals = %d after a retuned open, want 1", seals)
 	}
 
 	// alpha.txt with one word changed: its near-duplicate is rank 1 under

@@ -373,7 +373,7 @@ func meanCandidates(ix *Index, queries []*Sketch) float64 {
 // planted case is the 10k in-memory corpus and one hot query. The
 // serve-lsh-hit case is that workload's engine at topK 10, minSim 0.3,
 // rotating over its 256 queries so the posting table is as cold as it
-// is under load, banded as the workload is (32 x 4) and rebucketed to
+// is under load, banded as the workload is (32 x 4) and reopened at
 // 64 x 2, the shape where unrelated rows share a band key most often;
 // the exact case runs the same queries as a sweep, the cost LSH mode
 // must stay under. It reports lookups/op — the keys handed to a search's one
@@ -401,11 +401,13 @@ func BenchmarkSearchLSH(b *testing.B) {
 		}
 	})
 	for _, lsh := range []LSHParams{{Bands: 32, RowsPerBand: 4}, {Bands: 64, RowsPerBand: 2}} {
-		name := "serve-lsh-hit"
+		ix, name := ix, "serve-lsh-hit"
 		if lsh != ix.LSHParams() {
-			if err := ix.Rebucket(lsh); err != nil {
+			var err error
+			if ix, err = OpenWith(ix.DataDir(), lsh); err != nil {
 				b.Fatal(err)
 			}
+			b.Cleanup(func() { ix.Close() })
 			name = fmt.Sprintf("serve-lsh-hit/bands=%dx%d", lsh.Bands, lsh.RowsPerBand)
 		}
 		b.Run(name, func(b *testing.B) {
@@ -427,8 +429,8 @@ func BenchmarkSearchLSH(b *testing.B) {
 	}
 }
 
-// BenchmarkPostingRebuild times the table's one build path — Open,
-// Rebucket, compaction and a due reseal all end in it — and reports the
+// BenchmarkPostingRebuild times the table's one build path — Open
+// (under any banding), compaction and a due reseal all end in it — and reports the
 // bytes per record of what it built: over the serve-lsh-hit corpus, whose
 // families share buckets, and over 50 000 random rows that share none,
 // a bucket to every posting, the table's worst case.

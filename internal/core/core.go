@@ -133,15 +133,17 @@ func (e *Engine) Index() *Index { return e.index }
 func (e *Engine) Pool() *Pool { return e.pool }
 
 // Delete removes the record named name from the index, reporting
-// whether it was present. Like AddBatch, a true return on a WAL-attached
-// tiered index is durable before Delete returns.
+// whether it was present. Like AddBatch, a nil error on a WAL-attached
+// tiered index is durable before Delete returns, a false return's too:
+// a delete whose commit failed is already gone from memory, so its
+// retry answers false and must not say so before a snapshot holds it.
 func (e *Engine) Delete(name string) (bool, error) {
 	ticket := e.index.WALTicket()
 	deleted, err := e.index.Delete(name)
-	if err != nil || !deleted {
-		return deleted, err
+	if err != nil {
+		return false, err
 	}
-	return true, e.index.SyncWAL(ticket)
+	return deleted, e.index.SyncWAL(ticket)
 }
 
 // AddBatch sketches recs over the worker pool and inserts them with
@@ -216,7 +218,7 @@ type Stats struct {
 	LSHBytes       int64      `json:"lsh_bytes" prom:"lsh_bytes" help:"Bytes held by the LSH posting table (sealed directory and buckets, delta slots and postings, by capacity)."`
 	LSHBuckets     int        `json:"lsh_buckets" prom:"lsh_buckets" help:"LSH band buckets in the posting table, sealed plus delta."`
 	LSHDelta       int        `json:"lsh_delta_postings" prom:"lsh_delta_postings" help:"LSH postings added since the table was last sealed."`
-	LSHSeals       uint64     `json:"lsh_seals" prom:"lsh_seals_total" help:"Rebuilds of the LSH posting table into its sealed form: open, rebucket, compaction, reseal."`
+	LSHSeals       uint64     `json:"lsh_seals" prom:"lsh_seals_total" help:"Rebuilds of the LSH posting table into its sealed form: open, compaction, reseal."`
 	Shards         int        `json:"shards"`
 	ShardOccupancy []int      `json:"shard_occupancy"`
 	Mode           SearchMode `json:"mode"` // what an empty Query.Mode searches in: always ModeLSH

@@ -351,16 +351,26 @@ func cleanOrphanSegments(segDir string, man *manifest) {
 	}
 }
 
-// Open opens the index directory at dir, written by SaveDir: it reads
-// the manifest, opens and checksum-verifies every referenced segment,
-// and rebuilds the packed prefilter (streaming the segment rows once);
-// manifest v6 tombstones are restored, the write-ahead log is
-// replayed over the snapshot (torn tails truncated) so every
-// mutation acknowledged before a crash is present, and only then is the
-// LSH posting table built, sealed, over snapshot and tail together.
-// The full-width data itself stays on disk (mmap'd where available), so
-// an opened index's heap holds only the prefilter, postings, and names.
-func Open(dir string) (ix *Index, err error) {
+// Open opens the index directory at dir under the banding its manifest
+// records: OpenWith(dir, LSHParams{}).
+func Open(dir string) (*Index, error) { return OpenWith(dir, LSHParams{}) }
+
+// OpenWith opens the index directory at dir, written by SaveDir, under
+// the banding lsh, or the manifest's when lsh is the zero value: it
+// reads the manifest, opens and checksum-verifies every referenced
+// segment, and rebuilds the packed prefilter (streaming the segment rows
+// once); manifest v6 tombstones are restored, the write-ahead log is
+// replayed over the snapshot (torn tails truncated) so every mutation
+// acknowledged before a crash is present, and only then is the LSH
+// posting table built, sealed, over snapshot and tail together. So a
+// retune costs no rebuild beyond the one every open pays, and reaches
+// the manifest with the next SaveDir. A banding that does not cover the
+// signature is refused before anything in dir is touched. The
+// full-width data of the snapshot stays on disk (mmap'd where
+// available): an opened index's heap holds the prefilter, postings and
+// names, plus the replayed tail's full-width rows in the stores' heads
+// until the next SaveDir seals them.
+func OpenWith(dir string, lsh LSHParams) (ix *Index, err error) {
 	fi, err := os.Stat(dir)
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
@@ -390,9 +400,14 @@ func Open(dir string) (ix *Index, err error) {
 	if m.Meta.K <= 0 || m.Meta.SignatureSize <= 0 {
 		return nil, fmt.Errorf("index: invalid manifest metadata: k=%d signature_size=%d", m.Meta.K, m.Meta.SignatureSize)
 	}
-	lsh, err := NewLSHParams(m.Meta.Bands, m.Meta.RowsPerBand, m.Meta.SignatureSize)
+	stored, err := NewLSHParams(m.Meta.Bands, m.Meta.RowsPerBand, m.Meta.SignatureSize)
 	if err != nil {
 		return nil, fmt.Errorf("index: invalid manifest metadata: %w", err)
+	}
+	if lsh == (LSHParams{}) {
+		lsh = stored
+	} else if lsh, err = NewLSHParams(lsh.Bands, lsh.RowsPerBand, m.Meta.SignatureSize); err != nil {
+		return nil, fmt.Errorf("index: %s: %w", dir, err)
 	}
 	shards := m.Meta.Shards
 	if len(m.Shards) != shards {
@@ -421,6 +436,7 @@ func Open(dir string) (ix *Index, err error) {
 	meta := m.Meta
 	meta.Format = FormatV6
 	meta.Bits = manifestBits
+	meta.Bands, meta.RowsPerBand = lsh.Bands, lsh.RowsPerBand
 	tier := &tierState{dataDir: dir, segmentRows: segRows}
 	posts := newPostingTable(lsh, shards)
 	ix = &Index{

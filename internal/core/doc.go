@@ -74,7 +74,8 @@
 //     mutable head holds rows from headBase up.
 //   - An index persists only through SaveDir, whose manifest rename is
 //     the commit point. Sealed segment files are immutable — snapshots
-//     only add files. The shard count is fixed at creation.
+//     only add files. The shard count is fixed at creation, the
+//     banding when an index is created or opened (OpenWith).
 //   - Sketch signatures, scores, and result ordering are deterministic
 //     for a given corpus and parameters, independent of thread count
 //     and of which scan kernel the CPU selects, so goldens can pin

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"sketchengine/internal/fault"
@@ -17,8 +18,10 @@ import (
 
 // TestWALWriteFault: an injected write failure — before any byte is
 // written, or torn: after half the buffer landed — drops the buffered
-// frame, so the ack fails and the record does not survive a reopen,
-// while every record acked before and after it does.
+// frame, so the ack fails, and breaks the log: the next commit is a
+// snapshot, which holds the failed record too (it stayed in memory).
+// Every record acked before and after it survives a reopen, and the
+// failed write leaves no bytes in the log.
 func TestWALWriteFault(t *testing.T) {
 	for _, kind := range []string{fault.KindFailOnce, fault.KindTorn} {
 		t.Run(kind, func(t *testing.T) {
@@ -60,14 +63,14 @@ func TestWALWriteFault(t *testing.T) {
 			if !ix.Has("rec-9") {
 				t.Error("rec-9, acked after the fault, lost")
 			}
-			if ix.Has("rec-8") {
-				t.Error("rec-8 was never acked (its frame was dropped) but survived the reopen")
+			if !ix.Has("rec-8") {
+				t.Error("rec-8, in memory when rec-9's commit snapshotted, lost")
 			}
-			if ix.Len() != 9 {
-				t.Errorf("recovered %d records, want 9", ix.Len())
+			if ix.Len() != 10 {
+				t.Errorf("recovered %d records, want 10", ix.Len())
 			}
-			if ws := ix.WAL(); ws == nil || ws.TornBytes != 0 {
-				t.Errorf("WAL stats = %+v: the failed write left bytes in the log", ws)
+			if ws := ix.WAL(); ws == nil || ws.TornBytes != 0 || ws.ReplayedFrames != 0 {
+				t.Errorf("WAL stats = %+v: the failed write left bytes in the log, or no snapshot followed it", ws)
 			}
 		})
 	}
@@ -77,7 +80,8 @@ func TestWALWriteFault(t *testing.T) {
 // part of the buffer reached the file) must not strand a torn frame in
 // the middle of a log. Every later acked frame would be appended and
 // fsynced behind it, and the next Open would stop its scan at the torn
-// frame and truncate them all away without an error.
+// frame and truncate them all away without an error. Each short write
+// is followed by a commit that snapshots and one that flushes again.
 func TestWALShortWriteKeepsLaterAcks(t *testing.T) {
 	dir := t.TempDir()
 	eng := walEngine(t, dir, 0)
@@ -91,25 +95,19 @@ func TestWALShortWriteKeepsLaterAcks(t *testing.T) {
 	}
 	ack(0, 9)
 
-	// One short write on every shard's WAL.
-	p, err := fault.Parse("wal.write:torn", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fault.Enable(p)
-	defer fault.Disable()
-	shards := eng.Index().Metadata().Shards
-	hit := make(map[int]bool)
-	for i := 0; len(hit) < shards; i++ {
-		name := fmt.Sprintf("unacked-%d", i)
-		if _, err := addRecord(eng, Record{Name: name, Data: benchData(256, int64(1000+i))}); err == nil {
+	for at := 9; at < 30; at += 7 {
+		p, err := fault.Parse("wal.write:torn", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault.Enable(p)
+		name := fmt.Sprintf("unacked-%d", at)
+		if _, err := addRecord(eng, Record{Name: name, Data: benchData(256, int64(1000+at))}); err == nil {
 			t.Fatalf("add of %s through a torn write was acked", name)
 		}
-		hit[shardFor(name, shards)] = true
+		fault.Disable()
+		ack(at, at+7)
 	}
-	fault.Disable()
-
-	ack(9, 30)
 	// The crash: handles dropped, no snapshot.
 	if err := eng.Index().Close(); err != nil {
 		t.Fatal(err)
@@ -290,5 +288,63 @@ func TestSnapshotFaults(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSyncWALFailStop: a record whose WAL write tore stays in memory, so
+// its retry is skipped as present and logs nothing of its own; a delete
+// whose write tore is gone from memory, so its retry finds nothing to
+// delete. Either retry's ack would be lost with the next crash unless
+// its commit snapshots instead of flushing an empty log. The add's
+// retries race fresh adds, which queue behind that snapshot or follow
+// it. Run under -race.
+func TestSyncWALFailStop(t *testing.T) {
+	dir := t.TempDir()
+	eng := walEngine(t, dir, 8)
+	torn := func(write func() error) {
+		t.Helper()
+		p, err := fault.Parse("wal.write:torn", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault.Enable(p)
+		defer fault.Disable()
+		var inj *fault.InjectedError
+		if err := write(); !errors.As(err, &inj) || inj.Point != "wal.write" {
+			t.Fatalf("write through a torn wal.write = %v, want the injected error", err)
+		}
+	}
+	rec := Record{Name: "rec-8", Data: benchData(256, 9)}
+	torn(func() error { _, err := addRecord(eng, rec); return err })
+	var wg sync.WaitGroup
+	for i := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if added, err := addRecord(eng, rec); added || err != nil {
+				t.Errorf("retried add = %v, %v; want skipped as present, and acked", added, err)
+			}
+			if _, err := addRecord(eng, Record{Name: fmt.Sprintf("fresh-%d", i), Data: benchData(256, int64(100+i))}); err != nil {
+				t.Errorf("fresh add: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	torn(func() error { _, err := eng.Delete("rec-0"); return err })
+	if deleted, err := eng.Delete("rec-0"); deleted || err != nil {
+		t.Fatalf("retried delete = %v, %v; want nothing left to delete, and acked", deleted, err)
+	}
+	// The crash: handles dropped, no snapshot but the commits' own.
+	if err := eng.Index().Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if !ix.Has("rec-8") || ix.Has("rec-0") || ix.Len() != 12 {
+		t.Fatalf("after a reopen: rec-8 held %v, rec-0 held %v, %d records; want the acked retries' state, 12 records",
+			ix.Has("rec-8"), ix.Has("rec-0"), ix.Len())
 	}
 }

@@ -47,22 +47,20 @@ type Metadata struct {
 // Index.Search). An index is either purely in memory (NewIndex,
 // NewIndexWith: the full-width rows stay on the heap and nothing
 // persists) or backed by a directory from birth (NewEngine with
-// Options.Tiered, or Open). All methods are safe for concurrent use;
-// searches and writes wait for a Rebucket or SaveDir in progress. Adds
-// are incremental: a sketch whose name is already present is skipped,
-// never overwritten.
+// Options.Tiered, or Open). Its banding is fixed when it is created or
+// opened (OpenWith). All methods are safe for concurrent use; searches
+// and writes wait for a SaveDir in progress. Adds are incremental: a
+// sketch whose name is already present is skipped, never overwritten.
 type Index struct {
-	// writeMu is held exclusively by the structural rebuilds (SaveDir's
-	// compaction and reseal, Rebucket) and shared by anything that takes
-	// a stripe lock more than once and needs the stripe unchanged in
-	// between: Add and Delete (the insert, then the count) and Search
-	// (the probe, the candidate pass, the complement pass). So searches
-	// wait for Rebucket too; its one production caller, serve's retune,
-	// runs before serve listens, and searches already wait for SaveDir
-	// behind its shard locks. Go's RWMutex is not reentrant: nothing
-	// called under a shared hold may take writeMu again, or a SaveDir
-	// queued in between deadlocks it. Lock order is writeMu -> ix.mu ->
-	// shard.mu -> the posting table's and the WAL's own.
+	// writeMu is held exclusively only by SaveDir, whose compaction and
+	// reseal are the only structural rebuilds of a live index, and
+	// shared by anything that takes a stripe lock more than once and
+	// needs the stripe unchanged in between: Add and Delete (the insert,
+	// then the count) and Search (the probe, the candidate pass, the
+	// complement pass). Go's RWMutex is not reentrant: nothing called
+	// under a shared hold may take writeMu again, or a SaveDir queued in
+	// between deadlocks it. Lock order is writeMu -> ix.mu -> shard.mu ->
+	// the posting table's and the WAL's own.
 	writeMu sync.RWMutex
 
 	mu     sync.RWMutex  // guards meta and gen
@@ -85,6 +83,7 @@ type Index struct {
 	sweepEnd    chan struct{} // non-nil while a sweep runs, closed when it ends
 	sweepFailed uint64        // the latest sweep that failed, and its error
 	sweepErr    error
+	walBroken   bool // the latest sweep failed: the next one snapshots
 }
 
 // NewIndex returns an empty in-memory index accepting sketches with the
@@ -188,9 +187,8 @@ func (ix *Index) Add(s *Sketch) (bool, error) {
 	if len(s.Signature) == 0 {
 		return false, sketchErrorf("index %q: sketch has an empty signature", ix.meta.Name)
 	}
-	// Shared writeMu spans the shard insert and the count, so a
-	// structural rebuild (Rebucket, SaveDir) can never observe a record
-	// that is in a shard but not yet counted.
+	// Shared writeMu spans the shard insert and the count, so SaveDir
+	// can never observe a record that is in a shard but not yet counted.
 	ix.writeMu.RLock()
 	defer ix.writeMu.RUnlock()
 	// Same-named adds always land on the same shard, whose lock
@@ -252,8 +250,12 @@ func (ix *Index) WALTicket() uint64 { return ix.sweepsDone.Load() }
 // already has — the group commit: one fsync for all of them, adds and
 // deletes alike. A sweep that failed after ticket was taken fails the
 // caller, whether or not the caller's frames were in the write that
-// failed (see WALTicket); the mutations themselves stay in memory
-// and reach disk with the next snapshot. With no WAL attached — an
+// failed (see WALTicket). The mutations it dropped stay in memory,
+// where a retry finds them present and commits nothing of its own, so
+// a failed sweep breaks the log: the next sweep runs SaveDir instead of
+// a flush, and every writer queued behind it shares that one snapshot.
+// The log stays broken until a snapshot succeeds. Callers hold no index
+// lock, since SaveDir takes them all. With no WAL attached — an
 // in-memory index, or a directory that has not committed its first
 // manifest — a sweep finds nothing to do.
 func (ix *Index) SyncWAL(ticket uint64) error {
@@ -270,15 +272,19 @@ func (ix *Index) SyncWAL(ticket uint64) error {
 		}
 		ix.sweepsBegun++
 		ix.sweepEnd = make(chan struct{})
+		broken := ix.walBroken
 		ix.sweepMu.Unlock()
 		var err error
-		if w := ix.tier.wal.Load(); w != nil {
+		if broken {
+			err = ix.SaveDir()
+		} else if w := ix.tier.wal.Load(); w != nil {
 			err = w.sync()
 		}
 		ix.sweepMu.Lock()
 		if err != nil {
 			ix.sweepFailed, ix.sweepErr = ix.sweepsBegun, err
 		}
+		ix.walBroken = err != nil
 		ix.sweepsDone.Store(ix.sweepsBegun)
 		close(ix.sweepEnd)
 		ix.sweepEnd = nil
@@ -435,23 +441,3 @@ func (ix *Index) LSHParams() LSHParams {
 
 // ShardCount returns the number of lock stripes.
 func (ix *Index) ShardCount() int { return len(ix.shards) }
-
-// Rebucket retunes the LSH banding scheme without re-sketching. It is
-// safe on a live index: writers and searches wait on writeMu while it
-// runs. Only the posting table is rebuilt (off to the side, then
-// swapped in), so row numbering, full-width stores, and the WAL all
-// carry over; the shard count, fixed at creation, is untouched.
-func (ix *Index) Rebucket(lsh LSHParams) error {
-	ix.writeMu.Lock()
-	defer ix.writeMu.Unlock()
-	if _, err := NewLSHParams(lsh.Bands, lsh.RowsPerBand, ix.meta.SignatureSize); err != nil {
-		return fmt.Errorf("index %q: rebucket: %w", ix.meta.Name, err)
-	}
-	// Tombstoned rows drop out of the new postings for free.
-	ix.posts.rebuild(lsh, ix.shards)
-	ix.mu.Lock()
-	ix.meta.Bands = lsh.Bands
-	ix.meta.RowsPerBand = lsh.RowsPerBand
-	ix.mu.Unlock()
-	return nil
-}

@@ -220,10 +220,11 @@ func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) 
 
 // rebuild replaces the table's contents with the postings of every live
 // row of shards under banding p, sealed, and an empty delta: how Open
-// (fresh arenas), Rebucket (new keys), compaction (new row numbers) and
-// a due reseal all get their table. A posting takes the bits of the
-// shard count and of the largest stripe's row numbers; if that is more
-// than postingBits, every row is filed in the delta instead. Keys
+// (fresh arenas, under the banding OpenWith was given), compaction (new
+// row numbers) and a due reseal all get their table. A posting takes
+// the bits of the shard count and of the largest stripe's row numbers;
+// if that is more than postingBits, every row is filed in the delta
+// instead. Keys
 // are hashed from each row's full-width signature (a heap or mmap'd
 // slice); a row the store cannot read files nowhere and counts as a read
 // error, as a search skips it. Callers exclude every add, delete,

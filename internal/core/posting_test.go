@@ -41,7 +41,7 @@ func (r *refPostings) add(shard int, row int32, sig []uint64) {
 	}
 }
 
-// refFromLive is what the old code did on Rebucket and on compaction:
+// refFromLive is what the old code did on a retune and on compaction:
 // new maps from every live row.
 func refFromLive(ix *Index) *refPostings {
 	r := newRefPostings(ix.LSHParams(), len(ix.shards))
@@ -123,6 +123,34 @@ func (m *postingModel) delete() {
 	m.live = slices.Delete(m.live, i, i+1)
 }
 
+// reopen commits what the model's directory index holds (a snapshot if
+// it has none yet, else its log), closes it and opens the directory
+// under lsh, so the log's tail replays and one rebuild seals everything.
+// It returns the rebuilds the closed index's table had sealed.
+func (m *postingModel) reopen(lsh LSHParams, what string) uint64 {
+	m.t.Helper()
+	old := m.ix
+	var err error
+	if old.WAL() == nil {
+		err = old.SaveDir()
+	} else {
+		err = old.SyncWAL(old.WALTicket())
+	}
+	if err != nil {
+		m.t.Fatalf("%s %s: commit: %v", m.name, what, err)
+	}
+	_, _, _, seals := old.posts.size()
+	old.Close()
+	ix, err := OpenWith(old.DataDir(), lsh)
+	if err != nil {
+		m.t.Fatalf("%s %s: %v", m.name, what, err)
+	}
+	m.t.Cleanup(func() { ix.Close() })
+	m.ix, m.ref = ix, refFromLive(ix)
+	m.check(ix, what)
+	return seals
+}
+
 // addTwin adds a copy of some signature added before and checks: after a
 // rebuild the copy lands in the delta beside the sealed buckets of the
 // rows it matches, so their queries read both levels. It returns 1 if
@@ -185,13 +213,13 @@ func (m *postingModel) check(ix *Index, what string) {
 
 // TestPostingTableMatchesReference drives the posting table and the
 // map-of-slices structure it replaced with the same seeded sequences of
-// add / delete / SaveDir with its compaction pass (directory indexes) /
-// Rebucket / reopen, over several shard counts, heap and directory
-// stores and band shapes, and requires equal candidate sets per shard for every query
-// after every structural step. Every sequence starts from the 64-slot
-// empty delta, so its slot array grows mid-sequence, holds records
-// sharing every band, and files rows after a seal, so one query reads
-// both levels.
+// add / delete / SaveDir with its compaction pass / reopen, as it is and
+// under another banding (directory indexes), over several shard counts,
+// heap and directory stores and band shapes, and requires equal
+// candidate sets per shard for every query after every structural step.
+// Every sequence starts from the 64-slot empty delta, so its slot array
+// grows mid-sequence, holds records sharing every band, and files rows
+// after a seal, so one query reads both levels.
 func TestPostingTableMatchesReference(t *testing.T) {
 	if unsafe.Sizeof(postSlot{}) != 16 || unsafe.Sizeof(posting{}) != 12 {
 		t.Fatalf("postSlot is %d bytes and posting %d; the docs' bytes-per-record arithmetic says 16 and 12",
@@ -228,39 +256,34 @@ func TestPostingTableMatchesReference(t *testing.T) {
 				case r < 88:
 					m.delete()
 				case r < 92 && tiered: // snapshot, compacting the stripes past the threshold
-					before := ix.compactions.Load()
-					if err := ix.SaveDir(); err != nil {
+					before := m.ix.compactions.Load()
+					if err := m.ix.SaveDir(); err != nil {
 						t.Fatalf("%s: save dir: %v", m.name, err)
 					}
-					if ix.compactions.Load() != before {
+					if m.ix.compactions.Load() != before {
 						compactions++
-						m.ref = refFromLive(ix)
+						m.ref = refFromLive(m.ix)
 					}
-					m.check(ix, fmt.Sprintf("step %d (snapshot)", step))
-					loaded, err := Open(ix.DataDir())
+					m.check(m.ix, fmt.Sprintf("step %d (snapshot)", step))
+					loaded, err := Open(m.ix.DataDir())
 					if err != nil {
 						t.Fatalf("%s: reopen: %v", m.name, err)
 					}
 					m.check(loaded, fmt.Sprintf("step %d (reopened)", step))
 					loaded.Close()
 					split += m.addTwin(fmt.Sprintf("step %d (add after snapshot)", step))
-				case r < 95:
-					lsh = shapes[m.rng.Intn(len(shapes))]
-					if err := ix.Rebucket(lsh); err != nil {
-						t.Fatalf("%s: rebucket: %v", m.name, err)
-					}
-					m.ref = refFromLive(ix)
-					m.check(ix, fmt.Sprintf("step %d (rebucket)", step))
-					split += m.addTwin(fmt.Sprintf("step %d (add after rebucket)", step))
+				case r < 95 && tiered: // retune: reopen under another banding
+					seals += m.reopen(shapes[m.rng.Intn(len(shapes))], fmt.Sprintf("step %d (retuned)", step))
+					split += m.addTwin(fmt.Sprintf("step %d (add after retune)", step))
 				default:
-					m.check(ix, fmt.Sprintf("step %d", step))
+					m.check(m.ix, fmt.Sprintf("step %d", step))
 				}
 			}
-			m.check(ix, "end")
+			m.check(m.ix, "end")
 			if m.delta <= minPostSlots {
 				t.Fatalf("%s: the delta's slot array never grew between seals (%d slots)", m.name, m.delta)
 			}
-			bytes, buckets, _, sealed := ix.posts.size()
+			bytes, buckets, _, sealed := m.ix.posts.size()
 			if buckets == 0 || bytes < int64(buckets)*8 {
 				t.Fatalf("%s: size() = %d bytes, %d buckets", m.name, bytes, buckets)
 			}
@@ -350,8 +373,8 @@ func TestProbeSkipsRowsPastSnapshot(t *testing.T) {
 }
 
 // TestPostingTableConcurrency races LSH and exact searches against
-// batch adds, deletes, SaveDir passes that cross the compaction
-// threshold and a live Rebucket. No search may fail, panic (an
+// batch adds, deletes and SaveDir passes that cross the compaction
+// threshold. No search may fail, panic (an
 // out-of-range row would) or name a record whose delete had already
 // returned, and once everything is quiet LSH must equal exact on every
 // planted query. Run under -race.
@@ -415,29 +438,23 @@ func TestPostingTableConcurrency(t *testing.T) {
 			}
 		}
 	}()
-	// untilChurned repeats step until the churn is over, then once more.
-	untilChurned := func(step func(i int) error) {
+	writers.Add(1)
+	// Snapshots until the churn is over, then once more: with 3/4 of the
+	// churn deleted, stripes keep crossing the 25% threshold.
+	go func() {
 		defer writers.Done()
-		for i, last := 0, false; !last; i++ {
+		for last := false; !last; {
 			select {
 			case <-churned:
 				last = true
 			default:
 			}
-			if err := step(i); err != nil {
-				t.Errorf("%v", err)
+			if err := ix.SaveDir(); err != nil {
+				t.Errorf("save dir: %v", err)
 				return
 			}
 		}
-	}
-	writers.Add(2)
-	// Snapshots: with 3/4 of the churn deleted, stripes keep crossing
-	// the 25% threshold.
-	go untilChurned(func(int) error { return ix.SaveDir() })
-	go untilChurned(func(i int) error {
-		schemes := []LSHParams{{Bands: 64, RowsPerBand: 2}, {Bands: 16, RowsPerBand: 8}, {Bands: 32, RowsPerBand: 4}}
-		return ix.Rebucket(schemes[(i+2)%len(schemes)])
-	})
+	}()
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
 		go func(r int) {
@@ -520,40 +537,33 @@ func TestPostingRowBitsFallback(t *testing.T) {
 	}
 	defer ix.Close()
 	m := &postingModel{t: t, name: "narrow", ix: ix, ref: newRefPostings(lsh, 3), rng: rand.New(rand.NewSource(1)), slots: 16}
-	rebucket := func(what string) {
-		t.Helper()
-		if err := ix.Rebucket(lsh); err != nil {
-			t.Fatal(err)
-		}
-		m.ref = refFromLive(ix)
-		m.check(ix, what)
-	}
 	for i := 0; i < 90; i++ {
 		m.add(m.sig())
 	}
-	rebucket("packed")
-	if _, _, delta, seals := ix.posts.size(); seals != 1 || ix.posts.sealedUsed == 0 || delta != 0 {
-		t.Fatalf("30 rows a stripe: %d rebuilds, %d sealed buckets, %d delta postings; want everything sealed", seals, ix.posts.sealedUsed, delta)
+	m.reopen(lsh, "packed")
+	if _, _, delta, seals := m.ix.posts.size(); seals != 1 || m.ix.posts.sealedUsed == 0 || delta != 0 {
+		t.Fatalf("30 rows a stripe: %d rebuilds, %d sealed buckets, %d delta postings; want everything sealed", seals, m.ix.posts.sealedUsed, delta)
 	}
 	for i := 0; i < 210; i++ {
 		m.add(m.sig())
 	}
-	rebucket("fallback")
-	if err := ix.SaveDir(); err != nil { // 4 800 delta postings, nothing sealed: due, if the rows packed
+	m.reopen(lsh, "fallback")
+	if err := m.ix.SaveDir(); err != nil { // 4 800 delta postings, nothing sealed: due, if the rows packed
 		t.Fatal(err)
 	}
-	if _, _, delta, seals := ix.posts.size(); seals != 2 || !ix.posts.spilled || ix.posts.sealedUsed != 0 || len(ix.posts.packed) != 0 || delta != 300*lsh.Bands {
-		t.Fatalf("100 rows a stripe: %d rebuilds, spilled %v, %d sealed buckets, %d packed and %d delta postings; want one more rebuild and everything in the delta",
-			seals, ix.posts.spilled, ix.posts.sealedUsed, len(ix.posts.packed), delta)
+	p := m.ix.posts
+	if _, _, delta, seals := p.size(); seals != 1 || !p.spilled || p.sealedUsed != 0 || len(p.packed) != 0 || delta != 300*lsh.Bands {
+		t.Fatalf("100 rows a stripe: %d rebuilds, spilled %v, %d sealed buckets, %d packed and %d delta postings; want the open's rebuild alone and everything in the delta",
+			seals, p.spilled, p.sealedUsed, len(p.packed), delta)
 	}
 	m.add(m.sig())
-	m.check(ix, "add after fallback")
+	m.check(m.ix, "add after fallback")
 }
 
 // TestPostingFingerprintMerge plants two rows whose band keys differ but
 // share their top 32 bits: sealed, they share a bucket, so the probe for
 // one names the other too — and nothing else changes, because the extra
-// candidate is scored like any other. Rebucket and reopen both seal.
+// candidate is scored like any other. A reopen seals.
 func TestPostingFingerprintMerge(t *testing.T) {
 	lsh := LSHParams{Bands: 1, RowsPerBand: 4}
 	eng, err := NewEngine(Options{IndexName: "merge", K: 4, SignatureSize: 4, Bands: 1, RowsPerBand: 4, Shards: 1, Tiered: true, DataDir: t.TempDir()})
@@ -607,9 +617,6 @@ func TestPostingFingerprintMerge(t *testing.T) {
 	if err != nil || len(want) != 1 {
 		t.Fatalf("exact search: %+v, err %v", want, err)
 	}
-	if err := ix.Rebucket(lsh); err != nil {
-		t.Fatal(err)
-	}
 	if err := ix.SaveDir(); err != nil {
 		t.Fatal(err)
 	}
@@ -618,20 +625,16 @@ func TestPostingFingerprintMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
+	if got := probe(loaded); !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("sealed candidates %v, want a and b", got)
+	}
 	add(loaded, "a-twin", a) // the bucket now spans both levels
-	for what, ix := range map[string]*Index{"rebucketed": ix, "reopened": loaded} {
-		wantCands := []string{"a", "b"}
-		wantHits := want
-		if ix == loaded {
-			wantCands = append(wantCands, "a-twin")
-			wantHits = append(slices.Clone(want), Result{Query: "q", Ref: "a-twin", Similarity: 1})
-		}
-		if got := probe(ix); !slices.Equal(got, wantCands) {
-			t.Fatalf("%s: sealed candidates %v, want %v", what, got, wantCands)
-		}
-		if got, err := search(ix, query, ModeLSH, 5, 0.1, nil); err != nil || !slices.Equal(got, wantHits) {
-			t.Fatalf("%s: lsh search %+v, err %v; want %+v", what, got, err, wantHits)
-		}
+	if got := probe(loaded); !slices.Equal(got, []string{"a", "b", "a-twin"}) {
+		t.Fatalf("candidates over both levels %v, want a, b and a-twin", got)
+	}
+	wantHits := append(slices.Clone(want), Result{Query: "q", Ref: "a-twin", Similarity: 1})
+	if got, err := search(loaded, query, ModeLSH, 5, 0.1, nil); err != nil || !slices.Equal(got, wantHits) {
+		t.Fatalf("lsh search %+v, err %v; want %+v", got, err, wantHits)
 	}
 }
 

@@ -68,7 +68,18 @@ func ParseSearchMode(s string) (SearchMode, error) {
 // fan-out still wins, 113 µs against 164 inline. So the constant
 // stays. A seeded exact sweep reads about a quarter of the bytes this
 // counts, so it fans out a little earlier than its work alone would
-// justify.
+// justify. What that costs on the serve-lsh-hit corpus (50 000 rows, 3.2
+// MB by this count, so fanned out), exact at minSim 0.3, avx512,
+// GOMAXPROCS 2, this constant against one no scan reaches (inline),
+// alternating test binaries, five pairs each at two run lengths; CPU is
+// the process's over -benchtime Nx less an N=1 run, per search, in µs —
+//
+//	run        fanned out wall / CPU   inline wall / CPU
+//	N=20 000    83–95 / 108–151         73–86 / 69–118
+//	N=60 000    86–96 / 101–123         70–85 / 68–88
+//
+// — inline won every pair on both. Whether the seeded sweep should count
+// the bytes it reads is open (see ROADMAP).
 const parallelScoreMinBytes = 512 << 10
 
 // packedQuery is one query sketch prepared for arena scans: the
@@ -377,8 +388,8 @@ type Query struct {
 // candidates almost surely, pairs well below it are skipped by design.
 //
 // The search holds ix.writeMu shared from the snapshot to the last pass,
-// so no compaction, reseal or Rebucket renumbers a stripe or swaps its
-// postings in between; adds and deletes still land meanwhile. Both
+// so no compaction or reseal renumbers a stripe or swaps its postings
+// in between; adds and deletes still land meanwhile. Both
 // passes fan out one goroutine per shard once the rows they cover
 // justify it. The scan loops poll ctx every sweepBlock rows, and the
 // search returns ctx's error instead of a partial result set when it

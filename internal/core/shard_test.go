@@ -150,40 +150,66 @@ func TestEngineAddBatch(t *testing.T) {
 	}
 }
 
+// TestRebucket: a directory index of the planted corpus, reopened under
+// a coarser covering banding with OpenWith, keeps its shard count and
+// answers the planted query's LSH search as before; a non-covering
+// scheme is refused and the directory still opens under the new one.
 func TestRebucket(t *testing.T) {
-	ix, q := plantedCorpus(t, 200, 20, 3)
+	dir := t.TempDir()
+	eng, err := NewEngine(Options{IndexName: "planted", Tiered: true, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, base := plantedRecords(200, 20, 3)
+	if oks, err := eng.AddBatch(recs); countAdded(oks) != len(recs) || err != nil {
+		t.Fatalf("AddBatch added %d, %v; want %d, nil", countAdded(oks), err, len(recs))
+	}
+	ix, q := eng.Index(), eng.Sketcher().Sketch(Record{Name: "query", Data: base})
+	if err := ix.SaveDir(); err != nil {
+		t.Fatal(err)
+	}
 	pool := NewPool(0)
 	before, err := search(ix, q, ModeLSH, 10, 0, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shards := ix.ShardCount()
+	ix.Close()
 	// Retune to a coarser scheme; planted near-duplicates sit far above
 	// both thresholds, so the top-K list must be unchanged.
-	shards := ix.ShardCount()
-	if err := ix.Rebucket(LSHParams{Bands: 16, RowsPerBand: 8}); err != nil {
+	lsh := LSHParams{Bands: 16, RowsPerBand: 8}
+	got, err := OpenWith(dir, lsh)
+	if err != nil {
 		t.Fatal(err)
 	}
-	meta := ix.Metadata()
+	meta := got.Metadata()
 	if meta.Bands != 16 || meta.RowsPerBand != 8 || meta.Shards != shards {
-		t.Fatalf("metadata after Rebucket = %+v", meta)
+		t.Fatalf("metadata after OpenWith %+v = %+v", lsh, meta)
 	}
-	after, err := search(ix, q, ModeLSH, 10, 0, pool)
+	after, err := search(got, q, ModeLSH, 10, 0, pool)
+	got.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(before) != len(after) {
-		t.Fatalf("result count changed across Rebucket: %d vs %d", len(before), len(after))
+		t.Fatalf("result count changed across the retune: %d vs %d", len(before), len(after))
 	}
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatalf("result %d changed across Rebucket: %+v vs %+v", i, before[i], after[i])
+			t.Fatalf("result %d changed across the retune: %+v vs %+v", i, before[i], after[i])
 		}
 	}
-	// An invalid scheme is rejected and leaves the index untouched.
-	if err := ix.Rebucket(LSHParams{Bands: 5, RowsPerBand: 5}); err == nil {
-		t.Fatal("Rebucket with non-covering scheme: want error")
+	// An invalid scheme is rejected and leaves the directory openable.
+	if bad, err := OpenWith(dir, LSHParams{Bands: 5, RowsPerBand: 5}); err == nil {
+		bad.Close()
+		t.Fatal("OpenWith with non-covering scheme: want error")
 	}
-	if got := ix.Metadata(); ix.ShardCount() != shards || got.Bands != 16 || got.RowsPerBand != 8 {
-		t.Fatalf("failed Rebucket mutated the index: shards=%d meta=%+v", ix.ShardCount(), got)
+	again, err := OpenWith(dir, lsh)
+	if err != nil {
+		t.Fatalf("OpenWith after a refused scheme: %v", err)
+	}
+	defer again.Close()
+	if again.ShardCount() != shards || again.Len() != len(recs) {
+		t.Fatalf("after a refused OpenWith: shards=%d len=%d", again.ShardCount(), again.Len())
 	}
 }

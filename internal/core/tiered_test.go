@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -1003,26 +1005,125 @@ func TestTieredGetSketchFullWidth(t *testing.T) {
 	}
 }
 
-// TestTieredRebucket: band retuning works on a directory index (the
-// full tier is carried shard-for-shard) and a heap index alike.
+// TestTieredRebucket: a tiered directory reopens under another banding
+// (OpenWith) without re-sketching, in the one rebuild every open pays. A covering scheme
+// answers as bruteTopK does, with the WAL tail sealed under its keys;
+// one that does not cover the signature is refused with the directory
+// untouched; the zero value opens as Open does.
 func TestTieredRebucket(t *testing.T) {
-	tiered, plain := tieredEngines(t, 300, 64)
-	ix := tiered.Index()
-	meta := ix.Metadata()
-	lsh, err := NewLSHParams(16, 8, meta.SignatureSize)
+	tiered, _ := tieredEngines(t, 300, 64)
+	ix, sk := tiered.Index(), tiered.Sketcher()
+	if err := ix.SaveDir(); err != nil {
+		t.Fatal(err)
+	}
+	// The tail: adds and a delete acked after the snapshot, in the WAL only.
+	recs := tieredRecords(330)
+	for _, rec := range recs[300:] {
+		if _, err := addRecord(tiered, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := tiered.Delete("rec-310"); !ok || err != nil {
+		t.Fatalf("delete rec-310: ok=%v err=%v", ok, err)
+	}
+	dir := ix.DataDir()
+	ix.Close()
+	var refs []*Sketch
+	for _, rec := range recs {
+		if rec.Name != "rec-310" {
+			refs = append(refs, sk.Sketch(rec))
+		}
+	}
+	queries := []*Sketch{
+		sk.Sketch(Record{Name: "q", Data: benchData(256, 9)}),        // rec-8, in the snapshot
+		sk.Sketch(Record{Name: "q-tail", Data: benchData(256, 321)}), // rec-320, in the tail
+	}
+
+	t.Run("non-covering", func(t *testing.T) {
+		before := dirFiles(t, dir)
+		for _, lsh := range []LSHParams{{Bands: 5, RowsPerBand: 5}, {Bands: 16}} {
+			if got, err := OpenWith(dir, lsh); err == nil {
+				got.Close()
+				t.Fatalf("OpenWith %+v: want an error", lsh)
+			}
+		}
+		if after := dirFiles(t, dir); !maps.Equal(before, after) {
+			t.Fatal("a refused OpenWith changed the directory")
+		}
+	})
+	t.Run("zero", func(t *testing.T) {
+		a, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		b, err := OpenWith(dir, LSHParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		ma, mb := a.Metadata(), b.Metadata()
+		ma.UpdatedAt, mb.UpdatedAt = time.Time{}, time.Time{} // stamped by the replay
+		if ma != mb || a.LSHParams() != DefaultLSHParams(ma.SignatureSize) || b.LSHParams() != a.LSHParams() {
+			t.Fatalf("OpenWith zero: %+v under %+v; Open: %+v under %+v", mb, b.LSHParams(), ma, a.LSHParams())
+		}
+		for _, q := range queries {
+			checkAgainstBrute(t, q, refs, 10, 0, a, b)
+		}
+	})
+	t.Run("covering", func(t *testing.T) {
+		lsh := LSHParams{Bands: 16, RowsPerBand: 8}
+		got, err := OpenWith(dir, lsh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Close()
+		if meta := got.Metadata(); got.LSHParams() != lsh || meta.Bands != 16 || meta.RowsPerBand != 8 ||
+			meta.Shards != DefaultShards || got.Len() != len(refs) {
+			t.Fatalf("OpenWith %+v: %+v under %+v, %d records", lsh, meta, got.LSHParams(), got.Len())
+		}
+		if _, _, delta, seals := got.posts.size(); delta != 0 || seals != 1 {
+			t.Fatalf("%d delta postings after %d rebuilds; want one rebuild sealing snapshot and tail", delta, seals)
+		}
+		// Each live tail row is a candidate of its own signature under the
+		// new keys; the deleted one is in no stripe.
+		buf := getSearchBuf()
+		defer putSearchBuf(buf)
+		for _, rec := range recs[300:] {
+			s := sk.Sketch(rec)
+			q := buf.prepare(s, 0, len(got.shards))
+			buf.prepareBandKeys(got, s)
+			probeCandidates(got.posts, got.shards, q, buf.scratch)
+			si := shardFor(rec.Name, len(got.shards))
+			row := got.shards[si].names.lookup(rec.Name, got.shards[si].dead)
+			if (row >= 0) != (rec.Name != "rec-310") || row >= 0 && !slices.Contains(buf.scratch[si].cands, row) {
+				t.Fatalf("%s: row %d, candidates %v", rec.Name, row, buf.scratch[si].cands)
+			}
+		}
+		for _, q := range queries {
+			for _, minSim := range []float64{0, 0.1} {
+				checkAgainstBrute(t, q, refs, 10, minSim, got)
+			}
+		}
+	})
+}
+
+// dirFiles maps every file under dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = string(b)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ix := range []*Index{ix, plain.Index()} {
-		if err := ix.Rebucket(lsh); err != nil {
-			t.Fatalf("Rebucket with same shard count: %v", err)
-		}
-	}
-	q := plain.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 9)})
-	refs := sketchAll(plain.Sketcher(), tieredRecords(300))
-	for _, minSim := range []float64{0, 0.1} {
-		checkAgainstBrute(t, q, refs, 10, minSim, ix, plain.Index())
-	}
+	return files
 }
 
 // BenchmarkTieredSearch reports the tier-health metrics: the prefilter

@@ -133,7 +133,7 @@ func appendWALHead(b []byte, seq uint64, op byte, name string) []byte {
 // and no fsync is paid. On an error the buffered frames are dropped
 // from the log and the file is rolled back to its last complete write
 // (the caller fails the ack; the records themselves are still in
-// memory and reach disk with the next snapshot).
+// memory, and SyncWAL's next sweep snapshots them).
 func (w *shardWAL) sync() error {
 	fsync, err := w.Sync()
 	if err != nil {

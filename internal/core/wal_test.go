@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -379,76 +378,6 @@ func TestOpenRejectsNonIndexes(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(dir, "nope")); err == nil {
 		t.Fatal("Open of a missing path succeeded")
-	}
-}
-
-// TestLiveRebucketUnderLoad: Rebucket on a live index races writers
-// and searchers; nothing may error, deadlock, or (under -race) trip
-// the detector, and the index must be fully searchable afterwards.
-func TestLiveRebucketUnderLoad(t *testing.T) {
-	dir := t.TempDir()
-	eng := walEngine(t, dir, 200)
-	defer eng.Index().Close()
-	ix := eng.Index()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // writer: adds and deletes
-		defer wg.Done()
-		for i := 200; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
-				t.Errorf("add under rebucket: %v", err)
-				return
-			}
-			if _, err := eng.Delete(fmt.Sprintf("rec-%d", i-150)); err != nil {
-				t.Errorf("delete under rebucket: %v", err)
-				return
-			}
-		}
-	}()
-	go func() { // searcher: both modes
-		defer wg.Done()
-		q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 5)})
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := search(ix, q, ModeLSH, 10, 0, nil); err != nil {
-				t.Errorf("lsh search under rebucket: %v", err)
-				return
-			}
-			if _, err := search(ix, q, ModeExact, 10, 0, nil); err != nil {
-				t.Errorf("exact search under rebucket: %v", err)
-				return
-			}
-		}
-	}()
-	schemes := []LSHParams{{Bands: 32, RowsPerBand: 4}, {Bands: 16, RowsPerBand: 8}, {Bands: 64, RowsPerBand: 2}}
-	for i := 0; i < 12; i++ {
-		if err := ix.Rebucket(schemes[i%len(schemes)]); err != nil {
-			t.Fatalf("rebucket %d: %v", i, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	// The rebucketed index still answers correctly: a live record's own
-	// payload must find it via the rebuilt postings.
-	q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 100)})
-	res, err := search(ix, q, ModeLSH, 5, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) == 0 || res[0].Ref != "rec-99" {
-		t.Fatalf("post-rebucket search missed rec-99: %+v", res)
 	}
 }
 

@@ -164,6 +164,39 @@ echo "an entirely different payload that only exists in the write-ahead log" >"$
 out="$("$tmp/engine" search -d "$index" -top 1 "$tmp/delta-query.txt")"
 grep -q 'delta.txt' <<<"$out" || fail "WAL-only record delta.txt lost in the crash"
 
+# A retuned restart: serve on the recovered index with another banding
+# opens it under that banding in the one posting-table build every open
+# pays (the WAL tail included), and every acked record still ranks first
+# for its own text.
+"$tmp/engine" serve -addr 127.0.0.1:0 -d "$index" -snapshot-every 1h -bands 16 -rows 8 \
+    >"$tmp/serve.out" 2>"$tmp/serve.err" &
+serve_pid=$!
+addr="$(wait_addr "$tmp/serve.out")"
+[[ -n "$addr" ]] || fail "the retuned server never reported its address"
+base="http://$addr"
+grep -q 'rebucketed to bands=16 rows=8' "$tmp/serve.err" || fail "no retune line on the retuned server's stderr"
+stats="$(curl -fsS "$base/stats")"
+grep -q '"bands":16,' <<<"$stats" || fail "retuned /stats does not show engine.bands 16: $stats"
+grep -q '"lsh_seals":1,' <<<"$stats" || fail "the retuned open did not build the posting table exactly once: $stats"
+# http_top_ref FILE prints the ref of the rank-1 hit for FILE's text.
+http_top_ref() {
+    curl -fsS -X POST -H 'Content-Type: application/json' \
+        -d "$(printf '{"name": "q-%s", "data": "%s", "k": 1}' "$1" "$(payload "$2")")" \
+        "$base/v1/search" | { grep -oE '"rank":1,"ref":"[^"]*"' || true; } | cut -d'"' -f6
+}
+[[ "$(http_top_ref alpha.txt cmd/engine/testdata/alpha.txt)" == "alpha.txt" ]] || fail "retuned: alpha.txt not at rank 1"
+[[ "$(http_top_ref beta.txt cmd/engine/testdata/beta.txt)" == "beta.txt" ]] || fail "retuned: beta.txt not at rank 1"
+[[ "$(http_top_ref gamma.txt cmd/engine/testdata/gamma.txt)" != "gamma.txt" ]] || fail "retuned: deleted gamma.txt came back"
+[[ "$(http_top_ref delta.txt "$tmp/delta-query.txt")" == "delta.txt" ]] || fail "retuned: WAL-only delta.txt not at rank 1"
+# One write, then a clean shutdown: its snapshot writes the new banding.
+curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d '{"records": [{"name": "epsilon.txt", "data": "one more record so that the shutdown writes a snapshot"}]}' \
+    "$base/v1/records" | grep -q '"added":1' || fail "ingest on the retuned server failed"
+kill "$serve_pid"
+wait "$serve_pid" || fail "the retuned server did not shut down cleanly"
+serve_pid=""
+grep -q '"bands":16,"rows_per_band":8' "$index/MANIFEST.json" || fail "the shutdown snapshot did not write the new banding"
+
 # ---------------------------------------------------------------------
 # Phase 2: cluster. Three single-node backends behind one coordinator
 # at replication=2: ingest and search through the coordinator, join a
