@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-smoke bench-repo bench-docs smoke chaos lint linkcheck fmtcheck wrappercheck loc clean
+.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-smoke bench-repo bench-docs smoke chaos lint linkcheck fmtcheck wrappercheck logcheck loc clean
 
 all: build vet test
 
@@ -94,11 +94,19 @@ wrappercheck:
 	@out=$$(grep -rnwE --include='*.go' 'SearchTopK|SearchTopKCtx|SearchTopKLSHCtx' internal cmd | grep -v '^internal/core/query\.go:'); \
 	if [ -n "$$out" ]; then echo "bench-only search wrappers named outside internal/core/query.go:"; echo "$$out"; exit 1; fi
 
+# One logger: each node role logs through its Shell's *slog.Logger. No
+# non-test Go file under internal/ or cmd/ may declare a Logf field or a
+# logf method, or import the stdlib "log" package, so a second logging
+# path cannot grow back.
+logcheck:
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' '^\s*Logf\s+func|^func \([^)]*\) logf\(|^\s*(import\s+)?(\w+\s+)?"log"$$' internal cmd); \
+	if [ -n "$$out" ]; then echo "a second logging path beside the Shell's slog.Logger:"; echo "$$out"; exit 1; fi
+
 # The line counts CHANGES.md entries and ROADMAP re-anchors quote.
 loc:
 	@./scripts/loc.sh
 
-lint: linkcheck fmtcheck wrappercheck
+lint: linkcheck fmtcheck wrappercheck logcheck
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
 	else \

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	netpprof "net/http/pprof"
@@ -72,21 +73,58 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "engine: serve: FAULT INJECTION ARMED spec=%q seed=%d (test tooling; disarm by restarting without -fault-spec)\n",
 			*faultSpec, *faultSeed)
 	}
+	shell := server.ShellConfig{
+		Addr:         *addr,
+		MaxInFlight:  *maxInFlight,
+		MaxBatch:     *maxBatch,
+		MaxBodyBytes: *maxBody,
+		DrainTimeout: *drain,
+		Log:          slog.New(slog.NewTextHandler(stderr, nil)),
+	}
 	if *coordinator {
+		// The coordinator owns no index: it routes over -backends.
 		cfg := cluster.Config{
-			Addr:           *addr,
+			ShellConfig:    shell,
 			Replication:    *replication,
 			FanoutTimeout:  *fanoutTimeout,
 			HealthInterval: *healthEvery,
 			HintsDir:       *hintsDir,
 			HintTTL:        *hintTTL,
 			RepairInterval: *repairEvery,
-			MaxInFlight:    *maxInFlight,
-			MaxBatch:       *maxBatch,
-			MaxBodyBytes:   *maxBody,
-			DrainTimeout:   *drain,
 		}
-		return serveCoordinator(fs, cfg, *backends, *pprofAddr, stdout, stderr)
+		for _, part := range strings.Split(*backends, ",") {
+			if part = strings.TrimSpace(part); part != "" {
+				cfg.Backends = append(cfg.Backends, part)
+			}
+		}
+		if len(cfg.Backends) == 0 {
+			return fmt.Errorf("serve: -coordinator requires -backends host1:port,host2:port,...")
+		}
+		if len(cfg.Backends) < cfg.Replication {
+			return fmt.Errorf("serve: -replication %d needs at least that many backends, got %d",
+				cfg.Replication, len(cfg.Backends))
+		}
+		// Index flags are meaningless without an index; catch the ones a
+		// single-node invocation would care about so a copy-pasted command
+		// line fails loudly instead of silently dropping its index.
+		ignored := map[string]bool{"d": true, "snapshot-every": true, "name": true}
+		var bad []string
+		fs.Visit(func(f *flag.Flag) {
+			if ignored[f.Name] {
+				bad = append(bad, "-"+f.Name)
+			}
+		})
+		if len(bad) > 0 {
+			fmt.Fprintf(stderr, "engine: serve: warning: %s ignored in -coordinator mode (the coordinator owns no index)\n",
+				strings.Join(bad, ", "))
+		}
+		coord, err := cluster.New(cfg)
+		if err != nil {
+			return err
+		}
+		defer coord.Close()
+		return runNode(coord, *pprofAddr, fmt.Sprintf("coordinator=true\tbackends=%d\treplication=%d\tquorum=%d",
+			len(cfg.Backends), coord.Ring().Replication(), cfg.Replication/2+1), stdout)
 	}
 	if *backends != "" {
 		return fmt.Errorf("serve: -backends requires -coordinator")
@@ -102,79 +140,21 @@ func cmdServe(argv []string, stdout, stderr io.Writer) error {
 	}
 	ix := eng.Index()
 	defer ix.Close()
-	if *pprofAddr != "" {
-		stop, bound, err := servePprof(*pprofAddr)
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Fprintf(stdout, "pprof\taddr=%s\n", bound)
-	}
-	srv, err := server.New(eng, server.Config{
-		Addr:          *addr,
-		SnapshotEvery: *snapEvery,
-		MaxInFlight:   *maxInFlight,
-		MaxBatch:      *maxBatch,
-		MaxBodyBytes:  *maxBody,
-		DrainTimeout:  *drain,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(stderr, "engine: serve: "+format+"\n", args...)
-		},
-	})
+	srv, err := server.New(eng, server.Config{ShellConfig: shell, SnapshotEvery: *snapEvery})
 	if err != nil {
 		return err
 	}
-	bound, err := srv.Listen()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "serving\taddr=%s\tindex=%s\trecords=%d\tmode=%s\tsnapshot=%s\n",
-		bound, ix.Metadata().Name, ix.Len(), core.ModeLSH, ix.DataDir())
-	ctx, stop := signal.NotifyContext(serveBaseContext(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return srv.Serve(ctx)
+	return runNode(srv, *pprofAddr, fmt.Sprintf("index=%s\trecords=%d\tmode=%s\tsnapshot=%s",
+		ix.Metadata().Name, ix.Len(), core.ModeLSH, ix.DataDir()), stdout)
 }
 
-// serveCoordinator is the -coordinator branch of cmdServe: it builds a
-// cluster.Coordinator over the parsed backend list instead of loading
-// an index, and mirrors the single-node serve lifecycle (serving line,
-// pprof side listener, signal-driven drain).
-func serveCoordinator(fs *flag.FlagSet, cfg cluster.Config, backends, pprofAddr string,
-	stdout, stderr io.Writer) error {
-	for _, part := range strings.Split(backends, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			cfg.Backends = append(cfg.Backends, part)
-		}
-	}
-	if len(cfg.Backends) == 0 {
-		return fmt.Errorf("serve: -coordinator requires -backends host1:port,host2:port,...")
-	}
-	if len(cfg.Backends) < cfg.Replication {
-		return fmt.Errorf("serve: -replication %d needs at least that many backends, got %d",
-			cfg.Replication, len(cfg.Backends))
-	}
-	// Index flags are meaningless without an index; catch the ones a
-	// single-node invocation would care about so a copy-pasted command
-	// line fails loudly instead of silently dropping its index.
-	ignored := map[string]bool{"d": true, "snapshot-every": true, "name": true}
-	var bad []string
-	fs.Visit(func(f *flag.Flag) {
-		if ignored[f.Name] {
-			bad = append(bad, "-"+f.Name)
-		}
-	})
-	if len(bad) > 0 {
-		fmt.Fprintf(stderr, "engine: serve: warning: %s ignored in -coordinator mode (the coordinator owns no index)\n",
-			strings.Join(bad, ", "))
-	}
-	cfg.Logf = func(format string, args ...any) {
-		fmt.Fprintf(stderr, "engine: serve: "+format+"\n", args...)
-	}
-	coord, err := cluster.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
+// runNode is the serve lifecycle both node roles share: the optional
+// pprof side listener, Listen, the serving line (the bound address,
+// then the role's fields), and Serve until SIGINT or SIGTERM drains it.
+func runNode(n interface {
+	Listen() (net.Addr, error)
+	Serve(context.Context) error
+}, pprofAddr, fields string, stdout io.Writer) error {
 	if pprofAddr != "" {
 		stop, bound, err := servePprof(pprofAddr)
 		if err != nil {
@@ -183,15 +163,14 @@ func serveCoordinator(fs *flag.FlagSet, cfg cluster.Config, backends, pprofAddr 
 		defer stop()
 		fmt.Fprintf(stdout, "pprof\taddr=%s\n", bound)
 	}
-	bound, err := coord.Listen()
+	bound, err := n.Listen()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "serving\taddr=%s\tcoordinator=true\tbackends=%d\treplication=%d\tquorum=%d\n",
-		bound, len(cfg.Backends), coord.Ring().Replication(), cfg.Replication/2+1)
+	fmt.Fprintf(stdout, "serving\taddr=%s\t%s\n", bound, fields)
 	ctx, stop := signal.NotifyContext(serveBaseContext(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	return coord.Serve(ctx)
+	return n.Serve(ctx)
 }
 
 // servePprof mounts the net/http/pprof handlers on their own listener,

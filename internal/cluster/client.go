@@ -128,8 +128,10 @@ var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // the request body. Non-2xx responses decode the error envelope into a
 // *BackendError. The caller bounds the call with ctx; a ctx deadline
 // is propagated to the backend in the X-Sketch-Deadline header so the
-// backend can abort work the coordinator has already given up on. The
-// outcome feeds the breaker via the observe hook.
+// backend can abort work the coordinator has already given up on, and
+// ctx's request ID (server.RequestID) in X-Sketch-Request-Id, so the
+// backend's log lines carry the coordinator's. The outcome feeds the
+// breaker via the observe hook.
 func (c *client) do(ctx context.Context, b *backend, method, path string, body, out any) error {
 	var raw []byte
 	if body != nil {
@@ -174,6 +176,9 @@ func (c *client) doRaw(ctx context.Context, b *backend, method, path string, bod
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		req.Header.Set(server.DeadlineHeader, strconv.FormatInt(dl.UnixMilli(), 10))
+	}
+	if id := server.RequestID(ctx); id != "" {
+		req.Header.Set(server.RequestIDHeader, id)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

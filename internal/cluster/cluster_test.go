@@ -53,9 +53,10 @@ type testBackend struct {
 
 // newTestCluster starts n backends and a coordinator over them with
 // cfg. Probes and hint drains are driven by hand unless cfg sets them.
+// The backends log to cfg.Log too.
 func newTestCluster(t testing.TB, n int, cfg Config) *testCluster {
 	t.Helper()
-	tc := &testCluster{t: t}
+	tc := &testCluster{t: t, cfg: cfg}
 	for i := 0; i < n; i++ {
 		b := tc.spare()
 		tc.backends = append(tc.backends, b)
@@ -104,7 +105,7 @@ func (tc *testCluster) spare() *testBackend {
 	}
 	b := &testBackend{tc: tc, dir: dir}
 	// No snapshot but the first: every ack rests on the WAL.
-	if b.srv, err = server.New(eng, server.Config{DataDir: dir}); err != nil {
+	if b.srv, err = server.New(eng, tc.backendConfig(dir)); err != nil {
 		tc.t.Fatal(err)
 	}
 	// A port below Linux's ephemeral range (32768 up), so no outgoing
@@ -124,6 +125,10 @@ func (tc *testCluster) spare() *testBackend {
 	return b
 }
 
+func (tc *testCluster) backendConfig(dir string) server.Config {
+	return server.Config{ShellConfig: server.ShellConfig{Log: tc.cfg.Log}, DataDir: dir}
+}
+
 func (b *testBackend) url() string { return "http://" + b.addr }
 
 func (b *testBackend) index() *core.Index { return b.srv.Engine().Index() }
@@ -139,7 +144,7 @@ func (b *testBackend) start() {
 		}
 		eng, err := core.NewEngineWithIndex(ix, 0)
 		if err == nil {
-			b.srv, err = server.New(eng, server.Config{DataDir: b.dir})
+			b.srv, err = server.New(eng, b.tc.backendConfig(b.dir))
 		}
 		if err != nil {
 			t.Fatal(err)

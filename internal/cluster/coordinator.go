@@ -31,11 +31,12 @@ const (
 )
 
 // Config configures a Coordinator. Zero values fall back to the
-// defaults above; Addr, MaxInFlight, MaxBatch, MaxBodyBytes,
-// DrainTimeout and Logf go to the server.Shell, with its defaults.
+// defaults above; the embedded ShellConfig goes to the server.Shell,
+// with its defaults. Its MaxInFlight is the coordinator's one admission
+// control, and its MaxBatch should mirror the backends' limit so the
+// coordinator rejects oversized batches itself.
 type Config struct {
-	// Addr is the listen address; port 0 picks a free port.
-	Addr string
+	server.ShellConfig
 	// Backends are the single-node backend addresses (host:port). At
 	// least Replication backends are required.
 	Backends []string
@@ -73,9 +74,6 @@ type Config struct {
 	// sweep (the same walk POST /v1/admin/repair does) this often.
 	// Zero disables periodic sweeps; the admin endpoint still works.
 	RepairInterval time.Duration
-	// MaxInFlight bounds concurrently served coordinator requests: the
-	// shell's limiter, the coordinator's one admission control.
-	MaxInFlight int
 	// RetryBudget and RetryRefillPerSec size the coordinator-wide retry
 	// token bucket (see DefaultRetryBudget). Every retried backend call
 	// across search retry waves, hint replays, and repair traffic spends
@@ -83,17 +81,6 @@ type Config struct {
 	// Zero means the defaults.
 	RetryBudget       int
 	RetryRefillPerSec float64
-	// MaxBatch caps records per ingest request, mirroring the backends'
-	// limit so the coordinator rejects oversized batches itself.
-	MaxBatch int
-	// MaxBodyBytes caps request body size.
-	MaxBodyBytes int64
-	// DrainTimeout bounds how long shutdown waits for in-flight
-	// requests.
-	DrainTimeout time.Duration
-	// Logf, when set, receives one-line operational events. nil means
-	// silent.
-	Logf func(format string, args ...any)
 }
 
 // Coordinator serves the /v1 API by fanning out to backends. Build one
@@ -174,11 +161,8 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg: cfg,
-		shell: server.NewShell(server.Config{
-			Addr: cfg.Addr, MaxInFlight: cfg.MaxInFlight, MaxBatch: cfg.MaxBatch,
-			MaxBodyBytes: cfg.MaxBodyBytes, DrainTimeout: cfg.DrainTimeout, Logf: cfg.Logf,
-		}),
+		cfg:       cfg,
+		shell:     server.NewShell(cfg.ShellConfig),
 		client:    newClient(len(ring.Backends())),
 		metrics:   new(clusterMetrics),
 		hints:     hints,
@@ -270,21 +254,7 @@ func (c *Coordinator) Listen() (net.Addr, error) { return c.shell.Listen() }
 // loop and the periodic repair sweep run for exactly the lifetime of
 // the serve loop.
 func (c *Coordinator) Serve(ctx context.Context) error {
-	hctx, stopHealth := context.WithCancel(context.Background())
-	defer stopHealth()
-	if c.cfg.HealthInterval > 0 {
-		go c.probeLoop(hctx)
-	}
-	if c.cfg.RepairInterval > 0 {
-		go c.sweepLoop(hctx)
-	}
-	return c.shell.Serve(ctx)
-}
-
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
+	return c.shell.Serve(ctx, c.probeLoop, c.sweepLoop)
 }
 
 // clusterMetrics are the coordinator's own counters, beside the shell's

@@ -87,8 +87,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	// A tight shell for the input, so the batch and size caps are within
 	// the fuzzer's reach; a roomy one for the round trip, whose encoding
 	// may be longer than the input was (json.Marshal escapes <, > and &).
-	tight := server.NewShell(server.Config{MaxBatch: 2, MaxBodyBytes: 512})
-	roomy := server.NewShell(server.Config{MaxBatch: 2})
+	tight := server.NewShell(server.ShellConfig{MaxBatch: 2, MaxBodyBytes: 512})
+	roomy := server.NewShell(server.ShellConfig{MaxBatch: 2})
 	decode := func(sh *server.Shell, v any, body []byte) (bool, *httptest.ResponseRecorder) {
 		rec := httptest.NewRecorder()
 		return sh.Decode(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), v), rec

@@ -2,9 +2,11 @@
 // coordinator speaks the same /v1 protocol as internal/server but owns
 // no index, routing every request to a fleet of ordinary single-node
 // backends. It is the same kind of HTTP process as a backend — it holds
-// a server.Shell for its middleware, request decoding and lifecycle,
-// and renders /stats and /metrics from one stats() value through
-// server.WriteProm — so this package is only the routing.
+// a server.Shell for its middleware, request decoding, logger and
+// lifecycle, and renders /stats and /metrics from one stats() value
+// through server.WriteProm — so this package is only the routing. Its
+// client forwards a request's ID (server.RequestID) on every backend
+// call, so a backend's log lines carry the coordinator's request_id.
 //
 // Placement is a rendezvous-hash ring (Ring): each record name maps to
 // a replication-factor-sized set of backends, so capacity grows by

@@ -125,6 +125,7 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	partial := responded < cover
 	if partial {
 		c.metrics.partials.Add(1)
+		c.shell.Log().WarnContext(r.Context(), "search partial", "responded", responded, "cover", cover)
 	}
 
 	// Concatenate, dedup by ref keeping the best-scored copy, merge.

@@ -395,11 +395,11 @@ func (c *Coordinator) drainBackendHints(ctx context.Context, b *backend) {
 			// queued. The next tick (or kick) resumes from here — hints are
 			// exactly the traffic that must not stampede a backend that just
 			// came back.
-			c.logf("hint drain to %s paused after %d/%d: retry budget exhausted", b.addr, done, len(pending))
+			c.shell.Log().WarnContext(ctx, "hint drain paused: retry budget exhausted", "backend", b.addr, "done", done, "taken", len(pending))
 			break
 		}
 		if err := c.replayHint(ctx, b, h); err != nil {
-			c.logf("hint replay to %s stalled after %d/%d: %v", b.addr, done, len(pending), err)
+			c.shell.Log().WarnContext(ctx, "hint replay stalled", "backend", b.addr, "done", done, "taken", len(pending), "err", err)
 			break
 		}
 		replayed++
@@ -408,11 +408,11 @@ func (c *Coordinator) drainBackendHints(ctx context.Context, b *backend) {
 	c.hints.replayed.Add(replayed)
 	c.hints.expired.Add(expired)
 	if err := c.hints.commit(b.addr, done); err != nil {
-		c.logf("hint commit for %s: %v", b.addr, err)
+		c.shell.Log().WarnContext(ctx, "hint commit failed", "backend", b.addr, "err", err)
 	}
-	if replayed > 0 {
-		c.logf("replayed %d hints to %s (%d expired, %d still pending)",
-			replayed, b.addr, expired, c.hints.depthFor(b.addr))
+	if replayed+expired > 0 {
+		c.shell.Log().InfoContext(ctx, "hints replayed", "backend", b.addr, "replayed", replayed,
+			"expired", expired, "pending", c.hints.depthFor(b.addr))
 	}
 }
 

@@ -194,8 +194,8 @@ func (c *Coordinator) moveRing(w http.ResponseWriter, r *http.Request, action, a
 			}
 		}
 	}
-	c.logf("%s %s committed: %d/%d records moved, %d copies streamed, %d stale copies cleaned",
-		action, addr, st.moved, st.examined, st.copied, cleaned)
+	c.shell.Log().InfoContext(r.Context(), "rebalance committed", "action", action, "backend", addr,
+		"moved", st.moved, "examined", st.examined, "copied", st.copied, "cleaned", cleaned)
 	server.WriteJSON(w, http.StatusOK, RebalanceResponse{
 		Action:      action,
 		Backend:     addr,
@@ -325,7 +325,7 @@ func (c *Coordinator) streamRebalance(ctx context.Context, old, target *Ring) (*
 				return st, fmt.Errorf("%d backends failed enumeration (replication %d — records may be invisible to the stream): last: %s: %v",
 					len(st.skipped), old.Replication(), src, err)
 			}
-			c.logf("rebalance: enumeration of %s failed (%v); its records stream from their other replicas", src, err)
+			c.shell.Log().WarnContext(ctx, "rebalance enumeration failed; other replicas stream", "backend", src, "err", err)
 			continue
 		}
 	}

@@ -100,7 +100,7 @@ func (c *Coordinator) repairLoop() {
 		case name := <-c.repairs.ch:
 			c.repairs.taken(name)
 			if _, err := c.repairRecord(context.Background(), name); err != nil {
-				c.logf("read repair %q: %v", name, err)
+				c.shell.Log().Warn("read repair failed", "name", name, "err", err)
 			}
 		}
 	}
@@ -168,7 +168,7 @@ func (c *Coordinator) repairRecord(ctx context.Context, name string) (int, error
 	}
 	c.repairs.applied.Add(int64(copied))
 	if copied > 0 {
-		c.logf("read repair %q: copied to %d lagging replica(s)", name, copied)
+		c.shell.Log().InfoContext(ctx, "read repair", "name", name, "copied", copied)
 	}
 	return copied, firstErr
 }
@@ -207,6 +207,9 @@ func (c *Coordinator) handleRepairSweep(w http.ResponseWriter, r *http.Request) 
 
 // sweepLoop runs periodic sweeps when RepairInterval is set.
 func (c *Coordinator) sweepLoop(ctx context.Context) {
+	if c.cfg.RepairInterval <= 0 {
+		return
+	}
 	t := time.NewTicker(c.cfg.RepairInterval)
 	defer t.Stop()
 	for {
@@ -217,10 +220,10 @@ func (c *Coordinator) sweepLoop(ctx context.Context) {
 			return
 		case <-t.C:
 			if resp, err := c.runRepairSweep(ctx); err != nil {
-				c.logf("periodic repair sweep: %v", err)
+				c.shell.Log().Warn("periodic repair sweep failed", "err", err)
 			} else if resp.Repaired+resp.RemovedStrays > 0 {
-				c.logf("periodic repair sweep: %d repaired, %d strays removed over %d records",
-					resp.Repaired, resp.RemovedStrays, resp.Records)
+				c.shell.Log().Info("periodic repair sweep", "repaired", resp.Repaired,
+					"strays_removed", resp.RemovedStrays, "records", resp.Records)
 			}
 		}
 	}
@@ -252,7 +255,7 @@ func (c *Coordinator) runRepairSweep(ctx context.Context) (RepairSweepResponse, 
 			present[rec.Name] |= 1 << bitOf[b.addr]
 		}); err != nil {
 			resp.Skipped = append(resp.Skipped, b.addr)
-			c.logf("repair sweep: skipping %s: %v", b.addr, err)
+			c.shell.Log().WarnContext(ctx, "repair sweep skipped a backend", "backend", b.addr, "err", err)
 		}
 	}
 	if len(resp.Skipped) == len(backends) {

@@ -85,10 +85,10 @@ func (c *Coordinator) observeBreaker(b *backend, ok bool) {
 	switch {
 	case state == was:
 	case state == breakerClosed:
-		c.logf("backend %s is up (breaker closed)", b.addr)
+		c.shell.Log().Info("backend up, breaker closed", "backend", b.addr)
 		c.kickHintDrain()
 	case state == breakerOpen:
-		c.logf("backend %s is down after %d consecutive failures (breaker open)", b.addr, fails)
+		c.shell.Log().Warn("backend down, breaker open", "backend", b.addr, "failures", fails)
 	}
 }
 
@@ -100,6 +100,9 @@ func (c *Coordinator) observeBreaker(b *backend, ok bool) {
 // instead of one per tick. Probes run sequentially — the fleet is small
 // and one goroutine is enough — each bounded by the fan-out timeout.
 func (c *Coordinator) probeLoop(ctx context.Context) {
+	if c.cfg.HealthInterval <= 0 {
+		return
+	}
 	t := time.NewTicker(c.cfg.HealthInterval)
 	defer t.Stop()
 	for {

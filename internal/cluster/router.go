@@ -164,7 +164,7 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 			resp.Skipped++
 		}
 	}
-	c.queueHints(hintsByAddr)
+	c.queueHints(r.Context(), hintsByAddr)
 	if len(failures) > 0 {
 		c.metrics.quorumFailures.Add(int64(len(failures)))
 		server.WriteErrorDetail(w, http.StatusBadGateway, server.ErrorDetail{
@@ -201,10 +201,10 @@ func leftFleet(addr string) error { return fmt.Errorf("backend %s left the fleet
 // backend. Enqueue failures only cost convergence speed (the sweep is
 // the backstop), so they are logged, never surfaced to the writer —
 // its quorum already held.
-func (c *Coordinator) queueHints(byAddr map[string][]hint) {
+func (c *Coordinator) queueHints(ctx context.Context, byAddr map[string][]hint) {
 	for addr, hs := range byAddr {
 		if err := c.hints.enqueue(addr, hs...); err != nil {
-			c.logf("hint enqueue for %s: %v", addr, err)
+			c.shell.Log().WarnContext(ctx, "hint enqueue failed", "backend", addr, "err", err)
 		}
 	}
 }
@@ -287,7 +287,7 @@ func (c *Coordinator) handleDeleteRecord(w http.ResponseWriter, r *http.Request)
 		for _, addr := range missed {
 			byAddr[addr] = append(byAddr[addr], hint{op: hintOpDelete, name: name, expires: expires})
 		}
-		c.queueHints(byAddr)
+		c.queueHints(r.Context(), byAddr)
 	}
 	c.metrics.deletes.Add(1)
 	server.WriteJSON(w, http.StatusOK, server.DeleteResponse{Deleted: name})

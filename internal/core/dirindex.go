@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"sketchengine/internal/fault"
+	"sketchengine/internal/framelog"
 )
 
 // ManifestFile is the name of the manifest inside an index directory
@@ -151,13 +152,25 @@ func (ix *Index) SaveDir() (err error) {
 		man.Shards = append(man.Shards, ms)
 	}
 
+	// One fsync of segments/ makes every segment sealed since the last
+	// snapshot, here or when a head filled, durable before the manifest
+	// that names them: a file's own fsync does not cover its name.
+	if ix.tier.sealed.Swap(false) {
+		if err := framelog.SyncDir(ix.tier.segmentsDir()); err != nil {
+			ix.tier.sealed.Store(true)
+			return fmt.Errorf("index %q: save dir: %w", ix.meta.Name, err)
+		}
+	}
 	if err := fault.Check("manifest.commit"); err != nil {
 		return fmt.Errorf("index %q: save dir: %w", ix.meta.Name, err)
 	}
 	if err := writeManifest(filepath.Join(ix.tier.dataDir, ManifestFile), &man); err != nil {
 		return fmt.Errorf("index %q: save dir: %w", ix.meta.Name, err)
 	}
-	// The manifest now contains every logged mutation; truncate the log
+	// The manifest now contains every logged mutation, and its rename is
+	// durable (writeManifest fsyncs the directory; until then a power
+	// loss may keep the old manifest, which needs the log's frames, so a
+	// failed fsync returns before this point); truncate the log
 	// (attaching it if this was the directory's first commit). A crash
 	// before the truncation is harmless: replay over a snapshot that
 	// already contains the frames' effects converges (adds of present
@@ -218,9 +231,10 @@ func (sh *shard) deadRowsLocked() []int32 {
 // empty-at-current-snapshot state: it deletes the stripe logs an older
 // engine left (see replayWAL), then truncates the index's log back to a
 // bare header, creating and attaching it on the first commit. The
-// deletes come first: a record's older frames may sit in a stripe log
-// and its newer ones in the index's, and a crash between the two steps
-// must not leave the older ones to replay alone. Callers hold ix.mu and
+// deletes come first, made durable by an fsync of wal/: a record's
+// older frames may sit in a stripe log and its newer ones in the
+// index's, and a crash between the two steps must not leave the older
+// ones to replay alone. Callers hold ix.mu and
 // every shard lock, and must have committed the manifest first — the
 // WAL-active invariant is "a WAL exists if and only if there is a
 // manifest to replay it over".
@@ -238,12 +252,16 @@ func (ix *Index) attachWALLocked() error {
 		}
 		ix.tier.wal.Store(w)
 	}
+	if err := framelog.SyncDir(filepath.Dir(walPath(ix.tier.dataDir, 0))); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
 	return w.Reset()
 }
 
-// writeManifest writes the manifest to a temp file, fsyncs it, and
-// renames it into place; the rename is the snapshot's commit point, so
-// a crash mid-save never corrupts the previous snapshot.
+// writeManifest writes the manifest to a temp file, fsyncs it, renames
+// it into place and fsyncs the directory; the rename is the snapshot's
+// commit point, so a crash mid-save never corrupts the previous
+// snapshot.
 func writeManifest(path string, man *manifest) (err error) {
 	f, err := os.CreateTemp(filepath.Dir(path), ".manifest-*.tmp")
 	if err != nil {
@@ -268,7 +286,10 @@ func writeManifest(path string, man *manifest) (err error) {
 	if err = f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return framelog.SyncDir(filepath.Dir(path))
 }
 
 // writeTo writes the manifest as json.NewEncoder(w).Encode(m) would, byte

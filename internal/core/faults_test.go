@@ -10,7 +10,7 @@ import (
 )
 
 // These tests drive the disk faultpoints (wal.write, wal.fsync,
-// segment.seal, manifest.commit) and pin the durability contract under
+// segment.seal, manifest.commit, dir.fsync) and pin the durability contract under
 // injected failures: a failed ack never lies — the caller saw the
 // error — and the index stays loadable with every previously-acked
 // record intact. Un-acked writes may or may not survive (acked state
@@ -285,6 +285,75 @@ func TestSnapshotFaults(t *testing.T) {
 			for i := 0; i < 21; i++ {
 				if !ix.Has(fmt.Sprintf("rec-%d", i)) {
 					t.Errorf("acked rec-%d lost across the failed snapshot", i)
+				}
+			}
+		})
+	}
+}
+
+// TestDirFsyncFault: a snapshot's directory fsyncs come before the log
+// is reset, so a power loss cannot keep the old manifest beside an
+// emptied log. A failed one fails SaveDir with the log still holding
+// every frame logged since the last snapshot, and a reopen recovers
+// every acked mutation. With adds pending, the first fsync is the one
+// of segments/ that makes the sealed segments durable; with only a
+// delete, the manifest's.
+func TestDirFsyncFault(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Engine) error
+		want   map[string]bool
+	}{
+		{"adds", func(eng *Engine) error {
+			for i := 8; i < 12; i++ {
+				if _, err := addRecord(eng, Record{Name: fmt.Sprintf("rec-%d", i), Data: benchData(256, int64(i+1))}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, map[string]bool{"rec-0": true, "rec-8": true, "rec-11": true}},
+		{"delete", func(eng *Engine) error {
+			_, err := eng.Delete("rec-3")
+			return err
+		}, map[string]bool{"rec-0": true, "rec-3": false, "rec-7": true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			eng := walEngine(t, dir, 8)
+			if err := tc.mutate(eng); err != nil {
+				t.Fatal(err)
+			}
+			frames := eng.Index().WAL().Frames
+			if frames == 0 {
+				t.Fatal("no frames logged past the snapshot")
+			}
+
+			p, err := fault.Parse("dir.fsync:fail-once", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault.Enable(p)
+			defer fault.Disable()
+			err = eng.Index().SaveDir()
+			var inj *fault.InjectedError
+			if !errors.As(err, &inj) || inj.Point != "dir.fsync" {
+				t.Fatalf("SaveDir through a dir.fsync fault = %v, want injected error", err)
+			}
+			if got := eng.Index().WAL().Frames; got != frames {
+				t.Fatalf("log holds %d frames after the failed snapshot, want %d", got, frames)
+			}
+			if err := eng.Index().Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			ix, err := Open(dir)
+			if err != nil {
+				t.Fatalf("Open after a failed directory fsync: %v", err)
+			}
+			defer ix.Close()
+			for name, held := range tc.want {
+				if ix.Has(name) != held {
+					t.Errorf("%s held %v after reopen, want %v", name, !held, held)
 				}
 			}
 		})

@@ -31,6 +31,7 @@ type tierState struct {
 	survived   atomic.Uint64 // rows past the prefilter's matched-count floor
 	rescored   atomic.Uint64 // rows actually read full-width
 	readErrors atomic.Uint64 // full-width reads that failed (row skipped)
+	sealed     atomic.Bool   // a segment was sealed since segments/ was last fsynced
 
 	// Write-ahead-log state: the index's one log, attached once the
 	// directory has a committed manifest (SaveDir/Open) and nil
@@ -160,6 +161,7 @@ func (fs *fullStore) sealHead() error {
 	if err != nil {
 		return err
 	}
+	fs.tier.sealed.Store(true)
 	fs.segs = append(fs.segs, sg)
 	fs.headBase += rows
 	fs.head = fs.head[:0]

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -177,7 +178,8 @@ func (l *Log) Reset() error {
 // Rewrite atomically replaces the log's contents with the pending
 // frames: header and frames go to a temp file that is fsynced and
 // renamed over the log, so a crash leaves the old contents or the new.
-// On error the old file stays in place and in use.
+// On an error before the rename the old file stays in place and in use;
+// a failed directory fsync after it leaves the new file in use.
 func (l *Log) Rewrite() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -202,6 +204,30 @@ func (l *Log) Rewrite() error {
 	}
 	l.f.Close()
 	l.f, l.end, l.frames, l.broken = tmp.f, tmp.end, tmp.frames, nil
+	if err = SyncDir(filepath.Dir(l.path)); err != nil {
+		return fmt.Errorf("rewrite: %w", err)
+	}
+	return nil
+}
+
+// SyncDir fsyncs directory dir, so a rename, creation or removal in it
+// survives a power loss: a file's own fsync does not cover its
+// directory entry. The dir.fsync faultpoint fails it.
+func SyncDir(dir string) error {
+	if err := fault.Check("dir.fsync"); err != nil {
+		return fmt.Errorf("fsync %s: %w", dir, err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("fsync %s: %w", dir, err)
+	}
 	return nil
 }
 

@@ -229,7 +229,7 @@ func BenchmarkDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh := NewShell(Config{})
+	sh := NewShell(ShellConfig{})
 	for _, bc := range []struct {
 		name  string
 		body  []byte

@@ -11,10 +11,13 @@
 // that skip the listener; such callers must Close the server
 // themselves.
 //
-// The HTTP plumbing — limiter, counting middleware, error envelope,
-// latency histograms, the capped request body read once and each body's
-// Check, Listen/Serve/drain — is the Shell type, which the cluster
-// coordinator holds too. wire.go is the one JSON codec of the search hop,
+// The HTTP plumbing — request IDs, limiter, counting middleware, error
+// envelope, latency histograms, the capped request body read once and
+// each body's Check, the logger, Listen/Serve/drain — is the Shell type,
+// configured by a ShellConfig, which the cluster coordinator holds too.
+// Its one *slog.Logger adds the request_id of the context a line is
+// logged with; a 5xx, a limiter refusal and a failed snapshot always
+// log, a 2xx request never does. wire.go is the one JSON codec of the search hop,
 // both directions: DecodeJSON parses plain search and ingest bodies and
 // the search answers the coordinator reads in one pass, any other by
 // encoding/json from the same bytes; AppendJSON, behind WriteJSON and

@@ -593,7 +593,7 @@ const maxPooledBufBytes = 1 << 20
 
 // WriteJSON serializes v into a pooled buffer and writes it with
 // Content-Length set. It is the one JSON emitter for this package and
-// the cluster coordinator, so the Content-Type discriminator jsonErrors
+// the cluster coordinator, so the Content-Type discriminator envelopeWriter
 // relies on is set consistently.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)

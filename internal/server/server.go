@@ -23,14 +23,12 @@ const (
 	DefaultDrainTimeout = 10 * time.Second
 )
 
-// Config configures a Server. Zero values fall back to the package
-// defaults above. Where snapshots go is not configured here: they go to
-// the served index's own directory, and an in-memory index is served
-// without snapshots.
+// Config configures a Server: the embedded ShellConfig goes to its
+// Shell. Zero values fall back to the package defaults above. Where
+// snapshots go is not configured here: they go to the served index's
+// own directory, and an in-memory index is served without snapshots.
 type Config struct {
-	// Addr is the listen address, e.g. ":8080". Port 0 picks a free
-	// port; Listen returns the bound address.
-	Addr string
+	ShellConfig
 	// DataDir, when set, is a cross-check: New fails unless it is the
 	// served index's directory (core.Index.DataDir).
 	DataDir string
@@ -38,27 +36,14 @@ type Config struct {
 	// timer (a final snapshot is still written on shutdown). Snapshots
 	// are skipped while the index generation is unchanged.
 	SnapshotEvery time.Duration
-	// MaxInFlight bounds concurrently-served requests; excess requests
-	// queue on the limiter until a slot frees or the client gives up.
-	MaxInFlight int
-	// MaxBatch caps records per ingest or replicate request (oversized
-	// requests get 413) and per page of GET /v1/records.
-	MaxBatch int
-	// MaxBodyBytes caps request body size.
-	MaxBodyBytes int64
-	// DrainTimeout bounds how long shutdown waits for in-flight
-	// requests before closing connections.
-	DrainTimeout time.Duration
-	// Logf, when set, receives one-line operational events (snapshot
-	// results, shutdown progress). nil means silent.
-	Logf func(format string, args ...any)
 }
 
 // Server serves one core.Engine over HTTP.
 type Server struct {
-	shell   *Shell // holds the Config, defaults applied
-	eng     *core.Engine
-	metrics *metrics
+	shell         *Shell // holds the ShellConfig, defaults applied
+	eng           *core.Engine
+	metrics       *metrics
+	snapshotEvery time.Duration
 
 	// writeMu is the shutdown gate: the write handlers hold it shared
 	// across the engine call and its ack, Close takes it exclusively to
@@ -94,8 +79,6 @@ type metrics struct {
 	searchCanceled   atomic.Int64 // searches aborted because the caller went away
 }
 
-func newMetrics() *metrics { return new(metrics) }
-
 // New builds a Server around eng, applying defaults for zero Config
 // fields. The engine must not be shared with writers outside the
 // server while it is serving.
@@ -107,13 +90,14 @@ func New(eng *core.Engine, cfg Config) (*Server, error) {
 	if cfg.DataDir != "" && cfg.DataDir != dir {
 		return nil, fmt.Errorf("server: DataDir %s does not match the index's data directory %q", cfg.DataDir, dir)
 	}
-	sh := NewShell(cfg)
+	sh := NewShell(cfg.ShellConfig)
 	s := &Server{
-		shell:    sh,
-		eng:      eng,
-		metrics:  newMetrics(),
-		dir:      dir,
-		savedGen: eng.Index().Generation(),
+		shell:         sh,
+		eng:           eng,
+		metrics:       new(metrics),
+		snapshotEvery: cfg.SnapshotEvery,
+		dir:           dir,
+		savedGen:      eng.Index().Generation(),
 	}
 	if dir != "" {
 		if _, err := os.Stat(filepath.Join(dir, core.ManifestFile)); err != nil {
@@ -148,37 +132,25 @@ func (s *Server) Listen() (net.Addr, error) { return s.shell.Listen() }
 // writes are refused from then on, and a final snapshot is written. It
 // returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context) error {
-	stop := make(chan struct{})
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		s.snapshotLoop(stop)
-	}()
-	err := s.shell.Serve(ctx)
-	close(stop)
-	<-stopped
+	err := s.shell.Serve(ctx, s.snapshotLoop)
 	// Close's snapshot covers every acknowledged write — after a listener
 	// failure as much as after a requested shutdown.
 	return errors.Join(err, s.Close())
 }
 
-// snapshotLoop writes a snapshot every SnapshotEvery until stop closes.
-func (s *Server) snapshotLoop(stop <-chan struct{}) {
-	if s.dir == "" || s.shell.cfg.SnapshotEvery <= 0 {
+// snapshotLoop writes a snapshot every SnapshotEvery until ctx ends.
+func (s *Server) snapshotLoop(ctx context.Context) {
+	if s.dir == "" || s.snapshotEvery <= 0 {
 		return
 	}
-	t := time.NewTicker(s.shell.cfg.SnapshotEvery)
+	t := time.NewTicker(s.snapshotEvery)
 	defer t.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-ctx.Done():
 			return
 		case <-t.C:
-			if wrote, err := s.Snapshot(); err != nil {
-				s.shell.logf("snapshot error: %v", err)
-			} else if wrote {
-				s.shell.logf("snapshot written to %s (generation %d)", s.dir, s.savedGeneration())
-			}
+			_, _ = s.Snapshot() // it logs its own outcome
 		}
 	}
 }
@@ -204,8 +176,9 @@ func (s *Server) Close() error {
 // each cycle seals the shards' unsealed rows into new immutable segment
 // files and atomically rewrites the small manifest, so the cost tracks
 // the ingest delta rather than the index size) if it changed since the
-// last snapshot, reporting whether anything was written. It is safe for
-// concurrent use and a no-op on an in-memory index.
+// last snapshot, reporting whether anything was written, and logs the
+// outcome. It is safe for concurrent use and a no-op on an in-memory
+// index.
 func (s *Server) Snapshot() (bool, error) {
 	if s.dir == "" {
 		return false, nil
@@ -217,6 +190,7 @@ func (s *Server) Snapshot() (bool, error) {
 		return false, nil
 	}
 	if err := s.eng.Index().SaveDir(); err != nil {
+		s.shell.cfg.Log.Warn("snapshot failed", "dir", s.dir, "err", err)
 		return false, err
 	}
 	// Records added between the generation read and the save are in the
@@ -224,11 +198,6 @@ func (s *Server) Snapshot() (bool, error) {
 	// again.
 	s.savedGen = gen
 	s.metrics.snapshots.Add(1)
+	s.shell.cfg.Log.Info("snapshot written", "dir", s.dir, "generation", gen)
 	return true, nil
-}
-
-func (s *Server) savedGeneration() uint64 {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return s.savedGen
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -187,7 +188,7 @@ func TestIngestSearchRoundTrip(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 2, MaxBodyBytes: 512})
+	_, ts := newTestServer(t, Config{ShellConfig: ShellConfig{MaxBatch: 2, MaxBodyBytes: 512}})
 	client := ts.Client()
 
 	post := func(path, body string) (*http.Response, string) {
@@ -466,7 +467,7 @@ func startServer(t *testing.T, s *Server) (string, func() error) {
 // run under -race by `make test`).
 func TestConcurrentLoad(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(tieredTestEngine(t, dir), Config{MaxInFlight: 16})
+	s, err := New(tieredTestEngine(t, dir), Config{ShellConfig: ShellConfig{MaxInFlight: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,9 +555,11 @@ func TestConcurrentLoad(t *testing.T) {
 // TestLimiterQueuesThenRefuses: the in-flight limiter, the one
 // admission control on both node roles, holds a request past
 // MaxInFlight until a slot frees, and refuses only a waiter whose
-// context ends first: 503 overloaded, counted as a 5xx.
+// context ends first: 503 overloaded, counted as a 5xx and logged with
+// its request ID.
 func TestLimiterQueuesThenRefuses(t *testing.T) {
-	sh := NewShell(Config{MaxInFlight: 1})
+	var logged bytes.Buffer
+	sh := NewShell(ShellConfig{MaxInFlight: 1, Log: slog.New(slog.NewTextHandler(&logged, nil))})
 	entered, release := make(chan struct{}, 2), make(chan struct{})
 	routes := http.NewServeMux()
 	routes.HandleFunc("GET /block", func(w http.ResponseWriter, r *http.Request) {
@@ -595,6 +598,11 @@ func TestLimiterQueuesThenRefuses(t *testing.T) {
 	}
 	if st := sh.HTTPStats(); st.Status2xx != 2 || st.Status5xx != 1 || st.PeakInFlight != 1 {
 		t.Fatalf("http stats = %+v; want 2 2xx, the refusal as one 5xx, peak 1", st)
+	}
+	id := third.Header().Get(RequestIDHeader)
+	if line := logged.String(); id == "" || strings.Count(line, "\n") != 1 ||
+		!strings.Contains(line, `level=WARN msg="request refused: overloaded"`) || !strings.Contains(line, "request_id="+id+"\n") {
+		t.Fatalf("refusal with request ID %q logged %q; want one Warn line carrying the ID", id, line)
 	}
 }
 

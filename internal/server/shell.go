@@ -2,23 +2,49 @@ package server
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
+// ShellConfig configures a Shell; both node roles' configs embed it.
+// Zero values fall back to the package defaults.
+type ShellConfig struct {
+	// Addr is the listen address, e.g. ":8080"; port 0 picks a free one.
+	Addr string
+	// MaxInFlight bounds concurrently-served requests; excess requests
+	// queue on the limiter until a slot frees or the client gives up.
+	MaxInFlight int
+	// MaxBatch caps records per ingest or replicate request (oversized
+	// requests get 413) and per page of GET /v1/records.
+	MaxBatch int
+	// MaxBodyBytes caps request body size.
+	MaxBodyBytes int64
+	// DrainTimeout bounds how long shutdown waits for in-flight requests.
+	DrainTimeout time.Duration
+	// Log receives operational events; a line logged with a request's
+	// context carries its request_id. nil discards them.
+	Log *slog.Logger
+}
+
 // Shell is the HTTP plumbing every node role wraps around its routes:
-// the in-flight limiter, the counting middleware, the JSON error
-// envelope, per-endpoint latency histograms, the request-body codec
-// (wire.go), and the listen / serve-until-cancelled / drain
-// lifecycle. Server and the cluster coordinator each hold one, so the
-// two roles count, limit, decode and shut down by one definition.
+// request IDs, the in-flight limiter, the counting middleware, the JSON
+// error envelope, per-endpoint latency histograms, the request-body
+// codec (wire.go), the logger, and the listen / serve-until-cancelled /
+// drain lifecycle. Server and the cluster coordinator each hold one, so
+// the two roles identify, count, limit, decode, log and shut down by
+// one definition.
 type Shell struct {
-	cfg     Config
+	cfg     ShellConfig
 	start   time.Time
 	handler http.Handler
 	lis     net.Listener
@@ -38,10 +64,8 @@ type Shell struct {
 }
 
 // NewShell applies the package defaults to cfg's zero fields and
-// returns a Shell over it. It reads Addr, MaxInFlight, MaxBatch,
-// MaxBodyBytes, DrainTimeout and Logf; the rest of Config is the
-// Server's.
-func NewShell(cfg Config) *Shell {
+// returns a Shell over it.
+func NewShell(cfg ShellConfig) *Shell {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
@@ -54,14 +78,23 @@ func NewShell(cfg Config) *Shell {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.DiscardHandler)
+	} else {
+		cfg.Log = slog.New(requestIDHandler{cfg.Log.Handler()})
+	}
 	return &Shell{cfg: cfg, start: time.Now(), latencies: make(map[string]*histogram)}
 }
 
 // Mount installs routes behind the shell's middleware, outermost first:
-// limit → count → jsonErrors → routes.
+// requestID → limit → count → routes.
 func (sh *Shell) Mount(routes http.Handler) {
-	sh.handler = sh.limit(sh.count(jsonErrors(routes)))
+	sh.handler = requestID(sh.limit(sh.count(routes)))
 }
+
+// Log returns the shell's logger: ShellConfig.Log, adding request_id to
+// a line logged with a request's context.
+func (sh *Shell) Log() *slog.Logger { return sh.cfg.Log }
 
 // Handler returns the mounted handler, for tests and embedding.
 func (sh *Shell) Handler() http.Handler { return sh.handler }
@@ -107,6 +140,7 @@ func (sh *Shell) limit(next http.Handler) http.Handler {
 			defer func() { <-sem }()
 		case <-r.Context().Done():
 			sh.status5xx.Add(1)
+			sh.cfg.Log.WarnContext(r.Context(), "request refused: overloaded", "method", r.Method, "path", r.URL.Path)
 			WriteError(w, http.StatusServiceUnavailable, CodeOverloaded, "server overloaded")
 			return
 		}
@@ -116,7 +150,8 @@ func (sh *Shell) limit(next http.Handler) http.Handler {
 
 // count is the observability middleware: request totals, status
 // classes, and the in-flight gauge with its high-water mark, all
-// behind the limiter.
+// behind the limiter. Its envelopeWriter also turns any plain-text
+// error the routing layer emits into the JSON error envelope.
 func (sh *Shell) count(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sh.requests.Add(1)
@@ -128,12 +163,13 @@ func (sh *Shell) count(next http.Handler) http.Handler {
 			}
 		}
 		defer sh.inFlight.Add(-1)
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
+		ew := &envelopeWriter{ResponseWriter: w}
+		next.ServeHTTP(ew, r)
 		switch {
-		case sw.code >= 500:
+		case ew.code >= 500:
 			sh.status5xx.Add(1)
-		case sw.code >= 400:
+			sh.cfg.Log.WarnContext(r.Context(), "request failed", "method", r.Method, "path", r.URL.Path, "status", ew.code)
+		case ew.code >= 400:
 			sh.status4xx.Add(1)
 		default: // 0: the handler never wrote, net/http sends 200
 			sh.status2xx.Add(1)
@@ -141,23 +177,45 @@ func (sh *Shell) count(next http.Handler) http.Handler {
 	})
 }
 
-// statusWriter records the status code a handler wrote (0 when it
-// wrote nothing at all).
-type statusWriter struct {
+// envelopeWriter records the status a handler wrote (0 when it wrote
+// nothing at all) and converts a plain-text error — ServeMux's own 404s
+// and 405s, mainly — into the JSON error envelope, so every error
+// response on the API carries the same shape. Responses written through
+// WriteJSON are untouched: it sets Content-Type to application/json
+// before WriteHeader, which is the discriminator. When it intercepts a
+// status, the handler's body is dropped (Write reports success so
+// upstream writers don't error out).
+type envelopeWriter struct {
 	http.ResponseWriter
-	code int
+	code     int
+	suppress bool
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
+func (w *envelopeWriter) WriteHeader(code int) {
+	if w.code != 0 {
+		return
+	}
+	w.code = code
+	if code >= 400 && w.Header().Get("Content-Type") != "application/json" {
+		w.suppress = true
+		body := marshalError(CodeForStatus(code), http.StatusText(code))
+		h := w.Header()
+		h.Del("Content-Length")
+		h.Set("Content-Type", "application/json")
+		h.Set("X-Content-Type-Options", "nosniff")
+		w.ResponseWriter.WriteHeader(code)
+		_, _ = w.ResponseWriter.Write(body)
+		return
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(p []byte) (int, error) {
+func (w *envelopeWriter) Write(p []byte) (int, error) {
 	if w.code == 0 {
-		w.code = http.StatusOK
+		w.WriteHeader(http.StatusOK)
+	}
+	if w.suppress {
+		return len(p), nil
 	}
 	return w.ResponseWriter.Write(p)
 }
@@ -241,12 +299,22 @@ func (sh *Shell) Listen() (net.Addr, error) {
 
 // Serve serves the mounted handler on the listener bound by Listen
 // until ctx is canceled, then drains: in-flight requests get up to
-// DrainTimeout to finish before their connections are closed. Once it
-// returns no handler is running. It returns nil on a clean drain.
-func (sh *Shell) Serve(ctx context.Context) error {
+// DrainTimeout to finish before their connections are closed. Each of
+// loops runs beside it, on a context canceled once the drain is over.
+// Once it returns no handler and no loop is running. It returns nil on
+// a clean drain.
+func (sh *Shell) Serve(ctx context.Context, loops ...func(context.Context)) error {
 	if sh.lis == nil {
 		return errors.New("server: Serve called before Listen")
 	}
+	var wg sync.WaitGroup
+	lctx, stop := context.WithCancel(context.Background())
+	for _, loop := range loops {
+		wg.Add(1)
+		go func() { defer wg.Done(); loop(lctx) }()
+	}
+	defer wg.Wait()
+	defer stop()
 	hs := &http.Server{Handler: sh.handler, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(sh.lis) }()
@@ -254,67 +322,68 @@ func (sh *Shell) Serve(ctx context.Context) error {
 	case err := <-errc: // listener failure outside a requested shutdown
 		return err
 	case <-ctx.Done():
-		sh.logf("shutdown requested, draining (timeout %s)", sh.cfg.DrainTimeout)
+		sh.cfg.Log.Info("shutdown requested, draining", "timeout", sh.cfg.DrainTimeout)
 		drainCtx, cancel := context.WithTimeout(context.Background(), sh.cfg.DrainTimeout)
 		err := hs.Shutdown(drainCtx)
 		cancel()
 		<-errc // always http.ErrServerClosed after Shutdown
-		sh.logf("drained")
+		sh.cfg.Log.Info("drained")
 		return err
 	}
 }
 
-func (sh *Shell) logf(format string, args ...any) {
-	if sh.cfg.Logf != nil {
-		sh.cfg.Logf(format, args...)
-	}
+// RequestIDHeader carries a request's ID. The shell takes an inbound
+// one of at most 64 bytes of [A-Za-z0-9._-] and mints one otherwise,
+// echoes it on the response, and keeps it in the request context, from
+// which the cluster client forwards it on every backend call.
+const RequestIDHeader = "X-Sketch-Request-Id"
+
+type requestIDKey struct{}
+
+// RequestID returns the ID of the request ctx belongs to, or "".
+func RequestID(ctx context.Context) string {
+	id, _ := ctx.Value(requestIDKey{}).(string)
+	return id
 }
 
-// jsonErrors converts any plain-text error the routing layer emits —
-// ServeMux's own 404s and 405s, mainly — into the JSON error envelope,
-// so every error response on the API carries the same shape. Responses
-// written through WriteJSON are untouched: it sets Content-Type to
-// application/json before WriteHeader, which is the discriminator.
-func jsonErrors(next http.Handler) http.Handler {
+// Minted IDs are a random per-process prefix and a counter, so minting
+// costs an atomic add, not a read of the system's randomness.
+var (
+	idPrefix = rand.Text()[:10] + "-"
+	idSeq    atomic.Uint64
+)
+
+// requestID is the outermost middleware: it gives the request its ID
+// (RequestIDHeader), so even a limiter refusal carries one.
+func requestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&envelopeWriter{ResponseWriter: w}, r)
+		id := r.Header.Get(RequestIDHeader)
+		if id == "" || len(id) > 64 || strings.Trim(id, requestIDChars) != "" {
+			var buf [32]byte
+			id = string(strconv.AppendUint(append(buf[:0], idPrefix...), idSeq.Add(1), 36))
+		}
+		w.Header().Set(RequestIDHeader, id)
+		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
 	})
 }
 
-// envelopeWriter rewrites non-JSON error responses into the envelope.
-// When it intercepts a status, the original handler's body is dropped
-// (Write reports success so upstream writers don't error out).
-type envelopeWriter struct {
-	http.ResponseWriter
-	wrote    bool
-	suppress bool
+const requestIDChars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-"
+
+// requestIDHandler adds request_id to a record logged with a request's
+// context: one handler for every request, not a logger per request.
+type requestIDHandler struct{ slog.Handler }
+
+func (h requestIDHandler) Handle(ctx context.Context, rec slog.Record) error {
+	if id := RequestID(ctx); id != "" {
+		rec.AddAttrs(slog.String("request_id", id))
+	}
+	return h.Handler.Handle(ctx, rec)
 }
 
-func (w *envelopeWriter) WriteHeader(code int) {
-	if w.wrote {
-		return
-	}
-	w.wrote = true
-	if code >= 400 && w.Header().Get("Content-Type") != "application/json" {
-		w.suppress = true
-		body := marshalError(CodeForStatus(code), http.StatusText(code))
-		h := w.Header()
-		h.Del("Content-Length")
-		h.Set("Content-Type", "application/json")
-		h.Set("X-Content-Type-Options", "nosniff")
-		w.ResponseWriter.WriteHeader(code)
-		_, _ = w.ResponseWriter.Write(body)
-		return
-	}
-	w.ResponseWriter.WriteHeader(code)
+func (h requestIDHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	return requestIDHandler{h.Handler.WithAttrs(attrs)}
 }
 
-func (w *envelopeWriter) Write(p []byte) (int, error) {
-	if !w.wrote {
-		w.WriteHeader(http.StatusOK)
-	}
-	if w.suppress {
-		return len(p), nil
-	}
-	return w.ResponseWriter.Write(p)
+func (h requestIDHandler) WithGroup(name string) slog.Handler {
+	return requestIDHandler{h.Handler.WithGroup(name)}
 }

@@ -190,7 +190,7 @@ func TestPlainLen(t *testing.T) {
 // whether the length is declared or the body is chunked, and wherever
 // the body's JSON value ends.
 func TestBodySizeRule(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 512})
+	_, ts := newTestServer(t, Config{ShellConfig: ShellConfig{MaxBodyBytes: 512}})
 	pad := strings.Repeat(" ", 600)
 	small := `{"name":"q","data":"some text"}`
 	cases := []struct {
@@ -230,7 +230,7 @@ func TestBodySizeRule(t *testing.T) {
 	}
 
 	// A declared length over the cap is refused before a byte is read.
-	sh := NewShell(Config{MaxBodyBytes: 512})
+	sh := NewShell(ShellConfig{MaxBodyBytes: 512})
 	r := httptest.NewRequest(http.MethodPost, "/", failReader{t})
 	r.ContentLength = 513
 	rec := httptest.NewRecorder()

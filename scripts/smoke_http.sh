@@ -344,6 +344,14 @@ fail3() {
 
 curl -fsS "$base/healthz" | grep -q '"status":"ok"' || fail3 "self-heal cluster healthz not ok"
 
+# A request ID crosses the coordinator: a well-formed inbound one is
+# echoed on the response (and forwarded on every backend call).
+curl -fsS -D "$tmp/rid.hdr" -o /dev/null -X POST -H 'Content-Type: application/json' \
+    -H 'X-Sketch-Request-Id: smoke-search-1' \
+    -d '{"name": "q", "data": "whatever", "k": 1}' "$base/v1/search" || fail3 "coordinator search with a request ID failed"
+grep -qiE '^x-sketch-request-id: smoke-search-1[[:space:]]*$' "$tmp/rid.hdr" \
+    || fail3 "coordinator search did not echo its request ID: $(cat "$tmp/rid.hdr")"
+
 # The outage: backend 1 dies, hard.
 victim_pid="${extra_pids[0]}"
 victim_addr="${heal_addrs[0]}"
@@ -447,12 +455,17 @@ for i in $(seq 1 10); do
     fi
 done
 
-# An expired deadline is an explicit 504, straight from a backend.
-code="$(curl -s -o "$tmp/deadline.json" -w '%{http_code}' \
-    -X POST -H 'Content-Type: application/json' -H 'X-Sketch-Deadline: 1' \
+# An expired deadline is an explicit 504, straight from a backend. Its
+# request ID is echoed, and the backend's stderr log of the 5xx carries it.
+code="$(curl -s -o "$tmp/deadline.json" -D "$tmp/deadline.hdr" -w '%{http_code}' \
+    -X POST -H 'Content-Type: application/json' -H 'X-Sketch-Deadline: 1' -H 'X-Sketch-Request-Id: smoke-504' \
     -d '{"name": "q", "data": "whatever", "k": 1}' "http://${heal_addrs[1]}/v1/search")"
 [[ "$code" == "504" ]] || fail4 "expired deadline returned $code, want 504"
 grep -q '"code":"deadline_exceeded"' "$tmp/deadline.json" || fail4 "504 body is not the deadline envelope"
+grep -qiE '^x-sketch-request-id: smoke-504[[:space:]]*$' "$tmp/deadline.hdr" \
+    || fail4 "the 504 did not echo its request ID: $(cat "$tmp/deadline.hdr")"
+grep -q 'request_id=smoke-504' "$tmp/heal2.err" \
+    || fail4 "the backend's log of the 504 does not carry its request ID: $(cat "$tmp/heal2.err")"
 
 # The armed spec and its injection counts are observable.
 stats="$(curl -fsS "$base/stats")"
