@@ -87,9 +87,10 @@ fmtcheck:
 	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
 # SearchTopK, SearchTopKCtx and SearchTopKLSHCtx are one-line wrappers
-# over core.Index.Search kept only because bench/ compiles against them:
-# no Go file under internal/ or cmd/, tests included, but the one
-# defining them may name them, so they can go without a hunt.
+# over core.Index.Search kept only because bench/ compiles against them;
+# their pool argument is ignored, since a search runs on its caller's
+# goroutine. No Go file under internal/ or cmd/, tests included, but the
+# one defining them may name them, so they can go without a hunt.
 wrappercheck:
 	@out=$$(grep -rnwE --include='*.go' 'SearchTopK|SearchTopKCtx|SearchTopKLSHCtx' internal cmd | grep -v '^internal/core/query\.go:'); \
 	if [ -n "$$out" ]; then echo "bench-only search wrappers named outside internal/core/query.go:"; echo "$$out"; exit 1; fi

@@ -75,7 +75,7 @@ func TestCLIImport(t *testing.T) {
 			if got := ix.Get("a").Signature; fmt.Sprint(got) != "[1 2 3 4 5 6 7 8]" {
 				t.Fatalf("imported signature = %v, want the file's full-width slots", got)
 			}
-			if res, err := ix.Search(context.Background(), ix.Get("a"), core.Query{Mode: core.ModeLSH, TopK: 1}, nil); err != nil || len(res) != 1 || res[0].Ref != "b" {
+			if res, err := ix.Search(context.Background(), ix.Get("a"), core.Query{Mode: core.ModeLSH, TopK: 1}); err != nil || len(res) != 1 || res[0].Ref != "b" {
 				t.Fatalf("LSH search on the imported index = %v, %v; want b", res, err)
 			}
 			if after, err := os.ReadFile(src); err != nil || string(after) != payload {

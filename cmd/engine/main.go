@@ -108,7 +108,8 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 	return fs
 }
 
-// threadsFlag adds the worker-pool flag shared by every subcommand.
+// threadsFlag adds the worker-pool flag of the subcommands that sketch
+// or compare in bulk (a search runs on its caller's goroutine).
 func threadsFlag(fs *flag.FlagSet) *int {
 	return fs.Int("threads", 0, "worker pool size (0 = GOMAXPROCS)")
 }
@@ -383,7 +384,7 @@ func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("search", stderr)
 	// No -k/-size/-shards here: queries are always sketched with
 	// the index's own parameters (see below), and its layout is fixed.
-	threads := threadsFlag(fs)
+	// No -threads either: a search runs on its caller's goroutine.
 	bands, rows := lshFlags(fs)
 	budget := budgetFlag(fs)
 	cpu, mem := profileFlags(fs)
@@ -412,7 +413,7 @@ func cmdSearch(argv []string, stdout, stderr io.Writer) error {
 		ix.SetBudget(*budget)
 		// The engine derives sketch parameters from the index metadata,
 		// so queries are always sketched compatibly.
-		eng, err := core.NewEngineWithIndex(ix, *threads)
+		eng, err := core.NewEngineWithIndex(ix, 0)
 		if err != nil {
 			return err
 		}

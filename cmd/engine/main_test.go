@@ -45,7 +45,7 @@ func TestCLIGolden(t *testing.T) {
 	}
 	out.WriteString("== sketch again ==\n" + stdout)
 
-	stdout, stderr, code = runCLI(t, "search", "-d", index, "-top", "2", "-threads", "2",
+	stdout, stderr, code = runCLI(t, "search", "-d", index, "-top", "2",
 		testdata("beta.txt"))
 	if code != 0 {
 		t.Fatalf("search failed (%d): %s", code, stderr)

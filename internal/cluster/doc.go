@@ -18,8 +18,8 @@
 // is on at least quorum backends, so any backends-(quorum-1) of the
 // fleet hold a copy of everything, and that many are asked, the
 // left-out ones rotating per search. The per-backend bounded top-K
-// heaps are merged with core.MergeTopK — the same total order the
-// in-process per-shard merge uses, so a coordinator's answer is
+// heaps are merged with core.MergeTopK — the same total order a node's
+// search heap uses, so a coordinator's answer is
 // byte-identical to a single node holding the same corpus — and
 // replicated hits are deduped by name keeping the best score.
 //

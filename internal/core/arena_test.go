@@ -175,44 +175,6 @@ func TestPackedSearchAgreesAcrossWidths(t *testing.T) {
 	})
 }
 
-// TestSearchParallelMatchesSerial drives the per-shard fan-out path
-// (corpus above parallelScoreMinBytes) and checks that fan-out worker counts
-// never change the answer, in both modes.
-func TestSearchParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a corpus above parallelScoreMinBytes")
-	}
-	const n = parallelScoreMinBytes/(DefaultSignatureSize/2) + 500 // half a byte per slot
-	eng := engineAt(t, "fanout", true)
-	recs, base := plantedRecords(n, 20, 5)
-	if oks, err := eng.AddBatch(recs); err != nil || countAdded(oks) != n {
-		t.Fatalf("AddBatch added %d, %v; want %d, nil", countAdded(oks), err, n)
-	}
-	q := eng.Sketcher().Sketch(Record{Name: "query", Data: base})
-	for _, mode := range modes {
-		// minSim 0.01 exercises the LSH fallback sweep too: candidates
-		// score above it but cannot fill topK=50.
-		serial, err := search(eng.Index(), q, mode, 50, 0.01, NewPool(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 16} {
-			par, err := search(eng.Index(), q, mode, 50, 0.01, NewPool(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(par) != len(serial) {
-				t.Fatalf("%s workers=%d: %d results, serial %d", mode, workers, len(par), len(serial))
-			}
-			for i := range serial {
-				if par[i] != serial[i] {
-					t.Fatalf("%s workers=%d result %d: %+v, serial %+v", mode, workers, i, par[i], serial[i])
-				}
-			}
-		}
-	}
-}
-
 // engineAt builds an engine with the default geometry whose full
 // store is on the heap, or over a temporary directory when dir is set.
 func engineAt(tb testing.TB, name string, dir bool) *Engine {

@@ -207,9 +207,8 @@ func (m tierMark) report(b *testing.B, ix *Index) {
 // at minSim 0 (every row is a result), and the serve-exact-scan shape —
 // 50 000 rows in a directory — at that workload's minSim 0.3, where the
 // prefilter sweep is nearly all of the search, and at 0.1 and 0, where
-// the prefilter lets more rows through to the full-width rescore; inline
-// and fanned out. Each reports the survivors and rescores a search
-// spent.
+// the prefilter lets more rows through to the full-width rescore. Each
+// reports the survivors and rescores a search spent.
 func BenchmarkSearchTopK(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -232,24 +231,17 @@ func BenchmarkSearchTopK(b *testing.B) {
 				ix, q = benchIndex(b, c.n)
 			}
 			for _, minSim := range c.minSims {
-				for _, threads := range []int{1, 0} { // 0 = GOMAXPROCS
-					name := fmt.Sprintf("minSim=%v/threads=%d", minSim, threads)
-					if threads == 0 {
-						name = fmt.Sprintf("minSim=%v/threads=max", minSim)
-					}
-					b.Run(name, func(b *testing.B) {
-						pool := NewPool(threads)
-						b.ResetTimer()
-						mark := markTier(ix)
-						for i := 0; i < b.N; i++ {
-							if _, err := search(ix, q, ModeExact, 10, minSim, pool); err != nil {
-								b.Fatal(err)
-							}
+				b.Run(fmt.Sprintf("minSim=%v", minSim), func(b *testing.B) {
+					b.ResetTimer()
+					mark := markTier(ix)
+					for i := 0; i < b.N; i++ {
+						if _, err := search(ix, q, ModeExact, 10, minSim); err != nil {
+							b.Fatal(err)
 						}
-						mark.report(b, ix)
-						b.ReportMetric(ix.Arena().BytesPerRecord, "bytes/rec")
-					})
-				}
+					}
+					mark.report(b, ix)
+					b.ReportMetric(ix.Arena().BytesPerRecord, "bytes/rec")
+				})
 			}
 		})
 	}
@@ -262,13 +254,12 @@ func BenchmarkSearchTopK(b *testing.B) {
 // regressions too.
 func BenchmarkPackedStore(b *testing.B) {
 	ix, q := benchIndex(b, 1000)
-	pool := NewPool(0)
 	for _, minSim := range []float64{0, 0.1, 0.3} {
 		b.Run(fmt.Sprintf("minSim=%v", minSim), func(b *testing.B) {
 			b.ResetTimer()
 			mark := markTier(ix)
 			for i := 0; i < b.N; i++ {
-				if _, err := search(ix, q, ModeExact, 10, minSim, pool); err != nil {
+				if _, err := search(ix, q, ModeExact, 10, minSim); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -301,10 +292,9 @@ func lshBenchCorpus(b *testing.B) (*Index, *Sketch) {
 // cost scales with corpus size.
 func BenchmarkSearchExact(b *testing.B) {
 	ix, q := lshBenchCorpus(b)
-	pool := NewPool(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search(ix, q, ModeExact, 10, 0, pool); err != nil {
+		if _, err := search(ix, q, ModeExact, 10, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -383,19 +373,17 @@ func meanCandidates(ix *Index, queries []*Sketch) float64 {
 func BenchmarkSearchLSH(b *testing.B) {
 	b.Run("planted", func(b *testing.B) {
 		ix, q := lshBenchCorpus(b)
-		pool := NewPool(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := search(ix, q, ModeLSH, 10, 0, pool); err != nil {
+			if _, err := search(ix, q, ModeLSH, 10, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	ix, queries := serveLSHHitCorpus(b)
 	b.Run("serve-lsh-hit/exact", func(b *testing.B) {
-		pool := NewPool(0)
 		for i := 0; i < b.N; i++ {
-			if res, err := search(ix, queries[i%len(queries)], ModeExact, 10, 0.3, pool); err != nil || len(res) != 10 {
+			if res, err := search(ix, queries[i%len(queries)], ModeExact, 10, 0.3); err != nil || len(res) != 10 {
 				b.Fatalf("search returned %d results, err %v", len(res), err)
 			}
 		}
@@ -411,9 +399,8 @@ func BenchmarkSearchLSH(b *testing.B) {
 			name = fmt.Sprintf("serve-lsh-hit/bands=%dx%d", lsh.Bands, lsh.RowsPerBand)
 		}
 		b.Run(name, func(b *testing.B) {
-			pool := NewPool(0)
 			for i := 0; i < b.N; i++ {
-				res, err := search(ix, queries[i%len(queries)], ModeLSH, 10, 0.3, pool)
+				res, err := search(ix, queries[i%len(queries)], ModeLSH, 10, 0.3)
 				if err != nil || len(res) != 10 {
 					b.Fatalf("search returned %d results, err %v", len(res), err)
 				}

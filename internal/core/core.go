@@ -300,7 +300,7 @@ func (e *Engine) Search(ctx context.Context, rec Record, q Query) ([]Result, err
 	sk.Name = rec.Name
 	sk.K = e.sketcher.K()
 	sk.Shingles = e.sketcher.SketchInto(sk.Signature, rec)
-	res, err := e.index.Search(ctx, sk, q, e.pool)
+	res, err := e.index.Search(ctx, sk, q)
 	// Results carry only the name string; the signature buffer never
 	// escapes the search, so the sketch can be recycled.
 	sk.Name = ""

@@ -13,9 +13,11 @@
 //     fingerprint order behind a fingerprint-prefix directory — and a
 //     delta for the rows added since) — with incremental add /
 //     skip-existing semantics.
-//  3. Querying: pairwise-distance and top-K similarity queries fan out
-//     over a bounded worker pool sized to GOMAXPROCS (see Pool), one
-//     goroutine per shard, each sweeping its arena cache-linearly.
+//  3. Querying: pairwise distances fan out over a bounded worker pool
+//     sized to GOMAXPROCS (see Pool). A top-K search runs on its
+//     caller's goroutine, sweeping each shard's arena cache-linearly in
+//     turn into one bounded top-K heap: one search uses one core, and a
+//     server's concurrency comes from concurrent requests.
 //     Top-K search (Index.Search) runs in LSH mode by default, probing
 //     each level of the posting table once per band for candidates
 //     instead of scanning the whole corpus; exact mode is the same

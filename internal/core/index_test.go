@@ -21,7 +21,7 @@ func TestEmptyIndex(t *testing.T) {
 	}
 	s := mustSketcher(t, DefaultK, DefaultSignatureSize)
 	q := s.Sketch(Record{Name: "q", Data: []byte("some query data here")})
-	results, err := search(ix, q, ModeExact, 5, 0, nil)
+	results, err := search(ix, q, ModeExact, 5, 0)
 	if err != nil {
 		t.Fatalf("search on empty index: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestAddValidation(t *testing.T) {
 		t.Fatalf("empty signature on a zero-slot index: err = %v, want a SketchError", err)
 	}
 	for _, mode := range modes {
-		if _, err := search(empty, &Sketch{Name: "q", K: 8, Shingles: 9}, mode, 1, 0, nil); err == nil {
+		if _, err := search(empty, &Sketch{Name: "q", K: 8, Shingles: 9}, mode, 1, 0); err == nil {
 			t.Fatalf("%s search of a zero-slot index: want error", mode)
 		}
 	}
@@ -110,7 +110,7 @@ func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
 		}
 		ix := eng.Index()
 		q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(512, 1)})
-		before, err := search(ix, q, ModeExact, 10, 0, nil)
+		before, err := search(ix, q, ModeExact, 10, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestSaveDirOpenRoundTripPackedWidths(t *testing.T) {
 				t.Fatalf("sketch %q changed across round trip", name)
 			}
 		}
-		after, err := search(got, q, ModeExact, 10, 0, nil)
+		after, err := search(got, q, ModeExact, 10, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, err := search(ix, q, ModeExact, 3, 0, NewPool(2)); err != nil {
+				if _, err := search(ix, q, ModeExact, 3, 0); err != nil {
 					t.Errorf("search: %v", err)
 					return
 				}

@@ -176,12 +176,11 @@ func TestShardProbeCandidates(t *testing.T) {
 // that LSH mode returns the identical top-K result list as exact mode.
 func TestLSHMatchesExactOnSyntheticCorpus(t *testing.T) {
 	ix, q := plantedCorpus(t, 1000, 30, 7)
-	pool := NewPool(0)
-	exact, err := search(ix, q, ModeExact, 10, 0, pool)
+	exact, err := search(ix, q, ModeExact, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsh, err := search(ix, q, ModeLSH, 10, 0, pool)
+	lsh, err := search(ix, q, ModeLSH, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +214,11 @@ func TestLSHFallbackOnSparseIndex(t *testing.T) {
 		}
 	}
 	q := s.Sketch(Record{Name: "q", Data: []byte("query text matching none of the indexed records at all")})
-	exact, err := search(ix, q, ModeExact, 5, 0, nil)
+	exact, err := search(ix, q, ModeExact, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsh, err := search(ix, q, ModeLSH, 5, 0, nil)
+	lsh, err := search(ix, q, ModeLSH, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +251,11 @@ func TestLSHFallbackCountsLiveCandidates(t *testing.T) {
 		}
 	}
 	q := eng.Sketcher().Sketch(Record{Name: "query", Data: base})
-	exact, err := search(eng.Index(), q, ModeExact, 10, 0, nil)
+	exact, err := search(eng.Index(), q, ModeExact, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsh, err := search(eng.Index(), q, ModeLSH, 10, 0, nil)
+	lsh, err := search(eng.Index(), q, ModeLSH, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,6 +57,12 @@ func (t *nameTable) is(row int32, name string) bool {
 	return string(t.buf[s:e]) == name
 }
 
+// less reports whether row's name sorts before name, without allocating.
+func (t *nameTable) less(row int32, name string) bool {
+	s, e := t.span(row)
+	return string(t.buf[s:e]) < name
+}
+
 // nameKey is a name's index key: shardFor's FNV-1a value whitened by
 // mix64. Its top bits pick the home slot, since the low bits of the
 // FNV-1a value are what picked the stripe.

@@ -311,7 +311,7 @@ func TestLSHPlantedGolden(t *testing.T) {
 		topK   int
 		minSim float64
 	}{{10, 0}, {40, 0.3}, {5, 0.9}} {
-		res, err := search(ix, q, ModeLSH, c.topK, c.minSim, nil)
+		res, err := search(ix, q, ModeLSH, c.topK, c.minSim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +474,7 @@ func TestPostingTableConcurrency(t *testing.T) {
 				if (n+r)%3 == 0 {
 					mode = ModeExact
 				}
-				res, err := search(ix, q, mode, 2*members, 0, nil)
+				res, err := search(ix, q, mode, 2*members, 0)
 				if err != nil {
 					t.Errorf("search: %v", err)
 					return
@@ -499,11 +499,11 @@ func TestPostingTableConcurrency(t *testing.T) {
 		t.Fatal("no SaveDir crossed the compaction threshold; the race never exercised a rebuild")
 	}
 	for f, q := range queries {
-		exact, err := search(ix, q, ModeExact, members, 0.3, nil)
+		exact, err := search(ix, q, ModeExact, members, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lsh, err := search(ix, q, ModeLSH, members, 0.3, nil)
+		lsh, err := search(ix, q, ModeLSH, members, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,7 +613,7 @@ func TestPostingFingerprintMerge(t *testing.T) {
 	if got := probe(ix); !slices.Equal(got, []string{"a"}) {
 		t.Fatalf("delta candidates %v, want a alone: the delta keys by the whole key", got)
 	}
-	want, err := search(ix, query, ModeExact, 5, 0.1, nil)
+	want, err := search(ix, query, ModeExact, 5, 0.1)
 	if err != nil || len(want) != 1 {
 		t.Fatalf("exact search: %+v, err %v", want, err)
 	}
@@ -633,7 +633,7 @@ func TestPostingFingerprintMerge(t *testing.T) {
 		t.Fatalf("candidates over both levels %v, want a, b and a-twin", got)
 	}
 	wantHits := append(slices.Clone(want), Result{Query: "q", Ref: "a-twin", Similarity: 1})
-	if got, err := search(loaded, query, ModeLSH, 5, 0.1, nil); err != nil || !slices.Equal(got, wantHits) {
+	if got, err := search(loaded, query, ModeLSH, 5, 0.1); err != nil || !slices.Equal(got, wantHits) {
 		t.Fatalf("lsh search %+v, err %v; want %+v", got, err, wantHits)
 	}
 }
@@ -683,11 +683,11 @@ func TestPostingBytesPerRecord(t *testing.T) {
 	}
 	for f := 0; f < families; f += 7 {
 		q := sk.Sketch(Record{Name: "q", Data: familyMember(f, -1)})
-		exact, err := search(ix, q, ModeExact, 10, 0.3, nil)
+		exact, err := search(ix, q, ModeExact, 10, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lsh, err := search(ix, q, ModeLSH, 10, 0.3, nil); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
+		if lsh, err := search(ix, q, ModeLSH, 10, 0.3); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
 			t.Fatalf("family %d after the reseal: lsh %+v (err %v), exact %+v", f, lsh, err, exact)
 		}
 	}
@@ -857,11 +857,11 @@ func TestPostingResealsFromEmpty(t *testing.T) {
 	}
 	for f := 0; f < families; f++ {
 		q := sk.Sketch(Record{Name: "q", Data: familyMember(f, -1)})
-		exact, err := search(ix, q, ModeExact, 10, 0.3, nil)
+		exact, err := search(ix, q, ModeExact, 10, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lsh, err := search(ix, q, ModeLSH, 10, 0.3, nil); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
+		if lsh, err := search(ix, q, ModeLSH, 10, 0.3); err != nil || len(lsh) != 10 || !slices.Equal(lsh, exact) {
 			t.Fatalf("family %d after the reseal: lsh %+v (err %v), exact %+v", f, lsh, err, exact)
 		}
 	}
@@ -955,7 +955,7 @@ func TestAddRefusedWhenPostingsFull(t *testing.T) {
 		t.Fatalf("a refused add left a trace: %d records, tier %+v -> %+v, wal %+v -> %+v", ix.Len(), before, after, wal, ix.WAL())
 	}
 	q := eng.Sketcher().Sketch(Record{Name: "q", Data: familyMember(0, -1)})
-	if res, err := search(ix, q, ModeLSH, 30, 0.3, nil); err != nil || len(res) != 21 {
+	if res, err := search(ix, q, ModeLSH, 30, 0.3); err != nil || len(res) != 21 {
 		t.Fatalf("search on a full index: %d results, err %v; want the 21 records", len(res), err)
 	}
 	if err := ix.SyncWAL(ix.WALTicket()); err != nil {

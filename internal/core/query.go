@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // SearchMode selects how Index.Search scans the index.
@@ -36,51 +35,6 @@ func ParseSearchMode(s string) (SearchMode, error) {
 		return "", fmt.Errorf("search: unknown mode %q (want %q or %q)", s, ModeLSH, ModeExact)
 	}
 }
-
-// parallelScoreMinBytes is the arena bytes a scan reads — rows × one
-// packed row — before it fans out one goroutine per shard;
-// smaller scans run inline, which is also what keeps steady-state small
-// searches allocation-free. The break-even is: an exact search at minSim 0.3
-// over 16 shards of 128-slot rows (64 B each) on 2 vCPUs (Xeon, 2 MiB
-// L2 a core), inline / fanned-out, median of 3 in µs —
-//
-//	rows    portable   avx2       avx512
-//	  256   5.8 /  11  3.8 / 8.3  3.3 / 6.9
-//	  512   8.1 /  12  4.4 / 8.4  4.0 / 7.1
-//	 1024    13 /  17  5.9 / 8.9  4.4 / 7.6
-//	 2048    23 /  26  8.6 /  12  5.9 / 8.9
-//	 4096    41 /  45   14 /  18  9.3 /  13
-//	 8192    88 /  75   26 /  28   17 /  21
-//	16384   151 / 119   45 /  48   31 /  34
-//
-// — fan-out first wins once the inline scan is ~50–70 µs of work, which
-// is 256 to 512 KB of rows on the portable kernel (4 096 to 8 192
-// rows). The vector kernels never break even below 16 384 rows; from
-// 8 192 rows they pay ~3 µs for fanning out, the price of one threshold
-// set where the slower kernels gain.
-//
-// The table predates the bit-sliced arena, whose kernels at minSim 0.3
-// on random rows are about as fast or faster (BenchmarkMatchCounts,
-// 50 000 rows: portable 11.1 against 16.2 ns a row, avx512 2.7 against
-// 3.3, avx2 4.6 against 4.4), which can only move the break-even toward
-// more rows; and at
-// 50 000 rows (BenchmarkSearchTopK/n=50000/tiered/minSim=0.3, avx512)
-// fan-out still wins, 113 µs against 164 inline. So the constant
-// stays. A seeded exact sweep reads about a quarter of the bytes this
-// counts, so it fans out a little earlier than its work alone would
-// justify. What that costs on the serve-lsh-hit corpus (50 000 rows, 3.2
-// MB by this count, so fanned out), exact at minSim 0.3, avx512,
-// GOMAXPROCS 2, this constant against one no scan reaches (inline),
-// alternating test binaries, five pairs each at two run lengths; CPU is
-// the process's over -benchtime Nx less an N=1 run, per search, in µs —
-//
-//	run        fanned out wall / CPU   inline wall / CPU
-//	N=20 000    83–95 / 108–151         73–86 / 69–118
-//	N=60 000    86–96 / 101–123         70–85 / 68–88
-//
-// — inline won every pair on both. Whether the seeded sweep should count
-// the bytes it reads is open (see ROADMAP).
-const parallelScoreMinBytes = 512 << 10
 
 // packedQuery is one query sketch prepared for arena scans: the
 // signature packed to the arena's bit planes for word-parallel row
@@ -131,18 +85,17 @@ func minMatchedFor(minSim float64, slots int) int {
 }
 
 // cancelCheckEvery is how many rows a candidate-list loop scores
-// between cancellation polls (a sweep polls once per sweepBlock).
-// Polling is one atomic load on the common path, so the stride only has
-// to amortize the ctx.Err() call.
+// between cancellation polls (a sweep polls once per sweepBlock). The
+// stride only has to amortize the ctx.Err() call.
 const cancelCheckEvery = 1024
 
 // canceler adapts a context for polling from the scan hot loops: the
-// first goroutine to observe ctx expiry latches stop, and every other
-// loop sees the latch with a single atomic load instead of re-deriving
-// ctx.Err().
+// first poll to observe ctx expiry latches stop, and every later loop
+// sees the latch instead of re-deriving ctx.Err(). A search runs on one
+// goroutine, so the latch is a plain field.
 type canceler struct {
 	ctx  context.Context
-	stop atomic.Bool
+	stop bool
 }
 
 // newCanceler returns nil for contexts that can never fire, keeping the
@@ -159,19 +112,15 @@ func (c *canceler) canceled() bool {
 	if c == nil {
 		return false
 	}
-	if c.stop.Load() {
-		return true
+	if !c.stop && c.ctx.Err() != nil {
+		c.stop = true
 	}
-	if c.ctx.Err() != nil {
-		c.stop.Store(true)
-		return true
-	}
-	return false
+	return c.stop
 }
 
 // err returns the context error once a scan aborted, nil otherwise.
 func (c *canceler) err() error {
-	if c == nil || !c.stop.Load() {
+	if c == nil || !c.stop {
 		return nil
 	}
 	return c.ctx.Err()
@@ -186,15 +135,13 @@ type scoredCand struct {
 }
 
 // shardScratch is the per-shard scratch of one query: the candidate
-// bitset and index list filled by the LSH probe, the shard's local
-// result buffer for parallel scans, the prefilter survivor list plus
-// the pread-path row decode buffer, and the full-width rescores both
-// passes spent, which the tier budget caps.
+// bitset and index list filled by the LSH probe, the prefilter survivor
+// list plus the pread-path row decode buffer, and the full-width
+// rescores both passes spent, which the tier budget caps.
 type shardScratch struct {
 	rows     int32    // the shard's row count when the probe began
 	candSet  []uint64 // bitset over shard-local record indexes [0, rows)
 	cands    []int32
-	results  []Result
 	scored   []scoredCand
 	rsc      rowScratch
 	rescored int
@@ -226,9 +173,11 @@ func (sc *shardScratch) resetFor(n int) {
 }
 
 // searchBuf holds the scratch state of one top-K search: the packed
-// query image, per-shard scratch, and the merged result buffer.
+// query image, per-shard scratch, and merged, the search's one bounded
+// top-K heap, which every stripe's rescore in both passes feeds.
 // Buffers are pooled and reused across searches, so a steady-state
-// search allocates only the result slice it returns.
+// search allocates only the result slice it returns and the names of
+// the rows that enter the heap.
 type searchBuf struct {
 	q       packedQuery
 	packed  []uint64
@@ -389,13 +338,15 @@ type Query struct {
 //
 // The search holds ix.writeMu shared from the snapshot to the last pass,
 // so no compaction or reseal renumbers a stripe or swaps its postings
-// in between; adds and deletes still land meanwhile. Both
-// passes fan out one goroutine per shard once the rows they cover
-// justify it. The scan loops poll ctx every sweepBlock rows, and the
-// search returns ctx's error instead of a partial result set when it
+// in between; adds and deletes still land meanwhile. Both passes score
+// the stripes one after another on the caller's goroutine, into one
+// top-K heap: one search uses one core, and a serving node's cores go to
+// concurrent requests. The scan loops poll ctx every sweepBlock rows, and
+// the search returns ctx's error instead of a partial result set when it
 // fires; a background context costs nothing extra. Scratch state comes
-// from a pool, so steady-state calls allocate only the returned slice.
-func (ix *Index) Search(ctx context.Context, sk *Sketch, q Query, pool *Pool) ([]Result, error) {
+// from a pool, so steady-state calls allocate only the returned slice
+// and the names of the rows that enter the heap.
+func (ix *Index) Search(ctx context.Context, sk *Sketch, q Query) ([]Result, error) {
 	mode, err := ParseSearchMode(string(q.Mode))
 	if err != nil {
 		return nil, err
@@ -417,13 +368,14 @@ func (ix *Index) Search(ctx context.Context, sk *Sketch, q Query, pool *Pool) ([
 	probed := probeCandidates(ix.posts, shards, pq, buf.scratch)
 	merged := buf.merged
 	if probed > 0 {
-		merged = runScan(buf, shards, pq, q.TopK, pool, probed, (*shard).scoreCandidates)
+		for si, sh := range shards {
+			merged = sh.scoreCandidates(merged, pq, q.TopK, &buf.scratch[si])
+		}
 	}
 	if (mode == ModeExact || len(merged) < q.TopK) && !pq.cancel.canceled() {
-		if len(merged) >= q.TopK {
-			// Seed the floor: merged[0] is the K-th best candidate once
-			// selectTopK has made merged[:K] a heap of the best K.
-			selectTopK(merged, q.TopK)
+		if len(merged) == q.TopK {
+			// Seed the floor: merged is a min-heap of the best K
+			// candidates, so merged[0] is the K-th best.
 			pq.minMatched = max(pq.minMatched, minMatchedFor(merged[0].Similarity, pq.slots))
 		}
 		// The complement: every row the candidate pass skipped (each
@@ -431,8 +383,11 @@ func (ix *Index) Search(ctx context.Context, sk *Sketch, q Query, pool *Pool) ([
 		// are as many candidates as live records: the candidates may
 		// include tombstoned rows, whose postings stay until the next
 		// rebuild.
-		merged = runScan(buf, shards, pq, q.TopK, pool, ix.Len()-probed, (*shard).sweep)
+		for si, sh := range shards {
+			merged = sh.sweep(merged, pq, q.TopK, &buf.scratch[si])
+		}
 	}
+	buf.merged = merged
 	if err := pq.cancel.err(); err != nil {
 		return nil, err
 	}
@@ -440,69 +395,23 @@ func (ix *Index) Search(ctx context.Context, sk *Sketch, q Query, pool *Pool) ([
 }
 
 // SearchTopK is Index.Search in ModeExact under a background context.
-// It stays only because bench/ compiles against it.
-func SearchTopK(ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
-	return ix.Search(context.Background(), query, Query{Mode: ModeExact, TopK: topK, MinSim: minSim}, pool)
+// It stays only because bench/ compiles against it; pool is ignored.
+func SearchTopK(ix *Index, query *Sketch, topK int, minSim float64, _ *Pool) ([]Result, error) {
+	return ix.Search(context.Background(), query, Query{Mode: ModeExact, TopK: topK, MinSim: minSim})
 }
 
 // SearchTopKCtx is Index.Search in ModeExact. It stays only because
-// bench/ compiles against it, as the same type as SearchTopKLSHCtx.
-func SearchTopKCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
-	return ix.Search(ctx, query, Query{Mode: ModeExact, TopK: topK, MinSim: minSim}, pool)
+// bench/ compiles against it, as the same type as SearchTopKLSHCtx;
+// pool is ignored.
+func SearchTopKCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, _ *Pool) ([]Result, error) {
+	return ix.Search(ctx, query, Query{Mode: ModeExact, TopK: topK, MinSim: minSim})
 }
 
 // SearchTopKLSHCtx is Index.Search in ModeLSH. It stays only because
-// bench/ compiles against it, as the same type as SearchTopKCtx.
-func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
-	return ix.Search(ctx, query, Query{Mode: ModeLSH, TopK: topK, MinSim: minSim}, pool)
-}
-
-// parallelPool decides whether a scan reading scanBytes of arena is
-// worth fanning out: it returns the pool to fan out on (a nil pool
-// keeps the old GOMAXPROCS fan-out contract), or nil to scan inline.
-func parallelPool(pool *Pool, scanBytes int) *Pool {
-	if scanBytes < parallelScoreMinBytes {
-		return nil
-	}
-	if pool == nil {
-		pool = NewPool(0)
-	}
-	if pool.Workers() <= 1 {
-		return nil
-	}
-	return pool
-}
-
-// runScan scores q across the shards with scan — which appends one
-// stripe's passing results to the slice it is handed — extending
-// buf.merged with the survivors and returning it. Scans whose `rows`
-// rows read less than parallelScoreMinBytes of arena run inline;
-// larger ones fan out one goroutine per stripe, each appending into its
-// own scratch buffer before the concatenation. A stripe's scan appends
-// at most topK results (its rescore keeps a bounded top-K heap), and
-// the global top-K is contained in the union of per-shard top-Ks, so
-// the merge and final sort stay O(shards*topK) instead of O(rows).
-func runScan(buf *searchBuf, shards []*shard, q *packedQuery, topK int, pool *Pool, rows int,
-	scan func(sh *shard, dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result) []Result {
-	p := parallelPool(pool, rows*len(q.packed)*8)
-	if p == nil {
-		merged := buf.merged
-		for si, sh := range shards {
-			merged = scan(sh, merged, q, topK, &buf.scratch[si])
-		}
-		buf.merged = merged
-		return merged
-	}
-	p.Map(len(shards), func(si int) {
-		sc := &buf.scratch[si]
-		sc.results = scan(shards[si], sc.results[:0], q, topK, sc)
-	})
-	merged := buf.merged
-	for si := range shards {
-		merged = append(merged, buf.scratch[si].results...)
-	}
-	buf.merged = merged
-	return merged
+// bench/ compiles against it, as the same type as SearchTopKCtx; pool
+// is ignored.
+func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, _ *Pool) ([]Result, error) {
+	return ix.Search(ctx, query, Query{Mode: ModeLSH, TopK: topK, MinSim: minSim})
 }
 
 func checkSearchArgs(ix *Index, query *Sketch, topK int, minSim float64) error {
@@ -529,10 +438,10 @@ func checkSearchArgs(ix *Index, query *Sketch, topK int, minSim float64) error {
 // bounded-heap selection runs in O(n log k) and sorts only the K
 // survivors, so a full-corpus scan never pays an O(n log n) sort for a
 // top-10 answer. The ranking is resultBetter's total order (descending
-// similarity, ties by query then ref), the same order the per-shard
-// heaps use — which is what makes merging concatenated per-shard (or,
-// in the cluster coordinator, per-backend) top-Ks exact: the global
-// top-K is always contained in the union of bounded local top-Ks.
+// similarity, ties by query then ref), the same order a search's heap
+// uses — which is what makes the cluster coordinator's merge of
+// concatenated per-backend top-Ks exact: the global top-K is always
+// contained in the union of bounded local top-Ks.
 // Empty inputs and topK <= 0 return nil.
 func MergeTopK(results []Result, topK int) []Result {
 	if len(results) == 0 || topK <= 0 {

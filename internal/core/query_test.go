@@ -13,8 +13,8 @@ import (
 var modes = []SearchMode{ModeExact, ModeLSH}
 
 // search is Index.Search under a background context.
-func search(ix *Index, q *Sketch, mode SearchMode, topK int, minSim float64, pool *Pool) ([]Result, error) {
-	return ix.Search(context.Background(), q, Query{Mode: mode, TopK: topK, MinSim: minSim}, pool)
+func search(ix *Index, q *Sketch, mode SearchMode, topK int, minSim float64) ([]Result, error) {
+	return ix.Search(context.Background(), q, Query{Mode: mode, TopK: topK, MinSim: minSim})
 }
 
 // buildTestIndex returns an index of n records where record i shares a
@@ -41,7 +41,7 @@ func buildTestIndex(t *testing.T, n int) (*Index, *Sketch) {
 
 func TestSearchTopKOrderingAndBounds(t *testing.T) {
 	ix, q := buildTestIndex(t, 10)
-	results, err := search(ix, q, ModeExact, 3, 0, nil)
+	results, err := search(ix, q, ModeExact, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSearchTopKOrderingAndBounds(t *testing.T) {
 		t.Fatalf("best match = %q, want rec-00", results[0].Ref)
 	}
 	// topK larger than the index returns everything.
-	all, err := search(ix, q, ModeExact, 100, 0, nil)
+	all, err := search(ix, q, ModeExact, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSearchTopKOrderingAndBounds(t *testing.T) {
 		t.Fatalf("got %d results, want 10", len(all))
 	}
 	// minSim filters.
-	strict, err := search(ix, q, ModeExact, 100, all[0].Similarity, nil)
+	strict, err := search(ix, q, ModeExact, 100, all[0].Similarity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSearchTopKSkipsSelf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	results, err := search(ix, s.Sketch(Record{Name: "self", Data: data}), ModeExact, 10, 0, nil)
+	results, err := search(ix, s.Sketch(Record{Name: "self", Data: data}), ModeExact, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSearchTopKSkipsSelf(t *testing.T) {
 	// A same-named record whose content differs from the query (e.g. the
 	// file changed after indexing) is NOT a self-hit and must be reported.
 	changed := s.Sketch(Record{Name: "self", Data: []byte("edited payload that no longer matches the indexed one")})
-	results, err = search(ix, changed, ModeExact, 10, 0, nil)
+	results, err = search(ix, changed, ModeExact, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestSearchTopKSkipsSelf(t *testing.T) {
 
 func TestSearchTopKValidation(t *testing.T) {
 	ix, q := buildTestIndex(t, 3)
-	if _, err := search(ix, q, ModeExact, 0, 0, nil); err == nil {
+	if _, err := search(ix, q, ModeExact, 0, 0); err == nil {
 		t.Fatal("topK=0: want error")
 	}
 	bad := mustSketcher(t, 9, 128).Sketch(Record{Name: "bad", Data: []byte("some query data")})
-	if _, err := search(ix, bad, ModeExact, 3, 0, nil); err == nil {
+	if _, err := search(ix, bad, ModeExact, 3, 0); err == nil {
 		t.Fatal("incompatible query: want error")
 	}
 }
@@ -248,7 +248,7 @@ func TestExactSeededFloorKeepsTies(t *testing.T) {
 				t.Fatalf("dir=%v: the probe found %d rows, want the %d candidates only", dir, probed, topK)
 			}
 			for _, minSim := range []float64{0, 0.5, 0.75} {
-				got, err := search(ix, query, ModeExact, topK, minSim, nil)
+				got, err := search(ix, query, ModeExact, topK, minSim)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -258,4 +258,47 @@ func TestExactSeededFloorKeepsTies(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSearchAllocs pins what a steady-state search allocates over a
+// 9 000-row directory index: nothing for an exact miss, a name only for
+// a row that enters the top-K heap — so an LSH short answer at minSim 0,
+// which rescores every row, stays far under one allocation a row — and
+// little more than K plus the returned slice for a planted hit.
+func TestSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so counts vary")
+	}
+	const n, topK = 9000, 10
+	eng := engineAt(t, "allocs", true)
+	recs, base := plantedRecords(n, 20, 3)
+	if oks, err := eng.AddBatch(recs); err != nil || countAdded(oks) != n {
+		t.Fatalf("AddBatch added %d, %v; want %d, nil", countAdded(oks), err, n)
+	}
+	ix, s := eng.Index(), eng.Sketcher()
+	hit := s.Sketch(Record{Name: "query", Data: base})
+	miss := s.Sketch(Record{Name: "query", Data: benchData(256, 99999)})
+	for _, c := range []struct {
+		name      string
+		q         *Sketch
+		mode      SearchMode
+		minSim    float64
+		results   int     // how many results the search must return
+		maxAllocs float64 // the bound on its allocations
+	}{
+		{"exact-miss", miss, ModeExact, 0.3, 0, 0},
+		{"lsh-short", miss, ModeLSH, 0, topK, 0.05 * n},
+		{"planted-hit", hit, ModeExact, 0.3, topK, topK + 10},
+	} {
+		var err error
+		var res []Result
+		allocs := testing.AllocsPerRun(20, func() { res, err = search(ix, c.q, c.mode, topK, c.minSim) })
+		if err != nil || len(res) != c.results {
+			t.Fatalf("%s: %d results, %v; want %d, nil", c.name, len(res), err, c.results)
+		}
+		t.Logf("%s: %v allocs a search", c.name, allocs)
+		if allocs > c.maxAllocs {
+			t.Errorf("%s: %v allocs a search, want at most %v", c.name, allocs, c.maxAllocs)
+		}
+	}
 }

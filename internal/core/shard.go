@@ -14,9 +14,9 @@ const DefaultShards = 16
 // low nibbles bit-sliced into planes, in a chunked arena (see sigArena),
 // both addressed by a shard-local record index, so exact scans are
 // cache-linear sweeps over a few buffers instead of a pointer chase per
-// record. Each shard has its own lock, so concurrent adds and scans on
-// different stripes never contend — and per-shard query fan-out scans
-// stripes truly in parallel. The rows' LSH postings live in the
+// record. Each shard has its own lock, so concurrent adds on different
+// stripes never contend, and a search holds one stripe's read lock at a
+// time as it walks them in turn. The rows' LSH postings live in the
 // index-wide postingTable, filed under this stripe's id.
 type shard struct {
 	mu       sync.RWMutex
@@ -230,17 +230,17 @@ func (sh *shard) beginProbe(sc *shardScratch) {
 // scoreCandidates scores the rows the probe routed to this stripe, one
 // scattered row at a time, through the same prefilter→rescore pipeline
 // as a sweep.
-func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
+func (sh *shard) scoreCandidates(heap []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	sc.scored = sc.scored[:0]
 	for i, idx := range sc.cands {
 		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
-			return dst
+			return heap
 		}
 		sh.prefilter(q, sc, idx, sh.arena.rowMatches(int(idx), q.packed))
 	}
-	return sh.rescore(dst, q, topK, sc, len(sc.cands))
+	return sh.rescore(heap, q, topK, sc, len(sc.cands))
 }
 
 // sweep is the one full-stripe scan loop, a search's complement pass:
@@ -255,11 +255,9 @@ func (sh *shard) scoreCandidates(dst []Result, q *packedQuery, topK int, sc *sha
 // count reaches the query's floor plus its padding bits, each with that
 // count; in ModeExact the floor is seeded from the candidates (see
 // Index.Search), so most rows fall short on their first plane. The
-// unprobed ones among the survivors go through prefilter into sc.scored;
-// the full-width rescore appends at most topK results (the per-shard
-// top-K contains the shard's share of any global top-K, which is what
-// runScan's merge needs).
-func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
+// unprobed ones among the survivors go through prefilter into sc.scored,
+// and the full-width rescore offers them to the search's top-K heap.
+func (sh *shard) sweep(heap []Result, q *packedQuery, topK int, sc *shardScratch) []Result {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	n := sh.names.len()
@@ -268,7 +266,7 @@ func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch)
 	var surv [sweepBlock]survivor
 	for c, chunk := range sh.arena.chunks {
 		if q.cancel.canceled() {
-			return dst
+			return heap
 		}
 		base := c * sweepBlock
 		k := matchSurvivors(surv[:min(sweepBlock, n-base)], chunk, q.packed, q.minMatched+q.pad)
@@ -278,7 +276,7 @@ func (sh *shard) sweep(dst []Result, q *packedQuery, topK int, sc *shardScratch)
 			}
 		}
 	}
-	return sh.rescore(dst, q, topK, sc, n-len(sc.cands))
+	return sh.rescore(heap, q, topK, sc, n-len(sc.cands))
 }
 
 // prefilter is the one cut both passes make: it files arena row idx,
@@ -304,24 +302,27 @@ func (sh *shard) prefilter(q *packedQuery, sc *shardScratch, idx int32, count in
 }
 
 // rescore reads the prefilter survivors in sc.scored full-width from
-// the shard's full store, highest packed count first, and appends the
-// shard's top-K results to dst; a row named like the query with the
-// query's full-width signature is a self-hit and skipped. Because the
-// packed count upper-bounds the full-width count, the walk stops as soon
-// as the next candidate's bound falls below the K-th best full score
-// found so far — on selective queries only a handful of rows are ever
-// read from disk. Every reported score is computed from the full-width
-// rows, so answers are exact. A positive tier budget additionally caps
-// the full-width reads, counted in sc across both passes of a query;
-// rows that fail to read are counted and skipped rather than failing the
+// the shard's full store, highest packed count first, and offers each to
+// heap, the search's bounded top-K, which it returns: it holds at most
+// topK results and, once full, is a min-heap whose root heap[0] is the
+// K-th best so far, across every stripe and both passes. A row named
+// like the query with the query's full-width signature is a self-hit and
+// skipped. Because the packed count upper-bounds the full-width count,
+// the walk stops as soon as the next candidate's bound falls below the
+// root — on selective queries only a handful of rows are ever read from
+// disk — and a row that cannot beat the root is skipped before its name
+// is copied. Every reported score is computed from the full-width rows,
+// so answers are exact. A positive tier budget additionally caps the
+// full-width reads, counted in sc across both passes of a query; rows
+// that fail to read are counted and skipped rather than failing the
 // query. scanned is the row count the prefilter phase covered, for the
 // survival-rate counters. Callers hold the shard lock.
-func (sh *shard) rescore(dst []Result, q *packedQuery, topK int, sc *shardScratch, scanned int) []Result {
+func (sh *shard) rescore(heap []Result, q *packedQuery, topK int, sc *shardScratch, scanned int) []Result {
 	t := sh.full.tier
 	t.scanned.Add(uint64(scanned))
 	t.survived.Add(uint64(len(sc.scored)))
 	if len(sc.scored) == 0 {
-		return dst
+		return heap
 	}
 	slices.SortFunc(sc.scored, func(a, b scoredCand) int {
 		if a.matched != b.matched {
@@ -330,7 +331,6 @@ func (sh *shard) rescore(dst []Result, q *packedQuery, topK int, sc *shardScratc
 		return int(a.idx - b.idx)
 	})
 	budget := int(t.budget.Load())
-	base := len(dst)
 	rescored := sc.rescored
 	slotsF := float64(q.slots)
 	for ci, c := range sc.scored {
@@ -342,10 +342,9 @@ func (sh *shard) rescore(dst []Result, q *packedQuery, topK int, sc *shardScratc
 		if ci&63 == 0 && q.cancel.canceled() {
 			break
 		}
-		if len(dst)-base >= topK && float64(c.matched)/slotsF < dst[base].Similarity {
-			// dst[base] is the root of the min-heap below: the K-th best
-			// full score. No remaining candidate's upper bound reaches it.
-			break
+		full := len(heap) == topK
+		if full && float64(c.matched)/slotsF < heap[0].Similarity {
+			break // no remaining candidate's upper bound reaches the root
 		}
 		row, err := sh.full.row(int(c.idx), &sc.rsc)
 		if err != nil {
@@ -361,26 +360,36 @@ func (sh *shard) rescore(dst []Result, q *packedQuery, topK int, sc *shardScratc
 			m = matchingSlots(q.full, row)
 		}
 		sim := float64(m) / slotsF
-		if m < q.minMatched || len(dst)-base >= topK && sim < dst[base].Similarity {
+		if m < q.minMatched || full && !sh.ranksBefore(c.idx, sim, heap[0]) {
 			continue // below the floor, or ranked below the K-th best already held
 		}
 		r := Result{Query: q.name, Ref: sh.names.name(c.idx), Similarity: sim, Distance: 1 - sim}
-		if len(dst)-base < topK {
-			dst = append(dst, r)
-			if len(dst)-base == topK {
-				h := dst[base:]
-				for i := topK/2 - 1; i >= 0; i-- {
-					siftWorstDown(h, i)
-				}
+		if full {
+			heap[0] = r
+			siftWorstDown(heap, 0)
+			continue
+		}
+		heap = append(heap, r)
+		if len(heap) == topK {
+			for i := topK/2 - 1; i >= 0; i-- {
+				siftWorstDown(heap, i)
 			}
-		} else if resultBetter(r, dst[base]) {
-			dst[base] = r
-			siftWorstDown(dst[base:base+topK], 0)
 		}
 	}
 	t.rescored.Add(uint64(rescored - sc.rescored))
 	sc.rescored = rescored
-	return dst
+	return heap
+}
+
+// ranksBefore reports whether row idx, scored sim against the query,
+// ranks before r, a result of the same search: every result of one
+// search carries the query's name, so resultBetter's tie falls to the
+// ref names, which this compares in place.
+func (sh *shard) ranksBefore(idx int32, sim float64, r Result) bool {
+	if sim != r.Similarity {
+		return sim > r.Similarity
+	}
+	return sh.names.less(idx, r.Ref)
 }
 
 // compactLocked rewrites a directory index's stripe without its

@@ -89,7 +89,7 @@ func TestShardedConcurrentAddBatchSearch(t *testing.T) {
 					return
 				}
 				q := eng.Sketcher().Sketch(query)
-				if _, err := search(eng.Index(), q, ModeExact, 3, 0, eng.Pool()); err != nil {
+				if _, err := search(eng.Index(), q, ModeExact, 3, 0); err != nil {
 					t.Errorf("exact search: %v", err)
 					return
 				}
@@ -168,8 +168,7 @@ func TestRebucket(t *testing.T) {
 	if err := ix.SaveDir(); err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(0)
-	before, err := search(ix, q, ModeLSH, 10, 0, pool)
+	before, err := search(ix, q, ModeLSH, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestRebucket(t *testing.T) {
 	if meta.Bands != 16 || meta.RowsPerBand != 8 || meta.Shards != shards {
 		t.Fatalf("metadata after OpenWith %+v = %+v", lsh, meta)
 	}
-	after, err := search(got, q, ModeLSH, 10, 0, pool)
+	after, err := search(got, q, ModeLSH, 10, 0)
 	got.Close()
 	if err != nil {
 		t.Fatal(err)

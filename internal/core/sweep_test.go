@@ -251,13 +251,14 @@ func readTierCounts(t *tierState) tierCounts {
 }
 
 // TestSearchIdenticalAcrossKernels runs whole searches — exact and LSH,
-// heap and directory stores, hit and miss queries, inline and fanned out,
-// signatures with and without padding nibbles — once per kernel and
-// requires identical results: compiling the assembly out changes
-// nothing a caller can see.
+// heap and directory stores, hit and miss queries, sweeps over several
+// arena chunks a stripe, signatures with and without padding nibbles —
+// once per kernel and requires identical results: compiling the
+// assembly out changes nothing a caller can see.
 func TestSearchIdenticalAcrossKernels(t *testing.T) {
-	// A 128-slot row is 64 bytes: enough rows to fan out.
-	tiered, plain := tieredEngines(t, parallelScoreMinBytes/64+300, 64)
+	// 8 492 rows: over 500 rows a stripe, so every sweep crosses arena
+	// chunks.
+	tiered, plain := tieredEngines(t, 8492, 64)
 	engines := []*Engine{tiered, plain}
 	// 100 slots are 2 words a plane with 28 padding bits, 127 slots 2
 	// with one.
@@ -286,14 +287,12 @@ func TestSearchIdenticalAcrossKernels(t *testing.T) {
 				eng.Index().Get("rec-7"),
 			} {
 				for _, minSim := range []float64{0, 0.05, 0.5} {
-					for _, pool := range []*Pool{NewPool(1), NewPool(4)} {
-						for _, mode := range modes {
-							got, err := search(eng.Index(), q, mode, 10, minSim, pool)
-							if err != nil {
-								t.Fatal(err)
-							}
-							all = append(all, got)
+					for _, mode := range modes {
+						got, err := search(eng.Index(), q, mode, 10, minSim)
+						if err != nil {
+							t.Fatal(err)
 						}
+						all = append(all, got)
 					}
 				}
 			}
@@ -376,7 +375,7 @@ func TestSweepCancellation(t *testing.T) {
 			for _, mode := range modes {
 				q := Query{Mode: mode, TopK: 10}
 				free := &countdownCtx{Context: context.Background(), done: make(chan struct{}), after: math.MaxInt32}
-				res, err := c.ix.Search(free, miss, q, NewPool(1))
+				res, err := c.ix.Search(free, miss, q)
 				if err != nil || len(res) != 10 {
 					t.Fatalf("%s dir=%v: uncancelled search = %d results, %v", mode, dir, len(res), err)
 				}
@@ -387,7 +386,7 @@ func TestSweepCancellation(t *testing.T) {
 				// Polls 1-5 pass (the up-front check and four blocks); the
 				// fifth block's poll fires.
 				ctx := &countdownCtx{Context: context.Background(), done: make(chan struct{}), after: 5}
-				res, err = c.ix.Search(ctx, miss, q, NewPool(1))
+				res, err = c.ix.Search(ctx, miss, q)
 				if !errors.Is(err, context.Canceled) || res != nil {
 					t.Fatalf("%s dir=%v: cancelled mid-sweep = %d results, err %v; want none, context.Canceled", mode, dir, len(res), err)
 				}
@@ -491,7 +490,7 @@ func TestSearchDuringCompaction(t *testing.T) {
 	for ix.compactions.Load() < maxCompactions && time.Now().Before(deadline) && !t.Failed() {
 		for _, mode := range modes {
 			searches++
-			got, err := search(ix, q, mode, topK, minSim, nil)
+			got, err := search(ix, q, mode, topK, minSim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -513,10 +512,10 @@ func TestSearchDuringCompaction(t *testing.T) {
 // with each other about it; the search refuses it instead.
 func TestSearchRejectsNaNFloor(t *testing.T) {
 	ix, q := buildTestIndex(t, 3)
-	if _, err := search(ix, q, ModeExact, 1, math.NaN(), nil); err == nil {
+	if _, err := search(ix, q, ModeExact, 1, math.NaN()); err == nil {
 		t.Error("an exact search accepted a NaN minimum similarity")
 	}
-	if _, err := search(ix, q, ModeLSH, 1, math.NaN(), nil); err == nil {
+	if _, err := search(ix, q, ModeLSH, 1, math.NaN()); err == nil {
 		t.Error("an LSH search accepted a NaN minimum similarity")
 	}
 }

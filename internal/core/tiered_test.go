@@ -93,7 +93,7 @@ func checkAgainstBrute(t *testing.T, q *Sketch, refs []*Sketch, topK int, minSim
 	want := bruteTopK(q, refs, topK, minSim)
 	for _, mode := range modes {
 		for _, ix := range ixs {
-			got, err := search(ix, q, mode, topK, minSim, nil)
+			got, err := search(ix, q, mode, topK, minSim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestTieredSimilarityIsFullWidth(t *testing.T) {
 		}
 	}
 	q := s.Sketch(Record{Name: "x", Data: data})
-	got, err := search(eng.Index(), q, ModeExact, len(sketches), 0, nil)
+	got, err := search(eng.Index(), q, ModeExact, len(sketches), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestTieredSaveDirOpenRoundTrip(t *testing.T) {
 	}
 	ix := eng.Index()
 	q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 3)})
-	before, err := search(ix, q, ModeExact, 10, 0, nil)
+	before, err := search(ix, q, ModeExact, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestTieredSaveDirOpenRoundTrip(t *testing.T) {
 			t.Fatalf("sketch %q changed across SaveDir/Open", name)
 		}
 	}
-	after, err := search(got, q, ModeExact, 10, 0, nil)
+	after, err := search(got, q, ModeExact, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -798,11 +798,11 @@ func TestSegmentPreadFallback(t *testing.T) {
 		t.Fatalf("fallback path reports %d mapped bytes, want 0", st.MappedBytes)
 	}
 	q := plain.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 5)})
-	want, err := search(plain.Index(), q, ModeExact, 10, 0, nil)
+	want, err := search(plain.Index(), q, ModeExact, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := search(tiered.Index(), q, ModeExact, 10, 0, nil)
+	got, err := search(tiered.Index(), q, ModeExact, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -820,7 +820,7 @@ func TestSegmentPreadFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	got, err = search(loaded, q, ModeExact, 10, 0, nil)
+	got, err = search(loaded, q, ModeExact, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -843,7 +843,7 @@ func TestTieredBudgetCapsRescores(t *testing.T) {
 		t.Fatalf("Budget() = %d after SetBudget(2)", ix.Budget())
 	}
 	before := ix.Tier().Rescored
-	if _, err := search(ix, q, ModeExact, 10, 0, nil); err != nil {
+	if _, err := search(ix, q, ModeExact, 10, 0); err != nil {
 		t.Fatal(err)
 	}
 	delta := ix.Tier().Rescored - before
@@ -854,7 +854,7 @@ func TestTieredBudgetCapsRescores(t *testing.T) {
 
 	ix.SetBudget(0)
 	before = ix.Tier().Rescored
-	if _, err := search(ix, q, ModeExact, 600, 0, nil); err != nil {
+	if _, err := search(ix, q, ModeExact, 600, 0); err != nil {
 		t.Fatal(err)
 	}
 	if delta := ix.Tier().Rescored - before; delta <= maxRescores {
@@ -908,7 +908,7 @@ func TestTieredBudgetRecall(t *testing.T) {
 		hits := 0
 		for f, base := range bases {
 			q := eng.Sketcher().Sketch(Record{Name: fmt.Sprintf("q%d", f), Data: base})
-			got, err := search(ix, q, ModeExact, topK, 0, nil)
+			got, err := search(ix, q, ModeExact, topK, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1148,10 +1148,9 @@ func BenchmarkTieredSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 42)})
-	pool := NewPool(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search(eng.Index(), q, ModeExact, 10, 0.5, pool); err != nil {
+		if _, err := search(eng.Index(), q, ModeExact, 10, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}

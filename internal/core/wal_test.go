@@ -86,7 +86,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	// Deleted records must not surface in search either: query with a
 	// deleted record's own payload, the strongest possible attractor.
 	q := NewEngineSketch(t, "q", benchData(256, 6)) // rec-5's data, rec-5 deleted
-	res, err := search(ix, q, ModeExact, 10, 0, nil)
+	res, err := search(ix, q, ModeExact, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestDeleteSemantics(t *testing.T) {
 		}
 		// The strongest attractor: rec-7's own payload.
 		q := eng.Sketcher().Sketch(Record{Name: "q", Data: benchData(256, 8)})
-		res, err := search(ix, q, ModeExact, 60, 0, nil)
+		res, err := search(ix, q, ModeExact, 60, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestCompactionEquivalence(t *testing.T) {
 		t.Helper()
 		for _, mode := range modes {
 			for _, q := range queries {
-				res, err := search(ix, q, mode, 20, 0, nil)
+				res, err := search(ix, q, mode, 20, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -538,11 +538,11 @@ func TestOpenSealsWALTail(t *testing.T) {
 	}
 	for i := 40; i < 80; i++ {
 		q := sk.Sketch(Record{Name: "q", Data: benchData(256, int64(i+1))})
-		exact, err := search(ix, q, ModeExact, 5, 0.5, nil)
+		exact, err := search(ix, q, ModeExact, 5, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lsh, err := search(ix, q, ModeLSH, 5, 0.5, nil)
+		lsh, err := search(ix, q, ModeLSH, 5, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
