@@ -399,10 +399,12 @@ func TestSyncWALFailStop(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	checked(t, eng.Index(), "retried adds")
 	torn(func() error { _, err := eng.Delete("rec-0"); return err })
 	if deleted, err := eng.Delete("rec-0"); deleted || err != nil {
 		t.Fatalf("retried delete = %v, %v; want nothing left to delete, and acked", deleted, err)
 	}
+	checked(t, eng.Index(), "retried delete")
 	// The crash: handles dropped, no snapshot but the commits' own.
 	if err := eng.Index().Close(); err != nil {
 		t.Fatal(err)
@@ -412,6 +414,7 @@ func TestSyncWALFailStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
+	resealed(t, ix, "reopened")
 	if !ix.Has("rec-8") || ix.Has("rec-0") || ix.Len() != 12 {
 		t.Fatalf("after a reopen: rec-8 held %v, rec-0 held %v, %d records; want the acked retries' state, 12 records",
 			ix.Has("rec-8"), ix.Has("rec-0"), ix.Len())

@@ -199,6 +199,9 @@ func FuzzNameTable(f *testing.F) {
 			case 5: // a lookup; check does every name after each step
 			}
 			m.check(fmt.Sprintf("step %d (op %d %q)", i/2, prog[i]%6, name))
+			if err := checkNames(&m.tab, m.dead); err != nil {
+				t.Fatalf("step %d: %v", i/2, err)
+			}
 		}
 	})
 }

@@ -60,6 +60,45 @@ func refFromLive(ix *Index) *refPostings {
 	return r
 }
 
+// rebuilt returns the table rebuild makes of the live rows of shards
+// under banding p: what a seal must leave, word for word.
+func rebuilt(p LSHParams, shards []*shard) *postingTable {
+	t := newPostingTable(p, len(shards))
+	t.rebuild(p, shards)
+	return t
+}
+
+// sealedAsRebuilt reports how t, just sealed over shards, differs from
+// rebuilt's table of the same live rows: the sealed words, directory,
+// row and directory bits and bucket count, and the delta's size.
+func sealedAsRebuilt(t *postingTable, shards []*shard) error {
+	want := rebuilt(t.params, shards)
+	if !slices.Equal(t.packed, want.packed) || !slices.Equal(t.dir, want.dir) || t.rowBits != want.rowBits ||
+		t.dirBits != want.dirBits || t.sealedUsed != want.sealedUsed || len(t.posts) != len(want.posts) || t.used != want.used {
+		return fmt.Errorf("sealed %d words in %d buckets at %d row and %d directory bits beside %d delta postings; rebuild seals %d in %d at %d and %d (words equal %v, directory equal %v)",
+			len(t.packed), t.sealedUsed, t.rowBits, t.dirBits, len(t.posts)-1, len(want.packed), want.sealedUsed, want.rowBits, want.dirBits,
+			slices.Equal(t.packed, want.packed), slices.Equal(t.dir, want.dir))
+	}
+	return nil
+}
+
+// checked fails tb unless ix passes checkInvariants; resealed also
+// unless its table, just sealed, is rebuilt's.
+func checked(tb testing.TB, ix *Index, what string) {
+	tb.Helper()
+	if err := ix.checkInvariants(); err != nil {
+		tb.Fatalf("%s: %v", what, err)
+	}
+}
+
+func resealed(tb testing.TB, ix *Index, what string) {
+	tb.Helper()
+	checked(tb, ix, what)
+	if err := sealedAsRebuilt(ix.posts, ix.shards); err != nil {
+		tb.Fatalf("%s: %v", what, err)
+	}
+}
+
 // candidates returns shard's live candidate rows for sig, ascending.
 func (r *refPostings) candidates(sh *shard, shard int, sig []uint64) []int32 {
 	var out []int32
@@ -147,6 +186,7 @@ func (m *postingModel) reopen(lsh LSHParams, what string) uint64 {
 	}
 	m.t.Cleanup(func() { ix.Close() })
 	m.ix, m.ref = ix, refFromLive(ix)
+	resealed(m.t, ix, m.name+" "+what)
 	m.check(ix, what)
 	return seals
 }
@@ -173,6 +213,7 @@ func (m *postingModel) addTwin(what string) int {
 // looks at a dead row either way.
 func (m *postingModel) check(ix *Index, what string) {
 	m.t.Helper()
+	checked(m.t, ix, m.name+" "+what)
 	buf := getSearchBuf()
 	defer putSearchBuf(buf)
 	queries := append(slices.Clone(m.sigs), m.sig(), m.sig())
@@ -256,7 +297,7 @@ func TestPostingTableMatchesReference(t *testing.T) {
 				case r < 88:
 					m.delete()
 				case r < 92 && tiered: // snapshot, compacting the stripes past the threshold
-					before := m.ix.compactions.Load()
+					before, sealed := m.ix.compactions.Load(), m.ix.posts.seals
 					if err := m.ix.SaveDir(); err != nil {
 						t.Fatalf("%s: save dir: %v", m.name, err)
 					}
@@ -264,11 +305,15 @@ func TestPostingTableMatchesReference(t *testing.T) {
 						compactions++
 						m.ref = refFromLive(m.ix)
 					}
+					if m.ix.posts.seals != sealed {
+						resealed(t, m.ix, fmt.Sprintf("%s: step %d (snapshot)", m.name, step))
+					}
 					m.check(m.ix, fmt.Sprintf("step %d (snapshot)", step))
 					loaded, err := Open(m.ix.DataDir())
 					if err != nil {
 						t.Fatalf("%s: reopen: %v", m.name, err)
 					}
+					resealed(t, loaded, fmt.Sprintf("%s: step %d (reopened)", m.name, step))
 					m.check(loaded, fmt.Sprintf("step %d (reopened)", step))
 					loaded.Close()
 					split += m.addTwin(fmt.Sprintf("step %d (add after snapshot)", step))
@@ -1013,6 +1058,7 @@ func FuzzPostingTable(f *testing.F) {
 						ents = append(ents, k&^math.MaxUint32|uint64(e.shard)<<sealed.rowBits|uint64(e.row))
 					}
 				}
+				slices.Sort(ents) // rebuild's order: fingerprint, shard, row
 				sealed.seal(ents)
 				tab, data = sealed, data[1:]
 			default:
@@ -1052,6 +1098,9 @@ func FuzzPostingTable(f *testing.F) {
 					}
 				}
 				data = data[3:]
+			}
+			if _, _, err := tab.checkLevels([]int{rows, rows, rows}); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -452,6 +453,7 @@ func TestSearchDuringCompaction(t *testing.T) {
 		t.Fatalf("probe found %d candidates, want the 3 rows sharing a band", n)
 	}
 	putSearchBuf(buf)
+	checked(t, ix, "built")
 
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -483,7 +485,9 @@ func TestSearchDuringCompaction(t *testing.T) {
 			}
 		}
 	}()
-	defer func() { close(stop); <-done }()
+	var stopped sync.Once
+	quiet := func() { stopped.Do(func() { close(stop); <-done }) }
+	defer quiet()
 
 	deadline := time.Now().Add(2 * time.Second)
 	searches := 0
@@ -499,11 +503,16 @@ func TestSearchDuringCompaction(t *testing.T) {
 					mode, searches, ix.compactions.Load(), len(got), len(want), got, want)
 			}
 		}
+		if searches%32 == 0 { // holds writeMu: between a writer's steps
+			checked(t, ix, fmt.Sprintf("after %d searches", searches))
+		}
 	}
 	n := ix.compactions.Load()
 	if n == 0 {
 		t.Fatalf("%d searches ran beside no compaction", searches)
 	}
+	quiet()
+	checked(t, ix, "quiet")
 	t.Logf("%d searches beside %d compactions", searches, n)
 }
 

@@ -210,12 +210,14 @@ func TestTieredSaveDirOpenRoundTrip(t *testing.T) {
 	if err := ix.SaveDir(); err != nil {
 		t.Fatal(err)
 	}
+	checked(t, ix, "saved")
 
 	got, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer got.Close()
+	resealed(t, got, "opened")
 	gm, wm := got.Metadata(), ix.Metadata()
 	if gm.Format != FormatV6 || gm.Bits != 8 || gm.RecordCount != 300 ||
 		gm.Name != wm.Name || gm.K != wm.K || gm.SignatureSize != wm.SignatureSize ||
@@ -251,6 +253,7 @@ func TestTieredSaveDirOpenRoundTrip(t *testing.T) {
 	if err := got.SaveDir(); err != nil {
 		t.Fatal(err)
 	}
+	checked(t, got, "saved again")
 	if segsAfter := countSegments(t, dir); segsAfter <= segsBefore {
 		t.Fatalf("second snapshot did not append segments: %d -> %d", segsBefore, segsAfter)
 	}
@@ -259,6 +262,7 @@ func TestTieredSaveDirOpenRoundTrip(t *testing.T) {
 		t.Fatalf("Open after incremental snapshot: %v", err)
 	}
 	defer again.Close()
+	resealed(t, again, "opened again")
 	if again.Len() != 400 || again.Get("rec-399") == nil {
 		t.Fatalf("incremental snapshot lost records: len=%d", again.Len())
 	}
@@ -559,6 +563,7 @@ func TestManifestGolden(t *testing.T) {
 	if err := ix.SaveDir(); err != nil {
 		t.Fatal(err)
 	}
+	checked(t, ix, "first snapshot")
 	// Stripe 0 loses half its rows and compacts at the next save; stripe 1
 	// deletes one name and re-adds another under fresh data, staying
 	// under the threshold, so its manifest keeps a dead row whose name a
@@ -572,6 +577,7 @@ func TestManifestGolden(t *testing.T) {
 	if err := ix.SaveDir(); err != nil {
 		t.Fatal(err)
 	}
+	resealed(t, ix, "compacted")
 	// The WAL tail: acked, never snapshotted, replayed by Open.
 	add("tail-0", 2000)
 	add("tail-1", 2001)
@@ -587,6 +593,7 @@ func TestManifestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
+	resealed(t, got, "opened over the tail")
 	if got.tier.walReplayed.Load() != 3 || ix.compactions.Load() != 1 {
 		t.Fatalf("replayed %d WAL frames, compacted %d stripes; want 3 and 1", got.tier.walReplayed.Load(), ix.compactions.Load())
 	}
@@ -596,6 +603,7 @@ func TestManifestGolden(t *testing.T) {
 	if err := got.SaveDir(); err != nil {
 		t.Fatal(err)
 	}
+	checked(t, got, "snapshot of the reopened index")
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {
 		t.Fatal(err)
