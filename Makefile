@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-smoke bench-repo bench-docs smoke chaos lint linkcheck fmtcheck wrappercheck logcheck loc clean
+.PHONY: all build vet test test-purego fuzz-smoke cover bench bench-smoke bench-repo bench-docs smoke chaos lint linkcheck fmtcheck wrappercheck logcheck sealcheck loc clean
 
 all: build vet test
 
@@ -103,11 +103,27 @@ logcheck:
 	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' '^\s*Logf\s+func|^func \([^)]*\) logf\(|^\s*(import\s+)?(\w+\s+)?"log"$$' internal cmd); \
 	if [ -n "$$out" ]; then echo "a second logging path beside the Shell's slog.Logger:"; echo "$$out"; exit 1; fi
 
+# One seal path: a reseal merges the postings the LSH table already
+# holds, so band keys are hashed only where a signature comes in — an
+# add (lsh.go), a query (query.go) and Open's one pass over the
+# snapshot's rows (dirindex.go) — and lsh.go reads no full-width row. A
+# bandKey call in any other non-test Go file under internal/core, a
+# second one in query.go or dirindex.go, or lsh.go naming full.row fails,
+# so a second "hash from the full store" path cannot grow back.
+sealcheck:
+	@hits=$$(grep -n 'bandKey(' $$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -v '^internal/core/lsh\.go:'); \
+	out=$$(echo "$$hits" | grep -vE '^internal/core/(query|dirindex)\.go:'); \
+	for f in query dirindex; do \
+		if [ "$$(echo "$$hits" | grep -c "^internal/core/$$f\.go:")" -gt 1 ]; then out="$$out$$f.go hashes band keys in more than one place "; fi; \
+	done; \
+	out="$$out$$(grep -n 'full\.row' internal/core/lsh.go)"; \
+	if [ -n "$$out" ]; then echo "band keys hashed, or full rows read, outside the one seal path:"; echo "$$out"; exit 1; fi
+
 # The line counts CHANGES.md entries and ROADMAP re-anchors quote.
 loc:
 	@./scripts/loc.sh
 
-lint: linkcheck fmtcheck wrappercheck logcheck
+lint: linkcheck fmtcheck wrappercheck logcheck sealcheck
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
 	else \

@@ -416,38 +416,74 @@ func BenchmarkSearchLSH(b *testing.B) {
 	}
 }
 
-// BenchmarkPostingRebuild times the table's one build path — Open
-// (under any banding), compaction and a due reseal all end in it — and reports the
-// bytes per record of what it built: over the serve-lsh-hit corpus, whose
-// families share buckets, and over 50 000 random rows that share none,
-// a bucket to every posting, the table's worst case.
+// BenchmarkPostingRebuild times a seal of 50 000 sealed rows plus a
+// quarter-size delta, 12 500 rows added since, two ways: reseal, the
+// table's one build path (a due reseal, a compaction and Open all end in
+// it), which merges the postings its two levels hold, and rebuild, the
+// test-side reference, which hashes every live row from the full store
+// again. It reports the bytes per record of what it built: over the
+// serve-lsh-hit corpus, whose families share buckets, and over random
+// rows that share none, a bucket to every posting, the table's worst
+// case. Both ways build the same words.
 func BenchmarkPostingRebuild(b *testing.B) {
+	const sealed, delta = 50000, 50000 / 4
 	for _, c := range []struct {
 		name  string
-		index func(b *testing.B) *Index
+		index func(b *testing.B) *Index // sealed rows, and a delta of as many again as it adds
 	}{
-		{"serve-lsh-hit", func(b *testing.B) *Index { ix, _ := serveLSHHitCorpus(b); return ix }},
-		{"unrelated", func(b *testing.B) *Index { return randomRowsIndex(b, 50000) }},
+		{"serve-lsh-hit", func(b *testing.B) *Index {
+			eng := familyCorpus(b, sealed/20)
+			for i := range delta {
+				if _, err := eng.Index().Add(eng.Sketcher().Sketch(Record{Name: fmt.Sprintf("late-%d", i), Data: familyMember(i%(sealed/20), 20+i)})); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return eng.Index()
+		}},
+		{"unrelated", func(b *testing.B) *Index {
+			ix := NewIndex("unrelated", DefaultK, DefaultSignatureSize)
+			addRandomRows(b, ix, 0, sealed)
+			ix.posts.reseal(ix.shards, nil)
+			addRandomRows(b, ix, sealed, delta)
+			return ix
+		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ix := c.index(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ix.posts.rebuild(ix.posts.params, ix.shards)
+			t := ix.posts
+			if _, _, d, _ := t.size(); len(t.packed) != sealed*t.params.Bands || d != delta*t.params.Bands {
+				b.Fatalf("%d sealed and %d delta postings, want %d and %d", len(t.packed), d, sealed*t.params.Bands, delta*t.params.Bands)
 			}
-			bytes, _, _, _ := ix.posts.size()
-			b.ReportMetric(float64(bytes)/float64(ix.Len()), "B/rec")
+			// Both ways leave the arrays they read alone, so every
+			// iteration can start from the same two levels.
+			dir, dirBits, packed, rowBits, buckets := t.dir, t.dirBits, t.packed, t.rowBits, t.sealedUsed
+			slots, posts, used := t.slots, t.posts, t.used
+			for _, way := range []struct {
+				name string
+				seal func()
+			}{{"reseal", func() { t.reseal(ix.shards, nil) }}, {"rebuild", func() { t.rebuild(t.params, ix.shards) }}} {
+				b.Run(way.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						t.dir, t.dirBits, t.packed, t.rowBits, t.sealedUsed = dir, dirBits, packed, rowBits, buckets
+						t.slots, t.posts, t.used = slots, posts, used
+						b.StartTimer()
+						way.seal()
+					}
+					bytes, _, _, _ := t.size()
+					b.ReportMetric(float64(bytes)/float64(ix.Len()), "B/rec")
+				})
+			}
 		})
 	}
 }
 
-// randomRowsIndex is an in-memory index of n rows with random signatures
-// under the default banding, so no two rows share a band bucket.
-func randomRowsIndex(b *testing.B, n int) *Index {
+// addRandomRows adds rows from..from+n-1 to ix with random signatures,
+// so no two rows share a band bucket.
+func addRandomRows(b *testing.B, ix *Index, from, n int) {
 	b.Helper()
-	ix := NewIndex("unrelated", DefaultK, DefaultSignatureSize)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < n; i++ {
+	rng := rand.New(rand.NewSource(int64(3 + from)))
+	for i := from; i < from+n; i++ {
 		sig := make([]uint64, DefaultSignatureSize)
 		for j := range sig {
 			sig[j] = rng.Uint64()
@@ -456,7 +492,6 @@ func randomRowsIndex(b *testing.B, n int) *Index {
 			b.Fatalf("add: ok=%v err=%v", ok, err)
 		}
 	}
-	return ix
 }
 
 // BenchmarkAddBatchParallel is the guard on the posting table's one

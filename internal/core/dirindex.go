@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -183,31 +184,32 @@ func (ix *Index) SaveDir() (err error) {
 }
 
 // compactLocked compacts every stripe whose tombstone ratio has reached
-// DefaultCompactThreshold, then rebuilds the posting table if any rows
-// were renumbered — also after a stripe failed, so the table never names
-// the old rows of the stripes already done — or if its delta is due for
-// sealing (postingTable.sealDue), so a long-lived ingesting index gets
-// the sealed level's size too. SaveDir is the only caller: it holds
-// writeMu exclusively, so no search sees a stripe's new row numbers
-// before its new postings, and every shard lock, which lets rebuild read
-// the stripes unlocked.
+// DefaultCompactThreshold, then reseals the posting table through the
+// dead sets dropped if any rows were renumbered — also after a stripe
+// failed, so the table never names the old rows of the stripes already
+// done — or if its delta is due for sealing (postingTable.sealDue), so
+// a long-lived ingesting index gets the sealed level's size too. SaveDir
+// is the only caller: it holds writeMu exclusively, so no search sees a
+// stripe's new row numbers before its new postings, and every shard
+// lock, which lets the reseal read the stripes unlocked.
 func (ix *Index) compactLocked() (err error) {
-	moved := false
-	for _, sh := range ix.shards {
+	gone, moved := make([][]uint64, len(ix.shards)), false // gone: the dead sets compactions dropped, by stripe
+	for si, sh := range ix.shards {
 		if n := sh.names.len(); n == 0 || float64(sh.deadRows)/float64(n) < DefaultCompactThreshold {
 			continue
 		}
+		dead := sh.dead
 		dropped, cerr := sh.compactLocked(ix.meta.SignatureSize)
 		if cerr != nil {
 			err = cerr
 			break
 		}
-		moved = true
+		gone[si], moved = dead, true
 		ix.compactions.Add(1)
 		ix.compactedRows.Add(uint64(dropped))
 	}
 	if moved || ix.posts.sealDue() {
-		ix.posts.rebuild(ix.posts.params, ix.shards)
+		ix.posts.reseal(ix.shards, gone)
 	}
 	return err
 }
@@ -379,18 +381,18 @@ func Open(dir string) (*Index, error) { return OpenWith(dir, LSHParams{}) }
 // OpenWith opens the index directory at dir, written by SaveDir, under
 // the banding lsh, or the manifest's when lsh is the zero value: it
 // reads the manifest, opens and checksum-verifies every referenced
-// segment, and rebuilds the packed prefilter (streaming the segment rows
-// once); manifest v6 tombstones are restored, the write-ahead log is
-// replayed over the snapshot (torn tails truncated) so every mutation
-// acknowledged before a crash is present, and only then is the LSH
-// posting table built, sealed, over snapshot and tail together. So a
-// retune costs no rebuild beyond the one every open pays, and reaches
-// the manifest with the next SaveDir. A banding that does not cover the
-// signature is refused before anything in dir is touched. The
-// full-width data of the snapshot stays on disk (mmap'd where
-// available): an opened index's heap holds the prefilter, postings and
-// names, plus the replayed tail's full-width rows in the stores' heads
-// until the next SaveDir seals them.
+// segment, and streams the segment rows once, rebuilding the packed
+// prefilter and sealing the live rows' LSH postings; manifest v6
+// tombstones are restored, the write-ahead log is replayed over the
+// snapshot (torn tails truncated) so every mutation acknowledged before
+// a crash is present, and one reseal merges the tail in. So a retune
+// costs nothing beyond what every open pays, and reaches the manifest
+// with the next SaveDir. A banding that does not cover the signature,
+// or a stripe whose rows a sealed posting cannot name, is refused before
+// anything in dir is touched. The full-width data of the snapshot stays
+// on disk (mmap'd where available): an opened index's heap holds the
+// prefilter, postings and names, plus the replayed tail's full-width
+// rows in the stores' heads until the next SaveDir seals them.
 func OpenWith(dir string, lsh LSHParams) (ix *Index, err error) {
 	fi, err := os.Stat(dir)
 	if err != nil {
@@ -453,6 +455,14 @@ func OpenWith(dir string, lsh LSHParams) (ix *Index, err error) {
 	if segRows <= 0 {
 		segRows = DefaultSegmentRows
 	}
+	rowBits, live := uint(0), 0 // the largest stripe's row bits, and the live rows listed
+	for si, ms := range m.Shards {
+		if rowBits = max(rowBits, uint(bits.Len(uint(max(len(ms.Names), 1)-1)))); bits.Len(uint(shards-1))+int(rowBits) > postingBits {
+			return nil, fmt.Errorf("index: manifest shard %d: %d rows, more than a sealed posting names beside %d shards", si, len(ms.Names), shards)
+		}
+		live += len(ms.Names) - len(ms.Deleted)
+	}
+	ents := make([]uint64, 0, max(live, 0)*lsh.Bands) // fingerprint<<32 | posting, in (shard, row) order
 
 	meta := m.Meta
 	meta.Format = FormatV6
@@ -514,12 +524,7 @@ func OpenWith(dir string, lsh LSHParams) (ix *Index, err error) {
 			if sh.rowDead(di) {
 				return nil, fmt.Errorf("index: manifest shard %d: row %d deleted twice", si, di)
 			}
-			w := int(di) >> 6
-			for len(sh.dead) <= w {
-				sh.dead = append(sh.dead, 0)
-			}
-			sh.dead[w] |= 1 << uint(di&63)
-			sh.deadRows++
+			sh.kill(di)
 		}
 		nameBytes := 0
 		for _, name := range ms.Names {
@@ -545,11 +550,16 @@ func OpenWith(dir string, lsh LSHParams) (ix *Index, err error) {
 			sh.names.add(name, sh.dead)
 		}
 		m.Shards[si].Names = nil // the table holds them now
-		// One streaming pass over the full-width rows rebuilds the
-		// packed prefilter (dead rows fill their arena slot too).
+		// One streaming pass over the full-width rows rebuilds the packed
+		// prefilter (dead rows too) and hashes the live rows' band keys.
 		for _, sg := range sh.full.segs {
 			serr := sg.forEachRow(func(local int, sig []uint64) error {
 				sh.arena.appendSig(sig)
+				if row := sg.base + local; !sh.rowDead(int32(row)) {
+					for band := range lsh.Bands {
+						ents = append(ents, lsh.bandKey(band, sig)&^math.MaxUint32|uint64(si)<<rowBits|uint64(row))
+					}
+				}
 				return nil
 			})
 			if serr != nil {
@@ -557,6 +567,7 @@ func OpenWith(dir string, lsh LSHParams) (ix *Index, err error) {
 			}
 		}
 	}
+	posts.seal(sortEntries(ents, make([]uint64, len(ents)), 32), rowBits)
 	ix.meta.RecordCount = 0
 	for _, sh := range ix.shards {
 		ix.meta.RecordCount += sh.names.len() - sh.deadRows
@@ -569,10 +580,10 @@ func OpenWith(dir string, lsh LSHParams) (ix *Index, err error) {
 	if err = ix.replayWAL(); err != nil {
 		return nil, err
 	}
-	// Then seal snapshot and tail alike (replayed deletes are dead rows
-	// rebuild skips), so no reopened index serves its tail from the delta.
-	// The index is still private, as rebuild requires.
-	posts.rebuild(lsh, ix.shards)
+	// Then reseal, so no reopened index serves its tail from the delta or
+	// its replayed deletes from the sealed level. The index is still
+	// private, as the reseal requires.
+	posts.reseal(ix.shards, nil)
 	return ix, nil
 }
 

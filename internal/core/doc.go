@@ -9,7 +9,7 @@
 //     shards keyed by record-name hash, each owning a bit-sliced 4-bit
 //     prefilter arena over a full-width store, and one
 //     index-wide LSH posting table (see postingTable: a
-//     compact sealed level rebuilt from the live rows — buckets in
+//     compact sealed level each seal merges from both levels — buckets in
 //     fingerprint order behind a fingerprint-prefix directory — and a
 //     delta for the rows added since) — with incremental add /
 //     skip-existing semantics.
@@ -59,16 +59,17 @@
 //     test). The scan kernel's nibble count is that bound, so it goes
 //     straight on as the rescore's (see kernel.go).
 //   - Band keys hash each slot's low byte (LSHParams.bandKey), on the
-//     query side and the index side alike, and a rebuild reads them from
-//     the full store, not the arena: keys of the arena's nibbles would
-//     collide 2^4r times as often in a band of r slots.
+//     query side and the index side alike, from full-width values, not
+//     the arena (a seal merges the fingerprints the table holds): keys of
+//     the arena's nibbles would collide 2^4r times as often in a band of
+//     r slots.
 //   - Shard-local row order is append order, shared by the arena, the
 //     name table and shingle column, the full store, and the posting
 //     table's (shard, row) entries: row i of a shard means the same
 //     record in all of them. Compaction renumbers rows (keeping their
-//     order), so it rebuilds the table under every shard lock and
-//     Index.writeMu, which every search holds shared from its snapshot
-//     of the stripes to its last pass.
+//     order), so it reseals the table through the dropped dead set under
+//     every shard lock and Index.writeMu, which every search holds shared
+//     from its snapshot of the stripes to its last pass.
 //   - The sealed posting level keys buckets by the top 32 bits of the
 //     band key, so a probe may name rows that share no bucket with the
 //     query. Nothing may return a probe candidate unscored.

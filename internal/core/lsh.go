@@ -51,17 +51,17 @@ func (p LSHParams) Threshold() float64 {
 }
 
 // bandKeyMask keeps the part of a slot value a band key hashes: its low
-// byte, twice the prefilter's nibble. Rebuild reads it from the full-width
-// store, not the arena, so unrelated rows collide in a band of r slots
+// byte, twice the prefilter's nibble. Keys are hashed from full-width
+// values, never the arena, so unrelated rows collide in a band of r slots
 // with probability 2^-8r however narrow the prefilter: about n/1024
 // candidates a query at 64 x 2, rather than the n/5 that nibble keys give.
 const bandKeyMask = 0xff
 
 // bandKey hashes band `band` of sig into a bucket key, masking every
-// slot value to bandKeyMask first, so a query, an add and a rebuild —
-// all of which hold full-width values — agree on their buckets. The band
-// index is folded in so identical row values in different bands do not
-// collide into one bucket.
+// slot value to bandKeyMask first, so a query, an add and Open's pass
+// over the snapshot — all of which hold full-width values — agree on
+// their buckets. The band index is folded in so identical row values in
+// different bands do not collide into one bucket.
 func (p LSHParams) bandKey(band int, sig []uint64) uint64 {
 	h := mix64(uint64(band)*0x9e3779b97f4a7c15 + 0x8445d61a4e774912)
 	for _, v := range sig[band*p.RowsPerBand : (band+1)*p.RowsPerBand] {
@@ -72,24 +72,25 @@ func (p LSHParams) bandKey(band int, sig []uint64) uint64 {
 
 // postingTable is the index's one LSH posting structure, shared by all
 // shards and all bands (bandKey folds the band number into the key), in
-// two levels. Sealed is what rebuild makes of every live row: one word a
-// posting, fp<<dirBits | shard<<rowBits | row, in the order of (its key's
-// 32-bit fingerprint, shard, row), behind a directory from a fingerprint's
-// top dirBits bits to where that cell's entries — at most 8 buckets' —
-// start: 4 bytes a posting and 4 a cell. An entry's tag, the bits above
-// dirBits, holds the rest of its fingerprint, so a bucket is the run of
-// entries with one tag in one cell. Keys sharing a fingerprint share a bucket,
-// which can only add a candidate, and every candidate is rescored. The
-// delta holds the rows added since: a slot array keyed by the whole key
-// over chains of postings in an append-only arena, in insertion order.
-// A query costs two lookups per band however many shards there are, and
-// no array holds a pointer for the collector to trace. Postings are only
-// ever added — a tombstoned row keeps its (every scoring path skips dead
-// rows) — until rebuild starts over.
+// two levels. Sealed is what the last seal merged: one word a posting,
+// fp<<dirBits | shard<<rowBits | row, in the order of (its key's 32-bit
+// fingerprint, shard, row), behind a directory from a fingerprint's top
+// dirBits bits to where that cell's entries — at most 8 buckets' — start:
+// 4 bytes a posting and 4 a cell. An entry's tag, the bits above dirBits,
+// holds the rest of its fingerprint, so a bucket is the run of entries
+// with one tag in one cell, and a seal needs no row to re-file a posting.
+// Keys sharing a fingerprint share a bucket, which can only add a
+// candidate, and every candidate is rescored. The delta holds the rows
+// added since: a slot array keyed by the whole key over chains of
+// postings in an append-only arena, in insertion order. A query costs
+// two lookups per band however many shards there are, and no array
+// holds a pointer for the collector to trace. Postings are only ever
+// added — a tombstoned row keeps its (every scoring path skips dead
+// rows) — until a reseal merges both levels without them.
 //
-// mu guards every field, though add and SaveDir's reseal read params
-// without it, under Index.writeMu (see add): shard.add inserts while holding its shard lock (order: shard,
-// then table), probe takes mu alone.
+// mu guards every field, though add reads params without it, under
+// Index.writeMu (see add): shard.add inserts while holding its shard
+// lock (order: shard, then table), probe takes mu alone.
 type postingTable struct {
 	mu      sync.RWMutex
 	params  LSHParams
@@ -98,10 +99,9 @@ type postingTable struct {
 	dir        []uint32 // 1<<dirBits + 1 offsets into packed: cell c's entries are packed[dir[c]:dir[c+1]]
 	dirBits    uint     // minDirBits at least, and at least the widest sealed posting's bits
 	packed     []uint32 // a word a sealed posting: fp<<dirBits | shard<<rowBits | row
-	rowBits    uint     // bits of the largest stripe's row numbers as of the last rebuild
-	spilled    bool     // a stripe had more rows than postingBits can name: nothing is sealed
+	rowBits    uint     // bits of the largest stripe's row numbers as of the last seal
 	sealedUsed int      // sealed buckets
-	seals      uint64   // rebuilds so far
+	seals      uint64   // reseals so far
 
 	slots []postSlot // power-of-two length, at most 3/4 occupied
 	posts []posting  // posts[0] is the nil sentinel: index 0 ends a chain
@@ -167,22 +167,23 @@ func (t *postingTable) insert(key uint64, shard, row int32) {
 	s.tail = p
 }
 
-// full reports whether a row from every stripe at once — the adds that
-// can sit between this check and their inserts — would not fit.
-func (t *postingTable) full() bool {
+// full reports whether a stripe's row numbered row would not fit: a
+// sealed posting could not name it, or a row from every stripe at once —
+// the adds that can sit between this check and their inserts — would
+// pass maxPostings.
+func (t *postingTable) full(row int) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return 1+len(t.packed)+len(t.posts)+t.params.Bands*t.stripes > maxPostings
+	return bits.Len(uint(t.stripes-1))+bits.Len(uint(row)) > postingBits || 1+len(t.packed)+len(t.posts)+t.params.Bands*t.stripes > maxPostings
 }
 
 // add inserts one row's postings into the delta, one per band of sig.
 // The band keys are hashed before the lock, so concurrent adds share
-// only the inserts. Reading params unlocked is safe: rebuild, its only
-// writer, runs with Index.writeMu held exclusively, and every add holds
-// writeMu shared (or owns a table nobody else sees yet).
+// only the inserts. Reading params unlocked is safe: nothing writes it
+// after the table is made.
 func (t *postingTable) add(shard, row int32, sig []uint64) {
 	keys := make([]uint64, 0, 32) // the default banding's count: on the stack
-	for band := 0; band < t.params.Bands; band++ {
+	for band := range t.params.Bands {
 		keys = append(keys, t.params.bandKey(band, sig))
 	}
 	t.mu.Lock()
@@ -218,68 +219,74 @@ func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) 
 	return total
 }
 
-// rebuild replaces the table's contents with the postings of every live
-// row of shards under banding p, sealed, and an empty delta: how Open
-// (fresh arenas, under the banding OpenWith was given), compaction (new
-// row numbers) and a due reseal all get their table. A posting takes
-// the bits of the shard count and of the largest stripe's row numbers;
-// if that is more than postingBits, every row is filed in the delta
-// instead. Keys
-// are hashed from each row's full-width signature (a heap or mmap'd
-// slice); a row the store cannot read files nowhere and counts as a read
-// error, as a search skips it. Callers exclude every add, delete,
-// search, compaction and snapshot meanwhile — Index.writeMu held
-// exclusively, or an index nobody else sees yet — so shard state is read
-// unlocked.
-func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
-	nt, live, most := newPostingTable(p, len(shards)), 0, 1
+// reseal merges the table's two levels into its sealed level, less the
+// postings of dead rows, and empties the delta: how a due reseal, a
+// compaction and Open all end. gone[si], when set, is the dead set a
+// compaction dropped from stripe si, which its postings are numbered
+// under: each surviving row moves down by the dead rows before it. The
+// sealed words decode in (fingerprint, shard, row) order, which that
+// keeps, so only the delta is sorted before one merge hands seal the
+// entries — the words hashing every live row from the full store again
+// would seal. Callers exclude every add, delete, search and snapshot —
+// Index.writeMu held exclusively, or an index nobody else sees yet — so
+// shard state is read unlocked.
+func (t *postingTable) reseal(shards []*shard, gone [][]uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rowBits, ahead := uint(0), make([][]uint32, len(gone)) // ahead[si][w]: gone[si]'s dead rows before its word w
 	for _, sh := range shards {
-		live += sh.names.len() - sh.deadRows
-		most = max(most, sh.names.len())
+		rowBits = max(rowBits, uint(bits.Len(uint(max(sh.names.len(), 1)-1))))
 	}
-	nt.rowBits = uint(bits.Len(uint(most - 1)))
-	nt.spilled = bits.Len(uint(len(shards)-1))+int(nt.rowBits) > postingBits
-	var ents []uint64 // fingerprint<<32 | posting, in (shard, row) order
-	if !nt.spilled {
-		ents = make([]uint64, 0, live*p.Bands)
+	for si, dead := range gone {
+		ahead[si] = make([]uint32, len(dead)+1)
+		for w, x := range dead {
+			ahead[si][w+1] = ahead[si][w] + uint32(bits.OnesCount64(x))
+		}
 	}
-	var sc rowScratch
-	for si, sh := range shards {
-		for i := range sh.names.len() {
-			if sh.rowDead(int32(i)) {
-				continue
+	keep := func(shard, row uint32) (uint64, bool) { // a filed row's posting after the seal, unless it drops
+		dead, moved := shards[shard].dead, uint32(0)
+		if int(shard) < len(gone) && gone[shard] != nil {
+			dead, moved = gone[shard], ahead[shard][min(int(row>>6), len(gone[shard]))]
+			if int(row>>6) < len(dead) {
+				moved += uint32(bits.OnesCount64(dead[row>>6] & (1<<(row&63) - 1)))
 			}
-			sig, err := sh.full.row(i, &sc)
-			if err != nil {
-				sh.full.tier.readErrors.Add(1)
-				continue
-			}
-			if nt.spilled {
-				nt.add(int32(si), int32(i), sig)
-				continue
-			}
-			for band := 0; band < p.Bands; band++ {
-				ents = append(ents, p.bandKey(band, sig)&^math.MaxUint32|uint64(si)<<nt.rowBits|uint64(i))
+		}
+		return uint64(shard)<<rowBits | uint64(row-moved), !bitSet(dead, int32(row))
+	}
+	delta := make([]uint64, 0, len(t.posts)-1)
+	for _, s := range t.slots {
+		for p := s.head; p != 0; p = t.posts[p].next {
+			if e, ok := keep(uint32(t.posts[p].shard), uint32(t.posts[p].row)); ok {
+				delta = append(delta, s.key&^math.MaxUint32|e)
 			}
 		}
 	}
-	nt.seal(ents)
-	t.mu.Lock()
-	t.params, t.slots, t.posts, t.used = p, nt.slots, nt.posts, nt.used
-	t.dir, t.dirBits, t.packed, t.rowBits, t.spilled = nt.dir, nt.dirBits, nt.packed, nt.rowBits, nt.spilled
-	t.sealedUsed = nt.sealedUsed
+	delta = sortEntries(delta, make([]uint64, len(delta)), 0)
+	ents := make([]uint64, 0, len(t.packed)+len(delta))
+	postMask, rowMask := uint32(1)<<t.dirBits-1, uint32(1)<<t.rowBits-1
+	for c := range len(t.dir) - 1 {
+		for _, e := range t.packed[t.dir[c]:t.dir[c+1]] {
+			if p, ok := keep(e&postMask>>t.rowBits, e&rowMask); ok {
+				ent := (uint64(c)<<(32-t.dirBits)|uint64(e>>t.dirBits))<<32 | p
+				for len(delta) > 0 && delta[0] < ent {
+					ents, delta = append(ents, delta[0]), delta[1:]
+				}
+				ents = append(ents, ent)
+			}
+		}
+	}
+	t.seal(append(ents, delta...), rowBits)
+	t.slots, t.posts, t.used = make([]postSlot, minPostSlots), make([]posting, 1), 0
 	t.seals++
-	t.mu.Unlock()
 }
 
-// seal makes ents — fingerprint<<32 | posting — the sealed level of the
-// empty table t: a stable sort by fingerprint leaves each bucket
-// contiguous and in the order given, one pass counts buckets and finds
-// the widest posting to size the directory, and one writes both front to
-// back. dirBits is never below the widest posting's bits, so an entry's
-// tag and cell together always hold its whole fingerprint.
-func (t *postingTable) seal(ents []uint64) {
-	ents = sortByFingerprint(ents, make([]uint64, len(ents)))
+// seal makes ents — fingerprint<<32 | posting, sorted — the table's
+// sealed level, its postings' row numbers rowBits wide: one pass counts
+// buckets and finds the widest posting to size the directory, and one
+// writes both front to back. dirBits is never below the widest posting's
+// bits, so an entry's tag and cell together always hold its whole
+// fingerprint. Callers hold mu or own the table.
+func (t *postingTable) seal(ents []uint64, rowBits uint) {
 	buckets, widest := 0, uint32(0)
 	for i, e := range ents {
 		if i == 0 || e>>32 != ents[i-1]>>32 {
@@ -287,7 +294,7 @@ func (t *postingTable) seal(ents []uint64) {
 		}
 		widest = max(widest, uint32(e))
 	}
-	t.dirBits = max(minDirBits, uint(bits.Len(uint(buckets/8))), uint(bits.Len32(widest)))
+	t.rowBits, t.dirBits = rowBits, max(minDirBits, uint(bits.Len(uint(buckets/8))), uint(bits.Len32(widest)))
 	t.dir, t.packed, t.sealedUsed = make([]uint32, 1<<t.dirBits+1), make([]uint32, len(ents)), buckets
 	cell := 0 // the next directory entry to fill
 	for i, e := range ents {
@@ -302,12 +309,12 @@ func (t *postingTable) seal(ents []uint64) {
 	}
 }
 
-// sortByFingerprint sorts a by its top 32 bits, stably, in three 11-bit
+// sortEntries sorts a by its bits from bit from up, stably, in 11-bit
 // counting passes between a and the equally long tmp, and returns the
 // one that ends up sorted.
-func sortByFingerprint(a, tmp []uint64) []uint64 {
+func sortEntries(a, tmp []uint64, from uint) []uint64 {
 	const digit = 1<<11 - 1
-	for shift := uint(32); shift < 64; shift += 11 {
+	for shift := from; shift < 64; shift += 11 {
 		var next [digit + 2]int // next[d]: where the next entry with digit d goes
 		for _, e := range a {
 			next[e>>shift&digit+1]++
@@ -324,19 +331,19 @@ func sortByFingerprint(a, tmp []uint64) []uint64 {
 	return a
 }
 
-// sealDue reports whether SaveDir should rebuild for the delta's sake: it
+// sealDue reports whether SaveDir should reseal for the delta's sake: it
 // holds sealMinDelta postings and more than a quarter of the sealed
-// count, and the last rebuild did not spill.
+// count.
 func (t *postingTable) sealDue() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	delta := len(t.posts) - 1
-	return delta >= sealMinDelta && delta*4 > len(t.packed) && !t.spilled
+	return delta >= sealMinDelta && delta*4 > len(t.packed)
 }
 
 // size returns the table's bytes (all four arrays, by capacity), buckets
 // (sealed plus delta: one filed in both counts twice), delta postings
-// and rebuilds.
+// and reseals.
 func (t *postingTable) size() (bytes int64, buckets, delta int, seals uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

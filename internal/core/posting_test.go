@@ -60,21 +60,61 @@ func refFromLive(ix *Index) *refPostings {
 	return r
 }
 
-// rebuilt returns the table rebuild makes of the live rows of shards
-// under banding p: what a seal must leave, word for word.
+// rebuilt is how the posting table was built before a seal merged the
+// postings it already held, kept as the reference every seal is held to
+// word for word: every live row of shards, its band keys under banding p
+// hashed from the full-width store, sealed, beside an empty delta. A row
+// the store cannot read files nowhere.
 func rebuilt(p LSHParams, shards []*shard) *postingTable {
-	t := newPostingTable(p, len(shards))
-	t.rebuild(p, shards)
-	return t
+	nt, most, live := newPostingTable(p, len(shards)), 1, 0
+	for _, sh := range shards {
+		most, live = max(most, sh.names.len()), live+sh.names.len()-sh.deadRows
+	}
+	rowBits := uint(bits.Len(uint(most - 1)))
+	ents := make([]uint64, 0, live*p.Bands) // fingerprint<<32 | posting, in (shard, row) order
+	var sc rowScratch
+	for si, sh := range shards {
+		for i := range sh.names.len() {
+			if sh.rowDead(int32(i)) {
+				continue
+			}
+			sig, err := sh.full.row(i, &sc)
+			if err != nil {
+				continue
+			}
+			for band := range p.Bands {
+				ents = append(ents, p.bandKey(band, sig)&^math.MaxUint32|uint64(si)<<rowBits|uint64(i))
+			}
+		}
+	}
+	nt.seal(sortEntries(ents, make([]uint64, len(ents)), 32), rowBits)
+	return nt
+}
+
+// rebuild replaces t's contents with rebuilt's table: the old way to
+// seal, for tests that want a sealed level from the full store. Callers
+// exclude everything else, as for reseal.
+func (t *postingTable) rebuild(p LSHParams, shards []*shard) {
+	nt := rebuilt(p, shards)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.params, t.slots, t.posts, t.used = p, nt.slots, nt.posts, nt.used
+	t.dir, t.dirBits, t.packed, t.rowBits, t.sealedUsed = nt.dir, nt.dirBits, nt.packed, nt.rowBits, nt.sealedUsed
+	t.seals++
 }
 
 // sealedAsRebuilt reports how t, just sealed over shards, differs from
-// rebuilt's table of the same live rows: the sealed words, directory,
-// row and directory bits and bucket count, and the delta's size.
+// rebuilt's table of the same live rows.
 func sealedAsRebuilt(t *postingTable, shards []*shard) error {
-	want := rebuilt(t.params, shards)
+	return sameSealed(t, rebuilt(t.params, shards))
+}
+
+// sameSealed reports how t differs from want, a table just sealed: the
+// sealed words, directory, row and directory bits and bucket count, and
+// an empty delta.
+func sameSealed(t, want *postingTable) error {
 	if !slices.Equal(t.packed, want.packed) || !slices.Equal(t.dir, want.dir) || t.rowBits != want.rowBits ||
-		t.dirBits != want.dirBits || t.sealedUsed != want.sealedUsed || len(t.posts) != len(want.posts) || t.used != want.used {
+		t.dirBits != want.dirBits || t.sealedUsed != want.sealedUsed || len(t.posts) != 1 || t.used != 0 {
 		return fmt.Errorf("sealed %d words in %d buckets at %d row and %d directory bits beside %d delta postings; rebuild seals %d in %d at %d and %d (words equal %v, directory equal %v)",
 			len(t.packed), t.sealedUsed, t.rowBits, t.dirBits, len(t.posts)-1, len(want.packed), want.sealedUsed, want.rowBits, want.dirBits,
 			slices.Equal(t.packed, want.packed), slices.Equal(t.dir, want.dir))
@@ -164,8 +204,8 @@ func (m *postingModel) delete() {
 
 // reopen commits what the model's directory index holds (a snapshot if
 // it has none yet, else its log), closes it and opens the directory
-// under lsh, so the log's tail replays and one rebuild seals everything.
-// It returns the rebuilds the closed index's table had sealed.
+// under lsh, so the log's tail replays and one reseal seals everything.
+// It returns the seals the closed index's table had made.
 func (m *postingModel) reopen(lsh LSHParams, what string) uint64 {
 	m.t.Helper()
 	old := m.ix
@@ -192,7 +232,7 @@ func (m *postingModel) reopen(lsh LSHParams, what string) uint64 {
 }
 
 // addTwin adds a copy of some signature added before and checks: after a
-// rebuild the copy lands in the delta beside the sealed buckets of the
+// seal the copy lands in the delta beside the sealed buckets of the
 // rows it matches, so their queries read both levels. It returns 1 if
 // both levels hold buckets now.
 func (m *postingModel) addTwin(what string) int {
@@ -207,8 +247,8 @@ func (m *postingModel) addTwin(what string) int {
 
 // check probes ix with every signature in the pool and a few fresh ones
 // and requires each shard's live candidate set to equal the
-// reference's. Dead rows are left out of the comparison: a table
-// rebuild drops every tombstoned row's postings, where the maps only
+// reference's. Dead rows are left out of the comparison: a reseal
+// drops every tombstoned row's postings, where the maps only
 // dropped those of the stripes that compacted, and no scoring path
 // looks at a dead row either way.
 func (m *postingModel) check(ix *Index, what string) {
@@ -336,7 +376,7 @@ func TestPostingTableMatchesReference(t *testing.T) {
 		}
 	}
 	if compactions < 20 || seals < 20 || split < 20 {
-		t.Fatalf("only %d snapshots compacted a stripe, %d rebuilds sealed and %d checks read both levels; the sequences never exercise the rebuild",
+		t.Fatalf("only %d snapshots compacted a stripe, %d seals ran and %d checks read both levels; the sequences never exercise the reseal",
 			compactions, seals, split)
 	}
 }
@@ -541,7 +581,7 @@ func TestPostingTableConcurrency(t *testing.T) {
 		return
 	}
 	if c := ix.compactions.Load(); c == 0 {
-		t.Fatal("no SaveDir crossed the compaction threshold; the race never exercised a rebuild")
+		t.Fatal("no SaveDir crossed the compaction threshold; the race never exercised a reseal")
 	}
 	for f, q := range queries {
 		exact, err := search(ix, q, ModeExact, members, 0.3)
@@ -566,10 +606,12 @@ func setPostingLimit(t *testing.T, limit *int, to int) {
 	t.Cleanup(func() { *limit = old })
 }
 
-// TestPostingRowBitsFallback forces a packed posting too narrow for the
-// stripes: the rebuild that would seal files every row in the delta
-// instead, a snapshot does not reseal however large that delta is, and
-// candidates still match the reference.
+// TestPostingRowBitsFallback narrows a sealed posting until, beside 3
+// stripes, it names 64 rows a stripe: the 65th row of a stripe is refused
+// with ErrIndexFull before the tier, the arena or the WAL has taken it,
+// the index keeps answering and reopens as it was, and a directory whose
+// stripe holds more rows than a posting can name fails to open, naming
+// the stripe.
 func TestPostingRowBitsFallback(t *testing.T) {
 	setPostingLimit(t, &postingBits, 8) // 3 stripes take 2 bits: 64 rows a stripe
 	lsh := LSHParams{Bands: 16, RowsPerBand: 1}
@@ -587,22 +629,40 @@ func TestPostingRowBitsFallback(t *testing.T) {
 	}
 	m.reopen(lsh, "packed")
 	if _, _, delta, seals := m.ix.posts.size(); seals != 1 || m.ix.posts.sealedUsed == 0 || delta != 0 {
-		t.Fatalf("30 rows a stripe: %d rebuilds, %d sealed buckets, %d delta postings; want everything sealed", seals, m.ix.posts.sealedUsed, delta)
+		t.Fatalf("30 rows a stripe: %d seals, %d sealed buckets, %d delta postings; want everything sealed", seals, m.ix.posts.sealedUsed, delta)
 	}
-	for i := 0; i < 210; i++ {
-		m.add(m.sig())
+	name := ""
+	for name == "" { // add until the next name's stripe holds 64 rows
+		if next := fmt.Sprintf("r%d", m.next); m.ix.shards[shardFor(next, 3)].names.len() == 64 {
+			name = next
+		} else {
+			m.add(m.sig())
+		}
 	}
-	m.reopen(lsh, "fallback")
-	if err := m.ix.SaveDir(); err != nil { // 4 800 delta postings, nothing sealed: due, if the rows packed
+	sh, records, before, wal := m.ix.shards[shardFor(name, 3)], m.ix.Len(), m.ix.Tier(), m.ix.WAL()
+	if ok, err := m.ix.Add(&Sketch{Name: name, K: 4, Shingles: 5, Signature: m.sig()}); ok || !errors.Is(err, ErrIndexFull) {
+		t.Fatalf("the 65th row of a stripe: ok=%v err=%v, want ErrIndexFull", ok, err)
+	}
+	if after := m.ix.Tier(); m.ix.Len() != records || m.ix.Has(name) || sh.arena.rows != 64 || *after != *before || *m.ix.WAL() != *wal {
+		t.Fatalf("a refused add left a trace: %d records, %d arena rows, tier %+v -> %+v, wal %+v -> %+v", m.ix.Len(), sh.arena.rows, before, after, wal, m.ix.WAL())
+	}
+	m.check(m.ix, "refused")
+	if res, err := search(m.ix, &Sketch{Name: "q", K: 4, Shingles: 5, Signature: m.sigs[0]}, ModeLSH, 5, 0); err != nil || len(res) == 0 {
+		t.Fatalf("search on a full stripe: %d results, err %v", len(res), err)
+	}
+	m.reopen(lsh, "reopened full")
+	if m.ix.Len() != records || m.ix.Has(name) {
+		t.Fatalf("reopened %d records (has %s: %v), want the %d acked", m.ix.Len(), name, m.ix.Has(name), records)
+	}
+
+	if err := m.ix.SaveDir(); err != nil { // the manifest holds the full stripe
 		t.Fatal(err)
 	}
-	p := m.ix.posts
-	if _, _, delta, seals := p.size(); seals != 1 || !p.spilled || p.sealedUsed != 0 || len(p.packed) != 0 || delta != 300*lsh.Bands {
-		t.Fatalf("100 rows a stripe: %d rebuilds, spilled %v, %d sealed buckets, %d packed and %d delta postings; want the open's rebuild alone and everything in the delta",
-			seals, p.spilled, p.sealedUsed, len(p.packed), delta)
+	setPostingLimit(t, &postingBits, 7) // 32 rows a stripe
+	wide := slices.IndexFunc(m.ix.shards, func(sh *shard) bool { return sh.names.len() > 32 })
+	if _, err := Open(m.ix.DataDir()); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("manifest shard %d: ", wide)) {
+		t.Fatalf("open with stripes of %d rows, 32 nameable: err %v, want one naming stripe %d", sh.names.len(), err, wide)
 	}
-	m.add(m.sig())
-	m.check(m.ix, "add after fallback")
 }
 
 // TestPostingFingerprintMerge plants two rows whose band keys differ but
@@ -739,20 +799,22 @@ func TestPostingBytesPerRecord(t *testing.T) {
 }
 
 // sealedTable seals rows[k] under every key k into a bare one-stripe
-// table, its postings as wide as its largest row, as rebuild would make
+// table, its postings as wide as its largest row, as a reseal would make
 // them, and checks the counts size, sealDue and full go by: a bucket
 // each, a word a posting.
 func sealedTable(t *testing.T, rows map[uint64][]int32) *postingTable {
 	t.Helper()
 	tab := newPostingTable(LSHParams{Bands: 1, RowsPerBand: 1}, 1)
 	var ents []uint64
+	rowBits := uint(0)
 	for k, rs := range rows {
 		for _, r := range rs {
 			ents = append(ents, k&^math.MaxUint32|uint64(r))
-			tab.rowBits = max(tab.rowBits, uint(bits.Len32(uint32(r))))
+			rowBits = max(rowBits, uint(bits.Len32(uint32(r))))
 		}
 	}
-	tab.seal(ents)
+	slices.Sort(ents)
+	tab.seal(ents, rowBits)
 	if _, buckets, _, _ := tab.size(); buckets != len(rows) || len(tab.packed) != len(ents) {
 		t.Fatalf("sealed %d buckets in %d words, want %d buckets and a word for each of the %d postings", buckets, len(tab.packed), len(rows), len(ents))
 	}
@@ -856,19 +918,18 @@ func TestSealCountsPostingsNotWords(t *testing.T) {
 	}
 	setPostingLimit(t, &maxPostings, 2+sealed+sealMinDelta+2) // room for one row more, twice
 	tab.insert(sealMinDelta, 0, 0)
-	if !tab.sealDue() || tab.full() {
-		t.Fatalf("one posting past a quarter: due=%v full=%v, want due and not full", tab.sealDue(), tab.full())
+	if !tab.sealDue() || tab.full(0) {
+		t.Fatalf("one posting past a quarter: due=%v full=%v, want due and not full", tab.sealDue(), tab.full(0))
 	}
 	tab.insert(sealMinDelta+1, 0, 0)
-	if !tab.full() {
+	if !tab.full(0) {
 		t.Fatal("sealed plus delta postings reached the limit and the table is not full")
 	}
 }
 
-// TestPostingResealsFromEmpty opens an empty index, whose rebuild seals
-// nothing over stripes of no rows — a posting of no row bits, not a
-// spilled table — and adds more than sealMinDelta postings to it: the
-// next SaveDir must seal them.
+// TestPostingResealsFromEmpty opens an empty index, whose open seals
+// nothing over stripes of no rows — a posting of no row bits — and adds
+// more than sealMinDelta postings to it: the next SaveDir must seal them.
 func TestPostingResealsFromEmpty(t *testing.T) {
 	eng, err := NewEngine(Options{IndexName: "empty", Tiered: true, DataDir: t.TempDir()})
 	if err != nil {
@@ -883,9 +944,8 @@ func TestPostingResealsFromEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if _, _, delta, seals := ix.posts.size(); seals != 1 || ix.posts.rowBits != 0 || ix.posts.spilled || delta != 0 {
-		t.Fatalf("opened empty: %d seals, %d row bits, spilled %v, %d delta postings; want 1, 0, false, 0",
-			seals, ix.posts.rowBits, ix.posts.spilled, delta)
+	if _, _, delta, seals := ix.posts.size(); seals != 1 || ix.posts.rowBits != 0 || delta != 0 {
+		t.Fatalf("opened empty: %d seals, %d row bits, %d delta postings; want 1, 0, 0", seals, ix.posts.rowBits, delta)
 	}
 	const families, adds = 10, sealMinDelta/32 + 1
 	sk := eng.Sketcher()
@@ -912,7 +972,7 @@ func TestPostingResealsFromEmpty(t *testing.T) {
 	}
 }
 
-// TestPostingDirectoryCoversPostings rebuilds the table over stripe shapes
+// TestPostingDirectoryCoversPostings reseals the table over stripe shapes
 // a posting's width comes out of unevenly — stripes of no row and of one
 // beside a large one, an odd stripe count, a largest stripe one past a
 // power of two — and checks that the directory is never narrower than
@@ -952,7 +1012,10 @@ func TestPostingDirectoryCoversPostings(t *testing.T) {
 				}
 			}
 		}
-		ix.posts.rebuild(lsh, ix.shards)
+		ix.posts.reseal(ix.shards, nil)
+		if err := sealedAsRebuilt(ix.posts, ix.shards); err != nil {
+			t.Fatalf("%v: %v", shape, err)
+		}
 		tab, widest := ix.posts, 0
 		for si, n := range shape {
 			if n > 0 {
@@ -1016,51 +1079,108 @@ func TestAddRefusedWhenPostingsFull(t *testing.T) {
 	}
 }
 
-// FuzzPostingTable reads its input as add(key, shard, row) / seal /
-// probe(two keys) steps on a bare table, beside a map from key to
-// postings. A key byte's high nibble picks one of 16 fingerprints and its
-// low two bits tell keys of one fingerprint apart, so inputs can make
-// sealed buckets merge. Every probe must gather each row once, at least
-// what the map files under the probed keys and at most what it files
-// under keys with their fingerprints — which is equality whenever no two
-// live keys share one.
+// FuzzPostingTable reads its input as add(key, shard, row) / reseal /
+// probe(two keys) / kill(shard, row) or compact(stripe) steps on a bare
+// table over three stripes of 64 rows, beside a map from key to
+// postings. A key byte's high nibble picks one of 16 fingerprints and
+// its low two bits tell keys of one fingerprint apart, so inputs can make
+// sealed buckets merge. A kill tombstones a row; a reseal — the
+// production merge of the table's own two levels — drops the postings of
+// dead rows, and a compaction first renumbers its stripe past them, as
+// the index does, and reseals. After each, the table must be word for
+// word the one sealed from the map. Every probe must gather each row
+// once, at least what the map files under the probed keys and at most
+// what it files under keys with their fingerprints — which is equality
+// whenever no two live keys share one. The table passes checkLevels
+// after every step.
 func FuzzPostingTable(f *testing.F) {
 	f.Add([]byte{0, 0x10, 7, 0, 0x20, 8, 5, 0, 0x10, 9, 6, 0x10, 0x20})    // no shared fingerprint; a bucket in both levels
 	f.Add([]byte{0, 0x31, 1, 0, 0x32, 2, 0, 0x31, 1, 5, 6, 0x31, 0x33, 5}) // two keys, one fingerprint; a row filed twice
-	f.Add([]byte{5, 7, 0, 0})                                              // sealing and probing nothing
+	f.Add([]byte{5, 6, 0, 0})                                              // sealing and probing nothing
 	var long, singles []byte
 	for i := 0; i < 300; i++ {
 		long = append(long, 0, 0x50, byte(i), 5)
 	}
-	f.Add(append(long, 7, 0x50, 0x51)) // one key added and sealed 300 times: one bucket of 300 postings
+	f.Add(append(long, 6, 0x50, 0x51)) // one key added and sealed 300 times: one bucket of 300 postings
 	for k := 0; k < 16; k++ {
 		singles = append(singles, 0, byte(k<<4), byte(k))
 	}
 	f.Add(append(singles, 5, 6, 0x30, 0xf0)) // nothing but singleton buckets
+	// Rows of every stripe under two keys, some killed, a reseal, more
+	// adds and kills, then a compaction of stripe 1 and a probe.
+	var churn []byte
+	for r := 0; r < 60; r++ {
+		churn = append(churn, 0, 0x60, byte(r), 0, 0x71, byte(r))
+		if r%4 == 1 {
+			churn = append(churn, 7, 0, byte(r))
+		}
+	}
+	churn = append(churn, 5, 0, 0x60, 100, 7, 0, 100, 7, 0, 4, 7, 3, 1, 6, 0x60, 0x71)
+	f.Add(churn)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const stripes, rows = 3, 64
 		key := func(b byte) uint64 { return uint64(b>>4)*0x12345679<<32 | uint64(b&3) }
+		at := func(b byte) posting { return posting{shard: int32(b % stripes), row: int32(b / stripes % rows)} }
 		tab := newPostingTable(LSHParams{Bands: 1, RowsPerBand: 1}, stripes)
+		shards := make([]*shard, stripes)
+		for si := range shards {
+			shards[si] = &shard{names: nameTable{ends: make([]uint32, rows)}} // 64 rows; the table reads no more
+		}
 		ref := map[uint64][]posting{}
+		// reseal runs the table's reseal and the map's: a posting of a row
+		// dead in gone (a compacted stripe's old dead set, whose other
+		// rows move down past it) or in its stripe now drops.
+		reseal := func(gone [][]uint64) {
+			t.Helper()
+			kept, ents := map[uint64][]posting{}, []uint64(nil)
+			for k, es := range ref {
+				for _, e := range es {
+					dead, n := shards[e.shard].dead, e.row
+					if gone[e.shard] != nil {
+						dead = gone[e.shard]
+						for r := range e.row {
+							if bitSet(dead, r) {
+								n--
+							}
+						}
+					}
+					if !bitSet(dead, e.row) {
+						kept[k] = append(kept[k], posting{shard: e.shard, row: n})
+						ents = append(ents, k&^math.MaxUint32|uint64(e.shard)<<6|uint64(n))
+					}
+				}
+			}
+			want := newPostingTable(tab.params, stripes)
+			slices.Sort(ents)
+			want.seal(ents, 6)
+			tab.reseal(shards, gone)
+			if err := sameSealed(tab, want); err != nil {
+				t.Fatalf("resealed: %v", err)
+			}
+			ref = kept
+		}
 		for len(data) >= 3 || len(data) > 0 && data[0]%8 == 5 {
 			switch op := data[0] % 8; {
 			case op < 5:
-				e := posting{shard: int32(data[2] % stripes), row: int32(data[2] / stripes % rows)}
+				e := at(data[2])
 				tab.insert(key(data[1]), e.shard, e.row)
 				ref[key(data[1])] = append(ref[key(data[1])], e)
 				data = data[3:]
 			case op == 5:
-				sealed := newPostingTable(tab.params, stripes)
-				sealed.rowBits = uint(bits.Len(rows - 1))
-				var ents []uint64
-				for k, es := range ref {
-					for _, e := range es {
-						ents = append(ents, k&^math.MaxUint32|uint64(e.shard)<<sealed.rowBits|uint64(e.row))
-					}
+				reseal(make([][]uint64, stripes))
+				data = data[1:]
+			case op == 7 && data[1]%4 == 3: // compact stripe data[2], then reseal
+				gone, sh := make([][]uint64, stripes), shards[data[2]%stripes]
+				gone[data[2]%stripes], sh.dead = sh.dead, nil
+				reseal(gone)
+				data = data[3:]
+			case op == 7: // kill a row
+				sh, row := shards[at(data[2]).shard], at(data[2]).row
+				for len(sh.dead) <= int(row)>>6 {
+					sh.dead = append(sh.dead, 0)
 				}
-				slices.Sort(ents) // rebuild's order: fingerprint, shard, row
-				sealed.seal(ents)
-				tab, data = sealed, data[1:]
+				sh.dead[row>>6] |= 1 << uint(row&63)
+				data = data[3:]
 			default:
 				keys := []uint64{key(data[1]), key(data[2])}
 				scratch := make([]shardScratch, stripes)

@@ -382,7 +382,7 @@ func (ix *Index) Search(ctx context.Context, sk *Sketch, q Query) ([]Result, err
 		// shard's bitset marks its probed rows). It runs even when there
 		// are as many candidates as live records: the candidates may
 		// include tombstoned rows, whose postings stay until the next
-		// rebuild.
+		// seal.
 		for si, sh := range shards {
 			merged = sh.sweep(merged, pq, q.TopK, &buf.scratch[si])
 		}

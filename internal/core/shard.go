@@ -61,7 +61,7 @@ func (sh *shard) add(s *Sketch) (bool, error) {
 	if sh.names.lookup(s.Name, sh.dead) >= 0 {
 		return false, nil
 	}
-	if sh.posts.full() || !sh.names.fits(s.Name) {
+	if sh.posts.full(sh.names.len()) || !sh.names.fits(s.Name) {
 		return false, ErrIndexFull
 	}
 	if err := sh.full.append(s.Signature); err != nil {
@@ -89,16 +89,20 @@ func (sh *shard) delete(name string) bool {
 	if idx < 0 {
 		return false
 	}
-	w := int(idx) >> 6
-	for len(sh.dead) <= w {
-		sh.dead = append(sh.dead, 0)
-	}
-	sh.dead[w] |= 1 << uint(idx&63)
-	sh.deadRows++
+	sh.kill(idx)
 	if wl := sh.full.tier.wal.Load(); wl != nil {
 		wl.appendDelete(sh.full.tier.walSeq.Add(1), name)
 	}
 	return true
+}
+
+// kill sets row idx's dead bit. Callers hold the shard lock.
+func (sh *shard) kill(idx int32) {
+	for len(sh.dead) <= int(idx)>>6 {
+		sh.dead = append(sh.dead, 0)
+	}
+	sh.dead[idx>>6] |= 1 << uint(idx&63)
+	sh.deadRows++
 }
 
 // rowDead reports whether arena row idx is tombstoned. Callers hold the
@@ -399,9 +403,9 @@ func (sh *shard) ranksBefore(idx int32, sim float64, r Result) bool {
 // swept after the next manifest commit). Row indexes are reassigned, in
 // order; no search is in flight to see it, because SaveDir holds
 // Index.writeMu exclusively and every search holds it shared. On any
-// error the shard is left untouched. It returns the number of rows dropped. The stripe's
-// postings still name the old rows: callers hold sh.mu exclusively and
-// rebuild the posting table before releasing it.
+// error the shard is left untouched. It returns the number of rows
+// dropped; the stripe's postings still name the old rows, so callers
+// hold sh.mu exclusively and reseal through the dead set this clears.
 func (sh *shard) compactLocked(slots int) (int, error) {
 	live, liveBytes := sh.names.len()-sh.deadRows, 0
 	for i := range int32(sh.names.len()) {
