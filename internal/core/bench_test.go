@@ -418,13 +418,13 @@ func BenchmarkSearchLSH(b *testing.B) {
 
 // BenchmarkPostingRebuild times a seal of 50 000 sealed rows plus a
 // quarter-size delta, 12 500 rows added since, two ways: reseal, the
-// table's one build path (a due reseal, a compaction and Open all end in
-// it), which merges the postings its two levels hold, and rebuild, the
-// test-side reference, which hashes every live row from the full store
-// again. It reports the bytes per record of what it built: over the
-// serve-lsh-hit corpus, whose families share buckets, and over random
-// rows that share none, a bucket to every posting, the table's worst
-// case. Both ways build the same words.
+// table's one build path (a due reseal and a compaction end in it, Open
+// in its merge), which merges the postings its two levels hold, and
+// rebuild, the test-side reference, which hashes every live row from the
+// full store again. It reports the bytes per record of what it built:
+// over the serve-lsh-hit corpus, whose families share buckets, and over
+// random rows that share none, a bucket to every posting, the table's
+// worst case. Both ways build the same words.
 func BenchmarkPostingRebuild(b *testing.B) {
 	const sealed, delta = 50000, 50000 / 4
 	for _, c := range []struct {

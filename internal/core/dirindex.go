@@ -385,7 +385,7 @@ func Open(dir string) (*Index, error) { return OpenWith(dir, LSHParams{}) }
 // prefilter and sealing the live rows' LSH postings; manifest v6
 // tombstones are restored, the write-ahead log is replayed over the
 // snapshot (torn tails truncated) so every mutation acknowledged before
-// a crash is present, and one reseal merges the tail in. So a retune
+// a crash is present, and one merge seals snapshot and tail. So a retune
 // costs nothing beyond what every open pays, and reaches the manifest
 // with the next SaveDir. A banding that does not cover the signature,
 // or a stripe whose rows a sealed posting cannot name, is refused before
@@ -457,10 +457,10 @@ func OpenWith(dir string, lsh LSHParams) (ix *Index, err error) {
 	}
 	rowBits, live := uint(0), 0 // the largest stripe's row bits, and the live rows listed
 	for si, ms := range m.Shards {
-		if rowBits = max(rowBits, uint(bits.Len(uint(max(len(ms.Names), 1)-1)))); bits.Len(uint(shards-1))+int(rowBits) > postingBits {
+		rowBits, live = max(rowBits, uint(bits.Len(uint(max(len(ms.Names), 1)-1)))), live+len(ms.Names)-len(ms.Deleted)
+		if bits.Len(uint(shards-1))+int(rowBits) > postingBits {
 			return nil, fmt.Errorf("index: manifest shard %d: %d rows, more than a sealed posting names beside %d shards", si, len(ms.Names), shards)
 		}
-		live += len(ms.Names) - len(ms.Deleted)
 	}
 	ents := make([]uint64, 0, max(live, 0)*lsh.Bands) // fingerprint<<32 | posting, in (shard, row) order
 
@@ -567,7 +567,7 @@ func OpenWith(dir string, lsh LSHParams) (ix *Index, err error) {
 			}
 		}
 	}
-	posts.seal(sortEntries(ents, make([]uint64, len(ents)), 32), rowBits)
+	ents = sortEntries(ents, make([]uint64, len(ents)), 32)
 	ix.meta.RecordCount = 0
 	for _, sh := range ix.shards {
 		ix.meta.RecordCount += sh.names.len() - sh.deadRows
@@ -580,10 +580,10 @@ func OpenWith(dir string, lsh LSHParams) (ix *Index, err error) {
 	if err = ix.replayWAL(); err != nil {
 		return nil, err
 	}
-	// Then reseal, so no reopened index serves its tail from the delta or
-	// its replayed deletes from the sealed level. The index is still
-	// private, as the reseal requires.
-	posts.reseal(ix.shards, nil)
+	// Then seal snapshot and tail at once, so no reopened index serves its
+	// tail from the delta or its replayed deletes from the sealed level.
+	// The index is still private, as the merge requires.
+	posts.merge(ents, rowBits, ix.shards, nil)
 	return ix, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -220,19 +221,35 @@ func (t *postingTable) probe(keys []uint64, scratch []shardScratch) (total int) 
 }
 
 // reseal merges the table's two levels into its sealed level, less the
-// postings of dead rows, and empties the delta: how a due reseal, a
-// compaction and Open all end. gone[si], when set, is the dead set a
-// compaction dropped from stripe si, which its postings are numbered
-// under: each surviving row moves down by the dead rows before it. The
-// sealed words decode in (fingerprint, shard, row) order, which that
-// keeps, so only the delta is sorted before one merge hands seal the
-// entries — the words hashing every live row from the full store again
-// would seal. Callers exclude every add, delete, search and snapshot —
-// Index.writeMu held exclusively, or an index nobody else sees yet — so
-// shard state is read unlocked.
+// postings of dead rows, and empties the delta: how a due reseal and a
+// compaction end. It decodes the sealed words, in (fingerprint, shard,
+// row) order, for merge. Callers exclude every add, delete, search and
+// snapshot — Index.writeMu held exclusively — so shard state is read
+// unlocked.
 func (t *postingTable) reseal(shards []*shard, gone [][]uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	sealed, postMask := make([]uint64, 0, len(t.packed)+len(t.posts)-1), uint32(1)<<t.dirBits-1
+	for c := range len(t.dir) - 1 {
+		for _, e := range t.packed[t.dir[c]:t.dir[c+1]] {
+			sealed = append(sealed, (uint64(c)<<(32-t.dirBits)|uint64(e>>t.dirBits))<<32|uint64(e&postMask))
+		}
+	}
+	t.merge(sealed, t.rowBits, shards, gone)
+}
+
+// merge seals base — fingerprint<<32 | shard<<baseBits | row, sorted: the
+// sealed level decoded, or what Open hashed from the snapshot's rows —
+// with the delta's postings, less those of dead rows, and empties the
+// delta. gone[si], when set, is the dead set a compaction dropped from
+// stripe si, which its postings are numbered under: each surviving row
+// moves down by the dead rows before it. Dropping and that monotone
+// renumbering keep base's order, so only the delta is sorted before one
+// merge hands seal the entries under the row bits of the stripes as they
+// are now: the words hashing every live row from the full store again
+// would seal. Callers hold mu or own the table, and exclude what reseal
+// names; base's array is reused.
+func (t *postingTable) merge(base []uint64, baseBits uint, shards []*shard, gone [][]uint64) {
 	rowBits, ahead := uint(0), make([][]uint32, len(gone)) // ahead[si][w]: gone[si]'s dead rows before its word w
 	for _, sh := range shards {
 		rowBits = max(rowBits, uint(bits.Len(uint(max(sh.names.len(), 1)-1))))
@@ -253,29 +270,44 @@ func (t *postingTable) reseal(shards []*shard, gone [][]uint64) {
 		}
 		return uint64(shard)<<rowBits | uint64(row-moved), !bitSet(dead, int32(row))
 	}
-	delta := make([]uint64, 0, len(t.posts)-1)
+	fps := make([]uint32, len(t.posts)) // each delta posting's fingerprint, from its chain's slot
 	for _, s := range t.slots {
 		for p := s.head; p != 0; p = t.posts[p].next {
-			if e, ok := keep(uint32(t.posts[p].shard), uint32(t.posts[p].row)); ok {
-				delta = append(delta, s.key&^math.MaxUint32|e)
+			if fps[p] = uint32(s.key >> 32); p == s.tail {
+				break
 			}
 		}
 	}
-	delta = sortEntries(delta, make([]uint64, len(delta)), 0)
-	ents := make([]uint64, 0, len(t.packed)+len(delta))
-	postMask, rowMask := uint32(1)<<t.dirBits-1, uint32(1)<<t.rowBits-1
-	for c := range len(t.dir) - 1 {
-		for _, e := range t.packed[t.dir[c]:t.dir[c+1]] {
-			if p, ok := keep(e&postMask>>t.rowBits, e&rowMask); ok {
-				ent := (uint64(c)<<(32-t.dirBits)|uint64(e>>t.dirBits))<<32 | p
-				for len(delta) > 0 && delta[0] < ent {
-					ents, delta = append(ents, delta[0]), delta[1:]
-				}
-				ents = append(ents, ent)
-			}
+	delta := make([]uint64, 0, len(t.posts)-1) // in arena order, which reads the postings front to back
+	for p, e := range t.posts[1:] {
+		if e, ok := keep(uint32(e.shard), uint32(e.row)); ok {
+			delta = append(delta, uint64(fps[p+1])<<32|e)
 		}
 	}
-	t.seal(append(ents, delta...), rowBits)
+	delta = sortEntries(delta, make([]uint64, len(delta)), 32)
+	for i, j := 0, 1; i < len(delta); i, j = j, j+1 { // a run of one fingerprint, in posting order too
+		for j < len(delta) && delta[j]>>32 == delta[i]>>32 {
+			j++
+		}
+		if j-i > 1 {
+			slices.Sort(delta[i:j])
+		}
+	}
+	n := 0
+	for _, b := range base {
+		if p, ok := keep(uint32(b)>>baseBits, uint32(b)&(1<<baseBits-1)); ok {
+			base[n], n = b&^math.MaxUint32|p, n+1
+		}
+	}
+	ents := slices.Grow(base[:n], len(delta))[:n+len(delta)]
+	for i, j, k := n-1, len(delta)-1, len(ents)-1; j >= 0; k-- { // from the back, into the room after base
+		if i >= 0 && ents[i] > delta[j] {
+			ents[k], i = ents[i], i-1
+		} else {
+			ents[k], j = delta[j], j-1
+		}
+	}
+	t.seal(ents, rowBits)
 	t.slots, t.posts, t.used = make([]postSlot, minPostSlots), make([]posting, 1), 0
 	t.seals++
 }
