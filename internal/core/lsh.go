@@ -270,18 +270,18 @@ func (t *postingTable) merge(base []uint64, baseBits uint, shards []*shard, gone
 		}
 		return uint64(shard)<<rowBits | uint64(row-moved), !bitSet(dead, int32(row))
 	}
-	fps := make([]uint32, len(t.posts)) // each delta posting's fingerprint, from its chain's slot
+	// Each delta posting's fingerprint is its chain's: set at the heads,
+	// then handed down each chain in arena order, as chains only point
+	// forward. Empty slots and chain ends write fps[0], the sentinel's.
+	fps := make([]uint32, len(t.posts))
 	for _, s := range t.slots {
-		for p := s.head; p != 0; p = t.posts[p].next {
-			if fps[p] = uint32(s.key >> 32); p == s.tail {
-				break
-			}
-		}
+		fps[s.head] = uint32(s.key >> 32)
 	}
-	delta := make([]uint64, 0, len(t.posts)-1) // in arena order, which reads the postings front to back
+	delta := make([]uint64, 0, len(t.posts)-1)
 	for p, e := range t.posts[1:] {
-		if e, ok := keep(uint32(e.shard), uint32(e.row)); ok {
-			delta = append(delta, uint64(fps[p+1])<<32|e)
+		fps[e.next] = fps[p+1]
+		if ent, ok := keep(uint32(e.shard), uint32(e.row)); ok {
+			delta = append(delta, uint64(fps[p+1])<<32|ent)
 		}
 	}
 	delta = sortEntries(delta, make([]uint64, len(delta)), 32)
