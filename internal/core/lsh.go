@@ -270,36 +270,48 @@ func (t *postingTable) merge(base []uint64, baseBits uint, shards []*shard, gone
 		}
 		return uint64(shard)<<rowBits | uint64(row-moved), !bitSet(dead, int32(row))
 	}
-	// Each delta posting's fingerprint is its chain's: set at the heads,
-	// then handed down each chain in arena order, as chains only point
-	// forward. Empty slots and chain ends write fps[0], the sentinel's.
-	fps := make([]uint32, len(t.posts))
+	// The delta's postings, each under its chain's fingerprint — set at
+	// the heads, then handed down each chain in arena order, as chains
+	// only point forward (empty slots and chain ends write fps[0], the
+	// sentinel's) — gathered stripe by stripe, each in arena order, which
+	// shard.add makes row order, and sorted by fingerprint. A run of one
+	// fingerprint still out of posting order is sorted whole.
+	fps, at := make([]uint32, len(t.posts)), make([]int, len(shards)+1)
 	for _, s := range t.slots {
 		fps[s.head] = uint32(s.key >> 32)
 	}
-	delta := make([]uint64, 0, len(t.posts)-1)
+	for _, e := range t.posts[1:] {
+		at[e.shard+1]++
+	}
+	for si := range shards {
+		at[si+1] += at[si]
+	}
+	delta, deltaBits := make([]uint64, len(t.posts)-1), uint(32-bits.Len(uint(len(shards)-1)))
 	for p, e := range t.posts[1:] {
 		fps[e.next] = fps[p+1]
-		if ent, ok := keep(uint32(e.shard), uint32(e.row)); ok {
-			delta = append(delta, uint64(fps[p+1])<<32|ent)
-		}
+		delta[at[e.shard]], at[e.shard] = uint64(fps[p+1])<<32|uint64(e.shard)<<deltaBits|uint64(e.row), at[e.shard]+1
 	}
 	delta = sortEntries(delta, make([]uint64, len(delta)), 32)
-	for i, j := 0, 1; i < len(delta); i, j = j, j+1 { // a run of one fingerprint, in posting order too
+	for i, j := 0, 1; i < len(delta); i, j = j, j+1 {
 		for j < len(delta) && delta[j]>>32 == delta[i]>>32 {
 			j++
 		}
-		if j-i > 1 {
+		if j-i > 1 && !slices.IsSorted(delta[i:j]) {
 			slices.Sort(delta[i:j])
 		}
 	}
-	n := 0
-	for _, b := range base {
-		if p, ok := keep(uint32(b)>>baseBits, uint32(b)&(1<<baseBits-1)); ok {
-			base[n], n = b&^math.MaxUint32|p, n+1
+	filed := func(ents []uint64, bits uint) []uint64 { // keep's postings of ents, in place and in order
+		n := 0
+		for _, e := range ents {
+			if p, ok := keep(uint32(e)>>bits, uint32(e)&(1<<bits-1)); ok {
+				ents[n], n = e&^math.MaxUint32|p, n+1
+			}
 		}
+		return ents[:n]
 	}
-	ents := slices.Grow(base[:n], len(delta))[:n+len(delta)]
+	base, delta = filed(base, baseBits), filed(delta, deltaBits)
+	n := len(base)
+	ents := slices.Grow(base, len(delta))[:n+len(delta)]
 	for i, j, k := n-1, len(delta)-1, len(ents)-1; j >= 0; k-- { // from the back, into the room after base
 		if i >= 0 && ents[i] > delta[j] {
 			ents[k], i = ents[i], i-1
